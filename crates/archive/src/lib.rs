@@ -639,20 +639,19 @@ impl Archive {
         let _span = Span::enter("archive_replay", "segment");
         let meta = self.segments[i];
         let bytes = &self.seg_bytes[meta.offset as usize..(meta.offset + meta.comp_len) as usize];
-        let raw = lzss::decompress(bytes).map_err(|e| ArchiveError::SegCorrupt {
+        // `raw_len` comes from the index: the decoder allocates it once
+        // and fails the moment the stream would decode past it.
+        let raw_len = usize::try_from(meta.raw_len).unwrap_or(usize::MAX);
+        let raw = lzss::decompress(bytes, raw_len).map_err(|e| ArchiveError::SegCorrupt {
             segment: i,
             offset: meta.offset,
-            at: 0,
+            at: match e {
+                lzss::LzssError::TooShort { got, .. } => got,
+                lzss::LzssError::TooLong { expected } => expected,
+                _ => 0,
+            },
             what: e.to_string(),
         })?;
-        if raw.len() as u64 != meta.raw_len {
-            return Err(ArchiveError::SegCorrupt {
-                segment: i,
-                offset: meta.offset,
-                at: raw.len(),
-                what: format!("decompressed to {} bytes, index records {}", raw.len(), meta.raw_len),
-            });
-        }
         let seg = decode_segment(&meta, i, &raw)?;
         m_replayed().inc();
         Ok(seg)

@@ -34,7 +34,7 @@ fn lzss_benches(c: &mut Criterion) {
     g.bench_function("compress_64k_json", |b| b.iter(|| black_box(lzss::compress(&payload))));
     let compressed = lzss::compress(&payload);
     g.bench_function("decompress_64k_json", |b| {
-        b.iter(|| black_box(lzss::decompress(&compressed).expect("valid stream")))
+        b.iter(|| black_box(lzss::decompress(&compressed, payload.len()).expect("valid stream")))
     });
     g.finish();
 }

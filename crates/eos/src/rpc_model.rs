@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use txstat_types::amount::SymCode;
 use txstat_types::time::ChainTime;
+use txstat_types::JsonWriter;
 
 /// Render an EOS asset string: `"12.3456 EOS"` (4 decimals).
 pub fn format_asset(amount: AssetRaw, symbol: SymCode) -> String {
@@ -363,12 +364,119 @@ pub fn block_from_json(json: &BlockJson) -> Result<Block, DecodeError> {
     Ok(Block { num: json.block_num, time, producer, transactions })
 }
 
-/// The canonical wire bytes of one block: compact JSON of
-/// [`block_to_json`]. The NDJSON crawl replay, the archive's wire-JSON
-/// segments, and the follow layer's reorg content hashes all move exactly
-/// these bytes — this is their one shared definition.
+/// Append [`format_asset`] as a string literal.
+fn write_asset(w: &mut JsonWriter<'_>, amount: AssetRaw, symbol: SymCode) {
+    let mag = amount.unsigned_abs();
+    w.raw(if amount < 0 { "\"-" } else { "\"" });
+    w.uint(mag / 10_000).raw(".").uint_padded(mag % 10_000, 4);
+    w.raw(" ").escaped(symbol.as_str()).raw("\"");
+}
+
+/// Append the object [`action_data_to_json`] builds, key for key.
+fn write_action_data(w: &mut JsonWriter<'_>, data: &ActionData) {
+    let eos = SymCode::new("EOS");
+    /// `{"k1":name1,"k2":name2` — how all but two shapes open.
+    fn names(w: &mut JsonWriter<'_>, k1: &str, n1: &Name, k2: &str, n2: &Name) {
+        w.raw("{\"").raw(k1).raw("\":").display(n1);
+        w.raw(",\"").raw(k2).raw("\":").display(n2);
+    }
+    match data {
+        ActionData::Transfer { from, to, symbol, amount } => {
+            names(w, "from", from, "to", to);
+            w.raw(",\"quantity\":");
+            write_asset(w, *amount, *symbol);
+            w.raw(",\"memo\":\"\"}");
+        }
+        ActionData::Trade { buyer, seller, base_symbol, base_amount, quote_symbol, quote_amount } => {
+            names(w, "buyer", buyer, "seller", seller);
+            w.raw(",\"base\":");
+            write_asset(w, *base_amount, *base_symbol);
+            w.raw(",\"quote\":");
+            write_asset(w, *quote_amount, *quote_symbol);
+            w.raw("}");
+        }
+        ActionData::NewAccount { creator, name } => {
+            names(w, "creator", creator, "name", name);
+            w.raw("}");
+        }
+        ActionData::DelegateBw { from, receiver, net, cpu } => {
+            names(w, "from", from, "receiver", receiver);
+            w.raw(",\"stake_net_quantity\":");
+            write_asset(w, *net, eos);
+            w.raw(",\"stake_cpu_quantity\":");
+            write_asset(w, *cpu, eos);
+            w.raw("}");
+        }
+        ActionData::UndelegateBw { from, receiver, net, cpu } => {
+            names(w, "from", from, "receiver", receiver);
+            w.raw(",\"unstake_net_quantity\":");
+            write_asset(w, *net, eos);
+            w.raw(",\"unstake_cpu_quantity\":");
+            write_asset(w, *cpu, eos);
+            w.raw("}");
+        }
+        ActionData::BuyRam { payer, receiver, quant } => {
+            names(w, "payer", payer, "receiver", receiver);
+            w.raw(",\"quant\":");
+            write_asset(w, *quant, eos);
+            w.raw("}");
+        }
+        ActionData::BuyRamBytes { payer, receiver, bytes } => {
+            names(w, "payer", payer, "receiver", receiver);
+            w.raw(",\"bytes\":").uint(*bytes).raw("}");
+        }
+        ActionData::BidName { bidder, newname, bid } => {
+            names(w, "bidder", bidder, "newname", newname);
+            w.raw(",\"bid\":");
+            write_asset(w, *bid, eos);
+            w.raw("}");
+        }
+        ActionData::VoteProducer { voter, producer_count } => {
+            w.raw("{\"voter\":").display(voter);
+            w.raw(",\"producer_count\":").uint(*producer_count).raw("}");
+        }
+        ActionData::RentCpu { from, receiver, payment } => {
+            names(w, "from", from, "receiver", receiver);
+            w.raw(",\"loan_payment\":");
+            write_asset(w, *payment, eos);
+            w.raw("}");
+        }
+        ActionData::Generic => {
+            w.raw("{}");
+        }
+    }
+}
+
+/// Append the canonical wire bytes of one block to `out`: the compact JSON
+/// of [`block_to_json`], written straight from the chain model. The NDJSON
+/// crawl replay, the archive's wire-JSON segments, the follow layer's reorg
+/// content hashes and the Figure 2 storage sweep all move exactly these
+/// bytes — this is their one shared definition.
+pub fn block_bytes_into(b: &Block, out: &mut Vec<u8>) {
+    let w = &mut JsonWriter::new(out);
+    w.raw("{\"block_num\":").uint(b.num).raw(",\"timestamp\":").iso(b.time);
+    w.raw(",\"producer\":").display(&b.producer).raw(",\"transactions\":");
+    w.array(&b.transactions, |w, tx| {
+        w.raw("{\"status\":\"executed\",\"cpu_usage_us\":").uint(tx.cpu_us);
+        w.raw(",\"net_usage_words\":").uint(tx.net_bytes / 8);
+        w.raw(",\"trx\":{\"id\":\"").hex16(tx.id).raw("\",\"transaction\":{\"actions\":");
+        w.array(&tx.actions, |w, a| {
+            w.raw("{\"account\":").display(&a.contract).raw(",\"name\":").display(&a.name);
+            w.raw(",\"authorization\":[{\"actor\":").display(&a.actor);
+            w.raw(",\"permission\":\"active\"}],\"data\":");
+            write_action_data(w, &a.data);
+            w.raw("}");
+        });
+        w.raw("}}}");
+    });
+    w.raw("}");
+}
+
+/// [`block_bytes_into`] a fresh buffer.
 pub fn block_bytes(b: &Block) -> Vec<u8> {
-    serde_json::to_vec(&block_to_json(b)).expect("serializable")
+    let mut out = Vec::new();
+    block_bytes_into(b, &mut out);
+    out
 }
 
 /// Inverse of [`block_bytes`].

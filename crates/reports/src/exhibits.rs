@@ -1,7 +1,8 @@
 //! One renderer per paper exhibit. Every function takes the assembled
 //! [`crate::pipeline::PipelineData`] and returns the
 //! regenerated table/series as plain text (plus typed rows where callers
-//! need them — the benches and EXPERIMENTS comparison use those).
+//! need them — the benches and the paper-vs-measured comparison use
+//! those).
 //!
 //! Each renderer is a thin adapter over [`PipelineData::sweeps`]: the fused
 //! per-chain accumulators computed in one parallel sweep per chain and
@@ -11,6 +12,7 @@
 use crate::pipeline::PipelineData;
 use txstat_core::eos_analysis as eos;
 use txstat_core::xrp_analysis as xrp;
+use txstat_telemetry::Span;
 use txstat_types::amount::{fmt_pct, fmt_thousands};
 use txstat_types::table::{render_series, Align, TextTable};
 use txstat_types::time::ChainTime;
@@ -659,7 +661,15 @@ pub const SECTIONS: &[(&str, SectionFn)] = &[
 
 /// Render every exhibit section: `(name, text)` in report order.
 pub fn report_sections(data: &PipelineData) -> Vec<(&'static str, String)> {
-    SECTIONS.iter().map(|(name, render)| (*name, render(data))).collect()
+    SECTIONS
+        .iter()
+        .map(|(name, render)| {
+            // Nests whatever the section computes on first use (`sweep`,
+            // `fig2_storage`); the trace's depth tells them apart.
+            let _span = Span::enter("render", name);
+            (*name, render(data))
+        })
+        .collect()
 }
 
 /// Render every exhibit.

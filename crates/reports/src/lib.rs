@@ -2,7 +2,7 @@
 //!
 //! [`pipeline`] assembles the dataset (directly or through the full RPC
 //! crawl), [`exhibits`] renders each table and figure, [`paper`] produces
-//! the paper-vs-measured comparison that EXPERIMENTS.md records, and
+//! the paper-vs-measured comparison every report ends with, and
 //! [`serve`] wraps it all in an epoch-swapped long-lived query service.
 
 pub mod archive_io;

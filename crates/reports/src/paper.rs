@@ -1,6 +1,7 @@
 //! Paper-vs-measured comparison: the scale-invariant metrics of every
 //! exhibit, with the paper's published value next to our reproduction.
-//! This feeds EXPERIMENTS.md.
+//! Rendered as the tail of every report — that table is the experiments
+//! record (root README, "Figure 2 methodology").
 
 use crate::pipeline::PipelineData;
 use txstat_core::eos_analysis as eos;

@@ -322,9 +322,18 @@ pub fn register_metrics() {
 /// Direct path: generate the three chains and read them in-process.
 pub fn generate(sc: &Scenario) -> PipelineData {
     count_generation();
-    let eos = build_eos(sc);
-    let tezos = build_tezos(sc);
-    let xrp = build_xrp(sc);
+    let eos = {
+        let _span = Span::enter("generate", "eos");
+        build_eos(sc)
+    };
+    let tezos = {
+        let _span = Span::enter("generate", "tezos");
+        build_tezos(sc)
+    };
+    let xrp = {
+        let _span = Span::enter("generate", "xrp");
+        build_xrp(sc)
+    };
 
     let oracle = RateOracle::from_trades(&xrp.trades, sc.period.end, sc.period.days() as i64 + 1);
     let cluster = cluster_from_ledger(&xrp);
@@ -1147,43 +1156,58 @@ pub fn local_storage_stats(data: &PipelineData) -> (CrawlStats, CrawlStats, Craw
     data.storage_stats().clone()
 }
 
-/// The raw Figure 2 storage sweep: serialize every block to its
-/// wire JSON and sample-compress (same methodology as the crawler's
-/// Figure 2 accounting). Serialization and LZSS sampling are the heaviest
-/// per-block work in the report, so the sweep is parallel; sampling is keyed
-/// by block index, making the result independent of chunking.
+/// The raw Figure 2 storage sweep: write every block's wire JSON and
+/// sample-compress it (same methodology as the crawler's Figure 2
+/// accounting — see "Figure 2 methodology" in the root README). Each worker
+/// folds one contiguous run of blocks through a single reused buffer;
+/// sampling is keyed by block index, making the result independent of how
+/// the chain is cut into runs.
 fn compute_storage_stats(data: &PipelineData) -> (CrawlStats, CrawlStats, CrawlStats) {
     fn stats_par<B: Sync>(
+        chain: &str,
         blocks: &[B],
-        wire: impl Fn(&B) -> Vec<u8> + Sync,
+        wire_into: impl Fn(&B, &mut Vec<u8>) + Sync,
         txs: impl Fn(&B) -> u64 + Sync,
     ) -> CrawlStats {
-        let indices: Vec<u64> = (0..blocks.len() as u64).collect();
-        txstat_core::par_sweep(
-            &indices,
-            CrawlStats::default,
-            |s, i| {
-                let b = &blocks[*i as usize];
-                s.record_payload(*i, &wire(b));
-                s.blocks += 1;
-                s.transactions += txs(b);
-            },
-            |a, b| a.merge(&b),
-        )
+        let _span = Span::enter("fig2_storage", chain);
+        // Below a few hundred blocks a thread costs more than its run.
+        let run = blocks.len().div_ceil(rayon::current_num_threads().max(1)).max(256);
+        let starts: Vec<usize> = (0..blocks.len()).step_by(run).collect();
+        starts
+            .par_iter()
+            .map(|&start| {
+                let mut stats = CrawlStats::default();
+                let mut wire = Vec::new();
+                for (i, b) in blocks[start..].iter().take(run).enumerate() {
+                    wire.clear();
+                    wire_into(b, &mut wire);
+                    stats.record_payload((start + i) as u64, &wire);
+                    stats.blocks += 1;
+                    stats.transactions += txs(b);
+                }
+                stats
+            })
+            .reduce(CrawlStats::default, |mut a, b| {
+                a.merge(&b);
+                a
+            })
     }
     let eos = stats_par(
+        "eos",
         &data.eos_blocks,
-        txstat_eos::rpc_model::block_bytes,
+        txstat_eos::rpc_model::block_bytes_into,
         |b| b.transactions.len() as u64,
     );
     let tezos = stats_par(
+        "tezos",
         &data.tezos_blocks,
-        txstat_tezos::rpc_model::block_bytes,
+        txstat_tezos::rpc_model::block_bytes_into,
         |b| b.operations.len() as u64,
     );
     let xrp = stats_par(
+        "xrp",
         &data.xrp_blocks,
-        txstat_xrp::rpc_model::ledger_bytes,
+        txstat_xrp::rpc_model::ledger_bytes_into,
         |b| b.transactions.len() as u64,
     );
     (eos, tezos, xrp)

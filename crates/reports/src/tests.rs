@@ -134,3 +134,18 @@ fn scenario_meta_round_trips_presets_and_rejects_drift() {
     let err = scenario_from_meta(&scenario_meta(&custom, "small"));
     assert!(err.is_err(), "customized scenario meta must not reduce as a preset");
 }
+
+/// Golden pin for Figure 2 (recorded at the commit before the streaming
+/// writers and the array-chain LZSS matcher landed): any drift in the wire
+/// serializers or the compressor changes one of these integers.
+#[test]
+fn figure2_storage_stats_are_pinned_for_small_seed_42() {
+    let data = generate(&Scenario::small(42));
+    let (eos, tezos, xrp) = local_storage_stats(&data);
+    let row = |s: &txstat_crawler::CrawlStats| {
+        (s.blocks, s.transactions, s.wire_bytes, s.sampled_bytes, s.sampled_compressed_bytes)
+    };
+    assert_eq!(row(&eos), (576, 2413, 2_204_102, 227_707, 40_958), "eos");
+    assert_eq!(row(&tezos), (2712, 59_647, 4_992_190, 622_878, 157_592), "tezos");
+    assert_eq!(row(&xrp), (146, 1557, 415_021, 49_158, 12_939), "xrp");
+}

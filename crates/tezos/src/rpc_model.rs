@@ -10,6 +10,7 @@ use crate::chain::TezosBlock;
 use crate::ops::{OpPayload, Operation, OperationKind, Vote};
 use serde::{Deserialize, Serialize};
 use txstat_types::time::ChainTime;
+use txstat_types::JsonWriter;
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OpJson {
@@ -228,11 +229,67 @@ pub fn block_from_json(json: &BlockJson) -> Result<TezosBlock, DecodeError> {
     Ok(TezosBlock { level: json.header.level, time, baker, operations })
 }
 
-/// The canonical wire bytes of one block: compact JSON of
-/// [`block_to_json`]. Crawl replay, wire-JSON archive segments, and reorg
-/// content hashes all share this definition.
+/// Append one operation in [`OpJson`]'s field order, absent fields skipped.
+fn write_op(w: &mut JsonWriter<'_>, op: &Operation) {
+    w.raw("{\"kind\":").str(op.kind().wire_kind());
+    w.raw(",\"source\":").display(&op.source);
+    match &op.payload {
+        OpPayload::Endorsement { level, slots } => {
+            w.raw(",\"level\":").uint(*level).raw(",\"slots\":").uint(*slots);
+        }
+        OpPayload::Transaction { destination: to, amount_mutez: amount }
+        | OpPayload::Origination { contract: to, balance_mutez: amount } => {
+            w.raw(",\"destination\":").display(to);
+            w.raw(",\"amount\":\"").uint(*amount).raw("\"");
+        }
+        OpPayload::Delegation { delegate } => {
+            if let Some(d) = delegate {
+                w.raw(",\"delegate\":").display(d);
+            }
+        }
+        OpPayload::Reveal => {}
+        OpPayload::Activation { secret_hash } => {
+            w.raw(",\"secret\":\"").hex16(*secret_hash).raw("\"");
+        }
+        OpPayload::RevealNonce { level } => {
+            w.raw(",\"level\":").uint(*level);
+        }
+        OpPayload::Ballot { proposal, vote } => {
+            w.raw(",\"proposal\":").str(proposal).raw(",\"ballot\":").str(vote.wire());
+        }
+        OpPayload::Proposals { proposals } => {
+            w.raw(",\"proposals\":").array(proposals, |w, p| {
+                w.str(p);
+            });
+        }
+        OpPayload::DoubleBakingEvidence { offender, level } => {
+            w.raw(",\"destination\":").display(offender).raw(",\"level\":").uint(*level);
+        }
+    }
+    w.raw("}");
+}
+
+/// Append the canonical wire bytes of one block to `out`: the compact JSON
+/// of [`block_to_json`], written straight from the chain model. Crawl
+/// replay, wire-JSON archive segments, reorg content hashes and the
+/// Figure 2 storage sweep all share this definition.
+pub fn block_bytes_into(b: &TezosBlock, out: &mut Vec<u8>) {
+    let w = &mut JsonWriter::new(out);
+    w.raw("{\"protocol\":").str(PROTOCOL).raw(",\"chain_id\":").str(CHAIN_ID);
+    w.raw(",\"header\":{\"level\":").uint(b.level);
+    w.raw(",\"timestamp\":").iso(b.time).raw(",\"baker\":").display(&b.baker);
+    w.raw("},\"operations\":").array(0..4, |w, pass| {
+        let in_pass = b.operations.iter().filter(|op| op.kind().validation_pass() == pass);
+        w.array(in_pass, write_op);
+    });
+    w.raw("}");
+}
+
+/// [`block_bytes_into`] a fresh buffer.
 pub fn block_bytes(b: &TezosBlock) -> Vec<u8> {
-    serde_json::to_vec(&block_to_json(b)).expect("serializable")
+    let mut out = Vec::new();
+    block_bytes_into(b, &mut out);
+    out
 }
 
 /// Inverse of [`block_bytes`].

@@ -18,8 +18,10 @@
 //! - [`stats`] — streaming mean/stdev, exact top-K, histograms, Gini.
 //! - [`distrib`] — the samplers the workload engine needs (Poisson, Zipf,
 //!   exponential, log-normal) built on plain `rand`.
+//! - [`jsonw`] — the streaming writer behind the canonical wire JSON
+//!   (`block_bytes` / `ledger_bytes` in the chain crates).
 //! - [`lzss`] — a real LZSS compressor used for the paper's "storage, gzip"
-//!   dataset statistics (Figure 2).
+//!   dataset statistics (Figure 2) and the archive's segments.
 //! - [`table`] — plain-text table rendering shared by all report output.
 //! - [`series`] — bucketed categorical time series (Figure 3).
 //! - [`rng`] — deterministic seed derivation so every run is reproducible.
@@ -29,6 +31,7 @@ pub mod colcodec;
 pub mod distrib;
 pub mod ids;
 pub mod intern;
+pub mod jsonw;
 pub mod lzss;
 pub mod rng;
 pub mod series;
@@ -40,6 +43,7 @@ pub use amount::{fmt_scaled, Qty, SymCode};
 pub use colcodec::{ColError, ColKey, ColReader, ColWriter};
 pub use ids::{fnv1a64, Chain};
 pub use intern::{FxBuildHasher, FxHashMap, Interner};
+pub use jsonw::JsonWriter;
 pub use series::BucketSeries;
 pub use stats::{gini, Histogram, RunningStats, TopK};
 pub use time::{ChainTime, Period, SIX_HOURS};

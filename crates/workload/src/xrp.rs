@@ -54,7 +54,8 @@ pub const SPAM_CHILD_BASE: u64 = 2001;
 /// always exist. The paper's spammer activated 5,020 accounts among 151 M
 /// transactions (0.003%); scaling the *accounts* linearly with transaction
 /// volume would leave none, so we use a soft scale (251,000 / divisor ⇒ 251
-/// at the default 1/1000) and note the substitution in EXPERIMENTS.md. The
+/// at the default 1/1000) and note the substitution in the root README
+/// ("Figure 2 methodology", the comparison record). The
 /// activation-payment share of total throughput stays ≈0.1–0.3%.
 pub fn spam_children(divisor: f64) -> u64 {
     ((251_000.0 / divisor) as u64).clamp(24, 5_020)

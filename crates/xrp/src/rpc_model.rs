@@ -16,6 +16,7 @@ use crate::tx::{AppliedTx, Transaction, TxPayload, TxResult, TxType};
 use serde_json::{json, Map, Value};
 use txstat_types::amount::SymCode;
 use txstat_types::time::ChainTime;
+use txstat_types::JsonWriter;
 
 /// Serialize an amount: drops string or IOU object.
 pub fn amount_to_json(a: &Amount) -> Value {
@@ -303,11 +304,108 @@ pub fn ledger_from_json(v: &Value) -> Result<LedgerBlock, DecodeError> {
     Ok(LedgerBlock { index, close_time, transactions })
 }
 
-/// The canonical wire bytes of one closed ledger: compact JSON of
-/// [`ledger_to_json`]. Crawl replay, wire-JSON archive segments, and reorg
-/// content hashes all share this definition.
+/// Append an IOU amount object (`LimitAmount` shares the shape).
+fn write_iou(w: &mut JsonWriter<'_>, ic: &IssuedCurrency, value: i128) {
+    w.raw("{\"currency\":").str(ic.currency.as_str());
+    w.raw(",\"issuer\":").display(&ic.issuer);
+    w.raw(",\"value\":\"").scaled(value, IOU_DECIMALS).raw("\"}");
+}
+
+/// Append what [`amount_to_json`] builds: drops string or IOU object.
+fn write_amount(w: &mut JsonWriter<'_>, a: &Amount) {
+    match &a.asset {
+        Asset::Xrp => {
+            w.raw("\"").scaled(a.value, 0).raw("\"");
+        }
+        Asset::Iou(ic) => write_iou(w, ic, a.value),
+    }
+}
+
+/// Append what [`tx_to_json`] builds, key for key.
+fn write_tx(w: &mut JsonWriter<'_>, applied: &AppliedTx) {
+    let tx = &applied.tx;
+    w.raw("{\"Account\":").display(&tx.account);
+    w.raw(",\"TransactionType\":").str(tx.tx_type().wire());
+    w.raw(",\"Fee\":\"").int(tx.fee_drops).raw("\"");
+    if let Some(tag) = tx.destination_tag {
+        w.raw(",\"DestinationTag\":").uint(tag);
+    }
+    match &tx.payload {
+        TxPayload::Payment { destination, amount, send_max } => {
+            w.raw(",\"Destination\":").display(destination).raw(",\"Amount\":");
+            write_amount(w, amount);
+            if let Some(sm) = send_max {
+                w.raw(",\"SendMax\":");
+                write_amount(w, sm);
+            }
+        }
+        TxPayload::OfferCreate { gets, pays } => {
+            w.raw(",\"TakerGets\":");
+            write_amount(w, gets);
+            w.raw(",\"TakerPays\":");
+            write_amount(w, pays);
+        }
+        TxPayload::OfferCancel { offer } => {
+            w.raw(",\"OfferSequence\":").uint(offer.0);
+        }
+        TxPayload::TrustSet { currency, limit } => {
+            w.raw(",\"LimitAmount\":");
+            write_iou(w, currency, *limit);
+        }
+        TxPayload::AccountSet { flags } => {
+            w.raw(",\"SetFlag\":").uint(*flags);
+        }
+        TxPayload::SignerListSet { quorum, signer_count } => {
+            w.raw(",\"SignerQuorum\":").uint(*quorum);
+            w.raw(",\"SignerCount\":").uint(*signer_count);
+        }
+        TxPayload::SetRegularKey => {}
+        TxPayload::EscrowCreate { destination, drops, finish_after, cancel_after } => {
+            w.raw(",\"Destination\":").display(destination);
+            w.raw(",\"Amount\":\"").int(*drops).raw("\",\"FinishAfter\":").iso(*finish_after);
+            if let Some(ca) = cancel_after {
+                w.raw(",\"CancelAfter\":").iso(*ca);
+            }
+        }
+        TxPayload::EscrowFinish { escrow_id } | TxPayload::EscrowCancel { escrow_id } => {
+            w.raw(",\"EscrowId\":").uint(*escrow_id);
+        }
+        TxPayload::PaymentChannelCreate { destination, drops } => {
+            w.raw(",\"Destination\":").display(destination);
+            w.raw(",\"Amount\":\"").int(*drops).raw("\"");
+        }
+        TxPayload::PaymentChannelClaim { channel_id, drops } => {
+            w.raw(",\"Channel\":").uint(*channel_id);
+            w.raw(",\"Balance\":\"").int(*drops).raw("\"");
+        }
+        TxPayload::EnableAmendment { amendment } => {
+            w.raw(",\"Amendment\":").str(amendment);
+        }
+    }
+    w.raw(",\"metaData\":{\"TransactionResult\":").str(applied.result.wire());
+    if let Some(d) = &applied.delivered {
+        w.raw(",\"delivered_amount\":");
+        write_amount(w, d);
+    }
+    w.raw(if applied.crossed { ",\"crossed\":true}}" } else { "}}" });
+}
+
+/// Append the canonical wire bytes of one closed ledger to `out`: the
+/// compact JSON of [`ledger_to_json`], written straight from the chain
+/// model. Crawl replay, wire-JSON archive segments, reorg content hashes
+/// and the Figure 2 storage sweep all share this definition.
+pub fn ledger_bytes_into(b: &LedgerBlock, out: &mut Vec<u8>) {
+    let w = &mut JsonWriter::new(out);
+    w.raw("{\"ledger\":{\"ledger_index\":").uint(b.index);
+    w.raw(",\"close_time_iso\":").iso(b.close_time).raw(",\"closed\":true,\"transactions\":");
+    w.array(&b.transactions, write_tx).raw("},\"validated\":true}");
+}
+
+/// [`ledger_bytes_into`] a fresh buffer.
 pub fn ledger_bytes(b: &LedgerBlock) -> Vec<u8> {
-    serde_json::to_vec(&ledger_to_json(b)).expect("serializable")
+    let mut out = Vec::new();
+    ledger_bytes_into(b, &mut out);
+    out
 }
 
 /// Inverse of [`ledger_bytes`].

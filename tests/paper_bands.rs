@@ -1,6 +1,7 @@
 //! Shape-reproduction bands: at a medium scale over the full observation
 //! window, the headline metrics of every exhibit must land in their
-//! acceptance bands (the same bands EXPERIMENTS.md reports).
+//! acceptance bands (the same bands every report's comparison tail prints;
+//! root README, "Figure 2 methodology").
 
 use txstat::reports::{comparison, generate};
 use txstat::workload::Scenario;
@@ -29,7 +30,7 @@ fn headline_metrics_land_in_their_bands() {
         .map(|r| format!("{} / {} (paper {}, measured {})", r.exhibit, r.metric, r.paper, r.measured))
         .collect();
     // A medium-scale run may wobble on one or two sparse metrics; the
-    // paper-scale run (EXPERIMENTS.md) hits 28/28.
+    // paper-scale run (`reproduce report --seed 42`) lands every row.
     assert!(
         misses.len() <= 3,
         "{} of {} metrics out of band:\n{}",

@@ -42,13 +42,13 @@ proptest! {
     fn lzss_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
         let compressed = lzss::compress(&data);
         prop_assert!(compressed.len() <= data.len() + data.len() / 8 + 2);
-        prop_assert_eq!(lzss::decompress(&compressed).expect("valid stream"), data);
+        prop_assert_eq!(lzss::decompress(&compressed, data.len()).expect("valid stream"), data);
     }
 
     /// LZSS decompression never panics on arbitrary (possibly corrupt) input.
     #[test]
     fn lzss_decompress_total(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = lzss::decompress(&data);
+        let _ = lzss::decompress(&data, 4096);
     }
 
     /// Every event lands in exactly one bucket and bucket sums equal totals.

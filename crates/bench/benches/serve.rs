@@ -2,11 +2,12 @@
 //!
 //! The criterion arms measure the in-process serving path — cached hit vs
 //! uncached render (what an epoch swap costs the first reader of each
-//! route) — so the cache win is not drowned in socket noise. The trailing
-//! load section then drives the real HTTP server with a netsim load
-//! generator and appends saturation + latency-quantile rows in the same
-//! JSON-lines format the criterion shim emits, so `bench_diff` tracks
-//! them like any other group.
+//! route) — so the cache win is not drowned in socket noise, plus what the
+//! follow loop pays to publish the last (most corpus-laden) epoch of a
+//! catch-up. The trailing load section then drives the real HTTP server
+//! with a netsim load generator and appends saturation + latency-quantile
+//! rows in the same JSON-lines format the criterion shim emits, so
+//! `bench_diff` tracks them like any other group.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -14,7 +15,8 @@ use std::sync::Arc;
 use txstat_bench::bench_scenario;
 use txstat_ingest::EpochCell;
 use txstat_netsim::{run_load, spawn_query_server, HttpHandler, LoadPlan, QueryServerConfig};
-use txstat_reports::{generate, ServeSnapshot, StatsService};
+use txstat_reports::{generate, EpochFollower, ServeSnapshot, StatsService};
+use txstat_workload::Scenario;
 
 fn service() -> Arc<StatsService> {
     let data = generate(&bench_scenario());
@@ -56,6 +58,30 @@ fn serve(c: &mut Criterion) {
     });
     g.bench_function("account_cached", |b| {
         b.iter(|| black_box(service.respond("GET", &eos_account)))
+    });
+    // One epoch publish with the whole corpus behind it: the last advance
+    // of a catch-up in the benchmark's small geometry. The follower lives
+    // outside the timed closure so that only `advance` and the drop of the
+    // fork it returns are on the clock.
+    const BATCH: usize = 32;
+    let follower = std::cell::RefCell::new(None);
+    g.bench_function("epoch_advance_last", |b| {
+        b.iter_with_setup(
+            || {
+                let data = generate(&Scenario::small(42));
+                let epochs = data.longest_chain().div_ceil(BATCH);
+                let mut f = EpochFollower::new(data, BATCH);
+                for _ in 1..epochs {
+                    f.advance().expect("catch-up epoch");
+                }
+                assert!(!f.head(), "one batch must be left");
+                *follower.borrow_mut() = Some(f);
+            },
+            |()| {
+                let mut slot = follower.borrow_mut();
+                black_box(slot.as_mut().expect("set up").advance().expect("last epoch"))
+            },
+        )
     });
     g.finish();
 }

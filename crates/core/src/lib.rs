@@ -85,6 +85,7 @@ pub use xrp_analysis::{XrpAccountStats, XrpSweep};
 /// The three per-chain accumulators behind the full report — what every
 /// reduction path (in-process parallel sweep, streamed shards, distributed
 /// frame reduction) ultimately produces.
+#[derive(Clone)]
 pub struct ChainSweeps {
     pub eos: EosSweep,
     pub tezos: TezosSweep,

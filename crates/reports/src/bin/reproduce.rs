@@ -96,8 +96,8 @@
 //!     --max-seconds elapses). Point a fleet reducer at it to rehearse
 //!     worker failure.
 //!
-//! reproduce serve [--small] [--seed N] [--port P] [--batch N] [--shards K]
-//!                 [--epoch-ms MS] [--rate R] [--burst B] [--max-inflight N]
+//! reproduce serve [--small] [--seed N] [--port P] [--batch N] [--epoch-ms MS]
+//!                 [--rate R] [--burst B] [--max-inflight N]
 //!                 [--load [--conns N] [--reqs N]]
 //!     Long-lived query service: the follow loop publishes an immutable
 //!     epoch snapshot per batch while concurrent readers answer
@@ -199,8 +199,8 @@ subcommands:
            [--truncate-rate F] [--flip-rate F] [--latency-ms L]
            [--jitter-ms J] [--seed N] [--max-seconds S]
   serve    epoch-swapped query service over the follow loop
-           [--small] [--seed N] [--port P] [--batch N] [--shards K]
-           [--epoch-ms MS] [--rate R] [--burst B] [--max-inflight N]
+           [--small] [--seed N] [--port P] [--batch N] [--epoch-ms MS]
+           [--rate R] [--burst B] [--max-inflight N]
            [--load [--conns N] [--reqs N]] [--archive DIR]
   query    scripting client for serve: GET PATH... against --addr HOST:PORT
            [--wait-head S] [--expect-status N] [--out FILE] [--shutdown]
@@ -775,11 +775,7 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
     cfg.backoff_ms = args.parsed("--backoff-ms", 50)?;
     cfg.seed = sc.seed;
     eprintln!("driving {} worker(s)…", cfg.workers.len());
-    let total = data
-        .eos_blocks
-        .len()
-        .max(data.tezos_blocks.len())
-        .max(data.xrp_blocks.len()) as u64;
+    let total = data.longest_chain() as u64;
     let labeled = reduce_fleet(&cfg, total, shards, payload, scenario_meta(&sc, &mode))
         .map_err(|e| e.to_string())?;
     eprintln!("fleet returned {} frames; merging…", labeled.len());
@@ -1067,11 +1063,7 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
         window,
     );
 
-    let total = data
-        .eos_blocks
-        .len()
-        .max(data.tezos_blocks.len())
-        .max(data.xrp_blocks.len());
+    let total = data.longest_chain();
     let mut offset = 0usize;
     let mut round = 0u64;
     while offset < total {
@@ -1087,19 +1079,18 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
             }
         }
 
-        // Re-render the headline statistics from the merged (cloned) shard
-        // state — O(shards) merges, no prefix re-sweep.
-        let eos = eos_f.checkpoint().merged(|a, b| a.merge(b)).finalize();
-        let tz = tz_f.checkpoint().merged(|a, b| a.merge(b)).finalize();
-        let xrp = xrp_f.checkpoint().merged(|a, b| a.merge(b)).finalize();
+        // The headline rates come straight off the shard counters (the
+        // same division `*Sweep::tps` does) — O(shards), nothing merged or
+        // finalized until the head.
+        let tps = |txs: u64| txs as f64 / period.seconds().max(1) as f64;
         eprintln!(
             "batch {round:>4}: EOS {:>7} blocks ({:.2} tps) | Tezos {:>7} ({:.2} tps) | XRP {:>7} ({:.2} tps)",
             eos_f.observed(),
-            eos.tps(),
+            tps(eos_f.checkpoint().shards.iter().map(|a| a.txs_in_period()).sum()),
             tz_f.observed(),
-            tz.tps(),
+            tps(tz_f.checkpoint().shards.iter().map(|a| a.txs_in_period()).sum()),
             xrp_f.observed(),
-            xrp.tps(),
+            tps(xrp_f.checkpoint().shards.iter().map(|a| a.txs_in_period()).sum()),
         );
         offset = hi;
         if reorg_at == Some(round) {
@@ -1297,7 +1288,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
             "--seed",
             "--port",
             "--batch",
-            "--shards",
             "--epoch-ms",
             "--rate",
             "--burst",
@@ -1316,7 +1306,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     if batch == 0 {
         return Err("--batch must be positive".to_owned());
     }
-    let shards: usize = args.parsed("--shards", 2)?;
     let epoch_ms: u64 = args.parsed("--epoch-ms", 0)?;
     let rate: f64 = args.parsed("--rate", 50_000.0)?;
     let burst: f64 = args.parsed("--burst", 5_000.0)?;
@@ -1352,10 +1341,10 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
             generate(&sc)
         }
     };
-    let mut follower = EpochFollower::new(data, batch, shards);
+    let mut follower = EpochFollower::new(data, batch);
     follower.bind_metrics(&registry);
     // First epoch before accepting queries, so every response has sweeps.
-    let first = follower.advance()?;
+    let first = follower.advance().map_err(|e| e.to_string())?;
     let mut epoch = 1u64;
     let cell =
         Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(epoch, follower.head(), first))));
@@ -1387,7 +1376,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
             if epoch_ms > 0 {
                 std::thread::sleep(Duration::from_millis(epoch_ms));
             }
-            let fork = follower.advance()?;
+            let fork = follower.advance().map_err(|e| e.to_string())?;
             epoch += 1;
             let head = follower.head();
             cell.publish(Arc::new(ServeSnapshot::new(epoch, head, fork)));

@@ -128,6 +128,13 @@ impl PipelineData {
         })
     }
 
+    /// Block positions of the longest chain: how far a position-keyed
+    /// replay (follow batches, serve epochs, fleet ranges) runs to cover
+    /// every chain.
+    pub fn longest_chain(&self) -> usize {
+        self.eos_blocks.len().max(self.tezos_blocks.len()).max(self.xrp_blocks.len())
+    }
+
     /// Install externally-reduced sweeps (e.g. from a distributed
     /// `txstat_ingest::ReduceSession`) as this dataset's analytics state.
     /// Returns false if the sweeps were already computed.

@@ -18,8 +18,10 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use txstat_core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
-use txstat_ingest::{Checkpoint, EpochCell};
+use txstat_core::{
+    ChainSweeps, EosColumnar, EosSweep, TezosColumnar, TezosSweep, XrpColumnar, XrpSweep,
+};
+use txstat_ingest::{EpochCell, IngestError};
 use txstat_netsim::http::{HttpRequest, HttpResponse};
 use txstat_netsim::HttpHandler;
 use txstat_telemetry::{Counter, Gauge, Histogram, MetricKind, Registry, Sample, SampleValue, Span};
@@ -352,7 +354,7 @@ impl FollowMetrics {
         let observed = |chain: &str| {
             registry.counter_with(
                 "txstat_ingest_blocks_observed_total",
-                "Blocks observed by the follow loop's checkpoints",
+                "Blocks swept by the follow loop",
                 &[("chain", chain)],
             )
         };
@@ -362,11 +364,11 @@ impl FollowMetrics {
             xrp_observed: observed("xrp"),
             merges: registry.counter(
                 "txstat_reduce_follow_merges_total",
-                "Checkpoint shard merges performed by the follow loop",
+                "Batch deltas folded into the follow loop's standing sweeps",
             ),
             merge_us: registry.histogram(
                 "txstat_reduce_merge_us",
-                "Wall time merging checkpoint shards into publishable sweeps",
+                "Wall time finalizing a batch delta, folding it in, and cloning the standing sweeps",
             ),
             published: registry.counter(
                 "txstat_epoch_published_total",
@@ -374,7 +376,7 @@ impl FollowMetrics {
             ),
             publish_latency_us: registry.histogram(
                 "txstat_epoch_publish_latency_us",
-                "Wall time of one follow advance (observe batch + merge + fork)",
+                "Wall time of one follow advance (sweep batch + fold delta + fork)",
             ),
             batch_lag: registry.gauge(
                 "txstat_epoch_batch_lag_blocks",
@@ -384,48 +386,56 @@ impl FollowMetrics {
     }
 }
 
-/// Replays the chains batch by batch through range-keyed checkpoints
-/// (`Checkpoint::observe_tail` — the already-observed prefix is never
-/// re-swept) and forks one immutable dataset per batch for publication.
+/// Positions `lo..hi` of a chain, clamped to its length (a short chain's
+/// tail is empty once it is exhausted), once every block there is known to
+/// be strictly above its predecessor — for the first, the high-water mark
+/// of what is already folded. A block at or below it would be counted twice.
+fn tail_above_high_water<B>(
+    blocks: &[B],
+    lo: usize,
+    hi: usize,
+    num: impl Fn(&B) -> u64,
+) -> Result<&[B], IngestError> {
+    let (lo, hi) = (lo.min(blocks.len()), hi.min(blocks.len()));
+    for pair in blocks[lo.saturating_sub(1)..hi].windows(2) {
+        let (high, n) = (num(&pair[0]), num(&pair[1]));
+        if n <= high {
+            return Err(IngestError::RangeRegression { n, high });
+        }
+    }
+    Ok(&blocks[lo..hi])
+}
+
+/// Replays the chains batch by batch and forks one immutable dataset per
+/// batch for publication. An epoch costs O(batch) plus one clone of the
+/// analytics state: only the new blocks are swept (into fresh columnar
+/// accumulators), their finalized deltas are folded into one standing
+/// `*Sweep` per chain, and a clone of those is published — the history is
+/// never re-read, re-merged, or re-finalized, and the published sweeps are
+/// ready to render, so nothing is left to an epoch's first reader.
 pub struct EpochFollower {
     data: PipelineData,
-    eos_cp: Checkpoint<EosColumnar>,
-    tz_cp: Checkpoint<TezosColumnar>,
-    xrp_cp: Checkpoint<XrpColumnar>,
+    /// Everything observed so far, ready to render.
+    standing: ChainSweeps,
     offset: usize,
     batch: usize,
-    total: usize,
     metrics: Option<FollowMetrics>,
 }
 
 impl EpochFollower {
-    /// `batch` blocks per chain per epoch, swept across `shards` shards.
-    pub fn new(data: PipelineData, batch: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let batch = batch.max(1);
+    /// `batch` blocks per chain per epoch.
+    pub fn new(data: PipelineData, batch: usize) -> Self {
         let period = data.scenario.period;
-        let eos_cp = Checkpoint::new(
-            vec![EosColumnar::new(period); shards],
-            data.eos_blocks.first().map_or(1, |b| b.num),
-        );
-        let tz_cp = Checkpoint::new(
-            vec![TezosColumnar::new(period, data.governance_periods.clone()); shards],
-            data.tezos_blocks.first().map_or(1, |b| b.level),
-        );
-        let xrp_cp = Checkpoint::new(
-            vec![XrpColumnar::new(period); shards],
-            data.xrp_blocks.first().map_or(1, |b| b.index),
-        );
-        let total = data
-            .eos_blocks
-            .len()
-            .max(data.tezos_blocks.len())
-            .max(data.xrp_blocks.len());
-        EpochFollower { data, eos_cp, tz_cp, xrp_cp, offset: 0, batch, total, metrics: None }
+        let standing = ChainSweeps {
+            eos: EosSweep::new(period),
+            tezos: TezosSweep::new(period, data.governance_periods.clone()),
+            xrp: XrpSweep::new(period),
+        };
+        EpochFollower { data, standing, offset: 0, batch: batch.max(1), metrics: None }
     }
 
     /// Export follow-loop progress through `registry`: per-chain observed
-    /// block counters, merge count/latency, and epoch publication metrics.
+    /// block counters, fold count/latency, and epoch publication metrics.
     pub fn bind_metrics(&mut self, registry: &Registry) {
         self.metrics = Some(FollowMetrics::bind(registry));
     }
@@ -437,62 +447,55 @@ impl EpochFollower {
 
     /// True once every chain has been observed to its head.
     pub fn head(&self) -> bool {
-        self.offset >= self.total
+        self.offset >= self.data.longest_chain()
     }
 
     /// Blocks observed so far per chain `(eos, tezos, xrp)`.
     pub fn observed(&self) -> (u64, u64, u64) {
-        (self.eos_cp.observed(), self.tz_cp.observed(), self.xrp_cp.observed())
+        let upto = |n: usize| self.offset.min(n) as u64;
+        let data = &self.data;
+        (upto(data.eos_blocks.len()), upto(data.tezos_blocks.len()), upto(data.xrp_blocks.len()))
     }
 
     /// Observe the next batch of each chain and fork the dataset at the
     /// new coverage. The fork shares every heavy input with the base by
-    /// `Arc`; only the installed sweeps differ.
-    pub fn advance(&mut self) -> Result<PipelineData, String> {
+    /// `Arc`; only the installed sweeps differ (past the head, not even
+    /// those). On `Err` nothing was folded: the previous epoch still stands.
+    pub fn advance(&mut self) -> Result<PipelineData, IngestError> {
         let _span = Span::enter("follow_advance", "");
         let started = Instant::now();
-        let before = self.observed();
-        let hi = (self.offset + self.batch).min(self.total);
-        let take = |n: usize| self.offset.min(n)..hi.min(n);
-        let data = &self.data;
-        self.eos_cp
-            .observe_tail(
-                data.eos_blocks[take(data.eos_blocks.len())].iter().map(|b| (b.num, b)),
-                |a, _n, b| a.observe(b),
-            )
-            .map_err(|e| e.to_string())?;
-        self.tz_cp
-            .observe_tail(
-                data.tezos_blocks[take(data.tezos_blocks.len())].iter().map(|b| (b.level, b)),
-                |a, _n, b| a.observe(b),
-            )
-            .map_err(|e| e.to_string())?;
-        self.xrp_cp
-            .observe_tail(
-                data.xrp_blocks[take(data.xrp_blocks.len())].iter().map(|b| (b.index, b)),
-                |a, _n, b| a.observe(b, &data.oracle),
-            )
-            .map_err(|e| e.to_string())?;
-        self.offset = hi;
+        let hi = (self.offset + self.batch).min(self.data.longest_chain());
+        let (data, lo) = (&self.data, self.offset);
+        let eos_tail = tail_above_high_water(&data.eos_blocks, lo, hi, |b| b.num)?;
+        let tezos_tail = tail_above_high_water(&data.tezos_blocks, lo, hi, |b| b.level)?;
+        let xrp_tail = tail_above_high_water(&data.xrp_blocks, lo, hi, |b| b.index)?;
+
+        let period = data.scenario.period;
+        let mut eos = EosColumnar::new(period);
+        eos_tail.iter().for_each(|b| eos.observe(b));
+        let mut tezos = TezosColumnar::new(period, data.governance_periods.clone());
+        tezos_tail.iter().for_each(|b| tezos.observe(b));
+        let mut xrp = XrpColumnar::new(period);
+        xrp_tail.iter().for_each(|b| xrp.observe(b, &data.oracle));
+
         let merge_started = Instant::now();
         let sweeps = {
             let _span = Span::enter("follow_merge", "");
-            ChainSweeps {
-                eos: self.eos_cp.merged(|a, b| a.merge(b)).finalize(),
-                tezos: self.tz_cp.merged(|a, b| a.merge(b)).finalize(),
-                xrp: self.xrp_cp.merged(|a, b| a.merge(b)).finalize(),
-            }
+            self.standing.eos.merge(eos.finalize());
+            self.standing.tezos.merge(tezos.finalize());
+            self.standing.xrp.merge(xrp.finalize());
+            self.standing.clone()
         };
+        self.offset = hi;
         if let Some(m) = &self.metrics {
-            let after = self.observed();
-            m.eos_observed.add(after.0 - before.0);
-            m.tezos_observed.add(after.1 - before.1);
-            m.xrp_observed.add(after.2 - before.2);
+            m.eos_observed.add(eos_tail.len() as u64);
+            m.tezos_observed.add(tezos_tail.len() as u64);
+            m.xrp_observed.add(xrp_tail.len() as u64);
             m.merges.inc();
             m.merge_us.record(merge_started.elapsed());
             m.published.inc();
             m.publish_latency_us.record(started.elapsed());
-            m.batch_lag.set((self.total - self.offset) as u64);
+            m.batch_lag.set((self.data.longest_chain() - self.offset) as u64);
         }
         Ok(self.data.fork_with_sweeps(sweeps))
     }

@@ -1004,6 +1004,104 @@ mod fused {
         }
     }
 
+    // ---- Delta-folded epochs -------------------------------------------------
+    //
+    // The serve follower never holds a whole-history columnar accumulator:
+    // it finalizes each batch's accumulator on its own and folds the scalar
+    // deltas into a standing sweep. For any partition of a chain into
+    // batches — empty ones included, which is what a short chain hands the
+    // follower once it is exhausted — folded in any order, the standing
+    // sweep must equal the one-shot sweep of the whole chain.
+
+    /// How a chain is cut into batches and in which order they are folded.
+    type Partition = (Vec<usize>, usize, bool);
+
+    fn partition_strategy() -> impl Strategy<Value = Partition> {
+        (proptest::collection::vec(0usize..13, 0..6), 0usize..8, any::<bool>())
+    }
+
+    /// Finalize each batch of the partition alone (`delta`) and fold the
+    /// results into `standing`.
+    fn delta_fold<B, S>(
+        blocks: &[B],
+        (cuts, rotate, reverse): &Partition,
+        mut standing: S,
+        delta: impl Fn(&[B]) -> S,
+        merge: impl Fn(&mut S, S),
+    ) -> S {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| (*c).min(blocks.len())).collect();
+        cuts.extend([0, blocks.len()]);
+        cuts.sort_unstable();
+        // Repeated cuts yield empty batches.
+        let mut batches: Vec<&[B]> = cuts.windows(2).map(|w| &blocks[w[0]..w[1]]).collect();
+        let n = batches.len();
+        batches.rotate_left(rotate % n);
+        if *reverse {
+            batches.reverse();
+        }
+        for batch in batches {
+            merge(&mut standing, delta(batch));
+        }
+        standing
+    }
+
+    proptest! {
+        #[test]
+        fn eos_delta_fold_equals_one_shot(spec in eos_strategy(), partition in partition_strategy()) {
+            use txstat::core::EosColumnar;
+            let blocks = eos_blocks(&spec);
+            let standing = delta_fold(
+                &blocks,
+                &partition,
+                EosSweep::new(window()),
+                |batch| {
+                    let mut acc = EosColumnar::new(window());
+                    batch.iter().for_each(|b| acc.observe(b));
+                    acc.finalize()
+                },
+                |a, b| a.merge(b),
+            );
+            assert_eos_equiv(&standing, &blocks, window())?;
+        }
+
+        #[test]
+        fn tezos_delta_fold_equals_one_shot(spec in tz_strategy(), partition in partition_strategy()) {
+            use txstat::core::TezosColumnar;
+            let blocks = tz_blocks(&spec);
+            let standing = delta_fold(
+                &blocks,
+                &partition,
+                TezosSweep::new(window(), tz_periods()),
+                |batch| {
+                    let mut acc = TezosColumnar::new(window(), tz_periods());
+                    batch.iter().for_each(|b| acc.observe(b));
+                    acc.finalize()
+                },
+                |a, b| a.merge(b),
+            );
+            assert_tz_equiv(&standing, &blocks, window())?;
+        }
+
+        #[test]
+        fn xrp_delta_fold_equals_one_shot(spec in x_strategy(), partition in partition_strategy()) {
+            use txstat::core::XrpColumnar;
+            let blocks = x_blocks(&spec);
+            let ora = oracle();
+            let standing = delta_fold(
+                &blocks,
+                &partition,
+                XrpSweep::new(window()),
+                |batch| {
+                    let mut acc = XrpColumnar::new(window());
+                    batch.iter().for_each(|b| acc.observe(b, &ora));
+                    acc.finalize()
+                },
+                |a, b| a.merge(b),
+            );
+            assert_x_equiv(&standing, &blocks, window())?;
+        }
+    }
+
     /// The sweep result is identical at any rayon worker count.
     #[test]
     fn sweeps_are_thread_count_invariant() {

@@ -1,21 +1,163 @@
 //! Tier-1 integration tests for the epoch-swapped stats-serving layer:
-//! byte-identity with the one-shot report, torn-read-free epoch swaps
-//! under concurrent readers, cache invalidation on swap, and 429
+//! byte-identity with the one-shot report (at the head and at every
+//! intermediate epoch of the delta-folding follower), torn-read-free epoch
+//! swaps under concurrent readers, cache invalidation on swap, and 429
 //! load-shedding at the HTTP admission layer.
 
 use std::sync::Arc;
 use std::sync::atomic::Ordering;
-use txstat::ingest::EpochCell;
+use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
+use txstat::ingest::{EpochCell, IngestError};
 use txstat::netsim::{run_load, spawn_query_server, HttpHandler, LoadPlan, QueryServerConfig};
 use txstat::reports::{
-    comparison_section, generate, render_report, report_sections, EpochFollower, ServeSnapshot,
-    StatsService,
+    comparison_section, generate, render_report, report_sections, EpochFollower, PipelineData,
+    ServeSnapshot, StatsService,
 };
 use txstat::workload::Scenario;
 
-fn service_over(data: txstat::reports::PipelineData, head: bool) -> (Arc<StatsService>, Arc<EpochCell<ServeSnapshot>>) {
+fn service_over(data: PipelineData, head: bool) -> (Arc<StatsService>, Arc<EpochCell<ServeSnapshot>>) {
     let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(1, head, data))));
     (Arc::new(StatsService::new(cell.clone())), cell)
+}
+
+/// The dataset a one-shot sweep of the first `(eos, tezos, xrp)` blocks of
+/// `base` renders from — the oracle for an epoch of that coverage.
+fn one_shot_prefix(base: &PipelineData, (e, t, x): (u64, u64, u64)) -> PipelineData {
+    let period = base.scenario.period;
+    base.fork_with_sweeps(ChainSweeps {
+        eos: EosColumnar::compute(&base.eos_blocks[..e as usize], period),
+        tezos: TezosColumnar::compute(
+            &base.tezos_blocks[..t as usize],
+            period,
+            &base.governance_periods,
+        ),
+        xrp: XrpColumnar::compute(&base.xrp_blocks[..x as usize], period, &base.oracle),
+    })
+}
+
+/// Every exhibit section plus the busiest account of each chain (as the
+/// oracle sees it) must be the same bytes from both datasets.
+fn assert_serves_identically(got: PipelineData, oracle: PipelineData, what: &str) {
+    assert_eq!(report_sections(&got), report_sections(&oracle), "{what}: sections diverged");
+    let sweeps = oracle.sweeps();
+    let mut paths = Vec::new();
+    if let Some(r) = sweeps.eos.top_received(1).first() {
+        paths.push(format!("/account/eos/{}", r.account.to_string_repr()));
+    }
+    if let Some(s) = sweeps.tezos.top_senders(1).first() {
+        paths.push(format!("/account/tezos/{}", s.sender));
+    }
+    if let Some(a) = sweeps.xrp.most_active(1, &oracle.cluster).first() {
+        paths.push(format!("/account/xrp/{}", a.account));
+    }
+    let (got, _) = service_over(got, false);
+    let (oracle, _) = service_over(oracle, false);
+    for path in paths {
+        let want = oracle.respond("GET", &path);
+        assert_eq!(want.status, 200, "{what}: oracle lacks {path}");
+        assert_eq!(got.respond("GET", &path).body, want.body, "{what}: {path} diverged");
+    }
+}
+
+/// Keep every k-th block of each chain so that none is longer than `cap`:
+/// a corpus that still spans the whole window (block numbers stay
+/// ascending) but is short enough to publish an epoch per block.
+fn thinned(mut data: PipelineData, cap: usize) -> PipelineData {
+    fn every_kth<B: Clone>(blocks: &[B], cap: usize) -> Arc<Vec<B>> {
+        Arc::new(blocks.iter().step_by(blocks.len().div_ceil(cap).max(1)).cloned().collect())
+    }
+    data.eos_blocks = every_kth(&data.eos_blocks, cap);
+    data.tezos_blocks = every_kth(&data.tezos_blocks, cap);
+    data.xrp_blocks = every_kth(&data.xrp_blocks, cap);
+    data
+}
+
+/// Follow `data` to its head in batches of `batch`, holding every epoch's
+/// fork — not only the last — against the one-shot sweep of its coverage.
+fn assert_every_epoch_is_one_shot(data: PipelineData, batch: usize, what: &str) {
+    let total = data.longest_chain();
+    let mut follower = EpochFollower::new(data, batch);
+    let mut epochs = 0usize;
+    while !follower.head() {
+        let fork = follower.advance().expect("advance");
+        epochs += 1;
+        // The short chains run out first: their tails are empty from then
+        // on and their coverage stays at their head.
+        let at = follower.observed();
+        assert_serves_identically(
+            fork,
+            one_shot_prefix(follower.base(), at),
+            &format!("{what} batch {batch} epoch {epochs} at {at:?}"),
+        );
+    }
+    assert_eq!(epochs, total.div_ceil(batch), "{what} batch {batch}");
+}
+
+#[test]
+fn every_epoch_equals_the_one_shot_sweep_of_its_prefix() {
+    for seed in [1, 7, 42] {
+        let sc = Scenario::small(seed);
+        let total = generate(&sc).longest_chain();
+        for batch in [32, total] {
+            assert_every_epoch_is_one_shot(generate(&sc), batch, &format!("seed {seed}"));
+        }
+        // An epoch per block (and per seven) over the whole corpus would
+        // render it thousands of times; the thinned corpus has the same
+        // shape — three chains of unequal length across the whole window.
+        for batch in [1, 7] {
+            let data = thinned(generate(&sc), 200);
+            assert_every_epoch_is_one_shot(data, batch, &format!("seed {seed} thinned"));
+        }
+    }
+}
+
+#[test]
+fn advancing_past_the_head_republishes_the_standing_sweeps() {
+    let data = generate(&Scenario::small(7));
+    let total = data.longest_chain();
+    let mut follower = EpochFollower::new(data, total.div_ceil(3));
+    while !follower.head() {
+        follower.advance().expect("advance");
+    }
+    let at_head = follower.observed();
+    let again = follower.advance().expect("advance at head");
+    assert!(follower.head());
+    assert_eq!(follower.observed(), at_head, "nothing left to observe");
+    assert_serves_identically(again, generate(&Scenario::small(7)), "past the head");
+}
+
+#[test]
+fn a_block_at_or_below_the_high_water_mark_is_rejected_not_double_counted() {
+    let sc = Scenario::small(7);
+    let clean = generate(&sc);
+    let replayed = clean.eos_blocks[4].clone();
+    let high = clean.eos_blocks[9].num;
+
+    // The replayed block opens the second batch…
+    let mut data = generate(&sc);
+    let mut blocks = clean.eos_blocks[..10].to_vec();
+    blocks.push(replayed.clone());
+    data.eos_blocks = Arc::new(blocks);
+    let mut follower = EpochFollower::new(data, 10);
+    follower.advance().expect("first batch is ascending");
+    let observed = follower.observed();
+    match follower.advance() {
+        Err(IngestError::RangeRegression { n, high: h }) => {
+            assert_eq!((n, h), (replayed.num, high));
+        }
+        other => panic!("expected RangeRegression, got {:?}", other.map(|_| "a fork")),
+    }
+    // …and the follower still stands at the first epoch, on every chain.
+    assert_eq!(follower.observed(), observed);
+
+    // …or sits inside one batch, behind the block it repeats.
+    let mut data = generate(&sc);
+    let mut blocks = clean.eos_blocks[..5].to_vec();
+    blocks.push(replayed);
+    data.eos_blocks = Arc::new(blocks);
+    let mut follower = EpochFollower::new(data, 10);
+    assert!(matches!(follower.advance(), Err(IngestError::RangeRegression { .. })));
+    assert_eq!(follower.observed(), (0, 0, 0));
 }
 
 #[test]
@@ -58,9 +200,9 @@ fn served_exhibits_are_byte_identical_to_report_sections() {
 fn epoch_swap_is_never_torn_under_concurrent_readers() {
     let sc = Scenario::small(7);
     let data = generate(&sc);
-    let total = data.eos_blocks.len().max(data.tezos_blocks.len()).max(data.xrp_blocks.len());
+    let total = data.longest_chain();
     let batch = total.div_ceil(4).max(1);
-    let mut follower = EpochFollower::new(data, batch, 2);
+    let mut follower = EpochFollower::new(data, batch);
 
     // Pre-compute every epoch's fork and its expected section bytes: a
     // reader must only ever observe one of these exact bodies.
@@ -128,8 +270,8 @@ fn epoch_swap_is_never_torn_under_concurrent_readers() {
 fn response_cache_is_invalidated_by_epoch_swap() {
     let sc = Scenario::small(7);
     let data = generate(&sc);
-    let total = data.eos_blocks.len().max(data.tezos_blocks.len()).max(data.xrp_blocks.len());
-    let mut follower = EpochFollower::new(data, total.div_ceil(2).max(1), 2);
+    let total = data.longest_chain();
+    let mut follower = EpochFollower::new(data, total.div_ceil(2).max(1));
     let first = follower.advance().expect("first epoch");
     let (service, cell) = service_over(first, false);
 
@@ -191,9 +333,9 @@ fn metrics_and_statusz_expose_every_layer() {
 
     let sc = Scenario::small(11);
     let data = generate(&sc);
-    let total = data.eos_blocks.len().max(data.tezos_blocks.len()).max(data.xrp_blocks.len());
+    let total = data.longest_chain();
     let registry = Arc::new(Registry::new());
-    let mut follower = EpochFollower::new(data, total.div_ceil(2).max(1), 2);
+    let mut follower = EpochFollower::new(data, total.div_ceil(2).max(1));
     follower.bind_metrics(&registry);
     let first = follower.advance().expect("first epoch");
     let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(1, follower.head(), first))));

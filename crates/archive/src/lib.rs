@@ -16,12 +16,7 @@
 //!   ┌────────────┬────────────┬──────┐
 //!   │ segment 0  │ segment 1  │  …   │   each an LZSS stream; inside:
 //!   └────────────┴────────────┴──────┘
-//!     tag 1 (schema v1):                (colcodec varints)
-//!       start, span,
-//!       eos  count, count × bytes,      (length-prefixed wire JSON)
-//!       tezos count, count × bytes,
-//!       xrp  count, count × bytes
-//!     tag 2 (schema v2):
+//!     tag 2,                            (colcodec varints)
 //!       start, span,
 //!       eos blob, tezos blob, xrp blob  (length-prefixed columnar runs,
 //!                                        one per chain — the chain crates'
@@ -38,13 +33,13 @@
 //! `i` covers positions `[start, end)`, contiguous with its neighbours,
 //! and stores — for each chain — the blocks whose position falls inside
 //! the range (a chain shorter than the range simply contributes fewer
-//! blocks). Schema v1 stores each block's wire-JSON bytes verbatim;
-//! schema v2 stores one columnar run per chain (struct-of-arrays columns
-//! with interned name/address tables, built by the chain crates'
-//! `block_cols` codecs) whose decode equals the wire-JSON round trip —
-//! so report output and the follow layer's reorg marks are identical
-//! whichever schema fed them. The two tags coexist inside one archive:
-//! a v1 corpus stays readable, and `--upgrade` re-seals it as v2.
+//! blocks). A segment stores one columnar run per chain (struct-of-arrays
+//! columns with interned name/address tables, built by the chain crates'
+//! `block_cols` codecs) whose decode equals the wire-JSON round trip, so
+//! report output and the follow layer's reorg marks do not depend on
+//! whether blocks came from the generator or the corpus. The retired
+//! wire-JSON schema (index version 1, segment tag 1) is refused with a
+//! typed error; re-seal such a corpus from its `(preset, seed)`.
 //!
 //! The manifest and sidecar are opaque to this crate (the reports layer
 //! stores the scenario fingerprint and the non-block dataset — oracle
@@ -76,19 +71,17 @@ pub use cache::{CacheStats, SegmentCache};
 
 /// Index file magic.
 pub const ARCHIVE_MAGIC: [u8; 4] = *b"TXAR";
-/// On-disk format version written by this build (v2: columnar segment
-/// payloads). v1 indexes are still read — segments self-describe by tag.
+/// On-disk format version written by this build (columnar segment
+/// payloads).
 pub const ARCHIVE_VERSION: u32 = 2;
 /// Oldest on-disk format version this build still reads.
-pub const ARCHIVE_MIN_VERSION: u32 = 1;
+pub const ARCHIVE_MIN_VERSION: u32 = 2;
 /// Segment data file name inside an archive directory.
 pub const SEG_FILE: &str = "archive.seg";
 /// Index file name inside an archive directory.
 pub const IDX_FILE: &str = "archive.idx";
-/// Segment payload tag: per-block wire-JSON bytes (schema v1).
-const SEGMENT_TAG_V1: u8 = 1;
-/// Segment payload tag: per-chain columnar runs (schema v2).
-const SEGMENT_TAG_V2: u8 = 2;
+/// Segment payload tag: per-chain columnar runs.
+const SEGMENT_TAG: u8 = 2;
 
 // ---- errors ----------------------------------------------------------------
 
@@ -292,85 +285,28 @@ pub struct SegmentMeta {
     pub hash: u64,
 }
 
-/// A segment's per-chain block content, in one of the two on-disk schemas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SegmentPayload {
-    /// Schema v1: each chain as the wire-JSON bytes of its blocks, one
-    /// byte string per block.
-    JsonV1 { eos: Vec<Vec<u8>>, tezos: Vec<Vec<u8>>, xrp: Vec<Vec<u8>> },
-    /// Schema v2: each chain as one opaque columnar run (encoded and
-    /// decoded by the chain crates' `block_cols` codecs — this crate never
-    /// interprets the blobs).
-    ColsV2 { eos: Vec<u8>, tezos: Vec<u8>, xrp: Vec<u8> },
-}
-
-impl SegmentPayload {
-    /// The schema tag this payload serializes under.
-    pub fn tag(&self) -> u8 {
-        match self {
-            SegmentPayload::JsonV1 { .. } => SEGMENT_TAG_V1,
-            SegmentPayload::ColsV2 { .. } => SEGMENT_TAG_V2,
-        }
-    }
-}
-
-impl Default for SegmentPayload {
-    fn default() -> Self {
-        SegmentPayload::JsonV1 { eos: Vec::new(), tezos: Vec::new(), xrp: Vec::new() }
-    }
-}
-
 /// One segment's decoded content: the blocks whose position falls in
-/// `[start, end)`, per chain, in either schema. Chains shorter than the
-/// range contribute fewer (possibly zero) blocks.
+/// `[start, end)`, each chain as one opaque columnar run (encoded and
+/// decoded by the chain crates' `block_cols` codecs — this crate never
+/// interprets the blobs). Chains shorter than the range contribute an
+/// empty run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentBlocks {
     pub start: u64,
     pub end: u64,
-    pub payload: SegmentPayload,
-}
-
-impl SegmentBlocks {
-    /// An empty v1 (wire-JSON) segment covering `[start, end)`.
-    pub fn new(start: u64, end: u64) -> Self {
-        SegmentBlocks { start, end, payload: SegmentPayload::default() }
-    }
-
-    /// A v2 (columnar) segment from per-chain column blobs.
-    pub fn cols_v2(start: u64, end: u64, eos: Vec<u8>, tezos: Vec<u8>, xrp: Vec<u8>) -> Self {
-        SegmentBlocks { start, end, payload: SegmentPayload::ColsV2 { eos, tezos, xrp } }
-    }
+    pub eos: Vec<u8>,
+    pub tezos: Vec<u8>,
+    pub xrp: Vec<u8>,
 }
 
 /// Encode a segment payload (the pre-compression bytes).
 fn encode_segment(seg: &SegmentBlocks) -> Vec<u8> {
-    let cap = 64
-        + match &seg.payload {
-            SegmentPayload::JsonV1 { eos, tezos, xrp } => [eos, tezos, xrp]
-                .iter()
-                .flat_map(|c| c.iter())
-                .map(|b| b.len() + 4)
-                .sum::<usize>(),
-            SegmentPayload::ColsV2 { eos, tezos, xrp } => eos.len() + tezos.len() + xrp.len(),
-        };
-    let mut w = ColWriter::with_capacity(cap);
-    w.byte(seg.payload.tag());
+    let mut w = ColWriter::with_capacity(64 + seg.eos.len() + seg.tezos.len() + seg.xrp.len());
+    w.byte(SEGMENT_TAG);
     w.u64(seg.start);
     w.u64(seg.end - seg.start);
-    match &seg.payload {
-        SegmentPayload::JsonV1 { eos, tezos, xrp } => {
-            for chain in [eos, tezos, xrp] {
-                w.u64(chain.len() as u64);
-                for block in chain {
-                    w.bytes(block);
-                }
-            }
-        }
-        SegmentPayload::ColsV2 { eos, tezos, xrp } => {
-            for blob in [eos, tezos, xrp] {
-                w.bytes(blob);
-            }
-        }
+    for blob in [&seg.eos, &seg.tezos, &seg.xrp] {
+        w.bytes(blob);
     }
     w.into_bytes()
 }
@@ -387,11 +323,8 @@ fn decode_segment(meta: &SegmentMeta, idx: usize, bytes: &[u8]) -> Result<Segmen
     let col = |e: ColError| corrupt(e.offset(), e.to_string());
     let mut r = ColReader::new(bytes);
     let tag = r.byte().map_err(col)?;
-    if tag != SEGMENT_TAG_V1 && tag != SEGMENT_TAG_V2 {
-        return Err(corrupt(
-            0,
-            format!("bad segment tag {tag} (want {SEGMENT_TAG_V1} or {SEGMENT_TAG_V2})"),
-        ));
+    if tag != SEGMENT_TAG {
+        return Err(corrupt(0, format!("bad segment tag {tag} (want {SEGMENT_TAG})")));
     }
     let start = r.u64().map_err(col)?;
     let span = r.u64().map_err(col)?;
@@ -406,29 +339,11 @@ fn decode_segment(meta: &SegmentMeta, idx: usize, bytes: &[u8]) -> Result<Segmen
             ),
         ));
     }
-    let payload = if tag == SEGMENT_TAG_V1 {
-        let mut chains: [Vec<Vec<u8>>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for chain in &mut chains {
-            let count = r.len(1).map_err(col)?;
-            if count as u64 > span {
-                let off = r.offset();
-                return Err(corrupt(off, format!("{count} blocks exceed the range span {span}")));
-            }
-            chain.reserve(count);
-            for _ in 0..count {
-                chain.push(r.bytes().map_err(col)?.to_vec());
-            }
-        }
-        let [eos, tezos, xrp] = chains;
-        SegmentPayload::JsonV1 { eos, tezos, xrp }
-    } else {
-        let eos = r.bytes().map_err(col)?.to_vec();
-        let tezos = r.bytes().map_err(col)?.to_vec();
-        let xrp = r.bytes().map_err(col)?.to_vec();
-        SegmentPayload::ColsV2 { eos, tezos, xrp }
-    };
+    let eos = r.bytes().map_err(col)?.to_vec();
+    let tezos = r.bytes().map_err(col)?.to_vec();
+    let xrp = r.bytes().map_err(col)?.to_vec();
     r.finish().map_err(col)?;
-    Ok(SegmentBlocks { start, end, payload })
+    Ok(SegmentBlocks { start, end, eos, tezos, xrp })
 }
 
 // ---- index -----------------------------------------------------------------
@@ -813,30 +728,20 @@ impl ArchiveWriter {
 mod tests {
     use super::*;
 
-    fn blocks(tag: &str, range: std::ops::Range<u64>) -> Vec<Vec<u8>> {
-        range.map(|i| format!("{{\"{tag}\":{i}}}").into_bytes()).collect()
-    }
-
+    /// Opaque per-chain blobs — the archive layer never interprets them.
+    /// The Tezos run is empty for odd starts, like a chain that ended.
     fn seg(start: u64, end: u64) -> SegmentBlocks {
         SegmentBlocks {
             start,
             end,
-            payload: SegmentPayload::JsonV1 {
-                eos: blocks("eos", start..end),
-                tezos: blocks("tz", start..end.min(start + (end - start) / 2 + 1)),
-                xrp: blocks("xrp", start..end),
+            eos: format!("eos-cols-{start}..{end}").into_bytes(),
+            tezos: if start.is_multiple_of(2) {
+                format!("tz-cols-{start}").into_bytes()
+            } else {
+                Vec::new()
             },
+            xrp: format!("xrp-cols-{start}").into_bytes(),
         }
-    }
-
-    fn seg_v2(start: u64, end: u64) -> SegmentBlocks {
-        SegmentBlocks::cols_v2(
-            start,
-            end,
-            format!("eos-cols-{start}").into_bytes(),
-            format!("tz-cols-{start}").into_bytes(),
-            format!("xrp-cols-{start}").into_bytes(),
-        )
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -875,28 +780,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_schema_segments_roundtrip() {
-        // v1 and v2 segments coexist in one archive: each payload
-        // self-describes by tag and replays to exactly what was appended.
-        let dir = tmpdir("mixed");
-        let mut w = ArchiveWriter::create(&dir, "m", b"s").unwrap();
-        let segs = vec![seg(0, 10), seg_v2(10, 20), seg(20, 30), seg_v2(30, 35)];
-        for s in &segs {
-            w.append(s).unwrap();
-        }
-        w.seal().unwrap();
-        let a = Archive::open(&dir).unwrap();
-        assert_eq!(a.replay_all().unwrap(), segs);
-        assert_eq!(a.replay_range(12, 13).unwrap(), vec![segs[1].clone()]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn tail_runt_detection() {
         let dir = tmpdir("runt");
         let mut w = ArchiveWriter::create(&dir, "m", b"").unwrap();
-        w.append(&seg_v2(0, 16)).unwrap();
-        w.append(&seg_v2(16, 20)).unwrap();
+        w.append(&seg(0, 16)).unwrap();
+        w.append(&seg(16, 20)).unwrap();
         w.seal().unwrap();
         let a = Archive::open(&dir).unwrap();
         assert_eq!(a.tail_runt(16), Some(1));

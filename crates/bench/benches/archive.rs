@@ -1,20 +1,18 @@
 //! `archive/` benches: the persistent segmented block archive.
 //!
-//! Arms, per segment payload schema:
+//! Arms (the `_v2` suffix is the segment schema's number, kept so
+//! `bench_diff` lines up with the recorded rows):
 //!
-//! - `seal_segment256` / `seal_v2` — sealing a dataset into an on-disk
-//!   corpus (block encode, LZSS, hashing) in the v1 wire-JSON and v2
-//!   columnar schemas.
-//! - `replay_all` / `replay_all_v2` — replaying the sealed corpus's
-//!   segments (decompress and hash-verify; v2 also parallelizes the
-//!   decode across the rayon pool).
-//! - `cold_start` / `cold_start_v2` — a full `pipeline_from_archive`:
-//!   replay plus per-block parse plus sidecar rebuild. For v1 the
-//!   wire-JSON parse dominates; v2's columnar decode is the tentpole
-//!   speedup and is measured against `generate_baseline`, the synthetic
-//!   generator the cold start substitutes for.
+//! - `seal_v2` — sealing a dataset into an on-disk corpus (columnar block
+//!   encode, LZSS, hashing).
+//! - `replay_all_v2` — replaying the sealed corpus's segments (decompress
+//!   and hash-verify, decode fanned across the rayon pool).
+//! - `cold_start_v2` — a full `pipeline_from_archive`: replay plus
+//!   columnar decode plus sidecar rebuild, measured against
+//!   `generate_baseline`, the synthetic generator the cold start
+//!   substitutes for.
 //! - `fleet_cached_vs_uncached/{cached,uncached}` — a shard worker
-//!   answering an overlapping assignment set from the v2 corpus with the
+//!   answering an overlapping assignment set from the corpus with the
 //!   decoded-segment LRU warm (every segment decoded once) versus
 //!   effectively cold (budget 0: only the newest decode stays resident).
 
@@ -49,19 +47,13 @@ fn corpus_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("txstat-bench-archive-{tag}-{}", std::process::id()))
 }
 
-/// A sealed corpus of the dataset in the given schema, written once per
-/// process.
-fn sealed(format: SegmentFormat) -> &'static PathBuf {
-    static V1: OnceLock<PathBuf> = OnceLock::new();
-    static V2: OnceLock<PathBuf> = OnceLock::new();
-    let (cell, tag) = match format {
-        SegmentFormat::V1 => (&V1, "sealed-v1"),
-        SegmentFormat::V2 => (&V2, "sealed-v2"),
-    };
-    cell.get_or_init(|| {
-        let dir = corpus_dir(tag);
+/// A sealed corpus of the dataset, written once per process.
+fn sealed() -> &'static PathBuf {
+    static DIR: OnceLock<PathBuf> = OnceLock::new();
+    DIR.get_or_init(|| {
+        let dir = corpus_dir("sealed");
         let _ = std::fs::remove_dir_all(&dir);
-        write_archive(&dir, dataset(), "small", SEGMENT_BLOCKS, format)
+        write_archive(&dir, dataset(), "small", SEGMENT_BLOCKS, SegmentFormat)
             .expect("seal bench corpus");
         dir
     })
@@ -79,41 +71,31 @@ fn archive(c: &mut Criterion) {
     let mut g = c.benchmark_group("archive");
     g.sample_size(10);
 
-    for (name, format) in
-        [("seal_segment256", SegmentFormat::V1), ("seal_v2", SegmentFormat::V2)]
-    {
-        g.bench_function(name, |b| {
-            let dir = corpus_dir("seal");
-            b.iter(|| {
-                let _ = std::fs::remove_dir_all(&dir);
-                black_box(
-                    write_archive(&dir, data, "small", SEGMENT_BLOCKS, format).expect("seal"),
-                );
-            });
+    g.bench_function("seal_v2", |b| {
+        let dir = corpus_dir("seal");
+        b.iter(|| {
             let _ = std::fs::remove_dir_all(&dir);
+            black_box(
+                write_archive(&dir, data, "small", SEGMENT_BLOCKS, SegmentFormat).expect("seal"),
+            );
         });
-    }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 
-    for (name, format) in [("replay_all", SegmentFormat::V1), ("replay_all_v2", SegmentFormat::V2)]
-    {
-        g.bench_function(name, |b| {
-            let dir = sealed(format);
-            b.iter(|| {
-                let archive = Archive::open(dir).expect("open corpus");
-                black_box(archive.replay_all().expect("replay"));
-            });
+    g.bench_function("replay_all_v2", |b| {
+        let dir = sealed();
+        b.iter(|| {
+            let archive = Archive::open(dir).expect("open corpus");
+            black_box(archive.replay_all().expect("replay"));
         });
-    }
+    });
 
-    for (name, format) in [("cold_start", SegmentFormat::V1), ("cold_start_v2", SegmentFormat::V2)]
-    {
-        g.bench_function(name, |b| {
-            let dir = sealed(format);
-            b.iter(|| {
-                black_box(pipeline_from_archive(dir).expect("cold start"));
-            });
+    g.bench_function("cold_start_v2", |b| {
+        let dir = sealed();
+        b.iter(|| {
+            black_box(pipeline_from_archive(dir).expect("cold start"));
         });
-    }
+    });
 
     g.bench_function("generate_baseline", |b| {
         let sc = scenario();
@@ -132,7 +114,7 @@ fn archive(c: &mut Criterion) {
         [("fleet_cached_vs_uncached/cached", 1024u64), ("fleet_cached_vs_uncached/uncached", 0)]
     {
         g.bench_function(name, |b| {
-            let (ctx, _) = ShardContext::from_archive_with(sealed(SegmentFormat::V2), cache_mb)
+            let (ctx, _) = ShardContext::from_archive_with(sealed(), cache_mb)
                 .expect("cold start worker");
             let ranges = assignments(total);
             // Warm the first pass out of the measurement so the cached
@@ -152,8 +134,7 @@ fn archive(c: &mut Criterion) {
     }
 
     g.finish();
-    let _ = std::fs::remove_dir_all(sealed(SegmentFormat::V1));
-    let _ = std::fs::remove_dir_all(sealed(SegmentFormat::V2));
+    let _ = std::fs::remove_dir_all(sealed());
 }
 
 criterion_group!(benches, archive);

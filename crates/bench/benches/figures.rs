@@ -253,15 +253,10 @@ fn fused_stream(c: &mut Criterion) {
 /// `ReduceSession` reduction (decode + validate + remap-merge + finalize),
 /// against the in-process merge of the same k accumulators (no codec) —
 /// the wire tax on top of the merge algebra.
-///
-/// The unsuffixed arms measure the **schema v2 binary-column** path (the
-/// default shard payload since this group's 11.9 ms JSON recording); the
-/// `_v1json` arms keep the v1 canonical-JSON path measured so the codec
-/// gap stays visible in `BENCH_figures.json`.
 fn wire_reduce(c: &mut Criterion) {
     use txstat_core::WireState;
     use txstat_ingest::{ReduceSession, ShardWorker};
-    use txstat_wire::{PayloadFormat, ShardFrame};
+    use txstat_wire::ShardFrame;
 
     let data = bench_data();
     let period = data.scenario.period;
@@ -278,7 +273,6 @@ fn wire_reduce(c: &mut Criterion) {
             end: if i == K - 1 { total } else { (i + 1) * total / K },
             base: 0,
             shards: 1,
-            payload: PayloadFormat::Bin,
             meta: meta.clone(),
         })
         .collect();
@@ -307,21 +301,6 @@ fn wire_reduce(c: &mut Criterion) {
             )
         })
         .collect();
-    // The same k accumulators as v1 JSON frames, for the comparison arms.
-    let json_frames: Vec<ShardFrame> = accs
-        .iter()
-        .zip(&workers)
-        .flat_map(|((e, t, x), w)| {
-            use serde::Serialize as _;
-            vec![
-                ShardFrame::from_state("eos", w.start, w.end, 0, w.meta.clone(), &e.serialize()),
-                ShardFrame::from_state("tezos", w.start, w.end, 0, w.meta.clone(), &t.serialize()),
-                ShardFrame::from_state("xrp", w.start, w.end, 0, w.meta.clone(), &x.serialize()),
-            ]
-        })
-        .collect();
-    let json_bytes = txstat_wire::encode_all(&json_frames);
-
     let mut g = c.benchmark_group("wire_reduce");
     g.sample_size(10);
     g.bench_function("encode_k4_frames", |b| {
@@ -364,24 +343,6 @@ fn wire_reduce(c: &mut Criterion) {
         b.iter(|| {
             let mut session = ReduceSession::new();
             for f in txstat_wire::decode_all(&bytes).expect("frames decode") {
-                session.submit(&f).expect("frame validates");
-            }
-            black_box(session.finalize().expect("complete coverage"))
-        })
-    });
-    g.bench_function("decode_k4_frames_v1json", |b| {
-        b.iter(|| {
-            let frames = txstat_wire::decode_all(&json_bytes).expect("frames decode");
-            for f in &frames {
-                black_box(f.state().expect("payload parses"));
-            }
-            black_box(frames.len())
-        })
-    });
-    g.bench_function("reduce_k4_frames_v1json", |b| {
-        b.iter(|| {
-            let mut session = ReduceSession::new();
-            for f in txstat_wire::decode_all(&json_bytes).expect("frames decode") {
                 session.submit(&f).expect("frame validates");
             }
             black_box(session.finalize().expect("complete coverage"))

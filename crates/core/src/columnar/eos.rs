@@ -433,85 +433,8 @@ impl EosColumnar {
     }
 }
 
-impl serde::Serialize for BoomCol {
-    fn serialize(&self) -> serde::Value {
-        serde_json::json!({
-            "boomerang_txs": self.boomerang_txs,
-            "boomerangs": self.boomerangs,
-            "total_txs": self.total_txs,
-            "transfer_actions": self.transfer_actions,
-            "boomerang_transfers": self.boomerang_transfers,
-            "hubs": self.hubs.serialize(),
-        })
-    }
-}
-
-impl serde::Deserialize for BoomCol {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        use super::state::de;
-        Ok(BoomCol {
-            boomerang_txs: de(v, "boomerang_txs")?,
-            boomerangs: de(v, "boomerangs")?,
-            total_txs: de(v, "total_txs")?,
-            transfer_actions: de(v, "transfer_actions")?,
-            boomerang_transfers: de(v, "boomerang_transfers")?,
-            hubs: de(v, "hubs")?,
-            used: Vec::new(),
-        })
-    }
-}
-
-impl serde::Serialize for WashCol {
-    fn serialize(&self) -> serde::Value {
-        serde_json::json!({
-            "total": self.total,
-            "self_trades": self.self_trades,
-            "participation": self.participation.serialize(),
-            "self_by_account": self.self_by_account.serialize(),
-            "pairs": self.pairs.serialize(),
-        })
-    }
-}
-
-impl serde::Deserialize for WashCol {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        use super::state::de;
-        Ok(WashCol {
-            total: de(v, "total")?,
-            self_trades: de(v, "self_trades")?,
-            participation: de(v, "participation")?,
-            self_by_account: de(v, "self_by_account")?,
-            pairs: de(v, "pairs")?,
-        })
-    }
-}
-
-impl serde::Serialize for EosColumnar {
-    /// The mergeable wire state: interner key table, tag table, id-indexed
-    /// counters, scalar tallies. The per-block SoA scratch is not state.
-    fn serialize(&self) -> serde::Value {
-        serde_json::json!({
-            "period": self.period.serialize(),
-            "names": self.names.serialize(),
-            "class_of": self.class_of.serialize(),
-            "by_class": serde::Value::Array(self.by_class.iter().map(|c| c.serialize()).collect()),
-            "others": self.others,
-            "action_total": self.action_total,
-            "tx_contracts": self.tx_contracts.serialize(),
-            "contract_actions": self.contract_actions.serialize(),
-            "sent": self.sent.serialize(),
-            "sender_receivers": self.sender_receivers.serialize(),
-            "series": self.series.serialize(),
-            "wash": self.wash.serialize(),
-            "boom": self.boom.serialize(),
-            "edges": self.edges.serialize(),
-            "txs_in_period": self.txs_in_period,
-        })
-    }
-}
-
 impl EosColumnar {
-    /// The decode-time hardening both payload formats run: every
+    /// The decode-time hardening: every
     /// id-indexed structure must stay inside the interner's id range (and
     /// the tag table must have one *valid* tag per key), or merge/observe
     /// would panic on a forged frame.
@@ -541,35 +464,10 @@ impl EosColumnar {
     }
 }
 
-impl serde::Deserialize for EosColumnar {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        use super::state::{de, de_fixed};
-        let out = EosColumnar {
-            period: de(v, "period")?,
-            names: de(v, "names")?,
-            class_of: de(v, "class_of")?,
-            by_class: de_fixed(v, "by_class")?,
-            others: de(v, "others")?,
-            action_total: de(v, "action_total")?,
-            tx_contracts: de(v, "tx_contracts")?,
-            contract_actions: de(v, "contract_actions")?,
-            sent: de(v, "sent")?,
-            sender_receivers: de(v, "sender_receivers")?,
-            series: de(v, "series")?,
-            wash: de(v, "wash")?,
-            boom: de(v, "boom")?,
-            edges: de(v, "edges")?,
-            txs_in_period: de(v, "txs_in_period")?,
-            batch: EosBatch::default(),
-        };
-        out.validate().map_err(serde::Error::custom)?;
-        Ok(out)
-    }
-}
-
 impl super::wire::WireState for EosColumnar {
-    /// Binary column sections (payload schema v2), same field order as the
-    /// JSON state and the same canonical-bytes guarantee.
+    /// Binary column sections in struct declaration order: the mergeable
+    /// state (interner key table, tag table, id-indexed counters, scalar
+    /// tallies). The per-block SoA scratch is not state.
     fn encode_columns(&self, w: &mut txstat_types::colcodec::ColWriter) {
         use super::wire::{write_period, write_prefix, TAG_EOS};
         write_prefix(w, TAG_EOS);
@@ -734,21 +632,17 @@ mod tests {
     }
 
     #[test]
-    fn wire_state_round_trip_preserves_finalized_outputs() {
-        use serde::Serialize as _;
+    fn binary_columns_round_trip_preserves_finalized_outputs() {
+        use super::super::wire::WireState;
         let blocks = blocks();
         let mut acc = EosColumnar::new(period());
         for b in &blocks {
             acc.observe(b);
         }
-        let state = acc.serialize();
-        let back: EosColumnar = serde::Deserialize::deserialize(&state).expect("valid state");
-        // Canonical encoding: re-serializing the decoded state is
-        // byte-identical.
-        assert_eq!(
-            serde_json::to_string(&back.serialize()).unwrap(),
-            serde_json::to_string(&state).unwrap()
-        );
+        let bytes = acc.to_wire_bytes();
+        let back = EosColumnar::from_wire_bytes(&bytes).expect("valid columns");
+        // Canonical: re-encoding the decoded state is byte-identical.
+        assert_eq!(back.to_wire_bytes(), bytes);
         let (a, b) = (acc.finalize(), back.finalize());
         let flat = |s: &EosSweep| {
             let (rows, total) = s.action_distribution();
@@ -764,63 +658,26 @@ mod tests {
     }
 
     #[test]
-    fn binary_columns_round_trip_and_match_json_state() {
+    fn binary_columns_reject_forged_ids_tags_and_arity() {
         use super::super::wire::WireState;
-        use serde::Serialize as _;
-        let blocks = blocks();
-        let mut acc = EosColumnar::new(period());
-        for b in &blocks {
-            acc.observe(b);
-        }
-        let bytes = acc.to_wire_bytes();
-        let back = EosColumnar::from_wire_bytes(&bytes).expect("valid columns");
-        // Canonical: re-encoding the decoded state is byte-identical.
-        assert_eq!(back.to_wire_bytes(), bytes);
-        // The binary round trip lands on the same state as the JSON one.
-        assert_eq!(
-            serde_json::to_string(&back.serialize()).unwrap(),
-            serde_json::to_string(&acc.serialize()).unwrap()
-        );
-        let (a, b) = (acc.finalize(), back.finalize());
-        assert_eq!(a.action_distribution().1, b.action_distribution().1);
-        assert_eq!(a.boomerang_report().boomerangs, b.boomerang_report().boomerangs);
-    }
-
-    #[test]
-    fn binary_columns_reject_out_of_range_ids() {
-        use super::super::wire::WireState;
-        let mut acc = EosColumnar::new(period());
-        acc.observe(&blocks()[0]);
-        // Forge an extra sent slot beyond the interner's id range.
+        let observed = || {
+            let mut acc = EosColumnar::new(period());
+            acc.observe(&blocks()[0]);
+            acc
+        };
+        // An extra sent slot beyond the interner's id range.
+        let mut acc = observed();
         acc.sent.add(acc.names.len() as u32 + 7, 1);
-        let bytes = acc.to_wire_bytes();
-        assert!(EosColumnar::from_wire_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn wire_state_rejects_tag_table_mismatch() {
-        use serde::Serialize as _;
-        let mut acc = EosColumnar::new(period());
-        acc.observe(&blocks()[0]);
-        let mut state = acc.serialize();
-        if let serde::Value::Object(m) = &mut state {
-            m.insert("class_of".into(), serde_json::json!([1]));
-        }
-        assert!(<EosColumnar as serde::Deserialize>::deserialize(&state).is_err());
-    }
-
-    #[test]
-    fn both_decode_paths_reject_out_of_range_class_tags() {
-        use super::super::wire::WireState;
-        use serde::Serialize as _;
-        // A forged tag above TAG_OTHERS would index past by_class in
-        // observe() if a decoded accumulator (e.g. a checkpoint) kept
-        // folding blocks — it must be a typed rejection on both paths.
-        let mut acc = EosColumnar::new(period());
-        acc.observe(&blocks()[0]);
+        assert!(EosColumnar::from_wire_bytes(&acc.to_wire_bytes()).is_err());
+        // A tag table shorter than the interner.
+        let mut acc = observed();
+        acc.class_of.truncate(1);
+        assert!(EosColumnar::from_wire_bytes(&acc.to_wire_bytes()).is_err());
+        // A tag above TAG_OTHERS would index past by_class in observe() if
+        // a decoded accumulator kept folding blocks.
+        let mut acc = observed();
         acc.class_of[0] = TAG_OTHERS + 6;
         assert!(EosColumnar::from_wire_bytes(&acc.to_wire_bytes()).is_err());
-        assert!(<EosColumnar as serde::Deserialize>::deserialize(&acc.serialize()).is_err());
     }
 
     #[test]

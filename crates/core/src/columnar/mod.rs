@@ -103,18 +103,6 @@ pub(crate) struct SeriesTable {
     pub(crate) oor: u64,
 }
 
-impl serde::Serialize for SeriesTable {
-    fn serialize(&self) -> serde::Value {
-        serde_json::json!({ "table": self.table.serialize(), "oor": self.oor })
-    }
-}
-
-impl serde::Deserialize for SeriesTable {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(SeriesTable { table: state::de(v, "table")?, oor: state::de(v, "oor")? })
-    }
-}
-
 impl wire::WireState for SeriesTable {
     fn encode_columns(&self, w: &mut txstat_types::colcodec::ColWriter) {
         self.table.encode_columns(w);

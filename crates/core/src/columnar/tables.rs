@@ -100,20 +100,6 @@ impl<T> IdVec<T> {
     }
 }
 
-impl<T: serde::Serialize> serde::Serialize for IdVec<T> {
-    /// Wire state: the dense slot vector, id-indexed — meaningful only next
-    /// to the interner whose ids index it.
-    fn serialize(&self) -> serde::Value {
-        self.slots.serialize()
-    }
-}
-
-impl<T: serde::Deserialize> serde::Deserialize for IdVec<T> {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(IdVec { slots: Vec::deserialize(v)? })
-    }
-}
-
 const EMPTY: u64 = u64::MAX;
 
 /// Open-addressed `u64 → u64` counter with linear probing. Key `u64::MAX`
@@ -231,35 +217,6 @@ impl FxMap64 {
     }
 }
 
-impl serde::Serialize for FxMap64 {
-    /// Wire state: `(key, count)` pairs sorted by key — canonical, so two
-    /// logically-equal tables encode identically regardless of the probe
-    /// order their insertion history produced.
-    fn serialize(&self) -> serde::Value {
-        let mut pairs: Vec<(u64, u64)> = self.iter().collect();
-        pairs.sort_unstable();
-        pairs.serialize()
-    }
-}
-
-impl serde::Deserialize for FxMap64 {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let pairs: Vec<(u64, u64)> = Vec::deserialize(v)?;
-        let mut out = FxMap64::new();
-        out.reserve(pairs.len());
-        for (k, n) in pairs {
-            if k == EMPTY {
-                return Err(serde::Error::custom("key collides with the empty sentinel"));
-            }
-            if out.get(k) != 0 {
-                return Err(serde::Error::custom("duplicate key in counter table state"));
-            }
-            out.add(k, n);
-        }
-        Ok(out)
-    }
-}
-
 /// A pair-keyed counter sharded by the first id's residue class — the
 /// second sharding level under the ingest layer's block-range shards.
 #[derive(Debug, Clone, Default)]
@@ -328,45 +285,14 @@ impl PairTable {
     }
 }
 
-impl serde::Serialize for PairTable {
-    /// Wire state: flat `(a, b, count)` triples sorted by pair — the shard
-    /// assignment is a function of `a`, so the residue layout rebuilds
-    /// itself on decode.
-    fn serialize(&self) -> serde::Value {
-        let mut triples: Vec<(u32, u32, u64)> = self.iter().collect();
-        triples.sort_unstable();
-        triples.serialize()
-    }
-}
-
-impl serde::Deserialize for PairTable {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let triples: Vec<(u32, u32, u64)> = Vec::deserialize(v)?;
-        let mut out = PairTable::new();
-        for shard in &mut out.shards {
-            shard.reserve(triples.len() / PAIR_SHARDS + 1);
-        }
-        for (a, b, n) in triples {
-            if pack(a, b) == EMPTY {
-                return Err(serde::Error::custom("pair collides with the empty sentinel"));
-            }
-            if out.get(a, b) != 0 {
-                return Err(serde::Error::custom("duplicate pair in pair-table state"));
-            }
-            out.add(a, b, n);
-        }
-        Ok(out)
-    }
-}
-
-// ---- Binary column sections (wire payload schema v2) -----------------------
+// ---- Binary column sections (the wire payload) -----------------------------
 
 use super::wire::WireState;
 use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 
 impl WireState for IdVec<u64> {
-    /// Column form: slot count, then the dense id-indexed tallies — the
-    /// same dense vector the JSON path ships, as varints.
+    /// Column form: slot count, then the dense id-indexed tallies as
+    /// varints — meaningful only next to the interner whose ids index it.
     fn encode_columns(&self, w: &mut ColWriter) {
         w.u64(self.slots.len() as u64);
         for v in &self.slots {
@@ -466,8 +392,8 @@ impl WireState for FxMap64 {
 
 impl WireState for PairTable {
     /// Column form: the packed `(a, b)` keys sorted ascending (identical
-    /// order to sorting the `(a, b, n)` triples) — the residue layout
-    /// rebuilds itself on decode, exactly like the JSON path.
+    /// order to sorting the `(a, b, n)` triples). The shard assignment is a
+    /// function of `a`, so the residue layout rebuilds itself on decode.
     fn encode_columns(&self, w: &mut ColWriter) {
         write_sorted_map(
             w,

@@ -233,29 +233,8 @@ impl TezosColumnar {
     }
 }
 
-impl serde::Serialize for TezosColumnar {
-    /// The mergeable wire state; the per-block kind-tag scratch is not
-    /// state.
-    fn serialize(&self) -> serde::Value {
-        serde_json::json!({
-            "period": self.period.serialize(),
-            "periods": self.periods.serialize(),
-            "addrs": self.addrs.serialize(),
-            "op_counts": self.op_counts.to_vec().serialize(),
-            "op_total": self.op_total,
-            "series": super::state::ser_rows(&self.series),
-            "series_oor": self.series_oor,
-            "sent": self.sent.serialize(),
-            "per_receiver": self.per_receiver.serialize(),
-            "gov_events": self.gov_events.serialize(),
-            "gov_ops_in_window": self.gov_ops_in_window,
-            "txs_in_period": self.txs_in_period,
-        })
-    }
-}
-
 impl TezosColumnar {
-    /// The decode-time hardening both payload formats run.
+    /// The decode-time hardening.
     fn validate(&self) -> Result<(), String> {
         if self.gov_events.len() != self.periods.len() {
             return Err("governance event arity disagrees with period list".to_owned());
@@ -264,29 +243,6 @@ impl TezosColumnar {
         super::state::check_idvec(&self.sent, n, "sent")?;
         super::state::check_pairs(&self.per_receiver, n32, n32, "per_receiver")?;
         Ok(())
-    }
-}
-
-impl serde::Deserialize for TezosColumnar {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        use super::state::{de, de_fixed, de_rows};
-        let out = TezosColumnar {
-            period: de(v, "period")?,
-            periods: de(v, "periods")?,
-            addrs: de(v, "addrs")?,
-            op_counts: de_fixed(v, "op_counts")?,
-            op_total: de(v, "op_total")?,
-            series: de_rows(v, "series")?,
-            series_oor: de(v, "series_oor")?,
-            sent: de(v, "sent")?,
-            per_receiver: de(v, "per_receiver")?,
-            gov_events: de(v, "gov_events")?,
-            gov_ops_in_window: de(v, "gov_ops_in_window")?,
-            txs_in_period: de(v, "txs_in_period")?,
-            tags: Vec::new(),
-        };
-        out.validate().map_err(serde::Error::custom)?;
-        Ok(out)
     }
 }
 
@@ -311,8 +267,8 @@ fn period_kind_of(tag: u8) -> Option<PeriodKind> {
 }
 
 impl super::wire::WireState for TezosColumnar {
-    /// Binary column sections (payload schema v2), same field order as the
-    /// JSON state.
+    /// Binary column sections in struct declaration order: the mergeable
+    /// state; the per-block kind-tag scratch is not state.
     fn encode_columns(&self, w: &mut txstat_types::colcodec::ColWriter) {
         use super::wire::{write_period, write_prefix, write_rows, TAG_TEZOS};
         use txstat_types::colcodec::ColKey;
@@ -478,39 +434,6 @@ mod tests {
     #[test]
     fn binary_columns_round_trip_canonically() {
         use super::super::wire::WireState;
-        use serde::Serialize as _;
-        let block = TezosBlock {
-            level: 1,
-            time: t0() + 120,
-            baker: Address::implicit(1),
-            operations: vec![
-                Operation::new(
-                    Address::implicit(4),
-                    OpPayload::Transaction { destination: Address::implicit(5), amount_mutez: 7 },
-                ),
-                Operation::new(
-                    Address::implicit(3),
-                    OpPayload::Ballot { proposal: "PsBabyM1".into(), vote: Vote::Nay },
-                ),
-            ],
-        };
-        let mut acc = TezosColumnar::new(period(), vec![(PeriodKind::Promotion, period())]);
-        acc.observe(&block);
-        let bytes = acc.to_wire_bytes();
-        let back = TezosColumnar::from_wire_bytes(&bytes).expect("valid columns");
-        assert_eq!(back.to_wire_bytes(), bytes);
-        assert_eq!(
-            serde_json::to_string(&back.serialize()).unwrap(),
-            serde_json::to_string(&acc.serialize()).unwrap()
-        );
-        let (a, b) = (acc.finalize(), back.finalize());
-        assert_eq!(a.op_distribution().1, b.op_distribution().1);
-        assert_eq!(a.governance_op_count(), b.governance_op_count());
-    }
-
-    #[test]
-    fn wire_state_round_trip_preserves_finalized_outputs() {
-        use serde::Serialize as _;
         let pay = |from: u64, to: u64| {
             Operation::new(
                 Address::implicit(from),
@@ -529,15 +452,11 @@ mod tests {
                 ),
             ],
         };
-        let periods = vec![(PeriodKind::Promotion, period())];
-        let mut acc = TezosColumnar::new(period(), periods);
+        let mut acc = TezosColumnar::new(period(), vec![(PeriodKind::Promotion, period())]);
         acc.observe(&block);
-        let state = acc.serialize();
-        let back: TezosColumnar = serde::Deserialize::deserialize(&state).expect("valid state");
-        assert_eq!(
-            serde_json::to_string(&back.serialize()).unwrap(),
-            serde_json::to_string(&state).unwrap()
-        );
+        let bytes = acc.to_wire_bytes();
+        let back = TezosColumnar::from_wire_bytes(&bytes).expect("valid columns");
+        assert_eq!(back.to_wire_bytes(), bytes);
         let (a, b) = (acc.finalize(), back.finalize());
         assert_eq!(a.op_distribution().1, b.op_distribution().1);
         assert_eq!(a.governance_op_count(), b.governance_op_count());

@@ -1,9 +1,8 @@
-//! Wire payload schema v2: the binary column form of every mergeable
-//! columnar state.
+//! The wire payload: the binary column form of every mergeable columnar
+//! state.
 //!
-//! [`WireState`] is the encode/decode contract `txstat_wire` v2 frames
-//! carry under their (format-agnostic) envelope, replacing the
-//! canonical-JSON value trees of payload schema v1. The layout rules:
+//! [`WireState`] is the encode/decode contract `txstat_wire` frames carry
+//! under their envelope. The layout rules:
 //!
 //! - **Column sections in fixed field order.** Each accumulator writes its
 //!   mergeable fields in the order its struct declares them, each field as
@@ -14,12 +13,11 @@
 //! - **Canonical bytes.** Sparse tables encode in sorted key order,
 //!   varints are minimal-length, and interner columns are the id-ordered
 //!   key table — so two logically equal accumulators encode byte-identically
-//!   regardless of insertion/probe history (the same guarantee the JSON
-//!   path gives, at a fraction of the decode cost).
+//!   regardless of insertion/probe history.
 //! - **Typed failure, never a panic.** Truncation, bit flips, forged
 //!   counts, out-of-range ids, and arity skew all surface as
-//!   [`ColError`]s with byte offsets; the decode path re-runs every
-//!   id-bounds/arity check the JSON path hardened in PR 4.
+//!   [`ColError`]s with byte offsets; the decode path runs every
+//!   accumulator's `validate()` id-bounds/arity checks.
 //!
 //! Each top-level payload starts with a two-byte prefix: the payload
 //! schema byte [`PAYLOAD_SCHEMA_BIN`] and a struct tag naming the
@@ -29,7 +27,7 @@
 use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 
 /// The payload schema byte every binary column payload starts with.
-/// (`2` — payload schema v2; v1 payloads are JSON and start with `{`.)
+/// (`2`: the retired schema-1 payloads were JSON and started with `{`.)
 pub const PAYLOAD_SCHEMA_BIN: u8 = 2;
 
 /// Struct tags for the top-level payloads (the second prefix byte).
@@ -38,13 +36,13 @@ pub const TAG_TEZOS: u8 = b't';
 pub const TAG_XRP: u8 = b'x';
 
 /// A mergeable state that encodes itself as binary column sections — the
-/// payload side of a schema-v2 `ShardFrame` and of checkpoint schema v3.
+/// payload side of a `ShardFrame`.
 pub trait WireState: Sized {
     /// Append this state's column sections to `w`.
     fn encode_columns(&self, w: &mut ColWriter);
 
-    /// Decode column sections from `r`, running the same id-bounds/arity
-    /// validation as the JSON path. Must never panic on any byte input.
+    /// Decode column sections from `r`, running the accumulator's
+    /// id-bounds/arity validation. Must never panic on any byte input.
     fn decode_columns(r: &mut ColReader<'_>) -> Result<Self, ColError>;
 
     /// Encode into a standalone byte payload.

@@ -379,84 +379,8 @@ impl XrpColumnar {
     }
 }
 
-impl serde::Serialize for XrpColumnar {
-    /// The mergeable wire state; the per-ledger tag scratch is not state.
-    /// The IOU currency table encodes in symbol order (canonical).
-    fn serialize(&self) -> serde::Value {
-        let mut ious: Vec<(SymCode, (i128, i128, i128))> =
-            self.iou_cur.iter().map(|(s, t)| (*s, *t)).collect();
-        ious.sort_unstable_by_key(|(s, _)| *s);
-        serde_json::json!({
-            "period": self.period.serialize(),
-            "accounts": self.accounts.serialize(),
-            "type_counts": self.type_counts.to_vec().serialize(),
-            "type_total": self.type_total,
-            "series": super::state::ser_rows(&self.series),
-            "series_oor": self.series_oor,
-            "payment_series": self.payment_series.serialize(),
-            "payment_oor": self.payment_oor,
-            "funnel": self.funnel.serialize(),
-            "acct_offers": self.acct_offers.serialize(),
-            "acct_pays": self.acct_pays.serialize(),
-            "acct_others": self.acct_others.serialize(),
-            "tags": self.tags.serialize(),
-            "grand_total": self.grand_total,
-            "xrp_volume_drops": self.xrp_volume_drops,
-            "sender_drops": self.sender_drops.serialize(),
-            "sender_touched": self.sender_touched.serialize(),
-            "receiver_drops": self.receiver_drops.serialize(),
-            "receiver_touched": self.receiver_touched.serialize(),
-            "xrp_cur": self.xrp_cur.serialize(),
-            "xrp_cur_touched": self.xrp_cur_touched,
-            "iou_cur": ious.serialize(),
-            "edges": self.edges.serialize(),
-        })
-    }
-}
-
-impl serde::Deserialize for XrpColumnar {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        use super::state::{de, de_fixed, de_rows};
-        let ious: Vec<(SymCode, (i128, i128, i128))> = de(v, "iou_cur")?;
-        let mut iou_cur = FxHashMap::default();
-        for (sym, triple) in ious {
-            if iou_cur.insert(sym, triple).is_some() {
-                return Err(serde::Error::custom("duplicate currency in IOU table state"));
-            }
-        }
-        let out = XrpColumnar {
-            period: de(v, "period")?,
-            accounts: de(v, "accounts")?,
-            type_counts: de_fixed(v, "type_counts")?,
-            type_total: de(v, "type_total")?,
-            series: de_rows(v, "series")?,
-            series_oor: de(v, "series_oor")?,
-            payment_series: de(v, "payment_series")?,
-            payment_oor: de(v, "payment_oor")?,
-            funnel: de(v, "funnel")?,
-            acct_offers: de(v, "acct_offers")?,
-            acct_pays: de(v, "acct_pays")?,
-            acct_others: de(v, "acct_others")?,
-            tags: de(v, "tags")?,
-            grand_total: de(v, "grand_total")?,
-            xrp_volume_drops: de(v, "xrp_volume_drops")?,
-            sender_drops: de(v, "sender_drops")?,
-            sender_touched: de(v, "sender_touched")?,
-            receiver_drops: de(v, "receiver_drops")?,
-            receiver_touched: de(v, "receiver_touched")?,
-            xrp_cur: de(v, "xrp_cur")?,
-            xrp_cur_touched: de(v, "xrp_cur_touched")?,
-            iou_cur,
-            edges: de(v, "edges")?,
-            tag_batch: Vec::new(),
-        };
-        out.validate().map_err(serde::Error::custom)?;
-        Ok(out)
-    }
-}
-
 impl XrpColumnar {
-    /// The decode-time hardening both payload formats run.
+    /// The decode-time hardening.
     fn validate(&self) -> Result<(), String> {
         use super::state::{check_idvec, check_pairs};
         let (n, n32) = (self.accounts.len(), self.accounts.len() as u32);
@@ -475,9 +399,9 @@ impl XrpColumnar {
 }
 
 impl super::wire::WireState for XrpColumnar {
-    /// Binary column sections (payload schema v2), same field order as the
-    /// JSON state. The IOU currency table encodes in symbol order
-    /// (canonical), like the JSON path.
+    /// Binary column sections in struct declaration order: the mergeable
+    /// state; the per-ledger tag scratch is not state. The IOU currency
+    /// table encodes in symbol order (canonical).
     fn encode_columns(&self, w: &mut txstat_types::colcodec::ColWriter) {
         use super::wire::{write_period, write_prefix, write_rows, TAG_XRP};
         write_prefix(w, TAG_XRP);
@@ -698,7 +622,6 @@ mod tests {
     #[test]
     fn binary_columns_round_trip_canonically() {
         use super::super::wire::WireState;
-        use serde::Serialize as _;
         let ora = oracle();
         let block = LedgerBlock {
             index: 1,
@@ -715,38 +638,6 @@ mod tests {
         let bytes = acc.to_wire_bytes();
         let back = XrpColumnar::from_wire_bytes(&bytes).expect("valid columns");
         assert_eq!(back.to_wire_bytes(), bytes);
-        assert_eq!(
-            serde_json::to_string(&back.serialize()).unwrap(),
-            serde_json::to_string(&acc.serialize()).unwrap()
-        );
-        let (a, b) = (acc.finalize(), back.finalize());
-        assert_eq!(a.tx_distribution().1, b.tx_distribution().1);
-        let clu = ClusterInfo::new();
-        assert_eq!(a.value_flow(&clu).currencies, b.value_flow(&clu).currencies);
-        assert_eq!(a.funnel().payments_with_value, b.funnel().payments_with_value);
-    }
-
-    #[test]
-    fn wire_state_round_trip_preserves_finalized_outputs() {
-        use serde::Serialize as _;
-        let ora = oracle();
-        let block = LedgerBlock {
-            index: 1,
-            close_time: t0() + 60,
-            transactions: vec![
-                payment(1, 2, Amount::xrp(100), TxResult::Success),
-                payment(1, 3, Amount::iou_whole("USD", AccountId(1), 50), TxResult::Success),
-                payment(1, 2, Amount::xrp(5), TxResult::PathDry),
-            ],
-        };
-        let mut acc = XrpColumnar::new(period());
-        acc.observe(&block, &ora);
-        let state = acc.serialize();
-        let back: XrpColumnar = serde::Deserialize::deserialize(&state).expect("valid state");
-        assert_eq!(
-            serde_json::to_string(&back.serialize()).unwrap(),
-            serde_json::to_string(&state).unwrap()
-        );
         let (a, b) = (acc.finalize(), back.finalize());
         assert_eq!(a.tx_distribution().1, b.tx_distribution().1);
         let clu = ClusterInfo::new();

@@ -52,7 +52,10 @@
 //! state-identical — and therefore bit-identical on every exhibit — to the
 //! scalar fold. The report pipeline computes through the columnar engine;
 //! the scalar observes remain the streaming-shard baseline and the
-//! equivalence oracle.
+//! equivalence oracle. A columnar accumulator's one serialized form is
+//! its [`columnar::WireState`] binary column sections — what a
+//! `txstat_wire` frame carries between processes, validated
+//! (`validate()`) on every decode.
 //!
 //! Supporting modules:
 //!
@@ -60,11 +63,6 @@
 //! - [`cluster`] — XRP entity clustering by username/parent (§3.3).
 //! - [`graph`] — mergeable transaction-graph metrics (degree distributions,
 //!   hubs, fan-out outliers), the §5 related-work lens.
-
-// The columnar wire-state serializers build wide `json!` objects; the
-// vendored macro is a token-at-a-time muncher that outgrows the default
-// recursion limit on them.
-#![recursion_limit = "1024"]
 
 pub mod accumulate;
 pub mod cluster;

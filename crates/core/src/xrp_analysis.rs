@@ -122,7 +122,7 @@ pub fn throughput_series(blocks: &[LedgerBlock], period: Period) -> BucketSeries
 }
 
 /// The Figure 7 funnel: how much of the throughput carries economic value.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Funnel {
     pub total: u64,
     pub failed: u64,

@@ -226,7 +226,12 @@ mod tests {
                     tx.send(i).await.unwrap();
                 }
             });
-            // Consume everything.
+            // Drain only once the gauge shows the producer parked on the
+            // full channel — the stall is caused here, not left to the
+            // host's scheduling.
+            while gauge.snapshot().blocked_sends == 0 {
+                std::thread::yield_now();
+            }
             let mut n = 0;
             while rx.recv().await.is_some() {
                 n += 1;

@@ -10,40 +10,18 @@
 //! [`Checkpoint::merged`] re-merges the shards into a full accumulator in
 //! O(shards) instead of O(chain).
 //!
-//! Checkpoints serialize to a JSON envelope keyed by their range
-//! ([`Checkpoint::range_key`]), so a cache of per-range shard states can be
-//! persisted between runs and looked up by block range. The serialized
-//! form is versioned ([`CHECKPOINT_SCHEMA_VERSION`]) and carries a content
-//! hash over its payload; [`Checkpoint::from_json`] rejects version skew
-//! and corruption with typed errors instead of deserializing stale state
-//! silently.
+//! Checkpoints live in memory only — every block is a pure function of
+//! `(preset, seed)`, so a restarted follower re-sweeps rather than
+//! reloading state.
 //!
-//! Schema v3 moves the shard *content* to the binary column path: each
-//! shard state is its `WireState::to_wire_bytes` column sections,
-//! hex-embedded in the JSON envelope — decoding a month-scale checkpoint
-//! is column reads, not a JSON value-tree walk, and the shard payload is
-//! byte-identical to what the same accumulator ships in a v2 wire frame.
-//!
-//! Schema v4 adds per-range content marks ([`RangeMark`]): after each
-//! observed batch the follower seals a mark recording the batch's high
-//! block, block count, and a chained content hash over the blocks it
-//! covered. A later pass over the (possibly reorged) chain can then find
-//! the exact mark where history diverged — a mismatched mark invalidates
-//! only the checkpoint's suffix, not the whole sweep.
+//! Per-range content marks ([`RangeMark`]): after each observed batch the
+//! follower seals a mark recording the batch's high block, block count,
+//! and a chained content hash over the blocks it covered. A later pass
+//! over the (possibly reorged) chain can then find the exact mark where
+//! history diverged — a mismatched mark invalidates only the checkpoint's
+//! suffix, not the whole sweep.
 
-use crate::shard::IngestOutcome;
 use crate::IngestError;
-use serde_json::{json, Value};
-use txstat_core::WireState;
-use txstat_types::colcodec;
-use txstat_types::ids::fnv1a64;
-
-/// Schema version of the serialized checkpoint layout. v1 had no version
-/// discipline beyond a constant; v2 added the content hash and canonical
-/// JSON shard trees; v3 switched shard content to hex-embedded binary
-/// column sections; v4 adds the per-range content marks. Anything else is
-/// rejected.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 4;
 
 /// One sealed observation range: the batch's high block number, how many
 /// blocks it covered, and a chained content hash over those blocks. Marks
@@ -84,17 +62,6 @@ impl<A> Checkpoint<A> {
         Checkpoint { shards, counts, low, high: low.saturating_sub(1), marks: Vec::new() }
     }
 
-    /// Freeze an ingestion outcome over the range it streamed.
-    pub fn from_outcome(outcome: IngestOutcome<A>, low: u64, high: u64) -> Self {
-        Checkpoint {
-            counts: outcome.observed.clone(),
-            shards: outcome.shards,
-            low,
-            high,
-            marks: Vec::new(),
-        }
-    }
-
     /// Seal everything observed since the last mark under `hash` (the
     /// caller computes it over the covered blocks' content). No-op when
     /// nothing new was observed — empty marks would be indistinguishable
@@ -106,13 +73,6 @@ impl<A> Checkpoint<A> {
             return;
         }
         self.marks.push(RangeMark { high: self.high, blocks, hash });
-    }
-
-    /// The cache key: range plus shard layout (a checkpoint with a
-    /// different shard count routes blocks differently and cannot be
-    /// extended in place).
-    pub fn range_key(&self) -> String {
-        format!("{}..={}/{}", self.low, self.high, self.shards.len())
     }
 
     /// Total blocks observed.
@@ -165,125 +125,9 @@ impl<A> Checkpoint<A> {
     }
 }
 
-/// The content hash over the payload fields, computed incrementally in a
-/// fixed field order (no composite value is materialized: the shard state
-/// tree can be month-scale).
-fn payload_hash(low: u64, high: u64, counts: &Value, shards: &Value, marks: &Value) -> u64 {
-    use txstat_types::ids::fnv1a64_extend;
-    let mut h = fnv1a64(&low.to_le_bytes());
-    h = fnv1a64_extend(h, &high.to_le_bytes());
-    let text = |v: &Value| serde_json::to_string(v).expect("payload field serializes");
-    h = fnv1a64_extend(h, text(counts).as_bytes());
-    h = fnv1a64_extend(h, text(shards).as_bytes());
-    fnv1a64_extend(h, text(marks).as_bytes())
-}
-
-fn marks_to_value(marks: &[RangeMark]) -> Value {
-    Value::Array(
-        marks
-            .iter()
-            .map(|m| json!([m.high, m.blocks, m.hash]))
-            .collect(),
-    )
-}
-
-fn marks_from_value(v: &Value) -> Result<Vec<RangeMark>, IngestError> {
-    let bad = |m: &str| IngestError::Checkpoint(m.to_owned());
-    v.as_array()
-        .ok_or_else(|| bad("marks must be an array"))?
-        .iter()
-        .map(|m| {
-            let triple = m.as_array().filter(|a| a.len() == 3).ok_or_else(|| {
-                bad("each mark must be a [high, blocks, hash] triple")
-            })?;
-            let u = |i: usize| triple[i].as_u64().ok_or_else(|| bad("non-integer mark field"));
-            Ok(RangeMark { high: u(0)?, blocks: u(1)?, hash: u(2)? })
-        })
-        .collect()
-}
-
-impl<A: WireState> Checkpoint<A> {
-    /// Serialize to a self-describing JSON envelope: schema version,
-    /// content hash over the payload fields, then the payload — shard
-    /// states as hex-embedded binary column sections.
-    pub fn to_json(&self) -> Value {
-        let counts = serde::Serialize::serialize(&self.counts);
-        let shards = Value::Array(
-            self.shards
-                .iter()
-                .map(|s| Value::String(colcodec::to_hex(&s.to_wire_bytes())))
-                .collect(),
-        );
-        let marks = marks_to_value(&self.marks);
-        json!({
-            "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "content_hash": payload_hash(self.low, self.high, &counts, &shards, &marks),
-            "low": self.low,
-            "high": self.high,
-            "counts": counts,
-            "shards": shards,
-            "marks": marks,
-        })
-    }
-
-    /// Parse a serialized checkpoint, validating schema version, content
-    /// hash, and the layout invariants. v1 (`"version"`-keyed) and v2
-    /// (JSON shard trees) checkpoints are typed rejections, not silent
-    /// misreads.
-    pub fn from_json(v: &Value) -> Result<Self, IngestError> {
-        let bad = |m: &str| IngestError::Checkpoint(m.to_owned());
-        let found = v.get("schema_version").and_then(Value::as_u64);
-        if found != Some(CHECKPOINT_SCHEMA_VERSION) {
-            // Pre-versioning checkpoints carried "version" instead.
-            let found = found.or_else(|| v.get("version").and_then(Value::as_u64));
-            return Err(IngestError::CheckpointSchema {
-                found,
-                expected: CHECKPOINT_SCHEMA_VERSION,
-            });
-        }
-        let recorded = v
-            .get("content_hash")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| bad("missing content_hash"))?;
-        let low = v.get("low").and_then(Value::as_u64).ok_or_else(|| bad("missing low"))?;
-        let high = v.get("high").and_then(Value::as_u64).ok_or_else(|| bad("missing high"))?;
-        let raw_counts = v.get("counts").ok_or_else(|| bad("missing counts"))?;
-        let raw_shards = v.get("shards").ok_or_else(|| bad("missing shards"))?;
-        let raw_marks = v.get("marks").ok_or_else(|| bad("missing marks"))?;
-        // Verify the payload hash before interpreting any shard state.
-        let computed = payload_hash(low, high, raw_counts, raw_shards, raw_marks);
-        if computed != recorded {
-            return Err(IngestError::CheckpointCorrupt { expected: recorded, found: computed });
-        }
-        let counts: Vec<u64> = raw_counts
-            .as_array()
-            .ok_or_else(|| bad("counts must be an array"))?
-            .iter()
-            .map(|c| c.as_u64().ok_or_else(|| bad("non-integer count")))
-            .collect::<Result<_, _>>()?;
-        let shards: Vec<A> = raw_shards
-            .as_array()
-            .ok_or_else(|| bad("shards must be an array"))?
-            .iter()
-            .map(|s| {
-                let hex = s.as_str().ok_or_else(|| bad("shard state must be a hex string"))?;
-                let bytes = colcodec::from_hex(hex)
-                    .map_err(|e| bad(&format!("bad shard state hex: {e}")))?;
-                A::from_wire_bytes(&bytes).map_err(|e| bad(&format!("bad shard state: {e}")))
-            })
-            .collect::<Result<_, _>>()?;
-        if shards.is_empty() || shards.len() != counts.len() {
-            return Err(bad("shard/count arity mismatch"));
-        }
-        let marks = marks_from_value(raw_marks)?;
-        Ok(Checkpoint { shards, counts, low, high, marks })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 
     /// A miniature mergeable accumulator with the same shape as the chain
     /// sweeps: counters plus a bucketed series.
@@ -292,28 +136,6 @@ mod tests {
         blocks: u64,
         weight: u64,
         buckets: Vec<u64>,
-    }
-
-    impl WireState for MiniAcc {
-        fn encode_columns(&self, w: &mut ColWriter) {
-            w.u64(self.blocks);
-            w.u64(self.weight);
-            w.u64(self.buckets.len() as u64);
-            for b in &self.buckets {
-                w.u64(*b);
-            }
-        }
-
-        fn decode_columns(r: &mut ColReader<'_>) -> Result<Self, ColError> {
-            let blocks = r.u64()?;
-            let weight = r.u64()?;
-            let n = r.len(1)?;
-            let mut buckets = Vec::with_capacity(n);
-            for _ in 0..n {
-                buckets.push(r.u64()?);
-            }
-            Ok(MiniAcc { blocks, weight, buckets })
-        }
     }
 
     impl MiniAcc {
@@ -345,18 +167,6 @@ mod tests {
         cp.observe_tail(range.map(|n| (n, n * 7 % 13)), |a, n, w| a.observe(n, w))
             .expect("ascending tail");
         cp
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let mut cp = fold_range(10..=99, 3);
-        cp.seal_mark(0xfeed);
-        let v = cp.to_json();
-        let back: Checkpoint<MiniAcc> = Checkpoint::from_json(&v).expect("valid checkpoint");
-        assert_eq!(back, cp);
-        assert_eq!(back.range_key(), "10..=99/3");
-        assert_eq!(back.observed(), 90);
-        assert_eq!(back.marks, vec![RangeMark { high: 99, blocks: 90, hash: 0xfeed }]);
     }
 
     #[test]
@@ -417,145 +227,5 @@ mod tests {
         let mut cp = fold_range(1..=9, 2);
         let err = cp.observe_tail([(10u64, 1u64), (10u64, 2u64)], |a, n, w| a.observe(n, w));
         assert!(err.is_err(), "block 10 appears twice in the same tail");
-    }
-
-    /// A shard accumulator in the columnar style: a per-shard interner
-    /// plus id-indexed counts. Checkpointing such a shard must round-trip
-    /// the interner state (key set AND id assignment), since the counts
-    /// are meaningless under any other id mapping.
-    #[derive(Debug, Clone)]
-    struct InternedAcc {
-        names: txstat_types::Interner<u64>,
-        counts: Vec<u64>,
-    }
-
-    impl WireState for InternedAcc {
-        fn encode_columns(&self, w: &mut ColWriter) {
-            self.names.encode_columns(w);
-            w.u64(self.counts.len() as u64);
-            for c in &self.counts {
-                w.u64(*c);
-            }
-        }
-
-        fn decode_columns(r: &mut ColReader<'_>) -> Result<Self, ColError> {
-            let names = txstat_types::Interner::decode_columns(r)?;
-            let n = r.len(1)?;
-            let mut counts = Vec::with_capacity(n);
-            for _ in 0..n {
-                counts.push(r.u64()?);
-            }
-            Ok(InternedAcc { names, counts })
-        }
-    }
-
-    impl InternedAcc {
-        fn identity() -> Self {
-            InternedAcc { names: txstat_types::Interner::new(), counts: Vec::new() }
-        }
-
-        fn observe(&mut self, key: &u64) {
-            let id = self.names.intern(*key) as usize;
-            if id >= self.counts.len() {
-                self.counts.resize(id + 1, 0);
-            }
-            self.counts[id] += 1;
-        }
-    }
-
-    #[test]
-    fn checkpoint_serializes_interner_state() {
-        let mut cp = Checkpoint::new(vec![InternedAcc::identity(); 3], 1);
-        // Keys collide across shards on purpose: each shard's interner
-        // assigns its own ids.
-        cp.observe_tail((1u64..=60).map(|n| (n, n % 7)), |a, _n, k| a.observe(k))
-            .expect("ascending tail");
-        let v = cp.to_json();
-        let back: Checkpoint<InternedAcc> = Checkpoint::from_json(&v).expect("valid checkpoint");
-        assert_eq!(back.observed(), 60);
-        for (b, orig) in back.shards.iter().zip(&cp.shards) {
-            assert_eq!(b.names.keys(), orig.names.keys(), "id assignment preserved");
-            assert_eq!(b.counts, orig.counts);
-        }
-        // The restored checkpoint keeps extending: tail observation equals
-        // having folded the whole range into the original.
-        let mut restored = back;
-        restored
-            .observe_tail((61u64..=80).map(|n| (n, n % 7)), |a, _n, k| a.observe(k))
-            .expect("tail extends");
-        let mut whole = cp.clone();
-        whole
-            .observe_tail((61u64..=80).map(|n| (n, n % 7)), |a, _n, k| a.observe(k))
-            .expect("tail extends");
-        for (r, w) in restored.shards.iter().zip(&whole.shards) {
-            assert_eq!(r.names.keys(), w.names.keys());
-            assert_eq!(r.counts, w.counts);
-        }
-    }
-
-    #[test]
-    fn malformed_json_is_rejected() {
-        // Arity mismatch, with a valid envelope around it.
-        let mut cp = fold_range(1..=9, 2);
-        cp.counts.push(7);
-        let v = cp.to_json();
-        assert!(matches!(
-            Checkpoint::<MiniAcc>::from_json(&v),
-            Err(IngestError::Checkpoint(_))
-        ));
-        let v = json!({"schema_version": CHECKPOINT_SCHEMA_VERSION});
-        assert!(Checkpoint::<MiniAcc>::from_json(&v).is_err());
-    }
-
-    #[test]
-    fn stale_schema_version_is_a_typed_rejection() {
-        // A v1-era checkpoint (the old "version" field) no longer
-        // deserializes silently.
-        let v = json!({"version": 1, "low": 1, "high": 3, "counts": [3], "shards": [
-            {"blocks": 3, "weight": 0, "buckets": [0, 0, 0, 0]}
-        ]});
-        assert!(matches!(
-            Checkpoint::<MiniAcc>::from_json(&v),
-            Err(IngestError::CheckpointSchema { found: Some(1), expected: CHECKPOINT_SCHEMA_VERSION })
-        ));
-        // A v2-era checkpoint (canonical-JSON shard trees) is a typed
-        // rejection too — its shard content is unreadable to the
-        // binary-column path.
-        let v = json!({"schema_version": 2, "content_hash": 0, "low": 1, "high": 3,
-            "counts": [3], "shards": [{"blocks": 3, "weight": 0, "buckets": [0, 0, 0, 0]}]});
-        assert!(matches!(
-            Checkpoint::<MiniAcc>::from_json(&v),
-            Err(IngestError::CheckpointSchema { found: Some(2), .. })
-        ));
-        // A v3-era checkpoint (binary shards but no range marks) is schema
-        // skew as well: v4's content hash covers the mark list.
-        let v = json!({"schema_version": 3, "content_hash": 0, "low": 1, "high": 3,
-            "counts": [3], "shards": ["00"]});
-        assert!(matches!(
-            Checkpoint::<MiniAcc>::from_json(&v),
-            Err(IngestError::CheckpointSchema { found: Some(3), .. })
-        ));
-        // A future schema is rejected the same way.
-        let mut v = fold_range(1..=9, 2).to_json();
-        if let Value::Object(m) = &mut v {
-            m.insert("schema_version".into(), json!(99));
-        }
-        assert!(matches!(
-            Checkpoint::<MiniAcc>::from_json(&v),
-            Err(IngestError::CheckpointSchema { found: Some(99), .. })
-        ));
-    }
-
-    #[test]
-    fn corrupted_payload_is_a_typed_rejection() {
-        let mut v = fold_range(1..=9, 2).to_json();
-        if let Value::Object(m) = &mut v {
-            // Tamper with a payload field the hash covers.
-            m.insert("high".into(), json!(10_000));
-        }
-        assert!(matches!(
-            Checkpoint::<MiniAcc>::from_json(&v),
-            Err(IngestError::CheckpointCorrupt { .. })
-        ));
     }
 }

@@ -67,15 +67,6 @@ pub enum IngestError {
     SinkClosed,
     /// A checkpoint tail tried to re-observe an already-covered block.
     RangeRegression { n: u64, high: u64 },
-    /// A serialized checkpoint was malformed.
-    Checkpoint(String),
-    /// A serialized checkpoint carries a different schema version than
-    /// this build writes (`found` is `None` when the field is absent —
-    /// pre-versioning checkpoints).
-    CheckpointSchema { found: Option<u64>, expected: u64 },
-    /// A serialized checkpoint's content hash does not match its payload:
-    /// the shard state was corrupted or hand-edited.
-    CheckpointCorrupt { expected: u64, found: u64 },
 }
 
 impl std::fmt::Display for IngestError {
@@ -87,15 +78,6 @@ impl std::fmt::Display for IngestError {
             IngestError::RangeRegression { n, high } => {
                 write!(f, "block {n} is not past the checkpoint high-water mark {high}")
             }
-            IngestError::Checkpoint(m) => write!(f, "checkpoint: {m}"),
-            IngestError::CheckpointSchema { found, expected } => match found {
-                Some(v) => write!(f, "checkpoint schema version {v}, this build writes {expected}"),
-                None => write!(f, "checkpoint has no schema version (expected {expected})"),
-            },
-            IngestError::CheckpointCorrupt { expected, found } => write!(
-                f,
-                "checkpoint content hash mismatch: recorded {expected:#018x}, payload hashes to {found:#018x}"
-            ),
         }
     }
 }

@@ -26,13 +26,13 @@
 //! mismatched observation windows are all typed [`ReduceError`]s. Coverage
 //! *gaps* are tracked per chain and surfaced at [`ReduceSession::finalize`].
 
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 use std::io::Write;
 use txstat_core::{ChainSweeps, EosColumnar, TezosColumnar, WireState, XrpColumnar};
 use txstat_telemetry::{static_counter, Span};
 use txstat_tezos::governance::PeriodKind;
 use txstat_types::time::Period;
-use txstat_wire::{PayloadFormat, ShardFrame, WireError, SCHEMA_V1, SCHEMA_VERSION};
+use txstat_wire::{ShardFrame, WireError, SCHEMA_VERSION};
 use txstat_xrp::rates::RateOracle;
 
 /// The chain tags a session accepts, in reduction order.
@@ -177,42 +177,24 @@ impl Coverage {
     }
 }
 
-/// Decode one frame's payload into its accumulator, honouring the
-/// header's format tag: JSON payloads (all v1 frames, and v2 frames from
-/// `--payload json` workers) go through the canonical-JSON serde path,
-/// binary payloads through the `WireState` column decoder. Either way the
-/// accumulator runs the same id-bounds/arity validation.
-fn decode_payload<A: WireState + Deserialize>(frame: &ShardFrame) -> Result<A, ReduceError> {
+/// Decode one frame's payload into its accumulator through the
+/// `WireState` column decoder, which runs the accumulator's
+/// id-bounds/arity validation.
+fn decode_payload<A: WireState>(frame: &ShardFrame) -> Result<A, ReduceError> {
     let _span = Span::enter("reduce_decode", &frame.header.chain);
     static_counter!(BYTES, "txstat_wire_payload_bytes_total", "Wire payload bytes decoded")
         .add(frame.payload.len() as u64);
-    let payload_err = |error: String| ReduceError::Payload {
+    static_counter!(
+        FRAMES,
+        "txstat_wire_frames_decoded_total",
+        "Wire frames decoded by payload format",
+        "format" => "v2_bin"
+    )
+    .inc();
+    A::from_wire_bytes(&frame.payload).map_err(|e| ReduceError::Payload {
         chain: frame.header.chain.clone(),
-        error,
-    };
-    match frame.header.payload_format {
-        PayloadFormat::Json => {
-            static_counter!(
-                V1,
-                "txstat_wire_frames_decoded_total",
-                "Wire frames decoded by payload format",
-                "format" => "v1_json"
-            )
-            .inc();
-            let state = frame.state()?;
-            A::deserialize(&state).map_err(|e| payload_err(e.to_string()))
-        }
-        PayloadFormat::Bin => {
-            static_counter!(
-                V2,
-                "txstat_wire_frames_decoded_total",
-                "Wire frames decoded by payload format",
-                "format" => "v2_bin"
-            )
-            .inc();
-            A::from_wire_bytes(&frame.payload).map_err(|e| payload_err(e.to_string()))
-        }
-    }
+        error: e.to_string(),
+    })
 }
 
 /// A distributed reduction in progress: frames go in, one validated
@@ -244,9 +226,7 @@ impl ReduceSession {
             .iter()
             .position(|c| *c == h.chain)
             .ok_or_else(|| ReduceError::UnknownChain(h.chain.clone()))?;
-        // Cross-version reduction: v1 (JSON) and v2 (tagged) frames mix
-        // freely in one session — a fleet mid-rollout reduces fine.
-        if h.schema_version != SCHEMA_V1 && h.schema_version != SCHEMA_VERSION {
+        if h.schema_version != SCHEMA_VERSION {
             return Err(ReduceError::Version {
                 chain: h.chain.clone(),
                 found: h.schema_version,
@@ -390,9 +370,6 @@ pub struct ShardWorker {
     pub base: u64,
     /// In-process sub-accumulator count (≥ 1).
     pub shards: usize,
-    /// Payload encoding of the emitted frames: binary columns (v2, the
-    /// default) or canonical JSON (v1, for fleets with old reducers).
-    pub payload: PayloadFormat,
     /// Provenance stamped into every emitted frame (scenario fingerprint,
     /// seed, …). A [`ReduceSession`] refuses to mix different values.
     pub meta: Value,
@@ -400,7 +377,7 @@ pub struct ShardWorker {
 
 impl ShardWorker {
     pub fn new(start: u64, end: u64, meta: Value) -> Self {
-        ShardWorker { start, end, base: 0, shards: 1, payload: PayloadFormat::default(), meta }
+        ShardWorker { start, end, base: 0, shards: 1, meta }
     }
 
     /// Fold the clamped slice through `shards` accumulators, merge in
@@ -434,7 +411,7 @@ impl ShardWorker {
         (acc, self.base + lo as u64, self.base + hi as u64, slice.len() as u64)
     }
 
-    fn frame<A: WireState + Serialize>(
+    fn frame<A: WireState>(
         &self,
         chain: &str,
         acc: &A,
@@ -442,24 +419,7 @@ impl ShardWorker {
         end: u64,
         blocks: u64,
     ) -> ShardFrame {
-        match self.payload {
-            PayloadFormat::Json => ShardFrame::from_state(
-                chain,
-                start,
-                end,
-                blocks,
-                self.meta.clone(),
-                &acc.serialize(),
-            ),
-            PayloadFormat::Bin => ShardFrame::from_columns(
-                chain,
-                start,
-                end,
-                blocks,
-                self.meta.clone(),
-                acc.to_wire_bytes(),
-            ),
-        }
+        ShardFrame::from_columns(chain, start, end, blocks, self.meta.clone(), acc.to_wire_bytes())
     }
 
     /// Sweep the EOS slice into an `"eos"` frame.
@@ -525,35 +485,7 @@ mod tests {
 
     fn eos_frame(start: u64, end: u64, meta: Value) -> ShardFrame {
         let acc = EosColumnar::new(period());
-        ShardFrame::from_state("eos", start, end, end - start, meta, &acc.serialize())
-    }
-
-    /// A v2 binary frame and a v1 JSON frame of the same accumulator
-    /// decode to the same state, and both mix in one session.
-    #[test]
-    fn binary_and_json_frames_decode_to_the_same_accumulator() {
-        assert_eq!(
-            ShardWorker::new(0, 0, Value::Null).payload,
-            PayloadFormat::Bin,
-            "binary is the default payload"
-        );
-        let acc = EosColumnar::new(period());
-        let f_bin =
-            ShardFrame::from_columns("eos", 0, 4, 4, Value::Null, acc.to_wire_bytes());
-        let f_json = ShardFrame::from_state("eos", 4, 8, 4, Value::Null, &acc.serialize());
-        assert_eq!(f_bin.header.schema_version, SCHEMA_VERSION);
-        assert_eq!(f_json.header.schema_version, SCHEMA_V1);
-        let a: EosColumnar = decode_payload(&f_bin).expect("binary payload decodes");
-        let b: EosColumnar = decode_payload(&f_json).expect("json payload decodes");
-        assert_eq!(a.period(), b.period());
-        assert_eq!(a.to_wire_bytes(), b.to_wire_bytes(), "same state either way");
-        // Cross-version session: v2 then v1 submit cleanly, and a v1 frame
-        // overlapping the v2 one is still overlap-checked.
-        let mut s = ReduceSession::new();
-        s.submit(&f_bin).expect("v2 accepted");
-        s.submit(&f_json).expect("v1 accepted next to v2");
-        let overlap = ShardFrame::from_state("eos", 2, 6, 4, Value::Null, &acc.serialize());
-        assert!(matches!(s.submit(&overlap), Err(ReduceError::Overlap { .. })));
+        ShardFrame::from_columns("eos", start, end, end - start, meta, acc.to_wire_bytes())
     }
 
     #[test]
@@ -565,6 +497,9 @@ mod tests {
         let mut f = eos_frame(0, 4, Value::Null);
         f.header.schema_version = 9;
         assert!(matches!(s.submit(&f), Err(ReduceError::Version { found: 9, .. })));
+        // The retired schema 1 is skew like any other.
+        f.header.schema_version = 1;
+        assert!(matches!(s.submit(&f), Err(ReduceError::Version { found: 1, .. })));
     }
 
     #[test]
@@ -605,30 +540,15 @@ mod tests {
         s.submit(&eos_frame(0, 2, Value::Null)).expect("frame fits");
         let other = Period::new(ChainTime::from_ymd(2019, 11, 1), ChainTime::from_ymd(2019, 11, 2));
         let acc = EosColumnar::new(other);
-        let f = ShardFrame::from_state("eos", 2, 4, 2, Value::Null, &acc.serialize());
+        let f = ShardFrame::from_columns("eos", 2, 4, 2, Value::Null, acc.to_wire_bytes());
         assert!(matches!(s.submit(&f), Err(ReduceError::WindowMismatch { .. })));
     }
 
     #[test]
     fn rejects_garbage_payload() {
         let mut s = ReduceSession::new();
-        let f = ShardFrame::from_state("eos", 0, 1, 1, Value::Null, &json!({"not": "state"}));
+        let f = ShardFrame::from_columns("eos", 0, 1, 1, Value::Null, b"{\"not\":\"state\"}".to_vec());
         assert!(matches!(s.submit(&f), Err(ReduceError::Payload { .. })));
-    }
-
-    #[test]
-    fn out_of_range_ids_are_payload_errors_not_panics() {
-        // A well-formed frame whose counters reference ids the interner
-        // never issued must be a typed rejection — merge/finalize would
-        // otherwise panic the reducer process.
-        let mut state = EosColumnar::new(period()).serialize();
-        if let Value::Object(m) = &mut state {
-            m.insert("sent".into(), json!([0, 0, 0, 0, 0, 0, 0, 9]));
-        }
-        let f = ShardFrame::from_state("eos", 0, 1, 1, Value::Null, &state);
-        let mut s = ReduceSession::new();
-        let err = s.submit(&f);
-        assert!(matches!(err, Err(ReduceError::Payload { .. })), "{err:?}");
     }
 
     #[test]
@@ -656,21 +576,27 @@ mod tests {
         };
         let mut acc = EosColumnar::new(period());
         acc.observe(&block);
-        let state = acc.serialize();
-        let legit = ShardFrame::from_state("eos", 0, 1, 1, Value::Null, &state);
+        let state = acc.to_wire_bytes();
+        let legit = ShardFrame::from_columns("eos", 0, 1, 1, Value::Null, state.clone());
         // Same non-identity state behind an empty range: invisible to the
         // overlap/coverage checks, so it must not be merged either.
-        let forged = ShardFrame::from_state("eos", 1, 1, 0, Value::Null, &state);
-        let tz = ShardFrame::from_state(
+        let forged = ShardFrame::from_columns("eos", 1, 1, 0, Value::Null, state);
+        let tz = ShardFrame::from_columns(
             "tezos",
             0,
             1,
             1,
             Value::Null,
-            &TezosColumnar::new(period(), Vec::new()).serialize(),
+            TezosColumnar::new(period(), Vec::new()).to_wire_bytes(),
         );
-        let xr =
-            ShardFrame::from_state("xrp", 0, 1, 1, Value::Null, &XrpColumnar::new(period()).serialize());
+        let xr = ShardFrame::from_columns(
+            "xrp",
+            0,
+            1,
+            1,
+            Value::Null,
+            XrpColumnar::new(period()).to_wire_bytes(),
+        );
 
         let mut s = ReduceSession::new();
         for f in [&legit, &forged, &tz, &xr] {

@@ -4,7 +4,7 @@
 //! **manifest** (scenario fingerprint + segment sizing + chain lengths),
 //! the **sidecar** (every non-block input the exhibits need — oracle
 //! trades, the XRP account cluster, EOS CPU-price history, Tezos rolls and
-//! governance windows), and the per-block wire-JSON codecs shared with the
+//! governance windows), and the per-block wire-JSON bytes shared with the
 //! NDJSON crawl replay and the follow layer's content hashes.
 //!
 //! Everything here is deterministic byte-for-byte: maps are exported in
@@ -13,7 +13,7 @@
 //! dataset reproduces the generated one's report exactly.
 
 use rayon::prelude::*;
-use txstat_archive::{SegmentBlocks, SegmentPayload};
+use txstat_archive::SegmentBlocks;
 use txstat_tezos::address::{AddrKind, Address};
 use txstat_tezos::governance::PeriodKind;
 use txstat_types::colcodec::{ColReader, ColWriter};
@@ -224,7 +224,7 @@ impl Sidecar {
     }
 }
 
-// ---- per-block wire-JSON codecs ---------------------------------------------
+// ---- per-block wire-JSON bytes ----------------------------------------------
 //
 // One canonical home per chain: the chain crates' `rpc_model` modules own
 // the wire byte codecs (the crawl replay and the NDJSON sources route
@@ -246,61 +246,25 @@ pub fn xrp_block_bytes(b: &txstat_xrp::LedgerBlock) -> Vec<u8> {
     txstat_xrp::rpc_model::ledger_bytes(b)
 }
 
-pub fn eos_block_parse(bytes: &[u8]) -> Result<txstat_eos::Block, String> {
-    txstat_eos::rpc_model::block_parse(bytes)
-}
-
-pub fn tezos_block_parse(bytes: &[u8]) -> Result<txstat_tezos::TezosBlock, String> {
-    txstat_tezos::rpc_model::block_parse(bytes)
-}
-
-pub fn xrp_block_parse(bytes: &[u8]) -> Result<txstat_xrp::LedgerBlock, String> {
-    txstat_xrp::rpc_model::ledger_parse(bytes)
-}
-
 // ---- segment assembly / replay ----------------------------------------------
 
-/// Which on-disk segment payload schema to seal.
+/// The on-disk segment payload schema: per-chain columnar runs (interned
+/// tables + struct-of-arrays columns via the chain crates' `block_cols`
+/// codecs). Single-valued — it survives only as the last argument of
+/// [`crate::write_archive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SegmentFormat {
-    /// Per-block wire-JSON bytes (the original schema).
-    V1,
-    /// Per-chain columnar runs — interned tables + struct-of-arrays
-    /// columns via the chain crates' `block_cols` codecs (the default).
-    #[default]
-    V2,
-}
-
-impl SegmentFormat {
-    pub fn parse(s: &str) -> Result<SegmentFormat, String> {
-        match s {
-            "v1" => Ok(SegmentFormat::V1),
-            "v2" => Ok(SegmentFormat::V2),
-            other => Err(format!("unknown segment format {other:?} (want v1 or v2)")),
-        }
-    }
-}
-
-impl std::fmt::Display for SegmentFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SegmentFormat::V1 => "v1",
-            SegmentFormat::V2 => "v2",
-        })
-    }
-}
+pub struct SegmentFormat;
 
 /// Cut the three chains into contiguous `[start, end)` segments of
 /// `segment_blocks` positions each (the final segment absorbs the
-/// remainder of the position space), sealed in the given payload schema.
+/// remainder of the position space).
 pub fn segments_of(
     eos: &[txstat_eos::Block],
     tezos: &[txstat_tezos::TezosBlock],
     xrp: &[txstat_xrp::LedgerBlock],
     segment_blocks: u64,
-    format: SegmentFormat,
 ) -> Vec<SegmentBlocks> {
-    segments_of_from(eos, tezos, xrp, segment_blocks, 0, format)
+    segments_of_from(eos, tezos, xrp, segment_blocks, 0)
 }
 
 /// [`segments_of`], but starting at position `from` instead of 0 — the
@@ -312,7 +276,6 @@ pub fn segments_of_from(
     xrp: &[txstat_xrp::LedgerBlock],
     segment_blocks: u64,
     from: u64,
-    format: SegmentFormat,
 ) -> Vec<SegmentBlocks> {
     let total = eos.len().max(tezos.len()).max(xrp.len()) as u64;
     let mut out = Vec::new();
@@ -320,22 +283,13 @@ pub fn segments_of_from(
     while start < total {
         let end = (start + segment_blocks).min(total);
         let take = |len: usize| (start as usize).min(len)..(end as usize).min(len);
-        let eos_run = &eos[take(eos.len())];
-        let tezos_run = &tezos[take(tezos.len())];
-        let xrp_run = &xrp[take(xrp.len())];
-        let payload = match format {
-            SegmentFormat::V1 => SegmentPayload::JsonV1 {
-                eos: eos_run.iter().map(eos_block_bytes).collect(),
-                tezos: tezos_run.iter().map(tezos_block_bytes).collect(),
-                xrp: xrp_run.iter().map(xrp_block_bytes).collect(),
-            },
-            SegmentFormat::V2 => SegmentPayload::ColsV2 {
-                eos: txstat_eos::block_cols::encode_blocks(eos_run),
-                tezos: txstat_tezos::block_cols::encode_blocks(tezos_run),
-                xrp: txstat_xrp::block_cols::encode_blocks(xrp_run),
-            },
-        };
-        out.push(SegmentBlocks { start, end, payload });
+        out.push(SegmentBlocks {
+            start,
+            end,
+            eos: txstat_eos::block_cols::encode_blocks(&eos[take(eos.len())]),
+            tezos: txstat_tezos::block_cols::encode_blocks(&tezos[take(tezos.len())]),
+            xrp: txstat_xrp::block_cols::encode_blocks(&xrp[take(xrp.len())]),
+        });
         start = end;
     }
     out
@@ -345,42 +299,19 @@ pub fn segments_of_from(
 pub type ReplayedChains =
     (Vec<txstat_eos::Block>, Vec<txstat_tezos::TezosBlock>, Vec<txstat_xrp::LedgerBlock>);
 
-/// Parse one replayed segment into its three chain runs. Works for both
-/// payload schemas; errors name the segment's position range (and, for
-/// columnar damage, the offset inside the chain blob).
+/// Parse one replayed segment into its three chain runs; errors name the
+/// segment's position range and the offset inside the chain blob.
 pub fn chains_of_segment(seg: &SegmentBlocks) -> Result<ReplayedChains, String> {
     let at = |chain: &str, e: String| -> String {
         format!("segment [{}, {}) {chain}: {e}", seg.start, seg.end)
     };
-    match &seg.payload {
-        SegmentPayload::JsonV1 { eos, tezos, xrp } => {
-            let eos = eos
-                .iter()
-                .map(|b| eos_block_parse(b))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| at("eos", e))?;
-            let tezos = tezos
-                .iter()
-                .map(|b| tezos_block_parse(b))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| at("tezos", e))?;
-            let xrp = xrp
-                .iter()
-                .map(|b| xrp_block_parse(b))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| at("xrp", e))?;
-            Ok((eos, tezos, xrp))
-        }
-        SegmentPayload::ColsV2 { eos, tezos, xrp } => {
-            let eos = txstat_eos::block_cols::decode_blocks(eos)
-                .map_err(|e| at("eos columns", e.to_string()))?;
-            let tezos = txstat_tezos::block_cols::decode_blocks(tezos)
-                .map_err(|e| at("tezos columns", e.to_string()))?;
-            let xrp = txstat_xrp::block_cols::decode_blocks(xrp)
-                .map_err(|e| at("xrp columns", e.to_string()))?;
-            Ok((eos, tezos, xrp))
-        }
-    }
+    let eos = txstat_eos::block_cols::decode_blocks(&seg.eos)
+        .map_err(|e| at("eos columns", e.to_string()))?;
+    let tezos = txstat_tezos::block_cols::decode_blocks(&seg.tezos)
+        .map_err(|e| at("tezos columns", e.to_string()))?;
+    let xrp = txstat_xrp::block_cols::decode_blocks(&seg.xrp)
+        .map_err(|e| at("xrp columns", e.to_string()))?;
+    Ok((eos, tezos, xrp))
 }
 
 /// Parse replayed segments (contiguous, in position order) back into the

@@ -1,39 +1,32 @@
 //! The end-to-end reproduction binary, as subcommands:
 //!
 //! ```text
-//! reproduce report [--small] [--seed N] [--crawl [--materialize]] [--out FILE]
-//!                  [--archive DIR]
-//!     Generate the scenario and render every exhibit (the classic run).
+//! reproduce report [--small] [--seed N] [--crawl] [--out FILE] [--archive DIR]
+//!     Generate the scenario and render every exhibit (the classic run;
+//!     bare `reproduce` means `report`). --crawl measures the chains over
+//!     the loopback RPC crawl, streamed straight into the sweep shards.
 //!     --archive DIR cold-starts from an archived corpus instead of
 //!     generating: the report is byte-identical and no chain is built.
 //!
 //! reproduce archive --out DIR [--small] [--seed N] [--segment-blocks N]
-//!                   [--crawl] [--format v1|v2] [--upgrade SRC]
+//!                   [--crawl]
 //!     Generate the scenario once (or measure it over the loopback RPC
 //!     crawl with --crawl) and seal it into an on-disk segmented
-//!     corpus (`txstat_archive`): LZSS-compressed block segments of
-//!     --segment-blocks positions each plus a content-hashed index with
-//!     the scenario manifest and the sidecar (oracle trades, account
-//!     cluster, CPU prices, rolls, governance windows). --format picks
-//!     the segment payload schema: v2 per-chain columnar blocks (the
-//!     default — smaller and an order of magnitude faster to replay) or
-//!     v1 length-prefixed wire-JSON (what pre-v2 builds sealed; still
-//!     readable everywhere). --upgrade SRC replays an existing corpus
-//!     instead of generating and re-seals it at --out in the requested
-//!     format — the run fails unless the rewrite replays byte-identical
-//!     to the source. Every other subcommand takes --archive DIR to
+//!     corpus (`txstat_archive`): LZSS-compressed per-chain columnar
+//!     block segments of --segment-blocks positions each plus a
+//!     content-hashed index with the scenario manifest and the sidecar
+//!     (oracle trades, account cluster, CPU prices, rolls, governance
+//!     windows). Every other subcommand takes --archive DIR to
 //!     cold-start from the corpus.
 //!
 //! reproduce shard --range A..B --out FILE [--small] [--seed N] [--shards K]
-//!                 [--payload bin|json]
 //! reproduce shard --listen ADDR [--max-requests N] [--timeout-ms MS]
 //!                 [--small] [--seed N]
 //!     One distributed shard worker. File mode sweeps block positions
 //!     [A, B) of each chain into columnar accumulators and writes them as
-//!     wire frames (txstat_wire); FILE "-" writes to stdout. --payload
-//!     picks the frame encoding: bin (schema v2 binary columns, default)
-//!     or json (v1 frames old reducers still read). Socket mode
-//!     (--listen) binds a TCP accept loop instead and answers fleet
+//!     wire frames (txstat_wire, binary column payloads); FILE "-" writes
+//!     to stdout. Socket mode (--listen) binds a TCP accept loop instead
+//!     and answers fleet
 //!     range-assignment requests until killed (or until --max-requests
 //!     assignments have been served — the deterministic way to die
 //!     mid-reduction in tests). It prints `shard worker on ADDR` on
@@ -48,7 +41,7 @@
 //!
 //! reproduce reduce FRAME-FILE... [--out FILE]
 //! reproduce reduce --connect ADDR,ADDR,... [--small] [--seed N]
-//!                  [--shards K] [--payload bin|json] [--chunks N]
+//!                  [--shards K] [--chunks N]
 //!                  [--timeout-ms MS] [--retries N] [--backoff-ms MS]
 //!                  [--out FILE] [--metrics-out FILE]
 //!     Central reducer: validate + merge shard frames (schema version,
@@ -83,8 +76,7 @@
 //!     cold-starting) instead of fragmenting one segment per batch — and
 //!     on reorg truncate + re-seal only the disagreeing segment suffix;
 //!     the run fails unless the re-opened archive replays byte-identical
-//!     to the followed chains. --format picks the sealed segment schema
-//!     (v2 columnar default).
+//!     to the followed chains.
 //!
 //! reproduce chaos --upstream ADDR [--listen ADDR] [--fault-rate F]
 //!                 [--truncate-rate F] [--flip-rate F] [--latency-ms L]
@@ -116,9 +108,7 @@
 //!     end.
 //! ```
 //!
-//! The pre-subcommand flag spelling (`reproduce --small --crawl …`) still
-//! works and maps onto `report`. Unrecognized flags or subcommands print
-//! usage and exit non-zero.
+//! Unrecognized flags or subcommands print usage and exit non-zero.
 //!
 //! Observability: `report`, `shard`, `reduce`, `follow`, and `serve` all
 //! take `--trace-out FILE` (write one NDJSON span event per pipeline stage
@@ -156,22 +146,14 @@ usage: reproduce <subcommand> [options]
 
 subcommands:
   report   render every exhibit from the generated scenario (default)
-           [--small] [--seed N] [--crawl [--materialize]] [--out FILE]
-           [--archive DIR]
+           [--small] [--seed N] [--crawl] [--out FILE] [--archive DIR]
   archive  generate (or --crawl) the scenario once and seal it into an
            on-disk segmented corpus other subcommands cold-start from
            (--archive DIR)
            --out DIR [--small] [--seed N] [--segment-blocks N] [--crawl]
-           [--format v1|v2]  (segment payload schema: v2 columnar blocks,
-                              default; v1 length-prefixed wire-JSON)
-           [--upgrade SRC]   (replay corpus SRC and re-seal it at --out in
-                              the requested format; fails unless the
-                              rewrite replays byte-identical)
   shard    sweep block positions [A, B) into a wire-frame bundle, or serve
            ranges over a socket as one fleet worker
            --range A..B --out FILE [--small] [--seed N] [--shards K]
-           [--payload bin|json]  (bin = schema v2 binary columns, default;
-                                  json = v1 frames for old reducers)
            --listen ADDR [--max-requests N] [--timeout-ms MS]
            [--archive DIR]  (serve block ranges straight from the mapped
                              segments — no chain generation)
@@ -180,9 +162,8 @@ subcommands:
            driving a socket worker fleet (retry/backoff + re-dispatch)
            FRAME-FILE... [--out FILE]
            --connect ADDR,ADDR,... [--small] [--seed N] [--shards K]
-           [--payload bin|json] [--chunks N] [--timeout-ms MS]
-           [--retries N] [--backoff-ms MS] [--metrics-out FILE]
-           [--archive DIR]
+           [--chunks N] [--timeout-ms MS] [--retries N] [--backoff-ms MS]
+           [--metrics-out FILE] [--archive DIR]
   follow   incremental re-render loop over the appending chains, with
            reorg-safe rollback via per-batch content marks
            [--small] [--seed N] [--batch N] [--shards K] [--out FILE]
@@ -193,7 +174,7 @@ subcommands:
                              runt tails coalesced up to --segment-blocks
                              and a reorg truncates + re-seals only the
                              disagreeing segment suffix)
-           [--segment-blocks N] [--format v1|v2]
+           [--segment-blocks N]
   chaos    fault-injecting TCP proxy for rehearsing worker failure
            --upstream ADDR [--listen ADDR] [--fault-rate F]
            [--truncate-rate F] [--flip-rate F] [--latency-ms L]
@@ -207,9 +188,7 @@ subcommands:
 
 report/shard/reduce/follow/serve also take:
   --trace-out FILE   write NDJSON span events per pipeline stage to FILE
-  --timings          print a per-stage wall-time summary table on stderr
-
-Legacy spelling `reproduce [--small] [--crawl] ...` maps onto `report`.";
+  --timings          print a per-stage wall-time summary table on stderr";
 
 /// Strictly parsed arguments: any flag outside the subcommand's allow-list
 /// is an error (nothing is ignored silently).
@@ -359,7 +338,7 @@ fn write_output(text: &str, out: Option<&str>) -> Result<(), String> {
 fn cmd_report(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(
         raw,
-        &["--small", "--crawl", "--materialize", "--timings"],
+        &["--small", "--crawl", "--timings"],
         &["--seed", "--out", "--trace-out", "--archive", "--metrics-out"],
         false,
     )?;
@@ -399,16 +378,11 @@ fn cmd_report(raw: &[String]) -> Result<(), String> {
     let data = if args.has("--crawl") {
         let opts = if args.has("--small") { CrawlOptions::default() } else { CrawlOptions::paper() };
         let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
-        if args.has("--materialize") {
-            eprintln!("generating chains and crawling them over loopback RPC (materializing)…");
-            rt.block_on(generate_with_crawl(&sc, &opts)).map_err(|e| e.to_string())?
-        } else {
-            eprintln!(
-                "generating chains and streaming the crawl into {} sweep shards per chain…",
-                opts.shards
-            );
-            rt.block_on(generate_with_crawl_streamed(&sc, &opts)).map_err(|e| e.to_string())?
-        }
+        eprintln!(
+            "generating chains and streaming the crawl into {} sweep shards per chain…",
+            opts.shards
+        );
+        rt.block_on(generate_with_crawl_streamed(&sc, &opts)).map_err(|e| e.to_string())?
     } else {
         eprintln!("generating chains (direct read; pass --crawl for the full RPC path)…");
         generate(&sc)
@@ -435,11 +409,9 @@ fn cmd_report(raw: &[String]) -> Result<(), String> {
     result
 }
 
-/// The `archive` subcommand: generate the scenario once (or, with
-/// `--upgrade SRC`, replay an existing corpus) and seal it into the
-/// on-disk segmented corpus that `report`/`shard`/`reduce`/`follow`/
-/// `serve --archive DIR` cold-start from. `--format` picks the segment
-/// payload schema: v2 columnar (default) or v1 wire-JSON.
+/// The `archive` subcommand: generate the scenario once and seal it into
+/// the on-disk segmented corpus that `report`/`shard`/`reduce`/`follow`/
+/// `serve --archive DIR` cold-start from.
 fn cmd_archive(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(
         raw,
@@ -448,8 +420,6 @@ fn cmd_archive(raw: &[String]) -> Result<(), String> {
             "--seed",
             "--out",
             "--segment-blocks",
-            "--format",
-            "--upgrade",
             "--trace-out",
             "--metrics-out",
         ],
@@ -457,19 +427,9 @@ fn cmd_archive(raw: &[String]) -> Result<(), String> {
     )?;
     init_tracing(&args)?;
     let out = args.get("--out").ok_or("archive needs --out DIR")?;
-    let format = match args.get("--format") {
-        None => SegmentFormat::default(),
-        Some(s) => SegmentFormat::parse(s)?,
-    };
     txstat_reports::pipeline::register_metrics();
     txstat_archive::register_metrics();
     let started = std::time::Instant::now();
-    if let Some(src) = args.get("--upgrade") {
-        if args.has("--crawl") {
-            return Err("archive --upgrade replays an existing corpus; drop --crawl".to_owned());
-        }
-        return archive_upgrade(&args, src, out, format, started);
-    }
     let (sc, mode) = scenario_of(&args)?;
     let segment_blocks: u64 = args.parsed("--segment-blocks", 256)?;
     if segment_blocks == 0 {
@@ -486,10 +446,16 @@ fn cmd_archive(raw: &[String]) -> Result<(), String> {
         let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
         rt.block_on(generate_with_crawl(&sc, &opts)).map_err(|e| e.to_string())?
     } else {
-        eprintln!("generating {mode} scenario (seed {}); sealing {format} archive…", sc.seed);
+        eprintln!("generating {mode} scenario (seed {}); sealing archive…", sc.seed);
         generate(&sc)
     };
-    let stats = write_archive(std::path::Path::new(out), &data, mode, segment_blocks, format)?;
+    let stats = write_archive(
+        std::path::Path::new(out),
+        &data,
+        mode,
+        segment_blocks,
+        SegmentFormat,
+    )?;
     eprintln!(
         "archive sealed in {:?}: {} segment(s) over {} block positions, \
          {} raw bytes -> {} compressed ({:.1}%) in {out}",
@@ -505,9 +471,10 @@ fn cmd_archive(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-block wire-byte equality across all three chains — the schema-
-/// independent identity check (a v1 and a v2 corpus of the same scenario
-/// replay to the same wire bytes, hence the same report).
+/// Per-block wire-byte equality across all three chains — the identity
+/// `follow --archive` verifies its re-opened corpus against (column decode
+/// normalizes blocks exactly like the wire-JSON round trip, so the bytes,
+/// not the structs, are what must agree).
 fn chains_wire_identical(a: &PipelineData, b: &PipelineData) -> bool {
     use txstat_reports::archive_io::{eos_block_bytes, tezos_block_bytes, xrp_block_bytes};
     a.eos_blocks.len() == b.eos_blocks.len()
@@ -525,50 +492,6 @@ fn chains_wire_identical(a: &PipelineData, b: &PipelineData) -> bool {
             .iter()
             .zip(b.xrp_blocks.iter())
             .all(|(x, y)| xrp_block_bytes(x) == xrp_block_bytes(y))
-}
-
-/// `archive --upgrade SRC --out DIR`: replay the source corpus (whatever
-/// mix of segment schemas it holds), re-seal it at `out` in the requested
-/// format, and prove the rewrite lossless — the new corpus must replay
-/// every chain byte-identical to the source. The scenario and (by
-/// default) the segment geometry carry over from the source manifest.
-fn archive_upgrade(
-    args: &Args,
-    src: &str,
-    out: &str,
-    format: SegmentFormat,
-    started: std::time::Instant,
-) -> Result<(), String> {
-    let (data, src_archive, mode) = archive_dataset(args, src)?;
-    let src_manifest = Manifest::parse(src_archive.manifest())?;
-    let segment_blocks: u64 = args.parsed("--segment-blocks", src_manifest.segment_blocks)?;
-    if segment_blocks == 0 {
-        return Err("--segment-blocks must be at least 1".to_owned());
-    }
-    eprintln!(
-        "replayed {mode} corpus {src} ({} segment(s)); re-sealing as {format}…",
-        src_archive.segments().len()
-    );
-    let stats = write_archive(std::path::Path::new(out), &data, &mode, segment_blocks, format)?;
-    let (replayed, _) = pipeline_from_archive(std::path::Path::new(out))?;
-    if !chains_wire_identical(&replayed, &data) {
-        return Err(format!(
-            "upgrade verification diverged: {out} does not replay byte-identical to {src}"
-        ));
-    }
-    eprintln!(
-        "upgraded in {:?}: {} segment(s) over {} block positions, \
-         {} raw bytes -> {} compressed ({:.1}%) in {out}; replay verified byte-identical",
-        started.elapsed(),
-        stats.segments,
-        stats.total_positions,
-        stats.raw_bytes,
-        stats.compressed_bytes,
-        100.0 * stats.compressed_bytes as f64 / (stats.raw_bytes as f64).max(1.0),
-    );
-    dump_metrics(args)?;
-    finish_tracing(args);
-    Ok(())
 }
 
 fn parse_range(s: &str) -> Result<(u64, u64), String> {
@@ -642,13 +565,7 @@ fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
                     "assignment meta does not describe this worker's scenario".to_owned()
                 );
             }
-            eprintln!(
-                "assignment [{}, {}): {} shard(s), {} payload",
-                a.start,
-                a.end,
-                a.shards,
-                a.payload.tag()
-            );
+            eprintln!("assignment [{}, {}): {} shard(s)", a.start, a.end, a.shards);
             ctx.frames(a.meta.clone(), a.start, a.end, a.shards, a.payload)
         })
         .map_err(|e| format!("worker accept loop: {e}"))?;
@@ -672,7 +589,6 @@ fn cmd_shard(raw: &[String]) -> Result<(), String> {
             "--out",
             "--range",
             "--shards",
-            "--payload",
             "--trace-out",
             "--listen",
             "--max-requests",
@@ -693,15 +609,10 @@ fn cmd_shard(raw: &[String]) -> Result<(), String> {
         parse_range(args.get("--range").ok_or("shard needs --range A..B (or --listen ADDR)")?)?;
     let out = args.get("--out").ok_or("shard needs --out FILE (\"-\" for stdout)")?;
     let shards: usize = args.parsed("--shards", 2)?;
-    let payload = match args.get("--payload") {
-        None => PayloadFormat::Bin,
-        Some(s) => PayloadFormat::parse(s)
-            .ok_or_else(|| format!("--payload wants json or bin, got {s:?}"))?,
-    };
 
     let started = std::time::Instant::now();
     let (ctx, meta) = shard_context_of(&args)?;
-    let frames = ctx.frames(meta, start, end, shards, payload)?;
+    let frames = ctx.frames(meta, start, end, shards, PayloadFormat::Bin)?;
     for f in &frames {
         eprintln!(
             "{}: swept positions [{}, {}) — {} blocks (schema v{}, {} payload)",
@@ -743,11 +654,6 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         .map(String::from)
         .collect();
     let shards: usize = args.parsed("--shards", 2)?;
-    let payload = match args.get("--payload") {
-        None => PayloadFormat::Bin,
-        Some(s) => PayloadFormat::parse(s)
-            .ok_or_else(|| format!("--payload wants json or bin, got {s:?}"))?,
-    };
     txstat_ingest::fleet::register_metrics();
     // The reducer's own dataset: cold-started from the corpus with
     // `--archive` (the scenario comes from the manifest), generated from
@@ -776,7 +682,7 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
     cfg.seed = sc.seed;
     eprintln!("driving {} worker(s)…", cfg.workers.len());
     let total = data.longest_chain() as u64;
-    let labeled = reduce_fleet(&cfg, total, shards, payload, scenario_meta(&sc, &mode))
+    let labeled = reduce_fleet(&cfg, total, shards, PayloadFormat::Bin, scenario_meta(&sc, &mode))
         .map_err(|e| e.to_string())?;
     eprintln!("fleet returned {} frames; merging…", labeled.len());
     reduce_frames_labeled_into(data, &labeled)
@@ -792,7 +698,6 @@ fn cmd_reduce(raw: &[String]) -> Result<(), String> {
             "--connect",
             "--seed",
             "--shards",
-            "--payload",
             "--chunks",
             "--timeout-ms",
             "--retries",
@@ -917,7 +822,6 @@ fn archive_append_to(
     d: &PipelineData,
     upto: usize,
     seg_blocks: u64,
-    format: SegmentFormat,
 ) -> Result<(), String> {
     if let Some(last) = w.segments().last() {
         if last.end - last.start < seg_blocks && (upto as u64) > w.total_positions() {
@@ -934,7 +838,6 @@ fn archive_append_to(
         &d.xrp_blocks[..cap(d.xrp_blocks.len())],
         seg_blocks,
         from,
-        format,
     ) {
         w.append(&seg).map_err(|e| format!("archive append: {e}"))?;
     }
@@ -958,7 +861,6 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
             "--metrics-out",
             "--archive",
             "--segment-blocks",
-            "--format",
         ],
         false,
     )?;
@@ -998,10 +900,6 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
     if seg_blocks_flag == Some(0) {
         return Err("--segment-blocks must be at least 1".to_owned());
     }
-    let seg_format = match args.get("--format") {
-        None => SegmentFormat::default(),
-        Some(s) => SegmentFormat::parse(s)?,
-    };
     let (data, mut writer, seg_blocks) = match args.get("--archive") {
         Some(dir) => {
             let path = std::path::Path::new(dir);
@@ -1075,7 +973,7 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
         // cold-started archive already covers them).
         if let Some(w) = writer.as_mut() {
             if (hi as u64) > w.total_positions() {
-                archive_append_to(w, &data, hi, seg_blocks, seg_format)?;
+                archive_append_to(w, &data, hi, seg_blocks)?;
             }
         }
 
@@ -1119,7 +1017,7 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
                 "archive: reorg invalidated {dropped} segment(s); re-sealing from position {}",
                 w.total_positions()
             );
-            archive_append_to(w, &reorged, total, seg_blocks, seg_format)?;
+            archive_append_to(w, &reorged, total, seg_blocks)?;
         }
         for (r, chain) in [
             (eos_f.resync(&reorged.eos_blocks, eos_block_hash), "eos"),
@@ -1543,10 +1441,6 @@ fn run() -> Result<(), String> {
         Some("chaos") => cmd_chaos(&argv[1..]),
         Some("serve") => cmd_serve(&argv[1..]),
         Some("query") => cmd_query(&argv[1..]),
-        Some(flag) if flag.starts_with('-') => {
-            // Compatibility shim: the pre-subcommand spelling is a report.
-            cmd_report(&argv)
-        }
         Some(other) => Err(format!("unknown subcommand {other:?}")),
     }
 }

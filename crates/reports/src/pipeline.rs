@@ -430,10 +430,9 @@ pub fn create_archive_writer(
 }
 
 /// Seal a dataset into an on-disk archive at `dir`: the three chains cut
-/// into LZSS-compressed segments of `segment_blocks` positions each —
-/// in the given payload schema ([`crate::SegmentFormat::V2`] columnar by
-/// default at the CLI) — plus a manifest (scenario provenance) and
-/// sidecar (oracle trades, cluster, rolls, governance windows). A later
+/// into LZSS-compressed columnar segments of `segment_blocks` positions
+/// each, plus a manifest (scenario provenance) and sidecar (oracle
+/// trades, cluster, rolls, governance windows). A later
 /// process cold-starts from the directory with [`pipeline_from_archive`]
 /// or [`ShardContext::from_archive`] without generating any chain.
 pub fn write_archive(
@@ -441,7 +440,7 @@ pub fn write_archive(
     data: &PipelineData,
     mode: &str,
     segment_blocks: u64,
-    format: crate::SegmentFormat,
+    _format: crate::SegmentFormat,
 ) -> Result<ArchiveStats, String> {
     let _span = Span::enter("archive_write", &dir.display().to_string());
     let err = |e: txstat_archive::ArchiveError| format!("archive {}: {e}", dir.display());
@@ -451,7 +450,6 @@ pub fn write_archive(
         &data.tezos_blocks,
         &data.xrp_blocks,
         segment_blocks,
-        format,
     ) {
         writer.append(&seg).map_err(err)?;
     }
@@ -1374,11 +1372,9 @@ impl ShardContext {
     }
 
     /// Sweep the block-position range `[start, end)` of each chain
-    /// (clamped to the chain head) into the three wire frames in the
-    /// requested payload encoding (binary columns by default; JSON for
-    /// fleets whose reducer predates schema v2). The archived source
-    /// decodes only the segments overlapping the range and folds them at
-    /// their absolute base position — the emitted frames are
+    /// (clamped to the chain head) into the three wire frames. The
+    /// archived source decodes only the segments overlapping the range and
+    /// folds them at their absolute base position — the emitted frames are
     /// byte-identical to a whole-chain sweep of the same range.
     pub fn frames(
         &self,
@@ -1386,7 +1382,7 @@ impl ShardContext {
         start: u64,
         end: u64,
         shards: usize,
-        payload: PayloadFormat,
+        _payload: PayloadFormat,
     ) -> Result<Vec<ShardFrame>, String> {
         let period = self.sc.period;
         let build = |worker: &ShardWorker,
@@ -1400,7 +1396,7 @@ impl ShardContext {
             ]
         };
         let mut worker =
-            ShardWorker { start, end, base: 0, shards: shards.max(1), payload, meta };
+            ShardWorker { start, end, base: 0, shards: shards.max(1), meta };
         match &self.source {
             ShardSource::Generated { eos, tezos, xrp } => Ok(build(&worker, eos, tezos, xrp)),
             ShardSource::Archived { archive, cache, .. } => {
@@ -1461,10 +1457,9 @@ pub fn shard_scenario(
     start: u64,
     end: u64,
     shards: usize,
-    payload: PayloadFormat,
 ) -> Vec<ShardFrame> {
     ShardContext::new(sc)
-        .frames(meta, start, end, shards, payload)
+        .frames(meta, start, end, shards, PayloadFormat::Bin)
         .expect("generated shard context cannot fail")
 }
 

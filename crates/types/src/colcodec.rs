@@ -346,37 +346,6 @@ impl ColKey for u64 {
     }
 }
 
-/// Lowercase hex of a byte column — how binary shard state embeds into
-/// JSON carriers (checkpoints).
-pub fn to_hex(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(HEX[(b >> 4) as usize] as char);
-        out.push(HEX[(b & 0xf) as usize] as char);
-    }
-    out
-}
-
-/// Inverse of [`to_hex`]; rejects odd length and non-hex digits.
-pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err("odd-length hex string".to_owned());
-    }
-    let nibble = |c: u8| -> Result<u8, String> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            _ => Err(format!("non-hex character {:?}", c as char)),
-        }
-    };
-    s.as_bytes()
-        .chunks_exact(2)
-        .map(|p| Ok((nibble(p[0])? << 4) | nibble(p[1])?))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,13 +479,5 @@ mod tests {
         let mut r = ColReader::new(&bytes);
         r.u64().expect("valid");
         assert!(matches!(r.finish(), Err(ColError::TrailingBytes { remaining: 1, .. })));
-    }
-
-    #[test]
-    fn hex_round_trips_and_rejects_garbage() {
-        let bytes = [0x00u8, 0x0f, 0xf0, 0xff, 0x42];
-        assert_eq!(from_hex(&to_hex(&bytes)).expect("valid hex"), bytes);
-        assert!(from_hex("abc").is_err(), "odd length");
-        assert!(from_hex("zz").is_err(), "non-hex digit");
     }
 }

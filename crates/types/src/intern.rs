@@ -16,7 +16,6 @@
 //! must resolve ids back to keys and order by key, never by id.
 
 use crate::ids::fnv1a64;
-use serde::{Deserialize, Serialize, Value};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// The fxhash multiplier (Firefox's hash; public domain constant).
@@ -177,31 +176,6 @@ impl<K: Copy + Eq + Hash + crate::colcodec::ColKey> Interner<K> {
     }
 }
 
-impl<K: Copy + Eq + Hash + Serialize> Serialize for Interner<K> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.keys.iter().map(|k| k.serialize()).collect())
-    }
-}
-
-impl<K: Copy + Eq + Hash + Deserialize> Deserialize for Interner<K> {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        let arr = match v {
-            Value::Array(a) => a,
-            _ => return Err(serde::Error::custom("interner state must be an array")),
-        };
-        let mut out = Interner::new();
-        for item in arr {
-            let k = K::deserialize(item)?;
-            let before = out.len();
-            out.intern(k);
-            if out.len() == before {
-                return Err(serde::Error::custom("duplicate key in interner state"));
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,18 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_ids() {
-        let mut i: Interner<u64> = Interner::new();
-        for k in [99, 3, 42, 7] {
-            i.intern(k);
-        }
-        let v = i.serialize();
-        let back: Interner<u64> = Deserialize::deserialize(&v).expect("valid state");
-        assert_eq!(back.keys(), i.keys());
-        assert_eq!(back.get(42), i.get(42));
-    }
-
-    #[test]
     fn column_codec_round_trips_ids() {
         use crate::colcodec::{ColReader, ColWriter};
         let mut i: Interner<u64> = Interner::new();
@@ -274,12 +236,6 @@ mod tests {
         w.u64(5);
         let bytes = w.into_bytes();
         assert!(Interner::<u64>::decode_columns(&mut ColReader::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn serde_rejects_duplicate_keys() {
-        let v = Value::Array(vec![5u64.serialize(), 5u64.serialize()]);
-        assert!(<Interner<u64> as Deserialize>::deserialize(&v).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!       8     8  content hash (u64 LE, FNV-1a over the body)
 //!      16     4  body length (u32 LE, capped MAX_ASSIGNMENT_LEN)
 //!      20     …  body: assignment JSON (start, end, shards,
-//!                payload format, scenario meta)
+//!                payload format "bin", scenario meta)
 //!
 //! response (worker → reducer)
 //!       0     4  magic  "TXSP"
@@ -365,5 +365,19 @@ mod tests {
             read_assignment(&mut resp.as_slice()),
             Err(ProtocolError::BadMagic { .. })
         ));
+        // An intact request asking for the retired JSON payload (or none)
+        // is a body error: the worker answers with nothing but `"bin"`.
+        for payload in [r#""payload":"json","#, ""] {
+            let body = format!(r#"{{"start":0,"end":5,"shards":1,{payload}"meta":null}}"#);
+            let mut req = REQUEST_MAGIC.to_vec();
+            req.extend_from_slice(&FLEET_VERSION.to_le_bytes());
+            req.extend_from_slice(&content_hash(body.as_bytes(), &[]).to_le_bytes());
+            req.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            req.extend_from_slice(body.as_bytes());
+            assert!(
+                matches!(read_assignment(&mut req.as_slice()), Err(ProtocolError::Body(_))),
+                "{body}"
+            );
+        }
     }
 }

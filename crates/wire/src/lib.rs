@@ -9,7 +9,7 @@
 //! format only has to move state faithfully and refuse anything it cannot
 //! vouch for.
 //!
-//! ## Frame layout (envelope, shared by schema v1 and v2)
+//! ## Frame layout
 //!
 //! ```text
 //!  offset  size  field
@@ -19,34 +19,28 @@
 //!       8     8  content hash (u64 LE, FNV-1a over header ∥ payload bytes)
 //!      16     4  header length H (u32 LE)
 //!      20     H  header section   (JSON: schema_version, chain, range,
-//!                                  payload_format …)
+//!                                  payload_format "bin", meta)
 //!    20+H     4  payload length P (u32 LE)
-//!    24+H     P  payload section  (v1: JSON accumulator state;
-//!                                  v2: per header `payload_format` —
-//!                                  "bin" binary column sections or
-//!                                  "json" canonical JSON)
+//!    24+H     P  payload section  (binary column sections —
+//!                                  `txstat_core::columnar::WireState`)
 //! ```
 //!
-//! The envelope (magic, version, hash, section lengths) is format-agnostic:
-//! nothing about parsing it requires the payload to be JSON, which is what
-//! let schema v2 swap binary columns in under the same layout. This
-//! decoder speaks v1 **and** v2 — a reduction may mix frames from old
-//! JSON-emitting workers with new binary ones — and fails cleanly with
-//! [`WireError::UnsupportedVersion`] on anything newer. Frames are
-//! self-delimiting, so a file or pipe can carry any number of them back to
-//! back ([`decode_all`]).
+//! The envelope (magic, version, hash, section lengths) treats the payload
+//! as opaque bytes. This decoder speaks exactly [`SCHEMA_VERSION`]: the
+//! retired schema 1 (JSON accumulator state) and anything newer fail
+//! cleanly with [`WireError::UnsupportedVersion`], and a header naming a
+//! payload format other than `"bin"` is a [`WireError::Header`]. Frames
+//! are self-delimiting, so a file or pipe can carry any number of them
+//! back to back ([`decode_all`]).
 
 use serde::Value;
 use txstat_types::ids::{fnv1a64, fnv1a64_extend};
 
 pub mod fleet;
 
-/// The first frame schema version: canonical-JSON payloads only.
-pub const SCHEMA_V1: u32 = 1;
-
-/// The current frame schema version: the header carries a
-/// [`PayloadFormat`] tag and payloads default to binary column sections.
-/// Decoders accept [`SCHEMA_V1`] frames too; anything newer is rejected.
+/// The frame schema version: the header carries a [`PayloadFormat`] tag
+/// and the payload is binary column sections. Any other version is
+/// rejected.
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// The envelope magic: "TXSF" (txstat shard frame).
@@ -80,8 +74,6 @@ pub enum WireError {
     HashMismatch { expected: u64, found: u64 },
     /// The header section is not valid header JSON.
     Header(String),
-    /// The payload section could not be interpreted.
-    Payload(String),
     /// A section's length prefix exceeds the decoder's allocation cap —
     /// the frame is rejected before any allocation happens, so a hostile
     /// or bit-flipped length can never OOM the reducer.
@@ -102,7 +94,6 @@ impl std::fmt::Display for WireError {
                 write!(f, "content hash mismatch: header says {expected:#018x}, bytes hash to {found:#018x}")
             }
             WireError::Header(m) => write!(f, "bad frame header: {m}"),
-            WireError::Payload(m) => write!(f, "bad frame payload: {m}"),
             WireError::SectionTooLarge { section, len, max } => {
                 write!(f, "{section} section claims {len} bytes, cap is {max}")
             }
@@ -112,13 +103,12 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// How a frame's payload section is encoded.
+/// How a frame's payload section is encoded. Single-valued: the tag still
+/// travels in frame headers and fleet assignments, and decode refuses any
+/// other spelling (the retired `"json"` included).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PayloadFormat {
-    /// Canonical JSON accumulator state (the only v1 format).
-    Json,
-    /// Binary column sections (`txstat_core::columnar::WireState`), the
-    /// v2 default.
+    /// Binary column sections (`txstat_core::columnar::WireState`).
     #[default]
     Bin,
 }
@@ -126,19 +116,12 @@ pub enum PayloadFormat {
 impl PayloadFormat {
     /// The header tag string.
     pub fn tag(self) -> &'static str {
-        match self {
-            PayloadFormat::Json => "json",
-            PayloadFormat::Bin => "bin",
-        }
+        "bin"
     }
 
-    /// Parse a tag string (CLI flag values, header fields).
+    /// Parse a tag string (header and assignment fields).
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "json" => Some(PayloadFormat::Json),
-            "bin" => Some(PayloadFormat::Bin),
-            _ => None,
-        }
+        (s == "bin").then_some(PayloadFormat::Bin)
     }
 }
 
@@ -146,8 +129,7 @@ impl PayloadFormat {
 /// *before* it touches the payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrameHeader {
-    /// Schema version of header + payload ([`SCHEMA_V1`] or
-    /// [`SCHEMA_VERSION`]).
+    /// Schema version of header + payload ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// Which chain's accumulator this is ("eos", "tezos", "xrp").
     pub chain: String,
@@ -158,9 +140,7 @@ pub struct FrameHeader {
     /// Blocks actually observed into the accumulator (≤ `end - start`;
     /// smaller when the range was clamped to the chain head).
     pub blocks: u64,
-    /// Payload section encoding. v1 headers carry no tag (implicitly
-    /// JSON — the field is omitted on encode so v1 frames stay
-    /// byte-identical to what PR 4 workers emit); v2 headers spell it out.
+    /// Payload section encoding, spelled out in every header.
     pub payload_format: PayloadFormat,
     /// Free-form provenance the reducer requires to be identical across
     /// frames of one session (scenario fingerprint, seed, …).
@@ -169,23 +149,15 @@ pub struct FrameHeader {
 
 impl FrameHeader {
     fn to_value(&self) -> Value {
-        let mut v = serde_json::json!({
+        serde_json::json!({
             "schema_version": self.schema_version,
             "chain": self.chain.clone(),
             "start": self.start,
             "end": self.end,
             "blocks": self.blocks,
             "meta": self.meta.clone(),
-        });
-        if self.schema_version >= SCHEMA_VERSION {
-            if let Value::Object(m) = &mut v {
-                m.insert(
-                    "payload_format".to_owned(),
-                    Value::String(self.payload_format.tag().to_owned()),
-                );
-            }
-        }
-        v
+            "payload_format": self.payload_format.tag(),
+        })
     }
 
     fn from_value(v: &Value) -> Result<Self, WireError> {
@@ -199,14 +171,11 @@ impl FrameHeader {
             .ok_or_else(|| bad("missing chain"))?
             .to_owned();
         let payload_format = match v.get("payload_format") {
-            None => PayloadFormat::Json,
+            None => return Err(bad("missing payload_format")),
             Some(Value::String(s)) => PayloadFormat::parse(s)
                 .ok_or_else(|| bad(&format!("unknown payload_format {s:?}")))?,
             Some(_) => return Err(bad("payload_format must be a string")),
         };
-        if schema_version == SCHEMA_V1 && payload_format != PayloadFormat::Json {
-            return Err(bad("schema v1 frames carry JSON payloads only"));
-        }
         Ok(FrameHeader {
             schema_version,
             chain,
@@ -223,40 +192,14 @@ impl FrameHeader {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardFrame {
     pub header: FrameHeader,
-    /// The payload section bytes — JSON text or binary column sections,
-    /// per `header.payload_format`; the envelope treats them as opaque
-    /// bytes either way.
+    /// The payload section bytes — binary column sections; the envelope
+    /// treats them as opaque.
     pub payload: Vec<u8>,
 }
 
 impl ShardFrame {
-    /// Build a **v1** frame around a JSON accumulator state — the frame
-    /// old (PR 4) reducers still decode, kept producible for mixed-fleet
-    /// rollouts (`reproduce shard --payload json`).
-    pub fn from_state(
-        chain: &str,
-        start: u64,
-        end: u64,
-        blocks: u64,
-        meta: Value,
-        state: &Value,
-    ) -> Self {
-        ShardFrame {
-            header: FrameHeader {
-                schema_version: SCHEMA_V1,
-                chain: chain.to_owned(),
-                start,
-                end,
-                blocks,
-                payload_format: PayloadFormat::Json,
-                meta,
-            },
-            payload: serde_json::to_vec(state).expect("accumulator state serializes"),
-        }
-    }
-
-    /// Build a **v2** frame around binary column sections
-    /// (`WireState::to_wire_bytes` output) — the default shard payload.
+    /// Build a frame around binary column sections
+    /// (`WireState::to_wire_bytes` output).
     pub fn from_columns(
         chain: &str,
         start: u64,
@@ -277,18 +220,6 @@ impl ShardFrame {
             },
             payload,
         }
-    }
-
-    /// Parse a JSON payload section back into the state tree. Binary
-    /// payloads have no JSON state — decode them with
-    /// `WireState::from_wire_bytes` instead.
-    pub fn state(&self) -> Result<Value, WireError> {
-        if self.header.payload_format != PayloadFormat::Json {
-            return Err(WireError::Payload(
-                "binary-column payload has no JSON state".to_owned(),
-            ));
-        }
-        serde_json::from_slice(&self.payload).map_err(|e| WireError::Payload(e.to_string()))
     }
 
     /// Encode the frame into its framed byte layout (see module docs).
@@ -322,7 +253,7 @@ impl ShardFrame {
             return Err(WireError::BadMagic(magic));
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != SCHEMA_V1 && version != SCHEMA_VERSION {
+        if version != SCHEMA_VERSION {
             return Err(WireError::UnsupportedVersion { found: version, supported: SCHEMA_VERSION });
         }
         let expected = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
@@ -402,17 +333,6 @@ mod tests {
     use serde_json::json;
 
     fn frame(chain: &str, start: u64, end: u64) -> ShardFrame {
-        ShardFrame::from_state(
-            chain,
-            start,
-            end,
-            end - start,
-            json!({"scenario": "test"}),
-            &json!({"names": ["a", "b"], "counts": [3, 4]}),
-        )
-    }
-
-    fn bin_frame(chain: &str, start: u64, end: u64) -> ShardFrame {
         ShardFrame::from_columns(
             chain,
             start,
@@ -423,22 +343,23 @@ mod tests {
         )
     }
 
-    #[test]
-    fn round_trips_bytes_and_state() {
-        let f = frame("eos", 10, 20);
-        assert_eq!(f.header.schema_version, SCHEMA_V1);
-        let bytes = f.encode();
-        let (back, used) = ShardFrame::decode(&bytes).expect("valid frame");
-        assert_eq!(used, bytes.len());
-        assert_eq!(back, f);
-        assert_eq!(back.state().expect("payload parses"), f.state().unwrap());
-        assert_eq!(back.header.chain, "eos");
-        assert_eq!((back.header.start, back.header.end, back.header.blocks), (10, 20, 10));
+    /// Frame bytes around an arbitrary header — what a retired or foreign
+    /// encoder would put on the wire, content hash intact.
+    fn raw_frame(version: u32, header: &Value, payload: &[u8]) -> Vec<u8> {
+        let header = serde_json::to_vec(header).expect("header serializes");
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&content_hash(&header, payload).to_le_bytes());
+        out.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        out.extend_from_slice(&header);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
     }
 
     #[test]
-    fn v2_binary_frames_round_trip() {
-        let f = bin_frame("xrp", 3, 9);
+    fn frames_round_trip() {
+        let f = frame("xrp", 3, 9);
         assert_eq!(f.header.schema_version, SCHEMA_VERSION);
         assert_eq!(f.header.payload_format, PayloadFormat::Bin);
         let bytes = f.encode();
@@ -446,37 +367,14 @@ mod tests {
         assert_eq!(used, bytes.len());
         assert_eq!(back, f);
         assert_eq!(back.payload, f.payload, "binary payload moves verbatim");
-        // A binary payload has no JSON state tree.
-        assert!(matches!(back.state(), Err(WireError::Payload(_))));
+        assert_eq!((back.header.start, back.header.end, back.header.blocks), (3, 9, 6));
+        // The hand-built twin is the same bytes: `raw_frame` is the layout.
+        assert_eq!(raw_frame(SCHEMA_VERSION, &f.header.to_value(), &f.payload), bytes);
     }
 
     #[test]
-    fn v1_headers_stay_byte_identical_to_pr4() {
-        // New code emitting a v1 frame must not grow header fields old
-        // readers never saw: the format tag is implicit for v1.
-        let f = frame("eos", 0, 2);
-        let header_json = serde_json::to_string(&f.header.to_value()).unwrap();
-        assert!(
-            !header_json.contains("payload_format"),
-            "v1 header grew a field: {header_json}"
-        );
-        // And a v1 header claiming a binary payload is rejected.
-        let v = json!({
-            "schema_version": 1, "chain": "eos", "start": 0, "end": 2,
-            "blocks": 2, "payload_format": "bin", "meta": null,
-        });
-        assert!(matches!(FrameHeader::from_value(&v), Err(WireError::Header(_))));
-        // As is an unknown format tag.
-        let v = json!({
-            "schema_version": 2, "chain": "eos", "start": 0, "end": 2,
-            "blocks": 2, "payload_format": "msgpack", "meta": null,
-        });
-        assert!(matches!(FrameHeader::from_value(&v), Err(WireError::Header(_))));
-    }
-
-    #[test]
-    fn concatenated_mixed_version_frames_round_trip() {
-        let frames = vec![frame("eos", 0, 5), bin_frame("tezos", 0, 5), frame("xrp", 5, 9)];
+    fn concatenated_frames_round_trip() {
+        let frames = vec![frame("eos", 0, 5), frame("tezos", 0, 5), frame("xrp", 5, 9)];
         let bytes = encode_all(&frames);
         let back = decode_all(&bytes).expect("all frames decode");
         assert_eq!(back, frames);
@@ -490,27 +388,56 @@ mod tests {
     }
 
     #[test]
-    fn rejects_future_version() {
+    fn rejects_retired_and_future_versions() {
         let mut bytes = frame("eos", 0, 1).encode();
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(
             ShardFrame::decode(&bytes),
             Err(WireError::UnsupportedVersion { found: 99, supported: SCHEMA_VERSION })
         );
+        // A well-formed schema-1 frame (JSON state, no format tag), exactly
+        // as the retired encoder laid it out.
+        let v1 = raw_frame(
+            1,
+            &json!({
+                "schema_version": 1, "chain": "eos", "start": 0, "end": 2,
+                "blocks": 2, "meta": null,
+            }),
+            br#"{"names":["a","b"],"counts":[3,4]}"#,
+        );
+        assert_eq!(
+            ShardFrame::decode(&v1),
+            Err(WireError::UnsupportedVersion { found: 1, supported: SCHEMA_VERSION })
+        );
+    }
+
+    #[test]
+    fn rejects_every_payload_format_but_bin() {
+        let header = |format: Value| {
+            let mut v = frame("eos", 0, 2).header.to_value();
+            if let Value::Object(m) = &mut v {
+                match format {
+                    Value::Null => m.remove("payload_format"),
+                    tag => m.insert("payload_format".to_owned(), tag),
+                };
+            }
+            v
+        };
+        for format in [json!("json"), json!("msgpack"), json!(2), Value::Null] {
+            let bytes = raw_frame(SCHEMA_VERSION, &header(format.clone()), b"{}");
+            assert!(
+                matches!(ShardFrame::decode(&bytes), Err(WireError::Header(_))),
+                "payload_format {format:?} must be a header error"
+            );
+        }
     }
 
     #[test]
     fn rejects_every_truncation_point() {
-        for whole in [frame("xrp", 3, 9), bin_frame("xrp", 3, 9)] {
-            let bytes = whole.encode();
-            for cut in 0..bytes.len() {
-                let err =
-                    ShardFrame::decode(&bytes[..cut]).expect_err("truncated frame must fail");
-                assert!(
-                    matches!(err, WireError::Truncated { .. }),
-                    "cut at {cut}: got {err:?}"
-                );
-            }
+        let bytes = frame("xrp", 3, 9).encode();
+        for cut in 0..bytes.len() {
+            let err = ShardFrame::decode(&bytes[..cut]).expect_err("truncated frame must fail");
+            assert!(matches!(err, WireError::Truncated { .. }), "cut at {cut}: got {err:?}");
         }
     }
 

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use txstat::archive::{
-    Archive, ArchiveError, ArchiveWriter, SegmentBlocks, SegmentPayload, IDX_FILE, SEG_FILE,
+    Archive, ArchiveError, ArchiveWriter, SegmentBlocks, SegmentMeta, IDX_FILE, SEG_FILE,
 };
 use txstat::reports::{
     generate, pipeline_from_archive, render_report, write_archive, PipelineData, SegmentFormat,
@@ -31,22 +31,24 @@ fn tempdir(tag: &str, case: u64) -> PathBuf {
 }
 
 /// A tiny deterministic corpus: `segs` segments of 2 positions each whose
-/// per-chain "blocks" are opaque byte blobs derived from `seed` (the
-/// archive layer never interprets block bytes).
+/// per-chain column blobs are opaque bytes derived from `seed` (the
+/// archive layer never interprets them; every other Tezos run is empty,
+/// like a chain that ended early).
 fn synthetic_corpus(dir: &Path, segs: usize, seed: u64) {
     let mut w = ArchiveWriter::create(dir, "{\"synthetic\":true}", &seed.to_le_bytes())
         .expect("create corpus");
     for i in 0..segs {
         let start = (i * 2) as u64;
-        let mut seg = SegmentBlocks::new(start, start + 2);
-        let blob = |chain: u64, j: u64| -> Vec<u8> {
-            let x = seed ^ (chain << 32) ^ (start << 8) ^ j;
+        let blob = |chain: u64| -> Vec<u8> {
+            let x = seed ^ (chain << 32) ^ (start << 8);
             x.to_le_bytes().iter().cycle().take(16 + (x % 48) as usize).copied().collect()
         };
-        seg.payload = SegmentPayload::JsonV1 {
-            eos: (0..2).map(|j| blob(1, j)).collect(),
-            tezos: (0..(1 + i % 2)).map(|j| blob(2, j as u64)).collect(),
-            xrp: vec![blob(3, 0)],
+        let seg = SegmentBlocks {
+            start,
+            end: start + 2,
+            eos: blob(1),
+            tezos: if i % 2 == 0 { blob(2) } else { Vec::new() },
+            xrp: blob(3),
         };
         w.append(&seg).expect("append segment");
     }
@@ -141,10 +143,8 @@ fn cold_start_report_is_byte_identical_at_any_segment_size() {
     let drawn: Vec<u64> = (0..3).map(|_| draw()).collect();
     let (data, report) = direct();
     for segment_blocks in drawn.into_iter().chain([1, 2712, 4096]) {
-        for format in [SegmentFormat::V1, SegmentFormat::V2] {
-        let v2 = (format == SegmentFormat::V2) as u64;
-        let dir = tempdir("roundtrip", segment_blocks ^ (v2 << 32));
-        let stats = write_archive(&dir, data, "small", segment_blocks, format)
+        let dir = tempdir("roundtrip", segment_blocks);
+        let stats = write_archive(&dir, data, "small", segment_blocks, SegmentFormat)
             .expect("write archive");
         assert_eq!(stats.total_positions, 2712); // longest small chain (tezos)
         let expect_segments = 2712_u64.div_ceil(segment_blocks);
@@ -158,10 +158,9 @@ fn cold_start_report_is_byte_identical_at_any_segment_size() {
         let cold = render_report(&replayed);
         assert_eq!(
             &cold, report,
-            "cold-started report differs at segment size {segment_blocks} ({format})"
+            "cold-started report differs at segment size {segment_blocks}"
         );
         let _ = std::fs::remove_dir_all(&dir);
-        }
     }
 }
 
@@ -170,19 +169,109 @@ fn cold_start_report_is_byte_identical_at_any_segment_size() {
 #[test]
 fn archive_writes_are_deterministic() {
     let (data, _) = direct();
-    for format in [SegmentFormat::V1, SegmentFormat::V2] {
-        let a = tempdir("det-a", (format == SegmentFormat::V2) as u64);
-        let b = tempdir("det-b", (format == SegmentFormat::V2) as u64);
-        write_archive(&a, data, "small", 321, format).expect("write a");
-        write_archive(&b, data, "small", 321, format).expect("write b");
-        for name in [SEG_FILE, IDX_FILE] {
-            assert_eq!(
-                std::fs::read(a.join(name)).expect("read a"),
-                std::fs::read(b.join(name)).expect("read b"),
-                "{name} differs between two {format} writes of the same dataset"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&a);
-        let _ = std::fs::remove_dir_all(&b);
+    let a = tempdir("det-a", 0);
+    let b = tempdir("det-b", 0);
+    write_archive(&a, data, "small", 321, SegmentFormat).expect("write a");
+    write_archive(&b, data, "small", 321, SegmentFormat).expect("write b");
+    for name in [SEG_FILE, IDX_FILE] {
+        assert_eq!(
+            std::fs::read(a.join(name)).expect("read a"),
+            std::fs::read(b.join(name)).expect("read b"),
+            "{name} differs between two writes of the same dataset"
+        );
     }
+    let _ = std::fs::remove_dir_all(&a);
+    let _ = std::fs::remove_dir_all(&b);
+
+    // Golden pin of the sealed bytes themselves (recorded at commit
+    // 512eccd, the last one that could cross-check them against a re-sealed
+    // v1 corpus): any drift in the block column codecs, LZSS, the sidecar or
+    // the index layout changes one of these integers.
+    let dir = tempdir("pin", 42);
+    write_archive(&dir, &generate(&Scenario::small(42)), "small", 256, SegmentFormat)
+        .expect("write pinned corpus");
+    let pin = |name: &str| {
+        let bytes = std::fs::read(dir.join(name)).expect("read pinned file");
+        (bytes.len(), txstat::types::ids::fnv1a64(&bytes))
+    };
+    assert_eq!(pin(SEG_FILE), (423722, 0x6991e7aab2c2e3e3), "archive.seg, small seed 42");
+    assert_eq!(pin(IDX_FILE), (15129, 0x206b57a76680210d), "archive.idx, small seed 42");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Write an `archive.idx` by hand: the layout `Archive::open` reads, at
+/// an arbitrary format version, trailer hash intact.
+fn write_index(dir: &Path, version: u32, manifest: &str, sidecar: &[u8], segs: &[SegmentMeta]) {
+    let mut w = txstat::types::colcodec::ColWriter::new();
+    for b in *b"TXAR" {
+        w.byte(b);
+    }
+    w.u32(version);
+    w.str(manifest);
+    w.bytes(sidecar);
+    w.u64(segs.len() as u64);
+    for s in segs {
+        for v in [s.start, s.end, s.offset, s.comp_len, s.raw_len, s.hash] {
+            w.u64(v);
+        }
+    }
+    let mut bytes = w.into_bytes();
+    let hash = txstat::types::ids::fnv1a64(&bytes);
+    bytes.extend_from_slice(&hash.to_le_bytes());
+    std::fs::write(dir.join(IDX_FILE), bytes).expect("write index");
+}
+
+/// The retired wire-JSON corpus (index version 1, segment tag 1) is a
+/// typed rejection at whichever layer meets it first — never a panic, never
+/// a silent misread as columnar blobs.
+#[test]
+fn retired_v1_index_and_segment_are_typed_rejections() {
+    use txstat::types::colcodec::ColWriter;
+    use txstat::types::{ids::fnv1a64, lzss};
+    let dir = tempdir("retired", 1);
+    synthetic_corpus(&dir, 2, 7);
+    let good = Archive::open(&dir).expect("intact corpus opens");
+
+    // The same corpus under a version-1 index.
+    write_index(&dir, 1, good.manifest(), good.sidecar(), good.segments());
+    assert!(matches!(
+        Archive::open(&dir),
+        Err(ArchiveError::UnsupportedVersion { found: 1, expected: 2 })
+    ));
+    // The hand-written index is the real layout: version 2 opens again.
+    write_index(&dir, 2, good.manifest(), good.sidecar(), good.segments());
+    assert_eq!(Archive::open(&dir).expect("rewritten index opens").segments(), good.segments());
+
+    // A tag-1 segment (per-block wire-JSON byte strings), hash-consistent
+    // with its index entry, exactly as the retired writer sealed it.
+    let mut w = ColWriter::new();
+    w.byte(1);
+    w.u64(0);
+    w.u64(2);
+    for chain in [&[&b"{\"eos\":0}"[..], b"{\"eos\":1}"][..], &[b"{\"tz\":0}"], &[]] {
+        w.u64(chain.len() as u64);
+        for block in chain {
+            w.bytes(block);
+        }
+    }
+    let raw = w.into_bytes();
+    let comp = lzss::compress(&raw);
+    let meta = SegmentMeta {
+        start: 0,
+        end: 2,
+        offset: 0,
+        comp_len: comp.len() as u64,
+        raw_len: raw.len() as u64,
+        hash: fnv1a64(&comp),
+    };
+    std::fs::write(dir.join(SEG_FILE), &comp).expect("write segment file");
+    write_index(&dir, 2, good.manifest(), good.sidecar(), &[meta]);
+    let archive = Archive::open(&dir).expect("hashes are consistent, so the open succeeds");
+    match archive.replay_all() {
+        Err(ArchiveError::SegCorrupt { segment: 0, at: 0, what, .. }) => {
+            assert!(what.contains("bad segment tag 1"), "{what}");
+        }
+        other => panic!("expected SegCorrupt on the tag, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

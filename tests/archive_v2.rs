@@ -9,10 +9,7 @@
 //!    decodes to a stable (re-encodable, re-decodable) value — and at the
 //!    archive layer any flip or truncation of a sealed v2 corpus is
 //!    caught by content hash with an error that localizes the damage.
-//! 3. **Mixed corpora**: an archive whose segments freely mix the v1
-//!    wire-JSON and v2 columnar schemas cold-starts byte-identical to the
-//!    direct pipeline.
-//! 4. **Cache accounting**: the decoded-segment LRU behind
+//! 3. **Cache accounting**: the decoded-segment LRU behind
 //!    `ShardContext::frames` counts exactly one hit or miss per covering
 //!    segment per assignment, even under concurrent assignments.
 
@@ -20,13 +17,8 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use txstat::archive::{Archive, ArchiveError, IDX_FILE, SEG_FILE};
-use txstat::reports::archive_io::{
-    eos_block_bytes, segments_of, tezos_block_bytes, xrp_block_bytes,
-};
-use txstat::reports::{
-    create_archive_writer, generate, pipeline_from_archive, render_report, write_archive,
-    PipelineData, SegmentFormat, ShardContext,
-};
+use txstat::reports::archive_io::{eos_block_bytes, tezos_block_bytes, xrp_block_bytes};
+use txstat::reports::{generate, write_archive, PipelineData, SegmentFormat, ShardContext};
 use txstat::wire::PayloadFormat;
 use txstat::workload::Scenario;
 
@@ -37,14 +29,10 @@ fn tempdir(tag: &str, case: u64) -> PathBuf {
     dir
 }
 
-/// The shared direct dataset + report (generation dominates test cost).
-fn direct() -> &'static (PipelineData, String) {
-    static DIRECT: OnceLock<(PipelineData, String)> = OnceLock::new();
-    DIRECT.get_or_init(|| {
-        let data = generate(&Scenario::small(23));
-        let report = render_report(&data);
-        (data, report)
-    })
+/// The shared direct dataset (generation dominates test cost).
+fn direct() -> &'static PipelineData {
+    static DIRECT: OnceLock<PipelineData> = OnceLock::new();
+    DIRECT.get_or_init(|| generate(&Scenario::small(23)))
 }
 
 /// A `len`-bounded window of `blocks` whose start is drawn by fraction,
@@ -62,7 +50,7 @@ proptest! {
         start_frac in 0.0f64..1.0,
         len in 1usize..300,
     ) {
-        let (data, _) = direct();
+        let data = direct();
 
         let eos = window(&data.eos_blocks, start_frac, len);
         let bytes = txstat::eos::block_cols::encode_blocks(eos);
@@ -108,7 +96,7 @@ proptest! {
         at_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let (data, _) = direct();
+        let data = direct();
         let flip = |bytes: &[u8]| -> Vec<u8> {
             let mut damaged = bytes.to_vec();
             let at = (((damaged.len() - 1) as f64) * at_frac) as usize;
@@ -198,65 +186,18 @@ proptest! {
 fn sealed_v2() -> &'static PathBuf {
     static SEALED: OnceLock<PathBuf> = OnceLock::new();
     SEALED.get_or_init(|| {
-        let (data, _) = direct();
+        let data = direct();
         let dir = tempdir("sealed", 0);
-        write_archive(&dir, data, "small", 512, SegmentFormat::V2).expect("seal v2");
+        write_archive(&dir, data, "small", 512, SegmentFormat).expect("seal v2");
         dir
     })
-}
-
-/// Segments may freely mix the v1 wire-JSON and v2 columnar schemas
-/// inside one corpus; the cold-started report stays byte-identical (a
-/// hand-rolled property: each cold start renders a full report, so the
-/// masks are a few deterministic draws plus the all-v1/all-v2/alternating
-/// edges rather than the full case budget).
-#[test]
-fn mixed_v1_v2_corpus_cold_starts_byte_identical() {
-    let mut rng = proptest::new_rng(proptest::base_seed() ^ proptest::fnv("archive-v2-mixed"));
-    let mut draw = move || proptest::Strategy::generate(&(1u32..u32::MAX), &mut rng);
-    let drawn: Vec<u32> = (0..3).map(|_| draw()).collect();
-    let (data, report) = direct();
-    let seg_blocks = 512u64; // small preset: 6 segments
-    let v1 = segments_of(
-        &data.eos_blocks,
-        &data.tezos_blocks,
-        &data.xrp_blocks,
-        seg_blocks,
-        SegmentFormat::V1,
-    );
-    let v2 = segments_of(
-        &data.eos_blocks,
-        &data.tezos_blocks,
-        &data.xrp_blocks,
-        seg_blocks,
-        SegmentFormat::V2,
-    );
-    assert_eq!(v1.len(), v2.len());
-    for mask in drawn.into_iter().chain([0, u32::MAX, 0b101010]) {
-        let dir = tempdir("mixed", mask as u64);
-        let mut w = create_archive_writer(&dir, data, "small", seg_blocks)
-            .expect("create mixed corpus");
-        for i in 0..v1.len() {
-            let pick = if (mask >> (i % 32)) & 1 == 1 { &v2[i] } else { &v1[i] };
-            w.append(pick).expect("append segment");
-        }
-        w.seal().expect("seal mixed corpus");
-
-        let (replayed, _) = pipeline_from_archive(&dir).expect("cold start mixed corpus");
-        assert_eq!(
-            &render_report(&replayed),
-            report,
-            "mixed-format corpus (mask {mask:#b}) diverged"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 /// Truncating a v2 column blob at every offset is a typed error — never
 /// a panic, never a silent success (exhaustive, not sampled).
 #[test]
 fn v2_truncation_at_every_offset_is_typed() {
-    let (data, _) = direct();
+    let data = direct();
     let n = 40.min(data.eos_blocks.len());
     let blobs = [
         txstat::eos::block_cols::encode_blocks(&data.eos_blocks[..n]),
@@ -282,9 +223,9 @@ fn v2_truncation_at_every_offset_is_typed() {
 /// one hit or miss per covering segment per assignment, no more.
 #[test]
 fn cache_accounting_exact_under_concurrent_assignments() {
-    let (data, _) = direct();
+    let data = direct();
     let dir = tempdir("cache", 0);
-    write_archive(&dir, data, "small", 128, SegmentFormat::V2).expect("seal v2");
+    write_archive(&dir, data, "small", 128, SegmentFormat).expect("seal v2");
     let archive = Archive::open(&dir).expect("open for covering counts");
     let total = data
         .eos_blocks

@@ -24,19 +24,25 @@ fn headline_metrics_land_in_their_bands() {
     let data = generate(&medium());
     let rows = comparison(&data);
     assert!(rows.len() >= 25, "comparison coverage: {} rows", rows.len());
-    let misses: Vec<String> = rows
-        .iter()
-        .filter(|r| !r.within_band)
-        .map(|r| format!("{} / {} (paper {}, measured {})", r.exhibit, r.metric, r.paper, r.measured))
-        .collect();
-    // A medium-scale run may wobble on one or two sparse metrics; the
-    // paper-scale run (`reproduce report --seed 42`) lands every row.
-    assert!(
-        misses.len() <= 3,
-        "{} of {} metrics out of band:\n{}",
-        misses.len(),
-        rows.len(),
-        misses.join("\n")
+    // The rows that miss at this scale, each with its reason; any other
+    // excursion fails. The paper-scale run (`reproduce report --seed 42`)
+    // lands every row.
+    const KNOWN_MISSES: [(&str, &str); 1] = [
+        // The Tezos baker cast is a fixed 60 accounts, so its ~41 votes do
+        // not thin with `tezos_divisor`: normalizing by this run's 40 (the
+        // paper preset: 10) overshoots the band's upper edge.
+        ("§4.2", "governance ops in window (normalized)"),
+    ];
+    let misses: Vec<_> = rows.iter().filter(|r| !r.within_band).collect();
+    assert_eq!(
+        misses.iter().map(|r| (r.exhibit, r.metric)).collect::<Vec<_>>(),
+        KNOWN_MISSES,
+        "out-of-band rows differ from the named ones:\n{}",
+        misses
+            .iter()
+            .map(|r| format!("{} / {} (paper {}, measured {})", r.exhibit, r.metric, r.paper, r.measured))
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }
 

@@ -379,3 +379,28 @@ proptest! {
         }
     }
 }
+
+/// Golden pins for the two byte products that leave the process: the
+/// rendered report and the shard-frame bundle a whole-chain sweep ships.
+/// Recorded at commit 512eccd, the last one whose retired JSON paths could
+/// cross-check them; any drift in generation, the sweeps, the renderers or
+/// the binary column encoding changes one of these integers.
+#[test]
+fn report_and_frame_bundle_bytes_are_pinned_for_small_seeds() {
+    use txstat::reports::{generate, render_report, scenario_meta, ShardContext};
+    use txstat::types::ids::fnv1a64;
+    use txstat::wire::{encode_all, PayloadFormat};
+    let pin = |bytes: &[u8]| (bytes.len(), fnv1a64(bytes));
+
+    let sc = Scenario::small(42);
+    let report = render_report(&generate(&sc));
+    assert_eq!(pin(report.as_bytes()), (16632, 0x56410f6dc42061e4), "report, seed 42");
+    let report = render_report(&generate(&Scenario::small(7)));
+    assert_eq!(pin(report.as_bytes()), (16551, 0x3e967d20cf81b707), "report, seed 7");
+
+    let ctx = ShardContext::new(&sc);
+    let frames = ctx
+        .frames(scenario_meta(&sc, "small"), 0, ctx.total_blocks(), 2, PayloadFormat::Bin)
+        .expect("generated context sweeps");
+    assert_eq!(pin(&encode_all(&frames)), (33654, 0x14c1dd4e54f14b4e), "frame bundle, seed 42");
+}

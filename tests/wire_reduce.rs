@@ -1,6 +1,5 @@
 //! Cross-process reduction equivalence: splitting a block set into k wire
-//! frames (random cuts, random in-frame shard counts, random **payload
-//! formats** — schema v2 binary columns mixed with v1 JSON), round-tripping
+//! frames (random cuts, random in-frame shard counts), round-tripping
 //! every frame through the `txstat_wire` codec *bytes*, and reducing them
 //! centrally must produce sweeps bit-identical to one single-process
 //! columnar sweep over the whole set — plus rejection tests for damaged
@@ -10,7 +9,7 @@ use proptest::prelude::*;
 use serde_json::json;
 use txstat::core::{EosColumnar, TezosColumnar, WireState, XrpColumnar};
 use txstat::ingest::{ReduceError, ReduceSession, ShardWorker};
-use txstat::wire::{decode_all, encode_all, PayloadFormat, ShardFrame, WireError};
+use txstat::wire::{decode_all, encode_all, ShardFrame, WireError};
 
 use txstat::eos::{Action, ActionData, Block, Name, Transaction};
 use txstat::tezos::{Address, OpPayload, Operation, PeriodKind, TezosBlock, Vote};
@@ -227,8 +226,7 @@ fn spec_strategy() -> impl Strategy<Value = Vec<BlockSpec>> {
 
 proptest! {
     /// The tentpole law: k frames over random contiguous cuts, each swept
-    /// with its own in-process shard count and a proptest-chosen payload
-    /// format (v2 binary or v1 JSON — a fleet mid-rollout), round-tripped
+    /// with its own in-process shard count, round-tripped
     /// through the wire codec **bytes**, reduce to sweeps whose every
     /// compared statistic equals a single-process columnar sweep over the
     /// whole block set.
@@ -237,7 +235,6 @@ proptest! {
         spec in spec_strategy(),
         cuts in proptest::collection::vec(0u64..64, 0..4),
         shard_counts in proptest::collection::vec(1usize..5, 5),
-        json_workers in proptest::collection::vec(any::<bool>(), 5),
     ) {
         let eos = eos_blocks(&spec);
         let tezos = tezos_blocks(&spec);
@@ -255,11 +252,6 @@ proptest! {
                 end,
                 base: 0,
                 shards: shard_counts[i % shard_counts.len()],
-                payload: if json_workers[i % json_workers.len()] {
-                    PayloadFormat::Json
-                } else {
-                    PayloadFormat::Bin
-                },
                 meta: meta.clone(),
             };
             let frames = vec![
@@ -334,8 +326,10 @@ proptest! {
     }
 
     /// Frame damage never reduces: any truncation is `Truncated`, any
-    /// payload bit-flip is `HashMismatch` — checked on a real (binary,
-    /// schema v2) frame at a proptest-chosen position.
+    /// payload bit-flip is `HashMismatch` — checked on a real frame at a
+    /// proptest-chosen position. A frame re-stamped as the retired schema 1
+    /// or re-tagged `"json"` (hash recomputed, as its old encoder would
+    /// have) is refused by version and by header.
     #[test]
     fn damaged_frames_are_rejected(
         spec in spec_strategy(),
@@ -361,6 +355,30 @@ proptest! {
         corrupt[pos] ^= 0x10;
         let err = ShardFrame::decode(&corrupt);
         prop_assert!(err.is_err(), "flipped byte {} decoded fine", pos);
+
+        // Retired inputs, well-formed down to the content hash.
+        let hlen = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
+        let (header, payload) = (&bytes[20..20 + hlen], &frame.payload[..]);
+        let restamp = |version: u32, header: &[u8]| {
+            let mut out = bytes[..4].to_vec();
+            out.extend_from_slice(&version.to_le_bytes());
+            out.extend_from_slice(&txstat::wire::content_hash(header, payload).to_le_bytes());
+            out.extend_from_slice(&(header.len() as u32).to_le_bytes());
+            out.extend_from_slice(header);
+            out.extend_from_slice(&bytes[20 + hlen..]);
+            out
+        };
+        prop_assert_eq!(restamp(2, header), bytes.clone(), "restamp is the identity layout");
+        prop_assert_eq!(
+            ShardFrame::decode(&restamp(1, header)),
+            Err(WireError::UnsupportedVersion { found: 1, supported: 2 })
+        );
+        let json_header = String::from_utf8_lossy(header)
+            .replace("\"payload_format\":\"bin\"", "\"payload_format\":\"json\"");
+        prop_assert!(matches!(
+            ShardFrame::decode(&restamp(2, json_header.as_bytes())),
+            Err(WireError::Header(_))
+        ));
     }
 
     /// The binary column decoder itself (below the envelope's hash check,
@@ -408,84 +426,6 @@ proptest! {
             let _ = decode(&corrupt);
         }
     }
-}
-
-/// Cross-version reduction: one worker still emitting v1 JSON frames next
-/// to two v2 binary workers reduces to exactly the single-process sweeps —
-/// every compared statistic equal, nothing about the payload encoding
-/// leaks into the result.
-#[test]
-fn one_v1_json_frame_among_v2_frames_reduces_identically() {
-    let spec: Vec<BlockSpec> =
-        (0..9).map(|i| vec![vec![(i as u8, i as u8, (i + 1) as u8, 5 + i as i64)]]).collect();
-    let eos = eos_blocks(&spec);
-    let tezos = tezos_blocks(&spec);
-    let xrp = xrp_blocks(&spec);
-    let periods = vec![(PeriodKind::Promotion, window())];
-    let ora = oracle();
-    let meta = json!({"scenario": "mixed"});
-
-    let mut bytes = Vec::new();
-    for (i, (start, end)) in [(0u64, 3u64), (3, 6), (6, 9)].into_iter().enumerate() {
-        let worker = ShardWorker {
-            start,
-            end,
-            base: 0,
-            shards: 1 + i,
-            // The middle worker is the straggler still on v1 JSON.
-            payload: if i == 1 { PayloadFormat::Json } else { PayloadFormat::Bin },
-            meta: meta.clone(),
-        };
-        let frames = vec![
-            worker.eos_frame(&eos, window()),
-            worker.tezos_frame(&tezos, window(), &periods),
-            worker.xrp_frame(&xrp, window(), &ora),
-        ];
-        bytes.extend_from_slice(&encode_all(&frames));
-    }
-
-    let mut session = ReduceSession::new();
-    let decoded = decode_all(&bytes).expect("frames decode");
-    let versions: Vec<u32> = decoded.iter().map(|f| f.header.schema_version).collect();
-    assert_eq!(versions, vec![2, 2, 2, 1, 1, 1, 2, 2, 2], "a genuinely mixed session");
-    for frame in decoded {
-        session.submit(&frame).expect("frames validate");
-    }
-    let reduced = session.finalize().expect("coverage is complete");
-
-    let whole_eos = EosColumnar::compute(&eos, window());
-    let whole_tz = TezosColumnar::compute(&tezos, window(), &periods);
-    let whole_xrp = XrpColumnar::compute(&xrp, window(), &ora);
-
-    let flat_eos = |s: &txstat::core::EosSweep| {
-        let (rows, total) = s.action_distribution();
-        (
-            rows.iter().map(|r| (r.class, r.action.clone(), r.count)).collect::<Vec<_>>(),
-            total,
-            s.tps(),
-            s.top_received(5).iter().map(|r| (r.account, r.tx_count)).collect::<Vec<_>>(),
-            s.boomerang_report().boomerangs,
-            graph_key(s.graph().report(3)),
-        )
-    };
-    assert_eq!(flat_eos(&reduced.eos), flat_eos(&whole_eos));
-    let flat_tz = |s: &txstat::core::TezosSweep| {
-        let (rows, total) = s.op_distribution();
-        (rows.iter().map(|r| (r.kind, r.count)).collect::<Vec<_>>(), total, s.tps())
-    };
-    assert_eq!(flat_tz(&reduced.tezos), flat_tz(&whole_tz));
-    assert_eq!(reduced.tezos.governance_op_count(), whole_tz.governance_op_count());
-    let clu = txstat::core::ClusterInfo::new();
-    let flat_xr = |s: &txstat::core::XrpSweep| {
-        let (rows, total) = s.tx_distribution();
-        (rows.iter().map(|r| (r.tx_type, r.count)).collect::<Vec<_>>(), total, s.tps())
-    };
-    assert_eq!(flat_xr(&reduced.xrp), flat_xr(&whole_xrp));
-    assert_eq!(
-        reduced.xrp.value_flow(&clu).currencies,
-        whole_xrp.value_flow(&clu).currencies
-    );
-    assert_eq!(graph_key(reduced.xrp.graph().report(3)), graph_key(whole_xrp.graph().report(3)));
 }
 
 /// A frame that decodes but lies about its chain, version, or range is a

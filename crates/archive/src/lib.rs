@@ -9,7 +9,8 @@
 //!
 //! ## Layout
 //!
-//! An archive directory holds exactly two files:
+//! An archive directory holds exactly three files — two that *are* the
+//! corpus, and one cache of what has been derived from it:
 //!
 //! ```text
 //! DIR/archive.seg     append-only segment data
@@ -27,7 +28,17 @@
 //!   segment count · per segment {start, end, offset, comp_len,
 //!   raw_len, fnv1a64(compressed bytes)} · trailing fnv1a64 of
 //!   everything above (8 raw LE bytes)
+//!
+//! DIR/archive.memo    per-segment derived payloads ([`memo`]), filled
+//!                     lazily by whichever process first needs them
+//!   magic "TXAM" · version · caller's schema tag · entry count ·
+//!   per entry {segment content hash, payload bytes} · trailing fnv1a64
 //! ```
+//!
+//! The memo is never trusted: missing, stale, damaged or foreign-schema
+//! entries are recomputed from the verified segment bytes and the file is
+//! rewritten (see [`memo`] for the rules). [`ArchiveWriter::create`]
+//! removes a memo left behind by a previous corpus in the same directory.
 //!
 //! Segments tile one global *block-position* space `[0, total)`: segment
 //! `i` covers positions `[start, end)`, contiguous with its neighbours,
@@ -66,8 +77,10 @@ use txstat_types::ids::fnv1a64;
 use txstat_types::lzss;
 
 pub mod cache;
+pub mod memo;
 
 pub use cache::{CacheStats, SegmentCache};
+pub use memo::{decode_memo, encode_memo, MemoError, SegmentMemo, MEMO_FILE};
 
 /// Index file magic.
 pub const ARCHIVE_MAGIC: [u8; 4] = *b"TXAR";
@@ -226,6 +239,7 @@ pub fn register_metrics() {
     registry()
         .gauge("txstat_archive_cache_bytes", "Decoded-segment cache resident byte estimate")
         .set(0);
+    memo::register_metrics();
 }
 
 /// The coalesced-seal counter: segments whose seal merged a trailing runt
@@ -524,6 +538,12 @@ impl Archive {
         &self.segments
     }
 
+    /// The handle this corpus's `archive.memo` is read and healed through,
+    /// keyed by the segments live at open.
+    pub fn memo(&self) -> SegmentMemo {
+        SegmentMemo { dir: self.dir.clone(), segments: self.segments.clone() }
+    }
+
     /// One past the highest archived block position.
     pub fn total_positions(&self) -> u64 {
         self.segments.last().map_or(0, |s| s.end)
@@ -630,9 +650,18 @@ pub struct ArchiveWriter {
 
 impl ArchiveWriter {
     /// Create (or truncate) the archive at `dir` with the given opaque
-    /// manifest and sidecar. The directory is created if missing.
+    /// manifest and sidecar. The directory is created if missing; a memo
+    /// left by a previous corpus there is removed (its entries could only
+    /// ever miss, but the directory should hold nothing stale).
     pub fn create(dir: &Path, manifest: &str, sidecar: &[u8]) -> Result<ArchiveWriter, ArchiveError> {
         fs::create_dir_all(dir).map_err(io_err(dir, "create"))?;
+        let memo_path = dir.join(MEMO_FILE);
+        match fs::remove_file(&memo_path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(io_err(&memo_path, "remove")(e))
+            }
+            _ => {}
+        }
         let seg_path = dir.join(SEG_FILE);
         let file = fs::File::create(&seg_path).map_err(io_err(&seg_path, "create"))?;
         let w = ArchiveWriter {

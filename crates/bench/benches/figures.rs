@@ -282,9 +282,9 @@ fn wire_reduce(c: &mut Criterion) {
         .iter()
         .flat_map(|w| {
             vec![
-                w.eos_frame(&data.eos_blocks, period),
-                w.tezos_frame(&data.tezos_blocks, period, &data.governance_periods),
-                w.xrp_frame(&data.xrp_blocks, period, &data.oracle),
+                w.eos_frame(&[&data.eos_blocks], period),
+                w.tezos_frame(&[&data.tezos_blocks], period, &data.governance_periods),
+                w.xrp_frame(&[&data.xrp_blocks], period, &data.oracle),
             ]
         })
         .collect();

@@ -6,11 +6,12 @@ use std::time::Duration;
 /// How often a payload is sampled for compression measurement. Compressing
 /// every payload would dominate crawl time; sampling every Nth block and
 /// extrapolating preserves the Figure 2 estimate (see "Figure 2
-/// methodology" in the root README).
+/// methodology" in the root README). Archives memoize the sampled integers
+/// per segment: changing this means bumping `txstat_reports::SUMMARY_SCHEMA`.
 pub const COMPRESSION_SAMPLE_EVERY: u64 = 8;
 
 /// Accumulated crawl statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrawlStats {
     pub blocks: u64,
     pub transactions: u64,

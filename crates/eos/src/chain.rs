@@ -162,6 +162,11 @@ impl EosChain {
         &self.blocks
     }
 
+    /// Give up the chain for its blocks (moved, not copied).
+    pub fn into_blocks(self) -> Vec<Block> {
+        self.blocks
+    }
+
     pub fn head_block_num(&self) -> u64 {
         self.config.start_block_num + self.blocks.len().saturating_sub(1) as u64
     }

@@ -361,7 +361,7 @@ pub struct ShardWorker {
     /// 0-based within each chain's block sequence.
     pub start: u64,
     pub end: u64,
-    /// Block position of `blocks[0]` in the slices handed to the frame
+    /// Block position of the first block of the runs handed to the frame
     /// methods. Zero when workers hold whole chains (the generate path);
     /// an archive cold-start hands only the replayed segments covering
     /// the assignment, whose first block sits at the covering segment's
@@ -380,27 +380,29 @@ impl ShardWorker {
         ShardWorker { start, end, base: 0, shards: 1, meta }
     }
 
-    /// Fold the clamped slice through `shards` accumulators, merge in
+    /// Fold the clamped range through `shards` accumulators, merge in
     /// index order, and return the merged accumulator plus the clamped
-    /// range and observed count.
+    /// range and observed count. `runs` are borrowed, position-contiguous
+    /// pieces of one chain (a whole chain is one run; an archive worker
+    /// passes one run per cached segment), folded as if concatenated.
     fn fold<B, A>(
         &self,
-        blocks: &[B],
+        runs: &[&[B]],
         identity: impl Fn() -> A,
         mut observe: impl FnMut(&mut A, &B),
         merge: impl Fn(&mut A, A),
     ) -> (A, u64, u64, u64) {
-        // Work in slice-local coordinates (positions minus `base`), then
-        // report the covered range in absolute positions. With `base == 0`
-        // this is exactly the old whole-chain clamp; with a replayed
-        // sub-range it folds the same blocks in the same order, so the
-        // emitted frame is byte-identical.
-        let lo = (self.start.saturating_sub(self.base) as usize).min(blocks.len());
-        let hi = (self.end.saturating_sub(self.base) as usize).min(blocks.len()).max(lo);
-        let slice = &blocks[lo..hi];
+        // Work in run-local coordinates (positions minus `base`), then
+        // report the covered range in absolute positions. However the
+        // chain is cut into runs, the same blocks are enumerated in the
+        // same order, so the emitted frame is byte-identical.
+        let len: usize = runs.iter().map(|r| r.len()).sum();
+        let lo = (self.start.saturating_sub(self.base) as usize).min(len);
+        let hi = (self.end.saturating_sub(self.base) as usize).min(len).max(lo);
         let shards = self.shards.max(1);
         let mut accs: Vec<A> = (0..shards).map(|_| identity()).collect();
-        for (i, b) in slice.iter().enumerate() {
+        let blocks = runs.iter().flat_map(|r| r.iter());
+        for (i, b) in blocks.skip(lo).take(hi - lo).enumerate() {
             observe(&mut accs[i % shards], b);
         }
         let mut it = accs.into_iter();
@@ -408,7 +410,7 @@ impl ShardWorker {
         for other in it {
             merge(&mut acc, other);
         }
-        (acc, self.base + lo as u64, self.base + hi as u64, slice.len() as u64)
+        (acc, self.base + lo as u64, self.base + hi as u64, (hi - lo) as u64)
     }
 
     fn frame<A: WireState>(
@@ -422,10 +424,10 @@ impl ShardWorker {
         ShardFrame::from_columns(chain, start, end, blocks, self.meta.clone(), acc.to_wire_bytes())
     }
 
-    /// Sweep the EOS slice into an `"eos"` frame.
-    pub fn eos_frame(&self, blocks: &[txstat_eos::Block], period: Period) -> ShardFrame {
+    /// Sweep the EOS runs into an `"eos"` frame.
+    pub fn eos_frame(&self, runs: &[&[txstat_eos::Block]], period: Period) -> ShardFrame {
         let (acc, s, e, n) = self.fold(
-            blocks,
+            runs,
             || EosColumnar::new(period),
             |a, b| a.observe(b),
             |a, b| a.merge(b),
@@ -433,15 +435,15 @@ impl ShardWorker {
         self.frame("eos", &acc, s, e, n)
     }
 
-    /// Sweep the Tezos slice into a `"tezos"` frame.
+    /// Sweep the Tezos runs into a `"tezos"` frame.
     pub fn tezos_frame(
         &self,
-        blocks: &[txstat_tezos::TezosBlock],
+        runs: &[&[txstat_tezos::TezosBlock]],
         period: Period,
         periods: &[(PeriodKind, Period)],
     ) -> ShardFrame {
         let (acc, s, e, n) = self.fold(
-            blocks,
+            runs,
             || TezosColumnar::new(period, periods.to_vec()),
             |a, b| a.observe(b),
             |a, b| a.merge(b),
@@ -449,16 +451,16 @@ impl ShardWorker {
         self.frame("tezos", &acc, s, e, n)
     }
 
-    /// Sweep the XRP slice into an `"xrp"` frame, valuing payments through
+    /// Sweep the XRP runs into an `"xrp"` frame, valuing payments through
     /// `oracle` (every process derives the same oracle from the scenario).
     pub fn xrp_frame(
         &self,
-        blocks: &[txstat_xrp::LedgerBlock],
+        runs: &[&[txstat_xrp::LedgerBlock]],
         period: Period,
         oracle: &RateOracle,
     ) -> ShardFrame {
         let (acc, s, e, n) = self.fold(
-            blocks,
+            runs,
             || XrpColumnar::new(period),
             |a, b| a.observe(b, oracle),
             |a, b| a.merge(b),

@@ -4,8 +4,10 @@
 //! **manifest** (scenario fingerprint + segment sizing + chain lengths),
 //! the **sidecar** (every non-block input the exhibits need — oracle
 //! trades, the XRP account cluster, EOS CPU-price history, Tezos rolls and
-//! governance windows), and the per-block wire-JSON bytes shared with the
-//! NDJSON crawl replay and the follow layer's content hashes.
+//! governance windows), the **segment summary** memoized per segment in
+//! `archive.memo` (every report input that needs block bytes and is not a
+//! sweep), and the per-block wire-JSON bytes shared with the NDJSON crawl
+//! replay and the follow layer's content hashes.
 //!
 //! Everything here is deterministic byte-for-byte: maps are exported in
 //! sorted order and floats travel as IEEE-754 bit patterns, so archiving
@@ -14,6 +16,7 @@
 
 use rayon::prelude::*;
 use txstat_archive::SegmentBlocks;
+use txstat_crawler::CrawlStats;
 use txstat_tezos::address::{AddrKind, Address};
 use txstat_tezos::governance::PeriodKind;
 use txstat_types::colcodec::{ColReader, ColWriter};
@@ -224,6 +227,149 @@ impl Sidecar {
     }
 }
 
+// ---- segment summary --------------------------------------------------------
+
+/// Schema tag of the [`SegmentSummary`] payloads in `archive.memo`. Bump it
+/// whenever a summary of the same segment bytes could come out different:
+/// the payload codec below, the Figure 2 methodology
+/// (`COMPRESSION_SAMPLE_EVERY`, the LZSS compressor, the wire-JSON
+/// writers), or the EIDOS launch instant. A memo under another tag is
+/// refused whole and recomputed, so a methodology change can never be
+/// served from a stale memo; `tests/archive_memo.rs` pins the memo bytes to
+/// make forgetting the bump a test failure.
+pub const SUMMARY_SCHEMA: u32 = 1;
+
+/// First/last block `(number, time)` of a run of one chain, mergeable in
+/// any order (block numbers are unique within a chain).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bounds {
+    pub first: Option<(u64, ChainTime)>,
+    pub last: Option<(u64, ChainTime)>,
+}
+
+impl Bounds {
+    pub fn record(&mut self, n: u64, t: ChainTime) {
+        if self.first.map(|(f, _)| n < f).unwrap_or(true) {
+            self.first = Some((n, t));
+        }
+        if self.last.map(|(l, _)| n > l).unwrap_or(true) {
+            self.last = Some((n, t));
+        }
+    }
+
+    pub fn merge(&mut self, other: Bounds) {
+        if let Some((n, t)) = other.first {
+            self.record(n, t);
+        }
+        if let Some((n, t)) = other.last {
+            self.record(n, t);
+        }
+    }
+}
+
+/// Every report input that is derived from block bytes and is not a sweep,
+/// over one run of block positions: Figure 2's storage accounting, the
+/// chains' first/last blocks, and the EOS CPU-price peaks around the EIDOS
+/// launch. Summaries of disjoint runs [`merge`](SegmentSummary::merge)
+/// into the summary of their union in any order — the accounting is sums
+/// of integers sampled by absolute block position, the rest are min/max —
+/// so one is memoized per immutable segment and a dataset's facts are
+/// their sum.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SegmentSummary {
+    /// Storage accounting `(eos, tezos, xrp)`; `elapsed` stays zero.
+    pub storage: (CrawlStats, CrawlStats, CrawlStats),
+    /// Block bounds `[eos, tezos, xrp]`.
+    pub bounds: [Bounds; 3],
+    /// Peak EOS CPU price index (before, after) the EIDOS launch.
+    pub cpu_peaks: (f64, f64),
+}
+
+impl SegmentSummary {
+    pub fn merge(&mut self, other: &SegmentSummary) {
+        self.storage.0.merge(&other.storage.0);
+        self.storage.1.merge(&other.storage.1);
+        self.storage.2.merge(&other.storage.2);
+        for (mine, theirs) in self.bounds.iter_mut().zip(other.bounds) {
+            mine.merge(theirs);
+        }
+        self.cpu_peaks.0 = self.cpu_peaks.0.max(other.cpu_peaks.0);
+        self.cpu_peaks.1 = self.cpu_peaks.1.max(other.cpu_peaks.1);
+    }
+
+    /// Block counts `[eos, tezos, xrp]` of the summarized run.
+    pub fn lens(&self) -> [u64; 3] {
+        [self.storage.0.blocks, self.storage.1.blocks, self.storage.2.blocks]
+    }
+
+    /// The memo payload (schema [`SUMMARY_SCHEMA`]).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = ColWriter::with_capacity(96);
+        for (stats, bounds) in
+            [&self.storage.0, &self.storage.1, &self.storage.2].into_iter().zip(self.bounds)
+        {
+            for v in [
+                stats.blocks,
+                stats.transactions,
+                stats.wire_bytes,
+                stats.sampled_bytes,
+                stats.sampled_compressed_bytes,
+            ] {
+                w.u64(v);
+            }
+            // Both ends are set by the first recorded block, so one flag
+            // covers them.
+            match (bounds.first, bounds.last) {
+                (Some(first), Some(last)) => {
+                    w.byte(1);
+                    for (n, t) in [first, last] {
+                        w.u64(n);
+                        w.i64(t.0);
+                    }
+                }
+                _ => w.byte(0),
+            }
+        }
+        w.f64(self.cpu_peaks.0);
+        w.f64(self.cpu_peaks.1);
+        w.into_bytes()
+    }
+
+    /// Strict inverse of [`SegmentSummary::encode`]: `None` for anything
+    /// else (the memo layer then treats the segment as a miss).
+    pub fn decode(bytes: &[u8]) -> Option<SegmentSummary> {
+        use txstat_types::colcodec::ColError;
+        fn end(r: &mut ColReader) -> Result<Option<(u64, ChainTime)>, ColError> {
+            Ok(Some((r.u64()?, ChainTime(r.i64()?))))
+        }
+        fn chain(r: &mut ColReader) -> Result<(CrawlStats, Bounds), ColError> {
+            let stats = CrawlStats {
+                blocks: r.u64()?,
+                transactions: r.u64()?,
+                wire_bytes: r.u64()?,
+                sampled_bytes: r.u64()?,
+                sampled_compressed_bytes: r.u64()?,
+                ..CrawlStats::default()
+            };
+            let bounds = match r.byte()? {
+                0 => Bounds::default(),
+                1 => Bounds { first: end(r)?, last: end(r)? },
+                tag => return Err(r.invalid(format!("bad bounds tag {tag}"))),
+            };
+            Ok((stats, bounds))
+        }
+        let mut r = ColReader::new(bytes);
+        let (eos, tezos, xrp) = (chain(&mut r).ok()?, chain(&mut r).ok()?, chain(&mut r).ok()?);
+        let cpu_peaks = (r.f64().ok()?, r.f64().ok()?);
+        r.finish().ok()?;
+        Some(SegmentSummary {
+            storage: (eos.0, tezos.0, xrp.0),
+            bounds: [eos.1, tezos.1, xrp.1],
+            cpu_peaks,
+        })
+    }
+}
+
 // ---- per-block wire-JSON bytes ----------------------------------------------
 //
 // One canonical home per chain: the chain crates' `rpc_model` modules own
@@ -388,5 +534,39 @@ mod tests {
         assert_eq!(back.total_positions(), 120);
         assert!(Manifest::parse("{}").is_err());
         assert!(Manifest::parse("not json").is_err());
+    }
+
+    #[test]
+    fn summary_roundtrip_and_damage() {
+        let s = SegmentSummary {
+            storage: (
+                CrawlStats {
+                    blocks: 3,
+                    transactions: 40,
+                    wire_bytes: 9_000,
+                    sampled_bytes: 3_000,
+                    sampled_compressed_bytes: 700,
+                    ..CrawlStats::default()
+                },
+                CrawlStats::default(),
+                CrawlStats { blocks: 1, wire_bytes: u64::MAX, ..CrawlStats::default() },
+            ),
+            bounds: [
+                Bounds { first: Some((10, ChainTime(-5))), last: Some((12, ChainTime(7))) },
+                Bounds::default(),
+                Bounds { first: Some((99, ChainTime(1))), last: Some((99, ChainTime(1))) },
+            ],
+            cpu_peaks: (1.5, f64::MIN_POSITIVE),
+        };
+        let bytes = s.encode();
+        assert_eq!(SegmentSummary::decode(&bytes), Some(s));
+        for cut in 0..bytes.len() {
+            assert_eq!(SegmentSummary::decode(&bytes[..cut]), None, "cut at {cut}");
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(SegmentSummary::decode(&long), None, "trailing byte");
+        let empty = SegmentSummary::default();
+        assert_eq!(SegmentSummary::decode(&empty.encode()), Some(empty));
     }
 }

@@ -7,6 +7,10 @@
 //!     the loopback RPC crawl, streamed straight into the sweep shards.
 //!     --archive DIR cold-starts from an archived corpus instead of
 //!     generating: the report is byte-identical and no chain is built.
+//!     What the report needs of the block bytes beyond the sweeps
+//!     (Figure 2's storage accounting, block bounds, CPU-price peaks) is
+//!     memoized per segment in DIR/archive.memo by the first process that
+//!     needs it; a missing, stale or damaged memo is recomputed and healed.
 //!
 //! reproduce archive --out DIR [--small] [--seed N] [--segment-blocks N]
 //!                   [--crawl]
@@ -55,7 +59,9 @@
 //!     failures name the worker address. --metrics-out dumps the
 //!     `txstat_fleet_*` counters (Prometheus text) at exit. Fleet mode
 //!     takes --archive DIR to cold-start the reducer-side dataset from
-//!     the corpus instead of generating it.
+//!     the corpus instead of generating it — block-free: the sweeps come
+//!     from the fleet and the rest from DIR/archive.memo, so with a warm
+//!     memo the reducer decodes no segment.
 //!
 //! reproduce follow [--small] [--seed N] [--batch N] [--shards K] [--out FILE]
 //!                  [--snapshots W] [--reorg-at-batch R] [--reorg-depth D]
@@ -133,10 +139,10 @@ use txstat_netsim::{
 };
 use txstat_reports::{
     eos_block_hash, generate, generate_with_crawl, generate_with_crawl_streamed,
-    pipeline_from_archive, reduce_frames_labeled, reduce_frames_labeled_into, render_report,
-    reorg_data, scenario_from_meta, scenario_meta, tezos_block_hash, write_archive,
-    xrp_block_hash, CrawlOptions, EpochFollower, Manifest, PipelineData, SegmentFormat,
-    ServeSnapshot, ShardContext, StatsService,
+    pipeline_from_archive, reduce_frames_labeled, reduce_frames_labeled_into,
+    reducer_from_archive, render_report, reorg_data, scenario_from_meta, scenario_meta,
+    tezos_block_hash, write_archive, xrp_block_hash, CrawlOptions, EpochFollower, Manifest,
+    PipelineData, SegmentFormat, ServeSnapshot, ShardContext, StatsService,
 };
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_workload::Scenario;
@@ -267,16 +273,19 @@ fn check_archive_scenario(args: &Args, meta: &serde_json::Value) -> Result<(), S
     Ok(())
 }
 
-/// Cold-start a full dataset from `--archive DIR`: open + verify the
-/// corpus, cross-check any explicit scenario flags against its manifest,
-/// and return the dataset with the archived scenario adopted.
+/// Cold-start a dataset from `--archive DIR` through `cold_start`
+/// ([`pipeline_from_archive`], or [`reducer_from_archive`] where no block
+/// will be swept): open + verify the corpus, cross-check any explicit
+/// scenario flags against its manifest, and return the dataset with the
+/// archived scenario adopted.
 fn archive_dataset(
     args: &Args,
     dir: &str,
+    cold_start: fn(&std::path::Path) -> Result<(PipelineData, txstat_archive::Archive), String>,
 ) -> Result<(PipelineData, txstat_archive::Archive, String), String> {
     txstat_reports::pipeline::register_metrics();
     txstat_archive::register_metrics();
-    let (data, archive) = pipeline_from_archive(std::path::Path::new(dir))?;
+    let (data, archive) = cold_start(std::path::Path::new(dir))?;
     let manifest = Manifest::parse(archive.manifest())?;
     check_archive_scenario(args, &manifest.meta)?;
     let (_, mode) = scenario_from_meta(&manifest.meta)?;
@@ -321,6 +330,14 @@ fn dump_metrics(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `archive.memo` is written best-effort; say so when the write failed
+/// (the report is unaffected, the next process just recomputes).
+fn warn_memo(data: &PipelineData) {
+    if let Some(why) = data.memo_status().and_then(|s| s.write_error) {
+        eprintln!("warning: archive memo not written ({why}); the next run recomputes it");
+    }
+}
+
 fn write_output(text: &str, out: Option<&str>) -> Result<(), String> {
     match out {
         Some("-") | None => {
@@ -350,7 +367,7 @@ fn cmd_report(raw: &[String]) -> Result<(), String> {
             return Err("report takes --archive or --crawl, not both".to_owned());
         }
         let started = std::time::Instant::now();
-        let (data, archive, mode) = archive_dataset(&args, dir)?;
+        let (data, archive, mode) = archive_dataset(&args, dir, pipeline_from_archive)?;
         eprintln!(
             "cold-started {mode} scenario (seed {}) from archive {dir}: {} segment(s), \
              {} block positions",
@@ -360,6 +377,7 @@ fn cmd_report(raw: &[String]) -> Result<(), String> {
         );
         eprintln!("pipeline ready in {:?}; rendering exhibits…", started.elapsed());
         let result = write_output(&render_report(&data), args.get("--out"));
+        warn_memo(&data);
         dump_metrics(&args)?;
         finish_tracing(&args);
         return result;
@@ -405,6 +423,7 @@ fn cmd_report(raw: &[String]) -> Result<(), String> {
     }
     eprintln!("pipeline ready in {:?}; rendering exhibits…", started.elapsed());
     let result = write_output(&render_report(&data), args.get("--out"));
+    dump_metrics(&args)?;
     finish_tracing(&args);
     result
 }
@@ -656,15 +675,18 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
     let shards: usize = args.parsed("--shards", 2)?;
     txstat_ingest::fleet::register_metrics();
     // The reducer's own dataset: cold-started from the corpus with
-    // `--archive` (the scenario comes from the manifest), generated from
-    // the scenario flags otherwise.
+    // `--archive` (the scenario comes from the manifest) — block-free,
+    // since the sweeps arrive from the fleet and everything else the
+    // report needs of the blocks is memoized per segment — or generated
+    // from the scenario flags otherwise.
     let (data, mode) = match args.get("--archive") {
         Some(dir) => {
-            let (data, archive, mode) = archive_dataset(args, dir)?;
+            let (data, archive, mode) = archive_dataset(args, dir, reducer_from_archive)?;
             eprintln!(
                 "cold-started reducer dataset from archive {dir} ({} segment(s))",
                 archive.segments().len()
             );
+            warn_memo(&data);
             (data, mode)
         }
         None => {
@@ -904,7 +926,7 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
         Some(dir) => {
             let path = std::path::Path::new(dir);
             if path.join(txstat_archive::IDX_FILE).exists() {
-                let (data, archive, mode) = archive_dataset(&args, dir)?;
+                let (data, archive, mode) = archive_dataset(&args, dir, pipeline_from_archive)?;
                 let manifest = Manifest::parse(archive.manifest())?;
                 eprintln!(
                     "cold-started {mode} scenario from archive {dir}; following head in \
@@ -1073,6 +1095,7 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
     };
     assert!(final_data.install_sweeps(sweeps), "follow computed no report sweeps");
     let report = render_report(&final_data);
+    warn_memo(&final_data);
     if let Some(scratch) = verify_against {
         if report != render_report(&scratch) {
             return Err("reorg recovery diverged: the followed report is not byte-identical \
@@ -1223,7 +1246,8 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     txstat_archive::register_metrics();
     let data = match args.get("--archive") {
         Some(dir) => {
-            let (data, _archive, archived_mode) = archive_dataset(&args, dir)?;
+            let (data, _archive, archived_mode) =
+                archive_dataset(&args, dir, pipeline_from_archive)?;
             eprintln!(
                 "cold-started {archived_mode} scenario (seed {}) from archive {dir}; \
                  serving in epochs of {batch} blocks…",

@@ -16,13 +16,14 @@ pub use exhibits::{
 };
 pub use paper::{comparison, render_comparison, ComparisonRow};
 pub use serve::{EpochFollower, ServeSnapshot, StatsService};
-pub use archive_io::{Manifest, SegmentFormat, Sidecar};
+pub use archive_io::{Bounds, Manifest, SegmentFormat, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
 pub use pipeline::{
     create_archive_writer, eos_block_hash, generate, generate_with_crawl,
     generate_with_crawl_streamed, pipeline_from_archive, reduce_frames, reduce_frames_labeled,
-    reduce_frames_labeled_into, reorg_data, scenario_from_meta, scenario_meta, shard_scenario,
-    tezos_block_hash, write_archive, xrp_block_hash, ArchiveStats, ChainStreamInfo, ChainSweeps,
-    CrawlOptions, PipelineData, ShardContext, StreamSummary, DEFAULT_SEGMENT_CACHE_MB,
+    reduce_frames_labeled_into, reducer_from_archive, reorg_data, scenario_from_meta,
+    scenario_meta, shard_scenario, summarize, tezos_block_hash, write_archive, xrp_block_hash,
+    ArchiveStats, ChainStreamInfo, ChainSweeps, CrawlOptions, MemoStatus, PipelineData,
+    ShardContext, StreamSummary, DEFAULT_SEGMENT_CACHE_MB,
 };
 
 #[cfg(test)]

@@ -34,7 +34,8 @@ use txstat_ingest::{
 use txstat_telemetry::{static_counter, Span};
 use txstat_ingest::source::BlockSource;
 use rayon::prelude::*;
-use txstat_archive::{Archive, ArchiveWriter, SegmentCache};
+use crate::archive_io::{Bounds, SegmentSummary, SUMMARY_SCHEMA};
+use txstat_archive::{Archive, ArchiveWriter, SegmentCache, SegmentMemo, SegmentMeta};
 
 /// Default decoded-segment cache budget for archived shard contexts
 /// (`--segment-cache-mb`).
@@ -62,9 +63,10 @@ use txstat_xrp::tx::TxPayload;
 /// `&RateOracle`, …) unchanged.
 pub struct PipelineData {
     pub scenario: Scenario,
-    /// Materialized chains. Empty on the streamed path, which records
-    /// [`StreamSummary`] instead; exhibits go through the accessor methods
-    /// ([`PipelineData::eos_bounds`] etc.) rather than the vectors.
+    /// Materialized chains. Empty on the streamed path and on a reducer's
+    /// block-free cold start ([`reducer_from_archive`]); exhibits go
+    /// through the accessor methods ([`PipelineData::eos_bounds`] etc.)
+    /// rather than the vectors.
     pub eos_blocks: Arc<Vec<txstat_eos::Block>>,
     pub tezos_blocks: Arc<Vec<txstat_tezos::TezosBlock>>,
     pub xrp_blocks: Arc<Vec<txstat_xrp::LedgerBlock>>,
@@ -88,11 +90,53 @@ pub struct PipelineData {
     /// every exhibit renders from these instead of re-scanning the blocks.
     /// The streamed path pre-fills them from the shard reducer.
     sweeps: OnceLock<ChainSweeps>,
-    /// Memoized Figure 2 storage accounting (serialize + LZSS-sample every
-    /// block — by far the most expensive render, ~30× any other figure).
-    /// Shared across every fork of this dataset, so serve pays it at most
-    /// once per process, never per request or per epoch swap.
-    storage_memo: Arc<OnceLock<(CrawlStats, CrawlStats, CrawlStats)>>,
+    /// Chain lengths `[eos, tezos, xrp]`: the block vectors' own where
+    /// they are held, the streamed counts or the manifest's where not.
+    lens: [u64; 3],
+    /// Every report input that needs block bytes and is not a sweep
+    /// (Figure 2's serialize + LZSS-sample accounting — ~30× any other
+    /// figure — block bounds, CPU-price peaks). Shared across every fork of
+    /// this dataset, so serve resolves it at most once per process, never
+    /// per request or per epoch swap.
+    facts: Arc<Facts>,
+}
+
+/// The lazily resolved [`SegmentSummary`] of a whole dataset family, and
+/// where it may be memoized.
+struct Facts {
+    cell: OnceLock<(SegmentSummary, Option<MemoStatus>)>,
+    /// `archive.memo` of the corpus the blocks were replayed from: one
+    /// summary per segment is looked up there first, and what was missing
+    /// is written back. `None`: summarize the dataset's own blocks.
+    memo: Option<SegmentMemo>,
+}
+
+impl Facts {
+    fn lazy(memo: Option<SegmentMemo>) -> Arc<Facts> {
+        Arc::new(Facts { cell: OnceLock::new(), memo })
+    }
+
+    fn known(summary: SegmentSummary, status: Option<MemoStatus>) -> Arc<Facts> {
+        Arc::new(Facts { cell: OnceLock::from((summary, status)), memo: None })
+    }
+}
+
+/// How an archived dataset's facts were resolved against `archive.memo`
+/// (`/statusz` shows it; the CLI turns `write_error` into a warning).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemoStatus {
+    /// Live segments of the corpus.
+    pub segments: usize,
+    /// Summaries this process took from `archive.memo` as they were; the
+    /// other `segments - hits` it recomputed from the blocks.
+    pub hits: usize,
+    /// How many summaries `archive.memo` holds as far as this process
+    /// knows: the hits, or every segment once it has written the healed
+    /// file.
+    pub memoized: usize,
+    /// Why the best-effort memo write failed, if it did (the report is
+    /// unaffected; the next process recomputes).
+    pub write_error: Option<String>,
 }
 
 /// First/last block `(number, time)` of one chain's observed range.
@@ -132,7 +176,7 @@ impl PipelineData {
     /// replay (follow batches, serve epochs, fleet ranges) runs to cover
     /// every chain.
     pub fn longest_chain(&self) -> usize {
-        self.eos_blocks.len().max(self.tezos_blocks.len()).max(self.xrp_blocks.len())
+        self.lens.into_iter().max().unwrap_or(0) as usize
     }
 
     /// Install externally-reduced sweeps (e.g. from a distributed
@@ -157,60 +201,93 @@ impl PipelineData {
             .is_ok()
     }
 
-    /// First/last EOS block `(number, time)` — from the materialized chain
-    /// or the stream bounds.
-    pub fn eos_bounds(&self) -> ChainBounds {
-        if let Some(s) = &self.stream {
-            return (s.eos.first, s.eos.last);
-        }
-        (
-            self.eos_blocks.first().map(|b| (b.num, b.time)),
-            self.eos_blocks.last().map(|b| (b.num, b.time)),
+    /// The dataset's block-derived facts, resolved on first use: already
+    /// known (streamed crawl, block-free cold start), summed from
+    /// `archive.memo` with misses summarized from the held blocks and
+    /// written back, or summarized from the blocks outright.
+    fn facts(&self) -> &(SegmentSummary, Option<MemoStatus>) {
+        self.facts.cell.get_or_init(|| match &self.facts.memo {
+            None => {
+                let starts: Vec<u64> =
+                    (0..self.longest_chain() as u64).step_by(SUMMARY_RUN_BLOCKS as usize).collect();
+                let sum = starts
+                    .par_iter()
+                    .map(|&start| self.summarize_range(start, start + SUMMARY_RUN_BLOCKS))
+                    .reduce(SegmentSummary::default, |mut a, b| {
+                        a.merge(&b);
+                        a
+                    });
+                (sum, None)
+            }
+            Some(memo) => {
+                let (sum, status) =
+                    memoized_summary(memo, |_, m| Ok(self.summarize_range(m.start, m.end)))
+                        .expect("summarizing held blocks cannot fail");
+                (sum, Some(status))
+            }
+        })
+    }
+
+    /// [`summarize`] over block positions `[start, end)` of the held chains.
+    fn summarize_range(&self, start: u64, end: u64) -> SegmentSummary {
+        summarize(
+            start,
+            run_of(&self.eos_blocks, start, end),
+            run_of(&self.tezos_blocks, start, end),
+            run_of(&self.xrp_blocks, start, end),
+            run_of(&self.eos_cpu_price, start, end),
         )
+    }
+
+    /// First/last EOS block `(number, time)`.
+    pub fn eos_bounds(&self) -> ChainBounds {
+        let b = self.facts().0.bounds[0];
+        (b.first, b.last)
     }
 
     /// First/last Tezos block `(level, time)`.
     pub fn tezos_bounds(&self) -> ChainBounds {
-        if let Some(s) = &self.stream {
-            return (s.tezos.first, s.tezos.last);
-        }
-        (
-            self.tezos_blocks.first().map(|b| (b.level, b.time)),
-            self.tezos_blocks.last().map(|b| (b.level, b.time)),
-        )
+        let b = self.facts().0.bounds[1];
+        (b.first, b.last)
     }
 
     /// First/last XRP ledger `(index, close time)`.
     pub fn xrp_bounds(&self) -> ChainBounds {
-        if let Some(s) = &self.stream {
-            return (s.xrp.first, s.xrp.last);
-        }
-        (
-            self.xrp_blocks.first().map(|b| (b.index, b.close_time)),
-            self.xrp_blocks.last().map(|b| (b.index, b.close_time)),
-        )
+        let b = self.facts().0.bounds[2];
+        (b.first, b.last)
     }
 
     /// Peak EOS CPU price index before/after the EIDOS launch (§4.1).
     pub fn eos_cpu_peaks(&self) -> (f64, f64) {
-        if let Some(s) = &self.stream {
-            return s.eos_cpu_peaks;
-        }
-        cpu_peaks_around_launch(
-            self.eos_cpu_price.iter().zip(self.eos_blocks.iter()).map(|((_, p), b)| (b.time, *p)),
-        )
+        self.facts().0.cpu_peaks
     }
 
-    /// The Figure 2 storage accounting, computed once per dataset *family*:
-    /// forks share the memo, so an epoch swap never re-pays the
-    /// serialize + LZSS sweep.
+    /// The Figure 2 storage accounting, resolved once per dataset *family*:
+    /// forks share it, so an epoch swap never re-pays the serialize + LZSS
+    /// sweep — and over an archive with a warm `archive.memo` no process
+    /// pays it at all.
     pub fn storage_stats(&self) -> &(CrawlStats, CrawlStats, CrawlStats) {
-        self.storage_memo.get_or_init(|| compute_storage_stats(self))
+        &self.facts().0.storage
+    }
+
+    /// `archive.memo` coverage of this dataset's facts: `None` unless an
+    /// archive backs them; nothing memoized is known of before the facts
+    /// are first needed.
+    pub fn memo_status(&self) -> Option<MemoStatus> {
+        match self.facts.cell.get() {
+            Some((_, status)) => status.clone(),
+            None => self.facts.memo.as_ref().map(|m| MemoStatus {
+                segments: m.segments().len(),
+                hits: 0,
+                memoized: 0,
+                write_error: None,
+            }),
+        }
     }
 
     /// Fork this dataset with a different set of installed sweeps: all
     /// heavy inputs (blocks, oracle, cluster, CPU-price history, …) are
-    /// shared by `Arc`, the Figure 2 storage memo is shared too, and only
+    /// shared by `Arc`, the block-derived facts are shared too, and only
     /// the analytics state differs. This is what lets the serve path
     /// publish one immutable snapshot per follow batch without re-deriving
     /// or copying the chains.
@@ -230,7 +307,8 @@ impl PipelineData {
             crawl: self.crawl.clone(),
             stream: self.stream.clone(),
             sweeps: OnceLock::new(),
-            storage_memo: self.storage_memo.clone(),
+            lens: self.lens,
+            facts: self.facts.clone(),
         };
         let installed = fork.sweeps.set(sweeps).is_ok();
         debug_assert!(installed, "fresh fork cannot have sweeps yet");
@@ -248,12 +326,10 @@ pub struct CrawlSummary {
     pub eos_shortlisted: usize,
 }
 
-/// Streaming accounting for one chain: the block-range bounds the shards
-/// observed plus the backpressure gauges of the shard channels.
+/// Streaming accounting for one chain: how much the shards folded and the
+/// backpressure gauges of the shard channels.
 #[derive(Debug, Clone)]
 pub struct ChainStreamInfo {
-    pub first: Option<(u64, ChainTime)>,
-    pub last: Option<(u64, ChainTime)>,
     pub shards: usize,
     pub channel_capacity: usize,
     /// Blocks folded across all shards.
@@ -269,15 +345,12 @@ pub struct ChainStreamInfo {
     pub gauges: Vec<GaugeSnapshot>,
 }
 
-/// What the streamed path records instead of block vectors.
+/// What the streamed path records beside its (pre-resolved) facts.
 #[derive(Debug, Clone)]
 pub struct StreamSummary {
     pub eos: ChainStreamInfo,
     pub tezos: ChainStreamInfo,
     pub xrp: ChainStreamInfo,
-    /// Peak CPU price index (before, after) the EIDOS launch, computed on
-    /// the serving side where the simulated chain lives anyway.
-    pub eos_cpu_peaks: (f64, f64),
 }
 
 fn governance_periods_of(chain: &txstat_tezos::TezosChain) -> Vec<(PeriodKind, Period)> {
@@ -329,7 +402,7 @@ pub fn register_metrics() {
 /// Direct path: generate the three chains and read them in-process.
 pub fn generate(sc: &Scenario) -> PipelineData {
     count_generation();
-    let eos = {
+    let mut eos = {
         let _span = Span::enter("generate", "eos");
         build_eos(sc)
     };
@@ -337,7 +410,7 @@ pub fn generate(sc: &Scenario) -> PipelineData {
         let _span = Span::enter("generate", "tezos");
         build_tezos(sc)
     };
-    let xrp = {
+    let mut xrp = {
         let _span = Span::enter("generate", "xrp");
         build_xrp(sc)
     };
@@ -351,23 +424,39 @@ pub fn generate(sc: &Scenario) -> PipelineData {
         .map(|b| (b.address, b.staked_mutez / tezos.config.roll_size_mutez))
         .collect();
 
+    // Everything derived is taken above; the chains now give up their
+    // vectors instead of copying them.
+    let eos_dropped_txs = eos.dropped_txs;
+    let eos_cpu_price = std::mem::take(&mut eos.cpu_price_history);
+    let trades = std::mem::take(&mut xrp.trades);
+    let (eos_blocks, tezos_blocks, xrp_blocks) =
+        (eos.into_blocks(), tezos.into_blocks(), xrp.into_closed_ledgers());
     PipelineData {
         scenario: sc.clone(),
-        eos_blocks: Arc::new(eos.blocks().to_vec()),
-        tezos_blocks: Arc::new(tezos.blocks().to_vec()),
-        xrp_blocks: Arc::new(xrp.closed_ledgers().to_vec()),
+        lens: lens_of(&eos_blocks, &tezos_blocks, &xrp_blocks),
+        eos_blocks: Arc::new(eos_blocks),
+        tezos_blocks: Arc::new(tezos_blocks),
+        xrp_blocks: Arc::new(xrp_blocks),
         oracle: Arc::new(oracle),
-        trades: Arc::new(xrp.trades.clone()),
+        trades: Arc::new(trades),
         cluster: Arc::new(cluster),
-        eos_cpu_price: Arc::new(eos.cpu_price_history.clone()),
-        eos_dropped_txs: eos.dropped_txs,
+        eos_cpu_price: Arc::new(eos_cpu_price),
+        eos_dropped_txs,
         tezos_rolls: Arc::new(tezos_rolls),
         governance_periods,
         crawl: None,
         stream: None,
         sweeps: OnceLock::new(),
-        storage_memo: Arc::new(OnceLock::new()),
+        facts: Facts::lazy(None),
     }
+}
+
+fn lens_of(
+    eos: &[txstat_eos::Block],
+    tezos: &[txstat_tezos::TezosBlock],
+    xrp: &[txstat_xrp::LedgerBlock],
+) -> [u64; 3] {
+    [eos.len() as u64, tezos.len() as u64, xrp.len() as u64]
 }
 
 /// Accounting returned by [`write_archive`].
@@ -470,26 +559,63 @@ pub fn write_archive(
 /// replay every segment into the three chain vectors and rehydrate the
 /// oracle/cluster/rolls from the sidecar. No chain generation runs
 /// (`txstat_pipeline_generate_total` stays at zero); the result renders
-/// byte-identically to [`generate`] on the archived scenario. Also
-/// returns the opened [`Archive`] so callers can keep appending
-/// (`follow`) or replaying ranges.
+/// byte-identically to [`generate`] on the archived scenario. The
+/// block-derived facts (Figure 2, bounds, CPU peaks) stay lazy: on first
+/// use they are summed from `archive.memo`, and whatever is missing there
+/// is summarized from the replayed blocks and written back. Also returns
+/// the opened [`Archive`] so callers can keep appending (`follow`) or
+/// replaying ranges.
 pub fn pipeline_from_archive(
     dir: &std::path::Path,
 ) -> Result<(PipelineData, Archive), String> {
-    let archive = Archive::open(dir).map_err(|e| format!("archive {}: {e}", dir.display()))?;
+    dataset_from_archive(dir, true)
+}
+
+/// Block-free cold start for a reducer whose sweeps arrive from elsewhere
+/// (`reduce --connect --archive`): open + fully verify the corpus,
+/// rehydrate the sidecar, and resolve the facts from `archive.memo` right
+/// away — on a warm memo no segment is decompressed or decoded at all; a
+/// missing, stale or damaged entry is recomputed from its verified segment
+/// bytes and the file healed. The block vectors stay empty and the chain
+/// lengths come from the manifest, so the dataset renders (byte-identical
+/// to [`pipeline_from_archive`]'s) once sweeps are installed
+/// ([`reduce_frames_labeled_into`]) but cannot sweep, follow or re-seal.
+pub fn reducer_from_archive(
+    dir: &std::path::Path,
+) -> Result<(PipelineData, Archive), String> {
+    dataset_from_archive(dir, false)
+}
+
+fn dataset_from_archive(
+    dir: &std::path::Path,
+    replay_blocks: bool,
+) -> Result<(PipelineData, Archive), String> {
+    let at = |e: String| format!("archive {}: {e}", dir.display());
+    let archive = Archive::open(dir).map_err(|e| at(e.to_string()))?;
     let manifest = crate::Manifest::parse(archive.manifest())?;
     let (sc, _mode) = scenario_from_meta(&manifest.meta)?;
     let sidecar = crate::Sidecar::decode(archive.sidecar())?;
-    let segments = archive.replay_all().map_err(|e| format!("archive {}: {e}", dir.display()))?;
-    let (eos_blocks, tezos_blocks, xrp_blocks) = crate::archive_io::chains_of(&segments)?;
-    let lens = [eos_blocks.len() as u64, tezos_blocks.len() as u64, xrp_blocks.len() as u64];
+    let ((eos_blocks, tezos_blocks, xrp_blocks), lens, facts) = if replay_blocks {
+        let segments = archive.replay_all().map_err(|e| at(e.to_string()))?;
+        let chains = crate::archive_io::chains_of(&segments)?;
+        let lens = lens_of(&chains.0, &chains.1, &chains.2);
+        (chains, lens, Facts::lazy(Some(archive.memo())))
+    } else {
+        let (sum, status) = memoized_summary(&archive.memo(), |i, m| {
+            let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
+            let (eos, tezos, xrp) = crate::archive_io::chains_of_segment(&seg)?;
+            let cpu_price = run_of(&sidecar.eos_cpu_price, m.start, m.end);
+            Ok(summarize(m.start, &eos, &tezos, &xrp, cpu_price))
+        })
+        .map_err(at)?;
+        let lens = sum.lens();
+        (Default::default(), lens, Facts::known(sum, Some(status)))
+    };
     if lens != manifest.lens {
-        return Err(format!(
-            "archive {}: replayed chain lengths {:?} disagree with manifest {:?}",
-            dir.display(),
-            lens,
+        return Err(at(format!(
+            "archived chain lengths {lens:?} disagree with manifest {:?}",
             manifest.lens
-        ));
+        )));
     }
     let oracle =
         RateOracle::from_trades(&sidecar.trades, sc.period.end, sc.period.days() as i64 + 1);
@@ -515,9 +641,47 @@ pub fn pipeline_from_archive(
         crawl: None,
         stream: None,
         sweeps: OnceLock::new(),
-        storage_memo: Arc::new(OnceLock::new()),
+        lens,
+        facts,
     };
     Ok((data, archive))
+}
+
+/// Resolve one [`SegmentSummary`] per live segment — memo hits as they
+/// are, misses through `compute(index, meta)` — and return their sum. If
+/// anything missed, the memo is rewritten with every live segment's
+/// summary (best-effort: a failed write is recorded in the status, never
+/// an error).
+fn memoized_summary(
+    memo: &SegmentMemo,
+    compute: impl Fn(usize, &SegmentMeta) -> Result<SegmentSummary, String> + Sync,
+) -> Result<(SegmentSummary, MemoStatus), String> {
+    let mut slots = memo.load(SUMMARY_SCHEMA, SegmentSummary::decode);
+    let misses: Vec<usize> =
+        slots.iter().enumerate().filter(|(_, s)| s.is_none()).map(|(i, _)| i).collect();
+    let hits = slots.len() - misses.len();
+    let mut status =
+        MemoStatus { segments: slots.len(), hits, memoized: hits, write_error: None };
+    if !misses.is_empty() {
+        {
+            let _span = Span::enter("memo", "compute");
+            let computed: Vec<Result<SegmentSummary, String>> =
+                misses.par_iter().map(|&i| compute(i, &memo.segments()[i])).collect_vec();
+            for (i, summary) in misses.into_iter().zip(computed) {
+                slots[i] = Some(summary?);
+            }
+        }
+        let payloads: Vec<Vec<u8>> = slots.iter().flatten().map(SegmentSummary::encode).collect();
+        match memo.store(SUMMARY_SCHEMA, &payloads) {
+            Ok(()) => status.memoized = status.segments,
+            Err(e) => status.write_error = Some(e.to_string()),
+        }
+    }
+    let mut sum = SegmentSummary::default();
+    for summary in slots.iter().flatten() {
+        sum.merge(summary);
+    }
+    Ok((sum, status))
 }
 
 /// Crawl-path tuning.
@@ -705,16 +869,15 @@ fn tezos_rolls_of(tezos: &txstat_tezos::TezosChain) -> HashMap<Address, u64> {
 
 /// Peak CPU price index (before, after) the EIDOS launch over a stream of
 /// `(block time, price)` pairs.
-fn cpu_peaks_around_launch(pairs: impl Iterator<Item = (ChainTime, f64)> + Clone) -> (f64, f64) {
+fn cpu_peaks_around_launch(pairs: impl Iterator<Item = (ChainTime, f64)>) -> (f64, f64) {
     let launch = txstat_workload::eidos_launch();
-    let peak = |after: bool| {
-        pairs
-            .clone()
-            .filter(|(t, _)| (*t >= launch) == after)
-            .map(|(_, p)| p)
-            .fold(0.0f64, f64::max)
-    };
-    (peak(false), peak(true))
+    pairs.fold((0.0f64, 0.0f64), |(before, after), (t, p)| {
+        if t >= launch {
+            (before, after.max(p))
+        } else {
+            (before.max(p), after)
+        }
+    })
 }
 
 /// The launch peaks read off the simulated chain (the serving side holds
@@ -826,6 +989,7 @@ pub async fn generate_with_crawl(
 
     Ok(PipelineData {
         scenario: sc.clone(),
+        lens: lens_of(&eos_crawl.blocks, &tezos_crawl.blocks, &xrp_crawl.blocks),
         eos_blocks: Arc::new(eos_crawl.blocks),
         tezos_blocks: Arc::new(tezos_crawl.blocks),
         xrp_blocks: Arc::new(xrp_crawl.blocks),
@@ -845,38 +1009,11 @@ pub async fn generate_with_crawl(
         })),
         stream: None,
         sweeps: OnceLock::new(),
-        storage_memo: Arc::new(OnceLock::new()),
+        facts: Facts::lazy(None),
     })
 }
 
 // ---- Streamed ingestion -----------------------------------------------------
-
-/// Min/max block bounds, mergeable across shards.
-#[derive(Debug, Clone, Copy, Default)]
-struct Bounds {
-    first: Option<(u64, ChainTime)>,
-    last: Option<(u64, ChainTime)>,
-}
-
-impl Bounds {
-    fn record(&mut self, n: u64, t: ChainTime) {
-        if self.first.map(|(f, _)| n < f).unwrap_or(true) {
-            self.first = Some((n, t));
-        }
-        if self.last.map(|(l, _)| n > l).unwrap_or(true) {
-            self.last = Some((n, t));
-        }
-    }
-
-    fn merge(&mut self, other: Bounds) {
-        if let Some((n, t)) = other.first {
-            self.record(n, t);
-        }
-        if let Some((n, t)) = other.last {
-            self.record(n, t);
-        }
-    }
-}
 
 /// Shard state for the chains whose sweeps need no side lookups: the fused
 /// sweep plus stream bounds.
@@ -892,19 +1029,19 @@ fn reduce_sweep_shards<S>(
     out: IngestOutcome<SweepShardAcc<S>>,
     opts: &CrawlOptions,
     mut merge: impl FnMut(&mut S, S),
-) -> (S, ChainStreamInfo) {
+) -> (S, Bounds, ChainStreamInfo) {
     let _span = Span::enter("merge", chain);
     let bounds = out.shards.iter().fold(Bounds::default(), |mut b, s| {
         b.merge(s.bounds);
         b
     });
-    let info = chain_stream_info(chain, bounds, &out, opts);
+    let info = chain_stream_info(chain, &out, opts);
     let mut it = out.shards.into_iter();
     let mut sweep = it.next().expect("at least one shard").sweep;
     for other in it {
         merge(&mut sweep, other.sweep);
     }
-    (sweep, info)
+    (sweep, bounds, info)
 }
 
 /// XRP shard state: sweep, bounds, the accounts seen (for the metadata
@@ -951,7 +1088,6 @@ impl XrpShardAcc {
 
 fn chain_stream_info<A>(
     chain: &'static str,
-    bounds: Bounds,
     outcome: &IngestOutcome<A>,
     opts: &CrawlOptions,
 ) -> ChainStreamInfo {
@@ -976,8 +1112,6 @@ fn chain_stream_info<A>(
             .set(g.blocked_sends);
     }
     ChainStreamInfo {
-        first: bounds.first,
-        last: bounds.last,
         shards: outcome.shards.len(),
         channel_capacity: opts.channel_capacity,
         streamed_blocks: outcome.total_observed(),
@@ -1100,19 +1234,17 @@ pub async fn generate_with_crawl_streamed(
     // Reduce: merge the per-shard columnar states in index order, then
     // resolve interned ids once (finalize) into the scalar sweeps the
     // exhibits render from.
-    let (eos_col, eos_info) = reduce_sweep_shards("eos", eos_out, opts, EosColumnar::merge);
+    let (eos_col, eos_bounds, eos_info) =
+        reduce_sweep_shards("eos", eos_out, opts, EosColumnar::merge);
     let eos_sweep = eos_col.finalize();
-    let (tz_col, tz_info) = reduce_sweep_shards("tezos", tz_out, opts, TezosColumnar::merge);
+    let (tz_col, tz_bounds, tz_info) =
+        reduce_sweep_shards("tezos", tz_out, opts, TezosColumnar::merge);
     let tz_sweep = tz_col.finalize();
-    let (xrp_sweep, seen_accounts, xrp_info) = {
+    let (xrp_sweep, seen_accounts, xrp_bounds, xrp_info) = {
         let _span = Span::enter("merge", "xrp");
-        let bounds = xrp_out.shards.iter().fold(Bounds::default(), |mut b, s| {
-            b.merge(s.bounds);
-            b
-        });
-        let info = chain_stream_info("xrp", bounds, &xrp_out, opts);
+        let info = chain_stream_info("xrp", &xrp_out, opts);
         let merged = xrp_out.merged(XrpShardAcc::merge);
-        (merged.sweep.finalize(), merged.seen, info)
+        (merged.sweep.finalize(), merged.seen, merged.bounds, info)
     };
 
     // Post-crawl sidecar fetches: metadata for seen accounts, BTC exchange
@@ -1125,8 +1257,17 @@ pub async fn generate_with_crawl_streamed(
     let sweeps = OnceLock::new();
     let _ = sweeps.set(ChainSweeps { eos: eos_sweep, tezos: tz_sweep, xrp: xrp_sweep });
 
+    // No blocks are held, so the facts are settled here: the bounds the
+    // shards observed and the launch peaks off the serving side's chain
+    // (Figure 2 renders the crawl's own accounting on this path).
+    let facts = SegmentSummary {
+        bounds: [eos_bounds, tz_bounds, xrp_bounds],
+        cpu_peaks: eos_cpu_peaks_of(&served.eos),
+        ..SegmentSummary::default()
+    };
     Ok(PipelineData {
         scenario: sc.clone(),
+        lens: [eos_info.streamed_blocks, tz_info.streamed_blocks, xrp_info.streamed_blocks],
         eos_blocks: Arc::new(Vec::new()),
         tezos_blocks: Arc::new(Vec::new()),
         xrp_blocks: Arc::new(Vec::new()),
@@ -1144,14 +1285,9 @@ pub async fn generate_with_crawl_streamed(
             eos_advertised: opts.eos_advertised,
             eos_shortlisted: opts.eos_shortlisted,
         })),
-        stream: Some(StreamSummary {
-            eos: eos_info,
-            tezos: tz_info,
-            xrp: xrp_info,
-            eos_cpu_peaks: eos_cpu_peaks_of(&served.eos),
-        }),
+        stream: Some(StreamSummary { eos: eos_info, tezos: tz_info, xrp: xrp_info }),
         sweeps,
-        storage_memo: Arc::new(OnceLock::new()),
+        facts: Facts::known(facts, None),
     })
 }
 
@@ -1161,61 +1297,87 @@ pub fn local_storage_stats(data: &PipelineData) -> (CrawlStats, CrawlStats, Craw
     data.storage_stats().clone()
 }
 
-/// The raw Figure 2 storage sweep: write every block's wire JSON and
-/// sample-compress it (same methodology as the crawler's Figure 2
-/// accounting — see "Figure 2 methodology" in the root README). Each worker
-/// folds one contiguous run of blocks through a single reused buffer;
-/// sampling is keyed by block index, making the result independent of how
-/// the chain is cut into runs.
-fn compute_storage_stats(data: &PipelineData) -> (CrawlStats, CrawlStats, CrawlStats) {
-    fn stats_par<B: Sync>(
-        chain: &str,
+/// Block positions per [`summarize`] call when a dataset summarizes its own
+/// blocks (the default segment size: one parallel grain either way).
+const SUMMARY_RUN_BLOCKS: u64 = 256;
+
+/// Positions `[start, end)` of a chain-aligned vector, clamped to its length.
+fn run_of<T>(v: &[T], start: u64, end: u64) -> &[T] {
+    &v[(start as usize).min(v.len())..(end as usize).min(v.len())]
+}
+
+/// The one kernel behind every block-derived report fact: summarize the
+/// blocks at positions `[start, start + len)` of each chain (`cpu_price`
+/// is the CPU-price history aligned to `eos`). Figure 2's accounting
+/// writes every block's wire JSON through one reused buffer and
+/// sample-compresses it (same methodology as the crawler's — see "Figure 2
+/// methodology" in the root README); sampling is keyed by *absolute* block
+/// position, so summaries of any tiling of a chain sum to the whole-chain
+/// result. Changing what this returns for the same blocks means bumping
+/// [`SUMMARY_SCHEMA`].
+pub fn summarize(
+    start: u64,
+    eos: &[txstat_eos::Block],
+    tezos: &[txstat_tezos::TezosBlock],
+    xrp: &[txstat_xrp::LedgerBlock],
+    cpu_price: &[(u64, f64)],
+) -> SegmentSummary {
+    fn chain<B>(
+        name: &str,
+        start: u64,
         blocks: &[B],
-        wire_into: impl Fn(&B, &mut Vec<u8>) + Sync,
-        txs: impl Fn(&B) -> u64 + Sync,
-    ) -> CrawlStats {
-        let _span = Span::enter("fig2_storage", chain);
-        // Below a few hundred blocks a thread costs more than its run.
-        let run = blocks.len().div_ceil(rayon::current_num_threads().max(1)).max(256);
-        let starts: Vec<usize> = (0..blocks.len()).step_by(run).collect();
-        starts
-            .par_iter()
-            .map(|&start| {
-                let mut stats = CrawlStats::default();
-                let mut wire = Vec::new();
-                for (i, b) in blocks[start..].iter().take(run).enumerate() {
-                    wire.clear();
-                    wire_into(b, &mut wire);
-                    stats.record_payload((start + i) as u64, &wire);
-                    stats.blocks += 1;
-                    stats.transactions += txs(b);
-                }
-                stats
-            })
-            .reduce(CrawlStats::default, |mut a, b| {
-                a.merge(&b);
-                a
-            })
+        wire_into: impl Fn(&B, &mut Vec<u8>),
+        txs: impl Fn(&B) -> u64,
+        at: impl Fn(&B) -> (u64, ChainTime),
+    ) -> (CrawlStats, Bounds) {
+        let _span = Span::enter("fig2_storage", name);
+        let mut stats = CrawlStats::default();
+        let mut wire = Vec::new();
+        for (i, b) in blocks.iter().enumerate() {
+            wire.clear();
+            wire_into(b, &mut wire);
+            stats.record_payload(start + i as u64, &wire);
+            stats.blocks += 1;
+            stats.transactions += txs(b);
+        }
+        let mut bounds = Bounds::default();
+        for b in blocks.first().into_iter().chain(blocks.last()) {
+            let (n, t) = at(b);
+            bounds.record(n, t);
+        }
+        (stats, bounds)
     }
-    let eos = stats_par(
+    let (eos_stats, eos_bounds) = chain(
         "eos",
-        &data.eos_blocks,
+        start,
+        eos,
         txstat_eos::rpc_model::block_bytes_into,
         |b| b.transactions.len() as u64,
+        |b| (b.num, b.time),
     );
-    let tezos = stats_par(
+    let (tezos_stats, tezos_bounds) = chain(
         "tezos",
-        &data.tezos_blocks,
+        start,
+        tezos,
         txstat_tezos::rpc_model::block_bytes_into,
         |b| b.operations.len() as u64,
+        |b| (b.level, b.time),
     );
-    let xrp = stats_par(
+    let (xrp_stats, xrp_bounds) = chain(
         "xrp",
-        &data.xrp_blocks,
+        start,
+        xrp,
         txstat_xrp::rpc_model::ledger_bytes_into,
         |b| b.transactions.len() as u64,
+        |b| (b.index, b.close_time),
     );
-    (eos, tezos, xrp)
+    SegmentSummary {
+        storage: (eos_stats, tezos_stats, xrp_stats),
+        bounds: [eos_bounds, tezos_bounds, xrp_bounds],
+        cpu_peaks: cpu_peaks_around_launch(
+            cpu_price.iter().zip(eos).map(|((_, p), b)| (b.time, *p)),
+        ),
+    }
 }
 
 // ---- Distributed reduction (shard workers → wire frames → reduce) ----------
@@ -1309,9 +1471,9 @@ impl ShardContext {
         ShardContext {
             sc: sc.clone(),
             source: ShardSource::Generated {
-                eos: eos.blocks().to_vec(),
-                tezos: tezos.blocks().to_vec(),
-                xrp: xrp.closed_ledgers().to_vec(),
+                eos: eos.into_blocks(),
+                tezos: tezos.into_blocks(),
+                xrp: xrp.into_closed_ledgers(),
             },
             oracle,
             governance_periods,
@@ -1386,9 +1548,9 @@ impl ShardContext {
     ) -> Result<Vec<ShardFrame>, String> {
         let period = self.sc.period;
         let build = |worker: &ShardWorker,
-                     eos: &[txstat_eos::Block],
-                     tezos: &[txstat_tezos::TezosBlock],
-                     xrp: &[txstat_xrp::LedgerBlock]| {
+                     eos: &[&[txstat_eos::Block]],
+                     tezos: &[&[txstat_tezos::TezosBlock]],
+                     xrp: &[&[txstat_xrp::LedgerBlock]]| {
             vec![
                 worker.eos_frame(eos, period),
                 worker.tezos_frame(tezos, period, &self.governance_periods),
@@ -1398,7 +1560,9 @@ impl ShardContext {
         let mut worker =
             ShardWorker { start, end, base: 0, shards: shards.max(1), meta };
         match &self.source {
-            ShardSource::Generated { eos, tezos, xrp } => Ok(build(&worker, eos, tezos, xrp)),
+            ShardSource::Generated { eos, tezos, xrp } => {
+                Ok(build(&worker, &[eos], &[tezos], &[xrp]))
+            }
             ShardSource::Archived { archive, cache, .. } => {
                 let (lo, hi) = archive.covering(start, end);
                 let metas = archive.segments();
@@ -1423,18 +1587,17 @@ impl ShardContext {
                     cache.insert(metas[i].hash, Arc::clone(&parsed), metas[i].raw_len);
                     fresh.insert(i, parsed);
                 }
-                let mut eos = Vec::new();
-                let mut tezos = Vec::new();
-                let mut xrp = Vec::new();
-                for (i, probe) in probes {
-                    let parsed = match probe {
-                        Some(p) => p,
-                        None => Arc::clone(&fresh[&i]),
-                    };
-                    eos.extend_from_slice(&parsed.0);
-                    tezos.extend_from_slice(&parsed.1);
-                    xrp.extend_from_slice(&parsed.2);
-                }
+                // One borrowed run per covering segment: the cached decode
+                // is swept in place, no block is cloned.
+                let covering: Vec<Arc<crate::archive_io::ReplayedChains>> = probes
+                    .into_iter()
+                    .map(|(i, probe)| probe.unwrap_or_else(|| Arc::clone(&fresh[&i])))
+                    .collect();
+                let eos: Vec<&[txstat_eos::Block]> = covering.iter().map(|c| &c.0[..]).collect();
+                let tezos: Vec<&[txstat_tezos::TezosBlock]> =
+                    covering.iter().map(|c| &c.1[..]).collect();
+                let xrp: Vec<&[txstat_xrp::LedgerBlock]> =
+                    covering.iter().map(|c| &c.2[..]).collect();
                 Ok(build(&worker, &eos, &tezos, &xrp))
             }
         }
@@ -1512,12 +1675,7 @@ pub fn reduce_frames_labeled_into(
 /// The shared tail of a reduction: check that coverage tiles each chain
 /// exactly, finalize, and install the sweeps into the fresh dataset.
 fn finish_reduce(data: PipelineData, session: ReduceSession) -> Result<PipelineData, ReduceError> {
-    let lens = [
-        data.eos_blocks.len() as u64,
-        data.tezos_blocks.len() as u64,
-        data.xrp_blocks.len() as u64,
-    ];
-    for (chain, len) in txstat_ingest::reduce::CHAINS.into_iter().zip(lens) {
+    for (chain, len) in txstat_ingest::reduce::CHAINS.into_iter().zip(data.lens) {
         let mut gaps = Vec::new();
         match session.span(chain) {
             None => gaps.push((0, len)),
@@ -1564,8 +1722,9 @@ pub fn xrp_block_hash(b: &txstat_xrp::LedgerBlock) -> u64 {
 /// numbering and timestamps stay, history *content* diverges, exactly what
 /// a competing fork looks like to a follower keyed on block positions.
 ///
-/// The returned dataset has fresh (uncomputed) sweeps and storage memo, so
-/// a from-scratch report over it reflects the reorged history.
+/// The returned dataset has fresh (uncomputed) sweeps and facts — and no
+/// tie to an archive's `archive.memo`, whose segments describe the old
+/// history — so a from-scratch report over it reflects the reorged one.
 pub fn reorg_data(data: &PipelineData, from: usize, seed: u64) -> PipelineData {
     use txstat_types::rng::subseed_n;
     // Drop the last or the first entry of a block's transaction list,
@@ -1595,6 +1754,7 @@ pub fn reorg_data(data: &PipelineData, from: usize, seed: u64) -> PipelineData {
     }
     PipelineData {
         scenario: data.scenario.clone(),
+        lens: lens_of(&eos, &tezos, &xrp),
         eos_blocks: Arc::new(eos),
         tezos_blocks: Arc::new(tezos),
         xrp_blocks: Arc::new(xrp),
@@ -1608,6 +1768,6 @@ pub fn reorg_data(data: &PipelineData, from: usize, seed: u64) -> PipelineData {
         crawl: None,
         stream: None,
         sweeps: OnceLock::new(),
-        storage_memo: Arc::new(OnceLock::new()),
+        facts: Facts::lazy(None),
     }
 }

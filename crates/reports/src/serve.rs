@@ -253,8 +253,9 @@ impl StatsService {
     }
 
     /// `/statusz`: the JSON observability snapshot — epoch/cache headline
-    /// numbers plus the full registry snapshot and (when the dataset came
-    /// off the streamed path) the per-chain backpressure summary.
+    /// numbers plus the full registry snapshot, `archive.memo` coverage
+    /// (when the dataset came off an archive) and the per-chain
+    /// backpressure summary (when it came off the streamed path).
     fn statusz(&self, snap: &ServeSnapshot) -> serde_json::Value {
         let mut body = serde_json::json!({
             "epoch": snap.epoch(),
@@ -264,6 +265,19 @@ impl StatsService {
             "cached_responses": snap.cached_responses(),
             "metrics": self.registry.snapshot_json(),
         });
+        if let (Some(memo), serde_json::Value::Object(map)) =
+            (snap.data().memo_status(), &mut body)
+        {
+            map.insert(
+                "memo".to_string(),
+                serde_json::json!({
+                    "segments": memo.segments,
+                    "hits": memo.hits,
+                    "memoized": memo.memoized,
+                    "write_error": memo.write_error,
+                }),
+            );
+        }
         if let Some(stream) = &snap.data().stream {
             let chain = |info: &crate::pipeline::ChainStreamInfo| {
                 serde_json::json!({

@@ -72,8 +72,15 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
 fn three_shard_processes_reduce_to_the_identical_report() {
     let dir = tempdir("reduce");
 
-    let direct = reproduce(&dir, &["report", "--small", "--seed", "7", "--out", "direct.txt"]);
+    let direct = reproduce(
+        &dir,
+        &["report", "--small", "--seed", "7", "--out", "direct.txt", "--metrics-out", "direct.prom"],
+    );
     assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
+    // `--metrics-out` is honoured on the generating arm too (it used to be
+    // accepted and silently ignored without `--archive`).
+    let metrics = String::from_utf8(read(&dir, "direct.prom")).expect("metrics utf8");
+    assert!(metrics.contains("txstat_pipeline_generate_total 1"), "{metrics}");
 
     // Three disjoint block-position ranges; the last one over-shoots every
     // chain head and clamps. Different in-process shard counts per worker
@@ -316,6 +323,7 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         &[
             "reduce", "--connect", &connect, "--archive", "corpus", "--chunks", "4",
             "--timeout-ms", "4000", "--retries", "2", "--backoff-ms", "5", "--out", "fleet.txt",
+            "--metrics-out", "reduce-cold.prom",
         ],
     );
     assert!(
@@ -330,6 +338,20 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         read(&dir, "fleet.txt"),
         "cold-started fleet report differs from the single-process report"
     );
+    // The first reducer over a fresh seal finds no memo: it summarizes
+    // every one of the 28 segments from its bytes and leaves the file.
+    let counter = |file: &str, name: &str| -> u64 {
+        let metrics = String::from_utf8(read(&dir, file)).expect("metrics utf8");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in {file}:\n{metrics}"))
+    };
+    assert_eq!(counter("reduce-cold.prom", "txstat_archive_memo_hits_total"), 0);
+    assert_eq!(counter("reduce-cold.prom", "txstat_archive_memo_misses_total"), 28);
+    assert_eq!(counter("reduce-cold.prom", "txstat_archive_segments_replayed_total"), 28);
+    assert!(dir.join("corpus/archive.memo").is_file(), "the first reducer heals the memo");
 
     // A worker whose request budget equals the chunk count exits cleanly
     // and dumps its metrics: zero generation passes, >0 segments replayed.
@@ -346,6 +368,7 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         &[
             "reduce", "--connect", &w3.addr, "--archive", "corpus", "--chunks", "2",
             "--timeout-ms", "4000", "--retries", "2", "--backoff-ms", "5", "--out", "fleet2.txt",
+            "--metrics-out", "reduce-warm.prom", "--trace-out", "reduce-warm.ndjson",
         ],
     );
     assert!(
@@ -354,6 +377,14 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         String::from_utf8_lossy(&reduce2.stderr)
     );
     assert_eq!(read(&dir, "direct.txt"), read(&dir, "fleet2.txt"));
+    // The second reducer is block-free: every summary comes from the memo,
+    // no segment is decoded, and Figure 2 is never recomputed.
+    assert_eq!(counter("reduce-warm.prom", "txstat_archive_memo_hits_total"), 28);
+    assert_eq!(counter("reduce-warm.prom", "txstat_archive_memo_misses_total"), 0);
+    assert_eq!(counter("reduce-warm.prom", "txstat_archive_segments_replayed_total"), 0);
+    let trace = String::from_utf8(read(&dir, "reduce-warm.ndjson")).expect("trace utf8");
+    assert!(trace.contains("\"stage\":\"memo\""), "no memo span:\n{trace}");
+    assert!(!trace.contains("fig2_storage"), "a memo-hit reducer recomputed Figure 2");
     let status = w3.child.wait().expect("worker exit");
     assert!(status.success(), "budgeted worker should exit cleanly");
     let metrics = String::from_utf8(read(&dir, "worker-metrics.txt")).expect("metrics utf8");
@@ -367,6 +398,33 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         .and_then(|v| v.trim().parse().ok())
         .expect("replay counter in metrics dump");
     assert!(replayed > 0, "worker replayed no archive segments:\n{metrics}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A memo that cannot be written costs a warning, never the report: a
+/// non-empty directory squatting on `archive.memo` fails both the read and
+/// the rename (root ignores permission bits, so chmod would prove nothing).
+#[test]
+fn unwritable_memo_is_a_warning_not_a_failure() {
+    let dir = tempdir("memowarn");
+    let direct = reproduce(&dir, &["report", "--small", "--seed", "7", "--out", "direct.txt"]);
+    assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
+    let sealed = reproduce(&dir, &["archive", "--small", "--seed", "7", "--out", "corpus"]);
+    assert!(sealed.status.success(), "archive failed: {}", String::from_utf8_lossy(&sealed.stderr));
+    std::fs::create_dir(dir.join("corpus/archive.memo")).expect("squat on the memo name");
+    std::fs::write(dir.join("corpus/archive.memo/occupied"), b"x").expect("occupy");
+
+    let cold = reproduce(
+        &dir,
+        &["report", "--archive", "corpus", "--out", "cold.txt", "--metrics-out", "cold.prom"],
+    );
+    assert!(cold.status.success(), "report failed: {}", String::from_utf8_lossy(&cold.stderr));
+    let stderr = String::from_utf8_lossy(&cold.stderr);
+    assert!(stderr.contains("warning: archive memo not written"), "stderr: {stderr}");
+    assert_eq!(read(&dir, "direct.txt"), read(&dir, "cold.txt"));
+    let metrics = String::from_utf8(read(&dir, "cold.prom")).expect("metrics utf8");
+    assert!(metrics.contains("txstat_archive_memo_write_failures_total 1"), "{metrics}");
+    assert!(metrics.contains("txstat_archive_memo_rejected_total{reason=\"io\"} 1"), "{metrics}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -202,6 +202,11 @@ impl TezosChain {
         &self.blocks
     }
 
+    /// Give up the chain for its blocks (moved, not copied).
+    pub fn into_blocks(self) -> Vec<TezosBlock> {
+        self.blocks
+    }
+
     pub fn head_level(&self) -> u64 {
         self.config.start_level + self.blocks.len().saturating_sub(1) as u64
     }

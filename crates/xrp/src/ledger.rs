@@ -198,6 +198,11 @@ impl XrpLedger {
         &self.closed
     }
 
+    /// Give up the ledger for its closed ledgers (moved, not copied).
+    pub fn into_closed_ledgers(self) -> Vec<LedgerBlock> {
+        self.closed
+    }
+
     pub fn head_index(&self) -> u64 {
         self.config.start_index + self.closed.len().saturating_sub(1) as u64
     }

@@ -13,6 +13,8 @@
 //!    `ShardContext::frames` counts exactly one hit or miss per covering
 //!    segment per assignment, even under concurrent assignments.
 
+mod support;
+
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -205,11 +207,11 @@ fn v2_truncation_at_every_offset_is_typed() {
         txstat::xrp::block_cols::encode_blocks(&data.xrp_blocks[..n]),
     ];
     for (chain, bytes) in ["eos", "tezos", "xrp"].iter().zip(&blobs) {
-        for cut in 0..bytes.len() {
+        for (cut, prefix) in support::truncations(bytes).enumerate() {
             let err = match *chain {
-                "eos" => txstat::eos::block_cols::decode_blocks(&bytes[..cut]).err(),
-                "tezos" => txstat::tezos::block_cols::decode_blocks(&bytes[..cut]).err(),
-                _ => txstat::xrp::block_cols::decode_blocks(&bytes[..cut]).err(),
+                "eos" => txstat::eos::block_cols::decode_blocks(prefix).err(),
+                "tezos" => txstat::tezos::block_cols::decode_blocks(prefix).err(),
+                _ => txstat::xrp::block_cols::decode_blocks(prefix).err(),
             };
             let err = err
                 .unwrap_or_else(|| panic!("{chain} columns truncated at {cut} decoded cleanly"));

@@ -255,9 +255,9 @@ proptest! {
                 meta: meta.clone(),
             };
             let frames = vec![
-                worker.eos_frame(&eos, window()),
-                worker.tezos_frame(&tezos, window(), &periods),
-                worker.xrp_frame(&xrp, window(), &ora),
+                worker.eos_frame(&[&eos], window()),
+                worker.tezos_frame(&[&tezos], window(), &periods),
+                worker.xrp_frame(&[&xrp], window(), &ora),
             ];
             bytes.extend_from_slice(&encode_all(&frames));
         }
@@ -338,7 +338,7 @@ proptest! {
     ) {
         let eos = eos_blocks(&spec);
         let worker = ShardWorker::new(0, spec.len() as u64, serde_json::Value::Null);
-        let frame = worker.eos_frame(&eos, window());
+        let frame = worker.eos_frame(&[&eos], window());
         let bytes = frame.encode();
 
         // Truncation at any interior point.
@@ -396,9 +396,9 @@ proptest! {
         let ora = oracle();
         let worker = ShardWorker::new(0, spec.len() as u64, serde_json::Value::Null);
         let frames = [
-            worker.eos_frame(&eos_blocks(&spec), window()),
-            worker.tezos_frame(&tezos_blocks(&spec), window(), &periods),
-            worker.xrp_frame(&xrp_blocks(&spec), window(), &ora),
+            worker.eos_frame(&[&eos_blocks(&spec)], window()),
+            worker.tezos_frame(&[&tezos_blocks(&spec)], window(), &periods),
+            worker.xrp_frame(&[&xrp_blocks(&spec)], window(), &ora),
         ];
         for frame in &frames {
             let payload = &frame.payload;
@@ -437,22 +437,22 @@ fn session_rejects_foreign_and_overlapping_frames() {
     let worker = |s: u64, e: u64| ShardWorker::new(s, e, json!({"scenario": "a"}));
 
     let mut session = ReduceSession::new();
-    session.submit(&worker(0, 3).eos_frame(&eos, window())).expect("first half");
-    let err = session.submit(&worker(2, 6).eos_frame(&eos, window()));
+    session.submit(&worker(0, 3).eos_frame(&[&eos], window())).expect("first half");
+    let err = session.submit(&worker(2, 6).eos_frame(&[&eos], window()));
     assert!(matches!(err, Err(ReduceError::Overlap { .. })), "{err:?}");
 
-    let mut alien = worker(3, 6).eos_frame(&eos, window());
+    let mut alien = worker(3, 6).eos_frame(&[&eos], window());
     alien.header.meta = json!({"scenario": "b"});
     let err = session.submit(&alien);
     assert!(matches!(err, Err(ReduceError::MetaMismatch { .. })), "{err:?}");
 
-    let mut future = worker(3, 6).eos_frame(&eos, window());
+    let mut future = worker(3, 6).eos_frame(&[&eos], window());
     future.header.schema_version = 42;
     let err = session.submit(&future);
     assert!(matches!(err, Err(ReduceError::Version { found: 42, .. })), "{err:?}");
 
     // Leaving the gap unfilled is a finalize-time error naming the hole.
-    session.submit(&worker(4, 6).eos_frame(&eos, window())).expect("tail");
+    session.submit(&worker(4, 6).eos_frame(&[&eos], window())).expect("tail");
     assert_eq!(session.gaps("eos"), vec![(3, 4)]);
     let err = session.finalize().map(|_| ());
     assert!(

@@ -187,16 +187,24 @@ fn archive_writes_are_deterministic() {
     // 512eccd, the last one that could cross-check them against a re-sealed
     // v1 corpus): any drift in the block column codecs, LZSS, the sidecar or
     // the index layout changes one of these integers.
-    let dir = tempdir("pin", 42);
-    write_archive(&dir, &generate(&Scenario::small(42)), "small", 256, SegmentFormat)
-        .expect("write pinned corpus");
-    let pin = |name: &str| {
-        let bytes = std::fs::read(dir.join(name)).expect("read pinned file");
-        (bytes.len(), txstat::types::ids::fnv1a64(&bytes))
-    };
-    assert_eq!(pin(SEG_FILE), (423722, 0x6991e7aab2c2e3e3), "archive.seg, small seed 42");
-    assert_eq!(pin(IDX_FILE), (15129, 0x206b57a76680210d), "archive.idx, small seed 42");
-    let _ = std::fs::remove_dir_all(&dir);
+    // Seeds 1 and 7 were added at commit ce575e6, before the generator was
+    // optimised.
+    for (seed, seg, idx) in [
+        (42, (423722, 0x6991e7aab2c2e3e3), (15129, 0x206b57a76680210d)),
+        (1, (424669, 0x6023a73e6f9ff05e), (15211, 0x8ffa45ce369511c5)),
+        (7, (425879, 0x1db65738c1a56ece), (15152, 0xa23592116d98cd80)),
+    ] {
+        let dir = tempdir("pin", seed);
+        write_archive(&dir, &generate(&Scenario::small(seed)), "small", 256, SegmentFormat)
+            .expect("write pinned corpus");
+        let pin = |name: &str| {
+            let bytes = std::fs::read(dir.join(name)).expect("read pinned file");
+            (bytes.len(), txstat::types::ids::fnv1a64(&bytes))
+        };
+        assert_eq!(pin(SEG_FILE), seg, "archive.seg, small seed {seed}");
+        assert_eq!(pin(IDX_FILE), idx, "archive.idx, small seed {seed}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Write an `archive.idx` by hand: the layout `Archive::open` reads, at

@@ -3,8 +3,8 @@
 //! acceptance bands (the same bands every report's comparison tail prints;
 //! root README, "Figure 2 methodology").
 
-use txstat::reports::{comparison, generate};
-use txstat::workload::Scenario;
+use txstat::reports::{comparison, generate, render_report};
+use txstat::workload::{tezos::build_tezos, xrp::build_xrp, Scenario};
 
 /// Full 92-day window at a lighter scale than the paper preset, so the
 /// test runs in debug builds too.
@@ -111,4 +111,29 @@ fn exhibits_render_without_panic_and_mention_key_actors() {
         assert!(text.contains(needle), "rendered exhibits mention {needle:?}");
     }
     assert!(text.len() > 4_000, "substantial output: {} bytes", text.len());
+}
+
+/// Golden pin of the corpus where the order books get long: over the full
+/// 92-day window resting offers accumulate and partially-filled makers
+/// drift, so an ordering slip in the DEX (or any other generator change)
+/// that the 12-day small preset cannot show moves these integers. Recorded
+/// at commit ce575e6, before the generator was optimised.
+#[test]
+fn medium_corpus_bytes_and_chain_audits_are_pinned() {
+    let report = render_report(&generate(&medium()));
+    assert_eq!(
+        (report.len(), txstat::types::ids::fnv1a64(report.as_bytes())),
+        (30348, 0x8ccfc41586a8b662),
+        "report, medium seed 42"
+    );
+    // (offers created, cancelled, touched, fills executed, tezos rejected ops)
+    let audits = |sc: &Scenario| {
+        let (xrp, tezos) = (build_xrp(sc), build_tezos(sc));
+        xrp.check_conservation().expect("XRP conservation");
+        tezos.check_conservation().expect("Tezos conservation");
+        let s = xrp.dex.stats;
+        (s.offers_created, s.offers_cancelled, s.offers_touched, s.fills_executed, tezos.rejected_ops)
+    };
+    assert_eq!(audits(&medium()), (15364, 528, 405, 263, 1), "medium seed 42");
+    assert_eq!(audits(&Scenario::small(42)), (522, 14, 51, 26, 1), "small seed 42");
 }

@@ -84,17 +84,25 @@ impl Name {
         Self::parse(s).unwrap_or_else(|e| panic!("invalid EOS name {s:?}: {e}"))
     }
 
+    /// Longest text form: twelve 5-bit symbols from the top of the value,
+    /// then the 4-bit thirteenth.
+    pub const MAX_LEN: usize = 13;
+
+    /// The canonical (trailing-dot-trimmed) string, rendered into `buf`
+    /// without allocating. `Display`, [`Name::to_string_repr`] and the wire
+    /// writer all go through here.
+    pub fn encode(self, buf: &mut [u8; Self::MAX_LEN]) -> &str {
+        for (i, c) in buf.iter_mut().enumerate() {
+            let sym = if i == 12 { self.0 & 0x0f } else { (self.0 >> (59 - 5 * i)) & 0x1f };
+            *c = CHARMAP[sym as usize];
+        }
+        let len = buf.iter().rposition(|c| *c != b'.').map_or(0, |last| last + 1);
+        std::str::from_utf8(&buf[..len]).expect("charmap is ASCII")
+    }
+
     /// Render back to the canonical (trailing-dot-trimmed) string.
     pub fn to_string_repr(self) -> String {
-        let mut chars = [b'.'; 13];
-        let mut v = self.0;
-        for i in (0..13).rev() {
-            let sym = if i == 12 { v & 0x0f } else { v & 0x1f };
-            chars[i] = CHARMAP[sym as usize];
-            v >>= if i == 12 { 4 } else { 5 };
-        }
-        let s: &str = std::str::from_utf8(&chars).expect("charmap is ASCII");
-        s.trim_end_matches('.').to_owned()
+        self.encode(&mut [0; Self::MAX_LEN]).to_owned()
     }
 
     pub fn is_empty(self) -> bool {
@@ -118,7 +126,7 @@ impl txstat_types::colcodec::ColKey for Name {
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string_repr())
+        f.write_str(self.encode(&mut [0; Self::MAX_LEN]))
     }
 }
 
@@ -212,20 +220,68 @@ mod tests {
         assert_eq!(back, n);
     }
 
+    /// The allocation-based renderer this crate used before `Name::encode`,
+    /// kept as the oracle: symbols peeled from the bottom, `trim_end_matches`.
+    fn reference_string(n: Name) -> String {
+        let mut chars = [b'.'; 13];
+        let mut v = n.0;
+        for i in (0..13).rev() {
+            let sym = if i == 12 { v & 0x0f } else { v & 0x1f };
+            chars[i] = CHARMAP[sym as usize];
+            v >>= if i == 12 { 4 } else { 5 };
+        }
+        let s: &str = std::str::from_utf8(&chars).expect("charmap is ASCII");
+        s.trim_end_matches('.').to_owned()
+    }
+
+    fn check_text(n: Name) {
+        let mut buf = [0u8; Name::MAX_LEN];
+        let text = n.encode(&mut buf).to_owned();
+        assert_eq!(text, reference_string(n), "{n:?}");
+        assert_eq!(text, n.to_string(), "{n:?}");
+        assert_eq!(text, n.to_string_repr(), "{n:?}");
+        assert_eq!(Name::parse(&text), Ok(n), "{text:?}");
+    }
+
+    #[test]
+    fn text_matches_the_reference_at_the_edges() {
+        for raw in [0, 1, 0x0f, 0x10, 1 << 4, 1 << 59, 1 << 63, u64::MAX - 1, u64::MAX] {
+            check_text(Name(raw));
+        }
+        // Empty, 13 characters, inner and trailing dots: only the trailing
+        // run is trimmed.
+        for (s, canon) in [
+            ("", ""),
+            ("a", "a"),
+            ("aaaaaaaaaaaaj", "aaaaaaaaaaaaj"),
+            ("zzzzzzzzzzzzj", "zzzzzzzzzzzzj"),
+            ("aaaaaaaaaaaa.", "aaaaaaaaaaaa"),
+            ("a...........j", "a...........j"),
+            ("a.b..", "a.b"),
+            (".a", ".a"),
+            (".............", ""),
+            ("............1", "............1"),
+        ] {
+            let n = Name::new(s);
+            check_text(n);
+            assert_eq!(n.to_string(), canon);
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_text_matches_the_reference(raw in any::<u64>(), keep in 0u32..=64) {
+            // Low bits cleared so names of every length (trailing dots
+            // trimmed) are drawn, not just 13-character ones.
+            check_text(Name(raw & u64::MAX.checked_shl(64 - keep).unwrap_or(0)));
+        }
+
         #[test]
         fn prop_roundtrip(s in "[a-z1-5.]{1,12}") {
             // Canonical form trims trailing dots; compare trimmed.
             let n = Name::parse(&s).unwrap();
             let canon = s.trim_end_matches('.');
             prop_assert_eq!(n.to_string_repr(), canon);
-        }
-
-        #[test]
-        fn prop_raw_roundtrip_is_stable(s in "[a-z]{1,12}") {
-            let n = Name::parse(&s).unwrap();
-            let n2 = Name::parse(&n.to_string_repr()).unwrap();
-            prop_assert_eq!(n.raw(), n2.raw());
         }
     }
 }

@@ -365,34 +365,40 @@ pub fn block_from_json(json: &BlockJson) -> Result<Block, DecodeError> {
 }
 
 /// Append [`format_asset`] as a string literal.
-fn write_asset(w: &mut JsonWriter<'_>, amount: AssetRaw, symbol: SymCode) {
+fn write_asset(w: &mut JsonWriter<'_>, amount: AssetRaw, symbol: &str) {
     let mag = amount.unsigned_abs();
     w.raw(if amount < 0 { "\"-" } else { "\"" });
     w.uint(mag / 10_000).raw(".").uint_padded(mag % 10_000, 4);
-    w.raw(" ").escaped(symbol.as_str()).raw("\"");
+    w.raw(" ").escaped(symbol).raw("\"");
+}
+
+/// Append a name as a string literal. The base32 alphabet cannot need
+/// escaping, so it goes from [`Name::encode`]'s stack buffer straight into
+/// the output.
+fn name<'w, 'o>(w: &'w mut JsonWriter<'o>, n: Name) -> &'w mut JsonWriter<'o> {
+    w.quoted(n.encode(&mut [0; Name::MAX_LEN]))
 }
 
 /// Append the object [`action_data_to_json`] builds, key for key.
 fn write_action_data(w: &mut JsonWriter<'_>, data: &ActionData) {
-    let eos = SymCode::new("EOS");
     /// `{"k1":name1,"k2":name2` — how all but two shapes open.
     fn names(w: &mut JsonWriter<'_>, k1: &str, n1: &Name, k2: &str, n2: &Name) {
-        w.raw("{\"").raw(k1).raw("\":").display(n1);
-        w.raw(",\"").raw(k2).raw("\":").display(n2);
+        name(w.raw("{\"").raw(k1).raw("\":"), *n1);
+        name(w.raw(",\"").raw(k2).raw("\":"), *n2);
     }
     match data {
         ActionData::Transfer { from, to, symbol, amount } => {
             names(w, "from", from, "to", to);
             w.raw(",\"quantity\":");
-            write_asset(w, *amount, *symbol);
+            write_asset(w, *amount, symbol.as_str());
             w.raw(",\"memo\":\"\"}");
         }
         ActionData::Trade { buyer, seller, base_symbol, base_amount, quote_symbol, quote_amount } => {
             names(w, "buyer", buyer, "seller", seller);
             w.raw(",\"base\":");
-            write_asset(w, *base_amount, *base_symbol);
+            write_asset(w, *base_amount, base_symbol.as_str());
             w.raw(",\"quote\":");
-            write_asset(w, *quote_amount, *quote_symbol);
+            write_asset(w, *quote_amount, quote_symbol.as_str());
             w.raw("}");
         }
         ActionData::NewAccount { creator, name } => {
@@ -402,23 +408,23 @@ fn write_action_data(w: &mut JsonWriter<'_>, data: &ActionData) {
         ActionData::DelegateBw { from, receiver, net, cpu } => {
             names(w, "from", from, "receiver", receiver);
             w.raw(",\"stake_net_quantity\":");
-            write_asset(w, *net, eos);
+            write_asset(w, *net, "EOS");
             w.raw(",\"stake_cpu_quantity\":");
-            write_asset(w, *cpu, eos);
+            write_asset(w, *cpu, "EOS");
             w.raw("}");
         }
         ActionData::UndelegateBw { from, receiver, net, cpu } => {
             names(w, "from", from, "receiver", receiver);
             w.raw(",\"unstake_net_quantity\":");
-            write_asset(w, *net, eos);
+            write_asset(w, *net, "EOS");
             w.raw(",\"unstake_cpu_quantity\":");
-            write_asset(w, *cpu, eos);
+            write_asset(w, *cpu, "EOS");
             w.raw("}");
         }
         ActionData::BuyRam { payer, receiver, quant } => {
             names(w, "payer", payer, "receiver", receiver);
             w.raw(",\"quant\":");
-            write_asset(w, *quant, eos);
+            write_asset(w, *quant, "EOS");
             w.raw("}");
         }
         ActionData::BuyRamBytes { payer, receiver, bytes } => {
@@ -428,17 +434,17 @@ fn write_action_data(w: &mut JsonWriter<'_>, data: &ActionData) {
         ActionData::BidName { bidder, newname, bid } => {
             names(w, "bidder", bidder, "newname", newname);
             w.raw(",\"bid\":");
-            write_asset(w, *bid, eos);
+            write_asset(w, *bid, "EOS");
             w.raw("}");
         }
         ActionData::VoteProducer { voter, producer_count } => {
-            w.raw("{\"voter\":").display(voter);
+            name(w.raw("{\"voter\":"), *voter);
             w.raw(",\"producer_count\":").uint(*producer_count).raw("}");
         }
         ActionData::RentCpu { from, receiver, payment } => {
             names(w, "from", from, "receiver", receiver);
             w.raw(",\"loan_payment\":");
-            write_asset(w, *payment, eos);
+            write_asset(w, *payment, "EOS");
             w.raw("}");
         }
         ActionData::Generic => {
@@ -455,14 +461,15 @@ fn write_action_data(w: &mut JsonWriter<'_>, data: &ActionData) {
 pub fn block_bytes_into(b: &Block, out: &mut Vec<u8>) {
     let w = &mut JsonWriter::new(out);
     w.raw("{\"block_num\":").uint(b.num).raw(",\"timestamp\":").iso(b.time);
-    w.raw(",\"producer\":").display(&b.producer).raw(",\"transactions\":");
+    name(w.raw(",\"producer\":"), b.producer).raw(",\"transactions\":");
     w.array(&b.transactions, |w, tx| {
         w.raw("{\"status\":\"executed\",\"cpu_usage_us\":").uint(tx.cpu_us);
         w.raw(",\"net_usage_words\":").uint(tx.net_bytes / 8);
         w.raw(",\"trx\":{\"id\":\"").hex16(tx.id).raw("\",\"transaction\":{\"actions\":");
         w.array(&tx.actions, |w, a| {
-            w.raw("{\"account\":").display(&a.contract).raw(",\"name\":").display(&a.name);
-            w.raw(",\"authorization\":[{\"actor\":").display(&a.actor);
+            name(w.raw("{\"account\":"), a.contract);
+            name(w.raw(",\"name\":"), a.name);
+            name(w.raw(",\"authorization\":[{\"actor\":"), a.actor);
             w.raw(",\"permission\":\"active\"}],\"data\":");
             write_action_data(w, &a.data);
             w.raw("}");

@@ -9,6 +9,7 @@ use crate::name::Name;
 use crate::types::AssetRaw;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use txstat_types::FxHashMap;
 use txstat_types::amount::SymCode;
 
 /// Identity of a token: the contract it lives on plus its symbol code.
@@ -68,8 +69,10 @@ impl std::error::Error for TokenError {}
 /// The multi-token ledger.
 #[derive(Debug, Clone, Default)]
 pub struct TokenLedger {
-    stats: HashMap<TokenId, TokenStats>,
-    balances: HashMap<(Name, TokenId), AssetRaw>,
+    // Fx-hashed: every transfer probes these four times, and the keys are
+    // the simulation's own names, not outside input.
+    stats: FxHashMap<TokenId, TokenStats>,
+    balances: FxHashMap<(Name, TokenId), AssetRaw>,
 }
 
 impl TokenLedger {

@@ -1,7 +1,10 @@
 //! Span-based stage tracing. `Span::enter("sweep", chain)` marks a stage
 //! on the global tracer; dropping the span records its wall time into a
 //! per-stage histogram, optionally appends an NDJSON event to a sink
-//! (`--trace-out`), and feeds the end-of-run `--timings` summary.
+//! (`--trace-out`), and feeds the end-of-run `--timings` summary. A span
+//! labelled with a chain name also lands in a per-(stage, chain) histogram,
+//! which the summary prints as an indented sub-row: which chain a layer's
+//! time went to is the first question every profile of this pipeline asks.
 //!
 //! Cost model: when the tracer is disabled (the default), entering a span
 //! is a single `Relaxed` atomic load and the drop is free — no clock is
@@ -36,13 +39,20 @@ thread_local! {
     static DEPTH: Cell<u64> = const { Cell::new(0) };
 }
 
+/// The labels that get their own sub-row: a closed set, so the summary
+/// stays bounded whatever else (section names, ranges) labels carry.
+const CHAIN_LABELS: [&str; 3] = ["eos", "tezos", "xrp"];
+
 /// Collects spans into per-stage histograms and an optional NDJSON sink.
 /// One global instance (via [`tracer`]) serves the whole process; tests
 /// can construct private instances.
 pub struct Tracer {
     enabled: AtomicBool,
     origin: Instant,
-    stages: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
+    /// Keyed `(stage, "")` for a whole stage and `(stage, chain)` for its
+    /// spans labelled with one of [`CHAIN_LABELS`]; a stage's own row sorts
+    /// ahead of its chains.
+    stages: RwLock<BTreeMap<(&'static str, &'static str), Arc<Histogram>>>,
     sink: Mutex<Option<Box<dyn Write + Send>>>,
 }
 
@@ -133,16 +143,19 @@ impl Tracer {
         }
     }
 
-    fn stage_histogram(&self, stage: &'static str) -> Arc<Histogram> {
-        if let Some(h) = self.stages.read().unwrap().get(stage) {
+    fn stage_histogram(&self, key: (&'static str, &'static str)) -> Arc<Histogram> {
+        if let Some(h) = self.stages.read().unwrap().get(&key) {
             return h.clone();
         }
         let mut stages = self.stages.write().unwrap();
-        stages.entry(stage).or_insert_with(|| Arc::new(Histogram::new())).clone()
+        stages.entry(key).or_insert_with(|| Arc::new(Histogram::new())).clone()
     }
 
     fn record(&self, stage: &'static str, label: &str, depth: u64, start_us: u64, dur_us: u64) {
-        self.stage_histogram(stage).record_us(dur_us);
+        self.stage_histogram((stage, "")).record_us(dur_us);
+        if let Some(chain) = CHAIN_LABELS.iter().find(|c| **c == label) {
+            self.stage_histogram((stage, chain)).record_us(dur_us);
+        }
         let mut sink = self.sink.lock().unwrap();
         if let Some(w) = sink.as_mut() {
             let event = TraceEvent {
@@ -160,23 +173,34 @@ impl Tracer {
 
     /// Aggregates of every stage seen so far, in stage-name order.
     pub fn summary(&self) -> Vec<StageSummary> {
+        self.rows().into_iter().filter(|(chain, _)| chain.is_empty()).map(|(_, row)| row).collect()
+    }
+
+    /// Every histogram as `(chain, aggregate)`: a stage's own row (chain
+    /// `""`) followed by its per-chain rows.
+    fn rows(&self) -> Vec<(&'static str, StageSummary)> {
         let stages = self.stages.read().unwrap();
         stages
             .iter()
-            .map(|(&stage, h)| StageSummary {
-                stage,
-                count: h.total(),
-                total_us: h.sum(),
-                mean_us: h.mean_us(),
-                p50_us: h.quantile_us(0.5),
-                p99_us: h.quantile_us(0.99),
+            .map(|(&(stage, chain), h)| {
+                let row = StageSummary {
+                    stage,
+                    count: h.total(),
+                    total_us: h.sum(),
+                    mean_us: h.mean_us(),
+                    p50_us: h.quantile_us(0.5),
+                    p99_us: h.quantile_us(0.99),
+                };
+                (chain, row)
             })
             .collect()
     }
 
-    /// Render the `--timings` table (empty string when no spans fired).
+    /// Render the `--timings` table (empty string when no spans fired): one
+    /// row per stage and, indented under it, one per chain its spans were
+    /// labelled with.
     pub fn render_summary(&self) -> String {
-        let rows = self.summary();
+        let rows = self.rows();
         if rows.is_empty() {
             return String::new();
         }
@@ -185,10 +209,11 @@ impl Tracer {
             "{:<20} {:>8} {:>12} {:>10} {:>10} {:>10}\n",
             "stage", "count", "total_ms", "mean_us", "p50_us", "p99_us"
         ));
-        for r in rows {
+        for (chain, r) in rows {
+            let name = if chain.is_empty() { r.stage.to_string() } else { format!("  {chain}") };
             out.push_str(&format!(
                 "{:<20} {:>8} {:>12.3} {:>10.1} {:>10} {:>10}\n",
-                r.stage,
+                name,
                 r.count,
                 r.total_us as f64 / 1_000.0,
                 r.mean_us,
@@ -280,6 +305,37 @@ mod tests {
         assert!(table.contains("reduce_submit"), "{table}");
         // Outer span wholly contains the inner ones.
         assert!(rows[1].total_us >= rows[0].total_us / 2);
+    }
+
+    #[test]
+    fn chain_labelled_spans_get_indented_sub_rows() {
+        let t = Tracer::new();
+        t.enable();
+        for label in ["tezos", "eos", "tezos", "headline"] {
+            let _s = t.span("generate", label);
+        }
+        {
+            let _s = t.span("render", "figure 2");
+        }
+        // The stage rows are what they were: one per stage, every span in.
+        let rows = t.summary();
+        assert_eq!(
+            rows.iter().map(|r| (r.stage, r.count)).collect::<Vec<_>>(),
+            vec![("generate", 4), ("render", 1)]
+        );
+        // generate, its two chains (eos 1, tezos 2) indented under it, then
+        // render with no sub-row: "figure 2" and "headline" are not chains.
+        let table = t.render_summary();
+        let rows: Vec<(&str, &str)> = table
+            .lines()
+            .skip(1)
+            .map(|l| (&l[..8], l[20..].split_whitespace().next().expect("count column")))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![("generate", "4"), ("  eos   ", "1"), ("  tezos ", "2"), ("render  ", "1")],
+            "{table}"
+        );
     }
 
     #[test]

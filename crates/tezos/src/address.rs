@@ -9,9 +9,8 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
+use txstat_types::base58::BITCOIN;
 use txstat_types::ids::fnv1a64;
-
-const BASE58: &[u8; 58] = b"123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz";
 
 /// Address class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -59,57 +58,16 @@ impl Address {
         p[8..].copy_from_slice(&ck.to_be_bytes());
         p
     }
-}
 
-fn b58_encode(payload: &[u8]) -> String {
-    // Big-integer base conversion; payload is 10 bytes, fits in u128.
-    let mut n: u128 = 0;
-    for &b in payload {
-        n = (n << 8) | b as u128;
-    }
-    let mut digits = Vec::new();
-    loop {
-        digits.push(BASE58[(n % 58) as usize]);
-        n /= 58;
-        if n == 0 {
-            break;
-        }
-    }
-    // Preserve leading zero bytes as '1's (like real base58check).
-    for &b in payload {
-        if b == 0 {
-            digits.push(b'1');
-        } else {
-            break;
-        }
-    }
-    digits.reverse();
-    String::from_utf8(digits).expect("base58 alphabet is ASCII")
-}
+    /// Longest text form: the prefix plus the base58 of ten payload bytes
+    /// (80 bits are at most 14 digits, leading-zero digits included).
+    pub const MAX_LEN: usize = 3 + 14;
 
-fn b58_decode(s: &str) -> Option<Vec<u8>> {
-    let mut n: u128 = 0;
-    let mut leading = 0usize;
-    let mut seen_nonzero = false;
-    for c in s.bytes() {
-        let v = BASE58.iter().position(|&b| b == c)? as u128;
-        if !seen_nonzero {
-            if c == b'1' {
-                leading += 1;
-                continue;
-            }
-            seen_nonzero = true;
-        }
-        n = n.checked_mul(58)?.checked_add(v)?;
+    /// The text form (`tz1…` / `KT1…`), rendered into `buf` without
+    /// allocating. `Display` and the wire writer both go through here.
+    pub fn encode(self, buf: &mut [u8; Self::MAX_LEN]) -> &str {
+        BITCOIN.encode(self.prefix(), &self.payload(), buf)
     }
-    let mut bytes = Vec::new();
-    while n > 0 {
-        bytes.push((n & 0xff) as u8);
-        n >>= 8;
-    }
-    bytes.extend(std::iter::repeat_n(0, leading));
-    bytes.reverse();
-    Some(bytes)
 }
 
 /// Address parse errors.
@@ -157,7 +115,7 @@ impl txstat_types::colcodec::ColKey for Address {
 
 impl fmt::Display for Address {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", self.prefix(), b58_encode(&self.payload()))
+        f.write_str(self.encode(&mut [0; Self::MAX_LEN]))
     }
 }
 
@@ -172,10 +130,7 @@ impl FromStr for Address {
         } else {
             return Err(AddressError::BadPrefix);
         };
-        let bytes = b58_decode(rest).ok_or(AddressError::BadEncoding)?;
-        if bytes.len() != 10 {
-            return Err(AddressError::BadEncoding);
-        }
+        let bytes: [u8; 10] = BITCOIN.decode(rest).ok_or(AddressError::BadEncoding)?;
         let mut idb = [0u8; 8];
         idb.copy_from_slice(&bytes[..8]);
         let id = u64::from_be_bytes(idb);
@@ -184,8 +139,7 @@ impl FromStr for Address {
         if want != got {
             return Err(AddressError::BadChecksum);
         }
-        let addr = Address { kind, id };
-        Ok(addr)
+        Ok(Address { kind, id })
     }
 }
 
@@ -251,12 +205,68 @@ mod tests {
         assert_eq!(back, a);
     }
 
+    /// The allocation-based renderer this crate used before
+    /// `Address::encode`, kept as the oracle: `format!` of the prefix and a
+    /// digit-at-a-time `u128` base conversion of the payload.
+    fn reference_string(a: Address) -> String {
+        const BASE58: &[u8; 58] = b"123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz";
+        let payload = a.payload();
+        let mut n: u128 = 0;
+        for &b in &payload {
+            n = (n << 8) | b as u128;
+        }
+        let mut digits = Vec::new();
+        loop {
+            digits.push(BASE58[(n % 58) as usize]);
+            n /= 58;
+            if n == 0 {
+                break;
+            }
+        }
+        // Preserve leading zero bytes as '1's (like real base58check).
+        for &b in &payload {
+            if b == 0 {
+                digits.push(b'1');
+            } else {
+                break;
+            }
+        }
+        digits.reverse();
+        format!("{}{}", a.prefix(), String::from_utf8(digits).expect("base58 alphabet is ASCII"))
+    }
+
+    fn check_text(a: Address) {
+        let mut buf = [0u8; Address::MAX_LEN];
+        let text = a.encode(&mut buf).to_owned();
+        assert_eq!(text, reference_string(a), "{a:?}");
+        assert_eq!(text, a.to_string(), "{a:?}");
+        assert_eq!(text.parse::<Address>(), Ok(a), "{text}");
+    }
+
+    #[test]
+    fn text_matches_the_reference_at_the_edges() {
+        // 58¹⁰ splits the payload (id · 2¹⁶ + checksum) into its two digit
+        // runs; ids around 58¹⁰ / 2¹⁶ straddle it.
+        let split = 58u64.pow(10) >> 16;
+        let mut ids = vec![0, 1, 57, 58, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        for around in [1 << 8, 1 << 16, 1 << 24, 1 << 32, 1 << 40, 1 << 48, 1 << 56, split] {
+            ids.extend([around - 1, around, around + 1]);
+        }
+        for id in ids {
+            check_text(Address::implicit(id));
+            check_text(Address::originated(id));
+        }
+        // Leading zero payload bytes render as leading '1's.
+        assert!(Address::implicit(5).to_string().starts_with("tz11111111"));
+        assert_eq!(Address::implicit(u64::MAX).to_string().len(), Address::MAX_LEN);
+    }
+
     proptest! {
         #[test]
-        fn prop_roundtrip(id in any::<u64>(), originated in any::<bool>()) {
-            let a = if originated { Address::originated(id) } else { Address::implicit(id) };
-            let s = a.to_string();
-            prop_assert_eq!(s.parse::<Address>().unwrap(), a);
+        fn prop_text_matches_the_reference(id in any::<u64>(), shift in 0u32..64, originated in any::<bool>()) {
+            // Shifted down so every count of leading zero bytes is drawn.
+            let id = id >> shift;
+            check_text(if originated { Address::originated(id) } else { Address::implicit(id) });
         }
     }
 }

@@ -7,11 +7,22 @@
 //! operation can cover several slots), a block carries ~20–30 endorsement
 //! operations regardless of how many payment transactions exist. With only
 //! ~4.5 transactions per block in late 2019, endorsements dominate.
+//!
+//! Baking and endorsing rights are drawn per level from a roll-weighted
+//! distribution over the registered bakers. Every block draws 1 + 32 times
+//! from it, so the chain keeps it as state (`Rights`) instead of rebuilding
+//! it per draw. Invariant: `rights` describes exactly `bakers` at roll size
+//! `rights.roll_size_mutez`. `register_baker` — the only writer of `bakers`
+//! — rebuilds it; `config` is a public field, so an edited
+//! `config.roll_size_mutez` is caught by comparing it with the cached key:
+//! `produce_block` rebuilds before it draws, the `&self` queries draw from
+//! a fresh table for that call.
 
 use crate::address::{AddrKind, Address};
 use crate::governance::{GovError, GovernanceConfig, GovernanceState};
 use crate::ops::{OpPayload, Operation};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use txstat_types::distrib::WeightedIndex;
 use txstat_types::rng::rng_for_n;
@@ -115,10 +126,44 @@ impl std::fmt::Display for TezosError {
 
 impl std::error::Error for TezosError {}
 
+/// The roll-weighted rights distribution of one baker set at one roll size.
+#[derive(Debug, Clone)]
+struct Rights {
+    /// The roll size the weights were computed at (the cache key).
+    roll_size_mutez: u64,
+    /// Roll-weighted draw over baker indices; `None` while no baker holds
+    /// a roll (drawing then is a caller bug, as it always was).
+    dist: Option<WeightedIndex>,
+    /// Baker indices in address order, the order endorsements are emitted in.
+    by_address: Vec<usize>,
+    total_rolls: u64,
+}
+
+impl Rights {
+    fn new(bakers: &[Baker], roll_size_mutez: u64) -> Self {
+        let rolls: Vec<u64> = bakers.iter().map(|b| b.staked_mutez / roll_size_mutez).collect();
+        let weights: Vec<f64> = rolls.iter().map(|r| *r as f64).collect();
+        let mut by_address: Vec<usize> = (0..bakers.len()).collect();
+        by_address.sort_by_key(|i| bakers[*i].address);
+        let total_rolls = rolls.iter().sum();
+        Rights {
+            roll_size_mutez,
+            dist: (total_rolls > 0).then(|| WeightedIndex::new(&weights)),
+            by_address,
+            total_rolls,
+        }
+    }
+
+    fn dist(&self) -> &WeightedIndex {
+        self.dist.as_ref().expect("no baker holds a roll to draw rights with")
+    }
+}
+
 /// The simulated Tezos chain.
 pub struct TezosChain {
     pub config: TezosConfig,
     bakers: Vec<Baker>,
+    rights: Rights,
     baker_index: HashMap<Address, usize>,
     balances: HashMap<Address, u64>,
     delegates: HashMap<Address, Address>,
@@ -136,6 +181,7 @@ impl TezosChain {
     pub fn new(config: TezosConfig) -> Self {
         let governance = GovernanceState::new(config.governance.clone());
         TezosChain {
+            rights: Rights::new(&[], config.roll_size_mutez),
             config,
             bakers: Vec::new(),
             baker_index: HashMap::new(),
@@ -168,6 +214,7 @@ impl TezosChain {
         }
         self.baker_index.insert(address, self.bakers.len());
         self.bakers.push(Baker { address, staked_mutez });
+        self.rights = Rights::new(&self.bakers, self.config.roll_size_mutez);
         Ok(())
     }
 
@@ -187,7 +234,7 @@ impl TezosChain {
     }
 
     pub fn total_rolls(&self) -> u64 {
-        self.bakers.iter().map(|b| b.staked_mutez / self.config.roll_size_mutez).sum()
+        self.rights().total_rolls
     }
 
     pub fn balance(&self, address: Address) -> u64 {
@@ -222,38 +269,42 @@ impl TezosChain {
 
     // ---- baking rights ----------------------------------------------------
 
-    fn roll_weights(&self) -> Vec<f64> {
-        self.bakers
-            .iter()
-            .map(|b| (b.staked_mutez / self.config.roll_size_mutez) as f64)
-            .collect()
+    /// The rights table for the current bakers and roll size: the cached
+    /// one, unless `config.roll_size_mutez` was edited since it was built.
+    fn rights(&self) -> Cow<'_, Rights> {
+        if self.rights.roll_size_mutez == self.config.roll_size_mutez {
+            Cow::Borrowed(&self.rights)
+        } else {
+            Cow::Owned(Rights::new(&self.bakers, self.config.roll_size_mutez))
+        }
     }
 
     /// Deterministic priority-0 baker for a level (roll-weighted draw).
     pub fn baker_for_level(&self, level: u64) -> Address {
-        assert!(!self.bakers.is_empty(), "no bakers registered");
-        let weights = self.roll_weights();
-        let idx = WeightedIndex::new(&weights)
+        let idx = self
+            .rights()
+            .dist()
             .sample(&mut rng_for_n(self.config.seed, "tezos/bake", level));
         self.bakers[idx].address
     }
 
     /// Deterministic endorser assignment for a level: all `endorsement_slots`
-    /// slots drawn roll-weighted, grouped per baker → (baker, slot count).
+    /// slots drawn roll-weighted, grouped per baker → (baker, slot count),
+    /// in address order.
     pub fn endorsers_for_level(&self, level: u64) -> Vec<(Address, u32)> {
-        assert!(!self.bakers.is_empty(), "no bakers registered");
-        let weights = self.roll_weights();
-        let dist = WeightedIndex::new(&weights);
+        let rights = self.rights();
+        let dist = rights.dist();
         let mut rng = rng_for_n(self.config.seed, "tezos/endorse", level);
-        let mut slots_per: HashMap<usize, u32> = HashMap::new();
+        let mut slots_of = vec![0u32; self.bakers.len()];
         for _ in 0..self.config.endorsement_slots {
-            *slots_per.entry(dist.sample(&mut rng)).or_insert(0) += 1;
+            slots_of[dist.sample(&mut rng)] += 1;
         }
-        let mut out: Vec<(Address, u32)> = slots_per
-            .into_iter()
-            .map(|(i, n)| (self.bakers[i].address, n))
-            .collect();
-        out.sort_by_key(|(a, _)| *a);
+        let mut out = Vec::with_capacity(self.bakers.len().min(self.config.endorsement_slots as usize));
+        for &i in &rights.by_address {
+            if slots_of[i] > 0 {
+                out.push((self.bakers[i].address, slots_of[i]));
+            }
+        }
         out
     }
 
@@ -341,40 +392,41 @@ impl TezosChain {
     /// Produce the next block: the chain injects the consensus layer
     /// (endorsements of the previous block covering all 32 slots), validates
     /// the submitted operations, advances governance, and appends the block.
-    pub fn produce_block(&mut self, submitted: Vec<Operation>) -> &TezosBlock {
+    pub fn produce_block(&mut self, mut submitted: Vec<Operation>) -> &TezosBlock {
+        if self.rights.roll_size_mutez != self.config.roll_size_mutez {
+            self.rights = Rights::new(&self.bakers, self.config.roll_size_mutez);
+        }
         let level = self.config.start_level + self.blocks.len() as u64;
         let time = self.next_block_time();
         let baker = self.baker_for_level(level);
 
-        let mut operations: Vec<Operation> = Vec::new();
         // Validation pass 0: endorsements of the previous block.
-        if !self.blocks.is_empty() {
-            let prev = level - 1;
-            for (endorser, slots) in self.endorsers_for_level(prev) {
-                operations.push(Operation::new(
-                    endorser,
-                    OpPayload::Endorsement { level: prev, slots: slots as u8 },
-                ));
-            }
+        let endorsers =
+            if self.blocks.is_empty() { Vec::new() } else { self.endorsers_for_level(level - 1) };
+        let mut operations: Vec<Operation> = Vec::with_capacity(endorsers.len() + submitted.len());
+        for (endorser, slots) in endorsers {
+            operations.push(Operation::new(
+                endorser,
+                OpPayload::Endorsement { level: level - 1, slots: slots as u8 },
+            ));
         }
-        // Remaining passes, in order.
-        let mut by_pass: [Vec<Operation>; 4] = [vec![], vec![], vec![], vec![]];
+        // Remaining passes, in order (the sort is stable: submission order
+        // holds within a pass).
+        submitted.sort_by_key(|op| op.kind().validation_pass());
         for op in submitted {
-            by_pass[op.kind().validation_pass()].push(op);
-        }
-        for pass in [1usize, 2, 3] {
-            for op in std::mem::take(&mut by_pass[pass]) {
-                match self.apply_op(&op) {
-                    Ok(()) => operations.push(op),
-                    Err(_) => self.rejected_ops += 1,
-                }
+            if op.kind().validation_pass() == 0 {
+                // Endorsements submitted externally are ignored (pass 0 is
+                // synthesized).
+                self.rejected_ops += 1;
+                continue;
+            }
+            match self.apply_op(&op) {
+                Ok(()) => operations.push(op),
+                Err(_) => self.rejected_ops += 1,
             }
         }
-        // Endorsements submitted externally are ignored (pass 0 is synthesized).
-        self.rejected_ops += by_pass[0].len() as u64;
 
-        let total_rolls = self.total_rolls();
-        self.governance.advance_block(total_rolls);
+        self.governance.advance_block(self.rights.total_rolls);
 
         self.blocks.push(TezosBlock { level, time, baker, operations });
         self.blocks.last().expect("just pushed")
@@ -453,6 +505,114 @@ mod tests {
         let lightest = counts.get(&Address::implicit(0)).copied().unwrap_or(0);
         let heaviest = counts.get(&Address::implicit(9)).copied().unwrap_or(0);
         assert!(heaviest > lightest * 2, "heaviest={heaviest} lightest={lightest}");
+    }
+
+    /// The from-scratch rights draw the chain made per call before it kept
+    /// `Rights`: fresh roll weights and `WeightedIndex`, slots grouped
+    /// through a map, sorted by address.
+    fn reference_rights(c: &TezosChain, level: u64) -> (Address, Vec<(Address, u32)>) {
+        let weights: Vec<f64> = c
+            .bakers
+            .iter()
+            .map(|b| (b.staked_mutez / c.config.roll_size_mutez) as f64)
+            .collect();
+        let dist = WeightedIndex::new(&weights);
+        let baker = dist.sample(&mut rng_for_n(c.config.seed, "tezos/bake", level));
+        let mut rng = rng_for_n(c.config.seed, "tezos/endorse", level);
+        let mut slots_per: HashMap<usize, u32> = HashMap::new();
+        for _ in 0..c.config.endorsement_slots {
+            *slots_per.entry(dist.sample(&mut rng)).or_insert(0) += 1;
+        }
+        let mut endorsers: Vec<(Address, u32)> =
+            slots_per.into_iter().map(|(i, n)| (c.bakers[i].address, n)).collect();
+        endorsers.sort_by_key(|(a, _)| *a);
+        (c.bakers[baker].address, endorsers)
+    }
+
+    fn assert_rights_match_reference(c: &TezosChain, levels: &[u64]) {
+        for &level in levels {
+            let (baker, endorsers) = reference_rights(c, level);
+            assert_eq!(c.baker_for_level(level), baker, "baker of level {level}");
+            assert_eq!(c.endorsers_for_level(level), endorsers, "endorsers of level {level}");
+        }
+        let rolls: u64 = c.bakers.iter().map(|b| b.staked_mutez / c.config.roll_size_mutez).sum();
+        assert_eq!(c.total_rolls(), rolls);
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The cached rights equal a from-scratch draw for any baker set,
+            /// and cannot go stale: not when a baker registers after blocks
+            /// were produced, not when `config.roll_size_mutez` is edited.
+            #[test]
+            fn rights_equal_the_from_scratch_reference(
+                // Out-of-order ids, so address order differs from
+                // registration order.
+                stakes in proptest::collection::vec(10_000u64..3_000_000, 1..40),
+                late_stake in 10_000u64..3_000_000,
+                roll_size_tez in 1u64..10_000,
+                levels in proptest::collection::vec(any::<u64>(), 1..6),
+                slots in 1u32..80,
+            ) {
+                let cfg = TezosConfig { endorsement_slots: slots, ..TezosConfig::default() };
+                let mut c = TezosChain::new(cfg);
+                for (i, stake) in stakes.iter().enumerate() {
+                    let id = (i as u64 * 7_919) % 101 + 1_000 * (i as u64 % 3);
+                    c.register_baker(Address::implicit(id), stake * MUTEZ_PER_TEZ).unwrap();
+                }
+                assert_rights_match_reference(&c, &levels);
+
+                for _ in 0..3 {
+                    c.produce_block(vec![]);
+                }
+                c.register_baker(Address::implicit(999_999), late_stake * MUTEZ_PER_TEZ).unwrap();
+                assert_rights_match_reference(&c, &levels);
+
+                // Edited behind the chain's back: the `&self` queries must
+                // already answer for the new roll size …
+                c.config.roll_size_mutez = roll_size_tez * MUTEZ_PER_TEZ;
+                assert_rights_match_reference(&c, &levels);
+                // … and so must the blocks produced from here on.
+                let level = c.head_level() + 1;
+                let (baker, _) = reference_rights(&c, level);
+                let (_, endorsers) = reference_rights(&c, level - 1);
+                let block = c.produce_block(vec![]).clone();
+                prop_assert_eq!(block.baker, baker);
+                let endorsed: Vec<(Address, u32)> = block
+                    .operations
+                    .iter()
+                    .map(|op| match op.payload {
+                        OpPayload::Endorsement { slots, .. } => (op.source, slots as u32),
+                        _ => unreachable!("no operation was submitted"),
+                    })
+                    .collect();
+                prop_assert_eq!(endorsed, endorsers);
+                assert_rights_match_reference(&c, &levels);
+            }
+        }
+    }
+
+    #[test]
+    fn submitted_operations_are_applied_in_pass_order() {
+        let mut c = chain_with_bakers(3);
+        let (a, b) = (Address::implicit(0), Address::implicit(400));
+        let tx = |amount| Operation::new(a, OpPayload::Transaction { destination: b, amount_mutez: amount });
+        let submitted = vec![
+            tx(1),
+            Operation::new(a, OpPayload::Endorsement { level: 1, slots: 1 }),
+            Operation::new(Address::implicit(500), OpPayload::Activation { secret_hash: 9 }),
+            tx(2),
+            Operation::new(Address::implicit(1), OpPayload::RevealNonce { level: 1 }),
+        ];
+        let block = c.produce_block(submitted.clone());
+        // Anonymous (pass 2) before managers (pass 3), submission order kept
+        // within a pass, the external endorsement dropped.
+        let order = [2usize, 4, 0, 3].map(|i| submitted[i].clone());
+        assert_eq!(block.operations, order);
+        assert_eq!(c.rejected_ops, 1);
     }
 
     #[test]

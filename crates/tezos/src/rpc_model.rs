@@ -229,22 +229,28 @@ pub fn block_from_json(json: &BlockJson) -> Result<TezosBlock, DecodeError> {
     Ok(TezosBlock { level: json.header.level, time, baker, operations })
 }
 
+/// Append an address as a string literal. Base58 text cannot need
+/// escaping, so it goes from [`Address::encode`]'s stack buffer straight
+/// into the output.
+fn addr<'w, 'o>(w: &'w mut JsonWriter<'o>, a: &Address) -> &'w mut JsonWriter<'o> {
+    w.quoted(a.encode(&mut [0; Address::MAX_LEN]))
+}
+
 /// Append one operation in [`OpJson`]'s field order, absent fields skipped.
 fn write_op(w: &mut JsonWriter<'_>, op: &Operation) {
-    w.raw("{\"kind\":").str(op.kind().wire_kind());
-    w.raw(",\"source\":").display(&op.source);
+    w.raw("{\"kind\":").quoted(op.kind().wire_kind());
+    addr(w.raw(",\"source\":"), &op.source);
     match &op.payload {
         OpPayload::Endorsement { level, slots } => {
             w.raw(",\"level\":").uint(*level).raw(",\"slots\":").uint(*slots);
         }
         OpPayload::Transaction { destination: to, amount_mutez: amount }
         | OpPayload::Origination { contract: to, balance_mutez: amount } => {
-            w.raw(",\"destination\":").display(to);
-            w.raw(",\"amount\":\"").uint(*amount).raw("\"");
+            addr(w.raw(",\"destination\":"), to).raw(",\"amount\":\"").uint(*amount).raw("\"");
         }
         OpPayload::Delegation { delegate } => {
             if let Some(d) = delegate {
-                w.raw(",\"delegate\":").display(d);
+                addr(w.raw(",\"delegate\":"), d);
             }
         }
         OpPayload::Reveal => {}
@@ -255,7 +261,7 @@ fn write_op(w: &mut JsonWriter<'_>, op: &Operation) {
             w.raw(",\"level\":").uint(*level);
         }
         OpPayload::Ballot { proposal, vote } => {
-            w.raw(",\"proposal\":").str(proposal).raw(",\"ballot\":").str(vote.wire());
+            w.raw(",\"proposal\":").str(proposal).raw(",\"ballot\":").quoted(vote.wire());
         }
         OpPayload::Proposals { proposals } => {
             w.raw(",\"proposals\":").array(proposals, |w, p| {
@@ -263,7 +269,7 @@ fn write_op(w: &mut JsonWriter<'_>, op: &Operation) {
             });
         }
         OpPayload::DoubleBakingEvidence { offender, level } => {
-            w.raw(",\"destination\":").display(offender).raw(",\"level\":").uint(*level);
+            addr(w.raw(",\"destination\":"), offender).raw(",\"level\":").uint(*level);
         }
     }
     w.raw("}");
@@ -275,9 +281,9 @@ fn write_op(w: &mut JsonWriter<'_>, op: &Operation) {
 /// Figure 2 storage sweep all share this definition.
 pub fn block_bytes_into(b: &TezosBlock, out: &mut Vec<u8>) {
     let w = &mut JsonWriter::new(out);
-    w.raw("{\"protocol\":").str(PROTOCOL).raw(",\"chain_id\":").str(CHAIN_ID);
+    w.raw("{\"protocol\":").quoted(PROTOCOL).raw(",\"chain_id\":").quoted(CHAIN_ID);
     w.raw(",\"header\":{\"level\":").uint(b.level);
-    w.raw(",\"timestamp\":").iso(b.time).raw(",\"baker\":").display(&b.baker);
+    addr(w.raw(",\"timestamp\":").iso(b.time).raw(",\"baker\":"), &b.baker);
     w.raw("},\"operations\":").array(0..4, |w, pass| {
         let in_pass = b.operations.iter().filter(|op| op.kind().validation_pass() == pass);
         w.array(in_pass, write_op);

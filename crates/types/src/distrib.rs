@@ -61,6 +61,17 @@ pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     (mu + sigma * standard_normal(rng)).exp()
 }
 
+/// Inverse-CDF lookup shared by [`Zipf`] and [`WeightedIndex`]: the first
+/// entry of the non-decreasing `cdf` that is not below `u`, clamped to the
+/// last. A branch-free `partition_point` — every Tezos block draws 33 times
+/// and every generated transaction draws an account — that agrees with a
+/// three-way binary search wherever that search is well defined (it may land
+/// on any of several *equal* entries, i.e. on a zero-weight one; this never
+/// does).
+fn pick(cdf: &[f64], u: f64) -> usize {
+    cdf.partition_point(|c| *c < u).min(cdf.len() - 1)
+}
+
 /// A Zipf sampler over ranks `1..=n` with exponent `s`, using precomputed
 /// cumulative weights (exact inverse-CDF; n is at most a few hundred
 /// thousand in our scenarios).
@@ -95,11 +106,7 @@ impl Zipf {
 
     /// Sample a 0-based rank (0 is the most popular).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|c| c.partial_cmp(&u).expect("cdf has no NaN")) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
+        pick(&self.cdf, rng.gen())
     }
 }
 
@@ -127,11 +134,7 @@ impl WeightedIndex {
     }
 
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|c| c.partial_cmp(&u).expect("cdf has no NaN")) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
+        pick(&self.cdf, rng.gen())
     }
 }
 
@@ -196,6 +199,36 @@ mod tests {
         assert_eq!(counts[0], 0, "zero-weight bucket never sampled");
         let ratio = counts[2] as f64 / counts[1] as f64;
         assert!((ratio - 3.0).abs() < 0.3, "ratio={ratio}");
+    }
+
+    /// The three-way binary search `pick` replaced, as the oracle.
+    fn reference_pick(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("cdf has no NaN")) {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+
+    #[test]
+    fn pick_equals_the_three_way_binary_search() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let zipf = Zipf::new(2_000, 0.9);
+        let weighted = WeightedIndex::new(&[3.0, 1.0, 0.5, 7.0, 2.0, 2.0, 11.0]);
+        for cdf in [&zipf.cdf, &weighted.cdf] {
+            // Strictly increasing, so an exact hit is well defined too.
+            assert!(cdf.windows(2).all(|w| w[0] < w[1]));
+            let exact = cdf.iter().flat_map(|c| [*c, c.next_down(), c.next_up()]);
+            let edges = [0.0, f64::MIN_POSITIVE, 0.5, 1.0 - f64::EPSILON];
+            let draws: Vec<f64> = (0..20_000).map(|_| rng.gen()).collect();
+            for u in exact.chain(edges).chain(draws) {
+                assert_eq!(pick(cdf, u), reference_pick(cdf, u), "u = {u:e}");
+            }
+        }
+        // A zero-weight entry repeats its predecessor's value; drawing that
+        // value exactly lands on the entry that owns it.
+        let gap = WeightedIndex::new(&[1.0, 0.0, 0.0, 1.0]);
+        assert_eq!(pick(&gap.cdf, 0.5), 0);
+        assert_eq!(pick(&gap.cdf, 0.5f64.next_up()), 3);
     }
 
     #[test]

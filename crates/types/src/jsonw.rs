@@ -12,7 +12,6 @@
 //! formatting.
 
 use crate::time::ChainTime;
-use std::fmt::{self, Write as _};
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
@@ -55,17 +54,6 @@ fn escape_into(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&bytes[clean_from..]);
 }
 
-/// `fmt::Write` into a buffer through [`escape_into`], so a `Display` value
-/// becomes a JSON string body without an intermediate `String`.
-struct Escaper<'a>(&'a mut Vec<u8>);
-
-impl fmt::Write for Escaper<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        escape_into(self.0, s);
-        Ok(())
-    }
-}
-
 impl<'a> JsonWriter<'a> {
     pub fn new(out: &'a mut Vec<u8>) -> Self {
         JsonWriter { out }
@@ -92,10 +80,11 @@ impl<'a> JsonWriter<'a> {
         self
     }
 
-    /// A complete string literal of `v`'s `Display` form.
-    pub fn display(&mut self, v: &impl fmt::Display) -> &mut Self {
+    /// A complete string literal of text known to need no escaping: the
+    /// chains' static wire names and their base58 / base32 identities.
+    pub fn quoted(&mut self, text: &str) -> &mut Self {
         self.out.push(b'"');
-        write!(Escaper(self.out), "{v}").expect("writing to a Vec cannot fail");
+        self.out.extend_from_slice(text.as_bytes());
         self.out.push(b'"');
         self
     }
@@ -276,13 +265,17 @@ mod tests {
     }
 
     #[test]
-    fn display_is_quoted_and_escaped() {
-        assert_eq!(
-            written(|w| {
-                w.display(&format_args!("a\"{}\n", 7));
-            }),
-            r#""a\"7\n""#
-        );
+    fn quoted_is_str_for_text_without_escapes() {
+        for text in ["", "tz1burnburnburn", "eosio.token", "tesSUCCESS"] {
+            assert_eq!(
+                written(|w| {
+                    w.quoted(text);
+                }),
+                written(|w| {
+                    w.str(text);
+                })
+            );
+        }
     }
 
     proptest! {

@@ -10,6 +10,8 @@
 //!   observation periods and the paper's 6-hour bucketing.
 //! - [`amount`] — `i128` fixed-point quantities and inline symbol codes.
 //! - [`ids`] — chain identifiers and stable FNV-1a hashing.
+//! - [`base58`] — the alphabet-parameterised base58 behind Tezos and XRP
+//!   address text, rendered into stack buffers.
 //! - [`colcodec`] — the binary column codec (canonical LE varints,
 //!   length-prefixed columns, typed offset errors) behind wire payload
 //!   schema v2.
@@ -27,6 +29,7 @@
 //! - [`rng`] — deterministic seed derivation so every run is reproducible.
 
 pub mod amount;
+pub mod base58;
 pub mod colcodec;
 pub mod distrib;
 pub mod ids;

@@ -239,7 +239,7 @@ pub fn build_tezos(sc: &Scenario) -> TezosChain {
     } else {
         Vec::new()
     };
-    let mut sched_idx = 0usize;
+    let mut schedule = schedule.into_iter().peekable();
 
     let mut faucet_states: Vec<FaucetState> =
         (0..cast.faucets.len()).map(|i| FaucetState { counter: 0, fresh_next: 2_000_000 + i as u64 * 1_000_000 }).collect();
@@ -251,14 +251,16 @@ pub fn build_tezos(sc: &Scenario) -> TezosChain {
     // Window-only rate: manager traffic is only generated inside the
     // observation window (we have no calibration data before it), while
     // endorsements accrue from genesis as the protocol demands.
+    // Traffic is stationary block to block, so the last block's operation
+    // count sizes the next one's vector.
+    let mut last_len = 0;
     for _ in 0..blocks {
         let time = chain.next_block_time();
-        let mut ops: Vec<Operation> = Vec::new();
+        let mut ops: Vec<Operation> = Vec::with_capacity(last_len);
 
         // Governance replay ops due at this block.
-        while sched_idx < schedule.len() && schedule[sched_idx].time.secs() <= time.secs() {
-            ops.push(schedule[sched_idx].op.clone());
-            sched_idx += 1;
+        while let Some(due) = schedule.next_if(|s| s.time.secs() <= time.secs()) {
+            ops.push(due.op);
         }
 
         if sc.period.contains(time) {
@@ -343,6 +345,7 @@ pub fn build_tezos(sc: &Scenario) -> TezosChain {
             }
         }
 
+        last_len = ops.len();
         chain.produce_block(ops);
     }
     chain

@@ -473,9 +473,8 @@ fn gen_close_txs(
         // Cancels ≈ 3.9% of offer rate (Figure 1's OfferCancel share).
         let n = poisson(rng, per(daily * 0.039));
         for _ in 0..n {
-            let offers = ledger.dex.offers_of(bot);
-            if let Some(id) = offers.first() {
-                submit(ledger, Transaction::new(bot, TxPayload::OfferCancel { offer: *id }, FEE));
+            if let Some(offer) = ledger.dex.oldest_offer_of(bot) {
+                submit(ledger, Transaction::new(bot, TxPayload::OfferCancel { offer }, FEE));
             }
         }
         // ~1.5% payments, tagged 104398, to Huobi.
@@ -518,9 +517,8 @@ fn gen_close_txs(
     let n = poisson(rng, per(OFFER_CANCELS_PER_DAY * 0.2)); // bots carry most cancels
     for _ in 0..n {
         let u = user(rng);
-        let offers = ledger.dex.offers_of(u);
-        if let Some(id) = offers.first() {
-            submit(ledger, Transaction::new(u, TxPayload::OfferCancel { offer: *id }, FEE));
+        if let Some(offer) = ledger.dex.oldest_offer_of(u) {
+            submit(ledger, Transaction::new(u, TxPayload::OfferCancel { offer }, FEE));
         }
     }
 

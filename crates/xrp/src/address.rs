@@ -9,10 +9,8 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
+use txstat_types::base58::RIPPLE;
 use txstat_types::ids::fnv1a64;
-
-/// Ripple's base58 alphabet.
-const RIPPLE_B58: &[u8; 58] = b"rpshnaf39wBUDNEGHJKLM4PQRST7VWXYZ2bcdeCg65jkm8oFqi1tuvAxyz";
 
 /// A ledger account.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -41,55 +39,16 @@ impl AccountId {
         p[8..].copy_from_slice(&ck.to_be_bytes());
         p
     }
-}
 
-fn b58_encode(payload: &[u8]) -> String {
-    let mut n: u128 = 0;
-    for &b in payload {
-        n = (n << 8) | b as u128;
-    }
-    let mut digits = Vec::new();
-    loop {
-        digits.push(RIPPLE_B58[(n % 58) as usize]);
-        n /= 58;
-        if n == 0 {
-            break;
-        }
-    }
-    for &b in payload {
-        if b == 0 {
-            digits.push(RIPPLE_B58[0]);
-        } else {
-            break;
-        }
-    }
-    digits.reverse();
-    String::from_utf8(digits).expect("alphabet is ASCII")
-}
+    /// Longest text form: `r` plus the base58 of ten payload bytes (80 bits
+    /// are at most 14 digits, leading-zero digits included).
+    pub const MAX_LEN: usize = 1 + 14;
 
-fn b58_decode(s: &str) -> Option<Vec<u8>> {
-    let mut n: u128 = 0;
-    let mut leading = 0usize;
-    let mut seen_nonzero = false;
-    for c in s.bytes() {
-        let v = RIPPLE_B58.iter().position(|&b| b == c)? as u128;
-        if !seen_nonzero {
-            if v == 0 {
-                leading += 1;
-                continue;
-            }
-            seen_nonzero = true;
-        }
-        n = n.checked_mul(58)?.checked_add(v)?;
+    /// The text form (`r…`), rendered into `buf` without allocating.
+    /// `Display` and the wire writer both go through here.
+    pub fn encode(self, buf: &mut [u8; Self::MAX_LEN]) -> &str {
+        RIPPLE.encode("r", &self.payload(), buf)
     }
-    let mut bytes = Vec::new();
-    while n > 0 {
-        bytes.push((n & 0xff) as u8);
-        n >>= 8;
-    }
-    bytes.extend(std::iter::repeat_n(0, leading));
-    bytes.reverse();
-    Some(bytes)
 }
 
 /// Address parse errors.
@@ -127,7 +86,7 @@ impl txstat_types::colcodec::ColKey for AccountId {
 
 impl fmt::Display for AccountId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", b58_encode(&self.payload()))
+        f.write_str(self.encode(&mut [0; Self::MAX_LEN]))
     }
 }
 
@@ -136,10 +95,7 @@ impl FromStr for AccountId {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let rest = s.strip_prefix('r').ok_or(AddressError::BadPrefix)?;
-        let bytes = b58_decode(rest).ok_or(AddressError::BadEncoding)?;
-        if bytes.len() != 10 {
-            return Err(AddressError::BadEncoding);
-        }
+        let bytes: [u8; 10] = RIPPLE.decode(rest).ok_or(AddressError::BadEncoding)?;
         let mut idb = [0u8; 8];
         idb.copy_from_slice(&bytes[..8]);
         let id = u64::from_be_bytes(idb);
@@ -201,11 +157,64 @@ mod tests {
         assert_eq!("r0O".parse::<AccountId>(), Err(AddressError::BadEncoding));
     }
 
+    /// The allocation-based renderer this crate used before
+    /// `AccountId::encode`, kept as the oracle: a digit-at-a-time `u128`
+    /// base conversion of the payload behind the `r`.
+    fn reference_string(a: AccountId) -> String {
+        const RIPPLE_B58: &[u8; 58] = b"rpshnaf39wBUDNEGHJKLM4PQRST7VWXYZ2bcdeCg65jkm8oFqi1tuvAxyz";
+        let payload = a.payload();
+        let mut n: u128 = 0;
+        for &b in &payload {
+            n = (n << 8) | b as u128;
+        }
+        let mut digits = Vec::new();
+        loop {
+            digits.push(RIPPLE_B58[(n % 58) as usize]);
+            n /= 58;
+            if n == 0 {
+                break;
+            }
+        }
+        for &b in &payload {
+            if b == 0 {
+                digits.push(RIPPLE_B58[0]);
+            } else {
+                break;
+            }
+        }
+        digits.reverse();
+        format!("r{}", String::from_utf8(digits).expect("alphabet is ASCII"))
+    }
+
+    fn check_text(a: AccountId) {
+        let mut buf = [0u8; AccountId::MAX_LEN];
+        let text = a.encode(&mut buf).to_owned();
+        assert_eq!(text, reference_string(a), "{a:?}");
+        assert_eq!(text, a.to_string(), "{a:?}");
+        assert_eq!(text.parse::<AccountId>(), Ok(a), "{text}");
+    }
+
+    #[test]
+    fn text_matches_the_reference_at_the_edges() {
+        // 58¹⁰ splits the payload (id · 2¹⁶ + checksum) into its two digit
+        // runs; ids around 58¹⁰ / 2¹⁶ straddle it.
+        let split = 58u64.pow(10) >> 16;
+        let mut ids = vec![0, 1, 57, 58, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        for around in [1 << 8, 1 << 16, 1 << 24, 1 << 32, 1 << 40, 1 << 48, 1 << 56, split] {
+            ids.extend([around - 1, around, around + 1]);
+        }
+        for id in ids {
+            check_text(AccountId(id));
+        }
+        assert_eq!(AccountId(u64::MAX).to_string().len(), AccountId::MAX_LEN);
+    }
+
     proptest! {
         #[test]
-        fn prop_roundtrip(id in any::<u64>()) {
-            let a = AccountId(id);
-            prop_assert_eq!(a.to_string().parse::<AccountId>().unwrap(), a);
+        fn prop_text_matches_the_reference(id in any::<u64>(), shift in 0u32..64) {
+            // Shifted down so every count of leading zero bytes (leading
+            // `r` digits) is drawn.
+            check_text(AccountId(id >> shift));
         }
     }
 }

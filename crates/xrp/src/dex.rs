@@ -6,11 +6,31 @@
 //! offers are ever filled (Figure 7). The book bookkeeping here tracks
 //! exactly that statistic, and fills feed the exchange-rate oracle behind
 //! Figures 11 and 12.
+//!
+//! Because almost nothing fills, almost everything rests: the books and the
+//! offer table only grow over the window, so nothing on the per-transaction
+//! path may scan them. Three structures, one owner each:
+//!
+//! - `offers`: every resting offer by id (ids are dense and never reused).
+//! - `books`: per pair, the resting ids ordered by a binary search over the
+//!   offers' *current* qualities at insertion time. A partial fill moves a
+//!   maker's quality by a rounding step without moving its entry, so this
+//!   is the order of record — not a sort key that could be recomputed.
+//! - `by_owner`: per account, its resting ids in ascending (= creation)
+//!   order, answering "oldest resting offer of this account" for the
+//!   cancel-the-oldest bots without touching `offers`.
+//!
+//! Invariant: an id is in `offers` ⇔ it is in exactly one book ⇔ it is in
+//! its owner's `by_owner` set; an owner with nothing resting has no entry.
+//! Only `insert_sorted` and `remove_from_book` add or drop ids, and each
+//! updates all three. [`Dex::check_books_sorted`] and [`Dex::check_index`]
+//! audit the two derived structures against `offers`.
 
 use crate::address::AccountId;
 use crate::amount::{Amount, Asset};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use txstat_types::FxHashMap;
 
 /// Identifier of a resting offer.
 #[derive(
@@ -30,12 +50,20 @@ pub struct Offer {
     pub pays: Amount,
     /// Original `gets` at creation (for fill-ratio stats).
     pub original_gets: i128,
+    /// Filled at least partially, as taker or maker: counted once in
+    /// [`DexStats::offers_touched`].
+    pub touched: bool,
 }
 
 impl Offer {
     /// Price demanded by the owner: pays per gets. Lower = better for taker.
     fn quality(&self) -> f64 {
         self.pays.value as f64 / self.gets.value as f64
+    }
+
+    /// Record a fill; true the first time.
+    fn touch(&mut self) -> bool {
+        !std::mem::replace(&mut self.touched, true)
     }
 }
 
@@ -89,10 +117,11 @@ pub struct DexStats {
 pub struct Dex {
     /// Offer ids per book, kept sorted by (quality asc, id asc).
     books: HashMap<(Asset, Asset), Vec<OfferId>>,
-    offers: HashMap<OfferId, Offer>,
+    offers: FxHashMap<OfferId, Offer>,
+    /// Resting offer ids per owner, oldest first.
+    by_owner: FxHashMap<AccountId, BTreeSet<OfferId>>,
     next_id: u64,
     pub stats: DexStats,
-    touched: std::collections::HashSet<OfferId>,
 }
 
 /// Outcome of an OfferCreate.
@@ -124,12 +153,6 @@ impl Dex {
         book.first().and_then(|id| self.offers.get(id)).map(|o| o.quality())
     }
 
-    fn mark_touched(&mut self, id: OfferId) {
-        if self.touched.insert(id) {
-            self.stats.offers_touched += 1;
-        }
-    }
-
     fn insert_sorted(&mut self, offer: Offer) {
         let key = (offer.gets.asset, offer.pays.asset);
         let q = offer.quality();
@@ -138,12 +161,11 @@ impl Dex {
         let pos = book
             .binary_search_by(|other| {
                 let oq = self.offers[other].quality();
-                oq.partial_cmp(&q)
-                    .expect("no NaN qualities")
-                    .then(self.offers[other].id.cmp(&id))
+                oq.partial_cmp(&q).expect("no NaN qualities").then(other.cmp(&id))
             })
             .unwrap_or_else(|p| p);
         book.insert(pos, id);
+        self.by_owner.entry(offer.owner).or_default().insert(id);
         self.offers.insert(id, offer);
     }
 
@@ -180,66 +202,63 @@ impl Dex {
 
         let opposite = (pays.asset, gets.asset);
         let mut removed: Vec<OfferId> = Vec::new();
-        if let Some(book) = self.books.get(&opposite).cloned() {
-            for maker_id in book {
-                if taker_pays_rem <= 0 || taker_gets_rem <= 0 {
-                    break;
-                }
-                let maker = match self.offers.get(&maker_id) {
-                    Some(m) => m.clone(),
-                    None => continue,
-                };
-                // Price compatibility at *stated* qualities (funding never
-                // changes an offer's price, only how much can execute):
-                // cross while maker.pays/maker.gets <= gets/pays.
-                let lhs = maker.pays.value as f64 * pays.value as f64;
-                let rhs = gets.value as f64 * maker.gets.value as f64;
-                if lhs > rhs {
-                    break; // book is sorted; nothing further can cross
-                }
-                // Maker funding: remove stale unfunded offers on contact.
-                let maker_funds = avail(&consumed, maker.owner, maker.gets.asset, &available);
-                if maker_funds <= 0 {
-                    removed.push(maker_id);
-                    continue;
-                }
-                // Taker funding caps execution of its gets-asset.
-                let taker_funds = avail(&consumed, owner, gets.asset, &available);
-                if taker_funds <= 0 {
-                    break;
-                }
-                // Fill at the maker's rate.
-                let mut fill_gives = maker.gets.value.min(taker_pays_rem).min(maker_funds);
-                let mut fill_receives =
-                    ceil_mul_div(fill_gives, maker.pays.value, maker.gets.value);
-                // Cap by what the taker can still give (stated + funded).
-                let taker_cap = taker_gets_rem.min(taker_funds);
-                if fill_receives > taker_cap {
-                    fill_receives = taker_cap;
-                    fill_gives = mul_div(fill_receives, maker.gets.value, maker.pays.value);
-                }
-                if fill_gives <= 0 || fill_receives <= 0 {
-                    break;
-                }
-                *consumed.entry((maker.owner, maker.gets.asset)).or_insert(0) += fill_gives;
-                *consumed.entry((owner, maker.pays.asset)).or_insert(0) += fill_receives;
-                fills.push(Fill {
-                    maker_offer: maker_id,
-                    maker: maker.owner,
-                    maker_gives: Amount { asset: maker.gets.asset, value: fill_gives },
-                    maker_receives: Amount { asset: maker.pays.asset, value: fill_receives },
-                });
-                self.stats.fills_executed += 1;
-                self.mark_touched(maker_id);
-                taker_pays_rem -= fill_gives;
-                taker_gets_rem -= fill_receives;
-                // Shrink or consume the maker offer.
-                let m = self.offers.get_mut(&maker_id).expect("maker exists");
-                m.gets.value -= fill_gives;
-                m.pays.value -= fill_receives.min(m.pays.value);
-                if m.gets.value <= 0 || m.pays.value <= 0 {
-                    removed.push(maker_id);
-                }
+        // The book is only read here (removals wait for the loop to end)
+        // while offers shrink: disjoint fields, no copy of the book.
+        for maker_id in self.books.get(&opposite).into_iter().flatten() {
+            if taker_pays_rem <= 0 || taker_gets_rem <= 0 {
+                break;
+            }
+            let Some(m) = self.offers.get_mut(maker_id) else { continue };
+            // Price compatibility at *stated* qualities (funding never
+            // changes an offer's price, only how much can execute):
+            // cross while maker.pays/maker.gets <= gets/pays.
+            let lhs = m.pays.value as f64 * pays.value as f64;
+            let rhs = gets.value as f64 * m.gets.value as f64;
+            if lhs > rhs {
+                break; // book is sorted; nothing further can cross
+            }
+            // Maker funding: remove stale unfunded offers on contact.
+            let maker_funds = avail(&consumed, m.owner, m.gets.asset, &available);
+            if maker_funds <= 0 {
+                removed.push(*maker_id);
+                continue;
+            }
+            // Taker funding caps execution of its gets-asset.
+            let taker_funds = avail(&consumed, owner, gets.asset, &available);
+            if taker_funds <= 0 {
+                break;
+            }
+            // Fill at the maker's rate.
+            let mut fill_gives = m.gets.value.min(taker_pays_rem).min(maker_funds);
+            let mut fill_receives = ceil_mul_div(fill_gives, m.pays.value, m.gets.value);
+            // Cap by what the taker can still give (stated + funded).
+            let taker_cap = taker_gets_rem.min(taker_funds);
+            if fill_receives > taker_cap {
+                fill_receives = taker_cap;
+                fill_gives = mul_div(fill_receives, m.gets.value, m.pays.value);
+            }
+            if fill_gives <= 0 || fill_receives <= 0 {
+                break;
+            }
+            *consumed.entry((m.owner, m.gets.asset)).or_insert(0) += fill_gives;
+            *consumed.entry((owner, m.pays.asset)).or_insert(0) += fill_receives;
+            fills.push(Fill {
+                maker_offer: *maker_id,
+                maker: m.owner,
+                maker_gives: Amount { asset: m.gets.asset, value: fill_gives },
+                maker_receives: Amount { asset: m.pays.asset, value: fill_receives },
+            });
+            self.stats.fills_executed += 1;
+            if m.touch() {
+                self.stats.offers_touched += 1;
+            }
+            taker_pays_rem -= fill_gives;
+            taker_gets_rem -= fill_receives;
+            // Shrink or consume the maker offer.
+            m.gets.value -= fill_gives;
+            m.pays.value -= fill_receives.min(m.pays.value);
+            if m.gets.value <= 0 || m.pays.value <= 0 {
+                removed.push(*maker_id);
             }
         }
         for id in removed {
@@ -248,9 +267,11 @@ impl Dex {
 
         let id = OfferId(self.next_id);
         self.next_id += 1;
-        let crossed_any = !fills.is_empty();
-        if crossed_any {
-            self.mark_touched(id);
+        // The taker counts as touched at creation; a resting remainder
+        // carries the flag so a later fill does not count it again.
+        let touched = !fills.is_empty();
+        if touched {
+            self.stats.offers_touched += 1;
         }
         let fully_crossed = taker_pays_rem <= 0 || taker_gets_rem <= 0;
         let resting = if !fully_crossed {
@@ -260,6 +281,7 @@ impl Dex {
                 gets: Amount { asset: gets.asset, value: taker_gets_rem },
                 pays: Amount { asset: pays.asset, value: taker_pays_rem },
                 original_gets: gets.value,
+                touched,
             };
             self.insert_sorted(offer);
             Some(id)
@@ -333,8 +355,10 @@ impl Dex {
         let mut removed = Vec::new();
         for f in fills {
             self.stats.fills_executed += 1;
-            self.mark_touched(f.maker_offer);
             if let Some(m) = self.offers.get_mut(&f.maker_offer) {
+                if m.touch() {
+                    self.stats.offers_touched += 1;
+                }
                 m.gets.value -= f.maker_gives.value;
                 m.pays.value -= f.maker_receives.value.min(m.pays.value);
                 if m.gets.value <= 0 || m.pays.value <= 0 {
@@ -348,9 +372,16 @@ impl Dex {
     }
 
     fn remove_from_book(&mut self, id: OfferId) {
-        if let Some(offer) = self.offers.remove(&id) {
-            if let Some(book) = self.books.get_mut(&(offer.gets.asset, offer.pays.asset)) {
-                book.retain(|x| *x != id);
+        let Some(offer) = self.offers.remove(&id) else { return };
+        if let Some(book) = self.books.get_mut(&(offer.gets.asset, offer.pays.asset)) {
+            if let Some(pos) = book.iter().position(|x| *x == id) {
+                book.remove(pos);
+            }
+        }
+        if let Some(ids) = self.by_owner.get_mut(&offer.owner) {
+            ids.remove(&id);
+            if ids.is_empty() {
+                self.by_owner.remove(&offer.owner);
             }
         }
     }
@@ -366,12 +397,40 @@ impl Dex {
         Ok(())
     }
 
-    /// All resting offers of an account (for reserve accounting/tests).
+    /// The oldest resting offer of an account, if it has any.
+    pub fn oldest_offer_of(&self, account: AccountId) -> Option<OfferId> {
+        self.by_owner.get(&account)?.first().copied()
+    }
+
+    /// All resting offers of an account, oldest first (for reserve
+    /// accounting/tests).
     pub fn offers_of(&self, account: AccountId) -> Vec<OfferId> {
-        let mut v: Vec<OfferId> =
-            self.offers.values().filter(|o| o.owner == account).map(|o| o.id).collect();
-        v.sort();
-        v
+        self.by_owner.get(&account).map_or_else(Vec::new, |ids| ids.iter().copied().collect())
+    }
+
+    /// Verify the owner index against the offer table: every indexed id
+    /// rests and belongs to that owner, every resting offer is indexed, no
+    /// owner keeps an empty entry.
+    pub fn check_index(&self) -> Result<(), String> {
+        let mut indexed = 0;
+        for (owner, ids) in &self.by_owner {
+            if ids.is_empty() {
+                return Err(format!("empty index entry for {owner}"));
+            }
+            for id in ids {
+                match self.offers.get(id) {
+                    Some(o) if o.owner == *owner => indexed += 1,
+                    Some(o) => return Err(format!("{id:?} of {} indexed under {owner}", o.owner)),
+                    None => return Err(format!("dangling offer {id:?} indexed under {owner}")),
+                }
+            }
+        }
+        // Ids are unique per set and each sits under its one owner, so equal
+        // counts mean nothing resting is missing from the index.
+        if indexed != self.offers.len() {
+            return Err(format!("{} offers rest but {indexed} are indexed", self.offers.len()));
+        }
+        Ok(())
     }
 
     /// Verify book-order invariant: every book sorted by quality ascending.
@@ -569,6 +628,8 @@ mod tests {
             .unwrap();
         assert!(out.fills.is_empty());
         assert_eq!(dex.book_depth(usd(), Asset::Xrp), 0, "stale offer removed");
+        assert_eq!(dex.offers_of(AccountId(10)), vec![], "and gone from its owner's index");
+        dex.check_index().unwrap();
     }
 
     #[test]
@@ -759,30 +820,68 @@ mod tests {
                 dex.check_books_sorted().map_err(TestCaseError::fail)?;
             }
 
-            /// Book stays sorted and stats stay consistent under random
-            /// offer/cancel streams.
+            /// Books stay sorted, the owner index stays exact and the stats
+            /// stay consistent under random offer/cancel streams — partial
+            /// fills, cancels of the oldest offer and makers that lose their
+            /// funding (removed on contact) in the mix.
             #[test]
             fn books_stay_sorted_under_churn(
-                ops in proptest::collection::vec((0u64..6, 1i128..300, 1i128..300, any::<bool>()), 1..60)
+                ops in proptest::collection::vec((0u64..6, 1i128..300, 1i128..300, 0u8..8), 1..60)
             ) {
                 let usd = Asset::Iou(IssuedCurrency::new("USD", AccountId(1)));
-                let funds = |_a: AccountId, _s: Asset| 1_000_000i128;
+                let mut broke: Vec<AccountId> = Vec::new();
                 let mut dex = Dex::new();
-                for (owner, a, b, cancel) in ops {
+                // Recount of `offers_touched` from the outcomes alone: every
+                // offer id seen filled, plus the takers that crossed fully
+                // (they never get an id the test could see again).
+                let mut touched_ids = std::collections::BTreeSet::new();
+                let (mut touched_unseen, mut fills) = (0u64, 0u64);
+                for (owner, a, b, kind) in ops {
                     let acct = AccountId(10 + owner);
-                    if cancel {
-                        if let Some(id) = dex.offers_of(acct).first().copied() {
-                            dex.cancel(acct, id).expect("own offer");
+                    match kind {
+                        0 | 1 => {
+                            let mine = dex.offers_of(acct);
+                            prop_assert_eq!(mine.first().copied(), dex.oldest_offer_of(acct));
+                            prop_assert!(mine.windows(2).all(|w| w[0] < w[1]), "oldest first");
+                            if let Some(id) = mine.first().copied() {
+                                dex.cancel(acct, id).expect("own offer");
+                                prop_assert!(!dex.offers_of(acct).contains(&id));
+                            }
                         }
-                    } else {
-                        let (gets, pays) = if owner % 2 == 0 {
-                            (Amount { asset: usd, value: a }, Amount { asset: Asset::Xrp, value: b })
-                        } else {
-                            (Amount { asset: Asset::Xrp, value: a }, Amount { asset: usd, value: b })
-                        };
-                        dex.create_offer(acct, gets, pays, funds).expect("offer ok");
+                        2 => match broke.iter().position(|x| *x == acct) {
+                            Some(i) => {
+                                broke.remove(i);
+                            }
+                            None => broke.push(acct),
+                        },
+                        _ => {
+                            let (gets, pays) = if owner % 2 == 0 {
+                                (Amount { asset: usd, value: a }, Amount { asset: Asset::Xrp, value: b })
+                            } else {
+                                (Amount { asset: Asset::Xrp, value: a }, Amount { asset: usd, value: b })
+                            };
+                            let funds = |a: AccountId, _s: Asset| if broke.contains(&a) { 0 } else { 1_000_000i128 };
+                            match dex.create_offer(acct, gets, pays, funds) {
+                                Ok(out) => {
+                                    fills += out.fills.len() as u64;
+                                    touched_ids.extend(out.fills.iter().map(|f| f.maker_offer));
+                                    match out.resting {
+                                        _ if out.fills.is_empty() => {}
+                                        Some(id) => {
+                                            touched_ids.insert(id);
+                                        }
+                                        None => touched_unseen += 1,
+                                    }
+                                    prop_assert_eq!(out.resting.is_some(), !out.fully_crossed);
+                                }
+                                Err(e) => prop_assert_eq!(e, DexError::Unfunded { owner: acct, asset: gets.asset }),
+                            }
+                        }
                     }
                     dex.check_books_sorted().map_err(TestCaseError::fail)?;
+                    dex.check_index().map_err(TestCaseError::fail)?;
+                    prop_assert_eq!(dex.stats.offers_touched, touched_ids.len() as u64 + touched_unseen);
+                    prop_assert_eq!(dex.stats.fills_executed, fills);
                 }
                 prop_assert!(dex.stats.offers_touched <= dex.stats.offers_created);
             }
@@ -806,6 +905,7 @@ mod tests {
                 funds.view(),
             )
             .unwrap();
+            dex.check_index().unwrap();
         }
         // Taker sweeps 35 USD paying up to 9 XRP/USD average budget.
         let out = dex
@@ -822,5 +922,28 @@ mod tests {
         assert_eq!(total_usd, 35);
         assert!(out.fully_crossed);
         dex.check_books_sorted().unwrap();
+        dex.check_index().unwrap();
+        // The three consumed makers left the index with their offers; the
+        // partially filled one and the untouched one still rest.
+        for (i, resting) in [0, 0, 0, 1, 1].into_iter().enumerate() {
+            assert_eq!(dex.offers_of(AccountId(10 + i as u64)).len(), resting, "maker {i}");
+        }
+        assert_eq!(dex.stats.offers_touched, 5, "four makers and the taker");
+        // A payment through the book takes the rest of the partial maker
+        // and part of the last: the plan path keeps the index exact too.
+        let plan = dex
+            .plan_market(
+                AccountId(50),
+                Amount { asset: usd(), value: 8 },
+                Amount { asset: Asset::Xrp, value: 1_000 },
+                funds.view(),
+            )
+            .unwrap();
+        dex.execute_plan(&plan);
+        dex.check_books_sorted().unwrap();
+        dex.check_index().unwrap();
+        assert_eq!(dex.oldest_offer_of(AccountId(13)), None);
+        assert_eq!(dex.offers_of(AccountId(14)).len(), 1);
+        assert_eq!(dex.stats.offers_touched, 6, "the last maker is new to fills");
     }
 }

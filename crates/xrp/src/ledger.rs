@@ -592,7 +592,10 @@ impl XrpLedger {
     pub fn close_ledger(&mut self) -> &LedgerBlock {
         let index = self.config.start_index + self.closed.len() as u64;
         let close_time = self.next_close_time();
-        let transactions = std::mem::take(&mut self.pending);
+        // The next ledger's queue starts at this one's size: traffic is
+        // stationary close to close.
+        let sized = Vec::with_capacity(self.pending.len());
+        let transactions = std::mem::replace(&mut self.pending, sized);
         self.closed.push(LedgerBlock { index, close_time, transactions });
         self.closed.last().expect("just pushed")
     }
@@ -619,6 +622,7 @@ impl XrpLedger {
         }
         self.trustlines.check_conservation()?;
         self.dex.check_books_sorted()?;
+        self.dex.check_index()?;
         Ok(())
     }
 }

@@ -304,10 +304,17 @@ pub fn ledger_from_json(v: &Value) -> Result<LedgerBlock, DecodeError> {
     Ok(LedgerBlock { index, close_time, transactions })
 }
 
+/// Append an account as a string literal. Base58 text cannot need
+/// escaping, so it goes from [`AccountId::encode`]'s stack buffer straight
+/// into the output.
+fn account<'w, 'o>(w: &'w mut JsonWriter<'o>, a: AccountId) -> &'w mut JsonWriter<'o> {
+    w.quoted(a.encode(&mut [0; AccountId::MAX_LEN]))
+}
+
 /// Append an IOU amount object (`LimitAmount` shares the shape).
 fn write_iou(w: &mut JsonWriter<'_>, ic: &IssuedCurrency, value: i128) {
     w.raw("{\"currency\":").str(ic.currency.as_str());
-    w.raw(",\"issuer\":").display(&ic.issuer);
+    account(w.raw(",\"issuer\":"), ic.issuer);
     w.raw(",\"value\":\"").scaled(value, IOU_DECIMALS).raw("\"}");
 }
 
@@ -324,15 +331,15 @@ fn write_amount(w: &mut JsonWriter<'_>, a: &Amount) {
 /// Append what [`tx_to_json`] builds, key for key.
 fn write_tx(w: &mut JsonWriter<'_>, applied: &AppliedTx) {
     let tx = &applied.tx;
-    w.raw("{\"Account\":").display(&tx.account);
-    w.raw(",\"TransactionType\":").str(tx.tx_type().wire());
+    account(w.raw("{\"Account\":"), tx.account);
+    w.raw(",\"TransactionType\":").quoted(tx.tx_type().wire());
     w.raw(",\"Fee\":\"").int(tx.fee_drops).raw("\"");
     if let Some(tag) = tx.destination_tag {
         w.raw(",\"DestinationTag\":").uint(tag);
     }
     match &tx.payload {
         TxPayload::Payment { destination, amount, send_max } => {
-            w.raw(",\"Destination\":").display(destination).raw(",\"Amount\":");
+            account(w.raw(",\"Destination\":"), *destination).raw(",\"Amount\":");
             write_amount(w, amount);
             if let Some(sm) = send_max {
                 w.raw(",\"SendMax\":");
@@ -361,7 +368,7 @@ fn write_tx(w: &mut JsonWriter<'_>, applied: &AppliedTx) {
         }
         TxPayload::SetRegularKey => {}
         TxPayload::EscrowCreate { destination, drops, finish_after, cancel_after } => {
-            w.raw(",\"Destination\":").display(destination);
+            account(w.raw(",\"Destination\":"), *destination);
             w.raw(",\"Amount\":\"").int(*drops).raw("\",\"FinishAfter\":").iso(*finish_after);
             if let Some(ca) = cancel_after {
                 w.raw(",\"CancelAfter\":").iso(*ca);
@@ -371,7 +378,7 @@ fn write_tx(w: &mut JsonWriter<'_>, applied: &AppliedTx) {
             w.raw(",\"EscrowId\":").uint(*escrow_id);
         }
         TxPayload::PaymentChannelCreate { destination, drops } => {
-            w.raw(",\"Destination\":").display(destination);
+            account(w.raw(",\"Destination\":"), *destination);
             w.raw(",\"Amount\":\"").int(*drops).raw("\"");
         }
         TxPayload::PaymentChannelClaim { channel_id, drops } => {
@@ -382,7 +389,7 @@ fn write_tx(w: &mut JsonWriter<'_>, applied: &AppliedTx) {
             w.raw(",\"Amendment\":").str(amendment);
         }
     }
-    w.raw(",\"metaData\":{\"TransactionResult\":").str(applied.result.wire());
+    w.raw(",\"metaData\":{\"TransactionResult\":").quoted(applied.result.wire());
     if let Some(d) = &applied.delivered {
         w.raw(",\"delivered_amount\":");
         write_amount(w, d);

@@ -229,13 +229,7 @@ pub fn register_metrics() {
     }
     // The tail-coalescing label of the follow path's sealer, and the cache
     // occupancy gauge.
-    registry()
-        .counter_with(
-            "txstat_archive_segments_written_total",
-            "Segments sealed into archives",
-            &[("coalesced", "true")],
-        )
-        .add(0);
+    m_written_coalesced().add(0);
     registry()
         .gauge("txstat_archive_cache_bytes", "Decoded-segment cache resident byte estimate")
         .set(0);
@@ -244,7 +238,7 @@ pub fn register_metrics() {
 
 /// The coalesced-seal counter: segments whose seal merged a trailing runt
 /// with fresh blocks instead of appending another tiny segment.
-pub fn m_written_coalesced() -> std::sync::Arc<txstat_telemetry::Counter> {
+fn m_written_coalesced() -> std::sync::Arc<txstat_telemetry::Counter> {
     registry().counter_with(
         "txstat_archive_segments_written_total",
         "Segments sealed into archives",
@@ -549,17 +543,6 @@ impl Archive {
         self.segments.last().map_or(0, |s| s.end)
     }
 
-    /// Index of the trailing runt segment: the newest sealed segment, if
-    /// it spans fewer than `seg_blocks` positions. The follow path's
-    /// sealer replays it and re-appends its blocks merged with the next
-    /// batch (after [`ArchiveWriter::truncate_from`] at its start) instead
-    /// of letting one tiny segment pile up per batch.
-    pub fn tail_runt(&self, seg_blocks: u64) -> Option<usize> {
-        let last = self.segments.len().checked_sub(1)?;
-        let s = &self.segments[last];
-        (s.end - s.start < seg_blocks).then_some(last)
-    }
-
     /// Indices `[lo, hi)` of the segments overlapping positions
     /// `[start, end)`.
     pub fn covering(&self, start: u64, end: u64) -> (usize, usize) {
@@ -676,6 +659,11 @@ impl ArchiveWriter {
         Ok(w)
     }
 
+    /// The archive directory being written.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
     pub fn segments(&self) -> &[SegmentMeta] {
         &self.segments
     }
@@ -683,6 +671,21 @@ impl ArchiveWriter {
     /// One past the highest archived block position.
     pub fn total_positions(&self) -> u64 {
         self.segments.last().map_or(0, |s| s.end)
+    }
+
+    /// Drop a trailing runt — a newest segment spanning fewer than
+    /// `seg_blocks` positions — so the caller re-appends its blocks merged
+    /// with the next batch instead of letting one tiny segment pile up per
+    /// batch (counted under `txstat_archive_segments_written_total
+    /// {coalesced="true"}`). Returns the position to append from.
+    pub fn reopen_tail_runt(&mut self, seg_blocks: u64) -> Result<u64, ArchiveError> {
+        if let Some(&SegmentMeta { start, end, .. }) = self.segments.last() {
+            if end - start < seg_blocks {
+                self.truncate_from(start)?;
+                m_written_coalesced().inc();
+            }
+        }
+        Ok(self.total_positions())
     }
 
     /// Compress and append one segment. Its range must continue exactly
@@ -809,16 +812,19 @@ mod tests {
     }
 
     #[test]
-    fn tail_runt_detection() {
+    fn only_a_tail_below_the_segment_size_is_reopened() {
         let dir = tmpdir("runt");
         let mut w = ArchiveWriter::create(&dir, "m", b"").unwrap();
         w.append(&seg(0, 16)).unwrap();
         w.append(&seg(16, 20)).unwrap();
+        assert_eq!(w.reopen_tail_runt(2).unwrap(), 20);
+        assert_eq!(w.reopen_tail_runt(4).unwrap(), 20); // tail exactly at target size
+        assert_eq!(w.reopen_tail_runt(16).unwrap(), 16);
+        // The cut is where the next append lands.
+        w.append(&seg(16, 32)).unwrap();
         w.seal().unwrap();
         let a = Archive::open(&dir).unwrap();
-        assert_eq!(a.tail_runt(16), Some(1));
-        assert_eq!(a.tail_runt(4), None); // tail exactly at target size
-        assert_eq!(a.tail_runt(2), None);
+        assert_eq!(a.replay_all().unwrap(), vec![seg(0, 16), seg(16, 32)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use txstat_bench::bench_scenario;
 use txstat_ingest::EpochCell;
 use txstat_netsim::{run_load, spawn_query_server, HttpHandler, LoadPlan, QueryServerConfig};
-use txstat_reports::{generate, EpochFollower, ServeSnapshot, StatsService};
+use txstat_reports::{generate, Follower, ServeSnapshot, StatsService};
 use txstat_workload::Scenario;
 
 fn service() -> Arc<StatsService> {
@@ -70,7 +70,7 @@ fn serve(c: &mut Criterion) {
             || {
                 let data = generate(&Scenario::small(42));
                 let epochs = data.longest_chain().div_ceil(BATCH);
-                let mut f = EpochFollower::new(data, BATCH);
+                let mut f = Follower::new(data, BATCH);
                 for _ in 1..epochs {
                     f.advance().expect("catch-up epoch");
                 }

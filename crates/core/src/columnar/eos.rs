@@ -219,13 +219,6 @@ impl EosColumnar {
         self.period
     }
 
-    /// In-period transactions folded so far — the numerator of
-    /// [`EosSweep::tps`]. Partial sweeps' counts add, so a caller holding
-    /// unmerged shards can print the headline rate without merging them.
-    pub fn txs_in_period(&self) -> u64 {
-        self.txs_in_period
-    }
-
     /// Intern a name, extending the tag table on first sight.
     #[inline]
     fn intern(&mut self, n: Name) -> u32 {

@@ -77,13 +77,6 @@ impl TezosColumnar {
         self.period
     }
 
-    /// In-period transactions folded so far — the numerator of
-    /// [`TezosSweep::tps`]. Partial sweeps' counts add, so a caller holding
-    /// unmerged shards can print the headline rate without merging them.
-    pub fn txs_in_period(&self) -> u64 {
-        self.txs_in_period
-    }
-
     /// The governance period windows this accumulator attributes events
     /// to. [`TezosColumnar::merge`] requires identical lists.
     pub fn governance_windows(&self) -> &[(PeriodKind, Period)] {

@@ -113,13 +113,6 @@ impl XrpColumnar {
         self.period
     }
 
-    /// In-period transactions folded so far — the numerator of
-    /// [`XrpSweep::tps`]. Partial sweeps' counts add, so a caller holding
-    /// unmerged shards can print the headline rate without merging them.
-    pub fn txs_in_period(&self) -> u64 {
-        self.grand_total
-    }
-
     /// Fold one ledger, valuing payments through `oracle`.
     pub fn observe(&mut self, b: &LedgerBlock, oracle: &RateOracle) {
         // Classification batch: one tag pair per transaction.

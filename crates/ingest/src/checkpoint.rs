@@ -13,31 +13,18 @@
 //! Checkpoints live in memory only — every block is a pure function of
 //! `(preset, seed)`, so a restarted follower re-sweeps rather than
 //! reloading state.
-//!
-//! Per-range content marks ([`RangeMark`]): after each observed batch the
-//! follower seals a mark recording the batch's high block, block count,
-//! and a chained content hash over the blocks it covered. A later pass
-//! over the (possibly reorged) chain can then find the exact mark where
-//! history diverged — a mismatched mark invalidates only the checkpoint's
-//! suffix, not the whole sweep.
 
 use crate::IngestError;
 
-/// One sealed observation range: the batch's high block number, how many
-/// blocks it covered, and a chained content hash over those blocks. Marks
-/// accumulate in observation order, so comparing them against a chain's
-/// current content locates the first reorged range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RangeMark {
-    /// Highest block number observed when the mark was sealed.
-    pub high: u64,
-    /// Blocks covered by this mark (since the previous mark).
-    pub blocks: u64,
-    /// Content hash over the covered blocks, in observation order.
-    pub hash: u64,
-}
-
 /// Frozen sharded sweep state over the inclusive block range `[low, high]`.
+///
+/// No production path follows through a `Checkpoint` any more: `serve` and
+/// `follow` fold per-batch deltas into standing sweeps
+/// (`txstat_reports::Follower`). [`Checkpoint::new`],
+/// [`Checkpoint::observe_tail`] and [`Checkpoint::merged`] keep their exact
+/// signatures because `benchmark/src/bin/layers.rs` spells its private
+/// follower with them and `benchmark/` changes only in its own PR; ROADMAP
+/// item 6(i)'s benchmark PR removes that last caller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint<A> {
     /// Per-shard accumulators, in shard-index order. Block `n` lives in
@@ -48,31 +35,15 @@ pub struct Checkpoint<A> {
     /// Inclusive observed block range.
     pub low: u64,
     pub high: u64,
-    /// Sealed per-range content marks, in observation order (empty unless
-    /// the owner seals them — see [`Checkpoint::seal_mark`]).
-    pub marks: Vec<RangeMark>,
 }
 
 impl<A> Checkpoint<A> {
-    /// An empty checkpoint poised to observe from block `low` upward: no
-    /// marks, zero counts, `high` one below `low` so the first tail block
-    /// at `low` clears the high-water check.
+    /// An empty checkpoint poised to observe from block `low` upward:
+    /// zero counts, `high` one below `low` so the first tail block at
+    /// `low` clears the high-water check.
     pub fn new(shards: Vec<A>, low: u64) -> Self {
         let counts = vec![0u64; shards.len()];
-        Checkpoint { shards, counts, low, high: low.saturating_sub(1), marks: Vec::new() }
-    }
-
-    /// Seal everything observed since the last mark under `hash` (the
-    /// caller computes it over the covered blocks' content). No-op when
-    /// nothing new was observed — empty marks would be indistinguishable
-    /// from each other during divergence search.
-    pub fn seal_mark(&mut self, hash: u64) {
-        let marked: u64 = self.marks.iter().map(|m| m.blocks).sum();
-        let blocks = self.observed() - marked;
-        if blocks == 0 {
-            return;
-        }
-        self.marks.push(RangeMark { high: self.high, blocks, hash });
+        Checkpoint { shards, counts, low, high: low.saturating_sub(1) }
     }
 
     /// Total blocks observed.
@@ -167,24 +138,6 @@ mod tests {
         cp.observe_tail(range.map(|n| (n, n * 7 % 13)), |a, n, w| a.observe(n, w))
             .expect("ascending tail");
         cp
-    }
-
-    #[test]
-    fn marks_seal_incrementally_and_skip_empty_ranges() {
-        let mut cp = fold_range(1..=10, 2);
-        cp.seal_mark(111);
-        // Nothing new observed: sealing again must not create an empty mark.
-        cp.seal_mark(222);
-        cp.observe_tail((11..=25).map(|n| (n, n)), |a, n, w| a.observe(n, w))
-            .expect("tail extends");
-        cp.seal_mark(333);
-        assert_eq!(
-            cp.marks,
-            vec![
-                RangeMark { high: 10, blocks: 10, hash: 111 },
-                RangeMark { high: 25, blocks: 15, hash: 333 },
-            ]
-        );
     }
 
     #[test]

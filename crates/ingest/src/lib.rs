@@ -39,17 +39,15 @@ pub mod checkpoint;
 pub mod crawl;
 pub mod epoch;
 pub mod fleet;
-pub mod follow;
 pub mod reduce;
 pub mod shard;
 pub mod source;
 
 pub use channel::{bounded, ChannelGauge, GaugeSnapshot};
-pub use checkpoint::{Checkpoint, RangeMark};
+pub use checkpoint::Checkpoint;
 pub use epoch::EpochCell;
 pub use crawl::{EosCrawlSource, RateCache, TezosCrawlSource, XrpCrawlSource};
 pub use fleet::{reduce_fleet, serve_assignments, FleetConfig, FleetError};
-pub use follow::{ChainFollow, Resync};
 pub use reduce::{ReduceError, ReduceSession, ShardWorker};
 pub use shard::{spawn_sharded, IngestOptions, IngestOutcome, ShardPoolHandle, Sink};
 pub use source::{BlockSource, MemorySource, NdjsonReplay};

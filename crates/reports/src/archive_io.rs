@@ -378,8 +378,7 @@ impl SegmentSummary {
 // names the archive layer has always used.
 
 /// The canonical wire-JSON bytes of one EOS block — the same bytes the
-/// NDJSON crawl replay moves and [`crate::eos_block_hash`] hashes, so a
-/// stored block's content hash is `fnv1a64` of its archived bytes.
+/// NDJSON crawl replay moves and the follower's reorg marks hash.
 pub fn eos_block_bytes(b: &txstat_eos::Block) -> Vec<u8> {
     txstat_eos::rpc_model::block_bytes(b)
 }
@@ -402,20 +401,9 @@ pub fn xrp_block_bytes(b: &txstat_xrp::LedgerBlock) -> Vec<u8> {
 pub struct SegmentFormat;
 
 /// Cut the three chains into contiguous `[start, end)` segments of
-/// `segment_blocks` positions each (the final segment absorbs the
-/// remainder of the position space).
-pub fn segments_of(
-    eos: &[txstat_eos::Block],
-    tezos: &[txstat_tezos::TezosBlock],
-    xrp: &[txstat_xrp::LedgerBlock],
-    segment_blocks: u64,
-) -> Vec<SegmentBlocks> {
-    segments_of_from(eos, tezos, xrp, segment_blocks, 0)
-}
-
-/// [`segments_of`], but starting at position `from` instead of 0 — the
-/// follow path uses this to re-seal only the tail that a reorg
-/// invalidated. Segments tile `[from, total)` in `segment_blocks` steps.
+/// `segment_blocks` positions each, tiling `[from, total)` (the final
+/// segment absorbs the remainder of the position space). `from` is 0 for a
+/// whole corpus; the follow path re-seals only the tail past it.
 pub fn segments_of_from(
     eos: &[txstat_eos::Block],
     tezos: &[txstat_tezos::TezosBlock],

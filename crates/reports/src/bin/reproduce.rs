@@ -63,20 +63,22 @@
 //!     from the fleet and the rest from DIR/archive.memo, so with a warm
 //!     memo the reducer decodes no segment.
 //!
-//! reproduce follow [--small] [--seed N] [--batch N] [--shards K] [--out FILE]
+//! reproduce follow [--small] [--seed N] [--batch N] [--out FILE]
 //!                  [--snapshots W] [--reorg-at-batch R] [--reorg-depth D]
 //!                  [--reorg-seed S] [--metrics-out FILE]
 //!     Incremental re-render loop: replay the chains batch by batch
-//!     through checkpointed followers that seal a content mark per batch,
-//!     re-rendering a dashboard line each round, and emit the full report
-//!     when the head is reached. --reorg-at-batch injects a reorg after
-//!     batch R, rewriting the last D block positions of every chain: the
-//!     followers detect the divergence by mark, roll back only the
-//!     invalidated suffix (or rebuild when it predates the snapshot
-//!     window), re-sweep to the new head, and the run fails unless the
-//!     result is byte-identical to a from-scratch sweep of the reorged
-//!     chains. --archive DIR persists the followed corpus: cold-start
-//!     from it when it exists (create it otherwise), seal each observed
+//!     through the library follower `serve` runs (sweep only the new
+//!     batch, fold its delta into standing sweeps) with its reorg guard on
+//!     — one content mark per batch, the newest --snapshots W states kept
+//!     for rollback — printing a dashboard line each round and the full
+//!     report at the head. --reorg-at-batch injects a reorg after batch R,
+//!     rewriting the last D block positions of every chain: the follower
+//!     finds the divergence by mark, rolls back only the invalidated suffix
+//!     (or rebuilds when it predates the snapshot window), re-sweeps to the
+//!     new head, and the run fails unless the result is byte-identical to
+//!     a from-scratch sweep of the reorged chains. --archive DIR persists
+//!     the followed corpus: cold-start from it when it exists (create it
+//!     otherwise, once every flag has been validated), seal each observed
 //!     batch — coalescing a runt tail segment up to --segment-blocks
 //!     positions (default: the batch size, or the corpus's geometry when
 //!     cold-starting) instead of fragmenting one segment per batch — and
@@ -121,28 +123,25 @@
 //! to FILE) and `--timings` (print a per-stage wall-time summary table on
 //! stderr at exit). `serve` additionally exposes `GET /metrics`
 //! (Prometheus text) and `GET /statusz` (JSON) with the ingest, reduce,
-//! epoch, and serve metric families.
+//! epoch, follow, and serve metric families; `follow --metrics-out` dumps
+//! the same follower families at exit.
 
 use std::collections::HashMap;
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use txstat_core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
-use txstat_ingest::{
-    reduce_fleet, serve_assignments, ChainFollow, Checkpoint, EpochCell, FleetConfig,
-};
+use txstat_ingest::{reduce_fleet, serve_assignments, EpochCell, FleetConfig};
 use txstat_netsim::http::{read_response, write_request, HttpRequest, HttpResponse};
 use txstat_netsim::{
     run_load, spawn_chaos_proxy, spawn_query_server, ChaosProfile, HttpHandler, LoadPlan,
     QueryServerConfig,
 };
 use txstat_reports::{
-    eos_block_hash, generate, generate_with_crawl, generate_with_crawl_streamed,
-    pipeline_from_archive, reduce_frames_labeled, reduce_frames_labeled_into,
-    reducer_from_archive, render_report, reorg_data, scenario_from_meta, scenario_meta,
-    tezos_block_hash, write_archive, xrp_block_hash, CrawlOptions, EpochFollower, Manifest,
-    PipelineData, SegmentFormat, ServeSnapshot, ShardContext, StatsService,
+    generate, generate_with_crawl, generate_with_crawl_streamed, pipeline_from_archive,
+    reduce_frames_labeled, reduce_frames_labeled_into, reducer_from_archive, render_report,
+    reorg_data, scenario_from_meta, scenario_meta, write_archive, CrawlOptions, FollowArchive,
+    Follower, Manifest, PipelineData, SegmentFormat, ServeSnapshot, ShardContext, StatsService,
 };
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_workload::Scenario;
@@ -172,7 +171,7 @@ subcommands:
            [--metrics-out FILE] [--archive DIR]
   follow   incremental re-render loop over the appending chains, with
            reorg-safe rollback via per-batch content marks
-           [--small] [--seed N] [--batch N] [--shards K] [--out FILE]
+           [--small] [--seed N] [--batch N] [--out FILE]
            [--snapshots W] [--reorg-at-batch R] [--reorg-depth D]
            [--reorg-seed S] [--metrics-out FILE]
            [--archive DIR]  (cold-start from the corpus when it exists,
@@ -240,10 +239,14 @@ impl Args {
     }
 
     fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(s) => s.parse().map_err(|_| format!("{flag}: cannot parse {s:?}")),
-        }
+        Ok(self.parsed_opt(flag)?.unwrap_or(default))
+    }
+
+    /// `None` when the flag is absent.
+    fn parsed_opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.get(flag)
+            .map(|s| s.parse().map_err(|_| format!("{flag}: cannot parse {s:?}")))
+            .transpose()
     }
 }
 
@@ -490,29 +493,6 @@ fn cmd_archive(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-block wire-byte equality across all three chains — the identity
-/// `follow --archive` verifies its re-opened corpus against (column decode
-/// normalizes blocks exactly like the wire-JSON round trip, so the bytes,
-/// not the structs, are what must agree).
-fn chains_wire_identical(a: &PipelineData, b: &PipelineData) -> bool {
-    use txstat_reports::archive_io::{eos_block_bytes, tezos_block_bytes, xrp_block_bytes};
-    a.eos_blocks.len() == b.eos_blocks.len()
-        && a.tezos_blocks.len() == b.tezos_blocks.len()
-        && a.xrp_blocks.len() == b.xrp_blocks.len()
-        && a.eos_blocks
-            .iter()
-            .zip(b.eos_blocks.iter())
-            .all(|(x, y)| eos_block_bytes(x) == eos_block_bytes(y))
-        && a.tezos_blocks
-            .iter()
-            .zip(b.tezos_blocks.iter())
-            .all(|(x, y)| tezos_block_bytes(x) == tezos_block_bytes(y))
-        && a.xrp_blocks
-            .iter()
-            .zip(b.xrp_blocks.iter())
-            .all(|(x, y)| xrp_block_bytes(x) == xrp_block_bytes(y))
-}
-
 fn parse_range(s: &str) -> Result<(u64, u64), String> {
     let (a, b) = s
         .split_once("..")
@@ -561,12 +541,7 @@ fn shard_context_of(args: &Args) -> Result<(ShardContext, serde_json::Value), St
 /// fleet range assignments against one prepared context until the
 /// request budget (if any) is spent.
 fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
-    let max_requests: Option<u64> = match args.get("--max-requests") {
-        None => None,
-        Some(s) => {
-            Some(s.parse().map_err(|_| format!("--max-requests: cannot parse {s:?}"))?)
-        }
-    };
+    let max_requests: Option<u64> = args.parsed_opt("--max-requests")?;
     let timeout_ms: u64 = args.parsed("--timeout-ms", 10_000)?;
     txstat_ingest::fleet::register_metrics();
     let (ctx, expected) = shard_context_of(args)?;
@@ -772,100 +747,6 @@ fn cmd_reduce(raw: &[String]) -> Result<(), String> {
     result
 }
 
-/// Advance all three chain followers over one global batch window of the
-/// dataset (clamped per chain — a chain shorter than the window no-ops
-/// once it is exhausted).
-fn advance_all(
-    d: &PipelineData,
-    offset: usize,
-    hi: usize,
-    eos_f: &mut ChainFollow<EosColumnar>,
-    tz_f: &mut ChainFollow<TezosColumnar>,
-    xrp_f: &mut ChainFollow<XrpColumnar>,
-) -> Result<(), String> {
-    let take = |n: usize| offset.min(n)..hi.min(n);
-    eos_f
-        .advance(
-            &d.eos_blocks[take(d.eos_blocks.len())],
-            |b| b.num,
-            |a, _n, b| a.observe(b),
-            eos_block_hash,
-        )
-        .map_err(|e| e.to_string())?;
-    tz_f.advance(
-        &d.tezos_blocks[take(d.tezos_blocks.len())],
-        |b| b.level,
-        |a, _n, b| a.observe(b),
-        tezos_block_hash,
-    )
-    .map_err(|e| e.to_string())?;
-    xrp_f
-        .advance(
-            &d.xrp_blocks[take(d.xrp_blocks.len())],
-            |b| b.index,
-            |a, _n, b| a.observe(b, &d.oracle),
-            xrp_block_hash,
-        )
-        .map_err(|e| e.to_string())?;
-    Ok(())
-}
-
-/// Drive one follower from wherever it stands to the head of `blocks` in
-/// `batch`-sized rounds — the post-rollback re-sweep. Positions are
-/// contiguous from the follower's origin, so its observed count is also
-/// its resume offset.
-fn drive_to_head<A: Clone, B>(
-    f: &mut ChainFollow<A>,
-    blocks: &[B],
-    batch: usize,
-    num: impl Fn(&B) -> u64,
-    observe: impl Fn(&mut A, u64, &B),
-    hash: impl Fn(&B) -> u64,
-) -> Result<(), String> {
-    let mut offset = f.observed() as usize;
-    while offset < blocks.len() {
-        let hi = (offset + batch).min(blocks.len());
-        f.advance(&blocks[offset..hi], &num, &observe, &hash).map_err(|e| e.to_string())?;
-        offset = hi;
-    }
-    Ok(())
-}
-
-/// Seal the follow loop's observed-but-not-yet-archived positions
-/// `[writer.total_positions(), upto)` as segments of `seg_blocks`
-/// positions. A runt tail — the previous seal's trailing segment spanning
-/// fewer than `seg_blocks` positions — is first truncated and re-sealed
-/// merged with the new batch (its blocks are still in `d`), so a batch
-/// smaller than the segment size coalesces instead of fragmenting the
-/// corpus into one segment per batch. Each coalesce also bumps the
-/// `coalesced="true"` label of `txstat_archive_segments_written_total`.
-fn archive_append_to(
-    w: &mut txstat_archive::ArchiveWriter,
-    d: &PipelineData,
-    upto: usize,
-    seg_blocks: u64,
-) -> Result<(), String> {
-    if let Some(last) = w.segments().last() {
-        if last.end - last.start < seg_blocks && (upto as u64) > w.total_positions() {
-            let runt_start = last.start;
-            w.truncate_from(runt_start).map_err(|e| format!("archive coalesce: {e}"))?;
-            txstat_archive::m_written_coalesced().inc();
-        }
-    }
-    let from = w.total_positions();
-    let cap = |len: usize| upto.min(len);
-    for seg in txstat_reports::archive_io::segments_of_from(
-        &d.eos_blocks[..cap(d.eos_blocks.len())],
-        &d.tezos_blocks[..cap(d.tezos_blocks.len())],
-        &d.xrp_blocks[..cap(d.xrp_blocks.len())],
-        seg_blocks,
-        from,
-    ) {
-        w.append(&seg).map_err(|e| format!("archive append: {e}"))?;
-    }
-    Ok(())
-}
-
 fn cmd_follow(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(
         raw,
@@ -874,7 +755,6 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
             "--seed",
             "--out",
             "--batch",
-            "--shards",
             "--trace-out",
             "--snapshots",
             "--reorg-at-batch",
@@ -887,215 +767,129 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
         false,
     )?;
     let (sc, mode) = scenario_of(&args)?;
-    init_tracing(&args)?;
     let batch: usize = args.parsed("--batch", 500)?;
     if batch == 0 {
         return Err("--batch must be positive".to_owned());
     }
-    let shards: usize = args.parsed("--shards", 2)?;
-    let shards = shards.max(1);
-    let window: usize =
-        args.parsed("--snapshots", txstat_ingest::follow::DEFAULT_SNAPSHOT_WINDOW)?;
-    let reorg_at: Option<u64> = match args.get("--reorg-at-batch") {
-        None => None,
-        Some(s) => {
-            Some(s.parse().map_err(|_| format!("--reorg-at-batch: cannot parse {s:?}"))?)
-        }
-    };
+    let window: usize = args.parsed("--snapshots", txstat_reports::follow::DEFAULT_SNAPSHOT_WINDOW)?;
+    let reorg_at: Option<usize> = args.parsed_opt("--reorg-at-batch")?;
     let reorg_depth: usize = args.parsed("--reorg-depth", batch)?;
     let reorg_seed: u64 = args.parsed("--reorg-seed", 1)?;
-    txstat_ingest::follow::register_metrics();
+    let seg_blocks_flag: Option<u64> = args.parsed_opt("--segment-blocks")?;
+    if seg_blocks_flag == Some(0) {
+        return Err("--segment-blocks must be at least 1".to_owned());
+    }
+    init_tracing(&args)?;
     txstat_reports::pipeline::register_metrics();
     txstat_archive::register_metrics();
 
     // With --archive: cold-start from the corpus when one exists there,
-    // otherwise generate and create it; either way each observed batch is
-    // sealed into the corpus, coalescing a runt tail up to
-    // --segment-blocks positions (default: the batch size, or the corpus's
-    // own segment geometry when cold-starting).
-    let seg_blocks_flag: Option<u64> = match args.get("--segment-blocks") {
-        None => None,
-        Some(s) => {
-            Some(s.parse().map_err(|_| format!("--segment-blocks: cannot parse {s:?}"))?)
-        }
-    };
-    if seg_blocks_flag == Some(0) {
-        return Err("--segment-blocks must be at least 1".to_owned());
-    }
-    let (data, mut writer, seg_blocks) = match args.get("--archive") {
+    // otherwise generate and (below, once every flag has been checked
+    // against the chains) create it.
+    let archive_dir = args.get("--archive");
+    let has_corpus = |dir: &&str| std::path::Path::new(dir).join(txstat_archive::IDX_FILE).exists();
+    let (data, corpus) = match archive_dir.filter(has_corpus) {
         Some(dir) => {
-            let path = std::path::Path::new(dir);
-            if path.join(txstat_archive::IDX_FILE).exists() {
-                let (data, archive, mode) = archive_dataset(&args, dir, pipeline_from_archive)?;
-                let manifest = Manifest::parse(archive.manifest())?;
-                eprintln!(
-                    "cold-started {mode} scenario from archive {dir}; following head in \
-                     batches of {batch} blocks per chain…"
-                );
-                let writer = archive
-                    .into_writer()
-                    .map_err(|e| format!("archive {dir}: {e}"))?;
-                (data, Some(writer), seg_blocks_flag.unwrap_or(manifest.segment_blocks))
-            } else {
-                let seg_blocks = seg_blocks_flag.unwrap_or(batch as u64);
-                eprintln!(
-                    "generating chains; creating archive {dir} and following head in \
-                     batches of {batch} blocks per chain…"
-                );
-                let data = generate(&sc);
-                let writer = txstat_reports::create_archive_writer(path, &data, mode, seg_blocks)?;
-                (data, Some(writer), seg_blocks)
-            }
+            let (data, archive, mode) = archive_dataset(&args, dir, pipeline_from_archive)?;
+            eprintln!(
+                "cold-started {mode} scenario from archive {dir}; following head in \
+                 batches of {batch} blocks per chain…"
+            );
+            (data, Some(archive))
         }
         None => {
-            eprintln!("generating chains; following head in batches of {batch} blocks per chain…");
-            (generate(&sc), None, seg_blocks_flag.unwrap_or(batch as u64))
+            let creating =
+                archive_dir.map(|dir| format!("creating archive {dir} and ")).unwrap_or_default();
+            eprintln!(
+                "generating chains; {creating}following head in batches of {batch} blocks per chain…"
+            );
+            (generate(&sc), None)
         }
     };
-    let period = data.scenario.period;
-
-    // One mark-sealing follower per chain: each batch appends a tail
-    // through the checkpoint (the observed prefix is never re-swept) and
-    // seals a content mark, so a later reorg is detected by mark and
-    // invalidates only its suffix.
-    let mut eos_f = ChainFollow::new(
-        "eos",
-        Checkpoint::new(
-            vec![EosColumnar::new(period); shards],
-            data.eos_blocks.first().map_or(1, |b| b.num),
-        ),
-        window,
-    );
-    let mut tz_f = ChainFollow::new(
-        "tezos",
-        Checkpoint::new(
-            vec![TezosColumnar::new(period, data.governance_periods.clone()); shards],
-            data.tezos_blocks.first().map_or(1, |b| b.level),
-        ),
-        window,
-    );
-    let mut xrp_f = ChainFollow::new(
-        "xrp",
-        Checkpoint::new(
-            vec![XrpColumnar::new(period); shards],
-            data.xrp_blocks.first().map_or(1, |b| b.index),
-        ),
-        window,
-    );
-
-    let total = data.longest_chain();
-    let mut offset = 0usize;
-    let mut round = 0u64;
-    while offset < total {
-        let _span = txstat_telemetry::Span::enter("follow_batch", "");
-        let hi = (offset + batch).min(total);
-        advance_all(&data, offset, hi, &mut eos_f, &mut tz_f, &mut xrp_f)?;
-        round += 1;
-        // Seal this batch's positions into the corpus (a no-op when a
-        // cold-started archive already covers them).
-        if let Some(w) = writer.as_mut() {
-            if (hi as u64) > w.total_positions() {
-                archive_append_to(w, &data, hi, seg_blocks)?;
-            }
+    let batches = data.longest_chain().div_ceil(batch);
+    if let Some(r) = reorg_at.filter(|r| *r > batches) {
+        return Err(format!("--reorg-at-batch {r}: the head is reached after {batches} batches"));
+    }
+    // Each observed batch is sealed into the corpus, coalescing a runt
+    // tail up to --segment-blocks positions (default: the batch size, or
+    // the corpus's own segment geometry when cold-starting).
+    let mut persist = match (corpus, archive_dir) {
+        (Some(archive), _) => {
+            let geometry = Manifest::parse(archive.manifest())?.segment_blocks;
+            Some(FollowArchive::resume(archive, seg_blocks_flag.unwrap_or(geometry))?)
         }
+        (None, Some(dir)) => {
+            let seg_blocks = seg_blocks_flag.unwrap_or(batch as u64);
+            Some(FollowArchive::create(std::path::Path::new(dir), &data, mode, seg_blocks)?)
+        }
+        (None, None) => None,
+    };
 
-        // The headline rates come straight off the shard counters (the
-        // same division `*Sweep::tps` does) — O(shards), nothing merged or
-        // finalized until the head.
-        let tps = |txs: u64| txs as f64 / period.seconds().max(1) as f64;
+    // The follower `serve` runs, with the reorg guard on: this is the one
+    // command that can meet a reorg.
+    let mut follower = Follower::new(data, batch).with_reorg_guard(window);
+    follower.bind_metrics(txstat_telemetry::registry());
+    let mut round = 0usize;
+    let mut fork = loop {
+        // One round: the follower's advance plus this batch's archive seal.
+        let _span = txstat_telemetry::Span::enter("follow_batch", "");
+        let fork = follower.advance().map_err(|e| e.to_string())?;
+        round += 1;
+        if let Some(p) = persist.as_mut() {
+            p.seal_to(follower.base(), follower.offset())?;
+        }
+        let (sweeps, (eos, tezos, xrp)) = (fork.sweeps(), follower.observed());
         eprintln!(
-            "batch {round:>4}: EOS {:>7} blocks ({:.2} tps) | Tezos {:>7} ({:.2} tps) | XRP {:>7} ({:.2} tps)",
-            eos_f.observed(),
-            tps(eos_f.checkpoint().shards.iter().map(|a| a.txs_in_period()).sum()),
-            tz_f.observed(),
-            tps(tz_f.checkpoint().shards.iter().map(|a| a.txs_in_period()).sum()),
-            xrp_f.observed(),
-            tps(xrp_f.checkpoint().shards.iter().map(|a| a.txs_in_period()).sum()),
+            "batch {round:>4}: EOS {eos:>7} blocks ({:.2} tps) | Tezos {tezos:>7} ({:.2} tps) | XRP {xrp:>7} ({:.2} tps)",
+            sweeps.eos.tps(),
+            sweeps.tezos.tps(),
+            sweeps.xrp.tps(),
         );
-        offset = hi;
-        if reorg_at == Some(round) {
-            break;
+        if follower.head() || reorg_at == Some(round) {
+            break fork;
+        }
+    };
+
+    // Head (or the reorg trigger batch) reached: reorg + resync if asked,
+    // then follow the new chains to their head.
+    let mut verify_against = None;
+    if reorg_at.is_some() {
+        let from = follower.offset().saturating_sub(reorg_depth);
+        eprintln!("injecting reorg: rewriting block positions {from}.. (seed {reorg_seed})");
+        let reorged = reorg_data(follower.base(), from, reorg_seed);
+        // From-scratch truth over the same reorged chains for the
+        // byte-identity check (fresh dataset, lazily re-swept sweeps).
+        verify_against = Some(reorg_data(follower.base(), from, reorg_seed));
+        if let Some(p) = persist.as_mut() {
+            let (dropped, kept) = p.reseal_from(&reorged, from)?;
+            eprintln!(
+                "archive: reorg invalidated {dropped} segment(s); re-sealed from position {kept}"
+            );
+        }
+        let r = follower.resync(reorged);
+        let [eos, tezos, xrp] = r.agreed_by_chain;
+        eprintln!(
+            "resync: {} mark(s) agreed (eos {eos}, tezos {tezos}, xrp {xrp}), {} invalidated{}; \
+             resuming at position {}",
+            r.agreed,
+            r.invalidated,
+            if r.rebuilt { " (rebuilt from scratch)" } else { "" },
+            r.resume,
+        );
+        // At least once: a resync that changed nothing still republishes
+        // over the adopted chains.
+        loop {
+            fork = follower.advance().map_err(|e| e.to_string())?;
+            if follower.head() {
+                break;
+            }
         }
     }
 
-    // Head (or the reorg trigger batch) reached: pick the dataset the
-    // report renders against, reorging + resyncing first if asked.
-    let (final_data, verify_against) = if let Some(r) = reorg_at {
-        if round < r {
-            return Err(format!(
-                "--reorg-at-batch {r}: the head was reached after {round} batches"
-            ));
-        }
-        let from = offset.saturating_sub(reorg_depth);
-        eprintln!("injecting reorg: rewriting block positions {from}.. (seed {reorg_seed})");
-        let reorged = reorg_data(&data, from, reorg_seed);
-        // The corpus rolls back exactly like the followers: only segments
-        // overlapping the rewritten suffix are dropped, then the tail is
-        // re-sealed from the reorged chains.
-        if let Some(w) = writer.as_mut() {
-            let dropped =
-                w.truncate_from(from as u64).map_err(|e| format!("archive truncate: {e}"))?;
-            eprintln!(
-                "archive: reorg invalidated {dropped} segment(s); re-sealing from position {}",
-                w.total_positions()
-            );
-            archive_append_to(w, &reorged, total, seg_blocks)?;
-        }
-        for (r, chain) in [
-            (eos_f.resync(&reorged.eos_blocks, eos_block_hash), "eos"),
-            (tz_f.resync(&reorged.tezos_blocks, tezos_block_hash), "tezos"),
-            (xrp_f.resync(&reorged.xrp_blocks, xrp_block_hash), "xrp"),
-        ] {
-            eprintln!(
-                "resync {chain}: {} mark(s) agreed, {} invalidated{}; resuming at position {}",
-                r.agreed,
-                r.invalidated,
-                if r.rebuilt { " (rebuilt from scratch)" } else { "" },
-                r.resume,
-            );
-        }
-        drive_to_head(
-            &mut eos_f,
-            &reorged.eos_blocks,
-            batch,
-            |b| b.num,
-            |a, _n, b| a.observe(b),
-            eos_block_hash,
-        )?;
-        drive_to_head(
-            &mut tz_f,
-            &reorged.tezos_blocks,
-            batch,
-            |b| b.level,
-            |a, _n, b| a.observe(b),
-            tezos_block_hash,
-        )?;
-        drive_to_head(
-            &mut xrp_f,
-            &reorged.xrp_blocks,
-            batch,
-            |b| b.index,
-            |a, _n, b| a.observe(b, &reorged.oracle),
-            xrp_block_hash,
-        )?;
-        // From-scratch truth over the same reorged chain for the
-        // byte-identity check (fresh dataset, lazily re-swept sweeps).
-        let scratch = reorg_data(&data, from, reorg_seed);
-        (reorged, Some(scratch))
-    } else {
-        (data, None)
-    };
-
-    // The followers now cover the whole (possibly reorged) chains. Render
-    // the full report from their merged state — identical to `report`.
-    let sweeps = ChainSweeps {
-        eos: eos_f.checkpoint().merged(|a, b| a.merge(b)).finalize(),
-        tezos: tz_f.checkpoint().merged(|a, b| a.merge(b)).finalize(),
-        xrp: xrp_f.checkpoint().merged(|a, b| a.merge(b)).finalize(),
-    };
-    assert!(final_data.install_sweeps(sweeps), "follow computed no report sweeps");
-    let report = render_report(&final_data);
-    warn_memo(&final_data);
+    // The last epoch covers the whole (possibly reorged) chains: its
+    // report is identical to `report`'s.
+    let report = render_report(&fork);
+    warn_memo(&fork);
     if let Some(scratch) = verify_against {
         if report != render_report(&scratch) {
             return Err("reorg recovery diverged: the followed report is not byte-identical \
@@ -1104,22 +898,10 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
         }
         eprintln!("reorg recovery verified: report byte-identical to a from-scratch sweep");
     }
-    // Seal the corpus index and prove the round trip: reopening the
-    // archive must replay every chain byte-identical to what the follow
-    // loop observed (including any reorged suffix).
-    if let Some(w) = writer.take() {
-        w.seal().map_err(|e| format!("archive seal: {e}"))?;
-        let dir = args.get("--archive").expect("writer implies --archive");
-        let (replayed, archive) = pipeline_from_archive(std::path::Path::new(dir))?;
-        if !chains_wire_identical(&replayed, &final_data) {
-            return Err(format!(
-                "archive verification diverged: {dir} does not replay byte-identical \
-                 to the followed chains"
-            ));
-        }
+    if let Some(p) = persist {
+        let segments = p.finish(&fork)?;
         eprintln!(
-            "archive verified: {} segment(s) replay byte-identical to the followed chains",
-            archive.segments().len()
+            "archive verified: {segments} segment(s) replay byte-identical to the followed chains"
         );
     }
     let result = write_output(&report, args.get("--out"));
@@ -1237,11 +1019,10 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     // shard pools, reduce/epoch progress from the follow loop, serve route
     // stats) in one exposition.
     let registry = txstat_telemetry::registry().clone();
-    // Fleet, follow, generation, and archive families render at zero even
-    // when this process never runs them — dashboards can rely on their
-    // presence.
+    // Fleet, generation, and archive families render at zero even when
+    // this process never runs them — dashboards can rely on their
+    // presence (the follower registers its own, rollback families included).
     txstat_ingest::fleet::register_metrics();
-    txstat_ingest::follow::register_metrics();
     txstat_reports::pipeline::register_metrics();
     txstat_archive::register_metrics();
     let data = match args.get("--archive") {
@@ -1263,7 +1044,9 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
             generate(&sc)
         }
     };
-    let mut follower = EpochFollower::new(data, batch);
+    // No reorg guard: nothing can hand this process a reorged chain, so it
+    // hashes no block and retains no snapshot.
+    let mut follower = Follower::new(data, batch);
     follower.bind_metrics(&registry);
     // First epoch before accepting queries, so every response has sweeps.
     let first = follower.advance().map_err(|e| e.to_string())?;
@@ -1389,12 +1172,7 @@ fn cmd_query(raw: &[String]) -> Result<(), String> {
     {
         return Err("query needs at least one PATH (or --wait-head / --shutdown)".to_owned());
     }
-    let expect: Option<u16> = match args.get("--expect-status") {
-        None => None,
-        Some(s) => {
-            Some(s.parse().map_err(|_| format!("--expect-status: cannot parse {s:?}"))?)
-        }
-    };
+    let expect: Option<u16> = args.parsed_opt("--expect-status")?;
     let rt = tokio::runtime::Runtime::new().map_err(|e| e.to_string())?;
     rt.block_on(async {
         // The server prints its address before the follow loop starts, but

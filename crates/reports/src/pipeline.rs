@@ -89,10 +89,12 @@ pub struct PipelineData {
     /// Lazily-computed fused accumulators (one parallel sweep per chain);
     /// every exhibit renders from these instead of re-scanning the blocks.
     /// The streamed path pre-fills them from the shard reducer.
-    sweeps: OnceLock<ChainSweeps>,
-    /// Chain lengths `[eos, tezos, xrp]`: the block vectors' own where
-    /// they are held, the streamed counts or the manifest's where not.
-    lens: [u64; 3],
+    sweeps: OnceLock<Arc<ChainSweeps>>,
+    /// Chain lengths `[eos, tezos, xrp]` of a block-free dataset (the
+    /// streamed counts, or the manifest's for [`reducer_from_archive`]).
+    /// `None` wherever the vectors are held: their own lengths are the
+    /// truth there, whatever a caller has since put in the public fields.
+    block_free_lens: Option<[u64; 3]>,
     /// Every report input that needs block bytes and is not a sweep
     /// (Figure 2's serialize + LZSS-sample accounting — ~30× any other
     /// figure — block bounds, CPU-price peaks). Shared across every fork of
@@ -155,7 +157,7 @@ impl PipelineData {
     pub fn sweeps(&self) -> &ChainSweeps {
         self.sweeps.get_or_init(|| {
             let period = self.scenario.period;
-            ChainSweeps {
+            Arc::new(ChainSweeps {
                 eos: {
                     let _span = Span::enter("sweep", "eos");
                     EosColumnar::compute(&self.eos_blocks, period)
@@ -168,7 +170,7 @@ impl PipelineData {
                     let _span = Span::enter("sweep", "xrp");
                     XrpColumnar::compute(&self.xrp_blocks, period, &self.oracle)
                 },
-            }
+            })
         })
     }
 
@@ -176,14 +178,20 @@ impl PipelineData {
     /// replay (follow batches, serve epochs, fleet ranges) runs to cover
     /// every chain.
     pub fn longest_chain(&self) -> usize {
-        self.lens.into_iter().max().unwrap_or(0) as usize
+        self.lens().into_iter().max().unwrap_or(0) as usize
+    }
+
+    /// Chain lengths `[eos, tezos, xrp]`.
+    fn lens(&self) -> [u64; 3] {
+        self.block_free_lens
+            .unwrap_or_else(|| lens_of(&self.eos_blocks, &self.tezos_blocks, &self.xrp_blocks))
     }
 
     /// Install externally-reduced sweeps (e.g. from a distributed
     /// `txstat_ingest::ReduceSession`) as this dataset's analytics state.
     /// Returns false if the sweeps were already computed.
     pub fn install_sweeps(&self, sweeps: ChainSweeps) -> bool {
-        self.sweeps.set(sweeps).is_ok()
+        self.sweeps.set(Arc::new(sweeps)).is_ok()
     }
 
     /// Pin the scalar (non-columnar) sweeps as this dataset's analytics
@@ -192,13 +200,11 @@ impl PipelineData {
     /// columnar default. Returns false if the sweeps were already computed.
     pub fn force_scalar_sweeps(&self) -> bool {
         let period = self.scenario.period;
-        self.sweeps
-            .set(ChainSweeps {
-                eos: EosSweep::compute(&self.eos_blocks, period),
-                tezos: TezosSweep::compute(&self.tezos_blocks, period, &self.governance_periods),
-                xrp: XrpSweep::compute(&self.xrp_blocks, period, &self.oracle),
-            })
-            .is_ok()
+        self.install_sweeps(ChainSweeps {
+            eos: EosSweep::compute(&self.eos_blocks, period),
+            tezos: TezosSweep::compute(&self.tezos_blocks, period, &self.governance_periods),
+            xrp: XrpSweep::compute(&self.xrp_blocks, period, &self.oracle),
+        })
     }
 
     /// The dataset's block-derived facts, resolved on first use: already
@@ -292,7 +298,43 @@ impl PipelineData {
     /// publish one immutable snapshot per follow batch without re-deriving
     /// or copying the chains.
     pub fn fork_with_sweeps(&self, sweeps: ChainSweeps) -> PipelineData {
-        let fork = PipelineData {
+        self.fork_sharing(Arc::new(sweeps))
+    }
+
+    /// [`PipelineData::fork_with_sweeps`] over sweeps the caller goes on
+    /// holding (the follower's rollback ring keeps its published epochs).
+    pub(crate) fn fork_sharing(&self, sweeps: Arc<ChainSweeps>) -> PipelineData {
+        let fork = self.sibling(self.facts.clone());
+        let installed = fork.sweeps.set(sweeps).is_ok();
+        debug_assert!(installed, "fresh fork cannot have sweeps yet");
+        fork
+    }
+
+    /// This dataset's scenario and sidecar over other chain content (a
+    /// competing fork's): fresh, uncomputed sweeps and facts — and no tie
+    /// to an archive's `archive.memo`, whose segments describe the old
+    /// history — so a from-scratch report over it reflects the new one.
+    pub(crate) fn with_chains(
+        &self,
+        eos: Vec<txstat_eos::Block>,
+        tezos: Vec<txstat_tezos::TezosBlock>,
+        xrp: Vec<txstat_xrp::LedgerBlock>,
+    ) -> PipelineData {
+        PipelineData {
+            eos_blocks: Arc::new(eos),
+            tezos_blocks: Arc::new(tezos),
+            xrp_blocks: Arc::new(xrp),
+            crawl: None,
+            stream: None,
+            block_free_lens: None,
+            ..self.sibling(Facts::lazy(None))
+        }
+    }
+
+    /// A dataset sharing every input of this one by `Arc`, with no sweeps
+    /// yet and the given facts.
+    fn sibling(&self, facts: Arc<Facts>) -> PipelineData {
+        PipelineData {
             scenario: self.scenario.clone(),
             eos_blocks: self.eos_blocks.clone(),
             tezos_blocks: self.tezos_blocks.clone(),
@@ -307,12 +349,9 @@ impl PipelineData {
             crawl: self.crawl.clone(),
             stream: self.stream.clone(),
             sweeps: OnceLock::new(),
-            lens: self.lens,
-            facts: self.facts.clone(),
-        };
-        let installed = fork.sweeps.set(sweeps).is_ok();
-        debug_assert!(installed, "fresh fork cannot have sweeps yet");
-        fork
+            block_free_lens: self.block_free_lens,
+            facts,
+        }
     }
 }
 
@@ -375,33 +414,26 @@ fn cluster_from_ledger(ledger: &txstat_xrp::XrpLedger) -> ClusterInfo {
     cluster
 }
 
-/// Count every from-scratch chain build (all three chains generated).
-/// Workers cold-starting from an archive must leave this at zero — the
-/// fleet smoke pins that through `--metrics-out`.
-fn count_generation() {
+/// Every from-scratch chain build (all three chains generated). Workers
+/// cold-starting from an archive must leave this at zero — the fleet smoke
+/// pins that through `--metrics-out`.
+fn generations() -> &'static txstat_telemetry::Counter {
     static_counter!(
         GEN,
         "txstat_pipeline_generate_total",
         "Full chain-generation passes (all three chains built from scratch)"
     )
-    .inc();
 }
 
 /// Register the pipeline's metric families at zero, so a process that
 /// never generates (an archive cold-start) still exposes them.
 pub fn register_metrics() {
-    txstat_telemetry::registry()
-        .counter_with(
-            "txstat_pipeline_generate_total",
-            "Full chain-generation passes (all three chains built from scratch)",
-            &[],
-        )
-        .add(0);
+    generations().add(0);
 }
 
 /// Direct path: generate the three chains and read them in-process.
 pub fn generate(sc: &Scenario) -> PipelineData {
-    count_generation();
+    generations().inc();
     let mut eos = {
         let _span = Span::enter("generate", "eos");
         build_eos(sc)
@@ -418,11 +450,7 @@ pub fn generate(sc: &Scenario) -> PipelineData {
     let oracle = RateOracle::from_trades(&xrp.trades, sc.period.end, sc.period.days() as i64 + 1);
     let cluster = cluster_from_ledger(&xrp);
     let governance_periods = governance_periods_of(&tezos);
-    let tezos_rolls: HashMap<Address, u64> = tezos
-        .bakers()
-        .iter()
-        .map(|b| (b.address, b.staked_mutez / tezos.config.roll_size_mutez))
-        .collect();
+    let tezos_rolls = tezos_rolls_of(&tezos);
 
     // Everything derived is taken above; the chains now give up their
     // vectors instead of copying them.
@@ -433,7 +461,7 @@ pub fn generate(sc: &Scenario) -> PipelineData {
         (eos.into_blocks(), tezos.into_blocks(), xrp.into_closed_ledgers());
     PipelineData {
         scenario: sc.clone(),
-        lens: lens_of(&eos_blocks, &tezos_blocks, &xrp_blocks),
+        block_free_lens: None,
         eos_blocks: Arc::new(eos_blocks),
         tezos_blocks: Arc::new(tezos_blocks),
         xrp_blocks: Arc::new(xrp_blocks),
@@ -492,10 +520,10 @@ fn sidecar_from_data(data: &PipelineData) -> crate::Sidecar {
 }
 
 /// Create an empty archive for `data`'s scenario at `dir` — manifest and
-/// sidecar sealed, no segments yet. The follow loop uses this to seal one
-/// segment per observed batch; [`write_archive`] appends every segment in
+/// sidecar sealed, no segments yet. [`crate::follow::FollowArchive`] seals
+/// observed batches into it; [`write_archive`] appends every segment in
 /// one go.
-pub fn create_archive_writer(
+pub(crate) fn create_archive_writer(
     dir: &std::path::Path,
     data: &PipelineData,
     mode: &str,
@@ -507,11 +535,7 @@ pub fn create_archive_writer(
     let manifest = crate::Manifest {
         meta: scenario_meta(&data.scenario, mode),
         segment_blocks,
-        lens: [
-            data.eos_blocks.len() as u64,
-            data.tezos_blocks.len() as u64,
-            data.xrp_blocks.len() as u64,
-        ],
+        lens: lens_of(&data.eos_blocks, &data.tezos_blocks, &data.xrp_blocks),
     };
     let sidecar = sidecar_from_data(data);
     ArchiveWriter::create(dir, &manifest.to_string(), &sidecar.encode())
@@ -534,11 +558,12 @@ pub fn write_archive(
     let _span = Span::enter("archive_write", &dir.display().to_string());
     let err = |e: txstat_archive::ArchiveError| format!("archive {}: {e}", dir.display());
     let mut writer = create_archive_writer(dir, data, mode, segment_blocks)?;
-    for seg in crate::archive_io::segments_of(
+    for seg in crate::archive_io::segments_of_from(
         &data.eos_blocks,
         &data.tezos_blocks,
         &data.xrp_blocks,
         segment_blocks,
+        0,
     ) {
         writer.append(&seg).map_err(err)?;
     }
@@ -595,11 +620,10 @@ fn dataset_from_archive(
     let manifest = crate::Manifest::parse(archive.manifest())?;
     let (sc, _mode) = scenario_from_meta(&manifest.meta)?;
     let sidecar = crate::Sidecar::decode(archive.sidecar())?;
-    let ((eos_blocks, tezos_blocks, xrp_blocks), lens, facts) = if replay_blocks {
+    let ((eos_blocks, tezos_blocks, xrp_blocks), block_free_lens, facts) = if replay_blocks {
         let segments = archive.replay_all().map_err(|e| at(e.to_string()))?;
         let chains = crate::archive_io::chains_of(&segments)?;
-        let lens = lens_of(&chains.0, &chains.1, &chains.2);
-        (chains, lens, Facts::lazy(Some(archive.memo())))
+        (chains, None, Facts::lazy(Some(archive.memo())))
     } else {
         let (sum, status) = memoized_summary(&archive.memo(), |i, m| {
             let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
@@ -609,14 +633,8 @@ fn dataset_from_archive(
         })
         .map_err(at)?;
         let lens = sum.lens();
-        (Default::default(), lens, Facts::known(sum, Some(status)))
+        (Default::default(), Some(lens), Facts::known(sum, Some(status)))
     };
-    if lens != manifest.lens {
-        return Err(at(format!(
-            "archived chain lengths {lens:?} disagree with manifest {:?}",
-            manifest.lens
-        )));
-    }
     let oracle =
         RateOracle::from_trades(&sidecar.trades, sc.period.end, sc.period.days() as i64 + 1);
     let mut cluster = ClusterInfo::new();
@@ -641,9 +659,16 @@ fn dataset_from_archive(
         crawl: None,
         stream: None,
         sweeps: OnceLock::new(),
-        lens,
+        block_free_lens,
         facts,
     };
+    if data.lens() != manifest.lens {
+        return Err(at(format!(
+            "archived chain lengths {:?} disagree with manifest {:?}",
+            data.lens(),
+            manifest.lens
+        )));
+    }
     Ok((data, archive))
 }
 
@@ -989,7 +1014,7 @@ pub async fn generate_with_crawl(
 
     Ok(PipelineData {
         scenario: sc.clone(),
-        lens: lens_of(&eos_crawl.blocks, &tezos_crawl.blocks, &xrp_crawl.blocks),
+        block_free_lens: None,
         eos_blocks: Arc::new(eos_crawl.blocks),
         tezos_blocks: Arc::new(tezos_crawl.blocks),
         xrp_blocks: Arc::new(xrp_crawl.blocks),
@@ -1255,7 +1280,7 @@ pub async fn generate_with_crawl_streamed(
 
     let tezos_rolls = tezos_rolls_of(&served.tezos);
     let sweeps = OnceLock::new();
-    let _ = sweeps.set(ChainSweeps { eos: eos_sweep, tezos: tz_sweep, xrp: xrp_sweep });
+    let _ = sweeps.set(Arc::new(ChainSweeps { eos: eos_sweep, tezos: tz_sweep, xrp: xrp_sweep }));
 
     // No blocks are held, so the facts are settled here: the bounds the
     // shards observed and the launch peaks off the serving side's chain
@@ -1267,7 +1292,11 @@ pub async fn generate_with_crawl_streamed(
     };
     Ok(PipelineData {
         scenario: sc.clone(),
-        lens: [eos_info.streamed_blocks, tz_info.streamed_blocks, xrp_info.streamed_blocks],
+        block_free_lens: Some([
+            eos_info.streamed_blocks,
+            tz_info.streamed_blocks,
+            xrp_info.streamed_blocks,
+        ]),
         eos_blocks: Arc::new(Vec::new()),
         tezos_blocks: Arc::new(Vec::new()),
         xrp_blocks: Arc::new(Vec::new()),
@@ -1291,18 +1320,12 @@ pub async fn generate_with_crawl_streamed(
     })
 }
 
-/// Local storage accounting when no crawl ran, memoized per dataset family
-/// — see [`PipelineData::storage_stats`].
-pub fn local_storage_stats(data: &PipelineData) -> (CrawlStats, CrawlStats, CrawlStats) {
-    data.storage_stats().clone()
-}
-
 /// Block positions per [`summarize`] call when a dataset summarizes its own
 /// blocks (the default segment size: one parallel grain either way).
 const SUMMARY_RUN_BLOCKS: u64 = 256;
 
 /// Positions `[start, end)` of a chain-aligned vector, clamped to its length.
-fn run_of<T>(v: &[T], start: u64, end: u64) -> &[T] {
+pub(crate) fn run_of<T>(v: &[T], start: u64, end: u64) -> &[T] {
     &v[(start as usize).min(v.len())..(end as usize).min(v.len())]
 }
 
@@ -1461,7 +1484,7 @@ impl ShardContext {
     /// derives identical chains and the same exchange-rate oracle from
     /// the scenario seed.
     pub fn new(sc: &Scenario) -> Self {
-        count_generation();
+        generations().inc();
         let eos = build_eos(sc);
         let tezos = build_tezos(sc);
         let xrp = build_xrp(sc);
@@ -1612,20 +1635,6 @@ impl ShardContext {
     }
 }
 
-/// One shard worker process's work, end to end: build the chains and
-/// sweep one range. Socket workers keep a [`ShardContext`] instead.
-pub fn shard_scenario(
-    sc: &Scenario,
-    meta: serde_json::Value,
-    start: u64,
-    end: u64,
-    shards: usize,
-) -> Vec<ShardFrame> {
-    ShardContext::new(sc)
-        .frames(meta, start, end, shards, PayloadFormat::Bin)
-        .expect("generated shard context cannot fail")
-}
-
 /// Central reduction: validate and merge shard frames over the scenario
 /// they were swept from, then assemble the full dataset with the reduced
 /// sweeps installed. The rendered report is bit-identical to
@@ -1675,7 +1684,7 @@ pub fn reduce_frames_labeled_into(
 /// The shared tail of a reduction: check that coverage tiles each chain
 /// exactly, finalize, and install the sweeps into the fresh dataset.
 fn finish_reduce(data: PipelineData, session: ReduceSession) -> Result<PipelineData, ReduceError> {
-    for (chain, len) in txstat_ingest::reduce::CHAINS.into_iter().zip(data.lens) {
+    for (chain, len) in txstat_ingest::reduce::CHAINS.into_iter().zip(data.lens()) {
         let mut gaps = Vec::new();
         match session.span(chain) {
             None => gaps.push((0, len)),
@@ -1696,78 +1705,4 @@ fn finish_reduce(data: PipelineData, session: ReduceSession) -> Result<PipelineD
     let sweeps = session.finalize()?;
     assert!(data.install_sweeps(sweeps), "fresh dataset has no sweeps yet");
     Ok(data)
-}
-
-// ---- Reorg injection + per-block content hashes (reorg-safe follow) --------
-
-/// Content hash of one EOS block: FNV-1a over its wire JSON — the same
-/// serialization Figure 2's storage accounting uses, so any observable
-/// change to the block changes the hash.
-pub fn eos_block_hash(b: &txstat_eos::Block) -> u64 {
-    txstat_types::ids::fnv1a64(&txstat_eos::rpc_model::block_bytes(b))
-}
-
-/// Content hash of one Tezos block (see [`eos_block_hash`]).
-pub fn tezos_block_hash(b: &txstat_tezos::TezosBlock) -> u64 {
-    txstat_types::ids::fnv1a64(&txstat_tezos::rpc_model::block_bytes(b))
-}
-
-/// Content hash of one XRP ledger (see [`eos_block_hash`]).
-pub fn xrp_block_hash(b: &txstat_xrp::LedgerBlock) -> u64 {
-    txstat_types::ids::fnv1a64(&txstat_xrp::rpc_model::ledger_bytes(b))
-}
-
-/// Simulate a chain reorganization: every block at position `>= from` (in
-/// every chain) gets its transaction content deterministically rewritten —
-/// numbering and timestamps stay, history *content* diverges, exactly what
-/// a competing fork looks like to a follower keyed on block positions.
-///
-/// The returned dataset has fresh (uncomputed) sweeps and facts — and no
-/// tie to an archive's `archive.memo`, whose segments describe the old
-/// history — so a from-scratch report over it reflects the reorged one.
-pub fn reorg_data(data: &PipelineData, from: usize, seed: u64) -> PipelineData {
-    use txstat_types::rng::subseed_n;
-    // Drop the last or the first entry of a block's transaction list,
-    // chosen by a seeded coin — either way the block's content (and hash)
-    // changes whenever it has any transactions at all.
-    fn mutate<T>(list: &mut Vec<T>, coin: u64) {
-        if list.is_empty() {
-            return;
-        }
-        if coin & 1 == 0 {
-            list.pop();
-        } else {
-            list.remove(0);
-        }
-    }
-    let mut eos = (*data.eos_blocks).clone();
-    for (pos, b) in eos.iter_mut().enumerate().skip(from) {
-        mutate(&mut b.transactions, subseed_n(seed, "reorg-eos", pos as u64));
-    }
-    let mut tezos = (*data.tezos_blocks).clone();
-    for (pos, b) in tezos.iter_mut().enumerate().skip(from) {
-        mutate(&mut b.operations, subseed_n(seed, "reorg-tezos", pos as u64));
-    }
-    let mut xrp = (*data.xrp_blocks).clone();
-    for (pos, b) in xrp.iter_mut().enumerate().skip(from) {
-        mutate(&mut b.transactions, subseed_n(seed, "reorg-xrp", pos as u64));
-    }
-    PipelineData {
-        scenario: data.scenario.clone(),
-        lens: lens_of(&eos, &tezos, &xrp),
-        eos_blocks: Arc::new(eos),
-        tezos_blocks: Arc::new(tezos),
-        xrp_blocks: Arc::new(xrp),
-        oracle: Arc::clone(&data.oracle),
-        trades: Arc::clone(&data.trades),
-        cluster: Arc::clone(&data.cluster),
-        eos_cpu_price: Arc::clone(&data.eos_cpu_price),
-        eos_dropped_txs: data.eos_dropped_txs,
-        tezos_rolls: Arc::clone(&data.tezos_rolls),
-        governance_periods: data.governance_periods.clone(),
-        crawl: None,
-        stream: None,
-        sweeps: OnceLock::new(),
-        facts: Facts::lazy(None),
-    }
 }

@@ -17,14 +17,10 @@ use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
-use txstat_core::{
-    ChainSweeps, EosColumnar, EosSweep, TezosColumnar, TezosSweep, XrpColumnar, XrpSweep,
-};
-use txstat_ingest::{EpochCell, IngestError};
+use txstat_ingest::EpochCell;
 use txstat_netsim::http::{HttpRequest, HttpResponse};
 use txstat_netsim::HttpHandler;
-use txstat_telemetry::{Counter, Gauge, Histogram, MetricKind, Registry, Sample, SampleValue, Span};
+use txstat_telemetry::{Counter, MetricKind, Registry, Sample, SampleValue};
 
 /// One epoch's immutable serving state: the forked dataset plus the keyed
 /// response cache for everything rendered from it.
@@ -344,173 +340,5 @@ impl StatsService {
 impl HttpHandler for StatsService {
     fn handle(&self, req: &HttpRequest) -> HttpResponse {
         self.respond(&req.method, &req.path)
-    }
-}
-
-// ---- Follow-driven epoch production -----------------------------------------
-
-/// Registry handles the follow loop updates every [`EpochFollower::advance`].
-/// These are the ingest / reduce / epoch metric families of the serve
-/// `/metrics` endpoint.
-struct FollowMetrics {
-    eos_observed: Arc<Counter>,
-    tezos_observed: Arc<Counter>,
-    xrp_observed: Arc<Counter>,
-    merges: Arc<Counter>,
-    merge_us: Arc<Histogram>,
-    published: Arc<Counter>,
-    publish_latency_us: Arc<Histogram>,
-    batch_lag: Arc<Gauge>,
-}
-
-impl FollowMetrics {
-    fn bind(registry: &Registry) -> Self {
-        let observed = |chain: &str| {
-            registry.counter_with(
-                "txstat_ingest_blocks_observed_total",
-                "Blocks swept by the follow loop",
-                &[("chain", chain)],
-            )
-        };
-        FollowMetrics {
-            eos_observed: observed("eos"),
-            tezos_observed: observed("tezos"),
-            xrp_observed: observed("xrp"),
-            merges: registry.counter(
-                "txstat_reduce_follow_merges_total",
-                "Batch deltas folded into the follow loop's standing sweeps",
-            ),
-            merge_us: registry.histogram(
-                "txstat_reduce_merge_us",
-                "Wall time finalizing a batch delta, folding it in, and cloning the standing sweeps",
-            ),
-            published: registry.counter(
-                "txstat_epoch_published_total",
-                "Epoch datasets forked for publication",
-            ),
-            publish_latency_us: registry.histogram(
-                "txstat_epoch_publish_latency_us",
-                "Wall time of one follow advance (sweep batch + fold delta + fork)",
-            ),
-            batch_lag: registry.gauge(
-                "txstat_epoch_batch_lag_blocks",
-                "Blocks between the follow offset and the chain heads",
-            ),
-        }
-    }
-}
-
-/// Positions `lo..hi` of a chain, clamped to its length (a short chain's
-/// tail is empty once it is exhausted), once every block there is known to
-/// be strictly above its predecessor — for the first, the high-water mark
-/// of what is already folded. A block at or below it would be counted twice.
-fn tail_above_high_water<B>(
-    blocks: &[B],
-    lo: usize,
-    hi: usize,
-    num: impl Fn(&B) -> u64,
-) -> Result<&[B], IngestError> {
-    let (lo, hi) = (lo.min(blocks.len()), hi.min(blocks.len()));
-    for pair in blocks[lo.saturating_sub(1)..hi].windows(2) {
-        let (high, n) = (num(&pair[0]), num(&pair[1]));
-        if n <= high {
-            return Err(IngestError::RangeRegression { n, high });
-        }
-    }
-    Ok(&blocks[lo..hi])
-}
-
-/// Replays the chains batch by batch and forks one immutable dataset per
-/// batch for publication. An epoch costs O(batch) plus one clone of the
-/// analytics state: only the new blocks are swept (into fresh columnar
-/// accumulators), their finalized deltas are folded into one standing
-/// `*Sweep` per chain, and a clone of those is published — the history is
-/// never re-read, re-merged, or re-finalized, and the published sweeps are
-/// ready to render, so nothing is left to an epoch's first reader.
-pub struct EpochFollower {
-    data: PipelineData,
-    /// Everything observed so far, ready to render.
-    standing: ChainSweeps,
-    offset: usize,
-    batch: usize,
-    metrics: Option<FollowMetrics>,
-}
-
-impl EpochFollower {
-    /// `batch` blocks per chain per epoch.
-    pub fn new(data: PipelineData, batch: usize) -> Self {
-        let period = data.scenario.period;
-        let standing = ChainSweeps {
-            eos: EosSweep::new(period),
-            tezos: TezosSweep::new(period, data.governance_periods.clone()),
-            xrp: XrpSweep::new(period),
-        };
-        EpochFollower { data, standing, offset: 0, batch: batch.max(1), metrics: None }
-    }
-
-    /// Export follow-loop progress through `registry`: per-chain observed
-    /// block counters, fold count/latency, and epoch publication metrics.
-    pub fn bind_metrics(&mut self, registry: &Registry) {
-        self.metrics = Some(FollowMetrics::bind(registry));
-    }
-
-    /// The base dataset the follower replays (full chains, no sweeps).
-    pub fn base(&self) -> &PipelineData {
-        &self.data
-    }
-
-    /// True once every chain has been observed to its head.
-    pub fn head(&self) -> bool {
-        self.offset >= self.data.longest_chain()
-    }
-
-    /// Blocks observed so far per chain `(eos, tezos, xrp)`.
-    pub fn observed(&self) -> (u64, u64, u64) {
-        let upto = |n: usize| self.offset.min(n) as u64;
-        let data = &self.data;
-        (upto(data.eos_blocks.len()), upto(data.tezos_blocks.len()), upto(data.xrp_blocks.len()))
-    }
-
-    /// Observe the next batch of each chain and fork the dataset at the
-    /// new coverage. The fork shares every heavy input with the base by
-    /// `Arc`; only the installed sweeps differ (past the head, not even
-    /// those). On `Err` nothing was folded: the previous epoch still stands.
-    pub fn advance(&mut self) -> Result<PipelineData, IngestError> {
-        let _span = Span::enter("follow_advance", "");
-        let started = Instant::now();
-        let hi = (self.offset + self.batch).min(self.data.longest_chain());
-        let (data, lo) = (&self.data, self.offset);
-        let eos_tail = tail_above_high_water(&data.eos_blocks, lo, hi, |b| b.num)?;
-        let tezos_tail = tail_above_high_water(&data.tezos_blocks, lo, hi, |b| b.level)?;
-        let xrp_tail = tail_above_high_water(&data.xrp_blocks, lo, hi, |b| b.index)?;
-
-        let period = data.scenario.period;
-        let mut eos = EosColumnar::new(period);
-        eos_tail.iter().for_each(|b| eos.observe(b));
-        let mut tezos = TezosColumnar::new(period, data.governance_periods.clone());
-        tezos_tail.iter().for_each(|b| tezos.observe(b));
-        let mut xrp = XrpColumnar::new(period);
-        xrp_tail.iter().for_each(|b| xrp.observe(b, &data.oracle));
-
-        let merge_started = Instant::now();
-        let sweeps = {
-            let _span = Span::enter("follow_merge", "");
-            self.standing.eos.merge(eos.finalize());
-            self.standing.tezos.merge(tezos.finalize());
-            self.standing.xrp.merge(xrp.finalize());
-            self.standing.clone()
-        };
-        self.offset = hi;
-        if let Some(m) = &self.metrics {
-            m.eos_observed.add(eos_tail.len() as u64);
-            m.tezos_observed.add(tezos_tail.len() as u64);
-            m.xrp_observed.add(xrp_tail.len() as u64);
-            m.merges.inc();
-            m.merge_us.record(merge_started.elapsed());
-            m.published.inc();
-            m.publish_latency_us.record(started.elapsed());
-            m.batch_lag.set((self.data.longest_chain() - self.offset) as u64);
-        }
-        Ok(self.data.fork_with_sweeps(sweeps))
     }
 }

@@ -1,7 +1,7 @@
 //! Reports-crate tests: exhibit rendering, pipeline assembly, comparison
 //! coverage — on a compact scenario.
 
-use crate::pipeline::{generate, local_storage_stats};
+use crate::pipeline::generate;
 use crate::{comparison, exhibits, render_comparison};
 use txstat_types::time::{ChainTime, Period};
 use txstat_workload::Scenario;
@@ -76,7 +76,7 @@ fn comparison_covers_every_exhibit_family() {
 #[test]
 fn local_storage_accounting_is_plausible() {
     let data = tiny();
-    let (eos, tezos, xrp) = local_storage_stats(&data);
+    let (eos, tezos, xrp) = data.storage_stats();
     assert_eq!(eos.blocks, data.eos_blocks.len() as u64);
     assert_eq!(tezos.blocks, data.tezos_blocks.len() as u64);
     assert_eq!(xrp.blocks, data.xrp_blocks.len() as u64);
@@ -141,11 +141,11 @@ fn scenario_meta_round_trips_presets_and_rejects_drift() {
 #[test]
 fn figure2_storage_stats_are_pinned_for_small_seed_42() {
     let data = generate(&Scenario::small(42));
-    let (eos, tezos, xrp) = local_storage_stats(&data);
+    let (eos, tezos, xrp) = data.storage_stats();
     let row = |s: &txstat_crawler::CrawlStats| {
         (s.blocks, s.transactions, s.wire_bytes, s.sampled_bytes, s.sampled_compressed_bytes)
     };
-    assert_eq!(row(&eos), (576, 2413, 2_204_102, 227_707, 40_958), "eos");
-    assert_eq!(row(&tezos), (2712, 59_647, 4_992_190, 622_878, 157_592), "tezos");
-    assert_eq!(row(&xrp), (146, 1557, 415_021, 49_158, 12_939), "xrp");
+    assert_eq!(row(eos), (576, 2413, 2_204_102, 227_707, 40_958), "eos");
+    assert_eq!(row(tezos), (2712, 59_647, 4_992_190, 622_878, 157_592), "tezos");
+    assert_eq!(row(xrp), (146, 1557, 415_021, 49_158, 12_939), "xrp");
 }

@@ -113,9 +113,9 @@ fn three_shard_processes_reduce_to_the_identical_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The incremental path agrees too: `follow` re-observes the chains in
-/// checkpointed batches and its head-of-chain report must be
-/// byte-identical to the one-shot `report`.
+/// The incremental path agrees too: `follow` folds the chains in batch by
+/// batch and its head-of-chain report must be byte-identical to the
+/// one-shot `report`.
 #[test]
 fn follow_reaches_the_identical_report_at_head() {
     let dir = tempdir("follow");
@@ -264,11 +264,41 @@ fn follow_recovers_from_an_injected_reorg() {
     assert!(out.status.success(), "follow failed: {}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("reorg recovery verified"), "stderr: {stderr}");
+    // The follower `serve` runs exports here too: its own families beside
+    // the rollback ones (Tezos: 1 200 blocks followed, then 2 312 re-swept
+    // from the rollback to position 400, which XRP's 146 never reach).
     let metrics = String::from_utf8(read(&dir, "reorg-metrics.txt")).expect("metrics utf8");
-    assert!(
-        metrics.contains("txstat_follow_rollbacks_total"),
-        "follow metrics missing rollback family"
+    for line in [
+        "txstat_follow_rollbacks_total{chain=\"tezos\"} 1",
+        "txstat_follow_rollbacks_total{chain=\"eos\"} 0",
+        "txstat_ingest_blocks_observed_total{chain=\"tezos\"} 3512",
+        "txstat_ingest_blocks_observed_total{chain=\"xrp\"} 146",
+        "# TYPE txstat_reduce_follow_merges_total counter",
+        "# TYPE txstat_epoch_published_total counter",
+    ] {
+        assert!(metrics.contains(line), "no {line:?} in the follow metrics:\n{metrics}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A usage error that only the chain lengths can reveal is still found
+/// before the archive directory is created or touched (it used to surface
+/// after every segment was appended and before the only index seal,
+/// leaving a corpus nothing could open).
+#[test]
+fn follow_rejects_an_unreachable_reorg_batch_before_touching_the_archive() {
+    let dir = tempdir("reorgusage");
+    let out = reproduce(
+        &dir,
+        &[
+            "follow", "--small", "--seed", "7", "--batch", "400", "--archive", "corpus",
+            "--reorg-at-batch", "99",
+        ],
     );
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("the head is reached after 7 batches"), "stderr: {stderr}");
+    assert!(!dir.join("corpus").exists(), "a refused run left an archive directory behind");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -528,6 +558,11 @@ fn follow_persists_and_cold_starts_from_the_archive() {
     let stderr = String::from_utf8_lossy(&reorg.stderr);
     assert!(stderr.contains("reorg invalidated"), "stderr: {stderr}");
     assert!(stderr.contains("archive verified"), "stderr: {stderr}");
+    // What the corpus now holds is the reorged history.
+    let after = reproduce(&dir, &["report", "--archive", "corpus", "--out", "after.txt"]);
+    assert!(after.status.success(), "report failed: {}", String::from_utf8_lossy(&after.stderr));
+    assert_eq!(read(&dir, "reorged.txt"), read(&dir, "after.txt"));
+    assert_ne!(read(&dir, "direct.txt"), read(&dir, "after.txt"), "the reorg changed nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -576,6 +611,7 @@ fn unknown_flags_and_subcommands_exit_nonzero_with_usage() {
         &["reduce", "--connect", "127.0.0.1:1", "--payload", "bin"][..],
         &["archive", "--small", "--out", "x", "--format", "v1"][..],
         &["follow", "--small", "--format", "v2"][..],
+        &["follow", "--small", "--shards", "2"][..],
         &["archive", "--out", "x", "--upgrade", "corpus"][..],
         &["report", "--small", "--crawl", "--materialize"][..],
         &["--small", "--seed", "9"][..], // the pre-subcommand spelling

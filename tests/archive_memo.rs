@@ -304,11 +304,11 @@ fn block_free_reducer_equals_eager_reducer_equals_one_shot() {
 fn statusz_shows_memo_coverage_and_serving_to_head_stays_lazy() {
     use std::sync::Arc;
     use txstat::ingest::EpochCell;
-    use txstat::reports::{EpochFollower, ServeSnapshot, StatsService};
+    use txstat::reports::{Follower, ServeSnapshot, StatsService};
 
     let dir = seal("statusz");
     let (replayed, _) = pipeline_from_archive(&dir).expect("cold start");
-    let mut follower = EpochFollower::new(replayed, 1000);
+    let mut follower = Follower::new(replayed, 1000);
     let mut fork = follower.advance().expect("first epoch");
     while !follower.head() {
         fork = follower.advance().expect("next epoch");

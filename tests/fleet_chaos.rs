@@ -15,14 +15,11 @@ use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
-use txstat::ingest::{
-    reduce_fleet, serve_assignments, ChainFollow, Checkpoint, FleetConfig, FleetError,
-};
+use txstat::ingest::{reduce_fleet, serve_assignments, FleetConfig, FleetError};
 use txstat::netsim::{spawn_chaos_proxy, ChaosProfile};
 use txstat::reports::{
-    eos_block_hash, generate, reduce_frames_labeled_into, render_report, reorg_data,
-    scenario_meta, tezos_block_hash, xrp_block_hash, PipelineData, ShardContext,
+    generate, reduce_frames_labeled_into, render_report, reorg_data, scenario_meta, Follower,
+    PipelineData, ShardContext,
 };
 use txstat::wire::PayloadFormat;
 use txstat::workload::Scenario;
@@ -39,7 +36,7 @@ fn ctx() -> &'static Arc<ShardContext> {
     CTX.get_or_init(|| Arc::new(ShardContext::new(&sc())))
 }
 
-/// The read-only dataset the followers replay (sweeps never installed).
+/// The read-only dataset reorgs are cut from (sweeps never installed).
 fn data0() -> &'static PipelineData {
     static DATA: OnceLock<PipelineData> = OnceLock::new();
     DATA.get_or_init(|| generate(&sc()))
@@ -148,23 +145,6 @@ fn chaotic_fleet_converges_byte_identically_or_fails_typed() {
     assert!(converged >= 1, "no damage level converged — even the clean fleet failed");
 }
 
-/// Drive one follower from wherever it stands to the head of `blocks`.
-fn drive<A: Clone, B>(
-    f: &mut ChainFollow<A>,
-    blocks: &[B],
-    batch: usize,
-    num: impl Fn(&B) -> u64,
-    observe: impl Fn(&mut A, u64, &B),
-    hash: impl Fn(&B) -> u64,
-) {
-    let mut offset = f.observed() as usize;
-    while offset < blocks.len() {
-        let hi = (offset + batch).min(blocks.len());
-        f.advance(&blocks[offset..hi], &num, &observe, &hash).expect("advance");
-        offset = hi;
-    }
-}
-
 proptest! {
     /// Reorg-safety: follow the chains to head, rewrite a random-depth
     /// suffix (a reorg), resync, and re-sweep. The follower's final
@@ -178,74 +158,38 @@ proptest! {
         rseed in 1u64..1_000_000,
         window in 2usize..12,
     ) {
-        let data = data0();
-        let period = sc().period;
-        let shards = 2usize;
-        let mut eos_f = ChainFollow::new(
-            "eos",
-            Checkpoint::new(
-                vec![EosColumnar::new(period); shards],
-                data.eos_blocks.first().map_or(1, |b| b.num),
-            ),
-            window,
-        );
-        let mut tz_f = ChainFollow::new(
-            "tezos",
-            Checkpoint::new(
-                vec![TezosColumnar::new(period, data.governance_periods.clone()); shards],
-                data.tezos_blocks.first().map_or(1, |b| b.level),
-            ),
-            window,
-        );
-        let mut xrp_f = ChainFollow::new(
-            "xrp",
-            Checkpoint::new(
-                vec![XrpColumnar::new(period); shards],
-                data.xrp_blocks.first().map_or(1, |b| b.index),
-            ),
-            window,
-        );
-        drive(&mut eos_f, &data.eos_blocks, batch, |b| b.num, |a, _n, b| a.observe(b), eos_block_hash);
-        drive(&mut tz_f, &data.tezos_blocks, batch, |b| b.level, |a, _n, b| a.observe(b), tezos_block_hash);
-        drive(&mut xrp_f, &data.xrp_blocks, batch, |b| b.index, |a, _n, b| a.observe(b, &data.oracle), xrp_block_hash);
-
-        let total = data
-            .eos_blocks
-            .len()
-            .max(data.tezos_blocks.len())
-            .max(data.xrp_blocks.len());
-        let from = total.saturating_sub(depth);
-        let reorged = reorg_data(data, from, rseed);
-
-        for (r, len, marks) in [
-            (eos_f.resync(&reorged.eos_blocks, eos_block_hash), reorged.eos_blocks.len(), eos_f.checkpoint().marks.len()),
-            (tz_f.resync(&reorged.tezos_blocks, tezos_block_hash), reorged.tezos_blocks.len(), tz_f.checkpoint().marks.len()),
-            (xrp_f.resync(&reorged.xrp_blocks, xrp_block_hash), reorged.xrp_blocks.len(), xrp_f.checkpoint().marks.len()),
-        ] {
-            prop_assert!(r.resume as usize <= len, "resume past the head: {r:?}");
-            if r.rebuilt {
-                // Divergence predated the snapshot window: full reset.
-                prop_assert_eq!(marks, 0, "rebuild kept marks: {:?}", r);
-                prop_assert_eq!(r.resume, 0, "rebuild did not restart: {:?}", r);
-            } else {
-                prop_assert_eq!(marks, r.agreed, "surviving marks != agreed: {:?}", r);
-            }
+        let mut follower = Follower::new(generate(&sc()), batch).with_reorg_guard(window);
+        while !follower.head() {
+            follower.advance().expect("advance");
         }
-        drive(&mut eos_f, &reorged.eos_blocks, batch, |b| b.num, |a, _n, b| a.observe(b), eos_block_hash);
-        drive(&mut tz_f, &reorged.tezos_blocks, batch, |b| b.level, |a, _n, b| a.observe(b), tezos_block_hash);
-        drive(&mut xrp_f, &reorged.xrp_blocks, batch, |b| b.index, |a, _n, b| a.observe(b, &reorged.oracle), xrp_block_hash);
+        let total = follower.offset();
+        let sealed = follower.retained().0;
+        prop_assert_eq!(sealed, total.div_ceil(batch), "one mark per batch");
 
-        let followed = reorg_data(data, from, rseed);
-        let sweeps = ChainSweeps {
-            eos: eos_f.checkpoint().merged(|a, b| a.merge(b)).finalize(),
-            tezos: tz_f.checkpoint().merged(|a, b| a.merge(b)).finalize(),
-            xrp: xrp_f.checkpoint().merged(|a, b| a.merge(b)).finalize(),
-        };
-        prop_assert!(followed.install_sweeps(sweeps));
-        let scratch = reorg_data(data, from, rseed);
+        let from = total.saturating_sub(depth);
+        let r = follower.resync(reorg_data(data0(), from, rseed));
+        prop_assert_eq!(r.agreed + r.invalidated, sealed, "{:?}", r);
+        // Every mark before the one holding `from` still agrees.
+        prop_assert_eq!(r.agreed, from / batch, "{:?}", r);
+        let (marks, ring) = follower.retained();
+        if r.rebuilt {
+            // Divergence predated the snapshot window: full reset.
+            prop_assert!(r.invalidated >= window || r.agreed == 0, "needless rebuild: {:?}", r);
+            prop_assert_eq!((marks, ring, r.resume), (0, 0, 0), "rebuild kept state: {:?}", r);
+        } else {
+            prop_assert_eq!(marks, r.agreed, "surviving marks != agreed: {:?}", r);
+            prop_assert!((1..=window).contains(&ring), "ring of {} entries: {:?}", ring, r);
+            prop_assert_eq!(r.resume, r.agreed * batch, "resumes at the divergence: {:?}", r);
+        }
+        prop_assert_eq!(follower.offset(), r.resume);
+
+        let mut followed = follower.advance().expect("advance");
+        while !follower.head() {
+            followed = follower.advance().expect("advance");
+        }
         prop_assert_eq!(
             render_report(&followed),
-            render_report(&scratch),
+            render_report(&reorg_data(data0(), from, rseed)),
             "followed report differs from a from-scratch sweep (from={}, seed={})",
             from,
             rseed

@@ -979,13 +979,7 @@ mod fused {
         ) {
             let blocks = eos_blocks(&spec);
             let pivot = pivot.min(blocks.len());
-            let mut cp = txstat::ingest::Checkpoint {
-                shards: vec![EosSweep::new(window()); shards],
-                counts: vec![0; shards],
-                low: 1,
-                high: 0,
-                marks: vec![],
-            };
+            let mut cp = txstat::ingest::Checkpoint::new(vec![EosSweep::new(window()); shards], 1);
             let observe = |a: &mut EosSweep, _n: u64, b: &&Block| a.observe(b);
             cp.observe_tail(blocks[..pivot].iter().map(|b| (b.num, b)), observe)
                 .expect("prefix is ascending");

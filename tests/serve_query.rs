@@ -1,7 +1,8 @@
 //! Tier-1 integration tests for the epoch-swapped stats-serving layer:
 //! byte-identity with the one-shot report (at the head and at every
-//! intermediate epoch of the delta-folding follower), torn-read-free epoch
-//! swaps under concurrent readers, cache invalidation on swap, and 429
+//! intermediate epoch of the delta-folding follower, with and without its
+//! reorg guard, before and after a resync), torn-read-free epoch swaps
+//! under concurrent readers, cache invalidation on swap, and 429
 //! load-shedding at the HTTP admission layer.
 
 use std::sync::Arc;
@@ -10,8 +11,8 @@ use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat::ingest::{EpochCell, IngestError};
 use txstat::netsim::{run_load, spawn_query_server, HttpHandler, LoadPlan, QueryServerConfig};
 use txstat::reports::{
-    comparison_section, generate, render_report, report_sections, EpochFollower, PipelineData,
-    ServeSnapshot, StatsService,
+    comparison_section, generate, render_report, reorg_data, report_sections, Follower,
+    PipelineData, ServeSnapshot, StatsService,
 };
 use txstat::workload::Scenario;
 
@@ -72,25 +73,36 @@ fn thinned(mut data: PipelineData, cap: usize) -> PipelineData {
     data
 }
 
-/// Follow `data` to its head in batches of `batch`, holding every epoch's
-/// fork — not only the last — against the one-shot sweep of its coverage.
-fn assert_every_epoch_is_one_shot(data: PipelineData, batch: usize, what: &str) {
-    let total = data.longest_chain();
-    let mut follower = EpochFollower::new(data, batch);
+/// Follow on to the head, holding every epoch's fork — not only the last —
+/// against the one-shot sweep of its coverage. Every epoch before the head
+/// must cover more blocks than the one before it. Returns the epochs
+/// published.
+fn assert_every_epoch_is_one_shot(follower: &mut Follower, what: &str) -> usize {
     let mut epochs = 0usize;
     while !follower.head() {
+        let (e, t, x) = follower.observed();
         let fork = follower.advance().expect("advance");
         epochs += 1;
         // The short chains run out first: their tails are empty from then
         // on and their coverage stays at their head.
         let at = follower.observed();
+        assert!(at.0 + at.1 + at.2 > e + t + x, "{what} epoch {epochs} observed nothing new");
         assert_serves_identically(
             fork,
             one_shot_prefix(follower.base(), at),
-            &format!("{what} batch {batch} epoch {epochs} at {at:?}"),
+            &format!("{what} epoch {epochs} at {at:?}"),
         );
     }
-    assert_eq!(epochs, total.div_ceil(batch), "{what} batch {batch}");
+    epochs
+}
+
+/// [`assert_every_epoch_is_one_shot`] from the first block, in as many
+/// epochs as the longest of the held chains takes at `batch`.
+fn assert_following_is_one_shot(data: PipelineData, batch: usize, what: &str) {
+    let longest = data.eos_blocks.len().max(data.tezos_blocks.len()).max(data.xrp_blocks.len());
+    let what = format!("{what} batch {batch}");
+    let epochs = assert_every_epoch_is_one_shot(&mut Follower::new(data, batch), &what);
+    assert_eq!(epochs, longest.div_ceil(batch), "{what}");
 }
 
 #[test]
@@ -99,15 +111,54 @@ fn every_epoch_equals_the_one_shot_sweep_of_its_prefix() {
         let sc = Scenario::small(seed);
         let total = generate(&sc).longest_chain();
         for batch in [32, total] {
-            assert_every_epoch_is_one_shot(generate(&sc), batch, &format!("seed {seed}"));
+            assert_following_is_one_shot(generate(&sc), batch, &format!("seed {seed}"));
         }
         // An epoch per block (and per seven) over the whole corpus would
-        // render it thousands of times; the thinned corpus has the same
-        // shape — three chains of unequal length across the whole window.
+        // render it thousands of times; the thinned corpus (≈ 194 and 28
+        // epochs) has the same shape — three chains of unequal length
+        // across the whole window.
         for batch in [1, 7] {
             let data = thinned(generate(&sc), 200);
-            assert_every_epoch_is_one_shot(data, batch, &format!("seed {seed} thinned"));
+            assert_following_is_one_shot(data, batch, &format!("seed {seed} thinned"));
         }
+    }
+}
+
+/// Marks and ring are written beside the fold, never read by it: every
+/// epoch of a guarded follower serves the bytes of an unguarded one's.
+#[test]
+fn a_guarded_follower_publishes_the_epochs_of_an_unguarded_one() {
+    let sc = Scenario::small(7);
+    let mut plain = Follower::new(generate(&sc), 400);
+    let mut guarded = Follower::new(generate(&sc), 400).with_reorg_guard(3);
+    let mut epochs = 0;
+    while !plain.head() {
+        epochs += 1;
+        let (want, got) = (plain.advance().expect("plain"), guarded.advance().expect("guarded"));
+        assert_serves_identically(got, want, &format!("guarded epoch {epochs}"));
+    }
+    assert!(guarded.head());
+    assert_eq!(guarded.retained(), (epochs, 3), "one mark per batch, a window of snapshots");
+    assert_eq!(plain.retained(), (0, 0));
+}
+
+/// After a reorg is resynced, every epoch the follower goes on to publish
+/// is the one-shot sweep of the *reorged* chains' prefix — whether the
+/// rollback restored a snapshot or rebuilt from empty sweeps.
+#[test]
+fn every_epoch_after_a_resync_is_the_one_shot_sweep_of_the_reorged_prefix() {
+    let sc = Scenario::small(7);
+    for (window, rebuilt) in [(8, false), (1, true)] {
+        let mut follower = Follower::new(generate(&sc), 400).with_reorg_guard(window);
+        for _ in 0..3 {
+            follower.advance().expect("advance");
+        }
+        let r = follower.resync(reorg_data(follower.base(), 700, 11));
+        assert_eq!((r.invalidated, r.rebuilt), (2, rebuilt), "{r:?}");
+        assert_eq!(follower.offset(), r.resume);
+        let what = format!("window {window} after resync");
+        let left = follower.base().longest_chain() - r.resume;
+        assert_eq!(assert_every_epoch_is_one_shot(&mut follower, &what), left.div_ceil(400));
     }
 }
 
@@ -115,7 +166,7 @@ fn every_epoch_equals_the_one_shot_sweep_of_its_prefix() {
 fn advancing_past_the_head_republishes_the_standing_sweeps() {
     let data = generate(&Scenario::small(7));
     let total = data.longest_chain();
-    let mut follower = EpochFollower::new(data, total.div_ceil(3));
+    let mut follower = Follower::new(data, total.div_ceil(3));
     while !follower.head() {
         follower.advance().expect("advance");
     }
@@ -138,7 +189,7 @@ fn a_block_at_or_below_the_high_water_mark_is_rejected_not_double_counted() {
     let mut blocks = clean.eos_blocks[..10].to_vec();
     blocks.push(replayed.clone());
     data.eos_blocks = Arc::new(blocks);
-    let mut follower = EpochFollower::new(data, 10);
+    let mut follower = Follower::new(data, 10);
     follower.advance().expect("first batch is ascending");
     let observed = follower.observed();
     match follower.advance() {
@@ -155,7 +206,7 @@ fn a_block_at_or_below_the_high_water_mark_is_rejected_not_double_counted() {
     let mut blocks = clean.eos_blocks[..5].to_vec();
     blocks.push(replayed);
     data.eos_blocks = Arc::new(blocks);
-    let mut follower = EpochFollower::new(data, 10);
+    let mut follower = Follower::new(data, 10);
     assert!(matches!(follower.advance(), Err(IngestError::RangeRegression { .. })));
     assert_eq!(follower.observed(), (0, 0, 0));
 }
@@ -202,7 +253,7 @@ fn epoch_swap_is_never_torn_under_concurrent_readers() {
     let data = generate(&sc);
     let total = data.longest_chain();
     let batch = total.div_ceil(4).max(1);
-    let mut follower = EpochFollower::new(data, batch);
+    let mut follower = Follower::new(data, batch);
 
     // Pre-compute every epoch's fork and its expected section bytes: a
     // reader must only ever observe one of these exact bodies.
@@ -271,7 +322,7 @@ fn response_cache_is_invalidated_by_epoch_swap() {
     let sc = Scenario::small(7);
     let data = generate(&sc);
     let total = data.longest_chain();
-    let mut follower = EpochFollower::new(data, total.div_ceil(2).max(1));
+    let mut follower = Follower::new(data, total.div_ceil(2).max(1));
     let first = follower.advance().expect("first epoch");
     let (service, cell) = service_over(first, false);
 
@@ -335,7 +386,7 @@ fn metrics_and_statusz_expose_every_layer() {
     let data = generate(&sc);
     let total = data.longest_chain();
     let registry = Arc::new(Registry::new());
-    let mut follower = EpochFollower::new(data, total.div_ceil(2).max(1));
+    let mut follower = Follower::new(data, total.div_ceil(2).max(1));
     follower.bind_metrics(&registry);
     let first = follower.advance().expect("first epoch");
     let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(1, follower.head(), first))));

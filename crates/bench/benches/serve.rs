@@ -62,7 +62,11 @@ fn serve(c: &mut Criterion) {
     // One epoch publish with the whole corpus behind it: the last advance
     // of a catch-up in the benchmark's small geometry. The follower lives
     // outside the timed closure so that only `advance` and the drop of the
-    // fork it returns are on the clock.
+    // fork it returns are on the clock. The set-up dropped every earlier
+    // fork, so this is a reclaimed advance: sweep and finalize the batch,
+    // fold the owed delta and the new one into the retired copy — no clone
+    // of the state, and dropping the fork frees none (the follower's front
+    // shares its sweeps).
     const BATCH: usize = 32;
     let follower = std::cell::RefCell::new(None);
     g.bench_function("epoch_advance_last", |b| {

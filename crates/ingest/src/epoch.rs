@@ -6,8 +6,13 @@
 //! [`EpochCell`] holds `Arc<T>` behind a reader-writer lock whose write
 //! section is a single pointer swap: readers clone the `Arc` (nanoseconds,
 //! shared), the publisher replaces it (nanoseconds, exclusive), and the
-//! old snapshot stays alive until its last reader drops it. Torn reads are
+//! old snapshot stays alive until its last holder drops it. Torn reads are
 //! impossible by construction — `T` is never mutated after publication.
+//!
+//! The cell's own reference to the retired snapshot is released *after* the
+//! write lock: freeing a whole `T` keeps no `load()` waiting. Once cell and
+//! readers have all let go, the follower folds its next epoch into that copy
+//! instead of cloning (the left-right pair in `txstat_reports::follow`).
 
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,9 +45,14 @@ impl<T> EpochCell<T> {
     /// Publish a new snapshot, returning the new epoch. In-progress readers
     /// keep the snapshot they already loaded; later loads see the new one.
     pub fn publish(&self, value: Arc<T>) -> u64 {
-        let mut slot = self.slot.write();
-        *slot = value;
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
+        let (retired, epoch) = {
+            let mut slot = self.slot.write();
+            let retired = std::mem::replace(&mut *slot, value);
+            (retired, self.epoch.fetch_add(1, Ordering::AcqRel) + 1)
+        };
+        // Possibly the last reference: its destructor runs outside the lock.
+        drop(retired);
+        epoch
     }
 }
 
@@ -86,6 +96,37 @@ mod tests {
         for r in readers {
             r.join().expect("reader panicked");
         }
+    }
+
+    /// The cell's reference to the retired snapshot may be the last one:
+    /// its destructor must not run inside the write lock, where every
+    /// `load()` would wait for it.
+    #[test]
+    fn retired_snapshot_is_dropped_outside_the_write_lock() {
+        struct Probe {
+            cell: std::sync::OnceLock<Arc<EpochCell<Probe>>>,
+            dropped_unlocked: Arc<AtomicU64>,
+        }
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                if let Some(cell) = self.cell.get() {
+                    let unlocked = cell.slot.try_read().is_some();
+                    self.dropped_unlocked.store(unlocked as u64 + 1, Ordering::SeqCst);
+                }
+            }
+        }
+        let dropped_unlocked = Arc::new(AtomicU64::new(0));
+        // Reports only once it has been told which cell to look at.
+        let probe = || {
+            let dropped_unlocked = dropped_unlocked.clone();
+            Arc::new(Probe { cell: std::sync::OnceLock::new(), dropped_unlocked })
+        };
+        let first = probe();
+        let cell = Arc::new(EpochCell::new(first.clone()));
+        assert!(first.cell.set(cell.clone()).is_ok());
+        drop(first); // the cell now holds the only reference
+        cell.publish(probe());
+        assert_eq!(dropped_unlocked.load(Ordering::SeqCst), 2, "0 = never dropped, 1 = locked");
     }
 
     #[test]

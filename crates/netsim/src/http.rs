@@ -80,6 +80,8 @@ pub enum HttpError {
     BadStatusLine(String),
     BadHeader(String),
     BodyTooLarge(usize),
+    /// A head line above [`MAX_LINE`] bytes, or over [`MAX_HEADERS`] headers.
+    HeadTooLarge,
     Closed,
 }
 
@@ -97,6 +99,7 @@ impl std::fmt::Display for HttpError {
             HttpError::BadStatusLine(l) => write!(f, "bad status line {l:?}"),
             HttpError::BadHeader(l) => write!(f, "bad header {l:?}"),
             HttpError::BodyTooLarge(n) => write!(f, "body of {n} bytes exceeds limit"),
+            HttpError::HeadTooLarge => write!(f, "head line or header count exceeds limit"),
             HttpError::Closed => write!(f, "connection closed"),
         }
     }
@@ -107,20 +110,37 @@ impl std::error::Error for HttpError {}
 /// Upper bound on accepted bodies (blocks are large but bounded).
 pub const MAX_BODY: usize = 64 * 1024 * 1024;
 
+/// Upper bounds on a message head, so no peer can grow it without limit:
+/// bytes per request, status or header line, and headers.
+pub const MAX_LINE: usize = 8 * 1024;
+pub const MAX_HEADERS: usize = 100;
+
+/// One line of a head, line ending included; empty at EOF.
+async fn read_head_line(stream: &mut BufStream<TcpStream>) -> Result<String, HttpError> {
+    let mut line = String::new();
+    let n = (&mut *stream).take(MAX_LINE as u64 + 1).read_line(&mut line).await?;
+    if n > MAX_LINE {
+        return Err(HttpError::HeadTooLarge);
+    }
+    Ok(line)
+}
+
 async fn read_headers(
     stream: &mut BufStream<TcpStream>,
 ) -> Result<(Vec<(String, String)>, usize), HttpError> {
     let mut headers = Vec::new();
     let mut content_length = 0usize;
     loop {
-        let mut line = String::new();
-        let n = stream.read_line(&mut line).await?;
-        if n == 0 {
+        let line = read_head_line(stream).await?;
+        if line.is_empty() {
             return Err(HttpError::Closed);
         }
         let line = line.trim_end();
         if line.is_empty() {
             break;
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(HttpError::HeadTooLarge);
         }
         let (k, v) = line
             .split_once(':')
@@ -145,9 +165,8 @@ async fn read_headers(
 pub async fn read_request(
     stream: &mut BufStream<TcpStream>,
 ) -> Result<Option<HttpRequest>, HttpError> {
-    let mut line = String::new();
-    let n = stream.read_line(&mut line).await?;
-    if n == 0 {
+    let line = read_head_line(stream).await?;
+    if line.is_empty() {
         return Ok(None);
     }
     let line_t = line.trim_end();
@@ -187,9 +206,8 @@ pub async fn write_request<W: AsyncWrite + Unpin>(
 pub async fn read_response(
     stream: &mut BufStream<TcpStream>,
 ) -> Result<HttpResponse, HttpError> {
-    let mut line = String::new();
-    let n = stream.read_line(&mut line).await?;
-    if n == 0 {
+    let line = read_head_line(stream).await?;
+    if line.is_empty() {
         return Err(HttpError::Closed);
     }
     let line_t = line.trim_end();
@@ -310,49 +328,53 @@ mod tests {
         server.await.unwrap();
     }
 
-    #[tokio::test]
-    async fn oversized_content_length_is_rejected() {
+    /// What `read_request` makes of `head`, sent raw.
+    async fn parse_raw(head: String) -> Result<Option<HttpRequest>, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
         let addr = listener.local_addr().unwrap();
         let server = tokio::spawn(async move {
             let (sock, _) = listener.accept().await.unwrap();
-            let mut stream = BufStream::new(sock);
-            match read_request(&mut stream).await {
-                Err(HttpError::BodyTooLarge(n)) => assert!(n > MAX_BODY),
-                other => panic!("expected BodyTooLarge, got {other:?}"),
-            }
+            read_request(&mut BufStream::new(sock)).await
         });
-        let sock = TcpStream::connect(addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
-        use tokio::io::AsyncWriteExt;
-        stream
-            .write_all(
-                format!("POST /x HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1).as_bytes(),
-            )
-            .await
-            .unwrap();
+        let mut stream = BufStream::new(TcpStream::connect(addr).await.unwrap());
+        stream.write_all(head.as_bytes()).await.unwrap();
         stream.flush().await.unwrap();
-        server.await.unwrap();
+        server.await.unwrap()
+    }
+
+    #[tokio::test]
+    async fn oversized_heads_are_rejected_and_full_ones_served() {
+        // "GET /" + path + " HTTP/1.1\r\n" is 16 bytes around the path.
+        let request_line = |len: usize| format!("GET /{} HTTP/1.1\r\n", "a".repeat(len - 16));
+        let headers = |n: usize| (0..n).map(|i| format!("x-h{i}: v\r\n")).collect::<String>();
+        for head in [
+            request_line(MAX_LINE + 1),
+            format!("GET / HTTP/1.1\r\nx-long: {}\r\n\r\n", "v".repeat(MAX_LINE)),
+            format!("GET / HTTP/1.1\r\n{}\r\n", headers(MAX_HEADERS + 1)),
+        ] {
+            match parse_raw(head).await {
+                Err(HttpError::HeadTooLarge) => {}
+                other => panic!("expected HeadTooLarge, got {other:?}"),
+            }
+        }
+        let full = format!("{}{}\r\n", request_line(MAX_LINE), headers(MAX_HEADERS));
+        let req = parse_raw(full).await.unwrap().expect("a request at both caps is served");
+        assert_eq!((req.path.len(), req.headers.len()), (MAX_LINE - 15, MAX_HEADERS));
+    }
+
+    #[tokio::test]
+    async fn oversized_content_length_is_rejected() {
+        let head = format!("POST /x HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1);
+        match parse_raw(head).await {
+            Err(HttpError::BodyTooLarge(n)) => assert!(n > MAX_BODY),
+            other => panic!("expected BodyTooLarge, got {other:?}"),
+        }
     }
 
     #[tokio::test]
     async fn malformed_request_line_is_rejected() {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = tokio::spawn(async move {
-            let (sock, _) = listener.accept().await.unwrap();
-            let mut stream = BufStream::new(sock);
-            assert!(matches!(
-                read_request(&mut stream).await,
-                Err(HttpError::BadRequestLine(_))
-            ));
-        });
-        let sock = TcpStream::connect(addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
-        use tokio::io::AsyncWriteExt;
-        stream.write_all(b"NOT-HTTP-AT-ALL\r\n\r\n").await.unwrap();
-        stream.flush().await.unwrap();
-        server.await.unwrap();
+        let parsed = parse_raw("NOT-HTTP-AT-ALL\r\n\r\n".to_owned()).await;
+        assert!(matches!(parsed, Err(HttpError::BadRequestLine(_))), "{parsed:?}");
     }
 
     #[test]

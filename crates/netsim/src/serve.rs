@@ -13,7 +13,7 @@
 use crate::endpoint::{EndpointStats, TokenBucket};
 use crate::http::{
     read_request, read_response, request_wire_size, response_wire_size, write_request,
-    write_response, HttpRequest, HttpResponse,
+    write_response, HttpError, HttpRequest, HttpResponse,
 };
 use parking_lot::Mutex;
 use std::net::SocketAddr;
@@ -214,6 +214,12 @@ pub async fn spawn_query_server(
                 loop {
                     let req = match read_request(&mut stream).await {
                         Ok(Some(r)) => r,
+                        Err(HttpError::HeadTooLarge) => {
+                            let reason = "Request Header Fields Too Large";
+                            let resp = HttpResponse::status(431, reason, vec![]);
+                            let _ = write_response(&mut stream, &resp).await;
+                            break;
+                        }
                         _ => break,
                     };
                     let stats = routes.for_path(&req.path);
@@ -392,6 +398,17 @@ mod tests {
         assert_eq!(h.routes.other.requests.get(), 1);
         assert_eq!(h.routes.exhibit.latency.total(), 1);
         assert_eq!(h.routes.total_shed(), 0);
+    }
+
+    #[tokio::test]
+    async fn an_oversized_head_is_answered_431_and_the_connection_closed() {
+        use tokio::io::AsyncWriteExt;
+        let h = spawn_query_server(Arc::new(Hello), QueryServerConfig::default()).await.unwrap();
+        let mut stream = BufStream::new(TcpStream::connect(h.addr).await.unwrap());
+        // No line end: the server must not wait for one.
+        stream.write_all(&vec![b'a'; crate::http::MAX_LINE + 1]).await.unwrap();
+        assert_eq!(read_response(&mut stream).await.unwrap().status, 431);
+        assert!(read_response(&mut stream).await.is_err(), "connection left open");
     }
 
     #[tokio::test]

@@ -2,11 +2,48 @@
 //! drive [`Follower`].
 //!
 //! [`Follower::advance`] sweeps only the next batch of block positions of
-//! every chain (fresh columnar accumulators), folds their finalized deltas
-//! into one standing `*Sweep` per chain and returns a fork of the dataset
-//! carrying a clone of those: an epoch costs O(batch) plus one clone of
-//! the analytics state, and the history is never re-read, re-merged or
-//! re-finalized.
+//! every chain (fresh columnar accumulators), finalizes them into one delta
+//! and returns a fork of the dataset carrying the sweeps with that delta
+//! folded in. The history is never re-read, re-merged or re-finalized, and
+//! in steady state never copied or freed either: an epoch costs O(batch).
+//!
+//! # The left-right pair
+//!
+//! The follower owns no private copy of the state, only the two snapshots
+//! it published last: `front` (epoch *n*) and `back` (epoch *n − 1* plus the
+//! delta dₙ it lacks). Epoch *n + 1* is the back copy taken out of its `Arc`
+//! with dₙ, then dₙ₊₁ folded in; the old front, owed dₙ₊₁, is the next back.
+//!
+//! - **Who may hold the back copy:** its fork — hence the `EpochCell` until
+//!   the next publish, and any reader that loaded it and is not done — and
+//!   the reorg ring. `Arc::try_unwrap` succeeds only for the last reference,
+//!   so a snapshot anyone can still see is never written. In the serve loop
+//!   (`advance`, `publish`) epoch *n − 1* left the cell when *n* went in and
+//!   is normally free by `advance` *n + 1*: 84 of 85 small epochs.
+//! - **One fallback, never a wait:** otherwise the front is cloned, as every
+//!   epoch used to be. Three causes — the first epoch (an empty state:
+//!   microseconds); a reader still rendering the snapshot retired two epochs
+//!   ago (one O(state) clone, and that reader frees the retired copy); a
+//!   guard window above one, whose ring retains snapshots on purpose (a
+//!   guarded `follow` clones every epoch, as before). Counted by
+//!   `txstat_epoch_snapshots_total{source}` / [`Follower::snapshots`].
+//! - **Each copy sees d₁, d₂, … once and in order**, whichever mix of
+//!   reclaimed and cloned steps built it (a clone of the front has seen what
+//!   the front has): `TezosSweep`'s governance events concatenate in block
+//!   order and every float fold equals the one-shot sweep's at *every* epoch.
+//! - A failed `advance` validates its tails first and leaves the pair alone;
+//!   [`Follower::resync`] makes the restored snapshot the front, no back.
+//!
+//! Small `serve --archive --batch 32 --epoch-ms 0`, one pinned CPU, ms over 85
+//! epochs (paper, 104 epochs of 256: clone 250 + free 100 against fold 80):
+//!
+//! | step                       | clone per epoch | left-right pair |
+//! |----------------------------|-----------------|-----------------|
+//! | sweep / finalize the batch | 2.9–4.1 / 2.0–2.6 | 2.1–3.2 / 1.6–2.3 |
+//! | fold the delta             | 1.1–1.7         | 2.0–3.5 (twice) + 0.3–0.5 (its clone) |
+//! | clone the state            | 6.4–9.8 (EOS ¾) | 0.01–0.03 (first epoch) |
+//! | free the retired snapshot  | 3.0–4.6         | —               |
+//! | `follow_merge` (`--timings`) | 8.8–17.3      | 4.3–6.2         |
 //!
 //! # The reorg guard
 //!
@@ -18,12 +55,12 @@
 //!   positions (clamped to the chain's length: an exhausted chain's range
 //!   is empty and hashes to a constant). Mark `i` covers positions
 //!   `[marks[i - 1].end, marks[i].end)` of every chain.
-//! - **Ring entries are the published clones**: `(offset, ChainSweeps)`,
-//!   the very `Arc` the epoch's fork carries (retaining one costs memory,
-//!   not a second clone), the newest `window` of them. Marks and ring are
-//!   written after the fold and never read by it, so a guarded follower
-//!   publishes byte-identical epochs to an unguarded one; a failed
-//!   `advance` folds and seals nothing.
+//! - **Ring entries are the published snapshots**: `(offset, ChainSweeps)`,
+//!   the very `Arc` the epoch's fork carries (retaining one costs memory
+//!   and the pair's reclaim, not a second clone), the newest `window` of
+//!   them. Marks and ring are written after the fold and never read by it,
+//!   so a guarded follower publishes byte-identical epochs to an unguarded
+//!   one; a failed `advance` folds and seals nothing.
 //! - [`Follower::resync`] re-verifies the marks against the chains' current
 //!   content, each chain up to its first disagreement; the earliest is the
 //!   divergence. It restores the ring entry of the last agreeing mark — or
@@ -66,6 +103,8 @@ struct FollowMetrics {
     merges: Arc<Counter>,
     merge_us: Arc<Histogram>,
     published: Arc<Counter>,
+    /// By [`Follower::snapshots`] index: `[reclaimed, cloned]`.
+    snapshots: [Arc<Counter>; 2],
     publish_latency_us: Arc<Histogram>,
     batch_lag: Arc<Gauge>,
     rollbacks: [Arc<Counter>; 3],
@@ -89,12 +128,19 @@ impl FollowMetrics {
             ),
             merge_us: registry.histogram(
                 "txstat_reduce_merge_us",
-                "Wall time finalizing a batch delta, folding it in, and cloning the standing sweeps",
+                "Wall time finalizing a batch delta and folding it into the next epoch's snapshot",
             ),
             published: registry.counter(
                 "txstat_epoch_published_total",
                 "Epoch datasets forked for publication",
             ),
+            snapshots: ["reclaimed", "cloned"].map(|source| {
+                registry.counter_with(
+                    "txstat_epoch_snapshots_total",
+                    "Epoch snapshots built on the reclaimed retired copy or a clone of the front",
+                    &[("source", source)],
+                )
+            }),
             publish_latency_us: registry.histogram(
                 "txstat_epoch_publish_latency_us",
                 "Wall time of one follow advance (sweep batch + fold delta + fork)",
@@ -195,28 +241,47 @@ pub struct Resync {
 /// batch for publication — see the module docs.
 pub struct Follower {
     data: PipelineData,
-    /// Everything observed so far, ready to render.
-    standing: ChainSweeps,
+    /// The epoch last published: everything observed so far.
+    front: Arc<ChainSweeps>,
+    /// The epoch published before `front` and the one delta it lacks: the
+    /// copy the next epoch is folded into if nothing else holds it by then.
+    back: Option<(Arc<ChainSweeps>, ChainSweeps)>,
+    /// Epochs built on `[a reclaimed back copy, a clone of the front]`.
+    snapshots: [u64; 2],
     offset: usize,
     batch: usize,
     metrics: Option<FollowMetrics>,
     guard: Option<ReorgGuard>,
 }
 
-fn empty_sweeps(data: &PipelineData) -> ChainSweeps {
+fn empty_sweeps(data: &PipelineData) -> Arc<ChainSweeps> {
     let period = data.scenario.period;
-    ChainSweeps {
+    Arc::new(ChainSweeps {
         eos: EosSweep::new(period),
         tezos: TezosSweep::new(period, data.governance_periods.clone()),
         xrp: XrpSweep::new(period),
-    }
+    })
+}
+
+fn fold(into: &mut ChainSweeps, delta: ChainSweeps) {
+    into.eos.merge(delta.eos);
+    into.tezos.merge(delta.tezos);
+    into.xrp.merge(delta.xrp);
 }
 
 impl Follower {
     /// `batch` blocks per chain per epoch.
     pub fn new(data: PipelineData, batch: usize) -> Self {
-        let standing = empty_sweeps(&data);
-        Follower { data, standing, offset: 0, batch: batch.max(1), metrics: None, guard: None }
+        Follower {
+            front: empty_sweeps(&data),
+            data,
+            back: None,
+            snapshots: [0; 2],
+            offset: 0,
+            batch: batch.max(1),
+            metrics: None,
+            guard: None,
+        }
     }
 
     /// Seal a content mark per batch and retain the newest `window`
@@ -261,6 +326,12 @@ impl Follower {
         self.guard.as_ref().map_or((0, 0), |g| (g.marks.len(), g.ring.len()))
     }
 
+    /// Epochs so far built `(on the reclaimed back copy, on a clone of the
+    /// front because something still held the back copy)`.
+    pub fn snapshots(&self) -> (u64, u64) {
+        (self.snapshots[0], self.snapshots[1])
+    }
+
     /// Observe the next batch of each chain and fork the dataset at the
     /// new coverage. The fork shares every heavy input with the base by
     /// `Arc`; only the installed sweeps differ (past the head, not even
@@ -283,19 +354,31 @@ impl Follower {
         xrp_tail.iter().for_each(|b| xrp.observe(b, &data.oracle));
 
         let merge_started = Instant::now();
-        let sweeps = {
+        let source = {
             let _span = Span::enter("follow_merge", "");
-            self.standing.eos.merge(eos.finalize());
-            self.standing.tezos.merge(tezos.finalize());
-            self.standing.xrp.merge(xrp.finalize());
-            Arc::new(self.standing.clone())
+            let delta =
+                ChainSweeps { eos: eos.finalize(), tezos: tezos.finalize(), xrp: xrp.finalize() };
+            // The retired epoch's copy, brought level with the front — never
+            // waited for: while anything else holds it, the front is cloned.
+            let reclaimed = self.back.take().and_then(|(retired, owed)| {
+                let mut sweeps = Arc::try_unwrap(retired).ok()?;
+                fold(&mut sweeps, owed);
+                Some(sweeps)
+            });
+            let source = usize::from(reclaimed.is_none());
+            let mut sweeps = reclaimed.unwrap_or_else(|| ChainSweeps::clone(&self.front));
+            fold(&mut sweeps, delta.clone());
+            let retired = std::mem::replace(&mut self.front, Arc::new(sweeps));
+            self.back = Some((retired, delta));
+            source
         };
+        self.snapshots[source] += 1;
         self.offset = hi;
         if let Some(g) = self.guard.as_mut().filter(|_| hi > lo) {
             let _span = Span::enter("follow_mark", "");
             let hashes = std::array::from_fn(|chain| range_hash(&self.data, chain, lo, hi));
             g.marks.push(Mark { end: hi, hashes });
-            g.ring.push_back((hi, Arc::clone(&sweeps)));
+            g.ring.push_back((hi, Arc::clone(&self.front)));
             if g.ring.len() > g.window {
                 g.ring.pop_front();
             }
@@ -308,16 +391,18 @@ impl Follower {
             m.merges.inc();
             m.merge_us.record(merge_started.elapsed());
             m.published.inc();
+            m.snapshots[source].inc();
             m.publish_latency_us.record(started.elapsed());
             m.batch_lag.set((self.data.longest_chain() - self.offset) as u64);
         }
-        Ok(self.data.fork_sharing(sweeps))
+        Ok(self.data.fork_sharing(Arc::clone(&self.front)))
     }
 
     /// The chains were re-read and may have reorganized: re-verify the marks
-    /// against `current`'s content, roll the standing sweeps back to the
-    /// newest snapshot every chain still agrees with (to empty when it has
-    /// left the window) and adopt `current` as the base to resume over.
+    /// against `current`'s content, roll the front back to the newest
+    /// snapshot every chain still agrees with (to empty when it has left the
+    /// window), forget the back copy — the delta it is owed belongs to the
+    /// abandoned history — and adopt `current` as the base to resume over.
     /// Without a guard nothing can be verified: the follower starts over.
     pub fn resync(&mut self, current: PipelineData) -> Resync {
         let marks = self.guard.as_ref().map_or(&[][..], |g| &g.marks[..]);
@@ -334,8 +419,8 @@ impl Follower {
         });
         let sealed = marks.len();
         let agreed = agreed_by_chain.into_iter().min().unwrap_or(0);
-        // The standing sweeps can be trusted only up to the offset the
-        // agreeing marks cover.
+        // The front can be trusted only up to the offset the agreeing marks
+        // cover.
         let covered = agreed.checked_sub(1).map_or(0, |i| marks[i].end);
         let mut rebuilt = false;
         if covered != self.offset {
@@ -345,11 +430,12 @@ impl Follower {
                 let at = g.ring.iter().position(|(at, _)| *at == covered);
                 g.ring.truncate(at.map_or(0, |i| i + 1));
                 g.marks.truncate(at.map_or(0, |_| agreed));
-                g.ring.back().map(|(_, sweeps)| ChainSweeps::clone(sweeps))
+                g.ring.back().map(|(_, sweeps)| Arc::clone(sweeps))
             });
             rebuilt = snapshot.is_none();
-            (self.standing, self.offset) =
+            (self.front, self.offset) =
                 snapshot.map_or_else(|| (empty_sweeps(&current), 0), |sweeps| (sweeps, covered));
+            self.back = None;
         }
         if let Some(m) = &self.metrics {
             for (chain, agreed) in agreed_by_chain.into_iter().enumerate() {
@@ -579,6 +665,7 @@ mod tests {
         assert_eq!(r.resume, 2000, "resumes at the first invalidated mark");
         // The snapshot at 2000 and the one before it survive.
         assert_eq!(f.retained(), (5, 2));
+        assert!(f.back.is_none(), "a delta of the abandoned history is still owed");
         assert_lands_on(&mut f, &reorged);
     }
 
@@ -589,6 +676,7 @@ mod tests {
         let r = f.resync(reorg_data(f.base(), 5, 3));
         assert_eq!((r.agreed, r.invalidated, r.rebuilt, r.resume), (0, 7, true, 0));
         assert_eq!(f.retained(), (0, 0));
+        assert!(f.back.is_none(), "a delta of the abandoned history is still owed");
         assert_lands_on(&mut f, &reorged);
     }
 
@@ -627,6 +715,42 @@ mod tests {
         for _ in 0..2 {
             assert!(matches!(f.advance(), Err(IngestError::RangeRegression { .. })));
             assert_eq!((f.offset(), f.retained()), (10, (1, 1)), "a failed batch left a trace");
+            assert!(f.snapshots() == (0, 1) && f.back.is_some(), "a failed batch touched the pair");
+        }
+        // The chain is re-read without the replay (the one mark still
+        // agrees): the pair is as the first epoch left it, its owed delta
+        // included, and following on lands on the one-shot bytes.
+        let healed = || {
+            let mut data = chains();
+            data.eos_blocks = Arc::new(data.eos_blocks[..30].to_vec());
+            data
+        };
+        let r = f.resync(healed());
+        assert_eq!((r.agreed, r.invalidated, r.resume), (1, 0, 10));
+        assert_lands_on(&mut f, &healed());
+    }
+
+    /// What `serve` does: each fork is swapped out of the cell by the next,
+    /// and gone by the time the epoch after that is built, so only the
+    /// first epoch has no retired copy to fold into.
+    #[test]
+    fn an_unread_follower_clones_only_its_first_epoch() {
+        let registry = Registry::new();
+        let mut f = Follower::new(chains(), BATCH);
+        f.bind_metrics(&registry);
+        let mut cell = f.advance().expect("advance");
+        while !f.head() {
+            cell = f.advance().expect("advance");
+        }
+        assert_eq!(f.snapshots(), (6, 1));
+        assert!(render_report(&cell) == render_report(&chains()));
+        let metrics = registry.render_prometheus();
+        for line in [
+            "txstat_epoch_snapshots_total{source=\"reclaimed\"} 6",
+            "txstat_epoch_snapshots_total{source=\"cloned\"} 1",
+            "txstat_epoch_published_total 7",
+        ] {
+            assert!(metrics.contains(line), "no {line:?} in:\n{metrics}");
         }
     }
 

@@ -1,9 +1,10 @@
 //! Tier-1 integration tests for the epoch-swapped stats-serving layer:
 //! byte-identity with the one-shot report (at the head and at every
 //! intermediate epoch of the delta-folding follower, with and without its
-//! reorg guard, before and after a resync), torn-read-free epoch swaps
-//! under concurrent readers, cache invalidation on swap, and 429
-//! load-shedding at the HTTP admission layer.
+//! reorg guard, before and after a resync, whichever mix of reclaimed and
+//! cloned copies of its left-right pair produced the epoch), torn-read-free
+//! epoch swaps under concurrent readers that hold retired snapshots, cache
+//! invalidation on swap, and 429 load-shedding at the HTTP admission layer.
 
 use std::sync::Arc;
 use std::sync::atomic::Ordering;
@@ -37,8 +38,14 @@ fn one_shot_prefix(base: &PipelineData, (e, t, x): (u64, u64, u64)) -> PipelineD
 }
 
 /// Every exhibit section plus the busiest account of each chain (as the
-/// oracle sees it) must be the same bytes from both datasets.
-fn assert_serves_identically(got: PipelineData, oracle: PipelineData, what: &str) {
+/// oracle sees it) must be the same bytes from both datasets. Returns the
+/// service over `got`: holding it pins that dataset's sweeps like a slow
+/// reader would.
+fn assert_serves_identically(
+    got: PipelineData,
+    oracle: PipelineData,
+    what: &str,
+) -> Arc<StatsService> {
     assert_eq!(report_sections(&got), report_sections(&oracle), "{what}: sections diverged");
     let sweeps = oracle.sweeps();
     let mut paths = Vec::new();
@@ -58,6 +65,7 @@ fn assert_serves_identically(got: PipelineData, oracle: PipelineData, what: &str
         assert_eq!(want.status, 200, "{what}: oracle lacks {path}");
         assert_eq!(got.respond("GET", &path).body, want.body, "{what}: {path} diverged");
     }
+    got
 }
 
 /// Keep every k-th block of each chain so that none is longer than `cap`:
@@ -77,21 +85,35 @@ fn thinned(mut data: PipelineData, cap: usize) -> PipelineData {
 /// against the one-shot sweep of its coverage. Every epoch before the head
 /// must cover more blocks than the one before it. Returns the epochs
 /// published.
-fn assert_every_epoch_is_one_shot(follower: &mut Follower, what: &str) -> usize {
+///
+/// `(every, hold)` pins forks the way slow readers do: every `every`-th
+/// epoch's (none for 0) stays alive until `hold` further epochs have been
+/// published. A fork still held two epochs on is the copy the follower
+/// would have reclaimed: it has to clone instead, and publish the same bytes.
+fn assert_every_epoch_is_one_shot(
+    follower: &mut Follower,
+    what: &str,
+    (every, hold): (usize, usize),
+) -> usize {
     let mut epochs = 0usize;
+    let mut pinned = Vec::new();
     while !follower.head() {
         let (e, t, x) = follower.observed();
-        let fork = follower.advance().expect("advance");
         epochs += 1;
+        pinned.retain(|(until, _)| *until > epochs);
+        let fork = follower.advance().expect("advance");
         // The short chains run out first: their tails are empty from then
         // on and their coverage stays at their head.
         let at = follower.observed();
         assert!(at.0 + at.1 + at.2 > e + t + x, "{what} epoch {epochs} observed nothing new");
-        assert_serves_identically(
+        let served = assert_serves_identically(
             fork,
             one_shot_prefix(follower.base(), at),
             &format!("{what} epoch {epochs} at {at:?}"),
         );
+        if every > 0 && epochs.is_multiple_of(every) {
+            pinned.push((epochs + hold + 1, served));
+        }
     }
     epochs
 }
@@ -101,8 +123,12 @@ fn assert_every_epoch_is_one_shot(follower: &mut Follower, what: &str) -> usize 
 fn assert_following_is_one_shot(data: PipelineData, batch: usize, what: &str) {
     let longest = data.eos_blocks.len().max(data.tezos_blocks.len()).max(data.xrp_blocks.len());
     let what = format!("{what} batch {batch}");
-    let epochs = assert_every_epoch_is_one_shot(&mut Follower::new(data, batch), &what);
+    let mut follower = Follower::new(data, batch);
+    let epochs = assert_every_epoch_is_one_shot(&mut follower, &what, (0, 0));
     assert_eq!(epochs, longest.div_ceil(batch), "{what}");
+    // Nobody held a fork past its epoch: only the first one had no retired
+    // copy to fold into.
+    assert_eq!(follower.snapshots(), (epochs as u64 - 1, 1), "{what}");
 }
 
 #[test]
@@ -124,8 +150,32 @@ fn every_epoch_equals_the_one_shot_sweep_of_its_prefix() {
     }
 }
 
+proptest::proptest! {
+    /// Whichever forks readers pin, and for however long, every epoch is
+    /// the one-shot sweep of its prefix — and the follower cloned exactly
+    /// where a pinned fork was the copy it would have reclaimed.
+    #[test]
+    fn every_epoch_is_one_shot_whichever_forks_are_pinned(
+        every in 0usize..4,
+        hold in 0usize..5,
+        batch in 1usize..4,
+    ) {
+        let data = thinned(generate(&Scenario::small(7)), 12);
+        let mut follower = Follower::new(data, batch);
+        let what = format!("pin every {every} for {hold}, batch {batch}");
+        let epochs = assert_every_epoch_is_one_shot(&mut follower, &what, (every, hold));
+        // Epoch n folds into epoch n - 2's copy unless that fork is held.
+        let held = if every > 0 && hold >= 2 { (epochs - 2) / every } else { 0 };
+        let cloned = 1 + held as u64;
+        let want = (epochs as u64 - cloned, cloned);
+        proptest::prop_assert_eq!(follower.snapshots(), want, "{}", what);
+    }
+}
+
 /// Marks and ring are written beside the fold, never read by it: every
-/// epoch of a guarded follower serves the bytes of an unguarded one's.
+/// epoch of a guarded follower serves the bytes of an unguarded one's —
+/// although the ring pins every snapshot it published, so the guarded one
+/// clones where the unguarded one reclaims.
 #[test]
 fn a_guarded_follower_publishes_the_epochs_of_an_unguarded_one() {
     let sc = Scenario::small(7);
@@ -140,6 +190,10 @@ fn a_guarded_follower_publishes_the_epochs_of_an_unguarded_one() {
     assert!(guarded.head());
     assert_eq!(guarded.retained(), (epochs, 3), "one mark per batch, a window of snapshots");
     assert_eq!(plain.retained(), (0, 0));
+    assert_eq!(plain.snapshots(), (epochs as u64 - 1, 1));
+    // The one copy the guarded follower reclaims is the empty state it
+    // started from, which was never published.
+    assert_eq!(guarded.snapshots(), (1, epochs as u64 - 1));
 }
 
 /// After a reorg is resynced, every epoch the follower goes on to publish
@@ -158,7 +212,8 @@ fn every_epoch_after_a_resync_is_the_one_shot_sweep_of_the_reorged_prefix() {
         assert_eq!(follower.offset(), r.resume);
         let what = format!("window {window} after resync");
         let left = follower.base().longest_chain() - r.resume;
-        assert_eq!(assert_every_epoch_is_one_shot(&mut follower, &what), left.div_ceil(400));
+        let epochs = assert_every_epoch_is_one_shot(&mut follower, &what, (0, 0));
+        assert_eq!(epochs, left.div_ceil(400));
     }
 }
 
@@ -171,10 +226,13 @@ fn advancing_past_the_head_republishes_the_standing_sweeps() {
         follower.advance().expect("advance");
     }
     let at_head = follower.observed();
-    let again = follower.advance().expect("advance at head");
-    assert!(follower.head());
-    assert_eq!(follower.observed(), at_head, "nothing left to observe");
-    assert_serves_identically(again, generate(&Scenario::small(7)), "past the head");
+    // Twice: once from each copy of the follower's pair.
+    for _ in 0..2 {
+        let again = follower.advance().expect("advance at head");
+        assert!(follower.head());
+        assert_eq!(follower.observed(), at_head, "nothing left to observe");
+        assert_serves_identically(again, generate(&Scenario::small(7)), "past the head");
+    }
 }
 
 #[test]
@@ -247,74 +305,91 @@ fn served_exhibits_are_byte_identical_to_report_sections() {
     assert_eq!(service.respond("GET", &format!("/account/xrp/{xrp}")).status, 200);
 }
 
+/// Readers load from the cell while the follower publishes into it, and
+/// hold each snapshot across one swap or two: held across two, the retired
+/// snapshot is exactly the copy the follower wants back. It must never be
+/// folded into while a reader can still see it — the follower clones
+/// instead — and no response may mix epochs.
 #[test]
 fn epoch_swap_is_never_torn_under_concurrent_readers() {
-    let sc = Scenario::small(7);
-    let data = generate(&sc);
-    let total = data.longest_chain();
-    let batch = total.div_ceil(4).max(1);
-    let mut follower = Follower::new(data, batch);
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
-    // Pre-compute every epoch's fork and its expected section bytes: a
-    // reader must only ever observe one of these exact bodies.
-    let mut forks = Vec::new();
-    while !follower.head() {
-        forks.push(follower.advance().expect("advance"));
+    fn headline(data: &PipelineData) -> Vec<u8> {
+        let sections = report_sections(data);
+        sections.into_iter().find(|(n, _)| *n == "headline").expect("headline section").1.into()
     }
-    assert!(forks.len() >= 3, "want >=3 epoch swaps, got {}", forks.len());
-    let allowed: Vec<Vec<u8>> = forks
-        .iter()
-        .map(|f| {
-            report_sections(f)
-                .into_iter()
-                .find(|(n, _)| *n == "headline")
-                .expect("headline section")
-                .1
-                .into_bytes()
-        })
-        .collect();
+    let sc = Scenario::small(7);
+    let batch = generate(&sc).longest_chain().div_ceil(6);
 
-    let mut forks = forks.into_iter();
-    let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(
-        1,
-        false,
-        forks.next().expect("first epoch"),
-    ))));
-    let service = Arc::new(StatsService::new(cell.clone()));
-    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // What each epoch serves, from a follower nobody reads from: a reader
+    // must only ever observe one of these exact bodies.
+    let mut unread = Follower::new(generate(&sc), batch);
+    let mut allowed = Vec::new();
+    while !unread.head() {
+        allowed.push(headline(&unread.advance().expect("advance")));
+    }
+    assert!(allowed.len() >= 4, "want >=3 epoch swaps, got {}", allowed.len());
+
+    let mut follower = Follower::new(generate(&sc), batch);
+    let first = follower.advance().expect("first epoch");
+    let (service, cell) = service_over(first, false);
+    // Every reader holds epoch 1 before the first swap.
+    let ready = std::sync::Barrier::new(5);
+    // The newest epoch some reader holds a snapshot of.
+    let holding = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let service = service.clone();
-            let done = done.clone();
-            let allowed = &allowed;
+        for swaps_held in [1, 1, 2, 2] {
+            let (service, cell, allowed) = (&service, &cell, &allowed);
+            let (ready, holding, done) = (&ready, &holding, &done);
             scope.spawn(move || {
-                let mut last_epoch = 0u64;
-                let mut reads = 0u64;
-                while !done.load(Ordering::Acquire) || reads == 0 {
-                    let epoch = service.snapshot().epoch();
-                    assert!(epoch >= last_epoch, "epoch went backwards");
-                    last_epoch = epoch;
+                let mut held = service.snapshot();
+                ready.wait();
+                loop {
+                    let epoch = held.epoch();
+                    holding.fetch_max(epoch, Ordering::AcqRel);
                     let resp = service.respond("GET", "/exhibit/headline");
                     assert_eq!(resp.status, 200);
                     assert!(
                         allowed.contains(&resp.body),
                         "served body matches no published epoch (torn read?)"
                     );
-                    reads += 1;
+                    while cell.epoch() < epoch + swaps_held && !done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    // Swapped out, and advanced past: it still renders its
+                    // own epoch.
+                    assert!(
+                        headline(held.data()) == allowed[epoch as usize - 1],
+                        "retired epoch {epoch} changed under its reader"
+                    );
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    held = service.snapshot();
+                    assert!(held.epoch() >= epoch, "epoch went backwards");
                 }
             });
         }
+        ready.wait();
         let mut epoch = 1u64;
-        for fork in forks {
-            std::thread::sleep(std::time::Duration::from_millis(5));
+        while !follower.head() {
+            // Swap only snapshots that are being read.
+            while holding.load(Ordering::Acquire) < epoch {
+                std::thread::yield_now();
+            }
+            let fork = follower.advance().expect("advance");
             epoch += 1;
-            cell.publish(Arc::new(ServeSnapshot::new(epoch, false, fork)));
+            cell.publish(Arc::new(ServeSnapshot::new(epoch, follower.head(), fork)));
         }
-        std::thread::sleep(std::time::Duration::from_millis(5));
         done.store(true, Ordering::Release);
     });
-    assert!(cell.epoch() >= 4, "expected >=3 publishes after the initial epoch");
+    assert_eq!(cell.epoch(), allowed.len() as u64);
+    let (reclaimed, cloned) = follower.snapshots();
+    assert_eq!(reclaimed + cloned, allowed.len() as u64);
+    // Epoch 3 wanted epoch 1's copy, which two readers held across two swaps.
+    assert!(cloned >= 2 && reclaimed >= 1, "reclaimed {reclaimed}, cloned {cloned}");
 }
 
 #[test]

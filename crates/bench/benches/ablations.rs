@@ -1,6 +1,7 @@
-//! Ablation benches on the substrates: the design choices DESIGN.md calls
-//! out (LZSS storage accounting, order-book matching, resource accounting,
-//! name codec, classification throughput).
+//! Ablation benches on the substrates' design choices: LZSS storage
+//! accounting (root README, "Figure 2 methodology"), order-book matching
+//! (`txstat_xrp::dex`), resource accounting (`txstat_eos::resources`), name
+//! codec, classification throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;

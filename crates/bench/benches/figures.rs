@@ -5,9 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use txstat_bench::{bench_data, bench_scenario};
-use txstat_core::{eos_analysis as eos, graph, tezos_analysis as tezos, xrp_analysis as xrp};
+use txstat_core::eos_analysis::EosLabels;
 use txstat_core::{EosColumnar, EosSweep, TezosColumnar, TezosSweep, XrpColumnar, XrpSweep};
-use txstat_ingest::{spawn_sharded, BlockSource, IngestOptions, MemorySource};
 use txstat_reports::exhibits;
 
 fn figures(c: &mut Criterion) {
@@ -76,60 +75,19 @@ fn figures(c: &mut Criterion) {
     g.finish();
 }
 
-/// The tentpole comparison: every exhibit statistic computed by the legacy
-/// per-exhibit scans (one dedicated pass over the blocks per statistic,
-/// single-threaded) versus the fused engine (one rayon map-reduce sweep per
-/// chain producing all of them), plus the parallel-scaling profile of the
-/// fused path at 1/2/N worker threads.
+/// The engine's whole-report cost: one columnar rayon map-reduce sweep per
+/// chain plus every finalization accessor, and its parallel-scaling profile
+/// at 1/2/N worker threads.
 fn fused_report(c: &mut Criterion) {
     let data = bench_data();
     let period = data.scenario.period;
     let mut g = c.benchmark_group("fused_report");
     g.sample_size(10);
 
-    g.bench_function("legacy_multipass", |b| {
-        b.iter(|| {
-            // EOS: 8 passes.
-            let curated = eos::EosLabels::curated();
-            let labels = eos::EosLabels::from_top_contracts(&data.eos_blocks, period, 100, &|n| {
-                curated.get(n)
-            });
-            black_box(eos::action_distribution(&data.eos_blocks, period));
-            black_box(eos::throughput_series(&data.eos_blocks, period, &labels));
-            black_box(eos::top_received(&data.eos_blocks, period, 5));
-            black_box(eos::top_senders(&data.eos_blocks, period, 5));
-            black_box(eos::wash_trading_report(&data.eos_blocks, period));
-            black_box(eos::boomerang_report(&data.eos_blocks, period));
-            black_box(eos::tps(&data.eos_blocks, period));
-            black_box(graph::eos_transfer_graph(&data.eos_blocks, period).report(3));
-            // Tezos: 6 passes.
-            black_box(tezos::op_distribution(&data.tezos_blocks, period));
-            black_box(tezos::throughput_series(&data.tezos_blocks, period));
-            black_box(tezos::top_senders(&data.tezos_blocks, period, 5));
-            black_box(tezos::governance_curves(
-                &data.tezos_blocks,
-                &data.governance_periods,
-                &data.tezos_rolls,
-            ));
-            black_box(tezos::governance_op_count(&data.tezos_blocks, period));
-            black_box(tezos::tps(&data.tezos_blocks, period));
-            // XRP: 9 passes.
-            black_box(xrp::tx_distribution(&data.xrp_blocks, period));
-            black_box(xrp::throughput_series(&data.xrp_blocks, period));
-            black_box(xrp::funnel(&data.xrp_blocks, period, &data.oracle));
-            black_box(xrp::most_active(&data.xrp_blocks, period, 10, &data.cluster));
-            black_box(xrp::value_flow(&data.xrp_blocks, period, &data.oracle, &data.cluster));
-            black_box(xrp::payment_spike_buckets(&data.xrp_blocks, period, 3.0));
-            black_box(xrp::concentration(&data.xrp_blocks, period));
-            black_box(xrp::tps(&data.xrp_blocks, period));
-            black_box(graph::xrp_payment_graph(&data.xrp_blocks, period).report(3));
-        })
-    });
-
     // Every finalization accessor, so each arm produces the same
-    // figure-shaped outputs and the comparisons are work-for-work.
+    // figure-shaped outputs.
     let exercise = |e: EosSweep, t: TezosSweep, x: XrpSweep| {
-        let curated = eos::EosLabels::curated();
+        let curated = EosLabels::curated();
         let labels = e.labels(100, &|n| curated.get(n));
         black_box(e.action_distribution());
         black_box(e.throughput_series(&labels));
@@ -156,19 +114,9 @@ fn fused_report(c: &mut Criterion) {
         black_box(x.graph().report(3));
         (e, t, x)
     };
-    let three_sweeps = || {
-        exercise(
-            EosSweep::compute(&data.eos_blocks, period),
-            TezosSweep::compute(&data.tezos_blocks, period, &data.governance_periods),
-            XrpSweep::compute(&data.xrp_blocks, period, &data.oracle),
-        )
-    };
-    g.bench_function("fused_three_sweeps", |b| b.iter(|| black_box(three_sweeps())));
-
-    // The columnar engine over the same workload: interned ids, batched
-    // tag-table classification, id-indexed counters, remap merges — then
-    // finalized into the same scalar structs and pushed through the same
-    // accessor battery (`compute` returns the finalized scalar sweeps).
+    // Interned ids, batched tag-table classification, id-indexed counters,
+    // remap merges — then finalized into the sweep structs and pushed
+    // through the accessor battery (`compute` returns the finalized sweeps).
     let columnar_sweeps = || {
         exercise(
             EosColumnar::compute(&data.eos_blocks, period),
@@ -183,15 +131,6 @@ fn fused_report(c: &mut Criterion) {
     if max_threads > 2 {
         counts.push(max_threads);
     }
-    for threads in counts.clone() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        g.bench_function(format!("fused_sweeps_{threads}_threads"), |b| {
-            b.iter(|| pool.install(|| black_box(three_sweeps())))
-        });
-    }
     for threads in counts {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -199,50 +138,6 @@ fn fused_report(c: &mut Criterion) {
             .expect("pool");
         g.bench_function(format!("columnar_sweeps_{threads}_threads"), |b| {
             b.iter(|| pool.install(|| black_box(columnar_sweeps())))
-        });
-    }
-    g.finish();
-}
-
-/// Streamed ingestion vs materialize-then-sweep over the EOS chain (the
-/// heaviest accumulator): blocks flow through bounded channels into 1/2/N
-/// shard workers and the shards merge, versus one `par_sweep` over the
-/// materialized slice. Block references stream out of the static fixture,
-/// so both arms pay zero per-block copies and the comparison isolates the
-/// channel + shard-fold overhead.
-fn fused_stream(c: &mut Criterion) {
-    let data = bench_data();
-    let period = data.scenario.period;
-    let blocks: &'static [txstat_eos::Block] = &data.eos_blocks;
-    let mut g = c.benchmark_group("fused_stream");
-    g.sample_size(10);
-
-    g.bench_function("materialize_then_sweep", |b| {
-        b.iter(|| black_box(EosSweep::compute(blocks, period)))
-    });
-
-    let max_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let mut counts = vec![1usize, 2];
-    if max_threads > 2 {
-        counts.push(max_threads);
-    }
-    for shards in counts {
-        g.bench_function(format!("stream_{shards}_shards"), |b| {
-            b.iter(|| {
-                tokio::runtime::block_on(async {
-                    let opts = IngestOptions { shards, channel_capacity: 256, label: "" };
-                    let (sink, pool) = spawn_sharded(
-                        opts,
-                        move || EosSweep::new(period),
-                        |acc: &mut EosSweep, _n, b: &&txstat_eos::Block| acc.observe(b),
-                    );
-                    let src = MemorySource::numbered(blocks.iter(), |b| b.num);
-                    let producer = tokio::spawn(src.produce(sink));
-                    let out = pool.finish().await;
-                    producer.await.expect("producer").expect("memory source");
-                    black_box(out.merged(|a, b| a.merge(b)))
-                })
-            })
         });
     }
     g.finish();
@@ -363,5 +258,5 @@ fn wire_reduce(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, figures, fused_report, fused_stream, wire_reduce);
+criterion_group!(benches, figures, fused_report, wire_reduce);
 criterion_main!(benches);

@@ -1,11 +1,10 @@
 //! # Columnar sweep engine
 //!
-//! The fast path through the three chain sweeps. The scalar accumulators
-//! ([`crate::EosSweep`] & co.) key every hot map by account/contract/action
-//! name and pay a SipHash per observation — and again per key on every
-//! chunk merge, which is why 2-thread sweeps used to lose to 1 thread.
-//! This module keeps the same `identity / observe / merge` algebra but
-//! changes the data layout:
+//! The one engine behind every reduction path. The scalar reference fold
+//! ([`crate::EosSweep::observe`] & co.) keys every hot map by
+//! account/contract/action name and pays a SipHash per observation — and
+//! again per key on every chunk merge. This module keeps the same
+//! `identity / observe / merge` algebra but changes the data layout:
 //!
 //! ```text
 //!  Block ──decode──▶ Interner (name → dense u32 id)      [txstat_types::intern]
@@ -25,8 +24,8 @@
 //! Because [`EosColumnar::finalize`] (& co.) rebuild the scalar sweep
 //! structs key-by-key, every exhibit accessor — including the top-N
 //! renderers behind Figures 4/5/6/8 — resolves interned ids through the
-//! one shared finalization helper family below ([`resolve_topk`],
-//! [`resolve_map`], [`resolve_pairs`]); ranking ties therefore break by
+//! one shared finalization helper family below (`resolve_topk`,
+//! `resolve_map`, `resolve_pairs`); ranking ties therefore break by
 //! *resolved key order*, never by id assignment (which depends on chunk
 //! boundaries).
 

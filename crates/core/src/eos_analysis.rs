@@ -1,6 +1,9 @@
 //! EOS analytics: the Figure 1 action taxonomy, Figure 3a category
 //! throughput, Figures 4–5 top-account tables, and the §4.1 case-study
-//! detectors (WhaleEx wash trading, EIDOS boomerang mining).
+//! detectors (WhaleEx wash trading, EIDOS boomerang mining) — the shared
+//! vocabulary and result types, and [`EosSweep`]: the finalized state
+//! [`crate::columnar::EosColumnar`] emits, with its merge, its accessors
+//! and the scalar reference fold.
 
 use std::collections::{HashMap, HashSet};
 use txstat_eos::contract::AppCategory;
@@ -58,39 +61,6 @@ pub struct ActionRow {
     pub count: u64,
 }
 
-/// The full Figure 1 EOS column: per-action counts grouped by class.
-pub fn action_distribution(blocks: &[Block], period: Period) -> (Vec<ActionRow>, u64) {
-    let mut counts: HashMap<(EosActionClass, String), u64> = HashMap::new();
-    let mut total = 0u64;
-    for b in blocks {
-        if !period.contains(b.time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            for a in &tx.actions {
-                let class = classify_action(a.name, &a.data);
-                let key_name = match class {
-                    EosActionClass::Others => "Others".to_owned(),
-                    _ => a.name.to_string_repr(),
-                };
-                *counts.entry((class, key_name)).or_insert(0) += 1;
-                total += 1;
-            }
-        }
-    }
-    let mut rows: Vec<ActionRow> = counts
-        .into_iter()
-        .map(|((class, action), count)| ActionRow { class, action, count })
-        .collect();
-    rows.sort_by(|a, b| {
-        a.class
-            .cmp(&b.class)
-            .then(b.count.cmp(&a.count))
-            .then(a.action.cmp(&b.action))
-    });
-    (rows, total)
-}
-
 /// The paper's "manually label the top 100 contracts" step: a curated map
 /// from contract account to app category. [`EosLabels::curated`] carries the
 /// labels for every named dApp of the scenario (as the authors labeled
@@ -131,60 +101,6 @@ impl EosLabels {
         l.label(Name::new("lynxtoken123"), AppCategory::Tokens);
         l
     }
-
-    /// Label the top `k` contracts by received transactions, taking labels
-    /// from `ground_truth` where available — the programmatic equivalent of
-    /// the paper's manual labeling session.
-    pub fn from_top_contracts(
-        blocks: &[Block],
-        period: Period,
-        k: usize,
-        ground_truth: &dyn Fn(Name) -> Option<AppCategory>,
-    ) -> Self {
-        let mut received: TopK<Name> = TopK::new();
-        for b in blocks {
-            if !period.contains(b.time) {
-                continue;
-            }
-            for tx in &b.transactions {
-                let contracts: HashSet<Name> = tx.actions.iter().map(|a| a.contract).collect();
-                for c in contracts {
-                    received.inc(c);
-                }
-            }
-        }
-        let mut l = EosLabels::new();
-        for (contract, _) in received.top(k) {
-            if let Some(cat) = ground_truth(contract) {
-                l.label(contract, cat);
-            }
-        }
-        l
-    }
-
-    /// Category of a transaction: the label of its first action's contract
-    /// (unlabeled contracts fall into Others).
-    pub fn tx_category(&self, tx: &txstat_eos::types::Transaction) -> AppCategory {
-        tx.actions
-            .first()
-            .and_then(|a| self.get(a.contract))
-            .unwrap_or(AppCategory::Others)
-    }
-}
-
-/// Figure 3a: transaction counts per six-hour bucket per app category.
-pub fn throughput_series(
-    blocks: &[Block],
-    period: Period,
-    labels: &EosLabels,
-) -> BucketSeries<AppCategory> {
-    let mut series = BucketSeries::new(period, SIX_HOURS);
-    for b in blocks {
-        for tx in &b.transactions {
-            series.record(b.time, labels.tx_category(tx), 1);
-        }
-    }
-    series
 }
 
 /// One Figure 4 row: a top application by received transactions.
@@ -196,41 +112,6 @@ pub struct ReceivedStats {
     pub actions: Vec<(String, u64)>,
 }
 
-/// Figure 4: top `k` accounts by received transactions, with action mixes.
-pub fn top_received(blocks: &[Block], period: Period, k: usize) -> Vec<ReceivedStats> {
-    let mut tx_counts: TopK<Name> = TopK::new();
-    let mut action_counts: HashMap<Name, TopK<String>> = HashMap::new();
-    for b in blocks {
-        if !period.contains(b.time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            let contracts: HashSet<Name> = tx.actions.iter().map(|a| a.contract).collect();
-            for c in contracts {
-                tx_counts.inc(c);
-            }
-            for a in &tx.actions {
-                action_counts
-                    .entry(a.contract)
-                    .or_default()
-                    .inc(a.name.to_string_repr());
-            }
-        }
-    }
-    tx_counts
-        .top(k)
-        .into_iter()
-        .map(|(account, tx_count)| ReceivedStats {
-            account,
-            tx_count,
-            actions: action_counts
-                .get(&account)
-                .map(|t| t.top(6))
-                .unwrap_or_default(),
-        })
-        .collect()
-}
-
 /// One Figure 5 row: a top sender and where its actions go.
 #[derive(Debug, Clone)]
 pub struct SenderStats {
@@ -239,36 +120,6 @@ pub struct SenderStats {
     pub unique_receivers: u64,
     /// (receiver, action count, share of this sender's actions), descending.
     pub receivers: Vec<(Name, u64, f64)>,
-}
-
-/// Figure 5: top `k` senders (action authors) and their receiver mix.
-pub fn top_senders(blocks: &[Block], period: Period, k: usize) -> Vec<SenderStats> {
-    let mut sent: TopK<Name> = TopK::new();
-    let mut pair: HashMap<Name, TopK<Name>> = HashMap::new();
-    for b in blocks {
-        if !period.contains(b.time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            for a in &tx.actions {
-                sent.inc(a.actor);
-                pair.entry(a.actor).or_default().inc(a.contract);
-            }
-        }
-    }
-    sent.top(k)
-        .into_iter()
-        .map(|(sender, sent_count)| {
-            let receivers_topk = pair.get(&sender).cloned().unwrap_or_default();
-            let unique = receivers_topk.distinct() as u64;
-            let receivers = receivers_topk
-                .top(5)
-                .into_iter()
-                .map(|(r, c)| (r, c, c as f64 / sent_count as f64))
-                .collect();
-            SenderStats { sender, sent_count, unique_receivers: unique, receivers }
-        })
-        .collect()
 }
 
 /// §4.1 WhaleEx wash-trading report.
@@ -284,8 +135,9 @@ pub struct WashReport {
     pub top5_participation: f64,
 }
 
-/// Mergeable wash-trading state: the per-transaction detector shared by the
-/// legacy single-purpose scan and the fused [`EosSweep`].
+/// Mergeable wash-trading state of [`EosSweep`]: the per-transaction
+/// detector of the reference fold, and what the columnar engine finalizes
+/// into.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WashAcc {
     pub(crate) total: u64,
@@ -353,20 +205,6 @@ impl WashAcc {
     }
 }
 
-/// Detect wash trading in DEX trade-report actions (`verifytrade2`-style).
-pub fn wash_trading_report(blocks: &[Block], period: Period) -> WashReport {
-    let mut acc = WashAcc::default();
-    for b in blocks {
-        if !period.contains(b.time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            acc.observe_tx(tx);
-        }
-    }
-    acc.finalize()
-}
-
 /// §4.1 EIDOS boomerang report.
 #[derive(Debug, Clone)]
 pub struct BoomerangReport {
@@ -384,9 +222,11 @@ pub struct BoomerangReport {
     pub transfer_share: f64,
 }
 
-/// Mergeable boomerang-detection state: the per-transaction pattern matcher
-/// shared by the legacy scan and the fused [`EosSweep`]. Detection is fully
-/// contained within one transaction, so counters merge by plain addition.
+/// Mergeable boomerang-detection state of [`EosSweep`]: within one
+/// transaction, a transfer A→C of (symbol, amount) matched by a later C→A
+/// refund of the same (symbol, amount), usually followed by a payout in a
+/// different token. Detection is fully contained within one transaction,
+/// so counters merge by plain addition.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BoomAcc {
     pub(crate) boomerang_txs: u64,
@@ -472,42 +312,16 @@ impl BoomAcc {
     }
 }
 
-/// Detect the boomerang pattern: within one transaction, a transfer A→C of
-/// (symbol, amount) matched by a later C→A refund of the same (symbol,
-/// amount), usually followed by a payout in a different token.
-pub fn boomerang_report(blocks: &[Block], period: Period) -> BoomerangReport {
-    let mut acc = BoomAcc::default();
-    for b in blocks {
-        if !period.contains(b.time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            acc.observe_tx(tx);
-        }
-    }
-    acc.finalize()
-}
-
-/// Transactions-per-second over the window (the "current throughput is only
-/// 20 TPS for EOS" headline).
-pub fn tps(blocks: &[Block], period: Period) -> f64 {
-    let txs: u64 = blocks
-        .iter()
-        .filter(|b| period.contains(b.time))
-        .map(|b| b.transactions.len() as u64)
-        .sum();
-    txs as f64 / period.seconds().max(1) as f64
-}
-
-/// The fused EOS accumulator: every EOS exhibit statistic from **one** pass
-/// over the block vector.
+/// The EOS sweep state: every EOS exhibit statistic of one observation
+/// window, in exactly-mergeable domains (counters, count maps, bucketed
+/// series).
 ///
-/// `identity` is [`EosSweep::new`], `observe` folds one block in, and
-/// [`EosSweep::merge`] combines two partial sweeps — all merged state is in
-/// exactly-mergeable domains (counters, count maps, bucketed series), so
-/// [`crate::accumulate::par_sweep`] produces results identical to the legacy
-/// sequential per-exhibit scans. The figure-shaped outputs are extracted by
-/// the accessor methods after the sweep.
+/// Production obtains it from [`crate::columnar::EosColumnar::finalize`];
+/// [`EosSweep::new`] is the identity and [`EosSweep::merge`] combines two
+/// partial sweeps (the follower folds batch deltas with it). The
+/// figure-shaped outputs are extracted by the accessor methods.
+/// [`EosSweep::observe`] / [`EosSweep::compute`] are the scalar reference
+/// fold.
 #[derive(Debug, Clone)]
 pub struct EosSweep {
     pub(crate) period: Period,
@@ -556,11 +370,13 @@ impl EosSweep {
         }
     }
 
-    /// Fold one block into the sweep.
+    /// Fold one block into the sweep. Reference fold: the equivalence
+    /// suites compare the columnar engine against it, no production path
+    /// calls it.
     pub fn observe(&mut self, b: &Block) {
-        // The throughput series audits out-of-period events itself (legacy
-        // `throughput_series` records every block); everything else applies
-        // the observation-window filter up front.
+        // The throughput series audits out-of-period events itself (it
+        // records every block); everything else applies the
+        // observation-window filter up front.
         for tx in &b.transactions {
             self.contract_series.record(b.time, tx.actions.first().map(|a| a.contract), 1);
         }
@@ -621,7 +437,8 @@ impl EosSweep {
         self.txs_in_period += other.txs_in_period;
     }
 
-    /// One parallel sweep over the blocks.
+    /// One parallel [`EosSweep::observe`] sweep over the blocks: the
+    /// reference the suites hold `EosColumnar::compute` to.
     pub fn compute(blocks: &[Block], period: Period) -> Self {
         crate::accumulate::par_sweep(
             blocks,
@@ -676,8 +493,7 @@ impl EosSweep {
             .into_iter()
             .map(|(account, tx_count)| {
                 // Stringify before ranking so count ties break on the
-                // rendered action name, exactly like the legacy scan's
-                // `TopK<String>`.
+                // rendered action name, not on the `Name`'s integer order.
                 let actions = self
                     .contract_actions
                     .get(&account)
@@ -837,7 +653,7 @@ mod tests {
                 Action::new(Name::new("eosio"), Name::new("bidname"), Name::new("a"), ActionData::Generic),
             ])],
         )];
-        let (rows, total) = action_distribution(&blocks, period());
+        let (rows, total) = EosSweep::compute(&blocks, period()).action_distribution();
         assert_eq!(total, 3);
         let transfer_row = rows.iter().find(|r| r.action == "transfer").unwrap();
         assert_eq!(transfer_row.count, 2);
@@ -846,7 +662,7 @@ mod tests {
     }
 
     #[test]
-    fn labeling_from_top_contracts() {
+    fn labels_cover_the_top_contracts() {
         let blocks = vec![block(
             1,
             vec![
@@ -860,11 +676,9 @@ mod tests {
             ],
         )];
         let curated = EosLabels::curated();
-        let labels = EosLabels::from_top_contracts(&blocks, period(), 10, &|n| curated.get(n));
+        let labels = EosSweep::compute(&blocks, period()).labels(10, &|n| curated.get(n));
         assert_eq!(labels.get(Name::new("betdicetasks")), Some(AppCategory::Betting));
         assert_eq!(labels.get(Name::new("eosio.token")), Some(AppCategory::Tokens));
-        // Category assignment per transaction.
-        assert_eq!(labels.tx_category(&blocks[0].transactions[0]), AppCategory::Betting);
     }
 
     #[test]
@@ -887,12 +701,13 @@ mod tests {
                 tx(vec![transfer("u1", "u3", 5)]),
             ],
         )];
-        let recv = top_received(&blocks, period(), 2);
+        let sweep = EosSweep::compute(&blocks, period());
+        let recv = sweep.top_received(2);
         assert_eq!(recv[0].account, Name::new("pornhashbaby"));
         assert_eq!(recv[0].tx_count, 2);
         assert_eq!(recv[0].actions[0], ("record".to_owned(), 2));
 
-        let send = top_senders(&blocks, period(), 3);
+        let send = sweep.top_senders(3);
         let u1 = send.iter().find(|s| s.sender == Name::new("u1")).unwrap();
         assert_eq!(u1.sent_count, 2);
         assert_eq!(u1.unique_receivers, 2);
@@ -924,7 +739,7 @@ mod tests {
                 tx(vec![trade("y", "z")]),
             ],
         )];
-        let report = wash_trading_report(&blocks, period());
+        let report = EosSweep::compute(&blocks, period()).wash_trading_report();
         assert_eq!(report.total_trades, 4);
         assert_eq!(report.self_trades, 2);
         assert_eq!(report.top_accounts[0].0, Name::new("w1"));
@@ -953,7 +768,11 @@ mod tests {
                 tx(vec![transfer("a", "b", 5)]),
             ],
         )];
-        let report = boomerang_report(&blocks, period());
+        let sweep = EosSweep::compute(&blocks, period());
+        // §5 graph: every transfer leg is an edge, the hub sends two.
+        assert_eq!(sweep.graph().transfers(), 4);
+        assert_eq!(sweep.graph().out_of(&Name::new("eidosonecoin")), 2);
+        let report = sweep.boomerang_report();
         assert_eq!(report.boomerang_txs, 1);
         assert_eq!(report.boomerangs, 1);
         assert_eq!(report.hub, Some(Name::new("eidosonecoin")));
@@ -977,7 +796,7 @@ mod tests {
                 )]),
             ],
         )];
-        let series = throughput_series(&blocks, period(), &labels);
+        let series = EosSweep::compute(&blocks, period()).throughput_series(&labels);
         assert_eq!(series.category_total(&AppCategory::Tokens), 1);
         assert_eq!(series.category_total(&AppCategory::Betting), 1);
         assert_eq!(series.total(), 2);
@@ -987,7 +806,7 @@ mod tests {
     fn tps_computation() {
         let blocks = vec![block(1, vec![tx(vec![transfer("a", "b", 1)])])];
         let p = period();
-        let rate = tps(&blocks, p);
+        let rate = EosSweep::compute(&blocks, p).tps();
         assert!((rate - 1.0 / 86_400.0).abs() < 1e-12);
     }
 }

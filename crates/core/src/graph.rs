@@ -102,8 +102,8 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
     }
 
     /// Merge another graph: edge multiplicities and degrees add, neighbor
-    /// sets union. Associative and commutative, so the fused engine can
-    /// build per-chunk graphs in parallel and combine them.
+    /// sets union. Associative and commutative, so partial sweeps' graphs
+    /// combine in any order.
     pub fn merge(&mut self, other: TransferGraph<N>) {
         for (e, n) in other.edges {
             *self.edges.entry(e).or_insert(0) += n;
@@ -160,49 +160,6 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
             fanout_outliers,
         }
     }
-}
-
-/// Build the EOS token-transfer graph over the window.
-pub fn eos_transfer_graph(
-    blocks: &[txstat_eos::Block],
-    period: txstat_types::Period,
-) -> TransferGraph<txstat_eos::Name> {
-    let mut g = TransferGraph::new();
-    for b in blocks {
-        if !period.contains(b.time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            for a in &tx.actions {
-                if let txstat_eos::ActionData::Transfer { from, to, .. } = a.data {
-                    g.record(from, to);
-                }
-            }
-        }
-    }
-    g
-}
-
-/// Build the XRP payment graph (successful payments only).
-pub fn xrp_payment_graph(
-    blocks: &[txstat_xrp::LedgerBlock],
-    period: txstat_types::Period,
-) -> TransferGraph<txstat_xrp::AccountId> {
-    let mut g = TransferGraph::new();
-    for b in blocks {
-        if !period.contains(b.close_time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            if !tx.result.is_success() {
-                continue;
-            }
-            if let txstat_xrp::TxPayload::Payment { destination, .. } = &tx.tx.payload {
-                g.record(tx.tx.account, *destination);
-            }
-        }
-    }
-    g
 }
 
 #[cfg(test)]

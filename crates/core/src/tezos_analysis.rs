@@ -1,6 +1,9 @@
 //! Tezos analytics: the Figure 1 operation taxonomy, Figure 3b consensus
 //! vs payment throughput, Figure 6 sender-dispersion table, and the
-//! Figure 9 / §4.2 governance vote curves.
+//! Figure 9 / §4.2 governance vote curves — the shared vocabulary and
+//! result types, and [`TezosSweep`]: the finalized state
+//! [`crate::columnar::TezosColumnar`] emits, with its merge, its accessors
+//! and the scalar reference fold.
 
 use std::collections::HashMap;
 use txstat_tezos::address::Address;
@@ -53,27 +56,6 @@ pub struct OpRow {
     pub count: u64,
 }
 
-/// Figure 1 Tezos column: counts per operation kind.
-pub fn op_distribution(blocks: &[TezosBlock], period: Period) -> (Vec<OpRow>, u64) {
-    let mut counts: HashMap<OperationKind, u64> = HashMap::new();
-    let mut total = 0u64;
-    for b in blocks {
-        if !period.contains(b.time) {
-            continue;
-        }
-        for op in &b.operations {
-            *counts.entry(op.kind()).or_insert(0) += 1;
-            total += 1;
-        }
-    }
-    let mut rows: Vec<OpRow> = counts
-        .into_iter()
-        .map(|(kind, count)| OpRow { class: classify_op(kind), kind, count })
-        .collect();
-    rows.sort_by(|a, b| a.class.cmp(&b.class).then(b.count.cmp(&a.count)).then(a.kind.cmp(&b.kind)));
-    (rows, total)
-}
-
 /// Figure 3b's categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TezosThroughputCat {
@@ -92,23 +74,6 @@ impl TezosThroughputCat {
     }
 }
 
-/// Figure 3b: operations per six-hour bucket, endorsements vs transactions
-/// vs everything else.
-pub fn throughput_series(blocks: &[TezosBlock], period: Period) -> BucketSeries<TezosThroughputCat> {
-    let mut series = BucketSeries::new(period, SIX_HOURS);
-    for b in blocks {
-        for op in &b.operations {
-            let cat = match op.kind() {
-                OperationKind::Endorsement => TezosThroughputCat::Endorsement,
-                OperationKind::Transaction => TezosThroughputCat::Transaction,
-                _ => TezosThroughputCat::Others,
-            };
-            series.record(b.time, cat, 1);
-        }
-    }
-    series
-}
-
 /// One Figure 6 row: a top sender's receiver-dispersion statistics.
 #[derive(Debug, Clone)]
 pub struct SenderDispersion {
@@ -117,57 +82,6 @@ pub struct SenderDispersion {
     pub unique_receivers: u64,
     pub mean_per_receiver: f64,
     pub stdev_per_receiver: f64,
-}
-
-/// Figure 6: top `k` transaction senders with per-receiver statistics.
-pub fn top_senders(blocks: &[TezosBlock], period: Period, k: usize) -> Vec<SenderDispersion> {
-    let mut sent: TopK<Address> = TopK::new();
-    let mut per_receiver: HashMap<Address, TopK<Address>> = HashMap::new();
-    for b in blocks {
-        if !period.contains(b.time) {
-            continue;
-        }
-        for op in &b.operations {
-            if let OpPayload::Transaction { destination, .. } = &op.payload {
-                sent.inc(op.source);
-                per_receiver.entry(op.source).or_default().inc(*destination);
-            }
-        }
-    }
-    dispersion_rows(&sent, &per_receiver, k)
-}
-
-/// The Figure 6 finalization shared by the legacy scan and [`TezosSweep`]:
-/// rank senders and compute their receiver-dispersion statistics.
-fn dispersion_rows(
-    sent: &TopK<Address>,
-    per_receiver: &HashMap<Address, TopK<Address>>,
-    k: usize,
-) -> Vec<SenderDispersion> {
-    sent.top(k)
-        .into_iter()
-        .map(|(sender, sent_count)| {
-            let recv = per_receiver.get(&sender).cloned().unwrap_or_default();
-            // Fold the per-receiver counts in sorted order: HashMap
-            // iteration order varies per instance, and a float fold over
-            // a varying order can flip the rounded mean/stdev between two
-            // otherwise-identical accumulations (direct sweep vs merged
-            // shards).
-            let mut counts: Vec<u64> = recv.iter().map(|(_, c)| *c).collect();
-            counts.sort_unstable();
-            let mut stats = RunningStats::new();
-            for c in counts {
-                stats.push(c as f64);
-            }
-            SenderDispersion {
-                sender,
-                sent_count,
-                unique_receivers: recv.distinct() as u64,
-                mean_per_receiver: stats.mean(),
-                stdev_per_receiver: stats.stdev(),
-            }
-        })
-        .collect()
 }
 
 /// A cumulative vote curve: sample points of (time, cumulative rolls).
@@ -193,104 +107,18 @@ pub struct PeriodCurves {
     pub participation_pct: f64,
 }
 
-/// Build the Figure 9 vote curves. `periods` gives the period boundaries
-/// (from the chain's governance configuration); `rolls` weights each baker's
-/// vote, as the paper's vote counts are roll-weighted.
-pub fn governance_curves(
-    blocks: &[TezosBlock],
-    periods: &[(PeriodKind, Period)],
-    rolls: &HashMap<Address, u64>,
-) -> Vec<PeriodCurves> {
-    let total_rolls: u64 = rolls.values().sum();
-    let mut out = Vec::new();
-    for (kind, window) in periods {
-        // Gather events: (time, curve label, baker).
-        let mut events: Vec<(ChainTime, String, Address)> = Vec::new();
-        for b in blocks {
-            if !window.contains(b.time) {
-                continue;
-            }
-            for op in &b.operations {
-                match &op.payload {
-                    OpPayload::Proposals { proposals } if *kind == PeriodKind::Proposal => {
-                        for p in proposals {
-                            events.push((b.time, short_hash(p), op.source));
-                        }
-                    }
-                    OpPayload::Ballot { vote, .. }
-                        if matches!(kind, PeriodKind::Exploration | PeriodKind::Promotion) =>
-                    {
-                        let label = match vote {
-                            Vote::Yay => "yay",
-                            Vote::Nay => "nay",
-                            Vote::Pass => "pass",
-                        };
-                        events.push((b.time, label.to_owned(), op.source));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        events.sort_by_key(|(t, ..)| *t);
-        let mut curves: HashMap<String, VoteCurve> = HashMap::new();
-        let mut cumulative: HashMap<String, u64> = HashMap::new();
-        let mut participants: HashMap<Address, ()> = HashMap::new();
-        for (t, label, baker) in &events {
-            let w = rolls.get(baker).copied().unwrap_or(0);
-            let c = cumulative.entry(label.clone()).or_insert(0);
-            *c += w;
-            participants.insert(*baker, ());
-            curves
-                .entry(label.clone())
-                .or_insert_with(|| VoteCurve { label: label.clone(), points: Vec::new() })
-                .points
-                .push((*t, *c));
-        }
-        let participated: u64 = participants.keys().map(|a| rolls.get(a).copied().unwrap_or(0)).sum();
-        let mut curves: Vec<VoteCurve> = curves.into_values().collect();
-        curves.sort_by(|a, b| b.total().cmp(&a.total()).then(a.label.cmp(&b.label)));
-        out.push(PeriodCurves {
-            kind: *kind,
-            window: *window,
-            curves,
-            participation_pct: participated as f64 * 100.0 / total_rolls.max(1) as f64,
-        });
-    }
-    out
-}
-
 pub(crate) fn short_hash(h: &str) -> String {
     h.chars().take(12).collect()
-}
-
-/// Count governance-related operations in the window (§4.2: "merely 245
-/// within our observation period").
-pub fn governance_op_count(blocks: &[TezosBlock], period: Period) -> u64 {
-    blocks
-        .iter()
-        .filter(|b| period.contains(b.time))
-        .flat_map(|b| &b.operations)
-        .filter(|o| matches!(o.kind(), OperationKind::Ballot | OperationKind::Proposals))
-        .count() as u64
-}
-
-/// Operations-per-second (the "0.08 TPS for Tezos" headline counts
-/// *transactions*, i.e. manager payment operations).
-pub fn tps(blocks: &[TezosBlock], period: Period) -> f64 {
-    let txs: u64 = blocks
-        .iter()
-        .filter(|b| period.contains(b.time))
-        .flat_map(|b| &b.operations)
-        .filter(|o| o.kind() == OperationKind::Transaction)
-        .count() as u64;
-    txs as f64 / period.seconds().max(1) as f64
 }
 
 /// One raw governance event: (block time, curve label, voting baker).
 pub(crate) type GovEvent = (ChainTime, String, Address);
 
-/// The fused Tezos accumulator: every Tezos exhibit statistic from **one**
-/// pass over the block vector. See [`crate::accumulate`] for the algebra.
+/// The Tezos sweep state: every Tezos exhibit statistic of one observation
+/// window. Production obtains it from
+/// [`crate::columnar::TezosColumnar::finalize`]; see [`crate::accumulate`]
+/// for the merge algebra. [`TezosSweep::observe`] / [`TezosSweep::compute`]
+/// are the scalar reference fold.
 #[derive(Debug, Clone)]
 pub struct TezosSweep {
     pub(crate) period: Period,
@@ -330,7 +158,9 @@ impl TezosSweep {
         }
     }
 
-    /// Fold one block into the sweep.
+    /// Fold one block into the sweep. Reference fold: the equivalence
+    /// suites compare the columnar engine against it, no production path
+    /// calls it.
     pub fn observe(&mut self, b: &TezosBlock) {
         for op in &b.operations {
             let cat = match op.kind() {
@@ -406,7 +236,8 @@ impl TezosSweep {
         self.txs_in_period += other.txs_in_period;
     }
 
-    /// One parallel sweep over the blocks.
+    /// One parallel [`TezosSweep::observe`] sweep over the blocks: the
+    /// reference the suites hold `TezosColumnar::compute` to.
     pub fn compute(
         blocks: &[TezosBlock],
         period: Period,
@@ -440,10 +271,36 @@ impl TezosSweep {
 
     /// Figure 6: top `k` senders with receiver-dispersion statistics.
     pub fn top_senders(&self, k: usize) -> Vec<SenderDispersion> {
-        dispersion_rows(&self.sent, &self.per_receiver, k)
+        self.sent
+            .top(k)
+            .into_iter()
+            .map(|(sender, sent_count)| {
+                let recv = self.per_receiver.get(&sender).cloned().unwrap_or_default();
+                // Fold the per-receiver counts in sorted order: HashMap
+                // iteration order varies per instance, and a float fold over
+                // a varying order can flip the rounded mean/stdev between two
+                // otherwise-identical accumulations (direct sweep vs merged
+                // shards).
+                let mut counts: Vec<u64> = recv.iter().map(|(_, c)| *c).collect();
+                counts.sort_unstable();
+                let mut stats = RunningStats::new();
+                for c in counts {
+                    stats.push(c as f64);
+                }
+                SenderDispersion {
+                    sender,
+                    sent_count,
+                    unique_receivers: recv.distinct() as u64,
+                    mean_per_receiver: stats.mean(),
+                    stdev_per_receiver: stats.stdev(),
+                }
+            })
+            .collect()
     }
 
-    /// Figure 9: build the vote curves from the accumulated events.
+    /// Figure 9: build the vote curves from the accumulated events. `rolls`
+    /// weights each baker's vote, as the paper's vote counts are
+    /// roll-weighted.
     pub fn governance_curves(&self, rolls: &HashMap<Address, u64>) -> Vec<PeriodCurves> {
         let total_rolls: u64 = rolls.values().sum();
         self.periods
@@ -491,12 +348,14 @@ impl TezosSweep {
             .collect()
     }
 
-    /// §4.2: governance operations inside the observation window.
+    /// §4.2: governance operations inside the observation window ("merely
+    /// 245 within our observation period").
     pub fn governance_op_count(&self) -> u64 {
         self.gov_ops_in_window
     }
 
-    /// Headline payment-transactions-per-second.
+    /// Headline payment-transactions-per-second (the "0.08 TPS for Tezos"
+    /// headline counts *transactions*, i.e. manager payment operations).
     pub fn tps(&self) -> f64 {
         self.txs_in_period as f64 / self.period.seconds().max(1) as f64
     }
@@ -575,11 +434,12 @@ mod tests {
     #[test]
     fn distribution_and_series() {
         let blocks = vec![block(0, vec![endorse(1, 16), endorse(2, 16), pay(10, 11)])];
-        let (rows, total) = op_distribution(&blocks, period());
+        let sweep = TezosSweep::compute(&blocks, period(), &[]);
+        let (rows, total) = sweep.op_distribution();
         assert_eq!(total, 3);
         let endorse_row = rows.iter().find(|r| r.kind == OperationKind::Endorsement).unwrap();
         assert_eq!(endorse_row.count, 2);
-        let series = throughput_series(&blocks, period());
+        let series = sweep.throughput_series();
         assert_eq!(series.category_total(&TezosThroughputCat::Endorsement), 2);
         assert_eq!(series.category_total(&TezosThroughputCat::Transaction), 1);
     }
@@ -592,7 +452,7 @@ mod tests {
             0,
             vec![pay(100, 1), pay(100, 1), pay(100, 2), pay(100, 2), pay(200, 3)],
         )];
-        let top = top_senders(&blocks, period(), 2);
+        let top = TezosSweep::compute(&blocks, period(), &[]).top_senders(2);
         assert_eq!(top[0].sender, Address::implicit(100));
         assert_eq!(top[0].sent_count, 4);
         assert_eq!(top[0].unique_receivers, 2);
@@ -628,11 +488,8 @@ mod tests {
                 ],
             ),
         ];
-        let curves = governance_curves(
-            &blocks,
-            &[(PeriodKind::Promotion, period())],
-            &rolls,
-        );
+        let sweep = TezosSweep::compute(&blocks, period(), &[(PeriodKind::Promotion, period())]);
+        let curves = sweep.governance_curves(&rolls);
         assert_eq!(curves.len(), 1);
         let pc = &curves[0];
         let yay = pc.curves.iter().find(|c| c.label == "yay").unwrap();
@@ -642,13 +499,13 @@ mod tests {
         let nay = pc.curves.iter().find(|c| c.label == "nay").unwrap();
         assert_eq!(nay.total(), 600);
         assert!((pc.participation_pct - 100.0).abs() < 1e-9);
-        assert_eq!(governance_op_count(&blocks, period()), 3);
+        assert_eq!(sweep.governance_op_count(), 3);
     }
 
     #[test]
     fn tps_counts_only_payment_transactions() {
         let blocks = vec![block(0, vec![endorse(1, 32), pay(1, 2)])];
-        let rate = tps(&blocks, period());
+        let rate = TezosSweep::compute(&blocks, period(), &[]).tps();
         assert!((rate - 1.0 / 86_400.0).abs() < 1e-15);
     }
 }

@@ -1,6 +1,9 @@
 //! XRP analytics: the Figure 1 type distribution, Figure 3c throughput,
 //! the Figure 7 value funnel, Figure 8 most-active accounts, Figure 11 IOU
-//! rate tables, Figure 12 value flows, and the §4.3 spam-wave detector.
+//! rate tables, Figure 12 value flows, and the §4.3 spam-wave detector —
+//! the shared vocabulary and result types, and [`XrpSweep`]: the finalized
+//! state [`crate::columnar::XrpColumnar`] emits, with its merge, its
+//! accessors and the scalar reference fold.
 
 use crate::cluster::ClusterInfo;
 use std::collections::HashMap;
@@ -56,29 +59,6 @@ pub struct TxRow {
     pub count: u64,
 }
 
-/// Figure 1 XRP column: counts per transaction type.
-pub fn tx_distribution(blocks: &[LedgerBlock], period: Period) -> (Vec<TxRow>, u64) {
-    let mut counts: HashMap<TxType, u64> = HashMap::new();
-    let mut total = 0u64;
-    for b in blocks {
-        if !period.contains(b.close_time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            *counts.entry(tx.tx.tx_type()).or_insert(0) += 1;
-            total += 1;
-        }
-    }
-    let mut rows: Vec<TxRow> = counts
-        .into_iter()
-        .map(|(tx_type, count)| TxRow { class: classify_tx(tx_type), tx_type, count })
-        .collect();
-    rows.sort_by(|a, b| {
-        a.class.cmp(&b.class).then(b.count.cmp(&a.count)).then(a.tx_type.cmp(&b.tx_type))
-    });
-    (rows, total)
-}
-
 /// Figure 3c's categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum XrpThroughputCat {
@@ -97,28 +77,6 @@ impl XrpThroughputCat {
             XrpThroughputCat::Unsuccessful => "Unsuccessful Tx",
         }
     }
-}
-
-/// Figure 3c: transactions per six-hour bucket by category, with failures
-/// split out (both successful and unsuccessful transactions are recorded on
-/// the XRP ledger).
-pub fn throughput_series(blocks: &[LedgerBlock], period: Period) -> BucketSeries<XrpThroughputCat> {
-    let mut series = BucketSeries::new(period, SIX_HOURS);
-    for b in blocks {
-        for tx in &b.transactions {
-            let cat = if !tx.result.is_success() {
-                XrpThroughputCat::Unsuccessful
-            } else {
-                match tx.tx.tx_type() {
-                    TxType::Payment => XrpThroughputCat::Payment,
-                    TxType::OfferCreate => XrpThroughputCat::OfferCreate,
-                    _ => XrpThroughputCat::Others,
-                }
-            };
-            series.record(b.close_time, cat, 1);
-        }
-    }
-    series
 }
 
 /// The Figure 7 funnel: how much of the throughput carries economic value.
@@ -190,53 +148,6 @@ impl Funnel {
     }
 }
 
-/// Build the Figure 7 funnel. A payment carries value iff its delivered
-/// asset is XRP or an IOU with a positive oracle rate; an offer "exchanged"
-/// iff it crossed at apply time.
-pub fn funnel(blocks: &[LedgerBlock], period: Period, oracle: &RateOracle) -> Funnel {
-    let mut f = Funnel::default();
-    for b in blocks {
-        if !period.contains(b.close_time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            f.total += 1;
-            if !tx.result.is_success() {
-                f.failed += 1;
-                continue;
-            }
-            f.successful += 1;
-            match tx.tx.tx_type() {
-                TxType::Payment => {
-                    f.payments += 1;
-                    let has_value = match &tx.delivered {
-                        Some(a) => match a.asset {
-                            Asset::Xrp => true,
-                            Asset::Iou(ic) => oracle.has_value(ic),
-                        },
-                        None => false,
-                    };
-                    if has_value {
-                        f.payments_with_value += 1;
-                    } else {
-                        f.payments_no_value += 1;
-                    }
-                }
-                TxType::OfferCreate => {
-                    f.offers += 1;
-                    if tx.crossed {
-                        f.offers_exchanged += 1;
-                    } else {
-                        f.offers_no_exchange += 1;
-                    }
-                }
-                _ => f.others += 1,
-            }
-        }
-    }
-    f
-}
-
 /// One Figure 8 row.
 #[derive(Debug, Clone)]
 pub struct ActiveAccount {
@@ -251,68 +162,6 @@ pub struct ActiveAccount {
     pub top_tag: Option<(u32, u64)>,
     /// Entity resolution (username / parent-descendant).
     pub entity: Option<String>,
-}
-
-/// Figure 8: the `k` most active accounts with their type mixes.
-pub fn most_active(
-    blocks: &[LedgerBlock],
-    period: Period,
-    k: usize,
-    cluster: &ClusterInfo,
-) -> Vec<ActiveAccount> {
-    let mut per_account: HashMap<AccountId, (u64, u64, u64)> = HashMap::new();
-    let mut tags: HashMap<AccountId, TopK<u32>> = HashMap::new();
-    let mut grand_total = 0u64;
-    for b in blocks {
-        if !period.contains(b.close_time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            grand_total += 1;
-            let e = per_account.entry(tx.tx.account).or_insert((0, 0, 0));
-            match tx.tx.tx_type() {
-                TxType::OfferCreate => e.0 += 1,
-                TxType::Payment => {
-                    e.1 += 1;
-                    if let Some(tag) = tx.tx.destination_tag {
-                        tags.entry(tx.tx.account).or_default().inc(tag);
-                    }
-                }
-                _ => e.2 += 1,
-            }
-        }
-    }
-    active_rows(&per_account, &tags, grand_total, k, cluster)
-}
-
-/// The Figure 8 finalization shared by the legacy scan and [`XrpSweep`]:
-/// rank accounts by activity and resolve their entities and top tags.
-fn active_rows(
-    per_account: &HashMap<AccountId, (u64, u64, u64)>,
-    tags: &HashMap<AccountId, TopK<u32>>,
-    grand_total: u64,
-    k: usize,
-    cluster: &ClusterInfo,
-) -> Vec<ActiveAccount> {
-    let mut rows: Vec<ActiveAccount> = per_account
-        .iter()
-        .map(|(account, (oc, pay, others))| {
-            let total = oc + pay + others;
-            ActiveAccount {
-                account: *account,
-                offer_creates: *oc,
-                payments: *pay,
-                others: *others,
-                total,
-                share_pct: total as f64 * 100.0 / grand_total.max(1) as f64,
-                top_tag: tags.get(account).and_then(|t| t.top(1).first().cloned()),
-                entity: cluster.entity(*account),
-            }
-        })
-        .collect();
-    rows.sort_by(|a, b| b.total.cmp(&a.total).then(a.account.cmp(&b.account)));
-    rows.truncate(k);
-    rows
 }
 
 /// Figure 11a: 30-day average rate per issuer of a currency ticker.
@@ -360,107 +209,6 @@ pub struct ValueFlowReport {
     pub currencies: Vec<(String, f64, f64, f64)>,
 }
 
-/// Build the Figure 12 value-flow report from successful payments.
-pub fn value_flow(
-    blocks: &[LedgerBlock],
-    period: Period,
-    oracle: &RateOracle,
-    cluster: &ClusterInfo,
-) -> ValueFlowReport {
-    let mut xrp_volume_drops: i128 = 0;
-    let mut senders: HashMap<String, f64> = HashMap::new();
-    let mut receivers: HashMap<String, f64> = HashMap::new();
-    // ticker → (nominal, valuable nominal, valuable XRP).
-    let mut currencies: HashMap<String, (f64, f64, f64)> = HashMap::new();
-    for b in blocks {
-        if !period.contains(b.close_time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            if !tx.result.is_success() || tx.tx.tx_type() != TxType::Payment {
-                continue;
-            }
-            let delivered = match &tx.delivered {
-                Some(a) => a,
-                None => continue,
-            };
-            let destination = match &tx.tx.payload {
-                txstat_xrp::tx::TxPayload::Payment { destination, .. } => *destination,
-                _ => continue,
-            };
-            let (ticker, nominal, xrp_equiv) = match delivered.asset {
-                Asset::Xrp => {
-                    xrp_volume_drops += delivered.value;
-                    ("XRP".to_owned(), delivered.to_f64(), Some(delivered.to_f64()))
-                }
-                Asset::Iou(ic) => {
-                    let nominal = delivered.value as f64 / IOU_UNIT as f64;
-                    let xrp = oracle
-                        .value_in_drops(ic, delivered.value)
-                        .filter(|d| *d > 0)
-                        .map(|d| d as f64 / DROPS_PER_XRP as f64);
-                    (ic.currency.as_str().to_owned(), nominal, xrp)
-                }
-            };
-            let e = currencies.entry(ticker).or_insert((0.0, 0.0, 0.0));
-            e.0 += nominal;
-            if let Some(x) = xrp_equiv {
-                e.1 += nominal;
-                e.2 += x;
-                let s = cluster.entity_or(tx.tx.account, "Other senders");
-                let r = cluster.entity_or(destination, "Other receivers");
-                *senders.entry(s).or_insert(0.0) += x;
-                *receivers.entry(r).or_insert(0.0) += x;
-            }
-        }
-    }
-    let sort_desc = |m: HashMap<String, f64>| {
-        let mut v: Vec<(String, f64)> = m.into_iter().collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-        v
-    };
-    let mut currencies: Vec<(String, f64, f64, f64)> = currencies
-        .into_iter()
-        .map(|(t, (n, vn, vx))| (t, n, vn, vx))
-        .collect();
-    currencies.sort_by(|a, b| b.3.partial_cmp(&a.3).expect("finite").then(a.0.cmp(&b.0)));
-    ValueFlowReport {
-        xrp_payment_volume: xrp_volume_drops as f64 / DROPS_PER_XRP as f64,
-        top_senders: sort_desc(senders),
-        top_receivers: sort_desc(receivers),
-        currencies,
-    }
-}
-
-/// §4.3 spam-wave detection: six-hour buckets whose Payment count exceeds
-/// `threshold ×` the median payment rate.
-pub fn payment_spike_buckets(blocks: &[LedgerBlock], period: Period, threshold: f64) -> Vec<usize> {
-    let mut series = BucketSeries::new(period, SIX_HOURS);
-    for b in blocks {
-        for tx in &b.transactions {
-            if tx.tx.tx_type() == TxType::Payment && tx.result.is_success() {
-                series.record(b.close_time, (), 1);
-            }
-        }
-    }
-    spikes_of(&series, threshold)
-}
-
-/// The spike rule shared by the legacy scan and [`XrpSweep`]: bucket totals
-/// above `threshold ×` the median.
-fn spikes_of(series: &BucketSeries<()>, threshold: f64) -> Vec<usize> {
-    let counts: Vec<u64> = (0..series.bucket_count()).map(|i| series.bucket_total(i)).collect();
-    let mut sorted = counts.clone();
-    sorted.sort_unstable();
-    let median = sorted[sorted.len() / 2].max(1);
-    counts
-        .into_iter()
-        .enumerate()
-        .filter(|(_, c)| *c as f64 > threshold * median as f64)
-        .map(|(i, _)| i)
-        .collect()
-}
-
 /// §3.3 account-concentration statistics: *"Approximately one third (30
 /// thousand) of accounts have transacted once during the entire observation
 /// period, whereas the 18 most active accounts are responsible for half of
@@ -481,59 +229,11 @@ pub struct ConcentrationReport {
     pub gini: f64,
 }
 
-/// Compute the §3.3 concentration statistics over transaction senders.
-pub fn concentration(blocks: &[LedgerBlock], period: Period) -> ConcentrationReport {
-    let mut per_account: HashMap<AccountId, u64> = HashMap::new();
-    let mut total = 0u64;
-    for b in blocks {
-        if !period.contains(b.close_time) {
-            continue;
-        }
-        for tx in &b.transactions {
-            *per_account.entry(tx.tx.account).or_insert(0) += 1;
-            total += 1;
-        }
-    }
-    concentration_of(per_account.values().copied().collect(), total)
-}
-
-/// The concentration statistics shared by the legacy scan and [`XrpSweep`],
-/// over per-account activity counts.
-fn concentration_of(mut counts: Vec<u64>, total: u64) -> ConcentrationReport {
-    counts.sort_unstable_by(|a, b| b.cmp(a));
-    let single = counts.iter().filter(|c| **c == 1).count() as u64;
-    let mut acc = 0u64;
-    let mut half_k = 0u64;
-    for c in &counts {
-        acc += c;
-        half_k += 1;
-        if acc * 2 >= total {
-            break;
-        }
-    }
-    let values: Vec<f64> = counts.iter().map(|c| *c as f64).collect();
-    ConcentrationReport {
-        accounts: counts.len() as u64,
-        total_txs: total,
-        single_tx_accounts: single,
-        half_traffic_accounts: half_k,
-        mean_txs_per_account: total as f64 / counts.len().max(1) as f64,
-        gini: txstat_types::gini(&values),
-    }
-}
-
-/// Transactions-per-second over the window ("19 TPS for XRP").
-pub fn tps(blocks: &[LedgerBlock], period: Period) -> f64 {
-    let txs: u64 = blocks
-        .iter()
-        .filter(|b| period.contains(b.close_time))
-        .map(|b| b.transactions.len() as u64)
-        .sum();
-    txs as f64 / period.seconds().max(1) as f64
-}
-
-/// The fused XRP accumulator: every XRP exhibit statistic from **one** pass
-/// over the ledger vector. See [`crate::accumulate`] for the algebra.
+/// The XRP sweep state: every XRP exhibit statistic of one observation
+/// window. Production obtains it from
+/// [`crate::columnar::XrpColumnar::finalize`]; see [`crate::accumulate`]
+/// for the merge algebra. [`XrpSweep::observe`] / [`XrpSweep::compute`] are
+/// the scalar reference fold.
 ///
 /// The oracle is consulted *per transaction* during the sweep (value
 /// classification and drop-denominated valuation are integral per tx), so
@@ -588,9 +288,11 @@ impl XrpSweep {
     }
 
     /// Fold one ledger into the sweep, valuing payments through `oracle`.
+    /// Reference fold: the equivalence suites compare the columnar engine
+    /// against it, no production path calls it.
     pub fn observe(&mut self, b: &LedgerBlock, oracle: &RateOracle) {
-        // The two bucket series audit out-of-period events themselves
-        // (matching the legacy scans); the rest filters up front.
+        // The two bucket series audit out-of-period events themselves (they
+        // record every ledger); the rest filters up front.
         for tx in &b.transactions {
             let cat = if !tx.result.is_success() {
                 XrpThroughputCat::Unsuccessful
@@ -733,7 +435,8 @@ impl XrpSweep {
         self.graph.merge(other.graph);
     }
 
-    /// One parallel sweep over the ledgers.
+    /// One parallel [`XrpSweep::observe`] sweep over the ledgers: the
+    /// reference the suites hold `XrpColumnar::compute` to.
     pub fn compute(blocks: &[LedgerBlock], period: Period, oracle: &RateOracle) -> Self {
         crate::accumulate::par_sweep(
             blocks,
@@ -765,14 +468,35 @@ impl XrpSweep {
         &self.series
     }
 
-    /// Figure 7: the value funnel.
+    /// Figure 7: the value funnel. A payment carries value iff its
+    /// delivered asset is XRP or an IOU with a positive oracle rate; an
+    /// offer "exchanged" iff it crossed at apply time.
     pub fn funnel(&self) -> Funnel {
         self.funnel.clone()
     }
 
     /// Figure 8: the `k` most active accounts.
     pub fn most_active(&self, k: usize, cluster: &ClusterInfo) -> Vec<ActiveAccount> {
-        active_rows(&self.per_account, &self.tags, self.grand_total, k, cluster)
+        let mut rows: Vec<ActiveAccount> = self
+            .per_account
+            .iter()
+            .map(|(account, (oc, pay, others))| {
+                let total = oc + pay + others;
+                ActiveAccount {
+                    account: *account,
+                    offer_creates: *oc,
+                    payments: *pay,
+                    others: *others,
+                    total,
+                    share_pct: total as f64 * 100.0 / self.grand_total.max(1) as f64,
+                    top_tag: self.tags.get(account).and_then(|t| t.top(1).first().cloned()),
+                    entity: cluster.entity(*account),
+                }
+            })
+            .collect();
+        rows.sort_by(|a, b| b.total.cmp(&a.total).then(a.account.cmp(&b.account)));
+        rows.truncate(k);
+        rows
     }
 
     /// Figure 12: the entity-level value flows.
@@ -819,16 +543,48 @@ impl XrpSweep {
     /// §4.3: six-hour buckets whose payment count exceeds `threshold ×` the
     /// median payment rate.
     pub fn payment_spike_buckets(&self, threshold: f64) -> Vec<usize> {
-        spikes_of(&self.payment_series, threshold)
+        let series = &self.payment_series;
+        let counts: Vec<u64> =
+            (0..series.bucket_count()).map(|i| series.bucket_total(i)).collect();
+        let mut sorted = counts.clone();
+        sorted.sort_unstable();
+        let median = sorted[sorted.len() / 2].max(1);
+        counts
+            .into_iter()
+            .enumerate()
+            .filter(|(_, c)| *c as f64 > threshold * median as f64)
+            .map(|(i, _)| i)
+            .collect()
     }
 
-    /// §3.3: the account-concentration statistics.
+    /// §3.3: the account-concentration statistics over transaction senders.
     pub fn concentration(&self) -> ConcentrationReport {
-        let counts: Vec<u64> = self.per_account.values().map(|(a, b, c)| a + b + c).collect();
-        concentration_of(counts, self.grand_total)
+        let total = self.grand_total;
+        let mut counts: Vec<u64> =
+            self.per_account.values().map(|(a, b, c)| a + b + c).collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        let single = counts.iter().filter(|c| **c == 1).count() as u64;
+        let mut acc = 0u64;
+        let mut half_k = 0u64;
+        for c in &counts {
+            acc += c;
+            half_k += 1;
+            if acc * 2 >= total {
+                break;
+            }
+        }
+        let values: Vec<f64> = counts.iter().map(|c| *c as f64).collect();
+        ConcentrationReport {
+            accounts: counts.len() as u64,
+            total_txs: total,
+            single_tx_accounts: single,
+            half_traffic_accounts: half_k,
+            mean_txs_per_account: total as f64 / counts.len().max(1) as f64,
+            gini: txstat_types::gini(&values),
+        }
     }
 
-    /// Headline transactions-per-second.
+    /// Headline transactions-per-second ("19 TPS for XRP").
     pub fn tps(&self) -> f64 {
         self.grand_total as f64 / self.period.seconds().max(1) as f64
     }
@@ -958,7 +714,8 @@ mod tests {
                 applied(4, TxPayload::SetRegularKey, TxResult::Success, None, false),
             ],
         )];
-        let (rows, total) = tx_distribution(&blocks, period());
+        let (rows, total) =
+            XrpSweep::compute(&blocks, period(), &oracle_with_usd()).tx_distribution();
         assert_eq!(total, 4);
         let oc = rows.iter().find(|r| r.tx_type == TxType::OfferCreate).unwrap();
         assert_eq!(oc.count, 2);
@@ -985,7 +742,11 @@ mod tests {
                 applied(4, TxPayload::SetRegularKey, TxResult::Success, None, false),
             ],
         )];
-        let f = funnel(&blocks, period(), &oracle);
+        let sweep = XrpSweep::compute(&blocks, period(), &oracle);
+        // §5 graph: the three successful payments, all 1 → 2.
+        assert_eq!(sweep.graph().transfers(), 3);
+        assert_eq!(sweep.graph().fanout_of(&AccountId(1)), 1);
+        let f = sweep.funnel();
         assert_eq!(f.total, 8);
         assert_eq!(f.failed, 1);
         assert_eq!(f.payments, 3);
@@ -1013,7 +774,8 @@ mod tests {
         txs.push(tagged);
         txs.push(xrp_payment(2, 3, 5, TxResult::Success));
         let blocks = vec![block(1, txs)];
-        let rows = most_active(&blocks, period(), 2, &cluster);
+        let rows =
+            XrpSweep::compute(&blocks, period(), &oracle_with_usd()).most_active(2, &cluster);
         assert_eq!(rows[0].account, AccountId(60));
         assert_eq!(rows[0].offer_creates, 10);
         assert_eq!(rows[0].payments, 1);
@@ -1036,7 +798,7 @@ mod tests {
                 iou_payment(1, 2, "GKO", 9, 999), // unrated: nominal only
             ],
         )];
-        let flow = value_flow(&blocks, period(), &oracle, &cluster);
+        let flow = XrpSweep::compute(&blocks, period(), &oracle).value_flow(&cluster);
         assert!((flow.xrp_payment_volume - 1000.0).abs() < 1e-9);
         assert_eq!(flow.top_senders[0].0, "Binance");
         assert!((flow.top_senders[0].1 - 1500.0).abs() < 1e-6, "1000 XRP + 100 USD × 5");
@@ -1083,7 +845,7 @@ mod tests {
             txs.push(xrp_payment(a, 9, 1, TxResult::Success));
         }
         let blocks = vec![block(1, txs)];
-        let r = concentration(&blocks, period());
+        let r = XrpSweep::compute(&blocks, period(), &oracle_with_usd()).concentration();
         assert_eq!(r.accounts, 5);
         assert_eq!(r.total_txs, 14);
         assert_eq!(r.single_tx_accounts, 4);
@@ -1105,7 +867,8 @@ mod tests {
             }
             blocks.push(block(i * 360, txs)); // 360 min apart → distinct buckets
         }
-        let spikes = payment_spike_buckets(&blocks, period(), 3.0);
+        let spikes =
+            XrpSweep::compute(&blocks, period(), &oracle_with_usd()).payment_spike_buckets(3.0);
         assert_eq!(spikes, vec![2]);
     }
 }

@@ -16,7 +16,8 @@ use txstat_types::time::ChainTime;
 pub struct ChainConfig {
     pub genesis_time: ChainTime,
     /// Simulated block interval in seconds. Mainnet is 0.5 s; scenarios use
-    /// a widened interval so a 3-month window stays in memory (DESIGN.md §1).
+    /// a widened interval so a 3-month window stays in memory
+    /// (`txstat_workload::Scenario::eos_block_secs`).
     pub block_interval_secs: i64,
     /// First block number, so block indices can mirror the paper's dataset
     /// (EOS blocks 82,024,737–98,324,735).

@@ -31,8 +31,10 @@
 //!
 //! Peak memory of a streamed sweep is `O(shards × (accumulator +
 //! channel_capacity × block))` — independent of chain length. Equivalence
-//! with the materializing `par_sweep` path is pinned by
-//! `tests/property_suite.rs` for random shard counts and capacities.
+//! of the shard pool with one materializing `par_sweep` is pinned by
+//! `tests/property_suite.rs` for random shard counts and capacities (on
+//! the scalar reference fold `*Sweep::observe`; the pool is generic), and
+//! the streamed columnar report end to end by `tests/streamed_ingest.rs`.
 
 pub mod channel;
 pub mod checkpoint;

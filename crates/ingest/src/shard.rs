@@ -8,7 +8,9 @@
 //! produces the same finalized statistics as [`txstat_core::par_sweep`] over
 //! the materialized slice — the equivalence suite in
 //! `tests/property_suite.rs` pins this for random shard counts and channel
-//! capacities.
+//! capacities (driving the pool with the scalar reference fold
+//! `*Sweep::observe`; `tests/streamed_ingest.rs` pins the streamed columnar
+//! report end to end).
 //!
 //! Topology (one instance per chain):
 //!

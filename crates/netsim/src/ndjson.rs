@@ -1,5 +1,6 @@
 //! Newline-delimited JSON framing over TCP — the workspace's stand-in for
-//! the XRP websocket API (§3.1, DESIGN.md substitution table).
+//! the XRP websocket API (paper §3.1; `crates/netsim/README.md` lists the
+//! loopback stand-ins).
 //!
 //! Request/response semantics of the `ledger` method are preserved: each
 //! line is one JSON object; responses echo the request `id`.

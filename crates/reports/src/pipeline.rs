@@ -18,9 +18,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
-use txstat_core::{
-    ClusterInfo, EosColumnar, EosSweep, TezosColumnar, TezosSweep, XrpColumnar, XrpSweep,
-};
+use txstat_core::{ClusterInfo, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat_crawler::{
     benchmark_endpoints, crawl_eos, crawl_tezos, crawl_xrp, eos_head, fetch_account_meta,
     fetch_exchange_rate, fetch_exchanges, shortlist, tezos_head, xrp_head, Advertised,
@@ -147,13 +145,15 @@ pub type ChainBounds = (Option<(u64, ChainTime)>, Option<(u64, ChainTime)>);
 pub use txstat_core::ChainSweeps;
 
 impl PipelineData {
-    /// The fused analytics state: computed on first use with one columnar
-    /// rayon map-reduce sweep per chain (interned ids, batched
-    /// classification, remap merges — see `txstat_core::columnar`), then
-    /// shared by every exhibit. The columnar engine finalizes into the
-    /// scalar sweep structs, so every downstream accessor is unchanged and
-    /// the report is bit-identical to a scalar fold. On the streamed path
-    /// the shard reducer has already filled this.
+    /// The analytics state: computed on first use with one columnar rayon
+    /// map-reduce sweep per chain (interned ids, batched classification,
+    /// remap merges — see `txstat_core::columnar`), then shared by every
+    /// exhibit. The engine finalizes into the `*Sweep` structs whose
+    /// accessors the renderers read. On the streamed and reduced paths the
+    /// shard reducer has already filled this through
+    /// [`PipelineData::install_sweeps`]; `tests/streamed_ingest.rs` installs
+    /// the scalar reference fold the same way and pins the whole report
+    /// bit-identical to this default.
     pub fn sweeps(&self) -> &ChainSweeps {
         self.sweeps.get_or_init(|| {
             let period = self.scenario.period;
@@ -192,19 +192,6 @@ impl PipelineData {
     /// Returns false if the sweeps were already computed.
     pub fn install_sweeps(&self, sweeps: ChainSweeps) -> bool {
         self.sweeps.set(Arc::new(sweeps)).is_ok()
-    }
-
-    /// Pin the scalar (non-columnar) sweeps as this dataset's analytics
-    /// state. The equivalence suites use this to render the full report
-    /// through the scalar engine and compare it bit-for-bit against the
-    /// columnar default. Returns false if the sweeps were already computed.
-    pub fn force_scalar_sweeps(&self) -> bool {
-        let period = self.scenario.period;
-        self.install_sweeps(ChainSweeps {
-            eos: EosSweep::compute(&self.eos_blocks, period),
-            tezos: TezosSweep::compute(&self.tezos_blocks, period, &self.governance_periods),
-            xrp: XrpSweep::compute(&self.xrp_blocks, period, &self.oracle),
-        })
     }
 
     /// The dataset's block-derived facts, resolved on first use: already

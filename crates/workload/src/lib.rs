@@ -15,8 +15,10 @@
 //!   zero-value payment-spam waves, gateway IOU issuance, exchange flows,
 //!   Ripple's monthly escrow cycle, and the Myrone self-dealt BTC IOU pump.
 //!
-//! Counts are scaled by per-chain divisors (DESIGN.md §1); all shares and
-//! shapes are divisor-invariant.
+//! Counts are scaled by per-chain divisors ([`Scenario`]'s `*_divisor`
+//! fields; the root README's "Figure 2 methodology" has the scenario-scale
+//! rule and the one soft-scaled exception); all shares and shapes are
+//! divisor-invariant.
 
 // EOS asset amounts are 4-decimal fixed point; literals group as
 // <whole>_<4 decimals> on purpose.

@@ -778,8 +778,8 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// DESIGN.md §5: the taker never pays worse than its quoted
-            /// price — every fill executes at the maker's rate, which is at
+            /// Price-time priority (this module's doc), seen from the taker:
+            /// it never pays worse than its quoted price — every fill executes at the maker's rate, which is at
             /// least as good as the taker's stated gets/pays ratio (up to
             /// one unit of integer rounding per fill).
             #[test]

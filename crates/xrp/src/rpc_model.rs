@@ -3,8 +3,8 @@
 //!
 //! Amounts follow the production convention: native XRP as a decimal string
 //! of drops; issued amounts as `{currency, issuer, value}` objects. Each
-//! transaction carries `metaData.TransactionResult`. Two simplifications are
-//! documented in DESIGN.md: escrows/channels are referenced by a numeric id
+//! transaction carries `metaData.TransactionResult`. Two simplifications
+//! against the production API: escrows/channels are referenced by a numeric id
 //! rather than (Owner, OfferSequence), and `metaData.crossed` distills the
 //! AffectedNodes order-book analysis the paper performed on full metadata.
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example eos_eidos_airdrop
 //! ```
 
-use txstat::core::eos_analysis;
+use txstat::core::EosColumnar;
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::{eidos_launch, eos::build_eos, Scenario};
 
@@ -44,7 +44,7 @@ fn main() {
     }
 
     // The boomerang detector (measurement side).
-    let report = eos_analysis::boomerang_report(chain.blocks(), scenario.period);
+    let report = EosColumnar::compute(chain.blocks(), scenario.period).boomerang_report();
     println!(
         "\nBoomerang detector: {} mining transactions, {} boomerangs, hub = {}",
         report.boomerang_txs,

@@ -5,7 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use txstat::core::{eos_analysis, tezos_analysis, xrp_analysis};
 use txstat::reports::{generate, PipelineData};
 use txstat::workload::Scenario;
 
@@ -18,9 +17,12 @@ fn main() {
         scenario.period.end.date_string()
     );
     let data: PipelineData = generate(&scenario);
+    // One columnar sweep per chain, computed on first use; every exhibit
+    // reads its accessors.
+    let sweeps = data.sweeps();
 
     // Headline 1: most EOS throughput is EIDOS boomerang mining.
-    let boomerang = eos_analysis::boomerang_report(&data.eos_blocks, scenario.period);
+    let boomerang = sweeps.eos.boomerang_report();
     println!(
         "EOS: {} boomerang mining transactions; {:.0}% of transfer actions are airdrop legs (paper: 95%)",
         boomerang.boomerang_txs,
@@ -28,7 +30,7 @@ fn main() {
     );
 
     // Headline 2: most Tezos throughput is consensus upkeep.
-    let (rows, total) = tezos_analysis::op_distribution(&data.tezos_blocks, scenario.period);
+    let (rows, total) = sweeps.tezos.op_distribution();
     let endorsements = rows
         .iter()
         .find(|r| r.kind == txstat::tezos::OperationKind::Endorsement)
@@ -40,7 +42,7 @@ fn main() {
     );
 
     // Headline 3: almost no XRP throughput carries value.
-    let funnel = xrp_analysis::funnel(&data.xrp_blocks, scenario.period, &data.oracle);
+    let funnel = sweeps.xrp.funnel();
     println!(
         "XRP: {:.1}% of throughput carries economic value (paper: 2.3%); {:.1}% of transactions failed (paper: 10.7%)",
         funnel.economic_share_pct(),

@@ -7,7 +7,7 @@
 //! ```
 
 use std::collections::HashMap;
-use txstat::core::tezos_analysis;
+use txstat::core::TezosColumnar;
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::{tezos::build_tezos, Scenario};
 
@@ -35,7 +35,10 @@ fn main() {
         start += plen;
     }
 
-    let curves = tezos_analysis::governance_curves(chain.blocks(), &periods, &rolls);
+    // The vote curves depend on the governance windows alone; the sweep's
+    // observation window only bounds its other statistics.
+    let curves = TezosColumnar::compute(chain.blocks(), scenario.period, &periods)
+        .governance_curves(&rolls);
     for pc in &curves {
         if pc.curves.is_empty() {
             continue;

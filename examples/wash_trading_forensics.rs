@@ -7,7 +7,7 @@
 //! ```
 
 use std::collections::HashMap;
-use txstat::core::eos_analysis;
+use txstat::core::EosColumnar;
 use txstat::eos::{ActionData, Name};
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
@@ -23,7 +23,7 @@ fn main() {
     let chain = txstat::workload::eos::build_eos(&scenario);
 
     // Step 1: the detector's aggregate view.
-    let report = eos_analysis::wash_trading_report(chain.blocks(), scenario.period);
+    let report = EosColumnar::compute(chain.blocks(), scenario.period).wash_trading_report();
     println!(
         "\n{} verifytrade2-style trades; {} ({:.0}%) have buyer == seller",
         report.total_trades,

@@ -24,9 +24,10 @@ fn main() {
         scenario.period.end.date_string()
     );
     let data = txstat::reports::generate(&scenario);
+    let sweep = &data.sweeps().xrp;
 
     // Figure 7: the value funnel.
-    let funnel = xrp_analysis::funnel(&data.xrp_blocks, scenario.period, &data.oracle);
+    let funnel = sweep.funnel();
     println!("\nValue funnel over {} transactions:", funnel.total);
     println!("  failed:             {:>5.1}%", funnel.pct(funnel.failed));
     println!("  payments w/ value:  {:>5.1}%", funnel.pct(funnel.payments_with_value));
@@ -35,7 +36,7 @@ fn main() {
     println!("  economic share:     {:>5.1}%  (paper: 2.3%)", funnel.economic_share_pct());
 
     // Figure 12: who moves the value.
-    let flow = xrp_analysis::value_flow(&data.xrp_blocks, scenario.period, &data.oracle, &data.cluster);
+    let flow = sweep.value_flow(&data.cluster);
     println!("\nTop value senders (XRP-denominated):");
     for (entity, volume) in flow.top_senders.iter().take(6) {
         println!("  {entity:<28} {volume:>14.0} XRP");

@@ -3,7 +3,6 @@
 //! fetch rates/metadata) produces the same analytics dataset as reading the
 //! chains directly.
 
-use txstat::core::xrp_analysis;
 use txstat::reports::{generate, generate_with_crawl, CrawlOptions};
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
@@ -33,8 +32,8 @@ async fn crawl_pipeline_matches_direct_pipeline() {
 
     // The Figure 7 funnel is identical through either oracle path
     // (from_trades locally, from_rates over RPC).
-    let f_direct = xrp_analysis::funnel(&direct.xrp_blocks, sc.period, &direct.oracle);
-    let f_crawled = xrp_analysis::funnel(&crawled.xrp_blocks, sc.period, &crawled.oracle);
+    let f_direct = direct.sweeps().xrp.funnel();
+    let f_crawled = crawled.sweeps().xrp.funnel();
     assert_eq!(f_direct.total, f_crawled.total);
     assert_eq!(f_direct.failed, f_crawled.failed);
     assert_eq!(f_direct.payments_with_value, f_crawled.payments_with_value);

@@ -50,9 +50,10 @@ fn headline_metrics_land_in_their_bands() {
 fn figure1_shares_hold_at_medium_scale() {
     let sc = medium();
     let data = generate(&sc);
-    use txstat::core::{eos_analysis, tezos_analysis, xrp_analysis};
+    use txstat::core::eos_analysis;
+    let sweeps = data.sweeps();
 
-    let (eos_rows, eos_total) = eos_analysis::action_distribution(&data.eos_blocks, sc.period);
+    let (eos_rows, eos_total) = sweeps.eos.action_distribution();
     let transfers: u64 = eos_rows
         .iter()
         .filter(|r| r.class == eos_analysis::EosActionClass::P2pTransaction)
@@ -61,7 +62,7 @@ fn figure1_shares_hold_at_medium_scale() {
     let share = transfers as f64 / eos_total as f64;
     assert!(share > 0.85, "EOS transfer share {share:.3} (paper 0.916)");
 
-    let (tz_rows, tz_total) = tezos_analysis::op_distribution(&data.tezos_blocks, sc.period);
+    let (tz_rows, tz_total) = sweeps.tezos.op_distribution();
     let endorse = tz_rows
         .iter()
         .find(|r| r.kind == txstat::tezos::OperationKind::Endorsement)
@@ -70,7 +71,7 @@ fn figure1_shares_hold_at_medium_scale() {
     let share = endorse as f64 / tz_total as f64;
     assert!((0.70..0.92).contains(&share), "endorsement share {share:.3} (paper 0.817)");
 
-    let (x_rows, x_total) = xrp_analysis::tx_distribution(&data.xrp_blocks, sc.period);
+    let (x_rows, x_total) = sweeps.xrp.tx_distribution();
     let pay = x_rows
         .iter()
         .find(|r| r.tx_type == txstat::xrp::TxType::Payment)

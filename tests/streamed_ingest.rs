@@ -3,6 +3,7 @@
 //! pipeline, while provably never holding a full chain in memory on the
 //! measurement side.
 
+use txstat::core::{ChainSweeps, EosSweep, TezosSweep, XrpSweep};
 use txstat::reports::{
     generate, generate_with_crawl, generate_with_crawl_streamed, render_all, CrawlOptions,
 };
@@ -11,17 +12,22 @@ use txstat::workload::Scenario;
 
 /// The columnar sweep engine (interned accounts, batched classification,
 /// two-level sharded counters) must render the *full report* bit-identically
-/// to the scalar sweeps it replaces on the hot path.
+/// to the scalar reference fold (`*Sweep::compute`) over the same blocks.
 #[test]
 fn columnar_report_is_bit_identical_to_scalar_sweeps() {
     let mut sc = Scenario::small(17);
     sc.period = Period::new(ChainTime::from_ymd(2019, 10, 28), ChainTime::from_ymd(2019, 11, 3));
 
     // Same dataset twice: one renders through the default (columnar)
-    // engine, the other is pinned to the scalar sweeps first.
+    // engine, the other gets the reference fold installed first.
     let columnar = generate(&sc);
     let scalar = generate(&sc);
-    assert!(scalar.force_scalar_sweeps(), "sweeps must not be computed yet");
+    let reference = ChainSweeps {
+        eos: EosSweep::compute(&scalar.eos_blocks, sc.period),
+        tezos: TezosSweep::compute(&scalar.tezos_blocks, sc.period, &scalar.governance_periods),
+        xrp: XrpSweep::compute(&scalar.xrp_blocks, sc.period, &scalar.oracle),
+    };
+    assert!(scalar.install_sweeps(reference), "sweeps must not be computed yet");
 
     assert_eq!(render_all(&columnar), render_all(&scalar));
 

@@ -124,23 +124,6 @@ impl<T> SegmentCache<T> {
         m_bytes().set(inner.bytes);
     }
 
-    /// Look up, or decode-and-insert on miss. Concurrent misses for the
-    /// same hash may each run `decode` (the accounting stays exact: every
-    /// call is one hit or one miss); the last insert wins.
-    pub fn get_or_insert<E>(
-        &self,
-        hash: u64,
-        cost: u64,
-        decode: impl FnOnce() -> Result<T, E>,
-    ) -> Result<Arc<T>, E> {
-        if let Some(v) = self.get(hash) {
-            return Ok(v);
-        }
-        let value = Arc::new(decode()?);
-        self.insert(hash, Arc::clone(&value), cost);
-        Ok(value)
-    }
-
     /// Exact per-instance counters.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("cache lock");
@@ -249,29 +232,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.entries, s.bytes, s.evictions), (1, 60, 0));
         assert_eq!(cache.get(7).as_deref(), Some(&2));
-    }
-
-    #[test]
-    fn get_or_insert_decodes_once_per_miss() {
-        let cache: SegmentCache<u64> = SegmentCache::new(1000);
-        let mut calls = 0;
-        let v = cache
-            .get_or_insert(9, 10, || -> Result<u64, ()> {
-                calls += 1;
-                Ok(99)
-            })
-            .unwrap();
-        assert_eq!(*v, 99);
-        let v2 = cache
-            .get_or_insert(9, 10, || -> Result<u64, ()> {
-                calls += 1;
-                Ok(0)
-            })
-            .unwrap();
-        assert_eq!(*v2, 99);
-        assert_eq!(calls, 1);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use txstat_types::time::{ChainTime, Period};
 use txstat_workload::Scenario;
 
 /// The bench scenario: a 12-day window straddling the EIDOS launch.
-pub fn bench_scenario() -> Scenario {
+fn bench_scenario() -> Scenario {
     let mut sc = Scenario::small(42);
     sc.period = Period::new(
         ChainTime::from_ymd(2019, 10, 26),

@@ -19,10 +19,71 @@ pub struct Crawl<B> {
     pub stats: CrawlStats,
 }
 
-/// Generic reverse-order fetch: descend from `high` to `low` inclusive,
-/// `concurrency` workers, one `fetch(index)` per block returning the
-/// decoded block plus payload size (plus the raw payload for sampling).
-async fn crawl_range<B, F, Fut>(
+/// What one `fetch(index)` yields: the decoded block, its wire payload
+/// (Figure 2's byte accounting and compression sampling) and the number of
+/// transactions it carries.
+pub type Fetched<B> = (B, Vec<u8>, u64);
+
+/// The reverse-order range driver, shared by the materializing crawlers
+/// below and the streaming sources of `txstat_ingest`: descend from `high`
+/// to `low` inclusive with `concurrency` workers, one `fetch(index)` per
+/// block, account it, then hand it to `emit(index, block)` before the
+/// worker takes its next index — an `emit` that parks is the backpressure
+/// point. `fetch` and `emit` are dropped when the last worker finishes
+/// (what closes a sink `emit` owns). Returns the merged accounting.
+pub async fn crawl_range<B, Err, F, Fut, E, EFut>(
+    high: u64,
+    low: u64,
+    concurrency: usize,
+    fetch: F,
+    emit: E,
+) -> Result<CrawlStats, Err>
+where
+    B: Send + 'static,
+    Err: From<CrawlError> + Send + 'static,
+    F: Fn(u64) -> Fut + Send + Sync + Clone + 'static,
+    Fut: std::future::Future<Output = Result<Fetched<B>, CrawlError>> + Send,
+    E: Fn(u64, B) -> EFut + Send + Sync + Clone + 'static,
+    EFut: std::future::Future<Output = Result<(), Err>> + Send,
+{
+    let started = Instant::now();
+    let counter = Arc::new(AtomicI64::new(high as i64));
+    let stats = Arc::new(Mutex::new(CrawlStats::default()));
+    let mut workers = Vec::new();
+    for _ in 0..concurrency.max(1) {
+        let counter = counter.clone();
+        let stats = stats.clone();
+        let fetch = fetch.clone();
+        let emit = emit.clone();
+        workers.push(tokio::spawn(async move {
+            loop {
+                let n = counter.fetch_sub(1, Ordering::SeqCst);
+                if n < low as i64 {
+                    return Ok::<(), Err>(());
+                }
+                let n = n as u64;
+                let (block, payload, txs) = fetch(n).await?;
+                {
+                    let mut s = stats.lock();
+                    s.record_payload(n, &payload);
+                    s.blocks += 1;
+                    s.transactions += txs;
+                }
+                emit(n, block).await?;
+            }
+        }));
+    }
+    drop((fetch, emit));
+    for w in workers {
+        w.await.map_err(|e| CrawlError::Protocol(format!("worker panicked: {e}")))??;
+    }
+    let mut stats = stats.lock().clone();
+    stats.elapsed = started.elapsed();
+    Ok(stats)
+}
+
+/// Materializing crawl: collect what [`crawl_range`] emits, ascending.
+async fn collect_range<B, F, Fut>(
     high: u64,
     low: u64,
     concurrency: usize,
@@ -31,45 +92,20 @@ async fn crawl_range<B, F, Fut>(
 where
     B: Send + 'static,
     F: Fn(u64) -> Fut + Send + Sync + Clone + 'static,
-    Fut: std::future::Future<Output = Result<(B, Vec<u8>), CrawlError>> + Send,
+    Fut: std::future::Future<Output = Result<Fetched<B>, CrawlError>> + Send,
 {
-    let started = Instant::now();
-    let counter = Arc::new(AtomicI64::new(high as i64));
     let out: Arc<Mutex<Vec<(u64, B)>>> = Arc::new(Mutex::new(Vec::new()));
-    let stats = Arc::new(Mutex::new(CrawlStats::default()));
-    let mut workers = Vec::new();
-    for _ in 0..concurrency.max(1) {
-        let counter = counter.clone();
-        let out = out.clone();
-        let stats = stats.clone();
-        let fetch = fetch.clone();
-        workers.push(tokio::spawn(async move {
-            loop {
-                let n = counter.fetch_sub(1, Ordering::SeqCst);
-                if n < low as i64 {
-                    return Ok::<(), CrawlError>(());
-                }
-                let n = n as u64;
-                let (block, payload) = fetch(n).await?;
-                {
-                    let mut s = stats.lock();
-                    s.record_payload(n, &payload);
-                    s.blocks += 1;
-                }
-                out.lock().push((n, block));
-            }
-        }));
-    }
-    for w in workers {
-        w.await.map_err(|e| CrawlError::Protocol(format!("worker panicked: {e}")))??;
-    }
-    let mut blocks = match Arc::try_unwrap(out) {
-        Ok(m) => m.into_inner(),
-        Err(_) => unreachable!("workers joined"),
-    };
+    let collected = out.clone();
+    let stats = crawl_range(high, low, concurrency, fetch, move |n, block| {
+        let collected = collected.clone();
+        async move {
+            collected.lock().push((n, block));
+            Ok::<(), CrawlError>(())
+        }
+    })
+    .await?;
+    let mut blocks = std::mem::take(&mut *out.lock());
     blocks.sort_by_key(|(n, _)| *n);
-    let mut stats = stats.lock().clone();
-    stats.elapsed = started.elapsed();
     Ok(Crawl { blocks: blocks.into_iter().map(|(_, b)| b).collect(), stats })
 }
 
@@ -86,14 +122,14 @@ pub async fn eos_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<u6
         .ok_or_else(|| CrawlError::Protocol("missing head_block_num".into()))
 }
 
-/// Fetch and decode one EOS block, returning it with its wire payload.
-/// Shared by the materializing and streaming crawlers — Figure 2's byte
-/// accounting depends on both using the identical wire path.
+/// Fetch and decode one EOS block, returning it with its wire payload and
+/// transaction count. Shared by the materializing and streaming crawlers —
+/// Figure 2's byte accounting depends on both using the identical wire path.
 pub async fn fetch_eos_block(
     pool: &Arc<RotatingPool>,
     cfg: &ClientConfig,
     n: u64,
-) -> Result<(txstat_eos::Block, Vec<u8>), CrawlError> {
+) -> Result<Fetched<txstat_eos::Block>, CrawlError> {
     let body = serde_json::to_vec(&json!({ "block_num_or_id": n })).expect("serializable");
     let req = HttpRequest::post("/v1/chain/get_block", body);
     let (resp, _) = http_with_retries(pool, cfg, &req).await?;
@@ -101,7 +137,8 @@ pub async fn fetch_eos_block(
         .map_err(|e| CrawlError::Protocol(e.to_string()))?;
     let block = txstat_eos::rpc_model::block_from_json(&wire)
         .map_err(|e| CrawlError::Protocol(e.to_string()))?;
-    Ok((block, resp.body))
+    let txs = block.transactions.len() as u64;
+    Ok((block, resp.body, txs))
 }
 
 /// Crawl EOS blocks `[low, high]` in reverse order.
@@ -112,14 +149,12 @@ pub async fn crawl_eos(
     high: u64,
     concurrency: usize,
 ) -> Result<Crawl<txstat_eos::Block>, CrawlError> {
-    let mut crawl = crawl_range(high, low, concurrency, move |n| {
+    collect_range(high, low, concurrency, move |n| {
         let pool = pool.clone();
         let cfg = cfg.clone();
         async move { fetch_eos_block(&pool, &cfg, n).await }
     })
-    .await?;
-    crawl.stats.transactions = crawl.blocks.iter().map(|b| b.transactions.len() as u64).sum();
-    Ok(crawl)
+    .await
 }
 
 // ---- Tezos -------------------------------------------------------------------
@@ -136,19 +171,20 @@ pub async fn tezos_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<
 }
 
 /// Fetch and decode one Tezos block, returning it with its wire payload
-/// (shared by the materializing and streaming crawlers).
+/// and operation count (shared by the materializing and streaming crawlers).
 pub async fn fetch_tezos_block(
     pool: &Arc<RotatingPool>,
     cfg: &ClientConfig,
     n: u64,
-) -> Result<(txstat_tezos::TezosBlock, Vec<u8>), CrawlError> {
+) -> Result<Fetched<txstat_tezos::TezosBlock>, CrawlError> {
     let req = HttpRequest::get(&format!("/chains/main/blocks/{n}"));
     let (resp, _) = http_with_retries(pool, cfg, &req).await?;
     let wire: txstat_tezos::rpc_model::BlockJson = serde_json::from_slice(&resp.body)
         .map_err(|e| CrawlError::Protocol(e.to_string()))?;
     let block = txstat_tezos::rpc_model::block_from_json(&wire)
         .map_err(|e| CrawlError::Protocol(e.to_string()))?;
-    Ok((block, resp.body))
+    let txs = block.operations.len() as u64;
+    Ok((block, resp.body, txs))
 }
 
 /// Crawl Tezos blocks `[low, high]` in reverse order.
@@ -159,14 +195,12 @@ pub async fn crawl_tezos(
     high: u64,
     concurrency: usize,
 ) -> Result<Crawl<txstat_tezos::TezosBlock>, CrawlError> {
-    let mut crawl = crawl_range(high, low, concurrency, move |n| {
+    collect_range(high, low, concurrency, move |n| {
         let pool = pool.clone();
         let cfg = cfg.clone();
         async move { fetch_tezos_block(&pool, &cfg, n).await }
     })
-    .await?;
-    crawl.stats.transactions = crawl.blocks.iter().map(|b| b.operations.len() as u64).sum();
-    Ok(crawl)
+    .await
 }
 
 // ---- XRP ---------------------------------------------------------------------
@@ -180,13 +214,13 @@ pub async fn xrp_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<u6
         .ok_or_else(|| CrawlError::Protocol("missing validated_ledger.seq".into()))
 }
 
-/// Fetch and decode one XRP ledger, returning it with its wire frame
-/// (shared by the materializing and streaming crawlers).
+/// Fetch and decode one XRP ledger, returning it with its wire frame and
+/// transaction count (shared by the materializing and streaming crawlers).
 pub async fn fetch_xrp_ledger(
     pool: &Arc<RotatingPool>,
     cfg: &ClientConfig,
     n: u64,
-) -> Result<(txstat_xrp::LedgerBlock, Vec<u8>), CrawlError> {
+) -> Result<Fetched<txstat_xrp::LedgerBlock>, CrawlError> {
     let req = json!({
         "id": n, "command": "ledger", "ledger_index": n,
         "transactions": true, "expand": true,
@@ -200,7 +234,8 @@ pub async fn fetch_xrp_ledger(
     // Account the full frame size.
     let payload = serde_json::to_vec(&v).expect("serializable");
     debug_assert!(payload.len() <= size + 1);
-    Ok((block, payload))
+    let txs = block.transactions.len() as u64;
+    Ok((block, payload, txs))
 }
 
 /// Crawl XRP ledgers `[low, high]` in reverse order.
@@ -211,15 +246,12 @@ pub async fn crawl_xrp(
     high: u64,
     concurrency: usize,
 ) -> Result<Crawl<txstat_xrp::LedgerBlock>, CrawlError> {
-    let mut crawl = crawl_range(high, low, concurrency, move |n| {
+    collect_range(high, low, concurrency, move |n| {
         let pool = pool.clone();
         let cfg = cfg.clone();
         async move { fetch_xrp_ledger(&pool, &cfg, n).await }
     })
-    .await?;
-    crawl.stats.transactions =
-        crawl.blocks.iter().map(|b| b.transactions.len() as u64).sum();
-    Ok(crawl)
+    .await
 }
 
 /// Account metadata from the XRP-Scan-equivalent command: username and

@@ -12,9 +12,9 @@ pub mod pool;
 pub mod stats;
 
 pub use chains::{
-    crawl_eos, crawl_tezos, crawl_xrp, eos_head, fetch_account_meta, fetch_eos_block,
-    fetch_exchange_rate, fetch_exchanges, fetch_tezos_block, fetch_xrp_ledger, tezos_head,
-    xrp_head, AccountMeta, Crawl,
+    crawl_eos, crawl_range, crawl_tezos, crawl_xrp, eos_head, fetch_account_meta,
+    fetch_eos_block, fetch_exchange_rate, fetch_exchanges, fetch_tezos_block, fetch_xrp_ledger,
+    tezos_head, xrp_head, AccountMeta, Crawl,
 };
 pub use client::{ClientConfig, CrawlError, HttpConn, NdConn};
 pub use pool::{benchmark_endpoints, shortlist, Advertised, ProbeReport, RotatingPool};

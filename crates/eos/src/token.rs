@@ -141,10 +141,6 @@ impl TokenLedger {
         self.stats.get(&id)
     }
 
-    pub fn token_ids(&self) -> impl Iterator<Item = &TokenId> {
-        self.stats.keys()
-    }
-
     /// Invariant check: for every token, Σ balances == supply, and no
     /// balance is negative. Used by tests and debug assertions.
     pub fn check_conservation(&self) -> Result<(), String> {

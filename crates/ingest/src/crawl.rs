@@ -1,17 +1,19 @@
 //! Streaming crawl sources: the §3.1 reverse-chronological block fetchers,
 //! emitting into a bounded [`Sink`] instead of materializing `Vec<Block>`.
 //!
-//! Each source runs `concurrency` fetch workers against the shortlisted
-//! endpoint pool, exactly like `txstat_crawler::chains::crawl_*`, but every
-//! decoded block is handed straight to the sharded sweep workers. The
-//! [`CrawlStats`] accounting (wire bytes, index-keyed compression sampling,
-//! per-block transaction counts) is identical to the materializing crawl,
-//! so Figure 2 renders bit-for-bit the same numbers from either path.
+//! Each source runs the worker pool of `txstat_crawler::chains::crawl_*`
+//! ([`txstat_crawler::crawl_range`]: `concurrency` fetch workers against
+//! the shortlisted endpoint pool), but its emit step hands every decoded
+//! block straight to the sharded sweep workers. The [`CrawlStats`]
+//! accounting (wire bytes, index-keyed compression sampling, per-block
+//! transaction counts) is the driver's, so Figure 2 renders bit-for-bit the
+//! same numbers from either path.
 //!
 //! Backpressure: a fetch worker that cannot `send` (all shard channels
 //! full) parks before issuing its next RPC, so a slow consumer stalls the
 //! crawler — and, transitively, the loopback endpoints — instead of growing
-//! a buffer.
+//! a buffer. The driver drops its emit step with its last worker, which is
+//! what closes the stream.
 //!
 //! The XRP source additionally resolves exchange rates *during* the crawl:
 //! before a ledger is emitted, every issued currency it references is
@@ -23,73 +25,15 @@
 use crate::shard::Sink;
 use crate::source::BlockSource;
 use crate::IngestError;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 use txstat_crawler::{
-    fetch_eos_block, fetch_exchange_rate, fetch_tezos_block, fetch_xrp_ledger, ClientConfig,
-    CrawlError, CrawlStats, RotatingPool,
+    crawl_range, fetch_eos_block, fetch_exchange_rate, fetch_tezos_block, fetch_xrp_ledger,
+    ClientConfig, CrawlError, CrawlStats, RotatingPool,
 };
 use txstat_types::time::ChainTime;
 use txstat_xrp::amount::{Asset, IssuedCurrency};
 use txstat_xrp::rates::RateOracle;
 use txstat_xrp::tx::TxPayload;
-
-/// Generic streaming reverse-order fetch: descend from `high` to `low`
-/// inclusive with `concurrency` workers, emitting each decoded block into
-/// the sink. Returns merged crawl accounting.
-async fn stream_range<B, F, Fut>(
-    high: u64,
-    low: u64,
-    concurrency: usize,
-    sink: Sink<B>,
-    fetch: F,
-) -> Result<CrawlStats, IngestError>
-where
-    B: Send + 'static,
-    F: Fn(u64) -> Fut + Send + Sync + Clone + 'static,
-    Fut: std::future::Future<Output = Result<(B, Vec<u8>, u64), CrawlError>> + Send,
-{
-    let started = Instant::now();
-    let counter = Arc::new(AtomicI64::new(high as i64));
-    let stats = Arc::new(Mutex::new(CrawlStats::default()));
-    let mut workers = Vec::new();
-    for _ in 0..concurrency.max(1) {
-        let counter = counter.clone();
-        let stats = stats.clone();
-        let fetch = fetch.clone();
-        let sink = sink.clone();
-        workers.push(tokio::spawn(async move {
-            loop {
-                let n = counter.fetch_sub(1, Ordering::SeqCst);
-                if n < low as i64 {
-                    return Ok::<(), IngestError>(());
-                }
-                let n = n as u64;
-                let (block, payload, txs) = fetch(n).await?;
-                {
-                    let mut s = stats.lock().unwrap_or_else(PoisonError::into_inner);
-                    s.record_payload(n, &payload);
-                    s.blocks += 1;
-                    s.transactions += txs;
-                }
-                // The send is the backpressure point: full shard channels
-                // park this worker before its next fetch.
-                sink.send(n, block).await.map_err(|_| IngestError::SinkClosed)?;
-            }
-        }));
-    }
-    // The clones above keep the stream open; this drop means the last
-    // worker to finish closes it.
-    drop(sink);
-    for w in workers {
-        w.await
-            .map_err(|e| IngestError::Crawl(CrawlError::Protocol(format!("worker panicked: {e}"))))??;
-    }
-    let mut stats = stats.lock().unwrap_or_else(PoisonError::into_inner).clone();
-    stats.elapsed = started.elapsed();
-    Ok(stats)
-}
 
 /// Streaming EOS crawler over `[low, high]`.
 pub struct EosCrawlSource {
@@ -106,14 +50,15 @@ impl BlockSource for EosCrawlSource {
 
     async fn produce(self, sink: Sink<txstat_eos::Block>) -> Result<CrawlStats, IngestError> {
         let EosCrawlSource { pool, cfg, low, high, concurrency } = self;
-        stream_range(high, low, concurrency, sink, move |n| {
+        let fetch = move |n| {
             let pool = pool.clone();
             let cfg = cfg.clone();
-            async move {
-                let (block, payload) = fetch_eos_block(&pool, &cfg, n).await?;
-                let txs = block.transactions.len() as u64;
-                Ok((block, payload, txs))
-            }
+            async move { fetch_eos_block(&pool, &cfg, n).await }
+        };
+        let sink = Arc::new(sink);
+        crawl_range(high, low, concurrency, fetch, move |n, block| {
+            let sink = sink.clone();
+            async move { sink.send(n, block).await.map_err(|_| IngestError::SinkClosed) }
         })
         .await
     }
@@ -137,14 +82,15 @@ impl BlockSource for TezosCrawlSource {
         sink: Sink<txstat_tezos::TezosBlock>,
     ) -> Result<CrawlStats, IngestError> {
         let TezosCrawlSource { pool, cfg, low, high, concurrency } = self;
-        stream_range(high, low, concurrency, sink, move |n| {
+        let fetch = move |n| {
             let pool = pool.clone();
             let cfg = cfg.clone();
-            async move {
-                let (block, payload) = fetch_tezos_block(&pool, &cfg, n).await?;
-                let txs = block.operations.len() as u64;
-                Ok((block, payload, txs))
-            }
+            async move { fetch_tezos_block(&pool, &cfg, n).await }
+        };
+        let sink = Arc::new(sink);
+        crawl_range(high, low, concurrency, fetch, move |n, block| {
+            let sink = sink.clone();
+            async move { sink.send(n, block).await.map_err(|_| IngestError::SinkClosed) }
         })
         .await
     }
@@ -251,20 +197,24 @@ impl BlockSource for XrpCrawlSource {
         sink: Sink<txstat_xrp::LedgerBlock>,
     ) -> Result<CrawlStats, IngestError> {
         let XrpCrawlSource { pool, cfg, low, high, concurrency, rates } = self;
-        stream_range(high, low, concurrency, sink, move |n| {
+        let fetch = move |n| {
             let pool = pool.clone();
             let cfg = cfg.clone();
             let rates = rates.clone();
             async move {
-                let (block, payload) = fetch_xrp_ledger(&pool, &cfg, n).await?;
+                let fetched = fetch_xrp_ledger(&pool, &cfg, n).await?;
                 // Resolve every referenced token before the ledger reaches
                 // a consumer, so observe-time valuation never misses.
-                for ic in ledger_ious(&block).collect::<std::collections::HashSet<_>>() {
+                for ic in ledger_ious(&fetched.0).collect::<std::collections::HashSet<_>>() {
                     rates.ensure(&pool, &cfg, ic).await?;
                 }
-                let txs = block.transactions.len() as u64;
-                Ok((block, payload, txs))
+                Ok(fetched)
             }
+        };
+        let sink = Arc::new(sink);
+        crawl_range(high, low, concurrency, fetch, move |n, block| {
+            let sink = sink.clone();
+            async move { sink.send(n, block).await.map_err(|_| IngestError::SinkClosed) }
         })
         .await
     }

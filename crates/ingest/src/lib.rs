@@ -2,16 +2,16 @@
 //!
 //! The paper's statistics are a pure fold over block streams, so nothing
 //! about them requires the chain to exist in memory. This crate connects
-//! block *sources* (the loopback RPC crawler, NDJSON captures, in-memory
-//! scenarios) directly to the sweep algebra of `txstat_core`
+//! block *sources* (the loopback RPC crawler, in-memory scenarios)
+//! directly to the sweep algebra of `txstat_core`
 //! (`identity / observe / merge`) through bounded channels:
 //!
 //! ```text
 //!   source workers                    shard channels            reducer
 //!  ┌──────────────┐   Sink::send    ┌─────────────┐
 //!  │ RPC crawl ×K │ ──(n, block)──▶ │ ch[n % S] ──┼─▶ worker s: observe()
-//!  │ NDJSON replay│    (bounded,    │   …         │        │
-//!  │ MemorySource │     gauged)     └─────────────┘        ▼
+//!  │ MemorySource │    (bounded,    │   …         │        │
+//!  │ (test fake)  │     gauged)     └─────────────┘        ▼
 //!  └──────────────┘                              merge shards in order ─▶ sweep ─▶ report
 //! ```
 //!
@@ -19,8 +19,8 @@
 //!   memory-bounding primitive).
 //! - [`shard`] — the sharded worker pool: `S` private accumulators fed by
 //!   residue-class routing, merged in shard order at end of stream.
-//! - [`source`] — the [`source::BlockSource`] trait plus in-memory and
-//!   NDJSON-replay adapters.
+//! - [`source`] — the [`source::BlockSource`] trait plus the in-memory
+//!   adapter.
 //! - [`crawl`] — streaming RPC crawl sources for the three chains, with
 //!   crawl-time exchange-rate resolution for XRP.
 //! - [`checkpoint`] — range-keyed frozen shard states for incremental
@@ -52,7 +52,7 @@ pub use crawl::{EosCrawlSource, RateCache, TezosCrawlSource, XrpCrawlSource};
 pub use fleet::{reduce_fleet, serve_assignments, FleetConfig, FleetError};
 pub use reduce::{ReduceError, ReduceSession, ShardWorker};
 pub use shard::{spawn_sharded, IngestOptions, IngestOutcome, ShardPoolHandle, Sink};
-pub use source::{BlockSource, MemorySource, NdjsonReplay};
+pub use source::{BlockSource, MemorySource};
 
 use txstat_crawler::CrawlError;
 
@@ -61,8 +61,6 @@ use txstat_crawler::CrawlError;
 pub enum IngestError {
     /// The underlying crawl failed.
     Crawl(CrawlError),
-    /// An NDJSON replay line did not parse.
-    Replay { line: usize, error: String },
     /// The shard pool was torn down while producers were still sending.
     SinkClosed,
     /// A checkpoint tail tried to re-observe an already-covered block.
@@ -73,7 +71,6 @@ impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IngestError::Crawl(e) => write!(f, "crawl: {e}"),
-            IngestError::Replay { line, error } => write!(f, "replay line {line}: {error}"),
             IngestError::SinkClosed => write!(f, "shard pool closed mid-stream"),
             IngestError::RangeRegression { n, high } => {
                 write!(f, "block {n} is not past the checkpoint high-water mark {high}")
@@ -102,47 +99,6 @@ impl From<IngestError> for CrawlError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txstat_types::time::{ChainTime, Period};
-
-    fn window() -> Period {
-        Period::new(ChainTime::from_ymd(2019, 10, 26), ChainTime::from_ymd(2019, 11, 7))
-    }
-
-    /// NDJSON round trip: chain → capture → replayed stream → sweep equals
-    /// the materialized parallel sweep, with crawl-grade byte accounting.
-    #[test]
-    fn ndjson_replay_sweep_equals_materialized() {
-        let mut sc = txstat_workload::Scenario::small(11);
-        sc.period = window();
-        let chain = txstat_workload::eos::build_eos(&sc);
-        let blocks = chain.blocks();
-        let period = sc.period;
-        let direct = txstat_core::EosSweep::compute(blocks, period);
-
-        let text = source::eos_to_ndjson(blocks);
-        let (streamed, stats) = tokio::runtime::block_on(async {
-            let opts = IngestOptions { shards: 3, channel_capacity: 16, label: "" };
-            let (sink, pool) = spawn_sharded(
-                opts,
-                move || txstat_core::EosSweep::new(period),
-                |acc: &mut txstat_core::EosSweep, _n, b: &txstat_eos::Block| acc.observe(b),
-            );
-            let producer = tokio::spawn(source::eos_replay(text).produce(sink));
-            let outcome = pool.finish().await;
-            let stats = producer.await.expect("producer").expect("replay parses");
-            (outcome.merged(|a, b| a.merge(b)), stats)
-        });
-        assert_eq!(stats.blocks, blocks.len() as u64);
-        assert!(stats.wire_bytes > 0);
-        let (rows, total) = streamed.action_distribution();
-        let (drows, dtotal) = direct.action_distribution();
-        assert_eq!(total, dtotal);
-        assert_eq!(rows.len(), drows.len());
-        for (a, b) in rows.iter().zip(&drows) {
-            assert_eq!((a.class, &a.action, a.count), (b.class, &b.action, b.count));
-        }
-        assert_eq!(streamed.tps(), direct.tps());
-    }
 
     /// Backpressure, virtual-clock style (no wall-clock sleeps): the
     /// consumer refuses to drain until the producer has provably filled the

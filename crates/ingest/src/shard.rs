@@ -67,10 +67,6 @@ impl<B: Send + 'static> Sink<B> {
         let shard = (n % self.senders.len() as u64) as usize;
         self.senders[shard].send((n, block)).await.map_err(|(_, b)| b)
     }
-
-    pub fn shard_count(&self) -> usize {
-        self.senders.len()
-    }
 }
 
 /// The consumer half: one spawned worker per shard, each folding its

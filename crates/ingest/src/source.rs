@@ -1,22 +1,16 @@
 //! Block sources: everything that can feed a sharded ingest [`Sink`].
 //!
-//! A [`BlockSource`] drives production — it owns its input (a vector, an
-//! NDJSON capture, a set of RPC endpoints) and pushes numbered blocks into
-//! the bounded sink until the stream is exhausted, returning
-//! source-specific accounting. Three adapter families ship here and in
-//! [`crate::crawl`]:
+//! A [`BlockSource`] drives production — it owns its input (a vector, a
+//! set of RPC endpoints) and pushes numbered blocks into the bounded sink
+//! until the stream is exhausted, returning source-specific accounting.
+//! Two adapter families ship here and in [`crate::crawl`]:
 //!
-//! - [`MemorySource`] — in-memory scenarios (tests, benches, property
-//!   suites);
-//! - [`NdjsonReplay`] — replay a stored crawl from newline-delimited wire
-//!   JSON, one block per line, with the same Figure-2 byte accounting a
-//!   live crawl produces;
+//! - [`MemorySource`] — in-memory scenarios (the test fake);
 //! - `EosCrawlSource` / `TezosCrawlSource` / `XrpCrawlSource`
 //!   ([`crate::crawl`]) — the live loopback-RPC crawlers.
 
 use crate::shard::Sink;
 use crate::IngestError;
-use txstat_crawler::CrawlStats;
 
 /// A producer of numbered blocks. `produce` consumes the source and the
 /// sink; dropping the sink at the end is what signals end-of-stream to the
@@ -60,123 +54,4 @@ impl<B: Send + 'static> BlockSource for MemorySource<B> {
         }
         Ok(sent)
     }
-}
-
-/// Replay a stored crawl from NDJSON text (one wire-JSON block per line),
-/// accounting payload bytes exactly like the live crawler so Figure 2
-/// reproduces from a capture.
-pub struct NdjsonReplay<B, P> {
-    text: String,
-    parse: P,
-    _marker: std::marker::PhantomData<fn() -> B>,
-}
-
-impl<B, P> NdjsonReplay<B, P>
-where
-    P: Fn(&str) -> Result<(u64, B), String> + Send + 'static,
-{
-    pub fn new(text: String, parse: P) -> Self {
-        NdjsonReplay { text, parse, _marker: std::marker::PhantomData }
-    }
-}
-
-impl<B, P> BlockSource for NdjsonReplay<B, P>
-where
-    B: Send + 'static,
-    P: Fn(&str) -> Result<(u64, B), String> + Send + 'static,
-{
-    type Block = B;
-    type Stats = CrawlStats;
-
-    async fn produce(self, sink: Sink<B>) -> Result<CrawlStats, IngestError> {
-        let started = std::time::Instant::now();
-        let mut stats = CrawlStats::default();
-        for (i, line) in self.text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (n, block) = (self.parse)(line)
-                .map_err(|error| IngestError::Replay { line: i + 1, error })?;
-            stats.record_payload(n, line.as_bytes());
-            stats.blocks += 1;
-            sink.send(n, block).await.map_err(|_| IngestError::SinkClosed)?;
-        }
-        stats.elapsed = started.elapsed();
-        Ok(stats)
-    }
-}
-
-// ---- Per-chain NDJSON wire codecs -------------------------------------------
-
-/// Serialize an EOS chain to replayable NDJSON (one `get_block` wire JSON
-/// per line).
-pub fn eos_to_ndjson(blocks: &[txstat_eos::Block]) -> String {
-    let mut out = String::new();
-    for b in blocks {
-        out.push_str(
-            &String::from_utf8(txstat_eos::rpc_model::block_bytes(b)).expect("JSON is UTF-8"),
-        );
-        out.push('\n');
-    }
-    out
-}
-
-/// NDJSON replay source for an EOS capture.
-pub fn eos_replay(
-    text: String,
-) -> NdjsonReplay<txstat_eos::Block, impl Fn(&str) -> Result<(u64, txstat_eos::Block), String>> {
-    NdjsonReplay::new(text, |line| {
-        let block = txstat_eos::rpc_model::block_parse(line.as_bytes())?;
-        Ok((block.num, block))
-    })
-}
-
-/// Serialize a Tezos chain to replayable NDJSON.
-pub fn tezos_to_ndjson(blocks: &[txstat_tezos::TezosBlock]) -> String {
-    let mut out = String::new();
-    for b in blocks {
-        out.push_str(
-            &String::from_utf8(txstat_tezos::rpc_model::block_bytes(b)).expect("JSON is UTF-8"),
-        );
-        out.push('\n');
-    }
-    out
-}
-
-/// NDJSON replay source for a Tezos capture.
-pub fn tezos_replay(
-    text: String,
-) -> NdjsonReplay<
-    txstat_tezos::TezosBlock,
-    impl Fn(&str) -> Result<(u64, txstat_tezos::TezosBlock), String>,
-> {
-    NdjsonReplay::new(text, |line| {
-        let block = txstat_tezos::rpc_model::block_parse(line.as_bytes())?;
-        Ok((block.level, block))
-    })
-}
-
-/// Serialize closed XRP ledgers to replayable NDJSON.
-pub fn xrp_to_ndjson(blocks: &[txstat_xrp::LedgerBlock]) -> String {
-    let mut out = String::new();
-    for b in blocks {
-        out.push_str(
-            &String::from_utf8(txstat_xrp::rpc_model::ledger_bytes(b)).expect("JSON is UTF-8"),
-        );
-        out.push('\n');
-    }
-    out
-}
-
-/// NDJSON replay source for an XRP capture.
-pub fn xrp_replay(
-    text: String,
-) -> NdjsonReplay<
-    txstat_xrp::LedgerBlock,
-    impl Fn(&str) -> Result<(u64, txstat_xrp::LedgerBlock), String>,
-> {
-    NdjsonReplay::new(text, |line| {
-        let block = txstat_xrp::rpc_model::ledger_parse(line.as_bytes())?;
-        Ok((block.index, block))
-    })
 }

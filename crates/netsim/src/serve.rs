@@ -81,10 +81,6 @@ impl RouteStats {
         ]
     }
 
-    pub fn total_requests(&self) -> u64 {
-        self.classes().iter().map(|(_, s)| s.requests.get()).sum()
-    }
-
     pub fn total_shed(&self) -> u64 {
         self.classes().iter().map(|(_, s)| s.shed.get()).sum()
     }

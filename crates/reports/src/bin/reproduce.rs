@@ -38,10 +38,10 @@
 //!     --archive DIR: the worker cold-starts from the corpus and each
 //!     assignment decodes only the segments covering its range — no
 //!     chain generation (`txstat_pipeline_generate_total` stays 0).
-//!     Decoded segments are kept in a per-worker LRU cache keyed by
-//!     segment content hash (--segment-cache-mb, default 64), so
-//!     overlapping assignments decode each segment once; hit/miss/
-//!     eviction counts land in the `txstat_archive_cache_*` families.
+//!     Decoded segments are kept in a per-worker 64 MiB LRU cache keyed
+//!     by segment content hash, so overlapping assignments decode each
+//!     segment once; hit/miss/eviction counts land in the
+//!     `txstat_archive_cache_*` families.
 //!
 //! reproduce reduce FRAME-FILE... [--out FILE]
 //! reproduce reduce --connect ADDR,ADDR,... [--small] [--seed N]
@@ -162,7 +162,6 @@ subcommands:
            --listen ADDR [--max-requests N] [--timeout-ms MS]
            [--archive DIR]  (serve block ranges straight from the mapped
                              segments — no chain generation)
-           [--segment-cache-mb N]  (decoded-segment LRU budget, default 64)
   reduce   merge shard frames and render the full report, from files or by
            driving a socket worker fleet (retry/backoff + re-dispatch)
            FRAME-FILE... [--out FILE]
@@ -517,14 +516,11 @@ fn shard_context_of(args: &Args) -> Result<(ShardContext, serde_json::Value), St
     txstat_archive::register_metrics();
     match args.get("--archive") {
         Some(dir) => {
-            let cache_mb: u64 = args
-                .parsed("--segment-cache-mb", txstat_reports::DEFAULT_SEGMENT_CACHE_MB)?;
-            let (ctx, manifest) =
-                ShardContext::from_archive_with(std::path::Path::new(dir), cache_mb)?;
+            let (ctx, manifest) = ShardContext::from_archive(std::path::Path::new(dir))?;
             check_archive_scenario(args, &manifest.meta)?;
             eprintln!(
                 "cold-started from archive {dir}: {} block positions mapped, \
-                 no chains generated ({cache_mb} MiB decoded-segment cache)",
+                 no chains generated",
                 ctx.total_blocks()
             );
             Ok((ctx, manifest.meta))
@@ -589,7 +585,6 @@ fn cmd_shard(raw: &[String]) -> Result<(), String> {
             "--timeout-ms",
             "--metrics-out",
             "--archive",
-            "--segment-cache-mb",
         ],
         false,
     )?;

@@ -1,8 +1,7 @@
 //! One renderer per paper exhibit. Every function takes the assembled
 //! [`crate::pipeline::PipelineData`] and returns the
 //! regenerated table/series as plain text (plus typed rows where callers
-//! need them — the benches and the paper-vs-measured comparison use
-//! those).
+//! need them — the paper-vs-measured comparison uses those).
 //!
 //! Each renderer is a thin adapter over [`PipelineData::sweeps`]: the fused
 //! per-chain accumulators computed in one parallel sweep per chain and

@@ -26,7 +26,6 @@ pub use pipeline::{
     reduce_frames, reduce_frames_labeled, reduce_frames_labeled_into, reducer_from_archive,
     scenario_from_meta, scenario_meta, summarize, write_archive, ArchiveStats, ChainStreamInfo,
     ChainSweeps, CrawlOptions, MemoStatus, PipelineData, ShardContext, StreamSummary,
-    DEFAULT_SEGMENT_CACHE_MB,
 };
 
 #[cfg(test)]

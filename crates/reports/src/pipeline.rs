@@ -2,8 +2,8 @@
 //! the dataset every exhibit renders from.
 //!
 //! Three paths produce the same exhibits:
-//! - [`generate`] reads the simulated chains directly (fast; used by tests
-//!   and benches);
+//! - [`generate`] reads the simulated chains directly (fast; what
+//!   `reproduce report` runs);
 //! - [`generate_with_crawl`] serves the chains over loopback RPC endpoints,
 //!   benchmarks and shortlists them, and runs the real crawler with the
 //!   three chain crawls overlapped — the full §3.1 measurement path,
@@ -35,9 +35,8 @@ use rayon::prelude::*;
 use crate::archive_io::{Bounds, SegmentSummary, SUMMARY_SCHEMA};
 use txstat_archive::{Archive, ArchiveWriter, SegmentCache, SegmentMemo, SegmentMeta};
 
-/// Default decoded-segment cache budget for archived shard contexts
-/// (`--segment-cache-mb`).
-pub const DEFAULT_SEGMENT_CACHE_MB: u64 = 64;
+/// Decoded-segment cache budget of [`ShardContext::from_archive`].
+const DEFAULT_SEGMENT_CACHE_MB: u64 = 64;
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_netsim::handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
 use txstat_netsim::server::{spawn_http, spawn_ndjson, EndpointHandle};
@@ -1496,17 +1495,17 @@ impl ShardContext {
     /// is decoded yet — [`ShardContext::frames`] replays only the
     /// segments covering each assignment. Also returns the parsed
     /// manifest so callers can validate it against their own flags.
-    /// Decoded segments cache at the [`DEFAULT_SEGMENT_CACHE_MB`] budget;
-    /// use [`ShardContext::from_archive_with`] to size it.
+    /// Decoded segments cache at a 64 MiB budget
+    /// ([`ShardContext::from_archive_with`] sizes it explicitly).
     pub fn from_archive(dir: &std::path::Path) -> Result<(Self, crate::Manifest), String> {
         Self::from_archive_with(dir, DEFAULT_SEGMENT_CACHE_MB)
     }
 
     /// [`ShardContext::from_archive`] with an explicit decoded-segment
-    /// cache budget (`--segment-cache-mb`; at 0 only the newest decoded
-    /// segment stays resident). Cache entries are keyed by segment
-    /// *content hash*, so a reorg that rewrites a sealed segment can
-    /// never serve the stale decode.
+    /// cache budget in MiB (at 0 only the newest decoded segment stays
+    /// resident). Cache entries are keyed by segment *content hash*, so a
+    /// reorg that rewrites a sealed segment can never serve the stale
+    /// decode.
     pub fn from_archive_with(
         dir: &std::path::Path,
         cache_mb: u64,

@@ -57,16 +57,6 @@ impl ServeSnapshot {
         self.cache.lock().expect("cache lock").len()
     }
 
-    /// Drop every cached response, returning how many were evicted. The
-    /// serving path never needs this (epoch swaps retire whole snapshots);
-    /// it exists so benches can measure the uncached render path.
-    pub fn clear_cache(&self) -> usize {
-        let mut cache = self.cache.lock().expect("cache lock");
-        let evicted = cache.len();
-        cache.clear();
-        evicted
-    }
-
     /// Look the path up in this snapshot's cache, rendering and inserting
     /// on miss. `None` = not a renderable route (404, never cached).
     fn get(&self, path: &str, hits: &Counter, misses: &Counter) -> Option<Arc<Vec<u8>>> {

@@ -614,6 +614,7 @@ fn unknown_flags_and_subcommands_exit_nonzero_with_usage() {
         &["follow", "--small", "--shards", "2"][..],
         &["archive", "--out", "x", "--upgrade", "corpus"][..],
         &["report", "--small", "--crawl", "--materialize"][..],
+        &["shard", "--listen", "127.0.0.1:0", "--archive", "x", "--segment-cache-mb", "16"][..],
         &["--small", "--seed", "9"][..], // the pre-subcommand spelling
     ] {
         let out = reproduce(&dir, args);

@@ -1,9 +1,10 @@
 //! Binary column codec — the byte-level layer of wire payload schema v2.
 //!
-//! The canonical-JSON wire states of PR 4 move faithfully but decode at
-//! ~10× the cost of the merge they feed (`wire_reduce/decode_k4_frames`
-//! vs `inprocess_merge_k4`). This module provides the primitives the
-//! columnar accumulators encode themselves with instead: LEB128 varints
+//! The canonical-JSON wire states of PR 4 moved faithfully but decoded at
+//! ~10× the cost of the merge they fed (today's `wire.decode_ms` layer of
+//! `BENCHMARK.json` against `ingest.reduce_submit_ms`). This module
+//! provides the primitives the columnar accumulators encode themselves
+//! with instead: LEB128 varints
 //! (canonical — exactly one encoding per value), zigzag signed variants,
 //! and length-prefixed byte/string columns, all over a flat `Vec<u8>`.
 //!

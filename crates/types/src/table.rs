@@ -48,10 +48,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render to a `String` (with trailing newline).
     pub fn render(&self) -> String {
         let ncol = self.headers.len();

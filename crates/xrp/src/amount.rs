@@ -100,10 +100,6 @@ impl Amount {
         Amount { asset, value: 0 }
     }
 
-    pub fn is_positive(&self) -> bool {
-        self.value > 0
-    }
-
     pub fn is_zero(&self) -> bool {
         self.value == 0
     }

@@ -147,12 +147,6 @@ impl Dex {
         self.books.get(&(gets, pays)).map(|b| b.len()).unwrap_or(0)
     }
 
-    /// Best (lowest) quality currently resting in a book.
-    pub fn best_quality(&self, gets: Asset, pays: Asset) -> Option<f64> {
-        let book = self.books.get(&(gets, pays))?;
-        book.first().and_then(|id| self.offers.get(id)).map(|o| o.quality())
-    }
-
     fn insert_sorted(&mut self, offer: Offer) {
         let key = (offer.gets.asset, offer.pays.asset);
         let q = offer.quality();

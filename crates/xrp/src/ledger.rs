@@ -185,10 +185,6 @@ impl XrpLedger {
         self.accounts.get(&id).map(|a| a.balance_drops).unwrap_or(0)
     }
 
-    pub fn account_count(&self) -> usize {
-        self.accounts.len()
-    }
-
     /// Iterate over all account roots (analytics / cluster building).
     pub fn accounts(&self) -> impl Iterator<Item = (&AccountId, &AccountRoot)> {
         self.accounts.iter()
@@ -214,11 +210,6 @@ impl XrpLedger {
 
     pub fn next_close_time(&self) -> ChainTime {
         self.config.genesis_time + (self.closed.len() as i64 + 1) * self.config.close_interval_secs
-    }
-
-    /// Number of transactions queued for the next close.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
     }
 
     pub fn escrow(&self, id: u64) -> Option<&Escrow> {

@@ -206,11 +206,6 @@ impl TrustLines {
         v
     }
 
-    /// Count of trust lines (for owner-reserve accounting).
-    pub fn line_count(&self, holder: AccountId) -> usize {
-        self.lines.keys().filter(|(h, _)| *h == holder).count()
-    }
-
     /// Invariant: per currency, Σ holder balances == recorded obligations,
     /// and no balance is negative.
     pub fn check_conservation(&self) -> Result<(), String> {

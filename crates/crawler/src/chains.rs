@@ -25,7 +25,7 @@ pub struct Crawl<B> {
 pub type Fetched<B> = (B, Vec<u8>, u64);
 
 /// The reverse-order range driver, shared by the materializing crawlers
-/// below and the streaming sources of `txstat_ingest`: descend from `high`
+/// below and the streaming `txstat_ingest::crawl_into`: descend from `high`
 /// to `low` inclusive with `concurrency` workers, one `fetch(index)` per
 /// block, account it, then hand it to `emit(index, block)` before the
 /// worker takes its next index — an `emit` that parks is the backpressure

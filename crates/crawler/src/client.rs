@@ -1,5 +1,8 @@
-//! Low-level connections: HTTP and NDJSON clients with reconnect, timeout
-//! and retry-with-rotation.
+//! The client side of the substrate: one [`exchange`] (connect, write,
+//! read, under a timeout) over either [`Framing`], and one
+//! retry-rotate-backoff loop around it. Only what a reply *means* — throttled,
+//! fatal, accepted — is per protocol ([`http_with_retries`],
+//! [`ndjson_with_retries`]).
 
 use crate::pool::RotatingPool;
 use serde_json::Value;
@@ -8,10 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use tokio::io::BufStream;
 use tokio::net::TcpStream;
-use txstat_netsim::http::{
-    read_response, write_request, HttpRequest, HttpResponse,
-};
-use txstat_netsim::ndjson::{read_frame, write_frame};
+use txstat_netsim::framing::{Framing, Http, Ndjson};
+use txstat_netsim::http::{HttpRequest, HttpResponse};
 
 /// Crawl-level errors.
 #[derive(Debug)]
@@ -65,157 +66,84 @@ impl Default for ClientConfig {
     }
 }
 
-/// A keep-alive HTTP connection to one endpoint.
-pub struct HttpConn {
+/// One request/reply on a fresh connection to `addr`; the reply comes with
+/// its wire size. Every caller makes one call per connection, so there is
+/// no connection to keep.
+pub async fn exchange<F: Framing>(
     addr: SocketAddr,
-    stream: Option<BufStream<TcpStream>>,
+    request: &F::Request,
+    timeout: Duration,
+) -> Result<(F::Reply, usize), CrawlError> {
+    tokio::time::timeout(timeout, async {
+        let mut conn = BufStream::new(TcpStream::connect(addr).await?);
+        F::call(&mut conn, request).await.map_err(|e| CrawlError::Protocol(e.to_string()))
+    })
+    .await
+    .unwrap_or(Err(CrawlError::Timeout))
 }
 
-impl HttpConn {
-    pub fn new(addr: SocketAddr) -> Self {
-        HttpConn { addr, stream: None }
-    }
-
-    async fn ensure(&mut self) -> Result<&mut BufStream<TcpStream>, CrawlError> {
-        if self.stream.is_none() {
-            let sock = TcpStream::connect(self.addr).await?;
-            self.stream = Some(BufStream::new(sock));
-        }
-        Ok(self.stream.as_mut().expect("just set"))
-    }
-
-    /// One request/response on the connection; drops it on any error.
-    pub async fn call(
-        &mut self,
-        req: &HttpRequest,
-        timeout: Duration,
-    ) -> Result<HttpResponse, CrawlError> {
-        let result = tokio::time::timeout(timeout, async {
-            let stream = self.ensure().await?;
-            write_request(stream, req)
-                .await
-                .map_err(|e| CrawlError::Protocol(e.to_string()))?;
-            read_response(stream)
-                .await
-                .map_err(|e| CrawlError::Protocol(e.to_string()))
-        })
-        .await;
-        match result {
-            Ok(Ok(resp)) => Ok(resp),
-            Ok(Err(e)) => {
-                self.stream = None;
-                Err(e)
-            }
-            Err(_) => {
-                self.stream = None;
-                Err(CrawlError::Timeout)
-            }
-        }
-    }
+/// What a reply that did arrive means to the retry loop.
+enum Verdict {
+    Accept,
+    /// The endpoint is throttling: back off, rotate, try again.
+    Retry(&'static str),
+    Fail(CrawlError),
 }
 
-/// A keep-alive NDJSON connection.
-pub struct NdConn {
-    addr: SocketAddr,
-    stream: Option<BufStream<TcpStream>>,
-}
-
-impl NdConn {
-    pub fn new(addr: SocketAddr) -> Self {
-        NdConn { addr, stream: None }
-    }
-
-    async fn ensure(&mut self) -> Result<&mut BufStream<TcpStream>, CrawlError> {
-        if self.stream.is_none() {
-            let sock = TcpStream::connect(self.addr).await?;
-            self.stream = Some(BufStream::new(sock));
+/// [`exchange`] with retries, rotating endpoints from the pool: transport
+/// errors and replies `classify` calls throttled back off (linearly with
+/// the attempt number, between attempts only) and rotate.
+async fn with_retries<F: Framing>(
+    pool: &RotatingPool,
+    cfg: &ClientConfig,
+    request: &F::Request,
+    classify: impl Fn(&F::Reply) -> Verdict,
+) -> Result<(F::Reply, usize), CrawlError> {
+    let mut last = String::new();
+    for attempt in 0..cfg.max_retries {
+        if attempt > 0 {
+            tokio::time::sleep(cfg.backoff * attempt).await;
         }
-        Ok(self.stream.as_mut().expect("just set"))
-    }
-
-    /// One command/response; returns the frame and its wire size.
-    pub async fn call(
-        &mut self,
-        request: &Value,
-        timeout: Duration,
-    ) -> Result<(Value, usize), CrawlError> {
-        let result = tokio::time::timeout(timeout, async {
-            let stream = self.ensure().await?;
-            write_frame(stream, request)
-                .await
-                .map_err(|e| CrawlError::Protocol(e.to_string()))?;
-            match read_frame(stream).await {
-                Ok(Some(x)) => Ok(x),
-                Ok(None) => Err(CrawlError::Protocol("closed".into())),
-                Err(e) => Err(CrawlError::Protocol(e.to_string())),
-            }
-        })
-        .await;
-        match result {
-            Ok(Ok(x)) => Ok(x),
-            Ok(Err(e)) => {
-                self.stream = None;
-                Err(e)
-            }
-            Err(_) => {
-                self.stream = None;
-                Err(CrawlError::Timeout)
-            }
+        match exchange::<F>(pool.pick().addr, request, cfg.request_timeout).await {
+            Ok((reply, size)) => match classify(&reply) {
+                Verdict::Accept => return Ok((reply, size)),
+                Verdict::Retry(why) => last = why.into(),
+                Verdict::Fail(e) => return Err(e),
+            },
+            Err(e) => last = e.to_string(),
         }
     }
+    Err(CrawlError::Exhausted { attempts: cfg.max_retries, last })
 }
 
-/// Issue an HTTP request with retries, rotating endpoints from the pool.
-/// 429 responses and transport errors trigger backoff + rotation.
+/// Issue an HTTP request with retries: `429` is throttling, any other
+/// non-2xx status is fatal.
 pub async fn http_with_retries(
     pool: &Arc<RotatingPool>,
     cfg: &ClientConfig,
     req: &HttpRequest,
 ) -> Result<(HttpResponse, usize), CrawlError> {
-    let mut last = String::new();
-    for attempt in 0..cfg.max_retries {
-        let ep = pool.pick();
-        let mut conn = HttpConn::new(ep.addr);
-        match conn.call(req, cfg.request_timeout).await {
-            Ok(resp) if resp.status == 429 => {
-                last = "429".into();
-            }
-            Ok(resp) if resp.is_ok() => {
-                let size = txstat_netsim::http::response_wire_size(&resp);
-                return Ok((resp, size));
-            }
-            Ok(resp) => return Err(CrawlError::HttpStatus(resp.status)),
-            Err(e) => {
-                last = e.to_string();
-            }
-        }
-        tokio::time::sleep(cfg.backoff * (attempt + 1)).await;
-    }
-    Err(CrawlError::Exhausted { attempts: cfg.max_retries, last })
+    with_retries::<Http>(pool, cfg, req, |resp| match resp.status {
+        429 => Verdict::Retry("429"),
+        _ if resp.is_ok() => Verdict::Accept,
+        status => Verdict::Fail(CrawlError::HttpStatus(status)),
+    })
+    .await
 }
 
-/// Issue an NDJSON command with retries, rotating endpoints.
+/// Issue an NDJSON command with retries: `"slowDown"` is throttling, any
+/// other `error` is fatal.
 pub async fn ndjson_with_retries(
     pool: &Arc<RotatingPool>,
     cfg: &ClientConfig,
     request: &Value,
 ) -> Result<(Value, usize), CrawlError> {
-    let mut last = String::new();
-    for attempt in 0..cfg.max_retries {
-        let ep = pool.pick();
-        let mut conn = NdConn::new(ep.addr);
-        match conn.call(request, cfg.request_timeout).await {
-            Ok((v, size)) => {
-                let err = v.get("error").and_then(Value::as_str);
-                match err {
-                    Some("slowDown") => last = "slowDown".into(),
-                    Some(other) => return Err(CrawlError::Protocol(other.to_owned())),
-                    None => return Ok((v, size)),
-                }
-            }
-            Err(e) => last = e.to_string(),
+    with_retries::<Ndjson>(pool, cfg, request, |v| {
+        match v.get("error").and_then(Value::as_str) {
+            Some("slowDown") => Verdict::Retry("slowDown"),
+            Some(other) => Verdict::Fail(CrawlError::Protocol(other.to_owned())),
+            None => Verdict::Accept,
         }
-        tokio::time::sleep(cfg.backoff * (attempt + 1)).await;
-    }
-    Err(CrawlError::Exhausted { attempts: cfg.max_retries, last })
+    })
+    .await
 }

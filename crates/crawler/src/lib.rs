@@ -5,6 +5,13 @@
 //! window in reverse chronological order with bounded concurrency, retries
 //! and endpoint rotation — accounting raw and (LZSS-)compressed bytes for
 //! the Figure 2 dataset table.
+//!
+//! Each thing is said once: [`client::exchange`] is the one request/reply
+//! (either framing of `txstat_netsim::framing`), one retry-rotate-backoff
+//! loop wraps it ([`client`]), [`chains::crawl_range`] is the one
+//! reverse-order range driver under the materializing `crawl_*` and the
+//! streaming `txstat_ingest::crawl_into`, and [`pool`] the one endpoint
+//! rotation.
 
 pub mod chains;
 pub mod client;
@@ -16,7 +23,7 @@ pub use chains::{
     fetch_eos_block, fetch_exchange_rate, fetch_exchanges, fetch_tezos_block, fetch_xrp_ledger,
     tezos_head, xrp_head, AccountMeta, Crawl,
 };
-pub use client::{ClientConfig, CrawlError, HttpConn, NdConn};
+pub use client::{exchange, ClientConfig, CrawlError};
 pub use pool::{benchmark_endpoints, shortlist, Advertised, ProbeReport, RotatingPool};
 pub use stats::CrawlStats;
 
@@ -28,6 +35,7 @@ mod tests {
     use std::time::Duration;
     use txstat_netsim::handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
     use txstat_netsim::http::HttpRequest;
+    use txstat_netsim::Http;
     use txstat_netsim::server::{spawn_http, spawn_ndjson};
     use txstat_netsim::EndpointProfile;
     use txstat_types::time::{ChainTime, Period};
@@ -68,15 +76,9 @@ mod tests {
         let cfg = ClientConfig { request_timeout: Duration::from_secs(2), ..Default::default() };
         let reports = benchmark_endpoints(&advertised, 3, |addr| async move {
             let started = std::time::Instant::now();
-            let mut conn = client::HttpConn::new(addr);
-            match conn
-                .call(
-                    &HttpRequest::post("/v1/chain/get_info", b"{}".to_vec()),
-                    Duration::from_millis(500),
-                )
-                .await
-            {
-                Ok(r) if r.is_ok() => Ok(started.elapsed()),
+            let probe = HttpRequest::post("/v1/chain/get_info", b"{}".to_vec());
+            match exchange::<Http>(addr, &probe, Duration::from_millis(500)).await {
+                Ok((r, _)) if r.is_ok() => Ok(started.elapsed()),
                 _ => Err(()),
             }
         })

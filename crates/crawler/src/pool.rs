@@ -118,10 +118,6 @@ impl RotatingPool {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         &self.endpoints[i % self.endpoints.len()]
     }
-
-    pub fn all(&self) -> &[Advertised] {
-        &self.endpoints
-    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
-//! Streaming crawl sources: the §3.1 reverse-chronological block fetchers,
+//! The streaming crawl: the §3.1 reverse-chronological block fetch,
 //! emitting into a bounded [`Sink`] instead of materializing `Vec<Block>`.
 //!
-//! Each source runs the worker pool of `txstat_crawler::chains::crawl_*`
+//! [`crawl_into`] runs the worker pool of `txstat_crawler::chains::crawl_*`
 //! ([`txstat_crawler::crawl_range`]: `concurrency` fetch workers against
-//! the shortlisted endpoint pool), but its emit step hands every decoded
-//! block straight to the sharded sweep workers. The [`CrawlStats`]
-//! accounting (wire bytes, index-keyed compression sampling, per-block
-//! transaction counts) is the driver's, so Figure 2 renders bit-for-bit the
-//! same numbers from either path.
+//! the shortlisted endpoint pool) with [`Sink::send`] as its emit step, so
+//! every decoded block goes straight to the sharded sweep workers. The chain
+//! is the caller's `fetch`. The [`CrawlStats`] accounting (wire bytes,
+//! index-keyed compression sampling, per-block transaction counts) is the
+//! driver's, so Figure 2 renders bit-for-bit the same numbers from either
+//! path.
 //!
 //! Backpressure: a fetch worker that cannot `send` (all shard channels
 //! full) parks before issuing its next RPC, so a slow consumer stalls the
@@ -15,85 +16,48 @@
 //! a buffer. The driver drops its emit step with its last worker, which is
 //! what closes the stream.
 //!
-//! The XRP source additionally resolves exchange rates *during* the crawl:
+//! The XRP fetch additionally resolves exchange rates *during* the crawl:
 //! before a ledger is emitted, every issued currency it references is
-//! ensured in the shared [`RateCache`] (one `exchange_rates` query per new
-//! token, the paper's Data-API usage). Consumers can therefore value
-//! payments at observe time — the final oracle equals the one the
-//! materializing pipeline fetches after its crawl.
+//! ensured in the shared [`RateCache`] ([`RateCache::resolve`]: one
+//! `exchange_rates` query per new token, the paper's Data-API usage).
+//! Consumers can therefore value payments at observe time — the final
+//! oracle equals the one the materializing pipeline fetches after its
+//! crawl.
 
 use crate::shard::Sink;
-use crate::source::BlockSource;
 use crate::IngestError;
+use std::future::Future;
 use std::sync::{Arc, Mutex, PoisonError};
+use txstat_crawler::chains::Fetched;
 use txstat_crawler::{
-    crawl_range, fetch_eos_block, fetch_exchange_rate, fetch_tezos_block, fetch_xrp_ledger,
-    ClientConfig, CrawlError, CrawlStats, RotatingPool,
+    crawl_range, fetch_exchange_rate, ClientConfig, CrawlError, CrawlStats, RotatingPool,
 };
 use txstat_types::time::ChainTime;
 use txstat_xrp::amount::{Asset, IssuedCurrency};
 use txstat_xrp::rates::RateOracle;
 use txstat_xrp::tx::TxPayload;
 
-/// Streaming EOS crawler over `[low, high]`.
-pub struct EosCrawlSource {
-    pub pool: Arc<RotatingPool>,
-    pub cfg: ClientConfig,
-    pub low: u64,
-    pub high: u64,
-    pub concurrency: usize,
-}
-
-impl BlockSource for EosCrawlSource {
-    type Block = txstat_eos::Block;
-    type Stats = CrawlStats;
-
-    async fn produce(self, sink: Sink<txstat_eos::Block>) -> Result<CrawlStats, IngestError> {
-        let EosCrawlSource { pool, cfg, low, high, concurrency } = self;
-        let fetch = move |n| {
-            let pool = pool.clone();
-            let cfg = cfg.clone();
-            async move { fetch_eos_block(&pool, &cfg, n).await }
-        };
-        let sink = Arc::new(sink);
-        crawl_range(high, low, concurrency, fetch, move |n, block| {
-            let sink = sink.clone();
-            async move { sink.send(n, block).await.map_err(|_| IngestError::SinkClosed) }
-        })
-        .await
-    }
-}
-
-/// Streaming Tezos crawler over `[low, high]`.
-pub struct TezosCrawlSource {
-    pub pool: Arc<RotatingPool>,
-    pub cfg: ClientConfig,
-    pub low: u64,
-    pub high: u64,
-    pub concurrency: usize,
-}
-
-impl BlockSource for TezosCrawlSource {
-    type Block = txstat_tezos::TezosBlock;
-    type Stats = CrawlStats;
-
-    async fn produce(
-        self,
-        sink: Sink<txstat_tezos::TezosBlock>,
-    ) -> Result<CrawlStats, IngestError> {
-        let TezosCrawlSource { pool, cfg, low, high, concurrency } = self;
-        let fetch = move |n| {
-            let pool = pool.clone();
-            let cfg = cfg.clone();
-            async move { fetch_tezos_block(&pool, &cfg, n).await }
-        };
-        let sink = Arc::new(sink);
-        crawl_range(high, low, concurrency, fetch, move |n, block| {
-            let sink = sink.clone();
-            async move { sink.send(n, block).await.map_err(|_| IngestError::SinkClosed) }
-        })
-        .await
-    }
+/// Crawl `[low, high]` in reverse order with `concurrency` workers, one
+/// `fetch(index)` per block, sending every block into `sink`; the sink
+/// closes when the last worker finishes. Returns the crawl accounting.
+pub async fn crawl_into<B, F, Fut>(
+    sink: Sink<B>,
+    high: u64,
+    low: u64,
+    concurrency: usize,
+    fetch: F,
+) -> Result<CrawlStats, IngestError>
+where
+    B: Send + 'static,
+    F: Fn(u64) -> Fut + Send + Sync + Clone + 'static,
+    Fut: Future<Output = Result<Fetched<B>, CrawlError>> + Send,
+{
+    let sink = Arc::new(sink);
+    crawl_range(high, low, concurrency, fetch, move |n, block| {
+        let sink = sink.clone();
+        async move { sink.send(n, block).await.map_err(|_| IngestError::SinkClosed) }
+    })
+    .await
 }
 
 /// Shared issued-currency → rate map, filled lazily during the XRP crawl.
@@ -131,6 +95,21 @@ impl RateCache {
         }
         let rate = fetch_exchange_rate(pool, cfg, ic.currency.as_str(), ic.issuer, self.date).await?;
         self.lock().insert(ic, rate);
+        Ok(())
+    }
+
+    /// [`Self::ensure`] every token `ledger` references — what the XRP
+    /// fetch does before the ledger reaches a consumer, so observe-time
+    /// valuation never misses.
+    pub async fn resolve(
+        &self,
+        pool: &Arc<RotatingPool>,
+        cfg: &ClientConfig,
+        ledger: &txstat_xrp::LedgerBlock,
+    ) -> Result<(), CrawlError> {
+        for ic in ledger_ious(ledger).collect::<std::collections::HashSet<_>>() {
+            self.ensure(pool, cfg, ic).await?;
+        }
         Ok(())
     }
 
@@ -176,46 +155,4 @@ pub fn ledger_ious(b: &txstat_xrp::LedgerBlock) -> impl Iterator<Item = IssuedCu
         }
         out.into_iter().flatten()
     })
-}
-
-/// Streaming XRP crawler over `[low, high]`, rate-resolving as it goes.
-pub struct XrpCrawlSource {
-    pub pool: Arc<RotatingPool>,
-    pub cfg: ClientConfig,
-    pub low: u64,
-    pub high: u64,
-    pub concurrency: usize,
-    pub rates: Arc<RateCache>,
-}
-
-impl BlockSource for XrpCrawlSource {
-    type Block = txstat_xrp::LedgerBlock;
-    type Stats = CrawlStats;
-
-    async fn produce(
-        self,
-        sink: Sink<txstat_xrp::LedgerBlock>,
-    ) -> Result<CrawlStats, IngestError> {
-        let XrpCrawlSource { pool, cfg, low, high, concurrency, rates } = self;
-        let fetch = move |n| {
-            let pool = pool.clone();
-            let cfg = cfg.clone();
-            let rates = rates.clone();
-            async move {
-                let fetched = fetch_xrp_ledger(&pool, &cfg, n).await?;
-                // Resolve every referenced token before the ledger reaches
-                // a consumer, so observe-time valuation never misses.
-                for ic in ledger_ious(&fetched.0).collect::<std::collections::HashSet<_>>() {
-                    rates.ensure(&pool, &cfg, ic).await?;
-                }
-                Ok(fetched)
-            }
-        };
-        let sink = Arc::new(sink);
-        crawl_range(high, low, concurrency, fetch, move |n, block| {
-            let sink = sink.clone();
-            async move { sink.send(n, block).await.map_err(|_| IngestError::SinkClosed) }
-        })
-        .await
-    }
 }

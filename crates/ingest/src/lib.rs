@@ -2,16 +2,16 @@
 //!
 //! The paper's statistics are a pure fold over block streams, so nothing
 //! about them requires the chain to exist in memory. This crate connects
-//! block *sources* (the loopback RPC crawler, in-memory scenarios)
-//! directly to the sweep algebra of `txstat_core`
+//! block producers (the loopback RPC crawler, any loop over blocks already
+//! in memory) directly to the sweep algebra of `txstat_core`
 //! (`identity / observe / merge`) through bounded channels:
 //!
 //! ```text
-//!   source workers                    shard channels            reducer
+//!   producers                         shard channels            reducer
 //!  ┌──────────────┐   Sink::send    ┌─────────────┐
 //!  │ RPC crawl ×K │ ──(n, block)──▶ │ ch[n % S] ──┼─▶ worker s: observe()
-//!  │ MemorySource │    (bounded,    │   …         │        │
-//!  │ (test fake)  │     gauged)     └─────────────┘        ▼
+//!  │ or any loop  │    (bounded,    │   …         │        │
+//!  │ over blocks  │     gauged)     └─────────────┘        ▼
 //!  └──────────────┘                              merge shards in order ─▶ sweep ─▶ report
 //! ```
 //!
@@ -19,10 +19,9 @@
 //!   memory-bounding primitive).
 //! - [`shard`] — the sharded worker pool: `S` private accumulators fed by
 //!   residue-class routing, merged in shard order at end of stream.
-//! - [`source`] — the [`source::BlockSource`] trait plus the in-memory
-//!   adapter.
-//! - [`crawl`] — streaming RPC crawl sources for the three chains, with
-//!   crawl-time exchange-rate resolution for XRP.
+//! - [`crawl`] — [`crawl_into`]: the crawler's reverse-order range driver
+//!   with [`Sink::send`] as its emit step, and the crawl-time exchange-rate
+//!   cache XRP's fetch resolves through.
 //! - [`checkpoint`] — range-keyed frozen shard states for incremental
 //!   re-sweep (append a tail without re-observing the prefix).
 //! - [`reduce`] — the distributed shard/merge boundary: [`ShardWorker`]
@@ -43,16 +42,14 @@ pub mod epoch;
 pub mod fleet;
 pub mod reduce;
 pub mod shard;
-pub mod source;
 
 pub use channel::{bounded, ChannelGauge, GaugeSnapshot};
 pub use checkpoint::Checkpoint;
 pub use epoch::EpochCell;
-pub use crawl::{EosCrawlSource, RateCache, TezosCrawlSource, XrpCrawlSource};
+pub use crawl::{crawl_into, RateCache};
 pub use fleet::{reduce_fleet, serve_assignments, FleetConfig, FleetError};
 pub use reduce::{ReduceError, ReduceSession, ShardWorker};
 pub use shard::{spawn_sharded, IngestOptions, IngestOutcome, ShardPoolHandle, Sink};
-pub use source::{BlockSource, MemorySource};
 
 use txstat_crawler::CrawlError;
 

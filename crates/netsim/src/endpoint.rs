@@ -163,17 +163,6 @@ impl EndpointStats {
     pub fn max_in_flight(&self) -> u64 {
         self.in_flight.peak()
     }
-
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64, u64) {
-        (
-            self.requests.get(),
-            self.served.get(),
-            self.rate_limited.get(),
-            self.faults.get(),
-            self.bytes_in.get(),
-            self.bytes_out.get(),
-        )
-    }
 }
 
 /// The live behaviour state of one endpoint.

@@ -10,14 +10,17 @@
 //!   keep-alive, Content-Length bodies) on tokio.
 //! - [`ndjson`] — newline-delimited JSON framing standing in for the XRP
 //!   websocket (request/response semantics preserved).
+//! - [`framing`] — those two framings behind one trait, the type
+//!   parameter of the server's connection loop and the crawler's exchange.
 //! - [`endpoint`] — per-endpoint behaviour: latency + jitter, token-bucket
 //!   rate limiting (HTTP 429 / `slowDown`), fault injection.
-//! - [`server`] — endpoint tasks serving a handler through the behaviour
-//!   model, with byte/request accounting.
+//! - [`server`] — the one connection loop (accept, keep-alive, request and
+//!   byte accounting, `431`), and the endpoint tasks serving a handler
+//!   through the behaviour model on it.
 //! - [`handlers`] — the chain RPC handlers (EOS `get_block`, Tezos block
 //!   RPC, XRP `ledger`), plus substitutes for the Ripple Data API
 //!   (`exchange_rates`) and XRP Scan (`account_info`).
-//! - [`serve`] — the serving layer: the same HTTP substrate promoted from
+//! - [`serve`] — the serving layer: the same connection loop promoted from
 //!   test scaffolding into our own long-lived query service, with
 //!   token-bucket admission, explicit 429 load shedding, per-route-class
 //!   latency/shed counters, and the load generator that drives it.
@@ -28,6 +31,7 @@
 
 pub mod chaos;
 pub mod endpoint;
+pub mod framing;
 pub mod handlers;
 pub mod http;
 pub mod ndjson;
@@ -38,6 +42,7 @@ pub use chaos::{spawn_chaos_proxy, ChaosHandle, ChaosProfile, ChaosStats};
 pub use endpoint::{
     EndpointProfile, EndpointSim, EndpointStats, Gate, LatencyHistogram, TokenBucket,
 };
+pub use framing::{Framing, Http, Ndjson};
 pub use handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
 pub use http::{HttpRequest, HttpResponse};
 pub use serve::{

@@ -11,10 +11,9 @@
 //! [`EndpointStats::latency`]) so overload decisions are observable.
 
 use crate::endpoint::{EndpointStats, TokenBucket};
-use crate::http::{
-    read_request, read_response, request_wire_size, response_wire_size, write_request,
-    write_response, HttpError, HttpRequest, HttpResponse,
-};
+use crate::framing::Http;
+use crate::http::{read_response, write_request, HttpRequest, HttpResponse};
+use crate::server::{serve_connections, Gatekeeper};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -81,10 +80,6 @@ impl RouteStats {
         ]
     }
 
-    pub fn total_shed(&self) -> u64 {
-        self.classes().iter().map(|(_, s)| s.shed.get()).sum()
-    }
-
     /// Register a collector exposing every route class in `registry` as
     /// `txstat_serve_*{route=...}` families (counters, the in-flight
     /// gauge + peak, and the latency histogram), so a serve process's
@@ -144,11 +139,13 @@ impl RouteStats {
 
 /// Shared admission state: one token bucket plus a global in-flight gauge
 /// (the per-route gauges in [`EndpointStats`] count the same requests, but
-/// the ceiling applies across routes).
+/// the ceiling applies across routes) in front of the handler.
 struct Admission {
     bucket: Mutex<TokenBucket>,
     in_flight: Gauge,
     max_in_flight: u64,
+    routes: Arc<RouteStats>,
+    handler: Arc<dyn HttpHandler>,
 }
 
 impl Admission {
@@ -169,6 +166,28 @@ impl Drop for AdmitGuard<'_> {
     }
 }
 
+const SHED_BODY: &[u8] = b"{\"error\":\"overloaded\",\"retry\":true}";
+
+impl Gatekeeper<Http> for Admission {
+    fn stats(&self, request: &HttpRequest) -> &EndpointStats {
+        self.routes.for_path(&request.path)
+    }
+
+    async fn decide(&self, request: &HttpRequest, stats: &EndpointStats) -> Option<HttpResponse> {
+        if !self.try_admit() {
+            stats.shed.inc();
+            return Some(HttpResponse::status(429, "Too Many Requests", SHED_BODY.to_vec()));
+        }
+        self.in_flight.inc();
+        let _admit = AdmitGuard(self);
+        let started = Instant::now();
+        let reply = self.handler.handle(request);
+        stats.latency.record(started.elapsed());
+        stats.served.inc();
+        Some(reply)
+    }
+}
+
 /// A running query server.
 pub struct QueryServerHandle {
     pub name: String,
@@ -177,12 +196,11 @@ pub struct QueryServerHandle {
     _task: JoinHandle<()>,
 }
 
-const SHED_BODY: &[u8] = b"{\"error\":\"overloaded\",\"retry\":true}";
-
-/// Spawn the query server: keep-alive HTTP/1.1 over loopback TCP, every
-/// request gated by the shared admission bucket before it reaches the
-/// handler. Shed requests are answered 429 immediately (never queued), so
-/// overload degrades into fast refusals instead of stalls.
+/// Spawn the query server: keep-alive HTTP/1.1 over loopback TCP on the
+/// substrate's one connection loop ([`crate::server`]), every request gated
+/// by the shared admission bucket before it reaches the handler. Shed
+/// requests are answered 429 immediately (never queued), so overload
+/// degrades into fast refusals instead of stalls.
 pub async fn spawn_query_server(
     handler: Arc<dyn HttpHandler>,
     cfg: QueryServerConfig,
@@ -190,63 +208,14 @@ pub async fn spawn_query_server(
     let listener = TcpListener::bind(&cfg.bind).await?;
     let addr = listener.local_addr()?;
     let routes = Arc::new(RouteStats::default());
-    let admission = Arc::new(Admission {
+    let admission = Admission {
         bucket: Mutex::new(TokenBucket::new(cfg.rate_per_sec, cfg.burst)),
         in_flight: Gauge::new(),
         max_in_flight: cfg.max_in_flight,
-    });
-    let routes2 = routes.clone();
-    let task = tokio::spawn(async move {
-        loop {
-            let (sock, _) = match listener.accept().await {
-                Ok(x) => x,
-                Err(_) => break,
-            };
-            let handler = handler.clone();
-            let routes = routes2.clone();
-            let admission = admission.clone();
-            tokio::spawn(async move {
-                let mut stream = BufStream::new(sock);
-                loop {
-                    let req = match read_request(&mut stream).await {
-                        Ok(Some(r)) => r,
-                        Err(HttpError::HeadTooLarge) => {
-                            let reason = "Request Header Fields Too Large";
-                            let resp = HttpResponse::status(431, reason, vec![]);
-                            let _ = write_response(&mut stream, &resp).await;
-                            break;
-                        }
-                        _ => break,
-                    };
-                    let stats = routes.for_path(&req.path);
-                    let _in_flight = stats.enter();
-                    stats.requests.inc();
-                    stats
-                        .bytes_in
-                        .add(request_wire_size(&req) as u64);
-                    let admitted = admission.try_admit();
-                    let resp = if admitted {
-                        admission.in_flight.inc();
-                        let _admit = AdmitGuard(&admission);
-                        let started = Instant::now();
-                        let resp = handler.handle(&req);
-                        stats.latency.record(started.elapsed());
-                        stats.served.inc();
-                        resp
-                    } else {
-                        stats.shed.inc();
-                        HttpResponse::status(429, "Too Many Requests", SHED_BODY.to_vec())
-                    };
-                    stats
-                        .bytes_out
-                        .add(response_wire_size(&resp) as u64);
-                    if write_response(&mut stream, &resp).await.is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-    });
+        routes: routes.clone(),
+        handler,
+    };
+    let task = serve_connections::<Http, _>(listener, admission);
     Ok(QueryServerHandle { name: cfg.name, addr, routes, _task: task })
 }
 
@@ -393,18 +362,24 @@ mod tests {
         assert_eq!(h.routes.account.requests.get(), 1);
         assert_eq!(h.routes.other.requests.get(), 1);
         assert_eq!(h.routes.exhibit.latency.total(), 1);
-        assert_eq!(h.routes.total_shed(), 0);
+        assert!(h.routes.classes().iter().all(|(_, s)| s.shed.get() == 0));
     }
 
     #[tokio::test]
     async fn an_oversized_head_is_answered_431_and_the_connection_closed() {
+        use crate::{spawn_http, EndpointProfile};
         use tokio::io::AsyncWriteExt;
-        let h = spawn_query_server(Arc::new(Hello), QueryServerConfig::default()).await.unwrap();
-        let mut stream = BufStream::new(TcpStream::connect(h.addr).await.unwrap());
-        // No line end: the server must not wait for one.
-        stream.write_all(&vec![b'a'; crate::http::MAX_LINE + 1]).await.unwrap();
-        assert_eq!(read_response(&mut stream).await.unwrap().status, 431);
-        assert!(read_response(&mut stream).await.is_err(), "connection left open");
+        // The query server and a crawl-side endpoint: one loop, one answer.
+        let query =
+            spawn_query_server(Arc::new(Hello), QueryServerConfig::default()).await.unwrap();
+        let sim = spawn_http(Arc::new(Hello), EndpointProfile::generous("sim", 1)).await.unwrap();
+        for addr in [query.addr, sim.addr] {
+            let mut stream = BufStream::new(TcpStream::connect(addr).await.unwrap());
+            // No line end: the server must not wait for one.
+            stream.write_all(&vec![b'a'; crate::http::MAX_LINE + 1]).await.unwrap();
+            assert_eq!(read_response(&mut stream).await.unwrap().status, 431, "{addr}");
+            assert!(read_response(&mut stream).await.is_err(), "{addr}: connection left open");
+        }
     }
 
     #[tokio::test]

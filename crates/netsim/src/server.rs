@@ -1,13 +1,23 @@
-//! Endpoint servers: HTTP (EOS, Tezos) and NDJSON (XRP) over loopback TCP,
-//! each wrapped in an [`EndpointSim`] behaviour model with shared stats.
+//! The one connection loop of the substrate, and the simulated endpoints
+//! built on it: HTTP (EOS, Tezos) and NDJSON (XRP) over loopback TCP, each
+//! behind an [`EndpointSim`] behaviour model with shared stats.
+//!
+//! `serve_connections` owns everything that does not depend on who is
+//! serving: accept, one task per connection, keep-alive, the in-flight
+//! guard, request and byte accounting, the refusal owed to an unreadable
+//! request (`431`) and hanging up on a failed write. It is generic over the
+//! [`Framing`] and over a `Gatekeeper`, which names the counters a
+//! request is booked under and decides it: reply with this, or hang up.
+//! [`spawn_http`] / [`spawn_ndjson`] gate through [`EndpointSim::gate`] and
+//! its artificial delay; [`crate::serve::spawn_query_server`] through its
+//! admission bucket. Deadlines, a connection cap or per-stage spans have
+//! this one loop to go into.
 
 use crate::endpoint::{EndpointProfile, EndpointSim, EndpointStats, Gate};
-use crate::http::{
-    read_request, request_wire_size, response_wire_size, write_response, HttpRequest,
-    HttpResponse,
-};
-use crate::ndjson::{read_frame, write_frame};
-use serde_json::{json, Value};
+use crate::framing::{Framing, Http, Ndjson};
+use crate::http::{HttpRequest, HttpResponse};
+use serde_json::Value;
+use std::future::Future;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use tokio::io::BufStream;
@@ -24,6 +34,58 @@ pub trait JsonHandler: Send + Sync + 'static {
     fn handle(&self, request: &Value) -> Value;
 }
 
+/// The per-request policy of one server.
+pub(crate) trait Gatekeeper<F: Framing>: Send + Sync + 'static {
+    /// The counters `request` is booked under.
+    fn stats(&self, request: &F::Request) -> &EndpointStats;
+
+    /// The reply to `request`, or `None` to hang up on the peer.
+    fn decide(
+        &self,
+        request: &F::Request,
+        stats: &EndpointStats,
+    ) -> impl Future<Output = Option<F::Reply>> + Send;
+}
+
+/// Serve every connection `listener` accepts until it fails.
+pub(crate) fn serve_connections<F: Framing, G: Gatekeeper<F>>(
+    listener: TcpListener,
+    gatekeeper: G,
+) -> JoinHandle<()> {
+    let gatekeeper = Arc::new(gatekeeper);
+    tokio::spawn(async move {
+        while let Ok((sock, _)) = listener.accept().await {
+            let gatekeeper = gatekeeper.clone();
+            tokio::spawn(async move {
+                let mut conn = BufStream::new(sock);
+                loop {
+                    let (request, size) = match F::read_request(&mut conn).await {
+                        Ok(Some(read)) => read,
+                        Ok(None) => break,
+                        Err(e) => {
+                            if let Some(refusal) = F::refusal(&e) {
+                                let _ = F::write_reply(&mut conn, &refusal).await;
+                            }
+                            break;
+                        }
+                    };
+                    let stats = gatekeeper.stats(&request);
+                    let _in_flight = stats.enter();
+                    stats.requests.inc();
+                    stats.bytes_in.add(size as u64);
+                    let Some(reply) = gatekeeper.decide(&request, stats).await else {
+                        break;
+                    };
+                    match F::write_reply(&mut conn, &reply).await {
+                        Ok(written) => stats.bytes_out.add(written as u64),
+                        Err(_) => break,
+                    }
+                }
+            });
+        }
+    })
+}
+
 /// A running endpoint: address, behaviour stats, and its accept-loop task.
 pub struct EndpointHandle {
     pub name: String,
@@ -32,16 +94,62 @@ pub struct EndpointHandle {
     task: JoinHandle<()>,
 }
 
-impl EndpointHandle {
-    pub fn shutdown(&self) {
-        self.task.abort();
-    }
-}
-
 impl Drop for EndpointHandle {
     fn drop(&mut self) {
         self.task.abort();
     }
+}
+
+/// A simulated remote node: every request passes the behaviour model
+/// before `handle` sees it.
+struct SimGate<H> {
+    sim: EndpointSim,
+    stats: Arc<EndpointStats>,
+    handle: H,
+}
+
+impl<F, H> Gatekeeper<F> for SimGate<H>
+where
+    F: Framing,
+    H: Fn(&F::Request) -> F::Reply + Send + Sync + 'static,
+{
+    fn stats(&self, _: &F::Request) -> &EndpointStats {
+        &self.stats
+    }
+
+    async fn decide(&self, request: &F::Request, stats: &EndpointStats) -> Option<F::Reply> {
+        let (gate, delay) = self.sim.gate();
+        if !delay.is_zero() {
+            tokio::time::sleep(delay).await;
+        }
+        match gate {
+            Gate::Fault => {
+                stats.faults.inc();
+                None // connection reset
+            }
+            Gate::RateLimited => {
+                stats.rate_limited.inc();
+                Some(F::throttled(request))
+            }
+            Gate::Proceed => {
+                stats.served.inc();
+                Some((self.handle)(request))
+            }
+        }
+    }
+}
+
+async fn spawn_sim<F: Framing>(
+    profile: EndpointProfile,
+    handle: impl Fn(&F::Request) -> F::Reply + Send + Sync + 'static,
+) -> std::io::Result<EndpointHandle> {
+    let listener = TcpListener::bind("127.0.0.1:0").await?;
+    let addr = listener.local_addr()?;
+    let stats = Arc::new(EndpointStats::default());
+    let name = profile.name.clone();
+    let gate = SimGate { sim: EndpointSim::new(profile), stats: stats.clone(), handle };
+    let task = serve_connections::<F, _>(listener, gate);
+    Ok(EndpointHandle { name, addr, stats, task })
 }
 
 /// Spawn an HTTP endpoint with the given behaviour profile.
@@ -49,61 +157,7 @@ pub async fn spawn_http(
     handler: Arc<dyn HttpHandler>,
     profile: EndpointProfile,
 ) -> std::io::Result<EndpointHandle> {
-    let listener = TcpListener::bind("127.0.0.1:0").await?;
-    let addr = listener.local_addr()?;
-    let stats = Arc::new(EndpointStats::default());
-    let sim = Arc::new(EndpointSim::new(profile.clone()));
-    let stats2 = stats.clone();
-    let task = tokio::spawn(async move {
-        loop {
-            let (sock, _) = match listener.accept().await {
-                Ok(x) => x,
-                Err(_) => break,
-            };
-            let handler = handler.clone();
-            let sim = sim.clone();
-            let stats = stats2.clone();
-            tokio::spawn(async move {
-                let mut stream = BufStream::new(sock);
-                loop {
-                    let req = match read_request(&mut stream).await {
-                        Ok(Some(r)) => r,
-                        _ => break,
-                    };
-                    let _in_flight = stats.enter();
-                    stats.requests.inc();
-                    stats
-                        .bytes_in
-                        .add(request_wire_size(&req) as u64);
-                    let (gate, delay) = sim.gate();
-                    if !delay.is_zero() {
-                        tokio::time::sleep(delay).await;
-                    }
-                    let resp = match gate {
-                        Gate::Fault => {
-                            stats.faults.inc();
-                            break; // connection reset
-                        }
-                        Gate::RateLimited => {
-                            stats.rate_limited.inc();
-                            HttpResponse::status(429, "Too Many Requests", b"{\"error\":\"rate limited\"}".to_vec())
-                        }
-                        Gate::Proceed => {
-                            stats.served.inc();
-                            handler.handle(&req)
-                        }
-                    };
-                    stats
-                        .bytes_out
-                        .add(response_wire_size(&resp) as u64);
-                    if write_response(&mut stream, &resp).await.is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    Ok(EndpointHandle { name: profile.name, addr, stats, task })
+    spawn_sim::<Http>(profile, move |req| handler.handle(req)).await
 }
 
 /// Spawn an NDJSON endpoint (the XRP websocket-equivalent).
@@ -111,66 +165,15 @@ pub async fn spawn_ndjson(
     handler: Arc<dyn JsonHandler>,
     profile: EndpointProfile,
 ) -> std::io::Result<EndpointHandle> {
-    let listener = TcpListener::bind("127.0.0.1:0").await?;
-    let addr = listener.local_addr()?;
-    let stats = Arc::new(EndpointStats::default());
-    let sim = Arc::new(EndpointSim::new(profile.clone()));
-    let stats2 = stats.clone();
-    let task = tokio::spawn(async move {
-        loop {
-            let (sock, _) = match listener.accept().await {
-                Ok(x) => x,
-                Err(_) => break,
-            };
-            let handler = handler.clone();
-            let sim = sim.clone();
-            let stats = stats2.clone();
-            tokio::spawn(async move {
-                let mut stream = BufStream::new(sock);
-                loop {
-                    let (req, nbytes) = match read_frame(&mut stream).await {
-                        Ok(Some(x)) => x,
-                        _ => break,
-                    };
-                    let _in_flight = stats.enter();
-                    stats.requests.inc();
-                    stats.bytes_in.add(nbytes as u64);
-                    let (gate, delay) = sim.gate();
-                    if !delay.is_zero() {
-                        tokio::time::sleep(delay).await;
-                    }
-                    let resp = match gate {
-                        Gate::Fault => {
-                            stats.faults.inc();
-                            break;
-                        }
-                        Gate::RateLimited => {
-                            stats.rate_limited.inc();
-                            json!({"id": req.get("id").cloned().unwrap_or(Value::Null),
-                                   "status": "error", "error": "slowDown"})
-                        }
-                        Gate::Proceed => {
-                            stats.served.inc();
-                            handler.handle(&req)
-                        }
-                    };
-                    match write_frame(&mut stream, &resp).await {
-                        Ok(n) => {
-                            stats.bytes_out.add(n as u64);
-                        }
-                        Err(_) => break,
-                    }
-                }
-            });
-        }
-    });
-    Ok(EndpointHandle { name: profile.name, addr, stats, task })
+    spawn_sim::<Ndjson>(profile, move |req| handler.handle(req)).await
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::http::{read_response, write_request};
+    use crate::ndjson::{read_frame, write_frame};
+    use serde_json::json;
     use tokio::net::TcpStream;
 
     struct Echo;
@@ -195,9 +198,9 @@ mod tests {
         write_request(&mut stream, &HttpRequest::post("/x", b"hello".to_vec())).await.unwrap();
         let resp = read_response(&mut stream).await.unwrap();
         assert_eq!(resp.body, b"hello");
-        let (req, served, limited, _, bin, bout) = h.stats.snapshot();
-        assert_eq!((req, served, limited), (1, 1, 0));
-        assert!(bin > 5 && bout > 5);
+        let s = &h.stats;
+        assert_eq!((s.requests.get(), s.served.get(), s.rate_limited.get()), (1, 1, 0));
+        assert!(s.bytes_in.get() > 5 && s.bytes_out.get() > 5);
     }
 
     #[tokio::test]

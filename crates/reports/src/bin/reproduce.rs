@@ -87,17 +87,17 @@
 //!     to the followed chains.
 //!
 //! reproduce chaos --upstream ADDR [--listen ADDR] [--fault-rate F]
-//!                 [--truncate-rate F] [--flip-rate F] [--latency-ms L]
-//!                 [--jitter-ms J] [--seed N] [--max-seconds S]
+//!                 [--truncate-rate F] [--flip-rate F] [--seed N]
+//!                 [--max-seconds S]
 //!     Fault-injecting TCP proxy between real processes: relays every
-//!     connection to --upstream while resetting, truncating, bit-flipping,
-//!     or delaying streams per the configured rates. Prints `chaos proxy
+//!     connection to --upstream while resetting, truncating or
+//!     bit-flipping streams per the configured rates. Prints `chaos proxy
 //!     on ADDR -> UPSTREAM` once bound, then runs until killed (or
 //!     --max-seconds elapses). Point a fleet reducer at it to rehearse
 //!     worker failure.
 //!
 //! reproduce serve [--small] [--seed N] [--port P] [--batch N] [--epoch-ms MS]
-//!                 [--rate R] [--burst B] [--max-inflight N]
+//!                 [--rate R] [--burst B]
 //!                 [--load [--conns N] [--reqs N]]
 //!     Long-lived query service: the follow loop publishes an immutable
 //!     epoch snapshot per batch while concurrent readers answer
@@ -139,7 +139,7 @@ use txstat_netsim::{
 };
 use txstat_reports::{
     generate, generate_with_crawl, generate_with_crawl_streamed, pipeline_from_archive,
-    reduce_frames_labeled, reduce_frames_labeled_into, reducer_from_archive, render_report,
+    reduce_frames_labeled_into, reducer_from_archive, render_report,
     reorg_data, scenario_from_meta, scenario_meta, write_archive, CrawlOptions, FollowArchive,
     Follower, Manifest, PipelineData, SegmentFormat, ServeSnapshot, ShardContext, StatsService,
 };
@@ -181,11 +181,11 @@ subcommands:
            [--segment-blocks N]
   chaos    fault-injecting TCP proxy for rehearsing worker failure
            --upstream ADDR [--listen ADDR] [--fault-rate F]
-           [--truncate-rate F] [--flip-rate F] [--latency-ms L]
-           [--jitter-ms J] [--seed N] [--max-seconds S]
+           [--truncate-rate F] [--flip-rate F] [--seed N]
+           [--max-seconds S]
   serve    epoch-swapped query service over the follow loop
            [--small] [--seed N] [--port P] [--batch N] [--epoch-ms MS]
-           [--rate R] [--burst B] [--max-inflight N]
+           [--rate R] [--burst B]
            [--load [--conns N] [--reqs N]] [--archive DIR]
   query    scripting client for serve: GET PATH... against --addr HOST:PORT
            [--wait-head S] [--expect-status N] [--out FILE] [--shutdown]
@@ -733,7 +733,7 @@ fn cmd_reduce(raw: &[String]) -> Result<(), String> {
             labeled.len(),
             sc.seed
         );
-        reduce_frames_labeled(&sc, &labeled)?
+        reduce_frames_labeled_into(generate(&sc), &labeled)?
     };
     eprintln!("reduction ready in {:?}; rendering exhibits…", started.elapsed());
     let result = write_output(&render_report(&data), args.get("--out"));
@@ -918,8 +918,6 @@ fn cmd_chaos(raw: &[String]) -> Result<(), String> {
             "--fault-rate",
             "--truncate-rate",
             "--flip-rate",
-            "--latency-ms",
-            "--jitter-ms",
             "--seed",
             "--max-seconds",
         ],
@@ -929,8 +927,8 @@ fn cmd_chaos(raw: &[String]) -> Result<(), String> {
     let listen = args.get("--listen").unwrap_or("127.0.0.1:0").to_owned();
     let profile = ChaosProfile {
         name: "cli".to_owned(),
-        latency_ms: args.parsed("--latency-ms", 0.0)?,
-        jitter_ms: args.parsed("--jitter-ms", 0.0)?,
+        latency_ms: 0.0,
+        jitter_ms: 0.0,
         fault_rate: args.parsed("--fault-rate", 0.0)?,
         truncate_rate: args.parsed("--truncate-rate", 0.0)?,
         flip_rate: args.parsed("--flip-rate", 0.0)?,
@@ -989,7 +987,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
             "--epoch-ms",
             "--rate",
             "--burst",
-            "--max-inflight",
             "--conns",
             "--reqs",
             "--trace-out",
@@ -1007,7 +1004,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     let epoch_ms: u64 = args.parsed("--epoch-ms", 0)?;
     let rate: f64 = args.parsed("--rate", 50_000.0)?;
     let burst: f64 = args.parsed("--burst", 5_000.0)?;
-    let max_inflight: u64 = args.parsed("--max-inflight", 256)?;
 
     // The serve path exports through the process-global registry so
     // `/metrics` carries every layer's families (ingest counters from the
@@ -1060,7 +1056,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
                 bind: format!("127.0.0.1:{port}"),
                 rate_per_sec: rate,
                 burst,
-                max_in_flight: max_inflight,
+                ..QueryServerConfig::default()
             },
         )
         .await

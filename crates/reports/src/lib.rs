@@ -23,9 +23,9 @@ pub use serve::{ServeSnapshot, StatsService};
 pub use archive_io::{Bounds, Manifest, SegmentFormat, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
 pub use pipeline::{
     generate, generate_with_crawl, generate_with_crawl_streamed, pipeline_from_archive,
-    reduce_frames, reduce_frames_labeled, reduce_frames_labeled_into, reducer_from_archive,
-    scenario_from_meta, scenario_meta, summarize, write_archive, ArchiveStats, ChainStreamInfo,
-    ChainSweeps, CrawlOptions, MemoStatus, PipelineData, ShardContext, StreamSummary,
+    reduce_frames_labeled_into, reducer_from_archive, scenario_from_meta, scenario_meta,
+    summarize, write_archive, ArchiveStats, ChainStreamInfo, ChainSweeps, CrawlOptions,
+    MemoStatus, PipelineData, ShardContext, StreamSummary,
 };
 
 #[cfg(test)]

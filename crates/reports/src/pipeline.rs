@@ -20,17 +20,17 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use txstat_core::{ClusterInfo, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat_crawler::{
-    benchmark_endpoints, crawl_eos, crawl_tezos, crawl_xrp, eos_head, fetch_account_meta,
-    fetch_exchange_rate, fetch_exchanges, shortlist, tezos_head, xrp_head, Advertised,
-    ClientConfig, CrawlError, CrawlStats, RotatingPool,
+    benchmark_endpoints, crawl_eos, crawl_tezos, crawl_xrp, eos_head, exchange,
+    fetch_account_meta, fetch_eos_block, fetch_exchange_rate, fetch_exchanges, fetch_tezos_block,
+    fetch_xrp_ledger, shortlist, tezos_head, xrp_head, Advertised, ClientConfig, CrawlError,
+    CrawlStats, RotatingPool,
 };
 use txstat_ingest::crawl::ledger_ious;
 use txstat_ingest::{
-    spawn_sharded, EosCrawlSource, GaugeSnapshot, IngestOptions, IngestOutcome, RateCache,
-    ReduceError, ReduceSession, ShardWorker, Sink, TezosCrawlSource, XrpCrawlSource,
+    crawl_into, spawn_sharded, GaugeSnapshot, IngestOptions, IngestOutcome, RateCache,
+    ReduceError, ReduceSession, ShardWorker, Sink,
 };
 use txstat_telemetry::{static_counter, Span};
-use txstat_ingest::source::BlockSource;
 use rayon::prelude::*;
 use crate::archive_io::{Bounds, SegmentSummary, SUMMARY_SCHEMA};
 use txstat_archive::{Archive, ArchiveWriter, SegmentCache, SegmentMemo, SegmentMeta};
@@ -40,13 +40,13 @@ const DEFAULT_SEGMENT_CACHE_MB: u64 = 64;
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_netsim::handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
 use txstat_netsim::server::{spawn_http, spawn_ndjson, EndpointHandle};
-use txstat_netsim::EndpointProfile;
+use txstat_netsim::{EndpointProfile, Http};
 use txstat_netsim::http::HttpRequest;
 use txstat_tezos::address::Address;
 use txstat_tezos::governance::PeriodKind;
 use txstat_types::time::{ChainTime, Period};
 use txstat_workload::{eos::build_eos, tezos::build_tezos, xrp::build_xrp, Scenario};
-use txstat_xrp::amount::{Asset, IssuedCurrency};
+use txstat_xrp::amount::IssuedCurrency;
 use txstat_xrp::rates::{RateOracle, TradeRecord};
 use txstat_xrp::tx::TxPayload;
 
@@ -751,6 +751,47 @@ struct ServedChains {
     _xrp_handle: EndpointHandle,
 }
 
+impl ServedChains {
+    /// The dataset of a finished crawl as far as both crawl pipelines agree
+    /// on it: what only the serving side knows (CPU prices, drops, rolls,
+    /// governance periods), the sidecar fetches and the crawl accounting.
+    /// No blocks, no sweeps, facts not yet summarized.
+    fn crawled(
+        &self,
+        sc: &Scenario,
+        opts: &CrawlOptions,
+        [eos, tezos, xrp]: [CrawlStats; 3],
+        oracle: RateOracle,
+        trades: Vec<TradeRecord>,
+        cluster: ClusterInfo,
+    ) -> PipelineData {
+        PipelineData {
+            scenario: sc.clone(),
+            block_free_lens: None,
+            eos_blocks: Arc::new(Vec::new()),
+            tezos_blocks: Arc::new(Vec::new()),
+            xrp_blocks: Arc::new(Vec::new()),
+            oracle: Arc::new(oracle),
+            trades: Arc::new(trades),
+            cluster: Arc::new(cluster),
+            eos_cpu_price: Arc::new(self.eos.cpu_price_history.clone()),
+            eos_dropped_txs: self.eos.dropped_txs,
+            tezos_rolls: Arc::new(tezos_rolls_of(&self.tezos)),
+            governance_periods: governance_periods_of(&self.tezos),
+            crawl: Some(Arc::new(CrawlSummary {
+                eos,
+                tezos,
+                xrp,
+                eos_advertised: opts.eos_advertised,
+                eos_shortlisted: opts.eos_shortlisted,
+            })),
+            stream: None,
+            sweeps: OnceLock::new(),
+            facts: Facts::lazy(None),
+        }
+    }
+}
+
 /// Build the chains, spawn their endpoints, benchmark and shortlist.
 async fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChains, CrawlError> {
     let eos = Arc::new(build_eos(sc));
@@ -770,21 +811,13 @@ async fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChai
         };
         eos_handles.push(spawn_http(eos_handler.clone(), profile).await.map_err(CrawlError::Io)?);
     }
-    let advertised: Vec<Advertised> = eos_handles
-        .iter()
-        .map(|h| Advertised { name: h.name.clone(), addr: h.addr })
-        .collect();
+    let advertise = |h: &EndpointHandle| Advertised { name: h.name.clone(), addr: h.addr };
+    let advertised: Vec<Advertised> = eos_handles.iter().map(advertise).collect();
     let reports = benchmark_endpoints(&advertised, 3, |addr| async move {
         let started = std::time::Instant::now();
-        let mut conn = txstat_crawler::HttpConn::new(addr);
-        match conn
-            .call(
-                &HttpRequest::post("/v1/chain/get_info", b"{}".to_vec()),
-                std::time::Duration::from_millis(500),
-            )
-            .await
-        {
-            Ok(r) if r.is_ok() => Ok(started.elapsed()),
+        let probe = HttpRequest::post("/v1/chain/get_info", b"{}".to_vec());
+        match exchange::<Http>(addr, &probe, std::time::Duration::from_millis(500)).await {
+            Ok((r, _)) if r.is_ok() => Ok(started.elapsed()),
             _ => Err(()),
         }
     })
@@ -799,10 +832,7 @@ async fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChai
     )
     .await
     .map_err(CrawlError::Io)?;
-    let tz_pool = Arc::new(RotatingPool::new(vec![Advertised {
-        name: tz_handle.name.clone(),
-        addr: tz_handle.addr,
-    }]));
+    let tz_pool = Arc::new(RotatingPool::new(vec![advertise(&tz_handle)]));
 
     // --- XRP: the community websocket-equivalent endpoint. -----------------
     let usernames: HashMap<_, _> = txstat_workload::xrp::known_usernames()
@@ -816,10 +846,7 @@ async fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChai
     )
     .await
     .map_err(CrawlError::Io)?;
-    let xrp_pool = Arc::new(RotatingPool::new(vec![Advertised {
-        name: xrp_handle.name.clone(),
-        addr: xrp_handle.addr,
-    }]));
+    let xrp_pool = Arc::new(RotatingPool::new(vec![advertise(&xrp_handle)]));
 
     Ok(ServedChains {
         eos,
@@ -831,6 +858,27 @@ async fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChai
         _eos_handles: eos_handles,
         _tz_handle: tz_handle,
         _xrp_handle: xrp_handle,
+    })
+}
+
+/// One chain's crawl as its own task under a `crawl` span: `crawl` gets
+/// the chain's pool and the client config, finds the head and fetches down
+/// from it. The three chains' endpoints are independent, so both crawl
+/// pipelines overlap three of these.
+fn spawn_crawl<T, Fut>(
+    chain: &'static str,
+    pool: &Arc<RotatingPool>,
+    cfg: &ClientConfig,
+    crawl: impl FnOnce(Arc<RotatingPool>, ClientConfig) -> Fut + Send + 'static,
+) -> tokio::task::JoinHandle<Result<T, CrawlError>>
+where
+    T: Send + 'static,
+    Fut: std::future::Future<Output = Result<T, CrawlError>> + Send,
+{
+    let (pool, cfg) = (pool.clone(), cfg.clone());
+    tokio::spawn(async move {
+        let _span = Span::enter("crawl", chain);
+        crawl(pool, cfg).await
     })
 }
 
@@ -910,40 +958,22 @@ pub async fn generate_with_crawl(
     let served = serve_scenario(sc, opts).await?;
     let cfg = ClientConfig::default();
 
-    // Overlap the three chain crawls: independent endpoints, one task each.
-    let eos_task = {
-        let pool = served.eos_pool.clone();
-        let cfg = cfg.clone();
-        let low = served.eos.config.start_block_num;
-        let concurrency = opts.concurrency;
-        tokio::spawn(async move {
-            let _span = Span::enter("crawl", "eos");
-            let head = eos_head(&pool, &cfg).await?;
-            crawl_eos(pool, cfg, low, head, concurrency).await
-        })
-    };
-    let tz_task = {
-        let pool = served.tz_pool.clone();
-        let cfg = cfg.clone();
-        let low = served.tezos.config.start_level;
-        let concurrency = opts.concurrency;
-        tokio::spawn(async move {
-            let _span = Span::enter("crawl", "tezos");
-            let head = tezos_head(&pool, &cfg).await?;
-            crawl_tezos(pool, cfg, low, head, concurrency).await
-        })
-    };
-    let xrp_task = {
-        let pool = served.xrp_pool.clone();
-        let cfg = cfg.clone();
-        let low = served.xrp.config.start_index;
-        let concurrency = opts.concurrency;
-        tokio::spawn(async move {
-            let _span = Span::enter("crawl", "xrp");
-            let head = xrp_head(&pool, &cfg).await?;
-            crawl_xrp(pool, cfg, low, head, concurrency).await
-        })
-    };
+    let concurrency = opts.concurrency;
+    let eos_low = served.eos.config.start_block_num;
+    let eos_task = spawn_crawl("eos", &served.eos_pool, &cfg, move |pool, cfg| async move {
+        let head = eos_head(&pool, &cfg).await?;
+        crawl_eos(pool, cfg, eos_low, head, concurrency).await
+    });
+    let tz_low = served.tezos.config.start_level;
+    let tz_task = spawn_crawl("tezos", &served.tz_pool, &cfg, move |pool, cfg| async move {
+        let head = tezos_head(&pool, &cfg).await?;
+        crawl_tezos(pool, cfg, tz_low, head, concurrency).await
+    });
+    let xrp_low = served.xrp.config.start_index;
+    let xrp_task = spawn_crawl("xrp", &served.xrp_pool, &cfg, move |pool, cfg| async move {
+        let head = xrp_head(&pool, &cfg).await?;
+        crawl_xrp(pool, cfg, xrp_low, head, concurrency).await
+    });
     // Join all three before propagating any failure, so an error never
     // leaves the other chains' crawls running detached behind the caller.
     let eos_res = eos_task.await.map_err(join_err);
@@ -957,25 +987,8 @@ pub async fn generate_with_crawl(
     let mut seen: HashSet<txstat_xrp::AccountId> = HashSet::new();
     let mut ious: HashSet<IssuedCurrency> = HashSet::new();
     for b in &xrp_crawl.blocks {
-        for tx in &b.transactions {
-            seen.insert(tx.tx.account);
-            match &tx.tx.payload {
-                TxPayload::Payment { destination, amount, .. } => {
-                    seen.insert(*destination);
-                    if let Asset::Iou(ic) = amount.asset {
-                        ious.insert(ic);
-                    }
-                }
-                TxPayload::OfferCreate { gets, pays } => {
-                    for a in [gets, pays] {
-                        if let Asset::Iou(ic) = a.asset {
-                            ious.insert(ic);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
+        seen.extend(ledger_accounts(b));
+        ious.extend(ledger_ious(b));
     }
     let cluster = fetch_cluster(&served.xrp_pool, &cfg, seen.into_iter().collect()).await?;
 
@@ -995,32 +1008,12 @@ pub async fn generate_with_crawl(
     let trades = fetch_btc_trades(&served.xrp_pool, &cfg, &iou_list).await?;
     let oracle = RateOracle::from_rates(rates);
 
-    let governance_periods = governance_periods_of(&served.tezos);
-    let tezos_rolls = tezos_rolls_of(&served.tezos);
-
+    let stats = [eos_crawl.stats, tezos_crawl.stats, xrp_crawl.stats];
     Ok(PipelineData {
-        scenario: sc.clone(),
-        block_free_lens: None,
         eos_blocks: Arc::new(eos_crawl.blocks),
         tezos_blocks: Arc::new(tezos_crawl.blocks),
         xrp_blocks: Arc::new(xrp_crawl.blocks),
-        oracle: Arc::new(oracle),
-        trades: Arc::new(trades),
-        cluster: Arc::new(cluster),
-        eos_cpu_price: Arc::new(served.eos.cpu_price_history.clone()),
-        eos_dropped_txs: served.eos.dropped_txs,
-        tezos_rolls: Arc::new(tezos_rolls),
-        governance_periods,
-        crawl: Some(Arc::new(CrawlSummary {
-            eos: eos_crawl.stats,
-            tezos: tezos_crawl.stats,
-            xrp: xrp_crawl.stats,
-            eos_advertised: opts.eos_advertised,
-            eos_shortlisted: opts.eos_shortlisted,
-        })),
-        stream: None,
-        sweeps: OnceLock::new(),
-        facts: Facts::lazy(None),
+        ..served.crawled(sc, opts, stats, oracle, trades, cluster)
     })
 }
 
@@ -1055,6 +1048,20 @@ fn reduce_sweep_shards<S>(
     (sweep, bounds, info)
 }
 
+/// The accounts a ledger shows: every sender and every payment destination
+/// (whose metadata the crawl fetches afterwards).
+fn ledger_accounts(
+    b: &txstat_xrp::LedgerBlock,
+) -> impl Iterator<Item = txstat_xrp::AccountId> + '_ {
+    b.transactions.iter().flat_map(|tx| {
+        let destination = match &tx.tx.payload {
+            TxPayload::Payment { destination, .. } => Some(*destination),
+            _ => None,
+        };
+        std::iter::once(tx.tx.account).chain(destination)
+    })
+}
+
 /// XRP shard state: sweep, bounds, the accounts seen (for the metadata
 /// fetch), and a shard-local oracle grown from the crawl-time rate cache.
 struct XrpShardAcc {
@@ -1069,7 +1076,7 @@ impl XrpShardAcc {
     fn observe(&mut self, b: &txstat_xrp::LedgerBlock, rates: &RateCache) {
         self.bounds.record(b.index, b.close_time);
         // Sync any token this ledger references from the shared cache into
-        // the shard-local oracle. The crawl source resolved them before
+        // the shard-local oracle. The crawl's fetch resolved them before
         // emitting the ledger, so the lookup cannot miss.
         for ic in ledger_ious(b) {
             if self.known.insert(ic) {
@@ -1078,12 +1085,7 @@ impl XrpShardAcc {
                 }
             }
         }
-        for tx in &b.transactions {
-            self.seen.insert(tx.tx.account);
-            if let TxPayload::Payment { destination, .. } = &tx.tx.payload {
-                self.seen.insert(*destination);
-            }
-        }
+        self.seen.extend(ledger_accounts(b));
         self.sweep.observe(b, &self.oracle);
     }
 
@@ -1145,8 +1147,9 @@ pub async fn generate_with_crawl_streamed(
     let cfg = ClientConfig::default();
     let period = sc.period;
     let rates = Arc::new(RateCache::new(period.end));
+    let concurrency = opts.concurrency;
 
-    // EOS: sharded columnar sweep pool + streaming crawl source. Shard
+    // EOS: sharded columnar sweep pool + streaming crawl. Shard
     // workers intern and batch each block as it arrives; the reducer merges
     // the per-shard interned states and finalizes once.
     let (eos_sink, eos_pool): (Sink<txstat_eos::Block>, _) = spawn_sharded(
@@ -1157,22 +1160,18 @@ pub async fn generate_with_crawl_streamed(
             acc.sweep.observe(b);
         },
     );
-    let eos_task = {
-        let pool = served.eos_pool.clone();
-        let cfg = cfg.clone();
-        let low = served.eos.config.start_block_num;
-        let concurrency = opts.concurrency;
-        tokio::spawn(async move {
-            let _span = Span::enter("crawl", "eos");
-            let head = eos_head(&pool, &cfg).await?;
-            let src = EosCrawlSource { pool, cfg, low, high: head, concurrency };
-            src.produce(eos_sink).await.map_err(CrawlError::from)
-        })
-    };
+    let eos_low = served.eos.config.start_block_num;
+    let eos_task = spawn_crawl("eos", &served.eos_pool, &cfg, move |pool, cfg| async move {
+        let head = eos_head(&pool, &cfg).await?;
+        let fetch = move |n| {
+            let (pool, cfg) = (pool.clone(), cfg.clone());
+            async move { fetch_eos_block(&pool, &cfg, n).await }
+        };
+        Ok(crawl_into(eos_sink, head, eos_low, concurrency, fetch).await?)
+    });
 
     // Tezos.
-    let governance_periods = governance_periods_of(&served.tezos);
-    let tz_periods = governance_periods.clone();
+    let tz_periods = governance_periods_of(&served.tezos);
     let (tz_sink, tz_pool): (Sink<txstat_tezos::TezosBlock>, _) = spawn_sharded(
         opts.ingest_for("tezos"),
         move || SweepShardAcc {
@@ -1184,20 +1183,17 @@ pub async fn generate_with_crawl_streamed(
             acc.sweep.observe(b);
         },
     );
-    let tz_task = {
-        let pool = served.tz_pool.clone();
-        let cfg = cfg.clone();
-        let low = served.tezos.config.start_level;
-        let concurrency = opts.concurrency;
-        tokio::spawn(async move {
-            let _span = Span::enter("crawl", "tezos");
-            let head = tezos_head(&pool, &cfg).await?;
-            let src = TezosCrawlSource { pool, cfg, low, high: head, concurrency };
-            src.produce(tz_sink).await.map_err(CrawlError::from)
-        })
-    };
+    let tz_low = served.tezos.config.start_level;
+    let tz_task = spawn_crawl("tezos", &served.tz_pool, &cfg, move |pool, cfg| async move {
+        let head = tezos_head(&pool, &cfg).await?;
+        let fetch = move |n| {
+            let (pool, cfg) = (pool.clone(), cfg.clone());
+            async move { fetch_tezos_block(&pool, &cfg, n).await }
+        };
+        Ok(crawl_into(tz_sink, head, tz_low, concurrency, fetch).await?)
+    });
 
-    // XRP: the crawl source resolves exchange rates as tokens appear; the
+    // XRP: the fetch resolves exchange rates as tokens appear; the
     // shard accumulators value payments through a local oracle synced from
     // that cache.
     let rates_for_obs = rates.clone();
@@ -1214,19 +1210,20 @@ pub async fn generate_with_crawl_streamed(
             acc.observe(b, &rates_for_obs);
         },
     );
-    let xrp_task = {
-        let pool = served.xrp_pool.clone();
-        let cfg = cfg.clone();
-        let low = served.xrp.config.start_index;
-        let concurrency = opts.concurrency;
-        let rates = rates.clone();
-        tokio::spawn(async move {
-            let _span = Span::enter("crawl", "xrp");
-            let head = xrp_head(&pool, &cfg).await?;
-            let src = XrpCrawlSource { pool, cfg, low, high: head, concurrency, rates };
-            src.produce(xrp_sink).await.map_err(CrawlError::from)
-        })
-    };
+    let xrp_low = served.xrp.config.start_index;
+    let xrp_rates = rates.clone();
+    let xrp_task = spawn_crawl("xrp", &served.xrp_pool, &cfg, move |pool, cfg| async move {
+        let head = xrp_head(&pool, &cfg).await?;
+        let fetch = move |n| {
+            let (pool, cfg, rates) = (pool.clone(), cfg.clone(), xrp_rates.clone());
+            async move {
+                let fetched = fetch_xrp_ledger(&pool, &cfg, n).await?;
+                rates.resolve(&pool, &cfg, &fetched.0).await?;
+                Ok(fetched)
+            }
+        };
+        Ok(crawl_into(xrp_sink, head, xrp_low, concurrency, fetch).await?)
+    });
 
     // The crawls (and their folds) run concurrently. Join every producer
     // before propagating any failure — a failed producer has already
@@ -1264,7 +1261,6 @@ pub async fn generate_with_crawl_streamed(
     let trades = fetch_btc_trades(&served.xrp_pool, &cfg, &rates.currencies()).await?;
     let oracle = rates.oracle();
 
-    let tezos_rolls = tezos_rolls_of(&served.tezos);
     let sweeps = OnceLock::new();
     let _ = sweeps.set(Arc::new(ChainSweeps { eos: eos_sweep, tezos: tz_sweep, xrp: xrp_sweep }));
 
@@ -1277,32 +1273,15 @@ pub async fn generate_with_crawl_streamed(
         ..SegmentSummary::default()
     };
     Ok(PipelineData {
-        scenario: sc.clone(),
         block_free_lens: Some([
             eos_info.streamed_blocks,
             tz_info.streamed_blocks,
             xrp_info.streamed_blocks,
         ]),
-        eos_blocks: Arc::new(Vec::new()),
-        tezos_blocks: Arc::new(Vec::new()),
-        xrp_blocks: Arc::new(Vec::new()),
-        oracle: Arc::new(oracle),
-        trades: Arc::new(trades),
-        cluster: Arc::new(cluster),
-        eos_cpu_price: Arc::new(served.eos.cpu_price_history.clone()),
-        eos_dropped_txs: served.eos.dropped_txs,
-        tezos_rolls: Arc::new(tezos_rolls),
-        governance_periods,
-        crawl: Some(Arc::new(CrawlSummary {
-            eos: eos_stats,
-            tezos: tz_stats,
-            xrp: xrp_stats,
-            eos_advertised: opts.eos_advertised,
-            eos_shortlisted: opts.eos_shortlisted,
-        })),
         stream: Some(StreamSummary { eos: eos_info, tezos: tz_info, xrp: xrp_info }),
         sweeps,
         facts: Facts::known(facts, None),
+        ..served.crawled(sc, opts, [eos_stats, tz_stats, xrp_stats], oracle, trades, cluster)
     })
 }
 
@@ -1621,36 +1600,18 @@ impl ShardContext {
     }
 }
 
-/// Central reduction: validate and merge shard frames over the scenario
-/// they were swept from, then assemble the full dataset with the reduced
-/// sweeps installed. The rendered report is bit-identical to
+/// Central reduction: validate and merge shard frames into `data` — the
+/// dataset of the scenario they were swept from, generated (the fleet
+/// reducer does so up front, to size its chunk tiling) or cold-started —
+/// and install the reduced sweeps. The rendered report is bit-identical to
 /// [`generate`]'s.
 ///
+/// Each frame carries an origin label (the file it was read from, or the
+/// fleet worker address that produced it), and a validation failure names
+/// that origin, the frame's index, chain, and range — instead of a bare
+/// [`ReduceError`] that leaves a bad frame among many undiagnosable.
 /// Coverage must tile each chain exactly — a missing head, hole, or tail
 /// surfaces as [`ReduceError::CoverageGap`] before anything renders.
-pub fn reduce_frames(sc: &Scenario, frames: &[ShardFrame]) -> Result<PipelineData, ReduceError> {
-    let mut session = ReduceSession::new();
-    for frame in frames {
-        session.submit(frame)?;
-    }
-    finish_reduce(generate(sc), session)
-}
-
-/// [`reduce_frames`] with per-frame provenance: each frame carries an
-/// origin label (the file it was read from, or the fleet worker address
-/// that produced it), and a validation failure names that origin, the
-/// frame's index, chain, and range — instead of a bare [`ReduceError`]
-/// that leaves a bad frame among many undiagnosable.
-pub fn reduce_frames_labeled(
-    sc: &Scenario,
-    frames: &[(String, ShardFrame)],
-) -> Result<PipelineData, String> {
-    reduce_frames_labeled_into(generate(sc), frames)
-}
-
-/// [`reduce_frames_labeled`] over an already-generated dataset (the fleet
-/// reducer generates the chains up front to size its chunk tiling and
-/// must not pay for them twice).
 pub fn reduce_frames_labeled_into(
     data: PipelineData,
     frames: &[(String, ShardFrame)],

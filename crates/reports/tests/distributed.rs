@@ -115,7 +115,7 @@ fn three_shard_processes_reduce_to_the_identical_report() {
 
 /// The incremental path agrees too: `follow` folds the chains in batch by
 /// batch and its head-of-chain report must be byte-identical to the
-/// one-shot `report`.
+/// one-shot `report` — in 7 batches of 400 and in 85 of 32.
 #[test]
 fn follow_reaches_the_identical_report_at_head() {
     let dir = tempdir("follow");
@@ -123,19 +123,24 @@ fn follow_reaches_the_identical_report_at_head() {
     let direct = reproduce(&dir, &["report", "--small", "--seed", "7", "--out", "direct.txt"]);
     assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
 
-    let follow = reproduce(
-        &dir,
-        &["follow", "--small", "--seed", "7", "--batch", "400", "--out", "followed.txt"],
-    );
-    assert!(follow.status.success(), "follow failed: {}", String::from_utf8_lossy(&follow.stderr));
-    let stderr = String::from_utf8_lossy(&follow.stderr);
-    assert!(stderr.contains("batch    2"), "expected multiple batches, stderr: {stderr}");
-
-    assert_eq!(
-        read(&dir, "direct.txt"),
-        read(&dir, "followed.txt"),
-        "follow's head report differs from the single-process report"
-    );
+    for (batch, progress) in [("400", "batch    2"), ("32", "batch   85")] {
+        let follow = reproduce(
+            &dir,
+            &["follow", "--small", "--seed", "7", "--batch", batch, "--out", "followed.txt"],
+        );
+        assert!(
+            follow.status.success(),
+            "follow failed: {}",
+            String::from_utf8_lossy(&follow.stderr)
+        );
+        let stderr = String::from_utf8_lossy(&follow.stderr);
+        assert!(stderr.contains(progress), "expected {progress:?}, stderr: {stderr}");
+        assert_eq!(
+            read(&dir, "direct.txt"),
+            read(&dir, "followed.txt"),
+            "follow --batch {batch}: head report differs from the single-process report"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -173,8 +178,13 @@ fn socket_fleet_survives_a_worker_killed_mid_reduction() {
         "fleet report differs from the single-process report"
     );
     let metrics = String::from_utf8(read(&dir, "fleet-metrics.txt")).expect("metrics utf8");
-    for family in ["txstat_fleet_requests_total", "txstat_fleet_redispatch_total"] {
-        assert!(metrics.contains(family), "{family} missing from metrics dump");
+    for family in [
+        "txstat_fleet_requests_total",
+        "txstat_fleet_redispatch_total",
+        "txstat_fleet_retries_total",
+        "txstat_fleet_workers_failed_total",
+    ] {
+        assert!(metrics.contains(&format!("# TYPE {family}")), "no {family} in:\n{metrics}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -428,6 +438,16 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         .and_then(|v| v.trim().parse().ok())
         .expect("replay counter in metrics dump");
     assert!(replayed > 0, "worker replayed no archive segments:\n{metrics}");
+    // Its decoded-segment cache is exported too, and it decoded something.
+    for family in [
+        "txstat_archive_cache_hits_total",
+        "txstat_archive_cache_misses_total",
+        "txstat_archive_cache_evictions_total",
+        "txstat_archive_cache_bytes",
+    ] {
+        assert!(metrics.contains(&format!("# TYPE {family}")), "no {family} in:\n{metrics}");
+    }
+    assert!(counter("worker-metrics.txt", "txstat_archive_cache_misses_total") > 0, "{metrics}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -615,6 +635,9 @@ fn unknown_flags_and_subcommands_exit_nonzero_with_usage() {
         &["archive", "--out", "x", "--upgrade", "corpus"][..],
         &["report", "--small", "--crawl", "--materialize"][..],
         &["shard", "--listen", "127.0.0.1:0", "--archive", "x", "--segment-cache-mb", "16"][..],
+        &["serve", "--small", "--max-inflight", "64"][..],
+        &["chaos", "--upstream", "127.0.0.1:1", "--latency-ms", "5"][..],
+        &["chaos", "--upstream", "127.0.0.1:1", "--jitter-ms", "5"][..],
         &["--small", "--seed", "9"][..], // the pre-subcommand spelling
     ] {
         let out = reproduce(&dir, args);

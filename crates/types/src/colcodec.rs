@@ -307,7 +307,7 @@ impl<'a> ColReader<'a> {
         if n > have / min {
             return Err(ColError::Truncated {
                 offset: start,
-                needed: self.pos + (n.saturating_mul(min)) as usize,
+                needed: self.pos.saturating_add(n.saturating_mul(min) as usize),
                 have: self.buf.len(),
             });
         }

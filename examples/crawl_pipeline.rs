@@ -9,12 +9,12 @@
 
 use std::sync::Arc;
 use txstat::crawler::{
-    benchmark_endpoints, crawl_eos, eos_head, shortlist, Advertised, ClientConfig, HttpConn,
+    benchmark_endpoints, crawl_eos, eos_head, exchange, shortlist, Advertised, ClientConfig,
     RotatingPool,
 };
 use txstat::netsim::handlers::EosRpcHandler;
 use txstat::netsim::server::spawn_http;
-use txstat::netsim::{EndpointProfile, HttpRequest};
+use txstat::netsim::{EndpointProfile, Http, HttpRequest};
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
 
@@ -45,18 +45,13 @@ async fn main() {
         .map(|h| Advertised { name: h.name.clone(), addr: h.addr })
         .collect();
 
-    // Benchmark with a cheap get_info probe, then shortlist.
+    // Benchmark with a cheap get_info probe — one `exchange` (connect,
+    // write, read, under a timeout) per probe — then shortlist.
     let reports = benchmark_endpoints(&advertised, 4, |addr| async move {
         let started = std::time::Instant::now();
-        let mut conn = HttpConn::new(addr);
-        match conn
-            .call(
-                &HttpRequest::post("/v1/chain/get_info", b"{}".to_vec()),
-                std::time::Duration::from_millis(400),
-            )
-            .await
-        {
-            Ok(r) if r.is_ok() => Ok(started.elapsed()),
+        let probe = HttpRequest::post("/v1/chain/get_info", b"{}".to_vec());
+        match exchange::<Http>(addr, &probe, std::time::Duration::from_millis(400)).await {
+            Ok((r, _)) if r.is_ok() => Ok(started.elapsed()),
             _ => Err(()),
         }
     })

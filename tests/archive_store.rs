@@ -10,9 +10,11 @@
 //!    direct pipeline byte-for-byte — same block bytes, same rendered
 //!    report.
 
-use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+mod support;
+
+use std::path::Path;
 use std::sync::OnceLock;
+use support::{bit_flips, truncations};
 use txstat::archive::{
     Archive, ArchiveError, ArchiveWriter, SegmentBlocks, SegmentMeta, IDX_FILE, SEG_FILE,
 };
@@ -20,15 +22,6 @@ use txstat::reports::{
     generate, pipeline_from_archive, render_report, write_archive, PipelineData, SegmentFormat,
 };
 use txstat::workload::Scenario;
-
-fn tempdir(tag: &str, case: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "txstat-archive-store-{tag}-{}-{case}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// A tiny deterministic corpus: `segs` segments of 2 positions each whose
 /// per-chain column blobs are opaque bytes derived from `seed` (the
@@ -61,63 +54,59 @@ fn open_and_replay(dir: &Path) -> Result<usize, ArchiveError> {
     Ok(archive.replay_all()?.len())
 }
 
-proptest! {
-    /// Truncation at any offset of either file is a typed error, never a
-    /// panic — and never a silent success.
-    #[test]
-    fn truncation_at_any_offset_is_a_typed_error(
-        seed in any::<u64>(),
-        segs in 1usize..5,
-        hit_index in any::<bool>(),
-        frac in 0.0f64..1.0,
-    ) {
-        let dir = tempdir("trunc", seed ^ segs as u64);
-        synthetic_corpus(&dir, segs, seed);
-        let path = dir.join(if hit_index { IDX_FILE } else { SEG_FILE });
-        let bytes = std::fs::read(&path).expect("read corpus file");
-        // Strictly shorter than the original, so the damage is real.
-        let keep = ((bytes.len() as f64) * frac) as usize;
-        let keep = keep.min(bytes.len().saturating_sub(1));
-        std::fs::write(&path, &bytes[..keep]).expect("truncate corpus file");
-
-        let result = open_and_replay(&dir);
-        let err = result.expect_err("a truncated archive must not open cleanly");
-        let msg = format!("{err}");
-        prop_assert!(!msg.is_empty());
-        // Damage below the index's magic/version header is reported as a
-        // malformed index; everything else must localize the damage.
-        if !hit_index {
-            prop_assert!(
-                msg.contains("offset") || msg.contains("byte") || msg.contains("segment"),
-                "segment-file truncation error does not localize: {msg}"
-            );
+/// Run `walk(dir, file, healthy bytes)` over both files of synthetic
+/// corpora of 1 to 4 segments; the file is whole again after each walk.
+fn each_corpus_file(tag: &str, walk: impl Fn(&Path, &Path, &[u8])) {
+    for segs in 1..5 {
+        let dir = support::tempdir("archive-store", &format!("{tag}-{segs}"));
+        synthetic_corpus(&dir, segs, 0x5eed_0000 + segs as u64);
+        for name in [IDX_FILE, SEG_FILE] {
+            let path = dir.join(name);
+            let healthy = std::fs::read(&path).expect("read corpus file");
+            walk(&dir, &path, &healthy);
+            std::fs::write(&path, &healthy).expect("restore corpus file");
         }
+        assert_eq!(open_and_replay(&dir).expect("restored corpus replays"), segs);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
 
-    /// Flipping any single bit anywhere in either file is detected by a
-    /// content hash (or a codec invariant) — typed error, never a panic.
-    #[test]
-    fn any_single_bit_flip_is_detected(
-        seed in any::<u64>(),
-        segs in 1usize..5,
-        hit_index in any::<bool>(),
-        frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        let dir = tempdir("flip", seed.rotate_left(17) ^ segs as u64);
-        synthetic_corpus(&dir, segs, seed);
-        let path = dir.join(if hit_index { IDX_FILE } else { SEG_FILE });
-        let mut bytes = std::fs::read(&path).expect("read corpus file");
-        let at = (((bytes.len() - 1) as f64) * frac) as usize;
-        bytes[at] ^= 1 << bit;
-        std::fs::write(&path, &bytes).expect("write damaged file");
+/// Truncation at any offset of either file is a typed error, never a
+/// panic — and never a silent success.
+#[test]
+fn truncation_at_any_offset_is_a_typed_error() {
+    each_corpus_file("trunc", |dir, path, healthy| {
+        for (cut, prefix) in truncations(healthy).enumerate() {
+            std::fs::write(path, prefix).expect("truncate corpus file");
+            let err =
+                open_and_replay(dir).expect_err("a truncated archive must not open cleanly");
+            let msg = format!("{err}");
+            assert!(!msg.is_empty());
+            // Damage below the index's magic/version header is reported as
+            // a malformed index; everything else must localize the damage.
+            if path.ends_with(SEG_FILE) {
+                assert!(
+                    msg.contains("offset") || msg.contains("byte") || msg.contains("segment"),
+                    "segment-file truncation at {cut} does not localize: {msg}"
+                );
+            }
+        }
+    });
+}
 
-        let result = open_and_replay(&dir);
-        let err = result.expect_err("a bit-flipped archive must not replay cleanly");
-        prop_assert!(!format!("{err}").is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+/// Flipping any single bit anywhere in either file is detected by a
+/// content hash (or a codec invariant) — typed error, never a panic.
+#[test]
+fn any_single_bit_flip_is_detected() {
+    each_corpus_file("flip", |dir, path, healthy| {
+        for (bit, damaged) in bit_flips(healthy).enumerate() {
+            std::fs::write(path, &damaged).expect("write damaged file");
+            match open_and_replay(dir) {
+                Ok(n) => panic!("bit {bit} of {path:?} flipped, {n} segments replayed cleanly"),
+                Err(err) => assert!(!format!("{err}").is_empty()),
+            }
+        }
+    });
 }
 
 /// The direct dataset and its one-shot report, computed once for every
@@ -143,7 +132,7 @@ fn cold_start_report_is_byte_identical_at_any_segment_size() {
     let drawn: Vec<u64> = (0..3).map(|_| draw()).collect();
     let (data, report) = direct();
     for segment_blocks in drawn.into_iter().chain([1, 2712, 4096]) {
-        let dir = tempdir("roundtrip", segment_blocks);
+        let dir = support::tempdir("archive-store", &format!("roundtrip-{segment_blocks}"));
         let stats = write_archive(&dir, data, "small", segment_blocks, SegmentFormat)
             .expect("write archive");
         assert_eq!(stats.total_positions, 2712); // longest small chain (tezos)
@@ -169,8 +158,8 @@ fn cold_start_report_is_byte_identical_at_any_segment_size() {
 #[test]
 fn archive_writes_are_deterministic() {
     let (data, _) = direct();
-    let a = tempdir("det-a", 0);
-    let b = tempdir("det-b", 0);
+    let a = support::tempdir("archive-store", "det-a");
+    let b = support::tempdir("archive-store", "det-b");
     write_archive(&a, data, "small", 321, SegmentFormat).expect("write a");
     write_archive(&b, data, "small", 321, SegmentFormat).expect("write b");
     for name in [SEG_FILE, IDX_FILE] {
@@ -194,7 +183,7 @@ fn archive_writes_are_deterministic() {
         (1, (424669, 0x6023a73e6f9ff05e), (15211, 0x8ffa45ce369511c5)),
         (7, (425879, 0x1db65738c1a56ece), (15152, 0xa23592116d98cd80)),
     ] {
-        let dir = tempdir("pin", seed);
+        let dir = support::tempdir("archive-store", &format!("pin-{seed}"));
         write_archive(&dir, &generate(&Scenario::small(seed)), "small", 256, SegmentFormat)
             .expect("write pinned corpus");
         let pin = |name: &str| {
@@ -236,7 +225,7 @@ fn write_index(dir: &Path, version: u32, manifest: &str, sidecar: &[u8], segs: &
 fn retired_v1_index_and_segment_are_typed_rejections() {
     use txstat::types::colcodec::ColWriter;
     use txstat::types::{ids::fnv1a64, lzss};
-    let dir = tempdir("retired", 1);
+    let dir = support::tempdir("archive-store", "retired");
     synthetic_corpus(&dir, 2, 7);
     let good = Archive::open(&dir).expect("intact corpus opens");
 

@@ -24,13 +24,6 @@ use txstat::reports::{generate, write_archive, PipelineData, SegmentFormat, Shar
 use txstat::wire::PayloadFormat;
 use txstat::workload::Scenario;
 
-fn tempdir(tag: &str, case: u64) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("txstat-archive-v2-{tag}-{}-{case}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// The shared direct dataset (generation dominates test cost).
 fn direct() -> &'static PipelineData {
     static DIRECT: OnceLock<PipelineData> = OnceLock::new();
@@ -84,65 +77,56 @@ proptest! {
         }
         prop_assert_eq!(txstat::xrp::block_cols::encode_blocks(&decoded), bytes);
     }
+}
 
-    /// A single bit flip in a v2 column blob either fails typed or
-    /// decodes to a *stable* value: re-encoding and re-decoding it is a
-    /// fixpoint (no panic, no drifting interpretation). Column-level
-    /// damage only reaches this decoder when the archive's segment
-    /// content hash has already passed, so the flip case is pure defense
-    /// in depth.
-    #[test]
-    fn v2_bit_flip_never_panics_and_never_drifts(
-        start_frac in 0.0f64..1.0,
-        len in 1usize..60,
-        at_frac in 0.0f64..1.0,
-        bit in 0u8..8,
+/// A single bit flip in a v2 column blob either fails typed or decodes to
+/// a *stable* value: re-encoding and re-decoding it is a fixpoint (no
+/// panic, no drifting interpretation). Column-level damage only reaches
+/// this decoder when the archive's segment content hash has already
+/// passed, so the flip case is pure defense in depth. Every bit of three
+/// two-block windows per chain (head, middle, tail) is flipped.
+#[test]
+fn v2_bit_flip_never_panics_and_never_drifts() {
+    use txstat::types::colcodec::ColError;
+    fn walk<B>(
+        chain: &str,
+        blocks: &[B],
+        encode: fn(&[B]) -> Vec<u8>,
+        decode: fn(&[u8]) -> Result<Vec<B>, ColError>,
     ) {
-        let data = direct();
-        let flip = |bytes: &[u8]| -> Vec<u8> {
-            let mut damaged = bytes.to_vec();
-            let at = (((damaged.len() - 1) as f64) * at_frac) as usize;
-            damaged[at] ^= 1 << bit;
-            damaged
-        };
-
-        {
-            use txstat::eos::block_cols as cols;
-            let damaged = flip(&cols::encode_blocks(window(&data.eos_blocks, start_frac, len)));
-            if let Ok(blocks) = cols::decode_blocks(&damaged) {
-                let re = cols::encode_blocks(&blocks);
-                let again =
-                    cols::decode_blocks(&re).expect("re-encoded decode output must decode");
-                prop_assert_eq!(cols::encode_blocks(&again), re);
-            }
-        }
-        {
-            use txstat::tezos::block_cols as cols;
-            let damaged =
-                flip(&cols::encode_blocks(window(&data.tezos_blocks, start_frac, len)));
-            if let Ok(blocks) = cols::decode_blocks(&damaged) {
-                let re = cols::encode_blocks(&blocks);
-                let again =
-                    cols::decode_blocks(&re).expect("re-encoded decode output must decode");
-                prop_assert_eq!(cols::encode_blocks(&again), re);
-            }
-        }
-        {
-            use txstat::xrp::block_cols as cols;
-            let damaged = flip(&cols::encode_blocks(window(&data.xrp_blocks, start_frac, len)));
-            if let Ok(blocks) = cols::decode_blocks(&damaged) {
-                let re = cols::encode_blocks(&blocks);
-                let again =
-                    cols::decode_blocks(&re).expect("re-encoded decode output must decode");
-                prop_assert_eq!(cols::encode_blocks(&again), re);
+        for start_frac in [0.0, 0.5, 1.0] {
+            let healthy = encode(window(blocks, start_frac, 2));
+            for (bit, damaged) in support::bit_flips(&healthy).enumerate() {
+                if let Ok(blocks) = decode(&damaged) {
+                    let re = encode(&blocks);
+                    let again = decode(&re).expect("re-encoded decode output must decode");
+                    assert_eq!(encode(&again), re, "{chain} at {start_frac}, bit {bit}");
+                }
             }
         }
     }
+    let data = direct();
+    {
+        use txstat::eos::block_cols as cols;
+        walk("eos", &data.eos_blocks, cols::encode_blocks, cols::decode_blocks);
+    }
+    {
+        use txstat::tezos::block_cols as cols;
+        walk("tezos", &data.tezos_blocks, cols::encode_blocks, cols::decode_blocks);
+    }
+    {
+        use txstat::xrp::block_cols as cols;
+        walk("xrp", &data.xrp_blocks, cols::encode_blocks, cols::decode_blocks);
+    }
+}
 
+proptest! {
     /// Damaging a sealed v2 corpus — truncation or a single bit flip in
     /// either file — is a typed [`ArchiveError`], never a panic, and
     /// segment-file damage localizes itself (segment / offset / byte).
-    /// The pristine corpus is sealed once and copied per case.
+    /// The pristine corpus is sealed once and copied per case; at 440 KB it
+    /// is sampled, not walked (`tests/archive_store.rs` walks every bit of
+    /// small corpora through the same two calls).
     #[test]
     fn v2_archive_damage_is_typed_and_localized(
         hit_index in any::<bool>(),
@@ -151,7 +135,8 @@ proptest! {
         bit in 0u8..8,
     ) {
         let sealed = sealed_v2();
-        let dir = tempdir("damage", (frac * 1e9) as u64 ^ bit as u64);
+        let case = (frac * 1e9) as u64 ^ bit as u64;
+        let dir = support::tempdir("archive-v2", &format!("damage-{case}"));
         std::fs::create_dir_all(&dir).expect("damage dir");
         for name in [SEG_FILE, IDX_FILE] {
             std::fs::copy(sealed.join(name), dir.join(name)).expect("copy corpus file");
@@ -189,7 +174,7 @@ fn sealed_v2() -> &'static PathBuf {
     static SEALED: OnceLock<PathBuf> = OnceLock::new();
     SEALED.get_or_init(|| {
         let data = direct();
-        let dir = tempdir("sealed", 0);
+        let dir = support::tempdir("archive-v2", "sealed");
         write_archive(&dir, data, "small", 512, SegmentFormat).expect("seal v2");
         dir
     })
@@ -226,7 +211,7 @@ fn v2_truncation_at_every_offset_is_typed() {
 #[test]
 fn cache_accounting_exact_under_concurrent_assignments() {
     let data = direct();
-    let dir = tempdir("cache", 0);
+    let dir = support::tempdir("archive-v2", "cache");
     write_archive(&dir, data, "small", 128, SegmentFormat).expect("seal v2");
     let archive = Archive::open(&dir).expect("open for covering counts");
     let total = data

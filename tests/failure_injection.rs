@@ -2,6 +2,8 @@
 //! correctly when the network misbehaves — dead endpoints, permanent rate
 //! limiting, malformed wire data.
 
+mod support;
+
 use std::sync::Arc;
 use std::time::Duration;
 use txstat::crawler::{
@@ -127,4 +129,63 @@ async fn one_good_endpoint_rescues_a_bad_pool() {
     let head = eos_head(&pool, &cfg).await.expect("rescued by rotation");
     let crawl = crawl_eos(pool, cfg, head - 5, head, 2).await.expect("crawl completes");
     assert_eq!(crawl.blocks.len(), 6);
+}
+
+/// The HTTP request parser under the shared damage harness: every
+/// truncation and every single-bit flip of a valid `GET` and a valid `POST`
+/// with body, delivered by a peer that then closes, parses to a request,
+/// a clean end of stream or a typed [`HttpError`] — it never panics, and it
+/// never waits for (or hands out) bytes the peer did not send.
+#[tokio::test]
+async fn damaged_http_requests_are_typed_never_a_panic() {
+    use tokio::io::{AsyncWriteExt, BufStream};
+    use tokio::net::{TcpListener, TcpStream};
+    use txstat::netsim::http::read_request;
+
+    let listener = TcpListener::bind("127.0.0.1:0").await.expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    for (healthy, method, path, body) in [
+        (
+            &b"GET /chains/main/blocks/head HTTP/1.1\r\ncontent-length: 0\r\n\r\n"[..],
+            "GET",
+            "/chains/main/blocks/head",
+            &b""[..],
+        ),
+        (
+            b"POST /v1/chain/get_block HTTP/1.1\r\ncontent-type: application/json\r\n\
+              content-length: 21\r\n\r\n{\"block_num_or_id\":5}",
+            "POST",
+            "/v1/chain/get_block",
+            br#"{"block_num_or_id":5}"#,
+        ),
+    ] {
+        let damaged = support::truncations(healthy)
+            .map(<[u8]>::to_vec)
+            .chain(support::bit_flips(healthy))
+            .chain([healthy.to_vec()]);
+        for (case, bytes) in damaged.enumerate() {
+            let sent = bytes.clone();
+            let peer = tokio::spawn(async move {
+                let mut sock = TcpStream::connect(addr).await.expect("connect");
+                sock.write_all(&sent).await.expect("send");
+            });
+            let (sock, _) = listener.accept().await.expect("accept");
+            let parsed = read_request(&mut BufStream::new(sock)).await;
+            peer.await.expect("peer");
+            match parsed {
+                Ok(Some(req)) => {
+                    // A flip in the header's name leaves a body-less request.
+                    let declared = req.header("content-length").and_then(|v| v.parse().ok());
+                    assert_eq!(declared.unwrap_or(0), req.body.len(), "case {case}: {req:?}");
+                    let parts = req.method.len() + req.path.len() + req.body.len();
+                    assert!(parts < bytes.len(), "case {case} read past its input: {req:?}");
+                    if bytes == healthy {
+                        assert_eq!((&*req.method, &*req.path, &*req.body), (method, path, body));
+                    }
+                }
+                Ok(None) => assert!(bytes.is_empty(), "case {case} vanished: {bytes:?}"),
+                Err(e) => assert!(!e.to_string().is_empty(), "case {case}"),
+            }
+        }
+    }
 }

@@ -728,13 +728,18 @@ mod fused {
         B: Send + 'static,
         A: Send + 'static,
     {
-        use txstat::ingest::{spawn_sharded, BlockSource, IngestOptions, MemorySource};
+        use txstat::ingest::{spawn_sharded, IngestOptions};
         tokio::runtime::block_on(async move {
             let opts = IngestOptions { shards, channel_capacity: capacity, label: "" };
             let (sink, pool) = spawn_sharded(opts, identity, observe);
-            let producer = tokio::spawn(MemorySource::new(blocks).produce(sink));
+            // Dropping the sink with the task is what ends the stream.
+            let producer = tokio::spawn(async move {
+                for (n, b) in blocks {
+                    assert!(sink.send(n, b).await.is_ok(), "shard pool closed mid-stream");
+                }
+            });
             let out = pool.finish().await;
-            producer.await.expect("producer task").expect("memory source");
+            producer.await.expect("producer task");
             out.merged(merge)
         })
     }

@@ -1,201 +1,219 @@
-//! The end-to-end reproduction binary, as subcommands:
+//! The end-to-end reproduction binary. `COMMANDS` is the whole command
+//! line: one row per subcommand with its flags spelled once, which is both
+//! what `Args::parse` accepts and the usage synopsis every error prints
+//! (an unrecognized flag or subcommand exits 2 with it). Bare `reproduce`
+//! means `report`. What the table cannot say:
 //!
-//! ```text
-//! reproduce report [--small] [--seed N] [--crawl] [--out FILE] [--archive DIR]
-//!     Generate the scenario and render every exhibit (the classic run;
-//!     bare `reproduce` means `report`). --crawl measures the chains over
-//!     the loopback RPC crawl, streamed straight into the sweep shards.
-//!     --archive DIR cold-starts from an archived corpus instead of
-//!     generating: the report is byte-identical and no chain is built.
-//!     What the report needs of the block bytes beyond the sweeps
-//!     (Figure 2's storage accounting, block bounds, CPU-price peaks) is
-//!     memoized per segment in DIR/archive.memo by the first process that
-//!     needs it; a missing, stale or damaged memo is recomputed and healed.
-//!
-//! reproduce archive --out DIR [--small] [--seed N] [--segment-blocks N]
-//!                   [--crawl]
-//!     Generate the scenario once (or measure it over the loopback RPC
-//!     crawl with --crawl) and seal it into an on-disk segmented
-//!     corpus (`txstat_archive`): LZSS-compressed per-chain columnar
-//!     block segments of --segment-blocks positions each plus a
-//!     content-hashed index with the scenario manifest and the sidecar
-//!     (oracle trades, account cluster, CPU prices, rolls, governance
-//!     windows). Every other subcommand takes --archive DIR to
-//!     cold-start from the corpus.
-//!
-//! reproduce shard --range A..B --out FILE [--small] [--seed N] [--shards K]
-//! reproduce shard --listen ADDR [--max-requests N] [--timeout-ms MS]
-//!                 [--small] [--seed N]
-//!     One distributed shard worker. File mode sweeps block positions
-//!     [A, B) of each chain into columnar accumulators and writes them as
-//!     wire frames (txstat_wire, binary column payloads); FILE "-" writes
-//!     to stdout. Socket mode (--listen) binds a TCP accept loop instead
-//!     and answers fleet
-//!     range-assignment requests until killed (or until --max-requests
-//!     assignments have been served — the deterministic way to die
-//!     mid-reduction in tests). It prints `shard worker on ADDR` on
-//!     stdout once bound, for scripts to scrape. Both modes take
-//!     --archive DIR: the worker cold-starts from the corpus and each
-//!     assignment decodes only the segments covering its range — no
-//!     chain generation (`txstat_pipeline_generate_total` stays 0).
-//!     Decoded segments are kept in a per-worker 64 MiB LRU cache keyed
-//!     by segment content hash, so overlapping assignments decode each
-//!     segment once; hit/miss/eviction counts land in the
-//!     `txstat_archive_cache_*` families.
-//!
-//! reproduce reduce FRAME-FILE... [--out FILE]
-//! reproduce reduce --connect ADDR,ADDR,... [--small] [--seed N]
-//!                  [--shards K] [--chunks N]
-//!                  [--timeout-ms MS] [--retries N] [--backoff-ms MS]
-//!                  [--out FILE] [--metrics-out FILE]
-//!     Central reducer: validate + merge shard frames (schema version,
-//!     chain tags, overlap, provenance, coverage) and render the full
-//!     report — byte-identical to `reproduce report` on the same
-//!     scenario. File mode reads concatenated frame bundles; failures
-//!     name the offending file. Fleet mode (--connect) drives the listed
-//!     socket workers with per-request deadlines, exponential backoff,
-//!     bounded retry budgets, and straggler re-dispatch: a timed-out or
-//!     dead worker's range goes back on the queue for the survivors, and
-//!     failures name the worker address. --metrics-out dumps the
-//!     `txstat_fleet_*` counters (Prometheus text) at exit. Fleet mode
-//!     takes --archive DIR to cold-start the reducer-side dataset from
-//!     the corpus instead of generating it — block-free: the sweeps come
-//!     from the fleet and the rest from DIR/archive.memo, so with a warm
-//!     memo the reducer decodes no segment.
-//!
-//! reproduce follow [--small] [--seed N] [--batch N] [--out FILE]
-//!                  [--snapshots W] [--reorg-at-batch R] [--reorg-depth D]
-//!                  [--reorg-seed S] [--metrics-out FILE]
-//!     Incremental re-render loop: replay the chains batch by batch
-//!     through the library follower `serve` runs (sweep only the new
-//!     batch, fold its delta into standing sweeps) with its reorg guard on
-//!     — one content mark per batch, the newest --snapshots W states kept
-//!     for rollback — printing a dashboard line each round and the full
-//!     report at the head. --reorg-at-batch injects a reorg after batch R,
-//!     rewriting the last D block positions of every chain: the follower
-//!     finds the divergence by mark, rolls back only the invalidated suffix
-//!     (or rebuilds when it predates the snapshot window), re-sweeps to the
-//!     new head, and the run fails unless the result is byte-identical to
-//!     a from-scratch sweep of the reorged chains. --archive DIR persists
-//!     the followed corpus: cold-start from it when it exists (create it
-//!     otherwise, once every flag has been validated), seal each observed
-//!     batch — coalescing a runt tail segment up to --segment-blocks
-//!     positions (default: the batch size, or the corpus's geometry when
-//!     cold-starting) instead of fragmenting one segment per batch — and
-//!     on reorg truncate + re-seal only the disagreeing segment suffix;
-//!     the run fails unless the re-opened archive replays byte-identical
-//!     to the followed chains.
-//!
-//! reproduce chaos --upstream ADDR [--listen ADDR] [--fault-rate F]
-//!                 [--truncate-rate F] [--flip-rate F] [--seed N]
-//!                 [--max-seconds S]
-//!     Fault-injecting TCP proxy between real processes: relays every
-//!     connection to --upstream while resetting, truncating or
-//!     bit-flipping streams per the configured rates. Prints `chaos proxy
-//!     on ADDR -> UPSTREAM` once bound, then runs until killed (or
-//!     --max-seconds elapses). Point a fleet reducer at it to rehearse
-//!     worker failure.
-//!
-//! reproduce serve [--small] [--seed N] [--port P] [--batch N] [--epoch-ms MS]
-//!                 [--rate R] [--burst B]
-//!                 [--load [--conns N] [--reqs N]]
-//!     Long-lived query service: the follow loop publishes an immutable
-//!     epoch snapshot per batch while concurrent readers answer
-//!     `/exhibit/<name>`, `/account/<chain>/<name>`, `/report`, and
-//!     `/healthz` — byte-identical to the one-shot report once the head is
-//!     reached. Token-bucket admission sheds excess load with 429s.
-//!     `--load` runs the built-in load generator against the server after
-//!     head and exits; otherwise the server runs until POST
-//!     /admin/shutdown.
-//!
-//! reproduce query --addr HOST:PORT [--wait-head S] [--expect-status N]
-//!                 [--out FILE] [--shutdown] PATH...
-//!     Minimal client for scripting against `serve`: GET each PATH (body
-//!     to stdout or --out), optionally wait for the server to reach head
-//!     first, assert a status code, and/or POST /admin/shutdown at the
-//!     end.
-//! ```
-//!
-//! Unrecognized flags or subcommands print usage and exit non-zero.
-//!
-//! Observability: `report`, `shard`, `reduce`, `follow`, and `serve` all
-//! take `--trace-out FILE` (write one NDJSON span event per pipeline stage
-//! to FILE) and `--timings` (print a per-stage wall-time summary table on
-//! stderr at exit). `serve` additionally exposes `GET /metrics`
-//! (Prometheus text) and `GET /statusz` (JSON) with the ingest, reduce,
-//! epoch, follow, and serve metric families; `follow --metrics-out` dumps
-//! the same follower families at exit.
+//! - **One envelope.** `run` parses, arms tracing (`--trace-out FILE`:
+//!   one NDJSON span event per pipeline stage; `--timings`: a per-stage
+//!   wall-time table on stderr at exit), registers the pipeline, archive and
+//!   fleet metric families at zero, runs the subcommand, then dumps the
+//!   registry to `--metrics-out FILE` (Prometheus text) and flushes the
+//!   trace — on failure too, so a failed run keeps its telemetry.
+//! - **One opener.** `open_dataset` decides where the dataset comes from:
+//!   `--archive DIR` cold-starts from a sealed corpus (no chain is built,
+//!   `txstat_pipeline_generate_total` stays 0; explicit `--small`/`--seed`
+//!   must agree with its manifest), else the scenario is generated, over the
+//!   loopback RPC crawl with `--crawl`. Every source renders the same bytes.
+//! - **`archive.memo`.** What a report needs of the block bytes beyond the
+//!   sweeps (Figure 2's storage accounting, block bounds, CPU-price peaks)
+//!   is memoized per segment in `DIR/archive.memo` by the first process
+//!   that needs it; a missing, stale or damaged memo is recomputed and
+//!   healed. `reduce --connect --archive` is block-free: sweeps from the
+//!   fleet, the rest from the memo — warm, it decodes no segment.
+//! - **`shard --archive`** decodes only the segments covering each
+//!   assignment, through a 64 MiB LRU keyed by segment content hash
+//!   (`txstat_archive_cache_*`). `--max-requests N` is the deterministic way
+//!   to die mid-reduction in tests.
+//! - **`reduce --connect`** drives the workers with per-request deadlines,
+//!   exponential backoff, bounded retry budgets and straggler re-dispatch;
+//!   failures name the worker address (file mode: the frame file).
+//! - **`follow`** runs the library follower `serve` runs, with its reorg
+//!   guard on (one content mark per batch, the newest `--snapshots` states
+//!   kept for rollback). `--reorg-at-batch R` rewrites the last
+//!   `--reorg-depth` positions of every chain after batch R; the run fails
+//!   unless the recovered report is byte-identical to a from-scratch sweep.
+//!   `--archive DIR` persists the followed corpus: cold-start from it when it
+//!   exists, create it otherwise (once every flag has been validated), seal
+//!   each batch — coalescing a runt tail up to `--segment-blocks` (default:
+//!   the batch size, or the corpus's geometry) — and on reorg truncate +
+//!   re-seal only the disagreeing segment suffix; the run fails unless the
+//!   re-opened archive replays byte-identical to the followed chains.
+//! - **`serve`** answers `/report`, `/exhibit/<name>`,
+//!   `/account/<chain>/<name>`, `/healthz`, `/metrics` (Prometheus text) and
+//!   `/statusz` (JSON) from immutable epoch snapshots — byte-identical to
+//!   the one-shot report once the head is reached — sheds excess load with
+//!   429s, and runs until `POST /admin/shutdown` (`--load`: until its
+//!   built-in 64 × 200-request load run has printed its quantiles).
+//! - `shard worker on ADDR`, `chaos proxy on ADDR -> UPSTREAM` and
+//!   `serving on http://ADDR` are printed on stdout once bound, for scripts
+//!   to scrape.
 
 use std::collections::HashMap;
 use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use txstat_archive::Archive;
 use txstat_ingest::{reduce_fleet, serve_assignments, EpochCell, FleetConfig};
-use txstat_netsim::http::{read_response, write_request, HttpRequest, HttpResponse};
+use txstat_netsim::http::HttpRequest;
 use txstat_netsim::{
-    run_load, spawn_chaos_proxy, spawn_query_server, ChaosProfile, HttpHandler, LoadPlan,
+    run_load, spawn_chaos_proxy, spawn_query_server, ChaosProfile, Http, HttpHandler, LoadPlan,
     QueryServerConfig,
 };
 use txstat_reports::{
     generate, generate_with_crawl, generate_with_crawl_streamed, pipeline_from_archive,
-    reduce_frames_labeled_into, reducer_from_archive, render_report,
-    reorg_data, scenario_from_meta, scenario_meta, write_archive, CrawlOptions, FollowArchive,
-    Follower, Manifest, PipelineData, SegmentFormat, ServeSnapshot, ShardContext, StatsService,
+    reduce_frames_labeled_into, reducer_from_archive, render_report, reorg_data,
+    scenario_from_meta, scenario_meta, write_archive, CrawlOptions, FollowArchive, Follower,
+    Manifest, PipelineData, SegmentFormat, ServeSnapshot, ShardContext, StatsService,
 };
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_workload::Scenario;
 
-const USAGE: &str = "\
-usage: reproduce <subcommand> [options]
+/// One subcommand: what it takes spelled once, as usage prints it — `--name`
+/// is a switch, `--name VALUE` takes a value, a bare `NAME...` admits
+/// positional arguments.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    synopsis: &'static [&'static str],
+    run: fn(&Args) -> Result<(), String>,
+}
 
-subcommands:
-  report   render every exhibit from the generated scenario (default)
-           [--small] [--seed N] [--crawl] [--out FILE] [--archive DIR]
-  archive  generate (or --crawl) the scenario once and seal it into an
-           on-disk segmented corpus other subcommands cold-start from
-           (--archive DIR)
-           --out DIR [--small] [--seed N] [--segment-blocks N] [--crawl]
-  shard    sweep block positions [A, B) into a wire-frame bundle, or serve
-           ranges over a socket as one fleet worker
-           --range A..B --out FILE [--small] [--seed N] [--shards K]
-           --listen ADDR [--max-requests N] [--timeout-ms MS]
-           [--archive DIR]  (serve block ranges straight from the mapped
-                             segments — no chain generation)
-  reduce   merge shard frames and render the full report, from files or by
-           driving a socket worker fleet (retry/backoff + re-dispatch)
-           FRAME-FILE... [--out FILE]
-           --connect ADDR,ADDR,... [--small] [--seed N] [--shards K]
-           [--chunks N] [--timeout-ms MS] [--retries N] [--backoff-ms MS]
-           [--metrics-out FILE] [--archive DIR]
-  follow   incremental re-render loop over the appending chains, with
-           reorg-safe rollback via per-batch content marks
-           [--small] [--seed N] [--batch N] [--out FILE]
-           [--snapshots W] [--reorg-at-batch R] [--reorg-depth D]
-           [--reorg-seed S] [--metrics-out FILE]
-           [--archive DIR]  (cold-start from the corpus when it exists,
-                             create it otherwise; batches are sealed with
-                             runt tails coalesced up to --segment-blocks
-                             and a reorg truncates + re-seals only the
-                             disagreeing segment suffix)
-           [--segment-blocks N]
-  chaos    fault-injecting TCP proxy for rehearsing worker failure
-           --upstream ADDR [--listen ADDR] [--fault-rate F]
-           [--truncate-rate F] [--flip-rate F] [--seed N]
-           [--max-seconds S]
-  serve    epoch-swapped query service over the follow loop
-           [--small] [--seed N] [--port P] [--batch N] [--epoch-ms MS]
-           [--rate R] [--burst B]
-           [--load [--conns N] [--reqs N]] [--archive DIR]
-  query    scripting client for serve: GET PATH... against --addr HOST:PORT
-           [--wait-head S] [--expect-status N] [--out FILE] [--shutdown]
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "report",
+        about: "render every exhibit of the scenario (the default subcommand)",
+        synopsis: &[
+            "--small", "--seed N", "--crawl", "--archive DIR", "--out FILE", "--trace-out FILE",
+            "--timings", "--metrics-out FILE",
+        ],
+        run: cmd_report,
+    },
+    Command {
+        name: "archive",
+        about: "seal the scenario into the segmented on-disk corpus at --out DIR that \
+                the other subcommands cold-start from",
+        synopsis: &[
+            "--out DIR", "--small", "--seed N", "--crawl", "--segment-blocks N",
+            "--trace-out FILE", "--timings", "--metrics-out FILE",
+        ],
+        run: cmd_archive,
+    },
+    Command {
+        name: "shard",
+        about: "one distributed worker: sweep block positions --range A..B into the \
+                wire-frame bundle --out FILE (\"-\": stdout), or answer fleet range \
+                assignments on --listen ADDR until killed",
+        synopsis: &[
+            "--range A..B", "--out FILE", "--shards K", "--listen ADDR", "--max-requests N",
+            "--timeout-ms MS", "--small", "--seed N", "--archive DIR", "--trace-out FILE",
+            "--timings", "--metrics-out FILE",
+        ],
+        run: cmd_shard,
+    },
+    Command {
+        name: "reduce",
+        about: "validate + merge shard frames and render the full report, from frame \
+                files or by driving the --connect ADDR,ADDR,... socket workers",
+        synopsis: &[
+            "--connect ADDRS", "--small", "--seed N", "--archive DIR", "--shards K",
+            "--chunks N", "--timeout-ms MS", "--retries N", "--backoff-ms MS", "--out FILE",
+            "--trace-out FILE", "--timings", "--metrics-out FILE", "FRAME-FILE...",
+        ],
+        run: cmd_reduce,
+    },
+    Command {
+        name: "follow",
+        about: "replay the chains batch by batch through the follower serve runs, a \
+                dashboard line per batch and the full report at the head; can inject a \
+                reorg and persist the followed corpus",
+        synopsis: &[
+            "--small", "--seed N", "--batch N", "--snapshots W", "--reorg-at-batch R",
+            "--reorg-depth D", "--reorg-seed S", "--archive DIR", "--segment-blocks N",
+            "--out FILE", "--trace-out FILE", "--timings", "--metrics-out FILE",
+        ],
+        run: cmd_follow,
+    },
+    Command {
+        name: "chaos",
+        about: "fault-injecting TCP proxy in front of --upstream ADDR (resets, \
+                truncations, bit flips) for rehearsing worker failure; runs until killed",
+        synopsis: &[
+            "--upstream ADDR", "--listen ADDR", "--fault-rate F", "--truncate-rate F",
+            "--flip-rate F", "--seed N",
+        ],
+        run: cmd_chaos,
+    },
+    Command {
+        name: "serve",
+        about: "epoch-swapped HTTP query service over the follow loop, with \
+                token-bucket admission; --load runs the built-in load generator at \
+                the head and exits",
+        synopsis: &[
+            "--small", "--seed N", "--archive DIR", "--port P", "--batch N", "--epoch-ms MS",
+            "--rate R", "--burst B", "--load", "--trace-out FILE", "--timings",
+        ],
+        run: cmd_serve,
+    },
+    Command {
+        name: "query",
+        about: "scripting client for serve: GET each PATH (bodies to --out), optionally \
+                waiting for the head first, asserting a status, or shutting it down",
+        synopsis: &[
+            "--addr HOST:PORT", "--wait-head S", "--expect-status N", "--out FILE", "--shutdown",
+            "PATH...",
+        ],
+        run: cmd_query,
+    },
+];
 
-report/shard/reduce/follow/serve also take:
-  --trace-out FILE   write NDJSON span events per pipeline stage to FILE
-  --timings          print a per-stage wall-time summary table on stderr";
+impl Command {
+    /// Whether `arg` is one of this subcommand's flags and, if so, whether
+    /// it takes a value.
+    fn takes_value(&self, arg: &str) -> Option<bool> {
+        self.synopsis.iter().filter(|item| item.starts_with("--")).find_map(|flag| {
+            match flag.split_once(' ') {
+                Some((name, _value)) => (name == arg).then_some(true),
+                None => (*flag == arg).then_some(false),
+            }
+        })
+    }
 
-/// Strictly parsed arguments: any flag outside the subcommand's allow-list
-/// is an error (nothing is ignored silently).
+    fn takes_positionals(&self) -> bool {
+        self.synopsis.iter().any(|item| !item.starts_with("--"))
+    }
+
+    /// This row of the usage text — name, description, then one bracketed
+    /// item per flag — wrapped at 79 columns under a hanging indent.
+    fn usage(&self) -> String {
+        let mut out = format!("\n  {:<8}", self.name);
+        let mut column = 10;
+        let mut wrap = |item: &str, force_break: bool| {
+            if force_break || column + 1 + item.len() > 79 {
+                out.push_str("\n          ");
+                column = 10;
+            }
+            out.push(' ');
+            out.push_str(item);
+            column += 1 + item.len();
+        };
+        self.about.split_whitespace().for_each(|word| wrap(word, false));
+        for (i, item) in self.synopsis.iter().enumerate() {
+            wrap(&format!("[{item}]"), i == 0);
+        }
+        out
+    }
+}
+
+fn usage() -> String {
+    let rows: String = COMMANDS.iter().map(Command::usage).collect();
+    format!("usage: reproduce <subcommand> [options]\n\nsubcommands:{rows}")
+}
+
+/// Strictly parsed arguments: any flag outside the subcommand's row is an
+/// error (nothing is ignored silently).
 struct Args {
     bools: Vec<String>,
     values: HashMap<String, String>,
@@ -203,27 +221,20 @@ struct Args {
 }
 
 impl Args {
-    fn parse(
-        raw: &[String],
-        bool_flags: &[&str],
-        value_flags: &[&str],
-        positionals_allowed: bool,
-    ) -> Result<Args, String> {
+    fn parse(raw: &[String], cmd: &Command) -> Result<Args, String> {
         let mut out =
             Args { bools: Vec::new(), values: HashMap::new(), positionals: Vec::new() };
         let mut it = raw.iter();
         while let Some(arg) = it.next() {
-            if bool_flags.contains(&arg.as_str()) {
-                out.bools.push(arg.clone());
-            } else if value_flags.contains(&arg.as_str()) {
-                let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
-                out.values.insert(arg.clone(), v.clone());
-            } else if arg.starts_with('-') {
-                return Err(format!("unrecognized flag {arg}"));
-            } else if positionals_allowed {
-                out.positionals.push(arg.clone());
-            } else {
-                return Err(format!("unexpected argument {arg:?}"));
+            match cmd.takes_value(arg) {
+                Some(false) => out.bools.push(arg.clone()),
+                Some(true) => {
+                    let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                    out.values.insert(arg.clone(), v.clone());
+                }
+                None if arg.starts_with('-') => return Err(format!("unrecognized flag {arg}")),
+                None if cmd.takes_positionals() => out.positionals.push(arg.clone()),
+                None => return Err(format!("unexpected argument {arg:?}")),
             }
         }
         Ok(out)
@@ -275,23 +286,71 @@ fn check_archive_scenario(args: &Args, meta: &serde_json::Value) -> Result<(), S
     Ok(())
 }
 
-/// Cold-start a dataset from `--archive DIR` through `cold_start`
-/// ([`pipeline_from_archive`], or [`reducer_from_archive`] where no block
-/// will be swept): open + verify the corpus, cross-check any explicit
-/// scenario flags against its manifest, and return the dataset with the
-/// archived scenario adopted.
-fn archive_dataset(
-    args: &Args,
-    dir: &str,
-    cold_start: fn(&std::path::Path) -> Result<(PipelineData, txstat_archive::Archive), String>,
-) -> Result<(PipelineData, txstat_archive::Archive, String), String> {
-    txstat_reports::pipeline::register_metrics();
-    txstat_archive::register_metrics();
-    let (data, archive) = cold_start(std::path::Path::new(dir))?;
-    let manifest = Manifest::parse(archive.manifest())?;
-    check_archive_scenario(args, &manifest.meta)?;
-    let (_, mode) = scenario_from_meta(&manifest.meta)?;
-    Ok((data, archive, mode))
+/// What a subcommand needs of its dataset, which picks the cheapest source
+/// that can give it.
+#[derive(Clone, Copy, PartialEq)]
+enum Need {
+    /// The block vectors in memory, to seal, follow or serve them: a full
+    /// cold start; a crawl materializes every chain.
+    Blocks,
+    /// One sweep and one render: a full cold start; a crawl streams into
+    /// the sweep shards and holds no block.
+    Report,
+    /// A render over sweeps the fleet sends: a block-free cold start
+    /// ([`reducer_from_archive`]).
+    Facts,
+}
+
+/// A dataset, the scenario mode it was built as, and the corpus it was
+/// cold-started from (if it was).
+struct Opened {
+    data: PipelineData,
+    mode: String,
+    archive: Option<Archive>,
+}
+
+/// The one place a dataset comes from. With a corpus at `archive_dir`: open
+/// and verify it, cross-check any explicit scenario flags against its
+/// manifest, and adopt the archived scenario. Otherwise generate the
+/// scenario the flags name — over the loopback RPC crawl with `--crawl`.
+fn open_dataset(args: &Args, archive_dir: Option<&str>, need: Need) -> Result<Opened, String> {
+    if let Some(dir) = archive_dir {
+        if args.has("--crawl") {
+            return Err("report takes --archive or --crawl, not both".to_owned());
+        }
+        let cold_start =
+            if need == Need::Facts { reducer_from_archive } else { pipeline_from_archive };
+        let (data, archive) = cold_start(Path::new(dir))?;
+        let manifest = Manifest::parse(archive.manifest())?;
+        check_archive_scenario(args, &manifest.meta)?;
+        let (_, mode) = scenario_from_meta(&manifest.meta)?;
+        let what = match need {
+            Need::Facts => "reducer dataset".to_owned(),
+            _ => format!("{mode} scenario (seed {})", data.scenario.seed),
+        };
+        eprintln!(
+            "cold-started {what} from archive {dir}: {} segment(s), {} block positions",
+            archive.segments().len(),
+            archive.total_positions(),
+        );
+        return Ok(Opened { data, mode, archive: Some(archive) });
+    }
+    let (sc, mode) = scenario_of(args)?;
+    let data = if args.has("--crawl") {
+        let opts = if args.has("--small") { CrawlOptions::default() } else { CrawlOptions::paper() };
+        eprintln!("generating {mode} scenario (seed {}); crawling over loopback RPC…", sc.seed);
+        let rt = tokio::runtime::Runtime::new().map_err(|e| e.to_string())?;
+        if need == Need::Blocks {
+            rt.block_on(generate_with_crawl(&sc, &opts))
+        } else {
+            rt.block_on(generate_with_crawl_streamed(&sc, &opts))
+        }
+        .map_err(|e| e.to_string())?
+    } else {
+        eprintln!("generating {mode} scenario (seed {})…", sc.seed);
+        generate(&sc)
+    };
+    Ok(Opened { data, mode: mode.to_owned(), archive: None })
 }
 
 /// Arm the global tracer per `--trace-out FILE` (NDJSON span events) and
@@ -319,7 +378,6 @@ fn finish_tracing(args: &Args) {
     tracer.flush();
 }
 
-
 /// Dump the process-global metric registry (Prometheus text) to the
 /// `--metrics-out` file, if given — the offline commands' equivalent of
 /// serve's `GET /metrics`.
@@ -340,51 +398,31 @@ fn warn_memo(data: &PipelineData) {
     }
 }
 
-fn write_output(text: &str, out: Option<&str>) -> Result<(), String> {
+/// Write to `--out FILE`, or to stdout when it is absent or "-".
+fn write_output(bytes: &[u8], out: Option<&str>) -> Result<(), String> {
     match out {
-        Some("-") | None => {
-            print!("{text}");
-            Ok(())
-        }
+        Some("-") | None => std::io::stdout()
+            .write_all(bytes)
+            .map_err(|e| format!("cannot write to stdout: {e}")),
         Some(path) => {
-            std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+            std::fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("exhibits written to {path}");
             Ok(())
         }
     }
 }
 
-fn cmd_report(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        raw,
-        &["--small", "--crawl", "--timings"],
-        &["--seed", "--out", "--trace-out", "--archive", "--metrics-out"],
-        false,
-    )?;
-    let (sc, _) = scenario_of(&args)?;
-    init_tracing(&args)?;
+/// Render the full report of a finished dataset to `--out`.
+fn write_report(data: &PipelineData, args: &Args) -> Result<(), String> {
+    let report = render_report(data);
+    warn_memo(data);
+    write_output(report.as_bytes(), args.get("--out"))
+}
 
-    if let Some(dir) = args.get("--archive") {
-        if args.has("--crawl") {
-            return Err("report takes --archive or --crawl, not both".to_owned());
-        }
-        let started = std::time::Instant::now();
-        let (data, archive, mode) = archive_dataset(&args, dir, pipeline_from_archive)?;
-        eprintln!(
-            "cold-started {mode} scenario (seed {}) from archive {dir}: {} segment(s), \
-             {} block positions",
-            data.scenario.seed,
-            archive.segments().len(),
-            archive.total_positions(),
-        );
-        eprintln!("pipeline ready in {:?}; rendering exhibits…", started.elapsed());
-        let result = write_output(&render_report(&data), args.get("--out"));
-        warn_memo(&data);
-        dump_metrics(&args)?;
-        finish_tracing(&args);
-        return result;
-    }
-
+fn cmd_report(args: &Args) -> Result<(), String> {
+    let started = Instant::now();
+    let Opened { data, .. } = open_dataset(args, args.get("--archive"), Need::Report)?;
+    let sc = &data.scenario;
     eprintln!(
         "scenario: {} .. {} (divisors: EOS 1/{}, Tezos 1/{}, XRP 1/{})",
         sc.period.start.date_string(),
@@ -393,90 +431,29 @@ fn cmd_report(raw: &[String]) -> Result<(), String> {
         sc.tezos_divisor,
         sc.xrp_divisor
     );
-
-    let started = std::time::Instant::now();
-    let data = if args.has("--crawl") {
-        let opts = if args.has("--small") { CrawlOptions::default() } else { CrawlOptions::paper() };
-        let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
-        eprintln!(
-            "generating chains and streaming the crawl into {} sweep shards per chain…",
-            opts.shards
-        );
-        rt.block_on(generate_with_crawl_streamed(&sc, &opts)).map_err(|e| e.to_string())?
-    } else {
-        eprintln!("generating chains (direct read; pass --crawl for the full RPC path)…");
-        generate(&sc)
-    };
     if let Some(s) = &data.stream {
-        eprintln!(
-            "streamed: EOS {} blocks (peak buffer {}/{} per shard, {} stalls), \
-             Tezos {} ({}, {} stalls), XRP {} ({}, {} stalls)",
-            s.eos.streamed_blocks,
-            s.eos.peak_buffered,
-            s.eos.channel_capacity,
-            s.eos.blocked_sends,
-            s.tezos.streamed_blocks,
-            s.tezos.peak_buffered,
-            s.tezos.blocked_sends,
-            s.xrp.streamed_blocks,
-            s.xrp.peak_buffered,
-            s.xrp.blocked_sends,
-        );
+        for (chain, s) in [("EOS", &s.eos), ("Tezos", &s.tezos), ("XRP", &s.xrp)] {
+            eprintln!(
+                "streamed {chain}: {} blocks (peak buffer {}/{} per shard, {} stalls)",
+                s.streamed_blocks, s.peak_buffered, s.channel_capacity, s.blocked_sends,
+            );
+        }
     }
     eprintln!("pipeline ready in {:?}; rendering exhibits…", started.elapsed());
-    let result = write_output(&render_report(&data), args.get("--out"));
-    dump_metrics(&args)?;
-    finish_tracing(&args);
-    result
+    write_report(&data, args)
 }
 
-/// The `archive` subcommand: generate the scenario once and seal it into
-/// the on-disk segmented corpus that `report`/`shard`/`reduce`/`follow`/
-/// `serve --archive DIR` cold-start from.
-fn cmd_archive(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        raw,
-        &["--small", "--crawl", "--timings"],
-        &[
-            "--seed",
-            "--out",
-            "--segment-blocks",
-            "--trace-out",
-            "--metrics-out",
-        ],
-        false,
-    )?;
-    init_tracing(&args)?;
+fn cmd_archive(args: &Args) -> Result<(), String> {
     let out = args.get("--out").ok_or("archive needs --out DIR")?;
-    txstat_reports::pipeline::register_metrics();
-    txstat_archive::register_metrics();
-    let started = std::time::Instant::now();
-    let (sc, mode) = scenario_of(&args)?;
     let segment_blocks: u64 = args.parsed("--segment-blocks", 256)?;
     if segment_blocks == 0 {
         return Err("--segment-blocks must be at least 1".to_owned());
     }
-    let data = if args.has("--crawl") {
-        let opts = if args.has("--small") { CrawlOptions::default() } else { CrawlOptions::paper() };
-        eprintln!(
-            "generating {mode} scenario (seed {}); crawling over loopback RPC; sealing archive…",
-            sc.seed
-        );
-        // Materializing crawl: the corpus needs the block bytes, which the
-        // streamed path deliberately never holds.
-        let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
-        rt.block_on(generate_with_crawl(&sc, &opts)).map_err(|e| e.to_string())?
-    } else {
-        eprintln!("generating {mode} scenario (seed {}); sealing archive…", sc.seed);
-        generate(&sc)
-    };
-    let stats = write_archive(
-        std::path::Path::new(out),
-        &data,
-        mode,
-        segment_blocks,
-        SegmentFormat,
-    )?;
+    let started = Instant::now();
+    // `Need::Blocks`: the corpus is the block bytes, which a streamed crawl
+    // deliberately never holds.
+    let Opened { data, mode, .. } = open_dataset(args, None, Need::Blocks)?;
+    let stats = write_archive(Path::new(out), &data, &mode, segment_blocks, SegmentFormat)?;
     eprintln!(
         "archive sealed in {:?}: {} segment(s) over {} block positions, \
          {} raw bytes -> {} compressed ({:.1}%) in {out}",
@@ -487,8 +464,6 @@ fn cmd_archive(raw: &[String]) -> Result<(), String> {
         stats.compressed_bytes,
         100.0 * stats.compressed_bytes as f64 / (stats.raw_bytes as f64).max(1.0),
     );
-    dump_metrics(&args)?;
-    finish_tracing(&args);
     Ok(())
 }
 
@@ -506,17 +481,12 @@ fn parse_range(s: &str) -> Result<(u64, u64), String> {
 
 /// The shard worker's prepared state plus the assignment meta it accepts:
 /// generated from the scenario flags, or cold-started from `--archive DIR`
-/// (no chain generation — assignments replay only their covering
-/// segments). Both paths register the generation and archive metric
-/// families, so `--metrics-out` always carries
-/// `txstat_pipeline_generate_total` and `txstat_archive_*` (zero when
-/// idle) and tests can pin which path ran.
+/// (no chain generation — assignments replay only their covering segments),
+/// under the same manifest cross-check as [`open_dataset`].
 fn shard_context_of(args: &Args) -> Result<(ShardContext, serde_json::Value), String> {
-    txstat_reports::pipeline::register_metrics();
-    txstat_archive::register_metrics();
     match args.get("--archive") {
         Some(dir) => {
-            let (ctx, manifest) = ShardContext::from_archive(std::path::Path::new(dir))?;
+            let (ctx, manifest) = ShardContext::from_archive(Path::new(dir))?;
             check_archive_scenario(args, &manifest.meta)?;
             eprintln!(
                 "cold-started from archive {dir}: {} block positions mapped, \
@@ -539,7 +509,6 @@ fn shard_context_of(args: &Args) -> Result<(ShardContext, serde_json::Value), St
 fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
     let max_requests: Option<u64> = args.parsed_opt("--max-requests")?;
     let timeout_ms: u64 = args.parsed("--timeout-ms", 10_000)?;
-    txstat_ingest::fleet::register_metrics();
     let (ctx, expected) = shard_context_of(args)?;
     eprintln!("serving shard assignments…");
     let listener = std::net::TcpListener::bind(listen)
@@ -566,41 +535,20 @@ fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
             s.hits, s.misses, s.evictions, s.bytes
         );
     }
-    dump_metrics(args)?;
     Ok(())
 }
 
-fn cmd_shard(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        raw,
-        &["--small", "--timings"],
-        &[
-            "--seed",
-            "--out",
-            "--range",
-            "--shards",
-            "--trace-out",
-            "--listen",
-            "--max-requests",
-            "--timeout-ms",
-            "--metrics-out",
-            "--archive",
-        ],
-        false,
-    )?;
-    init_tracing(&args)?;
+fn cmd_shard(args: &Args) -> Result<(), String> {
     if let Some(listen) = args.get("--listen") {
-        let result = shard_listen(&args, listen);
-        finish_tracing(&args);
-        return result;
+        return shard_listen(args, listen);
     }
     let (start, end) =
         parse_range(args.get("--range").ok_or("shard needs --range A..B (or --listen ADDR)")?)?;
     let out = args.get("--out").ok_or("shard needs --out FILE (\"-\" for stdout)")?;
     let shards: usize = args.parsed("--shards", 2)?;
 
-    let started = std::time::Instant::now();
-    let (ctx, meta) = shard_context_of(&args)?;
+    let started = Instant::now();
+    let (ctx, meta) = shard_context_of(args)?;
     let frames = ctx.frames(meta, start, end, shards, PayloadFormat::Bin)?;
     for f in &frames {
         eprintln!(
@@ -627,8 +575,6 @@ fn cmd_shard(raw: &[String]) -> Result<(), String> {
         started.elapsed(),
         out
     );
-    dump_metrics(&args)?;
-    finish_tracing(&args);
     Ok(())
 }
 
@@ -643,28 +589,9 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         .map(String::from)
         .collect();
     let shards: usize = args.parsed("--shards", 2)?;
-    txstat_ingest::fleet::register_metrics();
-    // The reducer's own dataset: cold-started from the corpus with
-    // `--archive` (the scenario comes from the manifest) — block-free,
-    // since the sweeps arrive from the fleet and everything else the
-    // report needs of the blocks is memoized per segment — or generated
-    // from the scenario flags otherwise.
-    let (data, mode) = match args.get("--archive") {
-        Some(dir) => {
-            let (data, archive, mode) = archive_dataset(args, dir, reducer_from_archive)?;
-            eprintln!(
-                "cold-started reducer dataset from archive {dir} ({} segment(s))",
-                archive.segments().len()
-            );
-            warn_memo(&data);
-            (data, mode)
-        }
-        None => {
-            let (sc, mode) = scenario_of(args)?;
-            eprintln!("generating {mode} scenario (seed {})…", sc.seed);
-            (generate(&sc), mode.to_owned())
-        }
-    };
+    // `Need::Facts`: the sweeps arrive from the fleet, and everything else
+    // the report needs of the blocks is memoized per segment.
+    let Opened { data, mode, .. } = open_dataset(args, args.get("--archive"), Need::Facts)?;
     let sc = data.scenario.clone();
     let mut cfg = FleetConfig::new(workers);
     cfg.chunks = args.parsed("--chunks", 0)?;
@@ -680,32 +607,13 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
     reduce_frames_labeled_into(data, &labeled)
 }
 
-fn cmd_reduce(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        raw,
-        &["--small", "--timings"],
-        &[
-            "--out",
-            "--trace-out",
-            "--connect",
-            "--seed",
-            "--shards",
-            "--chunks",
-            "--timeout-ms",
-            "--retries",
-            "--backoff-ms",
-            "--metrics-out",
-            "--archive",
-        ],
-        true,
-    )?;
-    init_tracing(&args)?;
-    let started = std::time::Instant::now();
+fn cmd_reduce(args: &Args) -> Result<(), String> {
+    let started = Instant::now();
     let data = if let Some(connect) = args.get("--connect") {
         if !args.positionals.is_empty() {
             return Err("reduce takes frame files or --connect, not both".to_owned());
         }
-        reduce_fleet_mode(&args, connect)?
+        reduce_fleet_mode(args, connect)?
     } else {
         if args.get("--archive").is_some() {
             return Err("reduce --archive needs --connect (the cold-start is fleet mode; \
@@ -736,36 +644,19 @@ fn cmd_reduce(raw: &[String]) -> Result<(), String> {
         reduce_frames_labeled_into(generate(&sc), &labeled)?
     };
     eprintln!("reduction ready in {:?}; rendering exhibits…", started.elapsed());
-    let result = write_output(&render_report(&data), args.get("--out"));
-    dump_metrics(&args)?;
-    finish_tracing(&args);
-    result
+    write_report(&data, args)
 }
 
-fn cmd_follow(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        raw,
-        &["--small", "--timings"],
-        &[
-            "--seed",
-            "--out",
-            "--batch",
-            "--trace-out",
-            "--snapshots",
-            "--reorg-at-batch",
-            "--reorg-depth",
-            "--reorg-seed",
-            "--metrics-out",
-            "--archive",
-            "--segment-blocks",
-        ],
-        false,
-    )?;
-    let (sc, mode) = scenario_of(&args)?;
-    let batch: usize = args.parsed("--batch", 500)?;
-    if batch == 0 {
-        return Err("--batch must be positive".to_owned());
+/// `--batch N` of `follow` and `serve`: block positions per epoch.
+fn batch_of(args: &Args, default: usize) -> Result<usize, String> {
+    match args.parsed("--batch", default)? {
+        0 => Err("--batch must be positive".to_owned()),
+        batch => Ok(batch),
     }
+}
+
+fn cmd_follow(args: &Args) -> Result<(), String> {
+    let batch = batch_of(args, 500)?;
     let window: usize = args.parsed("--snapshots", txstat_reports::follow::DEFAULT_SNAPSHOT_WINDOW)?;
     let reorg_at: Option<usize> = args.parsed_opt("--reorg-at-batch")?;
     let reorg_depth: usize = args.parsed("--reorg-depth", batch)?;
@@ -774,33 +665,19 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
     if seg_blocks_flag == Some(0) {
         return Err("--segment-blocks must be at least 1".to_owned());
     }
-    init_tracing(&args)?;
-    txstat_reports::pipeline::register_metrics();
-    txstat_archive::register_metrics();
 
     // With --archive: cold-start from the corpus when one exists there,
     // otherwise generate and (below, once every flag has been checked
     // against the chains) create it.
     let archive_dir = args.get("--archive");
-    let has_corpus = |dir: &&str| std::path::Path::new(dir).join(txstat_archive::IDX_FILE).exists();
-    let (data, corpus) = match archive_dir.filter(has_corpus) {
-        Some(dir) => {
-            let (data, archive, mode) = archive_dataset(&args, dir, pipeline_from_archive)?;
-            eprintln!(
-                "cold-started {mode} scenario from archive {dir}; following head in \
-                 batches of {batch} blocks per chain…"
-            );
-            (data, Some(archive))
-        }
-        None => {
-            let creating =
-                archive_dir.map(|dir| format!("creating archive {dir} and ")).unwrap_or_default();
-            eprintln!(
-                "generating chains; {creating}following head in batches of {batch} blocks per chain…"
-            );
-            (generate(&sc), None)
-        }
+    let has_corpus = |dir: &&str| Path::new(dir).join(txstat_archive::IDX_FILE).exists();
+    let Opened { data, mode, archive: corpus } =
+        open_dataset(args, archive_dir.filter(has_corpus), Need::Blocks)?;
+    let creating = match (&corpus, archive_dir) {
+        (None, Some(dir)) => format!("creating archive {dir} and "),
+        _ => String::new(),
     };
+    eprintln!("{creating}following head in batches of {batch} blocks per chain…");
     let batches = data.longest_chain().div_ceil(batch);
     if let Some(r) = reorg_at.filter(|r| *r > batches) {
         return Err(format!("--reorg-at-batch {r}: the head is reached after {batches} batches"));
@@ -815,7 +692,7 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
         }
         (None, Some(dir)) => {
             let seg_blocks = seg_blocks_flag.unwrap_or(batch as u64);
-            Some(FollowArchive::create(std::path::Path::new(dir), &data, mode, seg_blocks)?)
+            Some(FollowArchive::create(Path::new(dir), &data, &mode, seg_blocks)?)
         }
         (None, None) => None,
     };
@@ -899,64 +776,30 @@ fn cmd_follow(raw: &[String]) -> Result<(), String> {
             "archive verified: {segments} segment(s) replay byte-identical to the followed chains"
         );
     }
-    let result = write_output(&report, args.get("--out"));
-    dump_metrics(&args)?;
-    finish_tracing(&args);
-    result
+    write_output(report.as_bytes(), args.get("--out"))
 }
 
 /// The `chaos` subcommand: a standalone fault-injecting TCP proxy (see
 /// `txstat_netsim::chaos`) for placing between a fleet reducer and its
 /// workers.
-fn cmd_chaos(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        raw,
-        &[],
-        &[
-            "--listen",
-            "--upstream",
-            "--fault-rate",
-            "--truncate-rate",
-            "--flip-rate",
-            "--seed",
-            "--max-seconds",
-        ],
-        false,
-    )?;
+fn cmd_chaos(args: &Args) -> Result<(), String> {
     let upstream = args.get("--upstream").ok_or("chaos needs --upstream HOST:PORT")?.to_owned();
     let listen = args.get("--listen").unwrap_or("127.0.0.1:0").to_owned();
     let profile = ChaosProfile {
-        name: "cli".to_owned(),
-        latency_ms: 0.0,
-        jitter_ms: 0.0,
         fault_rate: args.parsed("--fault-rate", 0.0)?,
         truncate_rate: args.parsed("--truncate-rate", 0.0)?,
         flip_rate: args.parsed("--flip-rate", 0.0)?,
-        seed: args.parsed("--seed", 42)?,
+        ..ChaosProfile::clean("cli", args.parsed("--seed", 42)?)
     };
     let handle = spawn_chaos_proxy(&listen, upstream.clone(), profile)
         .map_err(|e| format!("cannot start chaos proxy on {listen}: {e}"))?;
     // Scripts scrape this line for the bound address.
     println!("chaos proxy on {} -> {upstream}", handle.addr);
     std::io::stdout().flush().ok();
-    let max_seconds: u64 = args.parsed("--max-seconds", 0)?;
-    if max_seconds == 0 {
-        // Run until killed (CI kills the whole process).
-        loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        }
+    // Run until killed (tests and CI kill the process).
+    loop {
+        std::thread::sleep(Duration::from_secs(3600));
     }
-    std::thread::sleep(Duration::from_secs(max_seconds));
-    let s = &handle.stats;
-    eprintln!(
-        "chaos proxy: {} connection(s) relayed, {} reset, {} truncated, {} bit-flipped",
-        s.connections.get(),
-        s.resets.get(),
-        s.truncations.get(),
-        s.flips.get(),
-    );
-    handle.stop();
-    Ok(())
 }
 
 /// Derive one known-present `/account/...` path per chain from the served
@@ -976,65 +819,21 @@ fn sample_account_paths(data: &PipelineData) -> Vec<String> {
     out
 }
 
-fn cmd_serve(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        raw,
-        &["--small", "--load", "--timings"],
-        &[
-            "--seed",
-            "--port",
-            "--batch",
-            "--epoch-ms",
-            "--rate",
-            "--burst",
-            "--conns",
-            "--reqs",
-            "--trace-out",
-            "--archive",
-        ],
-        false,
-    )?;
-    let (sc, mode) = scenario_of(&args)?;
-    init_tracing(&args)?;
+fn cmd_serve(args: &Args) -> Result<(), String> {
     let port: u16 = args.parsed("--port", 0)?;
-    let batch: usize = args.parsed("--batch", 20_000)?;
-    if batch == 0 {
-        return Err("--batch must be positive".to_owned());
-    }
+    let batch = batch_of(args, 20_000)?;
     let epoch_ms: u64 = args.parsed("--epoch-ms", 0)?;
     let rate: f64 = args.parsed("--rate", 50_000.0)?;
     let burst: f64 = args.parsed("--burst", 5_000.0)?;
 
     // The serve path exports through the process-global registry so
-    // `/metrics` carries every layer's families (ingest counters from the
-    // shard pools, reduce/epoch progress from the follow loop, serve route
-    // stats) in one exposition.
+    // `/metrics` carries every layer's families (the fleet, generation and
+    // archive ones `run` registered at zero, ingest counters from the shard
+    // pools, reduce/epoch progress from the follow loop, serve route stats)
+    // in one exposition.
     let registry = txstat_telemetry::registry().clone();
-    // Fleet, generation, and archive families render at zero even when
-    // this process never runs them — dashboards can rely on their
-    // presence (the follower registers its own, rollback families included).
-    txstat_ingest::fleet::register_metrics();
-    txstat_reports::pipeline::register_metrics();
-    txstat_archive::register_metrics();
-    let data = match args.get("--archive") {
-        Some(dir) => {
-            let (data, _archive, archived_mode) =
-                archive_dataset(&args, dir, pipeline_from_archive)?;
-            eprintln!(
-                "cold-started {archived_mode} scenario (seed {}) from archive {dir}; \
-                 serving in epochs of {batch} blocks…",
-                data.scenario.seed
-            );
-            data
-        }
-        None => {
-            eprintln!(
-                "generating {mode} scenario (seed {}); serving in epochs of {batch} blocks…",
-                sc.seed
-            );
-            generate(&sc)
-        }
-    };
+    let Opened { data, .. } = open_dataset(args, args.get("--archive"), Need::Blocks)?;
+    eprintln!("serving in epochs of {batch} blocks…");
     // No reorg guard: nothing can hand this process a reorged chain, so it
     // hashes no block and retains no snapshot.
     let mut follower = Follower::new(data, batch);
@@ -1084,8 +883,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
         }
 
         if args.has("--load") {
-            let conns: usize = args.parsed("--conns", 64)?;
-            let reqs: usize = args.parsed("--reqs", 200)?;
             let snap = service.snapshot();
             let mut paths: Vec<String> = ["headline", "fig1", "fig4", "fig7", "fig8", "comparison"]
                 .iter()
@@ -1093,9 +890,11 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
                 .collect();
             paths.push("/report".to_owned());
             paths.extend(sample_account_paths(snap.data()));
-            let plan = LoadPlan { connections: conns, requests_per_conn: reqs, paths };
+            let plan = LoadPlan { connections: 64, requests_per_conn: 200, paths };
             eprintln!(
-                "load: {conns} connections × {reqs} requests over {} paths…",
+                "load: {} connections × {} requests over {} paths…",
+                plan.connections,
+                plan.requests_per_conn,
                 plan.paths.len()
             );
             let report = run_load(server.addr, &plan).await;
@@ -1114,7 +913,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
                 service.cache_hits.get(),
                 service.cache_misses.get(),
             );
-            finish_tracing(&args);
             return Ok(());
         }
 
@@ -1123,35 +921,11 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
             std::thread::sleep(Duration::from_millis(25));
         }
         eprintln!("shutdown requested; exiting");
-        finish_tracing(&args);
         Ok(())
     })
 }
 
-async fn http_fetch(
-    addr: std::net::SocketAddr,
-    req: &HttpRequest,
-) -> Result<HttpResponse, String> {
-    let sock = tokio::net::TcpStream::connect(addr).await.map_err(|e| e.to_string())?;
-    let mut stream = tokio::io::BufStream::new(sock);
-    write_request(&mut stream, req).await.map_err(|e| e.to_string())?;
-    read_response(&mut stream).await.map_err(|e| e.to_string())
-}
-
-fn write_bytes(bytes: &[u8], out: Option<&str>) -> Result<(), String> {
-    match out {
-        None | Some("-") => std::io::stdout().write_all(bytes).map_err(|e| e.to_string()),
-        Some(path) => std::fs::write(path, bytes).map_err(|e| format!("{path}: {e}")),
-    }
-}
-
-fn cmd_query(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        raw,
-        &["--shutdown"],
-        &["--addr", "--wait-head", "--expect-status", "--out"],
-        true,
-    )?;
+fn cmd_query(args: &Args) -> Result<(), String> {
     let addr: std::net::SocketAddr = args
         .get("--addr")
         .ok_or("--addr HOST:PORT is required")?
@@ -1164,29 +938,30 @@ fn cmd_query(raw: &[String]) -> Result<(), String> {
         return Err("query needs at least one PATH (or --wait-head / --shutdown)".to_owned());
     }
     let expect: Option<u16> = args.parsed_opt("--expect-status")?;
+    let wait_head: Option<u64> = args.parsed_opt("--wait-head")?;
+    // One exchange per request, each under the same deadline (an uncached
+    // paper-scale `/report` renders in a few seconds).
+    let fetch = |req: HttpRequest| async move {
+        match txstat_crawler::exchange::<Http>(addr, &req, Duration::from_secs(30)).await {
+            Ok((resp, _bytes)) => Ok(resp),
+            Err(e) => Err(e.to_string()),
+        }
+    };
     let rt = tokio::runtime::Runtime::new().map_err(|e| e.to_string())?;
     rt.block_on(async {
         // The server prints its address before the follow loop starts, but
         // give slow starts a grace period anyway.
         let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            match http_fetch(addr, &HttpRequest::get("/healthz")).await {
-                Ok(_) => break,
-                Err(e) => {
-                    if Instant::now() >= deadline {
-                        return Err(format!("cannot reach {addr}: {e}"));
-                    }
-                    std::thread::sleep(Duration::from_millis(100));
-                }
+        while let Err(e) = fetch(HttpRequest::get("/healthz")).await {
+            if Instant::now() >= deadline {
+                return Err(format!("cannot reach {addr}: {e}"));
             }
+            std::thread::sleep(Duration::from_millis(100));
         }
-        if let Some(secs) = args.get("--wait-head") {
-            let secs: u64 =
-                secs.parse().map_err(|_| format!("--wait-head: cannot parse {secs:?}"))?;
+        if let Some(secs) = wait_head {
             let deadline = Instant::now() + Duration::from_secs(secs);
             loop {
-                let resp =
-                    http_fetch(addr, &HttpRequest::get("/healthz")).await.map_err(|e| e.to_string())?;
+                let resp = fetch(HttpRequest::get("/healthz")).await?;
                 if String::from_utf8_lossy(&resp.body).contains("\"head\":true") {
                     break;
                 }
@@ -1198,52 +973,103 @@ fn cmd_query(raw: &[String]) -> Result<(), String> {
         }
         let mut out: Vec<u8> = Vec::new();
         for path in &args.positionals {
-            let resp =
-                http_fetch(addr, &HttpRequest::get(path)).await.map_err(|e| e.to_string())?;
-            if let Some(code) = expect {
-                if resp.status != code {
-                    return Err(format!(
-                        "{path}: expected status {code}, got {} {}",
-                        resp.status, resp.reason
-                    ));
-                }
+            let resp = fetch(HttpRequest::get(path)).await?;
+            if let Some(code) = expect.filter(|code| *code != resp.status) {
+                return Err(format!(
+                    "{path}: expected status {code}, got {} {}",
+                    resp.status, resp.reason
+                ));
             }
             out.extend_from_slice(&resp.body);
         }
         if args.has("--shutdown") {
-            let resp = http_fetch(addr, &HttpRequest::post("/admin/shutdown", Vec::new()))
-                .await
-                .map_err(|e| e.to_string())?;
+            let resp = fetch(HttpRequest::post("/admin/shutdown", Vec::new())).await?;
             if !resp.is_ok() {
                 return Err(format!("shutdown failed: {} {}", resp.status, resp.reason));
             }
         }
-        write_bytes(&out, args.get("--out"))
+        write_output(&out, args.get("--out"))
     })
 }
 
+/// The one run envelope: find the subcommand's row, parse against it, arm
+/// tracing, register the pipeline, archive and fleet metric families at
+/// zero (so every `--metrics-out` and `/metrics` carries them and tests can
+/// pin which path ran), run the subcommand, and flush the telemetry whether
+/// it succeeded or not — a failed run is the one whose trace is wanted.
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        None => cmd_report(&[]),
-        Some("report") => cmd_report(&argv[1..]),
-        Some("archive") => cmd_archive(&argv[1..]),
-        Some("shard") => cmd_shard(&argv[1..]),
-        Some("reduce") => cmd_reduce(&argv[1..]),
-        Some("follow") => cmd_follow(&argv[1..]),
-        Some("chaos") => cmd_chaos(&argv[1..]),
-        Some("serve") => cmd_serve(&argv[1..]),
-        Some("query") => cmd_query(&argv[1..]),
-        Some(other) => Err(format!("unknown subcommand {other:?}")),
-    }
+    let (name, rest) = match argv.split_first() {
+        Some((name, rest)) => (name.as_str(), rest),
+        None => ("report", &[][..]),
+    };
+    let cmd = COMMANDS
+        .iter()
+        .find(|cmd| cmd.name == name)
+        .ok_or_else(|| format!("unknown subcommand {name:?}"))?;
+    let args = Args::parse(rest, cmd)?;
+    init_tracing(&args)?;
+    txstat_reports::pipeline::register_metrics();
+    txstat_archive::register_metrics();
+    txstat_ingest::fleet::register_metrics();
+    let result = (cmd.run)(&args);
+    let dumped = dump_metrics(&args);
+    finish_tracing(&args);
+    result.and(dumped)
 }
 
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
+            eprintln!("error: {msg}\n\n{}", usage());
             ExitCode::from(2)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Whether `cmd`'s parser knows `flag` (given a value, in case it wants one).
+    fn accepts(cmd: &Command, flag: &str) -> bool {
+        let raw = [flag.to_owned(), "0".to_owned()];
+        Args::parse(&raw, cmd).err() != Some(format!("unrecognized flag {flag}"))
+    }
+
+    #[test]
+    fn every_usage_row_names_exactly_the_flags_its_parser_accepts() {
+        let flags_in = |text: &str| -> BTreeSet<String> {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|word| word.starts_with("--"))
+                .map(str::to_owned)
+                .collect()
+        };
+        let every_flag = flags_in(&usage());
+        for cmd in COMMANDS {
+            let accepted: BTreeSet<String> =
+                every_flag.iter().filter(|flag| accepts(cmd, flag)).cloned().collect();
+            assert_eq!(flags_in(&cmd.usage()), accepted, "usage of {}", cmd.name);
+            assert_eq!(COMMANDS.iter().filter(|other| other.name == cmd.name).count(), 1);
+        }
+    }
+
+    /// `benchmark/src/main.rs` spawns these; `BENCHMARK.json` freezes them.
+    #[test]
+    fn every_flag_the_benchmark_passes_is_accepted() {
+        for (name, flags) in [
+            ("archive", &["--out", "--small", "--seed"][..]),
+            ("report", &["--archive", "--out", "--small", "--seed"]),
+            ("serve", &["--archive", "--batch", "--epoch-ms", "--port", "--rate", "--burst"]),
+            ("reduce", &["--connect", "--archive", "--chunks", "--out"]),
+            ("shard", &["--listen", "--archive"]),
+        ] {
+            let row = COMMANDS.iter().find(|cmd| cmd.name == name).expect("subcommand row");
+            for flag in flags {
+                assert!(accepts(row, flag), "{name} {flag}");
+            }
         }
     }
 }

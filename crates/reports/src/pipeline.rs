@@ -1,20 +1,22 @@
 //! Pipeline orchestration: scenario → chains → (optional RPC crawl) →
 //! the dataset every exhibit renders from.
 //!
-//! Three paths produce the same exhibits:
+//! Four paths produce the same exhibits:
 //! - [`generate`] reads the simulated chains directly (fast; what
 //!   `reproduce report` runs);
 //! - [`generate_with_crawl`] serves the chains over loopback RPC endpoints,
 //!   benchmarks and shortlists them, and runs the real crawler with the
 //!   three chain crawls overlapped — the full §3.1 measurement path,
 //!   materializing each chain before sweeping it (the equivalence
-//!   baseline);
+//!   baseline, and what `reproduce archive --crawl` seals);
 //! - [`generate_with_crawl_streamed`] runs the same crawl but pipes every
 //!   block straight from the fetch workers into sharded sweep accumulators
 //!   over bounded channels (`txstat_ingest`). No `Vec<Block>` is ever
 //!   materialized on the measurement side: peak memory is
 //!   O(accumulator × shards + channel capacity), and the report is ready
-//!   the moment the crawl finishes.
+//!   the moment the crawl finishes;
+//! - [`pipeline_from_archive`] / [`reducer_from_archive`] cold-start from a
+//!   sealed corpus ([`write_archive`]) without generating any chain.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -27,8 +29,8 @@ use txstat_crawler::{
 };
 use txstat_ingest::crawl::ledger_ious;
 use txstat_ingest::{
-    crawl_into, spawn_sharded, GaugeSnapshot, IngestOptions, IngestOutcome, RateCache,
-    ReduceError, ReduceSession, ShardWorker, Sink,
+    crawl_into, spawn_sharded, IngestOptions, IngestOutcome, RateCache, ReduceError,
+    ReduceSession, ShardWorker, Sink,
 };
 use txstat_telemetry::{static_counter, Span};
 use rayon::prelude::*;
@@ -364,10 +366,6 @@ pub struct ChainStreamInfo {
     pub peak_buffered: u64,
     /// Producer sends that parked on a full channel (backpressure hits).
     pub blocked_sends: u64,
-    /// Per-shard channel gauges in shard order — previously dropped at the
-    /// end of the streamed crawl, now carried so `/statusz` and the
-    /// registry can show per-shard backpressure.
-    pub gauges: Vec<GaugeSnapshot>,
 }
 
 /// What the streamed path records beside its (pre-resolved) facts.
@@ -597,15 +595,33 @@ pub fn reducer_from_archive(
     dataset_from_archive(dir, false)
 }
 
+/// What every archive cold start opens before it touches a segment: the
+/// verified corpus, its manifest and the scenario that names, the decoded
+/// sidecar, and the exchange-rate oracle over the sidecar's trades.
+struct OpenedArchive {
+    archive: Archive,
+    manifest: crate::Manifest,
+    sc: Scenario,
+    sidecar: crate::Sidecar,
+    oracle: RateOracle,
+}
+
+fn open_archive(dir: &std::path::Path) -> Result<OpenedArchive, String> {
+    let archive = Archive::open(dir).map_err(|e| format!("archive {}: {e}", dir.display()))?;
+    let manifest = crate::Manifest::parse(archive.manifest())?;
+    let (sc, _mode) = scenario_from_meta(&manifest.meta)?;
+    let sidecar = crate::Sidecar::decode(archive.sidecar())?;
+    let oracle =
+        RateOracle::from_trades(&sidecar.trades, sc.period.end, sc.period.days() as i64 + 1);
+    Ok(OpenedArchive { archive, manifest, sc, sidecar, oracle })
+}
+
 fn dataset_from_archive(
     dir: &std::path::Path,
     replay_blocks: bool,
 ) -> Result<(PipelineData, Archive), String> {
     let at = |e: String| format!("archive {}: {e}", dir.display());
-    let archive = Archive::open(dir).map_err(|e| at(e.to_string()))?;
-    let manifest = crate::Manifest::parse(archive.manifest())?;
-    let (sc, _mode) = scenario_from_meta(&manifest.meta)?;
-    let sidecar = crate::Sidecar::decode(archive.sidecar())?;
+    let OpenedArchive { archive, manifest, sc, sidecar, oracle } = open_archive(dir)?;
     let ((eos_blocks, tezos_blocks, xrp_blocks), block_free_lens, facts) = if replay_blocks {
         let segments = archive.replay_all().map_err(|e| at(e.to_string()))?;
         let chains = crate::archive_io::chains_of(&segments)?;
@@ -621,8 +637,6 @@ fn dataset_from_archive(
         let lens = sum.lens();
         (Default::default(), Some(lens), Facts::known(sum, Some(status)))
     };
-    let oracle =
-        RateOracle::from_trades(&sidecar.trades, sc.period.end, sc.period.days() as i64 + 1);
     let mut cluster = ClusterInfo::new();
     for (a, u) in &sidecar.usernames {
         cluster.insert(*a, Some(u.clone()), None);
@@ -1130,7 +1144,6 @@ fn chain_stream_info<A>(
         streamed_blocks: outcome.total_observed(),
         peak_buffered: outcome.peak_buffered(),
         blocked_sends: outcome.gauges.iter().map(|g| g.blocked_sends).sum(),
-        gauges: outcome.gauges.clone(),
     }
 }
 
@@ -1412,15 +1425,11 @@ pub fn scenario_from_meta(meta: &serde_json::Value) -> Result<(Scenario, String)
     Ok((sc, mode))
 }
 
-/// Where a [`ShardContext`] gets its blocks: whole generated chains held
-/// in memory, or an opened archive whose segments are decoded lazily —
+/// Where a [`ShardContext`] gets its blocks: a generated dataset's chains
+/// held in memory, or an opened archive whose segments are decoded lazily —
 /// per assignment, only the covering ranges.
 enum ShardSource {
-    Generated {
-        eos: Vec<txstat_eos::Block>,
-        tezos: Vec<txstat_tezos::TezosBlock>,
-        xrp: Vec<txstat_xrp::LedgerBlock>,
-    },
+    Generated(PipelineData),
     Archived {
         archive: Archive,
         total: u64,
@@ -1440,31 +1449,21 @@ enum ShardSource {
 pub struct ShardContext {
     sc: Scenario,
     source: ShardSource,
-    oracle: RateOracle,
+    oracle: Arc<RateOracle>,
     governance_periods: Vec<(PeriodKind, Period)>,
 }
 
 impl ShardContext {
-    /// Build the chains once. Pure and deterministic — every worker
-    /// derives identical chains and the same exchange-rate oracle from
-    /// the scenario seed.
+    /// [`generate`]'s dataset, built once. Pure and deterministic — every
+    /// worker derives identical chains and the same exchange-rate oracle
+    /// from the scenario seed.
     pub fn new(sc: &Scenario) -> Self {
-        generations().inc();
-        let eos = build_eos(sc);
-        let tezos = build_tezos(sc);
-        let xrp = build_xrp(sc);
-        let oracle =
-            RateOracle::from_trades(&xrp.trades, sc.period.end, sc.period.days() as i64 + 1);
-        let governance_periods = governance_periods_of(&tezos);
+        let data = generate(sc);
         ShardContext {
-            sc: sc.clone(),
-            source: ShardSource::Generated {
-                eos: eos.into_blocks(),
-                tezos: tezos.into_blocks(),
-                xrp: xrp.into_closed_ledgers(),
-            },
-            oracle,
-            governance_periods,
+            sc: data.scenario.clone(),
+            oracle: data.oracle.clone(),
+            governance_periods: data.governance_periods.clone(),
+            source: ShardSource::Generated(data),
         }
     }
 
@@ -1489,13 +1488,7 @@ impl ShardContext {
         dir: &std::path::Path,
         cache_mb: u64,
     ) -> Result<(Self, crate::Manifest), String> {
-        let archive =
-            Archive::open(dir).map_err(|e| format!("archive {}: {e}", dir.display()))?;
-        let manifest = crate::Manifest::parse(archive.manifest())?;
-        let (sc, _mode) = scenario_from_meta(&manifest.meta)?;
-        let sidecar = crate::Sidecar::decode(archive.sidecar())?;
-        let oracle =
-            RateOracle::from_trades(&sidecar.trades, sc.period.end, sc.period.days() as i64 + 1);
+        let OpenedArchive { archive, manifest, sc, sidecar, oracle } = open_archive(dir)?;
         let total = manifest.total_positions();
         let ctx = ShardContext {
             sc,
@@ -1504,7 +1497,7 @@ impl ShardContext {
                 total,
                 cache: SegmentCache::new(cache_mb.saturating_mul(1024 * 1024)),
             },
-            oracle,
+            oracle: Arc::new(oracle),
             governance_periods: sidecar.governance_periods,
         };
         Ok((ctx, manifest))
@@ -1514,9 +1507,7 @@ impl ShardContext {
     /// reduction tiles into chunks.
     pub fn total_blocks(&self) -> u64 {
         match &self.source {
-            ShardSource::Generated { eos, tezos, xrp } => {
-                eos.len().max(tezos.len()).max(xrp.len()) as u64
-            }
+            ShardSource::Generated(data) => data.longest_chain() as u64,
             ShardSource::Archived { total, .. } => *total,
         }
     }
@@ -1548,7 +1539,8 @@ impl ShardContext {
         let mut worker =
             ShardWorker { start, end, base: 0, shards: shards.max(1), meta };
         match &self.source {
-            ShardSource::Generated { eos, tezos, xrp } => {
+            ShardSource::Generated(d) => {
+                let (eos, tezos, xrp) = (&d.eos_blocks[..], &d.tezos_blocks[..], &d.xrp_blocks[..]);
                 Ok(build(&worker, &[eos], &[tezos], &[xrp]))
             }
             ShardSource::Archived { archive, cache, .. } => {
@@ -1594,7 +1586,7 @@ impl ShardContext {
     /// Exact decoded-segment cache counters (archived sources only).
     pub fn cache_stats(&self) -> Option<txstat_archive::CacheStats> {
         match &self.source {
-            ShardSource::Generated { .. } => None,
+            ShardSource::Generated(_) => None,
             ShardSource::Archived { cache, .. } => Some(cache.stats()),
         }
     }

@@ -239,9 +239,8 @@ impl StatsService {
     }
 
     /// `/statusz`: the JSON observability snapshot — epoch/cache headline
-    /// numbers plus the full registry snapshot, `archive.memo` coverage
-    /// (when the dataset came off an archive) and the per-chain
-    /// backpressure summary (when it came off the streamed path).
+    /// numbers plus the full registry snapshot and, when the dataset came
+    /// off an archive, its `archive.memo` coverage.
     fn statusz(&self, snap: &ServeSnapshot) -> serde_json::Value {
         let mut body = serde_json::json!({
             "epoch": snap.epoch(),
@@ -263,27 +262,6 @@ impl StatsService {
                     "write_error": memo.write_error,
                 }),
             );
-        }
-        if let Some(stream) = &snap.data().stream {
-            let chain = |info: &crate::pipeline::ChainStreamInfo| {
-                serde_json::json!({
-                    "shards": info.shards,
-                    "channel_capacity": info.channel_capacity,
-                    "streamed_blocks": info.streamed_blocks,
-                    "peak_buffered": info.peak_buffered,
-                    "blocked_sends": info.blocked_sends,
-                })
-            };
-            if let serde_json::Value::Object(map) = &mut body {
-                map.insert(
-                    "stream".to_string(),
-                    serde_json::json!({
-                        "eos": chain(&stream.eos),
-                        "tezos": chain(&stream.tezos),
-                        "xrp": chain(&stream.xrp),
-                    }),
-                );
-            }
         }
         body
     }

@@ -256,6 +256,35 @@ fn fleet_exhaustion_names_the_dead_worker() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A failed run keeps its telemetry: the run envelope dumps the metrics,
+/// flushes the trace and prints the timings table on `Err` too (it used to
+/// leave a 0-byte trace and no metrics file — for the very run an operator
+/// needs them for).
+#[test]
+fn a_failed_run_keeps_its_telemetry() {
+    let dir = tempdir("failtelemetry");
+    let out = reproduce(
+        &dir,
+        &[
+            "reduce", "--connect", "127.0.0.1:1", "--small", "--seed", "7", "--retries", "0",
+            "--timeout-ms", "200", "--trace-out", "t.ndjson", "--metrics-out", "m.prom",
+            "--timings",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(2), "a dead fleet is still a failure");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: reproduce"), "stderr: {stderr}");
+    // The timings table: a `generate` row with its per-chain sub-rows.
+    assert!(stderr.lines().any(|l| l.starts_with("generate ")), "no timings table: {stderr}");
+    let metrics = String::from_utf8(read(&dir, "m.prom")).expect("metrics utf8");
+    assert!(metrics.contains("# TYPE txstat_fleet_requests_total"), "{metrics}");
+    assert!(metrics.contains("# TYPE txstat_fleet_workers_failed_total"), "{metrics}");
+    assert!(metrics.contains("txstat_pipeline_generate_total 1"), "{metrics}");
+    let trace = String::from_utf8(read(&dir, "t.ndjson")).expect("trace utf8");
+    assert!(trace.lines().any(|l| l.contains("\"stage\":\"generate\"")), "trace: {trace}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// End-to-end reorg recovery: `follow --reorg-at-batch` rewrites a chain
 /// suffix mid-follow; the binary itself verifies the recovered report is
 /// byte-identical to a from-scratch sweep and fails otherwise, so success
@@ -638,6 +667,9 @@ fn unknown_flags_and_subcommands_exit_nonzero_with_usage() {
         &["serve", "--small", "--max-inflight", "64"][..],
         &["chaos", "--upstream", "127.0.0.1:1", "--latency-ms", "5"][..],
         &["chaos", "--upstream", "127.0.0.1:1", "--jitter-ms", "5"][..],
+        &["chaos", "--upstream", "127.0.0.1:1", "--max-seconds", "1"][..],
+        &["serve", "--small", "--load", "--conns", "8"][..],
+        &["serve", "--small", "--load", "--reqs", "8"][..],
         &["--small", "--seed", "9"][..], // the pre-subcommand spelling
     ] {
         let out = reproduce(&dir, args);

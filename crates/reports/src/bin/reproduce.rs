@@ -28,23 +28,10 @@
 //! - **`reduce --connect`** drives the workers with per-request deadlines,
 //!   exponential backoff, bounded retry budgets and straggler re-dispatch;
 //!   failures name the worker address (file mode: the frame file).
-//! - **`follow`** runs the library follower `serve` runs, with its reorg
-//!   guard on (one content mark per batch, the newest `--snapshots` states
-//!   kept for rollback). `--reorg-at-batch R` rewrites the last
-//!   `--reorg-depth` positions of every chain after batch R; the run fails
-//!   unless the recovered report is byte-identical to a from-scratch sweep.
-//!   `--archive DIR` persists the followed corpus: cold-start from it when it
-//!   exists, create it otherwise (once every flag has been validated), seal
-//!   each batch — coalescing a runt tail up to `--segment-blocks` (default:
-//!   the batch size, or the corpus's geometry) — and on reorg truncate +
-//!   re-seal only the disagreeing segment suffix; the run fails unless the
-//!   re-opened archive replays byte-identical to the followed chains.
-//! - **`serve`** answers `/report`, `/exhibit/<name>`,
-//!   `/account/<chain>/<name>`, `/healthz`, `/metrics` (Prometheus text) and
-//!   `/statusz` (JSON) from immutable epoch snapshots — byte-identical to
-//!   the one-shot report once the head is reached — sheds excess load with
-//!   429s, and runs until `POST /admin/shutdown` (`--load`: until its
-//!   built-in 64 × 200-request load run has printed its quantiles).
+//! - **`follow`** and **`serve`** are one library session each
+//!   (`txstat_reports::{follow_session, serve_session}`; their module docs
+//!   say what they do); the binary parses their flags, opens the dataset
+//!   and prints what the session reports.
 //! - `shard worker on ADDR`, `chaos proxy on ADDR -> UPSTREAM` and
 //!   `serving on http://ADDR` are printed on stdout once bound, for scripts
 //!   to scrape.
@@ -53,20 +40,17 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txstat_archive::Archive;
-use txstat_ingest::{reduce_fleet, serve_assignments, EpochCell, FleetConfig};
+use txstat_ingest::{reduce_fleet, serve_assignments, FleetConfig};
 use txstat_netsim::http::HttpRequest;
-use txstat_netsim::{
-    run_load, spawn_chaos_proxy, spawn_query_server, ChaosProfile, Http, HttpHandler, LoadPlan,
-    QueryServerConfig,
-};
+use txstat_netsim::{spawn_chaos_proxy, ChaosProfile, Http};
 use txstat_reports::{
-    generate, generate_with_crawl, generate_with_crawl_streamed, pipeline_from_archive,
-    reduce_frames_labeled_into, reducer_from_archive, render_report, reorg_data,
-    scenario_from_meta, scenario_meta, write_archive, CrawlOptions, FollowArchive, Follower,
-    Manifest, PipelineData, SegmentFormat, ServeSnapshot, ShardContext, StatsService,
+    follow_session, generate, generate_with_crawl, generate_with_crawl_streamed,
+    pipeline_from_archive, reduce_frames_labeled_into, reducer_from_archive, render_report,
+    scenario_from_meta, scenario_meta, serve_session, write_archive, Corpus, CrawlOptions,
+    FollowPlan, Manifest, MemoStatus, PipelineData, Reorg, SegmentFormat, ServeLine, ServePlan,
+    ShardContext, DEFAULT_SNAPSHOT_WINDOW,
 };
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_workload::Scenario;
@@ -392,8 +376,8 @@ fn dump_metrics(args: &Args) -> Result<(), String> {
 
 /// `archive.memo` is written best-effort; say so when the write failed
 /// (the report is unaffected, the next process just recomputes).
-fn warn_memo(data: &PipelineData) {
-    if let Some(why) = data.memo_status().and_then(|s| s.write_error) {
+fn warn_memo(memo: Option<MemoStatus>) {
+    if let Some(why) = memo.and_then(|s| s.write_error) {
         eprintln!("warning: archive memo not written ({why}); the next run recomputes it");
     }
 }
@@ -415,7 +399,7 @@ fn write_output(bytes: &[u8], out: Option<&str>) -> Result<(), String> {
 /// Render the full report of a finished dataset to `--out`.
 fn write_report(data: &PipelineData, args: &Args) -> Result<(), String> {
     let report = render_report(data);
-    warn_memo(data);
+    warn_memo(data.memo_status());
     write_output(report.as_bytes(), args.get("--out"))
 }
 
@@ -446,9 +430,6 @@ fn cmd_report(args: &Args) -> Result<(), String> {
 fn cmd_archive(args: &Args) -> Result<(), String> {
     let out = args.get("--out").ok_or("archive needs --out DIR")?;
     let segment_blocks: u64 = args.parsed("--segment-blocks", 256)?;
-    if segment_blocks == 0 {
-        return Err("--segment-blocks must be at least 1".to_owned());
-    }
     let started = Instant::now();
     // `Need::Blocks`: the corpus is the block bytes, which a streamed crawl
     // deliberately never holds.
@@ -657,126 +638,32 @@ fn batch_of(args: &Args, default: usize) -> Result<usize, String> {
 
 fn cmd_follow(args: &Args) -> Result<(), String> {
     let batch = batch_of(args, 500)?;
-    let window: usize = args.parsed("--snapshots", txstat_reports::follow::DEFAULT_SNAPSHOT_WINDOW)?;
-    let reorg_at: Option<usize> = args.parsed_opt("--reorg-at-batch")?;
-    let reorg_depth: usize = args.parsed("--reorg-depth", batch)?;
-    let reorg_seed: u64 = args.parsed("--reorg-seed", 1)?;
-    let seg_blocks_flag: Option<u64> = args.parsed_opt("--segment-blocks")?;
-    if seg_blocks_flag == Some(0) {
-        return Err("--segment-blocks must be at least 1".to_owned());
-    }
-
+    let snapshots = args.parsed("--snapshots", DEFAULT_SNAPSHOT_WINDOW)?;
+    let (depth, seed) = (args.parsed("--reorg-depth", batch)?, args.parsed("--reorg-seed", 1)?);
+    let reorg_at = args.parsed_opt("--reorg-at-batch")?;
+    let reorg = reorg_at.map(|at_batch| Reorg { at_batch, depth, seed });
+    let segment_blocks = args.parsed_opt("--segment-blocks")?;
     // With --archive: cold-start from the corpus when one exists there,
-    // otherwise generate and (below, once every flag has been checked
-    // against the chains) create it.
-    let archive_dir = args.get("--archive");
+    // otherwise the session creates it.
+    let dir = args.get("--archive");
     let has_corpus = |dir: &&str| Path::new(dir).join(txstat_archive::IDX_FILE).exists();
-    let Opened { data, mode, archive: corpus } =
-        open_dataset(args, archive_dir.filter(has_corpus), Need::Blocks)?;
-    let creating = match (&corpus, archive_dir) {
-        (None, Some(dir)) => format!("creating archive {dir} and "),
-        _ => String::new(),
+    let Opened { data, mode, archive } = open_dataset(args, dir.filter(has_corpus), Need::Blocks)?;
+    let archive = match archive {
+        Some(corpus) => Some(Corpus::Resume(corpus)),
+        None => dir.map(|dir| Corpus::Create(Path::new(dir))),
     };
-    eprintln!("{creating}following head in batches of {batch} blocks per chain…");
-    let batches = data.longest_chain().div_ceil(batch);
-    if let Some(r) = reorg_at.filter(|r| *r > batches) {
-        return Err(format!("--reorg-at-batch {r}: the head is reached after {batches} batches"));
-    }
-    // Each observed batch is sealed into the corpus, coalescing a runt
-    // tail up to --segment-blocks positions (default: the batch size, or
-    // the corpus's own segment geometry when cold-starting).
-    let mut persist = match (corpus, archive_dir) {
-        (Some(archive), _) => {
-            let geometry = Manifest::parse(archive.manifest())?.segment_blocks;
-            Some(FollowArchive::resume(archive, seg_blocks_flag.unwrap_or(geometry))?)
-        }
-        (None, Some(dir)) => {
-            let seg_blocks = seg_blocks_flag.unwrap_or(batch as u64);
-            Some(FollowArchive::create(Path::new(dir), &data, &mode, seg_blocks)?)
-        }
-        (None, None) => None,
-    };
-
-    // The follower `serve` runs, with the reorg guard on: this is the one
-    // command that can meet a reorg.
-    let mut follower = Follower::new(data, batch).with_reorg_guard(window);
-    follower.bind_metrics(txstat_telemetry::registry());
-    let mut round = 0usize;
-    let mut fork = loop {
-        // One round: the follower's advance plus this batch's archive seal.
-        let _span = txstat_telemetry::Span::enter("follow_batch", "");
-        let fork = follower.advance().map_err(|e| e.to_string())?;
-        round += 1;
-        if let Some(p) = persist.as_mut() {
-            p.seal_to(follower.base(), follower.offset())?;
-        }
-        let (sweeps, (eos, tezos, xrp)) = (fork.sweeps(), follower.observed());
-        eprintln!(
-            "batch {round:>4}: EOS {eos:>7} blocks ({:.2} tps) | Tezos {tezos:>7} ({:.2} tps) | XRP {xrp:>7} ({:.2} tps)",
-            sweeps.eos.tps(),
-            sweeps.tezos.tps(),
-            sweeps.xrp.tps(),
-        );
-        if follower.head() || reorg_at == Some(round) {
-            break fork;
-        }
-    };
-
-    // Head (or the reorg trigger batch) reached: reorg + resync if asked,
-    // then follow the new chains to their head.
-    let mut verify_against = None;
-    if reorg_at.is_some() {
-        let from = follower.offset().saturating_sub(reorg_depth);
-        eprintln!("injecting reorg: rewriting block positions {from}.. (seed {reorg_seed})");
-        let reorged = reorg_data(follower.base(), from, reorg_seed);
-        // From-scratch truth over the same reorged chains for the
-        // byte-identity check (fresh dataset, lazily re-swept sweeps).
-        verify_against = Some(reorg_data(follower.base(), from, reorg_seed));
-        if let Some(p) = persist.as_mut() {
-            let (dropped, kept) = p.reseal_from(&reorged, from)?;
-            eprintln!(
-                "archive: reorg invalidated {dropped} segment(s); re-sealed from position {kept}"
-            );
-        }
-        let r = follower.resync(reorged);
-        let [eos, tezos, xrp] = r.agreed_by_chain;
-        eprintln!(
-            "resync: {} mark(s) agreed (eos {eos}, tezos {tezos}, xrp {xrp}), {} invalidated{}; \
-             resuming at position {}",
-            r.agreed,
-            r.invalidated,
-            if r.rebuilt { " (rebuilt from scratch)" } else { "" },
-            r.resume,
-        );
-        // At least once: a resync that changed nothing still republishes
-        // over the adopted chains.
-        loop {
-            fork = follower.advance().map_err(|e| e.to_string())?;
-            if follower.head() {
-                break;
-            }
-        }
-    }
-
-    // The last epoch covers the whole (possibly reorged) chains: its
-    // report is identical to `report`'s.
-    let report = render_report(&fork);
-    warn_memo(&fork);
-    if let Some(scratch) = verify_against {
-        if report != render_report(&scratch) {
-            return Err("reorg recovery diverged: the followed report is not byte-identical \
-                        to a from-scratch sweep of the reorged chain"
-                .to_owned());
-        }
+    let plan = FollowPlan { batch, snapshots, reorg, archive, segment_blocks };
+    let followed = follow_session(data, &mode, plan, |line| eprintln!("{line}"))?;
+    warn_memo(followed.memo);
+    if followed.reorg_verified {
         eprintln!("reorg recovery verified: report byte-identical to a from-scratch sweep");
     }
-    if let Some(p) = persist {
-        let segments = p.finish(&fork)?;
+    if let Some(segments) = followed.archive_segments {
         eprintln!(
             "archive verified: {segments} segment(s) replay byte-identical to the followed chains"
         );
     }
-    write_output(report.as_bytes(), args.get("--out"))
+    write_output(followed.report.as_bytes(), args.get("--out"))
 }
 
 /// The `chaos` subcommand: a standalone fault-injecting TCP proxy (see
@@ -802,126 +689,23 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Derive one known-present `/account/...` path per chain from the served
-/// sweeps (the busiest account of each), for load mixes and smoke tests.
-fn sample_account_paths(data: &PipelineData) -> Vec<String> {
-    let sweeps = data.sweeps();
-    let mut out = Vec::new();
-    if let Some(r) = sweeps.eos.top_received(1).into_iter().next() {
-        out.push(format!("/account/eos/{}", r.account.to_string_repr()));
-    }
-    if let Some(s) = sweeps.tezos.top_senders(1).into_iter().next() {
-        out.push(format!("/account/tezos/{}", s.sender));
-    }
-    if let Some(a) = sweeps.xrp.most_active(1, &data.cluster).into_iter().next() {
-        out.push(format!("/account/xrp/{}", a.account));
-    }
-    out
-}
-
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let port: u16 = args.parsed("--port", 0)?;
-    let batch = batch_of(args, 20_000)?;
-    let epoch_ms: u64 = args.parsed("--epoch-ms", 0)?;
-    let rate: f64 = args.parsed("--rate", 50_000.0)?;
-    let burst: f64 = args.parsed("--burst", 5_000.0)?;
-
-    // The serve path exports through the process-global registry so
-    // `/metrics` carries every layer's families (the fleet, generation and
-    // archive ones `run` registered at zero, ingest counters from the shard
-    // pools, reduce/epoch progress from the follow loop, serve route stats)
-    // in one exposition.
-    let registry = txstat_telemetry::registry().clone();
+    let plan = ServePlan {
+        port: args.parsed("--port", 0)?,
+        batch: batch_of(args, 20_000)?,
+        epoch_ms: args.parsed("--epoch-ms", 0)?,
+        rate: args.parsed("--rate", 50_000.0)?,
+        burst: args.parsed("--burst", 5_000.0)?,
+        load: args.has("--load"),
+    };
     let Opened { data, .. } = open_dataset(args, args.get("--archive"), Need::Blocks)?;
-    eprintln!("serving in epochs of {batch} blocks…");
-    // No reorg guard: nothing can hand this process a reorged chain, so it
-    // hashes no block and retains no snapshot.
-    let mut follower = Follower::new(data, batch);
-    follower.bind_metrics(&registry);
-    // First epoch before accepting queries, so every response has sweeps.
-    let first = follower.advance().map_err(|e| e.to_string())?;
-    let mut epoch = 1u64;
-    let cell =
-        Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(epoch, follower.head(), first))));
-    let service = Arc::new(StatsService::with_registry(cell.clone(), registry.clone()));
-
-    let rt = tokio::runtime::Runtime::new().map_err(|e| e.to_string())?;
-    rt.block_on(async {
-        let handler: Arc<dyn HttpHandler> = service.clone();
-        let server = spawn_query_server(
-            handler,
-            QueryServerConfig {
-                name: "stats-serve".to_owned(),
-                bind: format!("127.0.0.1:{port}"),
-                rate_per_sec: rate,
-                burst,
-                ..QueryServerConfig::default()
-            },
-        )
-        .await
-        .map_err(|e| e.to_string())?;
-        // Route-class counters (requests/served/shed/bytes/latency) join
-        // the same registry the service exposes on /metrics.
-        server.routes.register_into(&registry);
-        // Scripts scrape this line for the bound address.
-        println!("serving on http://{}", server.addr);
-        std::io::stdout().flush().ok();
-
-        while !follower.head() {
-            if epoch_ms > 0 {
-                std::thread::sleep(Duration::from_millis(epoch_ms));
-            }
-            let fork = follower.advance().map_err(|e| e.to_string())?;
-            epoch += 1;
-            let head = follower.head();
-            cell.publish(Arc::new(ServeSnapshot::new(epoch, head, fork)));
-            let (e, t, x) = follower.observed();
-            eprintln!(
-                "epoch {epoch}: EOS {e} | Tezos {t} | XRP {x} blocks observed{}",
-                if head { " — head reached" } else { "" }
-            );
+    serve_session(data, &plan, |line| match line {
+        ServeLine::Announce(line) => {
+            // Scripts scrape these lines (the bound address first).
+            println!("{line}");
+            std::io::stdout().flush().ok();
         }
-
-        if args.has("--load") {
-            let snap = service.snapshot();
-            let mut paths: Vec<String> = ["headline", "fig1", "fig4", "fig7", "fig8", "comparison"]
-                .iter()
-                .map(|n| format!("/exhibit/{n}"))
-                .collect();
-            paths.push("/report".to_owned());
-            paths.extend(sample_account_paths(snap.data()));
-            let plan = LoadPlan { connections: 64, requests_per_conn: 200, paths };
-            eprintln!(
-                "load: {} connections × {} requests over {} paths…",
-                plan.connections,
-                plan.requests_per_conn,
-                plan.paths.len()
-            );
-            let report = run_load(server.addr, &plan).await;
-            println!(
-                "load: {} requests in {:.2?} → {:.0} req/s | ok {} shed {} errors {} | \
-                 p50 {}µs p99 {}µs max {}µs | cache hits {} misses {}",
-                report.sent,
-                report.elapsed,
-                report.req_per_sec(),
-                report.ok,
-                report.shed,
-                report.errors,
-                report.p50_us,
-                report.p99_us,
-                report.max_us,
-                service.cache_hits.get(),
-                service.cache_misses.get(),
-            );
-            return Ok(());
-        }
-
-        eprintln!("head reached; serving until POST /admin/shutdown…");
-        while !service.shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        eprintln!("shutdown requested; exiting");
-        Ok(())
+        ServeLine::Progress(line) => eprintln!("{line}"),
     })
 }
 

@@ -76,10 +76,28 @@
 //! (+49 MB paper) — outside the benchmark's bounds on `follow_catchup` and
 //! `serve_refresh`. Unguarded, no block is hashed and nothing retained.
 //!
-//! [`FollowArchive`] is the persistence half of `follow --archive`.
+//! # The follow session
+//!
+//! [`follow_session`] is `reproduce follow`: the follower `serve` runs,
+//! with its reorg guard on (one content mark per batch, the newest
+//! `--snapshots` states kept for rollback). `--reorg-at-batch R` rewrites
+//! the last `--reorg-depth` positions of every chain after batch R; the
+//! run fails unless the recovered report is byte-identical to a
+//! from-scratch sweep. `--archive DIR` persists the followed corpus:
+//! cold-start from it when it exists, create it otherwise (once every flag
+//! has been validated), seal each batch — coalescing a runt tail up to
+//! `--segment-blocks` (default: the batch size, or the corpus's geometry) —
+//! and on reorg truncate + re-seal only the disagreeing segment suffix; the
+//! run fails unless the re-opened archive replays byte-identical to the
+//! followed chains.
 
 use crate::archive_io::{eos_block_bytes, segments_of_from, tezos_block_bytes, xrp_block_bytes};
-use crate::pipeline::{create_archive_writer, pipeline_from_archive, run_of, PipelineData};
+use crate::exhibits::render_report;
+use crate::pipeline::{
+    check_segment_blocks, create_archive_writer, pipeline_from_archive, run_of, MemoStatus,
+    PipelineData,
+};
+use crate::Manifest;
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::Arc;
@@ -495,32 +513,182 @@ pub fn reorg_data(data: &PipelineData, from: usize, seed: u64) -> PipelineData {
     data.with_chains(eos, tezos, xrp)
 }
 
+/// `--reorg-at-batch` with its `--reorg-depth` and `--reorg-seed`: after
+/// batch `at_batch` (or at the head, whichever comes first), rewrite the
+/// last `depth` followed positions of every chain with [`reorg_data`].
+#[derive(Debug, Clone, Copy)]
+pub struct Reorg {
+    pub at_batch: usize,
+    pub depth: usize,
+    pub seed: u64,
+}
+
+/// `--archive DIR` of a follow session.
+pub enum Corpus<'a> {
+    /// No corpus at `DIR` yet: created once every flag has been checked.
+    Create(&'a Path),
+    /// The corpus the dataset was cold-started from: appended to.
+    Resume(Archive),
+}
+
+/// What `reproduce follow` asks of a [`follow_session`]: one field per flag
+/// (`reorg` holds three), named after it; the scenario flags chose the
+/// dataset. `segment_blocks` defaults to the batch size, or to a resumed
+/// corpus's own geometry.
+pub struct FollowPlan<'a> {
+    pub batch: usize,
+    pub snapshots: usize,
+    pub reorg: Option<Reorg>,
+    pub archive: Option<Corpus<'a>>,
+    pub segment_blocks: Option<u64>,
+}
+
+/// What a [`follow_session`] reached and proved.
+pub struct Followed {
+    /// The head epoch's report: `report`'s bytes over the followed (and
+    /// possibly reorged) chains.
+    pub report: String,
+    /// The head epoch's `archive.memo` coverage.
+    pub memo: Option<MemoStatus>,
+    /// A reorg was injected, and the report is byte-identical to a
+    /// from-scratch sweep of the reorged chains.
+    pub reorg_verified: bool,
+    /// The corpus's segment count, once it was proved to replay
+    /// byte-identical to the followed chains.
+    pub archive_segments: Option<usize>,
+}
+
+/// Follow `data` to its head in batches, a dashboard line per batch to
+/// `progress` — see the module docs. `mode` names `data`'s scenario for
+/// the manifest of a corpus created here. A divergent reorg recovery or
+/// archive replay is an `Err`.
+pub fn follow_session(
+    data: PipelineData,
+    mode: &str,
+    plan: FollowPlan,
+    mut progress: impl FnMut(String),
+) -> Result<Followed, String> {
+    let FollowPlan { batch, snapshots, mut reorg, archive, segment_blocks } = plan;
+    let segment_blocks = segment_blocks.map(check_segment_blocks).transpose()?;
+    let creating = match &archive {
+        Some(Corpus::Create(dir)) => format!("creating archive {} and ", dir.display()),
+        _ => String::new(),
+    };
+    progress(format!("{creating}following head in batches of {batch} blocks per chain…"));
+    // The reorg guard is on: this is the one session that can meet a reorg.
+    let mut follower = Follower::new(data, batch).with_reorg_guard(snapshots);
+    let batches = follower.base().longest_chain().div_ceil(follower.batch);
+    if let Some(r) = reorg.filter(|r| r.at_batch > batches) {
+        let at = r.at_batch;
+        return Err(format!("--reorg-at-batch {at}: the head is reached after {batches} batches"));
+    }
+    let mut persist = archive
+        .map(|corpus| FollowArchive::open(corpus, follower.base(), mode, segment_blocks, batch))
+        .transpose()?;
+    follower.bind_metrics(txstat_telemetry::registry());
+
+    let mut scratch = None;
+    let mut round = 0usize;
+    let head = loop {
+        let fork = {
+            // One round: the follower's advance plus this batch's seal.
+            let _span = Span::enter("follow_batch", "");
+            let fork = follower.advance().map_err(|e| e.to_string())?;
+            if let Some(p) = persist.as_mut() {
+                p.seal_to(follower.base(), follower.offset())?;
+            }
+            fork
+        };
+        round += 1;
+        let (sweeps, (eos, tezos, xrp)) = (fork.sweeps(), follower.observed());
+        progress(format!(
+            "batch {round:>4}: EOS {eos:>7} blocks ({:.2} tps) | \
+             Tezos {tezos:>7} ({:.2} tps) | XRP {xrp:>7} ({:.2} tps)",
+            sweeps.eos.tps(),
+            sweeps.tezos.tps(),
+            sweeps.xrp.tps(),
+        ));
+        if let Some(r) = reorg.take_if(|r| r.at_batch == round || follower.head()) {
+            let from = follower.offset().saturating_sub(r.depth);
+            let seed = r.seed;
+            progress(format!("injecting reorg: rewriting block positions {from}.. (seed {seed})"));
+            let reorged = reorg_data(follower.base(), from, seed);
+            // From-scratch truth for the byte-identity check: the same
+            // reorged chains, swept and summarized on their own.
+            scratch = Some(reorged.unswept_twin());
+            if let Some(p) = persist.as_mut() {
+                let (dropped, kept) = p.reseal_from(&reorged, from)?;
+                progress(format!(
+                    "archive: reorg invalidated {dropped} segment(s); \
+                     re-sealed from position {kept}"
+                ));
+            }
+            let r = follower.resync(reorged);
+            let [eos, tezos, xrp] = r.agreed_by_chain;
+            progress(format!(
+                "resync: {} mark(s) agreed (eos {eos}, tezos {tezos}, xrp {xrp}), \
+                 {} invalidated{}; resuming at position {}",
+                r.agreed,
+                r.invalidated,
+                if r.rebuilt { " (rebuilt from scratch)" } else { "" },
+                r.resume,
+            ));
+            // No break: a resync that changed nothing still republishes
+            // over the adopted chains.
+        } else if follower.head() {
+            break fork;
+        }
+    };
+
+    // The last epoch covers the whole (possibly reorged) chains: its report
+    // is identical to `report`'s.
+    let report = render_report(&head);
+    if scratch.as_ref().is_some_and(|scratch| report != render_report(scratch)) {
+        return Err("reorg recovery diverged: the followed report is not byte-identical \
+                    to a from-scratch sweep of the reorged chain"
+            .to_owned());
+    }
+    let archive_segments = persist.map(|p| p.finish(&head)).transpose()?;
+    Ok(Followed {
+        report,
+        memo: head.memo_status(),
+        reorg_verified: scratch.is_some(),
+        archive_segments,
+    })
+}
+
 /// The persistence half of `follow --archive`: seals the block positions a
 /// follower has observed into a corpus, batch by batch, and proves at the
 /// end that the corpus replays what was followed.
-pub struct FollowArchive {
+struct FollowArchive {
     writer: ArchiveWriter,
     seg_blocks: u64,
 }
 
 impl FollowArchive {
-    /// Create an empty corpus for `data`'s scenario at `dir`, to be sealed
-    /// in segments of `seg_blocks` positions.
-    pub fn create(
-        dir: &Path,
+    /// Create an empty corpus for `data`'s scenario, sealed in segments of
+    /// `seg_blocks` positions (default: `batch`), or keep appending after
+    /// the last sealed segment of a cold-started one (default: its own
+    /// segment geometry).
+    fn open(
+        corpus: Corpus,
         data: &PipelineData,
         mode: &str,
-        seg_blocks: u64,
+        seg_blocks: Option<u64>,
+        batch: usize,
     ) -> Result<Self, String> {
-        Ok(FollowArchive { writer: create_archive_writer(dir, data, mode, seg_blocks)?, seg_blocks })
-    }
-
-    /// Keep appending after the last sealed segment of `archive` (a
-    /// cold-started follow).
-    pub fn resume(archive: Archive, seg_blocks: u64) -> Result<Self, String> {
-        let dir = archive.dir().to_owned();
-        let writer =
-            archive.into_writer().map_err(|e| format!("archive {}: {e}", dir.display()))?;
+        let (writer, seg_blocks) = match corpus {
+            Corpus::Create(dir) => {
+                let seg_blocks = seg_blocks.unwrap_or(batch as u64);
+                (create_archive_writer(dir, data, mode, seg_blocks)?, seg_blocks)
+            }
+            Corpus::Resume(archive) => {
+                let geometry = Manifest::parse(archive.manifest())?.segment_blocks;
+                let dir = archive.dir().display().to_string();
+                let writer = archive.into_writer().map_err(|e| format!("archive {dir}: {e}"))?;
+                (writer, seg_blocks.unwrap_or(geometry))
+            }
+        };
         Ok(FollowArchive { writer, seg_blocks })
     }
 
@@ -531,7 +699,7 @@ impl FollowArchive {
     /// and re-sealed merged with the new batch (its blocks are still in
     /// `data`), so a batch smaller than the segment size coalesces instead
     /// of fragmenting the corpus into one segment per batch.
-    pub fn seal_to(&mut self, data: &PipelineData, upto: usize) -> Result<(), String> {
+    fn seal_to(&mut self, data: &PipelineData, upto: usize) -> Result<(), String> {
         let upto = upto as u64;
         if upto <= self.writer.total_positions() {
             return Ok(());
@@ -557,7 +725,7 @@ impl FollowArchive {
     /// the tail is re-sealed from the `reorged` chains, to their head.
     /// Returns how many segments were dropped and the position re-sealing
     /// started from.
-    pub fn reseal_from(
+    fn reseal_from(
         &mut self,
         reorged: &PipelineData,
         from: usize,
@@ -575,7 +743,7 @@ impl FollowArchive {
     /// archive must replay every chain byte-identical to what was
     /// `followed` (including any reorged suffix). Returns its segment
     /// count.
-    pub fn finish(self, followed: &PipelineData) -> Result<usize, String> {
+    fn finish(self, followed: &PipelineData) -> Result<usize, String> {
         self.writer.seal().map_err(|e| format!("archive seal: {e}"))?;
         let dir = self.writer.dir();
         let (replayed, archive) = pipeline_from_archive(dir)?;

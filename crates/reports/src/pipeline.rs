@@ -315,8 +315,15 @@ impl PipelineData {
             crawl: None,
             stream: None,
             block_free_lens: None,
-            ..self.sibling(Facts::lazy(None))
+            ..self.unswept_twin()
         }
+    }
+
+    /// A dataset sharing every input of this one by `Arc`, with its own
+    /// uncomputed sweeps and facts (and no `archive.memo` source): what a
+    /// from-scratch render of the same chains reads.
+    pub(crate) fn unswept_twin(&self) -> PipelineData {
+        self.sibling(Facts::lazy(None))
     }
 
     /// A dataset sharing every input of this one by `Arc`, with no sweeps
@@ -503,19 +510,25 @@ fn sidecar_from_data(data: &PipelineData) -> crate::Sidecar {
     }
 }
 
+/// `--segment-blocks`, checked once for every corpus a process seals into:
+/// a new one ([`create_archive_writer`]) or one a follow session resumes.
+pub(crate) fn check_segment_blocks(segment_blocks: u64) -> Result<u64, String> {
+    match segment_blocks {
+        0 => Err("--segment-blocks must be at least 1".into()),
+        n => Ok(n),
+    }
+}
+
 /// Create an empty archive for `data`'s scenario at `dir` — manifest and
-/// sidecar sealed, no segments yet. [`crate::follow::FollowArchive`] seals
-/// observed batches into it; [`write_archive`] appends every segment in
-/// one go.
+/// sidecar sealed, no segments yet. The follow session seals observed
+/// batches into it; [`write_archive`] appends every segment in one go.
 pub(crate) fn create_archive_writer(
     dir: &std::path::Path,
     data: &PipelineData,
     mode: &str,
     segment_blocks: u64,
 ) -> Result<ArchiveWriter, String> {
-    if segment_blocks == 0 {
-        return Err("--segment-blocks must be at least 1".into());
-    }
+    check_segment_blocks(segment_blocks)?;
     let manifest = crate::Manifest {
         meta: scenario_meta(&data.scenario, mode),
         segment_blocks,

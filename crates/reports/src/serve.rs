@@ -10,16 +10,27 @@
 //! the snapshot, so cache invalidation on swap is not a protocol, it is
 //! reachability: the new epoch starts with an empty cache and the old
 //! cache is dropped with the last reference to the old snapshot.
+//!
+//! # The serve session
+//!
+//! [`serve_session`] is `reproduce serve`: it answers `/report`,
+//! `/exhibit/<name>`, `/account/<chain>/<name>`, `/healthz`, `/metrics`
+//! (Prometheus text) and `/statusz` (JSON) from immutable epoch snapshots —
+//! byte-identical to the one-shot report once the head is reached — sheds
+//! excess load with 429s, and runs until `POST /admin/shutdown` (`--load`:
+//! until its built-in 64 × 200-request load run has printed its quantiles).
 
 use crate::exhibits::{comparison_section, render_report, SECTIONS};
+use crate::follow::Follower;
 use crate::pipeline::PipelineData;
 use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use txstat_ingest::EpochCell;
 use txstat_netsim::http::{HttpRequest, HttpResponse};
-use txstat_netsim::HttpHandler;
+use txstat_netsim::{run_load, spawn_query_server, HttpHandler, LoadPlan, QueryServerConfig};
 use txstat_telemetry::{Counter, MetricKind, Registry, Sample, SampleValue};
 
 /// One epoch's immutable serving state: the forked dataset plus the keyed
@@ -165,8 +176,8 @@ pub struct StatsService {
     registry: Arc<Registry>,
     pub cache_hits: Arc<Counter>,
     pub cache_misses: Arc<Counter>,
-    /// Raised by `POST /admin/shutdown`; the serve loop polls it.
-    pub shutdown: AtomicBool,
+    /// Raised by `POST /admin/shutdown`; the serve session polls it.
+    shutdown: AtomicBool,
 }
 
 impl StatsService {
@@ -214,16 +225,11 @@ impl StatsService {
         StatsService { cell, registry, cache_hits, cache_misses, shutdown: AtomicBool::new(false) }
     }
 
-    /// The registry this service exports through (`/metrics`, `/statusz`).
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
     pub fn snapshot(&self) -> Arc<ServeSnapshot> {
         self.cell.load()
     }
 
-    pub fn shutdown_requested(&self) -> bool {
+    fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
 
@@ -309,4 +315,147 @@ impl HttpHandler for StatsService {
     fn handle(&self, req: &HttpRequest) -> HttpResponse {
         self.respond(&req.method, &req.path)
     }
+}
+
+/// One known-present `/account/...` path per chain: the busiest account of
+/// each in `data`'s sweeps — for the `--load` mix and the serving tests.
+pub fn sample_account_paths(data: &PipelineData) -> Vec<String> {
+    let sweeps = data.sweeps();
+    let mut out = Vec::new();
+    if let Some(r) = sweeps.eos.top_received(1).first() {
+        out.push(format!("/account/eos/{}", r.account.to_string_repr()));
+    }
+    if let Some(s) = sweeps.tezos.top_senders(1).first() {
+        out.push(format!("/account/tezos/{}", s.sender));
+    }
+    if let Some(a) = sweeps.xrp.most_active(1, &data.cluster).first() {
+        out.push(format!("/account/xrp/{}", a.account));
+    }
+    out
+}
+
+/// What `reproduce serve` asks of a [`serve_session`]: one field per flag,
+/// named after it; the scenario and `--archive` flags chose the dataset.
+/// It binds 127.0.0.1:`port` (0: any free port) with a token bucket of
+/// `rate` requests per second and depth `burst`, and sleeps `epoch_ms`
+/// before each epoch after the first. With `load` it returns once the
+/// built-in load run at the head is done, else on `POST /admin/shutdown`.
+pub struct ServePlan {
+    pub port: u16,
+    pub batch: usize,
+    pub epoch_ms: u64,
+    pub rate: f64,
+    pub burst: f64,
+    pub load: bool,
+}
+
+/// A line a [`serve_session`] has for its operator.
+pub enum ServeLine {
+    /// For scripts to scrape (stdout): `serving on http://ADDR` once bound,
+    /// the `--load` summary.
+    Announce(String),
+    /// Progress (stderr).
+    Progress(String),
+}
+
+/// Serve `data` while following it to its head — see the module docs. The
+/// first epoch is published before the server binds, so every response
+/// has sweeps; then one epoch per `--batch` until the head.
+pub fn serve_session(
+    data: PipelineData,
+    plan: &ServePlan,
+    mut say: impl FnMut(ServeLine),
+) -> Result<(), String> {
+    say(ServeLine::Progress(format!("serving in epochs of {} blocks…", plan.batch)));
+    // The process-global registry, so `/metrics` carries every layer's
+    // families (the fleet, generation and archive ones the binary
+    // registered at zero, ingest counters from the shard pools,
+    // reduce/epoch progress from the follower, route stats) in one
+    // exposition.
+    let registry = txstat_telemetry::registry().clone();
+    // No reorg guard: nothing can hand this session a reorged chain, so it
+    // hashes no block and retains no snapshot.
+    let mut follower = Follower::new(data, plan.batch);
+    follower.bind_metrics(&registry);
+    let first = follower.advance().map_err(|e| e.to_string())?;
+    let mut epoch = 1u64;
+    let cell =
+        Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(epoch, follower.head(), first))));
+    let service = Arc::new(StatsService::with_registry(cell.clone(), registry.clone()));
+
+    let rt = tokio::runtime::Runtime::new().map_err(|e| e.to_string())?;
+    rt.block_on(async {
+        let handler: Arc<dyn HttpHandler> = service.clone();
+        let server = spawn_query_server(
+            handler,
+            QueryServerConfig {
+                name: "stats-serve".to_owned(),
+                bind: format!("127.0.0.1:{}", plan.port),
+                rate_per_sec: plan.rate,
+                burst: plan.burst,
+                ..QueryServerConfig::default()
+            },
+        )
+        .await
+        .map_err(|e| e.to_string())?;
+        // Route-class counters (requests/served/shed/bytes/latency) join
+        // the same registry the service exposes on /metrics.
+        server.routes.register_into(&registry);
+        say(ServeLine::Announce(format!("serving on http://{}", server.addr)));
+
+        while !follower.head() {
+            if plan.epoch_ms > 0 {
+                std::thread::sleep(Duration::from_millis(plan.epoch_ms));
+            }
+            let fork = follower.advance().map_err(|e| e.to_string())?;
+            epoch += 1;
+            let head = follower.head();
+            cell.publish(Arc::new(ServeSnapshot::new(epoch, head, fork)));
+            let (e, t, x) = follower.observed();
+            say(ServeLine::Progress(format!(
+                "epoch {epoch}: EOS {e} | Tezos {t} | XRP {x} blocks observed{}",
+                if head { " — head reached" } else { "" }
+            )));
+        }
+
+        if plan.load {
+            let mut paths: Vec<String> = ["headline", "fig1", "fig4", "fig7", "fig8", "comparison"]
+                .iter()
+                .map(|n| format!("/exhibit/{n}"))
+                .collect();
+            paths.push("/report".to_owned());
+            paths.extend(sample_account_paths(service.snapshot().data()));
+            let load = LoadPlan { connections: 64, requests_per_conn: 200, paths };
+            say(ServeLine::Progress(format!(
+                "load: {} connections × {} requests over {} paths…",
+                load.connections,
+                load.requests_per_conn,
+                load.paths.len()
+            )));
+            let report = run_load(server.addr, &load).await;
+            say(ServeLine::Announce(format!(
+                "load: {} requests in {:.2?} → {:.0} req/s | ok {} shed {} errors {} | \
+                 p50 {}µs p99 {}µs max {}µs | cache hits {} misses {}",
+                report.sent,
+                report.elapsed,
+                report.req_per_sec(),
+                report.ok,
+                report.shed,
+                report.errors,
+                report.p50_us,
+                report.p99_us,
+                report.max_us,
+                service.cache_hits.get(),
+                service.cache_misses.get(),
+            )));
+            return Ok(());
+        }
+
+        say(ServeLine::Progress("head reached; serving until POST /admin/shutdown…".to_owned()));
+        while !service.shutdown_requested() {
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        say(ServeLine::Progress("shutdown requested; exiting".to_owned()));
+        Ok(())
+    })
 }

@@ -633,6 +633,7 @@ fn archive_flag_misuse_exits_with_usage() {
         (&["shard", "--range", "0..5", "--out", "x.frames", "--archive", "emptydir"][..], "no archive at"),
         (&["follow", "--archive", "corpus", "--seed", "9"][..], "does not hold the requested"),
         (&["archive", "--small", "--out", "x", "--segment-blocks", "0"][..], "--segment-blocks must be at least 1"),
+        (&["follow", "--small", "--archive", "x", "--segment-blocks", "0"][..], "--segment-blocks must be at least 1"),
         (&["archive", "--small"][..], "archive needs --out DIR"),
         (&["report", "--archive", "corpus", "--seed", "9"][..], "does not hold the requested"),
         (&["report", "--archive", "corpus", "--crawl"][..], "not both"),
@@ -644,6 +645,28 @@ fn archive_flag_misuse_exits_with_usage() {
         assert!(stderr.contains(needle), "{args:?} stderr: {stderr}");
         assert!(stderr.contains("usage: reproduce"), "{args:?} printed no usage: {stderr}");
     }
+    assert!(!dir.join("x").exists(), "a refused zero segment size left a corpus directory");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `serve --load` (the p99 instrument): follow to the head, run the
+/// built-in 64 × 200-request load, print its summary on stdout and exit —
+/// every request answered 200 or shed with a 429, none dropped.
+#[test]
+fn serve_load_runs_its_load_at_the_head_and_exits() {
+    let dir = tempdir("serveload");
+    let out = reproduce(&dir, &["serve", "--small", "--seed", "7", "--batch", "400", "--load"]);
+    assert!(out.status.success(), "serve --load failed: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("serving on http://"), "stdout: {stdout}");
+    let line = stdout.lines().find(|l| l.starts_with("load: ")).expect("a load summary line");
+    assert!(line.starts_with("load: 12800 requests"), "{line}");
+    let count = |name: &str| -> u64 {
+        let mut words = line.split_whitespace().skip_while(|w| *w != name);
+        words.nth(1).and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no {name} in {line}"))
+    };
+    assert_eq!(count("ok") + count("shed"), 12800, "{line}");
+    assert_eq!(count("errors"), 0, "{line}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,7 +4,7 @@
 //! text and JSON snapshot form.
 //!
 //! The instruments live in [`metrics`]; named/labeled families and the
-//! gather/render machinery in [`registry`]; stage spans and the NDJSON
+//! gather/render machinery in [`mod@registry`]; stage spans and the NDJSON
 //! trace sink in [`trace`]. Hot paths hold `Arc` handles (or the
 //! `static_counter!`-style macros' `OnceLock` statics) so recording never
 //! takes the registry lock.

@@ -12,8 +12,8 @@ use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat::ingest::{EpochCell, IngestError};
 use txstat::netsim::{run_load, spawn_query_server, HttpHandler, LoadPlan, QueryServerConfig};
 use txstat::reports::{
-    comparison_section, generate, render_report, reorg_data, report_sections, Follower,
-    PipelineData, ServeSnapshot, StatsService,
+    comparison_section, generate, render_report, reorg_data, report_sections,
+    sample_account_paths, Follower, PipelineData, ServeSnapshot, StatsService,
 };
 use txstat::workload::Scenario;
 
@@ -47,17 +47,7 @@ fn assert_serves_identically(
     what: &str,
 ) -> Arc<StatsService> {
     assert_eq!(report_sections(&got), report_sections(&oracle), "{what}: sections diverged");
-    let sweeps = oracle.sweeps();
-    let mut paths = Vec::new();
-    if let Some(r) = sweeps.eos.top_received(1).first() {
-        paths.push(format!("/account/eos/{}", r.account.to_string_repr()));
-    }
-    if let Some(s) = sweeps.tezos.top_senders(1).first() {
-        paths.push(format!("/account/tezos/{}", s.sender));
-    }
-    if let Some(a) = sweeps.xrp.most_active(1, &oracle.cluster).first() {
-        paths.push(format!("/account/xrp/{}", a.account));
-    }
+    let paths = sample_account_paths(&oracle);
     let (got, _) = service_over(got, false);
     let (oracle, _) = service_over(oracle, false);
     for path in paths {

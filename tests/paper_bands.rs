@@ -62,6 +62,16 @@ fn paper_scale_lands_every_band() {
     assert!(rows.len() >= 29, "comparison coverage: {} rows", rows.len());
     let misses: Vec<_> = rows.iter().filter(|r| !r.within_band).collect();
     assert!(misses.is_empty(), "out-of-band rows at paper scale:\n{}", describe(&misses));
+    // Figure 2's integers `(blocks, transactions, wire_bytes,
+    // sampled_bytes, sampled_compressed_bytes)`: the GB the report prints
+    // round away a wrong wire length; these do not.
+    let (eos, tezos, xrp) = data.storage_stats();
+    let row = |s: &txstat::crawler::CrawlStats| {
+        (s.blocks, s.transactions, s.wire_bytes, s.sampled_bytes, s.sampled_compressed_bytes)
+    };
+    assert_eq!(row(eos), (26_496, 376_356, 296_261_188, 36_868_130, 3_680_703), "eos");
+    assert_eq!(row(tezos), (24_192, 593_022, 50_232_751, 6_283_641, 1_660_321), "tezos");
+    assert_eq!(row(xrp), (2210, 154_790, 37_572_355, 4_680_215, 677_629), "xrp");
 }
 
 #[test]

@@ -404,3 +404,21 @@ fn report_and_frame_bundle_bytes_are_pinned_for_small_seeds() {
         .expect("generated context sweeps");
     assert_eq!(pin(&encode_all(&frames)), (33654, 0x14c1dd4e54f14b4e), "frame bundle, seed 42");
 }
+
+/// Figure 2's integers per chain: `(blocks, transactions, wire_bytes,
+/// sampled_bytes, sampled_compressed_bytes)`, first recorded before the
+/// streaming writers and the array-chain LZSS matcher. The small report prints
+/// storage as `0.000` / `0.001` GB, so a wrong wire length would not move
+/// the report pin above; it moves these. The paper-scale twin lives in
+/// `paper_bands.rs::paper_scale_lands_every_band`.
+#[test]
+fn figure2_storage_integers_are_pinned_for_small_seed_42() {
+    let data = txstat::reports::generate(&Scenario::small(42));
+    let (eos, tezos, xrp) = data.storage_stats();
+    let row = |s: &txstat::crawler::CrawlStats| {
+        (s.blocks, s.transactions, s.wire_bytes, s.sampled_bytes, s.sampled_compressed_bytes)
+    };
+    assert_eq!(row(eos), (576, 2413, 2_204_102, 227_707, 40_958), "eos");
+    assert_eq!(row(tezos), (2712, 59_647, 4_992_190, 622_878, 157_592), "tezos");
+    assert_eq!(row(xrp), (146, 1557, 415_021, 49_158, 12_939), "xrp");
+}

@@ -43,14 +43,29 @@ impl CrawlStats {
         self.sampled_bytes as f64 / self.sampled_compressed_bytes as f64
     }
 
+    /// Whether the payload at `index` is a compression sample: the only
+    /// payloads whose bytes the accounting reads. Any other one may be
+    /// recorded by its length alone ([`CrawlStats::record_len`]).
+    pub fn is_sampled(index: u64) -> bool {
+        index.is_multiple_of(COMPRESSION_SAMPLE_EVERY)
+    }
+
     /// Record one payload.
     pub fn record_payload(&mut self, index: u64, payload: &[u8]) {
         self.wire_bytes += payload.len() as u64;
-        if index.is_multiple_of(COMPRESSION_SAMPLE_EVERY) {
+        if Self::is_sampled(index) {
             self.sampled_bytes += payload.len() as u64;
             self.sampled_compressed_bytes +=
                 txstat_types::lzss::compressed_len(payload) as u64;
         }
+    }
+
+    /// Record an unsampled payload of `len` bytes: what
+    /// [`CrawlStats::record_payload`] makes of it, without the bytes.
+    /// Panics on a sampled `index`, whose bytes must be compressed.
+    pub fn record_len(&mut self, index: u64, len: usize) {
+        assert!(!Self::is_sampled(index), "payload {index} is a compression sample");
+        self.wire_bytes += len as u64;
     }
 
     pub fn merge(&mut self, other: &CrawlStats) {
@@ -80,6 +95,25 @@ mod tests {
         let est = s.compressed_bytes_estimate();
         assert_eq!(est, 2 * s.sampled_compressed_bytes);
         assert!(s.compression_ratio() > 10.0);
+    }
+
+    #[test]
+    fn an_unsampled_length_records_like_its_bytes() {
+        let payload = vec![b'a'; 300];
+        let mut by_bytes = CrawlStats::default();
+        let mut by_len = CrawlStats::default();
+        for index in 0..2 * COMPRESSION_SAMPLE_EVERY {
+            by_bytes.record_payload(index, &payload);
+            if CrawlStats::is_sampled(index) {
+                by_len.record_payload(index, &payload);
+            } else {
+                by_len.record_len(index, payload.len());
+            }
+        }
+        assert_eq!(by_len, by_bytes);
+        assert_eq!(by_bytes.sampled_bytes, 600);
+        let sampled = std::panic::catch_unwind(|| CrawlStats::default().record_len(8, 1));
+        assert!(sampled.is_err(), "a sample's bytes cannot be skipped");
     }
 
     #[test]

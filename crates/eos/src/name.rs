@@ -110,6 +110,22 @@ impl Name {
     }
 }
 
+impl txstat_types::WireText for Name {
+    fn write_text(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.encode(&mut [0; Self::MAX_LEN]).as_bytes());
+    }
+
+    /// [`Name::encode`]'s length: 13 when the 4-bit thirteenth symbol is
+    /// set, else twelve less one per trailing zero (`.`) 5-bit symbol.
+    fn text_len(self) -> usize {
+        if self.0 & 0x0f != 0 {
+            13
+        } else {
+            12 - (self.0 >> 4).trailing_zeros() as usize / 5
+        }
+    }
+}
+
 impl txstat_types::colcodec::ColKey for Name {
     /// Wire column form: the packed `u64` (the production encoding is
     /// already canonical — one name, one value).
@@ -154,6 +170,7 @@ impl TryFrom<String> for Name {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use txstat_types::WireText;
 
     #[test]
     fn known_mainnet_values() {
@@ -237,6 +254,7 @@ mod tests {
     fn check_text(n: Name) {
         let mut buf = [0u8; Name::MAX_LEN];
         let text = n.encode(&mut buf).to_owned();
+        assert_eq!(n.text_len(), text.len(), "{n:?}");
         assert_eq!(text, reference_string(n), "{n:?}");
         assert_eq!(text, n.to_string(), "{n:?}");
         assert_eq!(text, n.to_string_repr(), "{n:?}");
@@ -265,6 +283,11 @@ mod tests {
             let n = Name::new(s);
             check_text(n);
             assert_eq!(n.to_string(), canon);
+        }
+        // The text lengths at the edges: empty, twelve full symbols, the
+        // thirteenth.
+        for (s, len) in [("", 0), ("a", 1), ("zzzzzzzzzzzz", 12), ("aaaaaaaaaaaaj", 13)] {
+            assert_eq!(Name::new(s).text_len(), len, "{s:?}");
         }
     }
 

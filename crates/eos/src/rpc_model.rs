@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use txstat_types::amount::SymCode;
 use txstat_types::time::ChainTime;
-use txstat_types::JsonWriter;
+use txstat_types::{JsonOut, JsonWriter};
 
 /// Render an EOS asset string: `"12.3456 EOS"` (4 decimals).
 pub fn format_asset(amount: AssetRaw, symbol: SymCode) -> String {
@@ -365,26 +365,19 @@ pub fn block_from_json(json: &BlockJson) -> Result<Block, DecodeError> {
 }
 
 /// Append [`format_asset`] as a string literal.
-fn write_asset(w: &mut JsonWriter<'_>, amount: AssetRaw, symbol: &str) {
+fn write_asset<O: JsonOut>(w: &mut JsonWriter<'_, O>, amount: AssetRaw, symbol: &str) {
     let mag = amount.unsigned_abs();
     w.raw(if amount < 0 { "\"-" } else { "\"" });
     w.uint(mag / 10_000).raw(".").uint_padded(mag % 10_000, 4);
     w.raw(" ").escaped(symbol).raw("\"");
 }
 
-/// Append a name as a string literal. The base32 alphabet cannot need
-/// escaping, so it goes from [`Name::encode`]'s stack buffer straight into
-/// the output.
-fn name<'w, 'o>(w: &'w mut JsonWriter<'o>, n: Name) -> &'w mut JsonWriter<'o> {
-    w.quoted(n.encode(&mut [0; Name::MAX_LEN]))
-}
-
 /// Append the object [`action_data_to_json`] builds, key for key.
-fn write_action_data(w: &mut JsonWriter<'_>, data: &ActionData) {
+fn write_action_data<O: JsonOut>(w: &mut JsonWriter<'_, O>, data: &ActionData) {
     /// `{"k1":name1,"k2":name2` — how all but two shapes open.
-    fn names(w: &mut JsonWriter<'_>, k1: &str, n1: &Name, k2: &str, n2: &Name) {
-        name(w.raw("{\"").raw(k1).raw("\":"), *n1);
-        name(w.raw(",\"").raw(k2).raw("\":"), *n2);
+    fn names<O: JsonOut>(w: &mut JsonWriter<'_, O>, k1: &str, n1: &Name, k2: &str, n2: &Name) {
+        w.raw("{\"").raw(k1).raw("\":").ident(*n1);
+        w.raw(",\"").raw(k2).raw("\":").ident(*n2);
     }
     match data {
         ActionData::Transfer { from, to, symbol, amount } => {
@@ -438,7 +431,7 @@ fn write_action_data(w: &mut JsonWriter<'_>, data: &ActionData) {
             w.raw("}");
         }
         ActionData::VoteProducer { voter, producer_count } => {
-            name(w.raw("{\"voter\":"), *voter);
+            w.raw("{\"voter\":").ident(*voter);
             w.raw(",\"producer_count\":").uint(*producer_count).raw("}");
         }
         ActionData::RentCpu { from, receiver, payment } => {
@@ -453,23 +446,23 @@ fn write_action_data(w: &mut JsonWriter<'_>, data: &ActionData) {
     }
 }
 
-/// Append the canonical wire bytes of one block to `out`: the compact JSON
-/// of [`block_to_json`], written straight from the chain model. The NDJSON
+/// Append the canonical wire bytes of one block to `out` (or, into a
+/// [`txstat_types::JsonLen`], count them): the compact JSON of
+/// [`block_to_json`], written straight from the chain model. The NDJSON
 /// crawl replay, the archive's wire-JSON segments, the follow layer's reorg
 /// content hashes and the Figure 2 storage sweep all move exactly these
 /// bytes — this is their one shared definition.
-pub fn block_bytes_into(b: &Block, out: &mut Vec<u8>) {
+pub fn block_bytes_into(b: &Block, out: &mut impl JsonOut) {
     let w = &mut JsonWriter::new(out);
     w.raw("{\"block_num\":").uint(b.num).raw(",\"timestamp\":").iso(b.time);
-    name(w.raw(",\"producer\":"), b.producer).raw(",\"transactions\":");
+    w.raw(",\"producer\":").ident(b.producer).raw(",\"transactions\":");
     w.array(&b.transactions, |w, tx| {
         w.raw("{\"status\":\"executed\",\"cpu_usage_us\":").uint(tx.cpu_us);
         w.raw(",\"net_usage_words\":").uint(tx.net_bytes / 8);
         w.raw(",\"trx\":{\"id\":\"").hex16(tx.id).raw("\",\"transaction\":{\"actions\":");
         w.array(&tx.actions, |w, a| {
-            name(w.raw("{\"account\":"), a.contract);
-            name(w.raw(",\"name\":"), a.name);
-            name(w.raw(",\"authorization\":[{\"actor\":"), a.actor);
+            w.raw("{\"account\":").ident(a.contract).raw(",\"name\":").ident(a.name);
+            w.raw(",\"authorization\":[{\"actor\":").ident(a.actor);
             w.raw(",\"permission\":\"active\"}],\"data\":");
             write_action_data(w, &a.data);
             w.raw("}");

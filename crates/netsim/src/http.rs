@@ -110,6 +110,10 @@ impl std::error::Error for HttpError {}
 /// Upper bound on accepted bodies (blocks are large but bounded).
 pub const MAX_BODY: usize = 64 * 1024 * 1024;
 
+/// Most bytes a body grows by per read. A peer's `content-length` is only
+/// a claim: memory follows the bytes that actually arrive.
+const BODY_STEP: usize = 64 * 1024;
+
 /// Upper bounds on a message head, so no peer can grow it without limit:
 /// bytes per request, status or header line, and headers.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -160,6 +164,19 @@ async fn read_headers(
     Ok((headers, content_length))
 }
 
+/// A body of `len` announced bytes, read in steps of at most [`BODY_STEP`]
+/// so the buffer never runs ahead of what arrived. An empty body reads and
+/// allocates nothing; a peer that closes early is an `UnexpectedEof`.
+async fn read_body(stream: &mut BufStream<TcpStream>, len: usize) -> Result<Vec<u8>, HttpError> {
+    let mut body = Vec::new();
+    while body.len() < len {
+        let have = body.len();
+        body.resize(have + BODY_STEP.min(len - have), 0);
+        stream.read_exact(&mut body[have..]).await?;
+    }
+    Ok(body)
+}
+
 /// Read one request from a connection; `Ok(None)` on clean EOF between
 /// requests (keep-alive end).
 pub async fn read_request(
@@ -181,8 +198,7 @@ pub async fn read_request(
         return Err(HttpError::BadRequestLine(line_t.to_owned()));
     }
     let (headers, content_length) = read_headers(stream).await?;
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).await?;
+    let body = read_body(stream, content_length).await?;
     Ok(Some(HttpRequest { method, path, headers, body }))
 }
 
@@ -222,8 +238,7 @@ pub async fn read_response(
         .ok_or_else(|| HttpError::BadStatusLine(line_t.to_owned()))?;
     let reason = parts.next().unwrap_or("").to_owned();
     let (headers, content_length) = read_headers(stream).await?;
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).await?;
+    let body = read_body(stream, content_length).await?;
     Ok(HttpResponse { status, reason, headers, body })
 }
 
@@ -281,6 +296,7 @@ mod tests {
             // Second request on the same connection (keep-alive).
             let req2 = read_request(&mut stream).await.unwrap().unwrap();
             assert_eq!(req2.method, "GET");
+            assert_eq!(req2.body.capacity(), 0, "an empty body allocates nothing");
             write_response(&mut stream, &HttpResponse::status(404, "Not Found", vec![]))
                 .await
                 .unwrap();
@@ -328,7 +344,8 @@ mod tests {
         server.await.unwrap();
     }
 
-    /// What `read_request` makes of `head`, sent raw.
+    /// What `read_request` makes of `head`, sent raw by a peer that then
+    /// closes.
     async fn parse_raw(head: String) -> Result<Option<HttpRequest>, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
         let addr = listener.local_addr().unwrap();
@@ -339,6 +356,7 @@ mod tests {
         let mut stream = BufStream::new(TcpStream::connect(addr).await.unwrap());
         stream.write_all(head.as_bytes()).await.unwrap();
         stream.flush().await.unwrap();
+        drop(stream);
         server.await.unwrap()
     }
 
@@ -368,6 +386,15 @@ mod tests {
         match parse_raw(head).await {
             Err(HttpError::BodyTooLarge(n)) => assert!(n > MAX_BODY),
             other => panic!("expected BodyTooLarge, got {other:?}"),
+        }
+    }
+
+    #[tokio::test]
+    async fn a_body_shorter_than_announced_is_a_typed_error() {
+        let head = format!("POST /x HTTP/1.1\r\ncontent-length: {MAX_BODY}\r\n\r\n0123456789");
+        match parse_raw(head).await {
+            Err(HttpError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected UnexpectedEof, got {other:?}"),
         }
     }
 

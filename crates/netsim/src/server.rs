@@ -195,12 +195,35 @@ mod tests {
         let h = spawn_http(Arc::new(Echo), EndpointProfile::generous("e", 1)).await.unwrap();
         let sock = TcpStream::connect(h.addr).await.unwrap();
         let mut stream = BufStream::new(sock);
-        write_request(&mut stream, &HttpRequest::post("/x", b"hello".to_vec())).await.unwrap();
-        let resp = read_response(&mut stream).await.unwrap();
-        assert_eq!(resp.body, b"hello");
+        // Two requests on one connection: a reply's bytes are booked after
+        // it is written, so only the second reply proves the first booked.
+        for _ in 0..2 {
+            write_request(&mut stream, &HttpRequest::post("/x", b"hello".to_vec())).await.unwrap();
+            let resp = read_response(&mut stream).await.unwrap();
+            assert_eq!(resp.body, b"hello");
+        }
         let s = &h.stats;
-        assert_eq!((s.requests.get(), s.served.get(), s.rate_limited.get()), (1, 1, 0));
-        assert!(s.bytes_in.get() > 5 && s.bytes_out.get() > 5);
+        assert_eq!((s.requests.get(), s.served.get(), s.rate_limited.get()), (2, 2, 0));
+        assert!(s.bytes_in.get() > 10 && s.bytes_out.get() > 5);
+    }
+
+    #[tokio::test]
+    async fn a_peer_that_oversells_its_body_costs_one_connection() {
+        use crate::http::MAX_BODY;
+        use tokio::io::AsyncWriteExt;
+        let h = spawn_http(Arc::new(Echo), EndpointProfile::generous("e", 5)).await.unwrap();
+        // Announce the largest body accepted, send ten bytes of it, hang up.
+        let mut liar = TcpStream::connect(h.addr).await.unwrap();
+        let head = format!("POST /x HTTP/1.1\r\ncontent-length: {MAX_BODY}\r\n\r\n0123456789");
+        liar.write_all(head.as_bytes()).await.unwrap();
+        drop(liar);
+        // The next connection is served, a 1 MiB body intact both ways.
+        let payload: Vec<u8> = (0..=255u8).cycle().take(1 << 20).collect();
+        let mut stream = BufStream::new(TcpStream::connect(h.addr).await.unwrap());
+        write_request(&mut stream, &HttpRequest::post("/x", payload.clone())).await.unwrap();
+        let resp = read_response(&mut stream).await.unwrap();
+        assert!(resp.is_ok() && resp.body == payload, "status {}", resp.status);
+        assert_eq!(h.stats.served.get(), 1, "the short body was never a request");
     }
 
     #[tokio::test]

@@ -6,8 +6,8 @@
 //! trades, the XRP account cluster, EOS CPU-price history, Tezos rolls and
 //! governance windows), the **segment summary** memoized per segment in
 //! `archive.memo` (every report input that needs block bytes and is not a
-//! sweep), and the per-block wire-JSON bytes shared with the NDJSON crawl
-//! replay and the follow layer's content hashes.
+//! sweep). The per-block wire-JSON bytes live with their chains, in the
+//! `rpc_model` modules.
 //!
 //! Everything here is deterministic byte-for-byte: maps are exported in
 //! sorted order and floats travel as IEEE-754 bit patterns, so archiving
@@ -368,27 +368,6 @@ impl SegmentSummary {
             cpu_peaks,
         })
     }
-}
-
-// ---- per-block wire-JSON bytes ----------------------------------------------
-//
-// One canonical home per chain: the chain crates' `rpc_model` modules own
-// the wire byte codecs (the crawl replay and the NDJSON sources route
-// through the same functions). These re-exports keep the reports-side
-// names the archive layer has always used.
-
-/// The canonical wire-JSON bytes of one EOS block — the same bytes the
-/// NDJSON crawl replay moves and the follower's reorg marks hash.
-pub fn eos_block_bytes(b: &txstat_eos::Block) -> Vec<u8> {
-    txstat_eos::rpc_model::block_bytes(b)
-}
-
-pub fn tezos_block_bytes(b: &txstat_tezos::TezosBlock) -> Vec<u8> {
-    txstat_tezos::rpc_model::block_bytes(b)
-}
-
-pub fn xrp_block_bytes(b: &txstat_xrp::LedgerBlock) -> Vec<u8> {
-    txstat_xrp::rpc_model::ledger_bytes(b)
 }
 
 // ---- segment assembly / replay ----------------------------------------------

@@ -91,7 +91,7 @@
 //! run fails unless the re-opened archive replays byte-identical to the
 //! followed chains.
 
-use crate::archive_io::{eos_block_bytes, segments_of_from, tezos_block_bytes, xrp_block_bytes};
+use crate::archive_io::segments_of_from;
 use crate::exhibits::render_report;
 use crate::pipeline::{
     check_segment_blocks, create_archive_writer, pipeline_from_archive, run_of, MemoStatus,
@@ -765,9 +765,9 @@ fn chains_wire_identical(a: &PipelineData, b: &PipelineData) -> bool {
     fn same<B>(a: &[B], b: &[B], wire: impl Fn(&B) -> Vec<u8>) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| wire(x) == wire(y))
     }
-    same(&a.eos_blocks, &b.eos_blocks, eos_block_bytes)
-        && same(&a.tezos_blocks, &b.tezos_blocks, tezos_block_bytes)
-        && same(&a.xrp_blocks, &b.xrp_blocks, xrp_block_bytes)
+    same(&a.eos_blocks, &b.eos_blocks, txstat_eos::rpc_model::block_bytes)
+        && same(&a.tezos_blocks, &b.tezos_blocks, txstat_tezos::rpc_model::block_bytes)
+        && same(&a.xrp_blocks, &b.xrp_blocks, txstat_xrp::rpc_model::ledger_bytes)
 }
 
 #[cfg(test)]

@@ -47,6 +47,7 @@ use txstat_netsim::http::HttpRequest;
 use txstat_tezos::address::Address;
 use txstat_tezos::governance::PeriodKind;
 use txstat_types::time::{ChainTime, Period};
+use txstat_types::{JsonLen, JsonOut};
 use txstat_workload::{eos::build_eos, tezos::build_tezos, xrp::build_xrp, Scenario};
 use txstat_xrp::amount::IssuedCurrency;
 use txstat_xrp::rates::{RateOracle, TradeRecord};
@@ -1320,15 +1321,61 @@ pub(crate) fn run_of<T>(v: &[T], start: u64, end: u64) -> &[T] {
     &v[(start as usize).min(v.len())..(end as usize).min(v.len())]
 }
 
+/// A block as Figure 2 accounts it: its canonical wire JSON (written or
+/// counted through the chain crate's one writer), its transactions, and its
+/// height and time for the bounds.
+trait Fig2Block {
+    fn wire(&self, out: &mut impl JsonOut);
+    fn txs(&self) -> u64;
+    fn at(&self) -> (u64, ChainTime);
+}
+
+impl Fig2Block for txstat_eos::Block {
+    fn wire(&self, out: &mut impl JsonOut) {
+        txstat_eos::rpc_model::block_bytes_into(self, out)
+    }
+    fn txs(&self) -> u64 {
+        self.transactions.len() as u64
+    }
+    fn at(&self) -> (u64, ChainTime) {
+        (self.num, self.time)
+    }
+}
+
+impl Fig2Block for txstat_tezos::TezosBlock {
+    fn wire(&self, out: &mut impl JsonOut) {
+        txstat_tezos::rpc_model::block_bytes_into(self, out)
+    }
+    fn txs(&self) -> u64 {
+        self.operations.len() as u64
+    }
+    fn at(&self) -> (u64, ChainTime) {
+        (self.level, self.time)
+    }
+}
+
+impl Fig2Block for txstat_xrp::LedgerBlock {
+    fn wire(&self, out: &mut impl JsonOut) {
+        txstat_xrp::rpc_model::ledger_bytes_into(self, out)
+    }
+    fn txs(&self) -> u64 {
+        self.transactions.len() as u64
+    }
+    fn at(&self) -> (u64, ChainTime) {
+        (self.index, self.close_time)
+    }
+}
+
 /// The one kernel behind every block-derived report fact: summarize the
 /// blocks at positions `[start, start + len)` of each chain (`cpu_price`
 /// is the CPU-price history aligned to `eos`). Figure 2's accounting
-/// writes every block's wire JSON through one reused buffer and
-/// sample-compresses it (same methodology as the crawler's — see "Figure 2
-/// methodology" in the root README); sampling is keyed by *absolute* block
-/// position, so summaries of any tiling of a chain sum to the whole-chain
-/// result. Changing what this returns for the same blocks means bumping
-/// [`SUMMARY_SCHEMA`].
+/// writes the wire JSON of the blocks [`CrawlStats`] samples through one
+/// reused buffer and compresses it (same methodology as the crawler's —
+/// see "Figure 2 methodology" in the root README); every other block is
+/// only counted, by the same writer into a [`JsonLen`]. Sampling is keyed
+/// by *absolute* block position, so summaries of any tiling of a chain sum
+/// to the whole-chain result. Changing what this returns for the same
+/// blocks means bumping [`SUMMARY_SCHEMA`].
 pub fn summarize(
     start: u64,
     eos: &[txstat_eos::Block],
@@ -1336,55 +1383,31 @@ pub fn summarize(
     xrp: &[txstat_xrp::LedgerBlock],
     cpu_price: &[(u64, f64)],
 ) -> SegmentSummary {
-    fn chain<B>(
-        name: &str,
-        start: u64,
-        blocks: &[B],
-        wire_into: impl Fn(&B, &mut Vec<u8>),
-        txs: impl Fn(&B) -> u64,
-        at: impl Fn(&B) -> (u64, ChainTime),
-    ) -> (CrawlStats, Bounds) {
+    fn chain<B: Fig2Block>(name: &str, start: u64, blocks: &[B]) -> (CrawlStats, Bounds) {
         let _span = Span::enter("fig2_storage", name);
         let mut stats = CrawlStats::default();
         let mut wire = Vec::new();
-        for (i, b) in blocks.iter().enumerate() {
-            wire.clear();
-            wire_into(b, &mut wire);
-            stats.record_payload(start + i as u64, &wire);
+        for (index, b) in (start..).zip(blocks) {
+            if CrawlStats::is_sampled(index) {
+                wire.clear();
+                b.wire(&mut wire);
+                stats.record_payload(index, &wire);
+            } else {
+                stats.record_len(index, JsonLen::of(|len| b.wire(len)));
+            }
             stats.blocks += 1;
-            stats.transactions += txs(b);
+            stats.transactions += b.txs();
         }
         let mut bounds = Bounds::default();
         for b in blocks.first().into_iter().chain(blocks.last()) {
-            let (n, t) = at(b);
+            let (n, t) = b.at();
             bounds.record(n, t);
         }
         (stats, bounds)
     }
-    let (eos_stats, eos_bounds) = chain(
-        "eos",
-        start,
-        eos,
-        txstat_eos::rpc_model::block_bytes_into,
-        |b| b.transactions.len() as u64,
-        |b| (b.num, b.time),
-    );
-    let (tezos_stats, tezos_bounds) = chain(
-        "tezos",
-        start,
-        tezos,
-        txstat_tezos::rpc_model::block_bytes_into,
-        |b| b.operations.len() as u64,
-        |b| (b.level, b.time),
-    );
-    let (xrp_stats, xrp_bounds) = chain(
-        "xrp",
-        start,
-        xrp,
-        txstat_xrp::rpc_model::ledger_bytes_into,
-        |b| b.transactions.len() as u64,
-        |b| (b.index, b.close_time),
-    );
+    let (eos_stats, eos_bounds) = chain("eos", start, eos);
+    let (tezos_stats, tezos_bounds) = chain("tezos", start, tezos);
+    let (xrp_stats, xrp_bounds) = chain("xrp", start, xrp);
     SegmentSummary {
         storage: (eos_stats, tezos_stats, xrp_stats),
         bounds: [eos_bounds, tezos_bounds, xrp_bounds],

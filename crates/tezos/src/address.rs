@@ -90,6 +90,17 @@ impl fmt::Display for AddressError {
 
 impl std::error::Error for AddressError {}
 
+impl txstat_types::WireText for Address {
+    fn write_text(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.encode(&mut [0; Self::MAX_LEN]).as_bytes());
+    }
+
+    /// [`Address::encode`]'s length: the prefix plus the payload's base58 digits.
+    fn text_len(self) -> usize {
+        self.prefix().len() + txstat_types::base58::encoded_len(&self.payload())
+    }
+}
+
 impl txstat_types::colcodec::ColKey for Address {
     /// Wire column form: a one-byte kind tag (0 = implicit, 1 = originated)
     /// plus the 64-bit internal id.
@@ -160,6 +171,7 @@ impl TryFrom<String> for Address {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use txstat_types::WireText;
 
     #[test]
     fn roundtrip_and_prefixes() {
@@ -238,6 +250,7 @@ mod tests {
     fn check_text(a: Address) {
         let mut buf = [0u8; Address::MAX_LEN];
         let text = a.encode(&mut buf).to_owned();
+        assert_eq!(a.text_len(), text.len(), "{a:?}");
         assert_eq!(text, reference_string(a), "{a:?}");
         assert_eq!(text, a.to_string(), "{a:?}");
         assert_eq!(text.parse::<Address>(), Ok(a), "{text}");

@@ -10,7 +10,7 @@ use crate::chain::TezosBlock;
 use crate::ops::{OpPayload, Operation, OperationKind, Vote};
 use serde::{Deserialize, Serialize};
 use txstat_types::time::ChainTime;
-use txstat_types::JsonWriter;
+use txstat_types::{JsonOut, JsonWriter};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OpJson {
@@ -229,28 +229,21 @@ pub fn block_from_json(json: &BlockJson) -> Result<TezosBlock, DecodeError> {
     Ok(TezosBlock { level: json.header.level, time, baker, operations })
 }
 
-/// Append an address as a string literal. Base58 text cannot need
-/// escaping, so it goes from [`Address::encode`]'s stack buffer straight
-/// into the output.
-fn addr<'w, 'o>(w: &'w mut JsonWriter<'o>, a: &Address) -> &'w mut JsonWriter<'o> {
-    w.quoted(a.encode(&mut [0; Address::MAX_LEN]))
-}
-
 /// Append one operation in [`OpJson`]'s field order, absent fields skipped.
-fn write_op(w: &mut JsonWriter<'_>, op: &Operation) {
+fn write_op<O: JsonOut>(w: &mut JsonWriter<'_, O>, op: &Operation) {
     w.raw("{\"kind\":").quoted(op.kind().wire_kind());
-    addr(w.raw(",\"source\":"), &op.source);
+    w.raw(",\"source\":").ident(op.source);
     match &op.payload {
         OpPayload::Endorsement { level, slots } => {
             w.raw(",\"level\":").uint(*level).raw(",\"slots\":").uint(*slots);
         }
         OpPayload::Transaction { destination: to, amount_mutez: amount }
         | OpPayload::Origination { contract: to, balance_mutez: amount } => {
-            addr(w.raw(",\"destination\":"), to).raw(",\"amount\":\"").uint(*amount).raw("\"");
+            w.raw(",\"destination\":").ident(*to).raw(",\"amount\":\"").uint(*amount).raw("\"");
         }
         OpPayload::Delegation { delegate } => {
             if let Some(d) = delegate {
-                addr(w.raw(",\"delegate\":"), d);
+                w.raw(",\"delegate\":").ident(*d);
             }
         }
         OpPayload::Reveal => {}
@@ -269,21 +262,22 @@ fn write_op(w: &mut JsonWriter<'_>, op: &Operation) {
             });
         }
         OpPayload::DoubleBakingEvidence { offender, level } => {
-            addr(w.raw(",\"destination\":"), offender).raw(",\"level\":").uint(*level);
+            w.raw(",\"destination\":").ident(*offender).raw(",\"level\":").uint(*level);
         }
     }
     w.raw("}");
 }
 
-/// Append the canonical wire bytes of one block to `out`: the compact JSON
-/// of [`block_to_json`], written straight from the chain model. Crawl
-/// replay, wire-JSON archive segments, reorg content hashes and the
-/// Figure 2 storage sweep all share this definition.
-pub fn block_bytes_into(b: &TezosBlock, out: &mut Vec<u8>) {
+/// Append the canonical wire bytes of one block to `out` (or, into a
+/// [`txstat_types::JsonLen`], count them): the compact JSON of
+/// [`block_to_json`], written straight from the chain model. Crawl replay,
+/// wire-JSON archive segments, reorg content hashes and the Figure 2
+/// storage sweep all share this definition.
+pub fn block_bytes_into(b: &TezosBlock, out: &mut impl JsonOut) {
     let w = &mut JsonWriter::new(out);
     w.raw("{\"protocol\":").quoted(PROTOCOL).raw(",\"chain_id\":").quoted(CHAIN_ID);
     w.raw(",\"header\":{\"level\":").uint(b.level);
-    addr(w.raw(",\"timestamp\":").iso(b.time).raw(",\"baker\":"), &b.baker);
+    w.raw(",\"timestamp\":").iso(b.time).raw(",\"baker\":").ident(b.baker);
     w.raw("},\"operations\":").array(0..4, |w, pass| {
         let in_pass = b.operations.iter().filter(|op| op.kind().validation_pass() == pass);
         w.array(in_pass, write_op);

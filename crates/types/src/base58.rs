@@ -16,6 +16,48 @@ pub const MAX_DIGITS: usize = 22;
 /// digits, which then come out in 64-bit arithmetic.
 const CHUNK: u64 = 58u64.pow(10);
 
+/// 58¹ … 58²¹, every power of 58 in a `u128`: a value has one digit more
+/// than the number of them it reaches.
+const POW58: [u128; MAX_DIGITS - 1] = {
+    let mut pows = [0u128; MAX_DIGITS - 1];
+    let mut i = 0;
+    while i < pows.len() {
+        pows[i] = 58u128.pow(i as u32 + 1);
+        i += 1;
+    }
+    pows
+};
+
+/// Per bit length `b`, how many of [`POW58`] the smallest `b`-bit value
+/// reaches. Two powers of 58 never share a bit length, so any `b`-bit value
+/// reaches that many or one more.
+const POW58_REACHED: [u8; 129] = {
+    let mut reached = [0u8; 129];
+    let mut bits = 1;
+    while bits <= 128 {
+        let mut k = 0;
+        while k < POW58.len() && POW58[k] <= 1 << (bits - 1) {
+            k += 1;
+        }
+        reached[bits] = k as u8;
+        bits += 1;
+    }
+    reached
+};
+
+/// The digits [`Alphabet::encode`] renders for `payload` (any alphabet,
+/// prefix not included), by arithmetic: one per leading zero byte, plus
+/// those of the value (one for zero).
+pub fn encoded_len(payload: &[u8]) -> usize {
+    assert!(payload.len() <= 16, "payload of {} bytes does not fit a u128", payload.len());
+    let n = payload.iter().fold(0u128, |n, &b| (n << 8) | b as u128);
+    let bits = 128 - n.leading_zeros() as usize;
+    let zero_bytes = payload.len() - bits.div_ceil(8);
+    let reached = POW58_REACHED[bits] as usize;
+    let reached = reached + POW58.get(reached).is_some_and(|p| n >= *p) as usize;
+    zero_bytes + 1 + reached
+}
+
 /// A base58 digit set with its inverse.
 pub struct Alphabet {
     digits: [u8; 58],
@@ -168,6 +210,7 @@ mod tests {
         let mut buf = [0u8; MAX_DIGITS];
         let text = alphabet.encode("", payload, &mut buf);
         assert_eq!(text, reference_encode(&alphabet.digits, payload), "payload {payload:02x?}");
+        assert_eq!(encoded_len(payload), text.len(), "payload {payload:02x?}");
         // An all-zero payload renders one digit more than it has bytes (the
         // value's own zero digit) and so never parsed back.
         if payload.iter().any(|b| *b != 0) {
@@ -180,6 +223,10 @@ mod tests {
         let chunk = CHUNK as u128;
         let mut values = vec![0u128, 1, 57, 58, u64::MAX as u128, u64::MAX as u128 + 1, u128::MAX];
         for around in [chunk, chunk * chunk, chunk * 58, 1 << 80, 1 << 72, 1 << 64, 1 << 56] {
+            values.extend([around - 1, around, around + 1]);
+        }
+        // Where the digit count steps.
+        for around in POW58 {
             values.extend([around - 1, around, around + 1]);
         }
         for alphabet in [&BITCOIN, &RIPPLE] {
@@ -217,14 +264,19 @@ mod tests {
         fn encode_and_decode_match_the_reference(
             value in any::<u128>(),
             len in 0usize..=16,
+            zeros in 0usize..=16,
             ripple in any::<bool>(),
         ) {
             let alphabet = if ripple { &RIPPLE } else { &BITCOIN };
-            let bytes = value.to_be_bytes();
+            // The low `len` bytes of `value` behind up to `len` zero bytes:
+            // every width, from all-zero payloads to none zeroed.
+            let mut bytes = value.to_be_bytes();
+            bytes[16 - len..][..zeros.min(len)].fill(0);
             let payload = &bytes[16 - len..];
             let mut buf = [0u8; MAX_DIGITS];
             let text = alphabet.encode("", payload, &mut buf);
             prop_assert_eq!(text, reference_encode(&alphabet.digits, payload));
+            prop_assert_eq!(encoded_len(payload), text.len());
             // Ten bytes is the width both chains use.
             let want = reference_decode(&alphabet.digits, text).filter(|b| b.len() == 10);
             prop_assert_eq!(alphabet.decode::<10>(text).map(|b| b.to_vec()), want);

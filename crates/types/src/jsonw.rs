@@ -5,103 +5,216 @@
 //! hashes and the Figure 2 storage sweep all share. They used to be
 //! produced by building a DTO of owned `String`s, lowering it to a
 //! `serde_json::Value` tree and printing that; this writer emits the same
-//! compact bytes straight from the chain model into a caller-supplied
-//! buffer. It is deliberately not a serializer framework: the caller spells
-//! the structure (`raw` for punctuation and keys), the writer owns only what
-//! has to agree with `serde_json` byte for byte — string escaping and number
-//! formatting.
+//! compact bytes straight from the chain model. It is deliberately not a
+//! serializer framework: the caller spells the structure (`raw` for
+//! punctuation and keys), the writer owns only what has to agree with
+//! `serde_json` byte for byte — string escaping and number formatting.
+//!
+//! The writer has two outputs behind one [`JsonOut`] trait, the JSON twin
+//! of `lzss::{compress, compressed_len}`: a `Vec<u8>` receives the bytes,
+//! a [`JsonLen`] only their count. The counter sizes every primitive by
+//! arithmetic — decimal digit counts, escape expansion, the fixed 16 of
+//! `hex16`, an identity's [`WireText::text_len`] — so a format spelled once
+//! against [`JsonWriter`] yields its length without rendering a byte. That
+//! is how Figure 2 measures the blocks it does not compress.
 
 use crate::time::ChainTime;
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
-/// Appends compact JSON to a borrowed buffer. Methods chain.
-pub struct JsonWriter<'a> {
-    out: &'a mut Vec<u8>,
+/// Where a [`JsonWriter`] sends its output. Every method appends exactly
+/// what the `Vec<u8>` impl writes; [`JsonLen`] counts it instead.
+pub trait JsonOut {
+    /// Bytes that need no escaping.
+    fn raw(&mut self, bytes: &[u8]);
+    /// A string body with JSON escaping, without quotes.
+    fn escaped(&mut self, s: &str);
+    /// Decimal digits of `n`, left-padded with zeros to `width` (≤ 20).
+    fn uint_padded(&mut self, n: u64, width: usize);
+    /// 16 lower-case hex digits (`{:016x}`).
+    fn hex16(&mut self, n: u64);
+    /// An identity's text, without quotes.
+    fn text(&mut self, t: impl WireText);
 }
 
-/// Append `s` with JSON string escaping (no surrounding quotes). The table
-/// is the vendored `serde_json::write_escaped`'s: `"` `\` and the five
-/// short control escapes, `\u00XX` (lower-case hex) for the other bytes
-/// below 0x20, everything else — DEL and non-ASCII included — verbatim.
-fn escape_into(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let mut clean_from = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.extend_from_slice(&bytes[clean_from..i]);
-        clean_from = i + 1;
-        match b {
-            b'"' => out.extend_from_slice(b"\\\""),
-            b'\\' => out.extend_from_slice(b"\\\\"),
-            b'\n' => out.extend_from_slice(b"\\n"),
-            b'\r' => out.extend_from_slice(b"\\r"),
-            b'\t' => out.extend_from_slice(b"\\t"),
-            0x08 => out.extend_from_slice(b"\\b"),
-            0x0c => out.extend_from_slice(b"\\f"),
-            _ => out.extend_from_slice(&[
-                b'\\',
-                b'u',
-                b'0',
-                b'0',
-                HEX[(b >> 4) as usize],
-                HEX[(b & 15) as usize],
-            ]),
-        }
-    }
-    out.extend_from_slice(&bytes[clean_from..]);
+/// An identity whose text form never needs escaping (EOS names, base58
+/// addresses): rendered from its encoder's stack buffer, or measured
+/// without rendering.
+pub trait WireText {
+    /// Append the text to `out`.
+    fn write_text(self, out: &mut Vec<u8>);
+    /// The length [`WireText::write_text`] appends, by arithmetic.
+    fn text_len(self) -> usize;
 }
 
-impl<'a> JsonWriter<'a> {
-    pub fn new(out: &'a mut Vec<u8>) -> Self {
-        JsonWriter { out }
+/// The second byte of the two-byte escape of `b` (`\"` `\\` and the five
+/// short control escapes); `None` for a byte that takes `\u00XX` or none.
+fn short_escape(b: u8) -> Option<u8> {
+    match b {
+        b'"' => Some(b'"'),
+        b'\\' => Some(b'\\'),
+        b'\n' => Some(b'n'),
+        b'\r' => Some(b'r'),
+        b'\t' => Some(b't'),
+        0x08 => Some(b'b'),
+        0x0c => Some(b'f'),
+        _ => None,
+    }
+}
+
+/// Whether `b` is written escaped: `"`, `\` and every byte below 0x20 —
+/// the vendored `serde_json::write_escaped`'s table. DEL and non-ASCII go
+/// verbatim.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Decimal digits of `n` (one for zero).
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+impl JsonOut for Vec<u8> {
+    fn raw(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 
-    /// Structure, keys, and string bodies known to need no escaping.
-    pub fn raw(&mut self, text: &str) -> &mut Self {
-        self.out.extend_from_slice(text.as_bytes());
-        self
+    fn escaped(&mut self, s: &str) {
+        let bytes = s.as_bytes();
+        let mut clean_from = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            if !needs_escape(b) {
+                continue;
+            }
+            self.extend_from_slice(&bytes[clean_from..i]);
+            clean_from = i + 1;
+            match short_escape(b) {
+                Some(c) => self.extend_from_slice(&[b'\\', c]),
+                None => self.extend_from_slice(&[
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[(b >> 4) as usize],
+                    HEX[(b & 15) as usize],
+                ]),
+            }
+        }
+        self.extend_from_slice(&bytes[clean_from..]);
     }
 
-    /// A string body, escaped, without quotes — for strings assembled from
-    /// several parts between two `raw("\"")`.
-    pub fn escaped(&mut self, s: &str) -> &mut Self {
-        escape_into(self.out, s);
-        self
-    }
-
-    /// A complete string literal.
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        self.out.push(b'"');
-        escape_into(self.out, s);
-        self.out.push(b'"');
-        self
-    }
-
-    /// A complete string literal of text known to need no escaping: the
-    /// chains' static wire names and their base58 / base32 identities.
-    pub fn quoted(&mut self, text: &str) -> &mut Self {
-        self.out.push(b'"');
-        self.out.extend_from_slice(text.as_bytes());
-        self.out.push(b'"');
-        self
-    }
-
-    /// Decimal digits of `n`, left-padded with zeros to `width` (at most
-    /// 20, the longest a `u64` gets).
-    pub fn uint_padded(&mut self, mut n: u64, width: usize) -> &mut Self {
+    fn uint_padded(&mut self, mut n: u64, width: usize) {
         let mut buf = [b'0'; 20];
-        assert!(width <= buf.len(), "u64 padding width {width}");
         let mut at = buf.len();
         while n > 0 {
             at -= 1;
             buf[at] = b'0' + (n % 10) as u8;
             n /= 10;
         }
-        self.out
-            .extend_from_slice(&buf[at.min(buf.len() - width)..]);
+        self.extend_from_slice(&buf[at.min(buf.len() - width)..]);
+    }
+
+    fn hex16(&mut self, n: u64) {
+        let mut buf = [0u8; 16];
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = HEX[(n >> (60 - 4 * i) & 15) as usize];
+        }
+        self.extend_from_slice(&buf);
+    }
+
+    fn text(&mut self, t: impl WireText) {
+        t.write_text(self);
+    }
+}
+
+/// A [`JsonOut`] that keeps only the byte count.
+#[derive(Debug, Default)]
+pub struct JsonLen(pub usize);
+
+impl JsonLen {
+    /// The number of bytes `write` would append to a `Vec<u8>`.
+    pub fn of(write: impl FnOnce(&mut JsonLen)) -> usize {
+        let mut len = JsonLen(0);
+        write(&mut len);
+        len.0
+    }
+}
+
+impl JsonOut for JsonLen {
+    fn raw(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn escaped(&mut self, s: &str) {
+        let expansion: usize = s
+            .bytes()
+            .filter(|b| needs_escape(*b))
+            .map(|b| if short_escape(b).is_some() { 1 } else { 5 })
+            .sum();
+        self.0 += s.len() + expansion;
+    }
+
+    fn uint_padded(&mut self, n: u64, width: usize) {
+        self.0 += digits(n).max(width);
+    }
+
+    fn hex16(&mut self, _: u64) {
+        self.0 += 16;
+    }
+
+    fn text(&mut self, t: impl WireText) {
+        self.0 += t.text_len();
+    }
+}
+
+/// Appends compact JSON to a borrowed [`JsonOut`] (a `Vec<u8>` by
+/// default). Methods chain.
+pub struct JsonWriter<'a, O: JsonOut = Vec<u8>> {
+    out: &'a mut O,
+}
+
+impl<'a, O: JsonOut> JsonWriter<'a, O> {
+    pub fn new(out: &'a mut O) -> Self {
+        JsonWriter { out }
+    }
+
+    /// Structure, keys, and string bodies known to need no escaping.
+    pub fn raw(&mut self, text: &str) -> &mut Self {
+        self.out.raw(text.as_bytes());
+        self
+    }
+
+    /// A string body, escaped, without quotes — for strings assembled from
+    /// several parts between two `raw("\"")`.
+    pub fn escaped(&mut self, s: &str) -> &mut Self {
+        self.out.escaped(s);
+        self
+    }
+
+    /// A complete string literal.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.raw("\"").escaped(s).raw("\"")
+    }
+
+    /// A complete string literal of text known to need no escaping: the
+    /// chains' static wire names.
+    pub fn quoted(&mut self, text: &str) -> &mut Self {
+        self.raw("\"").raw(text).raw("\"")
+    }
+
+    /// A complete string literal of an identity's text (an EOS name, a
+    /// base58 address).
+    pub fn ident(&mut self, t: impl WireText) -> &mut Self {
+        self.raw("\"");
+        self.out.text(t);
+        self.raw("\"")
+    }
+
+    /// Decimal digits of `n`, left-padded with zeros to `width` (at most
+    /// 20, the longest a `u64` gets).
+    pub fn uint_padded(&mut self, n: u64, width: usize) -> &mut Self {
+        assert!(width <= 20, "u64 padding width {width}");
+        self.out.uint_padded(n, width);
         self
     }
 
@@ -115,20 +228,19 @@ impl<'a> JsonWriter<'a> {
         items: impl IntoIterator<Item = T>,
         mut each: impl FnMut(&mut Self, T),
     ) -> &mut Self {
-        self.out.push(b'[');
+        self.raw("[");
         for (i, item) in items.into_iter().enumerate() {
             if i > 0 {
-                self.out.push(b',');
+                self.raw(",");
             }
             each(self, item);
         }
-        self.out.push(b']');
-        self
+        self.raw("]")
     }
 
     pub fn int(&mut self, n: i64) -> &mut Self {
         if n < 0 {
-            self.out.push(b'-');
+            self.raw("-");
         }
         self.uint(n.unsigned_abs())
     }
@@ -144,7 +256,7 @@ impl<'a> JsonWriter<'a> {
             return self.raw(&crate::fmt_scaled(raw, decimals));
         };
         if raw < 0 {
-            self.out.push(b'-');
+            self.raw("-");
         }
         if decimals == 0 {
             self.uint(mag)
@@ -157,11 +269,7 @@ impl<'a> JsonWriter<'a> {
 
     /// 16 lower-case hex digits (`{:016x}`).
     pub fn hex16(&mut self, n: u64) -> &mut Self {
-        let mut buf = [0u8; 16];
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = HEX[(n >> (60 - 4 * i) & 15) as usize];
-        }
-        self.out.extend_from_slice(&buf);
+        self.out.hex16(n);
         self
     }
 
@@ -169,7 +277,7 @@ impl<'a> JsonWriter<'a> {
     pub fn iso(&mut self, t: ChainTime) -> &mut Self {
         let (y, m, d) = t.ymd();
         let (h, mi, s) = t.hms();
-        self.out.push(b'"');
+        self.raw("\"");
         match u64::try_from(y) {
             Ok(y) => self.uint_padded(y, 4),
             // `{y:04}` counts the sign toward the width.
@@ -192,54 +300,66 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn written(f: impl FnOnce(&mut JsonWriter<'_>)) -> String {
-        let mut out = Vec::new();
-        f(&mut JsonWriter::new(&mut out));
-        String::from_utf8(out).expect("writer emits UTF-8")
+    /// The text `|w| body` writes, after checking that the same body run
+    /// against a [`JsonLen`] counts exactly its bytes.
+    macro_rules! written {
+        (|$w:ident| $body:expr) => {{
+            let mut out = Vec::new();
+            {
+                let $w = &mut JsonWriter::new(&mut out);
+                $body;
+            }
+            let counted = JsonLen::of(|len| {
+                let $w = &mut JsonWriter::new(len);
+                $body;
+            });
+            let text = String::from_utf8(out).expect("writer emits UTF-8");
+            assert_eq!(counted, text.len(), "count != bytes for {text:?}");
+            text
+        }};
     }
 
     #[test]
     fn escaping_matches_serde_json_for_every_low_byte_and_friends() {
         let mut all: String = (0u8..=0x7f).map(|b| b as char).collect();
         all.push_str("é😀\u{7f}\u{80}\u{2028}\"\\\\\"");
-        let ours = written(|w| {
-            w.str(&all);
-        });
+        let ours = written!(|w| w.str(&all));
         assert_eq!(ours, serde_json::to_string(&all).unwrap());
         assert!(ours.contains("\\u001f") && ours.contains("\\b") && ours.contains("\\f"));
     }
 
     #[test]
+    fn every_escape_class_counts_its_expansion() {
+        // (text, written length): verbatim (ASCII, DEL, two- and four-byte
+        // UTF-8), the seven two-byte escapes, `\u00XX`.
+        for (text, len) in [
+            ("", 0),
+            ("a~", 2),
+            ("\u{7f}", 1),
+            ("é", 2),
+            ("😀", 4),
+            ("\"", 2),
+            ("\\", 2),
+            ("\n\r\t\u{8}\u{c}", 10),
+            ("\u{0}", 6),
+            ("\u{1f}", 6),
+            ("a\u{1}\"é\u{7f}", 1 + 6 + 2 + 2 + 1),
+        ] {
+            assert_eq!(written!(|w| w.escaped(text)).len(), len, "{text:?}");
+        }
+    }
+
+    #[test]
     fn numbers_match_std_formatting_at_the_edges() {
         for n in [0u64, 1, 9, 10, 99, 100, 12345, u32::MAX as u64, u64::MAX] {
-            assert_eq!(
-                written(|w| {
-                    w.uint(n);
-                }),
-                n.to_string()
-            );
-            assert_eq!(
-                written(|w| {
-                    w.hex16(n);
-                }),
-                format!("{n:016x}")
-            );
+            assert_eq!(written!(|w| w.uint(n)), n.to_string());
+            assert_eq!(written!(|w| w.hex16(n)), format!("{n:016x}"));
             for width in [1usize, 2, 4, 6, 19, 20] {
-                assert_eq!(
-                    written(|w| {
-                        w.uint_padded(n, width);
-                    }),
-                    format!("{n:0width$}")
-                );
+                assert_eq!(written!(|w| w.uint_padded(n, width)), format!("{n:0width$}"));
             }
         }
-        for n in [0i64, -1, 1, i64::MIN, i64::MAX, -10_000] {
-            assert_eq!(
-                written(|w| {
-                    w.int(n);
-                }),
-                n.to_string()
-            );
+        for n in [0i64, -1, 1, 9, -10, i64::MIN, i64::MAX, -10_000] {
+            assert_eq!(written!(|w| w.int(n)), n.to_string());
         }
         for raw in [
             0i128,
@@ -248,15 +368,14 @@ mod tests {
             1_234_560,
             -999_999,
             u64::MAX as i128,
+            // Past 64 bits: the `fmt_scaled` fallback, counted by length.
             u64::MAX as i128 + 1,
             i128::MAX,
             i128::MIN + 1,
         ] {
             for decimals in [0u32, 1, 4, 6, 19, 20, 30] {
                 assert_eq!(
-                    written(|w| {
-                        w.scaled(raw, decimals);
-                    }),
+                    written!(|w| w.scaled(raw, decimals)),
                     crate::fmt_scaled(raw, decimals),
                     "{raw} e-{decimals}"
                 );
@@ -267,14 +386,7 @@ mod tests {
     #[test]
     fn quoted_is_str_for_text_without_escapes() {
         for text in ["", "tz1burnburnburn", "eosio.token", "tesSUCCESS"] {
-            assert_eq!(
-                written(|w| {
-                    w.quoted(text);
-                }),
-                written(|w| {
-                    w.str(text);
-                })
-            );
+            assert_eq!(written!(|w| w.quoted(text)), written!(|w| w.str(text)));
         }
     }
 
@@ -286,13 +398,13 @@ mod tests {
             if emoji {
                 text.push('😀');
             }
-            prop_assert_eq!(written(|w| { w.str(&text); }), serde_json::to_string(&text).unwrap());
+            prop_assert_eq!(written!(|w| w.str(&text)), serde_json::to_string(&text).unwrap());
         }
 
         #[test]
         fn iso_matches_iso_string(secs in -70_000_000_000i64..300_000_000_000) {
             let t = ChainTime(secs);
-            prop_assert_eq!(written(|w| { w.iso(t); }), format!("\"{}\"", t.iso_string()));
+            prop_assert_eq!(written!(|w| w.iso(t)), format!("\"{}\"", t.iso_string()));
         }
     }
 }

@@ -21,7 +21,8 @@
 //! - [`distrib`] — the samplers the workload engine needs (Poisson, Zipf,
 //!   exponential, log-normal) built on plain `rand`.
 //! - [`jsonw`] — the streaming writer behind the canonical wire JSON
-//!   (`block_bytes` / `ledger_bytes` in the chain crates).
+//!   (`block_bytes` / `ledger_bytes` in the chain crates), writing bytes
+//!   or only counting them.
 //! - [`lzss`] — a real LZSS compressor used for the paper's "storage, gzip"
 //!   dataset statistics (Figure 2) and the archive's segments.
 //! - [`table`] — plain-text table rendering shared by all report output.
@@ -46,7 +47,7 @@ pub use amount::{fmt_scaled, Qty, SymCode};
 pub use colcodec::{ColError, ColKey, ColReader, ColWriter};
 pub use ids::{fnv1a64, Chain};
 pub use intern::{FxBuildHasher, FxHashMap, Interner};
-pub use jsonw::JsonWriter;
+pub use jsonw::{JsonLen, JsonOut, JsonWriter, WireText};
 pub use series::BucketSeries;
 pub use stats::{gini, Histogram, RunningStats, TopK};
 pub use time::{ChainTime, Period, SIX_HOURS};

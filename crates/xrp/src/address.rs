@@ -12,6 +12,9 @@ use std::str::FromStr;
 use txstat_types::base58::RIPPLE;
 use txstat_types::ids::fnv1a64;
 
+/// What every account's text starts with.
+const PREFIX: &str = "r";
+
 /// A ledger account.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[serde(into = "String", try_from = "String")]
@@ -47,7 +50,7 @@ impl AccountId {
     /// The text form (`r…`), rendered into `buf` without allocating.
     /// `Display` and the wire writer both go through here.
     pub fn encode(self, buf: &mut [u8; Self::MAX_LEN]) -> &str {
-        RIPPLE.encode("r", &self.payload(), buf)
+        RIPPLE.encode(PREFIX, &self.payload(), buf)
     }
 }
 
@@ -70,6 +73,17 @@ impl fmt::Display for AddressError {
 }
 
 impl std::error::Error for AddressError {}
+
+impl txstat_types::WireText for AccountId {
+    fn write_text(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.encode(&mut [0; Self::MAX_LEN]).as_bytes());
+    }
+
+    /// [`AccountId::encode`]'s length: `r` plus the payload's base58 digits.
+    fn text_len(self) -> usize {
+        PREFIX.len() + txstat_types::base58::encoded_len(&self.payload())
+    }
+}
 
 impl txstat_types::colcodec::ColKey for AccountId {
     /// Wire column form: the raw 64-bit id.
@@ -94,7 +108,7 @@ impl FromStr for AccountId {
     type Err = AddressError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let rest = s.strip_prefix('r').ok_or(AddressError::BadPrefix)?;
+        let rest = s.strip_prefix(PREFIX).ok_or(AddressError::BadPrefix)?;
         let bytes: [u8; 10] = RIPPLE.decode(rest).ok_or(AddressError::BadEncoding)?;
         let mut idb = [0u8; 8];
         idb.copy_from_slice(&bytes[..8]);
@@ -125,6 +139,7 @@ impl TryFrom<String> for AccountId {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use txstat_types::WireText;
 
     #[test]
     fn renders_with_r_prefix() {
@@ -189,6 +204,7 @@ mod tests {
     fn check_text(a: AccountId) {
         let mut buf = [0u8; AccountId::MAX_LEN];
         let text = a.encode(&mut buf).to_owned();
+        assert_eq!(a.text_len(), text.len(), "{a:?}");
         assert_eq!(text, reference_string(a), "{a:?}");
         assert_eq!(text, a.to_string(), "{a:?}");
         assert_eq!(text.parse::<AccountId>(), Ok(a), "{text}");

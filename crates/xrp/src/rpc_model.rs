@@ -16,7 +16,7 @@ use crate::tx::{AppliedTx, Transaction, TxPayload, TxResult, TxType};
 use serde_json::{json, Map, Value};
 use txstat_types::amount::SymCode;
 use txstat_types::time::ChainTime;
-use txstat_types::JsonWriter;
+use txstat_types::{JsonOut, JsonWriter};
 
 /// Serialize an amount: drops string or IOU object.
 pub fn amount_to_json(a: &Amount) -> Value {
@@ -304,22 +304,14 @@ pub fn ledger_from_json(v: &Value) -> Result<LedgerBlock, DecodeError> {
     Ok(LedgerBlock { index, close_time, transactions })
 }
 
-/// Append an account as a string literal. Base58 text cannot need
-/// escaping, so it goes from [`AccountId::encode`]'s stack buffer straight
-/// into the output.
-fn account<'w, 'o>(w: &'w mut JsonWriter<'o>, a: AccountId) -> &'w mut JsonWriter<'o> {
-    w.quoted(a.encode(&mut [0; AccountId::MAX_LEN]))
-}
-
 /// Append an IOU amount object (`LimitAmount` shares the shape).
-fn write_iou(w: &mut JsonWriter<'_>, ic: &IssuedCurrency, value: i128) {
-    w.raw("{\"currency\":").str(ic.currency.as_str());
-    account(w.raw(",\"issuer\":"), ic.issuer);
+fn write_iou<O: JsonOut>(w: &mut JsonWriter<'_, O>, ic: &IssuedCurrency, value: i128) {
+    w.raw("{\"currency\":").str(ic.currency.as_str()).raw(",\"issuer\":").ident(ic.issuer);
     w.raw(",\"value\":\"").scaled(value, IOU_DECIMALS).raw("\"}");
 }
 
 /// Append what [`amount_to_json`] builds: drops string or IOU object.
-fn write_amount(w: &mut JsonWriter<'_>, a: &Amount) {
+fn write_amount<O: JsonOut>(w: &mut JsonWriter<'_, O>, a: &Amount) {
     match &a.asset {
         Asset::Xrp => {
             w.raw("\"").scaled(a.value, 0).raw("\"");
@@ -329,9 +321,9 @@ fn write_amount(w: &mut JsonWriter<'_>, a: &Amount) {
 }
 
 /// Append what [`tx_to_json`] builds, key for key.
-fn write_tx(w: &mut JsonWriter<'_>, applied: &AppliedTx) {
+fn write_tx<O: JsonOut>(w: &mut JsonWriter<'_, O>, applied: &AppliedTx) {
     let tx = &applied.tx;
-    account(w.raw("{\"Account\":"), tx.account);
+    w.raw("{\"Account\":").ident(tx.account);
     w.raw(",\"TransactionType\":").quoted(tx.tx_type().wire());
     w.raw(",\"Fee\":\"").int(tx.fee_drops).raw("\"");
     if let Some(tag) = tx.destination_tag {
@@ -339,7 +331,7 @@ fn write_tx(w: &mut JsonWriter<'_>, applied: &AppliedTx) {
     }
     match &tx.payload {
         TxPayload::Payment { destination, amount, send_max } => {
-            account(w.raw(",\"Destination\":"), *destination).raw(",\"Amount\":");
+            w.raw(",\"Destination\":").ident(*destination).raw(",\"Amount\":");
             write_amount(w, amount);
             if let Some(sm) = send_max {
                 w.raw(",\"SendMax\":");
@@ -368,7 +360,7 @@ fn write_tx(w: &mut JsonWriter<'_>, applied: &AppliedTx) {
         }
         TxPayload::SetRegularKey => {}
         TxPayload::EscrowCreate { destination, drops, finish_after, cancel_after } => {
-            account(w.raw(",\"Destination\":"), *destination);
+            w.raw(",\"Destination\":").ident(*destination);
             w.raw(",\"Amount\":\"").int(*drops).raw("\",\"FinishAfter\":").iso(*finish_after);
             if let Some(ca) = cancel_after {
                 w.raw(",\"CancelAfter\":").iso(*ca);
@@ -378,7 +370,7 @@ fn write_tx(w: &mut JsonWriter<'_>, applied: &AppliedTx) {
             w.raw(",\"EscrowId\":").uint(*escrow_id);
         }
         TxPayload::PaymentChannelCreate { destination, drops } => {
-            account(w.raw(",\"Destination\":"), *destination);
+            w.raw(",\"Destination\":").ident(*destination);
             w.raw(",\"Amount\":\"").int(*drops).raw("\"");
         }
         TxPayload::PaymentChannelClaim { channel_id, drops } => {
@@ -397,11 +389,12 @@ fn write_tx(w: &mut JsonWriter<'_>, applied: &AppliedTx) {
     w.raw(if applied.crossed { ",\"crossed\":true}}" } else { "}}" });
 }
 
-/// Append the canonical wire bytes of one closed ledger to `out`: the
-/// compact JSON of [`ledger_to_json`], written straight from the chain
-/// model. Crawl replay, wire-JSON archive segments, reorg content hashes
-/// and the Figure 2 storage sweep all share this definition.
-pub fn ledger_bytes_into(b: &LedgerBlock, out: &mut Vec<u8>) {
+/// Append the canonical wire bytes of one closed ledger to `out` (or, into
+/// a [`txstat_types::JsonLen`], count them): the compact JSON of
+/// [`ledger_to_json`], written straight from the chain model. Crawl
+/// replay, wire-JSON archive segments, reorg content hashes and the
+/// Figure 2 storage sweep all share this definition.
+pub fn ledger_bytes_into(b: &LedgerBlock, out: &mut impl JsonOut) {
     let w = &mut JsonWriter::new(out);
     w.raw("{\"ledger\":{\"ledger_index\":").uint(b.index);
     w.raw(",\"close_time_iso\":").iso(b.close_time).raw(",\"closed\":true,\"transactions\":");

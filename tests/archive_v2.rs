@@ -19,10 +19,12 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use txstat::archive::{Archive, ArchiveError, IDX_FILE, SEG_FILE};
-use txstat::reports::archive_io::{eos_block_bytes, tezos_block_bytes, xrp_block_bytes};
+use txstat::eos::rpc_model as eos_rpc;
 use txstat::reports::{generate, write_archive, PipelineData, SegmentFormat, ShardContext};
+use txstat::tezos::rpc_model as tezos_rpc;
 use txstat::wire::PayloadFormat;
 use txstat::workload::Scenario;
+use txstat::xrp::rpc_model as xrp_rpc;
 
 /// The shared direct dataset (generation dominates test cost).
 fn direct() -> &'static PipelineData {
@@ -53,7 +55,7 @@ proptest! {
             .expect("valid eos columns must decode");
         prop_assert_eq!(decoded.len(), eos.len());
         for (d, o) in decoded.iter().zip(eos) {
-            prop_assert_eq!(eos_block_bytes(d), eos_block_bytes(o));
+            prop_assert_eq!(eos_rpc::block_bytes(d), eos_rpc::block_bytes(o));
         }
         prop_assert_eq!(txstat::eos::block_cols::encode_blocks(&decoded), bytes);
 
@@ -63,7 +65,7 @@ proptest! {
             .expect("valid tezos columns must decode");
         prop_assert_eq!(decoded.len(), tezos.len());
         for (d, o) in decoded.iter().zip(tezos) {
-            prop_assert_eq!(tezos_block_bytes(d), tezos_block_bytes(o));
+            prop_assert_eq!(tezos_rpc::block_bytes(d), tezos_rpc::block_bytes(o));
         }
         prop_assert_eq!(txstat::tezos::block_cols::encode_blocks(&decoded), bytes);
 
@@ -73,7 +75,7 @@ proptest! {
             .expect("valid xrp columns must decode");
         prop_assert_eq!(decoded.len(), xrp.len());
         for (d, o) in decoded.iter().zip(xrp) {
-            prop_assert_eq!(xrp_block_bytes(d), xrp_block_bytes(o));
+            prop_assert_eq!(xrp_rpc::ledger_bytes(d), xrp_rpc::ledger_bytes(o));
         }
         prop_assert_eq!(txstat::xrp::block_cols::encode_blocks(&decoded), bytes);
     }

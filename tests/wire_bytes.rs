@@ -4,8 +4,10 @@
 //!
 //! * `block_bytes(b) == serde_json::to_vec(&block_to_json(b))`, byte for
 //!   byte — archives, reorg content hashes and the Figure 2 numbers are
-//!   pinned to those bytes — and
-//! * `block_parse(&block_bytes(b))` is what the DTO round trip yields.
+//!   pinned to those bytes;
+//! * `block_parse(&block_bytes(b))` is what the DTO round trip yields, and
+//! * the same writer run into a `JsonLen` counts `block_bytes(b).len()`
+//!   (Figure 2 measures the blocks it does not compress that way).
 //!
 //! Checked over every block of the small scenario at several seeds, and
 //! over built blocks whose strings carry quotes, backslashes, control
@@ -17,6 +19,7 @@ use txstat::eos::{self, rpc_model as eos_rpc};
 use txstat::tezos::{self, rpc_model as tezos_rpc};
 use txstat::types::amount::SymCode;
 use txstat::types::time::ChainTime;
+use txstat::types::JsonLen;
 use txstat::workload::Scenario;
 use txstat::xrp::{self, rpc_model as xrp_rpc};
 
@@ -29,6 +32,8 @@ fn check_eos(b: &eos::Block) {
         "eos block {}",
         b.num
     );
+    let counted = JsonLen::of(|o| eos_rpc::block_bytes_into(b, o));
+    assert_eq!(counted, bytes.len(), "eos block {}", b.num);
     assert_eq!(
         eos_rpc::block_parse(&bytes),
         eos_rpc::block_from_json(&dto).map_err(|e| e.to_string())
@@ -44,6 +49,8 @@ fn check_tezos(b: &tezos::TezosBlock) {
         "tezos block {}",
         b.level
     );
+    let counted = JsonLen::of(|o| tezos_rpc::block_bytes_into(b, o));
+    assert_eq!(counted, bytes.len(), "tezos block {}", b.level);
     let parsed = tezos_rpc::block_parse(&bytes).expect("own bytes parse");
     assert_eq!(
         parsed,
@@ -60,6 +67,8 @@ fn check_xrp(b: &xrp::LedgerBlock) {
         "xrp ledger {}",
         b.index
     );
+    let counted = JsonLen::of(|o| xrp_rpc::ledger_bytes_into(b, o));
+    assert_eq!(counted, bytes.len(), "xrp ledger {}", b.index);
     let parsed = xrp_rpc::ledger_parse(&bytes).expect("own bytes parse");
     let oracle = xrp_rpc::ledger_from_json(&dto).expect("own DTO decodes");
     assert_eq!(

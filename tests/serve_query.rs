@@ -267,13 +267,11 @@ fn served_exhibits_are_byte_identical_to_report_sections() {
     let (service, _cell) = service_over(generate(&sc), true);
     let oracle = generate(&sc);
 
-    for (name, body) in report_sections(&oracle) {
-        let resp = service.respond("GET", &format!("/exhibit/{name}"));
-        assert_eq!(resp.status, 200, "/exhibit/{name}");
-        assert_eq!(resp.body, body.as_bytes(), "/exhibit/{name} body diverged");
+    for (path, body) in section_routes(&oracle) {
+        let resp = service.respond("GET", &path);
+        assert_eq!(resp.status, 200, "{path}");
+        assert_eq!(resp.body, body.as_bytes(), "{path} body diverged");
     }
-    let resp = service.respond("GET", "/exhibit/comparison");
-    assert_eq!(resp.body, comparison_section(&oracle).as_bytes());
     let resp = service.respond("GET", "/report");
     assert_eq!(resp.body, render_report(&oracle).as_bytes(), "/report body diverged");
 
@@ -295,11 +293,51 @@ fn served_exhibits_are_byte_identical_to_report_sections() {
     assert_eq!(service.respond("GET", &format!("/account/xrp/{xrp}")).status, 200);
 }
 
+/// Every `/exhibit/<name>` route in report order, the comparison last.
+fn section_routes(data: &PipelineData) -> Vec<(String, String)> {
+    let mut sections = report_sections(data);
+    sections.push(("comparison", comparison_section(data)));
+    sections.into_iter().map(|(name, body)| (format!("/exhibit/{name}"), body)).collect()
+}
+
+/// A `/report` and the section routes answer from one snapshot, whichever
+/// asks first: a cold `/report` is the one-shot report, and every section
+/// read after it has the one-shot section's bytes — on the first epoch and
+/// on the next, read in the benchmark's order (sections, an account, then
+/// `/report`).
+#[test]
+fn a_cold_report_and_the_section_routes_serve_the_same_sections() {
+    let data = generate(&Scenario::small(7));
+    let mut follower = Follower::new(data, 1200);
+    let first = follower.advance().expect("first epoch");
+    let (service, cell) = service_over(first, false);
+    let oracle = one_shot_prefix(follower.base(), follower.observed());
+
+    let resp = service.respond("GET", "/report");
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body, render_report(&oracle).as_bytes(), "cold /report diverged");
+    for (path, body) in section_routes(&oracle) {
+        assert_eq!(service.respond("GET", &path).body, body.as_bytes(), "{path} after /report");
+    }
+
+    let second = follower.advance().expect("second epoch");
+    cell.publish(Arc::new(ServeSnapshot::new(2, follower.head(), second)));
+    let oracle = one_shot_prefix(follower.base(), follower.observed());
+    for (path, body) in section_routes(&oracle) {
+        assert_eq!(service.respond("GET", &path).body, body.as_bytes(), "epoch 2 {path}");
+    }
+    let account = &sample_account_paths(&oracle)[0];
+    assert_eq!(service.respond("GET", account).status, 200, "{account}");
+    let resp = service.respond("GET", "/report");
+    assert_eq!(resp.body, render_report(&oracle).as_bytes(), "epoch 2 /report diverged");
+}
+
 /// Readers load from the cell while the follower publishes into it, and
 /// hold each snapshot across one swap or two: held across two, the retired
 /// snapshot is exactly the copy the follower wants back. It must never be
 /// folded into while a reader can still see it — the follower clones
-/// instead — and no response may mix epochs.
+/// instead — and no response may mix epochs: neither a section nor the
+/// `/report` assembled from the snapshot's sections.
 #[test]
 fn epoch_swap_is_never_torn_under_concurrent_readers() {
     use std::sync::atomic::{AtomicBool, AtomicU64};
@@ -314,9 +352,11 @@ fn epoch_swap_is_never_torn_under_concurrent_readers() {
     // What each epoch serves, from a follower nobody reads from: a reader
     // must only ever observe one of these exact bodies.
     let mut unread = Follower::new(generate(&sc), batch);
-    let mut allowed = Vec::new();
+    let (mut allowed, mut reports) = (Vec::new(), Vec::new());
     while !unread.head() {
-        allowed.push(headline(&unread.advance().expect("advance")));
+        let epoch = unread.advance().expect("advance");
+        allowed.push(headline(&epoch));
+        reports.push(render_report(&epoch).into_bytes());
     }
     assert!(allowed.len() >= 4, "want >=3 epoch swaps, got {}", allowed.len());
 
@@ -331,7 +371,7 @@ fn epoch_swap_is_never_torn_under_concurrent_readers() {
 
     std::thread::scope(|scope| {
         for swaps_held in [1, 1, 2, 2] {
-            let (service, cell, allowed) = (&service, &cell, &allowed);
+            let (service, cell, allowed, reports) = (&service, &cell, &allowed, &reports);
             let (ready, holding, done) = (&ready, &holding, &done);
             scope.spawn(move || {
                 let mut held = service.snapshot();
@@ -344,6 +384,12 @@ fn epoch_swap_is_never_torn_under_concurrent_readers() {
                     assert!(
                         allowed.contains(&resp.body),
                         "served body matches no published epoch (torn read?)"
+                    );
+                    let resp = service.respond("GET", "/report");
+                    assert_eq!(resp.status, 200);
+                    assert!(
+                        reports.contains(&resp.body),
+                        "served /report matches no published epoch (torn read?)"
                     );
                     while cell.epoch() < epoch + swaps_held && !done.load(Ordering::Acquire) {
                         std::thread::yield_now();

@@ -640,8 +640,8 @@ pub type SectionFn = fn(&PipelineData) -> String;
 /// Every exhibit section of the report, in render order: `(name, render)`.
 /// The names double as the serve path's `/exhibit/<name>` routes, and the
 /// report is the concatenation of exactly these strings (each followed by
-/// [`SECTION_BREAK`]) — which is what makes a served section byte-identical
-/// to the one-shot report by construction.
+/// [`SECTION_BREAK`]) and the [`comparison_section`] — which is what makes a
+/// served section byte-identical to the one-shot report by construction.
 pub const SECTIONS: &[(&str, SectionFn)] = &[
     ("headline", headline),
     ("fig1", fig1),
@@ -658,27 +658,35 @@ pub const SECTIONS: &[(&str, SectionFn)] = &[
     ("case_studies", case_studies),
 ];
 
-/// Render every exhibit section: `(name, text)` in report order.
-pub fn report_sections(data: &PipelineData) -> Vec<(&'static str, String)> {
-    SECTIONS
-        .iter()
-        .map(|(name, render)| {
-            // Nests whatever the section computes on first use (`sweep`,
-            // `fig2_storage`); the trace's depth tells them apart.
-            let _span = Span::enter("render", name);
-            (*name, render(data))
-        })
-        .collect()
+/// The report's last section, served as `/exhibit/comparison`.
+const COMPARISON: (&str, SectionFn) = ("comparison", comparison_section);
+
+/// The report's layout, spelled once: every [`SECTIONS`] row followed by
+/// [`SECTION_BREAK`], then the comparison with nothing after it. Yields
+/// `((name, render), separator)`; [`render_report`] renders each section,
+/// a serve snapshot takes it from its own cache.
+pub(crate) fn report_layout() -> impl Iterator<Item = ((&'static str, SectionFn), &'static str)> {
+    SECTIONS.iter().map(|&row| (row, SECTION_BREAK)).chain([(COMPARISON, "")])
 }
 
-/// Render every exhibit.
-pub fn render_all(data: &PipelineData) -> String {
-    let mut out = String::new();
-    for (_, section) in report_sections(data) {
-        out.push_str(&section);
-        out.push_str(SECTION_BREAK);
-    }
-    out
+/// The `(name, render)` row behind `/exhibit/<name>`: a [`SECTIONS`] row or
+/// the comparison.
+pub(crate) fn section(name: &str) -> Option<(&'static str, SectionFn)> {
+    report_layout().map(|(row, _)| row).find(|(n, _)| *n == name)
+}
+
+/// Render one section inside its `render` span — every section render of
+/// the report and of the serve path goes through here. The span nests
+/// whatever the section computes on first use (`sweep`, `fig2_storage`);
+/// the trace's depth tells them apart.
+pub(crate) fn render_section((name, render): (&str, SectionFn), data: &PipelineData) -> String {
+    let _span = Span::enter("render", name);
+    render(data)
+}
+
+/// Render every exhibit section: `(name, text)` in report order.
+pub fn report_sections(data: &PipelineData) -> Vec<(&'static str, String)> {
+    SECTIONS.iter().map(|&row| (row.0, render_section(row, data))).collect()
 }
 
 /// The paper-vs-measured comparison plus the acceptance-band tally — the
@@ -697,11 +705,14 @@ pub fn comparison_section(data: &PipelineData) -> String {
     out
 }
 
-/// Render the full report text — shared verbatim by the `report`, `reduce`,
-/// `follow`, and `serve` paths, which is what makes their outputs
-/// byte-comparable.
+/// Render the full report text — shared verbatim by the `report`, `reduce`
+/// and `follow` paths, while `serve` lays the same sections out in the same
+/// layout from its cache, which is what makes their outputs byte-comparable.
 pub fn render_report(data: &PipelineData) -> String {
-    let mut output = render_all(data);
-    output.push_str(&comparison_section(data));
-    output
+    let mut out = String::new();
+    for (row, separator) in report_layout() {
+        out.push_str(&render_section(row, data));
+        out.push_str(separator);
+    }
+    out
 }

@@ -15,9 +15,7 @@ pub mod paper;
 pub mod pipeline;
 pub mod serve;
 
-pub use exhibits::{
-    comparison_section, render_all, render_report, report_sections, SECTIONS, SECTION_BREAK,
-};
+pub use exhibits::{comparison_section, render_report, report_sections, SECTIONS, SECTION_BREAK};
 pub use paper::{comparison, render_comparison, ComparisonRow};
 pub use follow::{
     follow_session, reorg_data, Corpus, FollowPlan, Followed, Follower, Reorg, Resync,

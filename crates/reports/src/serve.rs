@@ -11,6 +11,15 @@
 //! reachability: the new epoch starts with an empty cache and the old
 //! cache is dropped with the last reference to the old snapshot.
 //!
+//! `/report` is not rendered as a whole: it is laid out from the cache
+//! entries of the section routes (`/exhibit/<name>`, the comparison last),
+//! filling those it misses. Each section therefore renders once per epoch,
+//! whichever route asks for it first, and a section rendered for
+//! `/report` counts as one miss of its own route (a cold `/report` is one
+//! miss per section and one for itself). All of it comes from the one
+//! snapshot the request loaded, so the assembled report cannot mix epochs
+//! either.
+//!
 //! # The serve session
 //!
 //! [`serve_session`] is `reproduce serve`: it answers `/report`,
@@ -20,7 +29,7 @@
 //! excess load with 429s, and runs until `POST /admin/shutdown` (`--load`:
 //! until its built-in 64 × 200-request load run has printed its quantiles).
 
-use crate::exhibits::{comparison_section, render_report, SECTIONS};
+use crate::exhibits::{render_section, report_layout, section};
 use crate::follow::Follower;
 use crate::pipeline::PipelineData;
 use std::collections::HashMap;
@@ -78,7 +87,7 @@ impl ServeSnapshot {
         // Render outside the lock: a concurrent miss on the same path
         // renders twice but both render identical bytes from the immutable
         // snapshot, so last-insert-wins is harmless.
-        let body = Arc::new(self.render(path)?);
+        let body = Arc::new(self.render(path, hits, misses)?);
         misses.inc();
         self.cache
             .lock()
@@ -87,17 +96,19 @@ impl ServeSnapshot {
         Some(body)
     }
 
-    /// Render one route from the snapshot's dataset.
-    fn render(&self, path: &str) -> Option<Vec<u8>> {
+    /// Render one route from the snapshot's dataset; `/report` is laid out
+    /// from the section routes' cache entries (see the module docs).
+    fn render(&self, path: &str, hits: &Counter, misses: &Counter) -> Option<Vec<u8>> {
         if path == "/report" {
-            return Some(render_report(&self.data).into_bytes());
+            let mut out = Vec::new();
+            for ((name, _), separator) in report_layout() {
+                out.extend_from_slice(&self.get(&format!("/exhibit/{name}"), hits, misses)?);
+                out.extend_from_slice(separator.as_bytes());
+            }
+            return Some(out);
         }
         if let Some(name) = path.strip_prefix("/exhibit/") {
-            if name == "comparison" {
-                return Some(comparison_section(&self.data).into_bytes());
-            }
-            let (_, render) = SECTIONS.iter().find(|(n, _)| *n == name)?;
-            return Some(render(&self.data).into_bytes());
+            return Some(render_section(section(name)?, &self.data).into_bytes());
         }
         if let Some(rest) = path.strip_prefix("/account/") {
             let (chain, name) = rest.split_once('/')?;
@@ -190,11 +201,14 @@ impl StatsService {
     /// process-global registry so `/metrics` also carries the ingest,
     /// reduce, and epoch families contributed by the follow loop.
     pub fn with_registry(cell: Arc<EpochCell<ServeSnapshot>>, registry: Arc<Registry>) -> Self {
-        let cache_hits = registry
-            .counter("txstat_serve_cache_hits_total", "Response-cache hits across all epochs");
+        let cache_hits = registry.counter(
+            "txstat_serve_cache_hits_total",
+            "Response-cache hits across all epochs (incl. each section a /report reuses)",
+        );
         let cache_misses = registry.counter(
             "txstat_serve_cache_misses_total",
-            "Response-cache misses (responses rendered from the snapshot)",
+            "Response-cache misses (responses rendered from the snapshot; a section rendered \
+             for /report counts as one miss of its own route)",
         );
         // Epoch number, head flag, and cache size are properties of the
         // *currently published* snapshot, not monotone counters: a gather-

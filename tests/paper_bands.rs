@@ -119,7 +119,7 @@ fn figure1_shares_hold_at_medium_scale() {
 #[test]
 fn exhibits_render_without_panic_and_mention_key_actors() {
     let data = generate(&medium());
-    let text = txstat::reports::render_all(&data);
+    let text = render_report(&data);
     for needle in [
         "Figure 1",
         "Figure 2",

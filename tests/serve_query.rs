@@ -300,11 +300,13 @@ fn section_routes(data: &PipelineData) -> Vec<(String, String)> {
     sections.into_iter().map(|(name, body)| (format!("/exhibit/{name}"), body)).collect()
 }
 
-/// A `/report` and the section routes answer from one snapshot, whichever
-/// asks first: a cold `/report` is the one-shot report, and every section
-/// read after it has the one-shot section's bytes — on the first epoch and
-/// on the next, read in the benchmark's order (sections, an account, then
-/// `/report`).
+/// A `/report` and the section routes share one cache entry per section,
+/// whichever asks first: a cold `/report` is the one-shot report and fills
+/// every section route (13 exhibits and the comparison: 15 misses), and
+/// every section read after it is a hit with the one-shot section's bytes.
+/// On the next epoch the benchmark's order (sections, an account, then
+/// `/report`) renders each route once and the report takes all 14
+/// sections from the cache.
 #[test]
 fn a_cold_report_and_the_section_routes_serve_the_same_sections() {
     let data = generate(&Scenario::small(7));
@@ -312,13 +314,19 @@ fn a_cold_report_and_the_section_routes_serve_the_same_sections() {
     let first = follower.advance().expect("first epoch");
     let (service, cell) = service_over(first, false);
     let oracle = one_shot_prefix(follower.base(), follower.observed());
+    let counters = || (service.cache_misses.get(), service.cache_hits.get());
 
     let resp = service.respond("GET", "/report");
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, render_report(&oracle).as_bytes(), "cold /report diverged");
-    for (path, body) in section_routes(&oracle) {
+    assert_eq!(counters(), (15, 0), "a cold /report renders 14 sections and itself");
+    assert_eq!(service.snapshot().cached_responses(), 15);
+    let sections = section_routes(&oracle);
+    assert_eq!(sections.len(), 14);
+    for (path, body) in sections {
         assert_eq!(service.respond("GET", &path).body, body.as_bytes(), "{path} after /report");
     }
+    assert_eq!(counters(), (15, 14), "every section was rendered for /report");
 
     let second = follower.advance().expect("second epoch");
     cell.publish(Arc::new(ServeSnapshot::new(2, follower.head(), second)));
@@ -330,6 +338,7 @@ fn a_cold_report_and_the_section_routes_serve_the_same_sections() {
     assert_eq!(service.respond("GET", account).status, 200, "{account}");
     let resp = service.respond("GET", "/report");
     assert_eq!(resp.body, render_report(&oracle).as_bytes(), "epoch 2 /report diverged");
+    assert_eq!(counters(), (15 + 16, 14 + 14), "16 routes render once, /report reuses 14");
 }
 
 /// Readers load from the cell while the follower publishes into it, and

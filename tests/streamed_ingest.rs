@@ -5,7 +5,7 @@
 
 use txstat::core::{ChainSweeps, EosSweep, TezosSweep, XrpSweep};
 use txstat::reports::{
-    generate, generate_with_crawl, generate_with_crawl_streamed, render_all, CrawlOptions,
+    generate, generate_with_crawl, generate_with_crawl_streamed, render_report, CrawlOptions,
 };
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
@@ -29,7 +29,7 @@ fn columnar_report_is_bit_identical_to_scalar_sweeps() {
     };
     assert!(scalar.install_sweeps(reference), "sweeps must not be computed yet");
 
-    assert_eq!(render_all(&columnar), render_all(&scalar));
+    assert_eq!(render_report(&columnar), render_report(&scalar));
 
     let c_rows = txstat::reports::comparison(&columnar);
     let s_rows = txstat::reports::comparison(&scalar);
@@ -96,7 +96,7 @@ async fn streamed_crawl_matches_materializing_crawl() {
 
     // The rendered report — every figure, table, case study and the
     // paper-vs-measured comparison — is bit-identical.
-    assert_eq!(render_all(&streamed), render_all(&legacy));
+    assert_eq!(render_report(&streamed), render_report(&legacy));
     let sc_rows = txstat::reports::comparison(&streamed);
     let lc_rows = txstat::reports::comparison(&legacy);
     assert_eq!(sc_rows.len(), lc_rows.len());

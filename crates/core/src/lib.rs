@@ -14,7 +14,7 @@
 //!
 //! - [`columnar`] is **the engine**: [`EosColumnar`], [`TezosColumnar`] and
 //!   [`XrpColumnar`] are what every reduction path runs (the one-shot
-//!   report, streamed shards, the frame fleet, the follower). Account /
+//!   report, the crawl's fold, the frame fleet, the follower). Account /
 //!   contract / action names are interned to dense `u32` ids at decode
 //!   time, per-block struct-of-arrays batches are classified through
 //!   precomputed tag tables, and the id-indexed counters (vectors plus
@@ -84,7 +84,7 @@ pub use tezos_analysis::{TezosAccountStats, TezosSweep};
 pub use xrp_analysis::{XrpAccountStats, XrpSweep};
 
 /// The three per-chain accumulators behind the full report — what every
-/// reduction path (in-process parallel sweep, streamed shards, distributed
+/// reduction path (in-process parallel sweep, the crawl's fold, distributed
 /// frame reduction) ultimately produces.
 #[derive(Clone)]
 pub struct ChainSweeps {

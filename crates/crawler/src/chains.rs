@@ -25,12 +25,14 @@ pub struct Crawl<B> {
 pub type Fetched<B> = (B, Vec<u8>, u64);
 
 /// The reverse-order range driver, shared by the materializing crawlers
-/// below and the streaming `txstat_ingest::crawl_into`: descend from `high`
-/// to `low` inclusive with `concurrency` workers, one `fetch(index)` per
-/// block, account it, then hand it to `emit(index, block)` before the
-/// worker takes its next index — an `emit` that parks is the backpressure
-/// point. `fetch` and `emit` are dropped when the last worker finishes
-/// (what closes a sink `emit` owns). Returns the merged accounting.
+/// below and `txstat_reports::generate_with_crawl`: descend from `high` to
+/// `low` inclusive with `concurrency` workers, one `fetch(index)` per
+/// block, account it, then hand it to `emit(index, block)` on the same
+/// worker before it takes its next index. The first `fetch` or `emit`
+/// error stops the hand-out of indices; every worker is joined (and with
+/// it every clone of `fetch` and `emit` dropped) before that error is
+/// returned, so no crawl keeps running behind an `Err`. Returns the
+/// merged accounting.
 pub async fn crawl_range<B, Err, F, Fut, E, EFut>(
     high: u64,
     low: u64,
@@ -49,33 +51,53 @@ where
     let started = Instant::now();
     let counter = Arc::new(AtomicI64::new(high as i64));
     let stats = Arc::new(Mutex::new(CrawlStats::default()));
+    let failure: Arc<Mutex<Option<Err>>> = Arc::new(Mutex::new(None));
     let mut workers = Vec::new();
     for _ in 0..concurrency.max(1) {
         let counter = counter.clone();
         let stats = stats.clone();
+        let failure = failure.clone();
         let fetch = fetch.clone();
         let emit = emit.clone();
         workers.push(tokio::spawn(async move {
             loop {
                 let n = counter.fetch_sub(1, Ordering::SeqCst);
                 if n < low as i64 {
-                    return Ok::<(), Err>(());
+                    return;
                 }
                 let n = n as u64;
-                let (block, payload, txs) = fetch(n).await?;
-                {
-                    let mut s = stats.lock();
-                    s.record_payload(n, &payload);
-                    s.blocks += 1;
-                    s.transactions += txs;
+                let step = async {
+                    let (block, payload, txs) = fetch(n).await?;
+                    {
+                        let mut s = stats.lock();
+                        s.record_payload(n, &payload);
+                        s.blocks += 1;
+                        s.transactions += txs;
+                    }
+                    emit(n, block).await
+                };
+                if let Err(e) = step.await {
+                    // Hand out no further index: every other worker finishes
+                    // the block it holds and exits.
+                    counter.store(low as i64 - 1, Ordering::SeqCst);
+                    failure.lock().get_or_insert(e);
+                    return;
                 }
-                emit(n, block).await?;
             }
         }));
     }
     drop((fetch, emit));
+    let mut panicked = None;
     for w in workers {
-        w.await.map_err(|e| CrawlError::Protocol(format!("worker panicked: {e}")))??;
+        if let Err(e) = w.await {
+            panicked.get_or_insert(e);
+        }
+    }
+    if let Some(e) = failure.lock().take() {
+        return Err(e);
+    }
+    if let Some(e) = panicked {
+        return Err(CrawlError::Protocol(format!("worker panicked: {e}")).into());
     }
     let mut stats = stats.lock().clone();
     stats.elapsed = started.elapsed();
@@ -123,7 +145,7 @@ pub async fn eos_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<u6
 }
 
 /// Fetch and decode one EOS block, returning it with its wire payload and
-/// transaction count. Shared by the materializing and streaming crawlers —
+/// transaction count. Shared by `crawl_eos` and the folding crawl —
 /// Figure 2's byte accounting depends on both using the identical wire path.
 pub async fn fetch_eos_block(
     pool: &Arc<RotatingPool>,
@@ -171,7 +193,7 @@ pub async fn tezos_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<
 }
 
 /// Fetch and decode one Tezos block, returning it with its wire payload
-/// and operation count (shared by the materializing and streaming crawlers).
+/// and operation count (shared by `crawl_tezos` and the folding crawl).
 pub async fn fetch_tezos_block(
     pool: &Arc<RotatingPool>,
     cfg: &ClientConfig,
@@ -215,7 +237,7 @@ pub async fn xrp_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<u6
 }
 
 /// Fetch and decode one XRP ledger, returning it with its wire frame and
-/// transaction count (shared by the materializing and streaming crawlers).
+/// transaction count (shared by `crawl_xrp` and the folding crawl).
 pub async fn fetch_xrp_ledger(
     pool: &Arc<RotatingPool>,
     cfg: &ClientConfig,

@@ -10,8 +10,8 @@
 //! (either framing of `txstat_netsim::framing`), one retry-rotate-backoff
 //! loop wraps it ([`client`]), [`chains::crawl_range`] is the one
 //! reverse-order range driver under the materializing `crawl_*` and the
-//! streaming `txstat_ingest::crawl_into`, and [`pool`] the one endpoint
-//! rotation.
+//! fold-as-fetched `txstat_reports::generate_with_crawl`, and [`pool`] the
+//! one endpoint rotation.
 
 pub mod chains;
 pub mod client;

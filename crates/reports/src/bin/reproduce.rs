@@ -46,11 +46,11 @@ use txstat_ingest::{reduce_fleet, serve_assignments, FleetConfig};
 use txstat_netsim::http::HttpRequest;
 use txstat_netsim::{spawn_chaos_proxy, ChaosProfile, Http};
 use txstat_reports::{
-    follow_session, generate, generate_with_crawl, generate_with_crawl_streamed,
-    pipeline_from_archive, reduce_frames_labeled_into, reducer_from_archive, render_report,
-    scenario_from_meta, scenario_meta, serve_session, write_archive, Corpus, CrawlOptions,
-    FollowPlan, Manifest, MemoStatus, PipelineData, Reorg, SegmentFormat, ServeLine, ServePlan,
-    ShardContext, DEFAULT_SNAPSHOT_WINDOW,
+    follow_session, generate, generate_with_crawl, pipeline_from_archive,
+    reduce_frames_labeled_into, reducer_from_archive, render_report, scenario_from_meta,
+    scenario_meta, serve_session, write_archive, Corpus, CrawlOptions, FollowPlan, Manifest,
+    MemoStatus, PipelineData, Reorg, SegmentFormat, ServeLine, ServePlan, ShardContext,
+    DEFAULT_SNAPSHOT_WINDOW,
 };
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_workload::Scenario;
@@ -275,10 +275,10 @@ fn check_archive_scenario(args: &Args, meta: &serde_json::Value) -> Result<(), S
 #[derive(Clone, Copy, PartialEq)]
 enum Need {
     /// The block vectors in memory, to seal, follow or serve them: a full
-    /// cold start; a crawl materializes every chain.
+    /// cold start; a crawl keeps every block it folds.
     Blocks,
-    /// One sweep and one render: a full cold start; a crawl streams into
-    /// the sweep shards and holds no block.
+    /// One sweep and one render: a full cold start; a crawl folds each
+    /// block as it is fetched and keeps none.
     Report,
     /// A render over sweeps the fleet sends: a block-free cold start
     /// ([`reducer_from_archive`]).
@@ -324,12 +324,8 @@ fn open_dataset(args: &Args, archive_dir: Option<&str>, need: Need) -> Result<Op
         let opts = if args.has("--small") { CrawlOptions::default() } else { CrawlOptions::paper() };
         eprintln!("generating {mode} scenario (seed {}); crawling over loopback RPC…", sc.seed);
         let rt = tokio::runtime::Runtime::new().map_err(|e| e.to_string())?;
-        if need == Need::Blocks {
-            rt.block_on(generate_with_crawl(&sc, &opts))
-        } else {
-            rt.block_on(generate_with_crawl_streamed(&sc, &opts))
-        }
-        .map_err(|e| e.to_string())?
+        rt.block_on(generate_with_crawl(&sc, &opts, need == Need::Blocks))
+            .map_err(|e| e.to_string())?
     } else {
         eprintln!("generating {mode} scenario (seed {})…", sc.seed);
         generate(&sc)
@@ -415,14 +411,6 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         sc.tezos_divisor,
         sc.xrp_divisor
     );
-    if let Some(s) = &data.stream {
-        for (chain, s) in [("EOS", &s.eos), ("Tezos", &s.tezos), ("XRP", &s.xrp)] {
-            eprintln!(
-                "streamed {chain}: {} blocks (peak buffer {}/{} per shard, {} stalls)",
-                s.streamed_blocks, s.peak_buffered, s.channel_capacity, s.blocked_sends,
-            );
-        }
-    }
     eprintln!("pipeline ready in {:?}; rendering exhibits…", started.elapsed());
     write_report(&data, args)
 }
@@ -431,8 +419,8 @@ fn cmd_archive(args: &Args) -> Result<(), String> {
     let out = args.get("--out").ok_or("archive needs --out DIR")?;
     let segment_blocks: u64 = args.parsed("--segment-blocks", 256)?;
     let started = Instant::now();
-    // `Need::Blocks`: the corpus is the block bytes, which a streamed crawl
-    // deliberately never holds.
+    // `Need::Blocks`: the corpus is the block bytes, which a crawl keeps
+    // only when asked.
     let Opened { data, mode, .. } = open_dataset(args, None, Need::Blocks)?;
     let stats = write_archive(Path::new(out), &data, &mode, segment_blocks, SegmentFormat)?;
     eprintln!(

@@ -105,8 +105,8 @@ pub fn fig2(data: &PipelineData) -> String {
         Align::Right,
         Align::Right,
     ]);
-    // Bounds come through the accessors so the streamed pipeline (which
-    // never materializes the block vectors) renders identically.
+    // Bounds come through the accessors so a crawl that keeps no block
+    // (and a block-free cold start) renders identically.
     let (eos_first, eos_last) = data.eos_bounds();
     let (tz_first, tz_last) = data.tezos_bounds();
     let (x_first, x_last) = data.xrp_bounds();

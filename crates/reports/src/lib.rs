@@ -26,10 +26,9 @@ pub use serve::{
 };
 pub use archive_io::{Bounds, Manifest, SegmentFormat, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
 pub use pipeline::{
-    generate, generate_with_crawl, generate_with_crawl_streamed, pipeline_from_archive,
-    reduce_frames_labeled_into, reducer_from_archive, scenario_from_meta, scenario_meta,
-    summarize, write_archive, ArchiveStats, ChainStreamInfo, ChainSweeps, CrawlOptions,
-    MemoStatus, PipelineData, ShardContext, StreamSummary,
+    generate, generate_with_crawl, pipeline_from_archive, reduce_frames_labeled_into,
+    reducer_from_archive, scenario_from_meta, scenario_meta, summarize, write_archive,
+    ArchiveStats, ChainSweeps, CrawlOptions, MemoStatus, PipelineData, ShardContext,
 };
 
 #[cfg(test)]

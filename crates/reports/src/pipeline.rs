@@ -1,37 +1,30 @@
 //! Pipeline orchestration: scenario → chains → (optional RPC crawl) →
 //! the dataset every exhibit renders from.
 //!
-//! Four paths produce the same exhibits:
+//! Three paths produce the same exhibits:
 //! - [`generate`] reads the simulated chains directly (fast; what
 //!   `reproduce report` runs);
 //! - [`generate_with_crawl`] serves the chains over loopback RPC endpoints,
 //!   benchmarks and shortlists them, and runs the real crawler with the
-//!   three chain crawls overlapped — the full §3.1 measurement path,
-//!   materializing each chain before sweeping it (the equivalence
-//!   baseline, and what `reproduce archive --crawl` seals);
-//! - [`generate_with_crawl_streamed`] runs the same crawl but pipes every
-//!   block straight from the fetch workers into sharded sweep accumulators
-//!   over bounded channels (`txstat_ingest`). No `Vec<Block>` is ever
-//!   materialized on the measurement side: peak memory is
-//!   O(accumulator × shards + channel capacity), and the report is ready
-//!   the moment the crawl finishes;
+//!   three chain crawls overlapped — the full §3.1 measurement path. Each
+//!   block is folded into its chain's sweep on the fetch worker that
+//!   fetched it, so the report is ready the moment the crawl finishes and
+//!   no chain is held on the measurement side unless the caller keeps the
+//!   blocks (what `reproduce archive --crawl` seals);
 //! - [`pipeline_from_archive`] / [`reducer_from_archive`] cold-start from a
 //!   sealed corpus ([`write_archive`]) without generating any chain.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use txstat_core::{ClusterInfo, EosColumnar, TezosColumnar, XrpColumnar};
+use txstat_crawler::chains::Fetched;
 use txstat_crawler::{
-    benchmark_endpoints, crawl_eos, crawl_tezos, crawl_xrp, eos_head, exchange,
-    fetch_account_meta, fetch_eos_block, fetch_exchange_rate, fetch_exchanges, fetch_tezos_block,
-    fetch_xrp_ledger, shortlist, tezos_head, xrp_head, Advertised, ClientConfig, CrawlError,
-    CrawlStats, RotatingPool,
+    benchmark_endpoints, crawl_range, eos_head, exchange, fetch_account_meta, fetch_eos_block,
+    fetch_exchanges, fetch_tezos_block, fetch_xrp_ledger, shortlist, tezos_head, xrp_head,
+    Advertised, ClientConfig, CrawlError, CrawlStats, RotatingPool,
 };
 use txstat_ingest::crawl::ledger_ious;
-use txstat_ingest::{
-    crawl_into, spawn_sharded, IngestOptions, IngestOutcome, RateCache, ReduceError,
-    ReduceSession, ShardWorker, Sink,
-};
+use txstat_ingest::{RateCache, ReduceError, ReduceSession, ShardWorker};
 use txstat_telemetry::{static_counter, Span};
 use rayon::prelude::*;
 use crate::archive_io::{Bounds, SegmentSummary, SUMMARY_SCHEMA};
@@ -63,8 +56,8 @@ use txstat_xrp::tx::TxPayload;
 /// `&RateOracle`, …) unchanged.
 pub struct PipelineData {
     pub scenario: Scenario,
-    /// Materialized chains. Empty on the streamed path and on a reducer's
-    /// block-free cold start ([`reducer_from_archive`]); exhibits go
+    /// Materialized chains. Empty after a crawl that kept no blocks and on
+    /// a reducer's block-free cold start ([`reducer_from_archive`]); exhibits go
     /// through the accessor methods ([`PipelineData::eos_bounds`] etc.)
     /// rather than the vectors.
     pub eos_blocks: Arc<Vec<txstat_eos::Block>>,
@@ -84,14 +77,12 @@ pub struct PipelineData {
     pub governance_periods: Vec<(PeriodKind, Period)>,
     /// Crawl accounting when the RPC path was used.
     pub crawl: Option<Arc<CrawlSummary>>,
-    /// Streaming-ingestion accounting when the streamed path was used.
-    pub stream: Option<StreamSummary>,
     /// Lazily-computed fused accumulators (one parallel sweep per chain);
     /// every exhibit renders from these instead of re-scanning the blocks.
-    /// The streamed path pre-fills them from the shard reducer.
+    /// The crawl pre-fills them with what it folded.
     sweeps: OnceLock<Arc<ChainSweeps>>,
     /// Chain lengths `[eos, tezos, xrp]` of a block-free dataset (the
-    /// streamed counts, or the manifest's for [`reducer_from_archive`]).
+    /// crawled counts, or the manifest's for [`reducer_from_archive`]).
     /// `None` wherever the vectors are held: their own lengths are the
     /// truth there, whatever a caller has since put in the public fields.
     block_free_lens: Option<[u64; 3]>,
@@ -151,8 +142,8 @@ impl PipelineData {
     /// map-reduce sweep per chain (interned ids, batched classification,
     /// remap merges — see `txstat_core::columnar`), then shared by every
     /// exhibit. The engine finalizes into the `*Sweep` structs whose
-    /// accessors the renderers read. On the streamed and reduced paths the
-    /// shard reducer has already filled this through
+    /// accessors the renderers read. The crawl has already filled this
+    /// with what it folded, and the reduced paths through
     /// [`PipelineData::install_sweeps`]; `tests/streamed_ingest.rs` installs
     /// the scalar reference fold the same way and pins the whole report
     /// bit-identical to this default.
@@ -197,7 +188,7 @@ impl PipelineData {
     }
 
     /// The dataset's block-derived facts, resolved on first use: already
-    /// known (streamed crawl, block-free cold start), summed from
+    /// known (crawl, block-free cold start), summed from
     /// `archive.memo` with misses summarized from the held blocks and
     /// written back, or summarized from the blocks outright.
     fn facts(&self) -> &(SegmentSummary, Option<MemoStatus>) {
@@ -314,7 +305,6 @@ impl PipelineData {
             tezos_blocks: Arc::new(tezos),
             xrp_blocks: Arc::new(xrp),
             crawl: None,
-            stream: None,
             block_free_lens: None,
             ..self.unswept_twin()
         }
@@ -343,7 +333,6 @@ impl PipelineData {
             tezos_rolls: self.tezos_rolls.clone(),
             governance_periods: self.governance_periods.clone(),
             crawl: self.crawl.clone(),
-            stream: self.stream.clone(),
             sweeps: OnceLock::new(),
             block_free_lens: self.block_free_lens,
             facts,
@@ -359,29 +348,6 @@ pub struct CrawlSummary {
     pub xrp: CrawlStats,
     pub eos_advertised: usize,
     pub eos_shortlisted: usize,
-}
-
-/// Streaming accounting for one chain: how much the shards folded and the
-/// backpressure gauges of the shard channels.
-#[derive(Debug, Clone)]
-pub struct ChainStreamInfo {
-    pub shards: usize,
-    pub channel_capacity: usize,
-    /// Blocks folded across all shards.
-    pub streamed_blocks: u64,
-    /// Peak blocks buffered in any one shard channel (≤ capacity — the
-    /// memory bound that replaces the materialized `Vec<Block>`).
-    pub peak_buffered: u64,
-    /// Producer sends that parked on a full channel (backpressure hits).
-    pub blocked_sends: u64,
-}
-
-/// What the streamed path records beside its (pre-resolved) facts.
-#[derive(Debug, Clone)]
-pub struct StreamSummary {
-    pub eos: ChainStreamInfo,
-    pub tezos: ChainStreamInfo,
-    pub xrp: ChainStreamInfo,
 }
 
 fn governance_periods_of(chain: &txstat_tezos::TezosChain) -> Vec<(PeriodKind, Period)> {
@@ -465,7 +431,6 @@ pub fn generate(sc: &Scenario) -> PipelineData {
         tezos_rolls: Arc::new(tezos_rolls),
         governance_periods,
         crawl: None,
-        stream: None,
         sweeps: OnceLock::new(),
         facts: Facts::lazy(None),
     }
@@ -671,7 +636,6 @@ fn dataset_from_archive(
         tezos_rolls: Arc::new(sidecar.tezos_rolls.into_iter().collect()),
         governance_periods: sidecar.governance_periods,
         crawl: None,
-        stream: None,
         sweeps: OnceLock::new(),
         block_free_lens,
         facts,
@@ -732,34 +696,18 @@ pub struct CrawlOptions {
     pub eos_shortlisted: usize,
     /// Worker concurrency per chain crawl.
     pub concurrency: usize,
-    /// Streamed path: sweep shards per chain.
-    pub shards: usize,
-    /// Streamed path: bounded-channel capacity per shard (blocks).
-    pub channel_capacity: usize,
 }
 
 impl Default for CrawlOptions {
     fn default() -> Self {
-        CrawlOptions {
-            eos_advertised: 8,
-            eos_shortlisted: 3,
-            concurrency: 8,
-            shards: 4,
-            channel_capacity: 64,
-        }
+        CrawlOptions { eos_advertised: 8, eos_shortlisted: 3, concurrency: 8 }
     }
 }
 
 impl CrawlOptions {
     /// The paper's endpoint population: 32 advertised, 6 shortlisted.
     pub fn paper() -> Self {
-        CrawlOptions { eos_advertised: 32, eos_shortlisted: 6, concurrency: 12, ..Self::default() }
-    }
-
-    /// Ingest tuning for one chain's shard pool, labeled so folds and
-    /// fold spans attribute to that chain in the registry.
-    fn ingest_for(&self, chain: &'static str) -> IngestOptions {
-        IngestOptions { shards: self.shards, channel_capacity: self.channel_capacity, label: chain }
+        CrawlOptions { eos_advertised: 32, eos_shortlisted: 6, concurrency: 12 }
     }
 }
 
@@ -777,47 +725,6 @@ struct ServedChains {
     _eos_handles: Vec<EndpointHandle>,
     _tz_handle: EndpointHandle,
     _xrp_handle: EndpointHandle,
-}
-
-impl ServedChains {
-    /// The dataset of a finished crawl as far as both crawl pipelines agree
-    /// on it: what only the serving side knows (CPU prices, drops, rolls,
-    /// governance periods), the sidecar fetches and the crawl accounting.
-    /// No blocks, no sweeps, facts not yet summarized.
-    fn crawled(
-        &self,
-        sc: &Scenario,
-        opts: &CrawlOptions,
-        [eos, tezos, xrp]: [CrawlStats; 3],
-        oracle: RateOracle,
-        trades: Vec<TradeRecord>,
-        cluster: ClusterInfo,
-    ) -> PipelineData {
-        PipelineData {
-            scenario: sc.clone(),
-            block_free_lens: None,
-            eos_blocks: Arc::new(Vec::new()),
-            tezos_blocks: Arc::new(Vec::new()),
-            xrp_blocks: Arc::new(Vec::new()),
-            oracle: Arc::new(oracle),
-            trades: Arc::new(trades),
-            cluster: Arc::new(cluster),
-            eos_cpu_price: Arc::new(self.eos.cpu_price_history.clone()),
-            eos_dropped_txs: self.eos.dropped_txs,
-            tezos_rolls: Arc::new(tezos_rolls_of(&self.tezos)),
-            governance_periods: governance_periods_of(&self.tezos),
-            crawl: Some(Arc::new(CrawlSummary {
-                eos,
-                tezos,
-                xrp,
-                eos_advertised: opts.eos_advertised,
-                eos_shortlisted: opts.eos_shortlisted,
-            })),
-            stream: None,
-            sweeps: OnceLock::new(),
-            facts: Facts::lazy(None),
-        }
-    }
 }
 
 /// Build the chains, spawn their endpoints, benchmark and shortlist.
@@ -891,8 +798,8 @@ async fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChai
 
 /// One chain's crawl as its own task under a `crawl` span: `crawl` gets
 /// the chain's pool and the client config, finds the head and fetches down
-/// from it. The three chains' endpoints are independent, so both crawl
-/// pipelines overlap three of these.
+/// from it. The three chains' endpoints are independent, so
+/// [`generate_with_crawl`] overlaps three of these.
 fn spawn_crawl<T, Fut>(
     chain: &'static str,
     pool: &Arc<RotatingPool>,
@@ -912,6 +819,58 @@ where
 
 fn join_err(e: tokio::task::JoinError) -> CrawlError {
     CrawlError::Protocol(format!("crawl task panicked: {e}"))
+}
+
+/// Crawl one chain's blocks `[low, high]` with its fold as the emit step:
+/// each block is observed into `acc` under the chain's one lock, on the
+/// fetch worker that fetched it, counted in
+/// `txstat_ingest_blocks_folded_total{chain}`, and kept if `keep_blocks`.
+/// The fold must not care in which order the blocks arrive. Returns the
+/// fold, the kept blocks in position order (empty unless kept) and the
+/// crawl accounting.
+async fn crawl_folded<A, B, F, Fut>(
+    chain: &'static str,
+    (low, high): (u64, u64),
+    concurrency: usize,
+    keep_blocks: bool,
+    fetch: F,
+    acc: A,
+    observe: impl Fn(&mut A, u64, &B) + Send + Sync + 'static,
+) -> Result<(A, Vec<B>, CrawlStats), CrawlError>
+where
+    A: Send + 'static,
+    B: Send + 'static,
+    F: Fn(u64) -> Fut + Send + Sync + Clone + 'static,
+    Fut: std::future::Future<Output = Result<Fetched<B>, CrawlError>> + Send,
+{
+    let folded = txstat_telemetry::registry().counter_with(
+        "txstat_ingest_blocks_folded_total",
+        "Blocks the crawl folded into their chain's sweep as they were fetched",
+        &[("chain", chain)],
+    );
+    let state = Arc::new(Mutex::new((acc, Vec::new())));
+    let (emit_state, observe) = (state.clone(), Arc::new(observe));
+    let stats = crawl_range(high, low, concurrency, fetch, move |n, block: B| {
+        let (state, observe, folded) = (emit_state.clone(), observe.clone(), folded.clone());
+        async move {
+            let mut guard = state.lock().expect("no fold panicked on another fetch worker");
+            let (acc, kept) = &mut *guard;
+            observe(acc, n, &block);
+            folded.inc();
+            if keep_blocks {
+                kept.push((n, block));
+            }
+            Ok::<(), CrawlError>(())
+        }
+    })
+    .await?;
+    // `crawl_range` returned Ok: every worker is joined and none panicked.
+    let (acc, mut kept) = Arc::into_inner(state)
+        .expect("crawl_range has joined every worker holding the emit step")
+        .into_inner()
+        .expect("no fold panicked");
+    kept.sort_unstable_by_key(|(n, _)| *n);
+    Ok((acc, kept.into_iter().map(|(_, b)| b).collect(), stats))
 }
 
 /// Fetch username/parent metadata for every seen account and fold it into
@@ -968,112 +927,11 @@ fn cpu_peaks_around_launch(pairs: impl Iterator<Item = (ChainTime, f64)>) -> (f6
 }
 
 /// The launch peaks read off the simulated chain (the serving side holds
-/// it regardless of crawl path).
+/// it whether or not the crawl keeps its blocks).
 fn eos_cpu_peaks_of(eos: &txstat_eos::EosChain) -> (f64, f64) {
     cpu_peaks_around_launch(
         eos.cpu_price_history.iter().zip(eos.blocks()).map(|((_, p), b)| (b.time, *p)),
     )
-}
-
-/// Full materializing path: serve the generated chains over loopback RPC,
-/// shortlist endpoints, crawl everything — the three chain crawls overlap,
-/// one task each, since the endpoints are independent — then fetch
-/// rates/metadata and assemble the dataset.
-pub async fn generate_with_crawl(
-    sc: &Scenario,
-    opts: &CrawlOptions,
-) -> Result<PipelineData, CrawlError> {
-    let served = serve_scenario(sc, opts).await?;
-    let cfg = ClientConfig::default();
-
-    let concurrency = opts.concurrency;
-    let eos_low = served.eos.config.start_block_num;
-    let eos_task = spawn_crawl("eos", &served.eos_pool, &cfg, move |pool, cfg| async move {
-        let head = eos_head(&pool, &cfg).await?;
-        crawl_eos(pool, cfg, eos_low, head, concurrency).await
-    });
-    let tz_low = served.tezos.config.start_level;
-    let tz_task = spawn_crawl("tezos", &served.tz_pool, &cfg, move |pool, cfg| async move {
-        let head = tezos_head(&pool, &cfg).await?;
-        crawl_tezos(pool, cfg, tz_low, head, concurrency).await
-    });
-    let xrp_low = served.xrp.config.start_index;
-    let xrp_task = spawn_crawl("xrp", &served.xrp_pool, &cfg, move |pool, cfg| async move {
-        let head = xrp_head(&pool, &cfg).await?;
-        crawl_xrp(pool, cfg, xrp_low, head, concurrency).await
-    });
-    // Join all three before propagating any failure, so an error never
-    // leaves the other chains' crawls running detached behind the caller.
-    let eos_res = eos_task.await.map_err(join_err);
-    let tz_res = tz_task.await.map_err(join_err);
-    let xrp_res = xrp_task.await.map_err(join_err);
-    let eos_crawl = eos_res??;
-    let tezos_crawl = tz_res??;
-    let xrp_crawl = xrp_res??;
-
-    // Account metadata for every account seen (XRP Scan path).
-    let mut seen: HashSet<txstat_xrp::AccountId> = HashSet::new();
-    let mut ious: HashSet<IssuedCurrency> = HashSet::new();
-    for b in &xrp_crawl.blocks {
-        seen.extend(ledger_accounts(b));
-        ious.extend(ledger_ious(b));
-    }
-    let cluster = fetch_cluster(&served.xrp_pool, &cfg, seen.into_iter().collect()).await?;
-
-    // Exchange rates for every observed token (Data API path), and the
-    // exchange events of every BTC issuer (Figure 11b).
-    let mut rates = Vec::new();
-    let mut iou_list: Vec<IssuedCurrency> = ious.into_iter().collect();
-    iou_list.sort();
-    for ic in &iou_list {
-        if let Some(rate) =
-            fetch_exchange_rate(&served.xrp_pool, &cfg, ic.currency.as_str(), ic.issuer, sc.period.end)
-                .await?
-        {
-            rates.push((*ic, rate));
-        }
-    }
-    let trades = fetch_btc_trades(&served.xrp_pool, &cfg, &iou_list).await?;
-    let oracle = RateOracle::from_rates(rates);
-
-    let stats = [eos_crawl.stats, tezos_crawl.stats, xrp_crawl.stats];
-    Ok(PipelineData {
-        eos_blocks: Arc::new(eos_crawl.blocks),
-        tezos_blocks: Arc::new(tezos_crawl.blocks),
-        xrp_blocks: Arc::new(xrp_crawl.blocks),
-        ..served.crawled(sc, opts, stats, oracle, trades, cluster)
-    })
-}
-
-// ---- Streamed ingestion -----------------------------------------------------
-
-/// Shard state for the chains whose sweeps need no side lookups: the fused
-/// sweep plus stream bounds.
-struct SweepShardAcc<S> {
-    sweep: S,
-    bounds: Bounds,
-}
-
-/// Fold the stream bounds across shards, build the chain's stream info,
-/// and merge the shard sweeps in index order.
-fn reduce_sweep_shards<S>(
-    chain: &'static str,
-    out: IngestOutcome<SweepShardAcc<S>>,
-    opts: &CrawlOptions,
-    mut merge: impl FnMut(&mut S, S),
-) -> (S, Bounds, ChainStreamInfo) {
-    let _span = Span::enter("merge", chain);
-    let bounds = out.shards.iter().fold(Bounds::default(), |mut b, s| {
-        b.merge(s.bounds);
-        b
-    });
-    let info = chain_stream_info(chain, &out, opts);
-    let mut it = out.shards.into_iter();
-    let mut sweep = it.next().expect("at least one shard").sweep;
-    for other in it {
-        merge(&mut sweep, other.sweep);
-    }
-    (sweep, bounds, info)
 }
 
 /// The accounts a ledger shows: every sender and every payment destination
@@ -1090,9 +948,10 @@ fn ledger_accounts(
     })
 }
 
-/// XRP shard state: sweep, bounds, the accounts seen (for the metadata
-/// fetch), and a shard-local oracle grown from the crawl-time rate cache.
-struct XrpShardAcc {
+/// XRP's fold: the sweep and its bounds, the accounts seen (for the
+/// metadata fetch after the crawl), and the oracle the sweep values
+/// payments with, synced from the crawl-time rate cache.
+struct XrpFold {
     sweep: XrpColumnar,
     bounds: Bounds,
     seen: HashSet<txstat_xrp::AccountId>,
@@ -1100,12 +959,12 @@ struct XrpShardAcc {
     known: HashSet<IssuedCurrency>,
 }
 
-impl XrpShardAcc {
-    fn observe(&mut self, b: &txstat_xrp::LedgerBlock, rates: &RateCache) {
-        self.bounds.record(b.index, b.close_time);
+impl XrpFold {
+    fn observe(&mut self, n: u64, b: &txstat_xrp::LedgerBlock, rates: &RateCache) {
+        self.bounds.record(n, b.close_time);
         // Sync any token this ledger references from the shared cache into
-        // the shard-local oracle. The crawl's fetch resolved them before
-        // emitting the ledger, so the lookup cannot miss.
+        // the fold's oracle. The fetch resolved them before emitting the
+        // ledger, so the lookup cannot miss.
         for ic in ledger_ious(b) {
             if self.known.insert(ic) {
                 if let Some(Some(rate)) = rates.lookup(ic) {
@@ -1116,59 +975,22 @@ impl XrpShardAcc {
         self.seen.extend(ledger_accounts(b));
         self.sweep.observe(b, &self.oracle);
     }
-
-    fn merge(&mut self, other: XrpShardAcc) {
-        self.sweep.merge(other.sweep);
-        self.bounds.merge(other.bounds);
-        self.seen.extend(other.seen);
-        for (ic, rate) in other.oracle.currencies() {
-            self.oracle.insert(*ic, *rate);
-        }
-    }
 }
 
-fn chain_stream_info<A>(
-    chain: &'static str,
-    outcome: &IngestOutcome<A>,
-    opts: &CrawlOptions,
-) -> ChainStreamInfo {
-    // Export each shard channel's end-of-stream gauges to the registry so
-    // backpressure is visible on `/metrics` even after the pool is gone.
-    let registry = txstat_telemetry::registry();
-    for (shard, g) in outcome.gauges.iter().enumerate() {
-        let shard = shard.to_string();
-        registry
-            .gauge_with(
-                "txstat_ingest_channel_high_water",
-                "Peak blocks buffered in one shard channel",
-                &[("chain", chain), ("shard", &shard)],
-            )
-            .set(g.high_water);
-        registry
-            .gauge_with(
-                "txstat_ingest_channel_blocked_sends",
-                "Producer sends that parked on a full shard channel",
-                &[("chain", chain), ("shard", &shard)],
-            )
-            .set(g.blocked_sends);
-    }
-    ChainStreamInfo {
-        shards: outcome.shards.len(),
-        channel_capacity: opts.channel_capacity,
-        streamed_blocks: outcome.total_observed(),
-        peak_buffered: outcome.peak_buffered(),
-        blocked_sends: outcome.gauges.iter().map(|g| g.blocked_sends).sum(),
-    }
-}
-
-/// Streamed path: the same serve → benchmark → shortlist → crawl pipeline,
-/// but every fetched block flows straight into sharded sweep accumulators
-/// through bounded channels. The crawl-side and sweep-side overlap per
-/// chain *and* the three chains overlap with each other; no measurement
-/// copy of any chain is ever materialized.
-pub async fn generate_with_crawl_streamed(
+/// The §3.1 measurement path: serve the generated chains over loopback RPC,
+/// benchmark and shortlist the EOS endpoints, then crawl the three chains
+/// at once, one task each, since their endpoints are independent. Every
+/// block is folded into its chain's sweep on the fetch worker that fetched
+/// it (XRP's fetch first resolves the ledger's exchange rates), so the
+/// sweeps are ready when the crawl ends. The sidecar is fetched once, after
+/// the crawl: metadata for every account seen and the BTC issuers'
+/// exchange events. With `keep_blocks` the blocks are kept too, in position
+/// order (what `reproduce archive --crawl` seals); without, the
+/// measurement side holds no chain.
+pub async fn generate_with_crawl(
     sc: &Scenario,
     opts: &CrawlOptions,
+    keep_blocks: bool,
 ) -> Result<PipelineData, CrawlError> {
     let served = serve_scenario(sc, opts).await?;
     let cfg = ClientConfig::default();
@@ -1176,17 +998,6 @@ pub async fn generate_with_crawl_streamed(
     let rates = Arc::new(RateCache::new(period.end));
     let concurrency = opts.concurrency;
 
-    // EOS: sharded columnar sweep pool + streaming crawl. Shard
-    // workers intern and batch each block as it arrives; the reducer merges
-    // the per-shard interned states and finalizes once.
-    let (eos_sink, eos_pool): (Sink<txstat_eos::Block>, _) = spawn_sharded(
-        opts.ingest_for("eos"),
-        move || SweepShardAcc { sweep: EosColumnar::new(period), bounds: Bounds::default() },
-        |acc: &mut SweepShardAcc<EosColumnar>, n, b: &txstat_eos::Block| {
-            acc.bounds.record(n, b.time);
-            acc.sweep.observe(b);
-        },
-    );
     let eos_low = served.eos.config.start_block_num;
     let eos_task = spawn_crawl("eos", &served.eos_pool, &cfg, move |pool, cfg| async move {
         let head = eos_head(&pool, &cfg).await?;
@@ -1194,22 +1005,18 @@ pub async fn generate_with_crawl_streamed(
             let (pool, cfg) = (pool.clone(), cfg.clone());
             async move { fetch_eos_block(&pool, &cfg, n).await }
         };
-        Ok(crawl_into(eos_sink, head, eos_low, concurrency, fetch).await?)
+        let fold = (EosColumnar::new(period), Bounds::default());
+        crawl_folded("eos", (eos_low, head), concurrency, keep_blocks, fetch, fold,
+            |(sweep, bounds): &mut (EosColumnar, Bounds), n, b: &txstat_eos::Block| {
+                bounds.record(n, b.time);
+                sweep.observe(b);
+            },
+        )
+        .await
     });
 
-    // Tezos.
-    let tz_periods = governance_periods_of(&served.tezos);
-    let (tz_sink, tz_pool): (Sink<txstat_tezos::TezosBlock>, _) = spawn_sharded(
-        opts.ingest_for("tezos"),
-        move || SweepShardAcc {
-            sweep: TezosColumnar::new(period, tz_periods.clone()),
-            bounds: Bounds::default(),
-        },
-        |acc: &mut SweepShardAcc<TezosColumnar>, n, b: &txstat_tezos::TezosBlock| {
-            acc.bounds.record(n, b.time);
-            acc.sweep.observe(b);
-        },
-    );
+    let governance_periods = governance_periods_of(&served.tezos);
+    let tz_periods = governance_periods.clone();
     let tz_low = served.tezos.config.start_level;
     let tz_task = spawn_crawl("tezos", &served.tz_pool, &cfg, move |pool, cfg| async move {
         let head = tezos_head(&pool, &cfg).await?;
@@ -1217,30 +1024,21 @@ pub async fn generate_with_crawl_streamed(
             let (pool, cfg) = (pool.clone(), cfg.clone());
             async move { fetch_tezos_block(&pool, &cfg, n).await }
         };
-        Ok(crawl_into(tz_sink, head, tz_low, concurrency, fetch).await?)
+        let fold = (TezosColumnar::new(period, tz_periods), Bounds::default());
+        crawl_folded("tezos", (tz_low, head), concurrency, keep_blocks, fetch, fold,
+            |(sweep, bounds): &mut (TezosColumnar, Bounds), n, b: &txstat_tezos::TezosBlock| {
+                bounds.record(n, b.time);
+                sweep.observe(b);
+            },
+        )
+        .await
     });
 
-    // XRP: the fetch resolves exchange rates as tokens appear; the
-    // shard accumulators value payments through a local oracle synced from
-    // that cache.
-    let rates_for_obs = rates.clone();
-    let (xrp_sink, xrp_shard_pool): (Sink<txstat_xrp::LedgerBlock>, _) = spawn_sharded(
-        opts.ingest_for("xrp"),
-        move || XrpShardAcc {
-            sweep: XrpColumnar::new(period),
-            bounds: Bounds::default(),
-            seen: HashSet::new(),
-            oracle: RateOracle::default(),
-            known: HashSet::new(),
-        },
-        move |acc: &mut XrpShardAcc, _n, b: &txstat_xrp::LedgerBlock| {
-            acc.observe(b, &rates_for_obs);
-        },
-    );
     let xrp_low = served.xrp.config.start_index;
     let xrp_rates = rates.clone();
     let xrp_task = spawn_crawl("xrp", &served.xrp_pool, &cfg, move |pool, cfg| async move {
         let head = xrp_head(&pool, &cfg).await?;
+        let fold_rates = xrp_rates.clone();
         let fetch = move |n| {
             let (pool, cfg, rates) = (pool.clone(), cfg.clone(), xrp_rates.clone());
             async move {
@@ -1249,66 +1047,80 @@ pub async fn generate_with_crawl_streamed(
                 Ok(fetched)
             }
         };
-        Ok(crawl_into(xrp_sink, head, xrp_low, concurrency, fetch).await?)
+        let fold = XrpFold {
+            sweep: XrpColumnar::new(period),
+            bounds: Bounds::default(),
+            seen: HashSet::new(),
+            oracle: RateOracle::default(),
+            known: HashSet::new(),
+        };
+        crawl_folded("xrp", (xrp_low, head), concurrency, keep_blocks, fetch, fold,
+            move |fold: &mut XrpFold, n, b: &txstat_xrp::LedgerBlock| {
+                fold.observe(n, b, &fold_rates)
+            },
+        )
+        .await
     });
 
-    // The crawls (and their folds) run concurrently. Join every producer
-    // before propagating any failure — a failed producer has already
-    // dropped its sink, so the shard workers below drain and exit either
-    // way, and no crawl keeps running detached behind an early Err.
+    // Join all three before propagating any failure, so an error never
+    // leaves another chain's crawl running behind the caller.
     let eos_res = eos_task.await.map_err(join_err);
     let tz_res = tz_task.await.map_err(join_err);
     let xrp_res = xrp_task.await.map_err(join_err);
-    let eos_out = eos_pool.finish().await;
-    let tz_out = tz_pool.finish().await;
-    let xrp_out = xrp_shard_pool.finish().await;
-    let eos_stats = eos_res??;
-    let tz_stats = tz_res??;
-    let xrp_stats = xrp_res??;
+    let ((eos_sweep, eos_bounds), eos_blocks, eos_stats) = eos_res??;
+    let ((tz_sweep, tz_bounds), tezos_blocks, tz_stats) = tz_res??;
+    let (xrp, xrp_blocks, xrp_stats) = xrp_res??;
 
-    // Reduce: merge the per-shard columnar states in index order, then
-    // resolve interned ids once (finalize) into the scalar sweeps the
-    // exhibits render from.
-    let (eos_col, eos_bounds, eos_info) =
-        reduce_sweep_shards("eos", eos_out, opts, EosColumnar::merge);
-    let eos_sweep = eos_col.finalize();
-    let (tz_col, tz_bounds, tz_info) =
-        reduce_sweep_shards("tezos", tz_out, opts, TezosColumnar::merge);
-    let tz_sweep = tz_col.finalize();
-    let (xrp_sweep, seen_accounts, xrp_bounds, xrp_info) = {
-        let _span = Span::enter("merge", "xrp");
-        let info = chain_stream_info("xrp", &xrp_out, opts);
-        let merged = xrp_out.merged(XrpShardAcc::merge);
-        (merged.sweep.finalize(), merged.seen, merged.bounds, info)
-    };
-
-    // Post-crawl sidecar fetches: metadata for seen accounts, BTC exchange
-    // events. Rates were already resolved during the crawl.
-    let cluster = fetch_cluster(&served.xrp_pool, &cfg, seen_accounts.into_iter().collect()).await?;
+    // The sidecar: metadata for every account seen, the BTC issuers'
+    // exchange events. Rates were resolved during the crawl.
+    let cluster = fetch_cluster(&served.xrp_pool, &cfg, xrp.seen.into_iter().collect()).await?;
     let trades = fetch_btc_trades(&served.xrp_pool, &cfg, &rates.currencies()).await?;
-    let oracle = rates.oracle();
 
-    let sweeps = OnceLock::new();
-    let _ = sweeps.set(Arc::new(ChainSweeps { eos: eos_sweep, tezos: tz_sweep, xrp: xrp_sweep }));
-
-    // No blocks are held, so the facts are settled here: the bounds the
-    // shards observed and the launch peaks off the serving side's chain
-    // (Figure 2 renders the crawl's own accounting on this path).
+    let sweeps = ChainSweeps {
+        eos: {
+            let _span = Span::enter("sweep", "eos");
+            eos_sweep.finalize()
+        },
+        tezos: {
+            let _span = Span::enter("sweep", "tezos");
+            tz_sweep.finalize()
+        },
+        xrp: {
+            let _span = Span::enter("sweep", "xrp");
+            xrp.sweep.finalize()
+        },
+    };
+    // The facts are settled here: the bounds the folds observed and the
+    // launch peaks off the serving side's chain (Figure 2 renders the
+    // crawl's own accounting).
     let facts = SegmentSummary {
-        bounds: [eos_bounds, tz_bounds, xrp_bounds],
+        bounds: [eos_bounds, tz_bounds, xrp.bounds],
         cpu_peaks: eos_cpu_peaks_of(&served.eos),
         ..SegmentSummary::default()
     };
+    let lens = [eos_stats.blocks, tz_stats.blocks, xrp_stats.blocks];
     Ok(PipelineData {
-        block_free_lens: Some([
-            eos_info.streamed_blocks,
-            tz_info.streamed_blocks,
-            xrp_info.streamed_blocks,
-        ]),
-        stream: Some(StreamSummary { eos: eos_info, tezos: tz_info, xrp: xrp_info }),
-        sweeps,
+        scenario: sc.clone(),
+        eos_blocks: Arc::new(eos_blocks),
+        tezos_blocks: Arc::new(tezos_blocks),
+        xrp_blocks: Arc::new(xrp_blocks),
+        oracle: Arc::new(rates.oracle()),
+        trades: Arc::new(trades),
+        cluster: Arc::new(cluster),
+        eos_cpu_price: Arc::new(served.eos.cpu_price_history.clone()),
+        eos_dropped_txs: served.eos.dropped_txs,
+        tezos_rolls: Arc::new(tezos_rolls_of(&served.tezos)),
+        governance_periods,
+        crawl: Some(Arc::new(CrawlSummary {
+            eos: eos_stats,
+            tezos: tz_stats,
+            xrp: xrp_stats,
+            eos_advertised: opts.eos_advertised,
+            eos_shortlisted: opts.eos_shortlisted,
+        })),
+        sweeps: OnceLock::from(Arc::new(sweeps)),
+        block_free_lens: (!keep_blocks).then_some(lens),
         facts: Facts::known(facts, None),
-        ..served.crawled(sc, opts, [eos_stats, tz_stats, xrp_stats], oracle, trades, cluster)
     })
 }
 

@@ -383,8 +383,8 @@ pub fn serve_session(
     say(ServeLine::Progress(format!("serving in epochs of {} blocks…", plan.batch)));
     // The process-global registry, so `/metrics` carries every layer's
     // families (the fleet, generation and archive ones the binary
-    // registered at zero, ingest counters from the shard pools,
-    // reduce/epoch progress from the follower, route stats) in one
+    // registered at zero, ingest, reduce and epoch progress from the
+    // follower, route stats) in one
     // exposition.
     let registry = txstat_telemetry::registry().clone();
     // No reorg guard: nothing can hand this session a reorged chain, so it

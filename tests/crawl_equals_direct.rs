@@ -1,7 +1,7 @@
 //! The full RPC measurement path must observe exactly what the chains
-//! contain: `generate_with_crawl` (serve → benchmark → shortlist → crawl →
-//! fetch rates/metadata) produces the same analytics dataset as reading the
-//! chains directly.
+//! contain: `generate_with_crawl` keeping its blocks (serve → benchmark →
+//! shortlist → crawl and fold → fetch metadata) produces the same analytics
+//! dataset as reading the chains directly.
 
 use txstat::reports::{generate, generate_with_crawl, CrawlOptions};
 use txstat::types::time::{ChainTime, Period};
@@ -12,7 +12,7 @@ async fn crawl_pipeline_matches_direct_pipeline() {
     let mut sc = Scenario::small(77);
     sc.period = Period::new(ChainTime::from_ymd(2019, 10, 30), ChainTime::from_ymd(2019, 11, 3));
     let direct = generate(&sc);
-    let crawled = generate_with_crawl(&sc, &CrawlOptions::default())
+    let crawled = generate_with_crawl(&sc, &CrawlOptions::default(), true)
         .await
         .expect("crawl pipeline");
 

@@ -4,10 +4,11 @@
 
 mod support;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use txstat::crawler::{
-    crawl_eos, eos_head, Advertised, ClientConfig, CrawlError, RotatingPool,
+    crawl_eos, crawl_range, eos_head, Advertised, ClientConfig, CrawlError, RotatingPool,
 };
 use txstat::netsim::handlers::EosRpcHandler;
 use txstat::netsim::server::{spawn_http, HttpHandler};
@@ -109,6 +110,42 @@ async fn missing_blocks_fail_the_crawl() {
         Err(e) => e,
     };
     assert!(matches!(err, CrawlError::HttpStatus(404)), "{err}");
+}
+
+/// The first failed fetch ends the crawl: no worker takes another index,
+/// and `crawl_range` returns its error only once every worker is joined,
+/// so nothing `emit` owns outlives the call and no fetch goes on behind
+/// the caller's back.
+#[tokio::test]
+async fn a_failed_fetch_stops_every_worker_before_the_crawl_returns() {
+    const HEAD: u64 = 200;
+    const CONCURRENCY: usize = 4;
+    let fetches = Arc::new(AtomicUsize::new(0));
+    let counted = fetches.clone();
+    let fetch = move |n: u64| {
+        let counted = counted.clone();
+        async move {
+            counted.fetch_add(1, Ordering::SeqCst);
+            if n == HEAD {
+                return Err(CrawlError::HttpStatus(404));
+            }
+            tokio::time::sleep(Duration::from_millis(5)).await;
+            Ok(((), Vec::new(), 0))
+        }
+    };
+    let marker = Arc::new(());
+    let held = marker.clone();
+    let emit = move |_n: u64, _block: ()| {
+        let _held = &held;
+        async { Ok::<(), CrawlError>(()) }
+    };
+    let err = crawl_range(HEAD, 1, CONCURRENCY, fetch, emit).await.expect_err("the head 404s");
+    assert!(matches!(err, CrawlError::HttpStatus(404)), "{err}");
+    assert_eq!(Arc::strong_count(&marker), 1, "a worker still holds emit after the Err");
+    let fetched = fetches.load(Ordering::SeqCst);
+    assert!(fetched < HEAD as usize, "all {fetched} blocks fetched despite the 404 at the head");
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(fetches.load(Ordering::SeqCst), fetched, "a worker went on fetching");
 }
 
 #[tokio::test]

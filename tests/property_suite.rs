@@ -180,8 +180,7 @@ proptest! {
 // delta-folded — must reproduce the scalar reference fold
 // (`*Sweep::compute`) bit for bit on every accessor, and the merge algebra
 // of both must satisfy identity/associativity/commutativity on split block
-// ranges. ("legacy" in six test names means that reference fold: the
-// names are pinned by the tier-1 floor list.)
+// ranges and in any block arrival order.
 // ---------------------------------------------------------------------------
 
 mod fused {
@@ -294,6 +293,20 @@ mod fused {
         Ok(())
     }
 
+    /// Proptest-chosen ranks for up to 12 blocks: [`arrival_order`] turns
+    /// them into a permutation.
+    fn arrival_keys() -> impl Strategy<Value = Vec<u32>> {
+        proptest::collection::vec(any::<u32>(), 12)
+    }
+
+    /// The blocks in the order `keys` ranks them (ties by position): an
+    /// arbitrary arrival order, as the crawl's fetch workers deliver them.
+    fn arrival_order<'a, B>(blocks: &'a [B], keys: &[u32]) -> Vec<&'a B> {
+        let mut order: Vec<usize> = (0..blocks.len()).collect();
+        order.sort_by_key(|&i| (keys[i], i));
+        order.into_iter().map(|i| &blocks[i]).collect()
+    }
+
     /// A bucket series in a hash-order-free shape.
     fn series_rows<K: Eq + std::hash::Hash + Clone + Ord + std::fmt::Debug>(
         series: &BucketSeries<K>,
@@ -333,7 +346,7 @@ mod fused {
         /// remap merges) finalizes to the same outputs as the scalar
         /// reference fold.
         #[test]
-        fn eos_columnar_equals_legacy_scans(spec in eos_strategy()) {
+        fn eos_columnar_equals_scalar_fold(spec in eos_strategy()) {
             let blocks = eos_blocks(&spec);
             let sweep = EosColumnar::compute(&blocks, window());
             assert_eos_equiv(&sweep, &blocks, window())?;
@@ -341,9 +354,14 @@ mod fused {
 
         /// Columnar merge algebra: split-range remap merges at any pivot
         /// (and in commuted order) finalize to the whole-range result —
-        /// even though the two sides' interners assign different ids.
+        /// even though the two sides' interners assign different ids — and
+        /// so does one accumulator fed the blocks in any arrival order.
         #[test]
-        fn eos_columnar_merge_algebra(spec in eos_strategy(), pivot in 0usize..12) {
+        fn eos_columnar_merge_algebra(
+            spec in eos_strategy(),
+            pivot in 0usize..12,
+            keys in arrival_keys(),
+        ) {
             let blocks = eos_blocks(&spec);
             let pivot = pivot.min(blocks.len());
             let fold = |range: &[Block]| {
@@ -364,6 +382,12 @@ mod fused {
             let mut with_identity = EosColumnar::new(window());
             with_identity.merge(fold(&blocks));
             assert_eos_equiv(&with_identity.finalize(), &blocks, window())?;
+
+            let mut arrived = EosColumnar::new(window());
+            for b in arrival_order(&blocks, &keys) {
+                arrived.observe(b);
+            }
+            assert_eos_equiv(&arrived.finalize(), &blocks, window())?;
         }
 
         /// merge(identity, x) == x, and split-range merges at any pivot (plus
@@ -479,14 +503,26 @@ mod fused {
 
     proptest! {
         /// The columnar Tezos sweep finalizes to the same outputs as the
-        /// scalar reference fold, at any merge pivot.
+        /// scalar reference fold.
         #[test]
-        fn tezos_columnar_equals_legacy_scans(spec in tz_strategy(), pivot in 0usize..12) {
+        fn tezos_columnar_equals_scalar_fold(spec in tz_strategy()) {
             use txstat::core::TezosColumnar;
             let blocks = tz_blocks(&spec);
             let sweep = TezosColumnar::compute(&blocks, window(), &tz_periods());
             assert_tz_equiv(&sweep, &blocks, window())?;
+        }
 
+        /// Columnar merge algebra for Tezos: split-range merges at any
+        /// pivot, and one accumulator fed the blocks in any arrival order,
+        /// finalize to the whole-range result.
+        #[test]
+        fn tezos_columnar_merge_algebra(
+            spec in tz_strategy(),
+            pivot in 0usize..12,
+            keys in arrival_keys(),
+        ) {
+            use txstat::core::TezosColumnar;
+            let blocks = tz_blocks(&spec);
             let pivot = pivot.min(blocks.len());
             let fold = |range: &[TezosBlock]| {
                 let mut acc = TezosColumnar::new(window(), tz_periods());
@@ -498,6 +534,12 @@ mod fused {
             let mut split = fold(&blocks[..pivot]);
             split.merge(fold(&blocks[pivot..]));
             assert_tz_equiv(&split.finalize(), &blocks, window())?;
+
+            let mut arrived = TezosColumnar::new(window(), tz_periods());
+            for b in arrival_order(&blocks, &keys) {
+                arrived.observe(b);
+            }
+            assert_tz_equiv(&arrived.finalize(), &blocks, window())?;
         }
 
         /// Identity/split-merge/commuted-merge algebra for the Tezos sweep.
@@ -662,15 +704,27 @@ mod fused {
 
     proptest! {
         /// The columnar XRP sweep finalizes to the same outputs as the
-        /// scalar reference fold, at any merge pivot.
+        /// scalar reference fold.
         #[test]
-        fn xrp_columnar_equals_legacy_scans(spec in x_strategy(), pivot in 0usize..12) {
+        fn xrp_columnar_equals_scalar_fold(spec in x_strategy()) {
+            use txstat::core::XrpColumnar;
+            let blocks = x_blocks(&spec);
+            let sweep = XrpColumnar::compute(&blocks, window(), &oracle());
+            assert_x_equiv(&sweep, &blocks, window())?;
+        }
+
+        /// Columnar merge algebra for XRP: split-range merges at any
+        /// pivot, and one accumulator fed the blocks in any arrival order,
+        /// finalize to the whole-range result.
+        #[test]
+        fn xrp_columnar_merge_algebra(
+            spec in x_strategy(),
+            pivot in 0usize..12,
+            keys in arrival_keys(),
+        ) {
             use txstat::core::XrpColumnar;
             let blocks = x_blocks(&spec);
             let ora = oracle();
-            let sweep = XrpColumnar::compute(&blocks, window(), &ora);
-            assert_x_equiv(&sweep, &blocks, window())?;
-
             let pivot = pivot.min(blocks.len());
             let fold = |range: &[LedgerBlock]| {
                 let mut acc = XrpColumnar::new(window());
@@ -682,6 +736,12 @@ mod fused {
             let mut split = fold(&blocks[..pivot]);
             split.merge(fold(&blocks[pivot..]));
             assert_x_equiv(&split.finalize(), &blocks, window())?;
+
+            let mut arrived = XrpColumnar::new(window());
+            for b in arrival_order(&blocks, &keys) {
+                arrived.observe(b, &ora);
+            }
+            assert_x_equiv(&arrived.finalize(), &blocks, window())?;
         }
 
         /// Identity/split-merge/commuted-merge algebra for the XRP sweep.
@@ -706,105 +766,9 @@ mod fused {
         }
     }
 
-    // ---- Streamed sharded ingestion ----------------------------------------
-    //
-    // The `txstat_ingest` shard pool — blocks through bounded channels into
-    // per-shard accumulators, shards merged in index order — must equal
-    // `par_sweep` over the materialized slice for random shard counts and
-    // channel capacities. The pool is generic over the accumulator; it is
-    // exercised here on the scalar reference fold (the streamed columnar
-    // report is pinned end to end in `tests/streamed_ingest.rs`).
-
-    /// Stream `blocks` through a sharded pool and merge the shards.
-    fn stream_sharded<B, A>(
-        blocks: Vec<(u64, B)>,
-        shards: usize,
-        capacity: usize,
-        identity: impl Fn() -> A + Send + Sync + 'static,
-        observe: impl Fn(&mut A, u64, &B) + Send + Sync + 'static,
-        merge: impl FnMut(&mut A, A),
-    ) -> A
-    where
-        B: Send + 'static,
-        A: Send + 'static,
-    {
-        use txstat::ingest::{spawn_sharded, IngestOptions};
-        tokio::runtime::block_on(async move {
-            let opts = IngestOptions { shards, channel_capacity: capacity, label: "" };
-            let (sink, pool) = spawn_sharded(opts, identity, observe);
-            // Dropping the sink with the task is what ends the stream.
-            let producer = tokio::spawn(async move {
-                for (n, b) in blocks {
-                    assert!(sink.send(n, b).await.is_ok(), "shard pool closed mid-stream");
-                }
-            });
-            let out = pool.finish().await;
-            producer.await.expect("producer task");
-            out.merged(merge)
-        })
-    }
+    // ---- Checkpoints ---------------------------------------------------------
 
     proptest! {
-        /// EOS: streamed sharded ingestion == par_sweep.
-        #[test]
-        fn eos_streamed_equals_sweep_and_legacy(
-            spec in eos_strategy(),
-            shards in 1usize..5,
-            capacity in 1usize..8,
-        ) {
-            let blocks = eos_blocks(&spec);
-            let streamed = stream_sharded(
-                blocks.iter().map(|b| (b.num, b.clone())).collect(),
-                shards,
-                capacity,
-                move || EosSweep::new(window()),
-                |acc: &mut EosSweep, _n, b: &Block| acc.observe(b),
-                |a, b| a.merge(b),
-            );
-            // == par_sweep over the materialized slice (full battery).
-            assert_eos_equiv(&streamed, &blocks, window())?;
-        }
-
-        /// XRP: streamed sharded ingestion (oracle-valued observes) ==
-        /// par_sweep.
-        #[test]
-        fn xrp_streamed_equals_sweep_and_legacy(
-            spec in x_strategy(),
-            shards in 1usize..5,
-            capacity in 1usize..8,
-        ) {
-            let blocks = x_blocks(&spec);
-            let shard_ora = oracle();
-            let streamed = stream_sharded(
-                blocks.iter().map(|b| (b.index, b.clone())).collect(),
-                shards,
-                capacity,
-                move || XrpSweep::new(window()),
-                move |acc: &mut XrpSweep, _n, b: &LedgerBlock| acc.observe(b, &shard_ora),
-                |a, b| a.merge(b),
-            );
-            assert_x_equiv(&streamed, &blocks, window())?;
-        }
-
-        /// Tezos: streamed sharded ingestion == par_sweep.
-        #[test]
-        fn tezos_streamed_equals_legacy(
-            spec in tz_strategy(),
-            shards in 1usize..5,
-            capacity in 1usize..8,
-        ) {
-            let blocks = tz_blocks(&spec);
-            let streamed = stream_sharded(
-                blocks.iter().map(|b| (b.level, b.clone())).collect(),
-                shards,
-                capacity,
-                move || TezosSweep::new(window(), tz_periods()),
-                |acc: &mut TezosSweep, _n, b: &TezosBlock| acc.observe(b),
-                |a, b| a.merge(b),
-            );
-            assert_tz_equiv(&streamed, &blocks, window())?;
-        }
-
         /// Incremental re-sweep groundwork: a range-keyed checkpoint of the
         /// shard states, extended with only the tail, equals the full sweep.
         #[test]

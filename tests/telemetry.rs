@@ -85,7 +85,7 @@ fn histogram_quantile_edge_cases() {
 fn spans_nest_and_aggregate_like_a_pipeline_run() {
     let t = Tracer::new();
     t.enable();
-    // Shape of a streamed run: one crawl per chain, each containing a
+    // Shape of a pipeline run: one crawl per chain, each containing a
     // sweep; then a single merge.
     for chain in ["eos", "tezos", "xrp"] {
         let _crawl = t.span("crawl", chain);

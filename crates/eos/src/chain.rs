@@ -45,9 +45,7 @@ pub struct ProducerSchedule {
 }
 
 impl ProducerSchedule {
-    pub const PRODUCERS: usize = 21;
     pub const SLOTS_PER_PRODUCER: u64 = 6;
-    pub const ROUND_SLOTS: u64 = 126;
 
     /// A deterministic default set of 21 producers.
     pub fn default_producers() -> Self {

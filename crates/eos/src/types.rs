@@ -9,9 +9,6 @@ use serde::{Deserialize, Serialize};
 use txstat_types::amount::SymCode;
 use txstat_types::time::ChainTime;
 
-/// EOS core token symbol (4 decimals).
-pub const EOS_DECIMALS: u8 = 4;
-
 /// An asset quantity on EOS: integer sub-units of a 4-decimal symbol.
 pub type AssetRaw = i64;
 

@@ -27,7 +27,6 @@
 //! *gaps* are tracked per chain and surfaced at [`ReduceSession::finalize`].
 
 use serde::Value;
-use std::io::Write;
 use txstat_core::{ChainSweeps, EosColumnar, TezosColumnar, WireState, XrpColumnar};
 use txstat_telemetry::{static_counter, Span};
 use txstat_tezos::governance::PeriodKind;
@@ -466,12 +465,6 @@ impl ShardWorker {
             |a, b| a.merge(b),
         );
         self.frame("xrp", &acc, s, e, n)
-    }
-
-    /// Emit frames to a byte sink (file, stdout, pipe) in the concatenated
-    /// wire layout `txstat_wire::decode_all` reads back.
-    pub fn emit(frames: &[ShardFrame], sink: &mut dyn Write) -> std::io::Result<()> {
-        sink.write_all(&txstat_wire::encode_all(frames))
     }
 }
 

@@ -68,20 +68,6 @@ impl ChaosProfile {
             seed,
         }
     }
-
-    /// The acceptance-criteria profile: 5% of connections die, a little
-    /// corruption and delay on top.
-    pub fn flaky(name: &str, seed: u64) -> Self {
-        ChaosProfile {
-            name: name.into(),
-            latency_ms: 1.0,
-            jitter_ms: 1.0,
-            fault_rate: 0.05,
-            truncate_rate: 0.02,
-            flip_rate: 0.02,
-            seed,
-        }
-    }
 }
 
 /// What one pump direction will do to its stream.

@@ -11,10 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
-/// The quarter-octave latency histogram began life in this module and now
-/// lives in `txstat_telemetry` (promoted in the telemetry PR) together
-/// with the counter/gauge primitives `EndpointStats` is built from.
-pub use txstat_telemetry::{Counter, Gauge, Histogram as LatencyHistogram};
+use txstat_telemetry::{Counter, Gauge, Histogram};
 
 /// Behaviour profile of one simulated endpoint.
 #[derive(Debug, Clone)]
@@ -140,7 +137,7 @@ pub struct EndpointStats {
     /// endpoint behaviour model's 429s.
     pub shed: Counter,
     /// Service latency of served requests (admission → response written).
-    pub latency: LatencyHistogram,
+    pub latency: Histogram,
 }
 
 /// RAII guard bumping an endpoint's in-flight gauge for one request.

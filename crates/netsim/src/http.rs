@@ -129,11 +129,14 @@ async fn read_head_line(stream: &mut BufStream<TcpStream>) -> Result<String, Htt
     Ok(line)
 }
 
+/// The headers of a head and its body length. A second `content-length`, or
+/// one that is not all ASCII digits (`+5`), is a `BadHeader`: two framings of
+/// one message are a smuggling ambiguity (RFC 9112 §6.3).
 async fn read_headers(
     stream: &mut BufStream<TcpStream>,
 ) -> Result<(Vec<(String, String)>, usize), HttpError> {
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length = None;
     loop {
         let line = read_head_line(stream).await?;
         if line.is_empty() {
@@ -152,16 +155,19 @@ async fn read_headers(
         let k = k.trim().to_ascii_lowercase();
         let v = v.trim().to_owned();
         if k == "content-length" {
-            content_length = v
-                .parse()
-                .map_err(|_| HttpError::BadHeader(line.to_owned()))?;
-            if content_length > MAX_BODY {
-                return Err(HttpError::BodyTooLarge(content_length));
+            let len = Some(&v)
+                .filter(|v| content_length.is_none() && !v.is_empty())
+                .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| HttpError::BadHeader(line.to_owned()))?;
+            if len > MAX_BODY {
+                return Err(HttpError::BodyTooLarge(len));
             }
+            content_length = Some(len);
         }
         headers.push((k, v));
     }
-    Ok((headers, content_length))
+    Ok((headers, content_length.unwrap_or(0)))
 }
 
 /// A body of `len` announced bytes, read in steps of at most [`BODY_STEP`]

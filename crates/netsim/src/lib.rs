@@ -40,7 +40,7 @@ pub mod server;
 
 pub use chaos::{spawn_chaos_proxy, ChaosHandle, ChaosProfile, ChaosStats};
 pub use endpoint::{
-    EndpointProfile, EndpointSim, EndpointStats, Gate, LatencyHistogram, TokenBucket,
+    EndpointProfile, EndpointSim, EndpointStats, Gate, TokenBucket,
 };
 pub use framing::{Framing, Http, Ndjson};
 pub use handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};

@@ -227,6 +227,22 @@ mod tests {
     }
 
     #[tokio::test]
+    async fn two_content_lengths_are_hung_up_on_unserved() {
+        use std::io::{Read, Write};
+        let h = spawn_http(Arc::new(Echo), EndpointProfile::generous("e", 6)).await.unwrap();
+        // Framed by the last header, the body would be read as a next request.
+        let mut peer = std::net::TcpStream::connect(h.addr).unwrap();
+        let head = b"POST /x HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 0\r\n\r\nhello";
+        peer.write_all(head).unwrap();
+        peer.shutdown(std::net::Shutdown::Write).unwrap();
+        // A reset is a hang-up too: only bytes that did arrive count.
+        let mut reply = Vec::new();
+        let _ = peer.read_to_end(&mut reply);
+        assert_eq!(String::from_utf8_lossy(&reply), "", "no reply to an ambiguous request");
+        assert_eq!(h.stats.requests.get(), 0);
+    }
+
+    #[tokio::test]
     async fn http_endpoint_rate_limits() {
         let mut p = EndpointProfile::generous("tight", 2);
         p.rate_limit_per_sec = 1.0;

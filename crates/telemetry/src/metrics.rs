@@ -79,8 +79,7 @@ impl Gauge {
 /// Recording is one `fetch_add`; quantiles walk 256 buckets. Precise
 /// enough for p50/p99 observability without a sample buffer or a lock.
 ///
-/// Promoted from `txstat_netsim`'s latency accounting (the serving layer
-/// re-exports it as `LatencyHistogram`).
+/// Promoted from `txstat_netsim`'s endpoint latency accounting.
 #[derive(Debug)]
 pub struct Histogram {
     counts: [AtomicU64; Self::BUCKETS],

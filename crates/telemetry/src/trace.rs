@@ -114,14 +114,6 @@ impl Tracer {
         }
     }
 
-    /// Drop the sink, disable tracing, and clear accumulated stages
-    /// (test isolation).
-    pub fn reset(&self) {
-        self.disable();
-        *self.sink.lock().unwrap() = None;
-        self.stages.write().unwrap().clear();
-    }
-
     /// Open a span. Inert (one atomic load, no clock read) when disabled.
     pub fn span<'a>(&'a self, stage: &'static str, label: &str) -> Span<'a> {
         if !self.is_enabled() {

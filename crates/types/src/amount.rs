@@ -97,10 +97,6 @@ impl Qty {
         Qty { raw: units * 10i128.pow(decimals as u32), decimals }
     }
 
-    pub const fn zero(decimals: u8) -> Self {
-        Qty { raw: 0, decimals }
-    }
-
     pub fn is_zero(&self) -> bool {
         self.raw == 0
     }

@@ -44,7 +44,6 @@ pub const CNY_GATEWAY: AccountId = AccountId(123);
 pub const BITGO_DESC: AccountId = AccountId(130);
 pub const HUOBI_DESC: AccountId = AccountId(131);
 pub const LIQUID_DESC: AccountId = AccountId(132);
-pub const UPHOLD_DESC: AccountId = AccountId(133);
 pub const UPBIT_DESC: AccountId = AccountId(134);
 /// The §4.3 spammer (rpJZ5WyotdphojwMLxCr2prhULvG3Voe3X in the paper).
 pub const SPAMMER: AccountId = AccountId(2000);

@@ -96,10 +96,6 @@ impl Amount {
         Self::iou(currency, issuer, whole as i128 * IOU_UNIT)
     }
 
-    pub fn zero(asset: Asset) -> Self {
-        Amount { asset, value: 0 }
-    }
-
     pub fn is_zero(&self) -> bool {
         self.value == 0
     }

@@ -86,10 +86,6 @@ impl TrustLines {
         Ok(())
     }
 
-    pub fn line(&self, holder: AccountId, currency: IssuedCurrency) -> Option<Line> {
-        self.lines.get(&(holder, currency)).copied()
-    }
-
     pub fn has_line(&self, holder: AccountId, currency: IssuedCurrency) -> bool {
         self.lines.contains_key(&(holder, currency))
     }

@@ -177,24 +177,22 @@ async fn one_good_endpoint_rescues_a_bad_pool() {
 async fn damaged_http_requests_are_typed_never_a_panic() {
     use tokio::io::{AsyncWriteExt, BufStream};
     use tokio::net::{TcpListener, TcpStream};
-    use txstat::netsim::http::read_request;
+    use txstat::netsim::http::{read_request, HttpError};
 
     let listener = TcpListener::bind("127.0.0.1:0").await.expect("bind");
     let addr = listener.local_addr().expect("addr");
-    for (healthy, method, path, body) in [
+    for (healthy, served) in [
         (
             &b"GET /chains/main/blocks/head HTTP/1.1\r\ncontent-length: 0\r\n\r\n"[..],
-            "GET",
-            "/chains/main/blocks/head",
-            &b""[..],
+            Some(("GET", "/chains/main/blocks/head", &b""[..])),
         ),
         (
             b"POST /v1/chain/get_block HTTP/1.1\r\ncontent-type: application/json\r\n\
               content-length: 21\r\n\r\n{\"block_num_or_id\":5}",
-            "POST",
-            "/v1/chain/get_block",
-            br#"{"block_num_or_id":5}"#,
+            Some(("POST", "/v1/chain/get_block", br#"{"block_num_or_id":5}"#)),
         ),
+        // A signed length is no length: refused even undamaged.
+        (b"POST /v1/chain/get_block HTTP/1.1\r\ncontent-length: +5\r\n\r\nhello", None),
     ] {
         let damaged = support::truncations(healthy)
             .map(<[u8]>::to_vec)
@@ -217,11 +215,16 @@ async fn damaged_http_requests_are_typed_never_a_panic() {
                     let parts = req.method.len() + req.path.len() + req.body.len();
                     assert!(parts < bytes.len(), "case {case} read past its input: {req:?}");
                     if bytes == healthy {
-                        assert_eq!((&*req.method, &*req.path, &*req.body), (method, path, body));
+                        assert_eq!(Some((&*req.method, &*req.path, &*req.body)), served);
                     }
                 }
                 Ok(None) => assert!(bytes.is_empty(), "case {case} vanished: {bytes:?}"),
-                Err(e) => assert!(!e.to_string().is_empty(), "case {case}"),
+                Err(e) => {
+                    assert!(!e.to_string().is_empty(), "case {case}");
+                    if bytes == healthy {
+                        assert!(served.is_none() && matches!(e, HttpError::BadHeader(_)), "{e}");
+                    }
+                }
             }
         }
     }

@@ -83,12 +83,12 @@ pub use cache::{CacheStats, SegmentCache};
 pub use memo::{decode_memo, encode_memo, MemoError, SegmentMemo, MEMO_FILE};
 
 /// Index file magic.
-pub const ARCHIVE_MAGIC: [u8; 4] = *b"TXAR";
+pub(crate) const ARCHIVE_MAGIC: [u8; 4] = *b"TXAR";
 /// On-disk format version written by this build (columnar segment
 /// payloads).
-pub const ARCHIVE_VERSION: u32 = 2;
+pub(crate) const ARCHIVE_VERSION: u32 = 2;
 /// Oldest on-disk format version this build still reads.
-pub const ARCHIVE_MIN_VERSION: u32 = 2;
+pub(crate) const ARCHIVE_MIN_VERSION: u32 = 2;
 /// Segment data file name inside an archive directory.
 pub const SEG_FILE: &str = "archive.seg";
 /// Index file name inside an archive directory.
@@ -579,7 +579,11 @@ impl Archive {
     /// order — the cold-start fast path for range assignments. Segments
     /// decompress and decode on a rayon fan (they are independent LZSS
     /// streams); results merge back in segment order.
-    pub fn replay_range(&self, start: u64, end: u64) -> Result<Vec<SegmentBlocks>, ArchiveError> {
+    pub(crate) fn replay_range(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> Result<Vec<SegmentBlocks>, ArchiveError> {
         let (lo, hi) = self.covering(start, end);
         let indices: Vec<usize> = (lo..hi).collect();
         indices

@@ -41,10 +41,10 @@ use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 use txstat_types::ids::fnv1a64;
 
 /// Memo file magic.
-pub const MEMO_MAGIC: [u8; 4] = *b"TXAM";
+pub(crate) const MEMO_MAGIC: [u8; 4] = *b"TXAM";
 /// Container format version (the payload encoding is versioned separately,
 /// by the caller's schema tag).
-pub const MEMO_VERSION: u32 = 1;
+pub(crate) const MEMO_VERSION: u32 = 1;
 /// Memo file name inside an archive directory.
 pub const MEMO_FILE: &str = "archive.memo";
 

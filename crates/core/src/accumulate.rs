@@ -9,7 +9,7 @@
 //! math happens only at finalization, after the merge, on deterministic
 //! orderings.
 //!
-//! [`par_sweep`] is the one place parallelism enters: it partitions the
+//! `par_sweep` is the one place parallelism enters: it partitions the
 //! block slice into chunks (a few per worker), folds each chunk through
 //! `observe`, and merges the per-chunk accumulators in slice order.
 
@@ -39,7 +39,7 @@ fn chunk_size(len: usize) -> usize {
 /// Fold `blocks` through `observe` in parallel chunks, then `merge` the
 /// per-chunk accumulators in slice order. Returns `identity()` on an empty
 /// slice.
-pub fn par_sweep<B, A>(
+pub(crate) fn par_sweep<B, A>(
     blocks: &[B],
     identity: impl Fn() -> A + Sync,
     observe: impl Fn(&mut A, &B) + Sync,

@@ -43,7 +43,8 @@ impl ClusterInfo {
     }
 
     /// The parent with the most registered children.
-    pub fn busiest_parent(&self) -> Option<(AccountId, usize)> {
+    #[cfg(test)]
+    fn busiest_parent(&self) -> Option<(AccountId, usize)> {
         let mut counts: HashMap<AccountId, usize> = HashMap::new();
         for p in self.parents.values() {
             *counts.entry(*p).or_insert(0) += 1;

@@ -6,27 +6,27 @@
 //! - [`IdVec`] — a dense per-id accumulator (`Vec<T>` grown on demand).
 //!   Same-interner merges are element-wise vector adds; cross-interner
 //!   merges gather through a remap table.
-//! - [`FxMap64`] — an open-addressed `u64 → u64` counter table (linear
+//! - `FxMap64` — an open-addressed `u64 → u64` counter table (linear
 //!   probing, Fibonacci hashing) for sparse keys like `(id, id)` pairs.
 //! - [`PairTable`] — the two-level hot-map shard: a pair-keyed counter
-//!   split into [`PAIR_SHARDS`] residue classes of the *first* id, the
+//!   split into `PAIR_SHARDS` residue classes of the *first* id, the
 //!   second sharding level under the ingest layer's block-range shards.
 //!   Hot accounts land in one small sub-table, so chunk merges rehash
 //!   several small tables instead of one huge one, and sub-tables merge
 //!   independently.
 
 /// Residue classes of the second-level (per-account) sharding.
-pub const PAIR_SHARDS: usize = 8;
+pub(crate) const PAIR_SHARDS: usize = 8;
 
 /// Pack an id pair into one table key.
 #[inline]
-pub fn pack(a: u32, b: u32) -> u64 {
+pub(crate) fn pack(a: u32, b: u32) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
 /// Inverse of [`pack`].
 #[inline]
-pub fn unpack(k: u64) -> (u32, u32) {
+pub(crate) fn unpack(k: u64) -> (u32, u32) {
     ((k >> 32) as u32, k as u32)
 }
 
@@ -95,7 +95,7 @@ impl<T: Copy + Default + PartialEq + std::ops::AddAssign> IdVec<T> {
 
 impl<T> IdVec<T> {
     /// Number of id slots present — every indexed id is below this.
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.slots.len()
     }
 }
@@ -106,7 +106,7 @@ const EMPTY: u64 = u64::MAX;
 /// is reserved as the empty sentinel — packed `(u32, u32)` pairs never
 /// reach it because interned ids are dense counts.
 #[derive(Debug, Clone, Default)]
-pub struct FxMap64 {
+pub(crate) struct FxMap64 {
     keys: Vec<u64>,
     vals: Vec<u64>,
     len: usize,

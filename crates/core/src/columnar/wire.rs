@@ -20,7 +20,7 @@
 //!   accumulator's `validate()` id-bounds/arity checks.
 //!
 //! Each top-level payload starts with a two-byte prefix: the payload
-//! schema byte [`PAYLOAD_SCHEMA_BIN`] and a struct tag naming the
+//! schema byte `PAYLOAD_SCHEMA_BIN` and a struct tag naming the
 //! accumulator, so a payload routed to the wrong chain decoder fails on
 //! byte 1 instead of misreading columns.
 
@@ -28,12 +28,12 @@ use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 
 /// The payload schema byte every binary column payload starts with.
 /// (`2`: the retired schema-1 payloads were JSON and started with `{`.)
-pub const PAYLOAD_SCHEMA_BIN: u8 = 2;
+pub(crate) const PAYLOAD_SCHEMA_BIN: u8 = 2;
 
 /// Struct tags for the top-level payloads (the second prefix byte).
-pub const TAG_EOS: u8 = b'e';
-pub const TAG_TEZOS: u8 = b't';
-pub const TAG_XRP: u8 = b'x';
+pub(crate) const TAG_EOS: u8 = b'e';
+pub(crate) const TAG_TEZOS: u8 = b't';
+pub(crate) const TAG_XRP: u8 = b'x';
 
 /// A mergeable state that encodes itself as binary column sections — the
 /// payload side of a `ShardFrame`.

@@ -62,7 +62,7 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
     /// Record `n` transfers along one edge at once — how the columnar
     /// engine rebuilds a graph from an edge-multiplicity table. State is
     /// identical to calling [`TransferGraph::record`] `n` times.
-    pub fn record_many(&mut self, from: N, to: N, n: u64) {
+    pub(crate) fn record_many(&mut self, from: N, to: N, n: u64) {
         if n == 0 {
             return;
         }
@@ -77,7 +77,7 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
         self.edges.values().sum()
     }
 
-    pub fn node_count(&self) -> u64 {
+    pub(crate) fn node_count(&self) -> u64 {
         let mut nodes: HashSet<&N> = HashSet::new();
         for (f, t) in self.edges.keys() {
             nodes.insert(f);
@@ -87,17 +87,20 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
     }
 
     /// Weighted out-degree of a node.
-    pub fn out_of(&self, n: &N) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn out_of(&self, n: &N) -> u64 {
         self.out_degree.get(n).copied().unwrap_or(0)
     }
 
     /// Weighted in-degree of a node.
-    pub fn into_of(&self, n: &N) -> u64 {
+    #[cfg(test)]
+    fn in_of(&self, n: &N) -> u64 {
         self.in_degree.get(n).copied().unwrap_or(0)
     }
 
     /// Distinct out-neighbors of a node.
-    pub fn fanout_of(&self, n: &N) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn fanout_of(&self, n: &N) -> u64 {
         self.out_neighbors.get(n).map(|s| s.len() as u64).unwrap_or(0)
     }
 
@@ -180,7 +183,7 @@ mod tests {
         g.record("a", "b");
         assert_eq!(g.transfers(), 8);
         assert_eq!(g.out_of(&"a"), 3);
-        assert_eq!(g.into_of(&"hub"), 3);
+        assert_eq!(g.in_of(&"hub"), 3);
         assert_eq!(g.fanout_of(&"faucet"), 3);
         let r = g.report(2);
         assert_eq!(r.nodes, 8);

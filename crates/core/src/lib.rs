@@ -46,7 +46,7 @@
 //!   state, and the hand-computed unit tests in the three `*_analysis`
 //!   modules pin every accessor through them.
 //!
-//! [`accumulate::par_sweep`] drives either fold: rayon splits the block
+//! `accumulate::par_sweep` drives either fold: rayon splits the block
 //! vector into chunks, folds each chunk through `observe`, and merges the
 //! partial accumulators in slice order. All merged state lives in
 //! exactly-mergeable domains (integer counters, count maps,
@@ -75,13 +75,12 @@ pub mod eos_analysis;
 pub mod tezos_analysis;
 pub mod xrp_analysis;
 
-pub use accumulate::par_sweep;
 pub use cluster::ClusterInfo;
 pub use columnar::{EosColumnar, TezosColumnar, WireState, XrpColumnar};
-pub use eos_analysis::{EosAccountStats, EosSweep};
+pub use eos_analysis::EosSweep;
 pub use graph::{GraphReport, TransferGraph};
-pub use tezos_analysis::{TezosAccountStats, TezosSweep};
-pub use xrp_analysis::{XrpAccountStats, XrpSweep};
+pub use tezos_analysis::TezosSweep;
+pub use xrp_analysis::XrpSweep;
 
 /// The three per-chain accumulators behind the full report — what every
 /// reduction path (in-process parallel sweep, the crawl's fold, distributed

@@ -33,7 +33,7 @@ impl TezosOpClass {
 }
 
 /// Figure 1's grouping of operation kinds.
-pub fn classify_op(kind: OperationKind) -> TezosOpClass {
+pub(crate) fn classify_op(kind: OperationKind) -> TezosOpClass {
     match kind {
         OperationKind::Transaction => TezosOpClass::P2pTransaction,
         OperationKind::Origination | OperationKind::Reveal | OperationKind::Activation => {

@@ -35,7 +35,7 @@ impl XrpTxClass {
 }
 
 /// Figure 1's grouping of XRP transaction types.
-pub fn classify_tx(t: TxType) -> XrpTxClass {
+pub(crate) fn classify_tx(t: TxType) -> XrpTxClass {
     match t {
         TxType::Payment | TxType::EscrowFinish => XrpTxClass::P2pTransaction,
         TxType::TrustSet | TxType::AccountSet | TxType::SignerListSet | TxType::SetRegularKey => {

@@ -210,7 +210,8 @@ pub async fn fetch_tezos_block(
 }
 
 /// Crawl Tezos blocks `[low, high]` in reverse order.
-pub async fn crawl_tezos(
+#[cfg(test)]
+pub(crate) async fn crawl_tezos(
     pool: Arc<RotatingPool>,
     cfg: ClientConfig,
     low: u64,
@@ -261,7 +262,8 @@ pub async fn fetch_xrp_ledger(
 }
 
 /// Crawl XRP ledgers `[low, high]` in reverse order.
-pub async fn crawl_xrp(
+#[cfg(test)]
+pub(crate) async fn crawl_xrp(
     pool: Arc<RotatingPool>,
     cfg: ClientConfig,
     low: u64,

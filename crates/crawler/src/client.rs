@@ -1,8 +1,8 @@
 //! The client side of the substrate: one [`exchange`] (connect, write,
 //! read, under a timeout) over either [`Framing`], and one
 //! retry-rotate-backoff loop around it. Only what a reply *means* — throttled,
-//! fatal, accepted — is per protocol ([`http_with_retries`],
-//! [`ndjson_with_retries`]).
+//! fatal, accepted — is per protocol (`http_with_retries`,
+//! `ndjson_with_retries`).
 
 use crate::pool::RotatingPool;
 use serde_json::Value;
@@ -118,7 +118,7 @@ async fn with_retries<F: Framing>(
 
 /// Issue an HTTP request with retries: `429` is throttling, any other
 /// non-2xx status is fatal.
-pub async fn http_with_retries(
+pub(crate) async fn http_with_retries(
     pool: &Arc<RotatingPool>,
     cfg: &ClientConfig,
     req: &HttpRequest,
@@ -133,7 +133,7 @@ pub async fn http_with_retries(
 
 /// Issue an NDJSON command with retries: `"slowDown"` is throttling, any
 /// other `error` is fatal.
-pub async fn ndjson_with_retries(
+pub(crate) async fn ndjson_with_retries(
     pool: &Arc<RotatingPool>,
     cfg: &ClientConfig,
     request: &Value,

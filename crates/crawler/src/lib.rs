@@ -19,16 +19,16 @@ pub mod pool;
 pub mod stats;
 
 pub use chains::{
-    crawl_eos, crawl_range, crawl_tezos, crawl_xrp, eos_head, fetch_account_meta,
-    fetch_eos_block, fetch_exchange_rate, fetch_exchanges, fetch_tezos_block, fetch_xrp_ledger,
-    tezos_head, xrp_head, AccountMeta, Crawl,
+    crawl_eos, crawl_range, eos_head, fetch_account_meta, fetch_eos_block, fetch_exchange_rate,
+    fetch_exchanges, fetch_tezos_block, fetch_xrp_ledger, tezos_head, xrp_head, Crawl,
 };
 pub use client::{exchange, ClientConfig, CrawlError};
-pub use pool::{benchmark_endpoints, shortlist, Advertised, ProbeReport, RotatingPool};
+pub use pool::{benchmark_endpoints, shortlist, Advertised, RotatingPool};
 pub use stats::CrawlStats;
 
 #[cfg(test)]
 mod tests {
+    use super::chains::{crawl_tezos, crawl_xrp};
     use super::*;
     use std::collections::HashMap;
     use std::sync::Arc;

@@ -56,7 +56,7 @@ impl std::error::Error for AccountError {}
 
 /// State of one premium-name auction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NameBid {
+pub(crate) struct NameBid {
     pub high_bidder: Name,
     pub high_bid: AssetRaw,
     pub last_bid_time: ChainTime,
@@ -71,7 +71,7 @@ pub struct AccountRegistry {
 impl AccountRegistry {
     /// Fresh registry pre-populated with the built-in system accounts that
     /// exist from chain instantiation (§2.3.1).
-    pub fn with_system_accounts(genesis: ChainTime) -> Self {
+    pub(crate) fn with_system_accounts(genesis: ChainTime) -> Self {
         let mut r = AccountRegistry::default();
         let privileged = ["eosio", "eosio.msig", "eosio.wrap"];
         let system = [
@@ -138,45 +138,9 @@ impl AccountRegistry {
         self.accounts.is_empty()
     }
 
-    pub fn is_privileged(&self, name: Name) -> bool {
-        matches!(
-            self.accounts.get(&name).map(|a| a.kind),
-            Some(AccountKind::SystemPrivileged)
-        )
-    }
-
-    /// `updateauth`: add (or refresh) a named permission.
-    pub fn update_auth(&mut self, account: Name, permission: Name) -> Result<(), AccountError> {
-        let a = self
-            .accounts
-            .get_mut(&account)
-            .ok_or(AccountError::UnknownAccount(account))?;
-        if !a.permissions.contains(&permission) {
-            a.permissions.push(permission);
-        }
-        Ok(())
-    }
-
-    /// `linkauth`: route (contract, action) to a permission.
-    pub fn link_auth(
-        &mut self,
-        account: Name,
-        contract: Name,
-        action: Name,
-        permission: Name,
-    ) -> Result<(), AccountError> {
-        let a = self
-            .accounts
-            .get_mut(&account)
-            .ok_or(AccountError::UnknownAccount(account))?;
-        a.links.retain(|(c, act, _)| !(*c == contract && *act == action));
-        a.links.push((contract, action, permission));
-        Ok(())
-    }
-
     /// `bidname`: bid on a premium (≤12-char, dot-free) name. A new bid must
     /// exceed the previous high by ≥10%.
-    pub fn bid_name(
+    pub(crate) fn bid_name(
         &mut self,
         bidder: Name,
         newname: Name,
@@ -207,10 +171,6 @@ impl AccountRegistry {
         }
         Ok(())
     }
-
-    pub fn bid_for(&self, name: Name) -> Option<&NameBid> {
-        self.bids.get(&name)
-    }
 }
 
 #[cfg(test)]
@@ -226,8 +186,9 @@ mod tests {
         let r = AccountRegistry::with_system_accounts(t0());
         assert!(r.exists(Name::new("eosio")));
         assert!(r.exists(Name::new("eosio.token")));
-        assert!(r.is_privileged(Name::new("eosio.wrap")));
-        assert!(!r.is_privileged(Name::new("eosio.token")));
+        let kind = |n| r.get(Name::new(n)).unwrap().kind;
+        assert_eq!(kind("eosio.wrap"), AccountKind::SystemPrivileged);
+        assert_eq!(kind("eosio.token"), AccountKind::System);
         assert_eq!(r.len(), 14);
     }
 
@@ -250,32 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn auth_management() {
-        let mut r = AccountRegistry::with_system_accounts(t0());
-        r.create(Name::new("eosio"), Name::new("alice"), t0()).unwrap();
-        r.update_auth(Name::new("alice"), Name::new("trading")).unwrap();
-        r.link_auth(
-            Name::new("alice"),
-            Name::new("whaleextrust"),
-            Name::new("verifytrade2"),
-            Name::new("trading"),
-        )
-        .unwrap();
-        let a = r.get(Name::new("alice")).unwrap();
-        assert!(a.permissions.contains(&Name::new("trading")));
-        assert_eq!(a.links.len(), 1);
-        // Re-linking the same pair replaces, not duplicates.
-        r.link_auth(
-            Name::new("alice"),
-            Name::new("whaleextrust"),
-            Name::new("verifytrade2"),
-            Name::new("active"),
-        )
-        .unwrap();
-        assert_eq!(r.get(Name::new("alice")).unwrap().links.len(), 1);
-    }
-
-    #[test]
     fn name_auction_rules() {
         let mut r = AccountRegistry::with_system_accounts(t0());
         r.create(Name::new("eosio"), Name::new("alice"), t0()).unwrap();
@@ -286,7 +221,7 @@ mod tests {
             Err(AccountError::BidTooLow { .. })
         ));
         r.bid_name(Name::new("alice"), Name::new("bank"), 110_0000, t0()).unwrap();
-        assert_eq!(r.bid_for(Name::new("bank")).unwrap().high_bid, 110_0000);
+        assert_eq!(r.bids[&Name::new("bank")].high_bid, 110_0000);
         // Dotted names aren't biddable.
         assert!(matches!(
             r.bid_name(Name::new("alice"), Name::new("a.b"), 1, t0()),

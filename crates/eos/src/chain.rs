@@ -39,16 +39,15 @@ impl Default for ChainConfig {
 /// The 21-producer DPoS schedule (§2.2): blocks are produced in rounds of
 /// 126 = 6 × 21; each producer gets 6 consecutive slots per round.
 #[derive(Debug, Clone)]
-pub struct ProducerSchedule {
+pub(crate) struct ProducerSchedule {
     pub active: Vec<Name>,
-    pub version: u32,
 }
 
 impl ProducerSchedule {
-    pub const SLOTS_PER_PRODUCER: u64 = 6;
+    pub(crate) const SLOTS_PER_PRODUCER: u64 = 6;
 
     /// A deterministic default set of 21 producers.
-    pub fn default_producers() -> Self {
+    pub(crate) fn default_producers() -> Self {
         let names = [
             "eosbpone1111", "eosbptwo1111", "eosbpthree11", "eosbpfour111", "eosbpfive111",
             "eosbpsix1111", "eosbpseven11", "eosbpeight11", "eosbpnine111", "eosbpten1111",
@@ -56,11 +55,11 @@ impl ProducerSchedule {
             "eosbpsixt111", "eosbpsevent1", "eosbpeigteen", "eosbpninet11", "eosbptwenty1",
             "eosbptwone11",
         ];
-        ProducerSchedule { active: names.iter().map(|n| Name::new(n)).collect(), version: 0 }
+        ProducerSchedule { active: names.iter().map(|n| Name::new(n)).collect() }
     }
 
     /// Producer for an absolute slot index.
-    pub fn producer_for(&self, slot: u64) -> Name {
+    pub(crate) fn producer_for(&self, slot: u64) -> Name {
         let idx = (slot / Self::SLOTS_PER_PRODUCER) % self.active.len() as u64;
         self.active[idx as usize]
     }
@@ -77,7 +76,7 @@ pub struct State {
 
 /// Why a transaction failed to apply.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EosError {
+pub(crate) enum EosError {
     Token(TokenError),
     Resource(ResourceError),
     Account(AccountError),
@@ -116,7 +115,7 @@ impl std::error::Error for EosError {}
 /// The simulated EOS chain.
 pub struct EosChain {
     pub config: ChainConfig,
-    pub schedule: ProducerSchedule,
+    pub(crate) schedule: ProducerSchedule,
     pub state: State,
     blocks: Vec<Block>,
     /// Transactions rejected during production (CPU exhaustion etc.).
@@ -252,7 +251,7 @@ impl EosChain {
     /// Inline actions spawned during execution (EIDOS refund/payout) have
     /// already taken effect inside `apply_action`; here they are
     /// only appended to the executed trace, right after their parent.
-    pub fn apply_transaction(&mut self, tx: &mut Transaction, now: ChainTime) -> Result<Receipt, EosError> {
+    pub(crate) fn apply_transaction(&mut self, tx: &mut Transaction, now: ChainTime) -> Result<Receipt, EosError> {
         let payer = tx.payer().ok_or(EosError::EmptyTransaction)?;
         self.state.resources.charge_cpu(payer, tx.cpu_us as u64, now)?;
         let mut trace = Vec::with_capacity(tx.actions.len());

@@ -96,10 +96,6 @@ impl ContractRegistry {
         self.airdrops.get(&account)
     }
 
-    pub fn category_of(&self, account: Name) -> Option<AppCategory> {
-        self.metas.get(&account).map(|m| m.category)
-    }
-
     pub fn contracts(&self) -> impl Iterator<Item = &ContractMeta> {
         self.metas.values()
     }
@@ -139,7 +135,7 @@ mod tests {
                 payout_ppm: 100,
             },
         );
-        assert_eq!(r.category_of(Name::new("betdicetasks")), Some(AppCategory::Betting));
+        assert_eq!(r.meta(Name::new("betdicetasks")).unwrap().category, AppCategory::Betting);
         assert_eq!(r.airdrop(Name::new("eidosonecoin")).unwrap().payout_ppm, 100);
         assert!(r.airdrop(Name::new("betdicetasks")).is_none());
         assert_eq!(r.len(), 2);

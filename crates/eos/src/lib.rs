@@ -26,10 +26,9 @@ pub mod rpc_model;
 pub mod token;
 pub mod types;
 
-pub use account::{AccountKind, AccountRegistry};
-pub use chain::{ChainConfig, EosChain, EosError, ProducerSchedule, State};
-pub use contract::{AirdropSpec, AppCategory, ContractMeta, ContractRegistry};
+pub use chain::{ChainConfig, EosChain};
+pub use contract::{AirdropSpec, AppCategory, ContractMeta};
 pub use name::Name;
 pub use resources::{RamMarket, ResourceConfig, ResourceState};
-pub use token::{TokenId, TokenLedger};
+pub use token::TokenId;
 pub use types::{Action, ActionData, Block, Transaction};

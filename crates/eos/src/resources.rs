@@ -74,7 +74,7 @@ impl Usage {
 
 /// An active REX CPU rental.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Rental {
+pub(crate) struct Rental {
     pub receiver: Name,
     /// Stake-equivalent CPU weight granted by the rental.
     pub cpu_weight: u64,
@@ -157,7 +157,8 @@ impl RamMarket {
 
     /// Marginal price in EOS sub-units per byte (×10⁴ fixed point of the
     /// connector ratio).
-    pub fn price_per_kib(&self) -> f64 {
+    #[cfg(test)]
+    fn price_per_kib(&self) -> f64 {
         self.eos_reserve as f64 / self.ram_reserve_bytes as f64 * 1024.0
     }
 }
@@ -176,7 +177,6 @@ pub struct ResourceState {
     usage: HashMap<Name, Usage>,
     pub ram: RamMarket,
     ram_bytes: HashMap<Name, u64>,
-    ram_used: HashMap<Name, u64>,
 }
 
 impl ResourceState {
@@ -192,7 +192,6 @@ impl ResourceState {
             usage: HashMap::new(),
             ram: RamMarket::new(64 * 1024 * 1024 * 1024, 10_000_000_0000),
             ram_bytes: HashMap::new(),
-            ram_used: HashMap::new(),
         }
     }
 
@@ -208,7 +207,7 @@ impl ResourceState {
         Ok(())
     }
 
-    pub fn undelegate(&mut self, receiver: Name, net: AssetRaw, cpu: AssetRaw) -> Result<(), ResourceError> {
+    pub(crate) fn undelegate(&mut self, receiver: Name, net: AssetRaw, cpu: AssetRaw) -> Result<(), ResourceError> {
         if net < 0 || cpu < 0 || (net == 0 && cpu == 0) {
             return Err(ResourceError::BadAmount);
         }
@@ -225,7 +224,7 @@ impl ResourceState {
 
     /// REX `rentcpu`: the payment grants a stake-equivalent weight
     /// (10× leverage here, roughly mainnet's rental efficiency) for 30 days.
-    pub fn rent_cpu(&mut self, receiver: Name, payment: AssetRaw, now: ChainTime) -> Result<(), ResourceError> {
+    pub(crate) fn rent_cpu(&mut self, receiver: Name, payment: AssetRaw, now: ChainTime) -> Result<(), ResourceError> {
         if payment <= 0 {
             return Err(ResourceError::BadAmount);
         }
@@ -237,7 +236,7 @@ impl ResourceState {
         Ok(())
     }
 
-    pub fn cpu_staked(&self, account: Name) -> u64 {
+    pub(crate) fn cpu_staked(&self, account: Name) -> u64 {
         self.cpu_stake.get(&account).copied().unwrap_or(0)
     }
 
@@ -260,7 +259,7 @@ impl ResourceState {
     /// the window capacity, multiplied by the elastic multiplier. Relaxed
     /// chain (multiplier = max): accounts burst far beyond their guarantee;
     /// congestion (multiplier → 1): exactly the staked share (§4.1).
-    pub fn cpu_limit_us(&self, account: Name, now: ChainTime) -> u64 {
+    pub(crate) fn cpu_limit_us(&self, account: Name, now: ChainTime) -> u64 {
         if self.total_cpu_stake == 0 {
             return 0;
         }
@@ -309,20 +308,20 @@ impl ResourceState {
         self.virtual_multiplier <= 1.0 + 1e-9
     }
 
-    pub fn multiplier(&self) -> f64 {
-        self.virtual_multiplier
-    }
-
     /// Relative CPU price index: 1.0 when fully relaxed; equals
     /// `max_multiplier` (e.g. 1000×) when fully congested. The paper reports
     /// the EIDOS launch spiking CPU prices by ~10,000%.
-    pub fn cpu_price_index(&self) -> f64 {
+    pub(crate) fn cpu_price_index(&self) -> f64 {
         self.cfg.max_multiplier / self.virtual_multiplier
     }
 
     // ---- RAM -------------------------------------------------------------
 
-    pub fn buy_ram_eos(&mut self, receiver: Name, eos_in: AssetRaw) -> Result<u64, ResourceError> {
+    pub(crate) fn buy_ram_eos(
+        &mut self,
+        receiver: Name,
+        eos_in: AssetRaw,
+    ) -> Result<u64, ResourceError> {
         let bytes = self.ram.buy_bytes(eos_in)?;
         *self.ram_bytes.entry(receiver).or_insert(0) += bytes;
         Ok(bytes)
@@ -332,17 +331,8 @@ impl ResourceState {
         *self.ram_bytes.entry(receiver).or_insert(0) += bytes;
     }
 
-    pub fn use_ram(&mut self, account: Name, bytes: u64) -> Result<(), ResourceError> {
-        let quota = self.ram_bytes.get(&account).copied().unwrap_or(0);
-        let used = self.ram_used.entry(account).or_insert(0);
-        if *used + bytes > quota {
-            return Err(ResourceError::InsufficientRam { account, need: *used + bytes, have: quota });
-        }
-        *used += bytes;
-        Ok(())
-    }
-
-    pub fn ram_quota(&self, account: Name) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn ram_quota(&self, account: Name) -> u64 {
         self.ram_bytes.get(&account).copied().unwrap_or(0)
     }
 }
@@ -404,11 +394,11 @@ mod tests {
     fn congestion_flips_under_sustained_load() {
         let mut r = ResourceState::new(cfg_small());
         assert!(!r.congested());
-        assert_eq!(r.multiplier(), 100.0);
+        assert_eq!(r.virtual_multiplier, 100.0);
         for _ in 0..20 {
             r.on_block(1500); // hot blocks
         }
-        assert!(r.congested(), "multiplier={}", r.multiplier());
+        assert!(r.congested(), "multiplier={}", r.virtual_multiplier);
         assert!(r.cpu_price_index() >= 99.0);
         // Recovery under cool blocks.
         for _ in 0..100 {
@@ -461,17 +451,5 @@ mod tests {
         // Selling everything back never mints EOS (fees burn value).
         let eos_back = m.sell_bytes(bytes).unwrap();
         assert!(eos_back < 100_0000);
-    }
-
-    #[test]
-    fn ram_quota_enforced() {
-        let mut r = ResourceState::new(cfg_small());
-        r.grant_ram(Name::new("a"), 100);
-        r.use_ram(Name::new("a"), 60).unwrap();
-        assert!(matches!(
-            r.use_ram(Name::new("a"), 50),
-            Err(ResourceError::InsufficientRam { .. })
-        ));
-        r.use_ram(Name::new("a"), 40).unwrap();
     }
 }

@@ -14,7 +14,7 @@ use txstat_types::time::ChainTime;
 use txstat_types::{JsonOut, JsonWriter};
 
 /// Render an EOS asset string: `"12.3456 EOS"` (4 decimals).
-pub fn format_asset(amount: AssetRaw, symbol: SymCode) -> String {
+pub(crate) fn format_asset(amount: AssetRaw, symbol: SymCode) -> String {
     let neg = amount < 0;
     let mag = amount.unsigned_abs();
     format!(
@@ -27,7 +27,7 @@ pub fn format_asset(amount: AssetRaw, symbol: SymCode) -> String {
 }
 
 /// Parse an EOS asset string back to `(amount, symbol)`.
-pub fn parse_asset(s: &str) -> Option<(AssetRaw, SymCode)> {
+pub(crate) fn parse_asset(s: &str) -> Option<(AssetRaw, SymCode)> {
     let (num, sym) = s.split_once(' ')?;
     let symbol = SymCode::try_new(sym).ok()?;
     let neg = num.starts_with('-');
@@ -52,13 +52,13 @@ pub struct GetInfoJson {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AuthJson {
+pub(crate) struct AuthJson {
     pub actor: String,
     pub permission: String,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ActionJson {
+pub(crate) struct ActionJson {
     pub account: String,
     pub name: String,
     pub authorization: Vec<AuthJson>,
@@ -66,18 +66,18 @@ pub struct ActionJson {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TxBodyJson {
+pub(crate) struct TxBodyJson {
     pub actions: Vec<ActionJson>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TrxJson {
+pub(crate) struct TrxJson {
     pub id: String,
     pub transaction: TxBodyJson,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TxWrapperJson {
+pub(crate) struct TxWrapperJson {
     pub status: String,
     pub cpu_usage_us: u32,
     pub net_usage_words: u32,
@@ -89,7 +89,7 @@ pub struct BlockJson {
     pub block_num: u64,
     pub timestamp: String,
     pub producer: String,
-    pub transactions: Vec<TxWrapperJson>,
+    pub(crate) transactions: Vec<TxWrapperJson>,
 }
 
 fn action_data_to_json(data: &ActionData) -> Value {
@@ -163,7 +163,7 @@ fn asset_field(v: &Value, key: &str) -> Option<(AssetRaw, SymCode)> {
 /// Reconstruct structured action data from the wire JSON. Unknown shapes
 /// degrade to `Generic` — exactly how the paper treats "user-defined"
 /// actions it cannot interpret.
-pub fn action_data_from_json(action_name: &str, v: &Value) -> ActionData {
+pub(crate) fn action_data_from_json(action_name: &str, v: &Value) -> ActionData {
     match action_name {
         "transfer" => {
             if let (Some(from), Some(to), Some((amount, symbol))) = (

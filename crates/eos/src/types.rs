@@ -10,7 +10,7 @@ use txstat_types::amount::SymCode;
 use txstat_types::time::ChainTime;
 
 /// An asset quantity on EOS: integer sub-units of a 4-decimal symbol.
-pub type AssetRaw = i64;
+pub(crate) type AssetRaw = i64;
 
 /// Structured payload of the action kinds the analytics must see through;
 /// everything else is `Generic`.
@@ -124,7 +124,7 @@ impl Block {
 
 /// Receipt of applying a transaction to chain state.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Receipt {
+pub(crate) struct Receipt {
     pub tx_id: u64,
     pub executed_actions: usize,
 }

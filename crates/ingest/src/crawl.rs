@@ -38,7 +38,7 @@ impl RateCache {
     }
 
     /// Fetch-and-insert the rate for `ic` if unseen.
-    pub async fn ensure(
+    pub(crate) async fn ensure(
         &self,
         pool: &Arc<RotatingPool>,
         cfg: &ClientConfig,
@@ -52,7 +52,7 @@ impl RateCache {
         Ok(())
     }
 
-    /// [`Self::ensure`] every token `ledger` references — what the XRP
+    /// `Self::ensure` every token `ledger` references — what the XRP
     /// fetch does before the ledger reaches a consumer, so observe-time
     /// valuation never misses.
     pub async fn resolve(

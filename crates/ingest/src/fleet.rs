@@ -61,7 +61,7 @@ pub struct FleetConfig {
     /// the chunk is re-dispatched and the worker is declared dead.
     pub retries: u32,
     /// Base backoff before the first retry; doubles per attempt (plus
-    /// deterministic jitter), capped at [`FleetConfig::BACKOFF_CAP_MS`].
+    /// deterministic jitter), capped at `FleetConfig::BACKOFF_CAP_MS`.
     pub backoff_ms: u64,
     /// Seed for the deterministic backoff jitter.
     pub seed: u64,
@@ -69,7 +69,7 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// Ceiling on a single backoff sleep.
-    pub const BACKOFF_CAP_MS: u64 = 2_000;
+    pub(crate) const BACKOFF_CAP_MS: u64 = 2_000;
 
     pub fn new(workers: Vec<String>) -> Self {
         FleetConfig {
@@ -186,7 +186,7 @@ struct Shared {
 
 /// One connect/request/response exchange against `addr` with `timeout`
 /// applied to the connect, the write, and the read independently.
-pub fn request_frames(
+pub(crate) fn request_frames(
     addr: &str,
     a: &Assignment,
     timeout: Duration,

@@ -62,7 +62,7 @@ impl EndpointProfile {
 
 /// Classic token bucket over a monotonic clock.
 #[derive(Debug)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     capacity: f64,
     tokens: f64,
     rate_per_sec: f64,
@@ -80,14 +80,14 @@ impl TokenBucket {
     }
 
     /// Try to take one token.
-    pub fn try_take(&mut self) -> bool {
+    pub(crate) fn try_take(&mut self) -> bool {
         self.try_take_at(std::time::Instant::now())
     }
 
     /// Try to take one token at an explicit instant. Refill is computed from
     /// the previous call's instant, so tests can drive a virtual clock
     /// instead of sleeping wall-clock time.
-    pub fn try_take_at(&mut self, now: std::time::Instant) -> bool {
+    pub(crate) fn try_take_at(&mut self, now: std::time::Instant) -> bool {
         let dt = now.saturating_duration_since(self.last).as_secs_f64();
         // Never move the watermark backward: a stale instant must not let a
         // later call re-credit an interval that was already refilled.
@@ -104,7 +104,7 @@ impl TokenBucket {
 
 /// Outcome of gating one request through an endpoint's behaviour model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
+pub(crate) enum Gate {
     /// Serve it (after the returned artificial delay).
     Proceed,
     /// Reply 429 / slow-down.
@@ -163,7 +163,7 @@ impl EndpointStats {
 }
 
 /// The live behaviour state of one endpoint.
-pub struct EndpointSim {
+pub(crate) struct EndpointSim {
     pub profile: EndpointProfile,
     bucket: Mutex<TokenBucket>,
     rng: Mutex<StdRng>,

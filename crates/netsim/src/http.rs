@@ -80,7 +80,7 @@ pub enum HttpError {
     BadStatusLine(String),
     BadHeader(String),
     BodyTooLarge(usize),
-    /// A head line above [`MAX_LINE`] bytes, or over [`MAX_HEADERS`] headers.
+    /// A head line above `MAX_LINE` bytes, or over `MAX_HEADERS` headers.
     HeadTooLarge,
     Closed,
 }
@@ -116,8 +116,8 @@ const BODY_STEP: usize = 64 * 1024;
 
 /// Upper bounds on a message head, so no peer can grow it without limit:
 /// bytes per request, status or header line, and headers.
-pub const MAX_LINE: usize = 8 * 1024;
-pub const MAX_HEADERS: usize = 100;
+pub(crate) const MAX_LINE: usize = 8 * 1024;
+pub(crate) const MAX_HEADERS: usize = 100;
 
 /// One line of a head, line ending included; empty at EOF.
 async fn read_head_line(stream: &mut BufStream<TcpStream>) -> Result<String, HttpError> {
@@ -209,7 +209,7 @@ pub async fn read_request(
 }
 
 /// Write a request.
-pub async fn write_request<W: AsyncWrite + Unpin>(
+pub(crate) async fn write_request<W: AsyncWrite + Unpin>(
     w: &mut W,
     req: &HttpRequest,
 ) -> Result<(), HttpError> {
@@ -265,7 +265,7 @@ pub async fn write_response<W: AsyncWrite + Unpin>(
 }
 
 /// Approximate wire size of a request (for byte accounting).
-pub fn request_wire_size(req: &HttpRequest) -> usize {
+pub(crate) fn request_wire_size(req: &HttpRequest) -> usize {
     req.method.len() + req.path.len() + 12
         + req.headers.iter().map(|(k, v)| k.len() + v.len() + 4).sum::<usize>()
         + 20
@@ -273,7 +273,7 @@ pub fn request_wire_size(req: &HttpRequest) -> usize {
 }
 
 /// Approximate wire size of a response.
-pub fn response_wire_size(resp: &HttpResponse) -> usize {
+pub(crate) fn response_wire_size(resp: &HttpResponse) -> usize {
     16 + resp.reason.len()
         + resp.headers.iter().map(|(k, v)| k.len() + v.len() + 4).sum::<usize>()
         + 20

@@ -39,9 +39,7 @@ pub mod serve;
 pub mod server;
 
 pub use chaos::{spawn_chaos_proxy, ChaosHandle, ChaosProfile, ChaosStats};
-pub use endpoint::{
-    EndpointProfile, EndpointSim, EndpointStats, Gate, TokenBucket,
-};
+pub use endpoint::{EndpointProfile, EndpointStats};
 pub use framing::{Framing, Http, Ndjson};
 pub use handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
 pub use http::{HttpRequest, HttpResponse};

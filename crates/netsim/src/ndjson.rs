@@ -38,10 +38,10 @@ impl std::fmt::Display for NdjsonError {
 impl std::error::Error for NdjsonError {}
 
 /// Upper bound on a single frame.
-pub const MAX_LINE: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_LINE: usize = 64 * 1024 * 1024;
 
 /// Read one JSON frame; `Ok(None)` on clean EOF.
-pub async fn read_frame(
+pub(crate) async fn read_frame(
     stream: &mut BufStream<TcpStream>,
 ) -> Result<Option<(Value, usize)>, NdjsonError> {
     let mut line = String::new();
@@ -57,7 +57,7 @@ pub async fn read_frame(
 }
 
 /// Write one JSON frame; returns bytes written.
-pub async fn write_frame<W: AsyncWrite + Unpin>(
+pub(crate) async fn write_frame<W: AsyncWrite + Unpin>(
     w: &mut W,
     value: &Value,
 ) -> Result<usize, NdjsonError> {

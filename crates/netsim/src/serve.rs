@@ -61,7 +61,7 @@ pub struct RouteStats {
 }
 
 impl RouteStats {
-    pub fn for_path(&self, path: &str) -> &Arc<EndpointStats> {
+    pub(crate) fn for_path(&self, path: &str) -> &Arc<EndpointStats> {
         if path.starts_with("/exhibit/") || path == "/report" {
             &self.exhibit
         } else if path.starts_with("/account/") {
@@ -72,7 +72,7 @@ impl RouteStats {
     }
 
     /// `(label, stats)` per class, for reporting loops.
-    pub fn classes(&self) -> [(&'static str, &Arc<EndpointStats>); 3] {
+    pub(crate) fn classes(&self) -> [(&'static str, &Arc<EndpointStats>); 3] {
         [
             ("exhibit", &self.exhibit),
             ("account", &self.account),

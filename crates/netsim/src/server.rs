@@ -1,6 +1,6 @@
 //! The one connection loop of the substrate, and the simulated endpoints
 //! built on it: HTTP (EOS, Tezos) and NDJSON (XRP) over loopback TCP, each
-//! behind an [`EndpointSim`] behaviour model with shared stats.
+//! behind an `EndpointSim` behaviour model with shared stats.
 //!
 //! `serve_connections` owns everything that does not depend on who is
 //! serving: accept, one task per connection, keep-alive, the in-flight
@@ -8,7 +8,7 @@
 //! request (`431`) and hanging up on a failed write. It is generic over the
 //! [`Framing`] and over a `Gatekeeper`, which names the counters a
 //! request is booked under and decides it: reply with this, or hang up.
-//! [`spawn_http`] / [`spawn_ndjson`] gate through [`EndpointSim::gate`] and
+//! [`spawn_http`] / [`spawn_ndjson`] gate through `EndpointSim::gate` and
 //! its artificial delay; [`crate::serve::spawn_query_server`] through its
 //! admission bucket. Deadlines, a connection cap or per-stage spans have
 //! this one loop to go into.

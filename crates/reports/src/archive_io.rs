@@ -90,7 +90,7 @@ impl Manifest {
 
 /// Every non-block input of [`crate::PipelineData`], in archivable form.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Sidecar {
+pub(crate) struct Sidecar {
     /// IOU↔XRP exchange events (Figure 11b; also rebuilds the rate
     /// oracle exactly as the generate path does).
     pub trades: Vec<TradeRecord>,
@@ -298,7 +298,7 @@ impl SegmentSummary {
     }
 
     /// Block counts `[eos, tezos, xrp]` of the summarized run.
-    pub fn lens(&self) -> [u64; 3] {
+    pub(crate) fn lens(&self) -> [u64; 3] {
         [self.storage.0.blocks, self.storage.1.blocks, self.storage.2.blocks]
     }
 
@@ -409,12 +409,12 @@ pub fn segments_of_from(
 }
 
 /// The three parsed chain vectors a segment replay decodes into.
-pub type ReplayedChains =
+pub(crate) type ReplayedChains =
     (Vec<txstat_eos::Block>, Vec<txstat_tezos::TezosBlock>, Vec<txstat_xrp::LedgerBlock>);
 
 /// Parse one replayed segment into its three chain runs; errors name the
 /// segment's position range and the offset inside the chain blob.
-pub fn chains_of_segment(seg: &SegmentBlocks) -> Result<ReplayedChains, String> {
+pub(crate) fn chains_of_segment(seg: &SegmentBlocks) -> Result<ReplayedChains, String> {
     let at = |chain: &str, e: String| -> String {
         format!("segment [{}, {}) {chain}: {e}", seg.start, seg.end)
     };

@@ -632,15 +632,15 @@ pub fn case_studies(data: &PipelineData) -> String {
 }
 
 /// The separator between report sections.
-pub const SECTION_BREAK: &str = "\n================================================================\n\n";
+pub(crate) const SECTION_BREAK: &str = "\n================================================================\n\n";
 
 /// Renderer signature shared by every row of [`SECTIONS`].
-pub type SectionFn = fn(&PipelineData) -> String;
+pub(crate) type SectionFn = fn(&PipelineData) -> String;
 
 /// Every exhibit section of the report, in render order: `(name, render)`.
 /// The names double as the serve path's `/exhibit/<name>` routes, and the
 /// report is the concatenation of exactly these strings (each followed by
-/// [`SECTION_BREAK`]) and the [`comparison_section`] — which is what makes a
+/// `SECTION_BREAK`) and the [`comparison_section`] — which is what makes a
 /// served section byte-identical to the one-shot report by construction.
 pub const SECTIONS: &[(&str, SectionFn)] = &[
     ("headline", headline),

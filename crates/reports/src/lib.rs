@@ -15,20 +15,19 @@ pub mod paper;
 pub mod pipeline;
 pub mod serve;
 
-pub use exhibits::{comparison_section, render_report, report_sections, SECTIONS, SECTION_BREAK};
-pub use paper::{comparison, render_comparison, ComparisonRow};
+pub use exhibits::{comparison_section, render_report, report_sections, SECTIONS};
+pub use paper::{comparison, ComparisonRow};
 pub use follow::{
-    follow_session, reorg_data, Corpus, FollowPlan, Followed, Follower, Reorg, Resync,
-    DEFAULT_SNAPSHOT_WINDOW,
+    follow_session, reorg_data, Corpus, FollowPlan, Follower, Reorg, DEFAULT_SNAPSHOT_WINDOW,
 };
 pub use serve::{
     sample_account_paths, serve_session, ServeLine, ServePlan, ServeSnapshot, StatsService,
 };
-pub use archive_io::{Bounds, Manifest, SegmentFormat, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
+pub use archive_io::{Manifest, SegmentFormat, SegmentSummary, SUMMARY_SCHEMA};
 pub use pipeline::{
     generate, generate_with_crawl, pipeline_from_archive, reduce_frames_labeled_into,
     reducer_from_archive, scenario_from_meta, scenario_meta, summarize, write_archive,
-    ArchiveStats, ChainSweeps, CrawlOptions, MemoStatus, PipelineData, ShardContext,
+    ChainSweeps, CrawlOptions, MemoStatus, PipelineData, ShardContext,
 };
 
 #[cfg(test)]

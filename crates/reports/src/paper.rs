@@ -370,7 +370,7 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
 }
 
 /// Render the comparison as a table.
-pub fn render_comparison(rows: &[ComparisonRow]) -> String {
+pub(crate) fn render_comparison(rows: &[ComparisonRow]) -> String {
     let mut t = TextTable::new(&["Exhibit", "Metric", "Paper", "Measured", "Band"])
         .with_title("Paper vs measured (shape reproduction at scenario scale)")
         .with_aligns(&[Align::Left, Align::Left, Align::Right, Align::Right, Align::Left]);

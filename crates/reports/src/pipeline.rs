@@ -27,7 +27,7 @@ use txstat_ingest::crawl::ledger_ious;
 use txstat_ingest::{RateCache, ReduceError, ReduceSession, ShardWorker};
 use txstat_telemetry::{static_counter, Span};
 use rayon::prelude::*;
-use crate::archive_io::{Bounds, SegmentSummary, SUMMARY_SCHEMA};
+use crate::archive_io::{Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
 use txstat_archive::{Archive, ArchiveWriter, SegmentCache, SegmentMemo, SegmentMeta};
 
 /// Decoded-segment cache budget of [`ShardContext::from_archive`].
@@ -133,7 +133,7 @@ pub struct MemoStatus {
 }
 
 /// First/last block `(number, time)` of one chain's observed range.
-pub type ChainBounds = (Option<(u64, ChainTime)>, Option<(u64, ChainTime)>);
+pub(crate) type ChainBounds = (Option<(u64, ChainTime)>, Option<(u64, ChainTime)>);
 
 pub use txstat_core::ChainSweeps;
 
@@ -456,11 +456,11 @@ pub struct ArchiveStats {
 /// The dataset's non-chain state in the archive sidecar's deterministic
 /// export order (maps sorted by key, so two writes of the same dataset
 /// are byte-identical).
-fn sidecar_from_data(data: &PipelineData) -> crate::Sidecar {
+fn sidecar_from_data(data: &PipelineData) -> Sidecar {
     let mut tezos_rolls: Vec<(Address, u64)> =
         data.tezos_rolls.iter().map(|(a, r)| (*a, *r)).collect();
     tezos_rolls.sort_unstable_by_key(|(a, _)| (a.kind as u8, a.id));
-    crate::Sidecar {
+    Sidecar {
         trades: data.trades.as_ref().clone(),
         usernames: data
             .cluster
@@ -581,7 +581,7 @@ struct OpenedArchive {
     archive: Archive,
     manifest: crate::Manifest,
     sc: Scenario,
-    sidecar: crate::Sidecar,
+    sidecar: Sidecar,
     oracle: RateOracle,
 }
 
@@ -589,7 +589,7 @@ fn open_archive(dir: &std::path::Path) -> Result<OpenedArchive, String> {
     let archive = Archive::open(dir).map_err(|e| format!("archive {}: {e}", dir.display()))?;
     let manifest = crate::Manifest::parse(archive.manifest())?;
     let (sc, _mode) = scenario_from_meta(&manifest.meta)?;
-    let sidecar = crate::Sidecar::decode(archive.sidecar())?;
+    let sidecar = Sidecar::decode(archive.sidecar())?;
     let oracle =
         RateOracle::from_trades(&sidecar.trades, sc.period.end, sc.period.days() as i64 + 1);
     Ok(OpenedArchive { archive, manifest, sc, sidecar, oracle })

@@ -2,7 +2,8 @@
 //! coverage — on a compact scenario.
 
 use crate::pipeline::generate;
-use crate::{comparison, exhibits, render_comparison};
+use crate::paper::render_comparison;
+use crate::{comparison, exhibits};
 use txstat_types::time::{ChainTime, Period};
 use txstat_workload::Scenario;
 

@@ -13,9 +13,9 @@ pub mod metrics;
 pub mod registry;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramBucket, HistogramSnapshot};
-pub use registry::{registry, Labels, MetricKind, Registry, Sample, SampleValue};
-pub use trace::{tracer, Span, StageSummary, TraceEvent, Tracer};
+pub use metrics::{Counter, Gauge, Histogram};
+pub use registry::{registry, MetricKind, Registry, Sample, SampleValue};
+pub use trace::{tracer, Span, TraceEvent, Tracer};
 
 /// A `&'static Arc<Counter>` registered once in the global registry.
 ///

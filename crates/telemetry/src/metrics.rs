@@ -128,7 +128,7 @@ impl HistogramSnapshot {
 
     /// The `q`-quantile (0.0 ..= 1.0) as the lower edge of the bucket where
     /// the cumulative count crosses it. 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;
         }
@@ -143,7 +143,7 @@ impl HistogramSnapshot {
 }
 
 impl Histogram {
-    pub const BUCKETS: usize = 256;
+    pub(crate) const BUCKETS: usize = 256;
 
     pub fn new() -> Self {
         Histogram::default()
@@ -151,7 +151,7 @@ impl Histogram {
 
     /// Bucket index for a value: exact below 4, then four sub-buckets per
     /// power of two (quarter-octave resolution).
-    pub fn bucket_of(us: u64) -> usize {
+    pub(crate) fn bucket_of(us: u64) -> usize {
         if us < 4 {
             return us as usize;
         }
@@ -161,7 +161,7 @@ impl Histogram {
     }
 
     /// Lower edge of a bucket (the value quantiles report).
-    pub fn bucket_value(idx: usize) -> u64 {
+    pub(crate) fn bucket_value(idx: usize) -> u64 {
         if idx < 4 {
             return idx as u64;
         }
@@ -173,7 +173,7 @@ impl Histogram {
     /// Exclusive upper edge of a bucket; `u64::MAX` for the overflow
     /// bucket (the last one reachable — `bucket_of(u64::MAX)` — and
     /// beyond, whose nominal upper edge exceeds the u64 range).
-    pub fn bucket_upper(idx: usize) -> u64 {
+    pub(crate) fn bucket_upper(idx: usize) -> u64 {
         if idx >= Self::bucket_of(u64::MAX) {
             u64::MAX
         } else {

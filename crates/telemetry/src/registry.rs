@@ -55,7 +55,7 @@ impl Metric {
 }
 
 /// A normalized (sorted, owned) label set.
-pub type Labels = Vec<(String, String)>;
+pub(crate) type Labels = Vec<(String, String)>;
 
 fn normalize(labels: &[(&str, &str)]) -> Labels {
     let mut out: Labels =
@@ -198,7 +198,7 @@ impl Registry {
     }
 
     /// Copy every instrument (and collector output) into a sample list.
-    pub fn gather(&self) -> Vec<Sample> {
+    pub(crate) fn gather(&self) -> Vec<Sample> {
         let mut out = Vec::new();
         {
             let fams = self.families.read().unwrap();

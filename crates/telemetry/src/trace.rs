@@ -97,7 +97,7 @@ impl Tracer {
         self.enabled.store(false, Ordering::Relaxed);
     }
 
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 

@@ -218,7 +218,7 @@ impl TezosChain {
         Ok(())
     }
 
-    pub fn is_baker(&self, address: Address) -> bool {
+    pub(crate) fn is_baker(&self, address: Address) -> bool {
         self.baker_index.contains_key(&address)
     }
 
@@ -226,7 +226,7 @@ impl TezosChain {
         &self.bakers
     }
 
-    pub fn rolls_of(&self, address: Address) -> u64 {
+    pub(crate) fn rolls_of(&self, address: Address) -> u64 {
         self.baker_index
             .get(&address)
             .map(|i| self.bakers[*i].staked_mutez / self.config.roll_size_mutez)
@@ -239,10 +239,6 @@ impl TezosChain {
 
     pub fn balance(&self, address: Address) -> u64 {
         self.balances.get(&address).copied().unwrap_or(0)
-    }
-
-    pub fn delegate_of(&self, address: Address) -> Option<Address> {
-        self.delegates.get(&address).copied()
     }
 
     pub fn blocks(&self) -> &[TezosBlock] {
@@ -280,7 +276,7 @@ impl TezosChain {
     }
 
     /// Deterministic priority-0 baker for a level (roll-weighted draw).
-    pub fn baker_for_level(&self, level: u64) -> Address {
+    pub(crate) fn baker_for_level(&self, level: u64) -> Address {
         let idx = self
             .rights()
             .dist()
@@ -291,7 +287,7 @@ impl TezosChain {
     /// Deterministic endorser assignment for a level: all `endorsement_slots`
     /// slots drawn roll-weighted, grouped per baker → (baker, slot count),
     /// in address order.
-    pub fn endorsers_for_level(&self, level: u64) -> Vec<(Address, u32)> {
+    pub(crate) fn endorsers_for_level(&self, level: u64) -> Vec<(Address, u32)> {
         let rights = self.rights();
         let dist = rights.dist();
         let mut rng = rng_for_n(self.config.seed, "tezos/endorse", level);
@@ -655,7 +651,7 @@ mod tests {
             Operation::new(user, OpPayload::Delegation { delegate: Some(Address::implicit(0)) }),
             Operation::new(user, OpPayload::Delegation { delegate: Some(Address::implicit(77)) }),
         ]);
-        assert_eq!(c.delegate_of(user), Some(Address::implicit(0)));
+        assert_eq!(c.delegates.get(&user), Some(&Address::implicit(0)));
         assert_eq!(c.rejected_ops, 1, "delegation to non-baker rejected");
     }
 

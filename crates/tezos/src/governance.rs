@@ -66,7 +66,6 @@ pub struct PeriodResult {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GovError {
     WrongPeriod { expected: &'static str, actual: PeriodKind },
-    NotABaker(Address),
     AlreadyVoted(Address),
     DuplicateUpvote { baker: Address, proposal: String },
     UnknownProposal(String),
@@ -78,7 +77,6 @@ impl std::fmt::Display for GovError {
             GovError::WrongPeriod { expected, actual } => {
                 write!(f, "operation requires {expected} period, chain is in {}", actual.label())
             }
-            GovError::NotABaker(a) => write!(f, "{a} is not a baker"),
             GovError::AlreadyVoted(a) => write!(f, "{a} already voted this period"),
             GovError::DuplicateUpvote { baker, proposal } => {
                 write!(f, "{baker} already upvoted {proposal}")
@@ -135,7 +133,7 @@ impl GovernanceState {
 
     /// Submit/upvote proposals (Proposal period only). A baker may upvote
     /// multiple proposals but each at most once.
-    pub fn submit_proposals(
+    pub(crate) fn submit_proposals(
         &mut self,
         baker: Address,
         rolls: u64,
@@ -157,7 +155,7 @@ impl GovernanceState {
     }
 
     /// Cast a ballot (Exploration or Promotion; once per baker per period).
-    pub fn ballot(&mut self, baker: Address, rolls: u64, proposal: &str, vote: Vote) -> Result<(), GovError> {
+    pub(crate) fn ballot(&mut self, baker: Address, rolls: u64, proposal: &str, vote: Vote) -> Result<(), GovError> {
         if !matches!(self.period_kind, PeriodKind::Exploration | PeriodKind::Promotion) {
             return Err(GovError::WrongPeriod {
                 expected: "exploration/promotion",
@@ -183,7 +181,7 @@ impl GovernanceState {
     /// Advance one block; when the period ends, resolve it against
     /// `total_rolls` and transition. Returns the just-finished period's
     /// result when a boundary is crossed.
-    pub fn advance_block(&mut self, total_rolls: u64) -> Option<PeriodResult> {
+    pub(crate) fn advance_block(&mut self, total_rolls: u64) -> Option<PeriodResult> {
         self.blocks_into_period += 1;
         if self.blocks_into_period < self.cfg.period_blocks {
             return None;

@@ -16,6 +16,6 @@ pub mod ops;
 pub mod rpc_model;
 
 pub use address::{AddrKind, Address};
-pub use chain::{Baker, TezosBlock, TezosChain, TezosConfig, TezosError, MUTEZ_PER_TEZ};
-pub use governance::{GovernanceConfig, GovernanceState, PeriodKind, PeriodResult};
+pub use chain::{TezosBlock, TezosChain, TezosConfig, MUTEZ_PER_TEZ};
+pub use governance::{GovernanceConfig, PeriodKind};
 pub use ops::{OpPayload, Operation, OperationKind, Vote};

@@ -53,7 +53,7 @@ impl OperationKind {
     }
 
     /// Wire `kind` string, as the node RPC emits.
-    pub const fn wire_kind(self) -> &'static str {
+    pub(crate) const fn wire_kind(self) -> &'static str {
         match self {
             OperationKind::Transaction => "transaction",
             OperationKind::Origination => "origination",
@@ -75,7 +75,7 @@ impl OperationKind {
     /// Tezos validation pass: 0 endorsements, 1 votes, 2 anonymous,
     /// 3 manager operations. Determines which of the four operation lists of
     /// a block the operation appears in.
-    pub const fn validation_pass(self) -> usize {
+    pub(crate) const fn validation_pass(self) -> usize {
         match self {
             OperationKind::Endorsement => 0,
             OperationKind::Ballot | OperationKind::Proposals => 1,

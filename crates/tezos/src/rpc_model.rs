@@ -13,7 +13,7 @@ use txstat_types::time::ChainTime;
 use txstat_types::{JsonOut, JsonWriter};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OpJson {
+pub(crate) struct OpJson {
     pub kind: String,
     pub source: String,
     #[serde(skip_serializing_if = "Option::is_none")]
@@ -38,7 +38,7 @@ pub struct OpJson {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BlockHeaderJson {
+pub(crate) struct BlockHeaderJson {
     pub level: u64,
     pub timestamp: String,
     pub baker: String,
@@ -46,16 +46,16 @@ pub struct BlockHeaderJson {
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BlockJson {
-    pub protocol: String,
-    pub chain_id: String,
-    pub header: BlockHeaderJson,
+    pub(crate) protocol: String,
+    pub(crate) chain_id: String,
+    pub(crate) header: BlockHeaderJson,
     /// Four validation passes.
-    pub operations: Vec<Vec<OpJson>>,
+    pub(crate) operations: Vec<Vec<OpJson>>,
 }
 
 /// The Babylon protocol hash, active during the paper's window.
-pub const PROTOCOL: &str = "PsBabyM1eUXZseaJdmXFApDSBqj8YBfwELoxZHHW77EMcAbbwAS";
-pub const CHAIN_ID: &str = "NetXdQprcVkpaWU";
+pub(crate) const PROTOCOL: &str = "PsBabyM1eUXZseaJdmXFApDSBqj8YBfwELoxZHHW77EMcAbbwAS";
+pub(crate) const CHAIN_ID: &str = "NetXdQprcVkpaWU";
 
 fn op_to_json(op: &Operation) -> OpJson {
     let mut j = OpJson {

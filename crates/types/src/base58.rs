@@ -10,7 +10,7 @@
 //! payload width recoverable.
 
 /// Most digits [`Alphabet::encode`] produces: a 16-byte payload.
-pub const MAX_DIGITS: usize = 22;
+pub(crate) const MAX_DIGITS: usize = 22;
 
 /// 58¹⁰, the largest power of 58 in a `u64`: one 128-bit division peels ten
 /// digits, which then come out in 64-bit arithmetic.

@@ -19,7 +19,7 @@
 //!   columnar sweep engine.
 //! - [`stats`] — streaming mean/stdev, exact top-K, histograms, Gini.
 //! - [`distrib`] — the samplers the workload engine needs (Poisson, Zipf,
-//!   exponential, log-normal) built on plain `rand`.
+//!   log-normal) built on plain `rand`.
 //! - [`jsonw`] — the streaming writer behind the canonical wire JSON
 //!   (`block_bytes` / `ledger_bytes` in the chain crates), writing bytes
 //!   or only counting them.
@@ -43,10 +43,10 @@ pub mod stats;
 pub mod table;
 pub mod time;
 
-pub use amount::{fmt_scaled, Qty, SymCode};
+pub use amount::{fmt_scaled, SymCode};
 pub use colcodec::{ColError, ColKey, ColReader, ColWriter};
 pub use ids::{fnv1a64, Chain};
-pub use intern::{FxBuildHasher, FxHashMap, Interner};
+pub use intern::{FxHashMap, Interner};
 pub use jsonw::{JsonLen, JsonOut, JsonWriter, WireText};
 pub use series::BucketSeries;
 pub use stats::{gini, Histogram, RunningStats, TopK};

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Derive a child seed from a master seed and a label.
-pub fn subseed(master: u64, label: &str) -> u64 {
+pub(crate) fn subseed(master: u64, label: &str) -> u64 {
     fnv1a64_extend(fnv1a64(&master.to_le_bytes()), label.as_bytes())
 }
 

@@ -80,7 +80,7 @@ impl<K: Eq + Hash + Clone> BucketSeries<K> {
 
     /// All categories seen, in deterministic (unspecified but stable-per-run)
     /// order only if `K: Ord`; see [`BucketSeries::categories_sorted`].
-    pub fn categories(&self) -> Vec<K> {
+    pub(crate) fn categories(&self) -> Vec<K> {
         let mut set: Vec<K> = Vec::new();
         let mut seen: HashMap<K, ()> = HashMap::new();
         for b in &self.buckets {

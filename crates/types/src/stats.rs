@@ -39,7 +39,7 @@ impl RunningStats {
     }
 
     /// Population variance (the paper's σ over a complete enumeration).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -111,7 +111,7 @@ impl<T: Eq + Hash + Clone> TopK<T> {
 
     /// The `k` largest entries, descending by count. Ties broken
     /// deterministically by the provided key-ordering function.
-    pub fn top_by<F>(&self, k: usize, key_ord: F) -> Vec<(T, u64)>
+    pub(crate) fn top_by<F>(&self, k: usize, key_ord: F) -> Vec<(T, u64)>
     where
         F: Fn(&T, &T) -> std::cmp::Ordering,
     {
@@ -171,14 +171,6 @@ impl Histogram {
             let i = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
             self.bins[i] += 1;
         }
-    }
-
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    pub fn underflow(&self) -> u64 {
-        self.underflow
     }
 
     pub fn overflow(&self) -> u64 {
@@ -283,10 +275,10 @@ mod tests {
         for x in [-1.0, 0.0, 0.5, 9.99, 10.0, 25.0] {
             h.record(x);
         }
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins()[0], 2);
-        assert_eq!(h.bins()[9], 1);
+        assert_eq!(h.bins[0], 2);
+        assert_eq!(h.bins[9], 1);
         assert_eq!(h.total(), 6);
     }
 

@@ -13,7 +13,7 @@ use std::ops::{Add, AddAssign, Sub};
 pub const SIX_HOURS: i64 = 6 * 3600;
 
 /// Seconds in one day.
-pub const DAY: i64 = 86_400;
+pub(crate) const DAY: i64 = 86_400;
 
 /// A point in chain time: seconds since the Unix epoch (UTC).
 #[derive(
@@ -65,12 +65,12 @@ impl ChainTime {
     }
 
     /// Civil date `(year, month, day)` in UTC.
-    pub const fn ymd(self) -> (i64, u32, u32) {
+    pub(crate) const fn ymd(self) -> (i64, u32, u32) {
         civil_from_days(self.0.div_euclid(DAY))
     }
 
     /// Time of day `(hour, minute, second)` in UTC.
-    pub const fn hms(self) -> (u32, u32, u32) {
+    pub(crate) const fn hms(self) -> (u32, u32, u32) {
         let sod = self.0.rem_euclid(DAY);
         ((sod / 3600) as u32, ((sod % 3600) / 60) as u32, (sod % 60) as u32)
     }
@@ -82,7 +82,7 @@ impl ChainTime {
     }
 
     /// Full `YYYY-MM-DD HH:MM:SS` UTC rendering.
-    pub fn datetime_string(self) -> String {
+    pub(crate) fn datetime_string(self) -> String {
         let (y, m, d) = self.ymd();
         let (h, mi, s) = self.hms();
         format!("{y:04}-{m:02}-{d:02} {h:02}:{mi:02}:{s:02}")

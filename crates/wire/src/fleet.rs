@@ -37,21 +37,21 @@ use serde::Value;
 use std::io::{Read, Write};
 
 /// Request magic: "TXSQ" (txstat shard reQuest).
-pub const REQUEST_MAGIC: [u8; 4] = *b"TXSQ";
+pub(crate) const REQUEST_MAGIC: [u8; 4] = *b"TXSQ";
 
 /// Response magic: "TXSP" (txstat shard resPonse).
-pub const RESPONSE_MAGIC: [u8; 4] = *b"TXSP";
+pub(crate) const RESPONSE_MAGIC: [u8; 4] = *b"TXSP";
 
 /// Fleet protocol version. Bumped independently of the frame schema.
-pub const FLEET_VERSION: u32 = 1;
+pub(crate) const FLEET_VERSION: u32 = 1;
 
 /// Largest assignment body a worker will allocate for (JSON of a range
 /// plus scenario meta — a few hundred bytes in practice).
-pub const MAX_ASSIGNMENT_LEN: usize = 1 << 20; // 1 MiB
+pub(crate) const MAX_ASSIGNMENT_LEN: usize = 1 << 20; // 1 MiB
 
 /// Largest response body a reducer will allocate for (a three-frame
 /// bundle; each inner frame is additionally capped by the frame decoder).
-pub const MAX_BUNDLE_LEN: usize = 1 << 29; // 512 MiB
+pub(crate) const MAX_BUNDLE_LEN: usize = 1 << 29; // 512 MiB
 
 /// Typed fleet-protocol failures. From the reducer's point of view every
 /// variant is retryable (reconnect, backoff, possibly re-dispatch); none

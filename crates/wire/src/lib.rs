@@ -44,7 +44,7 @@ pub mod fleet;
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// The envelope magic: "TXSF" (txstat shard frame).
-pub const MAGIC: [u8; 4] = *b"TXSF";
+pub(crate) const MAGIC: [u8; 4] = *b"TXSF";
 
 /// Fixed-size envelope prefix: magic + version + hash + header length.
 const PREFIX_LEN: usize = 4 + 4 + 8 + 4;
@@ -52,12 +52,12 @@ const PREFIX_LEN: usize = 4 + 4 + 8 + 4;
 /// Largest header section a decoder will allocate for. Real headers are a
 /// few hundred bytes of JSON; anything past this is a corrupt or hostile
 /// length prefix, rejected *before* allocation.
-pub const MAX_HEADER_LEN: usize = 1 << 20; // 1 MiB
+pub(crate) const MAX_HEADER_LEN: usize = 1 << 20; // 1 MiB
 
 /// Largest payload section a decoder will allocate for. Month-scale
 /// columnar shard states are tens of MiB; this bound caps what one frame
 /// from an untrusted peer can make the reducer allocate.
-pub const MAX_PAYLOAD_LEN: usize = 1 << 29; // 512 MiB
+pub(crate) const MAX_PAYLOAD_LEN: usize = 1 << 29; // 512 MiB
 
 /// Wire failures. Every variant names what the decoder could not vouch
 /// for, so a reducer can distinguish "not a frame" from "a frame from the

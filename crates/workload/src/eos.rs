@@ -60,7 +60,7 @@ const SYSTEM_DAILY: &[(&str, f64)] = &[
 ];
 
 /// The named cast of the EOS scenario.
-pub struct EosCast {
+pub(crate) struct EosCast {
     pub token: Name,
     pub eidos_contract: Name,
     pub eidos_token: TokenId,

@@ -98,7 +98,7 @@ impl Scenario {
 
     /// Scale a paper-calibrated daily rate by a divisor and convert to a
     /// per-block expectation.
-    pub fn per_block(daily_rate: f64, divisor: f64, block_secs: i64) -> f64 {
+    pub(crate) fn per_block(daily_rate: f64, divisor: f64, block_secs: i64) -> f64 {
         daily_rate / divisor * block_secs as f64 / 86_400.0
     }
 }

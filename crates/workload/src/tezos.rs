@@ -25,9 +25,9 @@ const REVEAL_NONCE_PER_DAY: f64 = 311.0;
 const DOUBLE_BAKING_PER_DAY: f64 = 4.0 / 92.0;
 
 /// Protocol hashes of the Babylon saga (§4.2).
-pub const BABYLON_1: &str = "PsBABY5nk4JhdEv1N1pZbt6m6ccB9BfNqa23iKZcHBh23jmRS9f";
-pub const BABYLON_2: &str = "PsBABY5HQTSkA4297zNHfsZNKtxULfL18y95qb3m53QJiXGmrbU";
-pub const BREST_A: &str = "PtdRxBHvc91c2ea2evV6wkoqnzW7TadTg9aqS9jAn2GbcPGtumD";
+pub(crate) const BABYLON_1: &str = "PsBABY5nk4JhdEv1N1pZbt6m6ccB9BfNqa23iKZcHBh23jmRS9f";
+pub(crate) const BABYLON_2: &str = "PsBABY5HQTSkA4297zNHfsZNKtxULfL18y95qb3m53QJiXGmrbU";
+pub(crate) const BREST_A: &str = "PtdRxBHvc91c2ea2evV6wkoqnzW7TadTg9aqS9jAn2GbcPGtumD";
 
 /// Figure 6's top-sender behavioural profiles.
 struct FaucetProfile {
@@ -41,7 +41,7 @@ struct FaucetProfile {
 }
 
 /// The named cast.
-pub struct TezosCast {
+pub(crate) struct TezosCast {
     pub bakers: Vec<Address>,
     pub foundation: Address,
     pub users: Vec<Address>,

@@ -22,32 +22,32 @@ use txstat_xrp::AccountId;
 
 // ---- cast account ids -------------------------------------------------------
 
-pub const GENESIS: AccountId = AccountId(100);
+pub(crate) const GENESIS: AccountId = AccountId(100);
 pub const RIPPLE: AccountId = AccountId(101);
 /// The escrow-funding treasury account the monthly releases cycle through.
-pub const RIPPLE_ESCROW: AccountId = AccountId(102);
+pub(crate) const RIPPLE_ESCROW: AccountId = AccountId(102);
 pub const BINANCE: AccountId = AccountId(110);
 pub const HUOBI: AccountId = AccountId(111);
-pub const BITTREX: AccountId = AccountId(112);
-pub const UPBIT: AccountId = AccountId(113);
+pub(crate) const BITTREX: AccountId = AccountId(112);
+pub(crate) const UPBIT: AccountId = AccountId(113);
 pub const BITSTAMP: AccountId = AccountId(114);
-pub const BITHUMB: AccountId = AccountId(115);
-pub const COINBASE: AccountId = AccountId(116);
-pub const BITGO: AccountId = AccountId(117);
-pub const LIQUID: AccountId = AccountId(118);
-pub const UPHOLD: AccountId = AccountId(119);
-pub const GATEHUB_FIFTH: AccountId = AccountId(120);
-pub const UPK: AccountId = AccountId(121);
-pub const BTC2RIPPLE: AccountId = AccountId(122);
-pub const CNY_GATEWAY: AccountId = AccountId(123);
+pub(crate) const BITHUMB: AccountId = AccountId(115);
+pub(crate) const COINBASE: AccountId = AccountId(116);
+pub(crate) const BITGO: AccountId = AccountId(117);
+pub(crate) const LIQUID: AccountId = AccountId(118);
+pub(crate) const UPHOLD: AccountId = AccountId(119);
+pub(crate) const GATEHUB_FIFTH: AccountId = AccountId(120);
+pub(crate) const UPK: AccountId = AccountId(121);
+pub(crate) const BTC2RIPPLE: AccountId = AccountId(122);
+pub(crate) const CNY_GATEWAY: AccountId = AccountId(123);
 /// Descendant senders (activated by their exchange, no own username).
-pub const BITGO_DESC: AccountId = AccountId(130);
-pub const HUOBI_DESC: AccountId = AccountId(131);
-pub const LIQUID_DESC: AccountId = AccountId(132);
-pub const UPBIT_DESC: AccountId = AccountId(134);
+pub(crate) const BITGO_DESC: AccountId = AccountId(130);
+pub(crate) const HUOBI_DESC: AccountId = AccountId(131);
+pub(crate) const LIQUID_DESC: AccountId = AccountId(132);
+pub(crate) const UPBIT_DESC: AccountId = AccountId(134);
 /// The §4.3 spammer (rpJZ5WyotdphojwMLxCr2prhULvG3Voe3X in the paper).
 pub const SPAMMER: AccountId = AccountId(2000);
-pub const SPAM_CHILD_BASE: u64 = 2001;
+pub(crate) const SPAM_CHILD_BASE: u64 = 2001;
 
 /// Spam children scale with the divisor, floored so the wave mechanics
 /// always exist. The paper's spammer activated 5,020 accounts among 151 M
@@ -61,22 +61,22 @@ pub fn spam_children(divisor: f64) -> u64 {
 }
 /// Myrone Bagalay's web (§4.3, Figure 11b).
 pub const MYRONE_ISSUER: AccountId = AccountId(3000); // rKRNtZzfrk…
-pub const MYRONE_TAKER: AccountId = AccountId(3001); // rMyronE…
-pub const MYRONE_SELLER_A: AccountId = AccountId(3002); // rHVsygEm…
-pub const MYRONE_SELLER_B: AccountId = AccountId(3003); // rU6m5F9c…
+pub(crate) const MYRONE_TAKER: AccountId = AccountId(3001); // rMyronE…
+pub(crate) const MYRONE_SELLER_A: AccountId = AccountId(3002); // rHVsygEm…
+pub(crate) const MYRONE_SELLER_B: AccountId = AccountId(3003); // rU6m5F9c…
 /// Big Huobi-cluster bots (Figure 8 top-4) and the smaller six.
 pub const BOT_BASE: u64 = 1000;
-pub const BIG_BOTS: u64 = 4;
-pub const SMALL_BOTS: u64 = 6;
+pub(crate) const BIG_BOTS: u64 = 4;
+pub(crate) const SMALL_BOTS: u64 = 6;
 /// Unrated high-volume fiat issuers ("shadow" gateways).
 pub const SHADOW_USD: AccountId = AccountId(140);
-pub const SHADOW_EUR: AccountId = AccountId(141);
+pub(crate) const SHADOW_EUR: AccountId = AccountId(141);
 /// Gateway-side market makers (descendants of their gateways).
-pub const MAKER_BASE: u64 = 150;
-pub const USER_BASE: u64 = 10_000;
-pub const USERS: u64 = 2_000;
+pub(crate) const MAKER_BASE: u64 = 150;
+pub(crate) const USER_BASE: u64 = 10_000;
+pub(crate) const USERS: u64 = 2_000;
 /// The Huobi destination tag the paper flags (§3.3).
-pub const HUOBI_TAG: u32 = 104_398;
+pub(crate) const HUOBI_TAG: u32 = 104_398;
 
 /// Usernames as the XRP Scan registry would report them (§3.1).
 pub fn known_usernames() -> Vec<(AccountId, &'static str)> {

@@ -23,7 +23,7 @@
 //! Invariant: an id is in `offers` ⇔ it is in exactly one book ⇔ it is in
 //! its owner's `by_owner` set; an owner with nothing resting has no entry.
 //! Only `insert_sorted` and `remove_from_book` add or drop ids, and each
-//! updates all three. [`Dex::check_books_sorted`] and [`Dex::check_index`]
+//! updates all three. `Dex::check_books_sorted` and `Dex::check_index`
 //! audit the two derived structures against `offers`.
 
 use crate::address::AccountId;
@@ -41,15 +41,13 @@ pub struct OfferId(pub u64);
 /// A resting offer: the owner gives `gets` and wants `pays`
 /// (XRPL's TakerGets / TakerPays, seen from the taker's side).
 #[derive(Debug, Clone)]
-pub struct Offer {
+pub(crate) struct Offer {
     pub id: OfferId,
     pub owner: AccountId,
     /// Remaining amount the owner still gives.
     pub gets: Amount,
     /// Remaining amount the owner still wants.
     pub pays: Amount,
-    /// Original `gets` at creation (for fill-ratio stats).
-    pub original_gets: i128,
     /// Filled at least partially, as taker or maker: counted once in
     /// [`DexStats::offers_touched`].
     pub touched: bool,
@@ -139,11 +137,13 @@ impl Dex {
         Self::default()
     }
 
-    pub fn offer(&self, id: OfferId) -> Option<&Offer> {
+    #[cfg(test)]
+    fn offer(&self, id: OfferId) -> Option<&Offer> {
         self.offers.get(&id)
     }
 
-    pub fn book_depth(&self, gets: Asset, pays: Asset) -> usize {
+    #[cfg(test)]
+    fn book_depth(&self, gets: Asset, pays: Asset) -> usize {
         self.books.get(&(gets, pays)).map(|b| b.len()).unwrap_or(0)
     }
 
@@ -274,7 +274,6 @@ impl Dex {
                 owner,
                 gets: Amount { asset: gets.asset, value: taker_gets_rem },
                 pays: Amount { asset: pays.asset, value: taker_pays_rem },
-                original_gets: gets.value,
                 touched,
             };
             self.insert_sorted(offer);
@@ -290,7 +289,7 @@ impl Dex {
     /// any resting price (payments, unlike offers, have no limit price —
     /// only a spend cap). Read-only: returns `None` when the book cannot
     /// deliver in full (tecPATH_DRY), so failed payments never mutate books.
-    pub fn plan_market<F>(
+    pub(crate) fn plan_market<F>(
         &self,
         taker: AccountId,
         want: Amount,
@@ -345,7 +344,7 @@ impl Dex {
 
     /// Apply a plan produced by [`Dex::plan_market`]: shrink or remove the
     /// maker offers and update fulfillment statistics.
-    pub fn execute_plan(&mut self, fills: &[Fill]) {
+    pub(crate) fn execute_plan(&mut self, fills: &[Fill]) {
         let mut removed = Vec::new();
         for f in fills {
             self.stats.fills_executed += 1;
@@ -381,7 +380,7 @@ impl Dex {
     }
 
     /// `OfferCancel`.
-    pub fn cancel(&mut self, account: AccountId, id: OfferId) -> Result<(), DexError> {
+    pub(crate) fn cancel(&mut self, account: AccountId, id: OfferId) -> Result<(), DexError> {
         let offer = self.offers.get(&id).ok_or(DexError::UnknownOffer(id))?;
         if offer.owner != account {
             return Err(DexError::NotOwner { offer: id, account });
@@ -396,16 +395,16 @@ impl Dex {
         self.by_owner.get(&account)?.first().copied()
     }
 
-    /// All resting offers of an account, oldest first (for reserve
-    /// accounting/tests).
-    pub fn offers_of(&self, account: AccountId) -> Vec<OfferId> {
+    /// All resting offers of an account, oldest first.
+    #[cfg(test)]
+    fn offers_of(&self, account: AccountId) -> Vec<OfferId> {
         self.by_owner.get(&account).map_or_else(Vec::new, |ids| ids.iter().copied().collect())
     }
 
     /// Verify the owner index against the offer table: every indexed id
     /// rests and belongs to that owner, every resting offer is indexed, no
     /// owner keeps an empty entry.
-    pub fn check_index(&self) -> Result<(), String> {
+    pub(crate) fn check_index(&self) -> Result<(), String> {
         let mut indexed = 0;
         for (owner, ids) in &self.by_owner {
             if ids.is_empty() {
@@ -428,7 +427,7 @@ impl Dex {
     }
 
     /// Verify book-order invariant: every book sorted by quality ascending.
-    pub fn check_books_sorted(&self) -> Result<(), String> {
+    pub(crate) fn check_books_sorted(&self) -> Result<(), String> {
         for (key, book) in &self.books {
             let mut prev = f64::MIN;
             for id in book {

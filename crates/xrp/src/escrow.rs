@@ -10,7 +10,7 @@ use txstat_types::time::ChainTime;
 
 /// A live escrow holding locked drops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Escrow {
+pub(crate) struct Escrow {
     pub id: u64,
     pub owner: AccountId,
     pub destination: AccountId,
@@ -23,7 +23,7 @@ pub struct Escrow {
 
 /// A live payment channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PayChannel {
+pub(crate) struct PayChannel {
     pub id: u64,
     pub owner: AccountId,
     pub destination: AccountId,

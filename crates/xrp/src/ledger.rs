@@ -98,7 +98,7 @@ impl std::error::Error for SubmitError {}
 pub struct XrpLedger {
     pub config: LedgerConfig,
     accounts: HashMap<AccountId, AccountRoot>,
-    pub trustlines: TrustLines,
+    pub(crate) trustlines: TrustLines,
     pub dex: Dex,
     escrows: HashMap<u64, Escrow>,
     channels: HashMap<u64, PayChannel>,
@@ -212,26 +212,22 @@ impl XrpLedger {
         self.config.genesis_time + (self.closed.len() as i64 + 1) * self.config.close_interval_secs
     }
 
-    pub fn escrow(&self, id: u64) -> Option<&Escrow> {
-        self.escrows.get(&id)
-    }
-
-    pub fn escrows_locked_drops(&self) -> i64 {
+    pub(crate) fn escrows_locked_drops(&self) -> i64 {
         self.escrows.values().map(|e| e.drops).sum()
     }
 
-    pub fn channels_locked_drops(&self) -> i64 {
+    pub(crate) fn channels_locked_drops(&self) -> i64 {
         self.channels.values().map(|c| c.remaining_drops).sum()
     }
 
     /// Reserve requirement for an account.
-    pub fn reserve_drops(&self, id: AccountId) -> i64 {
+    pub(crate) fn reserve_drops(&self, id: AccountId) -> i64 {
         let oc = self.accounts.get(&id).map(|a| a.owner_count).unwrap_or(0);
         self.config.base_reserve_drops + oc as i64 * self.config.owner_reserve_drops
     }
 
     /// XRP spendable above the reserve.
-    pub fn spendable_drops(&self, id: AccountId) -> i64 {
+    pub(crate) fn spendable_drops(&self, id: AccountId) -> i64 {
         (self.balance_drops(id) - self.reserve_drops(id)).max(0)
     }
 

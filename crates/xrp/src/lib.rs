@@ -26,9 +26,7 @@ pub mod tx;
 
 pub use address::AccountId;
 pub use amount::{Amount, Asset, IssuedCurrency, DROPS_PER_XRP, IOU_UNIT};
-pub use dex::{Dex, DexError, Fill, OfferId};
-pub use escrow::{Escrow, PayChannel};
-pub use ledger::{AccountRoot, LedgerBlock, LedgerConfig, SubmitError, XrpLedger};
+pub use dex::{Dex, OfferId};
+pub use ledger::{LedgerBlock, LedgerConfig, XrpLedger};
 pub use rates::{RateOracle, TradeRecord};
-pub use trustline::{TlError, TrustLines};
 pub use tx::{AppliedTx, Transaction, TxPayload, TxResult, TxType};

@@ -19,7 +19,7 @@ use txstat_types::time::ChainTime;
 use txstat_types::{JsonOut, JsonWriter};
 
 /// Serialize an amount: drops string or IOU object.
-pub fn amount_to_json(a: &Amount) -> Value {
+pub(crate) fn amount_to_json(a: &Amount) -> Value {
     match a.asset {
         Asset::Xrp => Value::String(a.value.to_string()),
         Asset::Iou(ic) => json!({
@@ -31,7 +31,7 @@ pub fn amount_to_json(a: &Amount) -> Value {
 }
 
 /// Parse an amount from the wire.
-pub fn amount_from_json(v: &Value) -> Option<Amount> {
+pub(crate) fn amount_from_json(v: &Value) -> Option<Amount> {
     match v {
         Value::String(s) => Some(Amount::xrp_drops(s.parse().ok()?)),
         Value::Object(m) => {

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 /// One holder-side trust line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Line {
+pub(crate) struct Line {
     /// Maximum the holder is willing to hold (raw IOU units).
     pub limit: i128,
     /// Current holding (raw IOU units, ≥ 0 in this model).
@@ -22,7 +22,7 @@ pub struct Line {
 
 /// Trust-line errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TlError {
+pub(crate) enum TlError {
     /// Receiver has no trust line for the currency (tecNO_LINE / PATH_DRY).
     NoLine { holder: AccountId, currency: IssuedCurrency },
     /// Credit would exceed the receiver's limit.
@@ -54,7 +54,7 @@ impl std::error::Error for TlError {}
 
 /// All trust lines plus per-currency issuer obligations.
 #[derive(Debug, Clone, Default)]
-pub struct TrustLines {
+pub(crate) struct TrustLines {
     lines: HashMap<(AccountId, IssuedCurrency), Line>,
     obligations: HashMap<IssuedCurrency, i128>,
 }
@@ -67,7 +67,7 @@ impl TrustLines {
     /// `TrustSet`: create or update a line's limit. Lowering a limit below
     /// the current balance is allowed (as on mainnet); it only blocks new
     /// limit-respecting credits.
-    pub fn set_limit(
+    pub(crate) fn set_limit(
         &mut self,
         holder: AccountId,
         currency: IssuedCurrency,
@@ -86,7 +86,7 @@ impl TrustLines {
         Ok(())
     }
 
-    pub fn has_line(&self, holder: AccountId, currency: IssuedCurrency) -> bool {
+    pub(crate) fn has_line(&self, holder: AccountId, currency: IssuedCurrency) -> bool {
         self.lines.contains_key(&(holder, currency))
     }
 
@@ -95,7 +95,8 @@ impl TrustLines {
     }
 
     /// Issuer's total outstanding obligation in a currency.
-    pub fn obligations(&self, currency: IssuedCurrency) -> i128 {
+    #[cfg(test)]
+    fn obligations(&self, currency: IssuedCurrency) -> i128 {
         self.obligations.get(&currency).copied().unwrap_or(0)
     }
 
@@ -135,7 +136,7 @@ impl TrustLines {
     }
 
     /// Debit a holder.
-    pub fn debit(
+    pub(crate) fn debit(
         &mut self,
         holder: AccountId,
         currency: IssuedCurrency,
@@ -191,7 +192,8 @@ impl TrustLines {
     }
 
     /// Holders (with non-zero balance) of a currency.
-    pub fn holders(&self, currency: IssuedCurrency) -> Vec<(AccountId, i128)> {
+    #[cfg(test)]
+    fn holders(&self, currency: IssuedCurrency) -> Vec<(AccountId, i128)> {
         let mut v: Vec<(AccountId, i128)> = self
             .lines
             .iter()

@@ -138,6 +138,45 @@ impl AccountRegistry {
         self.accounts.is_empty()
     }
 
+    #[cfg(test)]
+    fn is_privileged(&self, name: Name) -> bool {
+        matches!(
+            self.accounts.get(&name).map(|a| a.kind),
+            Some(AccountKind::SystemPrivileged)
+        )
+    }
+
+    /// `updateauth`: add (or refresh) a named permission.
+    #[cfg(test)]
+    fn update_auth(&mut self, account: Name, permission: Name) -> Result<(), AccountError> {
+        let a = self
+            .accounts
+            .get_mut(&account)
+            .ok_or(AccountError::UnknownAccount(account))?;
+        if !a.permissions.contains(&permission) {
+            a.permissions.push(permission);
+        }
+        Ok(())
+    }
+
+    /// `linkauth`: route (contract, action) to a permission.
+    #[cfg(test)]
+    fn link_auth(
+        &mut self,
+        account: Name,
+        contract: Name,
+        action: Name,
+        permission: Name,
+    ) -> Result<(), AccountError> {
+        let a = self
+            .accounts
+            .get_mut(&account)
+            .ok_or(AccountError::UnknownAccount(account))?;
+        a.links.retain(|(c, act, _)| !(*c == contract && *act == action));
+        a.links.push((contract, action, permission));
+        Ok(())
+    }
+
     /// `bidname`: bid on a premium (≤12-char, dot-free) name. A new bid must
     /// exceed the previous high by ≥10%.
     pub(crate) fn bid_name(
@@ -171,6 +210,11 @@ impl AccountRegistry {
         }
         Ok(())
     }
+
+    #[cfg(test)]
+    fn bid_for(&self, name: Name) -> Option<&NameBid> {
+        self.bids.get(&name)
+    }
 }
 
 #[cfg(test)]
@@ -186,9 +230,8 @@ mod tests {
         let r = AccountRegistry::with_system_accounts(t0());
         assert!(r.exists(Name::new("eosio")));
         assert!(r.exists(Name::new("eosio.token")));
-        let kind = |n| r.get(Name::new(n)).unwrap().kind;
-        assert_eq!(kind("eosio.wrap"), AccountKind::SystemPrivileged);
-        assert_eq!(kind("eosio.token"), AccountKind::System);
+        assert!(r.is_privileged(Name::new("eosio.wrap")));
+        assert!(!r.is_privileged(Name::new("eosio.token")));
         assert_eq!(r.len(), 14);
     }
 
@@ -211,6 +254,32 @@ mod tests {
     }
 
     #[test]
+    fn auth_management() {
+        let mut r = AccountRegistry::with_system_accounts(t0());
+        r.create(Name::new("eosio"), Name::new("alice"), t0()).unwrap();
+        r.update_auth(Name::new("alice"), Name::new("trading")).unwrap();
+        r.link_auth(
+            Name::new("alice"),
+            Name::new("whaleextrust"),
+            Name::new("verifytrade2"),
+            Name::new("trading"),
+        )
+        .unwrap();
+        let a = r.get(Name::new("alice")).unwrap();
+        assert!(a.permissions.contains(&Name::new("trading")));
+        assert_eq!(a.links.len(), 1);
+        // Re-linking the same pair replaces, not duplicates.
+        r.link_auth(
+            Name::new("alice"),
+            Name::new("whaleextrust"),
+            Name::new("verifytrade2"),
+            Name::new("active"),
+        )
+        .unwrap();
+        assert_eq!(r.get(Name::new("alice")).unwrap().links.len(), 1);
+    }
+
+    #[test]
     fn name_auction_rules() {
         let mut r = AccountRegistry::with_system_accounts(t0());
         r.create(Name::new("eosio"), Name::new("alice"), t0()).unwrap();
@@ -221,7 +290,7 @@ mod tests {
             Err(AccountError::BidTooLow { .. })
         ));
         r.bid_name(Name::new("alice"), Name::new("bank"), 110_0000, t0()).unwrap();
-        assert_eq!(r.bids[&Name::new("bank")].high_bid, 110_0000);
+        assert_eq!(r.bid_for(Name::new("bank")).unwrap().high_bid, 110_0000);
         // Dotted names aren't biddable.
         assert!(matches!(
             r.bid_name(Name::new("alice"), Name::new("a.b"), 1, t0()),

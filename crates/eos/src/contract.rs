@@ -96,6 +96,11 @@ impl ContractRegistry {
         self.airdrops.get(&account)
     }
 
+    #[cfg(test)]
+    fn category_of(&self, account: Name) -> Option<AppCategory> {
+        self.metas.get(&account).map(|m| m.category)
+    }
+
     pub fn contracts(&self) -> impl Iterator<Item = &ContractMeta> {
         self.metas.values()
     }
@@ -135,7 +140,7 @@ mod tests {
                 payout_ppm: 100,
             },
         );
-        assert_eq!(r.meta(Name::new("betdicetasks")).unwrap().category, AppCategory::Betting);
+        assert_eq!(r.category_of(Name::new("betdicetasks")), Some(AppCategory::Betting));
         assert_eq!(r.airdrop(Name::new("eidosonecoin")).unwrap().payout_ppm, 100);
         assert!(r.airdrop(Name::new("betdicetasks")).is_none());
         assert_eq!(r.len(), 2);

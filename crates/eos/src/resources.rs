@@ -177,6 +177,8 @@ pub struct ResourceState {
     usage: HashMap<Name, Usage>,
     pub ram: RamMarket,
     ram_bytes: HashMap<Name, u64>,
+    #[cfg(test)]
+    ram_used: HashMap<Name, u64>,
 }
 
 impl ResourceState {
@@ -192,6 +194,8 @@ impl ResourceState {
             usage: HashMap::new(),
             ram: RamMarket::new(64 * 1024 * 1024 * 1024, 10_000_000_0000),
             ram_bytes: HashMap::new(),
+            #[cfg(test)]
+            ram_used: HashMap::new(),
         }
     }
 
@@ -308,6 +312,11 @@ impl ResourceState {
         self.virtual_multiplier <= 1.0 + 1e-9
     }
 
+    #[cfg(test)]
+    fn multiplier(&self) -> f64 {
+        self.virtual_multiplier
+    }
+
     /// Relative CPU price index: 1.0 when fully relaxed; equals
     /// `max_multiplier` (e.g. 1000×) when fully congested. The paper reports
     /// the EIDOS launch spiking CPU prices by ~10,000%.
@@ -329,6 +338,17 @@ impl ResourceState {
 
     pub fn grant_ram(&mut self, receiver: Name, bytes: u64) {
         *self.ram_bytes.entry(receiver).or_insert(0) += bytes;
+    }
+
+    #[cfg(test)]
+    fn use_ram(&mut self, account: Name, bytes: u64) -> Result<(), ResourceError> {
+        let quota = self.ram_bytes.get(&account).copied().unwrap_or(0);
+        let used = self.ram_used.entry(account).or_insert(0);
+        if *used + bytes > quota {
+            return Err(ResourceError::InsufficientRam { account, need: *used + bytes, have: quota });
+        }
+        *used += bytes;
+        Ok(())
     }
 
     #[cfg(test)]
@@ -394,11 +414,11 @@ mod tests {
     fn congestion_flips_under_sustained_load() {
         let mut r = ResourceState::new(cfg_small());
         assert!(!r.congested());
-        assert_eq!(r.virtual_multiplier, 100.0);
+        assert_eq!(r.multiplier(), 100.0);
         for _ in 0..20 {
             r.on_block(1500); // hot blocks
         }
-        assert!(r.congested(), "multiplier={}", r.virtual_multiplier);
+        assert!(r.congested(), "multiplier={}", r.multiplier());
         assert!(r.cpu_price_index() >= 99.0);
         // Recovery under cool blocks.
         for _ in 0..100 {
@@ -451,5 +471,17 @@ mod tests {
         // Selling everything back never mints EOS (fees burn value).
         let eos_back = m.sell_bytes(bytes).unwrap();
         assert!(eos_back < 100_0000);
+    }
+
+    #[test]
+    fn ram_quota_enforced() {
+        let mut r = ResourceState::new(cfg_small());
+        r.grant_ram(Name::new("a"), 100);
+        r.use_ram(Name::new("a"), 60).unwrap();
+        assert!(matches!(
+            r.use_ram(Name::new("a"), 50),
+            Err(ResourceError::InsufficientRam { .. })
+        ));
+        r.use_ram(Name::new("a"), 40).unwrap();
     }
 }

@@ -155,11 +155,11 @@ async fn read_headers(
         let k = k.trim().to_ascii_lowercase();
         let v = v.trim().to_owned();
         if k == "content-length" {
-            let len = Some(&v)
-                .filter(|v| content_length.is_none() && !v.is_empty())
-                .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| HttpError::BadHeader(line.to_owned()))?;
+            let digits = !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit());
+            if content_length.is_some() || !digits {
+                return Err(HttpError::BadHeader(line.to_owned()));
+            }
+            let len: usize = v.parse().map_err(|_| HttpError::BadHeader(line.to_owned()))?;
             if len > MAX_BODY {
                 return Err(HttpError::BodyTooLarge(len));
             }

@@ -241,6 +241,11 @@ impl TezosChain {
         self.balances.get(&address).copied().unwrap_or(0)
     }
 
+    #[cfg(test)]
+    fn delegate_of(&self, address: Address) -> Option<Address> {
+        self.delegates.get(&address).copied()
+    }
+
     pub fn blocks(&self) -> &[TezosBlock] {
         &self.blocks
     }
@@ -651,7 +656,7 @@ mod tests {
             Operation::new(user, OpPayload::Delegation { delegate: Some(Address::implicit(0)) }),
             Operation::new(user, OpPayload::Delegation { delegate: Some(Address::implicit(77)) }),
         ]);
-        assert_eq!(c.delegates.get(&user), Some(&Address::implicit(0)));
+        assert_eq!(c.delegate_of(user), Some(Address::implicit(0)));
         assert_eq!(c.rejected_ops, 1, "delegation to non-baker rejected");
     }
 

@@ -80,6 +80,47 @@ impl TryFrom<String> for SymCode {
     }
 }
 
+/// A fixed-point quantity: `raw * 10^-decimals` units of some asset.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+struct Qty {
+    raw: i128,
+    decimals: u8,
+}
+
+#[cfg(test)]
+impl Qty {
+    const fn new(raw: i128, decimals: u8) -> Self {
+        Qty { raw, decimals }
+    }
+
+    /// Build from a whole-unit count (e.g. `Qty::whole(5, 4)` == 5.0000).
+    fn whole(units: i128, decimals: u8) -> Self {
+        Qty { raw: units * 10i128.pow(decimals as u32), decimals }
+    }
+
+    /// Checked addition; `None` if the decimal scales differ or on overflow.
+    fn checked_add(self, other: Qty) -> Option<Qty> {
+        if self.decimals != other.decimals {
+            return None;
+        }
+        Some(Qty { raw: self.raw.checked_add(other.raw)?, decimals: self.decimals })
+    }
+
+    /// Checked subtraction; `None` if scales differ or on overflow.
+    fn checked_sub(self, other: Qty) -> Option<Qty> {
+        if self.decimals != other.decimals {
+            return None;
+        }
+        Some(Qty { raw: self.raw.checked_sub(other.raw)?, decimals: self.decimals })
+    }
+
+    /// Value as an f64 in whole units (reporting only — never for ledger math).
+    fn to_f64(self) -> f64 {
+        self.raw as f64 / 10f64.powi(self.decimals as i32)
+    }
+}
+
 /// Render `raw * 10^-decimals` with a decimal point and no trailing-zero
 /// stripping (matches how chain explorers print amounts).
 pub fn fmt_scaled(raw: i128, decimals: u32) -> String {
@@ -134,6 +175,21 @@ mod tests {
         assert!(SymCode::try_new("").is_err());
         assert!(SymCode::try_new("THIRTEENCHARS").is_err());
         assert!(SymCode::try_new("A B").is_err());
+    }
+
+    #[test]
+    fn qty_arithmetic() {
+        let a = Qty::whole(5, 4);
+        let b = Qty::new(5_000, 4); // 0.5000
+        assert_eq!(a.checked_add(b).unwrap().raw, 55_000);
+        assert_eq!(a.checked_sub(b).unwrap().to_f64(), 4.5);
+        assert!(a.checked_add(Qty::whole(1, 6)).is_none(), "scale mismatch");
+    }
+
+    #[test]
+    fn qty_overflow_guard() {
+        let big = Qty::new(i128::MAX, 0);
+        assert!(big.checked_add(Qty::new(1, 0)).is_none());
     }
 
     #[test]

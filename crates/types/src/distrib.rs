@@ -2,7 +2,7 @@
 //!
 //! The offline crate set includes `rand` but not `rand_distr`, so the handful
 //! of distributions the agent models need (Poisson arrivals, Zipf-skewed
-//! account popularity, log-normal amounts)
+//! account popularity, exponential inter-arrival gaps, log-normal amounts)
 //! are implemented here with the standard algorithms.
 
 use rand::Rng;
@@ -47,6 +47,14 @@ pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen::<f64>();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// Exponential variate with rate `rate` (mean `1/rate`).
+#[cfg(test)]
+fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
+    assert!(rate > 0.0, "exponential rate must be positive");
+    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    -u.ln() / rate
 }
 
 /// Log-normal variate with the given parameters of the underlying normal.
@@ -156,6 +164,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(poisson(&mut rng, 0.0), 0);
         assert_eq!(poisson(&mut rng, -3.0), 0);
+    }
+
+    #[test]
+    fn exponential_mean() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let n = 50_000;
+        let sum: f64 = (0..n).map(|_| exponential(&mut rng, 2.0)).sum();
+        assert!((sum / n as f64 - 0.5).abs() < 0.02);
     }
 
     #[test]

@@ -22,6 +22,17 @@ impl Chain {
             Chain::Xrp => "XRP",
         }
     }
+
+    /// Nominal block interval of the production network, in milliseconds.
+    /// (EOS: 500 ms slots; Tezos Babylon: 60 s; XRP: ~3.5 s ledger close.)
+    #[cfg(test)]
+    const fn nominal_block_interval_ms(self) -> u64 {
+        match self {
+            Chain::Eos => 500,
+            Chain::Tezos => 60_000,
+            Chain::Xrp => 3_500,
+        }
+    }
 }
 
 impl fmt::Display for Chain {
@@ -79,6 +90,7 @@ mod tests {
     #[test]
     fn chain_metadata() {
         assert_eq!(Chain::Eos.name(), "EOS");
+        assert_eq!(Chain::Tezos.nominal_block_interval_ms(), 60_000);
         assert_eq!(Chain::ALL.len(), 3);
     }
 }

@@ -173,6 +173,16 @@ impl Histogram {
         }
     }
 
+    #[cfg(test)]
+    fn bins(&self) -> &[u64] {
+        &self.bins
+    }
+
+    #[cfg(test)]
+    fn underflow(&self) -> u64 {
+        self.underflow
+    }
+
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
@@ -275,10 +285,10 @@ mod tests {
         for x in [-1.0, 0.0, 0.5, 9.99, 10.0, 25.0] {
             h.record(x);
         }
-        assert_eq!(h.underflow, 1);
+        assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins[0], 2);
-        assert_eq!(h.bins[9], 1);
+        assert_eq!(h.bins()[0], 2);
+        assert_eq!(h.bins()[9], 1);
         assert_eq!(h.total(), 6);
     }
 

@@ -29,6 +29,12 @@ impl AccountId {
         self.0
     }
 
+    /// Special addresses have no key pair; we reserve ids < 16.
+    #[cfg(test)]
+    fn is_special(self) -> bool {
+        self.0 < 16
+    }
+
     fn payload(self) -> [u8; 10] {
         let idb = self.0.to_be_bytes();
         let ck = (fnv1a64(&idb) & 0xffff) as u16;
@@ -146,6 +152,8 @@ mod tests {
 
     #[test]
     fn account_zero_is_special() {
+        assert!(AccountId::ACCOUNT_ZERO.is_special());
+        assert!(!AccountId(1000).is_special());
         let s = AccountId::ACCOUNT_ZERO.to_string();
         // Payload is 8 zero bytes + checksum of zeros → leading 'r's preserved.
         assert!(s.starts_with("rrrr"), "{s}");

@@ -49,6 +49,19 @@ impl Asset {
     pub fn iou(currency: &str, issuer: AccountId) -> Self {
         Asset::Iou(IssuedCurrency::new(currency, issuer))
     }
+
+    #[cfg(test)]
+    fn is_xrp(&self) -> bool {
+        matches!(self, Asset::Xrp)
+    }
+
+    #[cfg(test)]
+    fn currency_code(&self) -> SymCode {
+        match self {
+            Asset::Xrp => SymCode::new("XRP"),
+            Asset::Iou(ic) => ic.currency,
+        }
+    }
 }
 
 impl fmt::Display for Asset {
@@ -89,6 +102,15 @@ impl Amount {
         self.value == 0
     }
 
+    /// Whole-unit f64 (reporting only).
+    #[cfg(test)]
+    fn to_f64(self) -> f64 {
+        match self.asset {
+            Asset::Xrp => self.value as f64 / DROPS_PER_XRP as f64,
+            Asset::Iou(_) => self.value as f64 / IOU_UNIT as f64,
+        }
+    }
+
     /// Same-asset checked addition.
     pub fn checked_add(&self, other: &Amount) -> Option<Amount> {
         if self.asset != other.asset {
@@ -125,6 +147,7 @@ mod tests {
     fn constructors_and_scales() {
         assert_eq!(Amount::xrp(5).value, 5_000_000);
         assert_eq!(Amount::iou_whole("USD", AccountId(9), 3).value, 3_000_000);
+        assert_eq!(Amount::xrp(2).to_f64(), 2.0);
     }
 
     #[test]
@@ -132,6 +155,9 @@ mod tests {
         let a = Asset::iou("BTC", AccountId(1));
         let b = Asset::iou("BTC", AccountId(2));
         assert_ne!(a, b, "same ticker, different issuer, different asset");
+        assert_eq!(a.currency_code().as_str(), "BTC");
+        assert!(!a.is_xrp());
+        assert!(Asset::Xrp.is_xrp());
     }
 
     #[test]

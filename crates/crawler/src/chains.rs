@@ -9,7 +9,6 @@ use crate::stats::CrawlStats;
 use parking_lot::Mutex;
 use serde_json::{json, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 use txstat_netsim::http::HttpRequest;
 
@@ -26,107 +25,87 @@ pub type Fetched<B> = (B, Vec<u8>, u64);
 
 /// The reverse-order range driver, shared by the materializing crawlers
 /// below and `txstat_reports::generate_with_crawl`: descend from `high` to
-/// `low` inclusive with `concurrency` workers, one `fetch(index)` per
-/// block, account it, then hand it to `emit(index, block)` on the same
+/// `low` inclusive with `concurrency` scoped workers, one `fetch(index)`
+/// per block, account it, then hand it to `emit(index, block)` on the same
 /// worker before it takes its next index. The first `fetch` or `emit`
-/// error stops the hand-out of indices; every worker is joined (and with
-/// it every clone of `fetch` and `emit` dropped) before that error is
-/// returned, so no crawl keeps running behind an `Err`. Returns the
-/// merged accounting.
-pub async fn crawl_range<B, Err, F, Fut, E, EFut>(
+/// error stops the hand-out of indices; every worker is joined before that
+/// error is returned, so no crawl keeps running behind an `Err`. A worker
+/// that panics is joined too, and reported as a [`CrawlError::Protocol`].
+/// Returns the merged accounting.
+pub fn crawl_range<B, Err: From<CrawlError> + Send>(
     high: u64,
     low: u64,
     concurrency: usize,
-    fetch: F,
-    emit: E,
-) -> Result<CrawlStats, Err>
-where
-    B: Send + 'static,
-    Err: From<CrawlError> + Send + 'static,
-    F: Fn(u64) -> Fut + Send + Sync + Clone + 'static,
-    Fut: std::future::Future<Output = Result<Fetched<B>, CrawlError>> + Send,
-    E: Fn(u64, B) -> EFut + Send + Sync + Clone + 'static,
-    EFut: std::future::Future<Output = Result<(), Err>> + Send,
-{
+    fetch: impl Fn(u64) -> Result<Fetched<B>, CrawlError> + Sync,
+    emit: impl Fn(u64, B) -> Result<(), Err> + Sync,
+) -> Result<CrawlStats, Err> {
     let started = Instant::now();
-    let counter = Arc::new(AtomicI64::new(high as i64));
-    let stats = Arc::new(Mutex::new(CrawlStats::default()));
-    let failure: Arc<Mutex<Option<Err>>> = Arc::new(Mutex::new(None));
-    let mut workers = Vec::new();
-    for _ in 0..concurrency.max(1) {
-        let counter = counter.clone();
-        let stats = stats.clone();
-        let failure = failure.clone();
-        let fetch = fetch.clone();
-        let emit = emit.clone();
-        workers.push(tokio::spawn(async move {
-            loop {
-                let n = counter.fetch_sub(1, Ordering::SeqCst);
-                if n < low as i64 {
-                    return;
-                }
-                let n = n as u64;
-                let step = async {
-                    let (block, payload, txs) = fetch(n).await?;
-                    {
-                        let mut s = stats.lock();
-                        s.record_payload(n, &payload);
-                        s.blocks += 1;
-                        s.transactions += txs;
-                    }
-                    emit(n, block).await
-                };
-                if let Err(e) = step.await {
-                    // Hand out no further index: every other worker finishes
-                    // the block it holds and exits.
-                    counter.store(low as i64 - 1, Ordering::SeqCst);
-                    failure.lock().get_or_insert(e);
-                    return;
-                }
-            }
-        }));
-    }
-    drop((fetch, emit));
-    let mut panicked = None;
-    for w in workers {
-        if let Err(e) = w.await {
-            panicked.get_or_insert(e);
+    let next = AtomicI64::new(high as i64);
+    let stats = Mutex::new(CrawlStats::default());
+    let failure: Mutex<Option<Err>> = Mutex::new(None);
+    let worker = || loop {
+        let n = next.fetch_sub(1, Ordering::SeqCst);
+        if n < low as i64 {
+            return;
         }
-    }
-    if let Some(e) = failure.lock().take() {
+        let n = n as u64;
+        let step = || {
+            let (block, payload, txs) = fetch(n)?;
+            {
+                let mut s = stats.lock();
+                s.record_payload(n, &payload);
+                s.blocks += 1;
+                s.transactions += txs;
+            }
+            emit(n, block)
+        };
+        if let Err(e) = step() {
+            // Hand out no further index: every other worker finishes the
+            // block it holds and exits.
+            next.store(low as i64 - 1, Ordering::SeqCst);
+            failure.lock().get_or_insert(e);
+            return;
+        }
+    };
+    let panicked = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..concurrency.max(1)).map(|_| s.spawn(worker)).collect();
+        let mut panicked = None;
+        for w in workers {
+            if let Err(panic) = w.join() {
+                panicked.get_or_insert(panic);
+            }
+        }
+        panicked
+    });
+    if let Some(e) = failure.into_inner() {
         return Err(e);
     }
-    if let Some(e) = panicked {
-        return Err(CrawlError::Protocol(format!("worker panicked: {e}")).into());
+    if let Some(panic) = panicked {
+        let message = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("panic");
+        return Err(CrawlError::Protocol(format!("worker panicked: {message}")).into());
     }
-    let mut stats = stats.lock().clone();
+    let mut stats = stats.into_inner();
     stats.elapsed = started.elapsed();
     Ok(stats)
 }
 
 /// Materializing crawl: collect what [`crawl_range`] emits, ascending.
-async fn collect_range<B, F, Fut>(
+fn collect_range<B: Send>(
     high: u64,
     low: u64,
     concurrency: usize,
-    fetch: F,
-) -> Result<Crawl<B>, CrawlError>
-where
-    B: Send + 'static,
-    F: Fn(u64) -> Fut + Send + Sync + Clone + 'static,
-    Fut: std::future::Future<Output = Result<Fetched<B>, CrawlError>> + Send,
-{
-    let out: Arc<Mutex<Vec<(u64, B)>>> = Arc::new(Mutex::new(Vec::new()));
-    let collected = out.clone();
-    let stats = crawl_range(high, low, concurrency, fetch, move |n, block| {
-        let collected = collected.clone();
-        async move {
-            collected.lock().push((n, block));
-            Ok::<(), CrawlError>(())
-        }
-    })
-    .await?;
-    let mut blocks = std::mem::take(&mut *out.lock());
+    fetch: impl Fn(u64) -> Result<Fetched<B>, CrawlError> + Sync,
+) -> Result<Crawl<B>, CrawlError> {
+    let out = Mutex::new(Vec::new());
+    let stats = crawl_range(high, low, concurrency, fetch, |n, block| {
+        out.lock().push((n, block));
+        Ok::<(), CrawlError>(())
+    })?;
+    let mut blocks = out.into_inner();
     blocks.sort_by_key(|(n, _)| *n);
     Ok(Crawl { blocks: blocks.into_iter().map(|(_, b)| b).collect(), stats })
 }
@@ -134,9 +113,9 @@ where
 // ---- EOS ---------------------------------------------------------------------
 
 /// Head block number via `get_info`.
-pub async fn eos_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<u64, CrawlError> {
+pub fn eos_head(pool: &RotatingPool, cfg: &ClientConfig) -> Result<u64, CrawlError> {
     let req = HttpRequest::post("/v1/chain/get_info", b"{}".to_vec());
-    let (resp, _) = http_with_retries(pool, cfg, &req).await?;
+    let (resp, _) = http_with_retries(pool, cfg, &req)?;
     let v: Value =
         serde_json::from_slice(&resp.body).map_err(|e| CrawlError::Protocol(e.to_string()))?;
     v.get("head_block_num")
@@ -147,14 +126,14 @@ pub async fn eos_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<u6
 /// Fetch and decode one EOS block, returning it with its wire payload and
 /// transaction count. Shared by `crawl_eos` and the folding crawl —
 /// Figure 2's byte accounting depends on both using the identical wire path.
-pub async fn fetch_eos_block(
-    pool: &Arc<RotatingPool>,
+pub fn fetch_eos_block(
+    pool: &RotatingPool,
     cfg: &ClientConfig,
     n: u64,
 ) -> Result<Fetched<txstat_eos::Block>, CrawlError> {
     let body = serde_json::to_vec(&json!({ "block_num_or_id": n })).expect("serializable");
     let req = HttpRequest::post("/v1/chain/get_block", body);
-    let (resp, _) = http_with_retries(pool, cfg, &req).await?;
+    let (resp, _) = http_with_retries(pool, cfg, &req)?;
     let wire: txstat_eos::rpc_model::BlockJson = serde_json::from_slice(&resp.body)
         .map_err(|e| CrawlError::Protocol(e.to_string()))?;
     let block = txstat_eos::rpc_model::block_from_json(&wire)
@@ -164,27 +143,22 @@ pub async fn fetch_eos_block(
 }
 
 /// Crawl EOS blocks `[low, high]` in reverse order.
-pub async fn crawl_eos(
-    pool: Arc<RotatingPool>,
-    cfg: ClientConfig,
+pub fn crawl_eos(
+    pool: &RotatingPool,
+    cfg: &ClientConfig,
     low: u64,
     high: u64,
     concurrency: usize,
 ) -> Result<Crawl<txstat_eos::Block>, CrawlError> {
-    collect_range(high, low, concurrency, move |n| {
-        let pool = pool.clone();
-        let cfg = cfg.clone();
-        async move { fetch_eos_block(&pool, &cfg, n).await }
-    })
-    .await
+    collect_range(high, low, concurrency, |n| fetch_eos_block(pool, cfg, n))
 }
 
 // ---- Tezos -------------------------------------------------------------------
 
 /// Head level via `/chains/main/blocks/head`.
-pub async fn tezos_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<u64, CrawlError> {
+pub fn tezos_head(pool: &RotatingPool, cfg: &ClientConfig) -> Result<u64, CrawlError> {
     let req = HttpRequest::get("/chains/main/blocks/head");
-    let (resp, _) = http_with_retries(pool, cfg, &req).await?;
+    let (resp, _) = http_with_retries(pool, cfg, &req)?;
     let v: Value =
         serde_json::from_slice(&resp.body).map_err(|e| CrawlError::Protocol(e.to_string()))?;
     v.pointer("/header/level")
@@ -194,13 +168,13 @@ pub async fn tezos_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<
 
 /// Fetch and decode one Tezos block, returning it with its wire payload
 /// and operation count (shared by `crawl_tezos` and the folding crawl).
-pub async fn fetch_tezos_block(
-    pool: &Arc<RotatingPool>,
+pub fn fetch_tezos_block(
+    pool: &RotatingPool,
     cfg: &ClientConfig,
     n: u64,
 ) -> Result<Fetched<txstat_tezos::TezosBlock>, CrawlError> {
     let req = HttpRequest::get(&format!("/chains/main/blocks/{n}"));
-    let (resp, _) = http_with_retries(pool, cfg, &req).await?;
+    let (resp, _) = http_with_retries(pool, cfg, &req)?;
     let wire: txstat_tezos::rpc_model::BlockJson = serde_json::from_slice(&resp.body)
         .map_err(|e| CrawlError::Protocol(e.to_string()))?;
     let block = txstat_tezos::rpc_model::block_from_json(&wire)
@@ -211,27 +185,22 @@ pub async fn fetch_tezos_block(
 
 /// Crawl Tezos blocks `[low, high]` in reverse order.
 #[cfg(test)]
-pub(crate) async fn crawl_tezos(
-    pool: Arc<RotatingPool>,
-    cfg: ClientConfig,
+pub(crate) fn crawl_tezos(
+    pool: &RotatingPool,
+    cfg: &ClientConfig,
     low: u64,
     high: u64,
     concurrency: usize,
 ) -> Result<Crawl<txstat_tezos::TezosBlock>, CrawlError> {
-    collect_range(high, low, concurrency, move |n| {
-        let pool = pool.clone();
-        let cfg = cfg.clone();
-        async move { fetch_tezos_block(&pool, &cfg, n).await }
-    })
-    .await
+    collect_range(high, low, concurrency, |n| fetch_tezos_block(pool, cfg, n))
 }
 
 // ---- XRP ---------------------------------------------------------------------
 
 /// Head ledger index via `server_info`.
-pub async fn xrp_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<u64, CrawlError> {
+pub fn xrp_head(pool: &RotatingPool, cfg: &ClientConfig) -> Result<u64, CrawlError> {
     let (v, _) =
-        ndjson_with_retries(pool, cfg, &json!({"id": 0, "command": "server_info"})).await?;
+        ndjson_with_retries(pool, cfg, &json!({"id": 0, "command": "server_info"}))?;
     v.pointer("/result/info/validated_ledger/seq")
         .and_then(Value::as_u64)
         .ok_or_else(|| CrawlError::Protocol("missing validated_ledger.seq".into()))
@@ -239,8 +208,8 @@ pub async fn xrp_head(pool: &Arc<RotatingPool>, cfg: &ClientConfig) -> Result<u6
 
 /// Fetch and decode one XRP ledger, returning it with its wire frame and
 /// transaction count (shared by `crawl_xrp` and the folding crawl).
-pub async fn fetch_xrp_ledger(
-    pool: &Arc<RotatingPool>,
+pub fn fetch_xrp_ledger(
+    pool: &RotatingPool,
     cfg: &ClientConfig,
     n: u64,
 ) -> Result<Fetched<txstat_xrp::LedgerBlock>, CrawlError> {
@@ -248,7 +217,7 @@ pub async fn fetch_xrp_ledger(
         "id": n, "command": "ledger", "ledger_index": n,
         "transactions": true, "expand": true,
     });
-    let (v, size) = ndjson_with_retries(pool, cfg, &req).await?;
+    let (v, size) = ndjson_with_retries(pool, cfg, &req)?;
     let result = v
         .get("result")
         .ok_or_else(|| CrawlError::Protocol("missing result".into()))?;
@@ -263,19 +232,14 @@ pub async fn fetch_xrp_ledger(
 
 /// Crawl XRP ledgers `[low, high]` in reverse order.
 #[cfg(test)]
-pub(crate) async fn crawl_xrp(
-    pool: Arc<RotatingPool>,
-    cfg: ClientConfig,
+pub(crate) fn crawl_xrp(
+    pool: &RotatingPool,
+    cfg: &ClientConfig,
     low: u64,
     high: u64,
     concurrency: usize,
 ) -> Result<Crawl<txstat_xrp::LedgerBlock>, CrawlError> {
-    collect_range(high, low, concurrency, move |n| {
-        let pool = pool.clone();
-        let cfg = cfg.clone();
-        async move { fetch_xrp_ledger(&pool, &cfg, n).await }
-    })
-    .await
+    collect_range(high, low, concurrency, |n| fetch_xrp_ledger(pool, cfg, n))
 }
 
 /// Account metadata from the XRP-Scan-equivalent command: username and
@@ -288,15 +252,15 @@ pub struct AccountMeta {
 }
 
 /// Fetch metadata for a set of accounts.
-pub async fn fetch_account_meta(
-    pool: &Arc<RotatingPool>,
+pub fn fetch_account_meta(
+    pool: &RotatingPool,
     cfg: &ClientConfig,
     accounts: &[txstat_xrp::AccountId],
 ) -> Result<Vec<AccountMeta>, CrawlError> {
     let mut out = Vec::with_capacity(accounts.len());
     for (i, a) in accounts.iter().enumerate() {
         let req = json!({"id": i, "command": "account_info", "account": a.to_string()});
-        match ndjson_with_retries(pool, cfg, &req).await {
+        match ndjson_with_retries(pool, cfg, &req) {
             Ok((v, _)) => {
                 let username = v
                     .pointer("/result/username")
@@ -320,8 +284,8 @@ pub async fn fetch_account_meta(
 
 /// Fetch the individual exchange events of one issued currency (the
 /// Data-API `exchanges` equivalent; Figure 11b's source).
-pub async fn fetch_exchanges(
-    pool: &Arc<RotatingPool>,
+pub fn fetch_exchanges(
+    pool: &RotatingPool,
     cfg: &ClientConfig,
     currency: &str,
     issuer: txstat_xrp::AccountId,
@@ -330,7 +294,7 @@ pub async fn fetch_exchanges(
         "id": 0, "command": "exchanges",
         "currency": currency, "issuer": issuer.to_string(),
     });
-    let (v, _) = ndjson_with_retries(pool, cfg, &req).await?;
+    let (v, _) = ndjson_with_retries(pool, cfg, &req)?;
     let events = v
         .pointer("/result/exchanges")
         .and_then(Value::as_array)
@@ -364,8 +328,8 @@ pub async fn fetch_exchanges(
 }
 
 /// Fetch a 30-day exchange rate from the Data-API-equivalent command.
-pub async fn fetch_exchange_rate(
-    pool: &Arc<RotatingPool>,
+pub fn fetch_exchange_rate(
+    pool: &RotatingPool,
     cfg: &ClientConfig,
     currency: &str,
     issuer: txstat_xrp::AccountId,
@@ -376,7 +340,7 @@ pub async fn fetch_exchange_rate(
         "currency": currency, "issuer": issuer.to_string(),
         "date": date.iso_string(),
     });
-    let (v, _) = ndjson_with_retries(pool, cfg, &req).await?;
+    let (v, _) = ndjson_with_retries(pool, cfg, &req)?;
     let traded = v.pointer("/result/traded").and_then(Value::as_bool).unwrap_or(false);
     if !traded {
         return Ok(None);

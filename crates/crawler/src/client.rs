@@ -6,11 +6,9 @@
 
 use crate::pool::RotatingPool;
 use serde_json::Value;
-use std::net::SocketAddr;
-use std::sync::Arc;
-use std::time::Duration;
-use tokio::io::BufStream;
-use tokio::net::TcpStream;
+use std::io::BufReader;
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 use txstat_netsim::framing::{Framing, Http, Ndjson};
 use txstat_netsim::http::{HttpRequest, HttpResponse};
 
@@ -68,18 +66,27 @@ impl Default for ClientConfig {
 
 /// One request/reply on a fresh connection to `addr`; the reply comes with
 /// its wire size. Every caller makes one call per connection, so there is
-/// no connection to keep.
-pub async fn exchange<F: Framing>(
+/// no connection to keep. The connect and every read and write wait at most
+/// `timeout`, and an exchange that took longer than `timeout` in all is a
+/// [`CrawlError::Timeout`] whatever it returned.
+pub fn exchange<F: Framing>(
     addr: SocketAddr,
     request: &F::Request,
     timeout: Duration,
 ) -> Result<(F::Reply, usize), CrawlError> {
-    tokio::time::timeout(timeout, async {
-        let mut conn = BufStream::new(TcpStream::connect(addr).await?);
-        F::call(&mut conn, request).await.map_err(|e| CrawlError::Protocol(e.to_string()))
-    })
-    .await
-    .unwrap_or(Err(CrawlError::Timeout))
+    let started = Instant::now();
+    let result = (|| {
+        let sock = TcpStream::connect_timeout(&addr, timeout)?;
+        sock.set_nodelay(true)?;
+        sock.set_read_timeout(Some(timeout))?;
+        sock.set_write_timeout(Some(timeout))?;
+        F::call(&mut BufReader::new(sock), request)
+            .map_err(|e| CrawlError::Protocol(e.to_string()))
+    })();
+    if started.elapsed() > timeout {
+        return Err(CrawlError::Timeout);
+    }
+    result
 }
 
 /// What a reply that did arrive means to the retry loop.
@@ -93,7 +100,7 @@ enum Verdict {
 /// [`exchange`] with retries, rotating endpoints from the pool: transport
 /// errors and replies `classify` calls throttled back off (linearly with
 /// the attempt number, between attempts only) and rotate.
-async fn with_retries<F: Framing>(
+fn with_retries<F: Framing>(
     pool: &RotatingPool,
     cfg: &ClientConfig,
     request: &F::Request,
@@ -102,9 +109,9 @@ async fn with_retries<F: Framing>(
     let mut last = String::new();
     for attempt in 0..cfg.max_retries {
         if attempt > 0 {
-            tokio::time::sleep(cfg.backoff * attempt).await;
+            std::thread::sleep(cfg.backoff * attempt);
         }
-        match exchange::<F>(pool.pick().addr, request, cfg.request_timeout).await {
+        match exchange::<F>(pool.pick().addr, request, cfg.request_timeout) {
             Ok((reply, size)) => match classify(&reply) {
                 Verdict::Accept => return Ok((reply, size)),
                 Verdict::Retry(why) => last = why.into(),
@@ -118,8 +125,8 @@ async fn with_retries<F: Framing>(
 
 /// Issue an HTTP request with retries: `429` is throttling, any other
 /// non-2xx status is fatal.
-pub(crate) async fn http_with_retries(
-    pool: &Arc<RotatingPool>,
+pub(crate) fn http_with_retries(
+    pool: &RotatingPool,
     cfg: &ClientConfig,
     req: &HttpRequest,
 ) -> Result<(HttpResponse, usize), CrawlError> {
@@ -128,13 +135,12 @@ pub(crate) async fn http_with_retries(
         _ if resp.is_ok() => Verdict::Accept,
         status => Verdict::Fail(CrawlError::HttpStatus(status)),
     })
-    .await
 }
 
 /// Issue an NDJSON command with retries: `"slowDown"` is throttling, any
 /// other `error` is fatal.
-pub(crate) async fn ndjson_with_retries(
-    pool: &Arc<RotatingPool>,
+pub(crate) fn ndjson_with_retries(
+    pool: &RotatingPool,
     cfg: &ClientConfig,
     request: &Value,
 ) -> Result<(Value, usize), CrawlError> {
@@ -145,5 +151,4 @@ pub(crate) async fn ndjson_with_retries(
             None => Verdict::Accept,
         }
     })
-    .await
 }

@@ -52,8 +52,8 @@ mod tests {
         sc
     }
 
-    #[tokio::test]
-    async fn eos_crawl_roundtrips_every_block() {
+    #[test]
+    fn eos_crawl_roundtrips_every_block() {
         let sc = tiny_scenario();
         let chain = Arc::new(txstat_workload::eos::build_eos(&sc));
         let handler = Arc::new(EosRpcHandler::new(chain.clone()));
@@ -65,7 +65,7 @@ mod tests {
             EndpointProfile::stingy("bp-lame", 2),
             EndpointProfile::generous("bp-two", 3),
         ] {
-            handles.push(spawn_http(handler.clone(), profile).await.unwrap());
+            handles.push(spawn_http(handler.clone(), profile).unwrap());
         }
         let advertised: Vec<Advertised> = handles
             .iter()
@@ -74,15 +74,14 @@ mod tests {
 
         // Benchmark with a cheap get_info probe.
         let cfg = ClientConfig { request_timeout: Duration::from_secs(2), ..Default::default() };
-        let reports = benchmark_endpoints(&advertised, 3, |addr| async move {
+        let reports = benchmark_endpoints(&advertised, 3, |addr| {
             let started = std::time::Instant::now();
             let probe = HttpRequest::post("/v1/chain/get_info", b"{}".to_vec());
-            match exchange::<Http>(addr, &probe, Duration::from_millis(500)).await {
+            match exchange::<Http>(addr, &probe, Duration::from_millis(500)) {
                 Ok((r, _)) if r.is_ok() => Ok(started.elapsed()),
                 _ => Err(()),
             }
-        })
-        .await;
+        });
         let keep = shortlist(&reports, 2);
         assert_eq!(keep.len(), 2);
         assert!(
@@ -91,11 +90,11 @@ mod tests {
             keep.iter().map(|e| &e.name).collect::<Vec<_>>()
         );
 
-        let pool = Arc::new(RotatingPool::new(keep));
-        let head = eos_head(&pool, &cfg).await.unwrap();
+        let pool = RotatingPool::new(keep);
+        let head = eos_head(&pool, &cfg).unwrap();
         assert_eq!(head, chain.head_block_num());
         let low = chain.config.start_block_num;
-        let crawl = crawl_eos(pool, cfg, low, head, 4).await.unwrap();
+        let crawl = crawl_eos(&pool, &cfg, low, head, 4).unwrap();
         assert_eq!(crawl.blocks.len(), chain.blocks().len());
         assert_eq!(crawl.stats.blocks, chain.blocks().len() as u64);
         // Every block decodes identically to the source chain.
@@ -111,23 +110,23 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn tezos_crawl_roundtrips() {
+    #[test]
+    fn tezos_crawl_roundtrips() {
         let mut sc = tiny_scenario();
         sc.tezos_genesis = ChainTime::from_ymd(2019, 10, 29);
         sc.governance_replay = false;
         let chain = Arc::new(txstat_workload::tezos::build_tezos(&sc));
         let handler = Arc::new(TezosRpcHandler::new(chain.clone()));
-        let h = spawn_http(handler, EndpointProfile::generous("self-node", 1)).await.unwrap();
-        let pool = Arc::new(RotatingPool::new(vec![Advertised {
+        let h = spawn_http(handler, EndpointProfile::generous("self-node", 1)).unwrap();
+        let pool = RotatingPool::new(vec![Advertised {
             name: h.name.clone(),
             addr: h.addr,
-        }]));
+        }]);
         let cfg = ClientConfig::default();
-        let head = tezos_head(&pool, &cfg).await.unwrap();
+        let head = tezos_head(&pool, &cfg).unwrap();
         assert_eq!(head, chain.head_level());
         let low = chain.config.start_level;
-        let crawl = crawl_tezos(pool, cfg, low, head, 3).await.unwrap();
+        let crawl = crawl_tezos(&pool, &cfg, low, head, 3).unwrap();
         assert_eq!(crawl.blocks.len(), chain.blocks().len());
         // Operation multisets survive the wire (pass grouping may reorder).
         for (got, want) in crawl.blocks.iter().zip(chain.blocks()) {
@@ -137,8 +136,8 @@ mod tests {
         assert_eq!(crawl.stats.transactions, chain.op_count());
     }
 
-    #[tokio::test]
-    async fn xrp_crawl_roundtrips_with_metadata() {
+    #[test]
+    fn xrp_crawl_roundtrips_with_metadata() {
         let sc = tiny_scenario();
         let ledger = Arc::new(txstat_workload::xrp::build_xrp(&sc));
         let names: HashMap<_, _> = txstat_workload::xrp::known_usernames()
@@ -146,16 +145,16 @@ mod tests {
             .map(|(a, n)| (a, n.to_owned()))
             .collect();
         let handler = Arc::new(XrpRpcHandler::new(ledger.clone(), names));
-        let h = spawn_ndjson(handler, EndpointProfile::generous("xrp-cluster", 1)).await.unwrap();
-        let pool = Arc::new(RotatingPool::new(vec![Advertised {
+        let h = spawn_ndjson(handler, EndpointProfile::generous("xrp-cluster", 1)).unwrap();
+        let pool = RotatingPool::new(vec![Advertised {
             name: h.name.clone(),
             addr: h.addr,
-        }]));
+        }]);
         let cfg = ClientConfig::default();
-        let head = xrp_head(&pool, &cfg).await.unwrap();
+        let head = xrp_head(&pool, &cfg).unwrap();
         assert_eq!(head, ledger.head_index());
         let low = ledger.config.start_index;
-        let crawl = crawl_xrp(pool.clone(), cfg.clone(), low, head, 4).await.unwrap();
+        let crawl = crawl_xrp(&pool, &cfg, low, head, 4).unwrap();
         assert_eq!(crawl.blocks.len(), ledger.closed_ledgers().len());
         for (got, want) in crawl.blocks.iter().zip(ledger.closed_ledgers()) {
             assert_eq!(got.index, want.index);
@@ -167,7 +166,7 @@ mod tests {
             txstat_workload::xrp::BINANCE,
             txstat_xrp::AccountId(txstat_workload::xrp::BOT_BASE),
         ];
-        let meta = fetch_account_meta(&pool, &cfg, &accounts).await.unwrap();
+        let meta = fetch_account_meta(&pool, &cfg, &accounts).unwrap();
         assert_eq!(meta[0].username.as_deref(), Some("Binance"));
         assert_eq!(meta[1].username, None);
         assert_eq!(meta[1].parent, Some(txstat_workload::xrp::HUOBI));
@@ -180,7 +179,6 @@ mod tests {
             txstat_workload::xrp::BITSTAMP,
             ChainTime::from_ymd(2019, 11, 2),
         )
-        .await
         .unwrap();
         assert!(rate.is_some(), "USD@Bitstamp has traded");
         let none = fetch_exchange_rate(
@@ -190,13 +188,12 @@ mod tests {
             txstat_workload::xrp::SHADOW_USD,
             ChainTime::from_ymd(2019, 11, 2),
         )
-        .await
         .unwrap();
         assert!(none.is_none(), "shadow issuer never trades");
     }
 
-    #[tokio::test]
-    async fn crawl_survives_flaky_endpoints() {
+    #[test]
+    fn crawl_survives_flaky_endpoints() {
         let sc = tiny_scenario();
         let chain = Arc::new(txstat_workload::eos::build_eos(&sc));
         let handler = Arc::new(EosRpcHandler::new(chain.clone()));
@@ -204,23 +201,21 @@ mod tests {
         // the crawl.
         let mut p = EndpointProfile::generous("flaky", 9);
         p.fault_rate = 0.2;
-        let flaky = spawn_http(handler.clone(), p).await.unwrap();
-        let good = spawn_http(handler.clone(), EndpointProfile::generous("good", 10))
-            .await
-            .unwrap();
-        let pool = Arc::new(RotatingPool::new(vec![
+        let flaky = spawn_http(handler.clone(), p).unwrap();
+        let good = spawn_http(handler.clone(), EndpointProfile::generous("good", 10)).unwrap();
+        let pool = RotatingPool::new(vec![
             Advertised { name: flaky.name.clone(), addr: flaky.addr },
             Advertised { name: good.name.clone(), addr: good.addr },
-        ]));
+        ]);
         let cfg = ClientConfig::default();
-        let head = eos_head(&pool, &cfg).await.unwrap();
+        let head = eos_head(&pool, &cfg).unwrap();
         let low = head.saturating_sub(30);
-        let crawl = crawl_eos(pool, cfg, low, head, 3).await.unwrap();
+        let crawl = crawl_eos(&pool, &cfg, low, head, 3).unwrap();
         assert_eq!(crawl.blocks.len(), 31);
     }
 
-    #[tokio::test]
-    async fn ndjson_retry_on_slowdown() {
+    #[test]
+    fn ndjson_retry_on_slowdown() {
         // A very tight NDJSON endpoint: bursts pass, then slowDown; the
         // retry loop must still finish a short crawl.
         let sc = tiny_scenario();
@@ -229,18 +224,18 @@ mod tests {
         let mut p = EndpointProfile::generous("tight", 11);
         p.rate_limit_per_sec = 50.0;
         p.burst = 5.0;
-        let h = spawn_ndjson(handler, p).await.unwrap();
-        let pool = Arc::new(RotatingPool::new(vec![Advertised {
+        let h = spawn_ndjson(handler, p).unwrap();
+        let pool = RotatingPool::new(vec![Advertised {
             name: h.name.clone(),
             addr: h.addr,
-        }]));
+        }]);
         let cfg = ClientConfig {
             max_retries: 20,
             backoff: Duration::from_millis(25),
             ..Default::default()
         };
-        let head = xrp_head(&pool, &cfg).await.unwrap();
-        let crawl = crawl_xrp(pool, cfg, head.saturating_sub(9), head, 2).await.unwrap();
+        let head = xrp_head(&pool, &cfg).unwrap();
+        let crawl = crawl_xrp(&pool, &cfg, head.saturating_sub(9), head, 2).unwrap();
         assert_eq!(crawl.blocks.len(), 10);
     }
 }

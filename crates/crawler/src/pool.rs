@@ -5,7 +5,6 @@
 //! throughput."* This module reproduces that selection: probe every
 //! advertised endpoint, score by success rate then latency, keep the best.
 
-use std::future::Future;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -47,21 +46,17 @@ impl ProbeReport {
 
 /// Probe all endpoints with `probe` (a cheap request like `get_info`) and
 /// return reports in score order (best first).
-pub async fn benchmark_endpoints<F, Fut>(
+pub fn benchmark_endpoints(
     endpoints: &[Advertised],
     attempts: u32,
-    probe: F,
-) -> Vec<ProbeReport>
-where
-    F: Fn(SocketAddr) -> Fut,
-    Fut: Future<Output = Result<Duration, ()>>,
-{
+    probe: impl Fn(SocketAddr) -> Result<Duration, ()>,
+) -> Vec<ProbeReport> {
     let mut reports = Vec::with_capacity(endpoints.len());
     for ep in endpoints {
         let mut successes = 0u32;
         let mut total = Duration::ZERO;
         for _ in 0..attempts {
-            if let Ok(lat) = probe(ep.addr).await {
+            if let Ok(lat) = probe(ep.addr) {
                 successes += 1;
                 total += lat;
             }
@@ -128,21 +123,18 @@ mod tests {
         format!("127.0.0.1:{port}").parse().unwrap()
     }
 
-    #[tokio::test]
-    async fn benchmark_ranks_by_success_then_latency() {
+    #[test]
+    fn benchmark_ranks_by_success_then_latency() {
         let eps = vec![
             Advertised { name: "flaky".into(), addr: addr(1) },
             Advertised { name: "fast".into(), addr: addr(2) },
             Advertised { name: "slow".into(), addr: addr(3) },
         ];
-        let reports = benchmark_endpoints(&eps, 4, |a| async move {
-            match a.port() {
-                1 => Err(()),                                   // always fails
-                2 => Ok(Duration::from_millis(2)),              // fast
-                _ => Ok(Duration::from_millis(50)),             // slow
-            }
-        })
-        .await;
+        let reports = benchmark_endpoints(&eps, 4, |a| match a.port() {
+            1 => Err(()),                                   // always fails
+            2 => Ok(Duration::from_millis(2)),              // fast
+            _ => Ok(Duration::from_millis(50)),             // slow
+        });
         assert_eq!(reports[0].name, "fast");
         assert_eq!(reports[1].name, "slow");
         assert_eq!(reports[2].name, "flaky");

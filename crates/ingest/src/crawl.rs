@@ -7,7 +7,7 @@
 //! therefore value payments at observe time, and the final oracle
 //! ([`RateCache::oracle`]) holds every rated token the crawl saw.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use txstat_crawler::{fetch_exchange_rate, ClientConfig, CrawlError, RotatingPool};
 use txstat_types::time::ChainTime;
 use txstat_xrp::amount::{Asset, IssuedCurrency};
@@ -38,16 +38,16 @@ impl RateCache {
     }
 
     /// Fetch-and-insert the rate for `ic` if unseen.
-    pub(crate) async fn ensure(
+    pub(crate) fn ensure(
         &self,
-        pool: &Arc<RotatingPool>,
+        pool: &RotatingPool,
         cfg: &ClientConfig,
         ic: IssuedCurrency,
     ) -> Result<(), CrawlError> {
         if self.lock().contains_key(&ic) {
             return Ok(());
         }
-        let rate = fetch_exchange_rate(pool, cfg, ic.currency.as_str(), ic.issuer, self.date).await?;
+        let rate = fetch_exchange_rate(pool, cfg, ic.currency.as_str(), ic.issuer, self.date)?;
         self.lock().insert(ic, rate);
         Ok(())
     }
@@ -55,14 +55,14 @@ impl RateCache {
     /// `Self::ensure` every token `ledger` references — what the XRP
     /// fetch does before the ledger reaches a consumer, so observe-time
     /// valuation never misses.
-    pub async fn resolve(
+    pub fn resolve(
         &self,
-        pool: &Arc<RotatingPool>,
+        pool: &RotatingPool,
         cfg: &ClientConfig,
         ledger: &txstat_xrp::LedgerBlock,
     ) -> Result<(), CrawlError> {
         for ic in ledger_ious(ledger).collect::<std::collections::HashSet<_>>() {
-            self.ensure(pool, cfg, ic).await?;
+            self.ensure(pool, cfg, ic)?;
         }
         Ok(())
     }

@@ -6,37 +6,44 @@
 use crate::http::{self, HttpError, HttpRequest, HttpResponse};
 use crate::ndjson::{self, NdjsonError};
 use serde_json::{json, Value};
-use std::future::Future;
-use tokio::io::BufStream;
-use tokio::net::TcpStream;
+use std::io::BufReader;
+use std::net::TcpStream;
+use std::time::Duration;
 
-/// One connection, buffered both ways.
-pub type Conn = BufStream<TcpStream>;
+/// One connection: reads go through the buffer, and every message is
+/// written whole, with one `write_all` on the socket underneath
+/// (`get_mut`), so no message leaves in pieces.
+pub type Conn = BufReader<TcpStream>;
+
+/// How long a read on a server-side or load-generator connection waits
+/// for a silent peer before the connection fails.
+const SOCKET_READ_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Buffer `sock` as a [`Conn`]: Nagle off (each message is one write, so
+/// nothing waits to coalesce), and a read fails after
+/// [`SOCKET_READ_TIMEOUT`].
+pub(crate) fn conn(sock: TcpStream) -> std::io::Result<Conn> {
+    sock.set_nodelay(true)?;
+    sock.set_read_timeout(Some(SOCKET_READ_TIMEOUT))?;
+    Ok(BufReader::new(sock))
+}
 
 /// How requests and replies cross a [`Conn`]. The `usize` beside a message
 /// is its wire size, for byte accounting.
-pub trait Framing: Send + Sync + 'static {
-    type Request: Send + Sync + 'static;
-    type Reply: Send + 'static;
-    type Error: std::fmt::Display + Send;
+pub trait Framing: 'static {
+    type Request;
+    type Reply;
+    type Error: std::fmt::Display;
 
     /// Server side: the next request; `Ok(None)` when the peer closed
     /// between requests (keep-alive end).
-    fn read_request(
-        conn: &mut Conn,
-    ) -> impl Future<Output = Result<Option<(Self::Request, usize)>, Self::Error>> + Send;
+    fn read_request(conn: &mut Conn) -> Result<Option<(Self::Request, usize)>, Self::Error>;
 
     /// Server side: write one reply.
-    fn write_reply(
-        conn: &mut Conn,
-        reply: &Self::Reply,
-    ) -> impl Future<Output = Result<usize, Self::Error>> + Send;
+    fn write_reply(conn: &mut Conn, reply: &Self::Reply) -> Result<usize, Self::Error>;
 
     /// Client side: write one request and read its reply.
-    fn call(
-        conn: &mut Conn,
-        request: &Self::Request,
-    ) -> impl Future<Output = Result<(Self::Reply, usize), Self::Error>> + Send;
+    fn call(conn: &mut Conn, request: &Self::Request) -> Result<(Self::Reply, usize), Self::Error>;
 
     /// What a peer whose request could not be read is told before the
     /// hang-up, if anything.
@@ -55,25 +62,22 @@ impl Framing for Http {
     type Reply = HttpResponse;
     type Error = HttpError;
 
-    async fn read_request(conn: &mut Conn) -> Result<Option<(HttpRequest, usize)>, HttpError> {
-        let request = http::read_request(conn).await?;
+    fn read_request(conn: &mut Conn) -> Result<Option<(HttpRequest, usize)>, HttpError> {
+        let request = http::read_request(conn)?;
         Ok(request.map(|r| {
             let size = http::request_wire_size(&r);
             (r, size)
         }))
     }
 
-    async fn write_reply(conn: &mut Conn, reply: &HttpResponse) -> Result<usize, HttpError> {
-        http::write_response(conn, reply).await?;
+    fn write_reply(conn: &mut Conn, reply: &HttpResponse) -> Result<usize, HttpError> {
+        http::write_response(conn.get_mut(), reply)?;
         Ok(http::response_wire_size(reply))
     }
 
-    async fn call(
-        conn: &mut Conn,
-        request: &HttpRequest,
-    ) -> Result<(HttpResponse, usize), HttpError> {
-        http::write_request(conn, request).await?;
-        let reply = http::read_response(conn).await?;
+    fn call(conn: &mut Conn, request: &HttpRequest) -> Result<(HttpResponse, usize), HttpError> {
+        http::write_request(conn.get_mut(), request)?;
+        let reply = http::read_response(conn)?;
         let size = http::response_wire_size(&reply);
         Ok((reply, size))
     }
@@ -97,17 +101,17 @@ impl Framing for Ndjson {
     type Reply = Value;
     type Error = NdjsonError;
 
-    async fn read_request(conn: &mut Conn) -> Result<Option<(Value, usize)>, NdjsonError> {
-        ndjson::read_frame(conn).await
+    fn read_request(conn: &mut Conn) -> Result<Option<(Value, usize)>, NdjsonError> {
+        ndjson::read_frame(conn)
     }
 
-    async fn write_reply(conn: &mut Conn, reply: &Value) -> Result<usize, NdjsonError> {
-        ndjson::write_frame(conn, reply).await
+    fn write_reply(conn: &mut Conn, reply: &Value) -> Result<usize, NdjsonError> {
+        ndjson::write_frame(conn.get_mut(), reply)
     }
 
-    async fn call(conn: &mut Conn, request: &Value) -> Result<(Value, usize), NdjsonError> {
-        ndjson::write_frame(conn, request).await?;
-        ndjson::read_frame(conn).await?.ok_or(NdjsonError::Closed)
+    fn call(conn: &mut Conn, request: &Value) -> Result<(Value, usize), NdjsonError> {
+        ndjson::write_frame(conn.get_mut(), request)?;
+        ndjson::read_frame(conn)?.ok_or(NdjsonError::Closed)
     }
 
     fn refusal(_: &NdjsonError) -> Option<Value> {
@@ -118,4 +122,19 @@ impl Framing for Ndjson {
         json!({"id": request.get("id").cloned().unwrap_or(Value::Null),
                "status": "error", "error": "slowDown"})
     }
+}
+
+/// A client connection to `addr`.
+#[cfg(test)]
+pub(crate) fn connect(addr: std::net::SocketAddr) -> Conn {
+    conn(TcpStream::connect(addr).unwrap()).unwrap()
+}
+
+/// A connected loopback pair: (client side, server side).
+#[cfg(test)]
+pub(crate) fn loopback_pair() -> (Conn, Conn) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let client = connect(listener.local_addr().unwrap());
+    let (server, _) = listener.accept().unwrap();
+    (client, conn(server).unwrap())
 }

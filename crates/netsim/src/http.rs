@@ -1,12 +1,11 @@
-//! A minimal HTTP/1.1 implementation over tokio — request line, headers,
-//! `Content-Length` bodies, keep-alive.
+//! A minimal HTTP/1.1 implementation over blocking `std::io` — request
+//! line, headers, `Content-Length` bodies, keep-alive.
 //!
 //! EOS and Tezos node RPCs are plain HTTP+JSON (§3.1); this module gives
 //! the simulated endpoints and the crawler a real wire protocol over real
 //! loopback sockets without pulling a full HTTP stack into the workspace.
 
-use tokio::io::{AsyncBufReadExt, AsyncReadExt, AsyncWrite, AsyncWriteExt, BufStream};
-use tokio::net::TcpStream;
+use std::io::{BufRead, Read, Write};
 
 /// An HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,9 +119,9 @@ pub(crate) const MAX_LINE: usize = 8 * 1024;
 pub(crate) const MAX_HEADERS: usize = 100;
 
 /// One line of a head, line ending included; empty at EOF.
-async fn read_head_line(stream: &mut BufStream<TcpStream>) -> Result<String, HttpError> {
+fn read_head_line(stream: &mut impl BufRead) -> Result<String, HttpError> {
     let mut line = String::new();
-    let n = (&mut *stream).take(MAX_LINE as u64 + 1).read_line(&mut line).await?;
+    let n = Read::take(stream, MAX_LINE as u64 + 1).read_line(&mut line)?;
     if n > MAX_LINE {
         return Err(HttpError::HeadTooLarge);
     }
@@ -132,13 +131,11 @@ async fn read_head_line(stream: &mut BufStream<TcpStream>) -> Result<String, Htt
 /// The headers of a head and its body length. A second `content-length`, or
 /// one that is not all ASCII digits (`+5`), is a `BadHeader`: two framings of
 /// one message are a smuggling ambiguity (RFC 9112 §6.3).
-async fn read_headers(
-    stream: &mut BufStream<TcpStream>,
-) -> Result<(Vec<(String, String)>, usize), HttpError> {
+fn read_headers(stream: &mut impl BufRead) -> Result<(Vec<(String, String)>, usize), HttpError> {
     let mut headers = Vec::new();
     let mut content_length = None;
     loop {
-        let line = read_head_line(stream).await?;
+        let line = read_head_line(stream)?;
         if line.is_empty() {
             return Err(HttpError::Closed);
         }
@@ -173,22 +170,20 @@ async fn read_headers(
 /// A body of `len` announced bytes, read in steps of at most [`BODY_STEP`]
 /// so the buffer never runs ahead of what arrived. An empty body reads and
 /// allocates nothing; a peer that closes early is an `UnexpectedEof`.
-async fn read_body(stream: &mut BufStream<TcpStream>, len: usize) -> Result<Vec<u8>, HttpError> {
+fn read_body(stream: &mut impl BufRead, len: usize) -> Result<Vec<u8>, HttpError> {
     let mut body = Vec::new();
     while body.len() < len {
         let have = body.len();
         body.resize(have + BODY_STEP.min(len - have), 0);
-        stream.read_exact(&mut body[have..]).await?;
+        stream.read_exact(&mut body[have..])?;
     }
     Ok(body)
 }
 
 /// Read one request from a connection; `Ok(None)` on clean EOF between
 /// requests (keep-alive end).
-pub async fn read_request(
-    stream: &mut BufStream<TcpStream>,
-) -> Result<Option<HttpRequest>, HttpError> {
-    let line = read_head_line(stream).await?;
+pub fn read_request(stream: &mut impl BufRead) -> Result<Option<HttpRequest>, HttpError> {
+    let line = read_head_line(stream)?;
     if line.is_empty() {
         return Ok(None);
     }
@@ -203,32 +198,38 @@ pub async fn read_request(
     if !version.starts_with("HTTP/1.") || method.is_empty() {
         return Err(HttpError::BadRequestLine(line_t.to_owned()));
     }
-    let (headers, content_length) = read_headers(stream).await?;
-    let body = read_body(stream, content_length).await?;
+    let (headers, content_length) = read_headers(stream)?;
+    let body = read_body(stream, content_length)?;
     Ok(Some(HttpRequest { method, path, headers, body }))
 }
 
-/// Write a request.
-pub(crate) async fn write_request<W: AsyncWrite + Unpin>(
-    w: &mut W,
-    req: &HttpRequest,
+/// One message: `start` line, headers, `content-length`, body, written to
+/// `w` with one `write_all`.
+fn write_message(
+    w: &mut impl Write,
+    start: String,
+    headers: &[(String, String)],
+    body: &[u8],
 ) -> Result<(), HttpError> {
-    let mut head = format!("{} {} HTTP/1.1\r\n", req.method, req.path);
-    for (k, v) in &req.headers {
+    let mut head = start;
+    for (k, v) in headers {
         head.push_str(&format!("{k}: {v}\r\n"));
     }
-    head.push_str(&format!("content-length: {}\r\n\r\n", req.body.len()));
-    w.write_all(head.as_bytes()).await?;
-    w.write_all(&req.body).await?;
-    w.flush().await?;
+    head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    w.write_all(&message)?;
     Ok(())
 }
 
+/// Write a request.
+pub(crate) fn write_request(w: &mut impl Write, req: &HttpRequest) -> Result<(), HttpError> {
+    write_message(w, format!("{} {} HTTP/1.1\r\n", req.method, req.path), &req.headers, &req.body)
+}
+
 /// Read one response.
-pub async fn read_response(
-    stream: &mut BufStream<TcpStream>,
-) -> Result<HttpResponse, HttpError> {
-    let line = read_head_line(stream).await?;
+pub fn read_response(stream: &mut impl BufRead) -> Result<HttpResponse, HttpError> {
+    let line = read_head_line(stream)?;
     if line.is_empty() {
         return Err(HttpError::Closed);
     }
@@ -243,25 +244,15 @@ pub async fn read_response(
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| HttpError::BadStatusLine(line_t.to_owned()))?;
     let reason = parts.next().unwrap_or("").to_owned();
-    let (headers, content_length) = read_headers(stream).await?;
-    let body = read_body(stream, content_length).await?;
+    let (headers, content_length) = read_headers(stream)?;
+    let body = read_body(stream, content_length)?;
     Ok(HttpResponse { status, reason, headers, body })
 }
 
 /// Write a response.
-pub async fn write_response<W: AsyncWrite + Unpin>(
-    w: &mut W,
-    resp: &HttpResponse,
-) -> Result<(), HttpError> {
-    let mut head = format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason);
-    for (k, v) in &resp.headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str(&format!("content-length: {}\r\n\r\n", resp.body.len()));
-    w.write_all(head.as_bytes()).await?;
-    w.write_all(&resp.body).await?;
-    w.flush().await?;
-    Ok(())
+pub fn write_response(w: &mut impl Write, resp: &HttpResponse) -> Result<(), HttpError> {
+    let start = format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason);
+    write_message(w, start, &resp.headers, &resp.body)
 }
 
 /// Approximate wire size of a request (for byte accounting).
@@ -283,91 +274,68 @@ pub(crate) fn response_wire_size(resp: &HttpResponse) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tokio::net::TcpListener;
+    use crate::framing::loopback_pair;
 
-    #[tokio::test]
-    async fn roundtrip_request_response() {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = tokio::spawn(async move {
-            let (sock, _) = listener.accept().await.unwrap();
-            let mut stream = BufStream::new(sock);
-            let req = read_request(&mut stream).await.unwrap().unwrap();
+    #[test]
+    fn roundtrip_request_response() {
+        let (mut client, mut stream) = loopback_pair();
+        let server = std::thread::spawn(move || {
+            let req = read_request(&mut stream).unwrap().unwrap();
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/v1/chain/get_block");
             assert_eq!(req.body, br#"{"block_num_or_id":5}"#);
-            write_response(&mut stream, &HttpResponse::ok(b"{\"ok\":true}".to_vec()))
-                .await
+            write_response(stream.get_mut(), &HttpResponse::ok(b"{\"ok\":true}".to_vec()))
                 .unwrap();
             // Second request on the same connection (keep-alive).
-            let req2 = read_request(&mut stream).await.unwrap().unwrap();
+            let req2 = read_request(&mut stream).unwrap().unwrap();
             assert_eq!(req2.method, "GET");
             assert_eq!(req2.body.capacity(), 0, "an empty body allocates nothing");
-            write_response(&mut stream, &HttpResponse::status(404, "Not Found", vec![]))
-                .await
+            write_response(stream.get_mut(), &HttpResponse::status(404, "Not Found", vec![]))
                 .unwrap();
             // Clean EOF.
-            assert!(read_request(&mut stream).await.unwrap().is_none());
+            assert!(read_request(&mut stream).unwrap().is_none());
         });
 
-        let sock = TcpStream::connect(addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
         write_request(
-            &mut stream,
+            client.get_mut(),
             &HttpRequest::post("/v1/chain/get_block", br#"{"block_num_or_id":5}"#.to_vec()),
         )
-        .await
         .unwrap();
-        let resp = read_response(&mut stream).await.unwrap();
+        let resp = read_response(&mut client).unwrap();
         assert!(resp.is_ok());
         assert_eq!(resp.body, b"{\"ok\":true}");
-        write_request(&mut stream, &HttpRequest::get("/missing")).await.unwrap();
-        let resp = read_response(&mut stream).await.unwrap();
+        write_request(client.get_mut(), &HttpRequest::get("/missing")).unwrap();
+        let resp = read_response(&mut client).unwrap();
         assert_eq!(resp.status, 404);
         assert!(!resp.is_ok());
-        drop(stream);
-        server.await.unwrap();
+        drop(client);
+        server.join().unwrap();
     }
 
-    #[tokio::test]
-    async fn binary_bodies_survive() {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
+    #[test]
+    fn binary_bodies_survive() {
+        let (mut client, mut stream) = loopback_pair();
         let payload: Vec<u8> = (0..=255u8).cycle().take(70_000).collect();
         let expect = payload.clone();
-        let server = tokio::spawn(async move {
-            let (sock, _) = listener.accept().await.unwrap();
-            let mut stream = BufStream::new(sock);
-            let req = read_request(&mut stream).await.unwrap().unwrap();
+        let server = std::thread::spawn(move || {
+            let req = read_request(&mut stream).unwrap().unwrap();
             assert_eq!(req.body, expect);
-            write_response(&mut stream, &HttpResponse::ok(req.body)).await.unwrap();
+            write_response(stream.get_mut(), &HttpResponse::ok(req.body)).unwrap();
         });
-        let sock = TcpStream::connect(addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
-        write_request(&mut stream, &HttpRequest::post("/echo", payload.clone())).await.unwrap();
-        let resp = read_response(&mut stream).await.unwrap();
+        write_request(client.get_mut(), &HttpRequest::post("/echo", payload.clone())).unwrap();
+        let resp = read_response(&mut client).unwrap();
         assert_eq!(resp.body, payload);
-        server.await.unwrap();
+        server.join().unwrap();
     }
 
     /// What `read_request` makes of `head`, sent raw by a peer that then
     /// closes.
-    async fn parse_raw(head: String) -> Result<Option<HttpRequest>, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = tokio::spawn(async move {
-            let (sock, _) = listener.accept().await.unwrap();
-            read_request(&mut BufStream::new(sock)).await
-        });
-        let mut stream = BufStream::new(TcpStream::connect(addr).await.unwrap());
-        stream.write_all(head.as_bytes()).await.unwrap();
-        stream.flush().await.unwrap();
-        drop(stream);
-        server.await.unwrap()
+    fn parse_raw(head: String) -> Result<Option<HttpRequest>, HttpError> {
+        read_request(&mut head.as_bytes())
     }
 
-    #[tokio::test]
-    async fn oversized_heads_are_rejected_and_full_ones_served() {
+    #[test]
+    fn oversized_heads_are_rejected_and_full_ones_served() {
         // "GET /" + path + " HTTP/1.1\r\n" is 16 bytes around the path.
         let request_line = |len: usize| format!("GET /{} HTTP/1.1\r\n", "a".repeat(len - 16));
         let headers = |n: usize| (0..n).map(|i| format!("x-h{i}: v\r\n")).collect::<String>();
@@ -376,37 +344,37 @@ mod tests {
             format!("GET / HTTP/1.1\r\nx-long: {}\r\n\r\n", "v".repeat(MAX_LINE)),
             format!("GET / HTTP/1.1\r\n{}\r\n", headers(MAX_HEADERS + 1)),
         ] {
-            match parse_raw(head).await {
+            match parse_raw(head) {
                 Err(HttpError::HeadTooLarge) => {}
                 other => panic!("expected HeadTooLarge, got {other:?}"),
             }
         }
         let full = format!("{}{}\r\n", request_line(MAX_LINE), headers(MAX_HEADERS));
-        let req = parse_raw(full).await.unwrap().expect("a request at both caps is served");
+        let req = parse_raw(full).unwrap().expect("a request at both caps is served");
         assert_eq!((req.path.len(), req.headers.len()), (MAX_LINE - 15, MAX_HEADERS));
     }
 
-    #[tokio::test]
-    async fn oversized_content_length_is_rejected() {
+    #[test]
+    fn oversized_content_length_is_rejected() {
         let head = format!("POST /x HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1);
-        match parse_raw(head).await {
+        match parse_raw(head) {
             Err(HttpError::BodyTooLarge(n)) => assert!(n > MAX_BODY),
             other => panic!("expected BodyTooLarge, got {other:?}"),
         }
     }
 
-    #[tokio::test]
-    async fn a_body_shorter_than_announced_is_a_typed_error() {
+    #[test]
+    fn a_body_shorter_than_announced_is_a_typed_error() {
         let head = format!("POST /x HTTP/1.1\r\ncontent-length: {MAX_BODY}\r\n\r\n0123456789");
-        match parse_raw(head).await {
+        match parse_raw(head) {
             Err(HttpError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
             other => panic!("expected UnexpectedEof, got {other:?}"),
         }
     }
 
-    #[tokio::test]
-    async fn malformed_request_line_is_rejected() {
-        let parsed = parse_raw("NOT-HTTP-AT-ALL\r\n\r\n".to_owned()).await;
+    #[test]
+    fn malformed_request_line_is_rejected() {
+        let parsed = parse_raw("NOT-HTTP-AT-ALL\r\n\r\n".to_owned());
         assert!(matches!(parsed, Err(HttpError::BadRequestLine(_))), "{parsed:?}");
     }
 

@@ -7,16 +7,16 @@
 //! over loopback TCP:
 //!
 //! - [`http`] — a minimal HTTP/1.1 implementation (requests, responses,
-//!   keep-alive, Content-Length bodies) on tokio.
+//!   keep-alive, Content-Length bodies) on blocking `std::net` sockets.
 //! - [`ndjson`] — newline-delimited JSON framing standing in for the XRP
 //!   websocket (request/response semantics preserved).
 //! - [`framing`] — those two framings behind one trait, the type
 //!   parameter of the server's connection loop and the crawler's exchange.
 //! - [`endpoint`] — per-endpoint behaviour: latency + jitter, token-bucket
 //!   rate limiting (HTTP 429 / `slowDown`), fault injection.
-//! - [`server`] — the one connection loop (accept, keep-alive, request and
-//!   byte accounting, `431`), and the endpoint tasks serving a handler
-//!   through the behaviour model on it.
+//! - [`server`] — the one connection loop (an accept thread, a thread per
+//!   connection, keep-alive, request and byte accounting, `431`), and the
+//!   endpoints serving a handler through the behaviour model on it.
 //! - [`handlers`] — the chain RPC handlers (EOS `get_block`, Tezos block
 //!   RPC, XRP `ledger`), plus substitutes for the Ripple Data API
 //!   (`exchange_rates`) and XRP Scan (`account_info`).
@@ -44,7 +44,7 @@ pub use framing::{Framing, Http, Ndjson};
 pub use handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
 pub use http::{HttpRequest, HttpResponse};
 pub use serve::{
-    run_load, spawn_query_server, LoadPlan, LoadReport, QueryServerConfig, QueryServerHandle,
-    RouteStats,
+    run_load, spawn_query_server, start_query_server, LoadPlan, LoadReport, QueryServerConfig,
+    QueryServerHandle, RouteStats,
 };
 pub use server::{spawn_http, spawn_ndjson, EndpointHandle, HttpHandler, JsonHandler};

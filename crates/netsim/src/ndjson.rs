@@ -6,8 +6,7 @@
 //! line is one JSON object; responses echo the request `id`.
 
 use serde_json::Value;
-use tokio::io::{AsyncBufReadExt, AsyncWrite, AsyncWriteExt, BufStream};
-use tokio::net::TcpStream;
+use std::io::{BufRead, Write};
 
 /// Framing errors.
 #[derive(Debug)]
@@ -41,11 +40,9 @@ impl std::error::Error for NdjsonError {}
 pub(crate) const MAX_LINE: usize = 64 * 1024 * 1024;
 
 /// Read one JSON frame; `Ok(None)` on clean EOF.
-pub(crate) async fn read_frame(
-    stream: &mut BufStream<TcpStream>,
-) -> Result<Option<(Value, usize)>, NdjsonError> {
+pub(crate) fn read_frame(stream: &mut impl BufRead) -> Result<Option<(Value, usize)>, NdjsonError> {
     let mut line = String::new();
-    let n = stream.read_line(&mut line).await?;
+    let n = stream.read_line(&mut line)?;
     if n == 0 {
         return Ok(None);
     }
@@ -56,70 +53,44 @@ pub(crate) async fn read_frame(
     Ok(Some((v, n)))
 }
 
-/// Write one JSON frame; returns bytes written.
-pub(crate) async fn write_frame<W: AsyncWrite + Unpin>(
-    w: &mut W,
-    value: &Value,
-) -> Result<usize, NdjsonError> {
+/// Write one JSON frame with one `write_all`; returns bytes written.
+pub(crate) fn write_frame(w: &mut impl Write, value: &Value) -> Result<usize, NdjsonError> {
     let mut text = serde_json::to_string(value).map_err(NdjsonError::Parse)?;
     text.push('\n');
-    w.write_all(text.as_bytes()).await?;
-    w.flush().await?;
+    w.write_all(text.as_bytes())?;
     Ok(text.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::loopback_pair;
     use serde_json::json;
-    use tokio::net::TcpListener;
 
-    #[tokio::test]
-    async fn frames_roundtrip() {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = tokio::spawn(async move {
-            let (sock, _) = listener.accept().await.unwrap();
-            let mut stream = BufStream::new(sock);
-            loop {
-                match read_frame(&mut stream).await.unwrap() {
-                    None => break,
-                    Some((v, _)) => {
-                        let id = v["id"].clone();
-                        write_frame(&mut stream, &json!({"id": id, "status": "success"}))
-                            .await
-                            .unwrap();
-                    }
-                }
+    #[test]
+    fn frames_roundtrip() {
+        let (mut client, mut stream) = loopback_pair();
+        let server = std::thread::spawn(move || {
+            while let Some((v, _)) = read_frame(&mut stream).unwrap() {
+                let id = v["id"].clone();
+                write_frame(stream.get_mut(), &json!({"id": id, "status": "success"})).unwrap();
             }
         });
-        let sock = TcpStream::connect(addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
         for i in 0..3 {
-            write_frame(&mut stream, &json!({"id": i, "command": "ledger"})).await.unwrap();
-            let (resp, bytes) = read_frame(&mut stream).await.unwrap().unwrap();
+            write_frame(client.get_mut(), &json!({"id": i, "command": "ledger"})).unwrap();
+            let (resp, bytes) = read_frame(&mut client).unwrap().unwrap();
             assert_eq!(resp["id"], i);
             assert_eq!(resp["status"], "success");
             assert!(bytes > 10);
         }
-        drop(stream);
-        server.await.unwrap();
+        drop(client);
+        server.join().unwrap();
     }
 
-    #[tokio::test]
-    async fn parse_error_is_reported() {
-        let listener = TcpListener::bind("127.0.0.1:0").await.unwrap();
-        let addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            let (sock, _) = listener.accept().await.unwrap();
-            use tokio::io::AsyncWriteExt;
-            let mut sock = sock;
-            sock.write_all(b"this is not json\n").await.unwrap();
-        });
-        let sock = TcpStream::connect(addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
+    #[test]
+    fn parse_error_is_reported() {
         assert!(matches!(
-            read_frame(&mut stream).await,
+            read_frame(&mut &b"this is not json\n"[..]),
             Err(NdjsonError::Parse(_))
         ));
     }

@@ -11,17 +11,14 @@
 //! [`EndpointStats::latency`]) so overload decisions are observable.
 
 use crate::endpoint::{EndpointStats, TokenBucket};
-use crate::framing::Http;
+use crate::framing::{conn, Http};
 use crate::http::{read_response, write_request, HttpRequest, HttpResponse};
 use crate::server::{serve_connections, Gatekeeper};
 use parking_lot::Mutex;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txstat_telemetry::{Gauge, MetricKind, Registry, Sample, SampleValue};
-use tokio::io::BufStream;
-use tokio::net::{TcpListener, TcpStream};
-use tokio::task::JoinHandle;
 
 pub use crate::server::HttpHandler;
 
@@ -173,7 +170,7 @@ impl Gatekeeper<Http> for Admission {
         self.routes.for_path(&request.path)
     }
 
-    async fn decide(&self, request: &HttpRequest, stats: &EndpointStats) -> Option<HttpResponse> {
+    fn decide(&self, request: &HttpRequest, stats: &EndpointStats) -> Option<HttpResponse> {
         if !self.try_admit() {
             stats.shed.inc();
             return Some(HttpResponse::status(429, "Too Many Requests", SHED_BODY.to_vec()));
@@ -188,24 +185,24 @@ impl Gatekeeper<Http> for Admission {
     }
 }
 
-/// A running query server.
+/// A running query server. Its accept thread lives until the process
+/// exits; dropping the handle does not stop it.
 pub struct QueryServerHandle {
     pub name: String,
     pub addr: SocketAddr,
     pub routes: Arc<RouteStats>,
-    _task: JoinHandle<()>,
 }
 
-/// Spawn the query server: keep-alive HTTP/1.1 over loopback TCP on the
+/// Start the query server: keep-alive HTTP/1.1 over loopback TCP on the
 /// substrate's one connection loop ([`crate::server`]), every request gated
 /// by the shared admission bucket before it reaches the handler. Shed
 /// requests are answered 429 immediately (never queued), so overload
 /// degrades into fast refusals instead of stalls.
-pub async fn spawn_query_server(
+pub fn start_query_server(
     handler: Arc<dyn HttpHandler>,
     cfg: QueryServerConfig,
 ) -> std::io::Result<QueryServerHandle> {
-    let listener = TcpListener::bind(&cfg.bind).await?;
+    let listener = TcpListener::bind(&cfg.bind)?;
     let addr = listener.local_addr()?;
     let routes = Arc::new(RouteStats::default());
     let admission = Admission {
@@ -215,8 +212,18 @@ pub async fn spawn_query_server(
         routes: routes.clone(),
         handler,
     };
-    let task = serve_connections::<Http, _>(listener, admission);
-    Ok(QueryServerHandle { name: cfg.name, addr, routes, _task: task })
+    serve_connections::<Http, _>(listener, admission);
+    Ok(QueryServerHandle { name: cfg.name, addr, routes })
+}
+
+/// [`start_query_server`] for `benchmark/src/bin/layers.rs`, the one caller
+/// left that drives it from a future. ROADMAP item 1 points that caller at
+/// [`start_query_server`] and deletes this wrapper.
+pub async fn spawn_query_server(
+    handler: Arc<dyn HttpHandler>,
+    cfg: QueryServerConfig,
+) -> std::io::Result<QueryServerHandle> {
+    start_query_server(handler, cfg)
 }
 
 // ---- Load generation --------------------------------------------------------
@@ -257,63 +264,58 @@ impl LoadReport {
     }
 }
 
-/// Run the plan against `addr`. Each connection records per-request
-/// round-trip latency; the report merges and sorts every sample, so the
-/// quantiles are exact (not histogram edges).
-pub async fn run_load(addr: SocketAddr, plan: &LoadPlan) -> LoadReport {
+/// Run the plan against `addr`, one thread per connection. Each
+/// connection records per-request round-trip latency; the report merges
+/// and sorts every sample, so the quantiles are exact (not histogram
+/// edges).
+pub fn run_load(addr: SocketAddr, plan: &LoadPlan) -> LoadReport {
     let started = Instant::now();
-    let mut tasks = Vec::with_capacity(plan.connections);
-    for conn_idx in 0..plan.connections {
-        let paths = plan.paths.clone();
+    let client = |conn_idx: usize| {
         let n = plan.requests_per_conn;
-        tasks.push(tokio::spawn(async move {
-            let mut latencies_us: Vec<u64> = Vec::with_capacity(n);
-            let (mut ok, mut shed, mut errors, mut sent) = (0u64, 0u64, 0u64, 0u64);
-            let sock = match TcpStream::connect(addr).await {
-                Ok(s) => s,
-                Err(_) => {
-                    return (latencies_us, ok, shed, n as u64, 0);
+        let mut latencies_us: Vec<u64> = Vec::with_capacity(n);
+        let (mut ok, mut shed, mut errors, mut sent) = (0u64, 0u64, 0u64, 0u64);
+        let Ok(mut stream) = TcpStream::connect(addr).and_then(conn) else {
+            return (latencies_us, ok, shed, n as u64, 0);
+        };
+        for i in 0..n {
+            let path = &plan.paths[(conn_idx + i) % plan.paths.len()];
+            let req = HttpRequest::get(path);
+            sent += 1;
+            let t0 = Instant::now();
+            if write_request(stream.get_mut(), &req).is_err() {
+                errors += 1;
+                break;
+            }
+            match read_response(&mut stream) {
+                Ok(resp) => {
+                    latencies_us.push(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
+                    if resp.status == 429 {
+                        shed += 1;
+                    } else {
+                        ok += 1;
+                    }
                 }
-            };
-            let mut stream = BufStream::new(sock);
-            for i in 0..n {
-                let path = &paths[(conn_idx + i) % paths.len()];
-                let req = HttpRequest::get(path);
-                sent += 1;
-                let t0 = Instant::now();
-                if write_request(&mut stream, &req).await.is_err() {
+                Err(_) => {
                     errors += 1;
                     break;
                 }
-                match read_response(&mut stream).await {
-                    Ok(resp) => {
-                        latencies_us
-                            .push(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                        if resp.status == 429 {
-                            shed += 1;
-                        } else {
-                            ok += 1;
-                        }
-                    }
-                    Err(_) => {
-                        errors += 1;
-                        break;
-                    }
-                }
             }
-            (latencies_us, ok, shed, errors, sent)
-        }));
-    }
+        }
+        (latencies_us, ok, shed, errors, sent)
+    };
+    let results: Vec<_> = std::thread::scope(|s| {
+        let clients: Vec<_> =
+            (0..plan.connections).map(|conn_idx| s.spawn(move || client(conn_idx))).collect();
+        clients.into_iter().filter_map(|c| c.join().ok()).collect()
+    });
     let mut all_latencies: Vec<u64> = Vec::new();
     let mut report = LoadReport::default();
-    for t in tasks {
-        if let Ok((lat, ok, shed, errors, sent)) = t.await {
-            all_latencies.extend(lat);
-            report.ok += ok;
-            report.shed += shed;
-            report.errors += errors;
-            report.sent += sent;
-        }
+    for (lat, ok, shed, errors, sent) in results {
+        all_latencies.extend(lat);
+        report.ok += ok;
+        report.shed += shed;
+        report.errors += errors;
+        report.sent += sent;
     }
     report.elapsed = started.elapsed();
     all_latencies.sort_unstable();
@@ -333,6 +335,7 @@ pub async fn run_load(addr: SocketAddr, plan: &LoadPlan) -> LoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::connect;
 
     struct Hello;
     impl HttpHandler for Hello {
@@ -345,18 +348,15 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn serves_and_classifies_routes() {
-        let h = spawn_query_server(Arc::new(Hello), QueryServerConfig::default())
-            .await
-            .unwrap();
-        let sock = TcpStream::connect(h.addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
+    #[test]
+    fn serves_and_classifies_routes() {
+        let h = start_query_server(Arc::new(Hello), QueryServerConfig::default()).unwrap();
+        let mut stream = connect(h.addr);
         for (path, status) in
             [("/exhibit/x", 200), ("/account/eos/a", 200), ("/nope", 404)]
         {
-            write_request(&mut stream, &HttpRequest::get(path)).await.unwrap();
-            assert_eq!(read_response(&mut stream).await.unwrap().status, status);
+            write_request(stream.get_mut(), &HttpRequest::get(path)).unwrap();
+            assert_eq!(read_response(&mut stream).unwrap().status, status);
         }
         assert_eq!(h.routes.exhibit.requests.get(), 1);
         assert_eq!(h.routes.account.requests.get(), 1);
@@ -365,37 +365,35 @@ mod tests {
         assert!(h.routes.classes().iter().all(|(_, s)| s.shed.get() == 0));
     }
 
-    #[tokio::test]
-    async fn an_oversized_head_is_answered_431_and_the_connection_closed() {
+    #[test]
+    fn an_oversized_head_is_answered_431_and_the_connection_closed() {
         use crate::{spawn_http, EndpointProfile};
-        use tokio::io::AsyncWriteExt;
+        use std::io::Write;
         // The query server and a crawl-side endpoint: one loop, one answer.
-        let query =
-            spawn_query_server(Arc::new(Hello), QueryServerConfig::default()).await.unwrap();
-        let sim = spawn_http(Arc::new(Hello), EndpointProfile::generous("sim", 1)).await.unwrap();
+        let query = start_query_server(Arc::new(Hello), QueryServerConfig::default()).unwrap();
+        let sim = spawn_http(Arc::new(Hello), EndpointProfile::generous("sim", 1)).unwrap();
         for addr in [query.addr, sim.addr] {
-            let mut stream = BufStream::new(TcpStream::connect(addr).await.unwrap());
+            let mut stream = connect(addr);
             // No line end: the server must not wait for one.
-            stream.write_all(&vec![b'a'; crate::http::MAX_LINE + 1]).await.unwrap();
-            assert_eq!(read_response(&mut stream).await.unwrap().status, 431, "{addr}");
-            assert!(read_response(&mut stream).await.is_err(), "{addr}: connection left open");
+            stream.get_mut().write_all(&vec![b'a'; crate::http::MAX_LINE + 1]).unwrap();
+            assert_eq!(read_response(&mut stream).unwrap().status, 431, "{addr}");
+            assert!(read_response(&mut stream).is_err(), "{addr}: connection left open");
         }
     }
 
-    #[tokio::test]
-    async fn admission_sheds_with_429_and_counts() {
+    #[test]
+    fn admission_sheds_with_429_and_counts() {
         let cfg = QueryServerConfig {
             rate_per_sec: 1.0,
             burst: 3.0,
             ..QueryServerConfig::default()
         };
-        let h = spawn_query_server(Arc::new(Hello), cfg).await.unwrap();
-        let sock = TcpStream::connect(h.addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
+        let h = start_query_server(Arc::new(Hello), cfg).unwrap();
+        let mut stream = connect(h.addr);
         let mut codes = Vec::new();
         for _ in 0..20 {
-            write_request(&mut stream, &HttpRequest::get("/exhibit/x")).await.unwrap();
-            codes.push(read_response(&mut stream).await.unwrap().status);
+            write_request(stream.get_mut(), &HttpRequest::get("/exhibit/x")).unwrap();
+            codes.push(read_response(&mut stream).unwrap().status);
         }
         let shed = codes.iter().filter(|c| **c == 429).count();
         let served = codes.iter().filter(|c| **c == 200).count();
@@ -410,17 +408,15 @@ mod tests {
         assert!(s.latency.quantile_us(0.5) <= s.latency.quantile_us(0.99));
     }
 
-    #[tokio::test]
-    async fn load_generator_reports_mix_and_quantiles() {
-        let h = spawn_query_server(Arc::new(Hello), QueryServerConfig::default())
-            .await
-            .unwrap();
+    #[test]
+    fn load_generator_reports_mix_and_quantiles() {
+        let h = start_query_server(Arc::new(Hello), QueryServerConfig::default()).unwrap();
         let plan = LoadPlan {
             connections: 4,
             requests_per_conn: 25,
             paths: vec!["/exhibit/x".into(), "/account/eos/a".into()],
         };
-        let r = run_load(h.addr, &plan).await;
+        let r = run_load(h.addr, &plan);
         assert_eq!(r.sent, 100);
         assert_eq!(r.ok, 100);
         assert_eq!((r.shed, r.errors), (0, 0));

@@ -3,26 +3,22 @@
 //! behind an `EndpointSim` behaviour model with shared stats.
 //!
 //! `serve_connections` owns everything that does not depend on who is
-//! serving: accept, one task per connection, keep-alive, the in-flight
+//! serving: accept, one thread per connection, keep-alive, the in-flight
 //! guard, request and byte accounting, the refusal owed to an unreadable
 //! request (`431`) and hanging up on a failed write. It is generic over the
 //! [`Framing`] and over a `Gatekeeper`, which names the counters a
 //! request is booked under and decides it: reply with this, or hang up.
 //! [`spawn_http`] / [`spawn_ndjson`] gate through `EndpointSim::gate` and
-//! its artificial delay; [`crate::serve::spawn_query_server`] through its
+//! its artificial delay; [`crate::serve::start_query_server`] through its
 //! admission bucket. Deadlines, a connection cap or per-stage spans have
 //! this one loop to go into.
 
 use crate::endpoint::{EndpointProfile, EndpointSim, EndpointStats, Gate};
-use crate::framing::{Framing, Http, Ndjson};
+use crate::framing::{conn, Framing, Http, Ndjson};
 use crate::http::{HttpRequest, HttpResponse};
 use serde_json::Value;
-use std::future::Future;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use tokio::io::BufStream;
-use tokio::net::TcpListener;
-use tokio::task::JoinHandle;
 
 /// An HTTP request handler (sync — chain lookups are in-memory).
 pub trait HttpHandler: Send + Sync + 'static {
@@ -40,64 +36,61 @@ pub(crate) trait Gatekeeper<F: Framing>: Send + Sync + 'static {
     fn stats(&self, request: &F::Request) -> &EndpointStats;
 
     /// The reply to `request`, or `None` to hang up on the peer.
-    fn decide(
-        &self,
-        request: &F::Request,
-        stats: &EndpointStats,
-    ) -> impl Future<Output = Option<F::Reply>> + Send;
+    fn decide(&self, request: &F::Request, stats: &EndpointStats) -> Option<F::Reply>;
 }
 
-/// Serve every connection `listener` accepts until it fails.
+/// Serve every connection `listener` accepts, on one accept thread and
+/// one thread per connection, until accepting fails. Nothing stops the
+/// accept thread: it lives until the process exits.
 pub(crate) fn serve_connections<F: Framing, G: Gatekeeper<F>>(
     listener: TcpListener,
     gatekeeper: G,
-) -> JoinHandle<()> {
+) {
     let gatekeeper = Arc::new(gatekeeper);
-    tokio::spawn(async move {
-        while let Ok((sock, _)) = listener.accept().await {
+    std::thread::spawn(move || {
+        while let Ok((sock, _)) = listener.accept() {
             let gatekeeper = gatekeeper.clone();
-            tokio::spawn(async move {
-                let mut conn = BufStream::new(sock);
-                loop {
-                    let (request, size) = match F::read_request(&mut conn).await {
-                        Ok(Some(read)) => read,
-                        Ok(None) => break,
-                        Err(e) => {
-                            if let Some(refusal) = F::refusal(&e) {
-                                let _ = F::write_reply(&mut conn, &refusal).await;
-                            }
-                            break;
-                        }
-                    };
-                    let stats = gatekeeper.stats(&request);
-                    let _in_flight = stats.enter();
-                    stats.requests.inc();
-                    stats.bytes_in.add(size as u64);
-                    let Some(reply) = gatekeeper.decide(&request, stats).await else {
-                        break;
-                    };
-                    match F::write_reply(&mut conn, &reply).await {
-                        Ok(written) => stats.bytes_out.add(written as u64),
-                        Err(_) => break,
-                    }
-                }
-            });
+            std::thread::spawn(move || serve_connection::<F, G>(sock, &gatekeeper));
         }
-    })
+    });
 }
 
-/// A running endpoint: address, behaviour stats, and its accept-loop task.
+/// One connection's keep-alive loop.
+fn serve_connection<F: Framing, G: Gatekeeper<F>>(sock: TcpStream, gatekeeper: &G) {
+    let Ok(mut conn) = conn(sock) else { return };
+    loop {
+        let (request, size) = match F::read_request(&mut conn) {
+            Ok(Some(read)) => read,
+            Ok(None) => break,
+            Err(e) => {
+                if let Some(refusal) = F::refusal(&e) {
+                    let _ = F::write_reply(&mut conn, &refusal);
+                }
+                break;
+            }
+        };
+        let stats = gatekeeper.stats(&request);
+        let _in_flight = stats.enter();
+        stats.requests.inc();
+        stats.bytes_in.add(size as u64);
+        let Some(reply) = gatekeeper.decide(&request, stats) else {
+            break;
+        };
+        match F::write_reply(&mut conn, &reply) {
+            Ok(written) => stats.bytes_out.add(written as u64),
+            Err(_) => break,
+        }
+    }
+}
+
+/// A running endpoint: address and behaviour stats. Its accept thread
+/// lives until the process exits; dropping the handle does not stop it
+/// (the chaos proxy's [`crate::ChaosHandle::stop`] is the only listener
+/// that can be stopped).
 pub struct EndpointHandle {
     pub name: String,
     pub addr: SocketAddr,
     pub stats: Arc<EndpointStats>,
-    task: JoinHandle<()>,
-}
-
-impl Drop for EndpointHandle {
-    fn drop(&mut self) {
-        self.task.abort();
-    }
 }
 
 /// A simulated remote node: every request passes the behaviour model
@@ -117,10 +110,10 @@ where
         &self.stats
     }
 
-    async fn decide(&self, request: &F::Request, stats: &EndpointStats) -> Option<F::Reply> {
+    fn decide(&self, request: &F::Request, stats: &EndpointStats) -> Option<F::Reply> {
         let (gate, delay) = self.sim.gate();
         if !delay.is_zero() {
-            tokio::time::sleep(delay).await;
+            std::thread::sleep(delay);
         }
         match gate {
             Gate::Fault => {
@@ -139,42 +132,43 @@ where
     }
 }
 
-async fn spawn_sim<F: Framing>(
+fn spawn_sim<F: Framing>(
     profile: EndpointProfile,
     handle: impl Fn(&F::Request) -> F::Reply + Send + Sync + 'static,
 ) -> std::io::Result<EndpointHandle> {
-    let listener = TcpListener::bind("127.0.0.1:0").await?;
+    let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     let stats = Arc::new(EndpointStats::default());
     let name = profile.name.clone();
     let gate = SimGate { sim: EndpointSim::new(profile), stats: stats.clone(), handle };
-    let task = serve_connections::<F, _>(listener, gate);
-    Ok(EndpointHandle { name, addr, stats, task })
+    serve_connections::<F, _>(listener, gate);
+    Ok(EndpointHandle { name, addr, stats })
 }
 
 /// Spawn an HTTP endpoint with the given behaviour profile.
-pub async fn spawn_http(
+pub fn spawn_http(
     handler: Arc<dyn HttpHandler>,
     profile: EndpointProfile,
 ) -> std::io::Result<EndpointHandle> {
-    spawn_sim::<Http>(profile, move |req| handler.handle(req)).await
+    spawn_sim::<Http>(profile, move |req| handler.handle(req))
 }
 
 /// Spawn an NDJSON endpoint (the XRP websocket-equivalent).
-pub async fn spawn_ndjson(
+pub fn spawn_ndjson(
     handler: Arc<dyn JsonHandler>,
     profile: EndpointProfile,
 ) -> std::io::Result<EndpointHandle> {
-    spawn_sim::<Ndjson>(profile, move |req| handler.handle(req)).await
+    spawn_sim::<Ndjson>(profile, move |req| handler.handle(req))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::connect;
     use crate::http::{read_response, write_request};
     use crate::ndjson::{read_frame, write_frame};
     use serde_json::json;
-    use tokio::net::TcpStream;
+    use std::io::{Read, Write};
 
     struct Echo;
     impl HttpHandler for Echo {
@@ -190,16 +184,15 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn http_endpoint_serves_and_counts() {
-        let h = spawn_http(Arc::new(Echo), EndpointProfile::generous("e", 1)).await.unwrap();
-        let sock = TcpStream::connect(h.addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
+    #[test]
+    fn http_endpoint_serves_and_counts() {
+        let h = spawn_http(Arc::new(Echo), EndpointProfile::generous("e", 1)).unwrap();
+        let mut stream = connect(h.addr);
         // Two requests on one connection: a reply's bytes are booked after
         // it is written, so only the second reply proves the first booked.
         for _ in 0..2 {
-            write_request(&mut stream, &HttpRequest::post("/x", b"hello".to_vec())).await.unwrap();
-            let resp = read_response(&mut stream).await.unwrap();
+            write_request(stream.get_mut(), &HttpRequest::post("/x", b"hello".to_vec())).unwrap();
+            let resp = read_response(&mut stream).unwrap();
             assert_eq!(resp.body, b"hello");
         }
         let s = &h.stats;
@@ -207,31 +200,29 @@ mod tests {
         assert!(s.bytes_in.get() > 10 && s.bytes_out.get() > 5);
     }
 
-    #[tokio::test]
-    async fn a_peer_that_oversells_its_body_costs_one_connection() {
+    #[test]
+    fn a_peer_that_oversells_its_body_costs_one_connection() {
         use crate::http::MAX_BODY;
-        use tokio::io::AsyncWriteExt;
-        let h = spawn_http(Arc::new(Echo), EndpointProfile::generous("e", 5)).await.unwrap();
+        let h = spawn_http(Arc::new(Echo), EndpointProfile::generous("e", 5)).unwrap();
         // Announce the largest body accepted, send ten bytes of it, hang up.
-        let mut liar = TcpStream::connect(h.addr).await.unwrap();
+        let mut liar = TcpStream::connect(h.addr).unwrap();
         let head = format!("POST /x HTTP/1.1\r\ncontent-length: {MAX_BODY}\r\n\r\n0123456789");
-        liar.write_all(head.as_bytes()).await.unwrap();
+        liar.write_all(head.as_bytes()).unwrap();
         drop(liar);
         // The next connection is served, a 1 MiB body intact both ways.
         let payload: Vec<u8> = (0..=255u8).cycle().take(1 << 20).collect();
-        let mut stream = BufStream::new(TcpStream::connect(h.addr).await.unwrap());
-        write_request(&mut stream, &HttpRequest::post("/x", payload.clone())).await.unwrap();
-        let resp = read_response(&mut stream).await.unwrap();
+        let mut stream = connect(h.addr);
+        write_request(stream.get_mut(), &HttpRequest::post("/x", payload.clone())).unwrap();
+        let resp = read_response(&mut stream).unwrap();
         assert!(resp.is_ok() && resp.body == payload, "status {}", resp.status);
         assert_eq!(h.stats.served.get(), 1, "the short body was never a request");
     }
 
-    #[tokio::test]
-    async fn two_content_lengths_are_hung_up_on_unserved() {
-        use std::io::{Read, Write};
-        let h = spawn_http(Arc::new(Echo), EndpointProfile::generous("e", 6)).await.unwrap();
+    #[test]
+    fn two_content_lengths_are_hung_up_on_unserved() {
+        let h = spawn_http(Arc::new(Echo), EndpointProfile::generous("e", 6)).unwrap();
         // Framed by the last header, the body would be read as a next request.
-        let mut peer = std::net::TcpStream::connect(h.addr).unwrap();
+        let mut peer = TcpStream::connect(h.addr).unwrap();
         let head = b"POST /x HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 0\r\n\r\nhello";
         peer.write_all(head).unwrap();
         peer.shutdown(std::net::Shutdown::Write).unwrap();
@@ -242,46 +233,43 @@ mod tests {
         assert_eq!(h.stats.requests.get(), 0);
     }
 
-    #[tokio::test]
-    async fn http_endpoint_rate_limits() {
+    #[test]
+    fn http_endpoint_rate_limits() {
         let mut p = EndpointProfile::generous("tight", 2);
         p.rate_limit_per_sec = 1.0;
         p.burst = 2.0;
         p.latency_ms = 0.0;
         p.jitter_ms = 0.0;
-        let h = spawn_http(Arc::new(Echo), p).await.unwrap();
-        let sock = TcpStream::connect(h.addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
+        let h = spawn_http(Arc::new(Echo), p).unwrap();
+        let mut stream = connect(h.addr);
         let mut codes = Vec::new();
         for _ in 0..6 {
-            write_request(&mut stream, &HttpRequest::get("/")).await.unwrap();
-            codes.push(read_response(&mut stream).await.unwrap().status);
+            write_request(stream.get_mut(), &HttpRequest::get("/")).unwrap();
+            codes.push(read_response(&mut stream).unwrap().status);
         }
         assert!(codes.iter().filter(|c| **c == 429).count() >= 3, "{codes:?}");
         assert!(codes.iter().filter(|c| **c == 200).count() >= 2, "{codes:?}");
     }
 
-    #[tokio::test]
-    async fn ndjson_endpoint_serves() {
-        let h = spawn_ndjson(Arc::new(Pong), EndpointProfile::generous("x", 3)).await.unwrap();
-        let sock = TcpStream::connect(h.addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
-        write_frame(&mut stream, &json!({"id": 7, "command": "ping"})).await.unwrap();
-        let (resp, _) = read_frame(&mut stream).await.unwrap().unwrap();
+    #[test]
+    fn ndjson_endpoint_serves() {
+        let h = spawn_ndjson(Arc::new(Pong), EndpointProfile::generous("x", 3)).unwrap();
+        let mut stream = connect(h.addr);
+        write_frame(stream.get_mut(), &json!({"id": 7, "command": "ping"})).unwrap();
+        let (resp, _) = read_frame(&mut stream).unwrap().unwrap();
         assert_eq!(resp["id"], 7);
         assert_eq!(resp["pong"], true);
     }
 
-    #[tokio::test]
-    async fn faulty_endpoint_drops_connections() {
+    #[test]
+    fn faulty_endpoint_drops_connections() {
         let mut p = EndpointProfile::generous("flaky", 4);
         p.fault_rate = 1.0;
         p.latency_ms = 0.0;
-        let h = spawn_http(Arc::new(Echo), p).await.unwrap();
-        let sock = TcpStream::connect(h.addr).await.unwrap();
-        let mut stream = BufStream::new(sock);
-        write_request(&mut stream, &HttpRequest::get("/")).await.unwrap();
-        assert!(read_response(&mut stream).await.is_err(), "connection dropped");
+        let h = spawn_http(Arc::new(Echo), p).unwrap();
+        let mut stream = connect(h.addr);
+        write_request(stream.get_mut(), &HttpRequest::get("/")).unwrap();
+        assert!(read_response(&mut stream).is_err(), "connection dropped");
         assert_eq!(h.stats.faults.get(), 1);
     }
 }

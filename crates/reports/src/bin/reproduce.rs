@@ -323,9 +323,7 @@ fn open_dataset(args: &Args, archive_dir: Option<&str>, need: Need) -> Result<Op
     let data = if args.has("--crawl") {
         let opts = if args.has("--small") { CrawlOptions::default() } else { CrawlOptions::paper() };
         eprintln!("generating {mode} scenario (seed {}); crawling over loopback RPC…", sc.seed);
-        let rt = tokio::runtime::Runtime::new().map_err(|e| e.to_string())?;
-        rt.block_on(generate_with_crawl(&sc, &opts, need == Need::Blocks))
-            .map_err(|e| e.to_string())?
+        generate_with_crawl(&sc, &opts, need == Need::Blocks).map_err(|e| e.to_string())?
     } else {
         eprintln!("generating {mode} scenario (seed {})…", sc.seed);
         generate(&sc)
@@ -713,55 +711,51 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     let wait_head: Option<u64> = args.parsed_opt("--wait-head")?;
     // One exchange per request, each under the same deadline (an uncached
     // paper-scale `/report` renders in a few seconds).
-    let fetch = |req: HttpRequest| async move {
-        match txstat_crawler::exchange::<Http>(addr, &req, Duration::from_secs(30)).await {
-            Ok((resp, _bytes)) => Ok(resp),
-            Err(e) => Err(e.to_string()),
-        }
+    let fetch = |req: HttpRequest| {
+        txstat_crawler::exchange::<Http>(addr, &req, Duration::from_secs(30))
+            .map(|(resp, _bytes)| resp)
+            .map_err(|e| e.to_string())
     };
-    let rt = tokio::runtime::Runtime::new().map_err(|e| e.to_string())?;
-    rt.block_on(async {
-        // The server prints its address before the follow loop starts, but
-        // give slow starts a grace period anyway.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while let Err(e) = fetch(HttpRequest::get("/healthz")).await {
+    // The server prints its address before the follow loop starts, but
+    // give slow starts a grace period anyway.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while let Err(e) = fetch(HttpRequest::get("/healthz")) {
+        if Instant::now() >= deadline {
+            return Err(format!("cannot reach {addr}: {e}"));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    if let Some(secs) = wait_head {
+        let deadline = Instant::now() + Duration::from_secs(secs);
+        loop {
+            let resp = fetch(HttpRequest::get("/healthz"))?;
+            if String::from_utf8_lossy(&resp.body).contains("\"head\":true") {
+                break;
+            }
             if Instant::now() >= deadline {
-                return Err(format!("cannot reach {addr}: {e}"));
+                return Err(format!("server did not reach head within {secs}s"));
             }
-            std::thread::sleep(Duration::from_millis(100));
+            std::thread::sleep(Duration::from_millis(50));
         }
-        if let Some(secs) = wait_head {
-            let deadline = Instant::now() + Duration::from_secs(secs);
-            loop {
-                let resp = fetch(HttpRequest::get("/healthz")).await?;
-                if String::from_utf8_lossy(&resp.body).contains("\"head\":true") {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    return Err(format!("server did not reach head within {secs}s"));
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
+    }
+    let mut out: Vec<u8> = Vec::new();
+    for path in &args.positionals {
+        let resp = fetch(HttpRequest::get(path))?;
+        if let Some(code) = expect.filter(|code| *code != resp.status) {
+            return Err(format!(
+                "{path}: expected status {code}, got {} {}",
+                resp.status, resp.reason
+            ));
         }
-        let mut out: Vec<u8> = Vec::new();
-        for path in &args.positionals {
-            let resp = fetch(HttpRequest::get(path)).await?;
-            if let Some(code) = expect.filter(|code| *code != resp.status) {
-                return Err(format!(
-                    "{path}: expected status {code}, got {} {}",
-                    resp.status, resp.reason
-                ));
-            }
-            out.extend_from_slice(&resp.body);
+        out.extend_from_slice(&resp.body);
+    }
+    if args.has("--shutdown") {
+        let resp = fetch(HttpRequest::post("/admin/shutdown", Vec::new()))?;
+        if !resp.is_ok() {
+            return Err(format!("shutdown failed: {} {}", resp.status, resp.reason));
         }
-        if args.has("--shutdown") {
-            let resp = fetch(HttpRequest::post("/admin/shutdown", Vec::new())).await?;
-            if !resp.is_ok() {
-                return Err(format!("shutdown failed: {} {}", resp.status, resp.reason));
-            }
-        }
-        write_output(&out, args.get("--out"))
-    })
+    }
+    write_output(&out, args.get("--out"))
 }
 
 /// The one run envelope: find the subcommand's row, parse against it, arm

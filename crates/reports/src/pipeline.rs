@@ -712,30 +712,27 @@ impl CrawlOptions {
 }
 
 /// The three simulated chains served over loopback RPC, with the EOS
-/// population benchmarked and shortlisted (§3.1).
+/// population benchmarked and shortlisted (§3.1). The endpoints' accept
+/// threads outlive it: they end with the process.
 struct ServedChains {
     eos: Arc<txstat_eos::EosChain>,
     tezos: Arc<txstat_tezos::TezosChain>,
     xrp: Arc<txstat_xrp::XrpLedger>,
-    eos_pool: Arc<RotatingPool>,
-    tz_pool: Arc<RotatingPool>,
-    xrp_pool: Arc<RotatingPool>,
-    /// Handles keep the endpoint accept loops alive for the crawl's
-    /// duration.
-    _eos_handles: Vec<EndpointHandle>,
-    _tz_handle: EndpointHandle,
-    _xrp_handle: EndpointHandle,
+    eos_pool: RotatingPool,
+    tz_pool: RotatingPool,
+    xrp_pool: RotatingPool,
 }
 
 /// Build the chains, spawn their endpoints, benchmark and shortlist.
-async fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChains, CrawlError> {
+fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChains, CrawlError> {
     let eos = Arc::new(build_eos(sc));
     let tezos = Arc::new(build_tezos(sc));
     let xrp = Arc::new(build_xrp(sc));
+    let advertise = |h: EndpointHandle| Advertised { name: h.name, addr: h.addr };
 
     // --- EOS: a population of block-producer endpoints of mixed quality. --
     let eos_handler = Arc::new(EosRpcHandler::new(eos.clone()));
-    let mut eos_handles: Vec<EndpointHandle> = Vec::new();
+    let mut advertised = Vec::with_capacity(opts.eos_advertised);
     for i in 0..opts.eos_advertised {
         // Roughly half the advertised endpoints are stingy (tight limits,
         // high latency), mirroring the paper's 6-of-32 yield.
@@ -744,30 +741,25 @@ async fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChai
         } else {
             EndpointProfile::stingy(&format!("eos-bp-{i}"), sc.seed ^ (i as u64))
         };
-        eos_handles.push(spawn_http(eos_handler.clone(), profile).await.map_err(CrawlError::Io)?);
+        advertised.push(advertise(spawn_http(eos_handler.clone(), profile)?));
     }
-    let advertise = |h: &EndpointHandle| Advertised { name: h.name.clone(), addr: h.addr };
-    let advertised: Vec<Advertised> = eos_handles.iter().map(advertise).collect();
-    let reports = benchmark_endpoints(&advertised, 3, |addr| async move {
+    let reports = benchmark_endpoints(&advertised, 3, |addr| {
         let started = std::time::Instant::now();
         let probe = HttpRequest::post("/v1/chain/get_info", b"{}".to_vec());
-        match exchange::<Http>(addr, &probe, std::time::Duration::from_millis(500)).await {
+        match exchange::<Http>(addr, &probe, std::time::Duration::from_millis(500)) {
             Ok((r, _)) if r.is_ok() => Ok(started.elapsed()),
             _ => Err(()),
         }
-    })
-    .await;
-    let eos_pool = Arc::new(RotatingPool::new(shortlist(&reports, opts.eos_shortlisted)));
+    });
+    let eos_pool = RotatingPool::new(shortlist(&reports, opts.eos_shortlisted));
 
     // --- Tezos: the self-hosted node (one endpoint). -----------------------
     let tezos_handler = Arc::new(TezosRpcHandler::new(tezos.clone()));
     let tz_handle = spawn_http(
         tezos_handler,
         EndpointProfile::generous("tezos-self-node", sc.seed ^ 0x7e20),
-    )
-    .await
-    .map_err(CrawlError::Io)?;
-    let tz_pool = Arc::new(RotatingPool::new(vec![advertise(&tz_handle)]));
+    )?;
+    let tz_pool = RotatingPool::new(vec![advertise(tz_handle)]);
 
     // --- XRP: the community websocket-equivalent endpoint. -----------------
     let usernames: HashMap<_, _> = txstat_workload::xrp::known_usernames()
@@ -778,47 +770,10 @@ async fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChai
     let xrp_handle = spawn_ndjson(
         xrp_handler,
         EndpointProfile::generous("xrp-full-history", sc.seed ^ 0x1277),
-    )
-    .await
-    .map_err(CrawlError::Io)?;
-    let xrp_pool = Arc::new(RotatingPool::new(vec![advertise(&xrp_handle)]));
+    )?;
+    let xrp_pool = RotatingPool::new(vec![advertise(xrp_handle)]);
 
-    Ok(ServedChains {
-        eos,
-        tezos,
-        xrp,
-        eos_pool,
-        tz_pool,
-        xrp_pool,
-        _eos_handles: eos_handles,
-        _tz_handle: tz_handle,
-        _xrp_handle: xrp_handle,
-    })
-}
-
-/// One chain's crawl as its own task under a `crawl` span: `crawl` gets
-/// the chain's pool and the client config, finds the head and fetches down
-/// from it. The three chains' endpoints are independent, so
-/// [`generate_with_crawl`] overlaps three of these.
-fn spawn_crawl<T, Fut>(
-    chain: &'static str,
-    pool: &Arc<RotatingPool>,
-    cfg: &ClientConfig,
-    crawl: impl FnOnce(Arc<RotatingPool>, ClientConfig) -> Fut + Send + 'static,
-) -> tokio::task::JoinHandle<Result<T, CrawlError>>
-where
-    T: Send + 'static,
-    Fut: std::future::Future<Output = Result<T, CrawlError>> + Send,
-{
-    let (pool, cfg) = (pool.clone(), cfg.clone());
-    tokio::spawn(async move {
-        let _span = Span::enter("crawl", chain);
-        crawl(pool, cfg).await
-    })
-}
-
-fn join_err(e: tokio::task::JoinError) -> CrawlError {
-    CrawlError::Protocol(format!("crawl task panicked: {e}"))
+    Ok(ServedChains { eos, tezos, xrp, eos_pool, tz_pool, xrp_pool })
 }
 
 /// Crawl one chain's blocks `[low, high]` with its fold as the emit step:
@@ -828,60 +783,46 @@ fn join_err(e: tokio::task::JoinError) -> CrawlError {
 /// The fold must not care in which order the blocks arrive. Returns the
 /// fold, the kept blocks in position order (empty unless kept) and the
 /// crawl accounting.
-async fn crawl_folded<A, B, F, Fut>(
+fn crawl_folded<A: Send, B: Send>(
     chain: &'static str,
     (low, high): (u64, u64),
     concurrency: usize,
     keep_blocks: bool,
-    fetch: F,
+    fetch: impl Fn(u64) -> Result<Fetched<B>, CrawlError> + Sync,
     acc: A,
-    observe: impl Fn(&mut A, u64, &B) + Send + Sync + 'static,
-) -> Result<(A, Vec<B>, CrawlStats), CrawlError>
-where
-    A: Send + 'static,
-    B: Send + 'static,
-    F: Fn(u64) -> Fut + Send + Sync + Clone + 'static,
-    Fut: std::future::Future<Output = Result<Fetched<B>, CrawlError>> + Send,
-{
+    observe: impl Fn(&mut A, u64, &B) + Sync,
+) -> Result<(A, Vec<B>, CrawlStats), CrawlError> {
     let folded = txstat_telemetry::registry().counter_with(
         "txstat_ingest_blocks_folded_total",
         "Blocks the crawl folded into their chain's sweep as they were fetched",
         &[("chain", chain)],
     );
-    let state = Arc::new(Mutex::new((acc, Vec::new())));
-    let (emit_state, observe) = (state.clone(), Arc::new(observe));
-    let stats = crawl_range(high, low, concurrency, fetch, move |n, block: B| {
-        let (state, observe, folded) = (emit_state.clone(), observe.clone(), folded.clone());
-        async move {
-            let mut guard = state.lock().expect("no fold panicked on another fetch worker");
-            let (acc, kept) = &mut *guard;
-            observe(acc, n, &block);
-            folded.inc();
-            if keep_blocks {
-                kept.push((n, block));
-            }
-            Ok::<(), CrawlError>(())
+    let state = Mutex::new((acc, Vec::new()));
+    let stats = crawl_range(high, low, concurrency, fetch, |n, block: B| {
+        let mut guard = state.lock().expect("no fold panicked on another fetch worker");
+        let (acc, kept) = &mut *guard;
+        observe(acc, n, &block);
+        folded.inc();
+        if keep_blocks {
+            kept.push((n, block));
         }
-    })
-    .await?;
-    // `crawl_range` returned Ok: every worker is joined and none panicked.
-    let (acc, mut kept) = Arc::into_inner(state)
-        .expect("crawl_range has joined every worker holding the emit step")
-        .into_inner()
-        .expect("no fold panicked");
+        Ok::<(), CrawlError>(())
+    })?;
+    // `crawl_range` returned Ok: no worker panicked, so no fold did.
+    let (acc, mut kept) = state.into_inner().expect("no fold panicked");
     kept.sort_unstable_by_key(|(n, _)| *n);
     Ok((acc, kept.into_iter().map(|(_, b)| b).collect(), stats))
 }
 
 /// Fetch username/parent metadata for every seen account and fold it into
 /// the entity clustering (XRP Scan path).
-async fn fetch_cluster(
-    pool: &Arc<RotatingPool>,
+fn fetch_cluster(
+    pool: &RotatingPool,
     cfg: &ClientConfig,
     mut accounts: Vec<txstat_xrp::AccountId>,
 ) -> Result<ClusterInfo, CrawlError> {
     accounts.sort();
-    let metas = fetch_account_meta(pool, cfg, &accounts).await?;
+    let metas = fetch_account_meta(pool, cfg, &accounts)?;
     let mut cluster = ClusterInfo::new();
     for m in metas {
         cluster.insert(m.account, m.username, m.parent);
@@ -891,15 +832,15 @@ async fn fetch_cluster(
 
 /// Fetch the exchange events of every BTC issuer (Figure 11b's source).
 /// `ious` must be sorted so the event order is deterministic.
-async fn fetch_btc_trades(
-    pool: &Arc<RotatingPool>,
+fn fetch_btc_trades(
+    pool: &RotatingPool,
     cfg: &ClientConfig,
     ious: &[IssuedCurrency],
 ) -> Result<Vec<TradeRecord>, CrawlError> {
     let mut trades = Vec::new();
     for ic in ious {
         if ic.currency.as_str() == "BTC" {
-            trades.extend(fetch_exchanges(pool, cfg, "BTC", ic.issuer).await?);
+            trades.extend(fetch_exchanges(pool, cfg, "BTC", ic.issuer)?);
         }
     }
     Ok(trades)
@@ -979,74 +920,58 @@ impl XrpFold {
 
 /// The §3.1 measurement path: serve the generated chains over loopback RPC,
 /// benchmark and shortlist the EOS endpoints, then crawl the three chains
-/// at once, one task each, since their endpoints are independent. Every
-/// block is folded into its chain's sweep on the fetch worker that fetched
-/// it (XRP's fetch first resolves the ledger's exchange rates), so the
-/// sweeps are ready when the crawl ends. The sidecar is fetched once, after
-/// the crawl: metadata for every account seen and the BTC issuers'
-/// exchange events. With `keep_blocks` the blocks are kept too, in position
-/// order (what `reproduce archive --crawl` seals); without, the
-/// measurement side holds no chain.
-pub async fn generate_with_crawl(
+/// at once, one scoped thread each under its `crawl` span, since their
+/// endpoints are independent. Every block is folded into its chain's sweep
+/// on the fetch worker that fetched it (XRP's fetch first resolves the
+/// ledger's exchange rates), so the sweeps are ready when the crawl ends.
+/// The sidecar is fetched once, after the crawl: metadata for every account
+/// seen and the BTC issuers' exchange events. With `keep_blocks` the blocks
+/// are kept too, in position order (what `reproduce archive --crawl`
+/// seals); without, the measurement side holds no chain.
+pub fn generate_with_crawl(
     sc: &Scenario,
     opts: &CrawlOptions,
     keep_blocks: bool,
 ) -> Result<PipelineData, CrawlError> {
-    let served = serve_scenario(sc, opts).await?;
-    let cfg = ClientConfig::default();
+    let served = serve_scenario(sc, opts)?;
+    let cfg = &ClientConfig::default();
     let period = sc.period;
-    let rates = Arc::new(RateCache::new(period.end));
+    let rates = &RateCache::new(period.end);
     let concurrency = opts.concurrency;
+    let governance_periods = governance_periods_of(&served.tezos);
 
-    let eos_low = served.eos.config.start_block_num;
-    let eos_task = spawn_crawl("eos", &served.eos_pool, &cfg, move |pool, cfg| async move {
-        let head = eos_head(&pool, &cfg).await?;
-        let fetch = move |n| {
-            let (pool, cfg) = (pool.clone(), cfg.clone());
-            async move { fetch_eos_block(&pool, &cfg, n).await }
-        };
+    let crawl_eos = || {
+        let _span = Span::enter("crawl", "eos");
+        let pool = &served.eos_pool;
+        let head = eos_head(pool, cfg)?;
         let fold = (EosColumnar::new(period), Bounds::default());
-        crawl_folded("eos", (eos_low, head), concurrency, keep_blocks, fetch, fold,
+        crawl_folded("eos", (served.eos.config.start_block_num, head), concurrency, keep_blocks,
+            |n| fetch_eos_block(pool, cfg, n),
+            fold,
             |(sweep, bounds): &mut (EosColumnar, Bounds), n, b: &txstat_eos::Block| {
                 bounds.record(n, b.time);
                 sweep.observe(b);
             },
         )
-        .await
-    });
-
-    let governance_periods = governance_periods_of(&served.tezos);
-    let tz_periods = governance_periods.clone();
-    let tz_low = served.tezos.config.start_level;
-    let tz_task = spawn_crawl("tezos", &served.tz_pool, &cfg, move |pool, cfg| async move {
-        let head = tezos_head(&pool, &cfg).await?;
-        let fetch = move |n| {
-            let (pool, cfg) = (pool.clone(), cfg.clone());
-            async move { fetch_tezos_block(&pool, &cfg, n).await }
-        };
-        let fold = (TezosColumnar::new(period, tz_periods), Bounds::default());
-        crawl_folded("tezos", (tz_low, head), concurrency, keep_blocks, fetch, fold,
+    };
+    let crawl_tezos = || {
+        let _span = Span::enter("crawl", "tezos");
+        let pool = &served.tz_pool;
+        let head = tezos_head(pool, cfg)?;
+        let fold = (TezosColumnar::new(period, governance_periods.clone()), Bounds::default());
+        crawl_folded("tezos", (served.tezos.config.start_level, head), concurrency, keep_blocks,
+            |n| fetch_tezos_block(pool, cfg, n),
+            fold,
             |(sweep, bounds): &mut (TezosColumnar, Bounds), n, b: &txstat_tezos::TezosBlock| {
                 bounds.record(n, b.time);
                 sweep.observe(b);
             },
         )
-        .await
-    });
-
-    let xrp_low = served.xrp.config.start_index;
-    let xrp_rates = rates.clone();
-    let xrp_task = spawn_crawl("xrp", &served.xrp_pool, &cfg, move |pool, cfg| async move {
-        let head = xrp_head(&pool, &cfg).await?;
-        let fold_rates = xrp_rates.clone();
-        let fetch = move |n| {
-            let (pool, cfg, rates) = (pool.clone(), cfg.clone(), xrp_rates.clone());
-            async move {
-                let fetched = fetch_xrp_ledger(&pool, &cfg, n).await?;
-                rates.resolve(&pool, &cfg, &fetched.0).await?;
-                Ok(fetched)
-            }
-        };
+    };
+    let crawl_xrp = || {
+        let _span = Span::enter("crawl", "xrp");
+        let pool = &served.xrp_pool;
+        let head = xrp_head(pool, cfg)?;
         let fold = XrpFold {
             sweep: XrpColumnar::new(period),
             bounds: Bounds::default(),
@@ -1054,27 +979,30 @@ pub async fn generate_with_crawl(
             oracle: RateOracle::default(),
             known: HashSet::new(),
         };
-        crawl_folded("xrp", (xrp_low, head), concurrency, keep_blocks, fetch, fold,
-            move |fold: &mut XrpFold, n, b: &txstat_xrp::LedgerBlock| {
-                fold.observe(n, b, &fold_rates)
+        crawl_folded("xrp", (served.xrp.config.start_index, head), concurrency, keep_blocks,
+            |n| {
+                let fetched = fetch_xrp_ledger(pool, cfg, n)?;
+                rates.resolve(pool, cfg, &fetched.0)?;
+                Ok(fetched)
             },
+            fold,
+            |fold: &mut XrpFold, n, b: &txstat_xrp::LedgerBlock| fold.observe(n, b, rates),
         )
-        .await
-    });
-
-    // Join all three before propagating any failure, so an error never
+    };
+    // All three are joined before any failure propagates, so an error never
     // leaves another chain's crawl running behind the caller.
-    let eos_res = eos_task.await.map_err(join_err);
-    let tz_res = tz_task.await.map_err(join_err);
-    let xrp_res = xrp_task.await.map_err(join_err);
-    let ((eos_sweep, eos_bounds), eos_blocks, eos_stats) = eos_res??;
-    let ((tz_sweep, tz_bounds), tezos_blocks, tz_stats) = tz_res??;
-    let (xrp, xrp_blocks, xrp_stats) = xrp_res??;
+    let (eos, tezos, xrp) = std::thread::scope(|s| {
+        let (eos, tezos, xrp) = (s.spawn(crawl_eos), s.spawn(crawl_tezos), s.spawn(crawl_xrp));
+        (eos.join(), tezos.join(), xrp.join())
+    });
+    let ((eos_sweep, eos_bounds), eos_blocks, eos_stats) = eos.expect("eos crawl panicked")?;
+    let ((tz_sweep, tz_bounds), tezos_blocks, tz_stats) = tezos.expect("tezos crawl panicked")?;
+    let (xrp, xrp_blocks, xrp_stats) = xrp.expect("xrp crawl panicked")?;
 
     // The sidecar: metadata for every account seen, the BTC issuers'
     // exchange events. Rates were resolved during the crawl.
-    let cluster = fetch_cluster(&served.xrp_pool, &cfg, xrp.seen.into_iter().collect()).await?;
-    let trades = fetch_btc_trades(&served.xrp_pool, &cfg, &rates.currencies()).await?;
+    let cluster = fetch_cluster(&served.xrp_pool, cfg, xrp.seen.into_iter().collect())?;
+    let trades = fetch_btc_trades(&served.xrp_pool, cfg, &rates.currencies())?;
 
     let sweeps = ChainSweeps {
         eos: {

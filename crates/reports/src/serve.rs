@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use txstat_ingest::EpochCell;
 use txstat_netsim::http::{HttpRequest, HttpResponse};
-use txstat_netsim::{run_load, spawn_query_server, HttpHandler, LoadPlan, QueryServerConfig};
+use txstat_netsim::{run_load, start_query_server, HttpHandler, LoadPlan, QueryServerConfig};
 use txstat_telemetry::{Counter, MetricKind, Registry, Sample, SampleValue};
 
 /// One epoch's immutable serving state: the forked dataset plus the keyed
@@ -397,79 +397,75 @@ pub fn serve_session(
         Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(epoch, follower.head(), first))));
     let service = Arc::new(StatsService::with_registry(cell.clone(), registry.clone()));
 
-    let rt = tokio::runtime::Runtime::new().map_err(|e| e.to_string())?;
-    rt.block_on(async {
-        let handler: Arc<dyn HttpHandler> = service.clone();
-        let server = spawn_query_server(
-            handler,
-            QueryServerConfig {
-                name: "stats-serve".to_owned(),
-                bind: format!("127.0.0.1:{}", plan.port),
-                rate_per_sec: plan.rate,
-                burst: plan.burst,
-                ..QueryServerConfig::default()
-            },
-        )
-        .await
-        .map_err(|e| e.to_string())?;
-        // Route-class counters (requests/served/shed/bytes/latency) join
-        // the same registry the service exposes on /metrics.
-        server.routes.register_into(&registry);
-        say(ServeLine::Announce(format!("serving on http://{}", server.addr)));
+    let handler: Arc<dyn HttpHandler> = service.clone();
+    let server = start_query_server(
+        handler,
+        QueryServerConfig {
+            name: "stats-serve".to_owned(),
+            bind: format!("127.0.0.1:{}", plan.port),
+            rate_per_sec: plan.rate,
+            burst: plan.burst,
+            ..QueryServerConfig::default()
+        },
+    )
+    .map_err(|e| e.to_string())?;
+    // Route-class counters (requests/served/shed/bytes/latency) join
+    // the same registry the service exposes on /metrics.
+    server.routes.register_into(&registry);
+    say(ServeLine::Announce(format!("serving on http://{}", server.addr)));
 
-        while !follower.head() {
-            if plan.epoch_ms > 0 {
-                std::thread::sleep(Duration::from_millis(plan.epoch_ms));
-            }
-            let fork = follower.advance().map_err(|e| e.to_string())?;
-            epoch += 1;
-            let head = follower.head();
-            cell.publish(Arc::new(ServeSnapshot::new(epoch, head, fork)));
-            let (e, t, x) = follower.observed();
-            say(ServeLine::Progress(format!(
-                "epoch {epoch}: EOS {e} | Tezos {t} | XRP {x} blocks observed{}",
-                if head { " — head reached" } else { "" }
-            )));
+    while !follower.head() {
+        if plan.epoch_ms > 0 {
+            std::thread::sleep(Duration::from_millis(plan.epoch_ms));
         }
+        let fork = follower.advance().map_err(|e| e.to_string())?;
+        epoch += 1;
+        let head = follower.head();
+        cell.publish(Arc::new(ServeSnapshot::new(epoch, head, fork)));
+        let (e, t, x) = follower.observed();
+        say(ServeLine::Progress(format!(
+            "epoch {epoch}: EOS {e} | Tezos {t} | XRP {x} blocks observed{}",
+            if head { " — head reached" } else { "" }
+        )));
+    }
 
-        if plan.load {
-            let mut paths: Vec<String> = ["headline", "fig1", "fig4", "fig7", "fig8", "comparison"]
-                .iter()
-                .map(|n| format!("/exhibit/{n}"))
-                .collect();
-            paths.push("/report".to_owned());
-            paths.extend(sample_account_paths(service.snapshot().data()));
-            let load = LoadPlan { connections: 64, requests_per_conn: 200, paths };
-            say(ServeLine::Progress(format!(
-                "load: {} connections × {} requests over {} paths…",
-                load.connections,
-                load.requests_per_conn,
-                load.paths.len()
-            )));
-            let report = run_load(server.addr, &load).await;
-            say(ServeLine::Announce(format!(
-                "load: {} requests in {:.2?} → {:.0} req/s | ok {} shed {} errors {} | \
-                 p50 {}µs p99 {}µs max {}µs | cache hits {} misses {}",
-                report.sent,
-                report.elapsed,
-                report.req_per_sec(),
-                report.ok,
-                report.shed,
-                report.errors,
-                report.p50_us,
-                report.p99_us,
-                report.max_us,
-                service.cache_hits.get(),
-                service.cache_misses.get(),
-            )));
-            return Ok(());
-        }
+    if plan.load {
+        let mut paths: Vec<String> = ["headline", "fig1", "fig4", "fig7", "fig8", "comparison"]
+            .iter()
+            .map(|n| format!("/exhibit/{n}"))
+            .collect();
+        paths.push("/report".to_owned());
+        paths.extend(sample_account_paths(service.snapshot().data()));
+        let load = LoadPlan { connections: 64, requests_per_conn: 200, paths };
+        say(ServeLine::Progress(format!(
+            "load: {} connections × {} requests over {} paths…",
+            load.connections,
+            load.requests_per_conn,
+            load.paths.len()
+        )));
+        let report = run_load(server.addr, &load);
+        say(ServeLine::Announce(format!(
+            "load: {} requests in {:.2?} → {:.0} req/s | ok {} shed {} errors {} | \
+             p50 {}µs p99 {}µs max {}µs | cache hits {} misses {}",
+            report.sent,
+            report.elapsed,
+            report.req_per_sec(),
+            report.ok,
+            report.shed,
+            report.errors,
+            report.p50_us,
+            report.p99_us,
+            report.max_us,
+            service.cache_hits.get(),
+            service.cache_misses.get(),
+        )));
+        return Ok(());
+    }
 
-        say(ServeLine::Progress("head reached; serving until POST /admin/shutdown…".to_owned()));
-        while !service.shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        say(ServeLine::Progress("shutdown requested; exiting".to_owned()));
-        Ok(())
-    })
+    say(ServeLine::Progress("head reached; serving until POST /admin/shutdown…".to_owned()));
+    while !service.shutdown_requested() {
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    say(ServeLine::Progress("shutdown requested; exiting".to_owned()));
+    Ok(())
 }

@@ -18,8 +18,7 @@ use txstat::netsim::{EndpointProfile, Http, HttpRequest};
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let mut scenario = Scenario::small(3);
     scenario.period = Period::new(
         ChainTime::from_ymd(2019, 10, 29),
@@ -38,7 +37,7 @@ async fn main() {
         } else {
             EndpointProfile::stingy(&format!("bp-{i}"), i)
         };
-        handles.push(spawn_http(handler.clone(), profile).await.expect("endpoint"));
+        handles.push(spawn_http(handler.clone(), profile).expect("endpoint"));
     }
     let advertised: Vec<Advertised> = handles
         .iter()
@@ -47,15 +46,14 @@ async fn main() {
 
     // Benchmark with a cheap get_info probe — one `exchange` (connect,
     // write, read, under a timeout) per probe — then shortlist.
-    let reports = benchmark_endpoints(&advertised, 4, |addr| async move {
+    let reports = benchmark_endpoints(&advertised, 4, |addr| {
         let started = std::time::Instant::now();
         let probe = HttpRequest::post("/v1/chain/get_info", b"{}".to_vec());
-        match exchange::<Http>(addr, &probe, std::time::Duration::from_millis(400)).await {
+        match exchange::<Http>(addr, &probe, std::time::Duration::from_millis(400)) {
             Ok((r, _)) if r.is_ok() => Ok(started.elapsed()),
             _ => Err(()),
         }
-    })
-    .await;
+    });
     println!("\nEndpoint benchmark (success rate, mean latency):");
     for r in &reports {
         println!(
@@ -72,13 +70,11 @@ async fn main() {
     );
 
     // Reverse-chronological crawl with 6 workers.
-    let pool = Arc::new(RotatingPool::new(keep));
+    let pool = RotatingPool::new(keep);
     let cfg = ClientConfig::default();
-    let head = eos_head(&pool, &cfg).await.expect("head");
+    let head = eos_head(&pool, &cfg).expect("head");
     let started = std::time::Instant::now();
-    let crawl = crawl_eos(pool, cfg, chain.config.start_block_num, head, 6)
-        .await
-        .expect("crawl");
+    let crawl = crawl_eos(&pool, &cfg, chain.config.start_block_num, head, 6).expect("crawl");
     println!(
         "\nCrawled {} blocks / {} transactions in {:?} ({:.0} blocks/s)",
         crawl.stats.blocks,

@@ -7,14 +7,12 @@ use txstat::reports::{generate, generate_with_crawl, CrawlOptions};
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
 
-#[tokio::test]
-async fn crawl_pipeline_matches_direct_pipeline() {
+#[test]
+fn crawl_pipeline_matches_direct_pipeline() {
     let mut sc = Scenario::small(77);
     sc.period = Period::new(ChainTime::from_ymd(2019, 10, 30), ChainTime::from_ymd(2019, 11, 3));
     let direct = generate(&sc);
-    let crawled = generate_with_crawl(&sc, &CrawlOptions::default(), true)
-        .await
-        .expect("crawl pipeline");
+    let crawled = generate_with_crawl(&sc, &CrawlOptions::default(), true).expect("crawl pipeline");
 
     // Same blocks, same transactions.
     assert_eq!(direct.eos_blocks.len(), crawled.eos_blocks.len());

@@ -4,15 +4,16 @@
 
 mod support;
 
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use txstat::crawler::{
-    crawl_eos, crawl_range, eos_head, Advertised, ClientConfig, CrawlError, RotatingPool,
+    crawl_eos, crawl_range, eos_head, exchange, Advertised, ClientConfig, CrawlError, RotatingPool,
 };
 use txstat::netsim::handlers::EosRpcHandler;
 use txstat::netsim::server::{spawn_http, HttpHandler};
-use txstat::netsim::{EndpointProfile, HttpRequest, HttpResponse};
+use txstat::netsim::{EndpointProfile, Http, HttpRequest, HttpResponse};
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
 
@@ -30,28 +31,25 @@ fn quick_cfg() -> ClientConfig {
     }
 }
 
-#[tokio::test]
-async fn dead_endpoint_exhausts_retries() {
+#[test]
+fn dead_endpoint_exhausts_retries() {
     // A port with no listener: connection refused every time.
     let dead = Advertised { name: "dead".into(), addr: "127.0.0.1:1".parse().expect("addr") };
-    let pool = Arc::new(RotatingPool::new(vec![dead]));
-    let err = eos_head(&pool, &quick_cfg()).await.expect_err("must fail");
+    let pool = RotatingPool::new(vec![dead]);
+    let err = eos_head(&pool, &quick_cfg()).expect_err("must fail");
     assert!(matches!(err, CrawlError::Exhausted { attempts: 3, .. }), "{err}");
 }
 
-#[tokio::test]
-async fn permanently_rate_limited_endpoint_exhausts() {
+#[test]
+fn permanently_rate_limited_endpoint_exhausts() {
     let chain = tiny_chain();
     let handler = Arc::new(EosRpcHandler::new(chain));
     let mut p = EndpointProfile::generous("jammed", 5);
     p.rate_limit_per_sec = 0.000_1; // effectively never refills
     p.burst = 0.0;
-    let h = spawn_http(handler, p).await.expect("endpoint");
-    let pool = Arc::new(RotatingPool::new(vec![Advertised {
-        name: h.name.clone(),
-        addr: h.addr,
-    }]));
-    let err = eos_head(&pool, &quick_cfg()).await.expect_err("429 forever");
+    let h = spawn_http(handler, p).expect("endpoint");
+    let pool = RotatingPool::new(vec![Advertised { name: h.name.clone(), addr: h.addr }]);
+    let err = eos_head(&pool, &quick_cfg()).expect_err("429 forever");
     match err {
         CrawlError::Exhausted { last, .. } => assert_eq!(last, "429"),
         other => panic!("expected exhaustion, got {other}"),
@@ -66,16 +64,12 @@ impl HttpHandler for GarbageHandler {
     }
 }
 
-#[tokio::test]
-async fn garbage_payloads_surface_as_protocol_errors() {
+#[test]
+fn garbage_payloads_surface_as_protocol_errors() {
     let h = spawn_http(Arc::new(GarbageHandler), EndpointProfile::generous("garbage", 6))
-        .await
         .expect("endpoint");
-    let pool = Arc::new(RotatingPool::new(vec![Advertised {
-        name: h.name.clone(),
-        addr: h.addr,
-    }]));
-    let err = eos_head(&pool, &quick_cfg()).await.expect_err("bad json");
+    let pool = RotatingPool::new(vec![Advertised { name: h.name.clone(), addr: h.addr }]);
+    let err = eos_head(&pool, &quick_cfg()).expect_err("bad json");
     assert!(matches!(err, CrawlError::Protocol(_)), "{err}");
 }
 
@@ -94,18 +88,15 @@ impl HttpHandler for InfoOnlyHandler {
     }
 }
 
-#[tokio::test]
-async fn missing_blocks_fail_the_crawl() {
+#[test]
+fn missing_blocks_fail_the_crawl() {
     let chain = tiny_chain();
     let handler = Arc::new(InfoOnlyHandler { inner: Arc::new(EosRpcHandler::new(chain.clone())) });
-    let h = spawn_http(handler, EndpointProfile::generous("partial", 7)).await.expect("endpoint");
-    let pool = Arc::new(RotatingPool::new(vec![Advertised {
-        name: h.name.clone(),
-        addr: h.addr,
-    }]));
+    let h = spawn_http(handler, EndpointProfile::generous("partial", 7)).expect("endpoint");
+    let pool = RotatingPool::new(vec![Advertised { name: h.name.clone(), addr: h.addr }]);
     let cfg = quick_cfg();
-    let head = eos_head(&pool, &cfg).await.expect("info works");
-    let err = match crawl_eos(pool, cfg, head - 3, head, 2).await {
+    let head = eos_head(&pool, &cfg).expect("info works");
+    let err = match crawl_eos(&pool, &cfg, head - 3, head, 2) {
         Ok(_) => panic!("crawl must fail when blocks 404"),
         Err(e) => e,
     };
@@ -116,30 +107,26 @@ async fn missing_blocks_fail_the_crawl() {
 /// and `crawl_range` returns its error only once every worker is joined,
 /// so nothing `emit` owns outlives the call and no fetch goes on behind
 /// the caller's back.
-#[tokio::test]
-async fn a_failed_fetch_stops_every_worker_before_the_crawl_returns() {
+#[test]
+fn a_failed_fetch_stops_every_worker_before_the_crawl_returns() {
     const HEAD: u64 = 200;
     const CONCURRENCY: usize = 4;
-    let fetches = Arc::new(AtomicUsize::new(0));
-    let counted = fetches.clone();
-    let fetch = move |n: u64| {
-        let counted = counted.clone();
-        async move {
-            counted.fetch_add(1, Ordering::SeqCst);
-            if n == HEAD {
-                return Err(CrawlError::HttpStatus(404));
-            }
-            tokio::time::sleep(Duration::from_millis(5)).await;
-            Ok(((), Vec::new(), 0))
+    let fetches = AtomicUsize::new(0);
+    let fetch = |n: u64| {
+        fetches.fetch_add(1, Ordering::SeqCst);
+        if n == HEAD {
+            return Err(CrawlError::HttpStatus(404));
         }
+        std::thread::sleep(Duration::from_millis(5));
+        Ok(((), Vec::new(), 0))
     };
     let marker = Arc::new(());
     let held = marker.clone();
     let emit = move |_n: u64, _block: ()| {
         let _held = &held;
-        async { Ok::<(), CrawlError>(()) }
+        Ok::<(), CrawlError>(())
     };
-    let err = crawl_range(HEAD, 1, CONCURRENCY, fetch, emit).await.expect_err("the head 404s");
+    let err = crawl_range(HEAD, 1, CONCURRENCY, fetch, emit).expect_err("the head 404s");
     assert!(matches!(err, CrawlError::HttpStatus(404)), "{err}");
     assert_eq!(Arc::strong_count(&marker), 1, "a worker still holds emit after the Err");
     let fetched = fetches.load(Ordering::SeqCst);
@@ -148,23 +135,79 @@ async fn a_failed_fetch_stops_every_worker_before_the_crawl_returns() {
     assert_eq!(fetches.load(Ordering::SeqCst), fetched, "a worker went on fetching");
 }
 
-#[tokio::test]
-async fn one_good_endpoint_rescues_a_bad_pool() {
+/// A fetch that panics is joined like one that fails: `crawl_range`
+/// returns a typed `Protocol` error, not the panic, and only once every
+/// worker is joined.
+#[test]
+fn a_panicking_fetch_is_a_typed_error_once_every_worker_is_joined() {
+    const HEAD: u64 = 50;
+    let fetches = AtomicUsize::new(0);
+    let fetch = |n: u64| {
+        fetches.fetch_add(1, Ordering::SeqCst);
+        if n == HEAD {
+            panic!("block {n} cannot be decoded");
+        }
+        std::thread::sleep(Duration::from_millis(2));
+        Ok(((), Vec::new(), 0))
+    };
+    let marker = Arc::new(());
+    let held = marker.clone();
+    let emit = move |_n: u64, _block: ()| {
+        let _held = &held;
+        Ok::<(), CrawlError>(())
+    };
+    let err = crawl_range(HEAD, 1, 4, fetch, emit).expect_err("the head panics");
+    match &err {
+        CrawlError::Protocol(m) => {
+            assert!(m.starts_with("worker panicked") && m.contains("cannot be decoded"), "{m}")
+        }
+        other => panic!("expected a Protocol error, got {other}"),
+    }
+    assert_eq!(Arc::strong_count(&marker), 1, "a worker still holds emit after the Err");
+    let fetched = fetches.load(Ordering::SeqCst);
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(fetches.load(Ordering::SeqCst), fetched, "a worker went on fetching");
+}
+
+/// A peer that accepts the connection and never answers costs `exchange`
+/// its own deadline, not the socket's 60 s read timeout. The call runs on
+/// a thread of its own, so a hang fails the test after 10 s instead of
+/// stalling it.
+#[test]
+fn a_silent_peer_is_a_timeout_at_the_exchange_deadline() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (done, outcome) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    std::thread::spawn(move || {
+        let probe = HttpRequest::get("/chains/main/blocks/head");
+        let _ = done.send(exchange::<Http>(addr, &probe, Duration::from_millis(200)));
+    });
+    // Held open, never read from or written to.
+    let (_silent, _) = listener.accept().expect("accept");
+    let result = outcome.recv_timeout(Duration::from_secs(10)).expect("exchange hung for 10 s");
+    let took = started.elapsed();
+    assert!(matches!(result, Err(CrawlError::Timeout)), "{result:?}");
+    assert!(took < Duration::from_secs(2), "the exchange took {took:?}");
+}
+
+#[test]
+fn one_good_endpoint_rescues_a_bad_pool() {
     // Rotation + retries must route around a dead peer.
     let chain = tiny_chain();
     let handler = Arc::new(EosRpcHandler::new(chain.clone()));
-    let good = spawn_http(handler, EndpointProfile::generous("good", 8)).await.expect("endpoint");
-    let pool = Arc::new(RotatingPool::new(vec![
+    let good = spawn_http(handler, EndpointProfile::generous("good", 8)).expect("endpoint");
+    let pool = RotatingPool::new(vec![
         Advertised { name: "dead".into(), addr: "127.0.0.1:1".parse().expect("addr") },
         Advertised { name: good.name.clone(), addr: good.addr },
-    ]));
+    ]);
     let cfg = ClientConfig {
         request_timeout: Duration::from_millis(400),
         max_retries: 6,
         backoff: Duration::from_millis(2),
     };
-    let head = eos_head(&pool, &cfg).await.expect("rescued by rotation");
-    let crawl = crawl_eos(pool, cfg, head - 5, head, 2).await.expect("crawl completes");
+    let head = eos_head(&pool, &cfg).expect("rescued by rotation");
+    let crawl = crawl_eos(&pool, &cfg, head - 5, head, 2).expect("crawl completes");
     assert_eq!(crawl.blocks.len(), 6);
 }
 
@@ -173,13 +216,13 @@ async fn one_good_endpoint_rescues_a_bad_pool() {
 /// with body, delivered by a peer that then closes, parses to a request,
 /// a clean end of stream or a typed [`HttpError`] — it never panics, and it
 /// never waits for (or hands out) bytes the peer did not send.
-#[tokio::test]
-async fn damaged_http_requests_are_typed_never_a_panic() {
-    use tokio::io::{AsyncWriteExt, BufStream};
-    use tokio::net::{TcpListener, TcpStream};
+#[test]
+fn damaged_http_requests_are_typed_never_a_panic() {
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
     use txstat::netsim::http::{read_request, HttpError};
 
-    let listener = TcpListener::bind("127.0.0.1:0").await.expect("bind");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     for (healthy, served) in [
         (
@@ -199,15 +242,9 @@ async fn damaged_http_requests_are_typed_never_a_panic() {
             .chain(support::bit_flips(healthy))
             .chain([healthy.to_vec()]);
         for (case, bytes) in damaged.enumerate() {
-            let sent = bytes.clone();
-            let peer = tokio::spawn(async move {
-                let mut sock = TcpStream::connect(addr).await.expect("connect");
-                sock.write_all(&sent).await.expect("send");
-            });
-            let (sock, _) = listener.accept().await.expect("accept");
-            let parsed = read_request(&mut BufStream::new(sock)).await;
-            peer.await.expect("peer");
-            match parsed {
+            TcpStream::connect(addr).and_then(|mut peer| peer.write_all(&bytes)).expect("send");
+            let (sock, _) = listener.accept().expect("accept");
+            match read_request(&mut BufReader::new(sock)) {
                 Ok(Some(req)) => {
                     // A flip in the header's name leaves a body-less request.
                     let declared = req.header("content-length").and_then(|v| v.parse().ok());

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::sync::atomic::Ordering;
 use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat::ingest::{EpochCell, IngestError};
-use txstat::netsim::{run_load, spawn_query_server, HttpHandler, LoadPlan, QueryServerConfig};
+use txstat::netsim::{run_load, start_query_server, HttpHandler, LoadPlan, QueryServerConfig};
 use txstat::reports::{
     comparison_section, generate, render_report, reorg_data, report_sections,
     sample_account_paths, Follower, PipelineData, ServeSnapshot, StatsService,
@@ -467,35 +467,31 @@ fn response_cache_is_invalidated_by_epoch_swap() {
 #[test]
 fn admission_sheds_excess_load_with_429s_and_keeps_serving() {
     let (service, _cell) = service_over(generate(&Scenario::small(5)), true);
-    let rt = tokio::runtime::Runtime::new().expect("runtime");
-    rt.block_on(async move {
-        let handler: Arc<dyn HttpHandler> = service.clone();
-        let server = spawn_query_server(
-            handler,
-            QueryServerConfig {
-                name: "shed-test".to_owned(),
-                bind: "127.0.0.1:0".to_owned(),
-                rate_per_sec: 50.0,
-                burst: 10.0,
-                max_in_flight: 4,
-            },
-        )
-        .await
-        .expect("spawn server");
-        let plan = LoadPlan {
-            connections: 8,
-            requests_per_conn: 50,
-            paths: vec!["/exhibit/headline".to_owned(), "/exhibit/fig1".to_owned()],
-        };
-        let report = run_load(server.addr, &plan).await;
-        assert_eq!(report.errors, 0, "shedding must be 429s, not dropped connections");
-        assert!(report.shed > 0, "load above the rate must shed: {report:?}");
-        assert!(report.ok > 0, "server must keep serving under overload: {report:?}");
-        assert_eq!(report.sent, report.ok + report.shed);
-        assert_eq!(server.routes.exhibit.shed.get(), report.shed);
-        // Only admitted requests are timed into the latency histogram.
-        assert_eq!(server.routes.exhibit.latency.total(), report.ok);
-    });
+    let handler: Arc<dyn HttpHandler> = service.clone();
+    let server = start_query_server(
+        handler,
+        QueryServerConfig {
+            name: "shed-test".to_owned(),
+            bind: "127.0.0.1:0".to_owned(),
+            rate_per_sec: 50.0,
+            burst: 10.0,
+            max_in_flight: 4,
+        },
+    )
+    .expect("start server");
+    let plan = LoadPlan {
+        connections: 8,
+        requests_per_conn: 50,
+        paths: vec!["/exhibit/headline".to_owned(), "/exhibit/fig1".to_owned()],
+    };
+    let report = run_load(server.addr, &plan);
+    assert_eq!(report.errors, 0, "shedding must be 429s, not dropped connections");
+    assert!(report.shed > 0, "load above the rate must shed: {report:?}");
+    assert!(report.ok > 0, "server must keep serving under overload: {report:?}");
+    assert_eq!(report.sent, report.ok + report.shed);
+    assert_eq!(server.routes.exhibit.shed.get(), report.shed);
+    // Only admitted requests are timed into the latency histogram.
+    assert_eq!(server.routes.exhibit.latency.total(), report.ok);
 }
 
 #[test]

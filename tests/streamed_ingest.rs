@@ -45,14 +45,14 @@ fn columnar_report_is_bit_identical_to_scalar_sweeps() {
 /// from the same crawl accounting. The run that keeps no block holds no
 /// measurement-side chain; the one that keeps them holds the chains
 /// `generate` builds, in position order.
-#[tokio::test]
-async fn streamed_crawl_matches_materializing_crawl() {
+#[test]
+fn streamed_crawl_matches_materializing_crawl() {
     let mut sc = Scenario::small(91);
     sc.period = Period::new(ChainTime::from_ymd(2019, 10, 30), ChainTime::from_ymd(2019, 11, 2));
     let opts = CrawlOptions::default();
 
-    let streamed = generate_with_crawl(&sc, &opts, false).await.expect("crawl keeping no block");
-    let kept = generate_with_crawl(&sc, &opts, true).await.expect("crawl keeping its blocks");
+    let streamed = generate_with_crawl(&sc, &opts, false).expect("crawl keeping no block");
+    let kept = generate_with_crawl(&sc, &opts, true).expect("crawl keeping its blocks");
 
     assert!(streamed.eos_blocks.is_empty());
     assert!(streamed.tezos_blocks.is_empty());

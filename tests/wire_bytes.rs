@@ -431,3 +431,64 @@ fn figure2_storage_integers_are_pinned_for_small_seed_42() {
     assert_eq!(row(tezos), (2712, 59_647, 4_992_190, 622_878, 157_592), "tezos");
     assert_eq!(row(xrp), (146, 1557, 415_021, 49_158, 12_939), "xrp");
 }
+
+/// Every reply the three simulated node RPCs give for `Scenario::small(7)`,
+/// asked the way the crawler asks: EOS `get_info` and every `get_block`,
+/// Tezos `head` and every level, XRP `server_info` and every `ledger`
+/// frame. The handlers are called directly, with no socket. Each chain is
+/// pinned as `(replies, bytes, FNV-1a)` over its replies' bodies laid end
+/// to end (an XRP reply is its frame without the newline).
+#[test]
+fn endpoint_replies_are_pinned_for_small_seed_7() {
+    use serde_json::json;
+    use std::sync::Arc;
+    use txstat::netsim::handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
+    use txstat::netsim::http::{HttpRequest, HttpResponse};
+    use txstat::netsim::server::{HttpHandler, JsonHandler};
+    use txstat::types::ids::fnv1a64;
+    use txstat::workload::{eos::build_eos, tezos::build_tezos, xrp::build_xrp};
+    let pin = |replies: Vec<Vec<u8>>| {
+        let all = replies.concat();
+        (replies.len(), all.len(), fnv1a64(&all))
+    };
+    let body = |resp: HttpResponse| {
+        assert_eq!(resp.status, 200);
+        resp.body
+    };
+    let sc = Scenario::small(7);
+
+    let chain = Arc::new(build_eos(&sc));
+    let eos = EosRpcHandler::new(chain.clone());
+    let info = HttpRequest::post("/v1/chain/get_info", b"{}".to_vec());
+    let mut replies = vec![body(eos.handle(&info))];
+    for b in chain.blocks() {
+        let req = serde_json::to_vec(&json!({ "block_num_or_id": b.num })).unwrap();
+        replies.push(body(eos.handle(&HttpRequest::post("/v1/chain/get_block", req))));
+    }
+    assert_eq!(pin(replies), (577, 2_171_349, 0xcac72782bafade86), "eos");
+
+    let chain = Arc::new(build_tezos(&sc));
+    let tezos = TezosRpcHandler::new(chain.clone());
+    let mut replies = vec![body(tezos.handle(&HttpRequest::get("/chains/main/blocks/head")))];
+    for b in chain.blocks() {
+        let path = format!("/chains/main/blocks/{}", b.level);
+        replies.push(body(tezos.handle(&HttpRequest::get(&path))));
+    }
+    assert_eq!(pin(replies), (2713, 5_018_705, 0x4087b06407e14cd1), "tezos");
+
+    let ledger = Arc::new(build_xrp(&sc));
+    let usernames = txstat::workload::xrp::known_usernames()
+        .into_iter()
+        .map(|(a, n)| (a, n.to_owned()))
+        .collect();
+    let xrp = XrpRpcHandler::new(ledger.clone(), usernames);
+    let frame = |request| serde_json::to_vec(&xrp.handle(&request)).unwrap();
+    let mut replies = vec![frame(json!({"id": 0, "command": "server_info"}))];
+    for n in ledger.config.start_index..=ledger.head_index() {
+        replies.push(frame(json!({
+            "id": n, "command": "ledger", "ledger_index": n,
+            "transactions": true, "expand": true,
+        })));
+    }
+    assert_eq!(pin(replies), (147, 459_868, 0x4fb90812b8a591d8), "xrp");
+}

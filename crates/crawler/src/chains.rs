@@ -134,10 +134,7 @@ pub fn fetch_eos_block(
     let body = serde_json::to_vec(&json!({ "block_num_or_id": n })).expect("serializable");
     let req = HttpRequest::post("/v1/chain/get_block", body);
     let (resp, _) = http_with_retries(pool, cfg, &req)?;
-    let wire: txstat_eos::rpc_model::BlockJson = serde_json::from_slice(&resp.body)
-        .map_err(|e| CrawlError::Protocol(e.to_string()))?;
-    let block = txstat_eos::rpc_model::block_from_json(&wire)
-        .map_err(|e| CrawlError::Protocol(e.to_string()))?;
+    let block = txstat_eos::rpc_model::block_parse(&resp.body).map_err(CrawlError::Protocol)?;
     let txs = block.transactions.len() as u64;
     Ok((block, resp.body, txs))
 }
@@ -175,10 +172,8 @@ pub fn fetch_tezos_block(
 ) -> Result<Fetched<txstat_tezos::TezosBlock>, CrawlError> {
     let req = HttpRequest::get(&format!("/chains/main/blocks/{n}"));
     let (resp, _) = http_with_retries(pool, cfg, &req)?;
-    let wire: txstat_tezos::rpc_model::BlockJson = serde_json::from_slice(&resp.body)
-        .map_err(|e| CrawlError::Protocol(e.to_string()))?;
-    let block = txstat_tezos::rpc_model::block_from_json(&wire)
-        .map_err(|e| CrawlError::Protocol(e.to_string()))?;
+    let block =
+        txstat_tezos::rpc_model::block_parse(&resp.body).map_err(CrawlError::Protocol)?;
     let txs = block.operations.len() as u64;
     Ok((block, resp.body, txs))
 }

@@ -3,12 +3,11 @@
 
 use crate::name::Name;
 use crate::types::AssetRaw;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use txstat_types::time::ChainTime;
 
 /// Account classification (§2.3.1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccountKind {
     /// `eosio`, `eosio.msig`, `eosio.wrap` — can bypass authorization.
     SystemPrivileged,
@@ -17,7 +16,7 @@ pub enum AccountKind {
     Regular,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Account {
     pub name: Name,
     pub kind: AccountKind,
@@ -55,7 +54,7 @@ impl std::fmt::Display for AccountError {
 impl std::error::Error for AccountError {}
 
 /// State of one premium-name auction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct NameBid {
     pub high_bidder: Name,
     pub high_bid: AssetRaw,

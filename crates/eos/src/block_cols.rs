@@ -8,7 +8,7 @@
 //! failure is a [`ColError`] carrying a byte offset, never a panic.
 //!
 //! The decode of an encode is exactly what the wire-JSON round trip
-//! produces (`block_from_json(block_to_json(b))`): action payloads whose
+//! produces (`block_parse(&block_bytes(b))`): action payloads whose
 //! wire name would not reconstruct them degrade to [`ActionData::Generic`]
 //! at encode time, and `net_bytes` travels as `net_usage_words`
 //! (`net_bytes / 8`), mirroring the RPC model's lossy spots bit for bit.
@@ -344,7 +344,7 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<Block>, ColError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc_model::{block_from_json, block_to_json};
+    use crate::rpc_model::{block_bytes, block_parse};
 
     fn sample() -> Vec<Block> {
         vec![
@@ -403,7 +403,7 @@ mod tests {
         let decoded = decode_blocks(&bytes).unwrap();
         let oracle: Vec<Block> = blocks
             .iter()
-            .map(|b| block_from_json(&block_to_json(b)).unwrap())
+            .map(|b| block_parse(&block_bytes(b)).unwrap())
             .collect();
         assert_eq!(decoded, oracle);
         // Second encode of the decoded blocks is byte-identical (the

@@ -7,11 +7,10 @@
 
 use crate::name::Name;
 use crate::token::TokenId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The paper's Figure 3a application categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AppCategory {
     Exchange,
     Betting,
@@ -50,7 +49,7 @@ impl std::fmt::Display for AppCategory {
 }
 
 /// Ground-truth metadata for one deployed contract.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContractMeta {
     pub account: Name,
     pub category: AppCategory,
@@ -62,7 +61,7 @@ pub struct ContractMeta {
 /// Airdrop behaviour attached to a contract account (the EIDOS mechanism,
 /// §4.1): on receiving EOS it refunds the full amount and pays out a fixed
 /// fraction of its own token holdings.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AirdropSpec {
     pub token: TokenId,
     /// Payout as parts-per-million of current holdings (EIDOS: 0.01% = 100 ppm).

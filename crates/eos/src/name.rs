@@ -6,7 +6,6 @@
 //! We implement the exact production encoding so simulated identifiers have
 //! the same value space, ordering, and string forms as mainnet's.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -14,10 +13,7 @@ use std::str::FromStr;
 const CHARMAP: &[u8; 32] = b".12345abcdefghijklmnopqrstuvwxyz";
 
 /// A base32-packed EOS name (account, action, permission, table…).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
-#[serde(into = "String", try_from = "String")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Name(pub u64);
 
 /// Errors from parsing an EOS name string.
@@ -153,19 +149,6 @@ impl FromStr for Name {
     }
 }
 
-impl From<Name> for String {
-    fn from(n: Name) -> String {
-        n.to_string_repr()
-    }
-}
-
-impl TryFrom<String> for Name {
-    type Error = NameError;
-    fn try_from(s: String) -> Result<Self, Self::Error> {
-        Name::parse(&s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,15 +209,6 @@ mod tests {
         let a = Name::new("alice");
         let b = Name::new("bob");
         assert!(a < b);
-    }
-
-    #[test]
-    fn serde_as_string() {
-        let n = Name::new("eosio.token");
-        let j = serde_json::to_string(&n).unwrap();
-        assert_eq!(j, "\"eosio.token\"");
-        let back: Name = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, n);
     }
 
     /// The allocation-based renderer this crate used before `Name::encode`,

@@ -11,12 +11,11 @@
 
 use crate::name::Name;
 use crate::types::AssetRaw;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use txstat_types::time::ChainTime;
 
 /// Static parameters of the resource model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResourceConfig {
     /// Sliding accounting window (mainnet: 24 h).
     pub window_secs: i64,
@@ -50,7 +49,7 @@ impl Default for ResourceConfig {
 
 /// Per-account decaying usage accumulator (linear window decay, like
 /// eosio's `usage_accumulator`).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Usage {
     last: ChainTime,
     value_us: f64,
@@ -73,7 +72,7 @@ impl Usage {
 }
 
 /// An active REX CPU rental.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Rental {
     pub receiver: Name,
     /// Stake-equivalent CPU weight granted by the rental.
@@ -115,7 +114,7 @@ impl std::error::Error for ResourceError {}
 
 /// Bancor-style RAM market (`rammarket` on mainnet): a connector pair of
 /// RAM bytes against EOS. Buying RAM raises its price; a 0.5% fee applies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RamMarket {
     pub ram_reserve_bytes: u64,
     pub eos_reserve: AssetRaw,

@@ -1,30 +1,19 @@
-//! JSON wire model of the EOS node RPC (`/v1/chain/get_info`,
-//! `/v1/chain/get_block`) — the surface the paper's crawler consumed (§3.1).
+//! JSON wire model of the EOS node RPC block reply (`/v1/chain/get_block`)
+//! — the surface the paper's crawler consumed (§3.1).
 //!
 //! The shapes mirror nodeos responses closely enough that the crawler-side
 //! parser faces the same structure (wrapped `trx`, asset strings like
-//! `"1.0000 EOS"`, ISO timestamps).
+//! `"1.0000 EOS"`, ISO timestamps). A block has one encoder,
+//! [`block_bytes_into`], and one decoder, [`block_parse`], which reads the
+//! `Deserialize`-only models below.
 
 use crate::name::Name;
 use crate::types::{Action, ActionData, AssetRaw, Block, Transaction};
-use serde::{Deserialize, Serialize};
-use serde_json::{json, Value};
+use serde::Deserialize;
+use serde_json::Value;
 use txstat_types::amount::SymCode;
 use txstat_types::time::ChainTime;
 use txstat_types::{JsonOut, JsonWriter};
-
-/// Render an EOS asset string: `"12.3456 EOS"` (4 decimals).
-pub(crate) fn format_asset(amount: AssetRaw, symbol: SymCode) -> String {
-    let neg = amount < 0;
-    let mag = amount.unsigned_abs();
-    format!(
-        "{}{}.{:04} {}",
-        if neg { "-" } else { "" },
-        mag / 10_000,
-        mag % 10_000,
-        symbol
-    )
-}
 
 /// Parse an EOS asset string back to `(amount, symbol)`.
 pub(crate) fn parse_asset(s: &str) -> Option<(AssetRaw, SymCode)> {
@@ -42,22 +31,12 @@ pub(crate) fn parse_asset(s: &str) -> Option<(AssetRaw, SymCode)> {
     Some((if neg { -raw } else { raw }, symbol))
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GetInfoJson {
-    pub chain_id: String,
-    pub head_block_num: u64,
-    pub head_block_time: String,
-    pub last_irreversible_block_num: u64,
-    pub server_version_string: String,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 pub(crate) struct AuthJson {
     pub actor: String,
-    pub permission: String,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 pub(crate) struct ActionJson {
     pub account: String,
     pub name: String,
@@ -65,91 +44,30 @@ pub(crate) struct ActionJson {
     pub data: Value,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 pub(crate) struct TxBodyJson {
     pub actions: Vec<ActionJson>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 pub(crate) struct TrxJson {
     pub id: String,
     pub transaction: TxBodyJson,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 pub(crate) struct TxWrapperJson {
-    pub status: String,
     pub cpu_usage_us: u32,
     pub net_usage_words: u32,
     pub trx: TrxJson,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BlockJson {
+#[derive(Debug, Deserialize)]
+pub(crate) struct BlockJson {
     pub block_num: u64,
     pub timestamp: String,
     pub producer: String,
     pub(crate) transactions: Vec<TxWrapperJson>,
-}
-
-fn action_data_to_json(data: &ActionData) -> Value {
-    match data {
-        ActionData::Transfer { from, to, symbol, amount } => json!({
-            "from": from.to_string_repr(),
-            "to": to.to_string_repr(),
-            "quantity": format_asset(*amount, *symbol),
-            "memo": "",
-        }),
-        ActionData::Trade { buyer, seller, base_symbol, base_amount, quote_symbol, quote_amount } => {
-            json!({
-                "buyer": buyer.to_string_repr(),
-                "seller": seller.to_string_repr(),
-                "base": format_asset(*base_amount, *base_symbol),
-                "quote": format_asset(*quote_amount, *quote_symbol),
-            })
-        }
-        ActionData::NewAccount { creator, name } => json!({
-            "creator": creator.to_string_repr(),
-            "name": name.to_string_repr(),
-        }),
-        ActionData::DelegateBw { from, receiver, net, cpu } => json!({
-            "from": from.to_string_repr(),
-            "receiver": receiver.to_string_repr(),
-            "stake_net_quantity": format_asset(*net, SymCode::new("EOS")),
-            "stake_cpu_quantity": format_asset(*cpu, SymCode::new("EOS")),
-        }),
-        ActionData::UndelegateBw { from, receiver, net, cpu } => json!({
-            "from": from.to_string_repr(),
-            "receiver": receiver.to_string_repr(),
-            "unstake_net_quantity": format_asset(*net, SymCode::new("EOS")),
-            "unstake_cpu_quantity": format_asset(*cpu, SymCode::new("EOS")),
-        }),
-        ActionData::BuyRam { payer, receiver, quant } => json!({
-            "payer": payer.to_string_repr(),
-            "receiver": receiver.to_string_repr(),
-            "quant": format_asset(*quant, SymCode::new("EOS")),
-        }),
-        ActionData::BuyRamBytes { payer, receiver, bytes } => json!({
-            "payer": payer.to_string_repr(),
-            "receiver": receiver.to_string_repr(),
-            "bytes": bytes,
-        }),
-        ActionData::BidName { bidder, newname, bid } => json!({
-            "bidder": bidder.to_string_repr(),
-            "newname": newname.to_string_repr(),
-            "bid": format_asset(*bid, SymCode::new("EOS")),
-        }),
-        ActionData::VoteProducer { voter, producer_count } => json!({
-            "voter": voter.to_string_repr(),
-            "producer_count": producer_count,
-        }),
-        ActionData::RentCpu { from, receiver, payment } => json!({
-            "from": from.to_string_repr(),
-            "receiver": receiver.to_string_repr(),
-            "loan_payment": format_asset(*payment, SymCode::new("EOS")),
-        }),
-        ActionData::Generic => json!({}),
-    }
 }
 
 fn name_field(v: &Value, key: &str) -> Option<Name> {
@@ -274,81 +192,25 @@ pub(crate) fn action_data_from_json(action_name: &str, v: &Value) -> ActionData 
     }
 }
 
-/// Serialize a block for the RPC endpoint.
-pub fn block_to_json(block: &Block) -> BlockJson {
-    BlockJson {
-        block_num: block.num,
-        timestamp: block.time.iso_string(),
-        producer: block.producer.to_string_repr(),
-        transactions: block
-            .transactions
-            .iter()
-            .map(|tx| TxWrapperJson {
-                status: "executed".to_owned(),
-                cpu_usage_us: tx.cpu_us,
-                net_usage_words: tx.net_bytes / 8,
-                trx: TrxJson {
-                    id: format!("{:016x}", tx.id),
-                    transaction: TxBodyJson {
-                        actions: tx
-                            .actions
-                            .iter()
-                            .map(|a| ActionJson {
-                                account: a.contract.to_string_repr(),
-                                name: a.name.to_string_repr(),
-                                authorization: vec![AuthJson {
-                                    actor: a.actor.to_string_repr(),
-                                    permission: "active".to_owned(),
-                                }],
-                                data: action_data_to_json(&a.data),
-                            })
-                            .collect(),
-                    },
-                },
-            })
-            .collect(),
-    }
-}
-
-/// Errors from decoding wire blocks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    BadTimestamp(String),
-    BadName(String),
-    BadTxId(String),
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::BadTimestamp(s) => write!(f, "bad timestamp {s:?}"),
-            DecodeError::BadName(s) => write!(f, "bad name {s:?}"),
-            DecodeError::BadTxId(s) => write!(f, "bad tx id {s:?}"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Parse a wire block back into the chain model (crawler side).
-pub fn block_from_json(json: &BlockJson) -> Result<Block, DecodeError> {
+/// Parse a wire block back into the chain model (crawler side). An error
+/// names the value that did not parse.
+pub(crate) fn block_from_json(json: &BlockJson) -> Result<Block, String> {
+    let parse_name = |s: &str| Name::parse(s).map_err(|_| format!("bad name {s:?}"));
     let time = ChainTime::parse_iso(&json.timestamp)
-        .ok_or_else(|| DecodeError::BadTimestamp(json.timestamp.clone()))?;
-    let producer =
-        Name::parse(&json.producer).map_err(|_| DecodeError::BadName(json.producer.clone()))?;
+        .ok_or_else(|| format!("bad timestamp {:?}", json.timestamp))?;
+    let producer = parse_name(&json.producer)?;
     let mut transactions = Vec::with_capacity(json.transactions.len());
     for w in &json.transactions {
         let id = u64::from_str_radix(&w.trx.id, 16)
-            .map_err(|_| DecodeError::BadTxId(w.trx.id.clone()))?;
+            .map_err(|_| format!("bad tx id {:?}", w.trx.id))?;
         let mut actions = Vec::with_capacity(w.trx.transaction.actions.len());
         for aj in &w.trx.transaction.actions {
-            let contract =
-                Name::parse(&aj.account).map_err(|_| DecodeError::BadName(aj.account.clone()))?;
-            let name = Name::parse(&aj.name).map_err(|_| DecodeError::BadName(aj.name.clone()))?;
+            let contract = parse_name(&aj.account)?;
+            let name = parse_name(&aj.name)?;
             let actor = aj
                 .authorization
                 .first()
-                .map(|auth| Name::parse(&auth.actor).map_err(|_| DecodeError::BadName(auth.actor.clone())))
+                .map(|auth| parse_name(&auth.actor))
                 .transpose()?
                 .unwrap_or_default();
             let data = action_data_from_json(&aj.name, &aj.data);
@@ -364,7 +226,8 @@ pub fn block_from_json(json: &BlockJson) -> Result<Block, DecodeError> {
     Ok(Block { num: json.block_num, time, producer, transactions })
 }
 
-/// Append [`format_asset`] as a string literal.
+/// Append an EOS asset string literal: `"12.3456 EOS"` (4 decimals).
+/// [`parse_asset`] reads it back.
 fn write_asset<O: JsonOut>(w: &mut JsonWriter<'_, O>, amount: AssetRaw, symbol: &str) {
     let mag = amount.unsigned_abs();
     w.raw(if amount < 0 { "\"-" } else { "\"" });
@@ -372,7 +235,9 @@ fn write_asset<O: JsonOut>(w: &mut JsonWriter<'_, O>, amount: AssetRaw, symbol: 
     w.raw(" ").escaped(symbol).raw("\"");
 }
 
-/// Append the object [`action_data_to_json`] builds, key for key.
+/// Append an action's `data` object: the fields nodeos reports for the
+/// system and token actions the paper classifies, `{}` for any other.
+/// [`action_data_from_json`] reads the same keys back.
 fn write_action_data<O: JsonOut>(w: &mut JsonWriter<'_, O>, data: &ActionData) {
     /// `{"k1":name1,"k2":name2` — how all but two shapes open.
     fn names<O: JsonOut>(w: &mut JsonWriter<'_, O>, k1: &str, n1: &Name, k2: &str, n2: &Name) {
@@ -447,11 +312,11 @@ fn write_action_data<O: JsonOut>(w: &mut JsonWriter<'_, O>, data: &ActionData) {
 }
 
 /// Append the canonical wire bytes of one block to `out` (or, into a
-/// [`txstat_types::JsonLen`], count them): the compact JSON of
-/// [`block_to_json`], written straight from the chain model. The NDJSON
-/// crawl replay, the archive's wire-JSON segments, the follow layer's reorg
-/// content hashes and the Figure 2 storage sweep all move exactly these
-/// bytes — this is their one shared definition.
+/// [`txstat_types::JsonLen`], count them): the compact `get_block` JSON,
+/// written straight from the chain model. The simulated endpoint's replies,
+/// the NDJSON crawl replay, the archive's wire-JSON segments, the follow
+/// layer's reorg content hashes and the Figure 2 storage sweep all move
+/// exactly these bytes — this is their one writer.
 pub fn block_bytes_into(b: &Block, out: &mut impl JsonOut) {
     let w = &mut JsonWriter::new(out);
     w.raw("{\"block_num\":").uint(b.num).raw(",\"timestamp\":").iso(b.time);
@@ -489,15 +354,23 @@ pub fn block_parse(bytes: &[u8]) -> Result<Block, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
+
+    /// [`write_asset`]'s string, unquoted.
+    fn asset_text(raw: AssetRaw, sym: &str) -> String {
+        let mut bytes = Vec::new();
+        write_asset(&mut JsonWriter::new(&mut bytes), raw, sym);
+        serde_json::from_slice::<Value>(&bytes).unwrap().as_str().unwrap().to_owned()
+    }
 
     #[test]
     fn asset_roundtrip() {
         for (raw, sym) in [(12_3456i64, "EOS"), (0, "EIDOS"), (-5_0001, "DICE"), (1, "EOS")] {
-            let s = format_asset(raw, SymCode::new(sym));
+            let s = asset_text(raw, sym);
             let (r2, s2) = parse_asset(&s).unwrap();
             assert_eq!((r2, s2.as_str()), (raw, sym), "via {s}");
         }
-        assert_eq!(format_asset(1_0000, SymCode::new("EOS")), "1.0000 EOS");
+        assert_eq!(asset_text(1_0000, "EOS"), "1.0000 EOS");
         assert!(parse_asset("1.00 EOS").is_none(), "wrong precision");
         assert!(parse_asset("junk").is_none());
     }
@@ -529,13 +402,11 @@ mod tests {
                 net_bytes: 160,
             }],
         };
-        let wire = block_to_json(&block);
-        let text = serde_json::to_string(&wire).unwrap();
+        let bytes = block_bytes(&block);
+        let text = String::from_utf8_lossy(&bytes);
         assert!(text.contains("\"9.5000 EOS\""));
         assert!(text.contains("2019-10-01T00:00:30"));
-        let parsed: BlockJson = serde_json::from_str(&text).unwrap();
-        let back = block_from_json(&parsed).unwrap();
-        assert_eq!(back, block);
+        assert_eq!(block_parse(&bytes), Ok(block));
     }
 
     #[test]
@@ -556,19 +427,16 @@ mod tests {
             quote_symbol: SymCode::new("EOS"),
             quote_amount: 3_0000,
         };
-        let v = action_data_to_json(&data);
+        let mut bytes = Vec::new();
+        write_action_data(&mut JsonWriter::new(&mut bytes), &data);
+        let v: Value = serde_json::from_slice(&bytes).unwrap();
         assert_eq!(action_data_from_json("verifytrade2", &v), data);
     }
 
     #[test]
     fn bad_wire_data_is_rejected() {
-        let mut wire = block_to_json(&Block {
-            num: 1,
-            time: ChainTime::from_ymd(2019, 10, 1),
-            producer: Name::new("p"),
-            transactions: vec![],
-        });
-        wire.timestamp = "not-a-time".to_owned();
-        assert!(matches!(block_from_json(&wire), Err(DecodeError::BadTimestamp(_))));
+        let text = r#"{"block_num":1,"timestamp":"not-a-time","producer":"p","transactions":[]}"#;
+        let wire: BlockJson = serde_json::from_str(text).unwrap();
+        assert!(matches!(block_from_json(&wire), Err(e) if e.starts_with("bad timestamp")));
     }
 }

@@ -7,13 +7,12 @@
 
 use crate::name::Name;
 use crate::types::AssetRaw;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use txstat_types::FxHashMap;
 use txstat_types::amount::SymCode;
 
 /// Identity of a token: the contract it lives on plus its symbol code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TokenId {
     pub contract: Name,
     pub symbol: SymCode,
@@ -31,7 +30,7 @@ impl TokenId {
 }
 
 /// Supply bookkeeping for one token.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TokenStats {
     pub issuer: Name,
     pub supply: AssetRaw,

@@ -5,7 +5,6 @@
 //! both levels are first-class here.
 
 use crate::name::Name;
-use serde::{Deserialize, Serialize};
 use txstat_types::amount::SymCode;
 use txstat_types::time::ChainTime;
 
@@ -14,7 +13,7 @@ pub(crate) type AssetRaw = i64;
 
 /// Structured payload of the action kinds the analytics must see through;
 /// everything else is `Generic`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ActionData {
     /// `transfer(from, to, quantity, memo)` on an eosio.token-style contract.
     Transfer {
@@ -55,7 +54,7 @@ pub enum ActionData {
 }
 
 /// One action: a call of `name` on `contract`, authorized by `actor`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Action {
     /// The contract account the action executes on (the paper's "receiver").
     pub contract: Name,
@@ -89,7 +88,7 @@ impl Action {
 }
 
 /// A transaction: one or more actions sharing a single billing envelope.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transaction {
     /// Stable id (FNV of block/slot/index assigned at production time).
     pub id: u64,
@@ -108,7 +107,7 @@ impl Transaction {
 }
 
 /// A produced block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     pub num: u64,
     pub time: ChainTime,

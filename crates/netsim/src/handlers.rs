@@ -54,19 +54,14 @@ impl HttpHandler for EosRpcHandler {
         match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/v1/chain/get_info") => {
                 let head = self.chain.head_block_num();
-                let info = eos_rpc::GetInfoJson {
-                    chain_id: "aca376f206b8fc25a6ed44dbdc66547c36c6c33e3a119ffbeaef943642f0e906"
-                        .to_owned(),
-                    head_block_num: head,
-                    head_block_time: self
-                        .chain
-                        .block_by_num(head)
-                        .map(|b| b.time.iso_string())
-                        .unwrap_or_default(),
-                    last_irreversible_block_num: head.saturating_sub(325),
-                    server_version_string: "v1.8.txstat-sim".to_owned(),
-                };
-                json_ok(&serde_json::to_value(info).expect("serializable"))
+                let head_time = self.chain.block_by_num(head).map(|b| b.time.iso_string());
+                json_ok(&json!({
+                    "chain_id": "aca376f206b8fc25a6ed44dbdc66547c36c6c33e3a119ffbeaef943642f0e906",
+                    "head_block_num": head,
+                    "head_block_time": head_time.unwrap_or_default(),
+                    "last_irreversible_block_num": head.saturating_sub(325),
+                    "server_version_string": "v1.8.txstat-sim",
+                }))
             }
             ("POST", "/v1/chain/get_block") => {
                 let body: Value = match serde_json::from_slice(&req.body) {
@@ -78,10 +73,7 @@ impl HttpHandler for EosRpcHandler {
                     None => return json_error(400, "Bad Request", "missing block_num_or_id"),
                 };
                 match self.chain.block_by_num(num) {
-                    Some(block) => {
-                        let wire = eos_rpc::block_to_json(block);
-                        json_ok(&serde_json::to_value(wire).expect("serializable"))
-                    }
+                    Some(block) => HttpResponse::ok(eos_rpc::block_bytes(block)),
                     None => json_error(404, "Not Found", "unknown block"),
                 }
             }
@@ -121,10 +113,7 @@ impl HttpHandler for TezosRpcHandler {
             }
         };
         match self.chain.block_by_level(level) {
-            Some(block) => {
-                let wire = tezos_rpc::block_to_json(block);
-                json_ok(&serde_json::to_value(wire).expect("serializable"))
-            }
+            Some(block) => HttpResponse::ok(tezos_rpc::block_bytes(block)),
             None => json_error(404, "Not Found", "unknown level"),
         }
     }
@@ -176,7 +165,11 @@ impl JsonHandler for XrpRpcHandler {
                     None => return self.error(id, "invalidParams"),
                 };
                 match self.ledger.ledger_by_index(index) {
-                    Some(block) => self.reply(id, xrp_rpc::ledger_to_json(block)),
+                    Some(block) => {
+                        let ledger = serde_json::from_slice(&xrp_rpc::ledger_bytes(block))
+                            .expect("ledger_bytes writes valid JSON");
+                        self.reply(id, ledger)
+                    }
                     None => self.error(id, "lgrNotFound"),
                 }
             }

@@ -6,14 +6,13 @@
 //! render it base58check-style with the production prefixes so addresses
 //! look and parse like mainnet's.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use txstat_types::base58::BITCOIN;
 use txstat_types::ids::fnv1a64;
 
 /// Address class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AddrKind {
     /// tz1 — key-pair account; can bake and be a delegate.
     Implicit,
@@ -22,8 +21,7 @@ pub enum AddrKind {
 }
 
 /// A Tezos address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(into = "String", try_from = "String")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Address {
     pub kind: AddrKind,
     pub id: u64,
@@ -154,19 +152,6 @@ impl FromStr for Address {
     }
 }
 
-impl From<Address> for String {
-    fn from(a: Address) -> String {
-        a.to_string()
-    }
-}
-
-impl TryFrom<String> for Address {
-    type Error = AddressError;
-    fn try_from(s: String) -> Result<Self, Self::Error> {
-        s.parse()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,14 +192,6 @@ mod tests {
             "tz10O".parse::<Address>(), // 'O' and '0' are not base58
             Err(AddressError::BadEncoding)
         );
-    }
-
-    #[test]
-    fn serde_as_string() {
-        let a = Address::implicit(99);
-        let j = serde_json::to_string(&a).unwrap();
-        let back: Address = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, a);
     }
 
     /// The allocation-based renderer this crate used before

@@ -8,7 +8,7 @@
 //! [`ColError`] with a byte offset, never a panic.
 //!
 //! The decode of an encode equals the wire-JSON round trip
-//! (`block_from_json(block_to_json(b))`): the node RPC groups operations
+//! (`block_parse(&block_bytes(b))`): the node RPC groups operations
 //! into the four validation passes, so the encoder walks operations in
 //! pass order (stable within a pass) and the decoded order matches what a
 //! wire-JSON replay produces — keeping reports and reorg marks identical
@@ -266,7 +266,7 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<TezosBlock>, ColError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc_model::{block_from_json, block_to_json};
+    use crate::rpc_model::{block_bytes, block_parse};
 
     fn sample() -> Vec<TezosBlock> {
         vec![TezosBlock {
@@ -323,7 +323,7 @@ mod tests {
         let decoded = decode_blocks(&bytes).unwrap();
         let oracle: Vec<TezosBlock> = blocks
             .iter()
-            .map(|b| block_from_json(&block_to_json(b)).unwrap())
+            .map(|b| block_parse(&block_bytes(b)).unwrap())
             .collect();
         assert_eq!(decoded, oracle);
         // Pass-order normalization is idempotent: re-encoding the decoded

@@ -21,7 +21,6 @@
 use crate::address::{AddrKind, Address};
 use crate::governance::{GovError, GovernanceConfig, GovernanceState};
 use crate::ops::{OpPayload, Operation};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use txstat_types::distrib::WeightedIndex;
@@ -32,7 +31,7 @@ use txstat_types::time::ChainTime;
 pub const MUTEZ_PER_TEZ: u64 = 1_000_000;
 
 /// Chain parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TezosConfig {
     pub genesis_time: ChainTime,
     /// Scenario block interval (mainnet Babylon: ~60 s).
@@ -69,14 +68,14 @@ impl Default for TezosConfig {
 }
 
 /// A registered baker with its stake.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Baker {
     pub address: Address,
     pub staked_mutez: u64,
 }
 
 /// A produced block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TezosBlock {
     pub level: u64,
     pub time: ChainTime,

@@ -8,11 +8,10 @@
 
 use crate::address::Address;
 use crate::ops::Vote;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Which period the chain is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeriodKind {
     Proposal,
     Exploration,
@@ -32,7 +31,7 @@ impl PeriodKind {
 }
 
 /// Governance parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GovernanceConfig {
     /// Blocks per voting period (mainnet: 8 cycles × 4096 blocks; scenarios
     /// scale this down with the block interval).
@@ -50,7 +49,7 @@ impl Default for GovernanceConfig {
 }
 
 /// Outcome of one finished period.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PeriodResult {
     pub index: u64,
     pub kind: PeriodKind,

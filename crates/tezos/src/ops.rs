@@ -5,10 +5,9 @@
 //! (transactions, originations, delegations, reveals, activations).
 
 use crate::address::Address;
-use serde::{Deserialize, Serialize};
 
 /// Operation kinds, exactly the rows of Figure 1's Tezos column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OperationKind {
     Transaction,
     Origination,
@@ -91,7 +90,7 @@ impl OperationKind {
 }
 
 /// A governance ballot choice (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vote {
     Yay,
     Nay,
@@ -118,7 +117,7 @@ impl Vote {
 }
 
 /// Payload per operation kind.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpPayload {
     Endorsement {
         /// Level being endorsed (the previous block).
@@ -177,7 +176,7 @@ impl OpPayload {
 }
 
 /// One operation, as included in a block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Operation {
     pub source: Address,
     pub payload: OpPayload,

@@ -3,51 +3,42 @@
 //! full node exposed (§3.1).
 //!
 //! Operations are grouped into the four validation passes exactly as the
-//! node RPC returns them: endorsements, votes, anonymous, managers.
+//! node RPC returns them: endorsements, votes, anonymous, managers. A block
+//! has one encoder, [`block_bytes_into`], and one decoder, [`block_parse`],
+//! which reads the `Deserialize`-only models below.
 
 use crate::address::Address;
 use crate::chain::TezosBlock;
 use crate::ops::{OpPayload, Operation, OperationKind, Vote};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use txstat_types::time::ChainTime;
 use txstat_types::{JsonOut, JsonWriter};
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 pub(crate) struct OpJson {
     pub kind: String,
     pub source: String,
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub destination: Option<String>,
     /// Mutez amount as a string, as the node RPC encodes it.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub amount: Option<String>,
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub level: Option<u64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub slots: Option<u8>,
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub delegate: Option<String>,
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub proposal: Option<String>,
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub ballot: Option<String>,
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub proposals: Option<Vec<String>>,
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub secret: Option<String>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 pub(crate) struct BlockHeaderJson {
     pub level: u64,
     pub timestamp: String,
     pub baker: String,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BlockJson {
-    pub(crate) protocol: String,
-    pub(crate) chain_id: String,
+#[derive(Debug, Deserialize)]
+pub(crate) struct BlockJson {
     pub(crate) header: BlockHeaderJson,
     /// Four validation passes.
     pub(crate) operations: Vec<Vec<OpJson>>,
@@ -57,61 +48,9 @@ pub struct BlockJson {
 pub(crate) const PROTOCOL: &str = "PsBabyM1eUXZseaJdmXFApDSBqj8YBfwELoxZHHW77EMcAbbwAS";
 pub(crate) const CHAIN_ID: &str = "NetXdQprcVkpaWU";
 
-fn op_to_json(op: &Operation) -> OpJson {
-    let mut j = OpJson {
-        kind: op.kind().wire_kind().to_owned(),
-        source: op.source.to_string(),
-        destination: None,
-        amount: None,
-        level: None,
-        slots: None,
-        delegate: None,
-        proposal: None,
-        ballot: None,
-        proposals: None,
-        secret: None,
-    };
-    match &op.payload {
-        OpPayload::Endorsement { level, slots } => {
-            j.level = Some(*level);
-            j.slots = Some(*slots);
-        }
-        OpPayload::Transaction { destination, amount_mutez } => {
-            j.destination = Some(destination.to_string());
-            j.amount = Some(amount_mutez.to_string());
-        }
-        OpPayload::Origination { contract, balance_mutez } => {
-            j.destination = Some(contract.to_string());
-            j.amount = Some(balance_mutez.to_string());
-        }
-        OpPayload::Delegation { delegate } => {
-            j.delegate = delegate.map(|d| d.to_string());
-        }
-        OpPayload::Reveal => {}
-        OpPayload::Activation { secret_hash } => {
-            j.secret = Some(format!("{secret_hash:016x}"));
-        }
-        OpPayload::RevealNonce { level } => {
-            j.level = Some(*level);
-        }
-        OpPayload::Ballot { proposal, vote } => {
-            j.proposal = Some(proposal.clone());
-            j.ballot = Some(vote.wire().to_owned());
-        }
-        OpPayload::Proposals { proposals } => {
-            j.proposals = Some(proposals.clone());
-        }
-        OpPayload::DoubleBakingEvidence { offender, level } => {
-            j.destination = Some(offender.to_string());
-            j.level = Some(*level);
-        }
-    }
-    j
-}
-
 /// Decode errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
+pub(crate) enum DecodeError {
     BadKind(String),
     BadAddress(String),
     BadTimestamp(String),
@@ -197,26 +136,8 @@ fn op_from_json(j: &OpJson) -> Result<Operation, DecodeError> {
     Ok(Operation { source, payload })
 }
 
-/// Serialize a block for the RPC endpoint, grouping by validation pass.
-pub fn block_to_json(block: &TezosBlock) -> BlockJson {
-    let mut passes: Vec<Vec<OpJson>> = vec![vec![], vec![], vec![], vec![]];
-    for op in &block.operations {
-        passes[op.kind().validation_pass()].push(op_to_json(op));
-    }
-    BlockJson {
-        protocol: PROTOCOL.to_owned(),
-        chain_id: CHAIN_ID.to_owned(),
-        header: BlockHeaderJson {
-            level: block.level,
-            timestamp: block.time.iso_string(),
-            baker: block.baker.to_string(),
-        },
-        operations: passes,
-    }
-}
-
 /// Parse a wire block back into the chain model (crawler side).
-pub fn block_from_json(json: &BlockJson) -> Result<TezosBlock, DecodeError> {
+pub(crate) fn block_from_json(json: &BlockJson) -> Result<TezosBlock, DecodeError> {
     let time = ChainTime::parse_iso(&json.header.timestamp)
         .ok_or_else(|| DecodeError::BadTimestamp(json.header.timestamp.clone()))?;
     let baker = parse_addr(&json.header.baker)?;
@@ -229,7 +150,8 @@ pub fn block_from_json(json: &BlockJson) -> Result<TezosBlock, DecodeError> {
     Ok(TezosBlock { level: json.header.level, time, baker, operations })
 }
 
-/// Append one operation in [`OpJson`]'s field order, absent fields skipped.
+/// Append one operation: `kind` and `source`, then only the fields its
+/// kind carries, in [`OpJson`]'s field order.
 fn write_op<O: JsonOut>(w: &mut JsonWriter<'_, O>, op: &Operation) {
     w.raw("{\"kind\":").quoted(op.kind().wire_kind());
     w.raw(",\"source\":").ident(op.source);
@@ -269,10 +191,11 @@ fn write_op<O: JsonOut>(w: &mut JsonWriter<'_, O>, op: &Operation) {
 }
 
 /// Append the canonical wire bytes of one block to `out` (or, into a
-/// [`txstat_types::JsonLen`], count them): the compact JSON of
-/// [`block_to_json`], written straight from the chain model. Crawl replay,
+/// [`txstat_types::JsonLen`], count them): the compact block JSON with its
+/// operations grouped into the four validation passes, written straight
+/// from the chain model. The simulated endpoint's replies, crawl replay,
 /// wire-JSON archive segments, reorg content hashes and the Figure 2
-/// storage sweep all share this definition.
+/// storage sweep all share this one writer.
 pub fn block_bytes_into(b: &TezosBlock, out: &mut impl JsonOut) {
     let w = &mut JsonWriter::new(out);
     w.raw("{\"protocol\":").quoted(PROTOCOL).raw(",\"chain_id\":").quoted(CHAIN_ID);
@@ -344,10 +267,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_operations() {
         let block = sample_block();
-        let wire = block_to_json(&block);
-        let text = serde_json::to_string(&wire).unwrap();
-        let parsed: BlockJson = serde_json::from_str(&text).unwrap();
-        let back = block_from_json(&parsed).unwrap();
+        let back = block_parse(&block_bytes(&block)).unwrap();
         assert_eq!(back.level, block.level);
         assert_eq!(back.time, block.time);
         assert_eq!(back.baker, block.baker);
@@ -360,7 +280,7 @@ mod tests {
 
     #[test]
     fn passes_are_grouped_correctly() {
-        let wire = block_to_json(&sample_block());
+        let wire: BlockJson = serde_json::from_slice(&block_bytes(&sample_block())).unwrap();
         assert_eq!(wire.operations.len(), 4);
         assert!(wire.operations[0].iter().all(|o| o.kind == "endorsement"));
         assert!(wire.operations[1]
@@ -371,14 +291,13 @@ mod tests {
 
     #[test]
     fn amounts_are_strings_on_the_wire() {
-        let wire = block_to_json(&sample_block());
-        let text = serde_json::to_string(&wire).unwrap();
-        assert!(text.contains("\"amount\":\"1500000\""));
+        let bytes = block_bytes(&sample_block());
+        assert!(String::from_utf8_lossy(&bytes).contains("\"amount\":\"1500000\""));
     }
 
     #[test]
     fn decode_rejects_unknown_kind() {
-        let mut wire = block_to_json(&sample_block());
+        let mut wire: BlockJson = serde_json::from_slice(&block_bytes(&sample_block())).unwrap();
         wire.operations[0][0].kind = "mystery".to_owned();
         assert!(matches!(block_from_json(&wire), Err(DecodeError::BadKind(_))));
     }

@@ -5,14 +5,12 @@
 //! an `i128` raw value plus an explicit decimal count, which comfortably
 //! covers the paper's largest aggregates (43 billion XRP ≈ 4.3e16 drops).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A short inline symbol string (currency ticker, EOS symbol code).
 /// At most 12 bytes, ASCII; copy-type so it can be used in hot paths.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(into = "String", try_from = "String")]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SymCode {
     len: u8,
     bytes: [u8; 12],
@@ -67,22 +65,9 @@ impl FromStr for SymCode {
     }
 }
 
-impl From<SymCode> for String {
-    fn from(s: SymCode) -> String {
-        s.as_str().to_owned()
-    }
-}
-
-impl TryFrom<String> for SymCode {
-    type Error = &'static str;
-    fn try_from(s: String) -> Result<Self, Self::Error> {
-        Self::try_new(&s)
-    }
-}
-
 /// A fixed-point quantity: `raw * 10^-decimals` units of some asset.
 #[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Qty {
     raw: i128,
     decimals: u8,
@@ -202,14 +187,5 @@ mod tests {
         assert_eq!(fmt_thousands(1_000), "1,000");
         assert_eq!(fmt_pct(916, 1000), "91.6");
         assert_eq!(fmt_pct(0, 0), "0.0");
-    }
-
-    #[test]
-    fn serde_symcode() {
-        let s = SymCode::new("USD");
-        let json = serde_json::to_string(&s).unwrap();
-        assert_eq!(json, "\"USD\"");
-        let back: SymCode = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

@@ -1,10 +1,9 @@
 //! Chain identifiers and stable hashing.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three high-scalability chains the paper studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Chain {
     Eos,
     Tezos,

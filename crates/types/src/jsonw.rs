@@ -1,14 +1,15 @@
 //! A streaming writer for the canonical wire JSON.
 //!
 //! The chain crates' `block_bytes` / `ledger_bytes` define the exact bytes
-//! the crawl replay, the wire-JSON archive segments, the reorg content
-//! hashes and the Figure 2 storage sweep all share. They used to be
-//! produced by building a DTO of owned `String`s, lowering it to a
-//! `serde_json::Value` tree and printing that; this writer emits the same
-//! compact bytes straight from the chain model. It is deliberately not a
-//! serializer framework: the caller spells the structure (`raw` for
-//! punctuation and keys), the writer owns only what has to agree with
-//! `serde_json` byte for byte — string escaping and number formatting.
+//! the simulated node RPCs serve, the crawl replay, the wire-JSON archive
+//! segments, the reorg content hashes and the Figure 2 storage sweep all
+//! share. This writer is their only encoder: it emits the compact bytes
+//! straight from the chain model, with no DTO and no `Value` tree in
+//! between. It is deliberately not a serializer framework: the caller
+//! spells the structure (`raw` for punctuation and keys), the writer owns
+//! only what has to agree with `serde_json` byte for byte — string escaping
+//! and number formatting. `tests/wire_bytes.rs` holds it to that: every
+//! block's bytes parse and print back unchanged through `serde_json`.
 //!
 //! The writer has two outputs behind one [`JsonOut`] trait, the JSON twin
 //! of `lzss::{compress, compressed_len}`: a `Vec<u8>` receives the bytes,

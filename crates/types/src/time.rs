@@ -5,7 +5,6 @@
 //! as plain Unix seconds and implement the civil-date math directly
 //! (Howard Hinnant's algorithms) so the workspace needs no date dependency.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -16,9 +15,7 @@ pub const SIX_HOURS: i64 = 6 * 3600;
 pub(crate) const DAY: i64 = 86_400;
 
 /// A point in chain time: seconds since the Unix epoch (UTC).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChainTime(pub i64);
 
 /// Number of days from 1970-01-01 to `y-m-d` (proleptic Gregorian).
@@ -155,7 +152,7 @@ impl Sub<ChainTime> for ChainTime {
 ///
 /// The paper's window is Oct 1 – Dec 31 2019 (inclusive), i.e.
 /// `[2019-10-01T00:00:00Z, 2020-01-01T00:00:00Z)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Period {
     pub start: ChainTime,
     pub end: ChainTime,

@@ -28,11 +28,10 @@ pub mod eos;
 pub mod tezos;
 pub mod xrp;
 
-use serde::{Deserialize, Serialize};
 use txstat_types::time::{ChainTime, Period};
 
 /// A complete scenario description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     pub seed: u64,
     /// The observation window (the paper: Oct 1 2019 – Jan 1 2020).

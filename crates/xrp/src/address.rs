@@ -6,7 +6,6 @@
 //! base58check-style with the `r` prefix using the *Ripple* base58 alphabet
 //! (which differs from Bitcoin's — it starts `rpshnaf…`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use txstat_types::base58::RIPPLE;
@@ -16,8 +15,7 @@ use txstat_types::ids::fnv1a64;
 const PREFIX: &str = "r";
 
 /// A ledger account.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(into = "String", try_from = "String")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AccountId(pub u64);
 
 impl AccountId {
@@ -120,19 +118,6 @@ impl FromStr for AccountId {
             return Err(AddressError::BadChecksum);
         }
         Ok(AccountId(id))
-    }
-}
-
-impl From<AccountId> for String {
-    fn from(a: AccountId) -> String {
-        a.to_string()
-    }
-}
-
-impl TryFrom<String> for AccountId {
-    type Error = AddressError;
-    fn try_from(s: String) -> Result<Self, Self::Error> {
-        s.parse()
     }
 }
 

@@ -7,7 +7,6 @@
 //! 11, 12) hinges on this distinction.
 
 use crate::address::AccountId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use txstat_types::amount::SymCode;
 
@@ -20,7 +19,7 @@ pub const IOU_UNIT: i128 = 1_000_000;
 
 /// Identity of an issued currency: ticker + issuer. Two `BTC` IOUs from
 /// different issuers are entirely different assets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IssuedCurrency {
     pub currency: SymCode,
     pub issuer: AccountId,
@@ -39,7 +38,7 @@ impl fmt::Display for IssuedCurrency {
 }
 
 /// An asset: XRP or a specific issued currency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Asset {
     Xrp,
     Iou(IssuedCurrency),
@@ -75,7 +74,7 @@ impl fmt::Display for Asset {
 
 /// An amount of some asset. Values are i128 raw units: drops for XRP,
 /// `IOU_UNIT`-scaled for IOUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Amount {
     pub asset: Asset,
     pub value: i128,

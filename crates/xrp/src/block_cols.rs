@@ -8,7 +8,7 @@
 //! is a [`ColError`] with a byte offset, never a panic.
 //!
 //! The XRP wire-JSON round trip is struct-exact, so the decode of an encode
-//! equals `ledger_from_json(ledger_to_json(b))` with no normalization step.
+//! equals `ledger_parse(&ledger_bytes(b))` with no normalization step.
 
 use crate::address::AccountId;
 use crate::amount::{Amount, Asset, IssuedCurrency};
@@ -391,7 +391,7 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<LedgerBlock>, ColError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc_model::{ledger_from_json, ledger_to_json};
+    use crate::rpc_model::{ledger_bytes, ledger_parse};
 
     fn sample() -> Vec<LedgerBlock> {
         let alice = AccountId(1);
@@ -493,7 +493,7 @@ mod tests {
         let decoded = decode_blocks(&bytes).unwrap();
         let oracle: Vec<LedgerBlock> = blocks
             .iter()
-            .map(|b| ledger_from_json(&ledger_to_json(b)).unwrap())
+            .map(|b| ledger_parse(&ledger_bytes(b)).unwrap())
             .collect();
         assert_blocks_eq(&decoded, &oracle);
         assert_eq!(encode_blocks(&decoded), bytes);

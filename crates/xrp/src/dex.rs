@@ -28,14 +28,11 @@
 
 use crate::address::AccountId;
 use crate::amount::{Amount, Asset};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use txstat_types::FxHashMap;
 
 /// Identifier of a resting offer.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OfferId(pub u64);
 
 /// A resting offer: the owner gives `gets` and wants `pays`

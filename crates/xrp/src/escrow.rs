@@ -5,11 +5,10 @@
 //! flow in the paper's window — so escrows are first-class here.
 
 use crate::address::AccountId;
-use serde::{Deserialize, Serialize};
 use txstat_types::time::ChainTime;
 
 /// A live escrow holding locked drops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Escrow {
     pub id: u64,
     pub owner: AccountId,
@@ -22,7 +21,7 @@ pub(crate) struct Escrow {
 }
 
 /// A live payment channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PayChannel {
     pub id: u64,
     pub owner: AccountId,

@@ -8,12 +8,11 @@
 
 use crate::amount::{IssuedCurrency, IOU_UNIT};
 use crate::amount::DROPS_PER_XRP;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use txstat_types::time::ChainTime;
 
 /// One executed IOU↔XRP exchange, recorded at fill time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TradeRecord {
     pub time: ChainTime,
     pub currency: IssuedCurrency,

@@ -7,28 +7,19 @@
 //! against the production API: escrows/channels are referenced by a numeric id
 //! rather than (Owner, OfferSequence), and `metaData.crossed` distills the
 //! AffectedNodes order-book analysis the paper performed on full metadata.
+//!
+//! A ledger has one encoder, [`ledger_bytes_into`], and one decoder,
+//! [`ledger_from_json`] over a parsed `Value` ([`ledger_parse`] from bytes).
 
 use crate::address::AccountId;
 use crate::amount::{Amount, Asset, IssuedCurrency, IOU_DECIMALS, IOU_UNIT};
 use crate::dex::OfferId;
 use crate::ledger::LedgerBlock;
 use crate::tx::{AppliedTx, Transaction, TxPayload, TxResult, TxType};
-use serde_json::{json, Map, Value};
+use serde_json::Value;
 use txstat_types::amount::SymCode;
 use txstat_types::time::ChainTime;
 use txstat_types::{JsonOut, JsonWriter};
-
-/// Serialize an amount: drops string or IOU object.
-pub(crate) fn amount_to_json(a: &Amount) -> Value {
-    match a.asset {
-        Asset::Xrp => Value::String(a.value.to_string()),
-        Asset::Iou(ic) => json!({
-            "currency": ic.currency.as_str(),
-            "issuer": ic.issuer.to_string(),
-            "value": txstat_types::fmt_scaled(a.value, IOU_DECIMALS),
-        }),
-    }
-}
 
 /// Parse an amount from the wire.
 pub(crate) fn amount_from_json(v: &Value) -> Option<Amount> {
@@ -66,89 +57,6 @@ fn parse_iou_decimal(s: &str) -> Option<i128> {
     }
     let raw = ip * IOU_UNIT + frac;
     Some(if neg { -raw } else { raw })
-}
-
-fn tx_to_json(applied: &AppliedTx) -> Value {
-    let tx = &applied.tx;
-    let mut m = Map::new();
-    m.insert("Account".into(), Value::String(tx.account.to_string()));
-    m.insert("TransactionType".into(), Value::String(tx.tx_type().wire().into()));
-    m.insert("Fee".into(), Value::String(tx.fee_drops.to_string()));
-    if let Some(tag) = tx.destination_tag {
-        m.insert("DestinationTag".into(), json!(tag));
-    }
-    match &tx.payload {
-        TxPayload::Payment { destination, amount, send_max } => {
-            m.insert("Destination".into(), Value::String(destination.to_string()));
-            m.insert("Amount".into(), amount_to_json(amount));
-            if let Some(sm) = send_max {
-                m.insert("SendMax".into(), amount_to_json(sm));
-            }
-        }
-        TxPayload::OfferCreate { gets, pays } => {
-            m.insert("TakerGets".into(), amount_to_json(gets));
-            m.insert("TakerPays".into(), amount_to_json(pays));
-        }
-        TxPayload::OfferCancel { offer } => {
-            m.insert("OfferSequence".into(), json!(offer.0));
-        }
-        TxPayload::TrustSet { currency, limit } => {
-            m.insert(
-                "LimitAmount".into(),
-                json!({
-                    "currency": currency.currency.as_str(),
-                    "issuer": currency.issuer.to_string(),
-                    "value": txstat_types::fmt_scaled(*limit, IOU_DECIMALS),
-                }),
-            );
-        }
-        TxPayload::AccountSet { flags } => {
-            m.insert("SetFlag".into(), json!(flags));
-        }
-        TxPayload::SignerListSet { quorum, signer_count } => {
-            m.insert("SignerQuorum".into(), json!(quorum));
-            m.insert("SignerCount".into(), json!(signer_count));
-        }
-        TxPayload::SetRegularKey => {}
-        TxPayload::EscrowCreate { destination, drops, finish_after, cancel_after } => {
-            m.insert("Destination".into(), Value::String(destination.to_string()));
-            m.insert("Amount".into(), Value::String(drops.to_string()));
-            m.insert("FinishAfter".into(), Value::String(finish_after.iso_string()));
-            if let Some(ca) = cancel_after {
-                m.insert("CancelAfter".into(), Value::String(ca.iso_string()));
-            }
-        }
-        TxPayload::EscrowFinish { escrow_id } => {
-            m.insert("EscrowId".into(), json!(escrow_id));
-        }
-        TxPayload::EscrowCancel { escrow_id } => {
-            m.insert("EscrowId".into(), json!(escrow_id));
-        }
-        TxPayload::PaymentChannelCreate { destination, drops } => {
-            m.insert("Destination".into(), Value::String(destination.to_string()));
-            m.insert("Amount".into(), Value::String(drops.to_string()));
-        }
-        TxPayload::PaymentChannelClaim { channel_id, drops } => {
-            m.insert("Channel".into(), json!(channel_id));
-            m.insert("Balance".into(), Value::String(drops.to_string()));
-        }
-        TxPayload::EnableAmendment { amendment } => {
-            m.insert("Amendment".into(), Value::String(amendment.clone()));
-        }
-    }
-    let mut meta = Map::new();
-    meta.insert(
-        "TransactionResult".into(),
-        Value::String(applied.result.wire().into()),
-    );
-    if let Some(d) = &applied.delivered {
-        meta.insert("delivered_amount".into(), amount_to_json(d));
-    }
-    if applied.crossed {
-        meta.insert("crossed".into(), Value::Bool(true));
-    }
-    m.insert("metaData".into(), Value::Object(meta));
-    Value::Object(m)
 }
 
 /// Decode errors.
@@ -275,19 +183,6 @@ fn tx_from_json(v: &Value) -> Result<AppliedTx, DecodeError> {
     Ok(AppliedTx { tx, result, delivered, crossed })
 }
 
-/// Serialize a closed ledger for the `ledger` method response.
-pub fn ledger_to_json(block: &LedgerBlock) -> Value {
-    json!({
-        "ledger": {
-            "ledger_index": block.index,
-            "close_time_iso": block.close_time.iso_string(),
-            "closed": true,
-            "transactions": block.transactions.iter().map(tx_to_json).collect::<Vec<_>>(),
-        },
-        "validated": true,
-    })
-}
-
 /// Parse a `ledger` response back (crawler side).
 pub fn ledger_from_json(v: &Value) -> Result<LedgerBlock, DecodeError> {
     let ledger = v.get("ledger").ok_or(DecodeError::MissingField("ledger"))?;
@@ -310,7 +205,8 @@ fn write_iou<O: JsonOut>(w: &mut JsonWriter<'_, O>, ic: &IssuedCurrency, value: 
     w.raw(",\"value\":\"").scaled(value, IOU_DECIMALS).raw("\"}");
 }
 
-/// Append what [`amount_to_json`] builds: drops string or IOU object.
+/// Append an amount: native XRP as a drops string, an issued amount as
+/// an IOU object. [`amount_from_json`] reads either back.
 fn write_amount<O: JsonOut>(w: &mut JsonWriter<'_, O>, a: &Amount) {
     match &a.asset {
         Asset::Xrp => {
@@ -320,7 +216,8 @@ fn write_amount<O: JsonOut>(w: &mut JsonWriter<'_, O>, a: &Amount) {
     }
 }
 
-/// Append what [`tx_to_json`] builds, key for key.
+/// Append one applied transaction: the common fields, the fields its
+/// type carries, then `metaData`. `tx_from_json` reads them back.
 fn write_tx<O: JsonOut>(w: &mut JsonWriter<'_, O>, applied: &AppliedTx) {
     let tx = &applied.tx;
     w.raw("{\"Account\":").ident(tx.account);
@@ -390,10 +287,11 @@ fn write_tx<O: JsonOut>(w: &mut JsonWriter<'_, O>, applied: &AppliedTx) {
 }
 
 /// Append the canonical wire bytes of one closed ledger to `out` (or, into
-/// a [`txstat_types::JsonLen`], count them): the compact JSON of
-/// [`ledger_to_json`], written straight from the chain model. Crawl
-/// replay, wire-JSON archive segments, reorg content hashes and the
-/// Figure 2 storage sweep all share this definition.
+/// a [`txstat_types::JsonLen`], count them): the compact `ledger` method
+/// result with expanded transactions, written straight from the chain
+/// model. The simulated endpoint's `ledger` frames, crawl replay, wire-JSON
+/// archive segments, reorg content hashes and the Figure 2 storage sweep
+/// all share this one writer.
 pub fn ledger_bytes_into(b: &LedgerBlock, out: &mut impl JsonOut) {
     let w = &mut JsonWriter::new(out);
     w.raw("{\"ledger\":{\"ledger_index\":").uint(b.index);
@@ -418,6 +316,13 @@ pub fn ledger_parse(bytes: &[u8]) -> Result<LedgerBlock, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
+
+    fn amount_json(a: &Amount) -> Value {
+        let mut bytes = Vec::new();
+        write_amount(&mut JsonWriter::new(&mut bytes), a);
+        serde_json::from_slice(&bytes).unwrap()
+    }
 
     fn applied(tx: Transaction, result: TxResult) -> AppliedTx {
         AppliedTx { tx, result, delivered: None, crossed: false }
@@ -426,9 +331,9 @@ mod tests {
     #[test]
     fn amount_json_roundtrip() {
         let x = Amount::xrp_drops(123_456);
-        assert_eq!(amount_from_json(&amount_to_json(&x)).unwrap(), x);
+        assert_eq!(amount_from_json(&amount_json(&x)).unwrap(), x);
         let u = Amount::iou("USD", AccountId(7), 1_234_560);
-        let j = amount_to_json(&u);
+        let j = amount_json(&u);
         assert_eq!(j["value"], "1.234560");
         assert_eq!(amount_from_json(&j).unwrap(), u);
     }
@@ -511,10 +416,7 @@ mod tests {
                 ),
             ],
         };
-        let wire = ledger_to_json(&block);
-        let text = serde_json::to_string(&wire).unwrap();
-        let parsed: Value = serde_json::from_str(&text).unwrap();
-        let back = ledger_from_json(&parsed).unwrap();
+        let back = ledger_parse(&ledger_bytes(&block)).unwrap();
         assert_eq!(back.index, block.index);
         assert_eq!(back.close_time, block.close_time);
         assert_eq!(back.transactions, block.transactions);
@@ -536,7 +438,7 @@ mod tests {
                 crossed: true,
             }],
         };
-        let back = ledger_from_json(&ledger_to_json(&block)).unwrap();
+        let back = ledger_parse(&ledger_bytes(&block)).unwrap();
         assert!(back.transactions[0].crossed);
         assert_eq!(back.transactions[0].delivered, Some(Amount::xrp(5)));
     }
@@ -559,7 +461,7 @@ mod tests {
                 TxResult::Success,
             )],
         };
-        let text = serde_json::to_string(&ledger_to_json(&block)).unwrap();
+        let text = String::from_utf8(ledger_bytes(&block)).unwrap();
         assert!(text.contains("\"Amount\":\"1000000\""), "drops as string: {text}");
         assert!(text.contains("tesSUCCESS"));
         assert!(text.contains("\"TransactionType\":\"Payment\""));

@@ -10,11 +10,10 @@
 use crate::address::AccountId;
 use crate::amount::{Amount, IssuedCurrency};
 use crate::dex::OfferId;
-use serde::{Deserialize, Serialize};
 use txstat_types::time::ChainTime;
 
 /// Transaction types (Figure 1, XRP column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TxType {
     Payment,
     EscrowFinish,
@@ -79,7 +78,7 @@ impl std::fmt::Display for TxType {
 }
 
 /// Engine result codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TxResult {
     Success,
     /// No funded path could deliver the payment.
@@ -138,7 +137,7 @@ impl TxResult {
 }
 
 /// Transaction payloads.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxPayload {
     Payment {
         destination: AccountId,
@@ -213,7 +212,7 @@ impl TxPayload {
 }
 
 /// A submitted transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transaction {
     pub account: AccountId,
     pub payload: TxPayload,
@@ -239,7 +238,7 @@ impl Transaction {
 
 /// A transaction as recorded in a closed ledger: payload + engine result +
 /// delivery metadata (what actually moved, for the Figure 12 value flows).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppliedTx {
     pub tx: Transaction,
     pub result: TxResult,

@@ -1,8 +1,8 @@
 //! The v2 columnar segment schema battery.
 //!
 //! 1. **Oracle round trip**: encoding any window of generated blocks into
-//!    v2 columns and decoding it back equals the wire-JSON oracle
-//!    (`block_from_json(block_to_json(b))`) for every chain — and the
+//!    v2 columns and decoding it back writes the same wire JSON
+//!    (`block_bytes(b)` / `ledger_bytes(b)`) for every chain — and the
 //!    encoding is idempotent over its own decode.
 //! 2. **Damage**: truncating a v2 column blob at *every* offset is a
 //!    typed error, never a panic; a single bit flip either errors or

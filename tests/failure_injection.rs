@@ -13,7 +13,7 @@ use txstat::crawler::{
 };
 use txstat::netsim::handlers::EosRpcHandler;
 use txstat::netsim::server::{spawn_http, HttpHandler};
-use txstat::netsim::{EndpointProfile, Http, HttpRequest, HttpResponse};
+use txstat::netsim::{EndpointProfile, Http, HttpRequest, HttpResponse, Ndjson};
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
 
@@ -189,6 +189,31 @@ fn a_silent_peer_is_a_timeout_at_the_exchange_deadline() {
     let took = started.elapsed();
     assert!(matches!(result, Err(CrawlError::Timeout)), "{result:?}");
     assert!(took < Duration::from_secs(2), "the exchange took {took:?}");
+}
+
+/// A 40 kB reply nested 20 000 arrays deep is a `Protocol` error for
+/// `exchange`, on a worker thread with the default 2 MiB stack, the way
+/// the crawler's fetch workers run. The parser refuses it at depth 129;
+/// an uncapped recursive parse overflows that stack and aborts the process.
+#[test]
+fn a_deeply_nested_reply_is_a_protocol_error_not_a_stack_overflow() {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let peer = std::thread::spawn(move || {
+        let (sock, _) = listener.accept().expect("accept");
+        let mut conn = BufReader::new(sock);
+        conn.read_line(&mut String::new()).expect("request line");
+        let bomb = "[".repeat(20_000) + &"]".repeat(20_000) + "\n";
+        conn.get_mut().write_all(bomb.as_bytes()).expect("reply");
+    });
+    let caller = std::thread::spawn(move || {
+        let request = serde_json::json!({"id": 1, "command": "server_info"});
+        exchange::<Ndjson>(addr, &request, Duration::from_secs(5))
+    });
+    let result = caller.join().expect("the caller thread returned");
+    peer.join().expect("peer");
+    assert!(matches!(result, Err(CrawlError::Protocol(_))), "{result:?}");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! line is one JSON object; responses echo the request `id`.
 
 use serde_json::Value;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Framing errors.
 #[derive(Debug)]
@@ -29,7 +29,7 @@ impl std::fmt::Display for NdjsonError {
             NdjsonError::Io(e) => write!(f, "io: {e}"),
             NdjsonError::Parse(e) => write!(f, "json: {e}"),
             NdjsonError::Closed => write!(f, "connection closed"),
-            NdjsonError::LineTooLong(n) => write!(f, "line of {n} bytes exceeds limit"),
+            NdjsonError::LineTooLong(n) => write!(f, "line of {n}+ bytes exceeds limit"),
         }
     }
 }
@@ -39,17 +39,19 @@ impl std::error::Error for NdjsonError {}
 /// Upper bound on a single frame.
 pub(crate) const MAX_LINE: usize = 64 * 1024 * 1024;
 
-/// Read one JSON frame; `Ok(None)` on clean EOF.
+/// Read one JSON frame; `Ok(None)` on clean EOF. A line longer than
+/// [`MAX_LINE`] is refused once `MAX_LINE + 1` of its bytes are in, so a
+/// peer cannot make the reader buffer an endless line.
 pub(crate) fn read_frame(stream: &mut impl BufRead) -> Result<Option<(Value, usize)>, NdjsonError> {
-    let mut line = String::new();
-    let n = stream.read_line(&mut line)?;
+    let mut line = Vec::new();
+    let n = Read::take(stream, MAX_LINE as u64 + 1).read_until(b'\n', &mut line)?;
     if n == 0 {
         return Ok(None);
     }
     if n > MAX_LINE {
         return Err(NdjsonError::LineTooLong(n));
     }
-    let v = serde_json::from_str(line.trim_end()).map_err(NdjsonError::Parse)?;
+    let v = serde_json::from_slice(line.trim_ascii_end()).map_err(NdjsonError::Parse)?;
     Ok(Some((v, n)))
 }
 
@@ -85,6 +87,30 @@ mod tests {
         }
         drop(client);
         server.join().unwrap();
+    }
+
+    /// Hands out its reader's bytes and counts them.
+    struct Counting<R> {
+        inner: R,
+        given: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.given += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_overlong_line_is_refused_without_buffering_the_rest() {
+        let line = std::io::repeat(b'a').take(2 * MAX_LINE as u64).chain(&b"\n"[..]);
+        let mut reader = std::io::BufReader::new(Counting { inner: line, given: 0 });
+        let capacity = reader.capacity();
+        assert!(matches!(read_frame(&mut reader), Err(NdjsonError::LineTooLong(_))));
+        let given = reader.get_ref().given;
+        assert!(given <= MAX_LINE + 1 + capacity, "read {given} of {} bytes", 2 * MAX_LINE + 1);
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //!   commands standing in for out-of-band services the paper used:
 //!   `account_info` (XRP Scan usernames/parents) and `exchange_rates`
 //!   (the Ripple Data API).
+//!
+//! A block reply is its chain's canonical wire bytes (`block_bytes` /
+//! `ledger_bytes` in each `rpc_model`), the same bytes the archive and
+//! Figure 2 count; the small replies are `json!` values.
 
 use crate::http::{HttpRequest, HttpResponse};
 use crate::server::{HttpHandler, JsonHandler};

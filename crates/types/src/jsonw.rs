@@ -4,12 +4,12 @@
 //! the simulated node RPCs serve, the crawl replay, the wire-JSON archive
 //! segments, the reorg content hashes and the Figure 2 storage sweep all
 //! share. This writer is their only encoder: it emits the compact bytes
-//! straight from the chain model, with no DTO and no `Value` tree in
-//! between. It is deliberately not a serializer framework: the caller
-//! spells the structure (`raw` for punctuation and keys), the writer owns
-//! only what has to agree with `serde_json` byte for byte — string escaping
-//! and number formatting. `tests/wire_bytes.rs` holds it to that: every
-//! block's bytes parse and print back unchanged through `serde_json`.
+//! straight from the chain model. It is deliberately not a serializer
+//! framework: the caller spells the structure (`raw` for punctuation and
+//! keys), the writer owns only what has to agree with `serde_json` byte for
+//! byte — string escaping and number formatting. `tests/wire_bytes.rs`
+//! holds it to that: every block's bytes parse and print back unchanged
+//! through `serde_json`.
 //!
 //! The writer has two outputs behind one [`JsonOut`] trait, the JSON twin
 //! of `lzss::{compress, compressed_len}`: a `Vec<u8>` receives the bytes,

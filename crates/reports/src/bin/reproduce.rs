@@ -196,8 +196,8 @@ fn usage() -> String {
     format!("usage: reproduce <subcommand> [options]\n\nsubcommands:{rows}")
 }
 
-/// Strictly parsed arguments: any flag outside the subcommand's row is an
-/// error (nothing is ignored silently).
+/// Strictly parsed arguments: any flag outside the subcommand's row, and
+/// any flag given twice, is an error (nothing is ignored silently).
 struct Args {
     bools: Vec<String>,
     values: HashMap<String, String>,
@@ -211,6 +211,9 @@ impl Args {
         let mut it = raw.iter();
         while let Some(arg) = it.next() {
             match cmd.takes_value(arg) {
+                Some(_) if out.has(arg) || out.values.contains_key(arg) => {
+                    return Err(format!("{arg} given twice"))
+                }
                 Some(false) => out.bools.push(arg.clone()),
                 Some(true) => {
                     let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;

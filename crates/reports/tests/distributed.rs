@@ -638,6 +638,8 @@ fn archive_flag_misuse_exits_with_usage() {
         (&["report", "--archive", "corpus", "--seed", "9"][..], "does not hold the requested"),
         (&["report", "--archive", "corpus", "--crawl"][..], "not both"),
         (&["reduce", "--archive", "corpus", "x.frames"][..], "needs --connect"),
+        (&["report", "--small", "--seed", "1", "--seed", "2"][..], "--seed given twice"),
+        (&["serve", "--small", "--load", "--load"][..], "--load given twice"),
     ] {
         let out = reproduce(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");

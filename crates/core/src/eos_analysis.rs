@@ -641,6 +641,14 @@ mod tests {
             classify_action(Name::new("verifytrade2"), &ActionData::Generic),
             EosActionClass::Others
         );
+        // A token transfer is P2P on its payload, whatever the action name.
+        let payload = ActionData::Transfer {
+            from: Name::new("alice"),
+            to: Name::new("bob"),
+            symbol: SymCode::new("EOS"),
+            amount: 1,
+        };
+        assert_eq!(classify_action(Name::new("removetask"), &payload), EosActionClass::P2pTransaction);
     }
 
     #[test]

@@ -424,6 +424,17 @@ mod tests {
             r.on_block(100);
         }
         assert!(!r.congested());
+        // The §4.1 responsiveness knob at mainnet scale: hot blocks collapse
+        // the relaxed 1000× limit after ⌈ln 1000 / −ln ratio⌉ of them.
+        for (ratio, flip_after) in [(0.99, 688), (0.97, 227), (0.92, 83)] {
+            let mut r =
+                ResourceState::new(ResourceConfig { contract_ratio: ratio, ..Default::default() });
+            let flipped = (1..=10_000).find(|_| {
+                r.on_block(10_000_000);
+                r.congested()
+            });
+            assert_eq!(flipped, Some(flip_after), "contract_ratio {ratio}");
+        }
     }
 
     #[test]

@@ -1,10 +1,17 @@
 //! Tier-1 tests for the telemetry subsystem: concurrent instrument
 //! hammering, histogram quantile edge cases, span nesting across a real
-//! workload shape, and the NDJSON trace schema.
+//! workload shape, and the NDJSON trace schema. One release-only test
+//! prints the tracing overhead on the fused sweeps.
 
+use std::hint::black_box;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
-use txstat::telemetry::{Histogram, Registry, TraceEvent, Tracer};
+use std::time::Instant;
+use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
+use txstat::reports::{generate, PipelineData};
+use txstat::telemetry::{tracer, Histogram, Registry, Span, TraceEvent, Tracer};
+use txstat::types::time::{ChainTime, Period};
+use txstat::workload::Scenario;
 
 #[test]
 fn counters_and_histograms_survive_concurrent_hammering() {
@@ -147,4 +154,77 @@ fn ndjson_trace_schema_round_trips_through_a_sink() {
     let line = serde_json::to_string(&events[0]).expect("serialize");
     let back: TraceEvent = serde_json::from_str(&line).expect("parse");
     assert_eq!(back, events[0]);
+}
+
+/// The three columnar sweeps in the span layout `PipelineData::sweeps()`
+/// uses: one `sweep` span per chain around its compute. Whether the spans
+/// cost anything is decided by the global tracer's state alone.
+fn fused_sweeps(data: &PipelineData) -> ChainSweeps {
+    let period = data.scenario.period;
+    ChainSweeps {
+        eos: {
+            let _span = Span::enter("sweep", "eos");
+            EosColumnar::compute(&data.eos_blocks, period)
+        },
+        tezos: {
+            let _span = Span::enter("sweep", "tezos");
+            TezosColumnar::compute(&data.tezos_blocks, period, &data.governance_periods)
+        },
+        xrp: {
+            let _span = Span::enter("sweep", "xrp");
+            XrpColumnar::compute(&data.xrp_blocks, period, &data.oracle)
+        },
+    }
+}
+
+/// The < 2 % tracing-overhead contract on the hottest analytics path: the
+/// fused sweeps of a 12-day small window straddling the EIDOS launch, timed
+/// in alternating pairs with the global tracer off, then on. Prints the
+/// medians; asserts nothing about them, since a shared runner's clock
+/// means nothing.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing: release only")]
+fn tracing_overhead_on_the_fused_sweeps() {
+    const PAIRS: usize = 15;
+    const SWEEPS_PER_SAMPLE: u32 = 3;
+    let mut sc = Scenario::small(42);
+    sc.period = Period::new(ChainTime::from_ymd(2019, 10, 26), ChainTime::from_ymd(2019, 11, 7));
+    let data = generate(&sc);
+    black_box(fused_sweeps(&data));
+
+    let sample_ms = |enable: bool| {
+        if enable {
+            tracer().enable();
+        } else {
+            tracer().disable();
+        }
+        let started = Instant::now();
+        for _ in 0..SWEEPS_PER_SAMPLE {
+            black_box(fused_sweeps(&data));
+        }
+        started.elapsed().as_secs_f64() * 1e3 / f64::from(SWEEPS_PER_SAMPLE)
+    };
+    // Which side of a pair runs first alternates too, so neither inherits
+    // the other's warm caches every time.
+    let (mut off, mut on) = (Vec::with_capacity(PAIRS), Vec::with_capacity(PAIRS));
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            off.push(sample_ms(false));
+            on.push(sample_ms(true));
+        } else {
+            on.push(sample_ms(true));
+            off.push(sample_ms(false));
+        }
+    }
+    tracer().disable();
+
+    let median = |mut ms: Vec<f64>| {
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+    let (off, on) = (median(off), median(on));
+    println!(
+        "telemetry overhead on fused sweeps: {off:.3} ms off vs {on:.3} ms on ({:+.2}%)",
+        (on / off - 1.0) * 100.0
+    );
 }

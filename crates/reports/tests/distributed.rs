@@ -81,6 +81,14 @@ fn three_shard_processes_reduce_to_the_identical_report() {
     // accepted and silently ignored without `--archive`).
     let metrics = String::from_utf8(read(&dir, "direct.prom")).expect("metrics utf8");
     assert!(metrics.contains("txstat_pipeline_generate_total 1"), "{metrics}");
+    // The eager-zero contract, byte for byte: every pipeline, archive and
+    // fleet family is exposed (at zero where nothing moved it) by a run
+    // that never opens an archive or a socket.
+    assert_eq!(
+        metrics,
+        include_str!("golden/report-small-seed7.prom"),
+        "`report --small --seed 7 --metrics-out` differs from the pinned exposition"
+    );
 
     // Three disjoint block-position ranges; the last one over-shoots every
     // chain head and clamps. Different in-process shard counts per worker

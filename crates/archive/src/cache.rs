@@ -22,7 +22,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use txstat_telemetry::{static_counter, static_gauge};
 
 /// A point-in-time copy of one cache's counters. `hits + misses` equals
 /// the number of [`SegmentCache::get`] calls; `bytes` is the summed cost
@@ -85,12 +84,12 @@ impl<T> SegmentCache<T> {
             Some(e) => {
                 e.used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                m_hits().inc();
+                crate::METRICS.cache_hits.inc();
                 Some(Arc::clone(&e.value))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                m_misses().inc();
+                crate::METRICS.cache_misses.inc();
                 None
             }
         }
@@ -119,9 +118,9 @@ impl<T> SegmentCache<T> {
             let evicted = inner.entries.remove(&victim).expect("victim present");
             inner.bytes -= evicted.cost;
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            m_evictions().inc();
+            crate::METRICS.cache_evictions.inc();
         }
-        m_bytes().set(inner.bytes);
+        crate::METRICS.cache_bytes.set(inner.bytes);
     }
 
     /// Exact per-instance counters.
@@ -145,38 +144,6 @@ impl<T> std::fmt::Debug for SegmentCache<T> {
             .field("stats", &s)
             .finish()
     }
-}
-
-fn m_hits() -> &'static txstat_telemetry::Counter {
-    static_counter!(
-        C,
-        "txstat_archive_cache_hits_total",
-        "Decoded-segment cache lookups served from memory"
-    )
-}
-
-fn m_misses() -> &'static txstat_telemetry::Counter {
-    static_counter!(
-        C,
-        "txstat_archive_cache_misses_total",
-        "Decoded-segment cache lookups that had to decode"
-    )
-}
-
-fn m_evictions() -> &'static txstat_telemetry::Counter {
-    static_counter!(
-        C,
-        "txstat_archive_cache_evictions_total",
-        "Decoded-segment cache entries evicted over budget"
-    )
-}
-
-fn m_bytes() -> &'static txstat_telemetry::Gauge {
-    static_gauge!(
-        G,
-        "txstat_archive_cache_bytes",
-        "Decoded-segment cache resident byte estimate"
-    )
 }
 
 #[cfg(test)]

@@ -71,7 +71,8 @@ use std::fmt;
 use std::fs;
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use txstat_telemetry::{registry, static_counter, Span};
+use std::sync::{Arc, LazyLock};
+use txstat_telemetry::{registry, Counter, Gauge, Span};
 use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 use txstat_types::ids::fnv1a64;
 use txstat_types::lzss;
@@ -210,68 +211,95 @@ fn io_err<'a>(
 
 // ---- metrics ---------------------------------------------------------------
 
-const FAMILIES: [(&str, &str); 7] = [
-    ("txstat_archive_segments_written_total", "Segments sealed into archives"),
-    ("txstat_archive_segments_replayed_total", "Segments decompressed and decoded from archives"),
-    ("txstat_archive_bytes_raw_total", "Segment payload bytes before LZSS compression"),
-    ("txstat_archive_bytes_compressed_total", "Segment payload bytes after LZSS compression"),
-    ("txstat_archive_cache_hits_total", "Decoded-segment cache lookups served from memory"),
-    ("txstat_archive_cache_misses_total", "Decoded-segment cache lookups that had to decode"),
-    ("txstat_archive_cache_evictions_total", "Decoded-segment cache entries evicted over budget"),
-];
+/// Every `txstat_archive_*` family: the writer's, the replay path's, the
+/// decoded-segment [`cache`]'s and the summary [`memo`]'s. Built on first
+/// use; building it registers every series at zero, so exposition carries
+/// them all before the first segment moves.
+struct ArchiveMetrics {
+    written: Arc<Counter>,
+    /// Seals that merged a trailing runt with fresh blocks instead of
+    /// appending another tiny segment (follow's `{coalesced="true"}`).
+    written_coalesced: Arc<Counter>,
+    replayed: Arc<Counter>,
+    raw_bytes: Arc<Counter>,
+    comp_bytes: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+    cache_evictions: Arc<Counter>,
+    cache_bytes: Arc<Gauge>,
+    memo_hits: Arc<Counter>,
+    memo_misses: Arc<Counter>,
+    /// One series per [`MemoError::REASONS`] entry, in that order.
+    memo_rejected: [(&'static str, Arc<Counter>); MemoError::REASONS.len()],
+    memo_write_failures: Arc<Counter>,
+}
+
+static METRICS: LazyLock<ArchiveMetrics> = LazyLock::new(|| {
+    let reg = registry();
+    let written = |labels: &[(&str, &str)]| {
+        reg.counter_with(
+            "txstat_archive_segments_written_total",
+            "Segments sealed into archives",
+            labels,
+        )
+    };
+    ArchiveMetrics {
+        written: written(&[]),
+        written_coalesced: written(&[("coalesced", "true")]),
+        replayed: reg.counter(
+            "txstat_archive_segments_replayed_total",
+            "Segments decompressed and decoded from archives",
+        ),
+        raw_bytes: reg.counter(
+            "txstat_archive_bytes_raw_total",
+            "Segment payload bytes before LZSS compression",
+        ),
+        comp_bytes: reg.counter(
+            "txstat_archive_bytes_compressed_total",
+            "Segment payload bytes after LZSS compression",
+        ),
+        cache_hits: reg.counter(
+            "txstat_archive_cache_hits_total",
+            "Decoded-segment cache lookups served from memory",
+        ),
+        cache_misses: reg.counter(
+            "txstat_archive_cache_misses_total",
+            "Decoded-segment cache lookups that had to decode",
+        ),
+        cache_evictions: reg.counter(
+            "txstat_archive_cache_evictions_total",
+            "Decoded-segment cache entries evicted over budget",
+        ),
+        cache_bytes: reg
+            .gauge("txstat_archive_cache_bytes", "Decoded-segment cache resident byte estimate"),
+        memo_hits: reg.counter(
+            "txstat_archive_memo_hits_total",
+            "Live segments whose memoized payload was reused",
+        ),
+        memo_misses: reg.counter(
+            "txstat_archive_memo_misses_total",
+            "Live segments with no usable memo entry (recomputed)",
+        ),
+        memo_rejected: MemoError::REASONS.map(|reason| {
+            let rejected = reg.counter_with(
+                "txstat_archive_memo_rejected_total",
+                "Memo files refused whole, by reason",
+                &[("reason", reason)],
+            );
+            (reason, rejected)
+        }),
+        memo_write_failures: reg.counter(
+            "txstat_archive_memo_write_failures_total",
+            "Best-effort memo writes that failed",
+        ),
+    }
+});
 
 /// Register every `txstat_archive_*` family at zero, so exposition carries
 /// them even before the first segment moves (the same eager-zero pattern
 /// as the fleet and follow layers).
 pub fn register_metrics() {
-    for (name, help) in FAMILIES {
-        registry().counter_with(name, help, &[]).add(0);
-    }
-    // The tail-coalescing label of the follow path's sealer, and the cache
-    // occupancy gauge.
-    m_written_coalesced().add(0);
-    registry()
-        .gauge("txstat_archive_cache_bytes", "Decoded-segment cache resident byte estimate")
-        .set(0);
-    memo::register_metrics();
-}
-
-/// The coalesced-seal counter: segments whose seal merged a trailing runt
-/// with fresh blocks instead of appending another tiny segment.
-fn m_written_coalesced() -> std::sync::Arc<txstat_telemetry::Counter> {
-    registry().counter_with(
-        "txstat_archive_segments_written_total",
-        "Segments sealed into archives",
-        &[("coalesced", "true")],
-    )
-}
-
-fn m_written() -> &'static txstat_telemetry::Counter {
-    static_counter!(C, "txstat_archive_segments_written_total", "Segments sealed into archives")
-}
-
-fn m_replayed() -> &'static txstat_telemetry::Counter {
-    static_counter!(
-        C,
-        "txstat_archive_segments_replayed_total",
-        "Segments decompressed and decoded from archives"
-    )
-}
-
-fn m_raw_bytes() -> &'static txstat_telemetry::Counter {
-    static_counter!(
-        C,
-        "txstat_archive_bytes_raw_total",
-        "Segment payload bytes before LZSS compression"
-    )
-}
-
-fn m_comp_bytes() -> &'static txstat_telemetry::Counter {
-    static_counter!(
-        C,
-        "txstat_archive_bytes_compressed_total",
-        "Segment payload bytes after LZSS compression"
-    )
+    LazyLock::force(&METRICS);
 }
 
 // ---- segments --------------------------------------------------------------
@@ -571,7 +599,7 @@ impl Archive {
             what: e.to_string(),
         })?;
         let seg = decode_segment(&meta, i, &raw)?;
-        m_replayed().inc();
+        METRICS.replayed.inc();
         Ok(seg)
     }
 
@@ -686,7 +714,7 @@ impl ArchiveWriter {
         if let Some(&SegmentMeta { start, end, .. }) = self.segments.last() {
             if end - start < seg_blocks {
                 self.truncate_from(start)?;
-                m_written_coalesced().inc();
+                METRICS.written_coalesced.inc();
             }
         }
         Ok(self.total_positions())
@@ -718,9 +746,9 @@ impl ArchiveWriter {
         };
         self.seg_len += meta.comp_len;
         self.segments.push(meta);
-        m_written().inc();
-        m_raw_bytes().add(meta.raw_len);
-        m_comp_bytes().add(meta.comp_len);
+        METRICS.written.inc();
+        METRICS.raw_bytes.add(meta.raw_len);
+        METRICS.comp_bytes.add(meta.comp_len);
         Ok(meta)
     }
 

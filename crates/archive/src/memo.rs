@@ -36,7 +36,7 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use txstat_telemetry::{registry, static_counter, Span};
+use txstat_telemetry::Span;
 use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 use txstat_types::ids::fnv1a64;
 
@@ -121,27 +121,6 @@ impl From<ColError> for MemoError {
 
 fn io_err<'a>(path: &'a Path, op: &'static str) -> impl FnOnce(std::io::Error) -> MemoError + 'a {
     move |err| MemoError::Io { path: path.to_owned(), op, err }
-}
-
-// ---- metrics ---------------------------------------------------------------
-
-const HITS: (&str, &str) =
-    ("txstat_archive_memo_hits_total", "Live segments whose memoized payload was reused");
-const MISSES: (&str, &str) =
-    ("txstat_archive_memo_misses_total", "Live segments with no usable memo entry (recomputed)");
-const REJECTED: (&str, &str) =
-    ("txstat_archive_memo_rejected_total", "Memo files refused whole, by reason");
-const WRITE_FAILURES: (&str, &str) =
-    ("txstat_archive_memo_write_failures_total", "Best-effort memo writes that failed");
-
-/// Register the memo families at zero (one `rejected` series per reason).
-pub(crate) fn register_metrics() {
-    for (name, help) in [HITS, MISSES, WRITE_FAILURES] {
-        registry().counter_with(name, help, &[]).add(0);
-    }
-    for reason in MemoError::REASONS {
-        registry().counter_with(REJECTED.0, REJECTED.1, &[("reason", reason)]).add(0);
-    }
 }
 
 // ---- codec -----------------------------------------------------------------
@@ -232,8 +211,11 @@ impl SegmentMemo {
     /// Every slot counts as exactly one hit or one miss.
     pub fn load<T>(&self, schema: u32, decode: impl Fn(&[u8]) -> Option<T>) -> Vec<Option<T>> {
         let _span = Span::enter("memo", "load");
+        let m = &crate::METRICS;
         let reject = |e: MemoError| {
-            registry().counter_with(REJECTED.0, REJECTED.1, &[("reason", e.reason())]).inc();
+            if let Some((_, rejected)) = m.memo_rejected.iter().find(|(r, _)| *r == e.reason()) {
+                rejected.inc();
+            }
         };
         let path = self.dir.join(MEMO_FILE);
         let file = match fs::read(&path) {
@@ -254,8 +236,8 @@ impl SegmentMemo {
             .map(|s| entries.get(&s.hash).and_then(|payload| decode(payload)))
             .collect();
         let hits = slots.iter().filter(|s| s.is_some()).count() as u64;
-        static_counter!(H, HITS.0, HITS.1).add(hits);
-        static_counter!(M, MISSES.0, MISSES.1).add(slots.len() as u64 - hits);
+        m.memo_hits.add(hits);
+        m.memo_misses.add(slots.len() as u64 - hits);
         slots
     }
 
@@ -283,7 +265,7 @@ impl SegmentMemo {
             .and_then(|()| fs::rename(&tmp, &path).map_err(io_err(&path, "rename")));
         if written.is_err() {
             let _ = fs::remove_file(&tmp);
-            static_counter!(W, WRITE_FAILURES.0, WRITE_FAILURES.1).inc();
+            crate::METRICS.memo_write_failures.inc();
         }
         written
     }

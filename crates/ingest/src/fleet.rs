@@ -35,9 +35,9 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
-use txstat_telemetry::{registry, static_counter, static_histogram};
+use txstat_telemetry::{registry, Counter, Histogram};
 use txstat_types::rng::subseed_n;
 use txstat_wire::fleet::{
     read_assignment, read_response, write_assignment, write_error, write_frames, Assignment,
@@ -124,33 +124,54 @@ impl std::fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// Eagerly register the `txstat_fleet_*` families (at zero) so they are
-/// rendered by `/metrics` before any fleet runs.
-pub fn register_metrics() {
+/// The `txstat_fleet_*` families: the reducer's request accounting and the
+/// worker's served count. Built on first use; building it registers every
+/// series at zero.
+struct FleetMetrics {
+    requests_ok: Arc<Counter>,
+    requests_error: Arc<Counter>,
+    retries: Arc<Counter>,
+    reconnects: Arc<Counter>,
+    redispatch: Arc<Counter>,
+    workers_failed: Arc<Counter>,
+    served: Arc<Counter>,
+    request_us: Arc<Histogram>,
+}
+
+static METRICS: LazyLock<FleetMetrics> = LazyLock::new(|| {
     let reg = registry();
-    for result in ["ok", "error"] {
+    let [requests_ok, requests_error] = ["ok", "error"].map(|result| {
         reg.counter_with(
             "txstat_fleet_requests_total",
             "Fleet range requests by outcome",
             &[("result", result)],
         )
-        .add(0);
+    });
+    FleetMetrics {
+        requests_ok,
+        requests_error,
+        retries: reg
+            .counter("txstat_fleet_retries_total", "Fleet request attempts after a failure"),
+        reconnects: reg.counter(
+            "txstat_fleet_reconnects_total",
+            "Fleet connections re-established after at least one failure",
+        ),
+        redispatch: reg.counter(
+            "txstat_fleet_redispatch_total",
+            "Range chunks re-dispatched after a worker exhausted its retry budget",
+        ),
+        workers_failed: reg
+            .counter("txstat_fleet_workers_failed_total", "Workers declared dead by the reducer"),
+        served: reg
+            .counter("txstat_fleet_served_total", "Assignments served successfully by this worker"),
+        request_us: reg.histogram("txstat_fleet_request_us", "Fleet request latency"),
     }
-    reg.counter("txstat_fleet_retries_total", "Fleet request attempts after a failure").add(0);
-    reg.counter(
-        "txstat_fleet_reconnects_total",
-        "Fleet connections re-established after at least one failure",
-    )
-    .add(0);
-    reg.counter(
-        "txstat_fleet_redispatch_total",
-        "Range chunks re-dispatched after a worker exhausted its retry budget",
-    )
-    .add(0);
-    reg.counter("txstat_fleet_workers_failed_total", "Workers declared dead by the reducer").add(0);
-    reg.counter("txstat_fleet_served_total", "Assignments served successfully by this worker")
-        .add(0);
-    reg.histogram_with("txstat_fleet_request_us", "Fleet request latency", &[]);
+});
+
+/// Eagerly register the `txstat_fleet_*` families (at zero) so they are
+/// rendered by `/metrics` before any fleet runs.
+pub fn register_metrics() {
+    LazyLock::force(&METRICS);
 }
 
 /// Tile block positions `[0, total)` into `chunks` contiguous ranges (the
@@ -223,39 +244,21 @@ fn request_with_retry(
     let mut last = ProtocolError::Io("no attempt made".to_owned());
     for attempt in 0..=cfg.retries {
         if attempt > 0 {
-            static_counter!(RETRIES, "txstat_fleet_retries_total", "Fleet request attempts after a failure").inc();
+            METRICS.retries.inc();
             std::thread::sleep(backoff(cfg, addr, attempt - 1));
         }
         let started = Instant::now();
         match request_frames(addr, a, cfg.timeout) {
             Ok(frames) => {
-                static_histogram!(LAT, "txstat_fleet_request_us", "Fleet request latency")
-                    .record(started.elapsed());
-                static_counter!(
-                    OK,
-                    "txstat_fleet_requests_total",
-                    "Fleet range requests by outcome",
-                    "result" => "ok"
-                )
-                .inc();
+                METRICS.request_us.record(started.elapsed());
+                METRICS.requests_ok.inc();
                 if attempt > 0 {
-                    static_counter!(
-                        RECONN,
-                        "txstat_fleet_reconnects_total",
-                        "Fleet connections re-established after at least one failure"
-                    )
-                    .inc();
+                    METRICS.reconnects.inc();
                 }
                 return Ok(frames);
             }
             Err(e) => {
-                static_counter!(
-                    ERR,
-                    "txstat_fleet_requests_total",
-                    "Fleet range requests by outcome",
-                    "result" => "error"
-                )
-                .inc();
+                METRICS.requests_error.inc();
                 last = e;
             }
         }
@@ -359,18 +362,8 @@ fn worker_loop(
             }
             Err(e) => {
                 // Budget spent: hand the chunk to the survivors and die.
-                static_counter!(
-                    REDISPATCH,
-                    "txstat_fleet_redispatch_total",
-                    "Range chunks re-dispatched after a worker exhausted its retry budget"
-                )
-                .inc();
-                static_counter!(
-                    DEAD,
-                    "txstat_fleet_workers_failed_total",
-                    "Workers declared dead by the reducer"
-                )
-                .inc();
+                METRICS.redispatch.inc();
+                METRICS.workers_failed.inc();
                 shared.queue.lock().push_back(chunk);
                 shared.failures.lock().push(format!(
                     "worker {addr} gave up on range [{}, {}): {e}",
@@ -411,12 +404,7 @@ pub fn serve_assignments(
             Ok(frames) => {
                 if write_frames(&mut stream, &frames).is_ok() {
                     served += 1;
-                    static_counter!(
-                        SERVED,
-                        "txstat_fleet_served_total",
-                        "Assignments served successfully by this worker"
-                    )
-                    .inc();
+                    METRICS.served.inc();
                 }
             }
             Err(msg) => {

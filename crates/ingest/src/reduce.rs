@@ -27,8 +27,9 @@
 //! *gaps* are tracked per chain and surfaced at [`ReduceSession::finalize`].
 
 use serde::Value;
+use std::sync::{Arc, LazyLock};
 use txstat_core::{ChainSweeps, EosColumnar, TezosColumnar, WireState, XrpColumnar};
-use txstat_telemetry::{static_counter, Span};
+use txstat_telemetry::{registry, Counter, Span};
 use txstat_tezos::governance::PeriodKind;
 use txstat_types::time::Period;
 use txstat_wire::{ShardFrame, WireError, SCHEMA_VERSION};
@@ -176,20 +177,38 @@ impl Coverage {
     }
 }
 
+/// The wire-decode and reduce-session families. Built on first use;
+/// building it registers all four at zero.
+struct ReduceMetrics {
+    payload_bytes: Arc<Counter>,
+    /// `{format="v2_bin"}`, the one payload format.
+    frames_decoded: Arc<Counter>,
+    frames_submitted: Arc<Counter>,
+    merges: Arc<Counter>,
+}
+
+static METRICS: LazyLock<ReduceMetrics> = LazyLock::new(|| {
+    let reg = registry();
+    ReduceMetrics {
+        payload_bytes: reg.counter("txstat_wire_payload_bytes_total", "Wire payload bytes decoded"),
+        frames_decoded: reg.counter_with(
+            "txstat_wire_frames_decoded_total",
+            "Wire frames decoded by payload format",
+            &[("format", "v2_bin")],
+        ),
+        frames_submitted: reg
+            .counter("txstat_reduce_frames_submitted_total", "Frames submitted to reduce sessions"),
+        merges: reg.counter("txstat_reduce_merges_total", "Reduce sessions finalized"),
+    }
+});
+
 /// Decode one frame's payload into its accumulator through the
 /// `WireState` column decoder, which runs the accumulator's
 /// id-bounds/arity validation.
 fn decode_payload<A: WireState>(frame: &ShardFrame) -> Result<A, ReduceError> {
     let _span = Span::enter("reduce_decode", &frame.header.chain);
-    static_counter!(BYTES, "txstat_wire_payload_bytes_total", "Wire payload bytes decoded")
-        .add(frame.payload.len() as u64);
-    static_counter!(
-        FRAMES,
-        "txstat_wire_frames_decoded_total",
-        "Wire frames decoded by payload format",
-        "format" => "v2_bin"
-    )
-    .inc();
+    METRICS.payload_bytes.add(frame.payload.len() as u64);
+    METRICS.frames_decoded.inc();
     A::from_wire_bytes(&frame.payload).map_err(|e| ReduceError::Payload {
         chain: frame.header.chain.clone(),
         error: e.to_string(),
@@ -219,7 +238,7 @@ impl ReduceSession {
     /// On `Err` the session is unchanged and stays usable.
     pub fn submit(&mut self, frame: &ShardFrame) -> Result<(), ReduceError> {
         let _span = Span::enter("reduce_submit", &frame.header.chain);
-        static_counter!(FRAMES, "txstat_reduce_frames_submitted_total", "Frames submitted to reduce sessions").inc();
+        METRICS.frames_submitted.inc();
         let h = &frame.header;
         let chain_idx = CHAINS
             .iter()
@@ -324,7 +343,7 @@ impl ReduceSession {
     /// single-process sweep over the union of the ranges.
     pub fn finalize(self) -> Result<ChainSweeps, ReduceError> {
         let _span = Span::enter("reduce_finalize", "");
-        static_counter!(MERGES, "txstat_reduce_merges_total", "Reduce sessions finalized").inc();
+        METRICS.merges.inc();
         for (i, chain) in CHAINS.iter().enumerate() {
             let gaps = self.coverage[i].gaps();
             if !gaps.is_empty() {

@@ -15,7 +15,7 @@
 //!   sealed corpus ([`write_archive`]) without generating any chain.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 use txstat_core::{ClusterInfo, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat_crawler::chains::Fetched;
 use txstat_crawler::{
@@ -24,8 +24,9 @@ use txstat_crawler::{
     Advertised, ClientConfig, CrawlError, CrawlStats, RotatingPool,
 };
 use txstat_ingest::crawl::ledger_ious;
+use txstat_ingest::reduce::CHAINS;
 use txstat_ingest::{RateCache, ReduceError, ReduceSession, ShardWorker};
-use txstat_telemetry::{static_counter, Span};
+use txstat_telemetry::{registry, Counter, Span};
 use rayon::prelude::*;
 use crate::archive_io::{Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
 use txstat_archive::{Archive, ArchiveWriter, SegmentCache, SegmentMemo, SegmentMeta};
@@ -375,23 +376,35 @@ fn cluster_from_ledger(ledger: &txstat_xrp::XrpLedger) -> ClusterInfo {
 /// Every from-scratch chain build (all three chains generated). Workers
 /// cold-starting from an archive must leave this at zero — the fleet smoke
 /// pins that through `--metrics-out`.
-fn generations() -> &'static txstat_telemetry::Counter {
-    static_counter!(
-        GEN,
+static GENERATIONS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
+    registry().counter(
         "txstat_pipeline_generate_total",
-        "Full chain-generation passes (all three chains built from scratch)"
+        "Full chain-generation passes (all three chains built from scratch)",
     )
-}
+});
+
+/// Blocks the crawl folded, by [`CHAINS`] index. Registered by the first
+/// crawl, not by [`register_metrics`]: a run that never crawls does not
+/// expose the family.
+static FOLDED: LazyLock<[Arc<Counter>; 3]> = LazyLock::new(|| {
+    CHAINS.map(|chain| {
+        registry().counter_with(
+            "txstat_ingest_blocks_folded_total",
+            "Blocks the crawl folded into their chain's sweep as they were fetched",
+            &[("chain", chain)],
+        )
+    })
+});
 
 /// Register the pipeline's metric families at zero, so a process that
 /// never generates (an archive cold-start) still exposes them.
 pub fn register_metrics() {
-    generations().add(0);
+    LazyLock::force(&GENERATIONS);
 }
 
 /// Direct path: generate the three chains and read them in-process.
 pub fn generate(sc: &Scenario) -> PipelineData {
-    generations().inc();
+    GENERATIONS.inc();
     let mut eos = {
         let _span = Span::enter("generate", "eos");
         build_eos(sc)
@@ -778,13 +791,13 @@ fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChains, Cr
 
 /// Crawl one chain's blocks `[low, high]` with its fold as the emit step:
 /// each block is observed into `acc` under the chain's one lock, on the
-/// fetch worker that fetched it, counted in
-/// `txstat_ingest_blocks_folded_total{chain}`, and kept if `keep_blocks`.
+/// fetch worker that fetched it, counted in `folded` (the chain's
+/// `txstat_ingest_blocks_folded_total{chain}`), and kept if `keep_blocks`.
 /// The fold must not care in which order the blocks arrive. Returns the
 /// fold, the kept blocks in position order (empty unless kept) and the
 /// crawl accounting.
 fn crawl_folded<A: Send, B: Send>(
-    chain: &'static str,
+    folded: &Counter,
     (low, high): (u64, u64),
     concurrency: usize,
     keep_blocks: bool,
@@ -792,11 +805,6 @@ fn crawl_folded<A: Send, B: Send>(
     acc: A,
     observe: impl Fn(&mut A, u64, &B) + Sync,
 ) -> Result<(A, Vec<B>, CrawlStats), CrawlError> {
-    let folded = txstat_telemetry::registry().counter_with(
-        "txstat_ingest_blocks_folded_total",
-        "Blocks the crawl folded into their chain's sweep as they were fetched",
-        &[("chain", chain)],
-    );
     let state = Mutex::new((acc, Vec::new()));
     let stats = crawl_range(high, low, concurrency, fetch, |n, block: B| {
         let mut guard = state.lock().expect("no fold panicked on another fetch worker");
@@ -939,13 +947,15 @@ pub fn generate_with_crawl(
     let rates = &RateCache::new(period.end);
     let concurrency = opts.concurrency;
     let governance_periods = governance_periods_of(&served.tezos);
+    let [folded_eos, folded_tezos, folded_xrp] = &*FOLDED;
 
     let crawl_eos = || {
         let _span = Span::enter("crawl", "eos");
         let pool = &served.eos_pool;
         let head = eos_head(pool, cfg)?;
         let fold = (EosColumnar::new(period), Bounds::default());
-        crawl_folded("eos", (served.eos.config.start_block_num, head), concurrency, keep_blocks,
+        crawl_folded(
+            folded_eos, (served.eos.config.start_block_num, head), concurrency, keep_blocks,
             |n| fetch_eos_block(pool, cfg, n),
             fold,
             |(sweep, bounds): &mut (EosColumnar, Bounds), n, b: &txstat_eos::Block| {
@@ -959,7 +969,8 @@ pub fn generate_with_crawl(
         let pool = &served.tz_pool;
         let head = tezos_head(pool, cfg)?;
         let fold = (TezosColumnar::new(period, governance_periods.clone()), Bounds::default());
-        crawl_folded("tezos", (served.tezos.config.start_level, head), concurrency, keep_blocks,
+        crawl_folded(
+            folded_tezos, (served.tezos.config.start_level, head), concurrency, keep_blocks,
             |n| fetch_tezos_block(pool, cfg, n),
             fold,
             |(sweep, bounds): &mut (TezosColumnar, Bounds), n, b: &txstat_tezos::TezosBlock| {
@@ -979,7 +990,8 @@ pub fn generate_with_crawl(
             oracle: RateOracle::default(),
             known: HashSet::new(),
         };
-        crawl_folded("xrp", (served.xrp.config.start_index, head), concurrency, keep_blocks,
+        crawl_folded(
+            folded_xrp, (served.xrp.config.start_index, head), concurrency, keep_blocks,
             |n| {
                 let fetched = fetch_xrp_ledger(pool, cfg, n)?;
                 rates.resolve(pool, cfg, &fetched.0)?;
@@ -1399,7 +1411,7 @@ pub fn reduce_frames_labeled_into(
 /// The shared tail of a reduction: check that coverage tiles each chain
 /// exactly, finalize, and install the sweeps into the fresh dataset.
 fn finish_reduce(data: PipelineData, session: ReduceSession) -> Result<PipelineData, ReduceError> {
-    for (chain, len) in txstat_ingest::reduce::CHAINS.into_iter().zip(data.lens()) {
+    for (chain, len) in CHAINS.into_iter().zip(data.lens()) {
         let mut gaps = Vec::new();
         match session.span(chain) {
             None => gaps.push((0, len)),

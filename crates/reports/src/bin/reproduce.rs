@@ -473,12 +473,23 @@ fn shard_context_of(args: &Args) -> Result<(ShardContext, serde_json::Value), St
     }
 }
 
+/// The socket deadline of `shard --listen` and fleet `reduce`. Zero is
+/// refused: std rejects a zero socket timeout (the worker used to drop that
+/// error and serve with no deadline at all), and a zero connect timeout
+/// fails every fleet request.
+fn timeout_of(args: &Args) -> Result<Duration, String> {
+    match args.parsed("--timeout-ms", 10_000)? {
+        0 => Err("--timeout-ms must be at least 1".to_owned()),
+        ms => Ok(Duration::from_millis(ms)),
+    }
+}
+
 /// Socket worker mode of `shard`: bind, announce the address, and answer
 /// fleet range assignments against one prepared context until the
 /// request budget (if any) is spent.
 fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
     let max_requests: Option<u64> = args.parsed_opt("--max-requests")?;
-    let timeout_ms: u64 = args.parsed("--timeout-ms", 10_000)?;
+    let timeout = timeout_of(args)?;
     let (ctx, expected) = shard_context_of(args)?;
     eprintln!("serving shard assignments…");
     let listener = std::net::TcpListener::bind(listen)
@@ -487,17 +498,14 @@ fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
     // Scripts scrape this line for the bound address.
     println!("shard worker on {addr}");
     std::io::stdout().flush().ok();
-    let served =
-        serve_assignments(&listener, max_requests, Duration::from_millis(timeout_ms), |a| {
-            if a.meta != expected {
-                return Err(
-                    "assignment meta does not describe this worker's scenario".to_owned()
-                );
-            }
-            eprintln!("assignment [{}, {}): {} shard(s)", a.start, a.end, a.shards);
-            ctx.frames(a.meta.clone(), a.start, a.end, a.shards, a.payload)
-        })
-        .map_err(|e| format!("worker accept loop: {e}"))?;
+    let served = serve_assignments(&listener, max_requests, timeout, |a| {
+        if a.meta != expected {
+            return Err("assignment meta does not describe this worker's scenario".to_owned());
+        }
+        eprintln!("assignment [{}, {}): {} shard(s)", a.start, a.end, a.shards);
+        ctx.frames(a.meta.clone(), a.start, a.end, a.shards, a.payload)
+    })
+    .map_err(|e| format!("worker accept loop: {e}"))?;
     eprintln!("worker served {served} assignment(s); exiting");
     if let Some(s) = ctx.cache_stats() {
         eprintln!(
@@ -559,13 +567,14 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         .map(String::from)
         .collect();
     let shards: usize = args.parsed("--shards", 2)?;
+    let timeout = timeout_of(args)?;
     // `Need::Facts`: the sweeps arrive from the fleet, and everything else
     // the report needs of the blocks is memoized per segment.
     let Opened { data, mode, .. } = open_dataset(args, args.get("--archive"), Need::Facts)?;
     let sc = data.scenario.clone();
     let mut cfg = FleetConfig::new(workers);
     cfg.chunks = args.parsed("--chunks", 0)?;
-    cfg.timeout = Duration::from_millis(args.parsed("--timeout-ms", 10_000)?);
+    cfg.timeout = timeout;
     cfg.retries = args.parsed("--retries", 4)?;
     cfg.backoff_ms = args.parsed("--backoff-ms", 50)?;
     cfg.seed = sc.seed;
@@ -711,7 +720,17 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         return Err("query needs at least one PATH (or --wait-head / --shutdown)".to_owned());
     }
     let expect: Option<u16> = args.parsed_opt("--expect-status")?;
-    let wait_head: Option<u64> = args.parsed_opt("--wait-head")?;
+    // The head deadline is fixed before the first request, so a value past
+    // the end of the clock is a usage error rather than an overflow panic.
+    let wait_head = match args.parsed_opt::<u64>("--wait-head")? {
+        Some(secs) => Some(
+            Instant::now()
+                .checked_add(Duration::from_secs(secs))
+                .map(|deadline| (secs, deadline))
+                .ok_or_else(|| format!("--wait-head {secs} is out of range"))?,
+        ),
+        None => None,
+    };
     // One exchange per request, each under the same deadline (an uncached
     // paper-scale `/report` renders in a few seconds).
     let fetch = |req: HttpRequest| {
@@ -728,8 +747,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         }
         std::thread::sleep(Duration::from_millis(100));
     }
-    if let Some(secs) = wait_head {
-        let deadline = Instant::now() + Duration::from_secs(secs);
+    if let Some((secs, deadline)) = wait_head {
         loop {
             let resp = fetch(HttpRequest::get("/healthz"))?;
             if String::from_utf8_lossy(&resp.body).contains("\"head\":true") {

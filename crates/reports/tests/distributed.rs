@@ -625,7 +625,9 @@ fn follow_persists_and_cold_starts_from_the_archive() {
 
 /// Every `--archive` misuse is a usage error (exit 2): a directory with no
 /// corpus, a zero segment size, a missing --out, scenario flags that
-/// contradict the manifest, and file-mode reduce with --archive.
+/// contradict the manifest, and file-mode reduce with --archive. So are a
+/// repeated flag, a `--wait-head` deadline past the end of the clock and a
+/// zero socket timeout.
 #[test]
 fn archive_flag_misuse_exits_with_usage() {
     let dir = tempdir("archusage");
@@ -648,6 +650,18 @@ fn archive_flag_misuse_exits_with_usage() {
         (&["reduce", "--archive", "corpus", "x.frames"][..], "needs --connect"),
         (&["report", "--small", "--seed", "1", "--seed", "2"][..], "--seed given twice"),
         (&["serve", "--small", "--load", "--load"][..], "--load given twice"),
+        (
+            &["query", "--addr", "127.0.0.1:1", "--wait-head", "18446744073709551615"][..],
+            "--wait-head 18446744073709551615 is out of range",
+        ),
+        (
+            &["reduce", "--connect", "127.0.0.1:1", "--small", "--timeout-ms", "0"][..],
+            "--timeout-ms must be at least 1",
+        ),
+        (
+            &["shard", "--listen", "127.0.0.1:0", "--small", "--timeout-ms", "0"][..],
+            "--timeout-ms must be at least 1",
+        ),
     ] {
         let out = reproduce(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");

@@ -68,6 +68,15 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
     std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"))
 }
 
+/// Every `# TYPE` family of an exposition is named, in backticks, in the
+/// telemetry README's family table.
+fn assert_documented(exposition: &str) {
+    let readme = include_str!("../../telemetry/README.md");
+    for family in exposition.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()) {
+        assert!(readme.contains(&format!("`{family}`")), "{family} is not in the README table");
+    }
+}
+
 #[test]
 fn three_shard_processes_reduce_to_the_identical_report() {
     let dir = tempdir("reduce");
@@ -194,6 +203,7 @@ fn socket_fleet_survives_a_worker_killed_mid_reduction() {
     ] {
         assert!(metrics.contains(&format!("# TYPE {family}")), "no {family} in:\n{metrics}");
     }
+    assert_documented(&metrics);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -485,6 +495,7 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         assert!(metrics.contains(&format!("# TYPE {family}")), "no {family} in:\n{metrics}");
     }
     assert!(counter("worker-metrics.txt", "txstat_archive_cache_misses_total") > 0, "{metrics}");
+    assert_documented(&metrics);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

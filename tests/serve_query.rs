@@ -528,6 +528,10 @@ fn metrics_and_statusz_expose_every_layer() {
     // Prometheus text shape: every family announces HELP and TYPE.
     assert!(text.contains("# HELP txstat_epoch_published_total"));
     assert!(text.contains("# TYPE txstat_serve_cache_misses_total counter"));
+    let readme = include_str!("../crates/telemetry/README.md");
+    for family in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()) {
+        assert!(readme.contains(&format!("`{family}`")), "{family} is not in the README table");
+    }
 
     let resp = service.respond("GET", "/statusz");
     assert_eq!(resp.status, 200);

@@ -19,6 +19,7 @@
 //! also mirrors them into the global `txstat_archive_cache_*` families
 //! (which are shared across instances).
 
+use crate::METRICS;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -84,12 +85,12 @@ impl<T> SegmentCache<T> {
             Some(e) => {
                 e.used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                crate::METRICS.cache_hits.inc();
+                METRICS.cache_hits.inc();
                 Some(Arc::clone(&e.value))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                crate::METRICS.cache_misses.inc();
+                METRICS.cache_misses.inc();
                 None
             }
         }
@@ -118,9 +119,9 @@ impl<T> SegmentCache<T> {
             let evicted = inner.entries.remove(&victim).expect("victim present");
             inner.bytes -= evicted.cost;
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            crate::METRICS.cache_evictions.inc();
+            METRICS.cache_evictions.inc();
         }
-        crate::METRICS.cache_bytes.set(inner.bytes);
+        METRICS.cache_bytes.set(inner.bytes);
     }
 
     /// Exact per-instance counters.

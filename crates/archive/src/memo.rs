@@ -30,7 +30,7 @@
 //! entries. Writes are best-effort: a failed store costs the next process
 //! a recompute, nothing else.
 
-use crate::SegmentMeta;
+use crate::{SegmentMeta, METRICS};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -211,9 +211,9 @@ impl SegmentMemo {
     /// Every slot counts as exactly one hit or one miss.
     pub fn load<T>(&self, schema: u32, decode: impl Fn(&[u8]) -> Option<T>) -> Vec<Option<T>> {
         let _span = Span::enter("memo", "load");
-        let m = &crate::METRICS;
         let reject = |e: MemoError| {
-            if let Some((_, rejected)) = m.memo_rejected.iter().find(|(r, _)| *r == e.reason()) {
+            let reason = e.reason();
+            if let Some((_, rejected)) = METRICS.memo_rejected.iter().find(|(r, _)| *r == reason) {
                 rejected.inc();
             }
         };
@@ -236,8 +236,8 @@ impl SegmentMemo {
             .map(|s| entries.get(&s.hash).and_then(|payload| decode(payload)))
             .collect();
         let hits = slots.iter().filter(|s| s.is_some()).count() as u64;
-        m.memo_hits.add(hits);
-        m.memo_misses.add(slots.len() as u64 - hits);
+        METRICS.memo_hits.add(hits);
+        METRICS.memo_misses.add(slots.len() as u64 - hits);
         slots
     }
 
@@ -265,7 +265,7 @@ impl SegmentMemo {
             .and_then(|()| fs::rename(&tmp, &path).map_err(io_err(&path, "rename")));
         if written.is_err() {
             let _ = fs::remove_file(&tmp);
-            crate::METRICS.memo_write_failures.inc();
+            METRICS.memo_write_failures.inc();
         }
         written
     }

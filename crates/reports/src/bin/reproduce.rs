@@ -474,9 +474,9 @@ fn shard_context_of(args: &Args) -> Result<(ShardContext, serde_json::Value), St
 }
 
 /// The socket deadline of `shard --listen` and fleet `reduce`. Zero is
-/// refused: std rejects a zero socket timeout (the worker used to drop that
-/// error and serve with no deadline at all), and a zero connect timeout
-/// fails every fleet request.
+/// refused: std rejects a zero socket timeout, which the worker's accept
+/// loop ignores (leaving its sockets with no deadline at all), and a zero
+/// connect timeout fails every fleet request.
 fn timeout_of(args: &Args) -> Result<Duration, String> {
     match args.parsed("--timeout-ms", 10_000)? {
         0 => Err("--timeout-ms must be at least 1".to_owned()),

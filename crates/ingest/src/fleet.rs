@@ -3,26 +3,31 @@
 //! range assignments.
 //!
 //! ```text
-//!              ┌───────────── chunk queue (VecDeque) ─────────────┐
-//!   reducer ──▶│ [0,a) [a,b) [b,c) …                              │
-//!              └──┬─────────────┬──────────────┬──────────────────┘
-//!                 ▼             ▼              ▼
-//!           worker thread  worker thread  worker thread   (one per --connect)
+//!              ┌──── board (one Mutex, one Condvar) ───────────────┐
+//!   reducer ──▶│ queue [0,a) [a,b) [b,c) …   outstanding          │
+//!              │ results                     failures             │
+//!              └──┬─────────────┬──────────────┬───────────────────┘
+//!                 ▼             ▼              ▼   pop; queue empty → wait on the condvar
+//!           driver thread  driver thread  driver thread   (one per --connect, scoped)
 //!           addr A         addr B         addr C
 //!             │ connect-per-request, deadline = socket timeout
 //!             │ retry × budget with exponential backoff + jitter
-//!             │ budget exhausted → push chunk BACK (re-dispatch),
+//!             │ frames in → record them, outstanding − 1, notify_all
+//!             │ budget exhausted → push chunk BACK (re-dispatch), notify_all,
 //!             │                    mark worker dead, thread exits
 //!             ▼
 //!           (chunk id, origin addr, frames) → sorted merge
 //! ```
 //!
 //! Liveness: a thread holding a chunk either completes it (decrementing
-//! the outstanding count) or dies and re-queues it; idle threads poll the
-//! queue while any chunk is outstanding. So either every chunk completes,
-//! or all threads exit and the chunks left over surface as a typed
-//! [`FleetError::Exhausted`] naming every worker failure — the driver can
-//! stall only while some worker is inside its bounded retry loop.
+//! the outstanding count) or dies and re-queues it, and does either under
+//! the board's lock before waking every waiting thread. A thread that finds
+//! the queue empty while some chunk is outstanding waits on the condvar
+//! until a chunk comes back or the last one completes — never on a timer.
+//! So either every chunk completes, or all threads exit and the chunks left
+//! over surface as a typed [`FleetError::Exhausted`] naming every worker
+//! failure — the driver can stall only while some worker is inside its
+//! bounded retry loop, whose backoff is the only timed wait.
 //!
 //! Double-delivery is impossible by construction downstream: a re-dispatched
 //! range that somehow also arrived from the original worker would overlap
@@ -31,10 +36,9 @@
 //!
 //! [`ShardWorker`]: crate::reduce::ShardWorker
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 use txstat_telemetry::{registry, Counter, Histogram};
@@ -197,12 +201,55 @@ struct Chunk {
     end: u64,
 }
 
-struct Shared {
-    queue: Mutex<VecDeque<Chunk>>,
+/// Everything the driver threads share, behind one lock.
+struct Board {
+    queue: VecDeque<Chunk>,
     /// Chunks not yet completed (queued OR currently held by a thread).
-    outstanding: AtomicUsize,
-    results: Mutex<Vec<(usize, String, Vec<ShardFrame>)>>,
-    failures: Mutex<Vec<String>>,
+    outstanding: usize,
+    results: Vec<(usize, String, Vec<ShardFrame>)>,
+    failures: Vec<String>,
+}
+
+/// The board and the condvar its waiters block on. Every change a waiter
+/// could be waiting for (a completion, a re-dispatch) is made and signalled
+/// under the lock, so no wakeup can fall between a waiter's check and its
+/// wait.
+struct Shared {
+    board: Mutex<Board>,
+    changed: Condvar,
+}
+
+impl Shared {
+    /// The next chunk to sweep, waiting while the queue is empty but some
+    /// other thread still holds a chunk; `None` once every chunk is done.
+    fn next(&self) -> Option<Chunk> {
+        let mut board = self.board.lock();
+        loop {
+            if board.outstanding == 0 {
+                return None;
+            }
+            if let Some(chunk) = board.queue.pop_front() {
+                return Some(chunk);
+            }
+            self.changed.wait(&mut board);
+        }
+    }
+
+    fn complete(&self, chunk: Chunk, addr: &str, frames: Vec<ShardFrame>) {
+        let mut board = self.board.lock();
+        board.results.push((chunk.id, addr.to_owned(), frames));
+        board.outstanding -= 1;
+        self.changed.notify_all();
+    }
+
+    /// Hand `chunk` back to the survivors; `failure` says which worker gave
+    /// it up and why.
+    fn redispatch(&self, chunk: Chunk, failure: String) {
+        let mut board = self.board.lock();
+        board.queue.push_back(chunk);
+        board.failures.push(failure);
+        self.changed.notify_all();
+    }
 }
 
 /// One connect/request/response exchange against `addr` with `timeout`
@@ -290,38 +337,27 @@ pub fn reduce_fleet(
         .enumerate()
         .map(|(id, (start, end))| Chunk { id, start, end })
         .collect();
-    let shared = Arc::new(Shared {
-        outstanding: AtomicUsize::new(chunks.len()),
-        queue: Mutex::new(chunks.into_iter().collect()),
-        results: Mutex::new(Vec::new()),
-        failures: Mutex::new(Vec::new()),
+    let shared = Shared {
+        board: Mutex::new(Board {
+            outstanding: chunks.len(),
+            queue: chunks.into(),
+            results: Vec::new(),
+            failures: Vec::new(),
+        }),
+        changed: Condvar::new(),
+    };
+    std::thread::scope(|s| {
+        for addr in &cfg.workers {
+            let (shared, meta) = (&shared, &meta);
+            s.spawn(move || worker_loop(cfg, addr, shards, payload, meta, shared));
+        }
     });
 
-    let handles: Vec<_> = cfg
-        .workers
-        .iter()
-        .map(|addr| {
-            let addr = addr.clone();
-            let cfg = cfg.clone();
-            let meta = meta.clone();
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                worker_loop(&cfg, &addr, shards, payload, meta, &shared)
-            })
-        })
-        .collect();
-    for h in handles {
-        let _ = h.join();
+    let board = shared.board.into_inner();
+    if board.outstanding > 0 {
+        return Err(FleetError::Exhausted { pending: board.queue.len(), failures: board.failures });
     }
-
-    if shared.outstanding.load(Ordering::SeqCst) > 0 {
-        let queue = shared.queue.lock();
-        return Err(FleetError::Exhausted {
-            pending: queue.len(),
-            failures: shared.failures.lock().clone(),
-        });
-    }
-    let mut results = std::mem::take(&mut *shared.results.lock());
+    let mut results = board.results;
     results.sort_by_key(|(id, _, _)| *id);
     Ok(results
         .into_iter()
@@ -334,20 +370,10 @@ fn worker_loop(
     addr: &str,
     shards: usize,
     payload: PayloadFormat,
-    meta: serde::Value,
+    meta: &serde::Value,
     shared: &Shared,
 ) {
-    loop {
-        if shared.outstanding.load(Ordering::SeqCst) == 0 {
-            return; // all work completed (possibly by other threads)
-        }
-        let chunk = shared.queue.lock().pop_front();
-        let Some(chunk) = chunk else {
-            // Nothing queued but some chunk is still held by another
-            // thread; it may yet come back for re-dispatch.
-            std::thread::sleep(Duration::from_millis(5));
-            continue;
-        };
+    while let Some(chunk) = shared.next() {
         let a = Assignment {
             start: chunk.start,
             end: chunk.end,
@@ -356,19 +382,15 @@ fn worker_loop(
             meta: meta.clone(),
         };
         match request_with_retry(cfg, addr, &a) {
-            Ok(frames) => {
-                shared.results.lock().push((chunk.id, addr.to_owned(), frames));
-                shared.outstanding.fetch_sub(1, Ordering::SeqCst);
-            }
+            Ok(frames) => shared.complete(chunk, addr, frames),
             Err(e) => {
                 // Budget spent: hand the chunk to the survivors and die.
                 METRICS.redispatch.inc();
                 METRICS.workers_failed.inc();
-                shared.queue.lock().push_back(chunk);
-                shared.failures.lock().push(format!(
-                    "worker {addr} gave up on range [{}, {}): {e}",
-                    chunk.start, chunk.end
-                ));
+                shared.redispatch(
+                    chunk,
+                    format!("worker {addr} gave up on range [{}, {}): {e}", chunk.start, chunk.end),
+                );
                 return;
             }
         }
@@ -381,13 +403,21 @@ fn worker_loop(
 /// tests and CI). Returns the number of assignments served.
 ///
 /// Malformed requests get a best-effort error response and do not count;
-/// handler failures are shipped back as typed remote errors.
+/// handler failures are shipped back as typed remote errors. A zero
+/// `timeout` is refused with [`std::io::ErrorKind::InvalidInput`] before
+/// anything is accepted: sockets take it as "no deadline".
 pub fn serve_assignments(
     listener: &TcpListener,
     max_requests: Option<u64>,
     timeout: Duration,
     mut handler: impl FnMut(&Assignment) -> Result<Vec<ShardFrame>, String>,
 ) -> std::io::Result<u64> {
+    if timeout.is_zero() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "serve_assignments needs a nonzero timeout",
+        ));
+    }
     let mut served = 0u64;
     while max_requests.is_none_or(|m| served < m) {
         let (mut stream, _) = listener.accept()?;
@@ -453,12 +483,17 @@ mod tests {
     }
 
     /// A peer that accepts and writes garbage — every exchange against it
-    /// must fail typed, never hang past the deadline.
-    fn spawn_garbage_peer() -> String {
+    /// must fail typed, never hang past the deadline. With a `stall`, it
+    /// first drains the request until its own read deadline of that long.
+    fn spawn_garbage_peer(stall: Option<Duration>) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         std::thread::spawn(move || {
             while let Ok((mut s, _)) = listener.accept() {
+                if let Some(stall) = stall {
+                    let _ = s.set_read_timeout(Some(stall));
+                    let _ = std::io::copy(&mut s, &mut std::io::sink());
+                }
                 let _ = s.write_all(b"not the fleet protocol at all");
             }
         });
@@ -527,10 +562,57 @@ mod tests {
 
     #[test]
     fn garbage_peer_is_typed_and_survivable() {
-        let cfg = test_cfg(vec![spawn_garbage_peer(), spawn_echo_worker(None)]);
+        let cfg = test_cfg(vec![spawn_garbage_peer(None), spawn_echo_worker(None)]);
         let frames =
             reduce_fleet(&cfg, 40, 1, PayloadFormat::Bin, json!({"t": 4})).expect("fleet ok");
         assert_covers_all(&frames, 40);
+    }
+
+    #[test]
+    fn redispatched_chunk_wakes_an_idle_driver() {
+        // The healthy driver sweeps its chunk and finds the queue empty
+        // while the slow peer (≈ 100 ms per failed attempt) still holds the
+        // other one; it must be woken when that chunk comes back, not left
+        // waiting for a completion that will never come.
+        let slow = spawn_garbage_peer(Some(Duration::from_millis(100)));
+        let mut cfg = test_cfg(vec![spawn_echo_worker(None), slow.clone()]);
+        cfg.chunks = 2;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(reduce_fleet(&cfg, 40, 1, PayloadFormat::Bin, json!({"t": 6})));
+        });
+        let frames = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("fleet hung after a re-dispatch")
+            .expect("fleet ok");
+        assert_covers_all(&frames, 40);
+        assert!(
+            frames.iter().all(|(origin, _)| *origin != slow),
+            "no frame can come from the garbage peer"
+        );
+    }
+
+    #[test]
+    fn serve_assignments_refuses_a_zero_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let client = std::thread::spawn(move || {
+            let a = Assignment {
+                start: 0,
+                end: 4,
+                shards: 1,
+                payload: PayloadFormat::Bin,
+                meta: json!({"t": 7}),
+            };
+            request_frames(&addr, &a, Duration::from_secs(2))
+        });
+        let served = serve_assignments(&listener, Some(1), Duration::ZERO, |a| {
+            Ok(vec![ShardFrame::from_columns("eos", a.start, a.end, 0, a.meta.clone(), vec![])])
+        });
+        drop(listener);
+        let _ = client.join();
+        let err = served.expect_err("a zero timeout means no deadline at all");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -183,6 +183,10 @@ impl Gatekeeper<Http> for Admission {
         stats.served.inc();
         Some(reply)
     }
+
+    fn replied(&self, request: &HttpRequest, reply: &HttpResponse) {
+        self.handler.replied(request, reply);
+    }
 }
 
 /// A running query server. Its accept thread lives until the process
@@ -346,6 +350,40 @@ mod tests {
                 HttpResponse::status(404, "Not Found", b"nope".to_vec())
             }
         }
+    }
+
+    /// Reports each reply it hears of, but only once the test says the
+    /// client holds that reply: a hook that ran before the write would
+    /// keep the reply from ever arriving.
+    struct Gated {
+        arrived: Mutex<std::sync::mpsc::Receiver<()>>,
+        heard: Mutex<std::sync::mpsc::Sender<(String, u16)>>,
+    }
+    impl HttpHandler for Gated {
+        fn handle(&self, req: &HttpRequest) -> HttpResponse {
+            Hello.handle(req)
+        }
+        fn replied(&self, req: &HttpRequest, reply: &HttpResponse) {
+            let _ = self.arrived.lock().recv_timeout(Duration::from_secs(10));
+            let _ = self.heard.lock().send((req.path.clone(), reply.status));
+        }
+    }
+
+    #[test]
+    fn replied_runs_after_the_reply_is_written() {
+        let (arrived_tx, arrived_rx) = std::sync::mpsc::channel();
+        let (heard_tx, heard_rx) = std::sync::mpsc::channel();
+        let handler = Gated { arrived: Mutex::new(arrived_rx), heard: Mutex::new(heard_tx) };
+        let h = start_query_server(Arc::new(handler), QueryServerConfig::default()).unwrap();
+        let mut stream = connect(h.addr);
+        stream.get_ref().set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_request(stream.get_mut(), &HttpRequest::get("/exhibit/x")).unwrap();
+        let reply = read_response(&mut stream).expect("the hook ran before the reply was written");
+        assert_eq!(reply.status, 200);
+        assert!(heard_rx.try_recv().is_err(), "the hook finished before the client had its reply");
+        arrived_tx.send(()).unwrap();
+        let heard = heard_rx.recv_timeout(Duration::from_secs(10)).expect("hook never ran");
+        assert_eq!(heard, ("/exhibit/x".to_owned(), 200));
     }
 
     #[test]

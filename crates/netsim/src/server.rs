@@ -7,7 +7,8 @@
 //! guard, request and byte accounting, the refusal owed to an unreadable
 //! request (`431`) and hanging up on a failed write. It is generic over the
 //! [`Framing`] and over a `Gatekeeper`, which names the counters a
-//! request is booked under and decides it: reply with this, or hang up.
+//! request is booked under and decides it: reply with this, or hang up;
+//! the gatekeeper also hears when the connection is done with a reply.
 //! [`spawn_http`] / [`spawn_ndjson`] gate through `EndpointSim::gate` and
 //! its artificial delay; [`crate::serve::start_query_server`] through its
 //! admission bucket. Deadlines, a connection cap or per-stage spans have
@@ -23,6 +24,12 @@ use std::sync::Arc;
 /// An HTTP request handler (sync — chain lookups are in-memory).
 pub trait HttpHandler: Send + Sync + 'static {
     fn handle(&self, req: &HttpRequest) -> HttpResponse;
+
+    /// Called by the query server ([`crate::serve::start_query_server`])
+    /// once the connection is done with `reply` to `req`: written to the
+    /// peer, or its write failed. Whatever must not happen before the peer
+    /// has its answer (a process exit) waits for this. Default: nothing.
+    fn replied(&self, _req: &HttpRequest, _reply: &HttpResponse) {}
 }
 
 /// An NDJSON command handler.
@@ -37,6 +44,9 @@ pub(crate) trait Gatekeeper<F: Framing>: Send + Sync + 'static {
 
     /// The reply to `request`, or `None` to hang up on the peer.
     fn decide(&self, request: &F::Request, stats: &EndpointStats) -> Option<F::Reply>;
+
+    /// The connection is done with `reply`: written, or its write failed.
+    fn replied(&self, _request: &F::Request, _reply: &F::Reply) {}
 }
 
 /// Serve every connection `listener` accepts, on one accept thread and
@@ -76,7 +86,9 @@ fn serve_connection<F: Framing, G: Gatekeeper<F>>(sock: TcpStream, gatekeeper: &
         let Some(reply) = gatekeeper.decide(&request, stats) else {
             break;
         };
-        match F::write_reply(&mut conn, &reply) {
+        let written = F::write_reply(&mut conn, &reply);
+        gatekeeper.replied(&request, &reply);
+        match written {
             Ok(written) => stats.bytes_out.add(written as u64),
             Err(_) => break,
         }

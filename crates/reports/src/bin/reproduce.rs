@@ -52,6 +52,7 @@ use txstat_reports::{
     MemoStatus, PipelineData, Reorg, SegmentFormat, ServeLine, ServePlan, ShardContext,
     DEFAULT_SNAPSHOT_WINDOW,
 };
+use txstat_telemetry::Span;
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_workload::Scenario;
 
@@ -580,8 +581,11 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
     cfg.seed = sc.seed;
     eprintln!("driving {} worker(s)…", cfg.workers.len());
     let total = data.longest_chain() as u64;
-    let labeled = reduce_fleet(&cfg, total, shards, PayloadFormat::Bin, scenario_meta(&sc, &mode))
-        .map_err(|e| e.to_string())?;
+    let labeled = {
+        let _span = Span::enter("reduce_fleet", "");
+        reduce_fleet(&cfg, total, shards, PayloadFormat::Bin, scenario_meta(&sc, &mode))
+    }
+    .map_err(|e| e.to_string())?;
     eprintln!("fleet returned {} frames; merging…", labeled.len());
     reduce_frames_labeled_into(data, &labeled)
 }

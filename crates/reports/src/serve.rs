@@ -34,8 +34,7 @@ use crate::follow::Follower;
 use crate::pipeline::PipelineData;
 use std::collections::HashMap;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use txstat_ingest::EpochCell;
 use txstat_netsim::http::{HttpRequest, HttpResponse};
@@ -187,8 +186,12 @@ pub struct StatsService {
     registry: Arc<Registry>,
     pub cache_hits: Arc<Counter>,
     pub cache_misses: Arc<Counter>,
-    /// Raised by `POST /admin/shutdown`; the serve session polls it.
-    shutdown: AtomicBool,
+    /// Raised once the reply to `POST /admin/shutdown` has left, which
+    /// then notifies `shutdown_raised`; the serve session waits on the
+    /// pair. Raising it any earlier would let the process exit before the
+    /// reply is written.
+    shutdown: Mutex<bool>,
+    shutdown_raised: Condvar,
 }
 
 impl StatsService {
@@ -236,15 +239,24 @@ impl StatsService {
                 snap.cached_responses() as u64,
             ));
         });
-        StatsService { cell, registry, cache_hits, cache_misses, shutdown: AtomicBool::new(false) }
+        StatsService {
+            cell,
+            registry,
+            cache_hits,
+            cache_misses,
+            shutdown: Mutex::new(false),
+            shutdown_raised: Condvar::new(),
+        }
     }
 
     pub fn snapshot(&self) -> Arc<ServeSnapshot> {
         self.cell.load()
     }
 
-    fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+    /// Block until the reply to `POST /admin/shutdown` has been written.
+    fn wait_for_shutdown(&self) {
+        let raised = self.shutdown.lock().expect("shutdown lock");
+        let _raised = self.shutdown_raised.wait_while(raised, |r| !*r).expect("shutdown lock");
     }
 
     fn not_found(path: &str) -> HttpResponse {
@@ -310,10 +322,7 @@ impl StatsService {
                 let body = self.statusz(&snap);
                 HttpResponse::ok(serde_json::to_vec(&body).unwrap_or_default())
             }
-            ("POST", "/admin/shutdown") => {
-                self.shutdown.store(true, Ordering::Release);
-                HttpResponse::ok(b"{\"shutting_down\":true}".to_vec())
-            }
+            ("POST", "/admin/shutdown") => HttpResponse::ok(b"{\"shutting_down\":true}".to_vec()),
             ("GET", _) => {
                 match snap.get(path, &self.cache_hits, &self.cache_misses) {
                     Some(body) => HttpResponse::ok(body.as_ref().clone()),
@@ -328,6 +337,14 @@ impl StatsService {
 impl HttpHandler for StatsService {
     fn handle(&self, req: &HttpRequest) -> HttpResponse {
         self.respond(&req.method, &req.path)
+    }
+
+    fn replied(&self, req: &HttpRequest, reply: &HttpResponse) {
+        let shutdown = req.method == "POST" && req.path == "/admin/shutdown";
+        if shutdown && reply.status == 200 {
+            *self.shutdown.lock().expect("shutdown lock") = true;
+            self.shutdown_raised.notify_all();
+        }
     }
 }
 
@@ -463,9 +480,7 @@ pub fn serve_session(
     }
 
     say(ServeLine::Progress("head reached; serving until POST /admin/shutdown…".to_owned()));
-    while !service.shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    service.wait_for_shutdown();
     say(ServeLine::Progress("shutdown requested; exiting".to_owned()));
     Ok(())
 }

@@ -471,6 +471,8 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
     assert_eq!(counter("reduce-warm.prom", "txstat_archive_segments_replayed_total"), 0);
     let trace = String::from_utf8(read(&dir, "reduce-warm.ndjson")).expect("trace utf8");
     assert!(trace.contains("\"stage\":\"memo\""), "no memo span:\n{trace}");
+    let fleet_spans = trace.lines().filter(|l| l.contains("\"stage\":\"reduce_fleet\"")).count();
+    assert_eq!(fleet_spans, 1, "one reduce_fleet span per fleet reduction:\n{trace}");
     assert!(!trace.contains("fig2_storage"), "a memo-hit reducer recomputed Figure 2");
     let status = w3.child.wait().expect("worker exit");
     assert!(status.success(), "budgeted worker should exit cleanly");

@@ -72,7 +72,7 @@ use std::fs;
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, LazyLock};
-use txstat_telemetry::{registry, Counter, Gauge, Span};
+use txstat_telemetry::{registry, Counter, Span};
 use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 use txstat_types::ids::fnv1a64;
 use txstat_types::lzss;
@@ -80,7 +80,7 @@ use txstat_types::lzss;
 pub mod cache;
 pub mod memo;
 
-pub use cache::{CacheStats, SegmentCache};
+pub use cache::{CacheStats, DecodedSegments};
 pub use memo::{decode_memo, encode_memo, MemoError, SegmentMemo, MEMO_FILE};
 
 /// Index file magic.
@@ -225,8 +225,6 @@ struct ArchiveMetrics {
     comp_bytes: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    cache_bytes: Arc<Gauge>,
     memo_hits: Arc<Counter>,
     memo_misses: Arc<Counter>,
     /// One series per [`MemoError::REASONS`] entry, in that order.
@@ -266,12 +264,6 @@ static METRICS: LazyLock<ArchiveMetrics> = LazyLock::new(|| {
             "txstat_archive_cache_misses_total",
             "Decoded-segment cache lookups that had to decode",
         ),
-        cache_evictions: reg.counter(
-            "txstat_archive_cache_evictions_total",
-            "Decoded-segment cache entries evicted over budget",
-        ),
-        cache_bytes: reg
-            .gauge("txstat_archive_cache_bytes", "Decoded-segment cache resident byte estimate"),
         memo_hits: reg.counter(
             "txstat_archive_memo_hits_total",
             "Live segments whose memoized payload was reused",

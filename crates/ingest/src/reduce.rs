@@ -439,7 +439,11 @@ impl ShardWorker {
         end: u64,
         blocks: u64,
     ) -> ShardFrame {
-        ShardFrame::from_columns(chain, start, end, blocks, self.meta.clone(), acc.to_wire_bytes())
+        let columns = {
+            let _span = Span::enter("wire_encode", chain);
+            acc.to_wire_bytes()
+        };
+        ShardFrame::from_columns(chain, start, end, blocks, self.meta.clone(), columns)
     }
 
     /// Sweep the EOS runs into an `"eos"` frame.

@@ -22,9 +22,9 @@
 //!   healed. `reduce --connect --archive` is block-free: sweeps from the
 //!   fleet, the rest from the memo — warm, it decodes no segment.
 //! - **`shard --archive`** decodes only the segments covering each
-//!   assignment, through a 64 MiB LRU keyed by segment content hash
-//!   (`txstat_archive_cache_*`). `--max-requests N` is the deterministic way
-//!   to die mid-reduction in tests.
+//!   assignment, each at most once per process: a table keyed by segment
+//!   index keeps every decode (`txstat_archive_cache_*`). `--max-requests
+//!   N` is the deterministic way to die mid-reduction in tests.
 //! - **`reduce --connect`** drives the workers with per-request deadlines,
 //!   exponential backoff, bounded retry budgets and straggler re-dispatch;
 //!   failures name the worker address (file mode: the frame file).
@@ -53,6 +53,7 @@ use txstat_reports::{
     DEFAULT_SNAPSHOT_WINDOW,
 };
 use txstat_telemetry::Span;
+use txstat_wire::fleet::MAX_SHARDS;
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_workload::Scenario;
 
@@ -485,6 +486,16 @@ fn timeout_of(args: &Args) -> Result<Duration, String> {
     }
 }
 
+/// `--shards K` of `shard` and fleet `reduce`: in-process sub-accumulators
+/// per assignment, refused outside `1..=MAX_SHARDS` like a worker refuses
+/// such an assignment off the wire.
+fn shards_of(args: &Args) -> Result<usize, String> {
+    match args.parsed("--shards", 2)? {
+        shards @ 1..=MAX_SHARDS => Ok(shards),
+        shards => Err(format!("--shards {shards} is outside 1..={MAX_SHARDS}")),
+    }
+}
+
 /// Socket worker mode of `shard`: bind, announce the address, and answer
 /// fleet range assignments against one prepared context until the
 /// request budget (if any) is spent.
@@ -510,8 +521,8 @@ fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
     eprintln!("worker served {served} assignment(s); exiting");
     if let Some(s) = ctx.cache_stats() {
         eprintln!(
-            "segment cache: {} hit(s), {} miss(es), {} eviction(s), {} byte(s) resident",
-            s.hits, s.misses, s.evictions, s.bytes
+            "decoded segments: {} hit(s), {} miss(es), {} segment(s) held",
+            s.hits, s.misses, s.entries
         );
     }
     Ok(())
@@ -524,7 +535,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     let (start, end) =
         parse_range(args.get("--range").ok_or("shard needs --range A..B (or --listen ADDR)")?)?;
     let out = args.get("--out").ok_or("shard needs --out FILE (\"-\" for stdout)")?;
-    let shards: usize = args.parsed("--shards", 2)?;
+    let shards = shards_of(args)?;
 
     let started = Instant::now();
     let (ctx, meta) = shard_context_of(args)?;
@@ -567,7 +578,7 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         .filter(|s| !s.is_empty())
         .map(String::from)
         .collect();
-    let shards: usize = args.parsed("--shards", 2)?;
+    let shards = shards_of(args)?;
     let timeout = timeout_of(args)?;
     // `Need::Facts`: the sweeps arrive from the fleet, and everything else
     // the report needs of the blocks is memoized per segment.

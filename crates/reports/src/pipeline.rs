@@ -29,10 +29,7 @@ use txstat_ingest::{RateCache, ReduceError, ReduceSession, ShardWorker};
 use txstat_telemetry::{registry, Counter, Span};
 use rayon::prelude::*;
 use crate::archive_io::{Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
-use txstat_archive::{Archive, ArchiveWriter, SegmentCache, SegmentMemo, SegmentMeta};
-
-/// Decoded-segment cache budget of [`ShardContext::from_archive`].
-const DEFAULT_SEGMENT_CACHE_MB: u64 = 64;
+use txstat_archive::{Archive, ArchiveWriter, DecodedSegments, SegmentMemo, SegmentMeta};
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_netsim::handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
 use txstat_netsim::server::{spawn_http, spawn_ndjson, EndpointHandle};
@@ -1221,9 +1218,9 @@ enum ShardSource {
     Archived {
         archive: Archive,
         total: u64,
-        /// Decoded+parsed segments keyed by content hash — re-assignments
-        /// overlapping the same segments skip decompress/decode/parse.
-        cache: SegmentCache<crate::archive_io::ReplayedChains>,
+        /// Decoded+parsed segments by index — re-assignments overlapping
+        /// the same segments skip decompress/decode/parse.
+        decoded: DecodedSegments<crate::archive_io::ReplayedChains>,
     },
 }
 
@@ -1261,30 +1258,14 @@ impl ShardContext {
     /// is decoded yet — [`ShardContext::frames`] replays only the
     /// segments covering each assignment. Also returns the parsed
     /// manifest so callers can validate it against their own flags.
-    /// Decoded segments cache at a 64 MiB budget
-    /// ([`ShardContext::from_archive_with`] sizes it explicitly).
+    /// Each segment is decoded at most once per context.
     pub fn from_archive(dir: &std::path::Path) -> Result<(Self, crate::Manifest), String> {
-        Self::from_archive_with(dir, DEFAULT_SEGMENT_CACHE_MB)
-    }
-
-    /// [`ShardContext::from_archive`] with an explicit decoded-segment
-    /// cache budget in MiB (at 0 only the newest decoded segment stays
-    /// resident). Cache entries are keyed by segment *content hash*, so a
-    /// reorg that rewrites a sealed segment can never serve the stale
-    /// decode.
-    pub fn from_archive_with(
-        dir: &std::path::Path,
-        cache_mb: u64,
-    ) -> Result<(Self, crate::Manifest), String> {
         let OpenedArchive { archive, manifest, sc, sidecar, oracle } = open_archive(dir)?;
         let total = manifest.total_positions();
+        let decoded = DecodedSegments::new(archive.segments().len());
         let ctx = ShardContext {
             sc,
-            source: ShardSource::Archived {
-                archive,
-                total,
-                cache: SegmentCache::new(cache_mb.saturating_mul(1024 * 1024)),
-            },
+            source: ShardSource::Archived { archive, total, decoded },
             oracle: Arc::new(oracle),
             governance_periods: sidecar.governance_periods,
         };
@@ -1324,43 +1305,36 @@ impl ShardContext {
                 worker.xrp_frame(xrp, period, &self.oracle),
             ]
         };
-        let mut worker =
-            ShardWorker { start, end, base: 0, shards: shards.max(1), meta };
+        let mut worker = ShardWorker { start, end, base: 0, shards, meta };
         match &self.source {
             ShardSource::Generated(d) => {
                 let (eos, tezos, xrp) = (&d.eos_blocks[..], &d.tezos_blocks[..], &d.xrp_blocks[..]);
                 Ok(build(&worker, &[eos], &[tezos], &[xrp]))
             }
-            ShardSource::Archived { archive, cache, .. } => {
+            ShardSource::Archived { archive, decoded, .. } => {
                 let (lo, hi) = archive.covering(start, end);
-                let metas = archive.segments();
-                worker.base = metas.get(lo).map_or(start, |m| m.start);
-                // Probe the cache once per covering segment (each probe is
-                // exactly one hit or miss), decode the misses on a rayon
-                // fan, then park them for the next overlapping assignment.
-                let probes: Vec<(usize, Option<Arc<crate::archive_io::ReplayedChains>>)> =
-                    (lo..hi).map(|i| (i, cache.get(metas[i].hash))).collect();
-                let misses: Vec<usize> =
-                    probes.iter().filter(|(_, p)| p.is_none()).map(|(i, _)| *i).collect();
-                let decoded: Vec<Result<crate::archive_io::ReplayedChains, String>> = misses
+                worker.base = archive.segments().get(lo).map_or(start, |m| m.start);
+                // Look each covering segment up once (exactly one hit or
+                // miss), decode the misses on a rayon fan, then keep them
+                // for the next overlapping assignment.
+                let mut covering: Vec<Option<Arc<crate::archive_io::ReplayedChains>>> =
+                    (lo..hi).map(|i| decoded.get(i)).collect();
+                let misses: Vec<usize> = (lo..hi).filter(|&i| covering[i - lo].is_none()).collect();
+                let parsed: Vec<Result<crate::archive_io::ReplayedChains, String>> = misses
                     .par_iter()
                     .map(|&i| {
                         let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
                         crate::archive_io::chains_of_segment(&seg)
                     })
                     .collect_vec();
-                let mut fresh = std::collections::HashMap::new();
-                for (&i, parsed) in misses.iter().zip(decoded) {
-                    let parsed = Arc::new(parsed?);
-                    cache.insert(metas[i].hash, Arc::clone(&parsed), metas[i].raw_len);
-                    fresh.insert(i, parsed);
+                for (i, parsed) in misses.into_iter().zip(parsed) {
+                    covering[i - lo] = Some(decoded.insert(i, parsed?));
                 }
-                // One borrowed run per covering segment: the cached decode
-                // is swept in place, no block is cloned.
-                let covering: Vec<Arc<crate::archive_io::ReplayedChains>> = probes
-                    .into_iter()
-                    .map(|(i, probe)| probe.unwrap_or_else(|| Arc::clone(&fresh[&i])))
-                    .collect();
+                // Every slot is filled now. One borrowed run per covering
+                // segment: the kept decode is swept in place, no block is
+                // cloned.
+                let covering: Vec<Arc<crate::archive_io::ReplayedChains>> =
+                    covering.into_iter().flatten().collect();
                 let eos: Vec<&[txstat_eos::Block]> = covering.iter().map(|c| &c.0[..]).collect();
                 let tezos: Vec<&[txstat_tezos::TezosBlock]> =
                     covering.iter().map(|c| &c.1[..]).collect();
@@ -1371,11 +1345,11 @@ impl ShardContext {
         }
     }
 
-    /// Exact decoded-segment cache counters (archived sources only).
+    /// Exact decoded-segment counters (archived sources only).
     pub fn cache_stats(&self) -> Option<txstat_archive::CacheStats> {
         match &self.source {
             ShardSource::Generated(_) => None,
-            ShardSource::Archived { cache, .. } => Some(cache.stats()),
+            ShardSource::Archived { decoded, .. } => Some(decoded.stats()),
         }
     }
 }

@@ -3,6 +3,7 @@
 //! `reproduce reduce` process, render a report **byte-identical** to one
 //! `reproduce report` process over the same scenario/seed.
 
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
@@ -68,6 +69,16 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
     std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"))
 }
 
+/// The value of the unlabelled series `name` in the Prometheus dump `file`.
+fn metric(dir: &Path, file: &str, name: &str) -> u64 {
+    let metrics = String::from_utf8(read(dir, file)).expect("metrics utf8");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in {file}:\n{metrics}"))
+}
+
 /// Every `# TYPE` family of an exposition is named, in backticks, in the
 /// telemetry README's family table.
 fn assert_documented(exposition: &str) {
@@ -98,6 +109,25 @@ fn three_shard_processes_reduce_to_the_identical_report() {
         include_str!("golden/report-small-seed7.prom"),
         "`report --small --seed 7 --metrics-out` differs from the pinned exposition"
     );
+    // And the other way round: the README table's pipeline, archive and
+    // fleet rows are exactly the families that run exposes, so a row left
+    // behind by a deleted family fails here.
+    let readme = include_str!("../../telemetry/README.md");
+    let documented: BTreeSet<&str> = readme
+        .lines()
+        .filter_map(|l| l.strip_prefix("| ")?.split(" | ").next())
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+        .filter(|name| {
+            ["txstat_pipeline_", "txstat_archive_", "txstat_fleet_"]
+                .iter()
+                .any(|layer| name.starts_with(layer))
+        })
+        .collect();
+    let exposed: BTreeSet<&str> = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+        .collect();
+    assert_eq!(documented, exposed, "README family table vs the pinned exposition");
 
     // Three disjoint block-position ranges; the last one over-shoots every
     // chain head and clamps. Different in-process shard counts per worker
@@ -427,14 +457,7 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
     );
     // The first reducer over a fresh seal finds no memo: it summarizes
     // every one of the 28 segments from its bytes and leaves the file.
-    let counter = |file: &str, name: &str| -> u64 {
-        let metrics = String::from_utf8(read(&dir, file)).expect("metrics utf8");
-        metrics
-            .lines()
-            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or_else(|| panic!("no {name} in {file}:\n{metrics}"))
-    };
+    let counter = |file: &str, name: &str| metric(&dir, file, name);
     assert_eq!(counter("reduce-cold.prom", "txstat_archive_memo_hits_total"), 0);
     assert_eq!(counter("reduce-cold.prom", "txstat_archive_memo_misses_total"), 28);
     assert_eq!(counter("reduce-cold.prom", "txstat_archive_segments_replayed_total"), 28);
@@ -481,19 +504,10 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         metrics.contains("txstat_pipeline_generate_total 0"),
         "cold-started worker generated a chain:\n{metrics}"
     );
-    let replayed: u64 = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("txstat_archive_segments_replayed_total "))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("replay counter in metrics dump");
+    let replayed = counter("worker-metrics.txt", "txstat_archive_segments_replayed_total");
     assert!(replayed > 0, "worker replayed no archive segments:\n{metrics}");
-    // Its decoded-segment cache is exported too, and it decoded something.
-    for family in [
-        "txstat_archive_cache_hits_total",
-        "txstat_archive_cache_misses_total",
-        "txstat_archive_cache_evictions_total",
-        "txstat_archive_cache_bytes",
-    ] {
+    // Its decoded-segment counters are exported too, and it decoded something.
+    for family in ["txstat_archive_cache_hits_total", "txstat_archive_cache_misses_total"] {
         assert!(metrics.contains(&format!("# TYPE {family}")), "no {family} in:\n{metrics}");
     }
     assert!(counter("worker-metrics.txt", "txstat_archive_cache_misses_total") > 0, "{metrics}");
@@ -542,15 +556,17 @@ fn archived_file_shards_reduce_to_the_identical_report() {
     );
     assert!(sealed.status.success(), "archive failed: {}", String::from_utf8_lossy(&sealed.stderr));
 
-    for (range, out, metrics) in [
-        ("0..300", "a.frames", "a-metrics.txt"),
-        ("300..99999999", "b.frames", "b-metrics.txt"),
+    // 22 segments of 128 positions: a one-shot shard decodes only the
+    // segments covering its range, each once.
+    for (range, out, metrics, trace, covering) in [
+        ("0..300", "a.frames", "a-metrics.txt", "a.ndjson", 3),
+        ("300..99999999", "b.frames", "b-metrics.txt", "b.ndjson", 20),
     ] {
         let shard = reproduce(
             &dir,
             &[
                 "shard", "--range", range, "--archive", "corpus", "--out", out,
-                "--metrics-out", metrics,
+                "--metrics-out", metrics, "--trace-out", trace,
             ],
         );
         assert!(
@@ -560,6 +576,17 @@ fn archived_file_shards_reduce_to_the_identical_report() {
         );
         let m = String::from_utf8(read(&dir, metrics)).expect("metrics utf8");
         assert!(m.contains("txstat_pipeline_generate_total 0"), "shard {range} generated:\n{m}");
+        for (name, want) in [
+            ("txstat_archive_segments_replayed_total", covering),
+            ("txstat_archive_cache_misses_total", covering),
+            ("txstat_archive_cache_hits_total", 0),
+        ] {
+            assert_eq!(metric(&dir, metrics, name), want, "shard {range}: {name}");
+        }
+        // One `wire_encode` span per chain frame.
+        let trace = String::from_utf8(read(&dir, trace)).expect("trace utf8");
+        let encodes = trace.lines().filter(|l| l.contains("\"stage\":\"wire_encode\"")).count();
+        assert_eq!(encodes, 3, "shard {range}: one wire_encode span per chain:\n{trace}");
     }
     let reduce = reproduce(&dir, &["reduce", "a.frames", "b.frames", "--out", "reduced.txt"]);
     assert!(reduce.status.success(), "reduce failed: {}", String::from_utf8_lossy(&reduce.stderr));
@@ -639,8 +666,8 @@ fn follow_persists_and_cold_starts_from_the_archive() {
 /// Every `--archive` misuse is a usage error (exit 2): a directory with no
 /// corpus, a zero segment size, a missing --out, scenario flags that
 /// contradict the manifest, and file-mode reduce with --archive. So are a
-/// repeated flag, a `--wait-head` deadline past the end of the clock and a
-/// zero socket timeout.
+/// repeated flag, a `--wait-head` deadline past the end of the clock, a
+/// zero socket timeout and a shard count outside `1..=MAX_SHARDS`.
 #[test]
 fn archive_flag_misuse_exits_with_usage() {
     let dir = tempdir("archusage");
@@ -674,6 +701,18 @@ fn archive_flag_misuse_exits_with_usage() {
         (
             &["shard", "--listen", "127.0.0.1:0", "--small", "--timeout-ms", "0"][..],
             "--timeout-ms must be at least 1",
+        ),
+        (
+            &["shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "0"][..],
+            "--shards 0 is outside 1..=64",
+        ),
+        (
+            &["shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "65"][..],
+            "--shards 65 is outside 1..=64",
+        ),
+        (
+            &["reduce", "--connect", "127.0.0.1:1", "--small", "--shards", "65"][..],
+            "--shards 65 is outside 1..=64",
         ),
     ] {
         let out = reproduce(&dir, args);

@@ -49,6 +49,12 @@ pub(crate) const FLEET_VERSION: u32 = 1;
 /// plus scenario meta — a few hundred bytes in practice).
 pub(crate) const MAX_ASSIGNMENT_LEN: usize = 1 << 20; // 1 MiB
 
+/// Most in-process sub-accumulators one assignment may ask a worker for.
+/// The count never changes a frame (the accumulators merge to the same
+/// state, whatever the split), but the worker allocates that many up
+/// front, so it is capped like every other size a peer sends.
+pub const MAX_SHARDS: usize = 64;
+
 /// Largest response body a reducer will allocate for (a three-frame
 /// bundle; each inner frame is additionally capped by the frame decoder).
 pub(crate) const MAX_BUNDLE_LEN: usize = 1 << 29; // 512 MiB
@@ -139,10 +145,14 @@ impl Assignment {
             .and_then(Value::as_str)
             .and_then(PayloadFormat::parse)
             .ok_or_else(|| bad("missing or unknown payload format"))?;
+        let shards = u("shards")?;
+        if !(1..=MAX_SHARDS as u64).contains(&shards) {
+            return Err(bad(&format!("shards {shards} outside 1..={MAX_SHARDS}")));
+        }
         Ok(Assignment {
             start: u("start")?,
             end: u("end")?,
-            shards: u("shards")? as usize,
+            shards: shards as usize,
             payload,
             meta: v.get("meta").cloned().unwrap_or(Value::Null),
         })
@@ -276,11 +286,13 @@ mod tests {
 
     #[test]
     fn request_round_trips() {
-        let a = assignment();
-        let mut buf = Vec::new();
-        write_assignment(&mut buf, &a).expect("writes");
-        let back = read_assignment(&mut buf.as_slice()).expect("reads");
-        assert_eq!(back, a);
+        for shards in [3, MAX_SHARDS] {
+            let a = Assignment { shards, ..assignment() };
+            let mut buf = Vec::new();
+            write_assignment(&mut buf, &a).expect("writes");
+            let back = read_assignment(&mut buf.as_slice()).expect("reads");
+            assert_eq!(back, a);
+        }
     }
 
     #[test]
@@ -366,9 +378,16 @@ mod tests {
             Err(ProtocolError::BadMagic { .. })
         ));
         // An intact request asking for the retired JSON payload (or none)
-        // is a body error: the worker answers with nothing but `"bin"`.
-        for payload in [r#""payload":"json","#, ""] {
-            let body = format!(r#"{{"start":0,"end":5,"shards":1,{payload}"meta":null}}"#);
+        // is a body error: the worker answers with nothing but `"bin"`. So
+        // is a shard count of zero or past `MAX_SHARDS`, which the worker
+        // would otherwise allocate accumulators for.
+        for fields in [
+            r#""shards":1,"payload":"json","#,
+            r#""shards":1,"#,
+            r#""shards":0,"payload":"bin","#,
+            r#""shards":1099511627776,"payload":"bin","#,
+        ] {
+            let body = format!(r#"{{"start":0,"end":5,{fields}"meta":null}}"#);
             let mut req = REQUEST_MAGIC.to_vec();
             req.extend_from_slice(&FLEET_VERSION.to_le_bytes());
             req.extend_from_slice(&content_hash(body.as_bytes(), &[]).to_le_bytes());

@@ -72,7 +72,7 @@ use std::fs;
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, LazyLock};
-use txstat_telemetry::{registry, Counter, Span};
+use txstat_telemetry::{current_span, registry, within, Counter, Span};
 use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 use txstat_types::ids::fnv1a64;
 use txstat_types::lzss;
@@ -606,9 +606,10 @@ impl Archive {
     ) -> Result<Vec<SegmentBlocks>, ArchiveError> {
         let (lo, hi) = self.covering(start, end);
         let indices: Vec<usize> = (lo..hi).collect();
+        let parent = current_span();
         indices
             .par_iter()
-            .map(|&i| self.decode_segment(i))
+            .map(|&i| within(parent, || self.decode_segment(i)))
             .collect_vec()
             .into_iter()
             .collect()

@@ -398,18 +398,21 @@ impl ShardWorker {
         ShardWorker { start, end, base: 0, shards: 1, meta }
     }
 
-    /// Fold the clamped range through `shards` accumulators, merge in
-    /// index order, and return the merged accumulator plus the clamped
-    /// range and observed count. `runs` are borrowed, position-contiguous
-    /// pieces of one chain (a whole chain is one run; an archive worker
-    /// passes one run per cached segment), folded as if concatenated.
+    /// Fold the clamped range through `shards` accumulators under one
+    /// `sweep` span labelled `chain`, merge in index order, and return the
+    /// merged accumulator plus the clamped range and observed count.
+    /// `runs` are borrowed, position-contiguous pieces of one chain (a
+    /// whole chain is one run; an archive worker passes one run per cached
+    /// segment), folded as if concatenated.
     fn fold<B, A>(
         &self,
+        chain: &str,
         runs: &[&[B]],
         identity: impl Fn() -> A,
         mut observe: impl FnMut(&mut A, &B),
         merge: impl Fn(&mut A, A),
     ) -> (A, u64, u64, u64) {
+        let _span = Span::enter("sweep", chain);
         // Work in run-local coordinates (positions minus `base`), then
         // report the covered range in absolute positions. However the
         // chain is cut into runs, the same blocks are enumerated in the
@@ -449,6 +452,7 @@ impl ShardWorker {
     /// Sweep the EOS runs into an `"eos"` frame.
     pub fn eos_frame(&self, runs: &[&[txstat_eos::Block]], period: Period) -> ShardFrame {
         let (acc, s, e, n) = self.fold(
+            "eos",
             runs,
             || EosColumnar::new(period),
             |a, b| a.observe(b),
@@ -465,6 +469,7 @@ impl ShardWorker {
         periods: &[(PeriodKind, Period)],
     ) -> ShardFrame {
         let (acc, s, e, n) = self.fold(
+            "tezos",
             runs,
             || TezosColumnar::new(period, periods.to_vec()),
             |a, b| a.observe(b),
@@ -482,6 +487,7 @@ impl ShardWorker {
         oracle: &RateOracle,
     ) -> ShardFrame {
         let (acc, s, e, n) = self.fold(
+            "xrp",
             runs,
             || XrpColumnar::new(period),
             |a, b| a.observe(b, oracle),

@@ -443,7 +443,8 @@ mod tests {
         assert_eq!(s.requests.get(), 20);
         // Only served requests are timed.
         assert_eq!(s.latency.total(), served as u64);
-        assert!(s.latency.quantile_us(0.5) <= s.latency.quantile_us(0.99));
+        let latency = s.latency.snapshot();
+        assert!(latency.quantile(0.5) <= latency.quantile(0.99));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use rayon::prelude::*;
 use txstat_archive::SegmentBlocks;
 use txstat_crawler::CrawlStats;
+use txstat_telemetry::Span;
 use txstat_tezos::address::{AddrKind, Address};
 use txstat_tezos::governance::PeriodKind;
 use txstat_types::colcodec::{ColReader, ColWriter};
@@ -433,6 +434,7 @@ pub(crate) fn chains_of_segment(seg: &SegmentBlocks) -> Result<ReplayedChains, S
 /// first position must be the chains' position `offset` (0 for a full
 /// replay).
 pub fn chains_of(segments: &[SegmentBlocks]) -> Result<ReplayedChains, String> {
+    let _span = Span::enter("archive_replay", "parse");
     let per_seg: Vec<Result<ReplayedChains, String>> =
         segments.par_iter().map(chains_of_segment).collect_vec();
     let mut eos = Vec::new();

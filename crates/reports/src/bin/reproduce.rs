@@ -5,11 +5,14 @@
 //! means `report`. What the table cannot say:
 //!
 //! - **One envelope.** `run` parses, arms tracing (`--trace-out FILE`:
-//!   one NDJSON span event per pipeline stage; `--timings`: a per-stage
-//!   wall-time table on stderr at exit), registers the pipeline, archive and
-//!   fleet metric families at zero, runs the subcommand, then dumps the
-//!   registry to `--metrics-out FILE` (Prometheus text) and flushes the
-//!   trace — on failure too, so a failed run keeps its telemetry.
+//!   one NDJSON event per closed span; `--timings`: the per-stage
+//!   self-time ledger on stderr at exit), registers the pipeline, archive
+//!   and fleet metric families at zero, runs the subcommand under one root
+//!   span named after it, then dumps the registry to `--metrics-out FILE`
+//!   (Prometheus text) and flushes the trace — on failure too, so a failed
+//!   run keeps its telemetry. The stages' self times on the root's thread
+//!   sum to the root's wall time, the ledger prints the rest as
+//!   `unattributed`, and no subcommand keeps a stopwatch of its own.
 //! - **One opener.** `open_dataset` decides where the dataset comes from:
 //!   `--archive DIR` cold-starts from a sealed corpus (no chain is built,
 //!   `txstat_pipeline_generate_total` stays 0; explicit `--small`/`--seed`
@@ -337,7 +340,7 @@ fn open_dataset(args: &Args, archive_dir: Option<&str>, need: Need) -> Result<Op
 }
 
 /// Arm the global tracer per `--trace-out FILE` (NDJSON span events) and
-/// `--timings` (end-of-run stage summary). Either flag enables tracing;
+/// `--timings` (end-of-run self-time ledger). Either flag enables tracing;
 /// with neither, spans stay inert (one relaxed load each).
 fn init_tracing(args: &Args) -> Result<(), String> {
     if let Some(path) = args.get("--trace-out") {
@@ -351,8 +354,8 @@ fn init_tracing(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Flush the trace sink and print the per-stage wall-time table when
-/// `--timings` was given.
+/// Flush the trace sink and print the self-time ledger when `--timings`
+/// was given.
 fn finish_tracing(args: &Args) {
     let tracer = txstat_telemetry::tracer();
     if args.has("--timings") {
@@ -403,7 +406,6 @@ fn write_report(data: &PipelineData, args: &Args) -> Result<(), String> {
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {
-    let started = Instant::now();
     let Opened { data, .. } = open_dataset(args, args.get("--archive"), Need::Report)?;
     let sc = &data.scenario;
     eprintln!(
@@ -414,22 +416,20 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         sc.tezos_divisor,
         sc.xrp_divisor
     );
-    eprintln!("pipeline ready in {:?}; rendering exhibits…", started.elapsed());
+    eprintln!("pipeline ready; rendering exhibits…");
     write_report(&data, args)
 }
 
 fn cmd_archive(args: &Args) -> Result<(), String> {
     let out = args.get("--out").ok_or("archive needs --out DIR")?;
     let segment_blocks: u64 = args.parsed("--segment-blocks", 256)?;
-    let started = Instant::now();
     // `Need::Blocks`: the corpus is the block bytes, which a crawl keeps
     // only when asked.
     let Opened { data, mode, .. } = open_dataset(args, None, Need::Blocks)?;
     let stats = write_archive(Path::new(out), &data, &mode, segment_blocks, SegmentFormat)?;
     eprintln!(
-        "archive sealed in {:?}: {} segment(s) over {} block positions, \
+        "archive sealed: {} segment(s) over {} block positions, \
          {} raw bytes -> {} compressed ({:.1}%) in {out}",
-        started.elapsed(),
         stats.segments,
         stats.total_positions,
         stats.raw_bytes,
@@ -536,8 +536,6 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
         parse_range(args.get("--range").ok_or("shard needs --range A..B (or --listen ADDR)")?)?;
     let out = args.get("--out").ok_or("shard needs --out FILE (\"-\" for stdout)")?;
     let shards = shards_of(args)?;
-
-    let started = Instant::now();
     let (ctx, meta) = shard_context_of(args)?;
     let frames = ctx.frames(meta, start, end, shards, PayloadFormat::Bin)?;
     for f in &frames {
@@ -558,13 +556,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("cannot write frames to stdout: {e}"))?,
         path => std::fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?,
     }
-    eprintln!(
-        "{} frames ({} bytes) emitted in {:?} to {}",
-        frames.len(),
-        bytes.len(),
-        started.elapsed(),
-        out
-    );
+    eprintln!("{} frames ({} bytes) emitted to {out}", frames.len(), bytes.len());
     Ok(())
 }
 
@@ -602,7 +594,6 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
 }
 
 fn cmd_reduce(args: &Args) -> Result<(), String> {
-    let started = Instant::now();
     let data = if let Some(connect) = args.get("--connect") {
         if !args.positionals.is_empty() {
             return Err("reduce takes frame files or --connect, not both".to_owned());
@@ -637,7 +628,7 @@ fn cmd_reduce(args: &Args) -> Result<(), String> {
         );
         reduce_frames_labeled_into(generate(&sc), &labeled)?
     };
-    eprintln!("reduction ready in {:?}; rendering exhibits…", started.elapsed());
+    eprintln!("reduction ready; rendering exhibits…");
     write_report(&data, args)
 }
 
@@ -797,8 +788,9 @@ fn cmd_query(args: &Args) -> Result<(), String> {
 /// The one run envelope: find the subcommand's row, parse against it, arm
 /// tracing, register the pipeline, archive and fleet metric families at
 /// zero (so every `--metrics-out` and `/metrics` carries them and tests can
-/// pin which path ran), run the subcommand, and flush the telemetry whether
-/// it succeeded or not — a failed run is the one whose trace is wanted.
+/// pin which path ran), run the subcommand under its root span, and flush
+/// the telemetry whether it succeeded or not — a failed run is the one
+/// whose trace is wanted.
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let (name, rest) = match argv.split_first() {
@@ -814,7 +806,10 @@ fn run() -> Result<(), String> {
     txstat_reports::pipeline::register_metrics();
     txstat_archive::register_metrics();
     txstat_ingest::fleet::register_metrics();
-    let result = (cmd.run)(&args);
+    let result = {
+        let _root = txstat_telemetry::tracer().root(cmd.name);
+        (cmd.run)(&args)
+    };
     let dumped = dump_metrics(&args);
     finish_tracing(&args);
     result.and(dumped)

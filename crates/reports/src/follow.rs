@@ -43,7 +43,10 @@
 //! | fold the delta             | 1.1–1.7         | 2.0–3.5 (twice) + 0.3–0.5 (its clone) |
 //! | clone the state            | 6.4–9.8 (EOS ¾) | 0.01–0.03 (first epoch) |
 //! | free the retired snapshot  | 3.0–4.6         | —               |
-//! | `follow_merge` (`--timings`) | 8.8–17.3      | 4.3–6.2         |
+//! | `follow_merge` (`--timings`) | 8.8–17.3      | 5.9–9.4         |
+//!
+//! No span nests in `follow_merge`, so its `--timings` self time is its wall
+//! time; the pair's figure is 5 runs on a 2-vCPU Intel Xeon host.
 //!
 //! # The reorg guard
 //!

@@ -26,7 +26,7 @@ use txstat_crawler::{
 use txstat_ingest::crawl::ledger_ious;
 use txstat_ingest::reduce::CHAINS;
 use txstat_ingest::{RateCache, ReduceError, ReduceSession, ShardWorker};
-use txstat_telemetry::{registry, Counter, Span};
+use txstat_telemetry::{current_span, registry, within, Counter, Span};
 use rayon::prelude::*;
 use crate::archive_io::{Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
 use txstat_archive::{Archive, ArchiveWriter, DecodedSegments, SegmentMemo, SegmentMeta};
@@ -194,9 +194,12 @@ impl PipelineData {
             None => {
                 let starts: Vec<u64> =
                     (0..self.longest_chain() as u64).step_by(SUMMARY_RUN_BLOCKS as usize).collect();
+                let parent = current_span();
                 let sum = starts
                     .par_iter()
-                    .map(|&start| self.summarize_range(start, start + SUMMARY_RUN_BLOCKS))
+                    .map(|&start| {
+                        within(parent, || self.summarize_range(start, start + SUMMARY_RUN_BLOCKS))
+                    })
                     .reduce(SegmentSummary::default, |mut a, b| {
                         a.merge(&b);
                         a
@@ -399,10 +402,13 @@ pub fn register_metrics() {
     LazyLock::force(&GENERATIONS);
 }
 
-/// Direct path: generate the three chains and read them in-process.
-pub fn generate(sc: &Scenario) -> PipelineData {
+/// Build the three chains from scratch, one `generate` span each, and
+/// count the pass: the direct path and the crawl's serving side both do.
+fn build_chains(
+    sc: &Scenario,
+) -> (txstat_eos::EosChain, txstat_tezos::TezosChain, txstat_xrp::XrpLedger) {
     GENERATIONS.inc();
-    let mut eos = {
+    let eos = {
         let _span = Span::enter("generate", "eos");
         build_eos(sc)
     };
@@ -410,11 +416,14 @@ pub fn generate(sc: &Scenario) -> PipelineData {
         let _span = Span::enter("generate", "tezos");
         build_tezos(sc)
     };
-    let mut xrp = {
-        let _span = Span::enter("generate", "xrp");
-        build_xrp(sc)
-    };
+    let _span = Span::enter("generate", "xrp");
+    (eos, tezos, build_xrp(sc))
+}
 
+/// Direct path: generate the three chains and read them in-process.
+pub fn generate(sc: &Scenario) -> PipelineData {
+    let (mut eos, tezos, mut xrp) = build_chains(sc);
+    let _span = Span::enter("generate", "derive");
     let oracle = RateOracle::from_trades(&xrp.trades, sc.period.end, sc.period.days() as i64 + 1);
     let cluster = cluster_from_ledger(&xrp);
     let governance_periods = governance_periods_of(&tezos);
@@ -678,8 +687,11 @@ fn memoized_summary(
     if !misses.is_empty() {
         {
             let _span = Span::enter("memo", "compute");
-            let computed: Vec<Result<SegmentSummary, String>> =
-                misses.par_iter().map(|&i| compute(i, &memo.segments()[i])).collect_vec();
+            let parent = current_span();
+            let computed: Vec<Result<SegmentSummary, String>> = misses
+                .par_iter()
+                .map(|&i| within(parent, || compute(i, &memo.segments()[i])))
+                .collect_vec();
             for (i, summary) in misses.into_iter().zip(computed) {
                 slots[i] = Some(summary?);
             }
@@ -735,9 +747,9 @@ struct ServedChains {
 
 /// Build the chains, spawn their endpoints, benchmark and shortlist.
 fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChains, CrawlError> {
-    let eos = Arc::new(build_eos(sc));
-    let tezos = Arc::new(build_tezos(sc));
-    let xrp = Arc::new(build_xrp(sc));
+    let (eos, tezos, xrp) = build_chains(sc);
+    let (eos, tezos, xrp) = (Arc::new(eos), Arc::new(tezos), Arc::new(xrp));
+    let _span = Span::enter("crawl", "shortlist");
     let advertise = |h: EndpointHandle| Advertised { name: h.name, addr: h.addr };
 
     // --- EOS: a population of block-producer endpoints of mixed quality. --
@@ -1000,18 +1012,27 @@ pub fn generate_with_crawl(
     };
     // All three are joined before any failure propagates, so an error never
     // leaves another chain's crawl running behind the caller.
-    let (eos, tezos, xrp) = std::thread::scope(|s| {
-        let (eos, tezos, xrp) = (s.spawn(crawl_eos), s.spawn(crawl_tezos), s.spawn(crawl_xrp));
-        (eos.join(), tezos.join(), xrp.join())
-    });
+    let (eos, tezos, xrp) = {
+        let _span = Span::enter("crawl", "");
+        let parent = current_span();
+        std::thread::scope(|s| {
+            let eos = s.spawn(|| within(parent, crawl_eos));
+            let tezos = s.spawn(|| within(parent, crawl_tezos));
+            let xrp = s.spawn(|| within(parent, crawl_xrp));
+            (eos.join(), tezos.join(), xrp.join())
+        })
+    };
     let ((eos_sweep, eos_bounds), eos_blocks, eos_stats) = eos.expect("eos crawl panicked")?;
     let ((tz_sweep, tz_bounds), tezos_blocks, tz_stats) = tezos.expect("tezos crawl panicked")?;
     let (xrp, xrp_blocks, xrp_stats) = xrp.expect("xrp crawl panicked")?;
 
     // The sidecar: metadata for every account seen, the BTC issuers'
     // exchange events. Rates were resolved during the crawl.
-    let cluster = fetch_cluster(&served.xrp_pool, cfg, xrp.seen.into_iter().collect())?;
-    let trades = fetch_btc_trades(&served.xrp_pool, cfg, &rates.currencies())?;
+    let (cluster, trades) = {
+        let _span = Span::enter("crawl", "sidecar");
+        let cluster = fetch_cluster(&served.xrp_pool, cfg, xrp.seen.into_iter().collect())?;
+        (cluster, fetch_btc_trades(&served.xrp_pool, cfg, &rates.currencies())?)
+    };
 
     let sweeps = ChainSweeps {
         eos: {
@@ -1320,11 +1341,14 @@ impl ShardContext {
                 let mut covering: Vec<Option<Arc<crate::archive_io::ReplayedChains>>> =
                     (lo..hi).map(|i| decoded.get(i)).collect();
                 let misses: Vec<usize> = (lo..hi).filter(|&i| covering[i - lo].is_none()).collect();
+                let parent = current_span();
                 let parsed: Vec<Result<crate::archive_io::ReplayedChains, String>> = misses
                     .par_iter()
                     .map(|&i| {
-                        let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
-                        crate::archive_io::chains_of_segment(&seg)
+                        within(parent, || {
+                            let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
+                            crate::archive_io::chains_of_segment(&seg)
+                        })
                     })
                     .collect_vec();
                 for (i, parsed) in misses.into_iter().zip(parsed) {

@@ -7,6 +7,7 @@ use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
+use txstat_telemetry::TraceEvent;
 
 fn reproduce(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
@@ -148,9 +149,24 @@ fn three_shard_processes_reduce_to_the_identical_report() {
 
     let reduce = reproduce(
         &dir,
-        &["reduce", "a.frames", "b.frames", "c.frames", "--out", "reduced.txt"],
+        &[
+            "reduce", "a.frames", "b.frames", "c.frames", "--out", "reduced.txt", "--metrics-out",
+            "reduced.prom",
+        ],
     );
     assert!(reduce.status.success(), "reduce failed: {}", String::from_utf8_lossy(&reduce.stderr));
+    // Every README row `ReduceMetrics` declares is exported by a file-mode
+    // reduction.
+    let reduced = String::from_utf8(read(&dir, "reduced.prom")).expect("metrics utf8");
+    let rows: Vec<&str> = readme
+        .lines()
+        .filter(|l| l.starts_with("| `txstat_") && l.contains("| `ReduceMetrics`"))
+        .filter_map(|l| l.split('`').nth(1))
+        .collect();
+    assert_eq!(rows.len(), 4, "ReduceMetrics' README rows");
+    for family in rows {
+        assert!(reduced.contains(&format!("# TYPE {family} ")), "{family} not in:\n{reduced}");
+    }
 
     assert_eq!(
         read(&dir, "direct.txt"),
@@ -330,6 +346,128 @@ fn a_failed_run_keeps_its_telemetry() {
     assert!(metrics.contains("txstat_pipeline_generate_total 1"), "{metrics}");
     let trace = String::from_utf8(read(&dir, "t.ndjson")).expect("trace utf8");
     assert!(trace.lines().any(|l| l.contains("\"stage\":\"generate\"")), "trace: {trace}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The stage table of the telemetry README: every name in backticks in the
+/// first cell of a row of its "Stage vocabulary" section.
+fn documented_stages() -> BTreeSet<&'static str> {
+    let readme = include_str!("../../telemetry/README.md");
+    let section = readme.split("## Stage vocabulary").nth(1).expect("a stage vocabulary");
+    let section = section.split("\n## ").next().unwrap_or(section);
+    section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| ")?.split(" | ").next())
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+        .collect()
+}
+
+/// Every traced run is one tree whose self times sum to its root: exactly
+/// one `parent` 0 event, named after the subcommand and written last;
+/// every other parent is an event of the file; the self times on the
+/// root's thread add up to the root's wall time (within 1 %); and every
+/// stage is a row of the README's stage table, which the runs together
+/// cover. The `--timings` ledger ends with the root's two rows.
+#[test]
+fn every_traced_run_is_one_rooted_tree_whose_self_times_sum_to_the_root() {
+    let dir = tempdir("rooted");
+    let run = |args: &[&str]| {
+        let out = reproduce(&dir, args);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{args:?} failed: {stderr}");
+        stderr
+    };
+    let timings = run(&[
+        "report", "--small", "--seed", "7", "--trace-out", "report.ndjson", "--timings", "--out",
+        "direct.txt",
+    ]);
+    run(&[
+        "report", "--small", "--seed", "7", "--crawl", "--trace-out", "crawl.ndjson", "--out",
+        "crawl.txt",
+    ]);
+    run(&["archive", "--small", "--seed", "7", "--out", "corpus", "--trace-out", "archive.ndjson"]);
+    for trace in ["cold.ndjson", "warm.ndjson"] {
+        run(&["report", "--archive", "corpus", "--trace-out", trace, "--out", "a.txt"]);
+    }
+    run(&[
+        "shard", "--small", "--seed", "7", "--range", "0..300", "--out", "a.frames",
+        "--trace-out", "shard.ndjson",
+    ]);
+    run(&["shard", "--small", "--seed", "7", "--range", "300..99999999", "--out", "b.frames"]);
+    run(&["reduce", "a.frames", "b.frames", "--trace-out", "reduce.ndjson", "--out", "r.txt"]);
+    let mut worker = spawn_server(
+        &dir,
+        &[
+            "shard", "--listen", "127.0.0.1:0", "--timeout-ms", "2000", "--archive", "corpus",
+            "--max-requests", "2", "--trace-out", "worker.ndjson",
+        ],
+        "shard worker on",
+    );
+    run(&[
+        "reduce", "--connect", &worker.addr, "--archive", "corpus", "--chunks", "2",
+        "--trace-out", "fleet.ndjson", "--out", "f.txt",
+    ]);
+    assert!(worker.child.wait().expect("worker exit").success(), "the worker exits cleanly");
+    run(&[
+        "follow", "--small", "--seed", "7", "--batch", "400", "--trace-out", "follow.ndjson",
+        "--out", "follow.txt",
+    ]);
+    run(&[
+        "serve", "--small", "--seed", "7", "--batch", "400", "--load", "--trace-out",
+        "serve.ndjson",
+    ]);
+
+    let mut seen = BTreeSet::new();
+    for (file, root_stage) in [
+        ("report.ndjson", "report"),
+        ("crawl.ndjson", "report"),
+        ("archive.ndjson", "archive"),
+        ("cold.ndjson", "report"),
+        ("warm.ndjson", "report"),
+        ("shard.ndjson", "shard"),
+        ("reduce.ndjson", "reduce"),
+        ("worker.ndjson", "shard"),
+        ("fleet.ndjson", "reduce"),
+        ("follow.ndjson", "follow"),
+        ("serve.ndjson", "serve"),
+    ] {
+        let text = String::from_utf8(read(&dir, file)).expect("trace utf8");
+        let events: Vec<TraceEvent> =
+            text.lines().map(|l| serde_json::from_str(l).expect("a trace event")).collect();
+        let root = events.last().unwrap_or_else(|| panic!("{file} is empty"));
+        assert_eq!((root.stage.as_str(), root.parent), (root_stage, 0), "{file}: last event");
+        assert_eq!(events.iter().filter(|e| e.parent == 0).count(), 1, "{file}: one root");
+        let ids: BTreeSet<u64> = events.iter().map(|e| e.id).collect();
+        assert_eq!(ids.len(), events.len(), "{file}: ids are unique");
+        for e in &events[..events.len() - 1] {
+            assert!(ids.contains(&e.parent), "{file}: orphan {e:?}");
+        }
+        let on_root: u64 =
+            events.iter().filter(|e| e.thread == root.thread).map(|e| e.self_us).sum();
+        assert!(
+            on_root.abs_diff(root.dur_us) * 100 <= root.dur_us,
+            "{file}: root-thread self times sum to {on_root} µs of {} µs",
+            root.dur_us
+        );
+        seen.extend(events.iter().map(|e| e.stage.clone()));
+        if file == "report.ndjson" {
+            let ms = |us: u64| format!("{:.3}", us as f64 / 1_000.0);
+            let tail: Vec<Vec<&str>> = timings
+                .lines()
+                .rev()
+                .take(2)
+                .map(|l| l.split_whitespace().take(3).collect())
+                .collect();
+            let (unattributed, wall) = (ms(root.self_us), ms(root.dur_us));
+            assert_eq!(
+                tail,
+                [vec!["report", "1", wall.as_str()], vec!["unattributed", "1", &unattributed]],
+                "{timings}"
+            );
+        }
+    }
+    let seen: BTreeSet<&str> = seen.iter().map(String::as_str).collect();
+    assert_eq!(seen, documented_stages(), "the traced stages vs the README stage table");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -128,7 +128,7 @@ impl HistogramSnapshot {
 
     /// The `q`-quantile (0.0 ..= 1.0) as the lower edge of the bucket where
     /// the cumulative count crosses it. 0 when empty.
-    pub(crate) fn quantile(&self, q: f64) -> u64 {
+    pub fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;
         }
@@ -201,32 +201,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    pub fn mean_us(&self) -> f64 {
-        let n = self.total();
-        if n == 0 {
-            return 0.0;
-        }
-        self.sum() as f64 / n as f64
-    }
-
-    /// The `q`-quantile (0.0 ..= 1.0) in microseconds, as the lower edge of
-    /// the bucket where the cumulative count crosses it. 0 when empty.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let n = self.total();
-        if n == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, c) in self.counts.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= target {
-                return Self::bucket_value(idx);
-            }
-        }
-        Self::bucket_value(Self::BUCKETS - 1)
-    }
-
     /// Copy out the non-empty buckets with cumulative counts.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
@@ -273,7 +247,7 @@ mod tests {
     #[test]
     fn histogram_buckets_and_quantiles() {
         let h = Histogram::default();
-        assert_eq!(h.quantile_us(0.5), 0, "empty histogram");
+        assert_eq!(h.snapshot().quantile(0.5), 0, "empty histogram");
         // Exact low buckets.
         for us in 0..4 {
             assert_eq!(Histogram::bucket_value(Histogram::bucket_of(us)), us);
@@ -293,11 +267,11 @@ mod tests {
             h.record_us(10_000);
         }
         assert_eq!(h.total(), 100);
-        let p50 = h.quantile_us(0.5);
-        let p99 = h.quantile_us(0.99);
+        let s = h.snapshot();
+        let (p50, p99) = (s.quantile(0.5), s.quantile(0.99));
         assert!((96..=100).contains(&p50), "p50={p50}");
         assert!((8_192..=10_000).contains(&p99), "p99={p99}");
-        assert!(h.mean_us() > 100.0 && h.mean_us() < 10_000.0);
+        assert!(s.mean() > 100.0 && s.mean() < 10_000.0);
     }
 
     #[test]
@@ -316,8 +290,8 @@ mod tests {
         assert_eq!(s.buckets[0].cumulative, 90);
         assert_eq!(s.buckets[1].cumulative, 100);
         assert!(s.buckets[0].lower <= 100 && 100 < s.buckets[0].upper);
-        assert_eq!(s.quantile(0.5), h.quantile_us(0.5));
-        assert_eq!(s.quantile(0.99), h.quantile_us(0.99));
+        assert_eq!(s.quantile(0.5), s.buckets[0].lower);
+        assert_eq!(s.quantile(0.99), s.buckets[1].lower);
     }
 
     #[test]
@@ -328,6 +302,6 @@ mod tests {
         assert_eq!(s.buckets.len(), 1);
         assert_eq!(s.buckets[0].upper, u64::MAX);
         assert_eq!(s.buckets[0].cumulative, 1);
-        assert_eq!(h.quantile_us(1.0), Histogram::bucket_value(Histogram::bucket_of(u64::MAX)));
+        assert_eq!(s.quantile(1.0), Histogram::bucket_value(Histogram::bucket_of(u64::MAX)));
     }
 }

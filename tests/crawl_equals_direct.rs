@@ -1,18 +1,32 @@
 //! The full RPC measurement path must observe exactly what the chains
 //! contain: `generate_with_crawl` keeping its blocks (serve → benchmark →
 //! shortlist → crawl and fold → fetch metadata) produces the same analytics
-//! dataset as reading the chains directly.
+//! dataset as reading the chains directly. Either path counts one
+//! generation pass.
 
 use txstat::reports::{generate, generate_with_crawl, CrawlOptions};
+use txstat::telemetry::registry;
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
+
+/// `txstat_pipeline_generate_total` as the process-global registry
+/// exposes it (this test is the only one in its binary).
+fn generations() -> u64 {
+    let text = registry().render_prometheus();
+    text.lines()
+        .find_map(|l| l.strip_prefix("txstat_pipeline_generate_total "))
+        .map_or(0, |v| v.parse().expect("a count"))
+}
 
 #[test]
 fn crawl_pipeline_matches_direct_pipeline() {
     let mut sc = Scenario::small(77);
     sc.period = Period::new(ChainTime::from_ymd(2019, 10, 30), ChainTime::from_ymd(2019, 11, 3));
+    let before = generations();
     let direct = generate(&sc);
+    assert_eq!(generations(), before + 1, "generate counts its pass");
     let crawled = generate_with_crawl(&sc, &CrawlOptions::default(), true).expect("crawl pipeline");
+    assert_eq!(generations(), before + 2, "the crawl's serving side builds the chains too");
 
     // Same blocks, same transactions.
     assert_eq!(direct.eos_blocks.len(), crawled.eos_blocks.len());

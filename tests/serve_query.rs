@@ -10,7 +10,9 @@ use std::sync::Arc;
 use std::sync::atomic::Ordering;
 use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat::ingest::{EpochCell, IngestError};
-use txstat::netsim::{run_load, start_query_server, HttpHandler, LoadPlan, QueryServerConfig};
+use txstat::netsim::{
+    run_load, start_query_server, HttpHandler, LoadPlan, QueryServerConfig, RouteStats,
+};
 use txstat::reports::{
     comparison_section, generate, render_report, reorg_data, report_sections,
     sample_account_paths, Follower, PipelineData, ServeSnapshot, StatsService,
@@ -506,7 +508,9 @@ fn metrics_and_statusz_expose_every_layer() {
     follower.bind_metrics(&registry);
     let first = follower.advance().expect("first epoch");
     let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(1, follower.head(), first))));
-    let service = StatsService::with_registry(cell, registry);
+    let service = StatsService::with_registry(cell, registry.clone());
+    // What `serve_session` adds: its query server's route classes.
+    Arc::new(RouteStats::default()).register_into(&registry);
 
     // Render something so the cache counters move.
     assert_eq!(service.respond("GET", "/exhibit/headline").status, 200);
@@ -529,8 +533,30 @@ fn metrics_and_statusz_expose_every_layer() {
     assert!(text.contains("# HELP txstat_epoch_published_total"));
     assert!(text.contains("# TYPE txstat_serve_cache_misses_total counter"));
     let readme = include_str!("../crates/telemetry/README.md");
-    for family in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()) {
+    let exposed: Vec<&str> =
+        text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+    for family in &exposed {
         assert!(readme.contains(&format!("`{family}`")), "{family} is not in the README table");
+    }
+    // And the other way round: every README row the serve side declares is
+    // exported, so a row left behind by a deleted family fails here.
+    let rows: Vec<&str> = readme
+        .lines()
+        .filter(|l| l.starts_with("| `txstat_"))
+        .filter_map(|l| {
+            let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+            let declarer = cells.get(4)?;
+            ["`StatsService`", "`RouteStats::register_into`", "`FollowMetrics`"]
+                .iter()
+                .any(|d| declarer.contains(d))
+                .then_some(cells[1])
+        })
+        .collect();
+    assert_eq!(rows.len(), 22, "the serve side's README rows");
+    for first in rows {
+        for family in first.split('`').skip(1).step_by(2) {
+            assert!(exposed.contains(&family), "README row {family} is not exported:\n{text}");
+        }
     }
 
     let resp = service.respond("GET", "/statusz");

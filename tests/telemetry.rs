@@ -1,6 +1,6 @@
 //! Tier-1 tests for the telemetry subsystem: concurrent instrument
-//! hammering, histogram quantile edge cases, span nesting across a real
-//! workload shape, and the NDJSON trace schema. One release-only test
+//! hammering, histogram quantile edge cases, a rooted span tree across a
+//! real workload shape, and the NDJSON trace schema. One release-only test
 //! prints the tracing overhead on the fused sweeps.
 
 use std::hint::black_box;
@@ -9,7 +9,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat::reports::{generate, PipelineData};
-use txstat::telemetry::{tracer, Histogram, Registry, Span, TraceEvent, Tracer};
+use txstat::telemetry::{
+    current_span, tracer, within, Histogram, Registry, Span, TraceEvent, Tracer,
+};
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
 
@@ -59,18 +61,19 @@ fn counters_and_histograms_survive_concurrent_hammering() {
 #[test]
 fn histogram_quantile_edge_cases() {
     // Empty: quantiles and mean are zero, snapshot has no buckets.
-    let h = Histogram::new();
-    assert_eq!(h.quantile_us(0.5), 0);
-    assert_eq!(h.mean_us(), 0.0);
-    assert!(h.snapshot().buckets.is_empty());
+    let snap = Histogram::new().snapshot();
+    assert_eq!(snap.quantile(0.5), 0);
+    assert_eq!(snap.mean(), 0.0);
+    assert!(snap.buckets.is_empty());
 
     // Single bucket: every quantile answers that bucket's value.
     let h = Histogram::new();
     for _ in 0..100 {
         h.record_us(3);
     }
+    let snap = h.snapshot();
     for q in [0.0, 0.5, 0.99, 1.0] {
-        assert_eq!(h.quantile_us(q), 3, "q={q}");
+        assert_eq!(snap.quantile(q), 3, "q={q}");
     }
 
     // Overflow bucket: the top bucket's upper bound reads as +Inf/u64::MAX
@@ -84,76 +87,125 @@ fn histogram_quantile_edge_cases() {
     // Out-of-range quantile arguments clamp instead of panicking.
     let h = Histogram::new();
     h.record_us(10);
-    assert_eq!(h.quantile_us(-1.0), h.quantile_us(0.0));
-    assert_eq!(h.quantile_us(2.0), h.quantile_us(1.0));
+    let snap = h.snapshot();
+    assert_eq!(snap.quantile(-1.0), snap.quantile(0.0));
+    assert_eq!(snap.quantile(2.0), snap.quantile(1.0));
+}
+
+/// An in-memory NDJSON sink whose bytes stay readable after the tracer
+/// took the writer.
+#[derive(Clone, Default)]
+struct Shared(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Shared {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Shared {
+    fn text(&self) -> String {
+        String::from_utf8(self.0.lock().unwrap().clone()).expect("utf8 trace")
+    }
 }
 
 #[test]
 fn spans_nest_and_aggregate_like_a_pipeline_run() {
-    let t = Tracer::new();
-    t.enable();
-    // Shape of a pipeline run: one crawl per chain, each containing a
-    // sweep; then a single merge.
-    for chain in ["eos", "tezos", "xrp"] {
-        let _crawl = t.span("crawl", chain);
-        let _sweep = t.span("sweep", chain);
-    }
+    let (t, buf) = (Tracer::new(), Shared::default());
+    t.set_sink(Box::new(buf.clone()));
+    // Shape of a pipeline run under its root: one crawl per chain on its
+    // own thread, each containing a sweep; then a single merge.
     {
+        let _root = t.root("report");
+        let parent = current_span();
+        std::thread::scope(|s| {
+            for chain in ["eos", "tezos", "xrp"] {
+                let t = &t;
+                s.spawn(move || {
+                    within(parent, || {
+                        let _crawl = t.span("crawl", chain);
+                        let _sweep = t.span("sweep", chain);
+                    })
+                });
+            }
+        });
         let _merge = t.span("merge", "all");
     }
-    let rows = t.summary();
-    let by_stage: Vec<(&str, u64)> = rows.iter().map(|r| (r.stage, r.count)).collect();
-    assert_eq!(by_stage, vec![("crawl", 3), ("merge", 1), ("sweep", 3)]);
-    let table = t.render_summary();
-    for stage in ["crawl", "merge", "sweep"] {
-        assert!(table.contains(stage), "{table}");
+    let events: Vec<TraceEvent> =
+        buf.text().lines().map(|l| serde_json::from_str(l).expect("event")).collect();
+    let root = events.last().expect("the root closes last");
+    assert_eq!((root.stage.as_str(), root.parent), ("report", 0));
+    // Each sweep sits under its chain's crawl, each crawl under the root.
+    for e in &events[..events.len() - 1] {
+        let parent = events.iter().find(|p| p.id == e.parent).expect("parent in the trace");
+        let expected = if e.stage == "sweep" { "crawl" } else { "report" };
+        assert_eq!(parent.stage, expected, "{e:?}");
     }
+    // The root's thread partitions its wall time: merge plus unattributed.
+    let on_root: u64 = events.iter().filter(|e| e.thread == root.thread).map(|e| e.self_us).sum();
+    assert_eq!(on_root, root.dur_us);
+
+    let table = t.render_summary();
+    let rows: Vec<(&str, &str)> = table
+        .lines()
+        .skip(1)
+        .filter(|l| !l.starts_with(' '))
+        .map(|l| (l.split_whitespace().next().unwrap(), l.split_whitespace().nth(1).unwrap()))
+        .collect();
+    assert_eq!(
+        rows,
+        vec![
+            ("crawl", "3"),
+            ("merge", "1"),
+            ("sweep", "3"),
+            ("unattributed", "1"),
+            ("report", "1")
+        ],
+        "{table}"
+    );
 }
 
 #[test]
 fn ndjson_trace_schema_round_trips_through_a_sink() {
-    struct Shared(Arc<Mutex<Vec<u8>>>);
-    impl Write for Shared {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    let buf = Arc::new(Mutex::new(Vec::new()));
+    let buf = Shared::default();
     let t = Tracer::new();
-    t.set_sink(Box::new(Shared(buf.clone())));
+    t.set_sink(Box::new(buf.clone()));
     {
         let _outer = t.span("follow_advance", "");
         let _inner = t.span("follow_merge", "");
     }
     t.flush();
 
-    let text = String::from_utf8(buf.lock().unwrap().clone()).expect("utf8 trace");
+    let text = buf.text();
     let events: Vec<TraceEvent> = text
         .lines()
         .map(|line| {
             // Every line is a self-contained JSON object with the full
-            // schema (stage/label/depth/start_us/dur_us).
+            // schema.
             let v: serde_json::Value = serde_json::from_str(line).expect("line parses");
-            for key in ["stage", "label", "depth", "start_us", "dur_us"] {
+            for key in ["stage", "label", "id", "parent", "thread", "start_us", "dur_us", "self_us"]
+            {
                 assert!(!v[key].is_null(), "missing {key} in {line}");
             }
             serde_json::from_str(line).expect("TraceEvent parses")
         })
         .collect();
     assert_eq!(events.len(), 2);
-    // Inner closes first and carries depth 1; outer contains it in time.
-    assert_eq!((events[0].stage.as_str(), events[0].depth), ("follow_merge", 1));
-    assert_eq!((events[1].stage.as_str(), events[1].depth), ("follow_advance", 0));
-    assert!(events[1].dur_us >= events[0].dur_us);
+    // Inner closes first, under the outer span, which contains it in time
+    // and whose self time excludes it.
+    let (inner, outer) = (&events[0], &events[1]);
+    assert_eq!((inner.stage.as_str(), inner.parent), ("follow_merge", outer.id));
+    assert_eq!((outer.stage.as_str(), outer.parent), ("follow_advance", 0));
+    assert!(outer.dur_us >= inner.dur_us);
+    assert_eq!(outer.self_us, outer.dur_us - inner.dur_us);
     // Round-trip: re-serializing yields an equal event.
-    let line = serde_json::to_string(&events[0]).expect("serialize");
+    let line = serde_json::to_string(inner).expect("serialize");
     let back: TraceEvent = serde_json::from_str(&line).expect("parse");
-    assert_eq!(back, events[0]);
+    assert_eq!(&back, inner);
 }
 
 /// The three columnar sweeps in the span layout `PipelineData::sweeps()`

@@ -66,13 +66,12 @@
 //! segment and byte offset — never a panic, same discipline as the wire
 //! codec (`txstat_wire`) and the column codec (`txstat_types::colcodec`).
 
-use rayon::prelude::*;
 use std::fmt;
 use std::fs;
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, LazyLock};
-use txstat_telemetry::{current_span, registry, within, Counter, Span};
+use txstat_telemetry::{par_map, registry, Counter, Span};
 use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 use txstat_types::ids::fnv1a64;
 use txstat_types::lzss;
@@ -597,8 +596,8 @@ impl Archive {
 
     /// Decode exactly the segments overlapping `[start, end)`, in position
     /// order — the cold-start fast path for range assignments. Segments
-    /// decompress and decode on a rayon fan (they are independent LZSS
-    /// streams); results merge back in segment order.
+    /// decompress and decode through [`par_map`] (they are independent LZSS
+    /// streams); results come back in segment order.
     pub(crate) fn replay_range(
         &self,
         start: u64,
@@ -606,13 +605,7 @@ impl Archive {
     ) -> Result<Vec<SegmentBlocks>, ArchiveError> {
         let (lo, hi) = self.covering(start, end);
         let indices: Vec<usize> = (lo..hi).collect();
-        let parent = current_span();
-        indices
-            .par_iter()
-            .map(|&i| within(parent, || self.decode_segment(i)))
-            .collect_vec()
-            .into_iter()
-            .collect()
+        par_map(&indices, |&i| self.decode_segment(i)).into_iter().collect()
     }
 
     /// Decode every segment in order.

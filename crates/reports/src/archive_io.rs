@@ -14,10 +14,9 @@
 //! the same scenario twice produces identical files and a cold-started
 //! dataset reproduces the generated one's report exactly.
 
-use rayon::prelude::*;
 use txstat_archive::SegmentBlocks;
 use txstat_crawler::CrawlStats;
-use txstat_telemetry::Span;
+use txstat_telemetry::{par_map, Span};
 use txstat_tezos::address::{AddrKind, Address};
 use txstat_tezos::governance::PeriodKind;
 use txstat_types::colcodec::{ColReader, ColWriter};
@@ -429,14 +428,13 @@ pub(crate) fn chains_of_segment(seg: &SegmentBlocks) -> Result<ReplayedChains, S
 }
 
 /// Parse replayed segments (contiguous, in position order) back into the
-/// three chain vectors. Segments parse on a rayon fan — they are
+/// three chain vectors. Segments parse through [`par_map`] — they are
 /// independent — and concatenate back in position order. The segments'
 /// first position must be the chains' position `offset` (0 for a full
 /// replay).
 pub fn chains_of(segments: &[SegmentBlocks]) -> Result<ReplayedChains, String> {
     let _span = Span::enter("archive_replay", "parse");
-    let per_seg: Vec<Result<ReplayedChains, String>> =
-        segments.par_iter().map(chains_of_segment).collect_vec();
+    let per_seg = par_map(segments, chains_of_segment);
     let mut eos = Vec::new();
     let mut tezos = Vec::new();
     let mut xrp = Vec::new();

@@ -26,8 +26,7 @@ use txstat_crawler::{
 use txstat_ingest::crawl::ledger_ious;
 use txstat_ingest::reduce::CHAINS;
 use txstat_ingest::{RateCache, ReduceError, ReduceSession, ShardWorker};
-use txstat_telemetry::{current_span, registry, within, Counter, Span};
-use rayon::prelude::*;
+use txstat_telemetry::{join, par_map, registry, Counter, Span};
 use crate::archive_io::{Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
 use txstat_archive::{Archive, ArchiveWriter, DecodedSegments, SegmentMemo, SegmentMeta};
 use txstat_wire::{PayloadFormat, ShardFrame};
@@ -136,7 +135,7 @@ pub(crate) type ChainBounds = (Option<(u64, ChainTime)>, Option<(u64, ChainTime)
 pub use txstat_core::ChainSweeps;
 
 impl PipelineData {
-    /// The analytics state: computed on first use with one columnar rayon
+    /// The analytics state: computed on first use with one columnar parallel
     /// map-reduce sweep per chain (interned ids, batched classification,
     /// remap merges — see `txstat_core::columnar`), then shared by every
     /// exhibit. The engine finalizes into the `*Sweep` structs whose
@@ -194,16 +193,10 @@ impl PipelineData {
             None => {
                 let starts: Vec<u64> =
                     (0..self.longest_chain() as u64).step_by(SUMMARY_RUN_BLOCKS as usize).collect();
-                let parent = current_span();
-                let sum = starts
-                    .par_iter()
-                    .map(|&start| {
-                        within(parent, || self.summarize_range(start, start + SUMMARY_RUN_BLOCKS))
-                    })
-                    .reduce(SegmentSummary::default, |mut a, b| {
-                        a.merge(&b);
-                        a
-                    });
+                let mut sum = SegmentSummary::default();
+                for run in par_map(&starts, |&s| self.summarize_range(s, s + SUMMARY_RUN_BLOCKS)) {
+                    sum.merge(&run);
+                }
                 (sum, None)
             }
             Some(memo) => {
@@ -687,11 +680,7 @@ fn memoized_summary(
     if !misses.is_empty() {
         {
             let _span = Span::enter("memo", "compute");
-            let parent = current_span();
-            let computed: Vec<Result<SegmentSummary, String>> = misses
-                .par_iter()
-                .map(|&i| within(parent, || compute(i, &memo.segments()[i])))
-                .collect_vec();
+            let computed = par_map(&misses, |&i| compute(i, &memo.segments()[i]));
             for (i, summary) in misses.into_iter().zip(computed) {
                 slots[i] = Some(summary?);
             }
@@ -1010,21 +999,16 @@ pub fn generate_with_crawl(
             |fold: &mut XrpFold, n, b: &txstat_xrp::LedgerBlock| fold.observe(n, b, rates),
         )
     };
-    // All three are joined before any failure propagates, so an error never
-    // leaves another chain's crawl running behind the caller.
-    let (eos, tezos, xrp) = {
+    // EOS crawls on the calling thread, the other two beside it. All three
+    // finish before any failure propagates, so an error never leaves
+    // another chain's crawl running behind the caller.
+    let (eos, (tezos, xrp)) = {
         let _span = Span::enter("crawl", "");
-        let parent = current_span();
-        std::thread::scope(|s| {
-            let eos = s.spawn(|| within(parent, crawl_eos));
-            let tezos = s.spawn(|| within(parent, crawl_tezos));
-            let xrp = s.spawn(|| within(parent, crawl_xrp));
-            (eos.join(), tezos.join(), xrp.join())
-        })
+        join(crawl_eos, || join(crawl_tezos, crawl_xrp))
     };
-    let ((eos_sweep, eos_bounds), eos_blocks, eos_stats) = eos.expect("eos crawl panicked")?;
-    let ((tz_sweep, tz_bounds), tezos_blocks, tz_stats) = tezos.expect("tezos crawl panicked")?;
-    let (xrp, xrp_blocks, xrp_stats) = xrp.expect("xrp crawl panicked")?;
+    let ((eos_sweep, eos_bounds), eos_blocks, eos_stats) = eos?;
+    let ((tz_sweep, tz_bounds), tezos_blocks, tz_stats) = tezos?;
+    let (xrp, xrp_blocks, xrp_stats) = xrp?;
 
     // The sidecar: metadata for every account seen, the BTC issuers'
     // exchange events. Rates were resolved during the crawl.
@@ -1336,21 +1320,15 @@ impl ShardContext {
                 let (lo, hi) = archive.covering(start, end);
                 worker.base = archive.segments().get(lo).map_or(start, |m| m.start);
                 // Look each covering segment up once (exactly one hit or
-                // miss), decode the misses on a rayon fan, then keep them
+                // miss), decode the misses through `par_map`, then keep them
                 // for the next overlapping assignment.
                 let mut covering: Vec<Option<Arc<crate::archive_io::ReplayedChains>>> =
                     (lo..hi).map(|i| decoded.get(i)).collect();
                 let misses: Vec<usize> = (lo..hi).filter(|&i| covering[i - lo].is_none()).collect();
-                let parent = current_span();
-                let parsed: Vec<Result<crate::archive_io::ReplayedChains, String>> = misses
-                    .par_iter()
-                    .map(|&i| {
-                        within(parent, || {
-                            let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
-                            crate::archive_io::chains_of_segment(&seg)
-                        })
-                    })
-                    .collect_vec();
+                let parsed = par_map(&misses, |&i| {
+                    let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
+                    crate::archive_io::chains_of_segment(&seg)
+                });
                 for (i, parsed) in misses.into_iter().zip(parsed) {
                     covering[i - lo] = Some(decoded.insert(i, parsed?));
                 }

@@ -5,7 +5,8 @@
 //! and one ledger (`--timings`) sums per stage and chain label. A span
 //! opened with nothing open on its thread hangs under the run's root
 //! ([`Tracer::root`]), so the self times on the root's thread partition
-//! its wall time; fan-outs pass the parent on ([`current_span`], [`within`]).
+//! its wall time. Fan-outs go through [`par_map`] and [`join`], whose
+//! workers open their spans under the caller's innermost span.
 //!
 //! Cost model: when the tracer is disabled (the default), entering a span
 //! is a single `Relaxed` atomic load and the drop is free — no clock is
@@ -17,7 +18,8 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -212,8 +214,8 @@ impl Tracer {
 }
 
 /// The id of the innermost span open on this thread (0 when none is):
-/// what a fan-out hands its workers through [`within`].
-pub fn current_span() -> u64 {
+/// what [`par_map`] and [`join`] hand their workers through [`within`].
+pub(crate) fn current_span() -> u64 {
     OPEN.with(|open| open.borrow().last().map_or(0, |&(id, _)| id))
 }
 
@@ -221,7 +223,7 @@ pub fn current_span() -> u64 {
 /// fan-out worker's part). A no-op when `parent` is 0 (nothing was open, or
 /// tracing is off) or open on this thread already (the part the calling
 /// thread runs), so a span's wall time leaves only a same-thread parent's.
-pub fn within<R>(parent: u64, f: impl FnOnce() -> R) -> R {
+pub(crate) fn within<R>(parent: u64, f: impl FnOnce() -> R) -> R {
     if parent == 0 || OPEN.with(|open| open.borrow().iter().any(|&(id, _)| id == parent)) {
         return f();
     }
@@ -229,6 +231,64 @@ pub fn within<R>(parent: u64, f: impl FnOnce() -> R) -> R {
     let out = f();
     OPEN.with(|open| open.borrow_mut().pop());
     out
+}
+
+/// Map `f` over `items` on one scoped worker per available CPU (the
+/// calling thread is one of them) and return the results in item order.
+/// Each worker claims the next unclaimed item, so one heavy item holds up
+/// only its own worker. Spans `f` opens nest under the caller's innermost
+/// span whatever thread runs them; the calling thread's wait for the
+/// others stays in that span's self time. With one worker (one CPU, or one
+/// item) everything runs on the calling thread. A panic in `f` reaches the
+/// caller with its payload.
+pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    par_map_on(cpus, items, f)
+}
+
+/// [`par_map`] on at most `workers` workers.
+fn par_map_on<T: Sync, U: Send>(
+    workers: usize,
+    items: &[T],
+    f: impl Fn(&T) -> U + Sync,
+) -> Vec<U> {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let (parent, next) = (current_span(), AtomicUsize::new(0));
+    let work = || {
+        within(parent, || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { return done };
+                done.push((i, f(item)));
+            }
+        })
+    };
+    let mut slots: Vec<Option<U>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
+        let others: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mine = work();
+        let theirs = others.into_iter().flat_map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)));
+        for (i, u) in theirs.chain(mine) {
+            slots[i] = Some(u);
+        }
+    });
+    slots.into_iter().map(|u| u.expect("every item was claimed")).collect()
+}
+
+/// Run `a` on the calling thread and `b` on a scoped thread under the
+/// caller's innermost span, and return both results once both finished. A
+/// panic in either reaches the caller with its payload.
+pub fn join<A, B: Send>(a: impl FnOnce() -> A, b: impl FnOnce() -> B + Send) -> (A, B) {
+    let parent = current_span();
+    std::thread::scope(|s| {
+        let b = s.spawn(|| within(parent, b));
+        let a = a();
+        (a, b.join().unwrap_or_else(|e| resume_unwind(e)))
+    })
 }
 
 struct SpanInner<'a> {
@@ -293,7 +353,9 @@ pub fn tracer() -> &'static Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::collections::BTreeSet;
+    use std::panic::catch_unwind;
+    use std::sync::{mpsc, Arc, Barrier};
 
     /// An in-memory sink, readable after the tracer wrote to it.
     #[derive(Clone, Default)]
@@ -384,14 +446,13 @@ mod tests {
         {
             let _root = t.root("report");
             let _generate = t.span("generate", "eos");
-            let parent = current_span();
             std::thread::scope(|s| {
-                s.spawn(|| within(parent, || drop(t.span("fig2_storage", "xrp"))));
-                // A worker handed nothing hangs straight under the root.
+                // A thread outside `join` / `par_map` hangs straight under
+                // the root.
                 s.spawn(|| drop(t.span("fig2_storage", "eos")));
+                // The calling thread's own part stays in its own nesting.
+                join(|| drop(t.span("sweep", "tezos")), || drop(t.span("fig2_storage", "xrp")));
             });
-            // The calling thread's own part stays in its own nesting.
-            within(parent, || drop(t.span("sweep", "tezos")));
         }
         let events = buf.events();
         let root = events.last().expect("root closes last");
@@ -413,6 +474,99 @@ mod tests {
         assert_eq!(last, ["report", "unattributed"], "{table}");
         let fig2 = table.lines().find(|l| l.starts_with("fig2_storage")).unwrap();
         assert_eq!(fig2.split_whitespace().nth(2), Some("0.000"), "{table}");
+    }
+
+    #[test]
+    fn par_map_returns_results_in_item_order_whatever_their_cost() {
+        let items: Vec<u64> = (0..64).collect();
+        let squares = par_map_on(4, &items, |&i| {
+            std::thread::sleep(Duration::from_micros(i * 37 % 11 * 100));
+            i * i
+        });
+        assert_eq!(squares, items.iter().map(|i| i * i).collect::<Vec<_>>());
+        let panicked = catch_unwind(|| {
+            par_map_on(4, &items, |&i| if i == 40 { panic!("item 40") } else { i })
+        });
+        assert_eq!(panicked.unwrap_err().downcast_ref::<&str>(), Some(&"item 40"));
+    }
+
+    #[test]
+    fn a_blocked_item_does_not_hold_up_the_items_after_it() {
+        // Item 0 waits until every later item is done. Workers that claim
+        // item by item get there; a static split leaves item 0's share
+        // queued behind it, so the wait times out.
+        const N: usize = 16;
+        let (done, waiting) = mpsc::channel();
+        let waiting = Mutex::new(waiting);
+        let items: Vec<usize> = (0..N).collect();
+        let finished = par_map_on(2, &items, |&i| {
+            if i > 0 {
+                return done.send(()).is_ok();
+            }
+            let waiting = waiting.lock().unwrap();
+            (1..N).all(|_| waiting.recv_timeout(Duration::from_secs(10)).is_ok())
+        });
+        assert!(finished.iter().all(|&ok| ok), "{finished:?}");
+    }
+
+    #[test]
+    fn par_map_workers_open_their_spans_under_the_callers_span() {
+        let (t, buf) = sinked();
+        let items: Vec<usize> = (0..12).collect();
+        // Holds each worker on its first item until all four have one, so
+        // four threads run items.
+        let started = Barrier::new(4);
+        {
+            let _root = t.root("report");
+            let _render = t.span("render", "figure 2");
+            par_map_on(4, &items, |&i| {
+                let _span = t.span("fig2_storage", "eos");
+                if i < 4 {
+                    started.wait();
+                }
+            });
+        }
+        let events = buf.events();
+        let root = events.last().expect("root closes last");
+        let render = events.iter().find(|e| e.stage == "render").unwrap();
+        let fig2: Vec<&TraceEvent> = events.iter().filter(|e| e.stage == "fig2_storage").collect();
+        assert_eq!(fig2.len(), items.len());
+        assert!(fig2.iter().all(|e| e.parent == render.id), "{events:?}");
+        let threads: BTreeSet<u64> = fig2.iter().map(|e| e.thread).collect();
+        assert_eq!(threads.len(), 4, "{events:?}");
+        let on_root: u64 =
+            events.iter().filter(|e| e.thread == root.thread).map(|e| e.self_us).sum();
+        assert_eq!(on_root, root.dur_us, "{events:?}");
+    }
+
+    #[test]
+    fn one_worker_runs_every_item_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let on = par_map_on(1, &[1, 2, 3], |_| std::thread::current().id());
+        assert_eq!(on, [me; 3]);
+        assert_eq!(par_map(&[7], |_| std::thread::current().id()), [me]);
+    }
+
+    #[test]
+    fn join_nests_b_under_the_caller_and_hands_back_its_panic() {
+        let (t, buf) = sinked();
+        {
+            let _crawl = t.span("crawl", "");
+            let chains = join(
+                || drop(t.span("crawl", "eos")),
+                || drop(t.span("crawl", "tezos")),
+            );
+            assert_eq!(chains, ((), ()));
+        }
+        let events = buf.events();
+        let crawl = events.last().expect("the caller's span closes last");
+        let chain = |label: &str| events.iter().find(|e| e.label == label).unwrap();
+        assert!([chain("eos"), chain("tezos")].iter().all(|e| e.parent == crawl.id));
+        assert_eq!(chain("eos").thread, crawl.thread, "a runs on the calling thread");
+        assert_ne!(chain("tezos").thread, crawl.thread, "b runs on its own thread");
+
+        let panicked = catch_unwind(|| join(|| 1, || -> u8 { panic!("b failed") }));
+        assert_eq!(panicked.unwrap_err().downcast_ref::<&str>(), Some(&"b failed"));
     }
 
     #[test]

@@ -9,9 +9,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat::reports::{generate, PipelineData};
-use txstat::telemetry::{
-    current_span, tracer, within, Histogram, Registry, Span, TraceEvent, Tracer,
-};
+use txstat::telemetry::{join, tracer, Histogram, Registry, Span, TraceEvent, Tracer};
 use txstat::types::time::{ChainTime, Period};
 use txstat::workload::Scenario;
 
@@ -117,22 +115,16 @@ impl Shared {
 fn spans_nest_and_aggregate_like_a_pipeline_run() {
     let (t, buf) = (Tracer::new(), Shared::default());
     t.set_sink(Box::new(buf.clone()));
-    // Shape of a pipeline run under its root: one crawl per chain on its
-    // own thread, each containing a sweep; then a single merge.
+    // Shape of a pipeline run under its root: one crawl per chain (EOS on
+    // the calling thread, the other two beside it), each containing a
+    // sweep; then a single merge.
     {
         let _root = t.root("report");
-        let parent = current_span();
-        std::thread::scope(|s| {
-            for chain in ["eos", "tezos", "xrp"] {
-                let t = &t;
-                s.spawn(move || {
-                    within(parent, || {
-                        let _crawl = t.span("crawl", chain);
-                        let _sweep = t.span("sweep", chain);
-                    })
-                });
-            }
-        });
+        let crawl = |chain: &str| {
+            let _crawl = t.span("crawl", chain);
+            let _sweep = t.span("sweep", chain);
+        };
+        join(|| crawl("eos"), || join(|| crawl("tezos"), || crawl("xrp")));
         let _merge = t.span("merge", "all");
     }
     let events: Vec<TraceEvent> =
@@ -145,7 +137,8 @@ fn spans_nest_and_aggregate_like_a_pipeline_run() {
         let expected = if e.stage == "sweep" { "crawl" } else { "report" };
         assert_eq!(parent.stage, expected, "{e:?}");
     }
-    // The root's thread partitions its wall time: merge plus unattributed.
+    // The root's thread partitions its wall time: the EOS crawl, merge and
+    // unattributed.
     let on_root: u64 = events.iter().filter(|e| e.thread == root.thread).map(|e| e.self_us).sum();
     assert_eq!(on_root, root.dur_us);
 

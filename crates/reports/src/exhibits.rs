@@ -539,7 +539,7 @@ pub fn headline(data: &PipelineData) -> String {
         boomerang.hub.map(|h| h.to_string_repr()).unwrap_or_default()
     ));
     out.push_str(&format!(
-        "Tezos endorsements: {} of all operations (paper: 81.7%)\n",
+        "Tezos endorsements: {}% of all operations (paper: 81.7%)\n",
         fmt_pct(endorse as u128, tz_total as u128)
     ));
     out.push_str(&format!(

@@ -135,3 +135,17 @@ fn scenario_meta_round_trips_presets_and_rejects_drift() {
     let err = scenario_from_meta(&scenario_meta(&custom, "small"));
     assert!(err.is_err(), "customized scenario meta must not reduce as a preset");
 }
+
+#[test]
+fn headline_shares_quoted_against_the_paper_carry_a_percent_sign() {
+    let text = exhibits::headline(&tiny());
+    let quoted: Vec<(&str, &str)> = text
+        .lines()
+        .filter_map(|l| l.split_once("(paper: "))
+        .filter(|(_, paper)| paper.ends_with("%)"))
+        .collect();
+    assert_eq!(quoted.len(), 2, "{text}");
+    for (measured, paper) in quoted {
+        assert!(measured.contains('%'), "{measured}(paper: {paper}");
+    }
+}

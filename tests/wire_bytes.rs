@@ -395,9 +395,9 @@ fn report_and_frame_bundle_bytes_are_pinned_for_small_seeds() {
 
     let sc = Scenario::small(42);
     let report = render_report(&generate(&sc));
-    assert_eq!(pin(report.as_bytes()), (16632, 0x56410f6dc42061e4), "report, seed 42");
+    assert_eq!(pin(report.as_bytes()), (16633, 0x0bfe7f8e21fd27c9), "report, seed 42");
     let report = render_report(&generate(&Scenario::small(7)));
-    assert_eq!(pin(report.as_bytes()), (16551, 0x3e967d20cf81b707), "report, seed 7");
+    assert_eq!(pin(report.as_bytes()), (16552, 0x2ac5e4870f525c62), "report, seed 7");
 
     let ctx = ShardContext::new(&sc);
     let frames = ctx

@@ -256,6 +256,8 @@ fn par_map_on<T: Sync, U: Send>(
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
+    // `next` only hands out indices (`Relaxed` suffices); the results
+    // travel back through the joins.
     let (parent, next) = (current_span(), AtomicUsize::new(0));
     let work = || {
         within(parent, || {

@@ -92,7 +92,14 @@ mod tests {
         assert_eq!(*table.insert(1, 10), 10);
         assert_eq!(*table.insert(1, 20), 10, "a racing duplicate is dropped");
         assert_eq!(table.get(1).as_deref(), Some(&10));
-        assert_eq!(table.stats(), CacheStats { hits: 1, misses: 1, entries: 1 });
+        assert_eq!(
+            table.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                entries: 1
+            }
+        );
     }
 
     #[test]

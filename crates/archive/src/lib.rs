@@ -103,7 +103,11 @@ const SEGMENT_TAG: u8 = 2;
 #[derive(Debug)]
 pub enum ArchiveError {
     /// Filesystem failure, with the path and operation that hit it.
-    Io { path: PathBuf, op: &'static str, err: std::io::Error },
+    Io {
+        path: PathBuf,
+        op: &'static str,
+        err: std::io::Error,
+    },
     /// The directory exists but holds no archive (or no index file).
     Missing { path: PathBuf },
     /// The index does not start with `TXAR`.
@@ -117,23 +121,50 @@ pub enum ArchiveError {
     /// The index bytes fail structural decoding (offset inside).
     Index(ColError),
     /// Segment ranges do not tile the position space contiguously.
-    NonContiguous { segment: usize, prev_end: u64, start: u64 },
+    NonContiguous {
+        segment: usize,
+        prev_end: u64,
+        start: u64,
+    },
     /// A segment declares an empty or inverted position range.
-    BadRange { segment: usize, start: u64, end: u64 },
+    BadRange {
+        segment: usize,
+        start: u64,
+        end: u64,
+    },
     /// A segment's recorded byte offset disagrees with its predecessors.
-    BadOffset { segment: usize, expected: u64, found: u64 },
+    BadOffset {
+        segment: usize,
+        expected: u64,
+        found: u64,
+    },
     /// The segment file ends before a segment the index promises — the
     /// classic torn-write truncation. Offsets are into `archive.seg`.
-    SegTruncated { segment: usize, offset: u64, need: u64, have: u64 },
+    SegTruncated {
+        segment: usize,
+        offset: u64,
+        need: u64,
+        have: u64,
+    },
     /// The segment file is longer than the index accounts for.
     SegTrailingBytes { expected: u64, found: u64 },
     /// A segment's bytes do not hash to the index's record — bit damage
     /// at or after `offset` in `archive.seg`.
-    SegHashMismatch { segment: usize, offset: u64, expected: u64, found: u64 },
+    SegHashMismatch {
+        segment: usize,
+        offset: u64,
+        expected: u64,
+        found: u64,
+    },
     /// A segment's LZSS stream or decompressed payload is malformed.
     /// `offset` is the segment's base offset in `archive.seg`; `at` the
     /// offset inside the (decompressed) payload where decoding failed.
-    SegCorrupt { segment: usize, offset: u64, at: usize, what: String },
+    SegCorrupt {
+        segment: usize,
+        offset: u64,
+        at: usize,
+        what: String,
+    },
 }
 
 impl fmt::Display for ArchiveError {
@@ -153,25 +184,45 @@ impl fmt::Display for ArchiveError {
                 "archive format v{found} (this build reads v{ARCHIVE_MIN_VERSION}..=v{expected})"
             ),
             ArchiveError::IndexTooShort { len } => {
-                write!(f, "index truncated: {len} bytes cannot hold the trailer hash")
+                write!(
+                    f,
+                    "index truncated: {len} bytes cannot hold the trailer hash"
+                )
             }
             ArchiveError::IndexHashMismatch { expected, found } => write!(
                 f,
                 "index hash mismatch: recorded {expected:#018x}, bytes hash to {found:#018x}"
             ),
             ArchiveError::Index(e) => write!(f, "index: {e}"),
-            ArchiveError::NonContiguous { segment, prev_end, start } => write!(
+            ArchiveError::NonContiguous {
+                segment,
+                prev_end,
+                start,
+            } => write!(
                 f,
                 "segment {segment} starts at position {start}, expected {prev_end} (gap or overlap)"
             ),
-            ArchiveError::BadRange { segment, start, end } => {
+            ArchiveError::BadRange {
+                segment,
+                start,
+                end,
+            } => {
                 write!(f, "segment {segment} declares bad range [{start}, {end})")
             }
-            ArchiveError::BadOffset { segment, expected, found } => write!(
+            ArchiveError::BadOffset {
+                segment,
+                expected,
+                found,
+            } => write!(
                 f,
                 "segment {segment} recorded at byte {found}, expected {expected}"
             ),
-            ArchiveError::SegTruncated { segment, offset, need, have } => write!(
+            ArchiveError::SegTruncated {
+                segment,
+                offset,
+                need,
+                have,
+            } => write!(
                 f,
                 "segment file truncated at byte {have}: segment {segment} at byte {offset} \
                  needs {need} bytes"
@@ -180,12 +231,22 @@ impl fmt::Display for ArchiveError {
                 f,
                 "segment file holds {found} bytes but the index accounts for {expected}"
             ),
-            ArchiveError::SegHashMismatch { segment, offset, expected, found } => write!(
+            ArchiveError::SegHashMismatch {
+                segment,
+                offset,
+                expected,
+                found,
+            } => write!(
                 f,
                 "segment {segment} at byte {offset} damaged: recorded hash {expected:#018x}, \
                  bytes hash to {found:#018x}"
             ),
-            ArchiveError::SegCorrupt { segment, offset, at, what } => write!(
+            ArchiveError::SegCorrupt {
+                segment,
+                offset,
+                at,
+                what,
+            } => write!(
                 f,
                 "segment {segment} at byte {offset} corrupt at payload byte {at}: {what}"
             ),
@@ -205,7 +266,11 @@ fn io_err<'a>(
     path: &'a Path,
     op: &'static str,
 ) -> impl FnOnce(std::io::Error) -> ArchiveError + 'a {
-    move |err| ArchiveError::Io { path: path.to_owned(), op, err }
+    move |err| ArchiveError::Io {
+        path: path.to_owned(),
+        op,
+        err,
+    }
 }
 
 // ---- metrics ---------------------------------------------------------------
@@ -340,7 +405,11 @@ fn encode_segment(seg: &SegmentBlocks) -> Vec<u8> {
 
 /// Decode a decompressed segment payload, validating it against its index
 /// entry. Errors carry the in-payload offset.
-fn decode_segment(meta: &SegmentMeta, idx: usize, bytes: &[u8]) -> Result<SegmentBlocks, ArchiveError> {
+fn decode_segment(
+    meta: &SegmentMeta,
+    idx: usize,
+    bytes: &[u8],
+) -> Result<SegmentBlocks, ArchiveError> {
     let corrupt = |at: usize, what: String| ArchiveError::SegCorrupt {
         segment: idx,
         offset: meta.offset,
@@ -351,11 +420,17 @@ fn decode_segment(meta: &SegmentMeta, idx: usize, bytes: &[u8]) -> Result<Segmen
     let mut r = ColReader::new(bytes);
     let tag = r.byte().map_err(col)?;
     if tag != SEGMENT_TAG {
-        return Err(corrupt(0, format!("bad segment tag {tag} (want {SEGMENT_TAG})")));
+        return Err(corrupt(
+            0,
+            format!("bad segment tag {tag} (want {SEGMENT_TAG})"),
+        ));
     }
     let start = r.u64().map_err(col)?;
     let span = r.u64().map_err(col)?;
-    let end = start.checked_add(span).ok_or_else(|| r.invalid("range overflow")).map_err(col)?;
+    let end = start
+        .checked_add(span)
+        .ok_or_else(|| r.invalid("range overflow"))
+        .map_err(col)?;
     if (start, end) != (meta.start, meta.end) {
         return Err(corrupt(
             1,
@@ -370,7 +445,13 @@ fn decode_segment(meta: &SegmentMeta, idx: usize, bytes: &[u8]) -> Result<Segmen
     let tezos = r.bytes().map_err(col)?.to_vec();
     let xrp = r.bytes().map_err(col)?.to_vec();
     r.finish().map_err(col)?;
-    Ok(SegmentBlocks { start, end, eos, tezos, xrp })
+    Ok(SegmentBlocks {
+        start,
+        end,
+        eos,
+        tezos,
+        xrp,
+    })
 }
 
 // ---- index -----------------------------------------------------------------
@@ -409,17 +490,25 @@ fn decode_index(
     let recorded = u64::from_le_bytes(trailer.try_into().expect("8 trailer bytes"));
     let actual = fnv1a64(body);
     if recorded != actual {
-        return Err(ArchiveError::IndexHashMismatch { expected: recorded, found: actual });
+        return Err(ArchiveError::IndexHashMismatch {
+            expected: recorded,
+            found: actual,
+        });
     }
     let mut r = ColReader::new(body);
     for want in ARCHIVE_MAGIC {
         if r.byte()? != want {
-            return Err(ArchiveError::BadMagic { path: path.to_owned() });
+            return Err(ArchiveError::BadMagic {
+                path: path.to_owned(),
+            });
         }
     }
     let version = r.u32()?;
     if !(ARCHIVE_MIN_VERSION..=ARCHIVE_VERSION).contains(&version) {
-        return Err(ArchiveError::UnsupportedVersion { found: version, expected: ARCHIVE_VERSION });
+        return Err(ArchiveError::UnsupportedVersion {
+            found: version,
+            expected: ARCHIVE_VERSION,
+        });
     }
     let manifest = r.str()?.to_owned();
     let sidecar = r.bytes()?.to_vec();
@@ -437,20 +526,35 @@ fn decode_index(
             hash: r.u64()?,
         };
         if s.start >= s.end {
-            return Err(ArchiveError::BadRange { segment: i, start: s.start, end: s.end });
+            return Err(ArchiveError::BadRange {
+                segment: i,
+                start: s.start,
+                end: s.end,
+            });
         }
         if s.start != next_pos {
-            return Err(ArchiveError::NonContiguous { segment: i, prev_end: next_pos, start: s.start });
+            return Err(ArchiveError::NonContiguous {
+                segment: i,
+                prev_end: next_pos,
+                start: s.start,
+            });
         }
         if s.offset != next_off {
-            return Err(ArchiveError::BadOffset { segment: i, expected: next_off, found: s.offset });
+            return Err(ArchiveError::BadOffset {
+                segment: i,
+                expected: next_off,
+                found: s.offset,
+            });
         }
         next_pos = s.end;
-        next_off = s.offset.checked_add(s.comp_len).ok_or(ArchiveError::BadOffset {
-            segment: i,
-            expected: s.offset,
-            found: u64::MAX,
-        })?;
+        next_off = s
+            .offset
+            .checked_add(s.comp_len)
+            .ok_or(ArchiveError::BadOffset {
+                segment: i,
+                expected: s.offset,
+                found: u64::MAX,
+            })?;
         segments.push(s);
     }
     r.finish()?;
@@ -482,7 +586,9 @@ impl Archive {
         let idx_bytes = match fs::read(&idx_path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(ArchiveError::Missing { path: dir.to_owned() })
+                return Err(ArchiveError::Missing {
+                    path: dir.to_owned(),
+                })
             }
             Err(e) => return Err(io_err(&idx_path, "read")(e)),
         };
@@ -493,7 +599,13 @@ impl Archive {
         } else {
             fs::read(&seg_path).map_err(io_err(&seg_path, "read"))?
         };
-        let archive = Archive { dir: dir.to_owned(), manifest, sidecar, segments, seg_bytes };
+        let archive = Archive {
+            dir: dir.to_owned(),
+            manifest,
+            sidecar,
+            segments,
+            seg_bytes,
+        };
         archive.verify()?;
         Ok(archive)
     }
@@ -527,7 +639,10 @@ impl Archive {
             accounted = need;
         }
         if accounted != file_len {
-            return Err(ArchiveError::SegTrailingBytes { expected: accounted, found: file_len });
+            return Err(ArchiveError::SegTrailingBytes {
+                expected: accounted,
+                found: file_len,
+            });
         }
         Ok(())
     }
@@ -554,7 +669,10 @@ impl Archive {
     /// The handle this corpus's `archive.memo` is read and healed through,
     /// keyed by the segments live at open.
     pub fn memo(&self) -> SegmentMemo {
-        SegmentMemo { dir: self.dir.clone(), segments: self.segments.clone() }
+        SegmentMemo {
+            dir: self.dir.clone(),
+            segments: self.segments.clone(),
+        }
     }
 
     /// One past the highest archived block position.
@@ -605,7 +723,9 @@ impl Archive {
     ) -> Result<Vec<SegmentBlocks>, ArchiveError> {
         let (lo, hi) = self.covering(start, end);
         let indices: Vec<usize> = (lo..hi).collect();
-        par_map(&indices, |&i| self.decode_segment(i)).into_iter().collect()
+        par_map(&indices, |&i| self.decode_segment(i))
+            .into_iter()
+            .collect()
     }
 
     /// Decode every segment in order.
@@ -654,7 +774,11 @@ impl ArchiveWriter {
     /// manifest and sidecar. The directory is created if missing; a memo
     /// left by a previous corpus there is removed (its entries could only
     /// ever miss, but the directory should hold nothing stale).
-    pub fn create(dir: &Path, manifest: &str, sidecar: &[u8]) -> Result<ArchiveWriter, ArchiveError> {
+    pub fn create(
+        dir: &Path,
+        manifest: &str,
+        sidecar: &[u8],
+    ) -> Result<ArchiveWriter, ArchiveError> {
         fs::create_dir_all(dir).map_err(io_err(dir, "create"))?;
         let memo_path = dir.join(MEMO_FILE);
         match fs::remove_file(&memo_path) {
@@ -721,7 +845,9 @@ impl ArchiveWriter {
         let raw = encode_segment(seg);
         let comp = lzss::compress(&raw);
         let seg_path = self.dir.join(SEG_FILE);
-        self.seg_file.write_all(&comp).map_err(io_err(&seg_path, "append"))?;
+        self.seg_file
+            .write_all(&comp)
+            .map_err(io_err(&seg_path, "append"))?;
         let meta = SegmentMeta {
             start: seg.start,
             end: seg.end,
@@ -752,7 +878,9 @@ impl ArchiveWriter {
         self.segments.truncate(keep);
         let seg_path = self.dir.join(SEG_FILE);
         self.seg_file.flush().map_err(io_err(&seg_path, "flush"))?;
-        self.seg_file.set_len(self.seg_len).map_err(io_err(&seg_path, "truncate"))?;
+        self.seg_file
+            .set_len(self.seg_len)
+            .map_err(io_err(&seg_path, "truncate"))?;
         // `set_len` leaves the write cursor where it was (past the new
         // end); the next append must land exactly at the cut. (No-op for
         // the O_APPEND handles `into_writer` hands out.)
@@ -795,8 +923,7 @@ mod tests {
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("txstat-archive-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("txstat-archive-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -851,8 +978,14 @@ mod tests {
         let dir = tmpdir("gap");
         let mut w = ArchiveWriter::create(&dir, "m", b"").unwrap();
         w.append(&seg(0, 5)).unwrap();
-        assert!(matches!(w.append(&seg(7, 9)), Err(ArchiveError::NonContiguous { .. })));
-        assert!(matches!(w.append(&seg(5, 5)), Err(ArchiveError::NonContiguous { .. })));
+        assert!(matches!(
+            w.append(&seg(7, 9)),
+            Err(ArchiveError::NonContiguous { .. })
+        ));
+        assert!(matches!(
+            w.append(&seg(5, 5)),
+            Err(ArchiveError::NonContiguous { .. })
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -891,7 +1024,12 @@ mod tests {
         let full = fs::read(&seg_path).unwrap();
         fs::write(&seg_path, &full[..full.len() - 3]).unwrap();
         match Archive::open(&dir) {
-            Err(ArchiveError::SegTruncated { segment: 1, need, have, .. }) => {
+            Err(ArchiveError::SegTruncated {
+                segment: 1,
+                need,
+                have,
+                ..
+            }) => {
                 assert_eq!(need as usize, full.len());
                 assert_eq!(have as usize, full.len() - 3);
             }
@@ -903,7 +1041,11 @@ mod tests {
         flipped[2] ^= 0x10;
         fs::write(&seg_path, &flipped).unwrap();
         match Archive::open(&dir) {
-            Err(ArchiveError::SegHashMismatch { segment: 0, offset: 0, .. }) => {}
+            Err(ArchiveError::SegHashMismatch {
+                segment: 0,
+                offset: 0,
+                ..
+            }) => {}
             other => panic!("expected SegHashMismatch, got {other:?}"),
         }
         fs::write(&seg_path, &full).unwrap();
@@ -914,15 +1056,24 @@ mod tests {
         let mut bad = idx.clone();
         bad[6] ^= 0x01;
         fs::write(&idx_path, &bad).unwrap();
-        assert!(matches!(Archive::open(&dir), Err(ArchiveError::IndexHashMismatch { .. })));
+        assert!(matches!(
+            Archive::open(&dir),
+            Err(ArchiveError::IndexHashMismatch { .. })
+        ));
 
         // Truncate the index below the trailer.
         fs::write(&idx_path, &idx[..4]).unwrap();
-        assert!(matches!(Archive::open(&dir), Err(ArchiveError::IndexTooShort { len: 4 })));
+        assert!(matches!(
+            Archive::open(&dir),
+            Err(ArchiveError::IndexTooShort { len: 4 })
+        ));
 
         // Missing index entirely.
         fs::remove_file(&idx_path).unwrap();
-        assert!(matches!(Archive::open(&dir), Err(ArchiveError::Missing { .. })));
+        assert!(matches!(
+            Archive::open(&dir),
+            Err(ArchiveError::Missing { .. })
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -52,7 +52,11 @@ pub const MEMO_FILE: &str = "archive.memo";
 #[derive(Debug)]
 pub enum MemoError {
     /// Filesystem failure, with the path and operation that hit it.
-    Io { path: PathBuf, op: &'static str, err: std::io::Error },
+    Io {
+        path: PathBuf,
+        op: &'static str,
+        err: std::io::Error,
+    },
     /// The file cannot even hold the magic and its own trailer hash.
     TooShort { len: usize },
     /// The trailer hash does not match the bytes (truncation, bit damage).
@@ -70,8 +74,15 @@ pub enum MemoError {
 impl MemoError {
     /// Every value [`MemoError::reason`] can take, for eager-zero metric
     /// registration.
-    pub const REASONS: [&'static str; 7] =
-        ["io", "too_short", "hash_mismatch", "bad_magic", "version", "schema", "corrupt"];
+    pub const REASONS: [&'static str; 7] = [
+        "io",
+        "too_short",
+        "hash_mismatch",
+        "bad_magic",
+        "version",
+        "schema",
+        "corrupt",
+    ];
 
     /// The `reason` label this error counts under in
     /// `txstat_archive_memo_rejected_total`.
@@ -93,7 +104,10 @@ impl fmt::Display for MemoError {
         match self {
             MemoError::Io { path, op, err } => write!(f, "cannot {op} {}: {err}", path.display()),
             MemoError::TooShort { len } => {
-                write!(f, "memo truncated: {len} bytes cannot hold the trailer hash")
+                write!(
+                    f,
+                    "memo truncated: {len} bytes cannot hold the trailer hash"
+                )
             }
             MemoError::HashMismatch { expected, found } => write!(
                 f,
@@ -104,7 +118,10 @@ impl fmt::Display for MemoError {
                 write!(f, "memo format v{found} (this build reads v{expected})")
             }
             MemoError::SchemaMismatch { found, expected } => {
-                write!(f, "memo payload schema {found} (this build reads schema {expected})")
+                write!(
+                    f,
+                    "memo payload schema {found} (this build reads schema {expected})"
+                )
             }
             MemoError::Corrupt(e) => write!(f, "memo: {e}"),
         }
@@ -120,7 +137,11 @@ impl From<ColError> for MemoError {
 }
 
 fn io_err<'a>(path: &'a Path, op: &'static str) -> impl FnOnce(std::io::Error) -> MemoError + 'a {
-    move |err| MemoError::Io { path: path.to_owned(), op, err }
+    move |err| MemoError::Io {
+        path: path.to_owned(),
+        op,
+        err,
+    }
 }
 
 // ---- codec -----------------------------------------------------------------
@@ -157,7 +178,10 @@ pub fn decode_memo(bytes: &[u8], schema: u32) -> Result<HashMap<u64, &[u8]>, Mem
     let recorded = u64::from_le_bytes(trailer.try_into().expect("8 trailer bytes"));
     let actual = fnv1a64(body);
     if recorded != actual {
-        return Err(MemoError::HashMismatch { expected: recorded, found: actual });
+        return Err(MemoError::HashMismatch {
+            expected: recorded,
+            found: actual,
+        });
     }
     let mut r = ColReader::new(body);
     for want in MEMO_MAGIC {
@@ -167,11 +191,17 @@ pub fn decode_memo(bytes: &[u8], schema: u32) -> Result<HashMap<u64, &[u8]>, Mem
     }
     let version = r.u32()?;
     if version != MEMO_VERSION {
-        return Err(MemoError::UnsupportedVersion { found: version, expected: MEMO_VERSION });
+        return Err(MemoError::UnsupportedVersion {
+            found: version,
+            expected: MEMO_VERSION,
+        });
     }
     let found = r.u32()?;
     if found != schema {
-        return Err(MemoError::SchemaMismatch { found, expected: schema });
+        return Err(MemoError::SchemaMismatch {
+            found,
+            expected: schema,
+        });
     }
     // `len` bounds the count by the bytes left (≥ 2 per entry), so a
     // forged count cannot over-allocate.
@@ -249,16 +279,25 @@ impl SegmentMemo {
     /// and is returned for the caller to report; the corpus is unaffected.
     pub fn store(&self, schema: u32, payloads: &[Vec<u8>]) -> Result<(), MemoError> {
         let _span = Span::enter("memo", "store");
-        assert_eq!(payloads.len(), self.segments.len(), "one payload per live segment");
+        assert_eq!(
+            payloads.len(),
+            self.segments.len(),
+            "one payload per live segment"
+        );
         let bytes = encode_memo(
             schema,
-            self.segments.iter().zip(payloads).map(|(s, p)| (s.hash, p.as_slice())),
+            self.segments
+                .iter()
+                .zip(payloads)
+                .map(|(s, p)| (s.hash, p.as_slice())),
         );
         // Unique per writer: concurrent processes (and datasets within one
         // process) never share a tmp file.
         static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
         let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.dir.join(format!("{MEMO_FILE}.{}.{n}.tmp", std::process::id()));
+        let tmp = self
+            .dir
+            .join(format!("{MEMO_FILE}.{}.{n}.tmp", std::process::id()));
         let path = self.dir.join(MEMO_FILE);
         let written = fs::write(&tmp, &bytes)
             .map_err(io_err(&tmp, "write"))
@@ -289,7 +328,10 @@ mod tests {
         assert_eq!(back[&u64::MAX], b"");
         assert!(matches!(
             decode_memo(&bytes, 6),
-            Err(MemoError::SchemaMismatch { found: 5, expected: 6 })
+            Err(MemoError::SchemaMismatch {
+                found: 5,
+                expected: 6
+            })
         ));
     }
 
@@ -309,7 +351,10 @@ mod tests {
         assert!(matches!(forge(&|b| b[0] = b'X'), MemoError::BadMagic));
         assert!(matches!(
             forge(&|b| b[4] = 9),
-            MemoError::UnsupportedVersion { found: 9, expected: MEMO_VERSION }
+            MemoError::UnsupportedVersion {
+                found: 9,
+                expected: MEMO_VERSION
+            }
         ));
         // An entry count far beyond the bytes left must not allocate.
         assert!(matches!(forge(&|b| b[6] = 0x7f), MemoError::Corrupt(_)));
@@ -345,10 +390,15 @@ mod tests {
         assert_eq!(memo.load(1, own), stored);
         // Another schema tag, or a caller that refuses a payload: misses.
         assert_eq!(memo.load(2, own), vec![None, None, None]);
-        assert_eq!(memo.load(1, |b| (b.len() == 2).then(|| b.to_vec()))[0], None);
+        assert_eq!(
+            memo.load(1, |b| (b.len() == 2).then(|| b.to_vec()))[0],
+            None
+        );
         // No tmp file is left behind.
-        let names: Vec<_> =
-            fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
         assert_eq!(names.len(), 3, "{names:?}");
 
         // Rewrite the last segment: its entry goes stale, the rest hit.
@@ -362,7 +412,11 @@ mod tests {
         let healed: Vec<Vec<u8>> = slots.into_iter().flatten().collect();
         reorged.store(1, &healed).unwrap();
         let on_disk = fs::read(dir.join(MEMO_FILE)).unwrap();
-        assert_eq!(decode_memo(&on_disk, 1).unwrap().len(), 3, "stale entry pruned");
+        assert_eq!(
+            decode_memo(&on_disk, 1).unwrap().len(),
+            3,
+            "stale entry pruned"
+        );
 
         // A corpus re-created in the same directory starts without a memo.
         drop(ArchiveWriter::create(&dir, "m2", b"").unwrap());

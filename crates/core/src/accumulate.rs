@@ -101,10 +101,11 @@ mod tests {
     fn thread_count_does_not_change_result() {
         let blocks: Vec<u64> = (0..4_321).map(|i| i * 7 % 1013).collect();
         let run = |threads| {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            pool.install(|| {
-                par_sweep(&blocks, || 0u64, |acc, b| *acc += *b * *b, |a, b| *a += b)
-            })
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| par_sweep(&blocks, || 0u64, |acc, b| *acc += *b * *b, |a, b| *a += b))
         };
         assert_eq!(run(1), run(2));
         assert_eq!(run(1), run(8));

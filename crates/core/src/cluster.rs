@@ -19,7 +19,12 @@ impl ClusterInfo {
         Self::default()
     }
 
-    pub fn insert(&mut self, account: AccountId, username: Option<String>, parent: Option<AccountId>) {
+    pub fn insert(
+        &mut self,
+        account: AccountId,
+        username: Option<String>,
+        parent: Option<AccountId>,
+    ) {
         if let Some(u) = username {
             self.usernames.insert(account, u);
         }
@@ -78,8 +83,11 @@ impl ClusterInfo {
     /// Every registered `(account, username)` pair, sorted by account id —
     /// the deterministic export order persistent stores serialize in.
     pub fn usernames_sorted(&self) -> Vec<(AccountId, &str)> {
-        let mut out: Vec<_> =
-            self.usernames.iter().map(|(a, u)| (*a, u.as_str())).collect();
+        let mut out: Vec<_> = self
+            .usernames
+            .iter()
+            .map(|(a, u)| (*a, u.as_str()))
+            .collect();
         out.sort_unstable_by_key(|(a, _)| a.0);
         out
     }
@@ -105,9 +113,15 @@ mod tests {
         c.insert(AccountId(3), None, Some(AccountId(2)));
         c.insert(AccountId(4), None, None);
         assert_eq!(c.entity(AccountId(1)).as_deref(), Some("Binance"));
-        assert_eq!(c.entity(AccountId(2)).as_deref(), Some("Binance -- descendant"));
+        assert_eq!(
+            c.entity(AccountId(2)).as_deref(),
+            Some("Binance -- descendant")
+        );
         // Grandchild also resolves through the ancestor walk.
-        assert_eq!(c.entity(AccountId(3)).as_deref(), Some("Binance -- descendant"));
+        assert_eq!(
+            c.entity(AccountId(3)).as_deref(),
+            Some("Binance -- descendant")
+        );
         assert_eq!(c.entity(AccountId(4)), None);
         assert_eq!(c.entity_or(AccountId(4), "Others"), "Others");
     }

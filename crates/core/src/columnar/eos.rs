@@ -155,8 +155,10 @@ impl WashCol {
         self.total += other.total;
         self.self_trades += other.self_trades;
         self.participation.merge_remap(&other.participation, remap);
-        self.self_by_account.merge_remap(&other.self_by_account, remap);
-        self.pairs.merge_remap(&other.pairs, |a| remap[a as usize], |b| remap[b as usize]);
+        self.self_by_account
+            .merge_remap(&other.self_by_account, remap);
+        self.pairs
+            .merge_remap(&other.pairs, |a| remap[a as usize], |b| remap[b as usize]);
     }
 }
 
@@ -224,7 +226,8 @@ impl EosColumnar {
     fn intern(&mut self, n: Name) -> u32 {
         let id = self.names.intern(n);
         if id as usize == self.class_of.len() {
-            self.class_of.push(class_tag(classify_action(n, &ActionData::Generic)));
+            self.class_of
+                .push(class_tag(classify_action(n, &ActionData::Generic)));
         }
         id
     }
@@ -249,7 +252,12 @@ impl EosColumnar {
             for a in &tx.actions {
                 let name = self.intern(a.name);
                 let tag = match &a.data {
-                    ActionData::Transfer { from, to, symbol, amount } => {
+                    ActionData::Transfer {
+                        from,
+                        to,
+                        symbol,
+                        amount,
+                    } => {
                         let f = self.intern(*from);
                         let t = self.intern(*to);
                         batch.xfer.push((tx_idx as u32, f, t, *symbol, *amount));
@@ -287,10 +295,12 @@ impl EosColumnar {
             self.sent.add(actor, 1);
         }
         for i in 0..n {
-            self.sender_receivers.add(batch.actor[i], batch.contract[i], 1);
+            self.sender_receivers
+                .add(batch.actor[i], batch.contract[i], 1);
         }
         for i in 0..n {
-            self.contract_actions.add(batch.contract[i], batch.name[i], 1);
+            self.contract_actions
+                .add(batch.contract[i], batch.name[i], 1);
         }
         for &(_, f, t, ..) in &batch.xfer {
             self.edges.add(f, t, 1);
@@ -339,9 +349,11 @@ impl EosColumnar {
         self.others += other.others;
         self.action_total += other.action_total;
         self.tx_contracts.merge_remap(&other.tx_contracts, &remap);
-        self.contract_actions.merge_remap(&other.contract_actions, r, r);
+        self.contract_actions
+            .merge_remap(&other.contract_actions, r, r);
         self.sent.merge_remap(&other.sent, &remap);
-        self.sender_receivers.merge_remap(&other.sender_receivers, r, r);
+        self.sender_receivers
+            .merge_remap(&other.sender_receivers, r, r);
         self.series.merge_remap(&other.series, &remap);
         self.wash.merge(&other.wash, &remap);
         self.boom.merge(&other.boom, &remap);
@@ -357,16 +369,18 @@ impl EosColumnar {
         let mut action_counts: HashMap<(EosActionClass, Option<Name>), u64> = HashMap::new();
         for (tag, class) in CLASSES.iter().enumerate() {
             for (id, count) in self.by_class[tag].iter_nonzero() {
-                *action_counts.entry((*class, Some(names.resolve(id)))).or_insert(0) += count;
+                *action_counts
+                    .entry((*class, Some(names.resolve(id))))
+                    .or_insert(0) += count;
             }
         }
         if self.others > 0 {
             action_counts.insert((EosActionClass::Others, None), self.others);
         }
 
-        let contract_series = self
-            .series
-            .resolve(self.period, SIX_HOURS, |enc| (enc != 0).then(|| names.resolve(enc - 1)));
+        let contract_series = self.series.resolve(self.period, SIX_HOURS, |enc| {
+            (enc != 0).then(|| names.resolve(enc - 1))
+        });
 
         let resolve = |id: u32| names.resolve(id);
         let wash = WashAcc {
@@ -568,7 +582,12 @@ mod tests {
     }
 
     fn blocks() -> Vec<Block> {
-        let tx = |actions: Vec<Action>| Transaction { id: 0, actions, cpu_us: 100, net_bytes: 128 };
+        let tx = |actions: Vec<Action>| Transaction {
+            id: 0,
+            actions,
+            cpu_us: 100,
+            net_bytes: 128,
+        };
         vec![
             Block {
                 num: 1,
@@ -612,7 +631,9 @@ mod tests {
         let flat = |s: &EosSweep| {
             let (rows, total) = s.action_distribution();
             (
-                rows.iter().map(|r| (r.class, r.action.clone(), r.count)).collect::<Vec<_>>(),
+                rows.iter()
+                    .map(|r| (r.class, r.action.clone(), r.count))
+                    .collect::<Vec<_>>(),
                 total,
             )
         };
@@ -621,7 +642,10 @@ mod tests {
         let boom = columnar.boomerang_report();
         assert_eq!(boom.boomerangs, 1);
         assert_eq!(boom.hub, Some(Name::new("eidosonecoin")));
-        assert_eq!(columnar.graph().report(3).transfers, scalar.graph().report(3).transfers);
+        assert_eq!(
+            columnar.graph().report(3).transfers,
+            scalar.graph().report(3).transfers
+        );
     }
 
     #[test]
@@ -639,15 +663,29 @@ mod tests {
         let (a, b) = (acc.finalize(), back.finalize());
         let flat = |s: &EosSweep| {
             let (rows, total) = s.action_distribution();
-            (rows.iter().map(|r| (r.class, r.action.clone(), r.count)).collect::<Vec<_>>(), total)
+            (
+                rows.iter()
+                    .map(|r| (r.class, r.action.clone(), r.count))
+                    .collect::<Vec<_>>(),
+                total,
+            )
         };
         assert_eq!(flat(&a), flat(&b));
         assert_eq!(a.tps(), b.tps());
         assert_eq!(
-            a.top_received(5).iter().map(|r| (r.account, r.tx_count)).collect::<Vec<_>>(),
-            b.top_received(5).iter().map(|r| (r.account, r.tx_count)).collect::<Vec<_>>(),
+            a.top_received(5)
+                .iter()
+                .map(|r| (r.account, r.tx_count))
+                .collect::<Vec<_>>(),
+            b.top_received(5)
+                .iter()
+                .map(|r| (r.account, r.tx_count))
+                .collect::<Vec<_>>(),
         );
-        assert_eq!(a.boomerang_report().boomerangs, b.boomerang_report().boomerangs);
+        assert_eq!(
+            a.boomerang_report().boomerangs,
+            b.boomerang_report().boomerangs
+        );
     }
 
     #[test]
@@ -683,10 +721,21 @@ mod tests {
         left.merge(right);
         let whole = EosColumnar::compute(&blocks, period());
         let merged = left.finalize();
-        assert_eq!(merged.action_distribution().1, whole.action_distribution().1);
         assert_eq!(
-            merged.top_received(5).iter().map(|r| (r.account, r.tx_count)).collect::<Vec<_>>(),
-            whole.top_received(5).iter().map(|r| (r.account, r.tx_count)).collect::<Vec<_>>(),
+            merged.action_distribution().1,
+            whole.action_distribution().1
+        );
+        assert_eq!(
+            merged
+                .top_received(5)
+                .iter()
+                .map(|r| (r.account, r.tx_count))
+                .collect::<Vec<_>>(),
+            whole
+                .top_received(5)
+                .iter()
+                .map(|r| (r.account, r.tx_count))
+                .collect::<Vec<_>>(),
         );
     }
 }

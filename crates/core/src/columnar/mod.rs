@@ -111,7 +111,10 @@ impl wire::WireState for SeriesTable {
     fn decode_columns(
         r: &mut txstat_types::colcodec::ColReader<'_>,
     ) -> Result<Self, txstat_types::colcodec::ColError> {
-        Ok(SeriesTable { table: FxMap64::decode_columns(r)?, oor: r.u64()? })
+        Ok(SeriesTable {
+            table: FxMap64::decode_columns(r)?,
+            oor: r.u64()?,
+        })
     }
 }
 
@@ -134,7 +137,11 @@ impl SeriesTable {
     pub(crate) fn merge_remap(&mut self, other: &SeriesTable, remap: &[u32]) {
         for (k, n) in other.table.iter() {
             let (enc, bucket) = tables::unpack(k);
-            let enc = if enc == 0 { 0 } else { remap[(enc - 1) as usize] + 1 };
+            let enc = if enc == 0 {
+                0
+            } else {
+                remap[(enc - 1) as usize] + 1
+            };
             self.add(enc, bucket, n);
         }
         self.oor += other.oor;

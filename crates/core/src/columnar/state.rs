@@ -45,7 +45,9 @@ pub(crate) fn check_series(
 ) -> Result<(), String> {
     for (enc, _bucket) in s.encoded_keys() {
         if enc > interned {
-            return Err(format!("{what}: encoded key {enc} outside interned id range"));
+            return Err(format!(
+                "{what}: encoded key {enc} outside interned id range"
+            ));
         }
     }
     Ok(())

@@ -249,10 +249,12 @@ impl PairTable {
 
     /// All `((a, b), count)` entries across shards.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
-        self.shards.iter().flat_map(|s| s.iter().map(|(k, v)| {
-            let (a, b) = unpack(k);
-            (a, b, v)
-        }))
+        self.shards.iter().flat_map(|s| {
+            s.iter().map(|(k, v)| {
+                let (a, b) = unpack(k);
+                (a, b, v)
+            })
+        })
     }
 
     /// Same-interner merge: residue classes merge pairwise, each touching
@@ -363,8 +365,7 @@ fn read_sorted_entries(
             if delta == 0 {
                 return Err(r.invalid("duplicate key in sorted counter section"));
             }
-            prev
-                .checked_add(delta)
+            prev.checked_add(delta)
                 .ok_or_else(|| r.invalid("key delta overflows u64"))?
         };
         if key == EMPTY {
@@ -395,10 +396,7 @@ impl WireState for PairTable {
     /// order to sorting the `(a, b, n)` triples). The shard assignment is a
     /// function of `a`, so the residue layout rebuilds itself on decode.
     fn encode_columns(&self, w: &mut ColWriter) {
-        write_sorted_map(
-            w,
-            self.shards.iter().flat_map(FxMap64::iter),
-        );
+        write_sorted_map(w, self.shards.iter().flat_map(FxMap64::iter));
     }
 
     fn decode_columns(r: &mut ColReader<'_>) -> Result<Self, ColError> {

@@ -387,13 +387,19 @@ mod tests {
                 operations: vec![
                     Operation::new(
                         Address::implicit(2),
-                        OpPayload::Endorsement { level: 1, slots: 16 },
+                        OpPayload::Endorsement {
+                            level: 1,
+                            slots: 16,
+                        },
                     ),
                     pay(10, 11),
                     pay(10, 12),
                     Operation::new(
                         Address::implicit(3),
-                        OpPayload::Ballot { proposal: "PsBabyM1".into(), vote: Vote::Yay },
+                        OpPayload::Ballot {
+                            proposal: "PsBabyM1".into(),
+                            vote: Vote::Yay,
+                        },
                     ),
                 ],
             },
@@ -419,7 +425,9 @@ mod tests {
             scalar.throughput_series().out_of_range()
         );
         let flat = |rows: Vec<crate::tezos_analysis::SenderDispersion>| {
-            rows.into_iter().map(|r| (r.sender, r.sent_count, r.unique_receivers)).collect::<Vec<_>>()
+            rows.into_iter()
+                .map(|r| (r.sender, r.sent_count, r.unique_receivers))
+                .collect::<Vec<_>>()
         };
         assert_eq!(flat(columnar.top_senders(5)), flat(scalar.top_senders(5)));
     }
@@ -430,7 +438,10 @@ mod tests {
         let pay = |from: u64, to: u64| {
             Operation::new(
                 Address::implicit(from),
-                OpPayload::Transaction { destination: Address::implicit(to), amount_mutez: 7 },
+                OpPayload::Transaction {
+                    destination: Address::implicit(to),
+                    amount_mutez: 7,
+                },
             )
         };
         let block = TezosBlock {
@@ -441,7 +452,10 @@ mod tests {
                 pay(4, 5),
                 Operation::new(
                     Address::implicit(3),
-                    OpPayload::Ballot { proposal: "PsBabyM1".into(), vote: Vote::Nay },
+                    OpPayload::Ballot {
+                        proposal: "PsBabyM1".into(),
+                        vote: Vote::Nay,
+                    },
                 ),
             ],
         };

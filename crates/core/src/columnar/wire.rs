@@ -138,9 +138,7 @@ pub(crate) fn write_period(w: &mut ColWriter, p: txstat_types::time::Period) {
     w.i64(p.end.0);
 }
 
-pub(crate) fn read_period(
-    r: &mut ColReader<'_>,
-) -> Result<txstat_types::time::Period, ColError> {
+pub(crate) fn read_period(r: &mut ColReader<'_>) -> Result<txstat_types::time::Period, ColError> {
     let start = txstat_types::time::ChainTime(r.i64()?);
     let end = txstat_types::time::ChainTime(r.i64()?);
     Ok(txstat_types::time::Period::new(start, end))
@@ -156,9 +154,7 @@ pub(crate) fn write_rows<const N: usize>(w: &mut ColWriter, rows: &[[u64; N]]) {
     }
 }
 
-pub(crate) fn read_rows<const N: usize>(
-    r: &mut ColReader<'_>,
-) -> Result<Vec<[u64; N]>, ColError> {
+pub(crate) fn read_rows<const N: usize>(r: &mut ColReader<'_>) -> Result<Vec<[u64; N]>, ColError> {
     let n = r.len(N)?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
@@ -202,7 +198,10 @@ mod tests {
         write_prefix(&mut w, TAG_EOS);
         let bytes = w.into_bytes();
         let mut r = ColReader::new(&bytes);
-        assert!(matches!(read_prefix(&mut r, TAG_TEZOS), Err(ColError::Invalid { .. })));
+        assert!(matches!(
+            read_prefix(&mut r, TAG_TEZOS),
+            Err(ColError::Invalid { .. })
+        ));
         let mut r = ColReader::new(&bytes);
         read_prefix(&mut r, TAG_EOS).expect("matching tag");
     }

@@ -131,8 +131,7 @@ impl XrpColumnar {
                 row[cat as usize] += 1;
             }
             // Successful payments are exactly category 0.
-            self.payment_series[bucket] +=
-                batch.iter().filter(|(_, cat)| *cat == 0).count() as u64;
+            self.payment_series[bucket] += batch.iter().filter(|(_, cat)| *cat == 0).count() as u64;
         } else {
             self.series_oor += batch.len() as u64;
             self.payment_oor += batch.iter().filter(|(_, cat)| *cat == 0).count() as u64;
@@ -267,9 +266,12 @@ impl XrpColumnar {
         self.grand_total += other.grand_total;
         self.xrp_volume_drops += other.xrp_volume_drops;
         self.sender_drops.merge_remap(&other.sender_drops, &remap);
-        self.sender_touched.merge_remap(&other.sender_touched, &remap);
-        self.receiver_drops.merge_remap(&other.receiver_drops, &remap);
-        self.receiver_touched.merge_remap(&other.receiver_touched, &remap);
+        self.sender_touched
+            .merge_remap(&other.sender_touched, &remap);
+        self.receiver_drops
+            .merge_remap(&other.receiver_drops, &remap);
+        self.receiver_touched
+            .merge_remap(&other.receiver_touched, &remap);
         self.xrp_cur.0 += other.xrp_cur.0;
         self.xrp_cur.1 += other.xrp_cur.1;
         self.xrp_cur.2 += other.xrp_cur.2;
@@ -296,20 +298,28 @@ impl XrpColumnar {
 
         let mut per_account: HashMap<AccountId, (u64, u64, u64)> = HashMap::new();
         for id in 0..accounts.len() as u32 {
-            let triple =
-                (self.acct_offers.get(id), self.acct_pays.get(id), self.acct_others.get(id));
+            let triple = (
+                self.acct_offers.get(id),
+                self.acct_pays.get(id),
+                self.acct_others.get(id),
+            );
             if triple != (0, 0, 0) {
                 per_account.insert(resolve(id), triple);
             }
         }
 
         let drops_map = |drops: &IdVec<i128>, touched: &IdVec<u64>| -> HashMap<AccountId, i128> {
-            touched.iter_nonzero().map(|(id, _)| (resolve(id), drops.get(id))).collect()
+            touched
+                .iter_nonzero()
+                .map(|(id, _)| (resolve(id), drops.get(id)))
+                .collect()
         };
 
         let mut currencies: HashMap<String, (i128, i128, i128)> = HashMap::new();
         for (sym, triple) in &self.iou_cur {
-            let e = currencies.entry(sym.as_str().to_owned()).or_insert((0, 0, 0));
+            let e = currencies
+                .entry(sym.as_str().to_owned())
+                .or_insert((0, 0, 0));
             e.0 += triple.0;
             e.1 += triple.1;
             e.2 += triple.2;
@@ -550,7 +560,11 @@ mod tests {
         AppliedTx {
             tx: Transaction::new(
                 AccountId(from),
-                TxPayload::Payment { destination: AccountId(to), amount, send_max: None },
+                TxPayload::Payment {
+                    destination: AccountId(to),
+                    amount,
+                    send_max: None,
+                },
                 10,
             ),
             result,
@@ -568,8 +582,18 @@ mod tests {
                 close_time: t0() + 60,
                 transactions: vec![
                     payment(1, 2, Amount::xrp(100), TxResult::Success),
-                    payment(1, 3, Amount::iou_whole("USD", AccountId(1), 50), TxResult::Success),
-                    payment(4, 2, Amount::iou_whole("GKO", AccountId(9), 7), TxResult::Success),
+                    payment(
+                        1,
+                        3,
+                        Amount::iou_whole("USD", AccountId(1), 50),
+                        TxResult::Success,
+                    ),
+                    payment(
+                        4,
+                        2,
+                        Amount::iou_whole("GKO", AccountId(9), 7),
+                        TxResult::Success,
+                    ),
                     payment(1, 2, Amount::xrp(5), TxResult::PathDry),
                     AppliedTx {
                         tx: Transaction::new(AccountId(5), TxPayload::SetRegularKey, 10),
@@ -590,8 +614,18 @@ mod tests {
         assert_eq!(columnar.tx_distribution().1, scalar.tx_distribution().1);
         let (f, lf) = (columnar.funnel(), scalar.funnel());
         assert_eq!(
-            (f.total, f.failed, f.payments_with_value, f.payments_no_value),
-            (lf.total, lf.failed, lf.payments_with_value, lf.payments_no_value)
+            (
+                f.total,
+                f.failed,
+                f.payments_with_value,
+                f.payments_no_value
+            ),
+            (
+                lf.total,
+                lf.failed,
+                lf.payments_with_value,
+                lf.payments_no_value
+            )
         );
         assert_eq!(
             columnar.throughput_series().out_of_range(),
@@ -621,8 +655,18 @@ mod tests {
             close_time: t0() + 60,
             transactions: vec![
                 payment(1, 2, Amount::xrp(100), TxResult::Success),
-                payment(1, 3, Amount::iou_whole("USD", AccountId(1), 50), TxResult::Success),
-                payment(4, 2, Amount::iou_whole("GKO", AccountId(9), 7), TxResult::Success),
+                payment(
+                    1,
+                    3,
+                    Amount::iou_whole("USD", AccountId(1), 50),
+                    TxResult::Success,
+                ),
+                payment(
+                    4,
+                    2,
+                    Amount::iou_whole("GKO", AccountId(9), 7),
+                    TxResult::Success,
+                ),
                 payment(1, 2, Amount::xrp(5), TxResult::PathDry),
             ],
         };
@@ -635,7 +679,10 @@ mod tests {
         assert_eq!(a.tx_distribution().1, b.tx_distribution().1);
         let clu = ClusterInfo::new();
         assert_eq!(a.value_flow(&clu).currencies, b.value_flow(&clu).currencies);
-        assert_eq!(a.funnel().payments_with_value, b.funnel().payments_with_value);
+        assert_eq!(
+            a.funnel().payments_with_value,
+            b.funnel().payments_with_value
+        );
         assert_eq!(a.tps(), b.tps());
     }
 }

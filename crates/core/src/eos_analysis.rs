@@ -87,8 +87,16 @@ impl EosLabels {
     pub fn curated() -> Self {
         let mut l = EosLabels::new();
         let betting = [
-            "betdicegroup", "betdicetasks", "betdicebacca", "betdicesicbo", "betdiceadmin",
-            "bluebetproxy", "bluebet2user", "bluebetbcrat", "bluebettexas", "bluebetjacks",
+            "betdicegroup",
+            "betdicetasks",
+            "betdicebacca",
+            "betdicesicbo",
+            "betdiceadmin",
+            "bluebetproxy",
+            "bluebet2user",
+            "bluebetbcrat",
+            "bluebettexas",
+            "bluebetjacks",
         ];
         for b in betting {
             l.label(Name::new(b), AppCategory::Betting);
@@ -246,7 +254,13 @@ impl BoomAcc {
         self.total_txs += 1;
         self.scratch.clear();
         for (i, a) in tx.actions.iter().enumerate() {
-            if let ActionData::Transfer { from, to, symbol, amount } = a.data {
+            if let ActionData::Transfer {
+                from,
+                to,
+                symbol,
+                amount,
+            } = a.data
+            {
                 self.scratch.push((i, from, to, symbol, amount));
             }
         }
@@ -306,8 +320,7 @@ impl BoomAcc {
             hub: self.hubs.top(1).first().map(|(n, _)| *n),
             tx_share: self.boomerang_txs as f64 / self.total_txs.max(1) as f64,
             transfer_actions: self.boomerang_transfers,
-            transfer_share: self.boomerang_transfers as f64
-                / self.transfer_actions.max(1) as f64,
+            transfer_share: self.boomerang_transfers as f64 / self.transfer_actions.max(1) as f64,
         }
     }
 }
@@ -378,7 +391,8 @@ impl EosSweep {
         // records every block); everything else applies the
         // observation-window filter up front.
         for tx in &b.transactions {
-            self.contract_series.record(b.time, tx.actions.first().map(|a| a.contract), 1);
+            self.contract_series
+                .record(b.time, tx.actions.first().map(|a| a.contract), 1);
         }
         if !self.period.contains(b.time) {
             return;
@@ -394,8 +408,14 @@ impl EosSweep {
                 *self.action_counts.entry((class, key_name)).or_insert(0) += 1;
                 self.action_total += 1;
                 self.sent.inc(a.actor);
-                self.sender_receivers.entry(a.actor).or_default().inc(a.contract);
-                self.contract_actions.entry(a.contract).or_default().inc(a.name);
+                self.sender_receivers
+                    .entry(a.actor)
+                    .or_default()
+                    .inc(a.contract);
+                self.contract_actions
+                    .entry(a.contract)
+                    .or_default()
+                    .inc(a.name);
                 if let ActionData::Transfer { from, to, .. } = a.data {
                     self.graph.record(from, to);
                 }
@@ -455,7 +475,9 @@ impl EosSweep {
             .iter()
             .map(|((class, action), count)| ActionRow {
                 class: *class,
-                action: action.map(|n| n.to_string_repr()).unwrap_or_else(|| "Others".to_owned()),
+                action: action
+                    .map(|n| n.to_string_repr())
+                    .unwrap_or_else(|| "Others".to_owned()),
                 count: *count,
             })
             .collect();
@@ -470,7 +492,11 @@ impl EosSweep {
 
     /// The paper's top-`k` contract labeling session over the sweep's
     /// received-transaction ranking.
-    pub fn labels(&self, k: usize, ground_truth: &dyn Fn(Name) -> Option<AppCategory>) -> EosLabels {
+    pub fn labels(
+        &self,
+        k: usize,
+        ground_truth: &dyn Fn(Name) -> Option<AppCategory>,
+    ) -> EosLabels {
         let mut l = EosLabels::new();
         for (contract, _) in self.tx_contracts.top(k) {
             if let Some(cat) = ground_truth(contract) {
@@ -505,7 +531,11 @@ impl EosSweep {
                         v
                     })
                     .unwrap_or_default();
-                ReceivedStats { account, tx_count, actions }
+                ReceivedStats {
+                    account,
+                    tx_count,
+                    actions,
+                }
             })
             .collect()
     }
@@ -516,14 +546,23 @@ impl EosSweep {
             .top(k)
             .into_iter()
             .map(|(sender, sent_count)| {
-                let receivers_topk = self.sender_receivers.get(&sender).cloned().unwrap_or_default();
+                let receivers_topk = self
+                    .sender_receivers
+                    .get(&sender)
+                    .cloned()
+                    .unwrap_or_default();
                 let unique = receivers_topk.distinct() as u64;
                 let receivers = receivers_topk
                     .top(5)
                     .into_iter()
                     .map(|(r, c)| (r, c, c as f64 / sent_count as f64))
                     .collect();
-                SenderStats { sender, sent_count, unique_receivers: unique, receivers }
+                SenderStats {
+                    sender,
+                    sent_count,
+                    unique_receivers: unique,
+                    receivers,
+                }
             })
             .collect()
     }
@@ -571,7 +610,13 @@ impl EosSweep {
             .get(&account)
             .map(|t| t.distinct() as u64)
             .unwrap_or(0);
-        Some(EosAccountStats { account, received_txs, sent_actions, unique_send_targets, top_actions })
+        Some(EosAccountStats {
+            account,
+            received_txs,
+            sent_actions,
+            unique_send_targets,
+            top_actions,
+        })
     }
 }
 
@@ -616,11 +661,21 @@ mod tests {
     }
 
     fn block(num: u64, txs: Vec<Transaction>) -> Block {
-        Block { num, time: t0() + 60 * num as i64, producer: Name::new("bp"), transactions: txs }
+        Block {
+            num,
+            time: t0() + 60 * num as i64,
+            producer: Name::new("bp"),
+            transactions: txs,
+        }
     }
 
     fn tx(actions: Vec<Action>) -> Transaction {
-        Transaction { id: 0, actions, cpu_us: 100, net_bytes: 128 }
+        Transaction {
+            id: 0,
+            actions,
+            cpu_us: 100,
+            net_bytes: 128,
+        }
     }
 
     #[test]
@@ -648,7 +703,10 @@ mod tests {
             symbol: SymCode::new("EOS"),
             amount: 1,
         };
-        assert_eq!(classify_action(Name::new("removetask"), &payload), EosActionClass::P2pTransaction);
+        assert_eq!(
+            classify_action(Name::new("removetask"), &payload),
+            EosActionClass::P2pTransaction
+        );
     }
 
     #[test]
@@ -658,7 +716,12 @@ mod tests {
             vec![tx(vec![
                 transfer("a", "b", 10),
                 transfer("b", "c", 5),
-                Action::new(Name::new("eosio"), Name::new("bidname"), Name::new("a"), ActionData::Generic),
+                Action::new(
+                    Name::new("eosio"),
+                    Name::new("bidname"),
+                    Name::new("a"),
+                    ActionData::Generic,
+                ),
             ])],
         )];
         let (rows, total) = EosSweep::compute(&blocks, period()).action_distribution();
@@ -685,8 +748,14 @@ mod tests {
         )];
         let curated = EosLabels::curated();
         let labels = EosSweep::compute(&blocks, period()).labels(10, &|n| curated.get(n));
-        assert_eq!(labels.get(Name::new("betdicetasks")), Some(AppCategory::Betting));
-        assert_eq!(labels.get(Name::new("eosio.token")), Some(AppCategory::Tokens));
+        assert_eq!(
+            labels.get(Name::new("betdicetasks")),
+            Some(AppCategory::Betting)
+        );
+        assert_eq!(
+            labels.get(Name::new("eosio.token")),
+            Some(AppCategory::Tokens)
+        );
     }
 
     #[test]
@@ -786,7 +855,10 @@ mod tests {
         assert_eq!(report.hub, Some(Name::new("eidosonecoin")));
         assert_eq!(report.transfer_actions, 3);
         assert!((report.tx_share - 0.5).abs() < 1e-9);
-        assert_eq!(report.transfer_share, 0.75, "3 of 4 transfers are boomerang legs");
+        assert_eq!(
+            report.transfer_share, 0.75,
+            "3 of 4 transfers are boomerang legs"
+        );
     }
 
     #[test]

@@ -69,7 +69,10 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
         *self.edges.entry((from.clone(), to.clone())).or_insert(0) += n;
         *self.out_degree.entry(from.clone()).or_insert(0) += n;
         *self.in_degree.entry(to.clone()).or_insert(0) += n;
-        self.out_neighbors.entry(from.clone()).or_default().insert(to.clone());
+        self.out_neighbors
+            .entry(from.clone())
+            .or_default()
+            .insert(to.clone());
         self.in_neighbors.entry(to).or_default().insert(from);
     }
 
@@ -101,7 +104,10 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
     /// Distinct out-neighbors of a node.
     #[cfg(test)]
     pub(crate) fn fanout_of(&self, n: &N) -> u64 {
-        self.out_neighbors.get(n).map(|s| s.len() as u64).unwrap_or(0)
+        self.out_neighbors
+            .get(n)
+            .map(|s| s.len() as u64)
+            .unwrap_or(0)
     }
 
     /// Merge another graph: edge multiplicities and degrees add, neighbor
@@ -140,8 +146,11 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
         }
 
         // Fan-out outliers: distinct-neighborhood size vs the median.
-        let mut fanouts: Vec<u64> =
-            self.out_neighbors.values().map(|s| s.len() as u64).collect();
+        let mut fanouts: Vec<u64> = self
+            .out_neighbors
+            .values()
+            .map(|s| s.len() as u64)
+            .collect();
         fanouts.sort_unstable();
         let median = fanouts.get(fanouts.len() / 2).copied().unwrap_or(0).max(1);
         let mut fanout_outliers: Vec<(N, u64)> = self

@@ -70,8 +70,8 @@
 pub mod accumulate;
 pub mod cluster;
 pub mod columnar;
-pub mod graph;
 pub mod eos_analysis;
+pub mod graph;
 pub mod tezos_analysis;
 pub mod xrp_analysis;
 

@@ -209,7 +209,10 @@ impl TezosSweep {
             if let OpPayload::Transaction { destination, .. } = &op.payload {
                 self.txs_in_period += 1;
                 self.sent.inc(op.source);
-                self.per_receiver.entry(op.source).or_default().inc(*destination);
+                self.per_receiver
+                    .entry(op.source)
+                    .or_default()
+                    .inc(*destination);
             }
         }
     }
@@ -256,10 +259,17 @@ impl TezosSweep {
         let mut rows: Vec<OpRow> = self
             .op_counts
             .iter()
-            .map(|(kind, count)| OpRow { class: classify_op(*kind), kind: *kind, count: *count })
+            .map(|(kind, count)| OpRow {
+                class: classify_op(*kind),
+                kind: *kind,
+                count: *count,
+            })
             .collect();
         rows.sort_by(|a, b| {
-            a.class.cmp(&b.class).then(b.count.cmp(&a.count)).then(a.kind.cmp(&b.kind))
+            a.class
+                .cmp(&b.class)
+                .then(b.count.cmp(&a.count))
+                .then(a.kind.cmp(&b.kind))
         });
         (rows, self.op_total)
     }
@@ -311,15 +321,14 @@ impl TezosSweep {
                 // order-preserving, so the log is almost always already
                 // sorted — only clone and sort when it is not.
                 let sorted_storage;
-                let events: &[GovEvent] =
-                    if events.windows(2).all(|w| w[0].0 <= w[1].0) {
-                        events
-                    } else {
-                        let mut v = events.clone();
-                        v.sort_by_key(|(t, ..)| *t);
-                        sorted_storage = v;
-                        &sorted_storage
-                    };
+                let events: &[GovEvent] = if events.windows(2).all(|w| w[0].0 <= w[1].0) {
+                    events
+                } else {
+                    let mut v = events.clone();
+                    v.sort_by_key(|(t, ..)| *t);
+                    sorted_storage = v;
+                    &sorted_storage
+                };
                 let mut curves: HashMap<String, VoteCurve> = HashMap::new();
                 let mut cumulative: HashMap<String, u64> = HashMap::new();
                 let mut participants: HashMap<Address, ()> = HashMap::new();
@@ -330,12 +339,17 @@ impl TezosSweep {
                     participants.insert(*baker, ());
                     curves
                         .entry(label.clone())
-                        .or_insert_with(|| VoteCurve { label: label.clone(), points: Vec::new() })
+                        .or_insert_with(|| VoteCurve {
+                            label: label.clone(),
+                            points: Vec::new(),
+                        })
                         .points
                         .push((*t, *c));
                 }
-                let participated: u64 =
-                    participants.keys().map(|a| rolls.get(a).copied().unwrap_or(0)).sum();
+                let participated: u64 = participants
+                    .keys()
+                    .map(|a| rolls.get(a).copied().unwrap_or(0))
+                    .sum();
                 let mut curves: Vec<VoteCurve> = curves.into_values().collect();
                 curves.sort_by(|a, b| b.total().cmp(&a.total()).then(a.label.cmp(&b.label)));
                 PeriodCurves {
@@ -379,7 +393,12 @@ impl TezosSweep {
                 (t.distinct() as u64, top)
             })
             .unwrap_or((0, Vec::new()));
-        Some(TezosAccountStats { address, sent_ops, unique_receivers, top_receivers })
+        Some(TezosAccountStats {
+            address,
+            sent_ops,
+            unique_receivers,
+            top_receivers,
+        })
     }
 }
 
@@ -409,26 +428,49 @@ mod tests {
     }
 
     fn block(i: u64, operations: Vec<Operation>) -> TezosBlock {
-        TezosBlock { level: 628_951 + i, time: t0() + 60 * i as i64, baker: Address::implicit(1), operations }
+        TezosBlock {
+            level: 628_951 + i,
+            time: t0() + 60 * i as i64,
+            baker: Address::implicit(1),
+            operations,
+        }
     }
 
     fn endorse(baker: u64, slots: u8) -> Operation {
-        Operation::new(Address::implicit(baker), OpPayload::Endorsement { level: 1, slots })
+        Operation::new(
+            Address::implicit(baker),
+            OpPayload::Endorsement { level: 1, slots },
+        )
     }
 
     fn pay(from: u64, to: u64) -> Operation {
         Operation::new(
             Address::implicit(from),
-            OpPayload::Transaction { destination: Address::implicit(to), amount_mutez: 100 },
+            OpPayload::Transaction {
+                destination: Address::implicit(to),
+                amount_mutez: 100,
+            },
         )
     }
 
     #[test]
     fn classification_matches_figure_1() {
-        assert_eq!(classify_op(OperationKind::Transaction), TezosOpClass::P2pTransaction);
-        assert_eq!(classify_op(OperationKind::Origination), TezosOpClass::AccountAction);
-        assert_eq!(classify_op(OperationKind::Endorsement), TezosOpClass::OtherAction);
-        assert_eq!(classify_op(OperationKind::Ballot), TezosOpClass::OtherAction);
+        assert_eq!(
+            classify_op(OperationKind::Transaction),
+            TezosOpClass::P2pTransaction
+        );
+        assert_eq!(
+            classify_op(OperationKind::Origination),
+            TezosOpClass::AccountAction
+        );
+        assert_eq!(
+            classify_op(OperationKind::Endorsement),
+            TezosOpClass::OtherAction
+        );
+        assert_eq!(
+            classify_op(OperationKind::Ballot),
+            TezosOpClass::OtherAction
+        );
     }
 
     #[test]
@@ -437,7 +479,10 @@ mod tests {
         let sweep = TezosSweep::compute(&blocks, period(), &[]);
         let (rows, total) = sweep.op_distribution();
         assert_eq!(total, 3);
-        let endorse_row = rows.iter().find(|r| r.kind == OperationKind::Endorsement).unwrap();
+        let endorse_row = rows
+            .iter()
+            .find(|r| r.kind == OperationKind::Endorsement)
+            .unwrap();
         assert_eq!(endorse_row.count, 2);
         let series = sweep.throughput_series();
         assert_eq!(series.category_total(&TezosThroughputCat::Endorsement), 2);
@@ -450,14 +495,23 @@ mod tests {
         // once to one receiver.
         let blocks = vec![block(
             0,
-            vec![pay(100, 1), pay(100, 1), pay(100, 2), pay(100, 2), pay(200, 3)],
+            vec![
+                pay(100, 1),
+                pay(100, 1),
+                pay(100, 2),
+                pay(100, 2),
+                pay(200, 3),
+            ],
         )];
         let top = TezosSweep::compute(&blocks, period(), &[]).top_senders(2);
         assert_eq!(top[0].sender, Address::implicit(100));
         assert_eq!(top[0].sent_count, 4);
         assert_eq!(top[0].unique_receivers, 2);
         assert!((top[0].mean_per_receiver - 2.0).abs() < 1e-12);
-        assert!(top[0].stdev_per_receiver.abs() < 1e-12, "uniform dispersion");
+        assert!(
+            top[0].stdev_per_receiver.abs() < 1e-12,
+            "uniform dispersion"
+        );
     }
 
     #[test]
@@ -471,7 +525,10 @@ mod tests {
                 0,
                 vec![Operation::new(
                     Address::implicit(1),
-                    OpPayload::Ballot { proposal: "B2".into(), vote: Vote::Yay },
+                    OpPayload::Ballot {
+                        proposal: "B2".into(),
+                        vote: Vote::Yay,
+                    },
                 )],
             ),
             block(
@@ -479,11 +536,17 @@ mod tests {
                 vec![
                     Operation::new(
                         Address::implicit(2),
-                        OpPayload::Ballot { proposal: "B2".into(), vote: Vote::Yay },
+                        OpPayload::Ballot {
+                            proposal: "B2".into(),
+                            vote: Vote::Yay,
+                        },
                     ),
                     Operation::new(
                         Address::implicit(3),
-                        OpPayload::Ballot { proposal: "B2".into(), vote: Vote::Nay },
+                        OpPayload::Ballot {
+                            proposal: "B2".into(),
+                            vote: Vote::Nay,
+                        },
                     ),
                 ],
             ),

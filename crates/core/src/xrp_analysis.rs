@@ -13,7 +13,7 @@ use txstat_types::time::{ChainTime, Period, SIX_HOURS};
 use txstat_xrp::amount::{Asset, IssuedCurrency, DROPS_PER_XRP, IOU_UNIT};
 use txstat_xrp::ledger::LedgerBlock;
 use txstat_xrp::rates::{RateOracle, TradeRecord};
-use txstat_xrp::tx::{TxType};
+use txstat_xrp::tx::TxType;
 use txstat_xrp::AccountId;
 
 /// Figure 1 XRP row classes.
@@ -185,7 +185,10 @@ pub fn rates_by_issuer(
 
 /// Figure 11b: individual exchange events of one issued currency —
 /// (time, seller/maker, rate).
-pub fn trade_events(trades: &[TradeRecord], currency: IssuedCurrency) -> Vec<(ChainTime, AccountId, f64)> {
+pub fn trade_events(
+    trades: &[TradeRecord],
+    currency: IssuedCurrency,
+) -> Vec<(ChainTime, AccountId, f64)> {
     let mut v: Vec<(ChainTime, AccountId, f64)> = trades
         .iter()
         .filter(|t| t.currency == currency)
@@ -458,7 +461,10 @@ impl XrpSweep {
             })
             .collect();
         rows.sort_by(|a, b| {
-            a.class.cmp(&b.class).then(b.count.cmp(&a.count)).then(a.tx_type.cmp(&b.tx_type))
+            a.class
+                .cmp(&b.class)
+                .then(b.count.cmp(&a.count))
+                .then(a.tx_type.cmp(&b.tx_type))
         });
         (rows, self.type_total)
     }
@@ -489,7 +495,10 @@ impl XrpSweep {
                     others: *others,
                     total,
                     share_pct: total as f64 * 100.0 / self.grand_total.max(1) as f64,
-                    top_tag: self.tags.get(account).and_then(|t| t.top(1).first().cloned()),
+                    top_tag: self
+                        .tags
+                        .get(account)
+                        .and_then(|t| t.top(1).first().cloned()),
                     entity: cluster.entity(*account),
                 }
             })
@@ -521,8 +530,11 @@ impl XrpSweep {
                 // The XRP bucket accumulates drops, IOU buckets accumulate
                 // IOU units; divide each by its own scale (they are both
                 // 1e6 today, but the asset kinds are distinct).
-                let unit =
-                    if t == "XRP" { DROPS_PER_XRP as f64 } else { IOU_UNIT as f64 };
+                let unit = if t == "XRP" {
+                    DROPS_PER_XRP as f64
+                } else {
+                    IOU_UNIT as f64
+                };
                 (
                     t.clone(),
                     *nominal as f64 / unit,
@@ -544,8 +556,9 @@ impl XrpSweep {
     /// median payment rate.
     pub fn payment_spike_buckets(&self, threshold: f64) -> Vec<usize> {
         let series = &self.payment_series;
-        let counts: Vec<u64> =
-            (0..series.bucket_count()).map(|i| series.bucket_total(i)).collect();
+        let counts: Vec<u64> = (0..series.bucket_count())
+            .map(|i| series.bucket_total(i))
+            .collect();
         let mut sorted = counts.clone();
         sorted.sort_unstable();
         let median = sorted[sorted.len() / 2].max(1);
@@ -560,8 +573,11 @@ impl XrpSweep {
     /// §3.3: the account-concentration statistics over transaction senders.
     pub fn concentration(&self) -> ConcentrationReport {
         let total = self.grand_total;
-        let mut counts: Vec<u64> =
-            self.per_account.values().map(|(a, b, c)| a + b + c).collect();
+        let mut counts: Vec<u64> = self
+            .per_account
+            .values()
+            .map(|(a, b, c)| a + b + c)
+            .collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let single = counts.iter().filter(|c| **c == 1).count() as u64;
         let mut acc = 0u64;
@@ -643,7 +659,11 @@ mod tests {
     }
 
     fn block(i: u64, transactions: Vec<AppliedTx>) -> LedgerBlock {
-        LedgerBlock { index: 50_400_000 + i, close_time: t0() + 60 * i as i64, transactions }
+        LedgerBlock {
+            index: 50_400_000 + i,
+            close_time: t0() + 60 * i as i64,
+            transactions,
+        }
     }
 
     fn applied(
@@ -653,15 +673,27 @@ mod tests {
         delivered: Option<Amount>,
         crossed: bool,
     ) -> AppliedTx {
-        AppliedTx { tx: Transaction::new(AccountId(account), payload, 10), result, delivered, crossed }
+        AppliedTx {
+            tx: Transaction::new(AccountId(account), payload, 10),
+            result,
+            delivered,
+            crossed,
+        }
     }
 
     fn xrp_payment(from: u64, to: u64, whole: i64, result: TxResult) -> AppliedTx {
-        let delivered =
-            if result.is_success() { Some(Amount::xrp(whole)) } else { None };
+        let delivered = if result.is_success() {
+            Some(Amount::xrp(whole))
+        } else {
+            None
+        };
         applied(
             from,
-            TxPayload::Payment { destination: AccountId(to), amount: Amount::xrp(whole), send_max: None },
+            TxPayload::Payment {
+                destination: AccountId(to),
+                amount: Amount::xrp(whole),
+                send_max: None,
+            },
             result,
             delivered,
             false,
@@ -672,7 +704,11 @@ mod tests {
         let amt = Amount::iou_whole(currency, AccountId(issuer), whole);
         applied(
             from,
-            TxPayload::Payment { destination: AccountId(to), amount: amt, send_max: None },
+            TxPayload::Payment {
+                destination: AccountId(to),
+                amount: amt,
+                send_max: None,
+            },
             TxResult::Success,
             Some(amt),
             false,
@@ -717,11 +753,17 @@ mod tests {
         let (rows, total) =
             XrpSweep::compute(&blocks, period(), &oracle_with_usd()).tx_distribution();
         assert_eq!(total, 4);
-        let oc = rows.iter().find(|r| r.tx_type == TxType::OfferCreate).unwrap();
+        let oc = rows
+            .iter()
+            .find(|r| r.tx_type == TxType::OfferCreate)
+            .unwrap();
         assert_eq!(oc.count, 2);
         assert_eq!(oc.class, XrpTxClass::OtherAction);
         assert_eq!(
-            rows.iter().find(|r| r.tx_type == TxType::Payment).unwrap().class,
+            rows.iter()
+                .find(|r| r.tx_type == TxType::Payment)
+                .unwrap()
+                .class,
             XrpTxClass::P2pTransaction
         );
     }
@@ -732,12 +774,12 @@ mod tests {
         let blocks = vec![block(
             1,
             vec![
-                xrp_payment(1, 2, 100, TxResult::Success),      // with value (XRP)
-                iou_payment(1, 2, "USD", 1, 50),                // with value (rated)
-                iou_payment(1, 2, "BTC", 99, 7),                // no value (unrated)
-                xrp_payment(1, 2, 100, TxResult::PathDry),      // failed
-                offer(3, true),                                 // exchanged
-                offer(3, false),                                // not exchanged
+                xrp_payment(1, 2, 100, TxResult::Success), // with value (XRP)
+                iou_payment(1, 2, "USD", 1, 50),           // with value (rated)
+                iou_payment(1, 2, "BTC", 99, 7),           // no value (unrated)
+                xrp_payment(1, 2, 100, TxResult::PathDry), // failed
+                offer(3, true),                            // exchanged
+                offer(3, false),                           // not exchanged
                 offer(3, false),
                 applied(4, TxPayload::SetRegularKey, TxResult::Success, None, false),
             ],
@@ -780,7 +822,10 @@ mod tests {
         assert_eq!(rows[0].offer_creates, 10);
         assert_eq!(rows[0].payments, 1);
         assert_eq!(rows[0].top_tag, Some((104_398, 1)));
-        assert_eq!(rows[0].entity.as_deref(), Some("Huobi Global -- descendant"));
+        assert_eq!(
+            rows[0].entity.as_deref(),
+            Some("Huobi Global -- descendant")
+        );
         assert!((rows[0].share_pct - 11.0 / 12.0 * 100.0).abs() < 1e-9);
     }
 
@@ -801,7 +846,10 @@ mod tests {
         let flow = XrpSweep::compute(&blocks, period(), &oracle).value_flow(&cluster);
         assert!((flow.xrp_payment_volume - 1000.0).abs() < 1e-9);
         assert_eq!(flow.top_senders[0].0, "Binance");
-        assert!((flow.top_senders[0].1 - 1500.0).abs() < 1e-6, "1000 XRP + 100 USD × 5");
+        assert!(
+            (flow.top_senders[0].1 - 1500.0).abs() < 1e-6,
+            "1000 XRP + 100 USD × 5"
+        );
         assert_eq!(flow.top_receivers[0].0, "Coinbase");
         let usd = flow.currencies.iter().find(|c| c.0 == "USD").unwrap();
         assert!((usd.1 - 100.0).abs() < 1e-9);
@@ -824,8 +872,20 @@ mod tests {
     fn trade_events_sorted_by_time() {
         let ic = IssuedCurrency::new("BTC", AccountId(5));
         let trades = vec![
-            TradeRecord { time: t0() + 100, currency: ic, iou_value: IOU_UNIT, drops: DROPS_PER_XRP, maker: AccountId(8) },
-            TradeRecord { time: t0(), currency: ic, iou_value: IOU_UNIT, drops: 30_500 * DROPS_PER_XRP, maker: AccountId(7) },
+            TradeRecord {
+                time: t0() + 100,
+                currency: ic,
+                iou_value: IOU_UNIT,
+                drops: DROPS_PER_XRP,
+                maker: AccountId(8),
+            },
+            TradeRecord {
+                time: t0(),
+                currency: ic,
+                iou_value: IOU_UNIT,
+                drops: 30_500 * DROPS_PER_XRP,
+                maker: AccountId(7),
+            },
         ];
         let ev = trade_events(&trades, ic);
         assert_eq!(ev.len(), 2);

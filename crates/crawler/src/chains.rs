@@ -107,7 +107,10 @@ fn collect_range<B: Send>(
     })?;
     let mut blocks = out.into_inner();
     blocks.sort_by_key(|(n, _)| *n);
-    Ok(Crawl { blocks: blocks.into_iter().map(|(_, b)| b).collect(), stats })
+    Ok(Crawl {
+        blocks: blocks.into_iter().map(|(_, b)| b).collect(),
+        stats,
+    })
 }
 
 // ---- EOS ---------------------------------------------------------------------
@@ -172,8 +175,7 @@ pub fn fetch_tezos_block(
 ) -> Result<Fetched<txstat_tezos::TezosBlock>, CrawlError> {
     let req = HttpRequest::get(&format!("/chains/main/blocks/{n}"));
     let (resp, _) = http_with_retries(pool, cfg, &req)?;
-    let block =
-        txstat_tezos::rpc_model::block_parse(&resp.body).map_err(CrawlError::Protocol)?;
+    let block = txstat_tezos::rpc_model::block_parse(&resp.body).map_err(CrawlError::Protocol)?;
     let txs = block.operations.len() as u64;
     Ok((block, resp.body, txs))
 }
@@ -194,8 +196,7 @@ pub(crate) fn crawl_tezos(
 
 /// Head ledger index via `server_info`.
 pub fn xrp_head(pool: &RotatingPool, cfg: &ClientConfig) -> Result<u64, CrawlError> {
-    let (v, _) =
-        ndjson_with_retries(pool, cfg, &json!({"id": 0, "command": "server_info"}))?;
+    let (v, _) = ndjson_with_retries(pool, cfg, &json!({"id": 0, "command": "server_info"}))?;
     v.pointer("/result/info/validated_ledger/seq")
         .and_then(Value::as_u64)
         .ok_or_else(|| CrawlError::Protocol("missing validated_ledger.seq".into()))
@@ -265,11 +266,19 @@ pub fn fetch_account_meta(
                     .pointer("/result/parent")
                     .and_then(Value::as_str)
                     .and_then(|s| s.parse().ok());
-                out.push(AccountMeta { account: *a, username, parent });
+                out.push(AccountMeta {
+                    account: *a,
+                    username,
+                    parent,
+                });
             }
             // Unknown accounts simply have no metadata.
             Err(CrawlError::Protocol(e)) if e == "actNotFound" => {
-                out.push(AccountMeta { account: *a, username: None, parent: None });
+                out.push(AccountMeta {
+                    account: *a,
+                    username: None,
+                    parent: None,
+                });
             }
             Err(e) => return Err(e),
         }
@@ -317,7 +326,13 @@ pub fn fetch_exchanges(
             .and_then(Value::as_str)
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| CrawlError::Protocol("bad exchange drops".into()))?;
-        out.push(txstat_xrp::TradeRecord { time, currency: ic, iou_value, drops, maker });
+        out.push(txstat_xrp::TradeRecord {
+            time,
+            currency: ic,
+            iou_value,
+            drops,
+            maker,
+        });
     }
     Ok(out)
 }
@@ -336,7 +351,10 @@ pub fn fetch_exchange_rate(
         "date": date.iso_string(),
     });
     let (v, _) = ndjson_with_retries(pool, cfg, &req)?;
-    let traded = v.pointer("/result/traded").and_then(Value::as_bool).unwrap_or(false);
+    let traded = v
+        .pointer("/result/traded")
+        .and_then(Value::as_bool)
+        .unwrap_or(false);
     if !traded {
         return Ok(None);
     }

@@ -20,7 +20,10 @@ pub enum CrawlError {
     HttpStatus(u16),
     Protocol(String),
     /// All retries exhausted.
-    Exhausted { attempts: u32, last: String },
+    Exhausted {
+        attempts: u32,
+        last: String,
+    },
 }
 
 impl std::fmt::Display for CrawlError {
@@ -80,8 +83,7 @@ pub fn exchange<F: Framing>(
         sock.set_nodelay(true)?;
         sock.set_read_timeout(Some(timeout))?;
         sock.set_write_timeout(Some(timeout))?;
-        F::call(&mut BufReader::new(sock), request)
-            .map_err(|e| CrawlError::Protocol(e.to_string()))
+        F::call(&mut BufReader::new(sock), request).map_err(|e| CrawlError::Protocol(e.to_string()))
     })();
     if started.elapsed() > timeout {
         return Err(CrawlError::Timeout);
@@ -120,7 +122,10 @@ fn with_retries<F: Framing>(
             Err(e) => last = e.to_string(),
         }
     }
-    Err(CrawlError::Exhausted { attempts: cfg.max_retries, last })
+    Err(CrawlError::Exhausted {
+        attempts: cfg.max_retries,
+        last,
+    })
 }
 
 /// Issue an HTTP request with retries: `429` is throttling, any other

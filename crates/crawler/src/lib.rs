@@ -35,9 +35,9 @@ mod tests {
     use std::time::Duration;
     use txstat_netsim::handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
     use txstat_netsim::http::HttpRequest;
-    use txstat_netsim::Http;
     use txstat_netsim::server::{spawn_http, spawn_ndjson};
     use txstat_netsim::EndpointProfile;
+    use txstat_netsim::Http;
     use txstat_types::time::{ChainTime, Period};
     use txstat_workload::Scenario;
 
@@ -69,11 +69,17 @@ mod tests {
         }
         let advertised: Vec<Advertised> = handles
             .iter()
-            .map(|h| Advertised { name: h.name.clone(), addr: h.addr })
+            .map(|h| Advertised {
+                name: h.name.clone(),
+                addr: h.addr,
+            })
             .collect();
 
         // Benchmark with a cheap get_info probe.
-        let cfg = ClientConfig { request_timeout: Duration::from_secs(2), ..Default::default() };
+        let cfg = ClientConfig {
+            request_timeout: Duration::from_secs(2),
+            ..Default::default()
+        };
         let reports = benchmark_endpoints(&advertised, 3, |addr| {
             let started = std::time::Instant::now();
             let probe = HttpRequest::post("/v1/chain/get_info", b"{}".to_vec());
@@ -204,8 +210,14 @@ mod tests {
         let flaky = spawn_http(handler.clone(), p).unwrap();
         let good = spawn_http(handler.clone(), EndpointProfile::generous("good", 10)).unwrap();
         let pool = RotatingPool::new(vec![
-            Advertised { name: flaky.name.clone(), addr: flaky.addr },
-            Advertised { name: good.name.clone(), addr: good.addr },
+            Advertised {
+                name: flaky.name.clone(),
+                addr: flaky.addr,
+            },
+            Advertised {
+                name: good.name.clone(),
+                addr: good.addr,
+            },
         ]);
         let cfg = ClientConfig::default();
         let head = eos_head(&pool, &cfg).unwrap();

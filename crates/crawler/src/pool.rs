@@ -83,7 +83,10 @@ pub fn shortlist(reports: &[ProbeReport], keep: usize) -> Vec<Advertised> {
     reports
         .iter()
         .take(keep)
-        .map(|r| Advertised { name: r.name.clone(), addr: r.addr })
+        .map(|r| Advertised {
+            name: r.name.clone(),
+            addr: r.addr,
+        })
         .collect()
 }
 
@@ -97,7 +100,10 @@ pub struct RotatingPool {
 impl RotatingPool {
     pub fn new(endpoints: Vec<Advertised>) -> Self {
         assert!(!endpoints.is_empty(), "pool must not be empty");
-        RotatingPool { endpoints, next: AtomicUsize::new(0) }
+        RotatingPool {
+            endpoints,
+            next: AtomicUsize::new(0),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -126,14 +132,23 @@ mod tests {
     #[test]
     fn benchmark_ranks_by_success_then_latency() {
         let eps = vec![
-            Advertised { name: "flaky".into(), addr: addr(1) },
-            Advertised { name: "fast".into(), addr: addr(2) },
-            Advertised { name: "slow".into(), addr: addr(3) },
+            Advertised {
+                name: "flaky".into(),
+                addr: addr(1),
+            },
+            Advertised {
+                name: "fast".into(),
+                addr: addr(2),
+            },
+            Advertised {
+                name: "slow".into(),
+                addr: addr(3),
+            },
         ];
         let reports = benchmark_endpoints(&eps, 4, |a| match a.port() {
-            1 => Err(()),                                   // always fails
-            2 => Ok(Duration::from_millis(2)),              // fast
-            _ => Ok(Duration::from_millis(50)),             // slow
+            1 => Err(()),                       // always fails
+            2 => Ok(Duration::from_millis(2)),  // fast
+            _ => Ok(Duration::from_millis(50)), // slow
         });
         assert_eq!(reports[0].name, "fast");
         assert_eq!(reports[1].name, "slow");
@@ -147,8 +162,14 @@ mod tests {
     #[test]
     fn rotation_cycles() {
         let pool = RotatingPool::new(vec![
-            Advertised { name: "a".into(), addr: addr(1) },
-            Advertised { name: "b".into(), addr: addr(2) },
+            Advertised {
+                name: "a".into(),
+                addr: addr(1),
+            },
+            Advertised {
+                name: "b".into(),
+                addr: addr(2),
+            },
         ]);
         let seq: Vec<String> = (0..4).map(|_| pool.pick().name.clone()).collect();
         assert_eq!(seq, vec!["a", "b", "a", "b"]);

@@ -31,8 +31,8 @@ impl CrawlStats {
         if self.sampled_bytes == 0 {
             return 0;
         }
-        (self.wire_bytes as f64 * self.sampled_compressed_bytes as f64
-            / self.sampled_bytes as f64) as u64
+        (self.wire_bytes as f64 * self.sampled_compressed_bytes as f64 / self.sampled_bytes as f64)
+            as u64
     }
 
     /// Observed compression ratio on the sample.
@@ -55,8 +55,7 @@ impl CrawlStats {
         self.wire_bytes += payload.len() as u64;
         if Self::is_sampled(index) {
             self.sampled_bytes += payload.len() as u64;
-            self.sampled_compressed_bytes +=
-                txstat_types::lzss::compressed_len(payload) as u64;
+            self.sampled_compressed_bytes += txstat_types::lzss::compressed_len(payload) as u64;
         }
     }
 
@@ -64,7 +63,10 @@ impl CrawlStats {
     /// [`CrawlStats::record_payload`] makes of it, without the bytes.
     /// Panics on a sampled `index`, whose bytes must be compressed.
     pub fn record_len(&mut self, index: u64, len: usize) {
-        assert!(!Self::is_sampled(index), "payload {index} is a compression sample");
+        assert!(
+            !Self::is_sampled(index),
+            "payload {index} is a compression sample"
+        );
         self.wire_bytes += len as u64;
     }
 
@@ -125,8 +127,18 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = CrawlStats { blocks: 1, transactions: 2, wire_bytes: 10, ..Default::default() };
-        let b = CrawlStats { blocks: 3, transactions: 4, wire_bytes: 30, ..Default::default() };
+        let mut a = CrawlStats {
+            blocks: 1,
+            transactions: 2,
+            wire_bytes: 10,
+            ..Default::default()
+        };
+        let b = CrawlStats {
+            blocks: 3,
+            transactions: 4,
+            wire_bytes: 30,
+            ..Default::default()
+        };
         a.merge(&b);
         assert_eq!(a.blocks, 4);
         assert_eq!(a.transactions, 6);

@@ -87,10 +87,20 @@ impl AccountRegistry {
             "eosio.prods",
         ];
         for n in privileged {
-            r.insert_raw(Name::new(n), AccountKind::SystemPrivileged, Name::new("eosio"), genesis);
+            r.insert_raw(
+                Name::new(n),
+                AccountKind::SystemPrivileged,
+                Name::new("eosio"),
+                genesis,
+            );
         }
         for n in system {
-            r.insert_raw(Name::new(n), AccountKind::System, Name::new("eosio"), genesis);
+            r.insert_raw(
+                Name::new(n),
+                AccountKind::System,
+                Name::new("eosio"),
+                genesis,
+            );
         }
         r
     }
@@ -171,7 +181,8 @@ impl AccountRegistry {
             .accounts
             .get_mut(&account)
             .ok_or(AccountError::UnknownAccount(account))?;
-        a.links.retain(|(c, act, _)| !(*c == contract && *act == action));
+        a.links
+            .retain(|(c, act, _)| !(*c == contract && *act == action));
         a.links.push((contract, action, permission));
         Ok(())
     }
@@ -194,7 +205,10 @@ impl AccountRegistry {
         match self.bids.get_mut(&newname) {
             Some(b) => {
                 if bid < b.high_bid + b.high_bid / 10 {
-                    return Err(AccountError::BidTooLow { newname, high: b.high_bid });
+                    return Err(AccountError::BidTooLow {
+                        newname,
+                        high: b.high_bid,
+                    });
                 }
                 b.high_bidder = bidder;
                 b.high_bid = bid;
@@ -203,7 +217,11 @@ impl AccountRegistry {
             None => {
                 self.bids.insert(
                     newname,
-                    NameBid { high_bidder: bidder, high_bid: bid, last_bid_time: at },
+                    NameBid {
+                        high_bidder: bidder,
+                        high_bid: bid,
+                        last_bid_time: at,
+                    },
                 );
             }
         }
@@ -237,7 +255,8 @@ mod tests {
     #[test]
     fn create_accounts() {
         let mut r = AccountRegistry::with_system_accounts(t0());
-        r.create(Name::new("eosio"), Name::new("alice"), t0()).unwrap();
+        r.create(Name::new("eosio"), Name::new("alice"), t0())
+            .unwrap();
         assert!(r.exists(Name::new("alice")));
         assert_eq!(
             r.create(Name::new("eosio"), Name::new("alice"), t0()),
@@ -255,8 +274,10 @@ mod tests {
     #[test]
     fn auth_management() {
         let mut r = AccountRegistry::with_system_accounts(t0());
-        r.create(Name::new("eosio"), Name::new("alice"), t0()).unwrap();
-        r.update_auth(Name::new("alice"), Name::new("trading")).unwrap();
+        r.create(Name::new("eosio"), Name::new("alice"), t0())
+            .unwrap();
+        r.update_auth(Name::new("alice"), Name::new("trading"))
+            .unwrap();
         r.link_auth(
             Name::new("alice"),
             Name::new("whaleextrust"),
@@ -281,14 +302,17 @@ mod tests {
     #[test]
     fn name_auction_rules() {
         let mut r = AccountRegistry::with_system_accounts(t0());
-        r.create(Name::new("eosio"), Name::new("alice"), t0()).unwrap();
-        r.bid_name(Name::new("alice"), Name::new("bank"), 100_0000, t0()).unwrap();
+        r.create(Name::new("eosio"), Name::new("alice"), t0())
+            .unwrap();
+        r.bid_name(Name::new("alice"), Name::new("bank"), 100_0000, t0())
+            .unwrap();
         // Must outbid by 10%.
         assert!(matches!(
             r.bid_name(Name::new("alice"), Name::new("bank"), 105_0000, t0()),
             Err(AccountError::BidTooLow { .. })
         ));
-        r.bid_name(Name::new("alice"), Name::new("bank"), 110_0000, t0()).unwrap();
+        r.bid_name(Name::new("alice"), Name::new("bank"), 110_0000, t0())
+            .unwrap();
         assert_eq!(r.bid_for(Name::new("bank")).unwrap().high_bid, 110_0000);
         // Dotted names aren't biddable.
         assert!(matches!(

@@ -92,7 +92,12 @@ fn normalized(a: &Action) -> ActionData {
 fn encode_data(w: &mut ColWriter, t: &mut Tables, data: &ActionData) {
     match data {
         ActionData::Generic => w.byte(DATA_GENERIC),
-        ActionData::Transfer { from, to, symbol, amount } => {
+        ActionData::Transfer {
+            from,
+            to,
+            symbol,
+            amount,
+        } => {
             w.byte(DATA_TRANSFER);
             w.u32(t.name(*from));
             w.u32(t.name(*to));
@@ -120,44 +125,73 @@ fn encode_data(w: &mut ColWriter, t: &mut Tables, data: &ActionData) {
             w.u32(t.name(*creator));
             w.u32(t.name(*name));
         }
-        ActionData::DelegateBw { from, receiver, net, cpu } => {
+        ActionData::DelegateBw {
+            from,
+            receiver,
+            net,
+            cpu,
+        } => {
             w.byte(DATA_DELEGATE_BW);
             w.u32(t.name(*from));
             w.u32(t.name(*receiver));
             w.i64(*net);
             w.i64(*cpu);
         }
-        ActionData::UndelegateBw { from, receiver, net, cpu } => {
+        ActionData::UndelegateBw {
+            from,
+            receiver,
+            net,
+            cpu,
+        } => {
             w.byte(DATA_UNDELEGATE_BW);
             w.u32(t.name(*from));
             w.u32(t.name(*receiver));
             w.i64(*net);
             w.i64(*cpu);
         }
-        ActionData::BuyRam { payer, receiver, quant } => {
+        ActionData::BuyRam {
+            payer,
+            receiver,
+            quant,
+        } => {
             w.byte(DATA_BUY_RAM);
             w.u32(t.name(*payer));
             w.u32(t.name(*receiver));
             w.i64(*quant);
         }
-        ActionData::BuyRamBytes { payer, receiver, bytes } => {
+        ActionData::BuyRamBytes {
+            payer,
+            receiver,
+            bytes,
+        } => {
             w.byte(DATA_BUY_RAM_BYTES);
             w.u32(t.name(*payer));
             w.u32(t.name(*receiver));
             w.u64(*bytes);
         }
-        ActionData::BidName { bidder, newname, bid } => {
+        ActionData::BidName {
+            bidder,
+            newname,
+            bid,
+        } => {
             w.byte(DATA_BID_NAME);
             w.u32(t.name(*bidder));
             w.u32(t.name(*newname));
             w.i64(*bid);
         }
-        ActionData::VoteProducer { voter, producer_count } => {
+        ActionData::VoteProducer {
+            voter,
+            producer_count,
+        } => {
             w.byte(DATA_VOTE_PRODUCER);
             w.u32(t.name(*voter));
             w.byte(*producer_count);
         }
-        ActionData::RentCpu { from, receiver, payment } => {
+        ActionData::RentCpu {
+            from,
+            receiver,
+            payment,
+        } => {
             w.byte(DATA_RENT_CPU);
             w.u32(t.name(*from));
             w.u32(t.name(*receiver));
@@ -294,7 +328,9 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<Block>, ColError> {
     let mut r = ColReader::new(bytes);
     let tag = r.byte()?;
     if tag != SCHEMA_TAG {
-        return Err(r.invalid(format!("bad eos column schema tag {tag} (want {SCHEMA_TAG})")));
+        return Err(r.invalid(format!(
+            "bad eos column schema tag {tag} (want {SCHEMA_TAG})"
+        )));
     }
     let mut names = Vec::new();
     for _ in 0..r.len(1)? {
@@ -303,9 +339,7 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<Block>, ColError> {
     let mut syms = Vec::new();
     for _ in 0..r.len(1)? {
         let s = r.str()?;
-        syms.push(
-            SymCode::try_new(s).map_err(|e| r.invalid(format!("symbol table: {e}")))?,
-        );
+        syms.push(SymCode::try_new(s).map_err(|e| r.invalid(format!("symbol table: {e}")))?);
     }
     let mut blocks = Vec::new();
     for _ in 0..r.len(4)? {
@@ -326,7 +360,12 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<Block>, ColError> {
                 let name = read_name(&mut r, &names)?;
                 let actor = read_name(&mut r, &names)?;
                 let data = decode_data(&mut r, &names, &syms)?;
-                actions.push(Action { contract, name, actor, data });
+                actions.push(Action {
+                    contract,
+                    name,
+                    actor,
+                    data,
+                });
             }
             transactions.push(Transaction {
                 id,
@@ -335,7 +374,12 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<Block>, ColError> {
                 net_bytes: net_words * 8,
             });
         }
-        blocks.push(Block { num, time, producer, transactions });
+        blocks.push(Block {
+            num,
+            time,
+            producer,
+            transactions,
+        });
     }
     r.finish()?;
     Ok(blocks)
@@ -415,7 +459,10 @@ mod tests {
     fn truncation_and_damage_are_typed() {
         let bytes = encode_blocks(&sample());
         for cut in 0..bytes.len() {
-            assert!(decode_blocks(&bytes[..cut]).is_err(), "cut at {cut} must fail");
+            assert!(
+                decode_blocks(&bytes[..cut]).is_err(),
+                "cut at {cut} must fail"
+            );
         }
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;

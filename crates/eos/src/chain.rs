@@ -49,13 +49,31 @@ impl ProducerSchedule {
     /// A deterministic default set of 21 producers.
     pub(crate) fn default_producers() -> Self {
         let names = [
-            "eosbpone1111", "eosbptwo1111", "eosbpthree11", "eosbpfour111", "eosbpfive111",
-            "eosbpsix1111", "eosbpseven11", "eosbpeight11", "eosbpnine111", "eosbpten1111",
-            "eosbpeleven1", "eosbptwelve1", "eosbpthirt11", "eosbpfourt11", "eosbpfift111",
-            "eosbpsixt111", "eosbpsevent1", "eosbpeigteen", "eosbpninet11", "eosbptwenty1",
+            "eosbpone1111",
+            "eosbptwo1111",
+            "eosbpthree11",
+            "eosbpfour111",
+            "eosbpfive111",
+            "eosbpsix1111",
+            "eosbpseven11",
+            "eosbpeight11",
+            "eosbpnine111",
+            "eosbpten1111",
+            "eosbpeleven1",
+            "eosbptwelve1",
+            "eosbpthirt11",
+            "eosbpfourt11",
+            "eosbpfift111",
+            "eosbpsixt111",
+            "eosbpsevent1",
+            "eosbpeigteen",
+            "eosbpninet11",
+            "eosbptwenty1",
             "eosbptwone11",
         ];
-        ProducerSchedule { active: names.iter().map(|n| Name::new(n)).collect() }
+        ProducerSchedule {
+            active: names.iter().map(|n| Name::new(n)).collect(),
+        }
     }
 
     /// Producer for an absolute slot index.
@@ -181,11 +199,23 @@ impl EosChain {
 
     /// Apply one action against state, returning any inline actions it
     /// spawned (the EIDOS refund + payout pattern).
-    fn apply_action(state: &mut State, action: &Action, now: ChainTime) -> Result<Vec<Action>, EosError> {
+    fn apply_action(
+        state: &mut State,
+        action: &Action,
+        now: ChainTime,
+    ) -> Result<Vec<Action>, EosError> {
         let mut inline = Vec::new();
         match &action.data {
-            ActionData::Transfer { from, to, symbol, amount } => {
-                let token = TokenId { contract: action.contract, symbol: *symbol };
+            ActionData::Transfer {
+                from,
+                to,
+                symbol,
+                amount,
+            } => {
+                let token = TokenId {
+                    contract: action.contract,
+                    symbol: *symbol,
+                };
                 state.tokens.transfer(token, *from, *to, *amount)?;
                 // Airdrop hook: contract refunds EOS and pays its token.
                 if token == TokenId::eos() {
@@ -193,7 +223,9 @@ impl EosChain {
                         let contract_acct = *to;
                         let miner = *from;
                         // Refund the boomeranged EOS.
-                        state.tokens.transfer(token, contract_acct, miner, *amount)?;
+                        state
+                            .tokens
+                            .transfer(token, contract_acct, miner, *amount)?;
                         inline.push(Action::token_transfer(
                             Name::new("eosio.token"),
                             contract_acct,
@@ -203,9 +235,12 @@ impl EosChain {
                         ));
                         // Pay out payout_ppm of current holdings.
                         let holdings = state.tokens.balance(contract_acct, spec.token);
-                        let payout = (holdings as i128 * spec.payout_ppm as i128 / 1_000_000) as i64;
+                        let payout =
+                            (holdings as i128 * spec.payout_ppm as i128 / 1_000_000) as i64;
                         if payout > 0 {
-                            state.tokens.transfer(spec.token, contract_acct, miner, payout)?;
+                            state
+                                .tokens
+                                .transfer(spec.token, contract_acct, miner, payout)?;
                             inline.push(Action::token_transfer(
                                 spec.token.contract,
                                 contract_acct,
@@ -221,22 +256,36 @@ impl EosChain {
                 state.accounts.create(*creator, *name, now)?;
                 state.resources.grant_ram(*name, 4096);
             }
-            ActionData::DelegateBw { receiver, net, cpu, .. } => {
+            ActionData::DelegateBw {
+                receiver, net, cpu, ..
+            } => {
                 state.resources.delegate(*receiver, *net, *cpu)?;
             }
-            ActionData::UndelegateBw { receiver, net, cpu, .. } => {
+            ActionData::UndelegateBw {
+                receiver, net, cpu, ..
+            } => {
                 state.resources.undelegate(*receiver, *net, *cpu)?;
             }
-            ActionData::BuyRam { receiver, quant, .. } => {
+            ActionData::BuyRam {
+                receiver, quant, ..
+            } => {
                 state.resources.buy_ram_eos(*receiver, *quant)?;
             }
-            ActionData::BuyRamBytes { receiver, bytes, .. } => {
+            ActionData::BuyRamBytes {
+                receiver, bytes, ..
+            } => {
                 state.resources.grant_ram(*receiver, *bytes);
             }
-            ActionData::BidName { bidder, newname, bid } => {
+            ActionData::BidName {
+                bidder,
+                newname,
+                bid,
+            } => {
                 state.accounts.bid_name(*bidder, *newname, *bid, now)?;
             }
-            ActionData::RentCpu { receiver, payment, .. } => {
+            ActionData::RentCpu {
+                receiver, payment, ..
+            } => {
                 state.resources.rent_cpu(*receiver, *payment, now)?;
             }
             // Pure-signal actions: no ledger effect. WhaleEx `verifytrade2`
@@ -251,9 +300,15 @@ impl EosChain {
     /// Inline actions spawned during execution (EIDOS refund/payout) have
     /// already taken effect inside `apply_action`; here they are
     /// only appended to the executed trace, right after their parent.
-    pub(crate) fn apply_transaction(&mut self, tx: &mut Transaction, now: ChainTime) -> Result<Receipt, EosError> {
+    pub(crate) fn apply_transaction(
+        &mut self,
+        tx: &mut Transaction,
+        now: ChainTime,
+    ) -> Result<Receipt, EosError> {
         let payer = tx.payer().ok_or(EosError::EmptyTransaction)?;
-        self.state.resources.charge_cpu(payer, tx.cpu_us as u64, now)?;
+        self.state
+            .resources
+            .charge_cpu(payer, tx.cpu_us as u64, now)?;
         let mut trace = Vec::with_capacity(tx.actions.len());
         for action in &tx.actions {
             let inline = Self::apply_action(&mut self.state, action, now)?;
@@ -261,7 +316,10 @@ impl EosChain {
             trace.extend(inline);
         }
         tx.actions = trace;
-        Ok(Receipt { tx_id: tx.id, executed_actions: tx.actions.len() })
+        Ok(Receipt {
+            tx_id: tx.id,
+            executed_actions: tx.actions.len(),
+        })
     }
 
     /// Produce the next block from candidate transactions. Transactions that
@@ -289,14 +347,23 @@ impl EosChain {
             }
         }
         self.state.resources.on_block(block_cpu);
-        self.cpu_price_history.push((num, self.state.resources.cpu_price_index()));
-        self.blocks.push(Block { num, time, producer, transactions: included });
+        self.cpu_price_history
+            .push((num, self.state.resources.cpu_price_index()));
+        self.blocks.push(Block {
+            num,
+            time,
+            producer,
+            transactions: included,
+        });
         self.blocks.last().expect("just pushed")
     }
 
     /// Total transactions across all blocks.
     pub fn tx_count(&self) -> u64 {
-        self.blocks.iter().map(|b| b.transactions.len() as u64).sum()
+        self.blocks
+            .iter()
+            .map(|b| b.transactions.len() as u64)
+            .sum()
     }
 
     /// Total actions across all blocks.
@@ -318,18 +385,30 @@ mod tests {
         cfg.resources.max_block_cpu_us = 200_000;
         let mut chain = EosChain::new(cfg);
         // Fund a couple of users.
-        for (name, amount) in [("alice", 1_000_0000i64), ("bob", 1_000_0000), ("eidosonecoin", 1_0000)] {
+        for (name, amount) in [
+            ("alice", 1_000_0000i64),
+            ("bob", 1_000_0000),
+            ("eidosonecoin", 1_0000),
+        ] {
             chain
                 .state
                 .accounts
-                .create(Name::new("eosio"), Name::new(name), chain.config.genesis_time)
+                .create(
+                    Name::new("eosio"),
+                    Name::new(name),
+                    chain.config.genesis_time,
+                )
                 .unwrap();
             chain
                 .state
                 .tokens
                 .transfer(TokenId::eos(), Name::new("eosio"), Name::new(name), amount)
                 .unwrap();
-            chain.state.resources.delegate(Name::new(name), 10_0000, 10_0000).unwrap();
+            chain
+                .state
+                .resources
+                .delegate(Name::new(name), 10_0000, 10_0000)
+                .unwrap();
         }
         chain
     }
@@ -405,10 +484,13 @@ mod tests {
             token: Some(eidos),
             description: "EIDOS",
         });
-        chain
-            .state
-            .contracts
-            .attach_airdrop(Name::new("eidosonecoin"), AirdropSpec { token: eidos, payout_ppm: 100 });
+        chain.state.contracts.attach_airdrop(
+            Name::new("eidosonecoin"),
+            AirdropSpec {
+                token: eidos,
+                payout_ppm: 100,
+            },
+        );
 
         chain.produce_block(vec![transfer_tx("alice", "eidosonecoin", 1_0000)]);
         let block = chain.blocks().last().unwrap();
@@ -417,7 +499,10 @@ mod tests {
         assert_eq!(tx.actions.len(), 3);
         // Alice's EOS balance unchanged (boomerang).
         assert_eq!(
-            chain.state.tokens.balance(Name::new("alice"), TokenId::eos()),
+            chain
+                .state
+                .tokens
+                .balance(Name::new("alice"), TokenId::eos()),
             1_000_0000
         );
         // Alice received 0.01% of holdings.
@@ -452,7 +537,10 @@ mod tests {
                 Name::new("eosio"),
                 Name::new("newaccount"),
                 Name::new("alice"),
-                ActionData::NewAccount { creator: Name::new("alice"), name: Name::new("carol") },
+                ActionData::NewAccount {
+                    creator: Name::new("alice"),
+                    name: Name::new("carol"),
+                },
             )],
             cpu_us: 400,
             net_bytes: 256,

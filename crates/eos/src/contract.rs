@@ -139,8 +139,14 @@ mod tests {
                 payout_ppm: 100,
             },
         );
-        assert_eq!(r.category_of(Name::new("betdicetasks")), Some(AppCategory::Betting));
-        assert_eq!(r.airdrop(Name::new("eidosonecoin")).unwrap().payout_ppm, 100);
+        assert_eq!(
+            r.category_of(Name::new("betdicetasks")),
+            Some(AppCategory::Betting)
+        );
+        assert_eq!(
+            r.airdrop(Name::new("eidosonecoin")).unwrap().payout_ppm,
+            100
+        );
         assert!(r.airdrop(Name::new("betdicetasks")).is_none());
         assert_eq!(r.len(), 2);
     }
@@ -150,7 +156,14 @@ mod tests {
         let labels: Vec<&str> = AppCategory::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(
             labels,
-            vec!["Exchange", "Betting", "Games", "Pornography", "Tokens", "Others"]
+            vec![
+                "Exchange",
+                "Betting",
+                "Games",
+                "Pornography",
+                "Tokens",
+                "Others"
+            ]
         );
     }
 }

@@ -89,10 +89,17 @@ impl Name {
     /// writer all go through here.
     pub fn encode(self, buf: &mut [u8; Self::MAX_LEN]) -> &str {
         for (i, c) in buf.iter_mut().enumerate() {
-            let sym = if i == 12 { self.0 & 0x0f } else { (self.0 >> (59 - 5 * i)) & 0x1f };
+            let sym = if i == 12 {
+                self.0 & 0x0f
+            } else {
+                (self.0 >> (59 - 5 * i)) & 0x1f
+            };
             *c = CHARMAP[sym as usize];
         }
-        let len = buf.iter().rposition(|c| *c != b'.').map_or(0, |last| last + 1);
+        let len = buf
+            .iter()
+            .rposition(|c| *c != b'.')
+            .map_or(0, |last| last + 1);
         std::str::from_utf8(&buf[..len]).expect("charmap is ASCII")
     }
 
@@ -192,7 +199,10 @@ mod tests {
     fn thirteenth_char() {
         let n = Name::new("aaaaaaaaaaaaj");
         assert_eq!(n.to_string_repr(), "aaaaaaaaaaaaj");
-        assert_eq!(Name::parse("aaaaaaaaaaaak"), Err(NameError::Bad13thChar('k')));
+        assert_eq!(
+            Name::parse("aaaaaaaaaaaak"),
+            Err(NameError::Bad13thChar('k'))
+        );
     }
 
     #[test]
@@ -237,7 +247,17 @@ mod tests {
 
     #[test]
     fn text_matches_the_reference_at_the_edges() {
-        for raw in [0, 1, 0x0f, 0x10, 1 << 4, 1 << 59, 1 << 63, u64::MAX - 1, u64::MAX] {
+        for raw in [
+            0,
+            1,
+            0x0f,
+            0x10,
+            1 << 4,
+            1 << 59,
+            1 << 63,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
             check_text(Name(raw));
         }
         // Empty, 13 characters, inner and trailing dots: only the trailing
@@ -260,7 +280,12 @@ mod tests {
         }
         // The text lengths at the edges: empty, twelve full symbols, the
         // thirteenth.
-        for (s, len) in [("", 0), ("a", 1), ("zzzzzzzzzzzz", 12), ("aaaaaaaaaaaaj", 13)] {
+        for (s, len) in [
+            ("", 0),
+            ("a", 1),
+            ("zzzzzzzzzzzz", 12),
+            ("aaaaaaaaaaaaj", 13),
+        ] {
             assert_eq!(Name::new(s).text_len(), len, "{s:?}");
         }
     }

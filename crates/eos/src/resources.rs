@@ -84,17 +84,33 @@ pub(crate) struct Rental {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResourceError {
     /// The account exhausted its CPU allowance (tx_cpu_usage_exceeded).
-    CpuExceeded { account: Name, used_us: u64, limit_us: u64 },
-    NetExceeded { account: Name },
-    InsufficientStake { account: Name },
-    InsufficientRam { account: Name, need: u64, have: u64 },
+    CpuExceeded {
+        account: Name,
+        used_us: u64,
+        limit_us: u64,
+    },
+    NetExceeded {
+        account: Name,
+    },
+    InsufficientStake {
+        account: Name,
+    },
+    InsufficientRam {
+        account: Name,
+        need: u64,
+        have: u64,
+    },
     BadAmount,
 }
 
 impl std::fmt::Display for ResourceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ResourceError::CpuExceeded { account, used_us, limit_us } => write!(
+            ResourceError::CpuExceeded {
+                account,
+                used_us,
+                limit_us,
+            } => write!(
                 f,
                 "tx_cpu_usage_exceeded: {account} used {used_us}us of {limit_us}us"
             ),
@@ -102,7 +118,11 @@ impl std::fmt::Display for ResourceError {
             ResourceError::InsufficientStake { account } => {
                 write!(f, "insufficient stake for {account}")
             }
-            ResourceError::InsufficientRam { account, need, have } => {
+            ResourceError::InsufficientRam {
+                account,
+                need,
+                have,
+            } => {
                 write!(f, "{account} needs {need} RAM bytes, has {have}")
             }
             ResourceError::BadAmount => write!(f, "amount must be positive"),
@@ -124,7 +144,11 @@ pub struct RamMarket {
 
 impl RamMarket {
     pub fn new(ram_reserve_bytes: u64, eos_reserve: AssetRaw) -> Self {
-        RamMarket { ram_reserve_bytes, eos_reserve, fee_bps: 50 }
+        RamMarket {
+            ram_reserve_bytes,
+            eos_reserve,
+            fee_bps: 50,
+        }
     }
 
     /// Bytes received for `eos_in`; updates reserves.
@@ -200,7 +224,12 @@ impl ResourceState {
 
     // ---- staking -------------------------------------------------------
 
-    pub fn delegate(&mut self, receiver: Name, net: AssetRaw, cpu: AssetRaw) -> Result<(), ResourceError> {
+    pub fn delegate(
+        &mut self,
+        receiver: Name,
+        net: AssetRaw,
+        cpu: AssetRaw,
+    ) -> Result<(), ResourceError> {
         if net < 0 || cpu < 0 || (net == 0 && cpu == 0) {
             return Err(ResourceError::BadAmount);
         }
@@ -210,7 +239,12 @@ impl ResourceState {
         Ok(())
     }
 
-    pub(crate) fn undelegate(&mut self, receiver: Name, net: AssetRaw, cpu: AssetRaw) -> Result<(), ResourceError> {
+    pub(crate) fn undelegate(
+        &mut self,
+        receiver: Name,
+        net: AssetRaw,
+        cpu: AssetRaw,
+    ) -> Result<(), ResourceError> {
         if net < 0 || cpu < 0 || (net == 0 && cpu == 0) {
             return Err(ResourceError::BadAmount);
         }
@@ -227,7 +261,12 @@ impl ResourceState {
 
     /// REX `rentcpu`: the payment grants a stake-equivalent weight
     /// (10× leverage here, roughly mainnet's rental efficiency) for 30 days.
-    pub(crate) fn rent_cpu(&mut self, receiver: Name, payment: AssetRaw, now: ChainTime) -> Result<(), ResourceError> {
+    pub(crate) fn rent_cpu(
+        &mut self,
+        receiver: Name,
+        payment: AssetRaw,
+        now: ChainTime,
+    ) -> Result<(), ResourceError> {
         if payment <= 0 {
             return Err(ResourceError::BadAmount);
         }
@@ -281,11 +320,20 @@ impl ResourceState {
 
     /// Bill `us` of CPU to `account`; fails with `CpuExceeded` if the
     /// account is over its allowance.
-    pub fn charge_cpu(&mut self, account: Name, us: u64, now: ChainTime) -> Result<(), ResourceError> {
+    pub fn charge_cpu(
+        &mut self,
+        account: Name,
+        us: u64,
+        now: ChainTime,
+    ) -> Result<(), ResourceError> {
         let limit = self.cpu_limit_us(account, now);
         let used = self.cpu_used_us(account, now);
         if used + us > limit {
-            return Err(ResourceError::CpuExceeded { account, used_us: used + us, limit_us: limit });
+            return Err(ResourceError::CpuExceeded {
+                account,
+                used_us: used + us,
+                limit_us: limit,
+            });
         }
         self.usage
             .entry(account)
@@ -344,7 +392,11 @@ impl ResourceState {
         let quota = self.ram_bytes.get(&account).copied().unwrap_or(0);
         let used = self.ram_used.entry(account).or_insert(0);
         if *used + bytes > quota {
-            return Err(ResourceError::InsufficientRam { account, need: *used + bytes, have: quota });
+            return Err(ResourceError::InsufficientRam {
+                account,
+                need: *used + bytes,
+                have: quota,
+            });
         }
         *used += bytes;
         Ok(())
@@ -402,7 +454,10 @@ mod tests {
         // After half a window, half the usage has decayed.
         let t1 = t0 + 500;
         let used = r.cpu_used_us(Name::new("alice"), t1);
-        assert!((used as i64 - (limit / 2) as i64).abs() <= 1, "used={used} limit={limit}");
+        assert!(
+            (used as i64 - (limit / 2) as i64).abs() <= 1,
+            "used={used} limit={limit}"
+        );
         r.charge_cpu(Name::new("alice"), limit / 4, t1).unwrap();
         // After a full window from t0 the old usage is gone.
         let t2 = t0 + 1500;
@@ -427,8 +482,10 @@ mod tests {
         // The §4.1 responsiveness knob at mainnet scale: hot blocks collapse
         // the relaxed 1000× limit after ⌈ln 1000 / −ln ratio⌉ of them.
         for (ratio, flip_after) in [(0.99, 688), (0.97, 227), (0.92, 83)] {
-            let mut r =
-                ResourceState::new(ResourceConfig { contract_ratio: ratio, ..Default::default() });
+            let mut r = ResourceState::new(ResourceConfig {
+                contract_ratio: ratio,
+                ..Default::default()
+            });
             let flipped = (1..=10_000).find(|_| {
                 r.on_block(10_000_000);
                 r.congested()

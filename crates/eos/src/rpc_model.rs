@@ -89,7 +89,12 @@ pub(crate) fn action_data_from_json(action_name: &str, v: &Value) -> ActionData 
                 name_field(v, "to"),
                 asset_field(v, "quantity"),
             ) {
-                return ActionData::Transfer { from, to, symbol, amount };
+                return ActionData::Transfer {
+                    from,
+                    to,
+                    symbol,
+                    amount,
+                };
             }
             ActionData::Generic
         }
@@ -124,7 +129,12 @@ pub(crate) fn action_data_from_json(action_name: &str, v: &Value) -> ActionData 
                 asset_field(v, "stake_net_quantity"),
                 asset_field(v, "stake_cpu_quantity"),
             ) {
-                return ActionData::DelegateBw { from, receiver, net, cpu };
+                return ActionData::DelegateBw {
+                    from,
+                    receiver,
+                    net,
+                    cpu,
+                };
             }
             ActionData::Generic
         }
@@ -135,7 +145,12 @@ pub(crate) fn action_data_from_json(action_name: &str, v: &Value) -> ActionData 
                 asset_field(v, "unstake_net_quantity"),
                 asset_field(v, "unstake_cpu_quantity"),
             ) {
-                return ActionData::UndelegateBw { from, receiver, net, cpu };
+                return ActionData::UndelegateBw {
+                    from,
+                    receiver,
+                    net,
+                    cpu,
+                };
             }
             ActionData::Generic
         }
@@ -145,7 +160,11 @@ pub(crate) fn action_data_from_json(action_name: &str, v: &Value) -> ActionData 
                 name_field(v, "receiver"),
                 asset_field(v, "quant"),
             ) {
-                return ActionData::BuyRam { payer, receiver, quant };
+                return ActionData::BuyRam {
+                    payer,
+                    receiver,
+                    quant,
+                };
             }
             ActionData::Generic
         }
@@ -155,7 +174,11 @@ pub(crate) fn action_data_from_json(action_name: &str, v: &Value) -> ActionData 
                 name_field(v, "receiver"),
                 v.get("bytes").and_then(Value::as_u64),
             ) {
-                return ActionData::BuyRamBytes { payer, receiver, bytes };
+                return ActionData::BuyRamBytes {
+                    payer,
+                    receiver,
+                    bytes,
+                };
             }
             ActionData::Generic
         }
@@ -165,7 +188,11 @@ pub(crate) fn action_data_from_json(action_name: &str, v: &Value) -> ActionData 
                 name_field(v, "newname"),
                 asset_field(v, "bid"),
             ) {
-                return ActionData::BidName { bidder, newname, bid };
+                return ActionData::BidName {
+                    bidder,
+                    newname,
+                    bid,
+                };
             }
             ActionData::Generic
         }
@@ -174,7 +201,10 @@ pub(crate) fn action_data_from_json(action_name: &str, v: &Value) -> ActionData 
                 name_field(v, "voter"),
                 v.get("producer_count").and_then(Value::as_u64),
             ) {
-                return ActionData::VoteProducer { voter, producer_count: n as u8 };
+                return ActionData::VoteProducer {
+                    voter,
+                    producer_count: n as u8,
+                };
             }
             ActionData::Generic
         }
@@ -184,7 +214,11 @@ pub(crate) fn action_data_from_json(action_name: &str, v: &Value) -> ActionData 
                 name_field(v, "receiver"),
                 asset_field(v, "loan_payment"),
             ) {
-                return ActionData::RentCpu { from, receiver, payment };
+                return ActionData::RentCpu {
+                    from,
+                    receiver,
+                    payment,
+                };
             }
             ActionData::Generic
         }
@@ -201,8 +235,8 @@ pub(crate) fn block_from_json(json: &BlockJson) -> Result<Block, String> {
     let producer = parse_name(&json.producer)?;
     let mut transactions = Vec::with_capacity(json.transactions.len());
     for w in &json.transactions {
-        let id = u64::from_str_radix(&w.trx.id, 16)
-            .map_err(|_| format!("bad tx id {:?}", w.trx.id))?;
+        let id =
+            u64::from_str_radix(&w.trx.id, 16).map_err(|_| format!("bad tx id {:?}", w.trx.id))?;
         let mut actions = Vec::with_capacity(w.trx.transaction.actions.len());
         for aj in &w.trx.transaction.actions {
             let contract = parse_name(&aj.account)?;
@@ -214,7 +248,12 @@ pub(crate) fn block_from_json(json: &BlockJson) -> Result<Block, String> {
                 .transpose()?
                 .unwrap_or_default();
             let data = action_data_from_json(&aj.name, &aj.data);
-            actions.push(Action { contract, name, actor, data });
+            actions.push(Action {
+                contract,
+                name,
+                actor,
+                data,
+            });
         }
         transactions.push(Transaction {
             id,
@@ -223,7 +262,12 @@ pub(crate) fn block_from_json(json: &BlockJson) -> Result<Block, String> {
             net_bytes: w.net_usage_words * 8,
         });
     }
-    Ok(Block { num: json.block_num, time, producer, transactions })
+    Ok(Block {
+        num: json.block_num,
+        time,
+        producer,
+        transactions,
+    })
 }
 
 /// Append an EOS asset string literal: `"12.3456 EOS"` (4 decimals).
@@ -245,13 +289,25 @@ fn write_action_data<O: JsonOut>(w: &mut JsonWriter<'_, O>, data: &ActionData) {
         w.raw(",\"").raw(k2).raw("\":").ident(*n2);
     }
     match data {
-        ActionData::Transfer { from, to, symbol, amount } => {
+        ActionData::Transfer {
+            from,
+            to,
+            symbol,
+            amount,
+        } => {
             names(w, "from", from, "to", to);
             w.raw(",\"quantity\":");
             write_asset(w, *amount, symbol.as_str());
             w.raw(",\"memo\":\"\"}");
         }
-        ActionData::Trade { buyer, seller, base_symbol, base_amount, quote_symbol, quote_amount } => {
+        ActionData::Trade {
+            buyer,
+            seller,
+            base_symbol,
+            base_amount,
+            quote_symbol,
+            quote_amount,
+        } => {
             names(w, "buyer", buyer, "seller", seller);
             w.raw(",\"base\":");
             write_asset(w, *base_amount, base_symbol.as_str());
@@ -263,7 +319,12 @@ fn write_action_data<O: JsonOut>(w: &mut JsonWriter<'_, O>, data: &ActionData) {
             names(w, "creator", creator, "name", name);
             w.raw("}");
         }
-        ActionData::DelegateBw { from, receiver, net, cpu } => {
+        ActionData::DelegateBw {
+            from,
+            receiver,
+            net,
+            cpu,
+        } => {
             names(w, "from", from, "receiver", receiver);
             w.raw(",\"stake_net_quantity\":");
             write_asset(w, *net, "EOS");
@@ -271,7 +332,12 @@ fn write_action_data<O: JsonOut>(w: &mut JsonWriter<'_, O>, data: &ActionData) {
             write_asset(w, *cpu, "EOS");
             w.raw("}");
         }
-        ActionData::UndelegateBw { from, receiver, net, cpu } => {
+        ActionData::UndelegateBw {
+            from,
+            receiver,
+            net,
+            cpu,
+        } => {
             names(w, "from", from, "receiver", receiver);
             w.raw(",\"unstake_net_quantity\":");
             write_asset(w, *net, "EOS");
@@ -279,27 +345,46 @@ fn write_action_data<O: JsonOut>(w: &mut JsonWriter<'_, O>, data: &ActionData) {
             write_asset(w, *cpu, "EOS");
             w.raw("}");
         }
-        ActionData::BuyRam { payer, receiver, quant } => {
+        ActionData::BuyRam {
+            payer,
+            receiver,
+            quant,
+        } => {
             names(w, "payer", payer, "receiver", receiver);
             w.raw(",\"quant\":");
             write_asset(w, *quant, "EOS");
             w.raw("}");
         }
-        ActionData::BuyRamBytes { payer, receiver, bytes } => {
+        ActionData::BuyRamBytes {
+            payer,
+            receiver,
+            bytes,
+        } => {
             names(w, "payer", payer, "receiver", receiver);
             w.raw(",\"bytes\":").uint(*bytes).raw("}");
         }
-        ActionData::BidName { bidder, newname, bid } => {
+        ActionData::BidName {
+            bidder,
+            newname,
+            bid,
+        } => {
             names(w, "bidder", bidder, "newname", newname);
             w.raw(",\"bid\":");
             write_asset(w, *bid, "EOS");
             w.raw("}");
         }
-        ActionData::VoteProducer { voter, producer_count } => {
+        ActionData::VoteProducer {
+            voter,
+            producer_count,
+        } => {
             w.raw("{\"voter\":").ident(*voter);
             w.raw(",\"producer_count\":").uint(*producer_count).raw("}");
         }
-        ActionData::RentCpu { from, receiver, payment } => {
+        ActionData::RentCpu {
+            from,
+            receiver,
+            payment,
+        } => {
             names(w, "from", from, "receiver", receiver);
             w.raw(",\"loan_payment\":");
             write_asset(w, *payment, "EOS");
@@ -319,14 +404,25 @@ fn write_action_data<O: JsonOut>(w: &mut JsonWriter<'_, O>, data: &ActionData) {
 /// exactly these bytes — this is their one writer.
 pub fn block_bytes_into(b: &Block, out: &mut impl JsonOut) {
     let w = &mut JsonWriter::new(out);
-    w.raw("{\"block_num\":").uint(b.num).raw(",\"timestamp\":").iso(b.time);
-    w.raw(",\"producer\":").ident(b.producer).raw(",\"transactions\":");
+    w.raw("{\"block_num\":")
+        .uint(b.num)
+        .raw(",\"timestamp\":")
+        .iso(b.time);
+    w.raw(",\"producer\":")
+        .ident(b.producer)
+        .raw(",\"transactions\":");
     w.array(&b.transactions, |w, tx| {
-        w.raw("{\"status\":\"executed\",\"cpu_usage_us\":").uint(tx.cpu_us);
+        w.raw("{\"status\":\"executed\",\"cpu_usage_us\":")
+            .uint(tx.cpu_us);
         w.raw(",\"net_usage_words\":").uint(tx.net_bytes / 8);
-        w.raw(",\"trx\":{\"id\":\"").hex16(tx.id).raw("\",\"transaction\":{\"actions\":");
+        w.raw(",\"trx\":{\"id\":\"")
+            .hex16(tx.id)
+            .raw("\",\"transaction\":{\"actions\":");
         w.array(&tx.actions, |w, a| {
-            w.raw("{\"account\":").ident(a.contract).raw(",\"name\":").ident(a.name);
+            w.raw("{\"account\":")
+                .ident(a.contract)
+                .raw(",\"name\":")
+                .ident(a.name);
             w.raw(",\"authorization\":[{\"actor\":").ident(a.actor);
             w.raw(",\"permission\":\"active\"}],\"data\":");
             write_action_data(w, &a.data);
@@ -360,12 +456,21 @@ mod tests {
     fn asset_text(raw: AssetRaw, sym: &str) -> String {
         let mut bytes = Vec::new();
         write_asset(&mut JsonWriter::new(&mut bytes), raw, sym);
-        serde_json::from_slice::<Value>(&bytes).unwrap().as_str().unwrap().to_owned()
+        serde_json::from_slice::<Value>(&bytes)
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_owned()
     }
 
     #[test]
     fn asset_roundtrip() {
-        for (raw, sym) in [(12_3456i64, "EOS"), (0, "EIDOS"), (-5_0001, "DICE"), (1, "EOS")] {
+        for (raw, sym) in [
+            (12_3456i64, "EOS"),
+            (0, "EIDOS"),
+            (-5_0001, "DICE"),
+            (1, "EOS"),
+        ] {
             let s = asset_text(raw, sym);
             let (r2, s2) = parse_asset(&s).unwrap();
             assert_eq!((r2, s2.as_str()), (raw, sym), "via {s}");
@@ -412,7 +517,10 @@ mod tests {
     #[test]
     fn unknown_action_data_degrades_to_generic() {
         let v = json!({"weird": true});
-        assert_eq!(action_data_from_json("whaleextrust", &v), ActionData::Generic);
+        assert_eq!(
+            action_data_from_json("whaleextrust", &v),
+            ActionData::Generic
+        );
         // Known name but missing fields also degrades.
         assert_eq!(action_data_from_json("transfer", &v), ActionData::Generic);
     }

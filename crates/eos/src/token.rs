@@ -8,8 +8,8 @@
 use crate::name::Name;
 use crate::types::AssetRaw;
 use std::collections::HashMap;
-use txstat_types::FxHashMap;
 use txstat_types::amount::SymCode;
+use txstat_types::FxHashMap;
 
 /// Identity of a token: the contract it lives on plus its symbol code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -20,7 +20,10 @@ pub struct TokenId {
 
 impl TokenId {
     pub fn new(contract: Name, symbol: &str) -> Self {
-        TokenId { contract, symbol: SymCode::new(symbol) }
+        TokenId {
+            contract,
+            symbol: SymCode::new(symbol),
+        }
     }
 
     /// The system token: EOS on eosio.token.
@@ -43,7 +46,11 @@ pub enum TokenError {
     UnknownToken(TokenId),
     AlreadyCreated(TokenId),
     NonPositiveAmount,
-    Overdrawn { account: Name, have: AssetRaw, need: AssetRaw },
+    Overdrawn {
+        account: Name,
+        have: AssetRaw,
+        need: AssetRaw,
+    },
     ExceedsMaxSupply,
     SelfTransfer,
 }
@@ -51,10 +58,18 @@ pub enum TokenError {
 impl std::fmt::Display for TokenError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TokenError::UnknownToken(id) => write!(f, "unknown token {}@{}", id.symbol, id.contract),
-            TokenError::AlreadyCreated(id) => write!(f, "token {}@{} exists", id.symbol, id.contract),
+            TokenError::UnknownToken(id) => {
+                write!(f, "unknown token {}@{}", id.symbol, id.contract)
+            }
+            TokenError::AlreadyCreated(id) => {
+                write!(f, "token {}@{} exists", id.symbol, id.contract)
+            }
             TokenError::NonPositiveAmount => write!(f, "amount must be positive"),
-            TokenError::Overdrawn { account, have, need } => {
+            TokenError::Overdrawn {
+                account,
+                have,
+                need,
+            } => {
                 write!(f, "{account} overdrawn: has {have}, needs {need}")
             }
             TokenError::ExceedsMaxSupply => write!(f, "issuance exceeds max supply"),
@@ -80,14 +95,26 @@ impl TokenLedger {
     }
 
     /// `create`: register a token with a max supply.
-    pub fn create(&mut self, id: TokenId, issuer: Name, max_supply: AssetRaw) -> Result<(), TokenError> {
+    pub fn create(
+        &mut self,
+        id: TokenId,
+        issuer: Name,
+        max_supply: AssetRaw,
+    ) -> Result<(), TokenError> {
         if max_supply <= 0 {
             return Err(TokenError::NonPositiveAmount);
         }
         if self.stats.contains_key(&id) {
             return Err(TokenError::AlreadyCreated(id));
         }
-        self.stats.insert(id, TokenStats { issuer, supply: 0, max_supply });
+        self.stats.insert(
+            id,
+            TokenStats {
+                issuer,
+                supply: 0,
+                max_supply,
+            },
+        );
         Ok(())
     }
 
@@ -96,7 +123,10 @@ impl TokenLedger {
         if amount <= 0 {
             return Err(TokenError::NonPositiveAmount);
         }
-        let stats = self.stats.get_mut(&id).ok_or(TokenError::UnknownToken(id))?;
+        let stats = self
+            .stats
+            .get_mut(&id)
+            .ok_or(TokenError::UnknownToken(id))?;
         if stats.supply + amount > stats.max_supply {
             return Err(TokenError::ExceedsMaxSupply);
         }
@@ -125,7 +155,11 @@ impl TokenLedger {
         }
         let have = self.balance(from, id);
         if have < amount {
-            return Err(TokenError::Overdrawn { account: from, have, need: amount });
+            return Err(TokenError::Overdrawn {
+                account: from,
+                have,
+                need: amount,
+            });
         }
         *self.balances.entry((from, id)).or_insert(0) -= amount;
         *self.balances.entry((to, id)).or_insert(0) += amount;
@@ -173,7 +207,8 @@ mod tests {
         let id = TokenId::eos();
         l.create(id, Name::new("eosio"), 10_000_0000).unwrap();
         l.issue(id, 1_000_0000).unwrap();
-        l.transfer(id, Name::new("eosio"), Name::new("alice"), 500_0000).unwrap();
+        l.transfer(id, Name::new("eosio"), Name::new("alice"), 500_0000)
+            .unwrap();
         (l, id)
     }
 

@@ -36,19 +36,45 @@ pub enum ActionData {
     /// `newaccount(creator, name)`.
     NewAccount { creator: Name, name: Name },
     /// `delegatebw(from, receiver, stake_net, stake_cpu)`.
-    DelegateBw { from: Name, receiver: Name, net: AssetRaw, cpu: AssetRaw },
+    DelegateBw {
+        from: Name,
+        receiver: Name,
+        net: AssetRaw,
+        cpu: AssetRaw,
+    },
     /// `undelegatebw(from, receiver, unstake_net, unstake_cpu)`.
-    UndelegateBw { from: Name, receiver: Name, net: AssetRaw, cpu: AssetRaw },
+    UndelegateBw {
+        from: Name,
+        receiver: Name,
+        net: AssetRaw,
+        cpu: AssetRaw,
+    },
     /// `buyram(payer, receiver, quant)` — EOS spent on RAM.
-    BuyRam { payer: Name, receiver: Name, quant: AssetRaw },
+    BuyRam {
+        payer: Name,
+        receiver: Name,
+        quant: AssetRaw,
+    },
     /// `buyrambytes(payer, receiver, bytes)`.
-    BuyRamBytes { payer: Name, receiver: Name, bytes: u64 },
+    BuyRamBytes {
+        payer: Name,
+        receiver: Name,
+        bytes: u64,
+    },
     /// `bidname(bidder, newname, bid)`.
-    BidName { bidder: Name, newname: Name, bid: AssetRaw },
+    BidName {
+        bidder: Name,
+        newname: Name,
+        bid: AssetRaw,
+    },
     /// `voteproducer(voter, producers)`.
     VoteProducer { voter: Name, producer_count: u8 },
     /// REX `rentcpu(from, receiver, loan_payment)`.
-    RentCpu { from: Name, receiver: Name, payment: AssetRaw },
+    RentCpu {
+        from: Name,
+        receiver: Name,
+        payment: AssetRaw,
+    },
     /// Anything else — app-defined actions; payload irrelevant to analytics.
     Generic,
 }
@@ -67,7 +93,12 @@ pub struct Action {
 
 impl Action {
     pub fn new(contract: Name, name: Name, actor: Name, data: ActionData) -> Self {
-        Action { contract, name, actor, data }
+        Action {
+            contract,
+            name,
+            actor,
+            data,
+        }
     }
 
     /// Convenience for the ubiquitous token transfer.
@@ -82,7 +113,12 @@ impl Action {
             contract: token_contract,
             name: Name::new("transfer"),
             actor: from,
-            data: ActionData::Transfer { from, to, symbol, amount },
+            data: ActionData::Transfer {
+                from,
+                to,
+                symbol,
+                amount,
+            },
         }
     }
 }
@@ -144,7 +180,9 @@ mod tests {
         assert_eq!(a.name, Name::new("transfer"));
         assert_eq!(a.actor, Name::new("alice"));
         match a.data {
-            ActionData::Transfer { from, to, amount, .. } => {
+            ActionData::Transfer {
+                from, to, amount, ..
+            } => {
                 assert_eq!(from, Name::new("alice"));
                 assert_eq!(to, Name::new("bob"));
                 assert_eq!(amount, 12_345);

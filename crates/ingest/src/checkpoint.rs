@@ -43,7 +43,12 @@ impl<A> Checkpoint<A> {
     /// `low` clears the high-water check.
     pub fn new(shards: Vec<A>, low: u64) -> Self {
         let counts = vec![0u64; shards.len()];
-        Checkpoint { shards, counts, low, high: low.saturating_sub(1) }
+        Checkpoint {
+            shards,
+            counts,
+            low,
+            high: low.saturating_sub(1),
+        }
     }
 
     /// Total blocks observed.
@@ -111,7 +116,11 @@ mod tests {
 
     impl MiniAcc {
         fn identity() -> Self {
-            MiniAcc { blocks: 0, weight: 0, buckets: vec![0; 4] }
+            MiniAcc {
+                blocks: 0,
+                weight: 0,
+                buckets: vec![0; 4],
+            }
         }
 
         fn observe(&mut self, n: u64, w: &u64) {
@@ -133,7 +142,10 @@ mod tests {
     /// through `observe_tail` from an empty shard layout.
     fn fold_range(range: std::ops::RangeInclusive<u64>, shards: usize) -> Checkpoint<MiniAcc> {
         let low = *range.start();
-        assert!(low >= 1, "test helper uses low-1 as the empty high-water mark");
+        assert!(
+            low >= 1,
+            "test helper uses low-1 as the empty high-water mark"
+        );
         let mut cp = Checkpoint::new(vec![MiniAcc::identity(); shards], low);
         cp.observe_tail(range.map(|n| (n, n * 7 % 13)), |a, n, w| a.observe(n, w))
             .expect("ascending tail");
@@ -146,14 +158,13 @@ mod tests {
         // the whole range in one go.
         let mut prefix = fold_range(1..=49, 4);
         prefix
-            .observe_tail((50..=80).map(|n| (n, n * 7 % 13)), |a, n, w| a.observe(n, w))
+            .observe_tail((50..=80).map(|n| (n, n * 7 % 13)), |a, n, w| {
+                a.observe(n, w)
+            })
             .expect("tail extends");
         let whole = fold_range(1..=80, 4);
         assert_eq!(prefix, whole);
-        assert_eq!(
-            prefix.merged(MiniAcc::merge),
-            whole.merged(MiniAcc::merge)
-        );
+        assert_eq!(prefix.merged(MiniAcc::merge), whole.merged(MiniAcc::merge));
     }
 
     #[test]
@@ -162,8 +173,10 @@ mod tests {
         // must be accepted (everything is above the entry high-water mark)
         // and fold to the same state as an ascending one.
         let mut desc = fold_range(1..=49, 4);
-        desc.observe_tail((50..=80).rev().map(|n| (n, n * 7 % 13)), |a, n, w| a.observe(n, w))
-            .expect("descending tail is still strictly above the old high");
+        desc.observe_tail((50..=80).rev().map(|n| (n, n * 7 % 13)), |a, n, w| {
+            a.observe(n, w)
+        })
+        .expect("descending tail is still strictly above the old high");
         let whole = fold_range(1..=80, 4);
         assert_eq!(desc, whole);
     }

@@ -28,7 +28,10 @@ pub struct RateCache {
 
 impl RateCache {
     pub fn new(date: ChainTime) -> Self {
-        RateCache { rates: Mutex::new(std::collections::HashMap::new()), date }
+        RateCache {
+            rates: Mutex::new(std::collections::HashMap::new()),
+            date,
+        }
     }
 
     fn lock(
@@ -82,7 +85,9 @@ impl RateCache {
     /// Build the final oracle from every rated token.
     pub fn oracle(&self) -> RateOracle {
         RateOracle::from_rates(
-            self.lock().iter().filter_map(|(ic, r)| r.map(|rate| (*ic, rate))),
+            self.lock()
+                .iter()
+                .filter_map(|(ic, r)| r.map(|rate| (*ic, rate))),
         )
     }
 }

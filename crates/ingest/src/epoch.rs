@@ -28,7 +28,10 @@ pub struct EpochCell<T> {
 impl<T> EpochCell<T> {
     /// Start at epoch 1 with the given snapshot.
     pub fn new(initial: Arc<T>) -> Self {
-        EpochCell { slot: RwLock::new(initial), epoch: AtomicU64::new(1) }
+        EpochCell {
+            slot: RwLock::new(initial),
+            epoch: AtomicU64::new(1),
+        }
     }
 
     /// The current snapshot. Cheap (one `Arc` clone under a read lock) and
@@ -111,7 +114,8 @@ mod tests {
             fn drop(&mut self) {
                 if let Some(cell) = self.cell.get() {
                     let unlocked = cell.slot.try_read().is_some();
-                    self.dropped_unlocked.store(unlocked as u64 + 1, Ordering::SeqCst);
+                    self.dropped_unlocked
+                        .store(unlocked as u64 + 1, Ordering::SeqCst);
                 }
             }
         }
@@ -119,14 +123,21 @@ mod tests {
         // Reports only once it has been told which cell to look at.
         let probe = || {
             let dropped_unlocked = dropped_unlocked.clone();
-            Arc::new(Probe { cell: std::sync::OnceLock::new(), dropped_unlocked })
+            Arc::new(Probe {
+                cell: std::sync::OnceLock::new(),
+                dropped_unlocked,
+            })
         };
         let first = probe();
         let cell = Arc::new(EpochCell::new(first.clone()));
         assert!(first.cell.set(cell.clone()).is_ok());
         drop(first); // the cell now holds the only reference
         cell.publish(probe());
-        assert_eq!(dropped_unlocked.load(Ordering::SeqCst), 2, "0 = never dropped, 1 = locked");
+        assert_eq!(
+            dropped_unlocked.load(Ordering::SeqCst),
+            2,
+            "0 = never dropped, 1 = locked"
+        );
     }
 
     #[test]

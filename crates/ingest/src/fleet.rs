@@ -105,7 +105,10 @@ pub enum FleetError {
     NoWorkers,
     /// Every worker died and `pending` chunks still had no frames. Each
     /// entry of `failures` names a worker address and its final error.
-    Exhausted { pending: usize, failures: Vec<String> },
+    Exhausted {
+        pending: usize,
+        failures: Vec<String>,
+    },
 }
 
 impl std::fmt::Display for FleetError {
@@ -113,7 +116,10 @@ impl std::fmt::Display for FleetError {
         match self {
             FleetError::NoWorkers => write!(f, "fleet has no worker addresses"),
             FleetError::Exhausted { pending, failures } => {
-                write!(f, "fleet exhausted with {pending} range(s) unswept; worker failures: ")?;
+                write!(
+                    f,
+                    "fleet exhausted with {pending} range(s) unswept; worker failures: "
+                )?;
                 for (i, w) in failures.iter().enumerate() {
                     if i > 0 {
                         write!(f, "; ")?;
@@ -154,8 +160,10 @@ static METRICS: LazyLock<FleetMetrics> = LazyLock::new(|| {
     FleetMetrics {
         requests_ok,
         requests_error,
-        retries: reg
-            .counter("txstat_fleet_retries_total", "Fleet request attempts after a failure"),
+        retries: reg.counter(
+            "txstat_fleet_retries_total",
+            "Fleet request attempts after a failure",
+        ),
         reconnects: reg.counter(
             "txstat_fleet_reconnects_total",
             "Fleet connections re-established after at least one failure",
@@ -164,10 +172,14 @@ static METRICS: LazyLock<FleetMetrics> = LazyLock::new(|| {
             "txstat_fleet_redispatch_total",
             "Range chunks re-dispatched after a worker exhausted its retry budget",
         ),
-        workers_failed: reg
-            .counter("txstat_fleet_workers_failed_total", "Workers declared dead by the reducer"),
-        served: reg
-            .counter("txstat_fleet_served_total", "Assignments served successfully by this worker"),
+        workers_failed: reg.counter(
+            "txstat_fleet_workers_failed_total",
+            "Workers declared dead by the reducer",
+        ),
+        served: reg.counter(
+            "txstat_fleet_served_total",
+            "Assignments served successfully by this worker",
+        ),
         request_us: reg.histogram("txstat_fleet_request_us", "Fleet request latency"),
     }
 });
@@ -266,8 +278,12 @@ pub(crate) fn request_frames(
         .next()
         .ok_or_else(|| ProtocolError::Io(format!("{addr}: resolves to no address")))?;
     let mut stream = TcpStream::connect_timeout(&sa, timeout).map_err(|e| io("connect", e))?;
-    stream.set_read_timeout(Some(timeout)).map_err(|e| io("set read timeout", e))?;
-    stream.set_write_timeout(Some(timeout)).map_err(|e| io("set write timeout", e))?;
+    stream
+        .set_read_timeout(Some(timeout))
+        .map_err(|e| io("set read timeout", e))?;
+    stream
+        .set_write_timeout(Some(timeout))
+        .map_err(|e| io("set write timeout", e))?;
     write_assignment(&mut stream, a)?;
     read_response(&mut stream)
 }
@@ -276,7 +292,9 @@ pub(crate) fn request_frames(
 /// capped, plus a seed-derived jitter in `[0, base)`.
 fn backoff(cfg: &FleetConfig, addr: &str, attempt: u32) -> Duration {
     let base = cfg.backoff_ms.max(1);
-    let exp = base.saturating_mul(1u64 << attempt.min(16)).min(FleetConfig::BACKOFF_CAP_MS);
+    let exp = base
+        .saturating_mul(1u64 << attempt.min(16))
+        .min(FleetConfig::BACKOFF_CAP_MS);
     let jitter = subseed_n(cfg.seed, addr, attempt as u64) % base;
     Duration::from_millis(exp + jitter)
 }
@@ -355,7 +373,10 @@ pub fn reduce_fleet(
 
     let board = shared.board.into_inner();
     if board.outstanding > 0 {
-        return Err(FleetError::Exhausted { pending: board.queue.len(), failures: board.failures });
+        return Err(FleetError::Exhausted {
+            pending: board.queue.len(),
+            failures: board.failures,
+        });
     }
     let mut results = board.results;
     results.sort_by_key(|(id, _, _)| *id);
@@ -389,7 +410,10 @@ fn worker_loop(
                 METRICS.workers_failed.inc();
                 shared.redispatch(
                     chunk,
-                    format!("worker {addr} gave up on range [{}, {}): {e}", chunk.start, chunk.end),
+                    format!(
+                        "worker {addr} gave up on range [{}, {}): {e}",
+                        chunk.start, chunk.end
+                    ),
                 );
                 return;
             }
@@ -501,8 +525,10 @@ mod tests {
     }
 
     fn assert_covers_all(frames: &[(String, ShardFrame)], total: u64) {
-        let mut ranges: Vec<(u64, u64)> =
-            frames.iter().map(|(_, f)| (f.header.start, f.header.end)).collect();
+        let mut ranges: Vec<(u64, u64)> = frames
+            .iter()
+            .map(|(_, f)| (f.header.start, f.header.end))
+            .collect();
         ranges.sort_unstable();
         ranges.dedup();
         let mut cursor = 0;
@@ -516,7 +542,11 @@ mod tests {
     #[test]
     fn tiling_covers_exactly() {
         assert_eq!(tile(10, 3), vec![(0, 3), (3, 6), (6, 10)]);
-        assert_eq!(tile(2, 5), vec![(0, 1), (1, 2)], "never more chunks than blocks");
+        assert_eq!(
+            tile(2, 5),
+            vec![(0, 1), (1, 2)],
+            "never more chunks than blocks"
+        );
         assert_eq!(tile(0, 4), vec![(0, 0)]);
     }
 
@@ -579,7 +609,13 @@ mod tests {
         cfg.chunks = 2;
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let _ = tx.send(reduce_fleet(&cfg, 40, 1, PayloadFormat::Bin, json!({"t": 6})));
+            let _ = tx.send(reduce_fleet(
+                &cfg,
+                40,
+                1,
+                PayloadFormat::Bin,
+                json!({"t": 6}),
+            ));
         });
         let frames = rx
             .recv_timeout(Duration::from_secs(10))
@@ -607,7 +643,14 @@ mod tests {
             request_frames(&addr, &a, Duration::from_secs(2))
         });
         let served = serve_assignments(&listener, Some(1), Duration::ZERO, |a| {
-            Ok(vec![ShardFrame::from_columns("eos", a.start, a.end, 0, a.meta.clone(), vec![])])
+            Ok(vec![ShardFrame::from_columns(
+                "eos",
+                a.start,
+                a.end,
+                0,
+                a.meta.clone(),
+                vec![],
+            )])
         });
         drop(listener);
         let _ = client.join();

@@ -29,8 +29,8 @@ pub mod fleet;
 pub mod reduce;
 
 pub use checkpoint::Checkpoint;
-pub use epoch::EpochCell;
 pub use crawl::RateCache;
+pub use epoch::EpochCell;
 pub use fleet::{reduce_fleet, serve_assignments, FleetConfig, FleetError};
 pub use reduce::{ReduceError, ReduceSession, ShardWorker};
 
@@ -45,7 +45,10 @@ impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IngestError::RangeRegression { n, high } => {
-                write!(f, "block {n} is not past the checkpoint high-water mark {high}")
+                write!(
+                    f,
+                    "block {n} is not past the checkpoint high-water mark {high}"
+                )
             }
         }
     }

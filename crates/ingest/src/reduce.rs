@@ -42,14 +42,24 @@ pub const CHAINS: [&str; 3] = ["eos", "tezos", "xrp"];
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReduceError {
     /// The frame's schema version is not the one this reducer speaks.
-    Version { chain: String, found: u32, expected: u32 },
+    Version {
+        chain: String,
+        found: u32,
+        expected: u32,
+    },
     /// The frame's chain tag names no known accumulator.
     UnknownChain(String),
     /// The frame's block range is inverted.
     BadRange { chain: String, start: u64, end: u64 },
     /// The frame's block range overlaps one already reduced — accepting it
     /// would double-count.
-    Overlap { chain: String, start: u64, end: u64, other_start: u64, other_end: u64 },
+    Overlap {
+        chain: String,
+        start: u64,
+        end: u64,
+        other_start: u64,
+        other_end: u64,
+    },
     /// The frame's provenance differs from the session's (different
     /// scenario, seed, or source).
     MetaMismatch { expected: Value, found: Value },
@@ -64,7 +74,10 @@ pub enum ReduceError {
     MissingChain(&'static str),
     /// The submitted ranges leave holes; reducing them would silently
     /// under-count. Each entry is one uncovered `[start, end)` hole.
-    CoverageGap { chain: &'static str, gaps: Vec<(u64, u64)> },
+    CoverageGap {
+        chain: &'static str,
+        gaps: Vec<(u64, u64)>,
+    },
 }
 
 impl std::fmt::Display for ReduceError {
@@ -190,14 +203,19 @@ struct ReduceMetrics {
 static METRICS: LazyLock<ReduceMetrics> = LazyLock::new(|| {
     let reg = registry();
     ReduceMetrics {
-        payload_bytes: reg.counter("txstat_wire_payload_bytes_total", "Wire payload bytes decoded"),
+        payload_bytes: reg.counter(
+            "txstat_wire_payload_bytes_total",
+            "Wire payload bytes decoded",
+        ),
         frames_decoded: reg.counter_with(
             "txstat_wire_frames_decoded_total",
             "Wire frames decoded by payload format",
             &[("format", "v2_bin")],
         ),
-        frames_submitted: reg
-            .counter("txstat_reduce_frames_submitted_total", "Frames submitted to reduce sessions"),
+        frames_submitted: reg.counter(
+            "txstat_reduce_frames_submitted_total",
+            "Frames submitted to reduce sessions",
+        ),
         merges: reg.counter("txstat_reduce_merges_total", "Reduce sessions finalized"),
     }
 });
@@ -252,7 +270,11 @@ impl ReduceSession {
             });
         }
         if h.start > h.end {
-            return Err(ReduceError::BadRange { chain: h.chain.clone(), start: h.start, end: h.end });
+            return Err(ReduceError::BadRange {
+                chain: h.chain.clone(),
+                start: h.start,
+                end: h.end,
+            });
         }
         if let Some(meta) = &self.meta {
             if *meta != h.meta {
@@ -275,14 +297,24 @@ impl ReduceSession {
             return Ok(());
         }
 
-        let window_err = || ReduceError::WindowMismatch { chain: h.chain.clone() };
+        let window_err = || ReduceError::WindowMismatch {
+            chain: h.chain.clone(),
+        };
         match h.chain.as_str() {
             "eos" => {
                 let acc: EosColumnar = decode_payload(frame)?;
-                if self.eos.first().is_some_and(|p| p.acc.period() != acc.period()) {
+                if self
+                    .eos
+                    .first()
+                    .is_some_and(|p| p.acc.period() != acc.period())
+                {
                     return Err(window_err());
                 }
-                self.eos.push(Pending { start: h.start, end: h.end, acc });
+                self.eos.push(Pending {
+                    start: h.start,
+                    end: h.end,
+                    acc,
+                });
             }
             "tezos" => {
                 let acc: TezosColumnar = decode_payload(frame)?;
@@ -292,14 +324,26 @@ impl ReduceSession {
                 }) {
                     return Err(window_err());
                 }
-                self.tezos.push(Pending { start: h.start, end: h.end, acc });
+                self.tezos.push(Pending {
+                    start: h.start,
+                    end: h.end,
+                    acc,
+                });
             }
             "xrp" => {
                 let acc: XrpColumnar = decode_payload(frame)?;
-                if self.xrp.first().is_some_and(|p| p.acc.period() != acc.period()) {
+                if self
+                    .xrp
+                    .first()
+                    .is_some_and(|p| p.acc.period() != acc.period())
+                {
                     return Err(window_err());
                 }
-                self.xrp.push(Pending { start: h.start, end: h.end, acc });
+                self.xrp.push(Pending {
+                    start: h.start,
+                    end: h.end,
+                    acc,
+                });
             }
             _ => unreachable!("chain tag checked above"),
         }
@@ -325,7 +369,10 @@ impl ReduceSession {
 
     /// The covered `[start, end)` span of `chain`, if any frame arrived.
     pub fn span(&self, chain: &str) -> Option<(u64, u64)> {
-        CHAINS.iter().position(|c| *c == chain).and_then(|i| self.coverage[i].span())
+        CHAINS
+            .iter()
+            .position(|c| *c == chain)
+            .and_then(|i| self.coverage[i].span())
     }
 
     /// The uncovered holes inside `chain`'s span, ascending. Empty means
@@ -347,7 +394,10 @@ impl ReduceSession {
         for (i, chain) in CHAINS.iter().enumerate() {
             let gaps = self.coverage[i].gaps();
             if !gaps.is_empty() {
-                return Err(ReduceError::CoverageGap { chain: CHAINS[i], gaps });
+                return Err(ReduceError::CoverageGap {
+                    chain: CHAINS[i],
+                    gaps,
+                });
             }
             let present = match i {
                 0 => !self.eos.is_empty(),
@@ -395,7 +445,13 @@ pub struct ShardWorker {
 
 impl ShardWorker {
     pub fn new(start: u64, end: u64, meta: Value) -> Self {
-        ShardWorker { start, end, base: 0, shards: 1, meta }
+        ShardWorker {
+            start,
+            end,
+            base: 0,
+            shards: 1,
+            meta,
+        }
     }
 
     /// Fold the clamped range through `shards` accumulators under one
@@ -419,7 +475,9 @@ impl ShardWorker {
         // same order, so the emitted frame is byte-identical.
         let len: usize = runs.iter().map(|r| r.len()).sum();
         let lo = (self.start.saturating_sub(self.base) as usize).min(len);
-        let hi = (self.end.saturating_sub(self.base) as usize).min(len).max(lo);
+        let hi = (self.end.saturating_sub(self.base) as usize)
+            .min(len)
+            .max(lo);
         let shards = self.shards.max(1);
         let mut accs: Vec<A> = (0..shards).map(|_| identity()).collect();
         let blocks = runs.iter().flat_map(|r| r.iter());
@@ -431,7 +489,12 @@ impl ShardWorker {
         for other in it {
             merge(&mut acc, other);
         }
-        (acc, self.base + lo as u64, self.base + hi as u64, (hi - lo) as u64)
+        (
+            acc,
+            self.base + lo as u64,
+            self.base + hi as u64,
+            (hi - lo) as u64,
+        )
     }
 
     fn frame<A: WireState>(
@@ -504,7 +567,10 @@ mod tests {
     use txstat_types::time::ChainTime;
 
     fn period() -> Period {
-        Period::new(ChainTime::from_ymd(2019, 10, 1), ChainTime::from_ymd(2019, 10, 2))
+        Period::new(
+            ChainTime::from_ymd(2019, 10, 1),
+            ChainTime::from_ymd(2019, 10, 2),
+        )
     }
 
     fn eos_frame(start: u64, end: u64, meta: Value) -> ShardFrame {
@@ -520,27 +586,39 @@ mod tests {
         assert!(matches!(s.submit(&f), Err(ReduceError::UnknownChain(_))));
         let mut f = eos_frame(0, 4, Value::Null);
         f.header.schema_version = 9;
-        assert!(matches!(s.submit(&f), Err(ReduceError::Version { found: 9, .. })));
+        assert!(matches!(
+            s.submit(&f),
+            Err(ReduceError::Version { found: 9, .. })
+        ));
         // The retired schema 1 is skew like any other.
         f.header.schema_version = 1;
-        assert!(matches!(s.submit(&f), Err(ReduceError::Version { found: 1, .. })));
+        assert!(matches!(
+            s.submit(&f),
+            Err(ReduceError::Version { found: 1, .. })
+        ));
     }
 
     #[test]
     fn rejects_overlap_and_meta_drift_tracks_gaps() {
         let meta = json!({"scenario": "s"});
         let mut s = ReduceSession::new();
-        s.submit(&eos_frame(0, 4, meta.clone())).expect("first range");
-        s.submit(&eos_frame(8, 10, meta.clone())).expect("disjoint range");
+        s.submit(&eos_frame(0, 4, meta.clone()))
+            .expect("first range");
+        s.submit(&eos_frame(8, 10, meta.clone()))
+            .expect("disjoint range");
         assert_eq!(s.gaps("eos"), vec![(4, 8)]);
         assert_eq!(s.span("eos"), Some((0, 10)));
         assert_eq!(s.observed("eos"), 6);
         let err = s.submit(&eos_frame(3, 6, meta.clone()));
         assert!(matches!(err, Err(ReduceError::Overlap { .. })), "{err:?}");
         let err = s.submit(&eos_frame(4, 8, json!({"scenario": "other"})));
-        assert!(matches!(err, Err(ReduceError::MetaMismatch { .. })), "{err:?}");
+        assert!(
+            matches!(err, Err(ReduceError::MetaMismatch { .. })),
+            "{err:?}"
+        );
         // The failed submissions changed nothing.
-        s.submit(&eos_frame(4, 8, meta)).expect("gap fill still fits");
+        s.submit(&eos_frame(4, 8, meta))
+            .expect("gap fill still fits");
         assert!(s.gaps("eos").is_empty());
     }
 
@@ -555,23 +633,33 @@ mod tests {
         ));
         let mut s = ReduceSession::new();
         s.submit(&eos_frame(0, 2, Value::Null)).expect("frame fits");
-        assert!(matches!(s.finalize(), Err(ReduceError::MissingChain("tezos"))));
+        assert!(matches!(
+            s.finalize(),
+            Err(ReduceError::MissingChain("tezos"))
+        ));
     }
 
     #[test]
     fn rejects_window_mismatch() {
         let mut s = ReduceSession::new();
         s.submit(&eos_frame(0, 2, Value::Null)).expect("frame fits");
-        let other = Period::new(ChainTime::from_ymd(2019, 11, 1), ChainTime::from_ymd(2019, 11, 2));
+        let other = Period::new(
+            ChainTime::from_ymd(2019, 11, 1),
+            ChainTime::from_ymd(2019, 11, 2),
+        );
         let acc = EosColumnar::new(other);
         let f = ShardFrame::from_columns("eos", 2, 4, 2, Value::Null, acc.to_wire_bytes());
-        assert!(matches!(s.submit(&f), Err(ReduceError::WindowMismatch { .. })));
+        assert!(matches!(
+            s.submit(&f),
+            Err(ReduceError::WindowMismatch { .. })
+        ));
     }
 
     #[test]
     fn rejects_garbage_payload() {
         let mut s = ReduceSession::new();
-        let f = ShardFrame::from_columns("eos", 0, 1, 1, Value::Null, b"{\"not\":\"state\"}".to_vec());
+        let f =
+            ShardFrame::from_columns("eos", 0, 1, 1, Value::Null, b"{\"not\":\"state\"}".to_vec());
         assert!(matches!(s.submit(&f), Err(ReduceError::Payload { .. })));
     }
 

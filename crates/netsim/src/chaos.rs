@@ -75,11 +75,17 @@ impl ChaosProfile {
 enum Plan {
     Clean,
     /// Reset the whole proxied connection once `after` bytes have passed.
-    Reset { after: usize },
+    Reset {
+        after: usize,
+    },
     /// Forward exactly `after` bytes, then close the write side.
-    Truncate { after: usize },
+    Truncate {
+        after: usize,
+    },
     /// XOR one bit of the byte at stream offset `at`.
-    Flip { at: usize },
+    Flip {
+        at: usize,
+    },
 }
 
 /// Connection-direction fault decisions, drawn from a per-connection rng.
@@ -113,11 +119,18 @@ impl ChaosStats {
     fn new() -> Self {
         let reg = registry();
         ChaosStats {
-            connections: reg
-                .counter("txstat_chaos_connections_total", "Connections relayed by chaos proxies"),
-            resets: reg.counter("txstat_chaos_resets_total", "Connections reset by chaos proxies"),
-            truncations: reg
-                .counter("txstat_chaos_truncations_total", "Streams truncated by chaos proxies"),
+            connections: reg.counter(
+                "txstat_chaos_connections_total",
+                "Connections relayed by chaos proxies",
+            ),
+            resets: reg.counter(
+                "txstat_chaos_resets_total",
+                "Connections reset by chaos proxies",
+            ),
+            truncations: reg.counter(
+                "txstat_chaos_truncations_total",
+                "Streams truncated by chaos proxies",
+            ),
             flips: reg.counter("txstat_chaos_flips_total", "Bits flipped by chaos proxies"),
         }
     }
@@ -174,7 +187,12 @@ pub fn spawn_chaos_proxy(
             }
         })
     };
-    Ok(ChaosHandle { addr, stats, stop, accept_thread })
+    Ok(ChaosHandle {
+        addr,
+        stats,
+        stop,
+        accept_thread,
+    })
 }
 
 /// Wire one accepted client to a fresh upstream connection: two pump
@@ -197,7 +215,9 @@ fn relay(
         ("up", client.try_clone(), server.try_clone()),
         ("down", server.try_clone(), client.try_clone()),
     ] {
-        let (Ok(from), Ok(to)) = (from, to) else { continue };
+        let (Ok(from), Ok(to)) = (from, to) else {
+            continue;
+        };
         let mut rng = rng_for_n(profile.seed, label, conn_index);
         let plan = draw_plan(profile, &mut rng);
         let jitter: f64 = rng.gen_range(-1.0..1.0f64) * profile.jitter_ms;
@@ -303,8 +323,11 @@ mod tests {
         let msg = vec![0u8; 4096];
         let back = exchange(&h.addr, &msg).expect("echo");
         assert_eq!(back.len(), msg.len(), "flips never change length");
-        let flipped: u32 =
-            back.iter().zip(&msg).map(|(a, b)| (a ^ b).count_ones()).sum();
+        let flipped: u32 = back
+            .iter()
+            .zip(&msg)
+            .map(|(a, b)| (a ^ b).count_ones())
+            .sum();
         // One flip on the way up, one on the way down — they can land on
         // the same byte-and-bit and cancel to zero visible flips, but with
         // distinct per-direction seeds they land apart here.
@@ -338,7 +361,11 @@ mod tests {
         let msg: Vec<u8> = (0..8192usize).map(|i| (i % 251) as u8).collect();
         if let Ok(back) = exchange(&h.addr, &msg) {
             assert!(back.len() < msg.len(), "truncation must shorten the stream");
-            assert_eq!(back[..], msg[..back.len()], "what survives is a faithful prefix");
+            assert_eq!(
+                back[..],
+                msg[..back.len()],
+                "what survives is a faithful prefix"
+            );
         }
         assert!(h.stats.truncations.get() >= 1);
         h.stop();

@@ -173,7 +173,11 @@ impl EndpointSim {
     pub fn new(profile: EndpointProfile) -> Self {
         let bucket = TokenBucket::new(profile.rate_limit_per_sec, profile.burst);
         let rng = StdRng::seed_from_u64(profile.seed);
-        EndpointSim { profile, bucket: Mutex::new(bucket), rng: Mutex::new(rng) }
+        EndpointSim {
+            profile,
+            bucket: Mutex::new(bucket),
+            rng: Mutex::new(rng),
+        }
     }
 
     /// Gate one request: returns the decision plus the artificial latency
@@ -181,9 +185,8 @@ impl EndpointSim {
     pub fn gate(&self) -> (Gate, Duration) {
         let mut rng = self.rng.lock();
         let jitter: f64 = rng.gen_range(-1.0..1.0f64) * self.profile.jitter_ms;
-        let delay = Duration::from_micros(
-            ((self.profile.latency_ms + jitter).max(0.0) * 1_000.0) as u64,
-        );
+        let delay =
+            Duration::from_micros(((self.profile.latency_ms + jitter).max(0.0) * 1_000.0) as u64);
         if self.profile.fault_rate > 0.0 && rng.gen::<f64>() < self.profile.fault_rate {
             return (Gate::Fault, delay);
         }
@@ -216,8 +219,14 @@ mod tests {
         // A stale instant (before `last`) must not panic or mint tokens —
         // and must not rewind the watermark so the same interval refills
         // twice on the next in-order call.
-        assert!(!b.try_take_at(start), "clock going backwards grants nothing");
-        assert!(!b.try_take_at(later), "stale call must not re-credit [start, later)");
+        assert!(
+            !b.try_take_at(start),
+            "clock going backwards grants nothing"
+        );
+        assert!(
+            !b.try_take_at(later),
+            "stale call must not re-credit [start, later)"
+        );
     }
 
     #[test]

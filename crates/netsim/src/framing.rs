@@ -88,7 +88,11 @@ impl Framing for Http {
     }
 
     fn throttled(_: &HttpRequest) -> HttpResponse {
-        HttpResponse::status(429, "Too Many Requests", b"{\"error\":\"rate limited\"}".to_vec())
+        HttpResponse::status(
+            429,
+            "Too Many Requests",
+            b"{\"error\":\"rate limited\"}".to_vec(),
+        )
     }
 }
 

@@ -21,12 +21,12 @@ use txstat_eos::chain::EosChain;
 use txstat_eos::rpc_model as eos_rpc;
 use txstat_tezos::chain::TezosChain;
 use txstat_tezos::rpc_model as tezos_rpc;
+use txstat_types::time::ChainTime;
 use txstat_xrp::amount::IssuedCurrency;
 use txstat_xrp::ledger::XrpLedger;
 use txstat_xrp::rates::RateOracle;
 use txstat_xrp::rpc_model as xrp_rpc;
 use txstat_xrp::AccountId;
-use txstat_types::time::ChainTime;
 
 fn json_ok(v: &Value) -> HttpResponse {
     HttpResponse::ok(serde_json::to_vec(v).expect("serializable"))
@@ -246,7 +246,10 @@ impl JsonHandler for XrpRpcHandler {
                     (Some(c), Some(i), Some(d)) => (c, i, d),
                     _ => return self.error(id, "invalidParams"),
                 };
-                let window = request.get("period_days").and_then(Value::as_i64).unwrap_or(30);
+                let window = request
+                    .get("period_days")
+                    .and_then(Value::as_i64)
+                    .unwrap_or(30);
                 let oracle = RateOracle::from_trades(&self.ledger.trades, date, window);
                 let ic = IssuedCurrency::new(currency, issuer);
                 self.reply(
@@ -296,7 +299,10 @@ mod tests {
             br#"{"block_num_or_id": 1}"#.to_vec(),
         ));
         assert_eq!(resp.status, 404);
-        let resp = h.handle(&HttpRequest::post("/v1/chain/get_block", b"not json".to_vec()));
+        let resp = h.handle(&HttpRequest::post(
+            "/v1/chain/get_block",
+            b"not json".to_vec(),
+        ));
         assert_eq!(resp.status, 400);
     }
 
@@ -330,7 +336,10 @@ mod tests {
 
         let resp = h.handle(&json!({"id": 1, "command": "server_info"}));
         assert_eq!(resp["status"], "success");
-        assert_eq!(resp["result"]["info"]["validated_ledger"]["seq"], 50_400_001);
+        assert_eq!(
+            resp["result"]["info"]["validated_ledger"]["seq"],
+            50_400_001
+        );
 
         let resp = h.handle(&json!({"id": 2, "command": "ledger", "ledger_index": 50_400_001}));
         assert_eq!(resp["status"], "success");

@@ -63,7 +63,12 @@ impl HttpResponse {
     }
 
     pub fn status(status: u16, reason: &str, body: Vec<u8>) -> Self {
-        HttpResponse { status, reason: reason.into(), headers: Vec::new(), body }
+        HttpResponse {
+            status,
+            reason: reason.into(),
+            headers: Vec::new(),
+            body,
+        }
     }
 
     pub fn is_ok(&self) -> bool {
@@ -156,7 +161,9 @@ fn read_headers(stream: &mut impl BufRead) -> Result<(Vec<(String, String)>, usi
             if content_length.is_some() || !digits {
                 return Err(HttpError::BadHeader(line.to_owned()));
             }
-            let len: usize = v.parse().map_err(|_| HttpError::BadHeader(line.to_owned()))?;
+            let len: usize = v
+                .parse()
+                .map_err(|_| HttpError::BadHeader(line.to_owned()))?;
             if len > MAX_BODY {
                 return Err(HttpError::BodyTooLarge(len));
             }
@@ -200,7 +207,12 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<Option<HttpRequest>, Ht
     }
     let (headers, content_length) = read_headers(stream)?;
     let body = read_body(stream, content_length)?;
-    Ok(Some(HttpRequest { method, path, headers, body }))
+    Ok(Some(HttpRequest {
+        method,
+        path,
+        headers,
+        body,
+    }))
 }
 
 /// One message: `start` line, headers, `content-length`, body, written to
@@ -224,7 +236,12 @@ fn write_message(
 
 /// Write a request.
 pub(crate) fn write_request(w: &mut impl Write, req: &HttpRequest) -> Result<(), HttpError> {
-    write_message(w, format!("{} {} HTTP/1.1\r\n", req.method, req.path), &req.headers, &req.body)
+    write_message(
+        w,
+        format!("{} {} HTTP/1.1\r\n", req.method, req.path),
+        &req.headers,
+        &req.body,
+    )
 }
 
 /// Read one response.
@@ -246,7 +263,12 @@ pub fn read_response(stream: &mut impl BufRead) -> Result<HttpResponse, HttpErro
     let reason = parts.next().unwrap_or("").to_owned();
     let (headers, content_length) = read_headers(stream)?;
     let body = read_body(stream, content_length)?;
-    Ok(HttpResponse { status, reason, headers, body })
+    Ok(HttpResponse {
+        status,
+        reason,
+        headers,
+        body,
+    })
 }
 
 /// Write a response.
@@ -257,8 +279,14 @@ pub fn write_response(w: &mut impl Write, resp: &HttpResponse) -> Result<(), Htt
 
 /// Approximate wire size of a request (for byte accounting).
 pub(crate) fn request_wire_size(req: &HttpRequest) -> usize {
-    req.method.len() + req.path.len() + 12
-        + req.headers.iter().map(|(k, v)| k.len() + v.len() + 4).sum::<usize>()
+    req.method.len()
+        + req.path.len()
+        + 12
+        + req
+            .headers
+            .iter()
+            .map(|(k, v)| k.len() + v.len() + 4)
+            .sum::<usize>()
         + 20
         + req.body.len()
 }
@@ -266,7 +294,11 @@ pub(crate) fn request_wire_size(req: &HttpRequest) -> usize {
 /// Approximate wire size of a response.
 pub(crate) fn response_wire_size(resp: &HttpResponse) -> usize {
     16 + resp.reason.len()
-        + resp.headers.iter().map(|(k, v)| k.len() + v.len() + 4).sum::<usize>()
+        + resp
+            .headers
+            .iter()
+            .map(|(k, v)| k.len() + v.len() + 4)
+            .sum::<usize>()
         + 20
         + resp.body.len()
 }
@@ -284,14 +316,20 @@ mod tests {
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/v1/chain/get_block");
             assert_eq!(req.body, br#"{"block_num_or_id":5}"#);
-            write_response(stream.get_mut(), &HttpResponse::ok(b"{\"ok\":true}".to_vec()))
-                .unwrap();
+            write_response(
+                stream.get_mut(),
+                &HttpResponse::ok(b"{\"ok\":true}".to_vec()),
+            )
+            .unwrap();
             // Second request on the same connection (keep-alive).
             let req2 = read_request(&mut stream).unwrap().unwrap();
             assert_eq!(req2.method, "GET");
             assert_eq!(req2.body.capacity(), 0, "an empty body allocates nothing");
-            write_response(stream.get_mut(), &HttpResponse::status(404, "Not Found", vec![]))
-                .unwrap();
+            write_response(
+                stream.get_mut(),
+                &HttpResponse::status(404, "Not Found", vec![]),
+            )
+            .unwrap();
             // Clean EOF.
             assert!(read_request(&mut stream).unwrap().is_none());
         });
@@ -322,7 +360,11 @@ mod tests {
             assert_eq!(req.body, expect);
             write_response(stream.get_mut(), &HttpResponse::ok(req.body)).unwrap();
         });
-        write_request(client.get_mut(), &HttpRequest::post("/echo", payload.clone())).unwrap();
+        write_request(
+            client.get_mut(),
+            &HttpRequest::post("/echo", payload.clone()),
+        )
+        .unwrap();
         let resp = read_response(&mut client).unwrap();
         assert_eq!(resp.body, payload);
         server.join().unwrap();
@@ -350,13 +392,21 @@ mod tests {
             }
         }
         let full = format!("{}{}\r\n", request_line(MAX_LINE), headers(MAX_HEADERS));
-        let req = parse_raw(full).unwrap().expect("a request at both caps is served");
-        assert_eq!((req.path.len(), req.headers.len()), (MAX_LINE - 15, MAX_HEADERS));
+        let req = parse_raw(full)
+            .unwrap()
+            .expect("a request at both caps is served");
+        assert_eq!(
+            (req.path.len(), req.headers.len()),
+            (MAX_LINE - 15, MAX_HEADERS)
+        );
     }
 
     #[test]
     fn oversized_content_length_is_rejected() {
-        let head = format!("POST /x HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1);
+        let head = format!(
+            "POST /x HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
         match parse_raw(head) {
             Err(HttpError::BodyTooLarge(n)) => assert!(n > MAX_BODY),
             other => panic!("expected BodyTooLarge, got {other:?}"),
@@ -375,7 +425,10 @@ mod tests {
     #[test]
     fn malformed_request_line_is_rejected() {
         let parsed = parse_raw("NOT-HTTP-AT-ALL\r\n\r\n".to_owned());
-        assert!(matches!(parsed, Err(HttpError::BadRequestLine(_))), "{parsed:?}");
+        assert!(
+            matches!(parsed, Err(HttpError::BadRequestLine(_))),
+            "{parsed:?}"
+        );
     }
 
     #[test]

@@ -105,12 +105,24 @@ mod tests {
 
     #[test]
     fn an_overlong_line_is_refused_without_buffering_the_rest() {
-        let line = std::io::repeat(b'a').take(2 * MAX_LINE as u64).chain(&b"\n"[..]);
-        let mut reader = std::io::BufReader::new(Counting { inner: line, given: 0 });
+        let line = std::io::repeat(b'a')
+            .take(2 * MAX_LINE as u64)
+            .chain(&b"\n"[..]);
+        let mut reader = std::io::BufReader::new(Counting {
+            inner: line,
+            given: 0,
+        });
         let capacity = reader.capacity();
-        assert!(matches!(read_frame(&mut reader), Err(NdjsonError::LineTooLong(_))));
+        assert!(matches!(
+            read_frame(&mut reader),
+            Err(NdjsonError::LineTooLong(_))
+        ));
         let given = reader.get_ref().given;
-        assert!(given <= MAX_LINE + 1 + capacity, "read {given} of {} bytes", 2 * MAX_LINE + 1);
+        assert!(
+            given <= MAX_LINE + 1 + capacity,
+            "read {given} of {} bytes",
+            2 * MAX_LINE + 1
+        );
     }
 
     #[test]

@@ -93,15 +93,30 @@ impl RouteStats {
                 value: SampleValue::Int(v),
             };
             for (route, s) in routes.classes() {
-                out.push(counter("requests_total", "Requests received", route, s.requests.get()));
-                out.push(counter("served_total", "Requests served", route, s.served.get()));
+                out.push(counter(
+                    "requests_total",
+                    "Requests received",
+                    route,
+                    s.requests.get(),
+                ));
+                out.push(counter(
+                    "served_total",
+                    "Requests served",
+                    route,
+                    s.served.get(),
+                ));
                 out.push(counter(
                     "shed_total",
                     "Requests shed 429 by admission control",
                     route,
                     s.shed.get(),
                 ));
-                out.push(counter("bytes_in_total", "Request bytes read", route, s.bytes_in.get()));
+                out.push(counter(
+                    "bytes_in_total",
+                    "Request bytes read",
+                    route,
+                    s.bytes_in.get(),
+                ));
                 out.push(counter(
                     "bytes_out_total",
                     "Response bytes written",
@@ -173,7 +188,11 @@ impl Gatekeeper<Http> for Admission {
     fn decide(&self, request: &HttpRequest, stats: &EndpointStats) -> Option<HttpResponse> {
         if !self.try_admit() {
             stats.shed.inc();
-            return Some(HttpResponse::status(429, "Too Many Requests", SHED_BODY.to_vec()));
+            return Some(HttpResponse::status(
+                429,
+                "Too Many Requests",
+                SHED_BODY.to_vec(),
+            ));
         }
         self.in_flight.inc();
         let _admit = AdmitGuard(self);
@@ -217,7 +236,11 @@ pub fn start_query_server(
         handler,
     };
     serve_connections::<Http, _>(listener, admission);
-    Ok(QueryServerHandle { name: cfg.name, addr, routes })
+    Ok(QueryServerHandle {
+        name: cfg.name,
+        addr,
+        routes,
+    })
 }
 
 /// [`start_query_server`] for `benchmark/src/bin/layers.rs`, the one caller
@@ -308,8 +331,9 @@ pub fn run_load(addr: SocketAddr, plan: &LoadPlan) -> LoadReport {
         (latencies_us, ok, shed, errors, sent)
     };
     let results: Vec<_> = std::thread::scope(|s| {
-        let clients: Vec<_> =
-            (0..plan.connections).map(|conn_idx| s.spawn(move || client(conn_idx))).collect();
+        let clients: Vec<_> = (0..plan.connections)
+            .map(|conn_idx| s.spawn(move || client(conn_idx)))
+            .collect();
         clients.into_iter().filter_map(|c| c.join().ok()).collect()
     });
     let mut all_latencies: Vec<u64> = Vec::new();
@@ -325,8 +349,8 @@ pub fn run_load(addr: SocketAddr, plan: &LoadPlan) -> LoadReport {
     all_latencies.sort_unstable();
     if !all_latencies.is_empty() {
         let q = |f: f64| {
-            let idx = ((f * all_latencies.len() as f64).ceil() as usize)
-                .clamp(1, all_latencies.len());
+            let idx =
+                ((f * all_latencies.len() as f64).ceil() as usize).clamp(1, all_latencies.len());
             all_latencies[idx - 1]
         };
         report.p50_us = q(0.50);
@@ -373,16 +397,27 @@ mod tests {
     fn replied_runs_after_the_reply_is_written() {
         let (arrived_tx, arrived_rx) = std::sync::mpsc::channel();
         let (heard_tx, heard_rx) = std::sync::mpsc::channel();
-        let handler = Gated { arrived: Mutex::new(arrived_rx), heard: Mutex::new(heard_tx) };
+        let handler = Gated {
+            arrived: Mutex::new(arrived_rx),
+            heard: Mutex::new(heard_tx),
+        };
         let h = start_query_server(Arc::new(handler), QueryServerConfig::default()).unwrap();
         let mut stream = connect(h.addr);
-        stream.get_ref().set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         write_request(stream.get_mut(), &HttpRequest::get("/exhibit/x")).unwrap();
         let reply = read_response(&mut stream).expect("the hook ran before the reply was written");
         assert_eq!(reply.status, 200);
-        assert!(heard_rx.try_recv().is_err(), "the hook finished before the client had its reply");
+        assert!(
+            heard_rx.try_recv().is_err(),
+            "the hook finished before the client had its reply"
+        );
         arrived_tx.send(()).unwrap();
-        let heard = heard_rx.recv_timeout(Duration::from_secs(10)).expect("hook never ran");
+        let heard = heard_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("hook never ran");
         assert_eq!(heard, ("/exhibit/x".to_owned(), 200));
     }
 
@@ -390,9 +425,7 @@ mod tests {
     fn serves_and_classifies_routes() {
         let h = start_query_server(Arc::new(Hello), QueryServerConfig::default()).unwrap();
         let mut stream = connect(h.addr);
-        for (path, status) in
-            [("/exhibit/x", 200), ("/account/eos/a", 200), ("/nope", 404)]
-        {
+        for (path, status) in [("/exhibit/x", 200), ("/account/eos/a", 200), ("/nope", 404)] {
             write_request(stream.get_mut(), &HttpRequest::get(path)).unwrap();
             assert_eq!(read_response(&mut stream).unwrap().status, status);
         }
@@ -413,9 +446,15 @@ mod tests {
         for addr in [query.addr, sim.addr] {
             let mut stream = connect(addr);
             // No line end: the server must not wait for one.
-            stream.get_mut().write_all(&vec![b'a'; crate::http::MAX_LINE + 1]).unwrap();
+            stream
+                .get_mut()
+                .write_all(&vec![b'a'; crate::http::MAX_LINE + 1])
+                .unwrap();
             assert_eq!(read_response(&mut stream).unwrap().status, 431, "{addr}");
-            assert!(read_response(&mut stream).is_err(), "{addr}: connection left open");
+            assert!(
+                read_response(&mut stream).is_err(),
+                "{addr}: connection left open"
+            );
         }
     }
 

@@ -152,7 +152,11 @@ fn spawn_sim<F: Framing>(
     let addr = listener.local_addr()?;
     let stats = Arc::new(EndpointStats::default());
     let name = profile.name.clone();
-    let gate = SimGate { sim: EndpointSim::new(profile), stats: stats.clone(), handle };
+    let gate = SimGate {
+        sim: EndpointSim::new(profile),
+        stats: stats.clone(),
+        handle,
+    };
     serve_connections::<F, _>(listener, gate);
     Ok(EndpointHandle { name, addr, stats })
 }
@@ -203,12 +207,19 @@ mod tests {
         // Two requests on one connection: a reply's bytes are booked after
         // it is written, so only the second reply proves the first booked.
         for _ in 0..2 {
-            write_request(stream.get_mut(), &HttpRequest::post("/x", b"hello".to_vec())).unwrap();
+            write_request(
+                stream.get_mut(),
+                &HttpRequest::post("/x", b"hello".to_vec()),
+            )
+            .unwrap();
             let resp = read_response(&mut stream).unwrap();
             assert_eq!(resp.body, b"hello");
         }
         let s = &h.stats;
-        assert_eq!((s.requests.get(), s.served.get(), s.rate_limited.get()), (2, 2, 0));
+        assert_eq!(
+            (s.requests.get(), s.served.get(), s.rate_limited.get()),
+            (2, 2, 0)
+        );
         assert!(s.bytes_in.get() > 10 && s.bytes_out.get() > 5);
     }
 
@@ -226,8 +237,16 @@ mod tests {
         let mut stream = connect(h.addr);
         write_request(stream.get_mut(), &HttpRequest::post("/x", payload.clone())).unwrap();
         let resp = read_response(&mut stream).unwrap();
-        assert!(resp.is_ok() && resp.body == payload, "status {}", resp.status);
-        assert_eq!(h.stats.served.get(), 1, "the short body was never a request");
+        assert!(
+            resp.is_ok() && resp.body == payload,
+            "status {}",
+            resp.status
+        );
+        assert_eq!(
+            h.stats.served.get(),
+            1,
+            "the short body was never a request"
+        );
     }
 
     #[test]
@@ -241,7 +260,11 @@ mod tests {
         // A reset is a hang-up too: only bytes that did arrive count.
         let mut reply = Vec::new();
         let _ = peer.read_to_end(&mut reply);
-        assert_eq!(String::from_utf8_lossy(&reply), "", "no reply to an ambiguous request");
+        assert_eq!(
+            String::from_utf8_lossy(&reply),
+            "",
+            "no reply to an ambiguous request"
+        );
         assert_eq!(h.stats.requests.get(), 0);
     }
 
@@ -259,8 +282,14 @@ mod tests {
             write_request(stream.get_mut(), &HttpRequest::get("/")).unwrap();
             codes.push(read_response(&mut stream).unwrap().status);
         }
-        assert!(codes.iter().filter(|c| **c == 429).count() >= 3, "{codes:?}");
-        assert!(codes.iter().filter(|c| **c == 200).count() >= 2, "{codes:?}");
+        assert!(
+            codes.iter().filter(|c| **c == 429).count() >= 3,
+            "{codes:?}"
+        );
+        assert!(
+            codes.iter().filter(|c| **c == 200).count() >= 2,
+            "{codes:?}"
+        );
     }
 
     #[test]

@@ -61,7 +61,10 @@ impl Manifest {
     pub fn parse(s: &str) -> Result<Manifest, String> {
         let v: serde_json::Value =
             serde_json::from_str(s).map_err(|e| format!("archive manifest: {e}"))?;
-        let meta = v.get("meta").cloned().ok_or("archive manifest carries no scenario meta")?;
+        let meta = v
+            .get("meta")
+            .cloned()
+            .ok_or("archive manifest carries no scenario meta")?;
         let segment_blocks = v
             .get("segment_blocks")
             .and_then(serde_json::Value::as_u64)
@@ -71,13 +74,20 @@ impl Manifest {
             .and_then(serde_json::Value::as_array)
             .ok_or("archive manifest carries no chain lengths")?;
         if lens_v.len() != 3 {
-            return Err(format!("archive manifest lens: want 3 chains, got {}", lens_v.len()));
+            return Err(format!(
+                "archive manifest lens: want 3 chains, got {}",
+                lens_v.len()
+            ));
         }
         let mut lens = [0u64; 3];
         for (i, l) in lens_v.iter().enumerate() {
             lens[i] = l.as_u64().ok_or("archive manifest lens: not a u64")?;
         }
-        Ok(Manifest { meta, segment_blocks, lens })
+        Ok(Manifest {
+            meta,
+            segment_blocks,
+            lens,
+        })
     }
 
     /// The block-position space `[0, total)` the segments tile.
@@ -299,14 +309,19 @@ impl SegmentSummary {
 
     /// Block counts `[eos, tezos, xrp]` of the summarized run.
     pub(crate) fn lens(&self) -> [u64; 3] {
-        [self.storage.0.blocks, self.storage.1.blocks, self.storage.2.blocks]
+        [
+            self.storage.0.blocks,
+            self.storage.1.blocks,
+            self.storage.2.blocks,
+        ]
     }
 
     /// The memo payload (schema [`SUMMARY_SCHEMA`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ColWriter::with_capacity(96);
-        for (stats, bounds) in
-            [&self.storage.0, &self.storage.1, &self.storage.2].into_iter().zip(self.bounds)
+        for (stats, bounds) in [&self.storage.0, &self.storage.1, &self.storage.2]
+            .into_iter()
+            .zip(self.bounds)
         {
             for v in [
                 stats.blocks,
@@ -353,13 +368,20 @@ impl SegmentSummary {
             };
             let bounds = match r.byte()? {
                 0 => Bounds::default(),
-                1 => Bounds { first: end(r)?, last: end(r)? },
+                1 => Bounds {
+                    first: end(r)?,
+                    last: end(r)?,
+                },
                 tag => return Err(r.invalid(format!("bad bounds tag {tag}"))),
             };
             Ok((stats, bounds))
         }
         let mut r = ColReader::new(bytes);
-        let (eos, tezos, xrp) = (chain(&mut r).ok()?, chain(&mut r).ok()?, chain(&mut r).ok()?);
+        let (eos, tezos, xrp) = (
+            chain(&mut r).ok()?,
+            chain(&mut r).ok()?,
+            chain(&mut r).ok()?,
+        );
         let cpu_peaks = (r.f64().ok()?, r.f64().ok()?);
         r.finish().ok()?;
         Some(SegmentSummary {
@@ -409,8 +431,11 @@ pub fn segments_of_from(
 }
 
 /// The three parsed chain vectors a segment replay decodes into.
-pub(crate) type ReplayedChains =
-    (Vec<txstat_eos::Block>, Vec<txstat_tezos::TezosBlock>, Vec<txstat_xrp::LedgerBlock>);
+pub(crate) type ReplayedChains = (
+    Vec<txstat_eos::Block>,
+    Vec<txstat_tezos::TezosBlock>,
+    Vec<txstat_xrp::LedgerBlock>,
+);
 
 /// Parse one replayed segment into its three chain runs; errors name the
 /// segment's position range and the offset inside the chain blob.
@@ -469,8 +494,20 @@ mod tests {
             eos_cpu_price: vec![(10, 1.25), (11, f64::MIN_POSITIVE), (12, -0.0)],
             eos_dropped_txs: 77,
             tezos_rolls: vec![
-                (Address { kind: AddrKind::Implicit, id: 3 }, 12),
-                (Address { kind: AddrKind::Originated, id: 4 }, 0),
+                (
+                    Address {
+                        kind: AddrKind::Implicit,
+                        id: 3,
+                    },
+                    12,
+                ),
+                (
+                    Address {
+                        kind: AddrKind::Originated,
+                        id: 4,
+                    },
+                    0,
+                ),
             ],
             governance_periods: vec![(
                 PeriodKind::Exploration,
@@ -516,12 +553,22 @@ mod tests {
                     ..CrawlStats::default()
                 },
                 CrawlStats::default(),
-                CrawlStats { blocks: 1, wire_bytes: u64::MAX, ..CrawlStats::default() },
+                CrawlStats {
+                    blocks: 1,
+                    wire_bytes: u64::MAX,
+                    ..CrawlStats::default()
+                },
             ),
             bounds: [
-                Bounds { first: Some((10, ChainTime(-5))), last: Some((12, ChainTime(7))) },
+                Bounds {
+                    first: Some((10, ChainTime(-5))),
+                    last: Some((12, ChainTime(7))),
+                },
                 Bounds::default(),
-                Bounds { first: Some((99, ChainTime(1))), last: Some((99, ChainTime(1))) },
+                Bounds {
+                    first: Some((99, ChainTime(1))),
+                    last: Some((99, ChainTime(1))),
+                },
             ],
             cpu_peaks: (1.5, f64::MIN_POSITIVE),
         };

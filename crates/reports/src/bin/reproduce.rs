@@ -75,8 +75,14 @@ const COMMANDS: &[Command] = &[
         name: "report",
         about: "render every exhibit of the scenario (the default subcommand)",
         synopsis: &[
-            "--small", "--seed N", "--crawl", "--archive DIR", "--out FILE", "--trace-out FILE",
-            "--timings", "--metrics-out FILE",
+            "--small",
+            "--seed N",
+            "--crawl",
+            "--archive DIR",
+            "--out FILE",
+            "--trace-out FILE",
+            "--timings",
+            "--metrics-out FILE",
         ],
         run: cmd_report,
     },
@@ -85,8 +91,14 @@ const COMMANDS: &[Command] = &[
         about: "seal the scenario into the segmented on-disk corpus at --out DIR that \
                 the other subcommands cold-start from",
         synopsis: &[
-            "--out DIR", "--small", "--seed N", "--crawl", "--segment-blocks N",
-            "--trace-out FILE", "--timings", "--metrics-out FILE",
+            "--out DIR",
+            "--small",
+            "--seed N",
+            "--crawl",
+            "--segment-blocks N",
+            "--trace-out FILE",
+            "--timings",
+            "--metrics-out FILE",
         ],
         run: cmd_archive,
     },
@@ -96,9 +108,18 @@ const COMMANDS: &[Command] = &[
                 wire-frame bundle --out FILE (\"-\": stdout), or answer fleet range \
                 assignments on --listen ADDR until killed",
         synopsis: &[
-            "--range A..B", "--out FILE", "--shards K", "--listen ADDR", "--max-requests N",
-            "--timeout-ms MS", "--small", "--seed N", "--archive DIR", "--trace-out FILE",
-            "--timings", "--metrics-out FILE",
+            "--range A..B",
+            "--out FILE",
+            "--shards K",
+            "--listen ADDR",
+            "--max-requests N",
+            "--timeout-ms MS",
+            "--small",
+            "--seed N",
+            "--archive DIR",
+            "--trace-out FILE",
+            "--timings",
+            "--metrics-out FILE",
         ],
         run: cmd_shard,
     },
@@ -107,9 +128,20 @@ const COMMANDS: &[Command] = &[
         about: "validate + merge shard frames and render the full report, from frame \
                 files or by driving the --connect ADDR,ADDR,... socket workers",
         synopsis: &[
-            "--connect ADDRS", "--small", "--seed N", "--archive DIR", "--shards K",
-            "--chunks N", "--timeout-ms MS", "--retries N", "--backoff-ms MS", "--out FILE",
-            "--trace-out FILE", "--timings", "--metrics-out FILE", "FRAME-FILE...",
+            "--connect ADDRS",
+            "--small",
+            "--seed N",
+            "--archive DIR",
+            "--shards K",
+            "--chunks N",
+            "--timeout-ms MS",
+            "--retries N",
+            "--backoff-ms MS",
+            "--out FILE",
+            "--trace-out FILE",
+            "--timings",
+            "--metrics-out FILE",
+            "FRAME-FILE...",
         ],
         run: cmd_reduce,
     },
@@ -119,9 +151,19 @@ const COMMANDS: &[Command] = &[
                 dashboard line per batch and the full report at the head; can inject a \
                 reorg and persist the followed corpus",
         synopsis: &[
-            "--small", "--seed N", "--batch N", "--snapshots W", "--reorg-at-batch R",
-            "--reorg-depth D", "--reorg-seed S", "--archive DIR", "--segment-blocks N",
-            "--out FILE", "--trace-out FILE", "--timings", "--metrics-out FILE",
+            "--small",
+            "--seed N",
+            "--batch N",
+            "--snapshots W",
+            "--reorg-at-batch R",
+            "--reorg-depth D",
+            "--reorg-seed S",
+            "--archive DIR",
+            "--segment-blocks N",
+            "--out FILE",
+            "--trace-out FILE",
+            "--timings",
+            "--metrics-out FILE",
         ],
         run: cmd_follow,
     },
@@ -130,8 +172,12 @@ const COMMANDS: &[Command] = &[
         about: "fault-injecting TCP proxy in front of --upstream ADDR (resets, \
                 truncations, bit flips) for rehearsing worker failure; runs until killed",
         synopsis: &[
-            "--upstream ADDR", "--listen ADDR", "--fault-rate F", "--truncate-rate F",
-            "--flip-rate F", "--seed N",
+            "--upstream ADDR",
+            "--listen ADDR",
+            "--fault-rate F",
+            "--truncate-rate F",
+            "--flip-rate F",
+            "--seed N",
         ],
         run: cmd_chaos,
     },
@@ -141,8 +187,17 @@ const COMMANDS: &[Command] = &[
                 token-bucket admission; --load runs the built-in load generator at \
                 the head and exits",
         synopsis: &[
-            "--small", "--seed N", "--archive DIR", "--port P", "--batch N", "--epoch-ms MS",
-            "--rate R", "--burst B", "--load", "--trace-out FILE", "--timings",
+            "--small",
+            "--seed N",
+            "--archive DIR",
+            "--port P",
+            "--batch N",
+            "--epoch-ms MS",
+            "--rate R",
+            "--burst B",
+            "--load",
+            "--trace-out FILE",
+            "--timings",
         ],
         run: cmd_serve,
     },
@@ -151,7 +206,11 @@ const COMMANDS: &[Command] = &[
         about: "scripting client for serve: GET each PATH (bodies to --out), optionally \
                 waiting for the head first, asserting a status, or shutting it down",
         synopsis: &[
-            "--addr HOST:PORT", "--wait-head S", "--expect-status N", "--out FILE", "--shutdown",
+            "--addr HOST:PORT",
+            "--wait-head S",
+            "--expect-status N",
+            "--out FILE",
+            "--shutdown",
             "PATH...",
         ],
         run: cmd_query,
@@ -162,12 +221,13 @@ impl Command {
     /// Whether `arg` is one of this subcommand's flags and, if so, whether
     /// it takes a value.
     fn takes_value(&self, arg: &str) -> Option<bool> {
-        self.synopsis.iter().filter(|item| item.starts_with("--")).find_map(|flag| {
-            match flag.split_once(' ') {
+        self.synopsis
+            .iter()
+            .filter(|item| item.starts_with("--"))
+            .find_map(|flag| match flag.split_once(' ') {
                 Some((name, _value)) => (name == arg).then_some(true),
                 None => (*flag == arg).then_some(false),
-            }
-        })
+            })
     }
 
     fn takes_positionals(&self) -> bool {
@@ -188,7 +248,9 @@ impl Command {
             out.push_str(item);
             column += 1 + item.len();
         };
-        self.about.split_whitespace().for_each(|word| wrap(word, false));
+        self.about
+            .split_whitespace()
+            .for_each(|word| wrap(word, false));
         for (i, item) in self.synopsis.iter().enumerate() {
             wrap(&format!("[{item}]"), i == 0);
         }
@@ -211,8 +273,11 @@ struct Args {
 
 impl Args {
     fn parse(raw: &[String], cmd: &Command) -> Result<Args, String> {
-        let mut out =
-            Args { bools: Vec::new(), values: HashMap::new(), positionals: Vec::new() };
+        let mut out = Args {
+            bools: Vec::new(),
+            values: HashMap::new(),
+            positionals: Vec::new(),
+        };
         let mut it = raw.iter();
         while let Some(arg) = it.next() {
             match cmd.takes_value(arg) {
@@ -310,8 +375,11 @@ fn open_dataset(args: &Args, archive_dir: Option<&str>, need: Need) -> Result<Op
         if args.has("--crawl") {
             return Err("report takes --archive or --crawl, not both".to_owned());
         }
-        let cold_start =
-            if need == Need::Facts { reducer_from_archive } else { pipeline_from_archive };
+        let cold_start = if need == Need::Facts {
+            reducer_from_archive
+        } else {
+            pipeline_from_archive
+        };
         let (data, archive) = cold_start(Path::new(dir))?;
         let manifest = Manifest::parse(archive.manifest())?;
         check_archive_scenario(args, &manifest.meta)?;
@@ -325,18 +393,33 @@ fn open_dataset(args: &Args, archive_dir: Option<&str>, need: Need) -> Result<Op
             archive.segments().len(),
             archive.total_positions(),
         );
-        return Ok(Opened { data, mode, archive: Some(archive) });
+        return Ok(Opened {
+            data,
+            mode,
+            archive: Some(archive),
+        });
     }
     let (sc, mode) = scenario_of(args)?;
     let data = if args.has("--crawl") {
-        let opts = if args.has("--small") { CrawlOptions::default() } else { CrawlOptions::paper() };
-        eprintln!("generating {mode} scenario (seed {}); crawling over loopback RPC…", sc.seed);
+        let opts = if args.has("--small") {
+            CrawlOptions::default()
+        } else {
+            CrawlOptions::paper()
+        };
+        eprintln!(
+            "generating {mode} scenario (seed {}); crawling over loopback RPC…",
+            sc.seed
+        );
         generate_with_crawl(&sc, &opts, need == Need::Blocks).map_err(|e| e.to_string())?
     } else {
         eprintln!("generating {mode} scenario (seed {})…", sc.seed);
         generate(&sc)
     };
-    Ok(Opened { data, mode: mode.to_owned(), archive: None })
+    Ok(Opened {
+        data,
+        mode: mode.to_owned(),
+        archive: None,
+    })
 }
 
 /// Arm the global tracer per `--trace-out FILE` (NDJSON span events) and
@@ -504,8 +587,8 @@ fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
     let timeout = timeout_of(args)?;
     let (ctx, expected) = shard_context_of(args)?;
     eprintln!("serving shard assignments…");
-    let listener = std::net::TcpListener::bind(listen)
-        .map_err(|e| format!("cannot bind {listen}: {e}"))?;
+    let listener =
+        std::net::TcpListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     // Scripts scrape this line for the bound address.
     println!("shard worker on {addr}");
@@ -532,9 +615,13 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     if let Some(listen) = args.get("--listen") {
         return shard_listen(args, listen);
     }
-    let (start, end) =
-        parse_range(args.get("--range").ok_or("shard needs --range A..B (or --listen ADDR)")?)?;
-    let out = args.get("--out").ok_or("shard needs --out FILE (\"-\" for stdout)")?;
+    let (start, end) = parse_range(
+        args.get("--range")
+            .ok_or("shard needs --range A..B (or --listen ADDR)")?,
+    )?;
+    let out = args
+        .get("--out")
+        .ok_or("shard needs --out FILE (\"-\" for stdout)")?;
     let shards = shards_of(args)?;
     let (ctx, meta) = shard_context_of(args)?;
     let frames = ctx.frames(meta, start, end, shards, PayloadFormat::Bin)?;
@@ -556,7 +643,11 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("cannot write frames to stdout: {e}"))?,
         path => std::fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?,
     }
-    eprintln!("{} frames ({} bytes) emitted to {out}", frames.len(), bytes.len());
+    eprintln!(
+        "{} frames ({} bytes) emitted to {out}",
+        frames.len(),
+        bytes.len()
+    );
     Ok(())
 }
 
@@ -586,7 +677,13 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
     let total = data.longest_chain() as u64;
     let labeled = {
         let _span = Span::enter("reduce_fleet", "");
-        reduce_fleet(&cfg, total, shards, PayloadFormat::Bin, scenario_meta(&sc, &mode))
+        reduce_fleet(
+            &cfg,
+            total,
+            shards,
+            PayloadFormat::Bin,
+            scenario_meta(&sc, &mode),
+        )
     }
     .map_err(|e| e.to_string())?;
     eprintln!("fleet returned {} frames; merging…", labeled.len());
@@ -601,25 +698,26 @@ fn cmd_reduce(args: &Args) -> Result<(), String> {
         reduce_fleet_mode(args, connect)?
     } else {
         if args.get("--archive").is_some() {
-            return Err("reduce --archive needs --connect (the cold-start is fleet mode; \
+            return Err(
+                "reduce --archive needs --connect (the cold-start is fleet mode; \
                         file mode takes its scenario from the frames)"
-                .to_owned());
+                    .to_owned(),
+            );
         }
         if args.positionals.is_empty() {
-            return Err(
-                "reduce needs at least one frame file (or --connect ADDR,...)".to_owned()
-            );
+            return Err("reduce needs at least one frame file (or --connect ADDR,...)".to_owned());
         }
         let mut labeled: Vec<(String, ShardFrame)> = Vec::new();
         for path in &args.positionals {
             let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let decoded =
-                txstat_wire::decode_all(&bytes).map_err(|e| format!("{path}: {e}"))?;
+            let decoded = txstat_wire::decode_all(&bytes).map_err(|e| format!("{path}: {e}"))?;
             eprintln!("{path}: {} frames", decoded.len());
             labeled.extend(decoded.into_iter().map(|f| (path.clone(), f)));
         }
-        let meta =
-            labeled.first().map(|(_, f)| f.header.meta.clone()).ok_or("no frames found")?;
+        let meta = labeled
+            .first()
+            .map(|(_, f)| f.header.meta.clone())
+            .ok_or("no frames found")?;
         let (sc, mode) = scenario_from_meta(&meta)?;
         eprintln!(
             "reducing {} frames of the {mode} scenario (seed {})…",
@@ -643,20 +741,37 @@ fn batch_of(args: &Args, default: usize) -> Result<usize, String> {
 fn cmd_follow(args: &Args) -> Result<(), String> {
     let batch = batch_of(args, 500)?;
     let snapshots = args.parsed("--snapshots", DEFAULT_SNAPSHOT_WINDOW)?;
-    let (depth, seed) = (args.parsed("--reorg-depth", batch)?, args.parsed("--reorg-seed", 1)?);
+    let (depth, seed) = (
+        args.parsed("--reorg-depth", batch)?,
+        args.parsed("--reorg-seed", 1)?,
+    );
     let reorg_at = args.parsed_opt("--reorg-at-batch")?;
-    let reorg = reorg_at.map(|at_batch| Reorg { at_batch, depth, seed });
+    let reorg = reorg_at.map(|at_batch| Reorg {
+        at_batch,
+        depth,
+        seed,
+    });
     let segment_blocks = args.parsed_opt("--segment-blocks")?;
     // With --archive: cold-start from the corpus when one exists there,
     // otherwise the session creates it.
     let dir = args.get("--archive");
     let has_corpus = |dir: &&str| Path::new(dir).join(txstat_archive::IDX_FILE).exists();
-    let Opened { data, mode, archive } = open_dataset(args, dir.filter(has_corpus), Need::Blocks)?;
+    let Opened {
+        data,
+        mode,
+        archive,
+    } = open_dataset(args, dir.filter(has_corpus), Need::Blocks)?;
     let archive = match archive {
         Some(corpus) => Some(Corpus::Resume(corpus)),
         None => dir.map(|dir| Corpus::Create(Path::new(dir))),
     };
-    let plan = FollowPlan { batch, snapshots, reorg, archive, segment_blocks };
+    let plan = FollowPlan {
+        batch,
+        snapshots,
+        reorg,
+        archive,
+        segment_blocks,
+    };
     let followed = follow_session(data, &mode, plan, |line| eprintln!("{line}"))?;
     warn_memo(followed.memo);
     if followed.reorg_verified {
@@ -674,7 +789,10 @@ fn cmd_follow(args: &Args) -> Result<(), String> {
 /// `txstat_netsim::chaos`) for placing between a fleet reducer and its
 /// workers.
 fn cmd_chaos(args: &Args) -> Result<(), String> {
-    let upstream = args.get("--upstream").ok_or("chaos needs --upstream HOST:PORT")?.to_owned();
+    let upstream = args
+        .get("--upstream")
+        .ok_or("chaos needs --upstream HOST:PORT")?
+        .to_owned();
     let listen = args.get("--listen").unwrap_or("127.0.0.1:0").to_owned();
     let profile = ChaosProfile {
         fault_rate: args.parsed("--fault-rate", 0.0)?,
@@ -721,8 +839,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         .trim_end_matches('/')
         .parse()
         .map_err(|_| "--addr: cannot parse HOST:PORT".to_owned())?;
-    if args.positionals.is_empty() && !args.has("--shutdown") && args.get("--wait-head").is_none()
-    {
+    if args.positionals.is_empty() && !args.has("--shutdown") && args.get("--wait-head").is_none() {
         return Err("query needs at least one PATH (or --wait-head / --shutdown)".to_owned());
     }
     let expect: Option<u16> = args.parsed_opt("--expect-status")?;
@@ -846,10 +963,19 @@ mod tests {
         };
         let every_flag = flags_in(&usage());
         for cmd in COMMANDS {
-            let accepted: BTreeSet<String> =
-                every_flag.iter().filter(|flag| accepts(cmd, flag)).cloned().collect();
+            let accepted: BTreeSet<String> = every_flag
+                .iter()
+                .filter(|flag| accepts(cmd, flag))
+                .cloned()
+                .collect();
             assert_eq!(flags_in(&cmd.usage()), accepted, "usage of {}", cmd.name);
-            assert_eq!(COMMANDS.iter().filter(|other| other.name == cmd.name).count(), 1);
+            assert_eq!(
+                COMMANDS
+                    .iter()
+                    .filter(|other| other.name == cmd.name)
+                    .count(),
+                1
+            );
         }
     }
 
@@ -859,11 +985,24 @@ mod tests {
         for (name, flags) in [
             ("archive", &["--out", "--small", "--seed"][..]),
             ("report", &["--archive", "--out", "--small", "--seed"]),
-            ("serve", &["--archive", "--batch", "--epoch-ms", "--port", "--rate", "--burst"]),
+            (
+                "serve",
+                &[
+                    "--archive",
+                    "--batch",
+                    "--epoch-ms",
+                    "--port",
+                    "--rate",
+                    "--burst",
+                ],
+            ),
             ("reduce", &["--connect", "--archive", "--chunks", "--out"]),
             ("shard", &["--listen", "--archive"]),
         ] {
-            let row = COMMANDS.iter().find(|cmd| cmd.name == name).expect("subcommand row");
+            let row = COMMANDS
+                .iter()
+                .find(|cmd| cmd.name == name)
+                .expect("subcommand row");
             for flag in flags {
                 assert!(accepts(row, flag), "{name} {flag}");
             }

@@ -34,7 +34,12 @@ pub fn fig1(data: &PipelineData) -> String {
             fmt_pct(r.count as u128, eos_total as u128),
         ]);
     }
-    t.add_row(vec!["Total".into(), "".into(), fmt_thousands(eos_total as u128), "100.0".into()]);
+    t.add_row(vec![
+        "Total".into(),
+        "".into(),
+        fmt_thousands(eos_total as u128),
+        "100.0".into(),
+    ]);
     out.push_str(&t.render());
     out.push('\n');
 
@@ -50,7 +55,12 @@ pub fn fig1(data: &PipelineData) -> String {
             fmt_pct(r.count as u128, tz_total as u128),
         ]);
     }
-    t.add_row(vec!["Total".into(), "".into(), fmt_thousands(tz_total as u128), "100.0".into()]);
+    t.add_row(vec![
+        "Total".into(),
+        "".into(),
+        fmt_thousands(tz_total as u128),
+        "100.0".into(),
+    ]);
     out.push_str(&t.render());
     out.push('\n');
 
@@ -66,7 +76,12 @@ pub fn fig1(data: &PipelineData) -> String {
             fmt_pct(r.count as u128, x_total as u128),
         ]);
     }
-    t.add_row(vec!["Total".into(), "".into(), fmt_thousands(x_total as u128), "100.0".into()]);
+    t.add_row(vec![
+        "Total".into(),
+        "".into(),
+        fmt_thousands(x_total as u128),
+        "100.0".into(),
+    ]);
     out.push_str(&t.render());
     out
 }
@@ -94,7 +109,12 @@ pub fn fig2(data: &PipelineData) -> String {
         )
     };
     let mut table = TextTable::new(&[
-        "Chain", "Sample period", "Block index", "Blocks", "Transactions", "Storage est. (GB, lzss)",
+        "Chain",
+        "Sample period",
+        "Block index",
+        "Blocks",
+        "Transactions",
+        "Storage est. (GB, lzss)",
     ])
     .with_title("Figure 2 — Characterizing the datasets (scenario scale)")
     .with_aligns(&[
@@ -173,7 +193,11 @@ pub fn fig3(data: &PipelineData) -> String {
             .map(|(t, c)| (t.date_string(), c as f64))
             .collect();
         out.push_str(&render_series(
-            &format!("  {} (total {})", cat.label(), fmt_thousands(series.category_total(&cat) as u128)),
+            &format!(
+                "  {} (total {})",
+                cat.label(),
+                fmt_thousands(series.category_total(&cat) as u128)
+            ),
             &pts,
         ));
     }
@@ -187,7 +211,11 @@ pub fn fig3(data: &PipelineData) -> String {
             .map(|(t, c)| (t.date_string(), c as f64))
             .collect();
         out.push_str(&render_series(
-            &format!("  {} (total {})", cat.label(), fmt_thousands(series.category_total(&cat) as u128)),
+            &format!(
+                "  {} (total {})",
+                cat.label(),
+                fmt_thousands(series.category_total(&cat) as u128)
+            ),
             &pts,
         ));
     }
@@ -201,7 +229,11 @@ pub fn fig3(data: &PipelineData) -> String {
             .map(|(t, c)| (t.date_string(), c as f64))
             .collect();
         out.push_str(&render_series(
-            &format!("  {} (total {})", cat.label(), fmt_thousands(series.category_total(&cat) as u128)),
+            &format!(
+                "  {} (total {})",
+                cat.label(),
+                fmt_thousands(series.category_total(&cat) as u128)
+            ),
             &pts,
         ));
     }
@@ -223,7 +255,11 @@ pub fn fig4(data: &PipelineData) -> String {
             .map(|(n, c)| format!("{n} {:.1}%", *c as f64 * 100.0 / total.max(1) as f64))
             .collect::<Vec<_>>()
             .join(", ");
-        t.add_row(vec![r.account.to_string_repr(), fmt_thousands(r.tx_count as u128), mix]);
+        t.add_row(vec![
+            r.account.to_string_repr(),
+            fmt_thousands(r.tx_count as u128),
+            mix,
+        ]);
     }
     t.render()
 }
@@ -276,16 +312,23 @@ pub fn fig5(data: &PipelineData) -> String {
 /// Figure 6: Tezos top senders with receiver-dispersion statistics.
 pub fn fig6(data: &PipelineData) -> String {
     let rows = data.sweeps().tezos.top_senders(5);
-    let mut t = TextTable::new(&["Sender", "Kind", "Sent", "Uniq recv", "Avg/recv", "Stdev/recv"])
-        .with_title("Figure 6 — Tezos accounts with the most sent transactions")
-        .with_aligns(&[
-            Align::Left,
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ]);
+    let mut t = TextTable::new(&[
+        "Sender",
+        "Kind",
+        "Sent",
+        "Uniq recv",
+        "Avg/recv",
+        "Stdev/recv",
+    ])
+    .with_title("Figure 6 — Tezos accounts with the most sent transactions")
+    .with_aligns(&[
+        Align::Left,
+        Align::Left,
+        Align::Right,
+        Align::Right,
+        Align::Right,
+        Align::Right,
+    ]);
     let mut implicit = 0;
     for r in &rows {
         // §3.3: "4 out of 5 of these accounts are not contracts but regular
@@ -319,7 +362,10 @@ pub fn fig6(data: &PipelineData) -> String {
 pub fn fig7(data: &PipelineData) -> String {
     let f = data.sweeps().xrp.funnel();
     let mut out = String::from("Figure 7 — XRP throughput value funnel\n");
-    out.push_str(&format!("Total transactions: {}\n", fmt_thousands(f.total as u128)));
+    out.push_str(&format!(
+        "Total transactions: {}\n",
+        fmt_thousands(f.total as u128)
+    ));
     out.push_str(&format!(
         "├─ Failed        {:>6.1}%  ({})\n",
         f.pct(f.failed),
@@ -352,7 +398,14 @@ pub fn fig7(data: &PipelineData) -> String {
 pub fn fig8(data: &PipelineData) -> String {
     let rows = data.sweeps().xrp.most_active(10, &data.cluster);
     let mut t = TextTable::new(&[
-        "Account", "Entity", "OfferCreate", "Payment", "Others", "Total", "% of total", "Top tag",
+        "Account",
+        "Entity",
+        "OfferCreate",
+        "Payment",
+        "Others",
+        "Total",
+        "% of total",
+        "Top tag",
     ])
     .with_title("Figure 8 — Most active accounts on the XRP ledger")
     .with_aligns(&[
@@ -374,7 +427,9 @@ pub fn fig8(data: &PipelineData) -> String {
             fmt_thousands(r.others as u128),
             fmt_thousands(r.total as u128),
             format!("{:.1}%", r.share_pct),
-            r.top_tag.map(|(tag, _)| tag.to_string()).unwrap_or_else(|| "—".into()),
+            r.top_tag
+                .map(|(tag, _)| tag.to_string())
+                .unwrap_or_else(|| "—".into()),
         ]);
     }
     t.render()
@@ -403,7 +458,11 @@ pub fn fig9(data: &PipelineData) -> String {
                 .map(|(t, v)| (t.date_string(), *v as f64))
                 .collect();
             out.push_str(&render_series(
-                &format!("  {} (final {} rolls)", c.label, fmt_thousands(c.total() as u128)),
+                &format!(
+                    "  {} (final {} rolls)",
+                    c.label,
+                    fmt_thousands(c.total() as u128)
+                ),
                 &pts,
             ));
         }
@@ -439,7 +498,8 @@ pub fn fig11(data: &PipelineData) -> String {
         t.add_row(vec![
             issuer.to_string(),
             data.cluster.entity_or(*issuer, "not registered"),
-            rate.map(|r| format!("{r:.1}")).unwrap_or_else(|| "0".into()),
+            rate.map(|r| format!("{r:.1}"))
+                .unwrap_or_else(|| "0".into()),
         ]);
     }
     out.push_str(&t.render());
@@ -451,7 +511,11 @@ pub fn fig11(data: &PipelineData) -> String {
         .with_title("\n(b) BTC IOU of one issuer traded at collapsing rates")
         .with_aligns(&[Align::Left, Align::Left, Align::Right]);
     for (time, maker, rate) in &events {
-        t.add_row(vec![time.date_string(), maker.to_string(), format!("{rate:.1}")]);
+        t.add_row(vec![
+            time.date_string(),
+            maker.to_string(),
+            format!("{rate:.1}"),
+        ]);
     }
     out.push_str(&t.render());
     out
@@ -489,9 +553,14 @@ pub fn fig12(data: &PipelineData) -> String {
         ]);
     }
     out.push_str(&t.render());
-    let mut t = TextTable::new(&["Currency", "Nominal moved", "Valuable nominal", "Valuable (XRP)"])
-        .with_title("\nCurrencies")
-        .with_aligns(&[Align::Left, Align::Right, Align::Right, Align::Right]);
+    let mut t = TextTable::new(&[
+        "Currency",
+        "Nominal moved",
+        "Valuable nominal",
+        "Valuable (XRP)",
+    ])
+    .with_title("\nCurrencies")
+    .with_aligns(&[Align::Left, Align::Right, Align::Right, Align::Right]);
     for (cur, nominal, valuable, xrp_vol) in flow.currencies.iter().take(8) {
         t.add_row(vec![
             cur.clone(),
@@ -536,7 +605,10 @@ pub fn headline(data: &PipelineData) -> String {
         "EIDOS boomerang transfers: {:.1}% of transfer actions ({} boomerangs; hub {})\n",
         boomerang.transfer_share * 100.0,
         fmt_thousands(boomerang.boomerangs as u128),
-        boomerang.hub.map(|h| h.to_string_repr()).unwrap_or_default()
+        boomerang
+            .hub
+            .map(|h| h.to_string_repr())
+            .unwrap_or_default()
     ));
     out.push_str(&format!(
         "Tezos endorsements: {}% of all operations (paper: 81.7%)\n",
@@ -632,7 +704,8 @@ pub fn case_studies(data: &PipelineData) -> String {
 }
 
 /// The separator between report sections.
-pub(crate) const SECTION_BREAK: &str = "\n================================================================\n\n";
+pub(crate) const SECTION_BREAK: &str =
+    "\n================================================================\n\n";
 
 /// Renderer signature shared by every row of [`SECTIONS`].
 pub(crate) type SectionFn = fn(&PipelineData) -> String;
@@ -666,13 +739,18 @@ const COMPARISON: (&str, SectionFn) = ("comparison", comparison_section);
 /// `((name, render), separator)`; [`render_report`] renders each section,
 /// a serve snapshot takes it from its own cache.
 pub(crate) fn report_layout() -> impl Iterator<Item = ((&'static str, SectionFn), &'static str)> {
-    SECTIONS.iter().map(|&row| (row, SECTION_BREAK)).chain([(COMPARISON, "")])
+    SECTIONS
+        .iter()
+        .map(|&row| (row, SECTION_BREAK))
+        .chain([(COMPARISON, "")])
 }
 
 /// The `(name, render)` row behind `/exhibit/<name>`: a [`SECTIONS`] row or
 /// the comparison.
 pub(crate) fn section(name: &str) -> Option<(&'static str, SectionFn)> {
-    report_layout().map(|(row, _)| row).find(|(n, _)| *n == name)
+    report_layout()
+        .map(|(row, _)| row)
+        .find(|(n, _)| *n == name)
 }
 
 /// Render one section inside its `render` span — every section render of
@@ -686,7 +764,10 @@ pub(crate) fn render_section((name, render): (&str, SectionFn), data: &PipelineD
 
 /// Render every exhibit section: `(name, text)` in report order.
 pub fn report_sections(data: &PipelineData) -> Vec<(&'static str, String)> {
-    SECTIONS.iter().map(|&row| (row.0, render_section(row, data))).collect()
+    SECTIONS
+        .iter()
+        .map(|&row| (row.0, render_section(row, data)))
+        .collect()
 }
 
 /// The paper-vs-measured comparison plus the acceptance-band tally — the

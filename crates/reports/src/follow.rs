@@ -228,16 +228,33 @@ struct ReorgGuard {
 fn range_hash(data: &PipelineData, chain: usize, lo: usize, hi: usize) -> u64 {
     fn of<B>(blocks: &[B], lo: usize, hi: usize, wire_into: impl Fn(&B, &mut Vec<u8>)) -> u64 {
         let mut wire = Vec::new();
-        run_of(blocks, lo as u64, hi as u64).iter().fold(fnv1a64(b"range"), |h, b| {
-            wire.clear();
-            wire_into(b, &mut wire);
-            fnv1a64_extend(h, &wire)
-        })
+        run_of(blocks, lo as u64, hi as u64)
+            .iter()
+            .fold(fnv1a64(b"range"), |h, b| {
+                wire.clear();
+                wire_into(b, &mut wire);
+                fnv1a64_extend(h, &wire)
+            })
     }
     match chain {
-        0 => of(&data.eos_blocks, lo, hi, txstat_eos::rpc_model::block_bytes_into),
-        1 => of(&data.tezos_blocks, lo, hi, txstat_tezos::rpc_model::block_bytes_into),
-        _ => of(&data.xrp_blocks, lo, hi, txstat_xrp::rpc_model::ledger_bytes_into),
+        0 => of(
+            &data.eos_blocks,
+            lo,
+            hi,
+            txstat_eos::rpc_model::block_bytes_into,
+        ),
+        1 => of(
+            &data.tezos_blocks,
+            lo,
+            hi,
+            txstat_tezos::rpc_model::block_bytes_into,
+        ),
+        _ => of(
+            &data.xrp_blocks,
+            lo,
+            hi,
+            txstat_xrp::rpc_model::ledger_bytes_into,
+        ),
     }
 }
 
@@ -309,8 +326,11 @@ impl Follower {
     /// snapshots for [`Follower::resync`] — only for a caller that can meet
     /// a reorg (see the module docs).
     pub fn with_reorg_guard(mut self, window: usize) -> Self {
-        self.guard =
-            Some(ReorgGuard { window: window.max(1), marks: Vec::new(), ring: VecDeque::new() });
+        self.guard = Some(ReorgGuard {
+            window: window.max(1),
+            marks: Vec::new(),
+            ring: VecDeque::new(),
+        });
         self
     }
 
@@ -339,12 +359,18 @@ impl Follower {
     pub fn observed(&self) -> (u64, u64, u64) {
         let upto = |n: usize| self.offset.min(n) as u64;
         let data = &self.data;
-        (upto(data.eos_blocks.len()), upto(data.tezos_blocks.len()), upto(data.xrp_blocks.len()))
+        (
+            upto(data.eos_blocks.len()),
+            upto(data.tezos_blocks.len()),
+            upto(data.xrp_blocks.len()),
+        )
     }
 
     /// `(marks, ring entries)` the reorg guard holds; `(0, 0)` without one.
     pub fn retained(&self) -> (usize, usize) {
-        self.guard.as_ref().map_or((0, 0), |g| (g.marks.len(), g.ring.len()))
+        self.guard
+            .as_ref()
+            .map_or((0, 0), |g| (g.marks.len(), g.ring.len()))
     }
 
     /// Epochs so far built `(on the reclaimed back copy, on a clone of the
@@ -377,8 +403,11 @@ impl Follower {
         let merge_started = Instant::now();
         let source = {
             let _span = Span::enter("follow_merge", "");
-            let delta =
-                ChainSweeps { eos: eos.finalize(), tezos: tezos.finalize(), xrp: xrp.finalize() };
+            let delta = ChainSweeps {
+                eos: eos.finalize(),
+                tezos: tezos.finalize(),
+                xrp: xrp.finalize(),
+            };
             // The retired epoch's copy, brought level with the front — never
             // waited for: while anything else holds it, the front is cloned.
             let reclaimed = self.back.take().and_then(|(retired, owed)| {
@@ -414,7 +443,8 @@ impl Follower {
             m.published.inc();
             m.snapshots[source].inc();
             m.publish_latency_us.record(started.elapsed());
-            m.batch_lag.set((self.data.longest_chain() - self.offset) as u64);
+            m.batch_lag
+                .set((self.data.longest_chain() - self.offset) as u64);
         }
         Ok(self.data.fork_sharing(Arc::clone(&self.front)))
     }
@@ -503,15 +533,24 @@ pub fn reorg_data(data: &PipelineData, from: usize, seed: u64) -> PipelineData {
     }
     let mut eos = (*data.eos_blocks).clone();
     for (pos, b) in eos.iter_mut().enumerate().skip(from) {
-        mutate(&mut b.transactions, subseed_n(seed, "reorg-eos", pos as u64));
+        mutate(
+            &mut b.transactions,
+            subseed_n(seed, "reorg-eos", pos as u64),
+        );
     }
     let mut tezos = (*data.tezos_blocks).clone();
     for (pos, b) in tezos.iter_mut().enumerate().skip(from) {
-        mutate(&mut b.operations, subseed_n(seed, "reorg-tezos", pos as u64));
+        mutate(
+            &mut b.operations,
+            subseed_n(seed, "reorg-tezos", pos as u64),
+        );
     }
     let mut xrp = (*data.xrp_blocks).clone();
     for (pos, b) in xrp.iter_mut().enumerate().skip(from) {
-        mutate(&mut b.transactions, subseed_n(seed, "reorg-xrp", pos as u64));
+        mutate(
+            &mut b.transactions,
+            subseed_n(seed, "reorg-xrp", pos as u64),
+        );
     }
     data.with_chains(eos, tezos, xrp)
 }
@@ -571,19 +610,29 @@ pub fn follow_session(
     plan: FollowPlan,
     mut progress: impl FnMut(String),
 ) -> Result<Followed, String> {
-    let FollowPlan { batch, snapshots, mut reorg, archive, segment_blocks } = plan;
+    let FollowPlan {
+        batch,
+        snapshots,
+        mut reorg,
+        archive,
+        segment_blocks,
+    } = plan;
     let segment_blocks = segment_blocks.map(check_segment_blocks).transpose()?;
     let creating = match &archive {
         Some(Corpus::Create(dir)) => format!("creating archive {} and ", dir.display()),
         _ => String::new(),
     };
-    progress(format!("{creating}following head in batches of {batch} blocks per chain…"));
+    progress(format!(
+        "{creating}following head in batches of {batch} blocks per chain…"
+    ));
     // The reorg guard is on: this is the one session that can meet a reorg.
     let mut follower = Follower::new(data, batch).with_reorg_guard(snapshots);
     let batches = follower.base().longest_chain().div_ceil(follower.batch);
     if let Some(r) = reorg.filter(|r| r.at_batch > batches) {
         let at = r.at_batch;
-        return Err(format!("--reorg-at-batch {at}: the head is reached after {batches} batches"));
+        return Err(format!(
+            "--reorg-at-batch {at}: the head is reached after {batches} batches"
+        ));
     }
     let mut persist = archive
         .map(|corpus| FollowArchive::open(corpus, follower.base(), mode, segment_blocks, batch))
@@ -614,7 +663,9 @@ pub fn follow_session(
         if let Some(r) = reorg.take_if(|r| r.at_batch == round || follower.head()) {
             let from = follower.offset().saturating_sub(r.depth);
             let seed = r.seed;
-            progress(format!("injecting reorg: rewriting block positions {from}.. (seed {seed})"));
+            progress(format!(
+                "injecting reorg: rewriting block positions {from}.. (seed {seed})"
+            ));
             let reorged = reorg_data(follower.base(), from, seed);
             // From-scratch truth for the byte-identity check: the same
             // reorged chains, swept and summarized on their own.
@@ -633,7 +684,11 @@ pub fn follow_session(
                  {} invalidated{}; resuming at position {}",
                 r.agreed,
                 r.invalidated,
-                if r.rebuilt { " (rebuilt from scratch)" } else { "" },
+                if r.rebuilt {
+                    " (rebuilt from scratch)"
+                } else {
+                    ""
+                },
                 r.resume,
             ));
             // No break: a resync that changed nothing still republishes
@@ -646,10 +701,15 @@ pub fn follow_session(
     // The last epoch covers the whole (possibly reorged) chains: its report
     // is identical to `report`'s.
     let report = render_report(&head);
-    if scratch.as_ref().is_some_and(|scratch| report != render_report(scratch)) {
-        return Err("reorg recovery diverged: the followed report is not byte-identical \
+    if scratch
+        .as_ref()
+        .is_some_and(|scratch| report != render_report(scratch))
+    {
+        return Err(
+            "reorg recovery diverged: the followed report is not byte-identical \
                     to a from-scratch sweep of the reorged chain"
-            .to_owned());
+                .to_owned(),
+        );
     }
     let archive_segments = persist.map(|p| p.finish(&head)).transpose()?;
     Ok(Followed {
@@ -683,12 +743,17 @@ impl FollowArchive {
         let (writer, seg_blocks) = match corpus {
             Corpus::Create(dir) => {
                 let seg_blocks = seg_blocks.unwrap_or(batch as u64);
-                (create_archive_writer(dir, data, mode, seg_blocks)?, seg_blocks)
+                (
+                    create_archive_writer(dir, data, mode, seg_blocks)?,
+                    seg_blocks,
+                )
             }
             Corpus::Resume(archive) => {
                 let geometry = Manifest::parse(archive.manifest())?.segment_blocks;
                 let dir = archive.dir().display().to_string();
-                let writer = archive.into_writer().map_err(|e| format!("archive {dir}: {e}"))?;
+                let writer = archive
+                    .into_writer()
+                    .map_err(|e| format!("archive {dir}: {e}"))?;
                 (writer, seg_blocks.unwrap_or(geometry))
             }
         };
@@ -718,7 +783,9 @@ impl FollowArchive {
             self.seg_blocks,
             from,
         ) {
-            self.writer.append(&seg).map_err(|e| format!("archive append: {e}"))?;
+            self.writer
+                .append(&seg)
+                .map_err(|e| format!("archive append: {e}"))?;
         }
         Ok(())
     }
@@ -728,11 +795,7 @@ impl FollowArchive {
     /// the tail is re-sealed from the `reorged` chains, to their head.
     /// Returns how many segments were dropped and the position re-sealing
     /// started from.
-    fn reseal_from(
-        &mut self,
-        reorged: &PipelineData,
-        from: usize,
-    ) -> Result<(usize, u64), String> {
+    fn reseal_from(&mut self, reorged: &PipelineData, from: usize) -> Result<(usize, u64), String> {
         let dropped = self
             .writer
             .truncate_from(from as u64)
@@ -747,7 +810,9 @@ impl FollowArchive {
     /// `followed` (including any reorged suffix). Returns its segment
     /// count.
     fn finish(self, followed: &PipelineData) -> Result<usize, String> {
-        self.writer.seal().map_err(|e| format!("archive seal: {e}"))?;
+        self.writer
+            .seal()
+            .map_err(|e| format!("archive seal: {e}"))?;
         let dir = self.writer.dir();
         let (replayed, archive) = pipeline_from_archive(dir)?;
         if !chains_wire_identical(&replayed, followed) {
@@ -768,9 +833,19 @@ fn chains_wire_identical(a: &PipelineData, b: &PipelineData) -> bool {
     fn same<B>(a: &[B], b: &[B], wire: impl Fn(&B) -> Vec<u8>) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| wire(x) == wire(y))
     }
-    same(&a.eos_blocks, &b.eos_blocks, txstat_eos::rpc_model::block_bytes)
-        && same(&a.tezos_blocks, &b.tezos_blocks, txstat_tezos::rpc_model::block_bytes)
-        && same(&a.xrp_blocks, &b.xrp_blocks, txstat_xrp::rpc_model::ledger_bytes)
+    same(
+        &a.eos_blocks,
+        &b.eos_blocks,
+        txstat_eos::rpc_model::block_bytes,
+    ) && same(
+        &a.tezos_blocks,
+        &b.tezos_blocks,
+        txstat_tezos::rpc_model::block_bytes,
+    ) && same(
+        &a.xrp_blocks,
+        &b.xrp_blocks,
+        txstat_xrp::rpc_model::ledger_bytes,
+    )
 }
 
 #[cfg(test)]
@@ -803,7 +878,10 @@ mod tests {
         while !f.head() {
             fork = f.advance().expect("advance");
         }
-        assert!(render_report(&fork) == render_report(scratch), "followed report diverged");
+        assert!(
+            render_report(&fork) == render_report(scratch),
+            "followed report diverged"
+        );
     }
 
     #[test]
@@ -836,7 +914,10 @@ mod tests {
         assert_eq!(r.resume, 2000, "resumes at the first invalidated mark");
         // The snapshot at 2000 and the one before it survive.
         assert_eq!(f.retained(), (5, 2));
-        assert!(f.back.is_none(), "a delta of the abandoned history is still owed");
+        assert!(
+            f.back.is_none(),
+            "a delta of the abandoned history is still owed"
+        );
         assert_lands_on(&mut f, &reorged);
     }
 
@@ -845,9 +926,15 @@ mod tests {
         let mut f = followed(2, 7); // tiny window
         let reorged = reorg_data(f.base(), 5, 3); // diverges in the very first batch
         let r = f.resync(reorg_data(f.base(), 5, 3));
-        assert_eq!((r.agreed, r.invalidated, r.rebuilt, r.resume), (0, 7, true, 0));
+        assert_eq!(
+            (r.agreed, r.invalidated, r.rebuilt, r.resume),
+            (0, 7, true, 0)
+        );
         assert_eq!(f.retained(), (0, 0));
-        assert!(f.back.is_none(), "a delta of the abandoned history is still owed");
+        assert!(
+            f.back.is_none(),
+            "a delta of the abandoned history is still owed"
+        );
         assert_lands_on(&mut f, &reorged);
     }
 
@@ -861,7 +948,10 @@ mod tests {
         f.bind_metrics(&registry);
         let r = f.resync(reorg_data(f.base(), 700, 11));
         assert_eq!(r.agreed_by_chain, [3, 1, 3]);
-        assert_eq!((r.agreed, r.invalidated, r.rebuilt, r.resume), (1, 2, false, 400));
+        assert_eq!(
+            (r.agreed, r.invalidated, r.rebuilt, r.resume),
+            (1, 2, false, 400)
+        );
         let metrics = registry.render_prometheus();
         for line in [
             "txstat_follow_rollbacks_total{chain=\"eos\"} 0",
@@ -884,9 +974,19 @@ mod tests {
         let mut f = Follower::new(data, 10).with_reorg_guard(4);
         f.advance().expect("first batch is ascending");
         for _ in 0..2 {
-            assert!(matches!(f.advance(), Err(IngestError::RangeRegression { .. })));
-            assert_eq!((f.offset(), f.retained()), (10, (1, 1)), "a failed batch left a trace");
-            assert!(f.snapshots() == (0, 1) && f.back.is_some(), "a failed batch touched the pair");
+            assert!(matches!(
+                f.advance(),
+                Err(IngestError::RangeRegression { .. })
+            ));
+            assert_eq!(
+                (f.offset(), f.retained()),
+                (10, (1, 1)),
+                "a failed batch left a trace"
+            );
+            assert!(
+                f.snapshots() == (0, 1) && f.back.is_some(),
+                "a failed batch touched the pair"
+            );
         }
         // The chain is re-read without the replay (the one mark still
         // agrees): the pair is as the first epoch left it, its owed delta
@@ -935,6 +1035,9 @@ mod tests {
         }
         assert_eq!(f.retained(), (0, 0));
         let r = f.resync(chains());
-        assert_eq!((r.agreed, r.invalidated, r.rebuilt, r.resume), (0, 0, true, 0));
+        assert_eq!(
+            (r.agreed, r.invalidated, r.rebuilt, r.resume),
+            (0, 0, true, 0)
+        );
     }
 }

@@ -15,19 +15,19 @@ pub mod paper;
 pub mod pipeline;
 pub mod serve;
 
+pub use archive_io::{Manifest, SegmentFormat, SegmentSummary, SUMMARY_SCHEMA};
 pub use exhibits::{comparison_section, render_report, report_sections, SECTIONS};
-pub use paper::{comparison, ComparisonRow};
 pub use follow::{
     follow_session, reorg_data, Corpus, FollowPlan, Follower, Reorg, DEFAULT_SNAPSHOT_WINDOW,
 };
-pub use serve::{
-    sample_account_paths, serve_session, ServeLine, ServePlan, ServeSnapshot, StatsService,
-};
-pub use archive_io::{Manifest, SegmentFormat, SegmentSummary, SUMMARY_SCHEMA};
+pub use paper::{comparison, ComparisonRow};
 pub use pipeline::{
     generate, generate_with_crawl, pipeline_from_archive, reduce_frames_labeled_into,
-    reducer_from_archive, scenario_from_meta, scenario_meta, summarize, write_archive,
-    ChainSweeps, CrawlOptions, MemoStatus, PipelineData, ShardContext,
+    reducer_from_archive, scenario_from_meta, scenario_meta, summarize, write_archive, ChainSweeps,
+    CrawlOptions, MemoStatus, PipelineData, ShardContext,
+};
+pub use serve::{
+    sample_account_paths, serve_session, ServeLine, ServePlan, ServeSnapshot, StatsService,
 };
 
 #[cfg(test)]

@@ -77,7 +77,12 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
 
     let (x_rows, x_total) = sweeps.xrp.tx_distribution();
     let share_of = |t: txstat_xrp::TxType| {
-        x_rows.iter().find(|r| r.tx_type == t).map(|r| r.count).unwrap_or(0) as f64 * 100.0
+        x_rows
+            .iter()
+            .find(|r| r.tx_type == t)
+            .map(|r| r.count)
+            .unwrap_or(0) as f64
+            * 100.0
             / x_total.max(1) as f64
     };
     let offer_share = share_of(txstat_xrp::TxType::OfferCreate);
@@ -129,7 +134,9 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
         let curated = eos::EosLabels::curated();
         let labels = sweeps.eos.labels(100, &|n| curated.get(n));
         let series = sweeps.eos.throughput_series(&labels);
-        let launch_bucket = launch.bucket_index(period.start, txstat_types::SIX_HOURS).max(0) as usize;
+        let launch_bucket = launch
+            .bucket_index(period.start, txstat_types::SIX_HOURS)
+            .max(0) as usize;
         let tokens = txstat_eos::AppCategory::Tokens;
         let pre: u64 = (0..launch_bucket.min(series.bucket_count()))
             .map(|i| series.get(i, &tokens))
@@ -209,7 +216,10 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
         let huobi_desc = active
             .iter()
             .filter(|a| {
-                a.entity.as_deref().map(|e| e.contains("Huobi")).unwrap_or(false)
+                a.entity
+                    .as_deref()
+                    .map(|e| e.contains("Huobi"))
+                    .unwrap_or(false)
             })
             .count();
         rows.push(row(
@@ -244,21 +254,30 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
             format!("{:.1}%", exploration.participation_pct),
             exploration.participation_pct >= 75.0,
         ));
-        let nay = exploration.curves.iter().find(|c| c.label == "nay").map(|c| c.total()).unwrap_or(0);
-        rows.push(row(
-            "Fig 9b",
-            "exploration nay votes",
-            "0",
-            nay,
-            nay == 0,
-        ));
+        let nay = exploration
+            .curves
+            .iter()
+            .find(|c| c.label == "nay")
+            .map(|c| c.total())
+            .unwrap_or(0);
+        rows.push(row("Fig 9b", "exploration nay votes", "0", nay, nay == 0));
     }
     if let Some(promotion) = curves
         .iter()
         .find(|c| c.kind == txstat_tezos::PeriodKind::Promotion && !c.curves.is_empty())
     {
-        let yay = promotion.curves.iter().find(|c| c.label == "yay").map(|c| c.total()).unwrap_or(0);
-        let nay = promotion.curves.iter().find(|c| c.label == "nay").map(|c| c.total()).unwrap_or(0);
+        let yay = promotion
+            .curves
+            .iter()
+            .find(|c| c.label == "yay")
+            .map(|c| c.total())
+            .unwrap_or(0);
+        let nay = promotion
+            .curves
+            .iter()
+            .find(|c| c.label == "nay")
+            .map(|c| c.total())
+            .unwrap_or(0);
         let nay_share = nay as f64 * 100.0 / (yay + nay).max(1) as f64;
         rows.push(row(
             "Fig 9c",
@@ -277,8 +296,12 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
         "Fig 11a",
         "BTC IOU rate, Bitstamp (XRP)",
         "36,050",
-        btc_bitstamp.map(|r| format!("{r:.0}")).unwrap_or_else(|| "untraded".into()),
-        btc_bitstamp.map(|r| (30_000.0..=42_000.0).contains(&r)).unwrap_or(false),
+        btc_bitstamp
+            .map(|r| format!("{r:.0}"))
+            .unwrap_or_else(|| "untraded".into()),
+        btc_bitstamp
+            .map(|r| (30_000.0..=42_000.0).contains(&r))
+            .unwrap_or(false),
     ));
     let btc_spam = data
         .oracle
@@ -287,7 +310,9 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
         "Fig 11a",
         "BTC IOU rate, spam issuer",
         "0",
-        btc_spam.map(|r| format!("{r:.1}")).unwrap_or_else(|| "untraded (no value)".into()),
+        btc_spam
+            .map(|r| format!("{r:.1}"))
+            .unwrap_or_else(|| "untraded (no value)".into()),
         btc_spam.unwrap_or(0.0) == 0.0,
     ));
 
@@ -330,7 +355,9 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
         let (selfs, trades): (f64, f64) = wash
             .top_accounts
             .iter()
-            .fold((0.0, 0.0), |(s, t), (_, c, share)| (s + share * *c as f64, t + *c as f64));
+            .fold((0.0, 0.0), |(s, t), (_, c, share)| {
+                (s + share * *c as f64, t + *c as f64)
+            });
         let share = selfs / trades.max(1.0);
         rows.push(row(
             "§4.1",
@@ -373,14 +400,24 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
 pub(crate) fn render_comparison(rows: &[ComparisonRow]) -> String {
     let mut t = TextTable::new(&["Exhibit", "Metric", "Paper", "Measured", "Band"])
         .with_title("Paper vs measured (shape reproduction at scenario scale)")
-        .with_aligns(&[Align::Left, Align::Left, Align::Right, Align::Right, Align::Left]);
+        .with_aligns(&[
+            Align::Left,
+            Align::Left,
+            Align::Right,
+            Align::Right,
+            Align::Left,
+        ]);
     for r in rows {
         t.add_row(vec![
             r.exhibit.to_owned(),
             r.metric.to_owned(),
             r.paper.clone(),
             r.measured.clone(),
-            if r.within_band { "ok".into() } else { "MISS".into() },
+            if r.within_band {
+                "ok".into()
+            } else {
+                "MISS".into()
+            },
         ]);
     }
     t.render()

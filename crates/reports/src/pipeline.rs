@@ -14,8 +14,10 @@
 //! - [`pipeline_from_archive`] / [`reducer_from_archive`] cold-start from a
 //!   sealed corpus ([`write_archive`]) without generating any chain.
 
+use crate::archive_io::{Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock};
+use txstat_archive::{Archive, ArchiveWriter, DecodedSegments, SegmentMemo, SegmentMeta};
 use txstat_core::{ClusterInfo, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat_crawler::chains::Fetched;
 use txstat_crawler::{
@@ -26,18 +28,16 @@ use txstat_crawler::{
 use txstat_ingest::crawl::ledger_ious;
 use txstat_ingest::reduce::CHAINS;
 use txstat_ingest::{RateCache, ReduceError, ReduceSession, ShardWorker};
-use txstat_telemetry::{join, par_map, registry, Counter, Span};
-use crate::archive_io::{Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
-use txstat_archive::{Archive, ArchiveWriter, DecodedSegments, SegmentMemo, SegmentMeta};
-use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_netsim::handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
+use txstat_netsim::http::HttpRequest;
 use txstat_netsim::server::{spawn_http, spawn_ndjson, EndpointHandle};
 use txstat_netsim::{EndpointProfile, Http};
-use txstat_netsim::http::HttpRequest;
+use txstat_telemetry::{join, par_map, registry, Counter, Span};
 use txstat_tezos::address::Address;
 use txstat_tezos::governance::PeriodKind;
 use txstat_types::time::{ChainTime, Period};
 use txstat_types::{JsonLen, JsonOut};
+use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_workload::{eos::build_eos, tezos::build_tezos, xrp::build_xrp, Scenario};
 use txstat_xrp::amount::IssuedCurrency;
 use txstat_xrp::rates::{RateOracle, TradeRecord};
@@ -103,11 +103,17 @@ struct Facts {
 
 impl Facts {
     fn lazy(memo: Option<SegmentMemo>) -> Arc<Facts> {
-        Arc::new(Facts { cell: OnceLock::new(), memo })
+        Arc::new(Facts {
+            cell: OnceLock::new(),
+            memo,
+        })
     }
 
     fn known(summary: SegmentSummary, status: Option<MemoStatus>) -> Arc<Facts> {
-        Arc::new(Facts { cell: OnceLock::from((summary, status)), memo: None })
+        Arc::new(Facts {
+            cell: OnceLock::from((summary, status)),
+            memo: None,
+        })
     }
 }
 
@@ -191,10 +197,13 @@ impl PipelineData {
     fn facts(&self) -> &(SegmentSummary, Option<MemoStatus>) {
         self.facts.cell.get_or_init(|| match &self.facts.memo {
             None => {
-                let starts: Vec<u64> =
-                    (0..self.longest_chain() as u64).step_by(SUMMARY_RUN_BLOCKS as usize).collect();
+                let starts: Vec<u64> = (0..self.longest_chain() as u64)
+                    .step_by(SUMMARY_RUN_BLOCKS as usize)
+                    .collect();
                 let mut sum = SegmentSummary::default();
-                for run in par_map(&starts, |&s| self.summarize_range(s, s + SUMMARY_RUN_BLOCKS)) {
+                for run in par_map(&starts, |&s| {
+                    self.summarize_range(s, s + SUMMARY_RUN_BLOCKS)
+                }) {
                     sum.merge(&run);
                 }
                 (sum, None)
@@ -357,7 +366,9 @@ fn governance_periods_of(chain: &txstat_tezos::TezosChain) -> Vec<(PeriodKind, P
 }
 
 fn cluster_from_ledger(ledger: &txstat_xrp::XrpLedger) -> ClusterInfo {
-    let usernames: HashMap<_, _> = txstat_workload::xrp::known_usernames().into_iter().collect();
+    let usernames: HashMap<_, _> = txstat_workload::xrp::known_usernames()
+        .into_iter()
+        .collect();
     let mut cluster = ClusterInfo::new();
     for (id, root) in ledger.accounts() {
         let username = usernames.get(id).map(|s| (*s).to_owned());
@@ -399,7 +410,11 @@ pub fn register_metrics() {
 /// count the pass: the direct path and the crawl's serving side both do.
 fn build_chains(
     sc: &Scenario,
-) -> (txstat_eos::EosChain, txstat_tezos::TezosChain, txstat_xrp::XrpLedger) {
+) -> (
+    txstat_eos::EosChain,
+    txstat_tezos::TezosChain,
+    txstat_xrp::XrpLedger,
+) {
     GENERATIONS.inc();
     let eos = {
         let _span = Span::enter("generate", "eos");
@@ -427,8 +442,11 @@ pub fn generate(sc: &Scenario) -> PipelineData {
     let eos_dropped_txs = eos.dropped_txs;
     let eos_cpu_price = std::mem::take(&mut eos.cpu_price_history);
     let trades = std::mem::take(&mut xrp.trades);
-    let (eos_blocks, tezos_blocks, xrp_blocks) =
-        (eos.into_blocks(), tezos.into_blocks(), xrp.into_closed_ledgers());
+    let (eos_blocks, tezos_blocks, xrp_blocks) = (
+        eos.into_blocks(),
+        tezos.into_blocks(),
+        xrp.into_closed_ledgers(),
+    );
     PipelineData {
         scenario: sc.clone(),
         block_free_lens: None,
@@ -565,9 +583,7 @@ pub fn write_archive(
 /// is summarized from the replayed blocks and written back. Also returns
 /// the opened [`Archive`] so callers can keep appending (`follow`) or
 /// replaying ranges.
-pub fn pipeline_from_archive(
-    dir: &std::path::Path,
-) -> Result<(PipelineData, Archive), String> {
+pub fn pipeline_from_archive(dir: &std::path::Path) -> Result<(PipelineData, Archive), String> {
     dataset_from_archive(dir, true)
 }
 
@@ -580,9 +596,7 @@ pub fn pipeline_from_archive(
 /// lengths come from the manifest, so the dataset renders (byte-identical
 /// to [`pipeline_from_archive`]'s) once sweeps are installed
 /// ([`reduce_frames_labeled_into`]) but cannot sweep, follow or re-seal.
-pub fn reducer_from_archive(
-    dir: &std::path::Path,
-) -> Result<(PipelineData, Archive), String> {
+pub fn reducer_from_archive(dir: &std::path::Path) -> Result<(PipelineData, Archive), String> {
     dataset_from_archive(dir, false)
 }
 
@@ -604,7 +618,13 @@ fn open_archive(dir: &std::path::Path) -> Result<OpenedArchive, String> {
     let sidecar = Sidecar::decode(archive.sidecar())?;
     let oracle =
         RateOracle::from_trades(&sidecar.trades, sc.period.end, sc.period.days() as i64 + 1);
-    Ok(OpenedArchive { archive, manifest, sc, sidecar, oracle })
+    Ok(OpenedArchive {
+        archive,
+        manifest,
+        sc,
+        sidecar,
+        oracle,
+    })
 }
 
 fn dataset_from_archive(
@@ -612,7 +632,13 @@ fn dataset_from_archive(
     replay_blocks: bool,
 ) -> Result<(PipelineData, Archive), String> {
     let at = |e: String| format!("archive {}: {e}", dir.display());
-    let OpenedArchive { archive, manifest, sc, sidecar, oracle } = open_archive(dir)?;
+    let OpenedArchive {
+        archive,
+        manifest,
+        sc,
+        sidecar,
+        oracle,
+    } = open_archive(dir)?;
     let ((eos_blocks, tezos_blocks, xrp_blocks), block_free_lens, facts) = if replay_blocks {
         let segments = archive.replay_all().map_err(|e| at(e.to_string()))?;
         let chains = crate::archive_io::chains_of(&segments)?;
@@ -626,7 +652,11 @@ fn dataset_from_archive(
         })
         .map_err(at)?;
         let lens = sum.lens();
-        (Default::default(), Some(lens), Facts::known(sum, Some(status)))
+        (
+            Default::default(),
+            Some(lens),
+            Facts::known(sum, Some(status)),
+        )
     };
     let mut cluster = ClusterInfo::new();
     for (a, u) in &sidecar.usernames {
@@ -672,11 +702,19 @@ fn memoized_summary(
     compute: impl Fn(usize, &SegmentMeta) -> Result<SegmentSummary, String> + Sync,
 ) -> Result<(SegmentSummary, MemoStatus), String> {
     let mut slots = memo.load(SUMMARY_SCHEMA, SegmentSummary::decode);
-    let misses: Vec<usize> =
-        slots.iter().enumerate().filter(|(_, s)| s.is_none()).map(|(i, _)| i).collect();
+    let misses: Vec<usize> = slots
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.is_none())
+        .map(|(i, _)| i)
+        .collect();
     let hits = slots.len() - misses.len();
-    let mut status =
-        MemoStatus { segments: slots.len(), hits, memoized: hits, write_error: None };
+    let mut status = MemoStatus {
+        segments: slots.len(),
+        hits,
+        memoized: hits,
+        write_error: None,
+    };
     if !misses.is_empty() {
         {
             let _span = Span::enter("memo", "compute");
@@ -711,14 +749,22 @@ pub struct CrawlOptions {
 
 impl Default for CrawlOptions {
     fn default() -> Self {
-        CrawlOptions { eos_advertised: 8, eos_shortlisted: 3, concurrency: 8 }
+        CrawlOptions {
+            eos_advertised: 8,
+            eos_shortlisted: 3,
+            concurrency: 8,
+        }
     }
 }
 
 impl CrawlOptions {
     /// The paper's endpoint population: 32 advertised, 6 shortlisted.
     pub fn paper() -> Self {
-        CrawlOptions { eos_advertised: 32, eos_shortlisted: 6, concurrency: 12 }
+        CrawlOptions {
+            eos_advertised: 32,
+            eos_shortlisted: 6,
+            concurrency: 12,
+        }
     }
 }
 
@@ -739,7 +785,10 @@ fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChains, Cr
     let (eos, tezos, xrp) = build_chains(sc);
     let (eos, tezos, xrp) = (Arc::new(eos), Arc::new(tezos), Arc::new(xrp));
     let _span = Span::enter("crawl", "shortlist");
-    let advertise = |h: EndpointHandle| Advertised { name: h.name, addr: h.addr };
+    let advertise = |h: EndpointHandle| Advertised {
+        name: h.name,
+        addr: h.addr,
+    };
 
     // --- EOS: a population of block-producer endpoints of mixed quality. --
     let eos_handler = Arc::new(EosRpcHandler::new(eos.clone()));
@@ -784,7 +833,14 @@ fn serve_scenario(sc: &Scenario, opts: &CrawlOptions) -> Result<ServedChains, Cr
     )?;
     let xrp_pool = RotatingPool::new(vec![advertise(xrp_handle)]);
 
-    Ok(ServedChains { eos, tezos, xrp, eos_pool, tz_pool, xrp_pool })
+    Ok(ServedChains {
+        eos,
+        tezos,
+        xrp,
+        eos_pool,
+        tz_pool,
+        xrp_pool,
+    })
 }
 
 /// Crawl one chain's blocks `[low, high]` with its fold as the emit step:
@@ -805,7 +861,9 @@ fn crawl_folded<A: Send, B: Send>(
 ) -> Result<(A, Vec<B>, CrawlStats), CrawlError> {
     let state = Mutex::new((acc, Vec::new()));
     let stats = crawl_range(high, low, concurrency, fetch, |n, block: B| {
-        let mut guard = state.lock().expect("no fold panicked on another fetch worker");
+        let mut guard = state
+            .lock()
+            .expect("no fold panicked on another fetch worker");
         let (acc, kept) = &mut *guard;
         observe(acc, n, &block);
         folded.inc();
@@ -877,7 +935,10 @@ fn cpu_peaks_around_launch(pairs: impl Iterator<Item = (ChainTime, f64)>) -> (f6
 /// it whether or not the crawl keeps its blocks).
 fn eos_cpu_peaks_of(eos: &txstat_eos::EosChain) -> (f64, f64) {
     cpu_peaks_around_launch(
-        eos.cpu_price_history.iter().zip(eos.blocks()).map(|((_, p), b)| (b.time, *p)),
+        eos.cpu_price_history
+            .iter()
+            .zip(eos.blocks())
+            .map(|((_, p), b)| (b.time, *p)),
     )
 }
 
@@ -953,7 +1014,10 @@ pub fn generate_with_crawl(
         let head = eos_head(pool, cfg)?;
         let fold = (EosColumnar::new(period), Bounds::default());
         crawl_folded(
-            folded_eos, (served.eos.config.start_block_num, head), concurrency, keep_blocks,
+            folded_eos,
+            (served.eos.config.start_block_num, head),
+            concurrency,
+            keep_blocks,
             |n| fetch_eos_block(pool, cfg, n),
             fold,
             |(sweep, bounds): &mut (EosColumnar, Bounds), n, b: &txstat_eos::Block| {
@@ -966,9 +1030,15 @@ pub fn generate_with_crawl(
         let _span = Span::enter("crawl", "tezos");
         let pool = &served.tz_pool;
         let head = tezos_head(pool, cfg)?;
-        let fold = (TezosColumnar::new(period, governance_periods.clone()), Bounds::default());
+        let fold = (
+            TezosColumnar::new(period, governance_periods.clone()),
+            Bounds::default(),
+        );
         crawl_folded(
-            folded_tezos, (served.tezos.config.start_level, head), concurrency, keep_blocks,
+            folded_tezos,
+            (served.tezos.config.start_level, head),
+            concurrency,
+            keep_blocks,
             |n| fetch_tezos_block(pool, cfg, n),
             fold,
             |(sweep, bounds): &mut (TezosColumnar, Bounds), n, b: &txstat_tezos::TezosBlock| {
@@ -989,7 +1059,10 @@ pub fn generate_with_crawl(
             known: HashSet::new(),
         };
         crawl_folded(
-            folded_xrp, (served.xrp.config.start_index, head), concurrency, keep_blocks,
+            folded_xrp,
+            (served.xrp.config.start_index, head),
+            concurrency,
+            keep_blocks,
             |n| {
                 let fetched = fetch_xrp_ledger(pool, cfg, n)?;
                 rates.resolve(pool, cfg, &fetched.0)?;
@@ -1015,7 +1088,10 @@ pub fn generate_with_crawl(
     let (cluster, trades) = {
         let _span = Span::enter("crawl", "sidecar");
         let cluster = fetch_cluster(&served.xrp_pool, cfg, xrp.seen.into_iter().collect())?;
-        (cluster, fetch_btc_trades(&served.xrp_pool, cfg, &rates.currencies())?)
+        (
+            cluster,
+            fetch_btc_trades(&served.xrp_pool, cfg, &rates.currencies())?,
+        )
     };
 
     let sweeps = ChainSweeps {
@@ -1265,12 +1341,22 @@ impl ShardContext {
     /// manifest so callers can validate it against their own flags.
     /// Each segment is decoded at most once per context.
     pub fn from_archive(dir: &std::path::Path) -> Result<(Self, crate::Manifest), String> {
-        let OpenedArchive { archive, manifest, sc, sidecar, oracle } = open_archive(dir)?;
+        let OpenedArchive {
+            archive,
+            manifest,
+            sc,
+            sidecar,
+            oracle,
+        } = open_archive(dir)?;
         let total = manifest.total_positions();
         let decoded = DecodedSegments::new(archive.segments().len());
         let ctx = ShardContext {
             sc,
-            source: ShardSource::Archived { archive, total, decoded },
+            source: ShardSource::Archived {
+                archive,
+                total,
+                decoded,
+            },
             oracle: Arc::new(oracle),
             governance_periods: sidecar.governance_periods,
         };
@@ -1310,13 +1396,21 @@ impl ShardContext {
                 worker.xrp_frame(xrp, period, &self.oracle),
             ]
         };
-        let mut worker = ShardWorker { start, end, base: 0, shards, meta };
+        let mut worker = ShardWorker {
+            start,
+            end,
+            base: 0,
+            shards,
+            meta,
+        };
         match &self.source {
             ShardSource::Generated(d) => {
                 let (eos, tezos, xrp) = (&d.eos_blocks[..], &d.tezos_blocks[..], &d.xrp_blocks[..]);
                 Ok(build(&worker, &[eos], &[tezos], &[xrp]))
             }
-            ShardSource::Archived { archive, decoded, .. } => {
+            ShardSource::Archived {
+                archive, decoded, ..
+            } => {
                 let (lo, hi) = archive.covering(start, end);
                 worker.base = archive.segments().get(lo).map_or(start, |m| m.start);
                 // Look each covering segment up once (exactly one hit or
@@ -1406,6 +1500,9 @@ fn finish_reduce(data: PipelineData, session: ReduceSession) -> Result<PipelineD
         }
     }
     let sweeps = session.finalize()?;
-    assert!(data.install_sweeps(sweeps), "fresh dataset has no sweeps yet");
+    assert!(
+        data.install_sweeps(sweeps),
+        "fresh dataset has no sweeps yet"
+    );
     Ok(data)
 }

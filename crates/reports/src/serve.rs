@@ -56,7 +56,12 @@ pub struct ServeSnapshot {
 
 impl ServeSnapshot {
     pub fn new(epoch: u64, head: bool, data: PipelineData) -> Self {
-        ServeSnapshot { epoch, head, data, cache: Mutex::new(HashMap::new()) }
+        ServeSnapshot {
+            epoch,
+            head,
+            data,
+            cache: Mutex::new(HashMap::new()),
+        }
     }
 
     pub fn epoch(&self) -> u64 {
@@ -227,7 +232,11 @@ impl StatsService {
                 labels: Vec::new(),
                 value: SampleValue::Int(v),
             };
-            out.push(gauge("txstat_epoch_current", "Currently published serve epoch", snap.epoch()));
+            out.push(gauge(
+                "txstat_epoch_current",
+                "Currently published serve epoch",
+                snap.epoch(),
+            ));
             out.push(gauge(
                 "txstat_epoch_at_head",
                 "1 once the follow loop has reached the chain heads",
@@ -256,7 +265,10 @@ impl StatsService {
     /// Block until the reply to `POST /admin/shutdown` has been written.
     fn wait_for_shutdown(&self) {
         let raised = self.shutdown.lock().expect("shutdown lock");
-        let _raised = self.shutdown_raised.wait_while(raised, |r| !*r).expect("shutdown lock");
+        let _raised = self
+            .shutdown_raised
+            .wait_while(raised, |r| !*r)
+            .expect("shutdown lock");
     }
 
     fn not_found(path: &str) -> HttpResponse {
@@ -282,8 +294,7 @@ impl StatsService {
             "cached_responses": snap.cached_responses(),
             "metrics": self.registry.snapshot_json(),
         });
-        if let (Some(memo), serde_json::Value::Object(map)) =
-            (snap.data().memo_status(), &mut body)
+        if let (Some(memo), serde_json::Value::Object(map)) = (snap.data().memo_status(), &mut body)
         {
             map.insert(
                 "memo".to_string(),
@@ -315,20 +326,16 @@ impl StatsService {
                 HttpResponse::ok(serde_json::to_vec(&body).unwrap_or_default())
             }
             // Exposition routes render live registry state, never cached.
-            ("GET", "/metrics") => {
-                HttpResponse::ok(self.registry.render_prometheus().into_bytes())
-            }
+            ("GET", "/metrics") => HttpResponse::ok(self.registry.render_prometheus().into_bytes()),
             ("GET", "/statusz") => {
                 let body = self.statusz(&snap);
                 HttpResponse::ok(serde_json::to_vec(&body).unwrap_or_default())
             }
             ("POST", "/admin/shutdown") => HttpResponse::ok(b"{\"shutting_down\":true}".to_vec()),
-            ("GET", _) => {
-                match snap.get(path, &self.cache_hits, &self.cache_misses) {
-                    Some(body) => HttpResponse::ok(body.as_ref().clone()),
-                    None => Self::not_found(path),
-                }
-            }
+            ("GET", _) => match snap.get(path, &self.cache_hits, &self.cache_misses) {
+                Some(body) => HttpResponse::ok(body.as_ref().clone()),
+                None => Self::not_found(path),
+            },
             _ => Self::not_found(path),
         }
     }
@@ -397,7 +404,10 @@ pub fn serve_session(
     plan: &ServePlan,
     mut say: impl FnMut(ServeLine),
 ) -> Result<(), String> {
-    say(ServeLine::Progress(format!("serving in epochs of {} blocks…", plan.batch)));
+    say(ServeLine::Progress(format!(
+        "serving in epochs of {} blocks…",
+        plan.batch
+    )));
     // The process-global registry, so `/metrics` carries every layer's
     // families (the fleet, generation and archive ones the binary
     // registered at zero, ingest, reduce and epoch progress from the
@@ -410,8 +420,11 @@ pub fn serve_session(
     follower.bind_metrics(&registry);
     let first = follower.advance().map_err(|e| e.to_string())?;
     let mut epoch = 1u64;
-    let cell =
-        Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(epoch, follower.head(), first))));
+    let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(
+        epoch,
+        follower.head(),
+        first,
+    ))));
     let service = Arc::new(StatsService::with_registry(cell.clone(), registry.clone()));
 
     let handler: Arc<dyn HttpHandler> = service.clone();
@@ -429,7 +442,10 @@ pub fn serve_session(
     // Route-class counters (requests/served/shed/bytes/latency) join
     // the same registry the service exposes on /metrics.
     server.routes.register_into(&registry);
-    say(ServeLine::Announce(format!("serving on http://{}", server.addr)));
+    say(ServeLine::Announce(format!(
+        "serving on http://{}",
+        server.addr
+    )));
 
     while !follower.head() {
         if plan.epoch_ms > 0 {
@@ -453,7 +469,11 @@ pub fn serve_session(
             .collect();
         paths.push("/report".to_owned());
         paths.extend(sample_account_paths(service.snapshot().data()));
-        let load = LoadPlan { connections: 64, requests_per_conn: 200, paths };
+        let load = LoadPlan {
+            connections: 64,
+            requests_per_conn: 200,
+            paths,
+        };
         say(ServeLine::Progress(format!(
             "load: {} connections × {} requests over {} paths…",
             load.connections,
@@ -479,8 +499,12 @@ pub fn serve_session(
         return Ok(());
     }
 
-    say(ServeLine::Progress("head reached; serving until POST /admin/shutdown…".to_owned()));
+    say(ServeLine::Progress(
+        "head reached; serving until POST /admin/shutdown…".to_owned(),
+    ));
     service.wait_for_shutdown();
-    say(ServeLine::Progress("shutdown requested; exiting".to_owned()));
+    say(ServeLine::Progress(
+        "shutdown requested; exiting".to_owned(),
+    ));
     Ok(())
 }

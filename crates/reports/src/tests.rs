@@ -1,8 +1,8 @@
 //! Reports-crate tests: exhibit rendering, pipeline assembly, comparison
 //! coverage — on a compact scenario.
 
-use crate::pipeline::generate;
 use crate::paper::render_comparison;
+use crate::pipeline::generate;
 use crate::{comparison, exhibits};
 use txstat_types::time::{ChainTime, Period};
 use txstat_workload::Scenario;
@@ -34,7 +34,11 @@ fn every_exhibit_renders_nonempty() {
         ("headline", exhibits::headline(&data)),
         ("case_studies", exhibits::case_studies(&data)),
     ] {
-        assert!(text.len() > 80, "{name} renders substantively ({} bytes)", text.len());
+        assert!(
+            text.len() > 80,
+            "{name} renders substantively ({} bytes)",
+            text.len()
+        );
         assert!(!text.contains("NaN"), "{name} has no NaN artifacts");
     }
 }
@@ -63,7 +67,9 @@ fn fig6_flags_the_contract_sender() {
 fn comparison_covers_every_exhibit_family() {
     let data = tiny();
     let rows = comparison(&data);
-    for family in ["Fig 1", "Fig 3a", "Fig 7", "Fig 8", "Fig 11", "Fig 12", "§1", "§3.3", "§4.1", "§4.3"] {
+    for family in [
+        "Fig 1", "Fig 3a", "Fig 7", "Fig 8", "Fig 11", "Fig 12", "§1", "§3.3", "§4.1", "§4.3",
+    ] {
         assert!(
             rows.iter().any(|r| r.exhibit.starts_with(family)),
             "comparison covers {family}"
@@ -71,7 +77,11 @@ fn comparison_covers_every_exhibit_family() {
     }
     let rendered = render_comparison(&rows);
     assert!(rendered.contains("Paper vs measured"));
-    assert_eq!(rendered.matches('\n').count(), rows.len() + 3, "one line per row");
+    assert_eq!(
+        rendered.matches('\n').count(),
+        rows.len() + 3,
+        "one line per row"
+    );
 }
 
 #[test]
@@ -100,7 +110,10 @@ fn governance_periods_are_contiguous() {
         assert_eq!(pair[0].1.end, pair[1].1.start, "period windows tile");
     }
     // The first period is the Babylon proposal period opening Jul 17.
-    assert_eq!(data.governance_periods[0].1.start, ChainTime::from_ymd(2019, 7, 17));
+    assert_eq!(
+        data.governance_periods[0].1.start,
+        ChainTime::from_ymd(2019, 7, 17)
+    );
 }
 
 #[test]
@@ -109,11 +122,16 @@ fn pipeline_data_is_internally_consistent() {
     // Oracle rates exist for the currencies with DEX trades.
     assert!(data
         .oracle
-        .rate(txstat_xrp::IssuedCurrency::new("USD", txstat_workload::xrp::BITSTAMP))
+        .rate(txstat_xrp::IssuedCurrency::new(
+            "USD",
+            txstat_workload::xrp::BITSTAMP
+        ))
         .is_some());
     // Cluster resolves the cast.
     assert_eq!(
-        data.cluster.entity(txstat_workload::xrp::BINANCE).as_deref(),
+        data.cluster
+            .entity(txstat_workload::xrp::BINANCE)
+            .as_deref(),
         Some("Binance")
     );
     // CPU price history aligns with blocks.
@@ -133,7 +151,10 @@ fn scenario_meta_round_trips_presets_and_rejects_drift() {
     let mut custom = txstat_workload::Scenario::small(7);
     custom.xrp_divisor = 2.0;
     let err = scenario_from_meta(&scenario_meta(&custom, "small"));
-    assert!(err.is_err(), "customized scenario meta must not reduce as a preset");
+    assert!(
+        err.is_err(),
+        "customized scenario meta must not reduce as a preset"
+    );
 }
 
 #[test]

@@ -41,8 +41,13 @@ fn spawn_server(dir: &Path, args: &[&str], banner: &str) -> Server {
         .expect("spawn reproduce server");
     let stdout = child.stdout.take().expect("server stdout");
     let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("read server banner");
-    assert!(line.contains(banner), "expected banner {banner:?}, got: {line:?}");
+    BufReader::new(stdout)
+        .read_line(&mut line)
+        .expect("read server banner");
+    assert!(
+        line.contains(banner),
+        "expected banner {banner:?}, got: {line:?}"
+    );
     // "shard worker on ADDR" / "chaos proxy on ADDR -> UP": token 3.
     let addr = line
         .split_whitespace()
@@ -53,8 +58,16 @@ fn spawn_server(dir: &Path, args: &[&str], banner: &str) -> Server {
 }
 
 fn spawn_worker(dir: &Path, extra: &[&str]) -> Server {
-    let mut args =
-        vec!["shard", "--small", "--seed", "7", "--listen", "127.0.0.1:0", "--timeout-ms", "2000"];
+    let mut args = vec![
+        "shard",
+        "--small",
+        "--seed",
+        "7",
+        "--listen",
+        "127.0.0.1:0",
+        "--timeout-ms",
+        "2000",
+    ];
     args.extend_from_slice(extra);
     spawn_server(dir, &args, "shard worker on")
 }
@@ -84,8 +97,14 @@ fn metric(dir: &Path, file: &str, name: &str) -> u64 {
 /// telemetry README's family table.
 fn assert_documented(exposition: &str) {
     let readme = include_str!("../../telemetry/README.md");
-    for family in exposition.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()) {
-        assert!(readme.contains(&format!("`{family}`")), "{family} is not in the README table");
+    for family in exposition
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+    {
+        assert!(
+            readme.contains(&format!("`{family}`")),
+            "{family} is not in the README table"
+        );
     }
 }
 
@@ -95,13 +114,29 @@ fn three_shard_processes_reduce_to_the_identical_report() {
 
     let direct = reproduce(
         &dir,
-        &["report", "--small", "--seed", "7", "--out", "direct.txt", "--metrics-out", "direct.prom"],
+        &[
+            "report",
+            "--small",
+            "--seed",
+            "7",
+            "--out",
+            "direct.txt",
+            "--metrics-out",
+            "direct.prom",
+        ],
     );
-    assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
+    assert!(
+        direct.status.success(),
+        "report failed: {}",
+        String::from_utf8_lossy(&direct.stderr)
+    );
     // `--metrics-out` is honoured on the generating arm too (it used to be
     // accepted and silently ignored without `--archive`).
     let metrics = String::from_utf8(read(&dir, "direct.prom")).expect("metrics utf8");
-    assert!(metrics.contains("txstat_pipeline_generate_total 1"), "{metrics}");
+    assert!(
+        metrics.contains("txstat_pipeline_generate_total 1"),
+        "{metrics}"
+    );
     // The eager-zero contract, byte for byte: every pipeline, archive and
     // fleet family is exposed (at zero where nothing moved it) by a run
     // that never opens an archive or a socket.
@@ -128,17 +163,25 @@ fn three_shard_processes_reduce_to_the_identical_report() {
         .lines()
         .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
         .collect();
-    assert_eq!(documented, exposed, "README family table vs the pinned exposition");
+    assert_eq!(
+        documented, exposed,
+        "README family table vs the pinned exposition"
+    );
 
     // Three disjoint block-position ranges; the last one over-shoots every
     // chain head and clamps. Different in-process shard counts per worker
     // must not matter.
-    for (range, shards, out) in
-        [("0..250", "1", "a.frames"), ("250..400", "3", "b.frames"), ("400..99999999", "2", "c.frames")]
-    {
+    for (range, shards, out) in [
+        ("0..250", "1", "a.frames"),
+        ("250..400", "3", "b.frames"),
+        ("400..99999999", "2", "c.frames"),
+    ] {
         let shard = reproduce(
             &dir,
-            &["shard", "--range", range, "--small", "--seed", "7", "--shards", shards, "--out", out],
+            &[
+                "shard", "--range", range, "--small", "--seed", "7", "--shards", shards, "--out",
+                out,
+            ],
         );
         assert!(
             shard.status.success(),
@@ -150,11 +193,21 @@ fn three_shard_processes_reduce_to_the_identical_report() {
     let reduce = reproduce(
         &dir,
         &[
-            "reduce", "a.frames", "b.frames", "c.frames", "--out", "reduced.txt", "--metrics-out",
+            "reduce",
+            "a.frames",
+            "b.frames",
+            "c.frames",
+            "--out",
+            "reduced.txt",
+            "--metrics-out",
             "reduced.prom",
         ],
     );
-    assert!(reduce.status.success(), "reduce failed: {}", String::from_utf8_lossy(&reduce.stderr));
+    assert!(
+        reduce.status.success(),
+        "reduce failed: {}",
+        String::from_utf8_lossy(&reduce.stderr)
+    );
     // Every README row `ReduceMetrics` declares is exported by a file-mode
     // reduction.
     let reduced = String::from_utf8(read(&dir, "reduced.prom")).expect("metrics utf8");
@@ -165,7 +218,10 @@ fn three_shard_processes_reduce_to_the_identical_report() {
         .collect();
     assert_eq!(rows.len(), 4, "ReduceMetrics' README rows");
     for family in rows {
-        assert!(reduced.contains(&format!("# TYPE {family} ")), "{family} not in:\n{reduced}");
+        assert!(
+            reduced.contains(&format!("# TYPE {family} ")),
+            "{family} not in:\n{reduced}"
+        );
     }
 
     assert_eq!(
@@ -183,13 +239,29 @@ fn three_shard_processes_reduce_to_the_identical_report() {
 fn follow_reaches_the_identical_report_at_head() {
     let dir = tempdir("follow");
 
-    let direct = reproduce(&dir, &["report", "--small", "--seed", "7", "--out", "direct.txt"]);
-    assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
+    let direct = reproduce(
+        &dir,
+        &["report", "--small", "--seed", "7", "--out", "direct.txt"],
+    );
+    assert!(
+        direct.status.success(),
+        "report failed: {}",
+        String::from_utf8_lossy(&direct.stderr)
+    );
 
     for (batch, progress) in [("400", "batch    2"), ("32", "batch   85")] {
         let follow = reproduce(
             &dir,
-            &["follow", "--small", "--seed", "7", "--batch", batch, "--out", "followed.txt"],
+            &[
+                "follow",
+                "--small",
+                "--seed",
+                "7",
+                "--batch",
+                batch,
+                "--out",
+                "followed.txt",
+            ],
         );
         assert!(
             follow.status.success(),
@@ -197,7 +269,10 @@ fn follow_reaches_the_identical_report_at_head() {
             String::from_utf8_lossy(&follow.stderr)
         );
         let stderr = String::from_utf8_lossy(&follow.stderr);
-        assert!(stderr.contains(progress), "expected {progress:?}, stderr: {stderr}");
+        assert!(
+            stderr.contains(progress),
+            "expected {progress:?}, stderr: {stderr}"
+        );
         assert_eq!(
             read(&dir, "direct.txt"),
             read(&dir, "followed.txt"),
@@ -215,8 +290,15 @@ fn follow_reaches_the_identical_report_at_head() {
 fn socket_fleet_survives_a_worker_killed_mid_reduction() {
     let dir = tempdir("fleet");
 
-    let direct = reproduce(&dir, &["report", "--small", "--seed", "7", "--out", "direct.txt"]);
-    assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
+    let direct = reproduce(
+        &dir,
+        &["report", "--small", "--seed", "7", "--out", "direct.txt"],
+    );
+    assert!(
+        direct.status.success(),
+        "report failed: {}",
+        String::from_utf8_lossy(&direct.stderr)
+    );
 
     let w1 = spawn_worker(&dir, &[]);
     let w2 = spawn_worker(&dir, &[]);
@@ -225,9 +307,24 @@ fn socket_fleet_survives_a_worker_killed_mid_reduction() {
     let reduce = reproduce(
         &dir,
         &[
-            "reduce", "--small", "--seed", "7", "--connect", &connect, "--chunks", "6",
-            "--timeout-ms", "4000", "--retries", "2", "--backoff-ms", "5",
-            "--metrics-out", "fleet-metrics.txt", "--out", "fleet.txt",
+            "reduce",
+            "--small",
+            "--seed",
+            "7",
+            "--connect",
+            &connect,
+            "--chunks",
+            "6",
+            "--timeout-ms",
+            "4000",
+            "--retries",
+            "2",
+            "--backoff-ms",
+            "5",
+            "--metrics-out",
+            "fleet-metrics.txt",
+            "--out",
+            "fleet.txt",
         ],
     );
     assert!(
@@ -247,7 +344,10 @@ fn socket_fleet_survives_a_worker_killed_mid_reduction() {
         "txstat_fleet_retries_total",
         "txstat_fleet_workers_failed_total",
     ] {
-        assert!(metrics.contains(&format!("# TYPE {family}")), "no {family} in:\n{metrics}");
+        assert!(
+            metrics.contains(&format!("# TYPE {family}")),
+            "no {family} in:\n{metrics}"
+        );
     }
     assert_documented(&metrics);
     let _ = std::fs::remove_dir_all(&dir);
@@ -261,16 +361,32 @@ fn socket_fleet_survives_a_worker_killed_mid_reduction() {
 fn fleet_reduce_through_a_chaos_proxy_is_byte_identical() {
     let dir = tempdir("chaosfleet");
 
-    let direct = reproduce(&dir, &["report", "--small", "--seed", "7", "--out", "direct.txt"]);
-    assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
+    let direct = reproduce(
+        &dir,
+        &["report", "--small", "--seed", "7", "--out", "direct.txt"],
+    );
+    assert!(
+        direct.status.success(),
+        "report failed: {}",
+        String::from_utf8_lossy(&direct.stderr)
+    );
 
     let w1 = spawn_worker(&dir, &[]);
     let w2 = spawn_worker(&dir, &[]);
     let proxy = spawn_server(
         &dir,
         &[
-            "chaos", "--upstream", &w1.addr, "--fault-rate", "0.05", "--truncate-rate", "0.02",
-            "--flip-rate", "0.02", "--seed", "11",
+            "chaos",
+            "--upstream",
+            &w1.addr,
+            "--fault-rate",
+            "0.05",
+            "--truncate-rate",
+            "0.02",
+            "--flip-rate",
+            "0.02",
+            "--seed",
+            "11",
         ],
         "chaos proxy on",
     );
@@ -278,8 +394,22 @@ fn fleet_reduce_through_a_chaos_proxy_is_byte_identical() {
     let reduce = reproduce(
         &dir,
         &[
-            "reduce", "--small", "--seed", "7", "--connect", &connect, "--chunks", "6",
-            "--timeout-ms", "4000", "--retries", "4", "--backoff-ms", "5", "--out", "chaos.txt",
+            "reduce",
+            "--small",
+            "--seed",
+            "7",
+            "--connect",
+            &connect,
+            "--chunks",
+            "6",
+            "--timeout-ms",
+            "4000",
+            "--retries",
+            "4",
+            "--backoff-ms",
+            "5",
+            "--out",
+            "chaos.txt",
         ],
     );
     assert!(
@@ -309,14 +439,27 @@ fn fleet_exhaustion_names_the_dead_worker() {
     let out = reproduce(
         &dir,
         &[
-            "reduce", "--small", "--seed", "7", "--connect", &dead, "--timeout-ms", "500",
-            "--retries", "1", "--backoff-ms", "1",
+            "reduce",
+            "--small",
+            "--seed",
+            "7",
+            "--connect",
+            &dead,
+            "--timeout-ms",
+            "500",
+            "--retries",
+            "1",
+            "--backoff-ms",
+            "1",
         ],
     );
     assert!(!out.status.success(), "a dead fleet must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("fleet exhausted"), "stderr: {stderr}");
-    assert!(stderr.contains(&dead), "error does not name the dead worker: {stderr}");
+    assert!(
+        stderr.contains(&dead),
+        "error does not name the dead worker: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -330,22 +473,53 @@ fn a_failed_run_keeps_its_telemetry() {
     let out = reproduce(
         &dir,
         &[
-            "reduce", "--connect", "127.0.0.1:1", "--small", "--seed", "7", "--retries", "0",
-            "--timeout-ms", "200", "--trace-out", "t.ndjson", "--metrics-out", "m.prom",
+            "reduce",
+            "--connect",
+            "127.0.0.1:1",
+            "--small",
+            "--seed",
+            "7",
+            "--retries",
+            "0",
+            "--timeout-ms",
+            "200",
+            "--trace-out",
+            "t.ndjson",
+            "--metrics-out",
+            "m.prom",
             "--timings",
         ],
     );
-    assert_eq!(out.status.code(), Some(2), "a dead fleet is still a failure");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a dead fleet is still a failure"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage: reproduce"), "stderr: {stderr}");
     // The timings table: a `generate` row with its per-chain sub-rows.
-    assert!(stderr.lines().any(|l| l.starts_with("generate ")), "no timings table: {stderr}");
+    assert!(
+        stderr.lines().any(|l| l.starts_with("generate ")),
+        "no timings table: {stderr}"
+    );
     let metrics = String::from_utf8(read(&dir, "m.prom")).expect("metrics utf8");
-    assert!(metrics.contains("# TYPE txstat_fleet_requests_total"), "{metrics}");
-    assert!(metrics.contains("# TYPE txstat_fleet_workers_failed_total"), "{metrics}");
-    assert!(metrics.contains("txstat_pipeline_generate_total 1"), "{metrics}");
+    assert!(
+        metrics.contains("# TYPE txstat_fleet_requests_total"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("# TYPE txstat_fleet_workers_failed_total"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("txstat_pipeline_generate_total 1"),
+        "{metrics}"
+    );
     let trace = String::from_utf8(read(&dir, "t.ndjson")).expect("trace utf8");
-    assert!(trace.lines().any(|l| l.contains("\"stage\":\"generate\"")), "trace: {trace}");
+    assert!(
+        trace.lines().any(|l| l.contains("\"stage\":\"generate\"")),
+        "trace: {trace}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -353,7 +527,10 @@ fn a_failed_run_keeps_its_telemetry() {
 /// first cell of a row of its "Stage vocabulary" section.
 fn documented_stages() -> BTreeSet<&'static str> {
     let readme = include_str!("../../telemetry/README.md");
-    let section = readme.split("## Stage vocabulary").nth(1).expect("a stage vocabulary");
+    let section = readme
+        .split("## Stage vocabulary")
+        .nth(1)
+        .expect("a stage vocabulary");
     let section = section.split("\n## ").next().unwrap_or(section);
     section
         .lines()
@@ -378,42 +555,134 @@ fn every_traced_run_is_one_rooted_tree_whose_self_times_sum_to_the_root() {
         stderr
     };
     let timings = run(&[
-        "report", "--small", "--seed", "7", "--trace-out", "report.ndjson", "--timings", "--out",
+        "report",
+        "--small",
+        "--seed",
+        "7",
+        "--trace-out",
+        "report.ndjson",
+        "--timings",
+        "--out",
         "direct.txt",
     ]);
     run(&[
-        "report", "--small", "--seed", "7", "--crawl", "--trace-out", "crawl.ndjson", "--out",
+        "report",
+        "--small",
+        "--seed",
+        "7",
+        "--crawl",
+        "--trace-out",
+        "crawl.ndjson",
+        "--out",
         "crawl.txt",
     ]);
-    run(&["archive", "--small", "--seed", "7", "--out", "corpus", "--trace-out", "archive.ndjson"]);
+    run(&[
+        "archive",
+        "--small",
+        "--seed",
+        "7",
+        "--out",
+        "corpus",
+        "--trace-out",
+        "archive.ndjson",
+    ]);
     for trace in ["cold.ndjson", "warm.ndjson"] {
-        run(&["report", "--archive", "corpus", "--trace-out", trace, "--out", "a.txt"]);
+        run(&[
+            "report",
+            "--archive",
+            "corpus",
+            "--trace-out",
+            trace,
+            "--out",
+            "a.txt",
+        ]);
     }
     run(&[
-        "shard", "--small", "--seed", "7", "--range", "0..300", "--out", "a.frames",
-        "--trace-out", "shard.ndjson",
+        "shard",
+        "--small",
+        "--seed",
+        "7",
+        "--range",
+        "0..300",
+        "--out",
+        "a.frames",
+        "--trace-out",
+        "shard.ndjson",
     ]);
-    run(&["shard", "--small", "--seed", "7", "--range", "300..99999999", "--out", "b.frames"]);
-    run(&["reduce", "a.frames", "b.frames", "--trace-out", "reduce.ndjson", "--out", "r.txt"]);
+    run(&[
+        "shard",
+        "--small",
+        "--seed",
+        "7",
+        "--range",
+        "300..99999999",
+        "--out",
+        "b.frames",
+    ]);
+    run(&[
+        "reduce",
+        "a.frames",
+        "b.frames",
+        "--trace-out",
+        "reduce.ndjson",
+        "--out",
+        "r.txt",
+    ]);
     let mut worker = spawn_server(
         &dir,
         &[
-            "shard", "--listen", "127.0.0.1:0", "--timeout-ms", "2000", "--archive", "corpus",
-            "--max-requests", "2", "--trace-out", "worker.ndjson",
+            "shard",
+            "--listen",
+            "127.0.0.1:0",
+            "--timeout-ms",
+            "2000",
+            "--archive",
+            "corpus",
+            "--max-requests",
+            "2",
+            "--trace-out",
+            "worker.ndjson",
         ],
         "shard worker on",
     );
     run(&[
-        "reduce", "--connect", &worker.addr, "--archive", "corpus", "--chunks", "2",
-        "--trace-out", "fleet.ndjson", "--out", "f.txt",
+        "reduce",
+        "--connect",
+        &worker.addr,
+        "--archive",
+        "corpus",
+        "--chunks",
+        "2",
+        "--trace-out",
+        "fleet.ndjson",
+        "--out",
+        "f.txt",
     ]);
-    assert!(worker.child.wait().expect("worker exit").success(), "the worker exits cleanly");
+    assert!(
+        worker.child.wait().expect("worker exit").success(),
+        "the worker exits cleanly"
+    );
     run(&[
-        "follow", "--small", "--seed", "7", "--batch", "400", "--trace-out", "follow.ndjson",
-        "--out", "follow.txt",
+        "follow",
+        "--small",
+        "--seed",
+        "7",
+        "--batch",
+        "400",
+        "--trace-out",
+        "follow.ndjson",
+        "--out",
+        "follow.txt",
     ]);
     run(&[
-        "serve", "--small", "--seed", "7", "--batch", "400", "--load", "--trace-out",
+        "serve",
+        "--small",
+        "--seed",
+        "7",
+        "--batch",
+        "400",
+        "--load",
+        "--trace-out",
         "serve.ndjson",
     ]);
 
@@ -432,18 +701,31 @@ fn every_traced_run_is_one_rooted_tree_whose_self_times_sum_to_the_root() {
         ("serve.ndjson", "serve"),
     ] {
         let text = String::from_utf8(read(&dir, file)).expect("trace utf8");
-        let events: Vec<TraceEvent> =
-            text.lines().map(|l| serde_json::from_str(l).expect("a trace event")).collect();
+        let events: Vec<TraceEvent> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("a trace event"))
+            .collect();
         let root = events.last().unwrap_or_else(|| panic!("{file} is empty"));
-        assert_eq!((root.stage.as_str(), root.parent), (root_stage, 0), "{file}: last event");
-        assert_eq!(events.iter().filter(|e| e.parent == 0).count(), 1, "{file}: one root");
+        assert_eq!(
+            (root.stage.as_str(), root.parent),
+            (root_stage, 0),
+            "{file}: last event"
+        );
+        assert_eq!(
+            events.iter().filter(|e| e.parent == 0).count(),
+            1,
+            "{file}: one root"
+        );
         let ids: BTreeSet<u64> = events.iter().map(|e| e.id).collect();
         assert_eq!(ids.len(), events.len(), "{file}: ids are unique");
         for e in &events[..events.len() - 1] {
             assert!(ids.contains(&e.parent), "{file}: orphan {e:?}");
         }
-        let on_root: u64 =
-            events.iter().filter(|e| e.thread == root.thread).map(|e| e.self_us).sum();
+        let on_root: u64 = events
+            .iter()
+            .filter(|e| e.thread == root.thread)
+            .map(|e| e.self_us)
+            .sum();
         assert!(
             on_root.abs_diff(root.dur_us) * 100 <= root.dur_us,
             "{file}: root-thread self times sum to {on_root} µs of {} µs",
@@ -461,13 +743,20 @@ fn every_traced_run_is_one_rooted_tree_whose_self_times_sum_to_the_root() {
             let (unattributed, wall) = (ms(root.self_us), ms(root.dur_us));
             assert_eq!(
                 tail,
-                [vec!["report", "1", wall.as_str()], vec!["unattributed", "1", &unattributed]],
+                [
+                    vec!["report", "1", wall.as_str()],
+                    vec!["unattributed", "1", &unattributed]
+                ],
                 "{timings}"
             );
         }
     }
     let seen: BTreeSet<&str> = seen.iter().map(String::as_str).collect();
-    assert_eq!(seen, documented_stages(), "the traced stages vs the README stage table");
+    assert_eq!(
+        seen,
+        documented_stages(),
+        "the traced stages vs the README stage table"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -481,14 +770,34 @@ fn follow_recovers_from_an_injected_reorg() {
     let out = reproduce(
         &dir,
         &[
-            "follow", "--small", "--seed", "7", "--batch", "400", "--reorg-at-batch", "3",
-            "--reorg-depth", "500", "--reorg-seed", "11", "--metrics-out", "reorg-metrics.txt",
-            "--out", "reorged.txt",
+            "follow",
+            "--small",
+            "--seed",
+            "7",
+            "--batch",
+            "400",
+            "--reorg-at-batch",
+            "3",
+            "--reorg-depth",
+            "500",
+            "--reorg-seed",
+            "11",
+            "--metrics-out",
+            "reorg-metrics.txt",
+            "--out",
+            "reorged.txt",
         ],
     );
-    assert!(out.status.success(), "follow failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "follow failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("reorg recovery verified"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("reorg recovery verified"),
+        "stderr: {stderr}"
+    );
     // The follower `serve` runs exports here too: its own families beside
     // the rollback ones (Tezos: 1 200 blocks followed, then 2 312 re-swept
     // from the rollback to position 400, which XRP's 146 never reach).
@@ -501,7 +810,10 @@ fn follow_recovers_from_an_injected_reorg() {
         "# TYPE txstat_reduce_follow_merges_total counter",
         "# TYPE txstat_epoch_published_total counter",
     ] {
-        assert!(metrics.contains(line), "no {line:?} in the follow metrics:\n{metrics}");
+        assert!(
+            metrics.contains(line),
+            "no {line:?} in the follow metrics:\n{metrics}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -516,14 +828,33 @@ fn follow_rejects_an_unreachable_reorg_batch_before_touching_the_archive() {
     let out = reproduce(
         &dir,
         &[
-            "follow", "--small", "--seed", "7", "--batch", "400", "--archive", "corpus",
-            "--reorg-at-batch", "99",
+            "follow",
+            "--small",
+            "--seed",
+            "7",
+            "--batch",
+            "400",
+            "--archive",
+            "corpus",
+            "--reorg-at-batch",
+            "99",
         ],
     );
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("the head is reached after 7 batches"), "stderr: {stderr}");
-    assert!(!dir.join("corpus").exists(), "a refused run left an archive directory behind");
+    assert!(
+        stderr.contains("the head is reached after 7 batches"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        !dir.join("corpus").exists(),
+        "a refused run left an archive directory behind"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -532,14 +863,29 @@ fn reduce_refuses_incomplete_coverage() {
     let dir = tempdir("gap");
     let shard = reproduce(
         &dir,
-        &["shard", "--range", "10..40", "--small", "--seed", "7", "--out", "mid.frames"],
+        &[
+            "shard",
+            "--range",
+            "10..40",
+            "--small",
+            "--seed",
+            "7",
+            "--out",
+            "mid.frames",
+        ],
     );
     assert!(shard.status.success());
     let reduce = reproduce(&dir, &["reduce", "mid.frames", "--out", "never.txt"]);
     assert!(!reduce.status.success(), "a head-less reduction must fail");
     let stderr = String::from_utf8_lossy(&reduce.stderr);
-    assert!(stderr.contains("uncovered block ranges"), "stderr: {stderr}");
-    assert!(!dir.join("never.txt").exists(), "no report may be written on gap");
+    assert!(
+        stderr.contains("uncovered block ranges"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        !dir.join("never.txt").exists(),
+        "no report may be written on gap"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -551,34 +897,84 @@ fn reduce_refuses_incomplete_coverage() {
 fn archived_cold_start_fleet_matches_the_one_shot_report() {
     let dir = tempdir("archfleet");
 
-    let direct = reproduce(&dir, &["report", "--small", "--seed", "7", "--out", "direct.txt"]);
-    assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
+    let direct = reproduce(
+        &dir,
+        &["report", "--small", "--seed", "7", "--out", "direct.txt"],
+    );
+    assert!(
+        direct.status.success(),
+        "report failed: {}",
+        String::from_utf8_lossy(&direct.stderr)
+    );
     let sealed = reproduce(
         &dir,
-        &["archive", "--small", "--seed", "7", "--out", "corpus", "--segment-blocks", "100"],
+        &[
+            "archive",
+            "--small",
+            "--seed",
+            "7",
+            "--out",
+            "corpus",
+            "--segment-blocks",
+            "100",
+        ],
     );
-    assert!(sealed.status.success(), "archive failed: {}", String::from_utf8_lossy(&sealed.stderr));
+    assert!(
+        sealed.status.success(),
+        "archive failed: {}",
+        String::from_utf8_lossy(&sealed.stderr)
+    );
 
     // Two cold-started workers serve a fleet reduction straight from the
     // mapped segments; the reducer's own dataset also comes from the
     // corpus (no scenario flags anywhere).
     let w1 = spawn_server(
         &dir,
-        &["shard", "--listen", "127.0.0.1:0", "--timeout-ms", "2000", "--archive", "corpus"],
+        &[
+            "shard",
+            "--listen",
+            "127.0.0.1:0",
+            "--timeout-ms",
+            "2000",
+            "--archive",
+            "corpus",
+        ],
         "shard worker on",
     );
     let w2 = spawn_server(
         &dir,
-        &["shard", "--listen", "127.0.0.1:0", "--timeout-ms", "2000", "--archive", "corpus"],
+        &[
+            "shard",
+            "--listen",
+            "127.0.0.1:0",
+            "--timeout-ms",
+            "2000",
+            "--archive",
+            "corpus",
+        ],
         "shard worker on",
     );
     let connect = format!("{},{}", w1.addr, w2.addr);
     let reduce = reproduce(
         &dir,
         &[
-            "reduce", "--connect", &connect, "--archive", "corpus", "--chunks", "4",
-            "--timeout-ms", "4000", "--retries", "2", "--backoff-ms", "5", "--out", "fleet.txt",
-            "--metrics-out", "reduce-cold.prom",
+            "reduce",
+            "--connect",
+            &connect,
+            "--archive",
+            "corpus",
+            "--chunks",
+            "4",
+            "--timeout-ms",
+            "4000",
+            "--retries",
+            "2",
+            "--backoff-ms",
+            "5",
+            "--out",
+            "fleet.txt",
+            "--metrics-out",
+            "reduce-cold.prom",
         ],
     );
     assert!(
@@ -587,7 +983,10 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         String::from_utf8_lossy(&reduce.stderr)
     );
     let stderr = String::from_utf8_lossy(&reduce.stderr);
-    assert!(stderr.contains("cold-started reducer dataset"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("cold-started reducer dataset"),
+        "stderr: {stderr}"
+    );
     assert_eq!(
         read(&dir, "direct.txt"),
         read(&dir, "fleet.txt"),
@@ -596,27 +995,64 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
     // The first reducer over a fresh seal finds no memo: it summarizes
     // every one of the 28 segments from its bytes and leaves the file.
     let counter = |file: &str, name: &str| metric(&dir, file, name);
-    assert_eq!(counter("reduce-cold.prom", "txstat_archive_memo_hits_total"), 0);
-    assert_eq!(counter("reduce-cold.prom", "txstat_archive_memo_misses_total"), 28);
-    assert_eq!(counter("reduce-cold.prom", "txstat_archive_segments_replayed_total"), 28);
-    assert!(dir.join("corpus/archive.memo").is_file(), "the first reducer heals the memo");
+    assert_eq!(
+        counter("reduce-cold.prom", "txstat_archive_memo_hits_total"),
+        0
+    );
+    assert_eq!(
+        counter("reduce-cold.prom", "txstat_archive_memo_misses_total"),
+        28
+    );
+    assert_eq!(
+        counter("reduce-cold.prom", "txstat_archive_segments_replayed_total"),
+        28
+    );
+    assert!(
+        dir.join("corpus/archive.memo").is_file(),
+        "the first reducer heals the memo"
+    );
 
     // A worker whose request budget equals the chunk count exits cleanly
     // and dumps its metrics: zero generation passes, >0 segments replayed.
     let mut w3 = spawn_server(
         &dir,
         &[
-            "shard", "--listen", "127.0.0.1:0", "--timeout-ms", "2000", "--archive", "corpus",
-            "--max-requests", "2", "--metrics-out", "worker-metrics.txt",
+            "shard",
+            "--listen",
+            "127.0.0.1:0",
+            "--timeout-ms",
+            "2000",
+            "--archive",
+            "corpus",
+            "--max-requests",
+            "2",
+            "--metrics-out",
+            "worker-metrics.txt",
         ],
         "shard worker on",
     );
     let reduce2 = reproduce(
         &dir,
         &[
-            "reduce", "--connect", &w3.addr, "--archive", "corpus", "--chunks", "2",
-            "--timeout-ms", "4000", "--retries", "2", "--backoff-ms", "5", "--out", "fleet2.txt",
-            "--metrics-out", "reduce-warm.prom", "--trace-out", "reduce-warm.ndjson",
+            "reduce",
+            "--connect",
+            &w3.addr,
+            "--archive",
+            "corpus",
+            "--chunks",
+            "2",
+            "--timeout-ms",
+            "4000",
+            "--retries",
+            "2",
+            "--backoff-ms",
+            "5",
+            "--out",
+            "fleet2.txt",
+            "--metrics-out",
+            "reduce-warm.prom",
+            "--trace-out",
+            "reduce-warm.ndjson",
         ],
     );
     assert!(
@@ -627,14 +1063,35 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
     assert_eq!(read(&dir, "direct.txt"), read(&dir, "fleet2.txt"));
     // The second reducer is block-free: every summary comes from the memo,
     // no segment is decoded, and Figure 2 is never recomputed.
-    assert_eq!(counter("reduce-warm.prom", "txstat_archive_memo_hits_total"), 28);
-    assert_eq!(counter("reduce-warm.prom", "txstat_archive_memo_misses_total"), 0);
-    assert_eq!(counter("reduce-warm.prom", "txstat_archive_segments_replayed_total"), 0);
+    assert_eq!(
+        counter("reduce-warm.prom", "txstat_archive_memo_hits_total"),
+        28
+    );
+    assert_eq!(
+        counter("reduce-warm.prom", "txstat_archive_memo_misses_total"),
+        0
+    );
+    assert_eq!(
+        counter("reduce-warm.prom", "txstat_archive_segments_replayed_total"),
+        0
+    );
     let trace = String::from_utf8(read(&dir, "reduce-warm.ndjson")).expect("trace utf8");
-    assert!(trace.contains("\"stage\":\"memo\""), "no memo span:\n{trace}");
-    let fleet_spans = trace.lines().filter(|l| l.contains("\"stage\":\"reduce_fleet\"")).count();
-    assert_eq!(fleet_spans, 1, "one reduce_fleet span per fleet reduction:\n{trace}");
-    assert!(!trace.contains("fig2_storage"), "a memo-hit reducer recomputed Figure 2");
+    assert!(
+        trace.contains("\"stage\":\"memo\""),
+        "no memo span:\n{trace}"
+    );
+    let fleet_spans = trace
+        .lines()
+        .filter(|l| l.contains("\"stage\":\"reduce_fleet\""))
+        .count();
+    assert_eq!(
+        fleet_spans, 1,
+        "one reduce_fleet span per fleet reduction:\n{trace}"
+    );
+    assert!(
+        !trace.contains("fig2_storage"),
+        "a memo-hit reducer recomputed Figure 2"
+    );
     let status = w3.child.wait().expect("worker exit");
     assert!(status.success(), "budgeted worker should exit cleanly");
     let metrics = String::from_utf8(read(&dir, "worker-metrics.txt")).expect("metrics utf8");
@@ -642,13 +1099,28 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         metrics.contains("txstat_pipeline_generate_total 0"),
         "cold-started worker generated a chain:\n{metrics}"
     );
-    let replayed = counter("worker-metrics.txt", "txstat_archive_segments_replayed_total");
-    assert!(replayed > 0, "worker replayed no archive segments:\n{metrics}");
+    let replayed = counter(
+        "worker-metrics.txt",
+        "txstat_archive_segments_replayed_total",
+    );
+    assert!(
+        replayed > 0,
+        "worker replayed no archive segments:\n{metrics}"
+    );
     // Its decoded-segment counters are exported too, and it decoded something.
-    for family in ["txstat_archive_cache_hits_total", "txstat_archive_cache_misses_total"] {
-        assert!(metrics.contains(&format!("# TYPE {family}")), "no {family} in:\n{metrics}");
+    for family in [
+        "txstat_archive_cache_hits_total",
+        "txstat_archive_cache_misses_total",
+    ] {
+        assert!(
+            metrics.contains(&format!("# TYPE {family}")),
+            "no {family} in:\n{metrics}"
+        );
     }
-    assert!(counter("worker-metrics.txt", "txstat_archive_cache_misses_total") > 0, "{metrics}");
+    assert!(
+        counter("worker-metrics.txt", "txstat_archive_cache_misses_total") > 0,
+        "{metrics}"
+    );
     assert_documented(&metrics);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -659,24 +1131,59 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
 #[test]
 fn unwritable_memo_is_a_warning_not_a_failure() {
     let dir = tempdir("memowarn");
-    let direct = reproduce(&dir, &["report", "--small", "--seed", "7", "--out", "direct.txt"]);
-    assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
-    let sealed = reproduce(&dir, &["archive", "--small", "--seed", "7", "--out", "corpus"]);
-    assert!(sealed.status.success(), "archive failed: {}", String::from_utf8_lossy(&sealed.stderr));
+    let direct = reproduce(
+        &dir,
+        &["report", "--small", "--seed", "7", "--out", "direct.txt"],
+    );
+    assert!(
+        direct.status.success(),
+        "report failed: {}",
+        String::from_utf8_lossy(&direct.stderr)
+    );
+    let sealed = reproduce(
+        &dir,
+        &["archive", "--small", "--seed", "7", "--out", "corpus"],
+    );
+    assert!(
+        sealed.status.success(),
+        "archive failed: {}",
+        String::from_utf8_lossy(&sealed.stderr)
+    );
     std::fs::create_dir(dir.join("corpus/archive.memo")).expect("squat on the memo name");
     std::fs::write(dir.join("corpus/archive.memo/occupied"), b"x").expect("occupy");
 
     let cold = reproduce(
         &dir,
-        &["report", "--archive", "corpus", "--out", "cold.txt", "--metrics-out", "cold.prom"],
+        &[
+            "report",
+            "--archive",
+            "corpus",
+            "--out",
+            "cold.txt",
+            "--metrics-out",
+            "cold.prom",
+        ],
     );
-    assert!(cold.status.success(), "report failed: {}", String::from_utf8_lossy(&cold.stderr));
+    assert!(
+        cold.status.success(),
+        "report failed: {}",
+        String::from_utf8_lossy(&cold.stderr)
+    );
     let stderr = String::from_utf8_lossy(&cold.stderr);
-    assert!(stderr.contains("warning: archive memo not written"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("warning: archive memo not written"),
+        "stderr: {stderr}"
+    );
     assert_eq!(read(&dir, "direct.txt"), read(&dir, "cold.txt"));
     let metrics = String::from_utf8(read(&dir, "cold.prom")).expect("metrics utf8");
-    assert!(metrics.contains("txstat_archive_memo_write_failures_total 1"), "{metrics}");
-    assert!(metrics.contains("txstat_archive_memo_rejected_total{reason=\"io\"} 1"), "{metrics}");
+    assert!(
+        metrics.contains("txstat_archive_memo_write_failures_total 1"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("txstat_archive_memo_rejected_total{reason=\"io\"} 1"),
+        "{metrics}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -686,13 +1193,33 @@ fn unwritable_memo_is_a_warning_not_a_failure() {
 fn archived_file_shards_reduce_to_the_identical_report() {
     let dir = tempdir("archshard");
 
-    let direct = reproduce(&dir, &["report", "--small", "--seed", "7", "--out", "direct.txt"]);
-    assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
+    let direct = reproduce(
+        &dir,
+        &["report", "--small", "--seed", "7", "--out", "direct.txt"],
+    );
+    assert!(
+        direct.status.success(),
+        "report failed: {}",
+        String::from_utf8_lossy(&direct.stderr)
+    );
     let sealed = reproduce(
         &dir,
-        &["archive", "--small", "--seed", "7", "--out", "corpus", "--segment-blocks", "128"],
+        &[
+            "archive",
+            "--small",
+            "--seed",
+            "7",
+            "--out",
+            "corpus",
+            "--segment-blocks",
+            "128",
+        ],
     );
-    assert!(sealed.status.success(), "archive failed: {}", String::from_utf8_lossy(&sealed.stderr));
+    assert!(
+        sealed.status.success(),
+        "archive failed: {}",
+        String::from_utf8_lossy(&sealed.stderr)
+    );
 
     // 22 segments of 128 positions: a one-shot shard decodes only the
     // segments covering its range, each once.
@@ -703,8 +1230,17 @@ fn archived_file_shards_reduce_to_the_identical_report() {
         let shard = reproduce(
             &dir,
             &[
-                "shard", "--range", range, "--archive", "corpus", "--out", out,
-                "--metrics-out", metrics, "--trace-out", trace,
+                "shard",
+                "--range",
+                range,
+                "--archive",
+                "corpus",
+                "--out",
+                out,
+                "--metrics-out",
+                metrics,
+                "--trace-out",
+                trace,
             ],
         );
         assert!(
@@ -713,7 +1249,10 @@ fn archived_file_shards_reduce_to_the_identical_report() {
             String::from_utf8_lossy(&shard.stderr)
         );
         let m = String::from_utf8(read(&dir, metrics)).expect("metrics utf8");
-        assert!(m.contains("txstat_pipeline_generate_total 0"), "shard {range} generated:\n{m}");
+        assert!(
+            m.contains("txstat_pipeline_generate_total 0"),
+            "shard {range} generated:\n{m}"
+        );
         for (name, want) in [
             ("txstat_archive_segments_replayed_total", covering),
             ("txstat_archive_cache_misses_total", covering),
@@ -723,11 +1262,24 @@ fn archived_file_shards_reduce_to_the_identical_report() {
         }
         // One `wire_encode` span per chain frame.
         let trace = String::from_utf8(read(&dir, trace)).expect("trace utf8");
-        let encodes = trace.lines().filter(|l| l.contains("\"stage\":\"wire_encode\"")).count();
-        assert_eq!(encodes, 3, "shard {range}: one wire_encode span per chain:\n{trace}");
+        let encodes = trace
+            .lines()
+            .filter(|l| l.contains("\"stage\":\"wire_encode\""))
+            .count();
+        assert_eq!(
+            encodes, 3,
+            "shard {range}: one wire_encode span per chain:\n{trace}"
+        );
     }
-    let reduce = reproduce(&dir, &["reduce", "a.frames", "b.frames", "--out", "reduced.txt"]);
-    assert!(reduce.status.success(), "reduce failed: {}", String::from_utf8_lossy(&reduce.stderr));
+    let reduce = reproduce(
+        &dir,
+        &["reduce", "a.frames", "b.frames", "--out", "reduced.txt"],
+    );
+    assert!(
+        reduce.status.success(),
+        "reduce failed: {}",
+        String::from_utf8_lossy(&reduce.stderr)
+    );
     assert_eq!(
         read(&dir, "direct.txt"),
         read(&dir, "reduced.txt"),
@@ -745,18 +1297,37 @@ fn archived_file_shards_reduce_to_the_identical_report() {
 fn follow_persists_and_cold_starts_from_the_archive() {
     let dir = tempdir("archfollow");
 
-    let direct = reproduce(&dir, &["report", "--small", "--seed", "7", "--out", "direct.txt"]);
-    assert!(direct.status.success(), "report failed: {}", String::from_utf8_lossy(&direct.stderr));
+    let direct = reproduce(
+        &dir,
+        &["report", "--small", "--seed", "7", "--out", "direct.txt"],
+    );
+    assert!(
+        direct.status.success(),
+        "report failed: {}",
+        String::from_utf8_lossy(&direct.stderr)
+    );
 
     // First run creates the corpus while following.
     let first = reproduce(
         &dir,
         &[
-            "follow", "--small", "--seed", "7", "--batch", "400", "--archive", "corpus",
-            "--out", "followed.txt",
+            "follow",
+            "--small",
+            "--seed",
+            "7",
+            "--batch",
+            "400",
+            "--archive",
+            "corpus",
+            "--out",
+            "followed.txt",
         ],
     );
-    assert!(first.status.success(), "follow failed: {}", String::from_utf8_lossy(&first.stderr));
+    assert!(
+        first.status.success(),
+        "follow failed: {}",
+        String::from_utf8_lossy(&first.stderr)
+    );
     let stderr = String::from_utf8_lossy(&first.stderr);
     assert!(stderr.contains("creating archive"), "stderr: {stderr}");
     assert!(stderr.contains("archive verified"), "stderr: {stderr}");
@@ -766,11 +1337,22 @@ fn follow_persists_and_cold_starts_from_the_archive() {
     let second = reproduce(
         &dir,
         &[
-            "follow", "--batch", "400", "--archive", "corpus", "--out", "followed2.txt",
-            "--metrics-out", "follow2-metrics.txt",
+            "follow",
+            "--batch",
+            "400",
+            "--archive",
+            "corpus",
+            "--out",
+            "followed2.txt",
+            "--metrics-out",
+            "follow2-metrics.txt",
         ],
     );
-    assert!(second.status.success(), "follow failed: {}", String::from_utf8_lossy(&second.stderr));
+    assert!(
+        second.status.success(),
+        "follow failed: {}",
+        String::from_utf8_lossy(&second.stderr)
+    );
     let stderr = String::from_utf8_lossy(&second.stderr);
     assert!(stderr.contains("cold-started"), "stderr: {stderr}");
     assert_eq!(read(&dir, "direct.txt"), read(&dir, "followed2.txt"));
@@ -785,19 +1367,45 @@ fn follow_persists_and_cold_starts_from_the_archive() {
     let reorg = reproduce(
         &dir,
         &[
-            "follow", "--batch", "400", "--archive", "corpus", "--reorg-at-batch", "2",
-            "--reorg-depth", "500", "--reorg-seed", "11", "--out", "reorged.txt",
+            "follow",
+            "--batch",
+            "400",
+            "--archive",
+            "corpus",
+            "--reorg-at-batch",
+            "2",
+            "--reorg-depth",
+            "500",
+            "--reorg-seed",
+            "11",
+            "--out",
+            "reorged.txt",
         ],
     );
-    assert!(reorg.status.success(), "reorg follow failed: {}", String::from_utf8_lossy(&reorg.stderr));
+    assert!(
+        reorg.status.success(),
+        "reorg follow failed: {}",
+        String::from_utf8_lossy(&reorg.stderr)
+    );
     let stderr = String::from_utf8_lossy(&reorg.stderr);
     assert!(stderr.contains("reorg invalidated"), "stderr: {stderr}");
     assert!(stderr.contains("archive verified"), "stderr: {stderr}");
     // What the corpus now holds is the reorged history.
-    let after = reproduce(&dir, &["report", "--archive", "corpus", "--out", "after.txt"]);
-    assert!(after.status.success(), "report failed: {}", String::from_utf8_lossy(&after.stderr));
+    let after = reproduce(
+        &dir,
+        &["report", "--archive", "corpus", "--out", "after.txt"],
+    );
+    assert!(
+        after.status.success(),
+        "report failed: {}",
+        String::from_utf8_lossy(&after.stderr)
+    );
     assert_eq!(read(&dir, "reorged.txt"), read(&dir, "after.txt"));
-    assert_ne!(read(&dir, "direct.txt"), read(&dir, "after.txt"), "the reorg changed nothing");
+    assert_ne!(
+        read(&dir, "direct.txt"),
+        read(&dir, "after.txt"),
+        "the reorg changed nothing"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -812,44 +1420,130 @@ fn archive_flag_misuse_exits_with_usage() {
     std::fs::create_dir_all(dir.join("emptydir")).expect("mkdir");
     let sealed = reproduce(
         &dir,
-        &["archive", "--small", "--seed", "7", "--out", "corpus", "--segment-blocks", "512"],
+        &[
+            "archive",
+            "--small",
+            "--seed",
+            "7",
+            "--out",
+            "corpus",
+            "--segment-blocks",
+            "512",
+        ],
     );
-    assert!(sealed.status.success(), "archive failed: {}", String::from_utf8_lossy(&sealed.stderr));
+    assert!(
+        sealed.status.success(),
+        "archive failed: {}",
+        String::from_utf8_lossy(&sealed.stderr)
+    );
 
     for (args, needle) in [
         (&["report", "--archive", "missing"][..], "no archive at"),
-        (&["shard", "--range", "0..5", "--out", "x.frames", "--archive", "emptydir"][..], "no archive at"),
-        (&["follow", "--archive", "corpus", "--seed", "9"][..], "does not hold the requested"),
-        (&["archive", "--small", "--out", "x", "--segment-blocks", "0"][..], "--segment-blocks must be at least 1"),
-        (&["follow", "--small", "--archive", "x", "--segment-blocks", "0"][..], "--segment-blocks must be at least 1"),
-        (&["archive", "--small"][..], "archive needs --out DIR"),
-        (&["report", "--archive", "corpus", "--seed", "9"][..], "does not hold the requested"),
-        (&["report", "--archive", "corpus", "--crawl"][..], "not both"),
-        (&["reduce", "--archive", "corpus", "x.frames"][..], "needs --connect"),
-        (&["report", "--small", "--seed", "1", "--seed", "2"][..], "--seed given twice"),
-        (&["serve", "--small", "--load", "--load"][..], "--load given twice"),
         (
-            &["query", "--addr", "127.0.0.1:1", "--wait-head", "18446744073709551615"][..],
+            &[
+                "shard",
+                "--range",
+                "0..5",
+                "--out",
+                "x.frames",
+                "--archive",
+                "emptydir",
+            ][..],
+            "no archive at",
+        ),
+        (
+            &["follow", "--archive", "corpus", "--seed", "9"][..],
+            "does not hold the requested",
+        ),
+        (
+            &["archive", "--small", "--out", "x", "--segment-blocks", "0"][..],
+            "--segment-blocks must be at least 1",
+        ),
+        (
+            &[
+                "follow",
+                "--small",
+                "--archive",
+                "x",
+                "--segment-blocks",
+                "0",
+            ][..],
+            "--segment-blocks must be at least 1",
+        ),
+        (&["archive", "--small"][..], "archive needs --out DIR"),
+        (
+            &["report", "--archive", "corpus", "--seed", "9"][..],
+            "does not hold the requested",
+        ),
+        (
+            &["report", "--archive", "corpus", "--crawl"][..],
+            "not both",
+        ),
+        (
+            &["reduce", "--archive", "corpus", "x.frames"][..],
+            "needs --connect",
+        ),
+        (
+            &["report", "--small", "--seed", "1", "--seed", "2"][..],
+            "--seed given twice",
+        ),
+        (
+            &["serve", "--small", "--load", "--load"][..],
+            "--load given twice",
+        ),
+        (
+            &[
+                "query",
+                "--addr",
+                "127.0.0.1:1",
+                "--wait-head",
+                "18446744073709551615",
+            ][..],
             "--wait-head 18446744073709551615 is out of range",
         ),
         (
-            &["reduce", "--connect", "127.0.0.1:1", "--small", "--timeout-ms", "0"][..],
+            &[
+                "reduce",
+                "--connect",
+                "127.0.0.1:1",
+                "--small",
+                "--timeout-ms",
+                "0",
+            ][..],
             "--timeout-ms must be at least 1",
         ),
         (
-            &["shard", "--listen", "127.0.0.1:0", "--small", "--timeout-ms", "0"][..],
+            &[
+                "shard",
+                "--listen",
+                "127.0.0.1:0",
+                "--small",
+                "--timeout-ms",
+                "0",
+            ][..],
             "--timeout-ms must be at least 1",
         ),
         (
-            &["shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "0"][..],
+            &[
+                "shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "0",
+            ][..],
             "--shards 0 is outside 1..=64",
         ),
         (
-            &["shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "65"][..],
+            &[
+                "shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "65",
+            ][..],
             "--shards 65 is outside 1..=64",
         ),
         (
-            &["reduce", "--connect", "127.0.0.1:1", "--small", "--shards", "65"][..],
+            &[
+                "reduce",
+                "--connect",
+                "127.0.0.1:1",
+                "--small",
+                "--shards",
+                "65",
+            ][..],
             "--shards 65 is outside 1..=64",
         ),
     ] {
@@ -857,9 +1551,15 @@ fn archive_flag_misuse_exits_with_usage() {
         assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(needle), "{args:?} stderr: {stderr}");
-        assert!(stderr.contains("usage: reproduce"), "{args:?} printed no usage: {stderr}");
+        assert!(
+            stderr.contains("usage: reproduce"),
+            "{args:?} printed no usage: {stderr}"
+        );
     }
-    assert!(!dir.join("x").exists(), "a refused zero segment size left a corpus directory");
+    assert!(
+        !dir.join("x").exists(),
+        "a refused zero segment size left a corpus directory"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -869,15 +1569,30 @@ fn archive_flag_misuse_exits_with_usage() {
 #[test]
 fn serve_load_runs_its_load_at_the_head_and_exits() {
     let dir = tempdir("serveload");
-    let out = reproduce(&dir, &["serve", "--small", "--seed", "7", "--batch", "400", "--load"]);
-    assert!(out.status.success(), "serve --load failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = reproduce(
+        &dir,
+        &[
+            "serve", "--small", "--seed", "7", "--batch", "400", "--load",
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "serve --load failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("serving on http://"), "stdout: {stdout}");
-    let line = stdout.lines().find(|l| l.starts_with("load: ")).expect("a load summary line");
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("load: "))
+        .expect("a load summary line");
     assert!(line.starts_with("load: 12800 requests"), "{line}");
     let count = |name: &str| -> u64 {
         let mut words = line.split_whitespace().skip_while(|w| *w != name);
-        words.nth(1).and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no {name} in {line}"))
+        words
+            .nth(1)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in {line}"))
     };
     assert_eq!(count("ok") + count("shed"), 12800, "{line}");
     assert_eq!(count("errors"), 0, "{line}");
@@ -893,14 +1608,30 @@ fn unknown_flags_and_subcommands_exit_nonzero_with_usage() {
         &["shard", "--range", "0..5"][..], // missing --out
         &["warble"][..],
         // Retired options are unknown like any other, not silently accepted.
-        &["shard", "--range", "0..5", "--out", "x.frames", "--payload", "json"][..],
+        &[
+            "shard",
+            "--range",
+            "0..5",
+            "--out",
+            "x.frames",
+            "--payload",
+            "json",
+        ][..],
         &["reduce", "--connect", "127.0.0.1:1", "--payload", "bin"][..],
         &["archive", "--small", "--out", "x", "--format", "v1"][..],
         &["follow", "--small", "--format", "v2"][..],
         &["follow", "--small", "--shards", "2"][..],
         &["archive", "--out", "x", "--upgrade", "corpus"][..],
         &["report", "--small", "--crawl", "--materialize"][..],
-        &["shard", "--listen", "127.0.0.1:0", "--archive", "x", "--segment-cache-mb", "16"][..],
+        &[
+            "shard",
+            "--listen",
+            "127.0.0.1:0",
+            "--archive",
+            "x",
+            "--segment-cache-mb",
+            "16",
+        ][..],
         &["serve", "--small", "--max-inflight", "64"][..],
         &["chaos", "--upstream", "127.0.0.1:1", "--latency-ms", "5"][..],
         &["chaos", "--upstream", "127.0.0.1:1", "--jitter-ms", "5"][..],
@@ -912,7 +1643,10 @@ fn unknown_flags_and_subcommands_exit_nonzero_with_usage() {
         let out = reproduce(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("usage: reproduce"), "{args:?} printed no usage: {stderr}");
+        assert!(
+            stderr.contains("usage: reproduce"),
+            "{args:?} printed no usage: {stderr}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -217,7 +217,11 @@ impl Histogram {
                 cumulative: cum,
             });
         }
-        HistogramSnapshot { total: self.total(), sum: self.sum(), buckets }
+        HistogramSnapshot {
+            total: self.total(),
+            sum: self.sum(),
+            buckets,
+        }
     }
 }
 
@@ -257,7 +261,10 @@ mod tests {
         for us in [4u64, 7, 8, 100, 1_000, 65_535, 1_000_000, u64::MAX / 2] {
             let edge = Histogram::bucket_value(Histogram::bucket_of(us));
             assert!(edge <= us, "edge {edge} > {us}");
-            assert!(us < edge + edge / 4 + 1, "us {us} too far above edge {edge}");
+            assert!(
+                us < edge + edge / 4 + 1,
+                "us {us} too far above edge {edge}"
+            );
         }
         // Quantiles over a known distribution: 90 fast + 10 slow.
         for _ in 0..90 {
@@ -302,6 +309,9 @@ mod tests {
         assert_eq!(s.buckets.len(), 1);
         assert_eq!(s.buckets[0].upper, u64::MAX);
         assert_eq!(s.buckets[0].cumulative, 1);
-        assert_eq!(s.quantile(1.0), Histogram::bucket_value(Histogram::bucket_of(u64::MAX)));
+        assert_eq!(
+            s.quantile(1.0),
+            Histogram::bucket_value(Histogram::bucket_of(u64::MAX))
+        );
     }
 }

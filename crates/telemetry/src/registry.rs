@@ -58,8 +58,10 @@ impl Metric {
 pub(crate) type Labels = Vec<(String, String)>;
 
 fn normalize(labels: &[(&str, &str)]) -> Labels {
-    let mut out: Labels =
-        labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+    let mut out: Labels = labels
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
     out.sort();
     out
 }
@@ -101,7 +103,9 @@ pub struct Registry {
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let fams = self.families.read().unwrap();
-        f.debug_struct("Registry").field("families", &fams.keys().collect::<Vec<_>>()).finish()
+        f.debug_struct("Registry")
+            .field("families", &fams.keys().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -151,8 +155,9 @@ impl Registry {
 
     /// Get or create a counter with the given labels.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        match self.get_or_create(name, help, labels, || Metric::Counter(Arc::new(Counter::new())))
-        {
+        match self.get_or_create(name, help, labels, || {
+            Metric::Counter(Arc::new(Counter::new()))
+        }) {
             Metric::Counter(c) => c,
             _ => panic!("metric family `{name}` is not a counter"),
         }
@@ -183,9 +188,9 @@ impl Registry {
         help: &str,
         labels: &[(&str, &str)],
     ) -> Arc<Histogram> {
-        match self
-            .get_or_create(name, help, labels, || Metric::Histogram(Arc::new(Histogram::new())))
-        {
+        match self.get_or_create(name, help, labels, || {
+            Metric::Histogram(Arc::new(Histogram::new()))
+        }) {
             Metric::Histogram(h) => h,
             _ => panic!("metric family `{name}` is not a histogram"),
         }
@@ -350,7 +355,9 @@ fn render_labels(labels: &Labels, extra: &[(&str, &str)]) -> String {
 }
 
 fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// The process-wide default registry. Library layers record here when not
@@ -367,12 +374,24 @@ mod tests {
     #[test]
     fn handles_are_shared_and_labels_are_order_independent() {
         let reg = Registry::new();
-        let a = reg.counter_with("txstat_test_total", "help", &[("chain", "eos"), ("shard", "0")]);
-        let b = reg.counter_with("txstat_test_total", "help", &[("shard", "0"), ("chain", "eos")]);
+        let a = reg.counter_with(
+            "txstat_test_total",
+            "help",
+            &[("chain", "eos"), ("shard", "0")],
+        );
+        let b = reg.counter_with(
+            "txstat_test_total",
+            "help",
+            &[("shard", "0"), ("chain", "eos")],
+        );
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3, "same labels (any order) share one instrument");
-        let c = reg.counter_with("txstat_test_total", "help", &[("chain", "xrp"), ("shard", "0")]);
+        let c = reg.counter_with(
+            "txstat_test_total",
+            "help",
+            &[("chain", "xrp"), ("shard", "0")],
+        );
         c.inc();
         assert_eq!(c.get(), 1);
         assert_eq!(reg.gather().len(), 2);
@@ -389,19 +408,33 @@ mod tests {
     #[test]
     fn prometheus_rendering_shape() {
         let reg = Registry::new();
-        reg.counter_with("txstat_frames_total", "Frames decoded", &[("format", "v2_bin")]).add(5);
+        reg.counter_with(
+            "txstat_frames_total",
+            "Frames decoded",
+            &[("format", "v2_bin")],
+        )
+        .add(5);
         reg.gauge("txstat_lag", "Batch lag").set(3);
         let h = reg.histogram("txstat_decode_us", "Decode time");
         h.record_us(100);
         h.record_us(10_000);
         let text = reg.render_prometheus();
-        assert!(text.contains("# TYPE txstat_frames_total counter"), "{text}");
-        assert!(text.contains("txstat_frames_total{format=\"v2_bin\"} 5"), "{text}");
+        assert!(
+            text.contains("# TYPE txstat_frames_total counter"),
+            "{text}"
+        );
+        assert!(
+            text.contains("txstat_frames_total{format=\"v2_bin\"} 5"),
+            "{text}"
+        );
         assert!(text.contains("# TYPE txstat_lag gauge"), "{text}");
         assert!(text.contains("txstat_lag 3"), "{text}");
         assert!(text.contains("txstat_lag_peak 3"), "{text}");
         assert!(text.contains("# TYPE txstat_decode_us histogram"), "{text}");
-        assert!(text.contains("txstat_decode_us_bucket{le=\"+Inf\"} 2"), "{text}");
+        assert!(
+            text.contains("txstat_decode_us_bucket{le=\"+Inf\"} 2"),
+            "{text}"
+        );
         assert!(text.contains("txstat_decode_us_sum 10100"), "{text}");
         assert!(text.contains("txstat_decode_us_count 2"), "{text}");
         // Families render in sorted order exactly once.

@@ -91,7 +91,9 @@ impl Default for Tracer {
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer").field("enabled", &self.is_enabled()).finish()
+        f.debug_struct("Tracer")
+            .field("enabled", &self.is_enabled())
+            .finish()
     }
 }
 
@@ -140,7 +142,10 @@ impl Tracer {
     /// the root. Inert (one atomic load, no clock read) when disabled.
     pub fn span<'a>(&'a self, stage: &'static str, label: &str) -> Span<'a> {
         if !self.is_enabled() {
-            return Span { inner: None, _thread_bound: PhantomData };
+            return Span {
+                inner: None,
+                _thread_bound: PhantomData,
+            };
         }
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         let parent = match current_span() {
@@ -149,8 +154,18 @@ impl Tracer {
         };
         OPEN.with(|open| open.borrow_mut().push((id, 0)));
         let (label, opened) = (label.to_string(), Instant::now());
-        let inner = SpanInner { tracer: self, stage, label, id, parent, opened };
-        Span { inner: Some(inner), _thread_bound: PhantomData }
+        let inner = SpanInner {
+            tracer: self,
+            stage,
+            label,
+            id,
+            parent,
+            opened,
+        };
+        Span {
+            inner: Some(inner),
+            _thread_bound: PhantomData,
+        }
     }
 
     /// Open the run's root span (parent 0, before anything else opens):
@@ -172,7 +187,10 @@ impl Tracer {
         } else {
             let on_root = state.root_thread == 0 || state.root_thread == event.thread;
             let chain = CHAIN_LABELS.iter().find(|c| **c == event.label);
-            for key in [Some((stage, "")), chain.map(|c| (stage, *c))].into_iter().flatten() {
+            for key in [Some((stage, "")), chain.map(|c| (stage, *c))]
+                .into_iter()
+                .flatten()
+            {
                 let row = state.rows.entry(key).or_default();
                 row[0] += 1;
                 row[if on_root { 1 } else { 2 }] += event.self_us;
@@ -201,11 +219,19 @@ impl Tracer {
         };
         let mut out = row("stage", "count", "self_ms", "other_threads_ms");
         for (&(stage, chain), &[count, main_us, other_us]) in &state.rows {
-            let name = if chain.is_empty() { stage.to_string() } else { format!("  {chain}") };
+            let name = if chain.is_empty() {
+                stage.to_string()
+            } else {
+                format!("  {chain}")
+            };
             out.push_str(&row(&name, &count.to_string(), &ms(main_us), &ms(other_us)));
         }
         if let Some((stage, dur_us, self_us)) = state.root {
-            let other_us = state.rows.iter().filter(|((_, c), _)| c.is_empty()).map(|(_, r)| r[2]);
+            let other_us = state
+                .rows
+                .iter()
+                .filter(|((_, c), _)| c.is_empty())
+                .map(|(_, r)| r[2]);
             out.push_str(&row("unattributed", "1", &ms(self_us), "-"));
             out.push_str(&row(stage, "1", &ms(dur_us), &ms(other_us.sum())));
         }
@@ -247,11 +273,7 @@ pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec
 }
 
 /// [`par_map`] on at most `workers` workers.
-fn par_map_on<T: Sync, U: Send>(
-    workers: usize,
-    items: &[T],
-    f: impl Fn(&T) -> U + Sync,
-) -> Vec<U> {
+fn par_map_on<T: Sync, U: Send>(workers: usize, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     let workers = workers.min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
@@ -264,7 +286,9 @@ fn par_map_on<T: Sync, U: Send>(
             let mut done = Vec::new();
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { return done };
+                let Some(item) = items.get(i) else {
+                    return done;
+                };
                 done.push((i, f(item)));
             }
         })
@@ -273,12 +297,17 @@ fn par_map_on<T: Sync, U: Send>(
     std::thread::scope(|s| {
         let others: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
         let mine = work();
-        let theirs = others.into_iter().flat_map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)));
+        let theirs = others
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)));
         for (i, u) in theirs.chain(mine) {
             slots[i] = Some(u);
         }
     });
-    slots.into_iter().map(|u| u.expect("every item was claimed")).collect()
+    slots
+        .into_iter()
+        .map(|u| u.expect("every item was claimed"))
+        .collect()
 }
 
 /// Run `a` on the calling thread and `b` on a scoped thread under the
@@ -376,7 +405,9 @@ mod tests {
     impl Shared {
         fn events(&self) -> Vec<TraceEvent> {
             let text = String::from_utf8(self.0.lock().unwrap().clone()).unwrap();
-            text.lines().map(|l| serde_json::from_str(l).expect("trace line parses")).collect()
+            text.lines()
+                .map(|l| serde_json::from_str(l).expect("trace line parses"))
+                .collect()
         }
     }
 
@@ -411,7 +442,9 @@ mod tests {
         assert_eq!(stages, ["reduce_decode", "reduce_decode", "reduce_submit"]);
         let outer = &events[2];
         assert_eq!(outer.parent, 0, "no root: a top-level span has no parent");
-        assert!(events[..2].iter().all(|e| e.parent == outer.id && e.self_us == e.dur_us));
+        assert!(events[..2]
+            .iter()
+            .all(|e| e.parent == outer.id && e.self_us == e.dur_us));
         let children: u64 = events[..2].iter().map(|e| e.dur_us).sum();
         assert_eq!(outer.self_us, outer.dur_us - children);
         assert!(events.iter().all(|e| e.id != 0 && e.thread == outer.thread));
@@ -433,11 +466,21 @@ mod tests {
         let rows: Vec<(&str, &str)> = table
             .lines()
             .skip(1)
-            .map(|l| (&l[..8], l[20..].split_whitespace().next().expect("count column")))
+            .map(|l| {
+                (
+                    &l[..8],
+                    l[20..].split_whitespace().next().expect("count column"),
+                )
+            })
             .collect();
         assert_eq!(
             rows,
-            vec![("generate", "4"), ("  eos   ", "1"), ("  tezos ", "2"), ("render  ", "1")],
+            vec![
+                ("generate", "4"),
+                ("  eos   ", "1"),
+                ("  tezos ", "2"),
+                ("render  ", "1")
+            ],
             "{table}"
         );
     }
@@ -453,7 +496,10 @@ mod tests {
                 // the root.
                 s.spawn(|| drop(t.span("fig2_storage", "eos")));
                 // The calling thread's own part stays in its own nesting.
-                join(|| drop(t.span("sweep", "tezos")), || drop(t.span("fig2_storage", "xrp")));
+                join(
+                    || drop(t.span("sweep", "tezos")),
+                    || drop(t.span("fig2_storage", "xrp")),
+                );
             });
         }
         let events = buf.events();
@@ -461,20 +507,34 @@ mod tests {
         assert_eq!((root.stage.as_str(), root.parent), ("report", 0));
         let generate = events.iter().find(|e| e.stage == "generate").unwrap();
         let parent_of = |label: &str| {
-            events.iter().find(|e| e.stage == "fig2_storage" && e.label == label).unwrap().parent
+            events
+                .iter()
+                .find(|e| e.stage == "fig2_storage" && e.label == label)
+                .unwrap()
+                .parent
         };
         assert_eq!((parent_of("xrp"), parent_of("eos")), (generate.id, root.id));
-        let on_root: u64 =
-            events.iter().filter(|e| e.thread == root.thread).map(|e| e.self_us).sum();
+        let on_root: u64 = events
+            .iter()
+            .filter(|e| e.thread == root.thread)
+            .map(|e| e.self_us)
+            .sum();
         assert_eq!(on_root, root.dur_us, "{events:?}");
         let sweep = events.iter().find(|e| e.stage == "sweep").unwrap();
         assert_eq!((sweep.parent, sweep.thread), (generate.id, root.thread));
 
         let table = t.render_summary();
-        let last: Vec<&str> =
-            table.lines().rev().take(2).map(|l| l.split(' ').next().unwrap()).collect();
+        let last: Vec<&str> = table
+            .lines()
+            .rev()
+            .take(2)
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
         assert_eq!(last, ["report", "unattributed"], "{table}");
-        let fig2 = table.lines().find(|l| l.starts_with("fig2_storage")).unwrap();
+        let fig2 = table
+            .lines()
+            .find(|l| l.starts_with("fig2_storage"))
+            .unwrap();
         assert_eq!(fig2.split_whitespace().nth(2), Some("0.000"), "{table}");
     }
 
@@ -489,7 +549,10 @@ mod tests {
         let panicked = catch_unwind(|| {
             par_map_on(4, &items, |&i| if i == 40 { panic!("item 40") } else { i })
         });
-        assert_eq!(panicked.unwrap_err().downcast_ref::<&str>(), Some(&"item 40"));
+        assert_eq!(
+            panicked.unwrap_err().downcast_ref::<&str>(),
+            Some(&"item 40")
+        );
     }
 
     #[test]
@@ -531,13 +594,19 @@ mod tests {
         let events = buf.events();
         let root = events.last().expect("root closes last");
         let render = events.iter().find(|e| e.stage == "render").unwrap();
-        let fig2: Vec<&TraceEvent> = events.iter().filter(|e| e.stage == "fig2_storage").collect();
+        let fig2: Vec<&TraceEvent> = events
+            .iter()
+            .filter(|e| e.stage == "fig2_storage")
+            .collect();
         assert_eq!(fig2.len(), items.len());
         assert!(fig2.iter().all(|e| e.parent == render.id), "{events:?}");
         let threads: BTreeSet<u64> = fig2.iter().map(|e| e.thread).collect();
         assert_eq!(threads.len(), 4, "{events:?}");
-        let on_root: u64 =
-            events.iter().filter(|e| e.thread == root.thread).map(|e| e.self_us).sum();
+        let on_root: u64 = events
+            .iter()
+            .filter(|e| e.thread == root.thread)
+            .map(|e| e.self_us)
+            .sum();
         assert_eq!(on_root, root.dur_us, "{events:?}");
     }
 
@@ -563,12 +632,25 @@ mod tests {
         let events = buf.events();
         let crawl = events.last().expect("the caller's span closes last");
         let chain = |label: &str| events.iter().find(|e| e.label == label).unwrap();
-        assert!([chain("eos"), chain("tezos")].iter().all(|e| e.parent == crawl.id));
-        assert_eq!(chain("eos").thread, crawl.thread, "a runs on the calling thread");
-        assert_ne!(chain("tezos").thread, crawl.thread, "b runs on its own thread");
+        assert!([chain("eos"), chain("tezos")]
+            .iter()
+            .all(|e| e.parent == crawl.id));
+        assert_eq!(
+            chain("eos").thread,
+            crawl.thread,
+            "a runs on the calling thread"
+        );
+        assert_ne!(
+            chain("tezos").thread,
+            crawl.thread,
+            "b runs on its own thread"
+        );
 
         let panicked = catch_unwind(|| join(|| 1, || -> u8 { panic!("b failed") }));
-        assert_eq!(panicked.unwrap_err().downcast_ref::<&str>(), Some(&"b failed"));
+        assert_eq!(
+            panicked.unwrap_err().downcast_ref::<&str>(),
+            Some(&"b failed")
+        );
     }
 
     #[test]

@@ -29,11 +29,17 @@ pub struct Address {
 
 impl Address {
     pub const fn implicit(id: u64) -> Self {
-        Address { kind: AddrKind::Implicit, id }
+        Address {
+            kind: AddrKind::Implicit,
+            id,
+        }
     }
 
     pub const fn originated(id: u64) -> Self {
-        Address { kind: AddrKind::Originated, id }
+        Address {
+            kind: AddrKind::Originated,
+            id,
+        }
     }
 
     pub fn is_implicit(&self) -> bool {
@@ -221,7 +227,11 @@ mod tests {
             }
         }
         digits.reverse();
-        format!("{}{}", a.prefix(), String::from_utf8(digits).expect("base58 alphabet is ASCII"))
+        format!(
+            "{}{}",
+            a.prefix(),
+            String::from_utf8(digits).expect("base58 alphabet is ASCII")
+        )
     }
 
     fn check_text(a: Address) {
@@ -239,7 +249,16 @@ mod tests {
         // runs; ids around 58¹⁰ / 2¹⁶ straddle it.
         let split = 58u64.pow(10) >> 16;
         let mut ids = vec![0, 1, 57, 58, u32::MAX as u64, u64::MAX - 1, u64::MAX];
-        for around in [1 << 8, 1 << 16, 1 << 24, 1 << 32, 1 << 40, 1 << 48, 1 << 56, split] {
+        for around in [
+            1 << 8,
+            1 << 16,
+            1 << 24,
+            1 << 32,
+            1 << 40,
+            1 << 48,
+            1 << 56,
+            split,
+        ] {
             ids.extend([around - 1, around, around + 1]);
         }
         for id in ids {
@@ -248,7 +267,10 @@ mod tests {
         }
         // Leading zero payload bytes render as leading '1's.
         assert!(Address::implicit(5).to_string().starts_with("tz11111111"));
-        assert_eq!(Address::implicit(u64::MAX).to_string().len(), Address::MAX_LEN);
+        assert_eq!(
+            Address::implicit(u64::MAX).to_string().len(),
+            Address::MAX_LEN
+        );
     }
 
     proptest! {

@@ -79,12 +79,18 @@ fn encode_op(w: &mut ColWriter, t: &mut Tables, op: &Operation) {
             w.u64(*level);
             w.byte(*slots);
         }
-        OpPayload::Transaction { destination, amount_mutez } => {
+        OpPayload::Transaction {
+            destination,
+            amount_mutez,
+        } => {
             w.byte(OP_TRANSACTION);
             w.u32(t.addr(*destination));
             w.u64(*amount_mutez);
         }
-        OpPayload::Origination { contract, balance_mutez } => {
+        OpPayload::Origination {
+            contract,
+            balance_mutez,
+        } => {
             w.byte(OP_ORIGINATION);
             w.u32(t.addr(*contract));
             w.u64(*balance_mutez);
@@ -166,10 +172,12 @@ pub fn encode_blocks(blocks: &[TezosBlock]) -> Vec<u8> {
 
 fn read_addr(r: &mut ColReader<'_>, addrs: &[Address]) -> Result<Address, ColError> {
     let i = r.u32()? as usize;
-    addrs
-        .get(i)
-        .copied()
-        .ok_or_else(|| r.invalid(format!("address ref {i} out of table (len {})", addrs.len())))
+    addrs.get(i).copied().ok_or_else(|| {
+        r.invalid(format!(
+            "address ref {i} out of table (len {})",
+            addrs.len()
+        ))
+    })
 }
 
 fn read_str(r: &mut ColReader<'_>, strs: &[String]) -> Result<String, ColError> {
@@ -187,7 +195,10 @@ fn decode_op(
     let source = read_addr(r, addrs)?;
     let tag = r.byte()?;
     let payload = match tag {
-        OP_ENDORSEMENT => OpPayload::Endorsement { level: r.u64()?, slots: r.byte()? },
+        OP_ENDORSEMENT => OpPayload::Endorsement {
+            level: r.u64()?,
+            slots: r.byte()?,
+        },
         OP_TRANSACTION => OpPayload::Transaction {
             destination: read_addr(r, addrs)?,
             amount_mutez: r.u64()?,
@@ -204,7 +215,9 @@ fn decode_op(
             },
         },
         OP_REVEAL => OpPayload::Reveal,
-        OP_ACTIVATION => OpPayload::Activation { secret_hash: r.u64()? },
+        OP_ACTIVATION => OpPayload::Activation {
+            secret_hash: r.u64()?,
+        },
         OP_REVEAL_NONCE => OpPayload::RevealNonce { level: r.u64()? },
         OP_BALLOT => OpPayload::Ballot {
             proposal: read_str(r, strs)?,
@@ -237,7 +250,9 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<TezosBlock>, ColError> {
     let mut r = ColReader::new(bytes);
     let tag = r.byte()?;
     if tag != SCHEMA_TAG {
-        return Err(r.invalid(format!("bad tezos column schema tag {tag} (want {SCHEMA_TAG})")));
+        return Err(r.invalid(format!(
+            "bad tezos column schema tag {tag} (want {SCHEMA_TAG})"
+        )));
     }
     let mut addrs = Vec::new();
     for _ in 0..r.len(2)? {
@@ -257,7 +272,12 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<TezosBlock>, ColError> {
         for _ in 0..r.len(2)? {
             operations.push(decode_op(&mut r, &addrs, &strs)?);
         }
-        blocks.push(TezosBlock { level, time, baker, operations });
+        blocks.push(TezosBlock {
+            level,
+            time,
+            baker,
+            operations,
+        });
     }
     r.finish()?;
     Ok(blocks)
@@ -284,11 +304,17 @@ mod tests {
                 ),
                 Operation::new(
                     Address::implicit(1),
-                    OpPayload::Endorsement { level: 699_999, slots: 5 },
+                    OpPayload::Endorsement {
+                        level: 699_999,
+                        slots: 5,
+                    },
                 ),
                 Operation::new(
                     Address::implicit(4),
-                    OpPayload::Ballot { proposal: "Babylon2".into(), vote: Vote::Yay },
+                    OpPayload::Ballot {
+                        proposal: "Babylon2".into(),
+                        vote: Vote::Yay,
+                    },
                 ),
                 Operation::new(Address::implicit(5), OpPayload::Reveal),
                 Operation::new(
@@ -297,13 +323,23 @@ mod tests {
                 ),
                 Operation::new(
                     Address::implicit(7),
-                    OpPayload::Delegation { delegate: Some(Address::implicit(1)) },
+                    OpPayload::Delegation {
+                        delegate: Some(Address::implicit(1)),
+                    },
                 ),
-                Operation::new(Address::implicit(7), OpPayload::Delegation { delegate: None }),
-                Operation::new(Address::implicit(8), OpPayload::RevealNonce { level: 699_000 }),
+                Operation::new(
+                    Address::implicit(7),
+                    OpPayload::Delegation { delegate: None },
+                ),
+                Operation::new(
+                    Address::implicit(8),
+                    OpPayload::RevealNonce { level: 699_000 },
+                ),
                 Operation::new(
                     Address::implicit(9),
-                    OpPayload::Proposals { proposals: vec!["A".into(), "B".into()] },
+                    OpPayload::Proposals {
+                        proposals: vec!["A".into(), "B".into()],
+                    },
                 ),
                 Operation::new(
                     Address::implicit(10),
@@ -335,7 +371,10 @@ mod tests {
     fn truncation_and_damage_are_typed() {
         let bytes = encode_blocks(&sample());
         for cut in 0..bytes.len() {
-            assert!(decode_blocks(&bytes[..cut]).is_err(), "cut at {cut} must fail");
+            assert!(
+                decode_blocks(&bytes[..cut]).is_err(),
+                "cut at {cut} must fail"
+            );
         }
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;

@@ -88,10 +88,17 @@ pub struct TezosBlock {
 /// Errors applying operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TezosError {
-    InsufficientBalance { source: Address, have: u64, need: u64 },
+    InsufficientBalance {
+        source: Address,
+        have: u64,
+        need: u64,
+    },
     NotImplicit(Address),
     NotABaker(Address),
-    BelowBakerThreshold { address: Address, staked: u64 },
+    BelowBakerThreshold {
+        address: Address,
+        staked: u64,
+    },
     AlreadyRevealed(Address),
     AlreadyActivated(Address),
     DelegateNotBaker(Address),
@@ -140,7 +147,10 @@ struct Rights {
 
 impl Rights {
     fn new(bakers: &[Baker], roll_size_mutez: u64) -> Self {
-        let rolls: Vec<u64> = bakers.iter().map(|b| b.staked_mutez / roll_size_mutez).collect();
+        let rolls: Vec<u64> = bakers
+            .iter()
+            .map(|b| b.staked_mutez / roll_size_mutez)
+            .collect();
         let weights: Vec<f64> = rolls.iter().map(|r| *r as f64).collect();
         let mut by_address: Vec<usize> = (0..bakers.len()).collect();
         by_address.sort_by_key(|i| bakers[*i].address);
@@ -154,7 +164,9 @@ impl Rights {
     }
 
     fn dist(&self) -> &WeightedIndex {
-        self.dist.as_ref().expect("no baker holds a roll to draw rights with")
+        self.dist
+            .as_ref()
+            .expect("no baker holds a roll to draw rights with")
     }
 }
 
@@ -204,15 +216,25 @@ impl TezosChain {
     }
 
     /// Register a baker; must be implicit and meet the 10,000 ꜩ threshold.
-    pub fn register_baker(&mut self, address: Address, staked_mutez: u64) -> Result<(), TezosError> {
+    pub fn register_baker(
+        &mut self,
+        address: Address,
+        staked_mutez: u64,
+    ) -> Result<(), TezosError> {
         if address.kind != AddrKind::Implicit {
             return Err(TezosError::NotImplicit(address));
         }
         if staked_mutez < self.config.baker_threshold_mutez {
-            return Err(TezosError::BelowBakerThreshold { address, staked: staked_mutez });
+            return Err(TezosError::BelowBakerThreshold {
+                address,
+                staked: staked_mutez,
+            });
         }
         self.baker_index.insert(address, self.bakers.len());
-        self.bakers.push(Baker { address, staked_mutez });
+        self.bakers.push(Baker {
+            address,
+            staked_mutez,
+        });
         self.rights = Rights::new(&self.bakers, self.config.roll_size_mutez);
         Ok(())
     }
@@ -281,10 +303,10 @@ impl TezosChain {
 
     /// Deterministic priority-0 baker for a level (roll-weighted draw).
     pub(crate) fn baker_for_level(&self, level: u64) -> Address {
-        let idx = self
-            .rights()
-            .dist()
-            .sample(&mut rng_for_n(self.config.seed, "tezos/bake", level));
+        let idx =
+            self.rights()
+                .dist()
+                .sample(&mut rng_for_n(self.config.seed, "tezos/bake", level));
         self.bakers[idx].address
     }
 
@@ -299,7 +321,11 @@ impl TezosChain {
         for _ in 0..self.config.endorsement_slots {
             slots_of[dist.sample(&mut rng)] += 1;
         }
-        let mut out = Vec::with_capacity(self.bakers.len().min(self.config.endorsement_slots as usize));
+        let mut out = Vec::with_capacity(
+            self.bakers
+                .len()
+                .min(self.config.endorsement_slots as usize),
+        );
         for &i in &rights.by_address {
             if slots_of[i] > 0 {
                 out.push((self.bakers[i].address, slots_of[i]));
@@ -312,7 +338,10 @@ impl TezosChain {
 
     fn apply_op(&mut self, op: &Operation) -> Result<(), TezosError> {
         match &op.payload {
-            OpPayload::Transaction { destination, amount_mutez } => {
+            OpPayload::Transaction {
+                destination,
+                amount_mutez,
+            } => {
                 let have = self.balance(op.source);
                 if have < *amount_mutez {
                     return Err(TezosError::InsufficientBalance {
@@ -324,7 +353,10 @@ impl TezosChain {
                 *self.balances.entry(op.source).or_insert(0) -= amount_mutez;
                 *self.balances.entry(*destination).or_insert(0) += amount_mutez;
             }
-            OpPayload::Origination { contract, balance_mutez } => {
+            OpPayload::Origination {
+                contract,
+                balance_mutez,
+            } => {
                 let have = self.balance(op.source);
                 if have < *balance_mutez {
                     return Err(TezosError::InsufficientBalance {
@@ -358,8 +390,7 @@ impl TezosChain {
                 if !self.activated.insert(op.source) {
                     return Err(TezosError::AlreadyActivated(op.source));
                 }
-                *self.balances.entry(op.source).or_insert(0) +=
-                    self.config.activation_amount_mutez;
+                *self.balances.entry(op.source).or_insert(0) += self.config.activation_amount_mutez;
                 self.minted_mutez += self.config.activation_amount_mutez;
             }
             OpPayload::RevealNonce { .. } => {
@@ -379,7 +410,8 @@ impl TezosChain {
                     return Err(TezosError::NotABaker(op.source));
                 }
                 let rolls = self.rolls_of(op.source);
-                self.governance.submit_proposals(op.source, rolls, proposals)?;
+                self.governance
+                    .submit_proposals(op.source, rolls, proposals)?;
             }
             OpPayload::Endorsement { .. } | OpPayload::DoubleBakingEvidence { .. } => {
                 // Endorsements are produced by the chain itself; evidence is
@@ -401,13 +433,19 @@ impl TezosChain {
         let baker = self.baker_for_level(level);
 
         // Validation pass 0: endorsements of the previous block.
-        let endorsers =
-            if self.blocks.is_empty() { Vec::new() } else { self.endorsers_for_level(level - 1) };
+        let endorsers = if self.blocks.is_empty() {
+            Vec::new()
+        } else {
+            self.endorsers_for_level(level - 1)
+        };
         let mut operations: Vec<Operation> = Vec::with_capacity(endorsers.len() + submitted.len());
         for (endorser, slots) in endorsers {
             operations.push(Operation::new(
                 endorser,
-                OpPayload::Endorsement { level: level - 1, slots: slots as u8 },
+                OpPayload::Endorsement {
+                    level: level - 1,
+                    slots: slots as u8,
+                },
             ));
         }
         // Remaining passes, in order (the sort is stable: submission order
@@ -428,7 +466,12 @@ impl TezosChain {
 
         self.governance.advance_block(self.rights.total_rolls);
 
-        self.blocks.push(TezosBlock { level, time, baker, operations });
+        self.blocks.push(TezosBlock {
+            level,
+            time,
+            baker,
+            operations,
+        });
         self.blocks.last().expect("just pushed")
     }
 
@@ -441,7 +484,10 @@ impl TezosChain {
     pub fn check_conservation(&self) -> Result<(), String> {
         let total: u64 = self.balances.values().sum();
         if total != self.minted_mutez {
-            return Err(format!("balances {} != minted {}", total, self.minted_mutez));
+            return Err(format!(
+                "balances {} != minted {}",
+                total, self.minted_mutez
+            ));
         }
         Ok(())
     }
@@ -459,7 +505,8 @@ mod tests {
         for i in 0..n {
             let a = Address::implicit(i);
             c.fund(a, 50_000 * MUTEZ_PER_TEZ);
-            c.register_baker(a, (20_000 + i * 10_000) * MUTEZ_PER_TEZ).unwrap();
+            c.register_baker(a, (20_000 + i * 10_000) * MUTEZ_PER_TEZ)
+                .unwrap();
         }
         c
     }
@@ -504,7 +551,10 @@ mod tests {
         }
         let lightest = counts.get(&Address::implicit(0)).copied().unwrap_or(0);
         let heaviest = counts.get(&Address::implicit(9)).copied().unwrap_or(0);
-        assert!(heaviest > lightest * 2, "heaviest={heaviest} lightest={lightest}");
+        assert!(
+            heaviest > lightest * 2,
+            "heaviest={heaviest} lightest={lightest}"
+        );
     }
 
     /// The from-scratch rights draw the chain made per call before it kept
@@ -523,8 +573,10 @@ mod tests {
         for _ in 0..c.config.endorsement_slots {
             *slots_per.entry(dist.sample(&mut rng)).or_insert(0) += 1;
         }
-        let mut endorsers: Vec<(Address, u32)> =
-            slots_per.into_iter().map(|(i, n)| (c.bakers[i].address, n)).collect();
+        let mut endorsers: Vec<(Address, u32)> = slots_per
+            .into_iter()
+            .map(|(i, n)| (c.bakers[i].address, n))
+            .collect();
         endorsers.sort_by_key(|(a, _)| *a);
         (c.bakers[baker].address, endorsers)
     }
@@ -533,9 +585,17 @@ mod tests {
         for &level in levels {
             let (baker, endorsers) = reference_rights(c, level);
             assert_eq!(c.baker_for_level(level), baker, "baker of level {level}");
-            assert_eq!(c.endorsers_for_level(level), endorsers, "endorsers of level {level}");
+            assert_eq!(
+                c.endorsers_for_level(level),
+                endorsers,
+                "endorsers of level {level}"
+            );
         }
-        let rolls: u64 = c.bakers.iter().map(|b| b.staked_mutez / c.config.roll_size_mutez).sum();
+        let rolls: u64 = c
+            .bakers
+            .iter()
+            .map(|b| b.staked_mutez / c.config.roll_size_mutez)
+            .sum();
         assert_eq!(c.total_rolls(), rolls);
     }
 
@@ -599,11 +659,22 @@ mod tests {
     fn submitted_operations_are_applied_in_pass_order() {
         let mut c = chain_with_bakers(3);
         let (a, b) = (Address::implicit(0), Address::implicit(400));
-        let tx = |amount| Operation::new(a, OpPayload::Transaction { destination: b, amount_mutez: amount });
+        let tx = |amount| {
+            Operation::new(
+                a,
+                OpPayload::Transaction {
+                    destination: b,
+                    amount_mutez: amount,
+                },
+            )
+        };
         let submitted = vec![
             tx(1),
             Operation::new(a, OpPayload::Endorsement { level: 1, slots: 1 }),
-            Operation::new(Address::implicit(500), OpPayload::Activation { secret_hash: 9 }),
+            Operation::new(
+                Address::implicit(500),
+                OpPayload::Activation { secret_hash: 9 },
+            ),
             tx(2),
             Operation::new(Address::implicit(1), OpPayload::RevealNonce { level: 1 }),
         ];
@@ -621,14 +692,20 @@ mod tests {
         let (src, dst) = (Address::implicit(0), Address::implicit(100));
         c.produce_block(vec![Operation::new(
             src,
-            OpPayload::Transaction { destination: dst, amount_mutez: 7 * MUTEZ_PER_TEZ },
+            OpPayload::Transaction {
+                destination: dst,
+                amount_mutez: 7 * MUTEZ_PER_TEZ,
+            },
         )]);
         assert_eq!(c.balance(dst), 7 * MUTEZ_PER_TEZ);
         c.check_conservation().unwrap();
         // Overdrawn tx is rejected, not applied.
         c.produce_block(vec![Operation::new(
             dst,
-            OpPayload::Transaction { destination: src, amount_mutez: 1_000_000 * MUTEZ_PER_TEZ },
+            OpPayload::Transaction {
+                destination: src,
+                amount_mutez: 1_000_000 * MUTEZ_PER_TEZ,
+            },
         )]);
         assert_eq!(c.rejected_ops, 1);
         c.check_conservation().unwrap();
@@ -640,7 +717,10 @@ mod tests {
         let kt = Address::originated(1);
         c.produce_block(vec![Operation::new(
             Address::implicit(0),
-            OpPayload::Origination { contract: kt, balance_mutez: MUTEZ_PER_TEZ },
+            OpPayload::Origination {
+                contract: kt,
+                balance_mutez: MUTEZ_PER_TEZ,
+            },
         )]);
         assert_eq!(c.balance(kt), MUTEZ_PER_TEZ);
         c.check_conservation().unwrap();
@@ -652,8 +732,18 @@ mod tests {
         let user = Address::implicit(55);
         c.fund(user, MUTEZ_PER_TEZ);
         c.produce_block(vec![
-            Operation::new(user, OpPayload::Delegation { delegate: Some(Address::implicit(0)) }),
-            Operation::new(user, OpPayload::Delegation { delegate: Some(Address::implicit(77)) }),
+            Operation::new(
+                user,
+                OpPayload::Delegation {
+                    delegate: Some(Address::implicit(0)),
+                },
+            ),
+            Operation::new(
+                user,
+                OpPayload::Delegation {
+                    delegate: Some(Address::implicit(77)),
+                },
+            ),
         ]);
         assert_eq!(c.delegate_of(user), Some(Address::implicit(0)));
         assert_eq!(c.rejected_ops, 1, "delegation to non-baker rejected");
@@ -697,28 +787,41 @@ mod tests {
         c.produce_block(vec![
             Operation::new(
                 Address::implicit(0),
-                OpPayload::Proposals { proposals: vec!["Babylon2".into()] },
+                OpPayload::Proposals {
+                    proposals: vec!["Babylon2".into()],
+                },
             ),
             Operation::new(
                 Address::implicit(1),
-                OpPayload::Proposals { proposals: vec!["Babylon2".into()] },
+                OpPayload::Proposals {
+                    proposals: vec!["Babylon2".into()],
+                },
             ),
         ]);
         for _ in 0..3 {
             c.produce_block(vec![]);
         }
-        assert_eq!(c.governance.period_kind, crate::governance::PeriodKind::Exploration);
+        assert_eq!(
+            c.governance.period_kind,
+            crate::governance::PeriodKind::Exploration
+        );
         // Ballot from a non-baker is rejected.
         let civilians = Operation::new(
             Address::implicit(99),
-            OpPayload::Ballot { proposal: "Babylon2".into(), vote: Vote::Yay },
+            OpPayload::Ballot {
+                proposal: "Babylon2".into(),
+                vote: Vote::Yay,
+            },
         );
         let before = c.rejected_ops;
         c.produce_block(vec![
             civilians,
             Operation::new(
                 Address::implicit(0),
-                OpPayload::Ballot { proposal: "Babylon2".into(), vote: Vote::Yay },
+                OpPayload::Ballot {
+                    proposal: "Babylon2".into(),
+                    vote: Vote::Yay,
+                },
             ),
         ]);
         assert_eq!(c.rejected_ops, before + 1);
@@ -736,7 +839,8 @@ mod tests {
             c.register_baker(Address::implicit(1), 9_999 * MUTEZ_PER_TEZ),
             Err(TezosError::BelowBakerThreshold { .. })
         ));
-        c.register_baker(Address::implicit(1), 10_000 * MUTEZ_PER_TEZ).unwrap();
+        c.register_baker(Address::implicit(1), 10_000 * MUTEZ_PER_TEZ)
+            .unwrap();
         assert_eq!(c.rolls_of(Address::implicit(1)), 1);
     }
 }

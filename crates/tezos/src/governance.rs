@@ -44,7 +44,11 @@ pub struct GovernanceConfig {
 
 impl Default for GovernanceConfig {
     fn default() -> Self {
-        GovernanceConfig { period_blocks: 32_768, initial_quorum_pct: 75.83, supermajority_pct: 80.0 }
+        GovernanceConfig {
+            period_blocks: 32_768,
+            initial_quorum_pct: 75.83,
+            supermajority_pct: 80.0,
+        }
     }
 }
 
@@ -64,9 +68,15 @@ pub struct PeriodResult {
 /// Governance errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GovError {
-    WrongPeriod { expected: &'static str, actual: PeriodKind },
+    WrongPeriod {
+        expected: &'static str,
+        actual: PeriodKind,
+    },
     AlreadyVoted(Address),
-    DuplicateUpvote { baker: Address, proposal: String },
+    DuplicateUpvote {
+        baker: Address,
+        proposal: String,
+    },
     UnknownProposal(String),
 }
 
@@ -74,7 +84,11 @@ impl std::fmt::Display for GovError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GovError::WrongPeriod { expected, actual } => {
-                write!(f, "operation requires {expected} period, chain is in {}", actual.label())
+                write!(
+                    f,
+                    "operation requires {expected} period, chain is in {}",
+                    actual.label()
+                )
             }
             GovError::AlreadyVoted(a) => write!(f, "{a} already voted this period"),
             GovError::DuplicateUpvote { baker, proposal } => {
@@ -139,11 +153,17 @@ impl GovernanceState {
         proposals: &[String],
     ) -> Result<(), GovError> {
         if self.period_kind != PeriodKind::Proposal {
-            return Err(GovError::WrongPeriod { expected: "proposal", actual: self.period_kind });
+            return Err(GovError::WrongPeriod {
+                expected: "proposal",
+                actual: self.period_kind,
+            });
         }
         for p in proposals {
             if self.upvoters.contains(&(baker, p.clone())) {
-                return Err(GovError::DuplicateUpvote { baker, proposal: p.clone() });
+                return Err(GovError::DuplicateUpvote {
+                    baker,
+                    proposal: p.clone(),
+                });
             }
         }
         for p in proposals {
@@ -154,8 +174,17 @@ impl GovernanceState {
     }
 
     /// Cast a ballot (Exploration or Promotion; once per baker per period).
-    pub(crate) fn ballot(&mut self, baker: Address, rolls: u64, proposal: &str, vote: Vote) -> Result<(), GovError> {
-        if !matches!(self.period_kind, PeriodKind::Exploration | PeriodKind::Promotion) {
+    pub(crate) fn ballot(
+        &mut self,
+        baker: Address,
+        rolls: u64,
+        proposal: &str,
+        vote: Vote,
+    ) -> Result<(), GovError> {
+        if !matches!(
+            self.period_kind,
+            PeriodKind::Exploration | PeriodKind::Promotion
+        ) {
             return Err(GovError::WrongPeriod {
                 expected: "exploration/promotion",
                 actual: self.period_kind,
@@ -212,8 +241,9 @@ impl GovernanceState {
                 }
             }
             PeriodKind::Exploration | PeriodKind::Promotion => {
-                let participation =
-                    (self.yay_rolls + self.nay_rolls + self.pass_rolls) as f64 * 100.0 / total as f64;
+                let participation = (self.yay_rolls + self.nay_rolls + self.pass_rolls) as f64
+                    * 100.0
+                    / total as f64;
                 let cast = self.yay_rolls + self.nay_rolls;
                 let supermajority = cast == 0
                     || self.yay_rolls as f64 * 100.0 / cast as f64 >= self.cfg.supermajority_pct;
@@ -302,7 +332,8 @@ mod tests {
     fn full_successful_amendment_cycle() {
         let mut g = gov(10);
         let (a, b) = (Address::implicit(1), Address::implicit(2));
-        g.submit_proposals(a, 3000, &["Babylon".into(), "Babylon2".into()]).unwrap();
+        g.submit_proposals(a, 3000, &["Babylon".into(), "Babylon2".into()])
+            .unwrap();
         g.submit_proposals(b, 4000, &["Babylon2".into()]).unwrap();
         let r = run_period(&mut g, 10_000);
         assert_eq!(r.kind, PeriodKind::Proposal);
@@ -376,7 +407,10 @@ mod tests {
         ));
         run_period(&mut g, 100);
         g.ballot(a, 100, "P", Vote::Pass).unwrap();
-        assert!(matches!(g.ballot(a, 100, "P", Vote::Yay), Err(GovError::AlreadyVoted(_))));
+        assert!(matches!(
+            g.ballot(a, 100, "P", Vote::Yay),
+            Err(GovError::AlreadyVoted(_))
+        ));
         // Wrong proposal hash rejected.
         assert!(matches!(
             g.ballot(Address::implicit(2), 100, "Q", Vote::Yay),

@@ -200,7 +200,10 @@ mod tests {
     fn labels_match_figure_1() {
         assert_eq!(OperationKind::Activation.label(), "Activate");
         assert_eq!(OperationKind::RevealNonce.label(), "Reveal nonce");
-        assert_eq!(OperationKind::DoubleBakingEvidence.label(), "Double baking evidence");
+        assert_eq!(
+            OperationKind::DoubleBakingEvidence.label(),
+            "Double baking evidence"
+        );
     }
 
     #[test]
@@ -226,10 +229,16 @@ mod tests {
     fn payload_kind_mapping() {
         let op = Operation::new(
             Address::implicit(1),
-            OpPayload::Transaction { destination: Address::implicit(2), amount_mutez: 100 },
+            OpPayload::Transaction {
+                destination: Address::implicit(2),
+                amount_mutez: 100,
+            },
         );
         assert_eq!(op.kind(), OperationKind::Transaction);
-        let e = Operation::new(Address::implicit(1), OpPayload::Endorsement { level: 5, slots: 2 });
+        let e = Operation::new(
+            Address::implicit(1),
+            OpPayload::Endorsement { level: 5, slots: 2 },
+        );
         assert_eq!(e.kind(), OperationKind::Endorsement);
     }
 }

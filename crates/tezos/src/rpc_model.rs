@@ -75,7 +75,8 @@ fn parse_addr(s: &str) -> Result<Address, DecodeError> {
 }
 
 fn op_from_json(j: &OpJson) -> Result<Operation, DecodeError> {
-    let kind = OperationKind::from_wire(&j.kind).ok_or_else(|| DecodeError::BadKind(j.kind.clone()))?;
+    let kind =
+        OperationKind::from_wire(&j.kind).ok_or_else(|| DecodeError::BadKind(j.kind.clone()))?;
     let source = parse_addr(&j.source)?;
     let payload = match kind {
         OperationKind::Endorsement => OpPayload::Endorsement {
@@ -84,7 +85,9 @@ fn op_from_json(j: &OpJson) -> Result<Operation, DecodeError> {
         },
         OperationKind::Transaction => OpPayload::Transaction {
             destination: parse_addr(
-                j.destination.as_deref().ok_or(DecodeError::MissingField("destination"))?,
+                j.destination
+                    .as_deref()
+                    .ok_or(DecodeError::MissingField("destination"))?,
             )?,
             amount_mutez: j
                 .amount
@@ -95,7 +98,9 @@ fn op_from_json(j: &OpJson) -> Result<Operation, DecodeError> {
         },
         OperationKind::Origination => OpPayload::Origination {
             contract: parse_addr(
-                j.destination.as_deref().ok_or(DecodeError::MissingField("destination"))?,
+                j.destination
+                    .as_deref()
+                    .ok_or(DecodeError::MissingField("destination"))?,
             )?,
             balance_mutez: j
                 .amount
@@ -110,7 +115,9 @@ fn op_from_json(j: &OpJson) -> Result<Operation, DecodeError> {
         OperationKind::Reveal => OpPayload::Reveal,
         OperationKind::Activation => OpPayload::Activation {
             secret_hash: u64::from_str_radix(
-                j.secret.as_deref().ok_or(DecodeError::MissingField("secret"))?,
+                j.secret
+                    .as_deref()
+                    .ok_or(DecodeError::MissingField("secret"))?,
                 16,
             )
             .map_err(|_| DecodeError::MissingField("secret"))?,
@@ -119,16 +126,28 @@ fn op_from_json(j: &OpJson) -> Result<Operation, DecodeError> {
             level: j.level.ok_or(DecodeError::MissingField("level"))?,
         },
         OperationKind::Ballot => OpPayload::Ballot {
-            proposal: j.proposal.clone().ok_or(DecodeError::MissingField("proposal"))?,
-            vote: Vote::from_wire(j.ballot.as_deref().ok_or(DecodeError::MissingField("ballot"))?)
-                .ok_or(DecodeError::MissingField("ballot"))?,
+            proposal: j
+                .proposal
+                .clone()
+                .ok_or(DecodeError::MissingField("proposal"))?,
+            vote: Vote::from_wire(
+                j.ballot
+                    .as_deref()
+                    .ok_or(DecodeError::MissingField("ballot"))?,
+            )
+            .ok_or(DecodeError::MissingField("ballot"))?,
         },
         OperationKind::Proposals => OpPayload::Proposals {
-            proposals: j.proposals.clone().ok_or(DecodeError::MissingField("proposals"))?,
+            proposals: j
+                .proposals
+                .clone()
+                .ok_or(DecodeError::MissingField("proposals"))?,
         },
         OperationKind::DoubleBakingEvidence => OpPayload::DoubleBakingEvidence {
             offender: parse_addr(
-                j.destination.as_deref().ok_or(DecodeError::MissingField("destination"))?,
+                j.destination
+                    .as_deref()
+                    .ok_or(DecodeError::MissingField("destination"))?,
             )?,
             level: j.level.ok_or(DecodeError::MissingField("level"))?,
         },
@@ -147,7 +166,12 @@ pub(crate) fn block_from_json(json: &BlockJson) -> Result<TezosBlock, DecodeErro
             operations.push(op_from_json(oj)?);
         }
     }
-    Ok(TezosBlock { level: json.header.level, time, baker, operations })
+    Ok(TezosBlock {
+        level: json.header.level,
+        time,
+        baker,
+        operations,
+    })
 }
 
 /// Append one operation: `kind` and `source`, then only the fields its
@@ -157,11 +181,24 @@ fn write_op<O: JsonOut>(w: &mut JsonWriter<'_, O>, op: &Operation) {
     w.raw(",\"source\":").ident(op.source);
     match &op.payload {
         OpPayload::Endorsement { level, slots } => {
-            w.raw(",\"level\":").uint(*level).raw(",\"slots\":").uint(*slots);
+            w.raw(",\"level\":")
+                .uint(*level)
+                .raw(",\"slots\":")
+                .uint(*slots);
         }
-        OpPayload::Transaction { destination: to, amount_mutez: amount }
-        | OpPayload::Origination { contract: to, balance_mutez: amount } => {
-            w.raw(",\"destination\":").ident(*to).raw(",\"amount\":\"").uint(*amount).raw("\"");
+        OpPayload::Transaction {
+            destination: to,
+            amount_mutez: amount,
+        }
+        | OpPayload::Origination {
+            contract: to,
+            balance_mutez: amount,
+        } => {
+            w.raw(",\"destination\":")
+                .ident(*to)
+                .raw(",\"amount\":\"")
+                .uint(*amount)
+                .raw("\"");
         }
         OpPayload::Delegation { delegate } => {
             if let Some(d) = delegate {
@@ -176,7 +213,10 @@ fn write_op<O: JsonOut>(w: &mut JsonWriter<'_, O>, op: &Operation) {
             w.raw(",\"level\":").uint(*level);
         }
         OpPayload::Ballot { proposal, vote } => {
-            w.raw(",\"proposal\":").str(proposal).raw(",\"ballot\":").quoted(vote.wire());
+            w.raw(",\"proposal\":")
+                .str(proposal)
+                .raw(",\"ballot\":")
+                .quoted(vote.wire());
         }
         OpPayload::Proposals { proposals } => {
             w.raw(",\"proposals\":").array(proposals, |w, p| {
@@ -184,7 +224,10 @@ fn write_op<O: JsonOut>(w: &mut JsonWriter<'_, O>, op: &Operation) {
             });
         }
         OpPayload::DoubleBakingEvidence { offender, level } => {
-            w.raw(",\"destination\":").ident(*offender).raw(",\"level\":").uint(*level);
+            w.raw(",\"destination\":")
+                .ident(*offender)
+                .raw(",\"level\":")
+                .uint(*level);
         }
     }
     w.raw("}");
@@ -198,11 +241,20 @@ fn write_op<O: JsonOut>(w: &mut JsonWriter<'_, O>, op: &Operation) {
 /// storage sweep all share this one writer.
 pub fn block_bytes_into(b: &TezosBlock, out: &mut impl JsonOut) {
     let w = &mut JsonWriter::new(out);
-    w.raw("{\"protocol\":").quoted(PROTOCOL).raw(",\"chain_id\":").quoted(CHAIN_ID);
+    w.raw("{\"protocol\":")
+        .quoted(PROTOCOL)
+        .raw(",\"chain_id\":")
+        .quoted(CHAIN_ID);
     w.raw(",\"header\":{\"level\":").uint(b.level);
-    w.raw(",\"timestamp\":").iso(b.time).raw(",\"baker\":").ident(b.baker);
+    w.raw(",\"timestamp\":")
+        .iso(b.time)
+        .raw(",\"baker\":")
+        .ident(b.baker);
     w.raw("},\"operations\":").array(0..4, |w, pass| {
-        let in_pass = b.operations.iter().filter(|op| op.kind().validation_pass() == pass);
+        let in_pass = b
+            .operations
+            .iter()
+            .filter(|op| op.kind().validation_pass() == pass);
         w.array(in_pass, write_op);
     });
     w.raw("}");
@@ -232,33 +284,61 @@ mod tests {
             time: ChainTime::from_ymd_hms(2019, 11, 5, 12, 0, 0),
             baker: Address::implicit(3),
             operations: vec![
-                Operation::new(Address::implicit(1), OpPayload::Endorsement { level: 699_999, slots: 5 }),
+                Operation::new(
+                    Address::implicit(1),
+                    OpPayload::Endorsement {
+                        level: 699_999,
+                        slots: 5,
+                    },
+                ),
                 Operation::new(
                     Address::implicit(2),
-                    OpPayload::Transaction { destination: Address::originated(9), amount_mutez: 1_500_000 },
+                    OpPayload::Transaction {
+                        destination: Address::originated(9),
+                        amount_mutez: 1_500_000,
+                    },
                 ),
                 Operation::new(
                     Address::implicit(4),
-                    OpPayload::Ballot { proposal: "Babylon2".into(), vote: Vote::Yay },
+                    OpPayload::Ballot {
+                        proposal: "Babylon2".into(),
+                        vote: Vote::Yay,
+                    },
                 ),
                 Operation::new(Address::implicit(5), OpPayload::Reveal),
-                Operation::new(Address::implicit(6), OpPayload::Activation { secret_hash: 0xabc }),
+                Operation::new(
+                    Address::implicit(6),
+                    OpPayload::Activation { secret_hash: 0xabc },
+                ),
                 Operation::new(
                     Address::implicit(7),
-                    OpPayload::Delegation { delegate: Some(Address::implicit(1)) },
+                    OpPayload::Delegation {
+                        delegate: Some(Address::implicit(1)),
+                    },
                 ),
-                Operation::new(Address::implicit(8), OpPayload::RevealNonce { level: 699_000 }),
+                Operation::new(
+                    Address::implicit(8),
+                    OpPayload::RevealNonce { level: 699_000 },
+                ),
                 Operation::new(
                     Address::implicit(9),
-                    OpPayload::Proposals { proposals: vec!["A".into(), "B".into()] },
+                    OpPayload::Proposals {
+                        proposals: vec!["A".into(), "B".into()],
+                    },
                 ),
                 Operation::new(
                     Address::implicit(10),
-                    OpPayload::DoubleBakingEvidence { offender: Address::implicit(11), level: 699_500 },
+                    OpPayload::DoubleBakingEvidence {
+                        offender: Address::implicit(11),
+                        level: 699_500,
+                    },
                 ),
                 Operation::new(
                     Address::implicit(12),
-                    OpPayload::Origination { contract: Address::originated(13), balance_mutez: 42 },
+                    OpPayload::Origination {
+                        contract: Address::originated(13),
+                        balance_mutez: 42,
+                    },
                 ),
             ],
         }
@@ -286,7 +366,11 @@ mod tests {
         assert!(wire.operations[1]
             .iter()
             .all(|o| o.kind == "ballot" || o.kind == "proposals"));
-        assert_eq!(wire.operations[3].len(), 4, "managers: tx, reveal, delegation, origination");
+        assert_eq!(
+            wire.operations[3].len(),
+            4,
+            "managers: tx, reveal, delegation, origination"
+        );
     }
 
     #[test]
@@ -299,6 +383,9 @@ mod tests {
     fn decode_rejects_unknown_kind() {
         let mut wire: BlockJson = serde_json::from_slice(&block_bytes(&sample_block())).unwrap();
         wire.operations[0][0].kind = "mystery".to_owned();
-        assert!(matches!(block_from_json(&wire), Err(DecodeError::BadKind(_))));
+        assert!(matches!(
+            block_from_json(&wire),
+            Err(DecodeError::BadKind(_))
+        ));
     }
 }

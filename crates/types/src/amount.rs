@@ -37,7 +37,10 @@ impl SymCode {
         }
         let mut bytes = [0u8; 12];
         bytes[..s.len()].copy_from_slice(s.as_bytes());
-        Ok(SymCode { len: s.len() as u8, bytes })
+        Ok(SymCode {
+            len: s.len() as u8,
+            bytes,
+        })
     }
 
     pub fn as_str(&self) -> &str {
@@ -81,7 +84,10 @@ impl Qty {
 
     /// Build from a whole-unit count (e.g. `Qty::whole(5, 4)` == 5.0000).
     fn whole(units: i128, decimals: u8) -> Self {
-        Qty { raw: units * 10i128.pow(decimals as u32), decimals }
+        Qty {
+            raw: units * 10i128.pow(decimals as u32),
+            decimals,
+        }
     }
 
     /// Checked addition; `None` if the decimal scales differ or on overflow.
@@ -89,7 +95,10 @@ impl Qty {
         if self.decimals != other.decimals {
             return None;
         }
-        Some(Qty { raw: self.raw.checked_add(other.raw)?, decimals: self.decimals })
+        Some(Qty {
+            raw: self.raw.checked_add(other.raw)?,
+            decimals: self.decimals,
+        })
     }
 
     /// Checked subtraction; `None` if scales differ or on overflow.
@@ -97,7 +106,10 @@ impl Qty {
         if self.decimals != other.decimals {
             return None;
         }
-        Some(Qty { raw: self.raw.checked_sub(other.raw)?, decimals: self.decimals })
+        Some(Qty {
+            raw: self.raw.checked_sub(other.raw)?,
+            decimals: self.decimals,
+        })
     }
 
     /// Value as an f64 in whole units (reporting only — never for ledger math).
@@ -112,7 +124,11 @@ pub fn fmt_scaled(raw: i128, decimals: u32) -> String {
     let neg = raw < 0;
     let mag = raw.unsigned_abs();
     let base = 10u128.pow(decimals);
-    let (ip, fp) = if decimals == 0 { (mag, 0) } else { (mag / base, mag % base) };
+    let (ip, fp) = if decimals == 0 {
+        (mag, 0)
+    } else {
+        (mag / base, mag % base)
+    };
     let sign = if neg { "-" } else { "" };
     if decimals == 0 {
         format!("{sign}{ip}")

@@ -49,7 +49,11 @@ const POW58_REACHED: [u8; 129] = {
 /// prefix not included), by arithmetic: one per leading zero byte, plus
 /// those of the value (one for zero).
 pub fn encoded_len(payload: &[u8]) -> usize {
-    assert!(payload.len() <= 16, "payload of {} bytes does not fit a u128", payload.len());
+    assert!(
+        payload.len() <= 16,
+        "payload of {} bytes does not fit a u128",
+        payload.len()
+    );
     let n = payload.iter().fold(0u128, |n, &b| (n << 8) | b as u128);
     let bits = 128 - n.leading_zeros() as usize;
     let zero_bytes = payload.len() - bits.div_ceil(8);
@@ -80,11 +84,17 @@ impl Alphabet {
         let mut i = 0;
         while i < 58 {
             let c = digits[i] as usize;
-            assert!(c < 128 && values[c] == 0xff, "alphabet must be 58 distinct ASCII bytes");
+            assert!(
+                c < 128 && values[c] == 0xff,
+                "alphabet must be 58 distinct ASCII bytes"
+            );
             values[c] = i as u8;
             i += 1;
         }
-        Alphabet { digits: *digits, values }
+        Alphabet {
+            digits: *digits,
+            values,
+        }
     }
 
     /// Render `prefix` followed by the base58 of `payload` (at most 16
@@ -92,7 +102,11 @@ impl Alphabet {
     /// is too short; `prefix.len() + MAX_DIGITS` bytes always suffice, and a
     /// 10-byte payload needs at most 14 digits.
     pub fn encode<'a>(&self, prefix: &str, payload: &[u8], buf: &'a mut [u8]) -> &'a str {
-        assert!(payload.len() <= 16, "payload of {} bytes does not fit a u128", payload.len());
+        assert!(
+            payload.len() <= 16,
+            "payload of {} bytes does not fit a u128",
+            payload.len()
+        );
         let mut n = payload.iter().fold(0u128, |n, &b| (n << 8) | b as u128);
         let mut at = buf.len();
         let mut push = |digit: u64| {
@@ -209,20 +223,43 @@ mod tests {
     fn check(alphabet: &Alphabet, payload: &[u8]) {
         let mut buf = [0u8; MAX_DIGITS];
         let text = alphabet.encode("", payload, &mut buf);
-        assert_eq!(text, reference_encode(&alphabet.digits, payload), "payload {payload:02x?}");
+        assert_eq!(
+            text,
+            reference_encode(&alphabet.digits, payload),
+            "payload {payload:02x?}"
+        );
         assert_eq!(encoded_len(payload), text.len(), "payload {payload:02x?}");
         // An all-zero payload renders one digit more than it has bytes (the
         // value's own zero digit) and so never parsed back.
         if payload.iter().any(|b| *b != 0) {
-            assert_eq!(reference_decode(&alphabet.digits, text).as_deref(), Some(payload));
+            assert_eq!(
+                reference_decode(&alphabet.digits, text).as_deref(),
+                Some(payload)
+            );
         }
     }
 
     #[test]
     fn edges_match_the_reference() {
         let chunk = CHUNK as u128;
-        let mut values = vec![0u128, 1, 57, 58, u64::MAX as u128, u64::MAX as u128 + 1, u128::MAX];
-        for around in [chunk, chunk * chunk, chunk * 58, 1 << 80, 1 << 72, 1 << 64, 1 << 56] {
+        let mut values = vec![
+            0u128,
+            1,
+            57,
+            58,
+            u64::MAX as u128,
+            u64::MAX as u128 + 1,
+            u128::MAX,
+        ];
+        for around in [
+            chunk,
+            chunk * chunk,
+            chunk * 58,
+            1 << 80,
+            1 << 72,
+            1 << 64,
+            1 << 56,
+        ] {
             values.extend([around - 1, around, around + 1]);
         }
         // Where the digit count steps.
@@ -254,7 +291,11 @@ mod tests {
         assert_eq!(BITCOIN.decode::<5>(&text), None);
         assert_eq!(BITCOIN.decode::<4>("0OIl"), None, "not base58 characters");
         assert_eq!(BITCOIN.decode::<4>("é"), None, "non-ASCII");
-        assert_eq!(BITCOIN.decode::<16>(&"z".repeat(23)), None, "beyond 128 bits");
+        assert_eq!(
+            BITCOIN.decode::<16>(&"z".repeat(23)),
+            None,
+            "beyond 128 bits"
+        );
         assert_eq!(BITCOIN.encode("", &[0; 10], &mut buf), "1".repeat(11));
         assert_eq!(BITCOIN.decode::<10>(&"1".repeat(11)), None);
     }

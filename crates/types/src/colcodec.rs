@@ -21,7 +21,11 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ColError {
     /// The buffer ends before the structure it promises.
-    Truncated { offset: usize, needed: usize, have: usize },
+    Truncated {
+        offset: usize,
+        needed: usize,
+        have: usize,
+    },
     /// A varint uses more bytes than its value requires. One value, one
     /// encoding: anything else would break byte-identical state equality.
     NonCanonicalVarint { offset: usize },
@@ -54,8 +58,15 @@ impl ColError {
 impl fmt::Display for ColError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ColError::Truncated { offset, needed, have } => {
-                write!(f, "truncated at byte {offset}: need {needed} bytes, have {have}")
+            ColError::Truncated {
+                offset,
+                needed,
+                have,
+            } => {
+                write!(
+                    f,
+                    "truncated at byte {offset}: need {needed} bytes, have {have}"
+                )
             }
             ColError::NonCanonicalVarint { offset } => {
                 write!(f, "non-canonical varint at byte {offset}")
@@ -112,7 +123,9 @@ impl ColWriter {
     }
 
     pub fn with_capacity(cap: usize) -> Self {
-        ColWriter { buf: Vec::with_capacity(cap) }
+        ColWriter {
+            buf: Vec::with_capacity(cap),
+        }
     }
 
     pub fn into_bytes(self) -> Vec<u8> {
@@ -215,7 +228,10 @@ impl<'a> ColReader<'a> {
 
     /// Build a semantic-invariant error at the current offset.
     pub fn invalid(&self, what: impl fmt::Display) -> ColError {
-        ColError::Invalid { offset: self.pos, what: what.to_string() }
+        ColError::Invalid {
+            offset: self.pos,
+            what: what.to_string(),
+        }
     }
 
     /// Done: any unread byte means the payload is not what it claims.
@@ -363,7 +379,17 @@ mod tests {
 
     #[test]
     fn u64_round_trips_edges() {
-        for v in [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX - 1, u64::MAX] {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u32::MAX as u64,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
             assert_eq!(round_u64(v), v);
         }
         // Max u64 is exactly 10 bytes.
@@ -380,7 +406,13 @@ mod tests {
             let bytes = w.into_bytes();
             assert_eq!(ColReader::new(&bytes).i64().expect("valid"), v);
         }
-        for v in [0i128, -1, i128::MAX, i128::MIN, 4_300_000_000_000_000_000_000i128] {
+        for v in [
+            0i128,
+            -1,
+            i128::MAX,
+            i128::MIN,
+            4_300_000_000_000_000_000_000i128,
+        ] {
             let mut w = ColWriter::new();
             w.i128(v);
             let bytes = w.into_bytes();
@@ -392,10 +424,16 @@ mod tests {
     fn non_canonical_varints_are_rejected() {
         // 0 encoded in two bytes.
         let mut r = ColReader::new(&[0x80, 0x00]);
-        assert!(matches!(r.u64(), Err(ColError::NonCanonicalVarint { offset: 0 })));
+        assert!(matches!(
+            r.u64(),
+            Err(ColError::NonCanonicalVarint { offset: 0 })
+        ));
         // 1 encoded in two bytes.
         let mut r = ColReader::new(&[0x81, 0x00]);
-        assert!(matches!(r.u64(), Err(ColError::NonCanonicalVarint { offset: 0 })));
+        assert!(matches!(
+            r.u64(),
+            Err(ColError::NonCanonicalVarint { offset: 0 })
+        ));
         // The canonical single byte is fine.
         let mut r = ColReader::new(&[0x01]);
         assert_eq!(r.u64().expect("canonical"), 1);
@@ -407,7 +445,10 @@ mod tests {
         let mut bytes = vec![0x80u8; 9];
         bytes.push(0x02);
         let mut r = ColReader::new(&bytes);
-        assert!(matches!(r.u64(), Err(ColError::VarintOverflow { offset: 0 })));
+        assert!(matches!(
+            r.u64(),
+            Err(ColError::VarintOverflow { offset: 0 })
+        ));
         // 11 continuation bytes cannot be a u64 at all.
         let mut r = ColReader::new(&[0xff; 11]);
         assert!(matches!(r.u64(), Err(ColError::VarintOverflow { .. })));
@@ -429,10 +470,7 @@ mod tests {
             let mut r = ColReader::new(&bytes[..cut]);
             let first = r.u64();
             let second = first.and_then(|_| r.bytes().map(<[u8]>::to_vec));
-            assert!(
-                second.is_err(),
-                "cut at {cut} still decoded both fields"
-            );
+            assert!(second.is_err(), "cut at {cut} still decoded both fields");
         }
     }
 
@@ -479,6 +517,9 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ColReader::new(&bytes);
         r.u64().expect("valid");
-        assert!(matches!(r.finish(), Err(ColError::TrailingBytes { remaining: 1, .. })));
+        assert!(matches!(
+            r.finish(),
+            Err(ColError::TrailingBytes { remaining: 1, .. })
+        ));
     }
 }

@@ -120,7 +120,10 @@ pub struct WeightedIndex {
 impl WeightedIndex {
     pub fn new(weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "weights must be non-empty");
-        assert!(weights.iter().all(|w| *w >= 0.0), "weights must be non-negative");
+        assert!(
+            weights.iter().all(|w| *w >= 0.0),
+            "weights must be non-negative"
+        );
         let mut cdf = Vec::with_capacity(weights.len());
         let mut acc = 0.0;
         for w in weights {

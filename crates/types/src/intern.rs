@@ -93,7 +93,10 @@ pub struct Interner<K: Copy + Eq + Hash> {
 
 impl<K: Copy + Eq + Hash> Interner<K> {
     pub fn new() -> Self {
-        Interner { keys: Vec::new(), map: FxHashMap::default() }
+        Interner {
+            keys: Vec::new(),
+            map: FxHashMap::default(),
+        }
     }
 
     /// Dense id of `k`, assigning the next id on first sight.
@@ -203,7 +206,11 @@ mod tests {
             b.intern(k);
         }
         let remap = a.absorb(&b);
-        assert_eq!(remap, vec![2, 3, 0], "30→2 (known), 40→3 (new), 10→0 (known)");
+        assert_eq!(
+            remap,
+            vec![2, 3, 0],
+            "30→2 (known), 40→3 (new), 10→0 (known)"
+        );
         assert_eq!(a.len(), 4);
         for (oid, nid) in remap.iter().enumerate() {
             assert_eq!(a.resolve(*nid), b.resolve(oid as u32), "key preserved");

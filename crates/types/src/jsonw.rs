@@ -356,7 +356,10 @@ mod tests {
             assert_eq!(written!(|w| w.uint(n)), n.to_string());
             assert_eq!(written!(|w| w.hex16(n)), format!("{n:016x}"));
             for width in [1usize, 2, 4, 6, 19, 20] {
-                assert_eq!(written!(|w| w.uint_padded(n, width)), format!("{n:0width$}"));
+                assert_eq!(
+                    written!(|w| w.uint_padded(n, width)),
+                    format!("{n:0width$}")
+                );
             }
         }
         for n in [0i64, -1, 1, 9, -10, i64::MIN, i64::MAX, -10_000] {

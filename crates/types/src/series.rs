@@ -60,17 +60,27 @@ impl<K: Eq + Hash + Clone> BucketSeries<K> {
 
     /// Count for a category in a bucket.
     pub fn get(&self, bucket: usize, key: &K) -> u64 {
-        self.buckets.get(bucket).and_then(|b| b.get(key)).copied().unwrap_or(0)
+        self.buckets
+            .get(bucket)
+            .and_then(|b| b.get(key))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Total events in a bucket across categories.
     pub fn bucket_total(&self, bucket: usize) -> u64 {
-        self.buckets.get(bucket).map(|b| b.values().sum()).unwrap_or(0)
+        self.buckets
+            .get(bucket)
+            .map(|b| b.values().sum())
+            .unwrap_or(0)
     }
 
     /// Total events for a category across all buckets.
     pub fn category_total(&self, key: &K) -> u64 {
-        self.buckets.iter().map(|b| b.get(key).copied().unwrap_or(0)).sum()
+        self.buckets
+            .iter()
+            .map(|b| b.get(key).copied().unwrap_or(0))
+            .sum()
     }
 
     /// Grand total of all in-period events.
@@ -111,8 +121,14 @@ impl<K: Eq + Hash + Clone> BucketSeries<K> {
     /// Counts add per `(bucket, category)`; the operation is associative and
     /// commutative, which is what makes parallel map-reduce sweeps exact.
     pub fn merge(&mut self, other: BucketSeries<K>) {
-        assert_eq!(self.period, other.period, "merge requires identical periods");
-        assert_eq!(self.width, other.width, "merge requires identical bucket widths");
+        assert_eq!(
+            self.period, other.period,
+            "merge requires identical periods"
+        );
+        assert_eq!(
+            self.width, other.width,
+            "merge requires identical bucket widths"
+        );
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets) {
             for (k, n) in theirs {
                 *mine.entry(k).or_insert(0) += n;
@@ -150,7 +166,10 @@ mod tests {
     use super::*;
 
     fn small_period() -> Period {
-        Period::new(ChainTime::from_ymd(2019, 10, 1), ChainTime::from_ymd(2019, 10, 3))
+        Period::new(
+            ChainTime::from_ymd(2019, 10, 1),
+            ChainTime::from_ymd(2019, 10, 3),
+        )
     }
 
     #[test]

@@ -80,7 +80,9 @@ pub struct TopK<T: Eq + Hash + Clone> {
 
 impl<T: Eq + Hash + Clone> Default for TopK<T> {
     fn default() -> Self {
-        TopK { counts: HashMap::new() }
+        TopK {
+            counts: HashMap::new(),
+        }
     }
 }
 
@@ -158,7 +160,13 @@ pub struct Histogram {
 impl Histogram {
     pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
         assert!(hi > lo && nbins > 0, "invalid histogram bounds");
-        Histogram { lo, hi, bins: vec![0; nbins], underflow: 0, overflow: 0 }
+        Histogram {
+            lo,
+            hi,
+            bins: vec![0; nbins],
+            underflow: 0,
+            overflow: 0,
+        }
     }
 
     pub fn record(&mut self, x: f64) {
@@ -206,7 +214,11 @@ pub fn gini(values: &[f64]) -> f64 {
     if sum == 0.0 {
         return 0.0;
     }
-    let weighted: f64 = v.iter().enumerate().map(|(i, x)| (i as f64 + 1.0) * x).sum();
+    let weighted: f64 = v
+        .iter()
+        .enumerate()
+        .map(|(i, x)| (i as f64 + 1.0) * x)
+        .sum();
     (2.0 * weighted) / (n * sum) - (n + 1.0) / n
 }
 
@@ -295,7 +307,10 @@ mod tests {
     #[test]
     fn gini_extremes() {
         assert_eq!(gini(&[]), 0.0);
-        assert!((gini(&[5.0, 5.0, 5.0, 5.0])).abs() < 1e-12, "equal shares → 0");
+        assert!(
+            (gini(&[5.0, 5.0, 5.0, 5.0])).abs() < 1e-12,
+            "equal shares → 0"
+        );
         // One account holds everything among many: approaches 1.
         let mut v = vec![0.0; 99];
         v.push(100.0);

@@ -38,13 +38,21 @@ impl TextTable {
 
     /// Set per-column alignment; panics if the count mismatches the headers.
     pub fn with_aligns(mut self, aligns: &[Align]) -> Self {
-        assert_eq!(aligns.len(), self.headers.len(), "alignment/header count mismatch");
+        assert_eq!(
+            aligns.len(),
+            self.headers.len(),
+            "alignment/header count mismatch"
+        );
         self.aligns = aligns.to_vec();
         self
     }
 
     pub fn add_row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "cell/header count mismatch");
+        assert_eq!(
+            cells.len(),
+            self.headers.len(),
+            "cell/header count mismatch"
+        );
         self.rows.push(cells);
     }
 
@@ -103,7 +111,11 @@ impl TextTable {
 /// one line per point, plus a unicode sparkline summary.
 pub fn render_series(title: &str, points: &[(String, f64)]) -> String {
     let mut out = format!("{title}\n");
-    let max = points.iter().map(|p| p.1).fold(f64::MIN, f64::max).max(1e-9);
+    let max = points
+        .iter()
+        .map(|p| p.1)
+        .fold(f64::MIN, f64::max)
+        .max(1e-9);
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let spark: String = points
         .iter()

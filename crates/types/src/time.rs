@@ -69,7 +69,11 @@ impl ChainTime {
     /// Time of day `(hour, minute, second)` in UTC.
     pub(crate) const fn hms(self) -> (u32, u32, u32) {
         let sod = self.0.rem_euclid(DAY);
-        ((sod / 3600) as u32, ((sod % 3600) / 60) as u32, (sod % 60) as u32)
+        (
+            (sod / 3600) as u32,
+            ((sod % 3600) / 60) as u32,
+            (sod % 60) as u32,
+        )
     }
 
     /// `YYYY-MM-DD` rendering, as used in the paper's figure axes.
@@ -222,10 +226,7 @@ mod tests {
         let end = ChainTime::from_ymd(2020, 1, 1);
         assert_eq!(end.secs(), 1_577_836_800);
         // Leap-year day.
-        assert_eq!(
-            ChainTime::from_ymd(2020, 2, 29).date_string(),
-            "2020-02-29"
-        );
+        assert_eq!(ChainTime::from_ymd(2020, 2, 29).date_string(), "2020-02-29");
     }
 
     #[test]

@@ -71,7 +71,11 @@ pub enum ProtocolError {
     /// The peer speaks a fleet protocol version this side does not.
     UnsupportedVersion { found: u32, supported: u32 },
     /// A length prefix exceeds its allocation cap.
-    SectionTooLarge { section: &'static str, len: u64, max: u64 },
+    SectionTooLarge {
+        section: &'static str,
+        len: u64,
+        max: u64,
+    },
     /// The request body hash does not match its bytes (damaged in flight).
     HashMismatch { expected: u64, found: u64 },
     /// The body bytes are not a valid assignment / error message.
@@ -90,7 +94,10 @@ impl std::fmt::Display for ProtocolError {
                 write!(f, "bad fleet magic {found:?} (expected {expected:?})")
             }
             ProtocolError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported fleet protocol version {found} (this side speaks {supported})")
+                write!(
+                    f,
+                    "unsupported fleet protocol version {found} (this side speaks {supported})"
+                )
             }
             ProtocolError::SectionTooLarge { section, len, max } => {
                 write!(f, "fleet {section} claims {len} bytes, cap is {max}")
@@ -139,7 +146,11 @@ impl Assignment {
 
     fn from_value(v: &Value) -> Result<Self, ProtocolError> {
         let bad = |m: &str| ProtocolError::Body(m.to_owned());
-        let u = |k: &str| v.get(k).and_then(Value::as_u64).ok_or_else(|| bad(&format!("missing {k}")));
+        let u = |k: &str| {
+            v.get(k)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| bad(&format!("missing {k}")))
+        };
         let payload = v
             .get("payload")
             .and_then(Value::as_str)
@@ -209,11 +220,17 @@ pub fn read_assignment(r: &mut dyn Read) -> Result<Assignment, ProtocolError> {
     read_exact(r, &mut prefix, "request prefix")?;
     let magic: [u8; 4] = prefix[0..4].try_into().expect("4 bytes");
     if magic != REQUEST_MAGIC {
-        return Err(ProtocolError::BadMagic { expected: REQUEST_MAGIC, found: magic });
+        return Err(ProtocolError::BadMagic {
+            expected: REQUEST_MAGIC,
+            found: magic,
+        });
     }
     let version = u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes"));
     if version != FLEET_VERSION {
-        return Err(ProtocolError::UnsupportedVersion { found: version, supported: FLEET_VERSION });
+        return Err(ProtocolError::UnsupportedVersion {
+            found: version,
+            supported: FLEET_VERSION,
+        });
     }
     let expected = u64::from_le_bytes(prefix[8..16].try_into().expect("8 bytes"));
     let body = read_capped_body(r, "request body", MAX_ASSIGNMENT_LEN)?;
@@ -221,8 +238,7 @@ pub fn read_assignment(r: &mut dyn Read) -> Result<Assignment, ProtocolError> {
     if found != expected {
         return Err(ProtocolError::HashMismatch { expected, found });
     }
-    let v: Value =
-        serde_json::from_slice(&body).map_err(|e| ProtocolError::Body(e.to_string()))?;
+    let v: Value = serde_json::from_slice(&body).map_err(|e| ProtocolError::Body(e.to_string()))?;
     Assignment::from_value(&v)
 }
 
@@ -254,18 +270,28 @@ pub fn read_response(r: &mut dyn Read) -> Result<Vec<ShardFrame>, ProtocolError>
     read_exact(r, &mut prefix, "response prefix")?;
     let magic: [u8; 4] = prefix[0..4].try_into().expect("4 bytes");
     if magic != RESPONSE_MAGIC {
-        return Err(ProtocolError::BadMagic { expected: RESPONSE_MAGIC, found: magic });
+        return Err(ProtocolError::BadMagic {
+            expected: RESPONSE_MAGIC,
+            found: magic,
+        });
     }
     let version = u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes"));
     if version != FLEET_VERSION {
-        return Err(ProtocolError::UnsupportedVersion { found: version, supported: FLEET_VERSION });
+        return Err(ProtocolError::UnsupportedVersion {
+            found: version,
+            supported: FLEET_VERSION,
+        });
     }
     let status = prefix[8];
     let body = read_capped_body(r, "response body", MAX_BUNDLE_LEN)?;
     match status {
         0 => Ok(decode_all(&body)?),
-        1 => Err(ProtocolError::Remote(String::from_utf8_lossy(&body).into_owned())),
-        other => Err(ProtocolError::Body(format!("unknown response status {other}"))),
+        1 => Err(ProtocolError::Remote(
+            String::from_utf8_lossy(&body).into_owned(),
+        )),
+        other => Err(ProtocolError::Body(format!(
+            "unknown response status {other}"
+        ))),
     }
 }
 
@@ -287,7 +313,10 @@ mod tests {
     #[test]
     fn request_round_trips() {
         for shards in [3, MAX_SHARDS] {
-            let a = Assignment { shards, ..assignment() };
+            let a = Assignment {
+                shards,
+                ..assignment()
+            };
             let mut buf = Vec::new();
             write_assignment(&mut buf, &a).expect("writes");
             let back = read_assignment(&mut buf.as_slice()).expect("reads");
@@ -339,7 +368,10 @@ mod tests {
         buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_assignment(&mut buf.as_slice()),
-            Err(ProtocolError::SectionTooLarge { section: "request body", .. })
+            Err(ProtocolError::SectionTooLarge {
+                section: "request body",
+                ..
+            })
         ));
 
         let mut buf = Vec::new();
@@ -347,7 +379,10 @@ mod tests {
         buf[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_response(&mut buf.as_slice()),
-            Err(ProtocolError::SectionTooLarge { section: "response body", .. })
+            Err(ProtocolError::SectionTooLarge {
+                section: "response body",
+                ..
+            })
         ));
     }
 
@@ -370,7 +405,14 @@ mod tests {
         ));
         // A frame-response magic sent where a request is expected (crossed
         // streams) is a typed magic error too.
-        let bundle = vec![ShardFrame::from_columns("eos", 0, 5, 5, json!({}), vec![1, 2, 3])];
+        let bundle = vec![ShardFrame::from_columns(
+            "eos",
+            0,
+            5,
+            5,
+            json!({}),
+            vec![1, 2, 3],
+        )];
         let mut resp = Vec::new();
         write_frames(&mut resp, &bundle).expect("writes");
         assert!(matches!(
@@ -394,7 +436,10 @@ mod tests {
             req.extend_from_slice(&(body.len() as u32).to_le_bytes());
             req.extend_from_slice(body.as_bytes());
             assert!(
-                matches!(read_assignment(&mut req.as_slice()), Err(ProtocolError::Body(_))),
+                matches!(
+                    read_assignment(&mut req.as_slice()),
+                    Err(ProtocolError::Body(_))
+                ),
                 "{body}"
             );
         }

@@ -77,7 +77,11 @@ pub enum WireError {
     /// A section's length prefix exceeds the decoder's allocation cap —
     /// the frame is rejected before any allocation happens, so a hostile
     /// or bit-flipped length can never OOM the reducer.
-    SectionTooLarge { section: &'static str, len: u64, max: u64 },
+    SectionTooLarge {
+        section: &'static str,
+        len: u64,
+        max: u64,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -88,7 +92,10 @@ impl std::fmt::Display for WireError {
                 write!(f, "truncated frame: need {needed} bytes, have {have}")
             }
             WireError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported frame version {found} (decoder speaks {supported})")
+                write!(
+                    f,
+                    "unsupported frame version {found} (decoder speaks {supported})"
+                )
             }
             WireError::HashMismatch { expected, found } => {
                 write!(f, "content hash mismatch: header says {expected:#018x}, bytes hash to {found:#018x}")
@@ -162,7 +169,11 @@ impl FrameHeader {
 
     fn from_value(v: &Value) -> Result<Self, WireError> {
         let bad = |m: &str| WireError::Header(m.to_owned());
-        let u = |k: &str| v.get(k).and_then(Value::as_u64).ok_or_else(|| bad(&format!("missing {k}")));
+        let u = |k: &str| {
+            v.get(k)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| bad(&format!("missing {k}")))
+        };
         let schema_version = u32::try_from(u("schema_version")?)
             .map_err(|_| bad("schema_version out of u32 range"))?;
         let chain = v
@@ -242,7 +253,10 @@ impl ShardFrame {
     pub fn decode(bytes: &[u8]) -> Result<(Self, usize), WireError> {
         let need = |needed: usize| -> Result<(), WireError> {
             if bytes.len() < needed {
-                Err(WireError::Truncated { needed, have: bytes.len() })
+                Err(WireError::Truncated {
+                    needed,
+                    have: bytes.len(),
+                })
             } else {
                 Ok(())
             }
@@ -254,7 +268,10 @@ impl ShardFrame {
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
         if version != SCHEMA_VERSION {
-            return Err(WireError::UnsupportedVersion { found: version, supported: SCHEMA_VERSION });
+            return Err(WireError::UnsupportedVersion {
+                found: version,
+                supported: SCHEMA_VERSION,
+            });
         }
         let expected = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
         let hlen = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
@@ -264,8 +281,7 @@ impl ShardFrame {
         need(PREFIX_LEN + hlen + 4)?;
         let header_bytes = &bytes[PREFIX_LEN..PREFIX_LEN + hlen];
         let poff = PREFIX_LEN + hlen;
-        let plen =
-            u32::from_le_bytes(bytes[poff..poff + 4].try_into().expect("4 bytes")) as usize;
+        let plen = u32::from_le_bytes(bytes[poff..poff + 4].try_into().expect("4 bytes")) as usize;
         cap_section("payload", plen, MAX_PAYLOAD_LEN)?;
         let total = poff + 4 + plen;
         need(total)?;
@@ -274,8 +290,8 @@ impl ShardFrame {
         if found != expected {
             return Err(WireError::HashMismatch { expected, found });
         }
-        let header_value: Value = serde_json::from_slice(header_bytes)
-            .map_err(|e| WireError::Header(e.to_string()))?;
+        let header_value: Value =
+            serde_json::from_slice(header_bytes).map_err(|e| WireError::Header(e.to_string()))?;
         let header = FrameHeader::from_value(&header_value)?;
         if header.schema_version != version {
             return Err(WireError::Header(format!(
@@ -283,7 +299,13 @@ impl ShardFrame {
                 header.schema_version
             )));
         }
-        Ok((ShardFrame { header, payload: payload.to_vec() }, total))
+        Ok((
+            ShardFrame {
+                header,
+                payload: payload.to_vec(),
+            },
+            total,
+        ))
     }
 }
 
@@ -367,9 +389,15 @@ mod tests {
         assert_eq!(used, bytes.len());
         assert_eq!(back, f);
         assert_eq!(back.payload, f.payload, "binary payload moves verbatim");
-        assert_eq!((back.header.start, back.header.end, back.header.blocks), (3, 9, 6));
+        assert_eq!(
+            (back.header.start, back.header.end, back.header.blocks),
+            (3, 9, 6)
+        );
         // The hand-built twin is the same bytes: `raw_frame` is the layout.
-        assert_eq!(raw_frame(SCHEMA_VERSION, &f.header.to_value(), &f.payload), bytes);
+        assert_eq!(
+            raw_frame(SCHEMA_VERSION, &f.header.to_value(), &f.payload),
+            bytes
+        );
     }
 
     #[test]
@@ -384,7 +412,10 @@ mod tests {
     fn rejects_bad_magic() {
         let mut bytes = frame("eos", 0, 1).encode();
         bytes[0] = b'X';
-        assert!(matches!(ShardFrame::decode(&bytes), Err(WireError::BadMagic(_))));
+        assert!(matches!(
+            ShardFrame::decode(&bytes),
+            Err(WireError::BadMagic(_))
+        ));
     }
 
     #[test]
@@ -393,7 +424,10 @@ mod tests {
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         assert_eq!(
             ShardFrame::decode(&bytes),
-            Err(WireError::UnsupportedVersion { found: 99, supported: SCHEMA_VERSION })
+            Err(WireError::UnsupportedVersion {
+                found: 99,
+                supported: SCHEMA_VERSION
+            })
         );
         // A well-formed schema-1 frame (JSON state, no format tag), exactly
         // as the retired encoder laid it out.
@@ -407,7 +441,10 @@ mod tests {
         );
         assert_eq!(
             ShardFrame::decode(&v1),
-            Err(WireError::UnsupportedVersion { found: 1, supported: SCHEMA_VERSION })
+            Err(WireError::UnsupportedVersion {
+                found: 1,
+                supported: SCHEMA_VERSION
+            })
         );
     }
 
@@ -437,7 +474,10 @@ mod tests {
         let bytes = frame("xrp", 3, 9).encode();
         for cut in 0..bytes.len() {
             let err = ShardFrame::decode(&bytes[..cut]).expect_err("truncated frame must fail");
-            assert!(matches!(err, WireError::Truncated { .. }), "cut at {cut}: got {err:?}");
+            assert!(
+                matches!(err, WireError::Truncated { .. }),
+                "cut at {cut}: got {err:?}"
+            );
         }
     }
 
@@ -449,11 +489,17 @@ mod tests {
         let mut corrupt = bytes.clone();
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0x01;
-        assert!(matches!(ShardFrame::decode(&corrupt), Err(WireError::HashMismatch { .. })));
+        assert!(matches!(
+            ShardFrame::decode(&corrupt),
+            Err(WireError::HashMismatch { .. })
+        ));
         // And one in the header section.
         let mut corrupt = bytes;
         corrupt[PREFIX_LEN] ^= 0x01;
-        assert!(matches!(ShardFrame::decode(&corrupt), Err(WireError::HashMismatch { .. })));
+        assert!(matches!(
+            ShardFrame::decode(&corrupt),
+            Err(WireError::HashMismatch { .. })
+        ));
     }
 
     #[test]
@@ -503,6 +549,9 @@ mod tests {
         // Truncated case — the cap must not misclassify honest short reads.
         let bytes = frame("eos", 0, 1).encode();
         let cut = &bytes[..PREFIX_LEN + 2];
-        assert!(matches!(ShardFrame::decode(cut), Err(WireError::Truncated { .. })));
+        assert!(matches!(
+            ShardFrame::decode(cut),
+            Err(WireError::Truncated { .. })
+        ));
     }
 }

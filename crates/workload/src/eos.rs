@@ -153,8 +153,7 @@ impl EosCast {
 fn resource_config(sc: &Scenario) -> ResourceConfig {
     // Scale chain capacity by the scenario divisor and block interval so
     // every preset reproduces the same congestion dynamics.
-    let target =
-        CPU_CAPACITY_US_PER_DAY / sc.eos_divisor * sc.eos_block_secs as f64 / 86_400.0;
+    let target = CPU_CAPACITY_US_PER_DAY / sc.eos_divisor * sc.eos_block_secs as f64 / 86_400.0;
     ResourceConfig {
         window_secs: 86_400,
         target_block_cpu_us: target as u64,
@@ -180,7 +179,11 @@ fn setup(chain: &mut EosChain, cast: &EosCast) {
     let eos = TokenId::eos();
 
     let create_funded = |chain: &mut EosChain, name: Name, balance: i64, cpu_stake: i64| {
-        chain.state.accounts.create(eosio, name, genesis).expect("create account");
+        chain
+            .state
+            .accounts
+            .create(eosio, name, genesis)
+            .expect("create account");
         if balance > 0 {
             chain
                 .state
@@ -198,12 +201,32 @@ fn setup(chain: &mut EosChain, cast: &EosCast) {
 
     // Contracts.
     let contracts: Vec<(Name, AppCategory, &'static str)> = vec![
-        (cast.eidos_contract, AppCategory::Tokens, "EIDOS airdrop token"),
+        (
+            cast.eidos_contract,
+            AppCategory::Tokens,
+            "EIDOS airdrop token",
+        ),
         (cast.betdice_group, AppCategory::Betting, "BetDice operator"),
-        (cast.betdice_tasks, AppCategory::Betting, "BetDice bookkeeping"),
-        (cast.betdice_others[0].0, AppCategory::Betting, "BetDice baccarat"),
-        (cast.betdice_others[1].0, AppCategory::Betting, "BetDice sic bo"),
-        (cast.betdice_others[2].0, AppCategory::Betting, "BetDice admin"),
+        (
+            cast.betdice_tasks,
+            AppCategory::Betting,
+            "BetDice bookkeeping",
+        ),
+        (
+            cast.betdice_others[0].0,
+            AppCategory::Betting,
+            "BetDice baccarat",
+        ),
+        (
+            cast.betdice_others[1].0,
+            AppCategory::Betting,
+            "BetDice sic bo",
+        ),
+        (
+            cast.betdice_others[2].0,
+            AppCategory::Betting,
+            "BetDice admin",
+        ),
         (cast.porn, AppCategory::Pornography, "porn site payments"),
         (cast.sanguo, AppCategory::Games, "Sanguo RPG"),
         (cast.whaleex, AppCategory::Exchange, "WhaleEx DEX"),
@@ -217,7 +240,12 @@ fn setup(chain: &mut EosChain, cast: &EosCast) {
     ];
     for (name, category, description) in contracts {
         create_funded(chain, name, eos_amt(2_000_000.0), eos_amt(200_000.0));
-        chain.state.contracts.deploy(ContractMeta { account: name, category, token: None, description });
+        chain.state.contracts.deploy(ContractMeta {
+            account: name,
+            category,
+            token: None,
+            description,
+        });
     }
     for &m in &cast.misc_contracts {
         create_funded(chain, m, eos_amt(100_000.0), eos_amt(20_000.0));
@@ -235,7 +263,11 @@ fn setup(chain: &mut EosChain, cast: &EosCast) {
         token: Some(TokenId::eos()),
         description: "system token",
     });
-    chain.state.resources.delegate(cast.token, eos_amt(100_000.0), eos_amt(100_000.0)).unwrap();
+    chain
+        .state
+        .resources
+        .delegate(cast.token, eos_amt(100_000.0), eos_amt(100_000.0))
+        .unwrap();
 
     // EIDOS token + airdrop behaviour (0.01% of holdings per boomerang).
     chain
@@ -243,16 +275,31 @@ fn setup(chain: &mut EosChain, cast: &EosCast) {
         .tokens
         .create(cast.eidos_token, cast.eidos_contract, 1_000_000_000_0000)
         .expect("create EIDOS");
-    chain.state.tokens.issue(cast.eidos_token, 1_000_000_000_0000).expect("issue EIDOS");
     chain
         .state
-        .contracts
-        .attach_airdrop(cast.eidos_contract, AirdropSpec { token: cast.eidos_token, payout_ppm: 100 });
+        .tokens
+        .issue(cast.eidos_token, 1_000_000_000_0000)
+        .expect("issue EIDOS");
+    chain.state.contracts.attach_airdrop(
+        cast.eidos_contract,
+        AirdropSpec {
+            token: cast.eidos_token,
+            payout_ppm: 100,
+        },
+    );
 
     // LYNX token for the bluebet2user flow.
     let lynx = TokenId::new(cast.lynx_token, "LYNX");
-    chain.state.tokens.create(lynx, cast.lynx_token, i64::MAX / 4).expect("create LYNX");
-    chain.state.tokens.issue(lynx, 1_000_000_000_0000).expect("issue LYNX");
+    chain
+        .state
+        .tokens
+        .create(lynx, cast.lynx_token, i64::MAX / 4)
+        .expect("create LYNX");
+    chain
+        .state
+        .tokens
+        .issue(lynx, 1_000_000_000_0000)
+        .expect("issue LYNX");
 
     // Traders, miners, users.
     for &w in cast.wash_traders.iter().chain(cast.minor_traders.iter()) {
@@ -269,7 +316,12 @@ fn setup(chain: &mut EosChain, cast: &EosCast) {
 }
 
 fn tx(actions: Vec<Action>, cpu_us: u32, net_bytes: u32) -> Transaction {
-    Transaction { id: 0, actions, cpu_us, net_bytes }
+    Transaction {
+        id: 0,
+        actions,
+        cpu_us,
+        net_bytes,
+    }
 }
 
 fn generic(contract: Name, action: &str, actor: Name) -> Action {
@@ -301,7 +353,12 @@ fn eidos_intensity(t: ChainTime) -> f64 {
 
 /// Generate one block's candidate transactions.
 #[allow(clippy::too_many_lines)]
-fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTime) -> Vec<Transaction> {
+fn gen_block_txs(
+    sc: &Scenario,
+    cast: &EosCast,
+    rng: &mut StdRng,
+    time: ChainTime,
+) -> Vec<Transaction> {
     let mut txs: Vec<Transaction> = Vec::new();
     let eos_sym = SymCode::new("EOS");
     let per = |daily: f64| Scenario::per_block(daily, sc.eos_divisor, sc.eos_block_secs);
@@ -339,7 +396,11 @@ fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTim
     let n = poisson(rng, per(PORN_PER_DAY));
     for _ in 0..n {
         let user = cast.user(rng);
-        let name = if rng.gen::<f64>() < 0.9986 { "record" } else { "login" };
+        let name = if rng.gen::<f64>() < 0.9986 {
+            "record"
+        } else {
+            "login"
+        };
         txs.push(tx(vec![generic(cast.porn, name, user)], 250, 140));
     }
 
@@ -373,7 +434,10 @@ fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTim
                 if rng.gen::<f64>() < 0.88 {
                     (w, w) // self-trade
                 } else {
-                    (w, cast.minor_traders[rng.gen_range(0..cast.minor_traders.len())])
+                    (
+                        w,
+                        cast.minor_traders[rng.gen_range(0..cast.minor_traders.len())],
+                    )
                 }
             } else {
                 let a = cast.minor_traders[rng.gen_range(0..cast.minor_traders.len())];
@@ -410,7 +474,11 @@ fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTim
                     ("bookkeep", 0.2202),
                 ],
             );
-            txs.push(tx(vec![generic(cast.whaleex, name, cast.whaleex)], 300, 180));
+            txs.push(tx(
+                vec![generic(cast.whaleex, name, cast.whaleex)],
+                300,
+                180,
+            ));
         }
     }
 
@@ -431,7 +499,11 @@ fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTim
                 130,
             ));
         } else {
-            txs.push(tx(vec![generic(cast.mykey_logical, "applogic", cast.mykey_postman)], 220, 130));
+            txs.push(tx(
+                vec![generic(cast.mykey_logical, "applogic", cast.mykey_postman)],
+                220,
+                130,
+            ));
         }
     }
 
@@ -442,7 +514,13 @@ fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTim
         let action = if u < 0.5014 {
             generic(cast.bluebet_proxy, "proxycall", cast.bluebet_proxy)
         } else if u < 0.5014 + 0.2905 {
-            Action::token_transfer(cast.token, cast.bluebet_proxy, cast.user(rng), eos_sym, eos_amt(0.5))
+            Action::token_transfer(
+                cast.token,
+                cast.bluebet_proxy,
+                cast.user(rng),
+                eos_sym,
+                eos_amt(0.5),
+            )
         } else {
             let targets = [
                 (cast.bluebet_texas, 0.0835),
@@ -471,7 +549,13 @@ fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTim
             ));
         } else {
             txs.push(tx(
-                vec![Action::token_transfer(cast.token, cast.bluebet_2user, cast.user(rng), eos_sym, eos_amt(0.2))],
+                vec![Action::token_transfer(
+                    cast.token,
+                    cast.bluebet_2user,
+                    cast.user(rng),
+                    eos_sym,
+                    eos_amt(0.2),
+                )],
                 250,
                 140,
             ));
@@ -480,10 +564,20 @@ fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTim
     let n = poisson(rng, per(BLUEBET_BCRAT_PER_DAY));
     for _ in 0..n {
         if rng.gen::<f64>() < 0.7917 {
-            txs.push(tx(vec![generic(cast.bluebet_bcrat, "bankroll", cast.bluebet_bcrat)], 250, 140));
+            txs.push(tx(
+                vec![generic(cast.bluebet_bcrat, "bankroll", cast.bluebet_bcrat)],
+                250,
+                140,
+            ));
         } else {
             txs.push(tx(
-                vec![Action::token_transfer(cast.token, cast.bluebet_bcrat, cast.user(rng), eos_sym, eos_amt(0.3))],
+                vec![Action::token_transfer(
+                    cast.token,
+                    cast.bluebet_bcrat,
+                    cast.user(rng),
+                    eos_sym,
+                    eos_amt(0.3),
+                )],
                 250,
                 140,
             ));
@@ -496,10 +590,17 @@ fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTim
         let from = cast.user(rng);
         let mut to = cast.user(rng);
         if to == from {
-            to = cast.users[(cast.users.iter().position(|u| *u == from).unwrap_or(0) + 1) % cast.users.len()];
+            to = cast.users
+                [(cast.users.iter().position(|u| *u == from).unwrap_or(0) + 1) % cast.users.len()];
         }
         txs.push(tx(
-            vec![Action::token_transfer(cast.token, from, to, eos_sym, eos_amt(log_normal(rng, 0.0, 1.5)))],
+            vec![Action::token_transfer(
+                cast.token,
+                from,
+                to,
+                eos_sym,
+                eos_amt(log_normal(rng, 0.0, 1.5)),
+            )],
             200,
             130,
         ));
@@ -530,15 +631,30 @@ fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTim
                     net: eos_amt(0.1),
                     cpu: eos_amt(0.1),
                 },
-                "buyram" => ActionData::BuyRam { payer: actor, receiver: actor, quant: eos_amt(0.5) },
-                "buyrambytes" => ActionData::BuyRamBytes { payer: actor, receiver: actor, bytes: 1024 },
+                "buyram" => ActionData::BuyRam {
+                    payer: actor,
+                    receiver: actor,
+                    quant: eos_amt(0.5),
+                },
+                "buyrambytes" => ActionData::BuyRamBytes {
+                    payer: actor,
+                    receiver: actor,
+                    bytes: 1024,
+                },
                 "bidname" => ActionData::BidName {
                     bidder: actor,
                     newname: idx_name("bid", rng.gen_range(0..100_000)),
                     bid: eos_amt(log_normal(rng, 2.0, 1.0) + 1.0),
                 },
-                "voteproducer" => ActionData::VoteProducer { voter: actor, producer_count: rng.gen_range(1..=30) },
-                "rentcpu" => ActionData::RentCpu { from: actor, receiver: actor, payment: eos_amt(0.5) },
+                "voteproducer" => ActionData::VoteProducer {
+                    voter: actor,
+                    producer_count: rng.gen_range(1..=30),
+                },
+                "rentcpu" => ActionData::RentCpu {
+                    from: actor,
+                    receiver: actor,
+                    payment: eos_amt(0.5),
+                },
                 "newaccount" => ActionData::NewAccount {
                     creator: actor,
                     name: idx_name("nu", rng.gen_range(0..100_000_000)),
@@ -547,7 +663,11 @@ fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTim
             };
             let contract = Name::new("eosio");
             let action_name = Name::new(name);
-            txs.push(tx(vec![Action::new(contract, action_name, actor, data)], 350, 180));
+            txs.push(tx(
+                vec![Action::new(contract, action_name, actor, data)],
+                350,
+                180,
+            ));
         }
     }
 
@@ -561,7 +681,15 @@ fn gen_block_txs(sc: &Scenario, cast: &EosCast, rng: &mut StdRng, time: ChainTim
             // refund + EIDOS payout inline (3 transfer actions per boomerang).
             let boomerangs = rng.gen_range(1..=3);
             let actions = (0..boomerangs)
-                .map(|_| Action::token_transfer(cast.token, miner, cast.eidos_contract, eos_sym, eos_amt(0.1)))
+                .map(|_| {
+                    Action::token_transfer(
+                        cast.token,
+                        miner,
+                        cast.eidos_contract,
+                        eos_sym,
+                        eos_amt(0.1),
+                    )
+                })
                 .collect();
             txs.push(tx(actions, 600 * boomerangs as u32, 200));
         }
@@ -599,7 +727,10 @@ mod tests {
     fn tiny() -> Scenario {
         let mut sc = Scenario::small(42);
         // Even smaller for unit tests: 6 days around the launch.
-        sc.period = Period::new(ChainTime::from_ymd(2019, 10, 29), ChainTime::from_ymd(2019, 11, 4));
+        sc.period = Period::new(
+            ChainTime::from_ymd(2019, 10, 29),
+            ChainTime::from_ymd(2019, 11, 4),
+        );
         sc
     }
 
@@ -689,14 +820,22 @@ mod tests {
     fn congestion_flips_after_launch() {
         let mut sc = tiny();
         // Full-rate mining for a clearer signal.
-        sc.period = Period::new(ChainTime::from_ymd(2019, 10, 29), ChainTime::from_ymd(2019, 11, 6));
+        sc.period = Period::new(
+            ChainTime::from_ymd(2019, 10, 29),
+            ChainTime::from_ymd(2019, 11, 6),
+        );
         let chain = build_eos(&sc);
         // Pre-launch: relaxed. Post-launch + ramp: congested.
         let launch_secs = eidos_launch() - sc.period.start;
         let launch_block = (launch_secs / sc.eos_block_secs) as usize;
         let pre = &chain.cpu_price_history[launch_block.saturating_sub(5)];
         let post = chain.cpu_price_history.last().unwrap();
-        assert!(post.1 > pre.1 * 20.0, "CPU price spike: pre {} post {}", pre.1, post.1);
+        assert!(
+            post.1 > pre.1 * 20.0,
+            "CPU price spike: pre {} post {}",
+            pre.1,
+            post.1
+        );
     }
 
     #[test]

@@ -115,10 +115,16 @@ mod tests {
     fn presets_are_sane() {
         let p = Scenario::paper(1);
         assert_eq!(p.period.days(), 92.0);
-        assert!(p.tezos_genesis < p.period.start, "genesis covers governance replay");
+        assert!(
+            p.tezos_genesis < p.period.start,
+            "genesis covers governance replay"
+        );
         let s = Scenario::small(1);
         assert!(s.period.days() < 15.0);
-        assert!(s.period.contains(eidos_launch()), "small window straddles EIDOS launch");
+        assert!(
+            s.period.contains(eidos_launch()),
+            "small window straddles EIDOS launch"
+        );
     }
 
     #[test]

@@ -128,29 +128,42 @@ fn governance_schedule(cast: &TezosCast, rng: &mut StdRng) -> Vec<ScheduledOp> {
             if rng.gen::<f64>() < 0.78 {
                 sched.push(ScheduledOp {
                     time: rand_time(rng, day(2019, 7, 25), day(2019, 8, 1)),
-                    op: Operation::new(*baker, OpPayload::Proposals {
-                        proposals: vec![BABYLON_1.to_owned()],
-                    }),
+                    op: Operation::new(
+                        *baker,
+                        OpPayload::Proposals {
+                            proposals: vec![BABYLON_1.to_owned()],
+                        },
+                    ),
                 });
             }
             sched.push(ScheduledOp {
                 time: rand_time(rng, day(2019, 8, 1), day(2019, 8, 9)),
-                op: Operation::new(*baker, OpPayload::Proposals {
-                    proposals: vec![BABYLON_2.to_owned()],
-                }),
+                op: Operation::new(
+                    *baker,
+                    OpPayload::Proposals {
+                        proposals: vec![BABYLON_2.to_owned()],
+                    },
+                ),
             });
         }
         // Exploration: >81% participation; no nays, foundation passes.
         // Large bakers (professional operators) always vote, anchoring the
         // rolls-weighted quorum.
         if i < 10 || rng.gen::<f64>() < 0.85 {
-            let vote = if *baker == cast.foundation { Vote::Pass } else { Vote::Yay };
+            let vote = if *baker == cast.foundation {
+                Vote::Pass
+            } else {
+                Vote::Yay
+            };
             sched.push(ScheduledOp {
                 time: rand_time(rng, day(2019, 8, 10), day(2019, 9, 1)),
-                op: Operation::new(*baker, OpPayload::Ballot {
-                    proposal: BABYLON_2.to_owned(),
-                    vote,
-                }),
+                op: Operation::new(
+                    *baker,
+                    OpPayload::Ballot {
+                        proposal: BABYLON_2.to_owned(),
+                        vote,
+                    },
+                ),
             });
         }
         // Promotion: similar turnout, ~12% nays (Ledger breakage, §4.2).
@@ -167,19 +180,25 @@ fn governance_schedule(cast: &TezosCast, rng: &mut StdRng) -> Vec<ScheduledOp> {
             };
             sched.push(ScheduledOp {
                 time: rand_time(rng, day(2019, 9, 25), day(2019, 10, 17)),
-                op: Operation::new(*baker, OpPayload::Ballot {
-                    proposal: BABYLON_2.to_owned(),
-                    vote,
-                }),
+                op: Operation::new(
+                    *baker,
+                    OpPayload::Ballot {
+                        proposal: BABYLON_2.to_owned(),
+                        vote,
+                    },
+                ),
             });
         }
         // Sparse December proposal round (Brest A, <1% participation).
         if i < 2 {
             sched.push(ScheduledOp {
                 time: rand_time(rng, day(2019, 12, 5), day(2019, 12, 20)),
-                op: Operation::new(*baker, OpPayload::Proposals {
-                    proposals: vec![BREST_A.to_owned()],
-                }),
+                op: Operation::new(
+                    *baker,
+                    OpPayload::Proposals {
+                        proposals: vec![BREST_A.to_owned()],
+                    },
+                ),
             });
         }
     }
@@ -241,8 +260,12 @@ pub fn build_tezos(sc: &Scenario) -> TezosChain {
     };
     let mut schedule = schedule.into_iter().peekable();
 
-    let mut faucet_states: Vec<FaucetState> =
-        (0..cast.faucets.len()).map(|i| FaucetState { counter: 0, fresh_next: 2_000_000 + i as u64 * 1_000_000 }).collect();
+    let mut faucet_states: Vec<FaucetState> = (0..cast.faucets.len())
+        .map(|i| FaucetState {
+            counter: 0,
+            fresh_next: 2_000_000 + i as u64 * 1_000_000,
+        })
+        .collect();
 
     // The chain runs from genesis (pre-window, for governance) to window end.
     let total_secs = sc.period.end - sc.tezos_genesis;
@@ -286,31 +309,49 @@ pub fn build_tezos(sc: &Scenario) -> TezosChain {
                             Address::implicit(10_000 + fi as u64 * 100_000 + idx as u64)
                         }
                     };
-                    ops.push(Operation::new(f.address, OpPayload::Transaction {
-                        destination: dest,
-                        amount_mutez: (log_normal(&mut rng, 0.0, 1.0) * MUTEZ_PER_TEZ as f64) as u64 + 1,
-                    }));
+                    ops.push(Operation::new(
+                        f.address,
+                        OpPayload::Transaction {
+                            destination: dest,
+                            amount_mutez: (log_normal(&mut rng, 0.0, 1.0) * MUTEZ_PER_TEZ as f64)
+                                as u64
+                                + 1,
+                        },
+                    ));
                 }
             }
-            let generic_daily = TX_PER_DAY - cast.faucets.iter().map(|f| f.total_sends / 92.0).sum::<f64>();
+            let generic_daily = TX_PER_DAY
+                - cast
+                    .faucets
+                    .iter()
+                    .map(|f| f.total_sends / 92.0)
+                    .sum::<f64>();
             let n = poisson(&mut rng, per(generic_daily));
             for _ in 0..n {
                 let from = cast.user(&mut rng);
                 let to = cast.user(&mut rng);
-                ops.push(Operation::new(from, OpPayload::Transaction {
-                    destination: to,
-                    amount_mutez: (log_normal(&mut rng, 1.0, 1.5) * MUTEZ_PER_TEZ as f64) as u64 + 1,
-                }));
+                ops.push(Operation::new(
+                    from,
+                    OpPayload::Transaction {
+                        destination: to,
+                        amount_mutez: (log_normal(&mut rng, 1.0, 1.5) * MUTEZ_PER_TEZ as f64)
+                            as u64
+                            + 1,
+                    },
+                ));
             }
 
             // Other manager/anonymous operations at Figure 1 rates.
             for _ in 0..poisson(&mut rng, per(ORIGINATION_PER_DAY)) {
                 let src = cast.user(&mut rng);
                 let kt = Address::originated(5_000_000 + rng.gen_range(0..1_000_000u64));
-                ops.push(Operation::new(src, OpPayload::Origination {
-                    contract: kt,
-                    balance_mutez: MUTEZ_PER_TEZ,
-                }));
+                ops.push(Operation::new(
+                    src,
+                    OpPayload::Origination {
+                        contract: kt,
+                        balance_mutez: MUTEZ_PER_TEZ,
+                    },
+                ));
             }
             for _ in 0..poisson(&mut rng, per(REVEAL_PER_DAY)) {
                 ops.push(Operation::new(
@@ -321,14 +362,19 @@ pub fn build_tezos(sc: &Scenario) -> TezosChain {
             for _ in 0..poisson(&mut rng, per(ACTIVATION_PER_DAY)) {
                 ops.push(Operation::new(
                     Address::implicit(7_000_000 + rng.gen_range(0..10_000_000u64)),
-                    OpPayload::Activation { secret_hash: rng.gen() },
+                    OpPayload::Activation {
+                        secret_hash: rng.gen(),
+                    },
                 ));
             }
             for _ in 0..poisson(&mut rng, per(DELEGATION_PER_DAY)) {
                 let delegate = cast.bakers[rng.gen_range(0..cast.bakers.len())];
-                ops.push(Operation::new(cast.user(&mut rng), OpPayload::Delegation {
-                    delegate: Some(delegate),
-                }));
+                ops.push(Operation::new(
+                    cast.user(&mut rng),
+                    OpPayload::Delegation {
+                        delegate: Some(delegate),
+                    },
+                ));
             }
             for _ in 0..poisson(&mut rng, per(REVEAL_NONCE_PER_DAY)) {
                 let baker = cast.bakers[rng.gen_range(0..cast.bakers.len())];
@@ -359,7 +405,10 @@ mod tests {
 
     fn tiny() -> Scenario {
         let mut sc = Scenario::small(7);
-        sc.period = Period::new(ChainTime::from_ymd(2019, 10, 26), ChainTime::from_ymd(2019, 11, 2));
+        sc.period = Period::new(
+            ChainTime::from_ymd(2019, 10, 26),
+            ChainTime::from_ymd(2019, 11, 2),
+        );
         sc.tezos_divisor = 20.0;
         sc
     }
@@ -398,7 +447,12 @@ mod tests {
             chain.governance.activated.contains(&BABYLON_2.to_owned()),
             "activated: {:?}, history: {:?}",
             chain.governance.activated,
-            chain.governance.history.iter().map(|h| (h.kind, h.passed)).collect::<Vec<_>>()
+            chain
+                .governance
+                .history
+                .iter()
+                .map(|h| (h.kind, h.passed))
+                .collect::<Vec<_>>()
         );
         let ballots: u64 = chain
             .blocks()
@@ -428,7 +482,11 @@ mod tests {
             }
         }
         assert!(sends > 20, "faucet sends {sends}");
-        assert_eq!(receivers.len(), sends, "every receiver unique (tz1Mzp pattern)");
+        assert_eq!(
+            receivers.len(),
+            sends,
+            "every receiver unique (tz1Mzp pattern)"
+        );
     }
 
     #[test]

@@ -152,13 +152,62 @@ struct TradeSpec {
 
 fn trade_specs() -> Vec<TradeSpec> {
     vec![
-        TradeSpec { maker: AccountId(MAKER_BASE), currency: "USD", issuer: BITSTAMP, trades_per_day: 600.0, xrp_volume_per_day: 9_200_000.0, rate: 4.9 },
-        TradeSpec { maker: AccountId(MAKER_BASE + 1), currency: "EUR", issuer: GATEHUB_FIFTH, trades_per_day: 30.0, xrp_volume_per_day: 210_000.0, rate: 5.4 },
-        TradeSpec { maker: AccountId(MAKER_BASE + 2), currency: "CNY", issuer: CNY_GATEWAY, trades_per_day: 60.0, xrp_volume_per_day: 110_000.0, rate: 0.7 },
-        TradeSpec { maker: AccountId(MAKER_BASE + 3), currency: "BTC", issuer: BITSTAMP, trades_per_day: 20.0, xrp_volume_per_day: 2_000_000.0, rate: 36_050.0 },
-        TradeSpec { maker: AccountId(MAKER_BASE + 4), currency: "BTC", issuer: GATEHUB_FIFTH, trades_per_day: 15.0, xrp_volume_per_day: 1_400_000.0, rate: 35_817.0 },
-        TradeSpec { maker: AccountId(MAKER_BASE + 5), currency: "BTC", issuer: BTC2RIPPLE, trades_per_day: 5.0, xrp_volume_per_day: 40_000.0, rate: 409.0 },
-        TradeSpec { maker: AccountId(MAKER_BASE + 6), currency: "BTC", issuer: AccountId(142), trades_per_day: 2.0, xrp_volume_per_day: 50.0, rate: 1.0 },
+        TradeSpec {
+            maker: AccountId(MAKER_BASE),
+            currency: "USD",
+            issuer: BITSTAMP,
+            trades_per_day: 600.0,
+            xrp_volume_per_day: 9_200_000.0,
+            rate: 4.9,
+        },
+        TradeSpec {
+            maker: AccountId(MAKER_BASE + 1),
+            currency: "EUR",
+            issuer: GATEHUB_FIFTH,
+            trades_per_day: 30.0,
+            xrp_volume_per_day: 210_000.0,
+            rate: 5.4,
+        },
+        TradeSpec {
+            maker: AccountId(MAKER_BASE + 2),
+            currency: "CNY",
+            issuer: CNY_GATEWAY,
+            trades_per_day: 60.0,
+            xrp_volume_per_day: 110_000.0,
+            rate: 0.7,
+        },
+        TradeSpec {
+            maker: AccountId(MAKER_BASE + 3),
+            currency: "BTC",
+            issuer: BITSTAMP,
+            trades_per_day: 20.0,
+            xrp_volume_per_day: 2_000_000.0,
+            rate: 36_050.0,
+        },
+        TradeSpec {
+            maker: AccountId(MAKER_BASE + 4),
+            currency: "BTC",
+            issuer: GATEHUB_FIFTH,
+            trades_per_day: 15.0,
+            xrp_volume_per_day: 1_400_000.0,
+            rate: 35_817.0,
+        },
+        TradeSpec {
+            maker: AccountId(MAKER_BASE + 5),
+            currency: "BTC",
+            issuer: BTC2RIPPLE,
+            trades_per_day: 5.0,
+            xrp_volume_per_day: 40_000.0,
+            rate: 409.0,
+        },
+        TradeSpec {
+            maker: AccountId(MAKER_BASE + 6),
+            currency: "BTC",
+            issuer: AccountId(142),
+            trades_per_day: 2.0,
+            xrp_volume_per_day: 50.0,
+            rate: 1.0,
+        },
     ]
 }
 
@@ -208,19 +257,34 @@ fn setup(ledger: &mut XrpLedger) {
     // Parent exchanges not in the flow table.
     for acct in [HUOBI, BITGO, LIQUID, UPHOLD, UPBIT_DESC] {
         if ledger.account(acct).is_none() {
-            let parent = if acct == UPBIT_DESC { Some(UPBIT) } else { None };
+            let parent = if acct == UPBIT_DESC {
+                Some(UPBIT)
+            } else {
+                None
+            };
             ledger.bootstrap_account(acct, 50_000_000 * DROPS_PER_XRP, parent);
         }
     }
     // Gateways & shadow issuers.
-    for acct in [GATEHUB_FIFTH, BTC2RIPPLE, CNY_GATEWAY, SHADOW_USD, SHADOW_EUR, AccountId(142)] {
+    for acct in [
+        GATEHUB_FIFTH,
+        BTC2RIPPLE,
+        CNY_GATEWAY,
+        SHADOW_USD,
+        SHADOW_EUR,
+        AccountId(142),
+    ] {
         if ledger.account(acct).is_none() {
             ledger.bootstrap_account(acct, 1_000_000 * DROPS_PER_XRP, None);
         }
     }
     // Huobi bots: descendants of Huobi (Figure 8 pattern).
     for i in 0..(BIG_BOTS + SMALL_BOTS) {
-        ledger.bootstrap_account(AccountId(BOT_BASE + i), 5_000_000 * DROPS_PER_XRP, Some(HUOBI));
+        ledger.bootstrap_account(
+            AccountId(BOT_BASE + i),
+            5_000_000 * DROPS_PER_XRP,
+            Some(HUOBI),
+        );
     }
     // Makers: descendants of their gateways, stocked with IOU inventory.
     for (i, spec) in trade_specs().iter().enumerate() {
@@ -242,10 +306,18 @@ fn setup(ledger: &mut XrpLedger) {
     // Myrone sellers hold the issuer's BTC (received "through payments from
     // the offer taker" per §4.3 — bootstrapped as inventory here).
     for seller in [MYRONE_SELLER_A, MYRONE_SELLER_B] {
-        ledger.bootstrap_iou(seller, IssuedCurrency::new("BTC", MYRONE_ISSUER), 10 * IOU_UNIT);
+        ledger.bootstrap_iou(
+            seller,
+            IssuedCurrency::new("BTC", MYRONE_ISSUER),
+            10 * IOU_UNIT,
+        );
     }
     // Taker must trust the Myrone BTC to receive the conspicuous payment.
-    ledger.bootstrap_iou(MYRONE_TAKER, IssuedCurrency::new("BTC", MYRONE_ISSUER), IOU_UNIT);
+    ledger.bootstrap_iou(
+        MYRONE_TAKER,
+        IssuedCurrency::new("BTC", MYRONE_ISSUER),
+        IOU_UNIT,
+    );
     // Regular users.
     for i in 0..USERS {
         ledger.bootstrap_account(AccountId(USER_BASE + i), 60_000 * DROPS_PER_XRP, None);
@@ -253,15 +325,35 @@ fn setup(ledger: &mut XrpLedger) {
     // A slice of users hold shadow fiat IOUs (high-volume, never traded).
     for i in 0..200 {
         let u = AccountId(USER_BASE + i);
-        ledger.bootstrap_iou(u, IssuedCurrency::new("USD", SHADOW_USD), 40_000_000 * IOU_UNIT);
-        ledger.bootstrap_iou(u, IssuedCurrency::new("EUR", SHADOW_EUR), 50_000_000 * IOU_UNIT);
+        ledger.bootstrap_iou(
+            u,
+            IssuedCurrency::new("USD", SHADOW_USD),
+            40_000_000 * IOU_UNIT,
+        );
+        ledger.bootstrap_iou(
+            u,
+            IssuedCurrency::new("EUR", SHADOW_EUR),
+            50_000_000 * IOU_UNIT,
+        );
     }
     // And a slice hold rated gateway fiat (the valuable flows).
     for i in 200..400 {
         let u = AccountId(USER_BASE + i);
-        ledger.bootstrap_iou(u, IssuedCurrency::new("USD", BITSTAMP), 1_000_000 * IOU_UNIT);
-        ledger.bootstrap_iou(u, IssuedCurrency::new("EUR", GATEHUB_FIFTH), 20_000 * IOU_UNIT);
-        ledger.bootstrap_iou(u, IssuedCurrency::new("CNY", CNY_GATEWAY), 100_000 * IOU_UNIT);
+        ledger.bootstrap_iou(
+            u,
+            IssuedCurrency::new("USD", BITSTAMP),
+            1_000_000 * IOU_UNIT,
+        );
+        ledger.bootstrap_iou(
+            u,
+            IssuedCurrency::new("EUR", GATEHUB_FIFTH),
+            20_000 * IOU_UNIT,
+        );
+        ledger.bootstrap_iou(
+            u,
+            IssuedCurrency::new("CNY", CNY_GATEWAY),
+            100_000 * IOU_UNIT,
+        );
     }
     // Pre-window Ripple escrows that will be released Nov 1 / Dec 1.
     let nov1 = ChainTime::from_ymd(2019, 11, 1);
@@ -315,7 +407,11 @@ fn activate_children(ledger: &mut XrpLedger, now: ChainTime, state: &mut WaveSta
         let _ = ledger.submit(
             Transaction::new(
                 SPAMMER,
-                TxPayload::Payment { destination: child, amount: xrp(199.0), send_max: None },
+                TxPayload::Payment {
+                    destination: child,
+                    amount: xrp(199.0),
+                    send_max: None,
+                },
                 FEE,
             ),
             now,
@@ -383,7 +479,9 @@ fn gen_close_txs(
             ledger,
             Transaction::new(
                 AccountId::ACCOUNT_ZERO,
-                TxPayload::EnableAmendment { amendment: "fixCheckThreading".into() },
+                TxPayload::EnableAmendment {
+                    amendment: "fixCheckThreading".into(),
+                },
                 0,
             ),
         );
@@ -394,7 +492,12 @@ fn gen_close_txs(
     // Myrone saga (Figure 11b): the conspicuous payment + three self-dealt
     // exchanges at collapsing rates.
     let myrone_events: [(ChainTime, f64, f64, AccountId); 3] = [
-        (ChainTime::from_ymd(2019, 12, 14), 1.0, 30_500.0, MYRONE_SELLER_A),
+        (
+            ChainTime::from_ymd(2019, 12, 14),
+            1.0,
+            30_500.0,
+            MYRONE_SELLER_A,
+        ),
         (ChainTime::from_ymd(2019, 12, 28), 0.5, 1.0, MYRONE_SELLER_B),
         (ChainTime::from_ymd(2019, 12, 30), 0.5, 0.1, MYRONE_SELLER_B),
     ];
@@ -452,7 +555,11 @@ fn gen_close_txs(
     let cny = IssuedCurrency::new("CNY", CNY_GATEWAY);
     for b in 0..(BIG_BOTS + SMALL_BOTS) {
         let bot = AccountId(BOT_BASE + b);
-        let daily = if b < BIG_BOTS { BIG_BOT_OFFERS_PER_DAY } else { SMALL_BOT_OFFERS_PER_DAY };
+        let daily = if b < BIG_BOTS {
+            BIG_BOT_OFFERS_PER_DAY
+        } else {
+            SMALL_BOT_OFFERS_PER_DAY
+        };
         let n = poisson(rng, per(daily));
         for _ in 0..n {
             // Sell XRP at ~100× the real CNY rate: rests forever.
@@ -473,7 +580,10 @@ fn gen_close_txs(
         let n = poisson(rng, per(daily * 0.039));
         for _ in 0..n {
             if let Some(offer) = ledger.dex.oldest_offer_of(bot) {
-                submit(ledger, Transaction::new(bot, TxPayload::OfferCancel { offer }, FEE));
+                submit(
+                    ledger,
+                    Transaction::new(bot, TxPayload::OfferCancel { offer }, FEE),
+                );
             }
         }
         // ~1.5% payments, tagged 104398, to Huobi.
@@ -507,7 +617,11 @@ fn gen_close_txs(
                 TxPayload::OfferCreate {
                     gets: xrp(amount),
                     // Ask 3–10× the market rate for USD: rests unfilled.
-                    pays: iou("USD", BITSTAMP, amount / 4.9 * (3.0 + 7.0 * rng.gen::<f64>())),
+                    pays: iou(
+                        "USD",
+                        BITSTAMP,
+                        amount / 4.9 * (3.0 + 7.0 * rng.gen::<f64>()),
+                    ),
                 },
                 FEE,
             ),
@@ -517,7 +631,10 @@ fn gen_close_txs(
     for _ in 0..n {
         let u = user(rng);
         if let Some(offer) = ledger.dex.oldest_offer_of(u) {
-            submit(ledger, Transaction::new(u, TxPayload::OfferCancel { offer }, FEE));
+            submit(
+                ledger,
+                Transaction::new(u, TxPayload::OfferCancel { offer }, FEE),
+            );
         }
     }
 
@@ -651,7 +768,11 @@ fn gen_close_txs(
             ledger,
             Transaction::new(
                 from,
-                TxPayload::Payment { destination: to, amount: xrp(mean_amount * jitter(rng)), send_max: None },
+                TxPayload::Payment {
+                    destination: to,
+                    amount: xrp(mean_amount * jitter(rng)),
+                    send_max: None,
+                },
                 FEE,
             ),
         );
@@ -764,20 +885,29 @@ fn gen_close_txs(
         );
     }
     for _ in 0..poisson(rng, per(ACCOUNTSET_PER_DAY)) {
-        submit(ledger, Transaction::new(user(rng), TxPayload::AccountSet { flags: 8 }, FEE));
+        submit(
+            ledger,
+            Transaction::new(user(rng), TxPayload::AccountSet { flags: 8 }, FEE),
+        );
     }
     for _ in 0..poisson(rng, per(SIGNERLIST_PER_DAY)) {
         submit(
             ledger,
             Transaction::new(
                 user(rng),
-                TxPayload::SignerListSet { quorum: 2, signer_count: 3 },
+                TxPayload::SignerListSet {
+                    quorum: 2,
+                    signer_count: 3,
+                },
                 FEE,
             ),
         );
     }
     for _ in 0..poisson(rng, per(SETREGKEY_PER_DAY)) {
-        submit(ledger, Transaction::new(user(rng), TxPayload::SetRegularKey, FEE));
+        submit(
+            ledger,
+            Transaction::new(user(rng), TxPayload::SetRegularKey, FEE),
+        );
     }
     for _ in 0..poisson(rng, per(ESCROW_CREATE_PER_DAY)) {
         let u = user(rng);
@@ -799,13 +929,25 @@ fn gen_close_txs(
         // Mostly targets long-gone escrows: recorded as tecNO_ENTRY.
         submit(
             ledger,
-            Transaction::new(user(rng), TxPayload::EscrowFinish { escrow_id: rng.gen_range(3..1000) }, FEE),
+            Transaction::new(
+                user(rng),
+                TxPayload::EscrowFinish {
+                    escrow_id: rng.gen_range(3..1000),
+                },
+                FEE,
+            ),
         );
     }
     for _ in 0..poisson(rng, per(ESCROW_CANCEL_PER_DAY)) {
         submit(
             ledger,
-            Transaction::new(user(rng), TxPayload::EscrowCancel { escrow_id: rng.gen_range(3..1000) }, FEE),
+            Transaction::new(
+                user(rng),
+                TxPayload::EscrowCancel {
+                    escrow_id: rng.gen_range(3..1000),
+                },
+                FEE,
+            ),
         );
     }
     for _ in 0..poisson(rng, per(PAYCHAN_CREATE_PER_DAY)) {
@@ -813,7 +955,10 @@ fn gen_close_txs(
             ledger,
             Transaction::new(
                 user(rng),
-                TxPayload::PaymentChannelCreate { destination: user(rng), drops: 50 * DROPS_PER_XRP },
+                TxPayload::PaymentChannelCreate {
+                    destination: user(rng),
+                    drops: 50 * DROPS_PER_XRP,
+                },
                 FEE,
             ),
         );
@@ -823,7 +968,10 @@ fn gen_close_txs(
             ledger,
             Transaction::new(
                 user(rng),
-                TxPayload::PaymentChannelClaim { channel_id: rng.gen_range(3..1000), drops: DROPS_PER_XRP },
+                TxPayload::PaymentChannelClaim {
+                    channel_id: rng.gen_range(3..1000),
+                    drops: DROPS_PER_XRP,
+                },
                 FEE,
             ),
         );
@@ -866,7 +1014,11 @@ fn run_escrow_cycle(ledger: &mut XrpLedger, now: ChainTime, escrow_id: u64) {
     let _ = ledger.submit(
         Transaction::new(
             RIPPLE,
-            TxPayload::Payment { destination: BITSTAMP, amount: xrp(100_000.0), send_max: None },
+            TxPayload::Payment {
+                destination: BITSTAMP,
+                amount: xrp(100_000.0),
+                send_max: None,
+            },
             FEE,
         ),
         now,
@@ -925,7 +1077,10 @@ mod tests {
 
     fn tiny() -> Scenario {
         let mut sc = Scenario::small(11);
-        sc.period = Period::new(ChainTime::from_ymd(2019, 10, 20), ChainTime::from_ymd(2019, 10, 28));
+        sc.period = Period::new(
+            ChainTime::from_ymd(2019, 10, 20),
+            ChainTime::from_ymd(2019, 10, 28),
+        );
         sc.xrp_divisor = 20_000.0;
         sc
     }
@@ -945,8 +1100,14 @@ mod tests {
         let l = build_xrp(&sc);
         let txs = window_txs(&l, &sc);
         assert!(txs.len() > 300, "window txs: {}", txs.len());
-        let offers = txs.iter().filter(|t| t.tx.tx_type() == TxType::OfferCreate).count();
-        let payments = txs.iter().filter(|t| t.tx.tx_type() == TxType::Payment).count();
+        let offers = txs
+            .iter()
+            .filter(|t| t.tx.tx_type() == TxType::OfferCreate)
+            .count();
+        let payments = txs
+            .iter()
+            .filter(|t| t.tx.tx_type() == TxType::Payment)
+            .count();
         let share = (offers + payments) as f64 / txs.len() as f64;
         assert!(share > 0.80, "offer+payment share {share:.2}");
     }
@@ -958,7 +1119,10 @@ mod tests {
         let txs = window_txs(&l, &sc);
         let failed = txs.iter().filter(|t| !t.result.is_success()).count();
         let share = failed as f64 / txs.len() as f64;
-        assert!((0.02..0.4).contains(&share), "failed share {share:.3} (paper: 0.107)");
+        assert!(
+            (0.02..0.4).contains(&share),
+            "failed share {share:.3} (paper: 0.107)"
+        );
         assert!(txs.iter().any(|t| t.result == TxResult::PathDry));
         assert!(txs.iter().any(|t| t.result == TxResult::UnfundedOffer));
     }
@@ -966,7 +1130,10 @@ mod tests {
     #[test]
     fn spam_wave_spikes_payments() {
         let mut sc = tiny();
-        sc.period = Period::new(ChainTime::from_ymd(2019, 10, 20), ChainTime::from_ymd(2019, 10, 27));
+        sc.period = Period::new(
+            ChainTime::from_ymd(2019, 10, 20),
+            ChainTime::from_ymd(2019, 10, 27),
+        );
         sc.xrp_divisor = 5_000.0;
         let l = build_xrp(&sc);
         // Payments per close before and during wave 1 (starts Oct 23).
@@ -976,7 +1143,11 @@ mod tests {
             if !sc.period.contains(b.close_time) {
                 continue;
             }
-            let pay = b.transactions.iter().filter(|t| t.tx.tx_type() == TxType::Payment).count() as u64;
+            let pay = b
+                .transactions
+                .iter()
+                .filter(|t| t.tx.tx_type() == TxType::Payment)
+                .count() as u64;
             if b.close_time < wave_start {
                 pre += pay;
                 pre_n += 1;
@@ -1001,15 +1172,16 @@ mod tests {
         let bot = AccountId(BOT_BASE);
         let bot_txs: Vec<_> = txs.iter().filter(|t| t.tx.account == bot).collect();
         assert!(bot_txs.len() > 20, "bot txs {}", bot_txs.len());
-        let offers = bot_txs.iter().filter(|t| t.tx.tx_type() == TxType::OfferCreate).count();
+        let offers = bot_txs
+            .iter()
+            .filter(|t| t.tx.tx_type() == TxType::OfferCreate)
+            .count();
         assert!(
             offers as f64 / bot_txs.len() as f64 > 0.9,
             "bot offer share {offers}/{}",
             bot_txs.len()
         );
-        let tagged = txs
-            .iter()
-            .any(|t| t.tx.destination_tag == Some(HUOBI_TAG));
+        let tagged = txs.iter().any(|t| t.tx.destination_tag == Some(HUOBI_TAG));
         assert!(tagged, "Huobi tag present");
         // Bots are Huobi descendants.
         assert_eq!(l.account(bot).unwrap().activated_by, Some(HUOBI));
@@ -1018,18 +1190,25 @@ mod tests {
     #[test]
     fn oracle_rates_match_targets() {
         let mut sc = tiny();
-        sc.period = Period::new(ChainTime::from_ymd(2019, 12, 1), ChainTime::from_ymd(2019, 12, 31));
+        sc.period = Period::new(
+            ChainTime::from_ymd(2019, 12, 1),
+            ChainTime::from_ymd(2019, 12, 31),
+        );
         sc.xrp_divisor = 2_000.0;
         let l = build_xrp(&sc);
-        let oracle = txstat_xrp::RateOracle::from_trades(
-            &l.trades,
-            ChainTime::from_ymd(2019, 12, 31),
-            30,
-        );
-        let usd = oracle.rate(IssuedCurrency::new("USD", BITSTAMP)).expect("USD traded");
+        let oracle =
+            txstat_xrp::RateOracle::from_trades(&l.trades, ChainTime::from_ymd(2019, 12, 31), 30);
+        let usd = oracle
+            .rate(IssuedCurrency::new("USD", BITSTAMP))
+            .expect("USD traded");
         assert!((4.0..6.0).contains(&usd), "USD rate {usd} (target 4.9)");
-        let btc = oracle.rate(IssuedCurrency::new("BTC", BITSTAMP)).expect("BTC traded");
-        assert!((30_000.0..42_000.0).contains(&btc), "BTC rate {btc} (target 36,050)");
+        let btc = oracle
+            .rate(IssuedCurrency::new("BTC", BITSTAMP))
+            .expect("BTC traded");
+        assert!(
+            (30_000.0..42_000.0).contains(&btc),
+            "BTC rate {btc} (target 36,050)"
+        );
         // Shadow issuers never trade: no value.
         assert!(!oracle.has_value(IssuedCurrency::new("USD", SHADOW_USD)));
         assert!(!oracle.has_value(IssuedCurrency::new("BTC", SPAMMER)));
@@ -1038,7 +1217,10 @@ mod tests {
     #[test]
     fn escrow_cycle_runs() {
         let mut sc = tiny();
-        sc.period = Period::new(ChainTime::from_ymd(2019, 10, 30), ChainTime::from_ymd(2019, 11, 3));
+        sc.period = Period::new(
+            ChainTime::from_ymd(2019, 10, 30),
+            ChainTime::from_ymd(2019, 11, 3),
+        );
         let l = build_xrp(&sc);
         let finishes: Vec<_> = l
             .closed_ledgers()

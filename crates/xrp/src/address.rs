@@ -153,7 +153,10 @@ mod tests {
         chars[last] = if chars[last] == 'z' { 'y' } else { 'z' };
         let corrupted: String = chars.into_iter().collect();
         assert!(corrupted.parse::<AccountId>().is_err());
-        assert_eq!("xnotanaddr".parse::<AccountId>(), Err(AddressError::BadPrefix));
+        assert_eq!(
+            "xnotanaddr".parse::<AccountId>(),
+            Err(AddressError::BadPrefix)
+        );
         // '0', 'O', 'I', 'l' are not in the ripple alphabet.
         assert_eq!("r0O".parse::<AccountId>(), Err(AddressError::BadEncoding));
     }
@@ -202,7 +205,16 @@ mod tests {
         // runs; ids around 58¹⁰ / 2¹⁶ straddle it.
         let split = 58u64.pow(10) >> 16;
         let mut ids = vec![0, 1, 57, 58, u32::MAX as u64, u64::MAX - 1, u64::MAX];
-        for around in [1 << 8, 1 << 16, 1 << 24, 1 << 32, 1 << 40, 1 << 48, 1 << 56, split] {
+        for around in [
+            1 << 8,
+            1 << 16,
+            1 << 24,
+            1 << 32,
+            1 << 40,
+            1 << 48,
+            1 << 56,
+            split,
+        ] {
             ids.extend([around - 1, around, around + 1]);
         }
         for id in ids {

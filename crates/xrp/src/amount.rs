@@ -27,7 +27,10 @@ pub struct IssuedCurrency {
 
 impl IssuedCurrency {
     pub fn new(currency: &str, issuer: AccountId) -> Self {
-        IssuedCurrency { currency: SymCode::new(currency), issuer }
+        IssuedCurrency {
+            currency: SymCode::new(currency),
+            issuer,
+        }
     }
 }
 
@@ -82,7 +85,10 @@ pub struct Amount {
 
 impl Amount {
     pub fn xrp_drops(drops: i64) -> Self {
-        Amount { asset: Asset::Xrp, value: drops as i128 }
+        Amount {
+            asset: Asset::Xrp,
+            value: drops as i128,
+        }
     }
 
     pub fn xrp(whole: i64) -> Self {
@@ -90,7 +96,10 @@ impl Amount {
     }
 
     pub fn iou(currency: &str, issuer: AccountId, raw: i128) -> Self {
-        Amount { asset: Asset::iou(currency, issuer), value: raw }
+        Amount {
+            asset: Asset::iou(currency, issuer),
+            value: raw,
+        }
     }
 
     pub fn iou_whole(currency: &str, issuer: AccountId, whole: i64) -> Self {
@@ -115,7 +124,10 @@ impl Amount {
         if self.asset != other.asset {
             return None;
         }
-        Some(Amount { asset: self.asset, value: self.value.checked_add(other.value)? })
+        Some(Amount {
+            asset: self.asset,
+            value: self.value.checked_add(other.value)?,
+        })
     }
 
     /// Same-asset checked subtraction.
@@ -123,7 +135,10 @@ impl Amount {
         if self.asset != other.asset {
             return None;
         }
-        Some(Amount { asset: self.asset, value: self.value.checked_sub(other.value)? })
+        Some(Amount {
+            asset: self.asset,
+            value: self.value.checked_sub(other.value)?,
+        })
     }
 }
 
@@ -132,7 +147,12 @@ impl fmt::Display for Amount {
         match self.asset {
             Asset::Xrp => write!(f, "{} drops", self.value),
             Asset::Iou(ic) => {
-                write!(f, "{} {}", txstat_types::fmt_scaled(self.value, IOU_DECIMALS), ic)
+                write!(
+                    f,
+                    "{} {}",
+                    txstat_types::fmt_scaled(self.value, IOU_DECIMALS),
+                    ic
+                )
             }
         }
     }
@@ -165,7 +185,10 @@ mod tests {
         let u = Amount::iou_whole("USD", AccountId(1), 1);
         assert!(x.checked_add(&u).is_none());
         assert_eq!(x.checked_add(&Amount::xrp(2)).unwrap(), Amount::xrp(3));
-        assert_eq!(Amount::xrp(3).checked_sub(&Amount::xrp(1)).unwrap(), Amount::xrp(2));
+        assert_eq!(
+            Amount::xrp(3).checked_sub(&Amount::xrp(1)).unwrap(),
+            Amount::xrp(2)
+        );
     }
 
     #[test]

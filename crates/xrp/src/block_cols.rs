@@ -123,7 +123,11 @@ fn encode_opt_amount(w: &mut ColWriter, t: &mut Tables, a: &Option<Amount>) {
 
 fn encode_payload(w: &mut ColWriter, t: &mut Tables, p: &TxPayload) {
     match p {
-        TxPayload::Payment { destination, amount, send_max } => {
+        TxPayload::Payment {
+            destination,
+            amount,
+            send_max,
+        } => {
             w.byte(P_PAYMENT);
             w.u32(t.account(*destination));
             encode_amount(w, t, amount);
@@ -147,13 +151,21 @@ fn encode_payload(w: &mut ColWriter, t: &mut Tables, p: &TxPayload) {
             w.byte(P_ACCOUNT_SET);
             w.u32(*flags);
         }
-        TxPayload::SignerListSet { quorum, signer_count } => {
+        TxPayload::SignerListSet {
+            quorum,
+            signer_count,
+        } => {
             w.byte(P_SIGNER_LIST_SET);
             w.byte(*quorum);
             w.byte(*signer_count);
         }
         TxPayload::SetRegularKey => w.byte(P_SET_REGULAR_KEY),
-        TxPayload::EscrowCreate { destination, drops, finish_after, cancel_after } => {
+        TxPayload::EscrowCreate {
+            destination,
+            drops,
+            finish_after,
+            cancel_after,
+        } => {
             w.byte(P_ESCROW_CREATE);
             w.u32(t.account(*destination));
             w.i64(*drops);
@@ -237,10 +249,12 @@ pub fn encode_blocks(blocks: &[LedgerBlock]) -> Vec<u8> {
 
 fn read_account(r: &mut ColReader<'_>, accounts: &[AccountId]) -> Result<AccountId, ColError> {
     let i = r.u32()? as usize;
-    accounts
-        .get(i)
-        .copied()
-        .ok_or_else(|| r.invalid(format!("account ref {i} out of table (len {})", accounts.len())))
+    accounts.get(i).copied().ok_or_else(|| {
+        r.invalid(format!(
+            "account ref {i} out of table (len {})",
+            accounts.len()
+        ))
+    })
 }
 
 fn read_currency(
@@ -248,22 +262,24 @@ fn read_currency(
     currencies: &[IssuedCurrency],
 ) -> Result<IssuedCurrency, ColError> {
     let i = r.u32()? as usize;
-    currencies
-        .get(i)
-        .copied()
-        .ok_or_else(|| r.invalid(format!("currency ref {i} out of table (len {})", currencies.len())))
+    currencies.get(i).copied().ok_or_else(|| {
+        r.invalid(format!(
+            "currency ref {i} out of table (len {})",
+            currencies.len()
+        ))
+    })
 }
 
-fn decode_amount(
-    r: &mut ColReader<'_>,
-    currencies: &[IssuedCurrency],
-) -> Result<Amount, ColError> {
+fn decode_amount(r: &mut ColReader<'_>, currencies: &[IssuedCurrency]) -> Result<Amount, ColError> {
     let asset = match r.byte()? {
         AMT_XRP => Asset::Xrp,
         AMT_IOU => Asset::Iou(read_currency(r, currencies)?),
         other => return Err(r.invalid(format!("bad amount tag {other}"))),
     };
-    Ok(Amount { asset, value: r.i128()? })
+    Ok(Amount {
+        asset,
+        value: r.i128()?,
+    })
 }
 
 fn decode_opt_amount(
@@ -293,7 +309,9 @@ fn decode_payload(
             gets: decode_amount(r, currencies)?,
             pays: decode_amount(r, currencies)?,
         },
-        P_OFFER_CANCEL => TxPayload::OfferCancel { offer: OfferId(r.u64()?) },
+        P_OFFER_CANCEL => TxPayload::OfferCancel {
+            offer: OfferId(r.u64()?),
+        },
         P_TRUST_SET => TxPayload::TrustSet {
             currency: read_currency(r, currencies)?,
             limit: r.i128()?,
@@ -311,13 +329,15 @@ fn decode_payload(
             cancel_after: match r.byte()? {
                 0 => None,
                 1 => Some(ChainTime(r.i64()?)),
-                other => {
-                    return Err(r.invalid(format!("bad cancel_after presence byte {other}")))
-                }
+                other => return Err(r.invalid(format!("bad cancel_after presence byte {other}"))),
             },
         },
-        P_ESCROW_FINISH => TxPayload::EscrowFinish { escrow_id: r.u64()? },
-        P_ESCROW_CANCEL => TxPayload::EscrowCancel { escrow_id: r.u64()? },
+        P_ESCROW_FINISH => TxPayload::EscrowFinish {
+            escrow_id: r.u64()?,
+        },
+        P_ESCROW_CANCEL => TxPayload::EscrowCancel {
+            escrow_id: r.u64()?,
+        },
         P_PAYCHAN_CREATE => TxPayload::PaymentChannelCreate {
             destination: read_account(r, accounts)?,
             drops: r.i64()?,
@@ -326,7 +346,9 @@ fn decode_payload(
             channel_id: r.u64()?,
             drops: r.i64()?,
         },
-        P_ENABLE_AMENDMENT => TxPayload::EnableAmendment { amendment: r.str()?.to_owned() },
+        P_ENABLE_AMENDMENT => TxPayload::EnableAmendment {
+            amendment: r.str()?.to_owned(),
+        },
         other => return Err(r.invalid(format!("bad tx payload tag {other}"))),
     })
 }
@@ -337,7 +359,9 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<LedgerBlock>, ColError> {
     let mut r = ColReader::new(bytes);
     let tag = r.byte()?;
     if tag != SCHEMA_TAG {
-        return Err(r.invalid(format!("bad xrp column schema tag {tag} (want {SCHEMA_TAG})")));
+        return Err(r.invalid(format!(
+            "bad xrp column schema tag {tag} (want {SCHEMA_TAG})"
+        )));
     }
     let mut accounts = Vec::new();
     for _ in 0..r.len(1)? {
@@ -346,8 +370,8 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<LedgerBlock>, ColError> {
     let mut currencies = Vec::new();
     for _ in 0..r.len(2)? {
         let sym = r.str()?.to_owned();
-        let currency = SymCode::try_new(&sym)
-            .map_err(|e| r.invalid(format!("currency table: {e}")))?;
+        let currency =
+            SymCode::try_new(&sym).map_err(|e| r.invalid(format!("currency table: {e}")))?;
         let issuer = read_account(&mut r, &accounts)?;
         currencies.push(IssuedCurrency { currency, issuer });
     }
@@ -376,13 +400,22 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<LedgerBlock>, ColError> {
                 other => return Err(r.invalid(format!("bad crossed byte {other}"))),
             };
             transactions.push(AppliedTx {
-                tx: Transaction { account, payload, fee_drops, destination_tag },
+                tx: Transaction {
+                    account,
+                    payload,
+                    fee_drops,
+                    destination_tag,
+                },
                 result,
                 delivered,
                 crossed,
             });
         }
-        blocks.push(LedgerBlock { index, close_time, transactions });
+        blocks.push(LedgerBlock {
+            index,
+            close_time,
+            transactions,
+        });
     }
     r.finish()?;
     Ok(blocks)
@@ -466,7 +499,9 @@ mod tests {
                 AppliedTx {
                     tx: Transaction::new(
                         gate,
-                        TxPayload::EnableAmendment { amendment: "MultiSignReserve".into() },
+                        TxPayload::EnableAmendment {
+                            amendment: "MultiSignReserve".into(),
+                        },
                         0,
                     ),
                     result: TxResult::Success,
@@ -503,7 +538,10 @@ mod tests {
     fn truncation_and_damage_are_typed() {
         let bytes = encode_blocks(&sample());
         for cut in 0..bytes.len() {
-            assert!(decode_blocks(&bytes[..cut]).is_err(), "cut at {cut} must fail");
+            assert!(
+                decode_blocks(&bytes[..cut]).is_err(),
+                "cut at {cut} must fail"
+            );
         }
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;

@@ -77,17 +77,25 @@ pub struct Fill {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DexError {
     /// Creator holds none of the asset it promises (tecUNFUNDED_OFFER).
-    Unfunded { owner: AccountId, asset: Asset },
+    Unfunded {
+        owner: AccountId,
+        asset: Asset,
+    },
     /// Zero/negative amounts or identical assets on both sides.
     BadOffer,
     UnknownOffer(OfferId),
-    NotOwner { offer: OfferId, account: AccountId },
+    NotOwner {
+        offer: OfferId,
+        account: AccountId,
+    },
 }
 
 impl std::fmt::Display for DexError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DexError::Unfunded { owner, asset } => write!(f, "tecUNFUNDED_OFFER: {owner} holds no {asset}"),
+            DexError::Unfunded { owner, asset } => {
+                write!(f, "tecUNFUNDED_OFFER: {owner} holds no {asset}")
+            }
             DexError::BadOffer => write!(f, "malformed offer"),
             DexError::UnknownOffer(id) => write!(f, "unknown offer {id:?}"),
             DexError::NotOwner { offer, account } => write!(f, "{account} does not own {offer:?}"),
@@ -152,7 +160,9 @@ impl Dex {
         let pos = book
             .binary_search_by(|other| {
                 let oq = self.offers[other].quality();
-                oq.partial_cmp(&q).expect("no NaN qualities").then(other.cmp(&id))
+                oq.partial_cmp(&q)
+                    .expect("no NaN qualities")
+                    .then(other.cmp(&id))
             })
             .unwrap_or_else(|p| p);
         book.insert(pos, id);
@@ -177,7 +187,10 @@ impl Dex {
             return Err(DexError::BadOffer);
         }
         if available(owner, gets.asset) <= 0 {
-            return Err(DexError::Unfunded { owner, asset: gets.asset });
+            return Err(DexError::Unfunded {
+                owner,
+                asset: gets.asset,
+            });
         }
         self.stats.offers_created += 1;
 
@@ -186,10 +199,10 @@ impl Dex {
         let mut fills = Vec::new();
         // Funds consumed by fills within this crossing, per (account, asset).
         let mut consumed: HashMap<(AccountId, Asset), i128> = HashMap::new();
-        let avail = |consumed: &HashMap<(AccountId, Asset), i128>,
-                     a: AccountId,
-                     asset: Asset,
-                     f: &F| { f(a, asset) - consumed.get(&(a, asset)).copied().unwrap_or(0) };
+        let avail =
+            |consumed: &HashMap<(AccountId, Asset), i128>, a: AccountId, asset: Asset, f: &F| {
+                f(a, asset) - consumed.get(&(a, asset)).copied().unwrap_or(0)
+            };
 
         let opposite = (pays.asset, gets.asset);
         let mut removed: Vec<OfferId> = Vec::new();
@@ -199,7 +212,9 @@ impl Dex {
             if taker_pays_rem <= 0 || taker_gets_rem <= 0 {
                 break;
             }
-            let Some(m) = self.offers.get_mut(maker_id) else { continue };
+            let Some(m) = self.offers.get_mut(maker_id) else {
+                continue;
+            };
             // Price compatibility at *stated* qualities (funding never
             // changes an offer's price, only how much can execute):
             // cross while maker.pays/maker.gets <= gets/pays.
@@ -236,8 +251,14 @@ impl Dex {
             fills.push(Fill {
                 maker_offer: *maker_id,
                 maker: m.owner,
-                maker_gives: Amount { asset: m.gets.asset, value: fill_gives },
-                maker_receives: Amount { asset: m.pays.asset, value: fill_receives },
+                maker_gives: Amount {
+                    asset: m.gets.asset,
+                    value: fill_gives,
+                },
+                maker_receives: Amount {
+                    asset: m.pays.asset,
+                    value: fill_receives,
+                },
             });
             self.stats.fills_executed += 1;
             if m.touch() {
@@ -269,8 +290,14 @@ impl Dex {
             let offer = Offer {
                 id,
                 owner,
-                gets: Amount { asset: gets.asset, value: taker_gets_rem },
-                pays: Amount { asset: pays.asset, value: taker_pays_rem },
+                gets: Amount {
+                    asset: gets.asset,
+                    value: taker_gets_rem,
+                },
+                pays: Amount {
+                    asset: pays.asset,
+                    value: taker_pays_rem,
+                },
                 touched,
             };
             self.insert_sorted(offer);
@@ -278,7 +305,11 @@ impl Dex {
         } else {
             None
         };
-        Ok(CreateOutcome { fills, resting, fully_crossed })
+        Ok(CreateOutcome {
+            fills,
+            resting,
+            fully_crossed,
+        })
     }
 
     /// Plan a market-style cross for a *payment through the order book*:
@@ -310,7 +341,10 @@ impl Dex {
             }
             let maker = self.offers.get(maker_id)?;
             let maker_funds = available(maker.owner, maker.gets.asset)
-                - consumed.get(&(maker.owner, maker.gets.asset)).copied().unwrap_or(0);
+                - consumed
+                    .get(&(maker.owner, maker.gets.asset))
+                    .copied()
+                    .unwrap_or(0);
             if maker_funds <= 0 {
                 continue;
             }
@@ -329,8 +363,14 @@ impl Dex {
             fills.push(Fill {
                 maker_offer: *maker_id,
                 maker: maker.owner,
-                maker_gives: Amount { asset: maker.gets.asset, value: fill_gives },
-                maker_receives: Amount { asset: maker.pays.asset, value: fill_receives },
+                maker_gives: Amount {
+                    asset: maker.gets.asset,
+                    value: fill_gives,
+                },
+                maker_receives: Amount {
+                    asset: maker.pays.asset,
+                    value: fill_receives,
+                },
             });
         }
         if need > 0 {
@@ -362,7 +402,9 @@ impl Dex {
     }
 
     fn remove_from_book(&mut self, id: OfferId) {
-        let Some(offer) = self.offers.remove(&id) else { return };
+        let Some(offer) = self.offers.remove(&id) else {
+            return;
+        };
         if let Some(book) = self.books.get_mut(&(offer.gets.asset, offer.pays.asset)) {
             if let Some(pos) = book.iter().position(|x| *x == id) {
                 book.remove(pos);
@@ -395,7 +437,9 @@ impl Dex {
     /// All resting offers of an account, oldest first.
     #[cfg(test)]
     fn offers_of(&self, account: AccountId) -> Vec<OfferId> {
-        self.by_owner.get(&account).map_or_else(Vec::new, |ids| ids.iter().copied().collect())
+        self.by_owner
+            .get(&account)
+            .map_or_else(Vec::new, |ids| ids.iter().copied().collect())
     }
 
     /// Verify the owner index against the offer table: every indexed id
@@ -418,7 +462,10 @@ impl Dex {
         // Ids are unique per set and each sits under its one owner, so equal
         // counts mean nothing resting is missing from the index.
         if indexed != self.offers.len() {
-            return Err(format!("{} offers rest but {indexed} are indexed", self.offers.len()));
+            return Err(format!(
+                "{} offers rest but {indexed} are indexed",
+                self.offers.len()
+            ));
         }
         Ok(())
     }
@@ -455,9 +502,9 @@ fn mul_div(a: i128, b: i128, c: i128) -> i128 {
 /// ceil(a * b / c).
 fn ceil_mul_div(a: i128, b: i128, c: i128) -> i128 {
     debug_assert!(c > 0);
-    a.checked_mul(b).map(|p| (p + c - 1) / c).unwrap_or_else(|| {
-        (a as f64 * b as f64 / c as f64).ceil() as i128
-    })
+    a.checked_mul(b)
+        .map(|p| (p + c - 1) / c)
+        .unwrap_or_else(|| (a as f64 * b as f64 / c as f64).ceil() as i128)
 }
 
 #[cfg(test)]
@@ -485,13 +532,22 @@ mod tests {
     fn resting_offer_then_full_cross() {
         let mut dex = Dex::new();
         let (maker, taker) = (AccountId(10), AccountId(11));
-        let funds = Funds::new(&[(maker, usd(), 1_000_000_000), (taker, Asset::Xrp, 1_000_000_000)]);
+        let funds = Funds::new(&[
+            (maker, usd(), 1_000_000_000),
+            (taker, Asset::Xrp, 1_000_000_000),
+        ]);
         // Maker sells 100 USD for 500 XRP (5 XRP per USD).
         let out = dex
             .create_offer(
                 maker,
-                Amount { asset: usd(), value: 100 },
-                Amount { asset: Asset::Xrp, value: 500 },
+                Amount {
+                    asset: usd(),
+                    value: 100,
+                },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 500,
+                },
                 funds.view(),
             )
             .unwrap();
@@ -503,8 +559,14 @@ mod tests {
         let out = dex
             .create_offer(
                 taker,
-                Amount { asset: Asset::Xrp, value: 500 },
-                Amount { asset: usd(), value: 100 },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 500,
+                },
+                Amount {
+                    asset: usd(),
+                    value: 100,
+                },
                 funds.view(),
             )
             .unwrap();
@@ -527,8 +589,14 @@ mod tests {
         let funds = Funds::new(&[(maker, usd(), 10_000), (taker, Asset::Xrp, 10_000)]);
         dex.create_offer(
             maker,
-            Amount { asset: usd(), value: 50 },
-            Amount { asset: Asset::Xrp, value: 250 },
+            Amount {
+                asset: usd(),
+                value: 50,
+            },
+            Amount {
+                asset: Asset::Xrp,
+                value: 250,
+            },
             funds.view(),
         )
         .unwrap();
@@ -536,8 +604,14 @@ mod tests {
         let out = dex
             .create_offer(
                 taker,
-                Amount { asset: Asset::Xrp, value: 500 },
-                Amount { asset: usd(), value: 100 },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 500,
+                },
+                Amount {
+                    asset: usd(),
+                    value: 100,
+                },
                 funds.view(),
             )
             .unwrap();
@@ -559,15 +633,27 @@ mod tests {
         // Two makers: 10 sells at 6 XRP/USD, 11 at 5 XRP/USD (better).
         dex.create_offer(
             AccountId(10),
-            Amount { asset: usd(), value: 100 },
-            Amount { asset: Asset::Xrp, value: 600 },
+            Amount {
+                asset: usd(),
+                value: 100,
+            },
+            Amount {
+                asset: Asset::Xrp,
+                value: 600,
+            },
             funds.view(),
         )
         .unwrap();
         dex.create_offer(
             AccountId(11),
-            Amount { asset: usd(), value: 100 },
-            Amount { asset: Asset::Xrp, value: 500 },
+            Amount {
+                asset: usd(),
+                value: 100,
+            },
+            Amount {
+                asset: Asset::Xrp,
+                value: 500,
+            },
             funds.view(),
         )
         .unwrap();
@@ -575,8 +661,14 @@ mod tests {
         let out = dex
             .create_offer(
                 AccountId(12),
-                Amount { asset: Asset::Xrp, value: 600 },
-                Amount { asset: usd(), value: 100 },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 600,
+                },
+                Amount {
+                    asset: usd(),
+                    value: 100,
+                },
                 funds.view(),
             )
             .unwrap();
@@ -588,13 +680,22 @@ mod tests {
     #[test]
     fn unfunded_creator_rejected_and_unfunded_maker_removed() {
         let mut dex = Dex::new();
-        let funds = Funds::new(&[(AccountId(10), usd(), 100), (AccountId(12), Asset::Xrp, 10_000)]);
+        let funds = Funds::new(&[
+            (AccountId(10), usd(), 100),
+            (AccountId(12), Asset::Xrp, 10_000),
+        ]);
         // Creator with zero funds → tecUNFUNDED_OFFER.
         assert!(matches!(
             dex.create_offer(
                 AccountId(99),
-                Amount { asset: usd(), value: 10 },
-                Amount { asset: Asset::Xrp, value: 50 },
+                Amount {
+                    asset: usd(),
+                    value: 10
+                },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 50
+                },
                 funds.view(),
             ),
             Err(DexError::Unfunded { .. })
@@ -602,8 +703,14 @@ mod tests {
         // Maker rests, then loses funding; taker contact removes it.
         dex.create_offer(
             AccountId(10),
-            Amount { asset: usd(), value: 10 },
-            Amount { asset: Asset::Xrp, value: 50 },
+            Amount {
+                asset: usd(),
+                value: 10,
+            },
+            Amount {
+                asset: Asset::Xrp,
+                value: 50,
+            },
             funds.view(),
         )
         .unwrap();
@@ -611,26 +718,45 @@ mod tests {
         let out = dex
             .create_offer(
                 AccountId(12),
-                Amount { asset: Asset::Xrp, value: 50 },
-                Amount { asset: usd(), value: 10 },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 50,
+                },
+                Amount {
+                    asset: usd(),
+                    value: 10,
+                },
                 empty.view(),
             )
             .unwrap();
         assert!(out.fills.is_empty());
         assert_eq!(dex.book_depth(usd(), Asset::Xrp), 0, "stale offer removed");
-        assert_eq!(dex.offers_of(AccountId(10)), vec![], "and gone from its owner's index");
+        assert_eq!(
+            dex.offers_of(AccountId(10)),
+            vec![],
+            "and gone from its owner's index"
+        );
         dex.check_index().unwrap();
     }
 
     #[test]
     fn incompatible_prices_do_not_cross() {
         let mut dex = Dex::new();
-        let funds = Funds::new(&[(AccountId(10), usd(), 1000), (AccountId(12), Asset::Xrp, 100_000)]);
+        let funds = Funds::new(&[
+            (AccountId(10), usd(), 1000),
+            (AccountId(12), Asset::Xrp, 100_000),
+        ]);
         // Maker demands 10 XRP/USD.
         dex.create_offer(
             AccountId(10),
-            Amount { asset: usd(), value: 100 },
-            Amount { asset: Asset::Xrp, value: 1000 },
+            Amount {
+                asset: usd(),
+                value: 100,
+            },
+            Amount {
+                asset: Asset::Xrp,
+                value: 1000,
+            },
             funds.view(),
         )
         .unwrap();
@@ -638,8 +764,14 @@ mod tests {
         let out = dex
             .create_offer(
                 AccountId(12),
-                Amount { asset: Asset::Xrp, value: 500 },
-                Amount { asset: usd(), value: 100 },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 500,
+                },
+                Amount {
+                    asset: usd(),
+                    value: 100,
+                },
                 funds.view(),
             )
             .unwrap();
@@ -655,8 +787,14 @@ mod tests {
         let out = dex
             .create_offer(
                 AccountId(10),
-                Amount { asset: usd(), value: 10 },
-                Amount { asset: Asset::Xrp, value: 50 },
+                Amount {
+                    asset: usd(),
+                    value: 10,
+                },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 50,
+                },
                 funds.view(),
             )
             .unwrap();
@@ -666,7 +804,10 @@ mod tests {
             Err(DexError::NotOwner { .. })
         ));
         dex.cancel(AccountId(10), id).unwrap();
-        assert!(matches!(dex.cancel(AccountId(10), id), Err(DexError::UnknownOffer(_))));
+        assert!(matches!(
+            dex.cancel(AccountId(10), id),
+            Err(DexError::UnknownOffer(_))
+        ));
         assert_eq!(dex.stats.offers_cancelled, 1);
     }
 
@@ -677,8 +818,14 @@ mod tests {
         assert_eq!(
             dex.create_offer(
                 AccountId(10),
-                Amount { asset: usd(), value: 0 },
-                Amount { asset: Asset::Xrp, value: 50 },
+                Amount {
+                    asset: usd(),
+                    value: 0
+                },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 50
+                },
                 funds.view(),
             )
             .unwrap_err(),
@@ -687,8 +834,14 @@ mod tests {
         assert_eq!(
             dex.create_offer(
                 AccountId(10),
-                Amount { asset: usd(), value: 5 },
-                Amount { asset: usd(), value: 5 },
+                Amount {
+                    asset: usd(),
+                    value: 5
+                },
+                Amount {
+                    asset: usd(),
+                    value: 5
+                },
                 funds.view(),
             )
             .unwrap_err(),
@@ -705,8 +858,14 @@ mod tests {
         ]);
         dex.create_offer(
             AccountId(10),
-            Amount { asset: usd(), value: 40 },
-            Amount { asset: Asset::Xrp, value: 200 },
+            Amount {
+                asset: usd(),
+                value: 40,
+            },
+            Amount {
+                asset: Asset::Xrp,
+                value: 200,
+            },
             funds.view(),
         )
         .unwrap();
@@ -714,18 +873,34 @@ mod tests {
         assert!(dex
             .plan_market(
                 AccountId(50),
-                Amount { asset: usd(), value: 50 },
-                Amount { asset: Asset::Xrp, value: 10_000 },
+                Amount {
+                    asset: usd(),
+                    value: 50
+                },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 10_000
+                },
                 funds.view(),
             )
             .is_none());
-        assert_eq!(dex.offer(OfferId(0)).unwrap().gets.value, 40, "book untouched");
+        assert_eq!(
+            dex.offer(OfferId(0)).unwrap().gets.value,
+            40,
+            "book untouched"
+        );
         // Wanting 30 USD succeeds; executing shrinks the maker.
         let plan = dex
             .plan_market(
                 AccountId(50),
-                Amount { asset: usd(), value: 30 },
-                Amount { asset: Asset::Xrp, value: 10_000 },
+                Amount {
+                    asset: usd(),
+                    value: 30,
+                },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 10_000,
+                },
                 funds.view(),
             )
             .unwrap();
@@ -747,8 +922,14 @@ mod tests {
         // 10 USD at 10 XRP each.
         dex.create_offer(
             AccountId(10),
-            Amount { asset: usd(), value: 10 },
-            Amount { asset: Asset::Xrp, value: 100 },
+            Amount {
+                asset: usd(),
+                value: 10,
+            },
+            Amount {
+                asset: Asset::Xrp,
+                value: 100,
+            },
             funds.view(),
         )
         .unwrap();
@@ -756,8 +937,14 @@ mod tests {
         assert!(dex
             .plan_market(
                 AccountId(50),
-                Amount { asset: usd(), value: 10 },
-                Amount { asset: Asset::Xrp, value: 50 },
+                Amount {
+                    asset: usd(),
+                    value: 10
+                },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 50
+                },
                 funds.view(),
             )
             .is_none());
@@ -890,8 +1077,14 @@ mod tests {
         for i in 0..5u64 {
             dex.create_offer(
                 AccountId(10 + i),
-                Amount { asset: usd(), value: 10 },
-                Amount { asset: Asset::Xrp, value: (50 + 10 * i) as i128 },
+                Amount {
+                    asset: usd(),
+                    value: 10,
+                },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: (50 + 10 * i) as i128,
+                },
                 funds.view(),
             )
             .unwrap();
@@ -901,8 +1094,14 @@ mod tests {
         let out = dex
             .create_offer(
                 AccountId(50),
-                Amount { asset: Asset::Xrp, value: 315 },
-                Amount { asset: usd(), value: 35 },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 315,
+                },
+                Amount {
+                    asset: usd(),
+                    value: 35,
+                },
                 funds.view(),
             )
             .unwrap();
@@ -916,7 +1115,11 @@ mod tests {
         // The three consumed makers left the index with their offers; the
         // partially filled one and the untouched one still rest.
         for (i, resting) in [0, 0, 0, 1, 1].into_iter().enumerate() {
-            assert_eq!(dex.offers_of(AccountId(10 + i as u64)).len(), resting, "maker {i}");
+            assert_eq!(
+                dex.offers_of(AccountId(10 + i as u64)).len(),
+                resting,
+                "maker {i}"
+            );
         }
         assert_eq!(dex.stats.offers_touched, 5, "four makers and the taker");
         // A payment through the book takes the rest of the partial maker
@@ -924,8 +1127,14 @@ mod tests {
         let plan = dex
             .plan_market(
                 AccountId(50),
-                Amount { asset: usd(), value: 8 },
-                Amount { asset: Asset::Xrp, value: 1_000 },
+                Amount {
+                    asset: usd(),
+                    value: 8,
+                },
+                Amount {
+                    asset: Asset::Xrp,
+                    value: 1_000,
+                },
                 funds.view(),
             )
             .unwrap();
@@ -934,6 +1143,9 @@ mod tests {
         dex.check_index().unwrap();
         assert_eq!(dex.oldest_offer_of(AccountId(13)), None);
         assert_eq!(dex.offers_of(AccountId(14)).len(), 1);
-        assert_eq!(dex.stats.offers_touched, 6, "the last maker is new to fills");
+        assert_eq!(
+            dex.stats.offers_touched, 6,
+            "the last maker is new to fills"
+        );
     }
 }

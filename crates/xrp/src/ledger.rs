@@ -80,7 +80,9 @@ pub struct LedgerBlock {
 pub enum SubmitError {
     UnknownAccount(AccountId),
     /// Cannot even pay the fee.
-    InsufficientFee { account: AccountId },
+    InsufficientFee {
+        account: AccountId,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -148,10 +150,16 @@ impl XrpLedger {
     /// preserved (the drops move from genesis). Panics if genesis lacks
     /// funds — bootstrap errors are programming errors, not chain events.
     pub fn bootstrap_account(&mut self, id: AccountId, drops: i64, parent: Option<AccountId>) {
-        assert!(!self.accounts.contains_key(&id), "bootstrap of existing account {id}");
+        assert!(
+            !self.accounts.contains_key(&id),
+            "bootstrap of existing account {id}"
+        );
         let g = self.config.genesis_account;
         let gen = self.accounts.get_mut(&g).expect("genesis account exists");
-        assert!(gen.balance_drops >= drops, "genesis underfunded for bootstrap");
+        assert!(
+            gen.balance_drops >= drops,
+            "genesis underfunded for bootstrap"
+        );
         gen.balance_drops -= drops;
         self.accounts.insert(
             id,
@@ -171,7 +179,9 @@ impl XrpLedger {
         self.trustlines
             .set_limit(holder, currency, i128::MAX / 8)
             .expect("bootstrap trustline");
-        self.trustlines.credit(holder, currency, raw, true).expect("bootstrap credit");
+        self.trustlines
+            .credit(holder, currency, raw, true)
+            .expect("bootstrap credit");
         self.inc_owner_count(holder);
     }
 
@@ -233,7 +243,13 @@ impl XrpLedger {
 
     /// Available funds per asset — the funding view handed to the DEX.
     fn available(&self, account: AccountId, asset: Asset) -> i128 {
-        available_in(&self.accounts, &self.trustlines, &self.config, account, asset)
+        available_in(
+            &self.accounts,
+            &self.trustlines,
+            &self.config,
+            account,
+            asset,
+        )
     }
 
     // ---- transaction application -------------------------------------------
@@ -247,20 +263,35 @@ impl XrpLedger {
             .ok_or(SubmitError::UnknownAccount(tx.account))?;
         if acct.balance_drops < tx.fee_drops {
             self.not_included += 1;
-            return Err(SubmitError::InsufficientFee { account: tx.account });
+            return Err(SubmitError::InsufficientFee {
+                account: tx.account,
+            });
         }
         acct.balance_drops -= tx.fee_drops;
         acct.sequence += 1;
         self.fees_burned_drops += tx.fee_drops;
 
         let (result, delivered, crossed) = self.apply_payload(&tx, now);
-        self.pending.push(AppliedTx { tx, result, delivered, crossed });
+        self.pending.push(AppliedTx {
+            tx,
+            result,
+            delivered,
+            crossed,
+        });
         Ok(result)
     }
 
-    fn apply_payload(&mut self, tx: &Transaction, now: ChainTime) -> (TxResult, Option<Amount>, bool) {
+    fn apply_payload(
+        &mut self,
+        tx: &Transaction,
+        now: ChainTime,
+    ) -> (TxResult, Option<Amount>, bool) {
         match &tx.payload {
-            TxPayload::Payment { destination, amount, send_max } => {
+            TxPayload::Payment {
+                destination,
+                amount,
+                send_max,
+            } => {
                 let (r, d) = self.apply_payment(tx.account, *destination, *amount, *send_max, now);
                 (r, d, false)
             }
@@ -295,14 +326,22 @@ impl XrpLedger {
             | TxPayload::SignerListSet { .. }
             | TxPayload::SetRegularKey
             | TxPayload::EnableAmendment { .. } => (TxResult::Success, None, false),
-            TxPayload::EscrowCreate { destination, drops, finish_after, cancel_after } => {
+            TxPayload::EscrowCreate {
+                destination,
+                drops,
+                finish_after,
+                cancel_after,
+            } => {
                 if *drops <= 0 {
                     return (TxResult::Malformed, None, false);
                 }
                 if self.spendable_drops(tx.account) < *drops {
                     return (TxResult::UnfundedPayment, None, false);
                 }
-                self.accounts.get_mut(&tx.account).expect("payer exists").balance_drops -= drops;
+                self.accounts
+                    .get_mut(&tx.account)
+                    .expect("payer exists")
+                    .balance_drops -= drops;
                 let id = self.next_object_id;
                 self.next_object_id += 1;
                 self.escrows.insert(
@@ -350,7 +389,10 @@ impl XrpLedger {
                 if self.spendable_drops(tx.account) < *drops {
                     return (TxResult::UnfundedPayment, None, false);
                 }
-                self.accounts.get_mut(&tx.account).expect("payer exists").balance_drops -= drops;
+                self.accounts
+                    .get_mut(&tx.account)
+                    .expect("payer exists")
+                    .balance_drops -= drops;
                 let id = self.next_object_id;
                 self.next_object_id += 1;
                 self.channels.insert(
@@ -441,7 +483,10 @@ impl XrpLedger {
                 if self.spendable_drops(from) < drops {
                     return (TxResult::UnfundedPayment, None);
                 }
-                self.accounts.get_mut(&from).expect("sender exists").balance_drops -= drops;
+                self.accounts
+                    .get_mut(&from)
+                    .expect("sender exists")
+                    .balance_drops -= drops;
                 self.credit_or_create(to, drops, from, now);
                 (TxResult::Success, Some(amount))
             }
@@ -470,9 +515,10 @@ impl XrpLedger {
                         return (TxResult::PathDry, None);
                     }
                 }
-                let plan = match self.dex.plan_market(from, amount, max, |a, s| {
-                    self.available(a, s)
-                }) {
+                let plan = match self
+                    .dex
+                    .plan_market(from, amount, max, |a, s| self.available(a, s))
+                {
                     Some(p) => p,
                     None => return (TxResult::PathDry, None),
                 };
@@ -498,7 +544,13 @@ impl XrpLedger {
 
     /// Move an amount between accounts (XRP or IOU), without limit
     /// enforcement (used for post-conversion delivery and fill settlement).
-    fn move_asset(&mut self, from: AccountId, to: AccountId, amount: Amount, now: ChainTime) -> Result<(), ()> {
+    fn move_asset(
+        &mut self,
+        from: AccountId,
+        to: AccountId,
+        amount: Amount,
+        now: ChainTime,
+    ) -> Result<(), ()> {
         match amount.asset {
             Asset::Xrp => {
                 let drops = amount.value as i64;
@@ -528,12 +580,14 @@ impl XrpLedger {
 
     fn record_trade(&mut self, fill: &Fill, now: ChainTime) {
         let (iou, drops) = match (fill.maker_gives.asset, fill.maker_receives.asset) {
-            (Asset::Iou(ic), Asset::Xrp) => {
-                ((ic, fill.maker_gives.value), fill.maker_receives.value as i64)
-            }
-            (Asset::Xrp, Asset::Iou(ic)) => {
-                ((ic, fill.maker_receives.value), fill.maker_gives.value as i64)
-            }
+            (Asset::Iou(ic), Asset::Xrp) => (
+                (ic, fill.maker_gives.value),
+                fill.maker_receives.value as i64,
+            ),
+            (Asset::Xrp, Asset::Iou(ic)) => (
+                (ic, fill.maker_receives.value),
+                fill.maker_gives.value as i64,
+            ),
             _ => return, // IOU↔IOU trades don't set XRP rates
         };
         self.trades.push(TradeRecord {
@@ -583,13 +637,20 @@ impl XrpLedger {
         // stationary close to close.
         let sized = Vec::with_capacity(self.pending.len());
         let transactions = std::mem::replace(&mut self.pending, sized);
-        self.closed.push(LedgerBlock { index, close_time, transactions });
+        self.closed.push(LedgerBlock {
+            index,
+            close_time,
+            transactions,
+        });
         self.closed.last().expect("just pushed")
     }
 
     /// Total transactions recorded in closed ledgers.
     pub fn tx_count(&self) -> u64 {
-        self.closed.iter().map(|l| l.transactions.len() as u64).sum()
+        self.closed
+            .iter()
+            .map(|l| l.transactions.len() as u64)
+            .sum()
     }
 
     /// Conservation audit: account balances + locked escrows/channels +
@@ -739,7 +800,10 @@ mod tests {
         // Destination sets a trust line; issuance then succeeds.
         let ts = Transaction::new(
             AccountId(1002),
-            TxPayload::TrustSet { currency: usd, limit: 1_000_000_000_000 },
+            TxPayload::TrustSet {
+                currency: usd,
+                limit: 1_000_000_000_000,
+            },
             FEE,
         );
         assert_eq!(l.submit(ts, now), Ok(TxResult::Success));
@@ -753,7 +817,10 @@ mod tests {
             FEE,
         );
         assert_eq!(l.submit(tx, now), Ok(TxResult::Success));
-        assert_eq!(l.trustlines.balance(AccountId(1002), usd), 100 * crate::amount::IOU_UNIT);
+        assert_eq!(
+            l.trustlines.balance(AccountId(1002), usd),
+            100 * crate::amount::IOU_UNIT
+        );
         l.check_conservation().unwrap();
     }
 
@@ -803,7 +870,10 @@ mod tests {
         let tx = Transaction::new(
             AccountId(1002), // holds no USD
             TxPayload::OfferCreate {
-                gets: Amount { asset: Asset::Iou(usd), value: 100 },
+                gets: Amount {
+                    asset: Asset::Iou(usd),
+                    value: 100,
+                },
                 pays: Amount::xrp(1),
             },
             FEE,
@@ -835,7 +905,10 @@ mod tests {
         l.submit(
             Transaction::new(
                 AccountId(1003),
-                TxPayload::TrustSet { currency: usd, limit: i64::MAX as i128 },
+                TxPayload::TrustSet {
+                    currency: usd,
+                    limit: i64::MAX as i128,
+                },
                 FEE,
             ),
             now,
@@ -894,7 +967,11 @@ mod tests {
         // Too early to finish.
         assert_eq!(
             l.submit(
-                Transaction::new(AccountId(1002), TxPayload::EscrowFinish { escrow_id: 1 }, FEE),
+                Transaction::new(
+                    AccountId(1002),
+                    TxPayload::EscrowFinish { escrow_id: 1 },
+                    FEE
+                ),
                 t0 + 86_400,
             ),
             Ok(TxResult::NoPermission)
@@ -902,7 +979,11 @@ mod tests {
         // After the lock expires, anyone can finish it.
         assert_eq!(
             l.submit(
-                Transaction::new(AccountId(1002), TxPayload::EscrowFinish { escrow_id: 1 }, FEE),
+                Transaction::new(
+                    AccountId(1002),
+                    TxPayload::EscrowFinish { escrow_id: 1 },
+                    FEE
+                ),
                 release,
             ),
             Ok(TxResult::Success)
@@ -932,14 +1013,20 @@ mod tests {
             l.submit(
                 Transaction::new(
                     AccountId(1002),
-                    TxPayload::PaymentChannelClaim { channel_id: 1, drops: 40 * 1_000_000 },
+                    TxPayload::PaymentChannelClaim {
+                        channel_id: 1,
+                        drops: 40 * 1_000_000
+                    },
                     FEE,
                 ),
                 t0,
             ),
             Ok(TxResult::Success)
         );
-        assert_eq!(l.balance_drops(AccountId(1002)), before + 40 * 1_000_000 - FEE);
+        assert_eq!(
+            l.balance_drops(AccountId(1002)),
+            before + 40 * 1_000_000 - FEE
+        );
         assert_eq!(l.channels_locked_drops(), 60 * 1_000_000);
         l.check_conservation().unwrap();
     }

@@ -6,8 +6,8 @@
 //! the volume-weighted average price of its on-ledger exchanges against XRP
 //! over a trailing window (the paper uses `period=30day`).
 
-use crate::amount::{IssuedCurrency, IOU_UNIT};
 use crate::amount::DROPS_PER_XRP;
+use crate::amount::{IssuedCurrency, IOU_UNIT};
 use std::collections::HashMap;
 use txstat_types::time::ChainTime;
 
@@ -45,7 +45,9 @@ impl RateOracle {
     /// `exchange_rates` query per observed token, like the paper's use of
     /// the Data API).
     pub fn from_rates(rates: impl IntoIterator<Item = (IssuedCurrency, f64)>) -> Self {
-        RateOracle { rates: rates.into_iter().collect() }
+        RateOracle {
+            rates: rates.into_iter().collect(),
+        }
     }
 
     /// Build from trade history: all trades in `[as_of - window_days, as_of]`.
@@ -143,7 +145,10 @@ mod tests {
             t(20, 9, 1, 5),
         ];
         let oracle = RateOracle::from_trades(&trades, ChainTime::from_ymd(2019, 12, 31), 30);
-        assert!((oracle.rate(c(9)).unwrap() - 5.0).abs() < 1e-9, "June trade ignored");
+        assert!(
+            (oracle.rate(c(9)).unwrap() - 5.0).abs() < 1e-9,
+            "June trade ignored"
+        );
     }
 
     #[test]

@@ -82,11 +82,15 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 fn get_str<'a>(m: &'a Value, key: &'static str) -> Result<&'a str, DecodeError> {
-    m.get(key).and_then(Value::as_str).ok_or(DecodeError::MissingField(key))
+    m.get(key)
+        .and_then(Value::as_str)
+        .ok_or(DecodeError::MissingField(key))
 }
 
 fn get_account(m: &Value, key: &'static str) -> Result<AccountId, DecodeError> {
-    get_str(m, key)?.parse().map_err(|_| DecodeError::BadField(key))
+    get_str(m, key)?
+        .parse()
+        .map_err(|_| DecodeError::BadField(key))
 }
 
 fn get_amount(m: &Value, key: &'static str) -> Result<Amount, DecodeError> {
@@ -95,11 +99,15 @@ fn get_amount(m: &Value, key: &'static str) -> Result<Amount, DecodeError> {
 }
 
 fn get_u64(m: &Value, key: &'static str) -> Result<u64, DecodeError> {
-    m.get(key).and_then(Value::as_u64).ok_or(DecodeError::MissingField(key))
+    m.get(key)
+        .and_then(Value::as_u64)
+        .ok_or(DecodeError::MissingField(key))
 }
 
 fn get_drops(m: &Value, key: &'static str) -> Result<i64, DecodeError> {
-    get_str(m, key)?.parse().map_err(|_| DecodeError::BadField(key))
+    get_str(m, key)?
+        .parse()
+        .map_err(|_| DecodeError::BadField(key))
 }
 
 fn get_time(m: &Value, key: &'static str) -> Result<ChainTime, DecodeError> {
@@ -110,10 +118,13 @@ fn get_time(m: &Value, key: &'static str) -> Result<ChainTime, DecodeError> {
 fn tx_from_json(v: &Value) -> Result<AppliedTx, DecodeError> {
     let account = get_account(v, "Account")?;
     let type_str = get_str(v, "TransactionType")?;
-    let tx_type = TxType::from_wire(type_str)
-        .ok_or_else(|| DecodeError::BadType(type_str.to_owned()))?;
+    let tx_type =
+        TxType::from_wire(type_str).ok_or_else(|| DecodeError::BadType(type_str.to_owned()))?;
     let fee_drops = get_drops(v, "Fee")?;
-    let destination_tag = v.get("DestinationTag").and_then(Value::as_u64).map(|t| t as u32);
+    let destination_tag = v
+        .get("DestinationTag")
+        .and_then(Value::as_u64)
+        .map(|t| t as u32);
 
     let payload = match tx_type {
         TxType::Payment => TxPayload::Payment {
@@ -128,12 +139,19 @@ fn tx_from_json(v: &Value) -> Result<AppliedTx, DecodeError> {
             gets: get_amount(v, "TakerGets")?,
             pays: get_amount(v, "TakerPays")?,
         },
-        TxType::OfferCancel => TxPayload::OfferCancel { offer: OfferId(get_u64(v, "OfferSequence")?) },
+        TxType::OfferCancel => TxPayload::OfferCancel {
+            offer: OfferId(get_u64(v, "OfferSequence")?),
+        },
         TxType::TrustSet => {
-            let la = v.get("LimitAmount").ok_or(DecodeError::MissingField("LimitAmount"))?;
+            let la = v
+                .get("LimitAmount")
+                .ok_or(DecodeError::MissingField("LimitAmount"))?;
             let amt = amount_from_json(la).ok_or(DecodeError::BadField("LimitAmount"))?;
             match amt.asset {
-                Asset::Iou(ic) => TxPayload::TrustSet { currency: ic, limit: amt.value },
+                Asset::Iou(ic) => TxPayload::TrustSet {
+                    currency: ic,
+                    limit: amt.value,
+                },
                 Asset::Xrp => return Err(DecodeError::BadField("LimitAmount")),
             }
         }
@@ -154,8 +172,12 @@ fn tx_from_json(v: &Value) -> Result<AppliedTx, DecodeError> {
                 None => None,
             },
         },
-        TxType::EscrowFinish => TxPayload::EscrowFinish { escrow_id: get_u64(v, "EscrowId")? },
-        TxType::EscrowCancel => TxPayload::EscrowCancel { escrow_id: get_u64(v, "EscrowId")? },
+        TxType::EscrowFinish => TxPayload::EscrowFinish {
+            escrow_id: get_u64(v, "EscrowId")?,
+        },
+        TxType::EscrowCancel => TxPayload::EscrowCancel {
+            escrow_id: get_u64(v, "EscrowId")?,
+        },
         TxType::PaymentChannelCreate => TxPayload::PaymentChannelCreate {
             destination: get_account(v, "Destination")?,
             drops: get_drops(v, "Amount")?,
@@ -169,18 +191,28 @@ fn tx_from_json(v: &Value) -> Result<AppliedTx, DecodeError> {
         },
     };
 
-    let meta = v.get("metaData").ok_or(DecodeError::MissingField("metaData"))?;
+    let meta = v
+        .get("metaData")
+        .ok_or(DecodeError::MissingField("metaData"))?;
     let result = TxResult::from_wire(get_str(meta, "TransactionResult")?)
         .ok_or(DecodeError::BadField("TransactionResult"))?;
     let delivered = match meta.get("delivered_amount") {
         Some(d) => Some(amount_from_json(d).ok_or(DecodeError::BadField("delivered_amount"))?),
         None => None,
     };
-    let crossed = meta.get("crossed").and_then(Value::as_bool).unwrap_or(false);
+    let crossed = meta
+        .get("crossed")
+        .and_then(Value::as_bool)
+        .unwrap_or(false);
 
     let mut tx = Transaction::new(account, payload, fee_drops);
     tx.destination_tag = destination_tag;
-    Ok(AppliedTx { tx, result, delivered, crossed })
+    Ok(AppliedTx {
+        tx,
+        result,
+        delivered,
+        crossed,
+    })
 }
 
 /// Parse a `ledger` response back (crawler side).
@@ -196,13 +228,22 @@ pub fn ledger_from_json(v: &Value) -> Result<LedgerBlock, DecodeError> {
     for t in txs {
         transactions.push(tx_from_json(t)?);
     }
-    Ok(LedgerBlock { index, close_time, transactions })
+    Ok(LedgerBlock {
+        index,
+        close_time,
+        transactions,
+    })
 }
 
 /// Append an IOU amount object (`LimitAmount` shares the shape).
 fn write_iou<O: JsonOut>(w: &mut JsonWriter<'_, O>, ic: &IssuedCurrency, value: i128) {
-    w.raw("{\"currency\":").str(ic.currency.as_str()).raw(",\"issuer\":").ident(ic.issuer);
-    w.raw(",\"value\":\"").scaled(value, IOU_DECIMALS).raw("\"}");
+    w.raw("{\"currency\":")
+        .str(ic.currency.as_str())
+        .raw(",\"issuer\":")
+        .ident(ic.issuer);
+    w.raw(",\"value\":\"")
+        .scaled(value, IOU_DECIMALS)
+        .raw("\"}");
 }
 
 /// Append an amount: native XRP as a drops string, an issued amount as
@@ -227,8 +268,14 @@ fn write_tx<O: JsonOut>(w: &mut JsonWriter<'_, O>, applied: &AppliedTx) {
         w.raw(",\"DestinationTag\":").uint(tag);
     }
     match &tx.payload {
-        TxPayload::Payment { destination, amount, send_max } => {
-            w.raw(",\"Destination\":").ident(*destination).raw(",\"Amount\":");
+        TxPayload::Payment {
+            destination,
+            amount,
+            send_max,
+        } => {
+            w.raw(",\"Destination\":")
+                .ident(*destination)
+                .raw(",\"Amount\":");
             write_amount(w, amount);
             if let Some(sm) = send_max {
                 w.raw(",\"SendMax\":");
@@ -251,14 +298,25 @@ fn write_tx<O: JsonOut>(w: &mut JsonWriter<'_, O>, applied: &AppliedTx) {
         TxPayload::AccountSet { flags } => {
             w.raw(",\"SetFlag\":").uint(*flags);
         }
-        TxPayload::SignerListSet { quorum, signer_count } => {
+        TxPayload::SignerListSet {
+            quorum,
+            signer_count,
+        } => {
             w.raw(",\"SignerQuorum\":").uint(*quorum);
             w.raw(",\"SignerCount\":").uint(*signer_count);
         }
         TxPayload::SetRegularKey => {}
-        TxPayload::EscrowCreate { destination, drops, finish_after, cancel_after } => {
+        TxPayload::EscrowCreate {
+            destination,
+            drops,
+            finish_after,
+            cancel_after,
+        } => {
             w.raw(",\"Destination\":").ident(*destination);
-            w.raw(",\"Amount\":\"").int(*drops).raw("\",\"FinishAfter\":").iso(*finish_after);
+            w.raw(",\"Amount\":\"")
+                .int(*drops)
+                .raw("\",\"FinishAfter\":")
+                .iso(*finish_after);
             if let Some(ca) = cancel_after {
                 w.raw(",\"CancelAfter\":").iso(*ca);
             }
@@ -278,12 +336,17 @@ fn write_tx<O: JsonOut>(w: &mut JsonWriter<'_, O>, applied: &AppliedTx) {
             w.raw(",\"Amendment\":").str(amendment);
         }
     }
-    w.raw(",\"metaData\":{\"TransactionResult\":").quoted(applied.result.wire());
+    w.raw(",\"metaData\":{\"TransactionResult\":")
+        .quoted(applied.result.wire());
     if let Some(d) = &applied.delivered {
         w.raw(",\"delivered_amount\":");
         write_amount(w, d);
     }
-    w.raw(if applied.crossed { ",\"crossed\":true}}" } else { "}}" });
+    w.raw(if applied.crossed {
+        ",\"crossed\":true}}"
+    } else {
+        "}}"
+    });
 }
 
 /// Append the canonical wire bytes of one closed ledger to `out` (or, into
@@ -295,8 +358,11 @@ fn write_tx<O: JsonOut>(w: &mut JsonWriter<'_, O>, applied: &AppliedTx) {
 pub fn ledger_bytes_into(b: &LedgerBlock, out: &mut impl JsonOut) {
     let w = &mut JsonWriter::new(out);
     w.raw("{\"ledger\":{\"ledger_index\":").uint(b.index);
-    w.raw(",\"close_time_iso\":").iso(b.close_time).raw(",\"closed\":true,\"transactions\":");
-    w.array(&b.transactions, write_tx).raw("},\"validated\":true}");
+    w.raw(",\"close_time_iso\":")
+        .iso(b.close_time)
+        .raw(",\"closed\":true,\"transactions\":");
+    w.array(&b.transactions, write_tx)
+        .raw("},\"validated\":true}");
 }
 
 /// [`ledger_bytes_into`] a fresh buffer.
@@ -308,8 +374,7 @@ pub fn ledger_bytes(b: &LedgerBlock) -> Vec<u8> {
 
 /// Inverse of [`ledger_bytes`].
 pub fn ledger_parse(bytes: &[u8]) -> Result<LedgerBlock, String> {
-    let v: Value =
-        serde_json::from_slice(bytes).map_err(|e| format!("xrp wire ledger: {e}"))?;
+    let v: Value = serde_json::from_slice(bytes).map_err(|e| format!("xrp wire ledger: {e}"))?;
     ledger_from_json(&v).map_err(|e| format!("xrp wire ledger: {e}"))
 }
 
@@ -325,7 +390,12 @@ mod tests {
     }
 
     fn applied(tx: Transaction, result: TxResult) -> AppliedTx {
-        AppliedTx { tx, result, delivered: None, crossed: false }
+        AppliedTx {
+            tx,
+            result,
+            delivered: None,
+            crossed: false,
+        }
     }
 
     #[test]
@@ -430,7 +500,10 @@ mod tests {
             transactions: vec![AppliedTx {
                 tx: Transaction::new(
                     AccountId(1),
-                    TxPayload::OfferCreate { gets: Amount::xrp(5), pays: Amount::iou_whole("USD", AccountId(9), 1) },
+                    TxPayload::OfferCreate {
+                        gets: Amount::xrp(5),
+                        pays: Amount::iou_whole("USD", AccountId(9), 1),
+                    },
                     10,
                 ),
                 result: TxResult::Success,
@@ -462,7 +535,10 @@ mod tests {
             )],
         };
         let text = String::from_utf8(ledger_bytes(&block)).unwrap();
-        assert!(text.contains("\"Amount\":\"1000000\""), "drops as string: {text}");
+        assert!(
+            text.contains("\"Amount\":\"1000000\""),
+            "drops as string: {text}"
+        );
         assert!(text.contains("tesSUCCESS"));
         assert!(text.contains("\"TransactionType\":\"Payment\""));
     }

@@ -24,11 +24,22 @@ pub(crate) struct Line {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum TlError {
     /// Receiver has no trust line for the currency (tecNO_LINE / PATH_DRY).
-    NoLine { holder: AccountId, currency: IssuedCurrency },
+    NoLine {
+        holder: AccountId,
+        currency: IssuedCurrency,
+    },
     /// Credit would exceed the receiver's limit.
-    LimitExceeded { holder: AccountId, currency: IssuedCurrency },
+    LimitExceeded {
+        holder: AccountId,
+        currency: IssuedCurrency,
+    },
     /// Holder lacks the IOU balance to send.
-    InsufficientFunds { holder: AccountId, currency: IssuedCurrency, have: i128, need: i128 },
+    InsufficientFunds {
+        holder: AccountId,
+        currency: IssuedCurrency,
+        have: i128,
+        need: i128,
+    },
     NonPositiveAmount,
     /// The issuer cannot hold a line in its own currency.
     IssuerSelfLine(AccountId),
@@ -37,11 +48,18 @@ pub(crate) enum TlError {
 impl std::fmt::Display for TlError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TlError::NoLine { holder, currency } => write!(f, "{holder} has no line for {currency}"),
+            TlError::NoLine { holder, currency } => {
+                write!(f, "{holder} has no line for {currency}")
+            }
             TlError::LimitExceeded { holder, currency } => {
                 write!(f, "credit exceeds {holder}'s limit for {currency}")
             }
-            TlError::InsufficientFunds { holder, currency, have, need } => {
+            TlError::InsufficientFunds {
+                holder,
+                currency,
+                have,
+                need,
+            } => {
                 write!(f, "{holder} holds {have} of {currency}, needs {need}")
             }
             TlError::NonPositiveAmount => write!(f, "amount must be positive"),
@@ -91,7 +109,10 @@ impl TrustLines {
     }
 
     pub fn balance(&self, holder: AccountId, currency: IssuedCurrency) -> i128 {
-        self.lines.get(&(holder, currency)).map(|l| l.balance).unwrap_or(0)
+        self.lines
+            .get(&(holder, currency))
+            .map(|l| l.balance)
+            .unwrap_or(0)
     }
 
     /// Issuer's total outstanding obligation in a currency.
@@ -128,7 +149,13 @@ impl TrustLines {
                     return Err(TlError::NoLine { holder, currency });
                 }
                 // Implicit line from a DEX acquisition.
-                self.lines.insert((holder, currency), Line { limit: 0, balance: amount });
+                self.lines.insert(
+                    (holder, currency),
+                    Line {
+                        limit: 0,
+                        balance: amount,
+                    },
+                );
             }
         }
         *self.obligations.entry(currency).or_insert(0) += amount;
@@ -185,7 +212,8 @@ impl TrustLines {
         // on credit failure to stay atomic.
         self.debit(from, currency, amount)?;
         if let Err(e) = self.credit(to, currency, amount, respect_limit) {
-            self.credit(from, currency, amount, false).expect("rollback credit");
+            self.credit(from, currency, amount, false)
+                .expect("rollback credit");
             return Err(e);
         }
         Ok(())
@@ -316,7 +344,11 @@ mod tests {
         tl.credit(a, usd(), 10, true).unwrap();
         assert!(matches!(
             tl.debit(a, usd(), 20),
-            Err(TlError::InsufficientFunds { have: 10, need: 20, .. })
+            Err(TlError::InsufficientFunds {
+                have: 10,
+                need: 20,
+                ..
+            })
         ));
     }
 

@@ -223,7 +223,12 @@ pub struct Transaction {
 
 impl Transaction {
     pub fn new(account: AccountId, payload: TxPayload, fee_drops: i64) -> Self {
-        Transaction { account, payload, fee_drops, destination_tag: None }
+        Transaction {
+            account,
+            payload,
+            fee_drops,
+            destination_tag: None,
+        }
     }
 
     pub fn with_tag(mut self, tag: u32) -> Self {

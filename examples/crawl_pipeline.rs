@@ -41,7 +41,10 @@ fn main() {
     }
     let advertised: Vec<Advertised> = handles
         .iter()
-        .map(|h| Advertised { name: h.name.clone(), addr: h.addr })
+        .map(|h| Advertised {
+            name: h.name.clone(),
+            addr: h.addr,
+        })
         .collect();
 
     // Benchmark with a cheap get_info probe — one `exchange` (connect,

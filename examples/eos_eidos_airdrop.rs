@@ -16,8 +16,11 @@ fn main() {
         ChainTime::from_ymd(2019, 10, 28),
         ChainTime::from_ymd(2019, 11, 6),
     );
-    println!("Simulating the EIDOS launch window ({} blocks of {}s)…",
-        scenario.block_count(scenario.eos_block_secs), scenario.eos_block_secs);
+    println!(
+        "Simulating the EIDOS launch window ({} blocks of {}s)…",
+        scenario.block_count(scenario.eos_block_secs),
+        scenario.eos_block_secs
+    );
     let chain = build_eos(&scenario);
 
     // Daily throughput around the launch.
@@ -40,7 +43,10 @@ fn main() {
         } else {
             ""
         };
-        println!("  {day}: {:>6.1} tx/block{marker}", *txs as f64 / *blocks as f64);
+        println!(
+            "  {day}: {:>6.1} tx/block{marker}",
+            *txs as f64 / *blocks as f64
+        );
     }
 
     // The boomerang detector (measurement side).

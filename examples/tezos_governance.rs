@@ -37,8 +37,8 @@ fn main() {
 
     // The vote curves depend on the governance windows alone; the sweep's
     // observation window only bounds its other statistics.
-    let curves = TezosColumnar::compute(chain.blocks(), scenario.period, &periods)
-        .governance_curves(&rolls);
+    let curves =
+        TezosColumnar::compute(chain.blocks(), scenario.period, &periods).governance_curves(&rolls);
     for pc in &curves {
         if pc.curves.is_empty() {
             continue;
@@ -59,15 +59,16 @@ fn main() {
     println!(
         "Governance operations are {:.2}% of all operations — rare, but they\n\
          steer the whole protocol (the paper: 245 ops in three months).",
-        100.0 * chain
-            .blocks()
-            .iter()
-            .flat_map(|b| &b.operations)
-            .filter(|o| matches!(
-                o.kind(),
-                txstat::tezos::OperationKind::Ballot | txstat::tezos::OperationKind::Proposals
-            ))
-            .count() as f64
+        100.0
+            * chain
+                .blocks()
+                .iter()
+                .flat_map(|b| &b.operations)
+                .filter(|o| matches!(
+                    o.kind(),
+                    txstat::tezos::OperationKind::Ballot | txstat::tezos::OperationKind::Proposals
+                ))
+                .count() as f64
             / chain.op_count().max(1) as f64
     );
 }

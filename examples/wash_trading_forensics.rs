@@ -52,12 +52,17 @@ fn main() {
         for tx in &block.transactions {
             for action in &tx.actions {
                 match &action.data {
-                    ActionData::Trade { buyer, seller, quote_amount, .. }
-                        if *buyer == top || *seller == top =>
-                    {
+                    ActionData::Trade {
+                        buyer,
+                        seller,
+                        quote_amount,
+                        ..
+                    } if *buyer == top || *seller == top => {
                         traded_quote += quote_amount;
                     }
-                    ActionData::Transfer { from, to, amount, .. } => {
+                    ActionData::Transfer {
+                        from, to, amount, ..
+                    } => {
                         if *from == top {
                             net_transferred -= amount;
                         }
@@ -70,12 +75,15 @@ fn main() {
             }
         }
     }
+    println!("\nBalance-change check for {}:", top.to_string_repr());
     println!(
-        "\nBalance-change check for {}:",
-        top.to_string_repr()
+        "  reported trade volume : {:.4} EOS",
+        traded_quote as f64 / 10_000.0
     );
-    println!("  reported trade volume : {:.4} EOS", traded_quote as f64 / 10_000.0);
-    println!("  net tokens transferred: {:.4} EOS", net_transferred as f64 / 10_000.0);
+    println!(
+        "  net tokens transferred: {:.4} EOS",
+        net_transferred as f64 / 10_000.0
+    );
     println!(
         "  → the 'trades' are bookkeeping signals: no assets move (the paper:\n\
          \x20   \"such a transaction is achieving absolutely nothing else than\n\

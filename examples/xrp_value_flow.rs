@@ -30,10 +30,22 @@ fn main() {
     let funnel = sweep.funnel();
     println!("\nValue funnel over {} transactions:", funnel.total);
     println!("  failed:             {:>5.1}%", funnel.pct(funnel.failed));
-    println!("  payments w/ value:  {:>5.1}%", funnel.pct(funnel.payments_with_value));
-    println!("  payments no value:  {:>5.1}%", funnel.pct(funnel.payments_no_value));
-    println!("  offers exchanged:   {:>5.2}%", funnel.pct(funnel.offers_exchanged));
-    println!("  economic share:     {:>5.1}%  (paper: 2.3%)", funnel.economic_share_pct());
+    println!(
+        "  payments w/ value:  {:>5.1}%",
+        funnel.pct(funnel.payments_with_value)
+    );
+    println!(
+        "  payments no value:  {:>5.1}%",
+        funnel.pct(funnel.payments_no_value)
+    );
+    println!(
+        "  offers exchanged:   {:>5.2}%",
+        funnel.pct(funnel.offers_exchanged)
+    );
+    println!(
+        "  economic share:     {:>5.1}%  (paper: 2.3%)",
+        funnel.economic_share_pct()
+    );
 
     // Figure 12: who moves the value.
     let flow = sweep.value_flow(&data.cluster);
@@ -47,7 +59,12 @@ fn main() {
     let events = xrp_analysis::trade_events(&data.trades, myrone);
     println!("\nSelf-dealt BTC IOU exchanges (one issuer, §4.3):");
     for (time, seller, rate) in &events {
-        println!("  {}  seller {}  rate {:>9.1} XRP", time.date_string(), seller, rate);
+        println!(
+            "  {}  seller {}  rate {:>9.1} XRP",
+            time.date_string(),
+            seller,
+            rate
+        );
     }
     println!(
         "\nA token's 'value' is whatever its owner trades it at with himself —\n\

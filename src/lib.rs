@@ -21,8 +21,8 @@
 pub use txstat_archive as archive;
 pub use txstat_core as core;
 pub use txstat_crawler as crawler;
-pub use txstat_ingest as ingest;
 pub use txstat_eos as eos;
+pub use txstat_ingest as ingest;
 pub use txstat_netsim as netsim;
 pub use txstat_reports as reports;
 pub use txstat_telemetry as telemetry;

@@ -53,7 +53,10 @@ fn seal(tag: &str) -> PathBuf {
     let stats = write_archive(&dir, &direct().0, "small", SEGMENT_BLOCKS, SegmentFormat)
         .expect("seal corpus");
     assert_eq!(stats.segments, SEGMENTS);
-    assert!(!dir.join(MEMO_FILE).exists(), "sealing never computes the memo");
+    assert!(
+        !dir.join(MEMO_FILE).exists(),
+        "sealing never computes the memo"
+    );
     dir
 }
 
@@ -75,9 +78,19 @@ fn facts_of(d: &PipelineData) -> impl PartialEq + std::fmt::Debug {
 /// Eager cold start + full render; returns `(hits, memoized, write_error)`.
 fn cold_report(dir: &Path, want: &str, what: &str) -> (usize, usize, Option<String>) {
     let (replayed, _) = pipeline_from_archive(dir).expect(what);
-    let idle = replayed.memo_status().expect("an archived dataset has a memo status");
-    assert_eq!((idle.segments, idle.hits, idle.memoized), (SEGMENTS, 0, 0), "facts are lazy");
-    assert_eq!(render_report(&replayed), want, "report differs with the memo {what}");
+    let idle = replayed
+        .memo_status()
+        .expect("an archived dataset has a memo status");
+    assert_eq!(
+        (idle.segments, idle.hits, idle.memoized),
+        (SEGMENTS, 0, 0),
+        "facts are lazy"
+    );
+    assert_eq!(
+        render_report(&replayed),
+        want,
+        "report differs with the memo {what}"
+    );
     let status = replayed.memo_status().expect("status after render");
     assert_eq!(status.segments, SEGMENTS);
     (status.hits, status.memoized, status.write_error)
@@ -93,10 +106,20 @@ fn report_bytes_are_identical_in_every_memo_state() {
     assert_eq!(cold_report(&dir, report, "absent"), (0, SEGMENTS, None));
     let healthy = memo_bytes(&dir);
     // Present: everything hits, nothing is rewritten.
-    let written = std::fs::metadata(&path).and_then(|m| m.modified()).expect("mtime");
-    assert_eq!(cold_report(&dir, report, "present"), (SEGMENTS, SEGMENTS, None));
+    let written = std::fs::metadata(&path)
+        .and_then(|m| m.modified())
+        .expect("mtime");
+    assert_eq!(
+        cold_report(&dir, report, "present"),
+        (SEGMENTS, SEGMENTS, None)
+    );
     assert_eq!(memo_bytes(&dir), healthy);
-    assert_eq!(std::fs::metadata(&path).and_then(|m| m.modified()).expect("mtime"), written);
+    assert_eq!(
+        std::fs::metadata(&path)
+            .and_then(|m| m.modified())
+            .expect("mtime"),
+        written
+    );
 
     // The same payloads under another schema tag: refused whole, typed.
     let entries = decode_memo(&healthy, SUMMARY_SCHEMA).expect("healthy memo decodes");
@@ -108,7 +131,10 @@ fn report_bytes_are_identical_in_every_memo_state() {
             if (found, expected) == (SUMMARY_SCHEMA + 1, SUMMARY_SCHEMA)
     ));
     std::fs::write(&path, &foreign).expect("plant foreign memo");
-    assert_eq!(cold_report(&dir, report, "under a foreign schema tag"), (0, SEGMENTS, None));
+    assert_eq!(
+        cold_report(&dir, report, "under a foreign schema tag"),
+        (0, SEGMENTS, None)
+    );
     assert_eq!(memo_bytes(&dir), healthy, "foreign memo healed");
 
     // One truncation and one flip through the full render (the exhaustive
@@ -118,7 +144,10 @@ fn report_bytes_are_identical_in_every_memo_state() {
     let mut flipped = healthy.clone();
     flipped[healthy.len() / 3] ^= 0x20;
     std::fs::write(&path, &flipped).expect("flip memo");
-    assert_eq!(cold_report(&dir, report, "bit-flipped"), (0, SEGMENTS, None));
+    assert_eq!(
+        cold_report(&dir, report, "bit-flipped"),
+        (0, SEGMENTS, None)
+    );
     assert_eq!(memo_bytes(&dir), healthy, "damaged memo healed");
 
     // Stale: a reorg rewrites the suffix from position 1280 — five
@@ -126,9 +155,14 @@ fn report_bytes_are_identical_in_every_memo_state() {
     // survivors hit; the report is the reorged history's.
     let from = 5 * SEGMENT_BLOCKS;
     let reorged = reorg_data(data, from as usize, 5);
-    let mut writer =
-        Archive::open(&dir).expect("open").into_writer().expect("writer over the corpus");
-    assert_eq!(writer.truncate_from(from + 220).expect("truncate"), SEGMENTS - 5);
+    let mut writer = Archive::open(&dir)
+        .expect("open")
+        .into_writer()
+        .expect("writer over the corpus");
+    assert_eq!(
+        writer.truncate_from(from + 220).expect("truncate"),
+        SEGMENTS - 5
+    );
     assert_eq!(writer.total_positions(), from);
     for seg in segments_of_from(
         &reorged.eos_blocks,
@@ -141,16 +175,31 @@ fn report_bytes_are_identical_in_every_memo_state() {
     }
     writer.seal().expect("seal reorged suffix");
     let reorged_report = render_report(&reorged);
-    assert_ne!(&reorged_report, report, "the reorg must be visible in the report");
-    assert_eq!(cold_report(&dir, &reorged_report, "stale"), (5, SEGMENTS, None));
+    assert_ne!(
+        &reorged_report, report,
+        "the reorg must be visible in the report"
+    );
+    assert_eq!(
+        cold_report(&dir, &reorged_report, "stale"),
+        (5, SEGMENTS, None)
+    );
     // The heal pruned the six dead entries: exactly the live hashes remain.
     let pruned = memo_bytes(&dir);
-    let live: std::collections::HashSet<u64> =
-        Archive::open(&dir).expect("open").segments().iter().map(|s| s.hash).collect();
-    let kept: std::collections::HashSet<u64> =
-        decode_memo(&pruned, SUMMARY_SCHEMA).expect("pruned memo").into_keys().collect();
+    let live: std::collections::HashSet<u64> = Archive::open(&dir)
+        .expect("open")
+        .segments()
+        .iter()
+        .map(|s| s.hash)
+        .collect();
+    let kept: std::collections::HashSet<u64> = decode_memo(&pruned, SUMMARY_SCHEMA)
+        .expect("pruned memo")
+        .into_keys()
+        .collect();
     assert_eq!(kept, live);
-    assert_eq!(cold_report(&dir, &reorged_report, "healed after the reorg").0, SEGMENTS);
+    assert_eq!(
+        cold_report(&dir, &reorged_report, "healed after the reorg").0,
+        SEGMENTS
+    );
 
     // Unwritable: a non-empty directory squats on the memo's name, so the
     // read is an I/O rejection and the rename cannot land (works as root,
@@ -167,7 +216,11 @@ fn report_bytes_are_identical_in_every_memo_state() {
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
         .collect();
     names.sort();
-    assert_eq!(names, ["archive.idx", "archive.memo", "archive.seg"], "tmp file left behind");
+    assert_eq!(
+        names,
+        ["archive.idx", "archive.memo", "archive.seg"],
+        "tmp file left behind"
+    );
     let metrics = txstat::telemetry::registry().render_prometheus();
     let counted = |line: &str| {
         metrics
@@ -196,16 +249,24 @@ fn every_truncation_and_bit_flip_is_rejected_whole_and_healed() {
     assert_eq!(facts_of(&filled), want);
     let healthy = memo_bytes(&dir);
     let memo = Archive::open(&dir).expect("open").memo();
-    assert!(memo.load(SUMMARY_SCHEMA, SegmentSummary::decode).iter().all(Option::is_some));
+    assert!(memo
+        .load(SUMMARY_SCHEMA, SegmentSummary::decode)
+        .iter()
+        .all(Option::is_some));
 
-    let damaged = truncations(&healthy).map(<[u8]>::to_vec).chain(bit_flips(&healthy));
+    let damaged = truncations(&healthy)
+        .map(<[u8]>::to_vec)
+        .chain(bit_flips(&healthy));
     for (case, bytes) in damaged.enumerate() {
         let err = decode_memo(&bytes, SUMMARY_SCHEMA)
             .expect_err("a damaged memo must not decode cleanly");
         assert!(MemoError::REASONS.contains(&err.reason()), "{err}");
         std::fs::write(&path, &bytes).expect("plant damaged memo");
         let slots = memo.load(SUMMARY_SCHEMA, SegmentSummary::decode);
-        assert!(slots.iter().all(Option::is_none), "case {case} was partly trusted");
+        assert!(
+            slots.iter().all(Option::is_none),
+            "case {case} was partly trusted"
+        );
         if case % 701 == 0 {
             let (cold, _) = reducer_from_archive(&dir).expect("cold start over damage");
             let status = cold.memo_status().expect("status");
@@ -280,9 +341,17 @@ fn block_free_reducer_equals_eager_reducer_equals_one_shot() {
         assert!(block_free.eos_blocks.is_empty() && block_free.tezos_blocks.is_empty());
         assert!(block_free.xrp_blocks.is_empty());
         assert_eq!(block_free.longest_chain(), data.longest_chain());
-        assert_eq!(block_free.memo_status().expect("status").hits, hits, "{round}");
+        assert_eq!(
+            block_free.memo_status().expect("status").hits,
+            hits,
+            "{round}"
+        );
         let reduced = reduce_frames_labeled_into(block_free, &labeled).expect("reduce");
-        assert_eq!(&render_report(&reduced), report, "block-free reducer, {round}");
+        assert_eq!(
+            &render_report(&reduced),
+            report,
+            "block-free reducer, {round}"
+        );
     }
     let (eager, _) = pipeline_from_archive(&dir).expect("eager cold start");
     let reduced = reduce_frames_labeled_into(eager, &labeled).expect("reduce");
@@ -313,7 +382,10 @@ fn statusz_shows_memo_coverage_and_serving_to_head_stays_lazy() {
     while !follower.head() {
         fork = follower.advance().expect("next epoch");
     }
-    assert!(!dir.join(MEMO_FILE).exists(), "following to head resolved the facts");
+    assert!(
+        !dir.join(MEMO_FILE).exists(),
+        "following to head resolved the facts"
+    );
     let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(3, true, fork))));
     let service = StatsService::new(cell);
     let memo_of = |service: &StatsService| -> serde_json::Value {
@@ -329,7 +401,11 @@ fn statusz_shows_memo_coverage_and_serving_to_head_stays_lazy() {
     assert_eq!(service.respond("GET", "/exhibit/fig2").status, 200);
     let filled = memo_of(&service);
     assert_eq!(filled["hits"].as_u64(), Some(0), "{filled:?}");
-    assert_eq!(filled["memoized"].as_u64(), Some(SEGMENTS as u64), "{filled:?}");
+    assert_eq!(
+        filled["memoized"].as_u64(),
+        Some(SEGMENTS as u64),
+        "{filled:?}"
+    );
     assert!(filled["write_error"].is_null(), "{filled:?}");
     assert!(dir.join(MEMO_FILE).is_file());
     let _ = std::fs::remove_dir_all(&dir);
@@ -343,13 +419,22 @@ fn reorg_data_never_inherits_the_memo_source() {
     let (replayed, _) = pipeline_from_archive(&dir).expect("cold start");
     assert!(replayed.memo_status().is_some());
     let reorged = reorg_data(&replayed, 0, 9);
-    assert!(reorged.memo_status().is_none(), "reorg_data kept the archive's memo source");
+    assert!(
+        reorged.memo_status().is_none(),
+        "reorg_data kept the archive's memo source"
+    );
     let rewritten = reorged.storage_stats();
     assert!(reorged.memo_status().is_none());
-    assert!(!dir.join(MEMO_FILE).exists(), "a reorged dataset wrote the archive's memo");
+    assert!(
+        !dir.join(MEMO_FILE).exists(),
+        "a reorged dataset wrote the archive's memo"
+    );
     let original = direct().0.storage_stats();
     assert_eq!(rewritten.1.blocks, original.1.blocks);
-    assert!(rewritten.1.transactions < original.1.transactions, "the reorg drops operations");
+    assert!(
+        rewritten.1.transactions < original.1.transactions,
+        "the reorg drops operations"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -372,7 +457,10 @@ fn memo_bytes_are_pinned_for_small_seed_42() {
     );
     // The eager path writes the very same file.
     std::fs::remove_file(dir.join(MEMO_FILE)).expect("remove memo");
-    pipeline_from_archive(&dir).expect("cold start").0.storage_stats();
+    pipeline_from_archive(&dir)
+        .expect("cold start")
+        .0
+        .storage_stats();
     assert_eq!(memo_bytes(&dir), bytes);
     let _ = std::fs::remove_dir_all(&dir);
 }

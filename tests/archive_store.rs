@@ -34,7 +34,12 @@ fn synthetic_corpus(dir: &Path, segs: usize, seed: u64) {
         let start = (i * 2) as u64;
         let blob = |chain: u64| -> Vec<u8> {
             let x = seed ^ (chain << 32) ^ (start << 8);
-            x.to_le_bytes().iter().cycle().take(16 + (x % 48) as usize).copied().collect()
+            x.to_le_bytes()
+                .iter()
+                .cycle()
+                .take(16 + (x % 48) as usize)
+                .copied()
+                .collect()
         };
         let seg = SegmentBlocks {
             start,
@@ -66,7 +71,10 @@ fn each_corpus_file(tag: &str, walk: impl Fn(&Path, &Path, &[u8])) {
             walk(&dir, &path, &healthy);
             std::fs::write(&path, &healthy).expect("restore corpus file");
         }
-        assert_eq!(open_and_replay(&dir).expect("restored corpus replays"), segs);
+        assert_eq!(
+            open_and_replay(&dir).expect("restored corpus replays"),
+            segs
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -78,8 +86,7 @@ fn truncation_at_any_offset_is_a_typed_error() {
     each_corpus_file("trunc", |dir, path, healthy| {
         for (cut, prefix) in truncations(healthy).enumerate() {
             std::fs::write(path, prefix).expect("truncate corpus file");
-            let err =
-                open_and_replay(dir).expect_err("a truncated archive must not open cleanly");
+            let err = open_and_replay(dir).expect_err("a truncated archive must not open cleanly");
             let msg = format!("{err}");
             assert!(!msg.is_empty());
             // Damage below the index's magic/version header is reported as
@@ -126,8 +133,7 @@ fn direct() -> &'static (PipelineData, String) {
 /// stays small — three deterministically drawn sizes plus the edges).
 #[test]
 fn cold_start_report_is_byte_identical_at_any_segment_size() {
-    let mut rng =
-        proptest::new_rng(proptest::base_seed() ^ proptest::fnv("archive-roundtrip"));
+    let mut rng = proptest::new_rng(proptest::base_seed() ^ proptest::fnv("archive-roundtrip"));
     let mut draw = move || proptest::Strategy::generate(&(1u64..4000), &mut rng);
     let drawn: Vec<u64> = (0..3).map(|_| draw()).collect();
     let (data, report) = direct();
@@ -179,13 +185,23 @@ fn archive_writes_are_deterministic() {
     // Seeds 1 and 7 were added at commit ce575e6, before the generator was
     // optimised.
     for (seed, seg, idx) in [
-        (42, (423722, 0x6991e7aab2c2e3e3), (15129, 0x206b57a76680210d)),
+        (
+            42,
+            (423722, 0x6991e7aab2c2e3e3),
+            (15129, 0x206b57a76680210d),
+        ),
         (1, (424669, 0x6023a73e6f9ff05e), (15211, 0x8ffa45ce369511c5)),
         (7, (425879, 0x1db65738c1a56ece), (15152, 0xa23592116d98cd80)),
     ] {
         let dir = support::tempdir("archive-store", &format!("pin-{seed}"));
-        write_archive(&dir, &generate(&Scenario::small(seed)), "small", 256, SegmentFormat)
-            .expect("write pinned corpus");
+        write_archive(
+            &dir,
+            &generate(&Scenario::small(seed)),
+            "small",
+            256,
+            SegmentFormat,
+        )
+        .expect("write pinned corpus");
         let pin = |name: &str| {
             let bytes = std::fs::read(dir.join(name)).expect("read pinned file");
             (bytes.len(), txstat::types::ids::fnv1a64(&bytes))
@@ -233,11 +249,19 @@ fn retired_v1_index_and_segment_are_typed_rejections() {
     write_index(&dir, 1, good.manifest(), good.sidecar(), good.segments());
     assert!(matches!(
         Archive::open(&dir),
-        Err(ArchiveError::UnsupportedVersion { found: 1, expected: 2 })
+        Err(ArchiveError::UnsupportedVersion {
+            found: 1,
+            expected: 2
+        })
     ));
     // The hand-written index is the real layout: version 2 opens again.
     write_index(&dir, 2, good.manifest(), good.sidecar(), good.segments());
-    assert_eq!(Archive::open(&dir).expect("rewritten index opens").segments(), good.segments());
+    assert_eq!(
+        Archive::open(&dir)
+            .expect("rewritten index opens")
+            .segments(),
+        good.segments()
+    );
 
     // A tag-1 segment (per-block wire-JSON byte strings), hash-consistent
     // with its index entry, exactly as the retired writer sealed it.
@@ -245,7 +269,11 @@ fn retired_v1_index_and_segment_are_typed_rejections() {
     w.byte(1);
     w.u64(0);
     w.u64(2);
-    for chain in [&[&b"{\"eos\":0}"[..], b"{\"eos\":1}"][..], &[b"{\"tz\":0}"], &[]] {
+    for chain in [
+        &[&b"{\"eos\":0}"[..], b"{\"eos\":1}"][..],
+        &[b"{\"tz\":0}"],
+        &[],
+    ] {
         w.u64(chain.len() as u64);
         for block in chain {
             w.bytes(block);
@@ -265,7 +293,12 @@ fn retired_v1_index_and_segment_are_typed_rejections() {
     write_index(&dir, 2, good.manifest(), good.sidecar(), &[meta]);
     let archive = Archive::open(&dir).expect("hashes are consistent, so the open succeeds");
     match archive.replay_all() {
-        Err(ArchiveError::SegCorrupt { segment: 0, at: 0, what, .. }) => {
+        Err(ArchiveError::SegCorrupt {
+            segment: 0,
+            at: 0,
+            what,
+            ..
+        }) => {
             assert!(what.contains("bad segment tag 1"), "{what}");
         }
         other => panic!("expected SegCorrupt on the tag, got {other:?}"),

@@ -110,15 +110,30 @@ fn v2_bit_flip_never_panics_and_never_drifts() {
     let data = direct();
     {
         use txstat::eos::block_cols as cols;
-        walk("eos", &data.eos_blocks, cols::encode_blocks, cols::decode_blocks);
+        walk(
+            "eos",
+            &data.eos_blocks,
+            cols::encode_blocks,
+            cols::decode_blocks,
+        );
     }
     {
         use txstat::tezos::block_cols as cols;
-        walk("tezos", &data.tezos_blocks, cols::encode_blocks, cols::decode_blocks);
+        walk(
+            "tezos",
+            &data.tezos_blocks,
+            cols::encode_blocks,
+            cols::decode_blocks,
+        );
     }
     {
         use txstat::xrp::block_cols as cols;
-        walk("xrp", &data.xrp_blocks, cols::encode_blocks, cols::decode_blocks);
+        walk(
+            "xrp",
+            &data.xrp_blocks,
+            cols::encode_blocks,
+            cols::decode_blocks,
+        );
     }
 }
 
@@ -200,8 +215,8 @@ fn v2_truncation_at_every_offset_is_typed() {
                 "tezos" => txstat::tezos::block_cols::decode_blocks(prefix).err(),
                 _ => txstat::xrp::block_cols::decode_blocks(prefix).err(),
             };
-            let err = err
-                .unwrap_or_else(|| panic!("{chain} columns truncated at {cut} decoded cleanly"));
+            let err =
+                err.unwrap_or_else(|| panic!("{chain} columns truncated at {cut} decoded cleanly"));
             assert!(!format!("{err}").is_empty());
         }
     }
@@ -224,8 +239,9 @@ fn cache_accounting_exact_under_concurrent_assignments() {
         .max(data.xrp_blocks.len()) as u64;
 
     // Overlapping strided ranges, swept twice from 4 threads.
-    let assignments: Vec<(u64, u64)> =
-        (0..8u64).map(|i| (i * total / 8, ((i + 2) * total / 8).min(total))).collect();
+    let assignments: Vec<(u64, u64)> = (0..8u64)
+        .map(|i| (i * total / 8, ((i + 2) * total / 8).min(total)))
+        .collect();
     let expected_lookups: u64 = assignments
         .iter()
         .cycle()
@@ -261,13 +277,25 @@ fn cache_accounting_exact_under_concurrent_assignments() {
         expected_lookups,
         "every covering segment is exactly one hit or one miss: {stats:?}"
     );
-    assert_eq!(stats.entries, distinct, "every distinct segment held once: {stats:?}");
+    assert_eq!(
+        stats.entries, distinct,
+        "every distinct segment held once: {stats:?}"
+    );
 
     // A second sequential sweep of the whole corpus decodes nothing.
-    ctx.frames(manifest.meta.clone(), 0, total, 2, PayloadFormat::Bin).expect("sweep");
+    ctx.frames(manifest.meta.clone(), 0, total, 2, PayloadFormat::Bin)
+        .expect("sweep");
     let again = ctx.cache_stats().expect("table");
-    assert_eq!(again.hits, stats.hits + distinct, "the warm sweep is all hits: {again:?}");
-    assert_eq!((again.misses, again.entries), (stats.misses, distinct), "{again:?}");
+    assert_eq!(
+        again.hits,
+        stats.hits + distinct,
+        "the warm sweep is all hits: {again:?}"
+    );
+    assert_eq!(
+        (again.misses, again.entries),
+        (stats.misses, distinct),
+        "{again:?}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

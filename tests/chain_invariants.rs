@@ -6,32 +6,46 @@ use txstat::workload::{eos::build_eos, tezos::build_tezos, xrp::build_xrp, Scena
 
 fn scenario() -> Scenario {
     let mut sc = Scenario::small(1234);
-    sc.period = Period::new(ChainTime::from_ymd(2019, 10, 28), ChainTime::from_ymd(2019, 11, 4));
+    sc.period = Period::new(
+        ChainTime::from_ymd(2019, 10, 28),
+        ChainTime::from_ymd(2019, 11, 4),
+    );
     sc
 }
 
 #[test]
 fn eos_tokens_conserve_through_the_eidos_storm() {
     let chain = build_eos(&scenario());
-    chain.state.tokens.check_conservation().expect("EOS token conservation");
+    chain
+        .state
+        .tokens
+        .check_conservation()
+        .expect("EOS token conservation");
     assert!(chain.tx_count() > 100, "traffic generated");
     // The airdrop has been paying out: the contract's EIDOS shrank.
-    let eidos = txstat::eos::TokenId::new(
-        txstat::eos::Name::new("eidosonecoin"),
-        "EIDOS",
-    );
+    let eidos = txstat::eos::TokenId::new(txstat::eos::Name::new("eidosonecoin"), "EIDOS");
     let remaining = chain
         .state
         .tokens
         .balance(txstat::eos::Name::new("eidosonecoin"), eidos);
-    let supply = chain.state.tokens.stats(eidos).expect("EIDOS exists").supply;
-    assert!(remaining < supply, "airdrop paid out: {remaining} < {supply}");
+    let supply = chain
+        .state
+        .tokens
+        .stats(eidos)
+        .expect("EIDOS exists")
+        .supply;
+    assert!(
+        remaining < supply,
+        "airdrop paid out: {remaining} < {supply}"
+    );
 }
 
 #[test]
 fn tezos_mutez_conserve_and_endorsements_cover_slots() {
     let chain = build_tezos(&scenario());
-    chain.check_conservation().expect("Tezos mutez conservation");
+    chain
+        .check_conservation()
+        .expect("Tezos mutez conservation");
     for block in chain.blocks().iter().skip(1) {
         let slots: u32 = block
             .operations

@@ -21,12 +21,19 @@ fn generations() -> u64 {
 #[test]
 fn crawl_pipeline_matches_direct_pipeline() {
     let mut sc = Scenario::small(77);
-    sc.period = Period::new(ChainTime::from_ymd(2019, 10, 30), ChainTime::from_ymd(2019, 11, 3));
+    sc.period = Period::new(
+        ChainTime::from_ymd(2019, 10, 30),
+        ChainTime::from_ymd(2019, 11, 3),
+    );
     let before = generations();
     let direct = generate(&sc);
     assert_eq!(generations(), before + 1, "generate counts its pass");
     let crawled = generate_with_crawl(&sc, &CrawlOptions::default(), true).expect("crawl pipeline");
-    assert_eq!(generations(), before + 2, "the crawl's serving side builds the chains too");
+    assert_eq!(
+        generations(),
+        before + 2,
+        "the crawl's serving side builds the chains too"
+    );
 
     // Same blocks, same transactions.
     assert_eq!(direct.eos_blocks.len(), crawled.eos_blocks.len());
@@ -69,6 +76,9 @@ fn crawl_pipeline_matches_direct_pipeline() {
     assert_eq!(crawl.eos.blocks, direct.eos_blocks.len() as u64);
     assert_eq!(crawl.eos.wire_bytes, eos.wire_bytes, "eos");
     assert_eq!(crawl.tezos.wire_bytes, tezos.wire_bytes, "tezos");
-    assert!(crawl.xrp.wire_bytes > xrp.wire_bytes, "xrp payloads carry the envelope");
+    assert!(
+        crawl.xrp.wire_bytes > xrp.wire_bytes,
+        "xrp payloads carry the envelope"
+    );
     assert!(crawl.eos.compression_ratio() > 1.5);
 }

@@ -7,9 +7,14 @@ fn facade_reexports_every_subsystem() {
     let t = txstat::types::time::ChainTime::from_ymd(2019, 10, 1);
     assert_eq!(t.date_string(), "2019-10-01");
     // eos
-    assert_eq!(txstat::eos::Name::new("eosio.token").to_string_repr(), "eosio.token");
+    assert_eq!(
+        txstat::eos::Name::new("eosio.token").to_string_repr(),
+        "eosio.token"
+    );
     // tezos
-    assert!(txstat::tezos::Address::implicit(1).to_string().starts_with("tz1"));
+    assert!(txstat::tezos::Address::implicit(1)
+        .to_string()
+        .starts_with("tz1"));
     // xrp
     assert!(txstat::xrp::AccountId(42).to_string().starts_with('r'));
     // workload

@@ -19,7 +19,10 @@ use txstat::workload::Scenario;
 
 fn tiny_chain() -> Arc<txstat::eos::EosChain> {
     let mut sc = Scenario::small(3);
-    sc.period = Period::new(ChainTime::from_ymd(2019, 10, 30), ChainTime::from_ymd(2019, 10, 31));
+    sc.period = Period::new(
+        ChainTime::from_ymd(2019, 10, 30),
+        ChainTime::from_ymd(2019, 10, 31),
+    );
     Arc::new(txstat::workload::eos::build_eos(&sc))
 }
 
@@ -34,10 +37,16 @@ fn quick_cfg() -> ClientConfig {
 #[test]
 fn dead_endpoint_exhausts_retries() {
     // A port with no listener: connection refused every time.
-    let dead = Advertised { name: "dead".into(), addr: "127.0.0.1:1".parse().expect("addr") };
+    let dead = Advertised {
+        name: "dead".into(),
+        addr: "127.0.0.1:1".parse().expect("addr"),
+    };
     let pool = RotatingPool::new(vec![dead]);
     let err = eos_head(&pool, &quick_cfg()).expect_err("must fail");
-    assert!(matches!(err, CrawlError::Exhausted { attempts: 3, .. }), "{err}");
+    assert!(
+        matches!(err, CrawlError::Exhausted { attempts: 3, .. }),
+        "{err}"
+    );
 }
 
 #[test]
@@ -48,7 +57,10 @@ fn permanently_rate_limited_endpoint_exhausts() {
     p.rate_limit_per_sec = 0.000_1; // effectively never refills
     p.burst = 0.0;
     let h = spawn_http(handler, p).expect("endpoint");
-    let pool = RotatingPool::new(vec![Advertised { name: h.name.clone(), addr: h.addr }]);
+    let pool = RotatingPool::new(vec![Advertised {
+        name: h.name.clone(),
+        addr: h.addr,
+    }]);
     let err = eos_head(&pool, &quick_cfg()).expect_err("429 forever");
     match err {
         CrawlError::Exhausted { last, .. } => assert_eq!(last, "429"),
@@ -66,9 +78,15 @@ impl HttpHandler for GarbageHandler {
 
 #[test]
 fn garbage_payloads_surface_as_protocol_errors() {
-    let h = spawn_http(Arc::new(GarbageHandler), EndpointProfile::generous("garbage", 6))
-        .expect("endpoint");
-    let pool = RotatingPool::new(vec![Advertised { name: h.name.clone(), addr: h.addr }]);
+    let h = spawn_http(
+        Arc::new(GarbageHandler),
+        EndpointProfile::generous("garbage", 6),
+    )
+    .expect("endpoint");
+    let pool = RotatingPool::new(vec![Advertised {
+        name: h.name.clone(),
+        addr: h.addr,
+    }]);
     let err = eos_head(&pool, &quick_cfg()).expect_err("bad json");
     assert!(matches!(err, CrawlError::Protocol(_)), "{err}");
 }
@@ -91,9 +109,14 @@ impl HttpHandler for InfoOnlyHandler {
 #[test]
 fn missing_blocks_fail_the_crawl() {
     let chain = tiny_chain();
-    let handler = Arc::new(InfoOnlyHandler { inner: Arc::new(EosRpcHandler::new(chain.clone())) });
+    let handler = Arc::new(InfoOnlyHandler {
+        inner: Arc::new(EosRpcHandler::new(chain.clone())),
+    });
     let h = spawn_http(handler, EndpointProfile::generous("partial", 7)).expect("endpoint");
-    let pool = RotatingPool::new(vec![Advertised { name: h.name.clone(), addr: h.addr }]);
+    let pool = RotatingPool::new(vec![Advertised {
+        name: h.name.clone(),
+        addr: h.addr,
+    }]);
     let cfg = quick_cfg();
     let head = eos_head(&pool, &cfg).expect("info works");
     let err = match crawl_eos(&pool, &cfg, head - 3, head, 2) {
@@ -128,11 +151,22 @@ fn a_failed_fetch_stops_every_worker_before_the_crawl_returns() {
     };
     let err = crawl_range(HEAD, 1, CONCURRENCY, fetch, emit).expect_err("the head 404s");
     assert!(matches!(err, CrawlError::HttpStatus(404)), "{err}");
-    assert_eq!(Arc::strong_count(&marker), 1, "a worker still holds emit after the Err");
+    assert_eq!(
+        Arc::strong_count(&marker),
+        1,
+        "a worker still holds emit after the Err"
+    );
     let fetched = fetches.load(Ordering::SeqCst);
-    assert!(fetched < HEAD as usize, "all {fetched} blocks fetched despite the 404 at the head");
+    assert!(
+        fetched < HEAD as usize,
+        "all {fetched} blocks fetched despite the 404 at the head"
+    );
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(fetches.load(Ordering::SeqCst), fetched, "a worker went on fetching");
+    assert_eq!(
+        fetches.load(Ordering::SeqCst),
+        fetched,
+        "a worker went on fetching"
+    );
 }
 
 /// A fetch that panics is joined like one that fails: `crawl_range`
@@ -159,14 +193,25 @@ fn a_panicking_fetch_is_a_typed_error_once_every_worker_is_joined() {
     let err = crawl_range(HEAD, 1, 4, fetch, emit).expect_err("the head panics");
     match &err {
         CrawlError::Protocol(m) => {
-            assert!(m.starts_with("worker panicked") && m.contains("cannot be decoded"), "{m}")
+            assert!(
+                m.starts_with("worker panicked") && m.contains("cannot be decoded"),
+                "{m}"
+            )
         }
         other => panic!("expected a Protocol error, got {other}"),
     }
-    assert_eq!(Arc::strong_count(&marker), 1, "a worker still holds emit after the Err");
+    assert_eq!(
+        Arc::strong_count(&marker),
+        1,
+        "a worker still holds emit after the Err"
+    );
     let fetched = fetches.load(Ordering::SeqCst);
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(fetches.load(Ordering::SeqCst), fetched, "a worker went on fetching");
+    assert_eq!(
+        fetches.load(Ordering::SeqCst),
+        fetched,
+        "a worker went on fetching"
+    );
 }
 
 /// A peer that accepts the connection and never answers costs `exchange`
@@ -185,7 +230,9 @@ fn a_silent_peer_is_a_timeout_at_the_exchange_deadline() {
     });
     // Held open, never read from or written to.
     let (_silent, _) = listener.accept().expect("accept");
-    let result = outcome.recv_timeout(Duration::from_secs(10)).expect("exchange hung for 10 s");
+    let result = outcome
+        .recv_timeout(Duration::from_secs(10))
+        .expect("exchange hung for 10 s");
     let took = started.elapsed();
     assert!(matches!(result, Err(CrawlError::Timeout)), "{result:?}");
     assert!(took < Duration::from_secs(2), "the exchange took {took:?}");
@@ -223,8 +270,14 @@ fn one_good_endpoint_rescues_a_bad_pool() {
     let handler = Arc::new(EosRpcHandler::new(chain.clone()));
     let good = spawn_http(handler, EndpointProfile::generous("good", 8)).expect("endpoint");
     let pool = RotatingPool::new(vec![
-        Advertised { name: "dead".into(), addr: "127.0.0.1:1".parse().expect("addr") },
-        Advertised { name: good.name.clone(), addr: good.addr },
+        Advertised {
+            name: "dead".into(),
+            addr: "127.0.0.1:1".parse().expect("addr"),
+        },
+        Advertised {
+            name: good.name.clone(),
+            addr: good.addr,
+        },
     ]);
     let cfg = ClientConfig {
         request_timeout: Duration::from_millis(400),
@@ -260,22 +313,34 @@ fn damaged_http_requests_are_typed_never_a_panic() {
             Some(("POST", "/v1/chain/get_block", br#"{"block_num_or_id":5}"#)),
         ),
         // A signed length is no length: refused even undamaged.
-        (b"POST /v1/chain/get_block HTTP/1.1\r\ncontent-length: +5\r\n\r\nhello", None),
+        (
+            b"POST /v1/chain/get_block HTTP/1.1\r\ncontent-length: +5\r\n\r\nhello",
+            None,
+        ),
     ] {
         let damaged = support::truncations(healthy)
             .map(<[u8]>::to_vec)
             .chain(support::bit_flips(healthy))
             .chain([healthy.to_vec()]);
         for (case, bytes) in damaged.enumerate() {
-            TcpStream::connect(addr).and_then(|mut peer| peer.write_all(&bytes)).expect("send");
+            TcpStream::connect(addr)
+                .and_then(|mut peer| peer.write_all(&bytes))
+                .expect("send");
             let (sock, _) = listener.accept().expect("accept");
             match read_request(&mut BufReader::new(sock)) {
                 Ok(Some(req)) => {
                     // A flip in the header's name leaves a body-less request.
                     let declared = req.header("content-length").and_then(|v| v.parse().ok());
-                    assert_eq!(declared.unwrap_or(0), req.body.len(), "case {case}: {req:?}");
+                    assert_eq!(
+                        declared.unwrap_or(0),
+                        req.body.len(),
+                        "case {case}: {req:?}"
+                    );
                     let parts = req.method.len() + req.path.len() + req.body.len();
-                    assert!(parts < bytes.len(), "case {case} read past its input: {req:?}");
+                    assert!(
+                        parts < bytes.len(),
+                        "case {case} read past its input: {req:?}"
+                    );
                     if bytes == healthy {
                         assert_eq!(Some((&*req.method, &*req.path, &*req.body)), served);
                     }
@@ -284,7 +349,10 @@ fn damaged_http_requests_are_typed_never_a_panic() {
                 Err(e) => {
                     assert!(!e.to_string().is_empty(), "case {case}");
                     if bytes == healthy {
-                        assert!(served.is_none() && matches!(e, HttpError::BadHeader(_)), "{e}");
+                        assert!(
+                            served.is_none() && matches!(e, HttpError::BadHeader(_)),
+                            "{e}"
+                        );
                     }
                 }
             }

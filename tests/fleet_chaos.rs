@@ -73,13 +73,13 @@ fn chaotic_fleet_converges_byte_identically_or_fails_typed() {
     let total = ctx().total_blocks();
     let meta = scenario_meta(&sc(), "small");
     let grid: [(f64, f64, f64); 8] = [
-        (0.0, 0.0, 0.0),   // clean — must converge
+        (0.0, 0.0, 0.0),    // clean — must converge
         (0.05, 0.02, 0.02), // the acceptance profile
         (0.15, 0.05, 0.05),
         (0.30, 0.10, 0.10),
-        (0.0, 0.25, 0.0),  // truncation-heavy
-        (0.0, 0.0, 0.30),  // corruption-heavy
-        (0.50, 0.0, 0.0),  // reset-heavy
+        (0.0, 0.25, 0.0), // truncation-heavy
+        (0.0, 0.0, 0.30), // corruption-heavy
+        (0.50, 0.0, 0.0), // reset-heavy
         (0.10, 0.10, 0.10),
     ];
     let mut converged = 0usize;
@@ -142,7 +142,10 @@ fn chaotic_fleet_converges_byte_identically_or_fails_typed() {
             p.stop();
         }
     }
-    assert!(converged >= 1, "no damage level converged — even the clean fleet failed");
+    assert!(
+        converged >= 1,
+        "no damage level converged — even the clean fleet failed"
+    );
 }
 
 proptest! {

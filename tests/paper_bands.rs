@@ -23,7 +23,12 @@ fn medium() -> Scenario {
 fn describe(misses: &[&ComparisonRow]) -> String {
     misses
         .iter()
-        .map(|r| format!("{} / {} (paper {}, measured {})", r.exhibit, r.metric, r.paper, r.measured))
+        .map(|r| {
+            format!(
+                "{} / {} (paper {}, measured {})",
+                r.exhibit, r.metric, r.paper, r.measured
+            )
+        })
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -44,7 +49,10 @@ fn headline_metrics_land_in_their_bands() {
     ];
     let misses: Vec<_> = rows.iter().filter(|r| !r.within_band).collect();
     assert_eq!(
-        misses.iter().map(|r| (r.exhibit, r.metric)).collect::<Vec<_>>(),
+        misses
+            .iter()
+            .map(|r| (r.exhibit, r.metric))
+            .collect::<Vec<_>>(),
         KNOWN_MISSES,
         "out-of-band rows differ from the named ones:\n{}",
         describe(&misses)
@@ -61,17 +69,39 @@ fn paper_scale_lands_every_band() {
     let rows = comparison(&data);
     assert!(rows.len() >= 29, "comparison coverage: {} rows", rows.len());
     let misses: Vec<_> = rows.iter().filter(|r| !r.within_band).collect();
-    assert!(misses.is_empty(), "out-of-band rows at paper scale:\n{}", describe(&misses));
+    assert!(
+        misses.is_empty(),
+        "out-of-band rows at paper scale:\n{}",
+        describe(&misses)
+    );
     // Figure 2's integers `(blocks, transactions, wire_bytes,
     // sampled_bytes, sampled_compressed_bytes)`: the GB the report prints
     // round away a wrong wire length; these do not.
     let (eos, tezos, xrp) = data.storage_stats();
     let row = |s: &txstat::crawler::CrawlStats| {
-        (s.blocks, s.transactions, s.wire_bytes, s.sampled_bytes, s.sampled_compressed_bytes)
+        (
+            s.blocks,
+            s.transactions,
+            s.wire_bytes,
+            s.sampled_bytes,
+            s.sampled_compressed_bytes,
+        )
     };
-    assert_eq!(row(eos), (26_496, 376_356, 296_261_188, 36_868_130, 3_680_703), "eos");
-    assert_eq!(row(tezos), (24_192, 593_022, 50_232_751, 6_283_641, 1_660_321), "tezos");
-    assert_eq!(row(xrp), (2210, 154_790, 37_572_355, 4_680_215, 677_629), "xrp");
+    assert_eq!(
+        row(eos),
+        (26_496, 376_356, 296_261_188, 36_868_130, 3_680_703),
+        "eos"
+    );
+    assert_eq!(
+        row(tezos),
+        (24_192, 593_022, 50_232_751, 6_283_641, 1_660_321),
+        "tezos"
+    );
+    assert_eq!(
+        row(xrp),
+        (2210, 154_790, 37_572_355, 4_680_215, 677_629),
+        "xrp"
+    );
 }
 
 #[test]
@@ -97,7 +127,10 @@ fn figure1_shares_hold_at_medium_scale() {
         .map(|r| r.count)
         .unwrap_or(0);
     let share = endorse as f64 / tz_total as f64;
-    assert!((0.70..0.92).contains(&share), "endorsement share {share:.3} (paper 0.817)");
+    assert!(
+        (0.70..0.92).contains(&share),
+        "endorsement share {share:.3} (paper 0.817)"
+    );
 
     let (x_rows, x_total) = sweeps.xrp.tx_distribution();
     let pay = x_rows
@@ -137,9 +170,16 @@ fn exhibits_render_without_panic_and_mention_key_actors() {
         if needle == "tecPATH_DRY" {
             continue;
         }
-        assert!(text.contains(needle), "rendered exhibits mention {needle:?}");
+        assert!(
+            text.contains(needle),
+            "rendered exhibits mention {needle:?}"
+        );
     }
-    assert!(text.len() > 4_000, "substantial output: {} bytes", text.len());
+    assert!(
+        text.len() > 4_000,
+        "substantial output: {} bytes",
+        text.len()
+    );
 }
 
 /// Golden pin of the corpus where the order books get long: over the full
@@ -161,8 +201,22 @@ fn medium_corpus_bytes_and_chain_audits_are_pinned() {
         xrp.check_conservation().expect("XRP conservation");
         tezos.check_conservation().expect("Tezos conservation");
         let s = xrp.dex.stats;
-        (s.offers_created, s.offers_cancelled, s.offers_touched, s.fills_executed, tezos.rejected_ops)
+        (
+            s.offers_created,
+            s.offers_cancelled,
+            s.offers_touched,
+            s.fills_executed,
+            tezos.rejected_ops,
+        )
     };
-    assert_eq!(audits(&medium()), (15364, 528, 405, 263, 1), "medium seed 42");
-    assert_eq!(audits(&Scenario::small(42)), (522, 14, 51, 26, 1), "small seed 42");
+    assert_eq!(
+        audits(&medium()),
+        (15364, 528, 405, 263, 1),
+        "medium seed 42"
+    );
+    assert_eq!(
+        audits(&Scenario::small(42)),
+        (522, 14, 51, 26, 1),
+        "small seed 42"
+    );
 }

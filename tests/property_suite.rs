@@ -13,7 +13,7 @@ use txstat::eos::{Name, RamMarket};
 use txstat::types::time::{civil_from_days, days_from_civil, ChainTime, Period};
 use txstat::types::{lzss, BucketSeries, TopK, SIX_HOURS};
 use txstat::xrp::{
-    Amount, AccountId, Asset, IssuedCurrency, LedgerConfig, Transaction, TxPayload, XrpLedger,
+    AccountId, Amount, Asset, IssuedCurrency, LedgerConfig, Transaction, TxPayload, XrpLedger,
     DROPS_PER_XRP,
 };
 
@@ -243,8 +243,18 @@ mod fused {
                     quote_amount: amount / 2 + 1,
                 },
             ),
-            3 => Action::new(Name::new("eosio"), Name::new("bidname"), actor, ActionData::Generic),
-            4 => Action::new(Name::new("eosio"), Name::new("delegatebw"), actor, ActionData::Generic),
+            3 => Action::new(
+                Name::new("eosio"),
+                Name::new("bidname"),
+                actor,
+                ActionData::Generic,
+            ),
+            4 => Action::new(
+                Name::new("eosio"),
+                Name::new("delegatebw"),
+                actor,
+                ActionData::Generic,
+            ),
             _ => Action::new(peer, Name::new("play"), actor, ActionData::Generic),
         }
     }
@@ -324,12 +334,24 @@ mod fused {
         let curated = EosLabels::curated();
         let labels = sweep.labels(100, &|n| curated.get(n));
         vec![
-            ("action_distribution", format!("{:?}", sweep.action_distribution())),
-            ("throughput_series", series_rows(&sweep.throughput_series(&labels))),
+            (
+                "action_distribution",
+                format!("{:?}", sweep.action_distribution()),
+            ),
+            (
+                "throughput_series",
+                series_rows(&sweep.throughput_series(&labels)),
+            ),
             ("top_received", format!("{:?}", sweep.top_received(5))),
             ("top_senders", format!("{:?}", sweep.top_senders(5))),
-            ("wash_trading_report", format!("{:?}", sweep.wash_trading_report())),
-            ("boomerang_report", format!("{:?}", sweep.boomerang_report())),
+            (
+                "wash_trading_report",
+                format!("{:?}", sweep.wash_trading_report()),
+            ),
+            (
+                "boomerang_report",
+                format!("{:?}", sweep.boomerang_report()),
+            ),
             ("tps", format!("{:?}", sweep.tps())),
             ("graph", format!("{:?}", sweep.graph().report(3))),
         ]
@@ -337,8 +359,15 @@ mod fused {
 
     /// `sweep` — however it was produced — equals the scalar reference fold
     /// of the same blocks on every accessor.
-    fn assert_eos_equiv(sweep: &EosSweep, blocks: &[Block], period: Period) -> Result<(), TestCaseError> {
-        same_battery(eos_battery(sweep), eos_battery(&EosSweep::compute(blocks, period)))
+    fn assert_eos_equiv(
+        sweep: &EosSweep,
+        blocks: &[Block],
+        period: Period,
+    ) -> Result<(), TestCaseError> {
+        same_battery(
+            eos_battery(sweep),
+            eos_battery(&EosSweep::compute(blocks, period)),
+        )
     }
 
     proptest! {
@@ -420,7 +449,13 @@ mod fused {
     fn tz_op((kind, src, peer): TzSpec) -> Operation {
         let source = Address::implicit(100 + src as u64);
         match kind % 6 {
-            0 | 1 => Operation::new(source, OpPayload::Endorsement { level: 1, slots: 16 }),
+            0 | 1 => Operation::new(
+                source,
+                OpPayload::Endorsement {
+                    level: 1,
+                    slots: 16,
+                },
+            ),
             2 | 3 => Operation::new(
                 source,
                 OpPayload::Transaction {
@@ -441,7 +476,9 @@ mod fused {
             ),
             _ => Operation::new(
                 source,
-                OpPayload::Proposals { proposals: vec![format!("Prop{}", peer % 2)] },
+                OpPayload::Proposals {
+                    proposals: vec![format!("Prop{}", peer % 2)],
+                },
             ),
         }
     }
@@ -468,7 +505,9 @@ mod fused {
     }
 
     fn tz_rolls() -> std::collections::HashMap<Address, u64> {
-        (0..8u64).map(|i| (Address::implicit(100 + i), 100 + i * 37)).collect()
+        (0..8u64)
+            .map(|i| (Address::implicit(100 + i), 100 + i * 37))
+            .collect()
     }
 
     /// Every figure-shaped Tezos accessor.
@@ -477,8 +516,14 @@ mod fused {
             ("op_distribution", format!("{:?}", sweep.op_distribution())),
             ("throughput_series", series_rows(sweep.throughput_series())),
             ("top_senders", format!("{:?}", sweep.top_senders(4))),
-            ("governance_curves", format!("{:?}", sweep.governance_curves(&tz_rolls()))),
-            ("governance_op_count", format!("{:?}", sweep.governance_op_count())),
+            (
+                "governance_curves",
+                format!("{:?}", sweep.governance_curves(&tz_rolls())),
+            ),
+            (
+                "governance_op_count",
+                format!("{:?}", sweep.governance_op_count()),
+            ),
             ("tps", format!("{:?}", sweep.tps())),
         ]
     }
@@ -605,7 +650,11 @@ mod fused {
             0 | 1 => {
                 let amt = Amount::xrp(units);
                 applied(
-                    TxPayload::Payment { destination: dest, amount: amt, send_max: None },
+                    TxPayload::Payment {
+                        destination: dest,
+                        amount: amt,
+                        send_max: None,
+                    },
                     TxResult::Success,
                     Some(amt),
                     false,
@@ -615,7 +664,11 @@ mod fused {
                 // Rated IOU payment (USD@1 has oracle value).
                 let amt = Amount::iou_whole("USD", AccountId(1), units);
                 applied(
-                    TxPayload::Payment { destination: dest, amount: amt, send_max: None },
+                    TxPayload::Payment {
+                        destination: dest,
+                        amount: amt,
+                        send_max: None,
+                    },
                     TxResult::Success,
                     Some(amt),
                     false,
@@ -625,7 +678,11 @@ mod fused {
                 // Unrated IOU payment: nominal only.
                 let amt = Amount::iou_whole("GKO", AccountId(9), units);
                 applied(
-                    TxPayload::Payment { destination: dest, amount: amt, send_max: None },
+                    TxPayload::Payment {
+                        destination: dest,
+                        amount: amt,
+                        send_max: None,
+                    },
                     TxResult::Success,
                     Some(amt),
                     false,
@@ -687,7 +744,10 @@ mod fused {
             ("funnel", format!("{:?}", sweep.funnel())),
             ("most_active", format!("{:?}", sweep.most_active(6, &clu))),
             ("value_flow", format!("{:?}", sweep.value_flow(&clu))),
-            ("payment_spike_buckets", format!("{:?}", sweep.payment_spike_buckets(3.0))),
+            (
+                "payment_spike_buckets",
+                format!("{:?}", sweep.payment_spike_buckets(3.0)),
+            ),
             ("concentration", format!("{:?}", sweep.concentration())),
             ("tps", format!("{:?}", sweep.tps())),
             ("graph", format!("{:?}", sweep.graph().report(3))),
@@ -699,7 +759,10 @@ mod fused {
         blocks: &[LedgerBlock],
         period: Period,
     ) -> Result<(), TestCaseError> {
-        same_battery(x_battery(sweep), x_battery(&XrpSweep::compute(blocks, period, &oracle())))
+        same_battery(
+            x_battery(sweep),
+            x_battery(&XrpSweep::compute(blocks, period, &oracle())),
+        )
     }
 
     proptest! {
@@ -811,7 +874,11 @@ mod fused {
     type Partition = (Vec<usize>, usize, bool);
 
     fn partition_strategy() -> impl Strategy<Value = Partition> {
-        (proptest::collection::vec(0usize..13, 0..6), 0usize..8, any::<bool>())
+        (
+            proptest::collection::vec(0usize..13, 0..6),
+            0usize..8,
+            any::<bool>(),
+        )
     }
 
     /// Finalize each batch of the partition alone (`delta`) and fold the
@@ -903,7 +970,9 @@ mod fused {
             .map(|i| {
                 (0..4)
                     .map(|j| {
-                        (0..3).map(|k| ((i + j + k) as u8, i as u8, j as u8, 7 + k as i64)).collect()
+                        (0..3)
+                            .map(|k| ((i + j + k) as u8, i as u8, j as u8, 7 + k as i64))
+                            .collect()
                     })
                     .collect()
             })
@@ -914,11 +983,16 @@ mod fused {
         for (i, b) in blocks.iter_mut().enumerate() {
             b.time = t0() + (i as i64 - 30) * 400;
         }
-        let engines: [(&str, fn(&[Block], Period) -> EosSweep); 2] =
-            [("EosColumnar::compute", EosColumnar::compute), ("EosSweep::compute", EosSweep::compute)];
+        let engines: [(&str, fn(&[Block], Period) -> EosSweep); 2] = [
+            ("EosColumnar::compute", EosColumnar::compute),
+            ("EosSweep::compute", EosSweep::compute),
+        ];
         for (engine, compute) in engines {
             let at = |threads: usize| {
-                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
                 eos_battery(&pool.install(|| compute(&blocks, window())))
             };
             let base = at(1);

@@ -6,20 +6,23 @@
 //! epoch swaps under concurrent readers that hold retired snapshots, cache
 //! invalidation on swap, and 429 load-shedding at the HTTP admission layer.
 
-use std::sync::Arc;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat::ingest::{EpochCell, IngestError};
 use txstat::netsim::{
     run_load, start_query_server, HttpHandler, LoadPlan, QueryServerConfig, RouteStats,
 };
 use txstat::reports::{
-    comparison_section, generate, render_report, reorg_data, report_sections,
-    sample_account_paths, Follower, PipelineData, ServeSnapshot, StatsService,
+    comparison_section, generate, render_report, reorg_data, report_sections, sample_account_paths,
+    Follower, PipelineData, ServeSnapshot, StatsService,
 };
 use txstat::workload::Scenario;
 
-fn service_over(data: PipelineData, head: bool) -> (Arc<StatsService>, Arc<EpochCell<ServeSnapshot>>) {
+fn service_over(
+    data: PipelineData,
+    head: bool,
+) -> (Arc<StatsService>, Arc<EpochCell<ServeSnapshot>>) {
     let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(1, head, data))));
     (Arc::new(StatsService::new(cell.clone())), cell)
 }
@@ -48,14 +51,22 @@ fn assert_serves_identically(
     oracle: PipelineData,
     what: &str,
 ) -> Arc<StatsService> {
-    assert_eq!(report_sections(&got), report_sections(&oracle), "{what}: sections diverged");
+    assert_eq!(
+        report_sections(&got),
+        report_sections(&oracle),
+        "{what}: sections diverged"
+    );
     let paths = sample_account_paths(&oracle);
     let (got, _) = service_over(got, false);
     let (oracle, _) = service_over(oracle, false);
     for path in paths {
         let want = oracle.respond("GET", &path);
         assert_eq!(want.status, 200, "{what}: oracle lacks {path}");
-        assert_eq!(got.respond("GET", &path).body, want.body, "{what}: {path} diverged");
+        assert_eq!(
+            got.respond("GET", &path).body,
+            want.body,
+            "{what}: {path} diverged"
+        );
     }
     got
 }
@@ -65,7 +76,13 @@ fn assert_serves_identically(
 /// ascending) but is short enough to publish an epoch per block.
 fn thinned(mut data: PipelineData, cap: usize) -> PipelineData {
     fn every_kth<B: Clone>(blocks: &[B], cap: usize) -> Arc<Vec<B>> {
-        Arc::new(blocks.iter().step_by(blocks.len().div_ceil(cap).max(1)).cloned().collect())
+        Arc::new(
+            blocks
+                .iter()
+                .step_by(blocks.len().div_ceil(cap).max(1))
+                .cloned()
+                .collect(),
+        )
     }
     data.eos_blocks = every_kth(&data.eos_blocks, cap);
     data.tezos_blocks = every_kth(&data.tezos_blocks, cap);
@@ -97,7 +114,10 @@ fn assert_every_epoch_is_one_shot(
         // The short chains run out first: their tails are empty from then
         // on and their coverage stays at their head.
         let at = follower.observed();
-        assert!(at.0 + at.1 + at.2 > e + t + x, "{what} epoch {epochs} observed nothing new");
+        assert!(
+            at.0 + at.1 + at.2 > e + t + x,
+            "{what} epoch {epochs} observed nothing new"
+        );
         let served = assert_serves_identically(
             fork,
             one_shot_prefix(follower.base(), at),
@@ -113,7 +133,11 @@ fn assert_every_epoch_is_one_shot(
 /// [`assert_every_epoch_is_one_shot`] from the first block, in as many
 /// epochs as the longest of the held chains takes at `batch`.
 fn assert_following_is_one_shot(data: PipelineData, batch: usize, what: &str) {
-    let longest = data.eos_blocks.len().max(data.tezos_blocks.len()).max(data.xrp_blocks.len());
+    let longest = data
+        .eos_blocks
+        .len()
+        .max(data.tezos_blocks.len())
+        .max(data.xrp_blocks.len());
     let what = format!("{what} batch {batch}");
     let mut follower = Follower::new(data, batch);
     let epochs = assert_every_epoch_is_one_shot(&mut follower, &what, (0, 0));
@@ -176,11 +200,18 @@ fn a_guarded_follower_publishes_the_epochs_of_an_unguarded_one() {
     let mut epochs = 0;
     while !plain.head() {
         epochs += 1;
-        let (want, got) = (plain.advance().expect("plain"), guarded.advance().expect("guarded"));
+        let (want, got) = (
+            plain.advance().expect("plain"),
+            guarded.advance().expect("guarded"),
+        );
         assert_serves_identically(got, want, &format!("guarded epoch {epochs}"));
     }
     assert!(guarded.head());
-    assert_eq!(guarded.retained(), (epochs, 3), "one mark per batch, a window of snapshots");
+    assert_eq!(
+        guarded.retained(),
+        (epochs, 3),
+        "one mark per batch, a window of snapshots"
+    );
     assert_eq!(plain.retained(), (0, 0));
     assert_eq!(plain.snapshots(), (epochs as u64 - 1, 1));
     // The one copy the guarded follower reclaims is the empty state it
@@ -246,7 +277,10 @@ fn a_block_at_or_below_the_high_water_mark_is_rejected_not_double_counted() {
         Err(IngestError::RangeRegression { n, high: h }) => {
             assert_eq!((n, h), (replayed.num, high));
         }
-        other => panic!("expected RangeRegression, got {:?}", other.map(|_| "a fork")),
+        other => panic!(
+            "expected RangeRegression, got {:?}",
+            other.map(|_| "a fork")
+        ),
     }
     // …and the follower still stands at the first epoch, on every chain.
     assert_eq!(follower.observed(), observed);
@@ -257,7 +291,10 @@ fn a_block_at_or_below_the_high_water_mark_is_rejected_not_double_counted() {
     blocks.push(replayed);
     data.eos_blocks = Arc::new(blocks);
     let mut follower = Follower::new(data, 10);
-    assert!(matches!(follower.advance(), Err(IngestError::RangeRegression { .. })));
+    assert!(matches!(
+        follower.advance(),
+        Err(IngestError::RangeRegression { .. })
+    ));
     assert_eq!(follower.observed(), (0, 0, 0));
 }
 
@@ -275,10 +312,19 @@ fn served_exhibits_are_byte_identical_to_report_sections() {
         assert_eq!(resp.body, body.as_bytes(), "{path} body diverged");
     }
     let resp = service.respond("GET", "/report");
-    assert_eq!(resp.body, render_report(&oracle).as_bytes(), "/report body diverged");
+    assert_eq!(
+        resp.body,
+        render_report(&oracle).as_bytes(),
+        "/report body diverged"
+    );
 
     // Unknown routes 404 and are never cached.
-    for path in ["/exhibit/nope", "/account/eos/zzzzznothere", "/account/nochain/x", "/nope"] {
+    for path in [
+        "/exhibit/nope",
+        "/account/eos/zzzzznothere",
+        "/account/nochain/x",
+        "/nope",
+    ] {
         assert_eq!(service.respond("GET", path).status, 404, "{path}");
     }
 
@@ -288,18 +334,36 @@ fn served_exhibits_are_byte_identical_to_report_sections() {
     let resp = service.respond("GET", &format!("/account/eos/{eos}"));
     assert_eq!(resp.status, 200);
     let text = String::from_utf8(resp.body).expect("utf8 account body");
-    assert!(text.contains("\"chain\":\"eos\"") && text.contains("\"received_txs\""), "{text}");
+    assert!(
+        text.contains("\"chain\":\"eos\"") && text.contains("\"received_txs\""),
+        "{text}"
+    );
     let tz = sweeps.tezos.top_senders(1)[0].sender.to_string();
-    assert_eq!(service.respond("GET", &format!("/account/tezos/{tz}")).status, 200);
-    let xrp = sweeps.xrp.most_active(1, &oracle.cluster)[0].account.to_string();
-    assert_eq!(service.respond("GET", &format!("/account/xrp/{xrp}")).status, 200);
+    assert_eq!(
+        service
+            .respond("GET", &format!("/account/tezos/{tz}"))
+            .status,
+        200
+    );
+    let xrp = sweeps.xrp.most_active(1, &oracle.cluster)[0]
+        .account
+        .to_string();
+    assert_eq!(
+        service
+            .respond("GET", &format!("/account/xrp/{xrp}"))
+            .status,
+        200
+    );
 }
 
 /// Every `/exhibit/<name>` route in report order, the comparison last.
 fn section_routes(data: &PipelineData) -> Vec<(String, String)> {
     let mut sections = report_sections(data);
     sections.push(("comparison", comparison_section(data)));
-    sections.into_iter().map(|(name, body)| (format!("/exhibit/{name}"), body)).collect()
+    sections
+        .into_iter()
+        .map(|(name, body)| (format!("/exhibit/{name}"), body))
+        .collect()
 }
 
 /// A `/report` and the section routes share one cache entry per section,
@@ -320,27 +384,55 @@ fn a_cold_report_and_the_section_routes_serve_the_same_sections() {
 
     let resp = service.respond("GET", "/report");
     assert_eq!(resp.status, 200);
-    assert_eq!(resp.body, render_report(&oracle).as_bytes(), "cold /report diverged");
-    assert_eq!(counters(), (15, 0), "a cold /report renders 14 sections and itself");
+    assert_eq!(
+        resp.body,
+        render_report(&oracle).as_bytes(),
+        "cold /report diverged"
+    );
+    assert_eq!(
+        counters(),
+        (15, 0),
+        "a cold /report renders 14 sections and itself"
+    );
     assert_eq!(service.snapshot().cached_responses(), 15);
     let sections = section_routes(&oracle);
     assert_eq!(sections.len(), 14);
     for (path, body) in sections {
-        assert_eq!(service.respond("GET", &path).body, body.as_bytes(), "{path} after /report");
+        assert_eq!(
+            service.respond("GET", &path).body,
+            body.as_bytes(),
+            "{path} after /report"
+        );
     }
-    assert_eq!(counters(), (15, 14), "every section was rendered for /report");
+    assert_eq!(
+        counters(),
+        (15, 14),
+        "every section was rendered for /report"
+    );
 
     let second = follower.advance().expect("second epoch");
     cell.publish(Arc::new(ServeSnapshot::new(2, follower.head(), second)));
     let oracle = one_shot_prefix(follower.base(), follower.observed());
     for (path, body) in section_routes(&oracle) {
-        assert_eq!(service.respond("GET", &path).body, body.as_bytes(), "epoch 2 {path}");
+        assert_eq!(
+            service.respond("GET", &path).body,
+            body.as_bytes(),
+            "epoch 2 {path}"
+        );
     }
     let account = &sample_account_paths(&oracle)[0];
     assert_eq!(service.respond("GET", account).status, 200, "{account}");
     let resp = service.respond("GET", "/report");
-    assert_eq!(resp.body, render_report(&oracle).as_bytes(), "epoch 2 /report diverged");
-    assert_eq!(counters(), (15 + 16, 14 + 14), "16 routes render once, /report reuses 14");
+    assert_eq!(
+        resp.body,
+        render_report(&oracle).as_bytes(),
+        "epoch 2 /report diverged"
+    );
+    assert_eq!(
+        counters(),
+        (15 + 16, 14 + 14),
+        "16 routes render once, /report reuses 14"
+    );
 }
 
 /// Readers load from the cell while the follower publishes into it, and
@@ -355,7 +447,12 @@ fn epoch_swap_is_never_torn_under_concurrent_readers() {
 
     fn headline(data: &PipelineData) -> Vec<u8> {
         let sections = report_sections(data);
-        sections.into_iter().find(|(n, _)| *n == "headline").expect("headline section").1.into()
+        sections
+            .into_iter()
+            .find(|(n, _)| *n == "headline")
+            .expect("headline section")
+            .1
+            .into()
     }
     let sc = Scenario::small(7);
     let batch = generate(&sc).longest_chain().div_ceil(6);
@@ -369,7 +466,11 @@ fn epoch_swap_is_never_torn_under_concurrent_readers() {
         allowed.push(headline(&epoch));
         reports.push(render_report(&epoch).into_bytes());
     }
-    assert!(allowed.len() >= 4, "want >=3 epoch swaps, got {}", allowed.len());
+    assert!(
+        allowed.len() >= 4,
+        "want >=3 epoch swaps, got {}",
+        allowed.len()
+    );
 
     let mut follower = Follower::new(generate(&sc), batch);
     let first = follower.advance().expect("first epoch");
@@ -436,7 +537,10 @@ fn epoch_swap_is_never_torn_under_concurrent_readers() {
     let (reclaimed, cloned) = follower.snapshots();
     assert_eq!(reclaimed + cloned, allowed.len() as u64);
     // Epoch 3 wanted epoch 1's copy, which two readers held across two swaps.
-    assert!(cloned >= 2 && reclaimed >= 1, "reclaimed {reclaimed}, cloned {cloned}");
+    assert!(
+        cloned >= 2 && reclaimed >= 1,
+        "reclaimed {reclaimed}, cloned {cloned}"
+    );
 }
 
 #[test]
@@ -460,7 +564,11 @@ fn response_cache_is_invalidated_by_epoch_swap() {
 
     // Fresh snapshot, fresh cache: the same path misses again and serves
     // the new epoch's (different) statistics.
-    assert_eq!(service.snapshot().cached_responses(), 0, "swap empties the cache");
+    assert_eq!(
+        service.snapshot().cached_responses(),
+        0,
+        "swap empties the cache"
+    );
     let b1 = service.respond("GET", "/exhibit/headline");
     assert_eq!(service.cache_misses.get(), 2);
     assert_ne!(a1.body, b1.body, "new epoch must serve new statistics");
@@ -487,9 +595,15 @@ fn admission_sheds_excess_load_with_429s_and_keeps_serving() {
         paths: vec!["/exhibit/headline".to_owned(), "/exhibit/fig1".to_owned()],
     };
     let report = run_load(server.addr, &plan);
-    assert_eq!(report.errors, 0, "shedding must be 429s, not dropped connections");
+    assert_eq!(
+        report.errors, 0,
+        "shedding must be 429s, not dropped connections"
+    );
     assert!(report.shed > 0, "load above the rate must shed: {report:?}");
-    assert!(report.ok > 0, "server must keep serving under overload: {report:?}");
+    assert!(
+        report.ok > 0,
+        "server must keep serving under overload: {report:?}"
+    );
     assert_eq!(report.sent, report.ok + report.shed);
     assert_eq!(server.routes.exhibit.shed.get(), report.shed);
     // Only admitted requests are timed into the latency histogram.
@@ -507,7 +621,11 @@ fn metrics_and_statusz_expose_every_layer() {
     let mut follower = Follower::new(data, total.div_ceil(2).max(1));
     follower.bind_metrics(&registry);
     let first = follower.advance().expect("first epoch");
-    let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(1, follower.head(), first))));
+    let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(
+        1,
+        follower.head(),
+        first,
+    ))));
     let service = StatsService::with_registry(cell, registry.clone());
     // What `serve_session` adds: its query server's route classes.
     Arc::new(RouteStats::default()).register_into(&registry);
@@ -528,15 +646,23 @@ fn metrics_and_statusz_expose_every_layer() {
     ] {
         assert!(text.contains(family), "missing {family} in:\n{text}");
     }
-    assert!(text.contains("chain=\"eos\""), "per-chain labels missing:\n{text}");
+    assert!(
+        text.contains("chain=\"eos\""),
+        "per-chain labels missing:\n{text}"
+    );
     // Prometheus text shape: every family announces HELP and TYPE.
     assert!(text.contains("# HELP txstat_epoch_published_total"));
     assert!(text.contains("# TYPE txstat_serve_cache_misses_total counter"));
     let readme = include_str!("../crates/telemetry/README.md");
-    let exposed: Vec<&str> =
-        text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+    let exposed: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+        .collect();
     for family in &exposed {
-        assert!(readme.contains(&format!("`{family}`")), "{family} is not in the README table");
+        assert!(
+            readme.contains(&format!("`{family}`")),
+            "{family} is not in the README table"
+        );
     }
     // And the other way round: every README row the serve side declares is
     // exported, so a row left behind by a deleted family fails here.
@@ -546,16 +672,23 @@ fn metrics_and_statusz_expose_every_layer() {
         .filter_map(|l| {
             let cells: Vec<&str> = l.split('|').map(str::trim).collect();
             let declarer = cells.get(4)?;
-            ["`StatsService`", "`RouteStats::register_into`", "`FollowMetrics`"]
-                .iter()
-                .any(|d| declarer.contains(d))
-                .then_some(cells[1])
+            [
+                "`StatsService`",
+                "`RouteStats::register_into`",
+                "`FollowMetrics`",
+            ]
+            .iter()
+            .any(|d| declarer.contains(d))
+            .then_some(cells[1])
         })
         .collect();
     assert_eq!(rows.len(), 22, "the serve side's README rows");
     for first in rows {
         for family in first.split('`').skip(1).step_by(2) {
-            assert!(exposed.contains(&family), "README row {family} is not exported:\n{text}");
+            assert!(
+                exposed.contains(&family),
+                "README row {family} is not exported:\n{text}"
+            );
         }
     }
 
@@ -566,7 +699,10 @@ fn metrics_and_statusz_expose_every_layer() {
             .expect("statusz parses as JSON");
     assert_eq!(status["epoch"].as_u64(), Some(1));
     assert_eq!(status["cache_misses"].as_u64(), Some(1));
-    assert!(!status["metrics"].is_null(), "statusz carries the registry snapshot");
+    assert!(
+        !status["metrics"].is_null(),
+        "statusz carries the registry snapshot"
+    );
 }
 
 #[test]

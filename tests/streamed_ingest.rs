@@ -16,7 +16,10 @@ use txstat::workload::Scenario;
 #[test]
 fn columnar_report_is_bit_identical_to_scalar_sweeps() {
     let mut sc = Scenario::small(17);
-    sc.period = Period::new(ChainTime::from_ymd(2019, 10, 28), ChainTime::from_ymd(2019, 11, 3));
+    sc.period = Period::new(
+        ChainTime::from_ymd(2019, 10, 28),
+        ChainTime::from_ymd(2019, 11, 3),
+    );
 
     // Same dataset twice: one renders through the default (columnar)
     // engine, the other gets the reference fold installed first.
@@ -27,7 +30,10 @@ fn columnar_report_is_bit_identical_to_scalar_sweeps() {
         tezos: TezosSweep::compute(&scalar.tezos_blocks, sc.period, &scalar.governance_periods),
         xrp: XrpSweep::compute(&scalar.xrp_blocks, sc.period, &scalar.oracle),
     };
-    assert!(scalar.install_sweeps(reference), "sweeps must not be computed yet");
+    assert!(
+        scalar.install_sweeps(reference),
+        "sweeps must not be computed yet"
+    );
 
     assert_eq!(render_report(&columnar), render_report(&scalar));
 
@@ -48,7 +54,10 @@ fn columnar_report_is_bit_identical_to_scalar_sweeps() {
 #[test]
 fn streamed_crawl_matches_materializing_crawl() {
     let mut sc = Scenario::small(91);
-    sc.period = Period::new(ChainTime::from_ymd(2019, 10, 30), ChainTime::from_ymd(2019, 11, 2));
+    sc.period = Period::new(
+        ChainTime::from_ymd(2019, 10, 30),
+        ChainTime::from_ymd(2019, 11, 2),
+    );
     let opts = CrawlOptions::default();
 
     let streamed = generate_with_crawl(&sc, &opts, false).expect("crawl keeping no block");
@@ -61,7 +70,10 @@ fn streamed_crawl_matches_materializing_crawl() {
 
     // Crawl accounting is identical: same blocks, transactions, wire bytes
     // and compression samples (the wall time aside).
-    let timeless = |s: &CrawlStats| CrawlStats { elapsed: Duration::ZERO, ..s.clone() };
+    let timeless = |s: &CrawlStats| CrawlStats {
+        elapsed: Duration::ZERO,
+        ..s.clone()
+    };
     let scrawl = streamed.crawl.as_ref().expect("crawl stats recorded");
     let kcrawl = kept.crawl.as_ref().expect("crawl stats recorded");
     for (chain, a, b) in [

@@ -46,13 +46,22 @@ fn counters_and_histograms_survive_concurrent_hammering() {
     assert_eq!(counter.get(), total, "no increments lost");
     assert_eq!(gauge.get(), 0, "gauge returns to zero");
     assert!(gauge.peak() >= 1, "peak saw at least one in-flight op");
-    assert!(gauge.peak() <= THREADS as u64, "peak bounded by thread count");
+    assert!(
+        gauge.peak() <= THREADS as u64,
+        "peak bounded by thread count"
+    );
     assert_eq!(hist.total(), total, "every sample recorded");
 
     // The rendered exposition agrees with the instruments.
     let text = registry.render_prometheus();
-    assert!(text.contains(&format!("txstat_test_ops_total {total}")), "{text}");
-    assert!(text.contains(&format!("txstat_test_latency_us_count {total}")), "{text}");
+    assert!(
+        text.contains(&format!("txstat_test_ops_total {total}")),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!("txstat_test_latency_us_count {total}")),
+        "{text}"
+    );
     assert!(text.contains("txstat_test_in_flight_peak"), "{text}");
 }
 
@@ -127,19 +136,33 @@ fn spans_nest_and_aggregate_like_a_pipeline_run() {
         join(|| crawl("eos"), || join(|| crawl("tezos"), || crawl("xrp")));
         let _merge = t.span("merge", "all");
     }
-    let events: Vec<TraceEvent> =
-        buf.text().lines().map(|l| serde_json::from_str(l).expect("event")).collect();
+    let events: Vec<TraceEvent> = buf
+        .text()
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("event"))
+        .collect();
     let root = events.last().expect("the root closes last");
     assert_eq!((root.stage.as_str(), root.parent), ("report", 0));
     // Each sweep sits under its chain's crawl, each crawl under the root.
     for e in &events[..events.len() - 1] {
-        let parent = events.iter().find(|p| p.id == e.parent).expect("parent in the trace");
-        let expected = if e.stage == "sweep" { "crawl" } else { "report" };
+        let parent = events
+            .iter()
+            .find(|p| p.id == e.parent)
+            .expect("parent in the trace");
+        let expected = if e.stage == "sweep" {
+            "crawl"
+        } else {
+            "report"
+        };
         assert_eq!(parent.stage, expected, "{e:?}");
     }
     // The root's thread partitions its wall time: the EOS crawl, merge and
     // unattributed.
-    let on_root: u64 = events.iter().filter(|e| e.thread == root.thread).map(|e| e.self_us).sum();
+    let on_root: u64 = events
+        .iter()
+        .filter(|e| e.thread == root.thread)
+        .map(|e| e.self_us)
+        .sum();
     assert_eq!(on_root, root.dur_us);
 
     let table = t.render_summary();
@@ -147,7 +170,12 @@ fn spans_nest_and_aggregate_like_a_pipeline_run() {
         .lines()
         .skip(1)
         .filter(|l| !l.starts_with(' '))
-        .map(|l| (l.split_whitespace().next().unwrap(), l.split_whitespace().nth(1).unwrap()))
+        .map(|l| {
+            (
+                l.split_whitespace().next().unwrap(),
+                l.split_whitespace().nth(1).unwrap(),
+            )
+        })
         .collect();
     assert_eq!(
         rows,
@@ -180,8 +208,9 @@ fn ndjson_trace_schema_round_trips_through_a_sink() {
             // Every line is a self-contained JSON object with the full
             // schema.
             let v: serde_json::Value = serde_json::from_str(line).expect("line parses");
-            for key in ["stage", "label", "id", "parent", "thread", "start_us", "dur_us", "self_us"]
-            {
+            for key in [
+                "stage", "label", "id", "parent", "thread", "start_us", "dur_us", "self_us",
+            ] {
                 assert!(!v[key].is_null(), "missing {key} in {line}");
             }
             serde_json::from_str(line).expect("TraceEvent parses")
@@ -191,7 +220,10 @@ fn ndjson_trace_schema_round_trips_through_a_sink() {
     // Inner closes first, under the outer span, which contains it in time
     // and whose self time excludes it.
     let (inner, outer) = (&events[0], &events[1]);
-    assert_eq!((inner.stage.as_str(), inner.parent), ("follow_merge", outer.id));
+    assert_eq!(
+        (inner.stage.as_str(), inner.parent),
+        ("follow_merge", outer.id)
+    );
     assert_eq!((outer.stage.as_str(), outer.parent), ("follow_advance", 0));
     assert!(outer.dur_us >= inner.dur_us);
     assert_eq!(outer.self_us, outer.dur_us - inner.dur_us);
@@ -233,7 +265,10 @@ fn tracing_overhead_on_the_fused_sweeps() {
     const PAIRS: usize = 15;
     const SWEEPS_PER_SAMPLE: u32 = 3;
     let mut sc = Scenario::small(42);
-    sc.period = Period::new(ChainTime::from_ymd(2019, 10, 26), ChainTime::from_ymd(2019, 11, 7));
+    sc.period = Period::new(
+        ChainTime::from_ymd(2019, 10, 26),
+        ChainTime::from_ymd(2019, 11, 7),
+    );
     let data = generate(&sc);
     black_box(fused_sweeps(&data));
 

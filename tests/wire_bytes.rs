@@ -35,23 +35,39 @@ fn assert_fixed_point(bytes: &[u8], what: &str) {
     let value: serde_json::Value =
         serde_json::from_slice(bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
     let printed = serde_json::to_vec(&value).expect("serializable");
-    assert_eq!(String::from_utf8_lossy(&printed), String::from_utf8_lossy(bytes), "{what}");
+    assert_eq!(
+        String::from_utf8_lossy(&printed),
+        String::from_utf8_lossy(bytes),
+        "{what}"
+    );
 }
 
 fn check_eos(b: &eos::Block) {
     let what = format!("eos block {}", b.num);
     let bytes = eos_rpc::block_bytes(b);
     assert_fixed_point(&bytes, &what);
-    assert_eq!(JsonLen::of(|o| eos_rpc::block_bytes_into(b, o)), bytes.len(), "{what}");
+    assert_eq!(
+        JsonLen::of(|o| eos_rpc::block_bytes_into(b, o)),
+        bytes.len(),
+        "{what}"
+    );
     let parsed = eos_rpc::block_parse(&bytes).expect("own bytes parse");
-    assert_eq!(eos_rpc::block_parse(&eos_rpc::block_bytes(&parsed)).as_ref(), Ok(&parsed), "{what}");
+    assert_eq!(
+        eos_rpc::block_parse(&eos_rpc::block_bytes(&parsed)).as_ref(),
+        Ok(&parsed),
+        "{what}"
+    );
 }
 
 fn check_tezos(b: &tezos::TezosBlock) {
     let what = format!("tezos block {}", b.level);
     let bytes = tezos_rpc::block_bytes(b);
     assert_fixed_point(&bytes, &what);
-    assert_eq!(JsonLen::of(|o| tezos_rpc::block_bytes_into(b, o)), bytes.len(), "{what}");
+    assert_eq!(
+        JsonLen::of(|o| tezos_rpc::block_bytes_into(b, o)),
+        bytes.len(),
+        "{what}"
+    );
     let parsed = tezos_rpc::block_parse(&bytes).expect("own bytes parse");
     assert!(tezos_rpc::block_bytes(&parsed) == bytes, "{what}");
 }
@@ -60,7 +76,11 @@ fn check_xrp(b: &xrp::LedgerBlock) {
     let what = format!("xrp ledger {}", b.index);
     let bytes = xrp_rpc::ledger_bytes(b);
     assert_fixed_point(&bytes, &what);
-    assert_eq!(JsonLen::of(|o| xrp_rpc::ledger_bytes_into(b, o)), bytes.len(), "{what}");
+    assert_eq!(
+        JsonLen::of(|o| xrp_rpc::ledger_bytes_into(b, o)),
+        bytes.len(),
+        "{what}"
+    );
     let parsed = xrp_rpc::ledger_parse(&bytes).expect("own bytes parse");
     assert_eq!(
         (parsed.index, parsed.close_time, &parsed.transactions),
@@ -395,15 +415,33 @@ fn report_and_frame_bundle_bytes_are_pinned_for_small_seeds() {
 
     let sc = Scenario::small(42);
     let report = render_report(&generate(&sc));
-    assert_eq!(pin(report.as_bytes()), (16633, 0x0bfe7f8e21fd27c9), "report, seed 42");
+    assert_eq!(
+        pin(report.as_bytes()),
+        (16633, 0x0bfe7f8e21fd27c9),
+        "report, seed 42"
+    );
     let report = render_report(&generate(&Scenario::small(7)));
-    assert_eq!(pin(report.as_bytes()), (16552, 0x2ac5e4870f525c62), "report, seed 7");
+    assert_eq!(
+        pin(report.as_bytes()),
+        (16552, 0x2ac5e4870f525c62),
+        "report, seed 7"
+    );
 
     let ctx = ShardContext::new(&sc);
     let frames = ctx
-        .frames(scenario_meta(&sc, "small"), 0, ctx.total_blocks(), 2, PayloadFormat::Bin)
+        .frames(
+            scenario_meta(&sc, "small"),
+            0,
+            ctx.total_blocks(),
+            2,
+            PayloadFormat::Bin,
+        )
         .expect("generated context sweeps");
-    assert_eq!(pin(&encode_all(&frames)), (33654, 0x14c1dd4e54f14b4e), "frame bundle, seed 42");
+    assert_eq!(
+        pin(&encode_all(&frames)),
+        (33654, 0x14c1dd4e54f14b4e),
+        "frame bundle, seed 42"
+    );
 }
 
 /// Figure 2's integers per chain: `(blocks, transactions, wire_bytes,
@@ -417,10 +455,20 @@ fn figure2_storage_integers_are_pinned_for_small_seed_42() {
     let data = txstat::reports::generate(&Scenario::small(42));
     let (eos, tezos, xrp) = data.storage_stats();
     let row = |s: &txstat::crawler::CrawlStats| {
-        (s.blocks, s.transactions, s.wire_bytes, s.sampled_bytes, s.sampled_compressed_bytes)
+        (
+            s.blocks,
+            s.transactions,
+            s.wire_bytes,
+            s.sampled_bytes,
+            s.sampled_compressed_bytes,
+        )
     };
     assert_eq!(row(eos), (576, 2413, 2_204_102, 227_707, 40_958), "eos");
-    assert_eq!(row(tezos), (2712, 59_647, 4_992_190, 622_878, 157_592), "tezos");
+    assert_eq!(
+        row(tezos),
+        (2712, 59_647, 4_992_190, 622_878, 157_592),
+        "tezos"
+    );
     assert_eq!(row(xrp), (146, 1557, 415_021, 49_158, 12_939), "xrp");
 }
 
@@ -455,13 +503,17 @@ fn endpoint_replies_are_pinned_for_small_seed_7() {
     let mut replies = vec![body(eos.handle(&info))];
     for b in chain.blocks() {
         let req = serde_json::to_vec(&json!({ "block_num_or_id": b.num })).unwrap();
-        replies.push(body(eos.handle(&HttpRequest::post("/v1/chain/get_block", req))));
+        replies.push(body(
+            eos.handle(&HttpRequest::post("/v1/chain/get_block", req)),
+        ));
     }
     assert_eq!(pin(replies), (577, 2_171_349, 0xcac72782bafade86), "eos");
 
     let chain = Arc::new(build_tezos(&sc));
     let tezos = TezosRpcHandler::new(chain.clone());
-    let mut replies = vec![body(tezos.handle(&HttpRequest::get("/chains/main/blocks/head")))];
+    let mut replies = vec![body(
+        tezos.handle(&HttpRequest::get("/chains/main/blocks/head")),
+    )];
     for b in chain.blocks() {
         let path = format!("/chains/main/blocks/{}", b.level);
         replies.push(body(tezos.handle(&HttpRequest::get(&path))));

@@ -16,8 +16,8 @@ use txstat::tezos::{Address, OpPayload, Operation, PeriodKind, TezosBlock, Vote}
 use txstat::types::amount::SymCode;
 use txstat::types::time::{ChainTime, Period};
 use txstat::xrp::{
-    AccountId, Amount, AppliedTx, IssuedCurrency, LedgerBlock, RateOracle, TradeRecord,
-    TxPayload, TxResult, DROPS_PER_XRP, IOU_UNIT,
+    AccountId, Amount, AppliedTx, IssuedCurrency, LedgerBlock, RateOracle, TradeRecord, TxPayload,
+    TxResult, DROPS_PER_XRP, IOU_UNIT,
 };
 
 fn t0() -> ChainTime {
@@ -62,7 +62,12 @@ fn eos_action(kind: u8, a: u8, b: u8, amount: i64) -> Action {
                 quote_amount: amount / 2 + 1,
             },
         ),
-        3 => Action::new(Name::new("eosio"), Name::new("bidname"), actor, ActionData::Generic),
+        3 => Action::new(
+            Name::new("eosio"),
+            Name::new("bidname"),
+            actor,
+            ActionData::Generic,
+        ),
         _ => Action::new(peer, Name::new("play"), actor, ActionData::Generic),
     }
 }
@@ -81,7 +86,10 @@ fn eos_blocks(spec: &[BlockSpec]) -> Vec<Block> {
                 .enumerate()
                 .map(|(j, actions)| Transaction {
                     id: (i * 100 + j) as u64,
-                    actions: actions.iter().map(|&(k, a, b, n)| eos_action(k, a, b, n)).collect(),
+                    actions: actions
+                        .iter()
+                        .map(|&(k, a, b, n)| eos_action(k, a, b, n))
+                        .collect(),
                     cpu_us: 100,
                     net_bytes: 128,
                 })
@@ -110,7 +118,10 @@ fn tezos_blocks(spec: &[BlockSpec]) -> Vec<TezosBlock> {
                     ),
                     1 => Operation::new(
                         Address::implicit(a as u64),
-                        OpPayload::Endorsement { level: i as u64, slots: 16 },
+                        OpPayload::Endorsement {
+                            level: i as u64,
+                            slots: 16,
+                        },
                     ),
                     2 => Operation::new(
                         Address::implicit(a as u64),
@@ -121,7 +132,9 @@ fn tezos_blocks(spec: &[BlockSpec]) -> Vec<TezosBlock> {
                     ),
                     _ => Operation::new(
                         Address::implicit(a as u64),
-                        OpPayload::Proposals { proposals: vec!["PtGRANAD".into()] },
+                        OpPayload::Proposals {
+                            proposals: vec!["PtGRANAD".into()],
+                        },
                     ),
                 })
                 .collect(),
@@ -169,7 +182,11 @@ fn xrp_blocks(spec: &[BlockSpec]) -> Vec<LedgerBlock> {
                                 amount: Amount::iou_whole("USD", AccountId(1), amount),
                                 send_max: None,
                             },
-                            if b % 2 == 0 { TxResult::Success } else { TxResult::PathDry },
+                            if b % 2 == 0 {
+                                TxResult::Success
+                            } else {
+                                TxResult::PathDry
+                            },
                         ),
                         2 => (
                             TxPayload::OfferCreate {
@@ -202,7 +219,14 @@ fn xrp_blocks(spec: &[BlockSpec]) -> Vec<LedgerBlock> {
 type GraphKey<N> = (u64, u64, u64, f64, Vec<(N, u64)>, Vec<(N, u64)>);
 
 fn graph_key<N: Clone>(r: txstat::core::GraphReport<N>) -> GraphKey<N> {
-    (r.nodes, r.unique_edges, r.transfers, r.out_degree_gini, r.top_sinks, r.top_sources)
+    (
+        r.nodes,
+        r.unique_edges,
+        r.transfers,
+        r.out_degree_gini,
+        r.top_sinks,
+        r.top_sources,
+    )
 }
 
 fn ranges(len: u64, cuts: &[u64]) -> Vec<(u64, u64)> {
@@ -437,22 +461,32 @@ fn session_rejects_foreign_and_overlapping_frames() {
     let worker = |s: u64, e: u64| ShardWorker::new(s, e, json!({"scenario": "a"}));
 
     let mut session = ReduceSession::new();
-    session.submit(&worker(0, 3).eos_frame(&[&eos], window())).expect("first half");
+    session
+        .submit(&worker(0, 3).eos_frame(&[&eos], window()))
+        .expect("first half");
     let err = session.submit(&worker(2, 6).eos_frame(&[&eos], window()));
     assert!(matches!(err, Err(ReduceError::Overlap { .. })), "{err:?}");
 
     let mut alien = worker(3, 6).eos_frame(&[&eos], window());
     alien.header.meta = json!({"scenario": "b"});
     let err = session.submit(&alien);
-    assert!(matches!(err, Err(ReduceError::MetaMismatch { .. })), "{err:?}");
+    assert!(
+        matches!(err, Err(ReduceError::MetaMismatch { .. })),
+        "{err:?}"
+    );
 
     let mut future = worker(3, 6).eos_frame(&[&eos], window());
     future.header.schema_version = 42;
     let err = session.submit(&future);
-    assert!(matches!(err, Err(ReduceError::Version { found: 42, .. })), "{err:?}");
+    assert!(
+        matches!(err, Err(ReduceError::Version { found: 42, .. })),
+        "{err:?}"
+    );
 
     // Leaving the gap unfilled is a finalize-time error naming the hole.
-    session.submit(&worker(4, 6).eos_frame(&[&eos], window())).expect("tail");
+    session
+        .submit(&worker(4, 6).eos_frame(&[&eos], window()))
+        .expect("tail");
     assert_eq!(session.gaps("eos"), vec![(3, 4)]);
     let err = session.finalize().map(|_| ());
     assert!(

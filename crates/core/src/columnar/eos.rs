@@ -427,16 +427,14 @@ impl EosColumnar {
         }
     }
 
-    /// One columnar parallel sweep over the blocks, finalized into the
+    /// One columnar fold over the blocks in order, finalized into the
     /// scalar sweep every exhibit renders from.
     pub fn compute(blocks: &[Block], period: Period) -> EosSweep {
-        crate::accumulate::par_sweep(
-            blocks,
-            || EosColumnar::new(period),
-            |acc, b| acc.observe(b),
-            |a, b| a.merge(b),
-        )
-        .finalize()
+        let mut acc = EosColumnar::new(period);
+        for b in blocks {
+            acc.observe(b);
+        }
+        acc.finalize()
     }
 }
 

@@ -210,19 +210,17 @@ impl TezosColumnar {
         }
     }
 
-    /// One columnar parallel sweep over the blocks.
+    /// One columnar fold over the blocks in order, finalized.
     pub fn compute(
         blocks: &[TezosBlock],
         period: Period,
         periods: &[(PeriodKind, Period)],
     ) -> TezosSweep {
-        crate::accumulate::par_sweep(
-            blocks,
-            || TezosColumnar::new(period, periods.to_vec()),
-            |acc, b| acc.observe(b),
-            |a, b| a.merge(b),
-        )
-        .finalize()
+        let mut acc = TezosColumnar::new(period, periods.to_vec());
+        for b in blocks {
+            acc.observe(b);
+        }
+        acc.finalize()
     }
 }
 

@@ -370,15 +370,13 @@ impl XrpColumnar {
         }
     }
 
-    /// One columnar parallel sweep over the ledgers.
+    /// One columnar fold over the ledgers in order, finalized.
     pub fn compute(blocks: &[LedgerBlock], period: Period, oracle: &RateOracle) -> XrpSweep {
-        crate::accumulate::par_sweep(
-            blocks,
-            || XrpColumnar::new(period),
-            |acc, b| acc.observe(b, oracle),
-            |a, b| a.merge(b),
-        )
-        .finalize()
+        let mut acc = XrpColumnar::new(period);
+        for b in blocks {
+            acc.observe(b, oracle);
+        }
+        acc.finalize()
     }
 }
 

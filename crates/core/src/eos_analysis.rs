@@ -457,15 +457,14 @@ impl EosSweep {
         self.txs_in_period += other.txs_in_period;
     }
 
-    /// One parallel [`EosSweep::observe`] sweep over the blocks: the
+    /// [`EosSweep::observe`] folded over the blocks in order: the
     /// reference the suites hold `EosColumnar::compute` to.
     pub fn compute(blocks: &[Block], period: Period) -> Self {
-        crate::accumulate::par_sweep(
-            blocks,
-            || EosSweep::new(period),
-            |acc, b| acc.observe(b),
-            |a, b| a.merge(b),
-        )
+        let mut sweep = EosSweep::new(period);
+        for b in blocks {
+            sweep.observe(b);
+        }
+        sweep
     }
 
     /// Figure 1: per-action counts grouped by class.

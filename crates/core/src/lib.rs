@@ -1,4 +1,4 @@
-//! # txstat-core — the paper's analytics as one columnar, parallel engine
+//! # txstat-core — the paper's analytics as one columnar, mergeable engine
 //!
 //! The primary contribution of *"Revisiting Transactional Statistics of
 //! High-scalability Blockchains"* is a measurement methodology: classify
@@ -46,19 +46,19 @@
 //!   state, and the hand-computed unit tests in the three `*_analysis`
 //!   modules pin every accessor through them.
 //!
-//! `accumulate::par_sweep` drives either fold: rayon splits the block
-//! vector into chunks, folds each chunk through `observe`, and merges the
-//! partial accumulators in slice order. All merged state lives in
-//! exactly-mergeable domains (integer counters, count maps,
-//! [`txstat_types::BucketSeries`], vector concatenation), so the parallel
-//! result is **bit-identical** to a sequential fold regardless of worker
-//! count or chunk boundaries; the floating-point conversions happen once,
-//! at finalization, over deterministic orderings. Producing the full report
-//! therefore costs three parallel sweeps — one per chain.
+//! `*Columnar::compute` and `*Sweep::compute` are plain sequential folds.
+//! All merged state lives in exactly-mergeable domains (integer counters,
+//! count maps, [`txstat_types::BucketSeries`], vector concatenation), so
+//! folding contiguous runs of the blocks and merging the partial
+//! accumulators in position order is **bit-identical** to the sequential
+//! fold, whatever the run boundaries; the floating-point conversions happen
+//! once, at finalization, over deterministic orderings. That is what lets
+//! the report's sweeps fan out: `txstat_reports` folds one run per
+//! available CPU on `txstat_telemetry::par_map` and merges the runs in
+//! order, one sweep per chain. This crate spawns no thread.
 //!
 //! Supporting modules:
 //!
-//! - [`accumulate`] — the chunked parallel map-reduce driver.
 //! - [`eos_analysis`], [`tezos_analysis`], [`xrp_analysis`] — besides the
 //!   sweep structs, the shared vocabulary (`classify_*`, the class and
 //!   throughput-category enums, [`eos_analysis::EosLabels`]) and the
@@ -67,7 +67,6 @@
 //! - [`graph`] — mergeable transaction-graph metrics (degree distributions,
 //!   hubs, fan-out outliers), the §5 related-work lens.
 
-pub mod accumulate;
 pub mod cluster;
 pub mod columnar;
 pub mod eos_analysis;

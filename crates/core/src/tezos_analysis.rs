@@ -116,9 +116,9 @@ pub(crate) type GovEvent = (ChainTime, String, Address);
 
 /// The Tezos sweep state: every Tezos exhibit statistic of one observation
 /// window. Production obtains it from
-/// [`crate::columnar::TezosColumnar::finalize`]; see [`crate::accumulate`]
-/// for the merge algebra. [`TezosSweep::observe`] / [`TezosSweep::compute`]
-/// are the scalar reference fold.
+/// [`crate::columnar::TezosColumnar::finalize`]; see [`crate`] for the merge
+/// algebra. [`TezosSweep::observe`] / [`TezosSweep::compute`] are the scalar
+/// reference fold.
 #[derive(Debug, Clone)]
 pub struct TezosSweep {
     pub(crate) period: Period,
@@ -239,19 +239,18 @@ impl TezosSweep {
         self.txs_in_period += other.txs_in_period;
     }
 
-    /// One parallel [`TezosSweep::observe`] sweep over the blocks: the
+    /// [`TezosSweep::observe`] folded over the blocks in order: the
     /// reference the suites hold `TezosColumnar::compute` to.
     pub fn compute(
         blocks: &[TezosBlock],
         period: Period,
         periods: &[(PeriodKind, Period)],
     ) -> Self {
-        crate::accumulate::par_sweep(
-            blocks,
-            || TezosSweep::new(period, periods.to_vec()),
-            |acc, b| acc.observe(b),
-            |a, b| a.merge(b),
-        )
+        let mut sweep = TezosSweep::new(period, periods.to_vec());
+        for b in blocks {
+            sweep.observe(b);
+        }
+        sweep
     }
 
     /// Figure 1: counts per operation kind.

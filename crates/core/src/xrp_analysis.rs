@@ -234,9 +234,9 @@ pub struct ConcentrationReport {
 
 /// The XRP sweep state: every XRP exhibit statistic of one observation
 /// window. Production obtains it from
-/// [`crate::columnar::XrpColumnar::finalize`]; see [`crate::accumulate`]
-/// for the merge algebra. [`XrpSweep::observe`] / [`XrpSweep::compute`] are
-/// the scalar reference fold.
+/// [`crate::columnar::XrpColumnar::finalize`]; see [`crate`] for the merge
+/// algebra. [`XrpSweep::observe`] / [`XrpSweep::compute`] are the scalar
+/// reference fold.
 ///
 /// The oracle is consulted *per transaction* during the sweep (value
 /// classification and drop-denominated valuation are integral per tx), so
@@ -438,15 +438,14 @@ impl XrpSweep {
         self.graph.merge(other.graph);
     }
 
-    /// One parallel [`XrpSweep::observe`] sweep over the ledgers: the
+    /// [`XrpSweep::observe`] folded over the ledgers in order: the
     /// reference the suites hold `XrpColumnar::compute` to.
     pub fn compute(blocks: &[LedgerBlock], period: Period, oracle: &RateOracle) -> Self {
-        crate::accumulate::par_sweep(
-            blocks,
-            || XrpSweep::new(period),
-            |acc, b| acc.observe(b, oracle),
-            |a, b| a.merge(b),
-        )
+        let mut sweep = XrpSweep::new(period);
+        for b in blocks {
+            sweep.observe(b, oracle);
+        }
+        sweep
     }
 
     /// Figure 1: counts per transaction type.

@@ -6,9 +6,9 @@
 use crate::client::{http_with_retries, ndjson_with_retries, ClientConfig, CrawlError};
 use crate::pool::RotatingPool;
 use crate::stats::CrawlStats;
-use parking_lot::Mutex;
 use serde_json::{json, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 use txstat_netsim::http::HttpRequest;
 
@@ -52,7 +52,7 @@ pub fn crawl_range<B, Err: From<CrawlError> + Send>(
         let step = || {
             let (block, payload, txs) = fetch(n)?;
             {
-                let mut s = stats.lock();
+                let mut s = stats.lock().unwrap_or_else(PoisonError::into_inner);
                 s.record_payload(n, &payload);
                 s.blocks += 1;
                 s.transactions += txs;
@@ -63,7 +63,10 @@ pub fn crawl_range<B, Err: From<CrawlError> + Send>(
             // Hand out no further index: every other worker finishes the
             // block it holds and exits.
             next.store(low as i64 - 1, Ordering::SeqCst);
-            failure.lock().get_or_insert(e);
+            failure
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(e);
             return;
         }
     };
@@ -77,7 +80,7 @@ pub fn crawl_range<B, Err: From<CrawlError> + Send>(
         }
         panicked
     });
-    if let Some(e) = failure.into_inner() {
+    if let Some(e) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
         return Err(e);
     }
     if let Some(panic) = panicked {
@@ -88,7 +91,7 @@ pub fn crawl_range<B, Err: From<CrawlError> + Send>(
             .unwrap_or("panic");
         return Err(CrawlError::Protocol(format!("worker panicked: {message}")).into());
     }
-    let mut stats = stats.into_inner();
+    let mut stats = stats.into_inner().unwrap_or_else(PoisonError::into_inner);
     stats.elapsed = started.elapsed();
     Ok(stats)
 }
@@ -102,10 +105,12 @@ fn collect_range<B: Send>(
 ) -> Result<Crawl<B>, CrawlError> {
     let out = Mutex::new(Vec::new());
     let stats = crawl_range(high, low, concurrency, fetch, |n, block| {
-        out.lock().push((n, block));
+        out.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((n, block));
         Ok::<(), CrawlError>(())
     })?;
-    let mut blocks = out.into_inner();
+    let mut blocks = out.into_inner().unwrap_or_else(PoisonError::into_inner);
     blocks.sort_by_key(|(n, _)| *n);
     Ok(Crawl {
         blocks: blocks.into_iter().map(|(_, b)| b).collect(),

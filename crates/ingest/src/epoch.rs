@@ -14,9 +14,8 @@
 //! readers have all let go, the follower folds its next epoch into that copy
 //! instead of cloning (the left-right pair in `txstat_reports::follow`).
 
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A published, epoch-counted immutable snapshot slot.
 #[derive(Debug)]
@@ -37,7 +36,10 @@ impl<T> EpochCell<T> {
     /// The current snapshot. Cheap (one `Arc` clone under a read lock) and
     /// never blocked by a publisher for longer than one pointer swap.
     pub fn load(&self) -> Arc<T> {
-        self.slot.read().clone()
+        self.slot
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// The epoch counter: bumped once per publish, starting at 1.
@@ -49,7 +51,7 @@ impl<T> EpochCell<T> {
     /// keep the snapshot they already loaded; later loads see the new one.
     pub fn publish(&self, value: Arc<T>) -> u64 {
         let (retired, epoch) = {
-            let mut slot = self.slot.write();
+            let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
             let retired = std::mem::replace(&mut *slot, value);
             (retired, self.epoch.fetch_add(1, Ordering::AcqRel) + 1)
         };
@@ -113,7 +115,7 @@ mod tests {
         impl Drop for Probe {
             fn drop(&mut self) {
                 if let Some(cell) = self.cell.get() {
-                    let unlocked = cell.slot.try_read().is_some();
+                    let unlocked = cell.slot.try_read().is_ok();
                     self.dropped_unlocked
                         .store(unlocked as u64 + 1, Ordering::SeqCst);
                 }

@@ -36,10 +36,9 @@
 //!
 //! [`ShardWorker`]: crate::reduce::ShardWorker
 
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, LazyLock};
+use std::sync::{Arc, Condvar, LazyLock, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use txstat_telemetry::{registry, Counter, Histogram};
 use txstat_types::rng::subseed_n;
@@ -235,7 +234,7 @@ impl Shared {
     /// The next chunk to sweep, waiting while the queue is empty but some
     /// other thread still holds a chunk; `None` once every chunk is done.
     fn next(&self) -> Option<Chunk> {
-        let mut board = self.board.lock();
+        let mut board = self.board.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if board.outstanding == 0 {
                 return None;
@@ -243,12 +242,15 @@ impl Shared {
             if let Some(chunk) = board.queue.pop_front() {
                 return Some(chunk);
             }
-            self.changed.wait(&mut board);
+            board = self
+                .changed
+                .wait(board)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn complete(&self, chunk: Chunk, addr: &str, frames: Vec<ShardFrame>) {
-        let mut board = self.board.lock();
+        let mut board = self.board.lock().unwrap_or_else(PoisonError::into_inner);
         board.results.push((chunk.id, addr.to_owned(), frames));
         board.outstanding -= 1;
         self.changed.notify_all();
@@ -257,7 +259,7 @@ impl Shared {
     /// Hand `chunk` back to the survivors; `failure` says which worker gave
     /// it up and why.
     fn redispatch(&self, chunk: Chunk, failure: String) {
-        let mut board = self.board.lock();
+        let mut board = self.board.lock().unwrap_or_else(PoisonError::into_inner);
         board.queue.push_back(chunk);
         board.failures.push(failure);
         self.changed.notify_all();
@@ -371,7 +373,10 @@ pub fn reduce_fleet(
         }
     });
 
-    let board = shared.board.into_inner();
+    let board = shared
+        .board
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     if board.outstanding > 0 {
         return Err(FleetError::Exhausted {
             pending: board.queue.len(),

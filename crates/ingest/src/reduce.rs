@@ -421,8 +421,8 @@ impl ReduceSession {
 /// a columnar accumulator and emit it as a wire frame.
 ///
 /// `shards` in-process sub-accumulators fold residue classes of the slice
-/// and merge in index order — the same two-level layout as the streaming
-/// ingest pool, and (by the merge laws) irrelevant to the result.
+/// and merge in index order; by the merge laws the split is irrelevant to
+/// the result.
 #[derive(Debug, Clone)]
 pub struct ShardWorker {
     /// Assigned block-position range `[start, end)`, end-exclusive,

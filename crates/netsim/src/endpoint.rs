@@ -6,9 +6,9 @@
 //! selection requires endpoints that genuinely differ in those dimensions —
 //! this module provides the knobs.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use txstat_telemetry::{Counter, Gauge, Histogram};
@@ -183,7 +183,7 @@ impl EndpointSim {
     /// Gate one request: returns the decision plus the artificial latency
     /// to apply before answering.
     pub fn gate(&self) -> (Gate, Duration) {
-        let mut rng = self.rng.lock();
+        let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
         let jitter: f64 = rng.gen_range(-1.0..1.0f64) * self.profile.jitter_ms;
         let delay =
             Duration::from_micros(((self.profile.latency_ms + jitter).max(0.0) * 1_000.0) as u64);
@@ -191,7 +191,12 @@ impl EndpointSim {
             return (Gate::Fault, delay);
         }
         drop(rng);
-        if !self.bucket.lock().try_take() {
+        if !self
+            .bucket
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .try_take()
+        {
             return (Gate::RateLimited, delay);
         }
         (Gate::Proceed, delay)

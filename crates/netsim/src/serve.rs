@@ -14,9 +14,8 @@ use crate::endpoint::{EndpointStats, TokenBucket};
 use crate::framing::{conn, Http};
 use crate::http::{read_response, write_request, HttpRequest, HttpResponse};
 use crate::server::{serve_connections, Gatekeeper};
-use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use txstat_telemetry::{Gauge, MetricKind, Registry, Sample, SampleValue};
 
@@ -165,7 +164,10 @@ impl Admission {
         if self.in_flight.get() >= self.max_in_flight {
             return false;
         }
-        self.bucket.lock().try_take()
+        self.bucket
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .try_take()
     }
 }
 
@@ -388,8 +390,16 @@ mod tests {
             Hello.handle(req)
         }
         fn replied(&self, req: &HttpRequest, reply: &HttpResponse) {
-            let _ = self.arrived.lock().recv_timeout(Duration::from_secs(10));
-            let _ = self.heard.lock().send((req.path.clone(), reply.status));
+            let _ = self
+                .arrived
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .recv_timeout(Duration::from_secs(10));
+            let _ = self
+                .heard
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .send((req.path.clone(), reply.status));
         }
     }
 

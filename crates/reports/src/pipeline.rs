@@ -141,10 +141,10 @@ pub(crate) type ChainBounds = (Option<(u64, ChainTime)>, Option<(u64, ChainTime)
 pub use txstat_core::ChainSweeps;
 
 impl PipelineData {
-    /// The analytics state: computed on first use with one columnar parallel
-    /// map-reduce sweep per chain (interned ids, batched classification,
-    /// remap merges — see `txstat_core::columnar`), then shared by every
-    /// exhibit. The engine finalizes into the `*Sweep` structs whose
+    /// The analytics state: computed on first use with one columnar sweep
+    /// per chain (interned ids, batched classification, remap merges — see
+    /// `txstat_core::columnar`), folded in one contiguous run per CPU and
+    /// merged in order, then shared by every exhibit. The engine finalizes into the `*Sweep` structs whose
     /// accessors the renderers read. The crawl has already filled this
     /// with what it folded, and the reduced paths through
     /// [`PipelineData::install_sweeps`]; `tests/streamed_ingest.rs` installs
@@ -156,15 +156,33 @@ impl PipelineData {
             Arc::new(ChainSweeps {
                 eos: {
                     let _span = Span::enter("sweep", "eos");
-                    EosColumnar::compute(&self.eos_blocks, period)
+                    chunked_sweep(
+                        &self.eos_blocks,
+                        || EosColumnar::new(period),
+                        EosColumnar::observe,
+                        EosColumnar::merge,
+                    )
+                    .finalize()
                 },
                 tezos: {
                     let _span = Span::enter("sweep", "tezos");
-                    TezosColumnar::compute(&self.tezos_blocks, period, &self.governance_periods)
+                    chunked_sweep(
+                        &self.tezos_blocks,
+                        || TezosColumnar::new(period, self.governance_periods.clone()),
+                        TezosColumnar::observe,
+                        TezosColumnar::merge,
+                    )
+                    .finalize()
                 },
                 xrp: {
                     let _span = Span::enter("sweep", "xrp");
-                    XrpColumnar::compute(&self.xrp_blocks, period, &self.oracle)
+                    chunked_sweep(
+                        &self.xrp_blocks,
+                        || XrpColumnar::new(period),
+                        |acc, b| acc.observe(b, &self.oracle),
+                        XrpColumnar::merge,
+                    )
+                    .finalize()
                 },
             })
         })
@@ -1140,6 +1158,40 @@ pub fn generate_with_crawl(
         block_free_lens: (!keep_blocks).then_some(lens),
         facts: Facts::known(facts, None),
     })
+}
+
+/// Floor on blocks per [`chunked_sweep`] run: below it, a run's accumulator
+/// setup and merge cost more than the fold it splits off.
+const MIN_SWEEP_RUN: usize = 256;
+
+/// One chain's sweep, chunked: fold one contiguous run of `blocks` per
+/// available CPU (at least [`MIN_SWEEP_RUN`] blocks each) on [`par_map`],
+/// then merge the runs in position order. Every accumulator merges exactly,
+/// so this equals the sequential fold (`*Columnar::compute`); on one CPU it
+/// is that fold, on the calling thread.
+fn chunked_sweep<B: Sync, A: Send>(
+    blocks: &[B],
+    identity: impl Fn() -> A + Sync,
+    observe: impl Fn(&mut A, &B) + Sync,
+    merge: impl Fn(&mut A, A),
+) -> A {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let runs: Vec<&[B]> = blocks
+        .chunks(blocks.len().div_ceil(cpus).max(MIN_SWEEP_RUN))
+        .collect();
+    let mut folded = par_map(&runs, |run| {
+        let mut acc = identity();
+        for b in *run {
+            observe(&mut acc, b);
+        }
+        acc
+    })
+    .into_iter();
+    let mut acc = folded.next().unwrap_or_else(identity);
+    for run in folded {
+        merge(&mut acc, run);
+    }
+    acc
 }
 
 /// Block positions per [`summarize`] call when a dataset summarizes its own

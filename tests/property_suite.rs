@@ -317,6 +317,24 @@ mod fused {
         order.into_iter().map(|i| &blocks[i]).collect()
     }
 
+    /// `fold` over `chunks` contiguous runs of `blocks`, merged in position
+    /// order: the shape of the report's chunked sweep driver.
+    fn in_runs<B, A>(
+        blocks: &[B],
+        chunks: usize,
+        fold: impl Fn(&[B]) -> A,
+        merge: impl Fn(&mut A, A),
+    ) -> A {
+        let mut runs = blocks
+            .chunks(blocks.len().div_ceil(chunks).max(1))
+            .map(&fold);
+        let mut acc = runs.next().unwrap_or_else(|| fold(&[]));
+        for run in runs {
+            merge(&mut acc, run);
+        }
+        acc
+    }
+
     /// A bucket series in a hash-order-free shape.
     fn series_rows<K: Eq + std::hash::Hash + Clone + Ord + std::fmt::Debug>(
         series: &BucketSeries<K>,
@@ -384,11 +402,13 @@ mod fused {
         /// Columnar merge algebra: split-range remap merges at any pivot
         /// (and in commuted order) finalize to the whole-range result —
         /// even though the two sides' interners assign different ids — and
-        /// so does one accumulator fed the blocks in any arrival order.
+        /// so do any number of contiguous runs merged in order, and one
+        /// accumulator fed the blocks in any arrival order.
         #[test]
         fn eos_columnar_merge_algebra(
             spec in eos_strategy(),
             pivot in 0usize..12,
+            chunks in 1usize..9,
             keys in arrival_keys(),
         ) {
             let blocks = eos_blocks(&spec);
@@ -411,6 +431,9 @@ mod fused {
             let mut with_identity = EosColumnar::new(window());
             with_identity.merge(fold(&blocks));
             assert_eos_equiv(&with_identity.finalize(), &blocks, window())?;
+
+            let chunked = in_runs(&blocks, chunks, fold, EosColumnar::merge);
+            assert_eos_equiv(&chunked.finalize(), &blocks, window())?;
 
             let mut arrived = EosColumnar::new(window());
             for b in arrival_order(&blocks, &keys) {
@@ -558,12 +581,14 @@ mod fused {
         }
 
         /// Columnar merge algebra for Tezos: split-range merges at any
-        /// pivot, and one accumulator fed the blocks in any arrival order,
-        /// finalize to the whole-range result.
+        /// pivot, any number of contiguous runs merged in order, and one
+        /// accumulator fed the blocks in any arrival order finalize to the
+        /// whole-range result.
         #[test]
         fn tezos_columnar_merge_algebra(
             spec in tz_strategy(),
             pivot in 0usize..12,
+            chunks in 1usize..9,
             keys in arrival_keys(),
         ) {
             use txstat::core::TezosColumnar;
@@ -579,6 +604,9 @@ mod fused {
             let mut split = fold(&blocks[..pivot]);
             split.merge(fold(&blocks[pivot..]));
             assert_tz_equiv(&split.finalize(), &blocks, window())?;
+
+            let chunked = in_runs(&blocks, chunks, fold, TezosColumnar::merge);
+            assert_tz_equiv(&chunked.finalize(), &blocks, window())?;
 
             let mut arrived = TezosColumnar::new(window(), tz_periods());
             for b in arrival_order(&blocks, &keys) {
@@ -777,12 +805,14 @@ mod fused {
         }
 
         /// Columnar merge algebra for XRP: split-range merges at any
-        /// pivot, and one accumulator fed the blocks in any arrival order,
-        /// finalize to the whole-range result.
+        /// pivot, any number of contiguous runs merged in order, and one
+        /// accumulator fed the blocks in any arrival order finalize to the
+        /// whole-range result.
         #[test]
         fn xrp_columnar_merge_algebra(
             spec in x_strategy(),
             pivot in 0usize..12,
+            chunks in 1usize..9,
             keys in arrival_keys(),
         ) {
             use txstat::core::XrpColumnar;
@@ -799,6 +829,9 @@ mod fused {
             let mut split = fold(&blocks[..pivot]);
             split.merge(fold(&blocks[pivot..]));
             assert_x_equiv(&split.finalize(), &blocks, window())?;
+
+            let chunked = in_runs(&blocks, chunks, fold, XrpColumnar::merge);
+            assert_x_equiv(&chunked.finalize(), &blocks, window())?;
 
             let mut arrived = XrpColumnar::new(window());
             for b in arrival_order(&blocks, &keys) {
@@ -959,46 +992,6 @@ mod fused {
                 |a, b| a.merge(b),
             );
             assert_x_equiv(&standing, &blocks, window())?;
-        }
-    }
-
-    /// The sweep result — the engine's and the reference fold's — is
-    /// identical at any rayon worker count.
-    #[test]
-    fn sweeps_are_thread_count_invariant() {
-        let spec: Vec<Vec<Vec<EosSpec>>> = (0..600)
-            .map(|i| {
-                (0..4)
-                    .map(|j| {
-                        (0..3)
-                            .map(|k| ((i + j + k) as u8, i as u8, j as u8, 7 + k as i64))
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        // Enough blocks that `par_sweep` really cuts 2–3 chunks (its floor
-        // is 256 a chunk), starting before the window and ending inside it.
-        let mut blocks = eos_blocks(&spec);
-        for (i, b) in blocks.iter_mut().enumerate() {
-            b.time = t0() + (i as i64 - 30) * 400;
-        }
-        let engines: [(&str, fn(&[Block], Period) -> EosSweep); 2] = [
-            ("EosColumnar::compute", EosColumnar::compute),
-            ("EosSweep::compute", EosSweep::compute),
-        ];
-        for (engine, compute) in engines {
-            let at = |threads: usize| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                eos_battery(&pool.install(|| compute(&blocks, window())))
-            };
-            let base = at(1);
-            for threads in [2, 4, 8] {
-                assert_eq!(base, at(threads), "{engine} at {threads} threads");
-            }
         }
     }
 }

@@ -223,10 +223,25 @@ pub struct QueryServerHandle {
 /// by the shared admission bucket before it reaches the handler. Shed
 /// requests are answered 429 immediately (never queued), so overload
 /// degrades into fast refusals instead of stalls.
+///
+/// A bucket that could never admit a request, or never refill as asked (a
+/// `burst` below 1, a negative `rate_per_sec`, either one NaN or infinite),
+/// is refused with [`std::io::ErrorKind::InvalidInput`] before anything
+/// binds: it would answer every request, `/admin/shutdown` included, 429.
 pub fn start_query_server(
     handler: Arc<dyn HttpHandler>,
     cfg: QueryServerConfig,
 ) -> std::io::Result<QueryServerHandle> {
+    let (rate, burst) = (cfg.rate_per_sec, cfg.burst);
+    if !(rate.is_finite() && rate >= 0.0 && burst.is_finite() && burst >= 1.0) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "the query server needs a finite rate >= 0 and a finite burst >= 1 \
+                 (got rate {rate}, burst {burst})"
+            ),
+        ));
+    }
     let listener = TcpListener::bind(&cfg.bind)?;
     let addr = listener.local_addr()?;
     let routes = Arc::new(RouteStats::default());
@@ -494,6 +509,35 @@ mod tests {
         assert_eq!(s.latency.total(), served as u64);
         let latency = s.latency.snapshot();
         assert!(latency.quantile(0.5) <= latency.quantile(0.99));
+    }
+
+    /// A bucket that sheds every request (or refills from a NaN) would
+    /// leave a server that not even `/admin/shutdown` can reach: refused
+    /// before it binds. A zero rate with a whole burst is a fixed budget
+    /// and still starts.
+    #[test]
+    fn a_bucket_that_cannot_admit_is_refused() {
+        let bucket = |rate_per_sec, burst| QueryServerConfig {
+            rate_per_sec,
+            burst,
+            ..QueryServerConfig::default()
+        };
+        for (rate, burst) in [
+            (50_000.0, 0.0),
+            (50_000.0, 0.5),
+            (50_000.0, -1.0),
+            (50_000.0, f64::NAN),
+            (50_000.0, f64::INFINITY),
+            (-1.0, 5_000.0),
+            (f64::NAN, 5_000.0),
+            (f64::INFINITY, 5_000.0),
+        ] {
+            let err = start_query_server(Arc::new(Hello), bucket(rate, burst))
+                .err()
+                .unwrap_or_else(|| panic!("rate {rate}, burst {burst} was served"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        }
+        assert!(start_query_server(Arc::new(Hello), bucket(0.0, 1.0)).is_ok());
     }
 
     #[test]

@@ -1524,6 +1524,10 @@ fn archive_flag_misuse_exits_with_usage() {
             "--timeout-ms must be at least 1",
         ),
         (
+            &["serve", "--small", "--seed", "7", "--burst", "0"][..],
+            "needs a finite rate >= 0 and a finite burst >= 1",
+        ),
+        (
             &[
                 "shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "0",
             ][..],

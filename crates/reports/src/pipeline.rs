@@ -1558,3 +1558,25 @@ fn finish_reduce(data: PipelineData, session: ReduceSession) -> Result<PipelineD
     );
     Ok(data)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::chunked_sweep;
+
+    /// Runs merge in block order (a concatenation is associative, not
+    /// commutative), and no blocks fold to the identity.
+    #[test]
+    fn chunked_sweep_merges_its_runs_in_block_order() {
+        let concat = |blocks: &[u32]| {
+            chunked_sweep(
+                blocks,
+                Vec::new,
+                |acc: &mut Vec<u32>, b| acc.push(*b),
+                |a, mut b| a.append(&mut b),
+            )
+        };
+        let blocks: Vec<u32> = (0..5_000).collect();
+        assert_eq!(concat(&blocks), blocks);
+        assert!(concat(&[]).is_empty());
+    }
+}

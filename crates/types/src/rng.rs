@@ -55,4 +55,29 @@ mod tests {
         };
         assert_eq!(a, b);
     }
+
+    /// The corpus is a function of this stream: every byte the workload
+    /// writes, and so every FNV pin and CI sha256, moves if one value or
+    /// one draw count here does. The last draw shows how many draws the
+    /// calls before it made.
+    #[test]
+    fn the_stream_is_the_corpus_format() {
+        let mut r = rng_for(42, "workload/eos");
+        let words: [u64; 3] = [r.gen(), r.gen(), r.gen()];
+        assert_eq!(
+            words,
+            [
+                13_257_837_256_906_795_379,
+                17_610_803_862_066_409_225,
+                9_354_459_887_411_973_259
+            ]
+        );
+        assert_eq!(r.gen::<f64>(), 0.294_538_718_475_449_43);
+        assert_eq!(r.gen_range(0..1000u64), 665);
+        assert_eq!(r.gen_range(3..1000u64), 709);
+        assert_eq!(r.gen_range(1..=30u64), 2);
+        assert_eq!(r.gen_range(-1.0..1.0f64), -0.980_730_085_813_004_1);
+        assert!(r.gen::<bool>());
+        assert_eq!(r.gen::<u64>(), 12_990_667_383_798_338_718);
+    }
 }

@@ -23,15 +23,13 @@
 //! decisions derive from the profile seed and the connection index —
 //! a chaos run is exactly reproducible.
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use txstat_telemetry::{registry, Counter};
-use txstat_types::rng::rng_for_n;
+use txstat_types::rng::{rng_for_n, Rng};
 
 /// Behaviour profile of the proxy. Rates are probabilities per connection
 /// direction; their sum is clamped to 1.0 in priority order (reset, then
@@ -89,12 +87,12 @@ enum Plan {
 }
 
 /// Connection-direction fault decisions, drawn from a per-connection rng.
-fn draw_plan(p: &ChaosProfile, rng: &mut StdRng) -> Plan {
-    let r: f64 = rng.r#gen();
+fn draw_plan(p: &ChaosProfile, rng: &mut Rng) -> Plan {
+    let r = rng.unit();
     // Fault offsets land inside the first 512 bytes: requests are a few
     // hundred bytes and responses far larger, so both directions get hit
     // mid-message rather than past the end of short streams.
-    let offset = rng.gen_range(0..512usize);
+    let offset = rng.index(512);
     if r < p.fault_rate {
         Plan::Reset { after: offset }
     } else if r < p.fault_rate + p.truncate_rate {
@@ -220,7 +218,7 @@ fn relay(
         };
         let mut rng = rng_for_n(profile.seed, label, conn_index);
         let plan = draw_plan(profile, &mut rng);
-        let jitter: f64 = rng.gen_range(-1.0..1.0f64) * profile.jitter_ms;
+        let jitter = rng.uniform(-1.0, 1.0) * profile.jitter_ms;
         let delay =
             Duration::from_micros(((profile.latency_ms + jitter).max(0.0) * 1_000.0) as u64);
         let stats = Arc::clone(stats);

@@ -6,12 +6,11 @@
 //! selection requires endpoints that genuinely differ in those dimensions —
 //! this module provides the knobs.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use txstat_telemetry::{Counter, Gauge, Histogram};
+use txstat_types::rng::Rng;
 
 /// Behaviour profile of one simulated endpoint.
 #[derive(Debug, Clone)]
@@ -166,13 +165,13 @@ impl EndpointStats {
 pub(crate) struct EndpointSim {
     pub profile: EndpointProfile,
     bucket: Mutex<TokenBucket>,
-    rng: Mutex<StdRng>,
+    rng: Mutex<Rng>,
 }
 
 impl EndpointSim {
     pub fn new(profile: EndpointProfile) -> Self {
         let bucket = TokenBucket::new(profile.rate_limit_per_sec, profile.burst);
-        let rng = StdRng::seed_from_u64(profile.seed);
+        let rng = Rng::from_seed(profile.seed);
         EndpointSim {
             profile,
             bucket: Mutex::new(bucket),
@@ -184,10 +183,10 @@ impl EndpointSim {
     /// to apply before answering.
     pub fn gate(&self) -> (Gate, Duration) {
         let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
-        let jitter: f64 = rng.gen_range(-1.0..1.0f64) * self.profile.jitter_ms;
+        let jitter = rng.uniform(-1.0, 1.0) * self.profile.jitter_ms;
         let delay =
             Duration::from_micros(((self.profile.latency_ms + jitter).max(0.0) * 1_000.0) as u64);
-        if self.profile.fault_rate > 0.0 && rng.gen::<f64>() < self.profile.fault_rate {
+        if self.profile.fault_rate > 0.0 && rng.unit() < self.profile.fault_rate {
             return (Gate::Fault, delay);
         }
         drop(rng);

@@ -1,17 +1,16 @@
 //! Random samplers for the workload engine.
 //!
-//! The offline crate set includes `rand` but not `rand_distr`, so the handful
-//! of distributions the agent models need (Poisson arrivals, Zipf-skewed
-//! account popularity, exponential inter-arrival gaps, log-normal amounts)
-//! are implemented here with the standard algorithms.
+//! The handful of distributions the agent models need (Poisson arrivals,
+//! Zipf-skewed account popularity, exponential inter-arrival gaps, log-normal
+//! amounts), implemented with the standard algorithms over [`Rng`]'s draws.
 
-use rand::Rng;
+use crate::rng::Rng;
 
 /// Sample a Poisson-distributed count with mean `lambda`.
 ///
 /// Knuth's multiplication method for small λ; for large λ a normal
 /// approximation (λ + √λ·Z) is statistically adequate for traffic volumes.
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
+pub fn poisson(rng: &mut Rng, lambda: f64) -> u64 {
     if lambda <= 0.0 {
         return 0;
     }
@@ -20,7 +19,7 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
         let mut k = 0u64;
         let mut p = 1.0f64;
         loop {
-            p *= rng.gen::<f64>();
+            p *= rng.unit();
             if p <= l {
                 return k;
             }
@@ -42,23 +41,23 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
 }
 
 /// Standard normal via Box–Muller.
-pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal(rng: &mut Rng) -> f64 {
     // Avoid ln(0).
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen::<f64>();
+    let u1 = rng.uniform(f64::MIN_POSITIVE, 1.0);
+    let u2 = rng.unit();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// Exponential variate with rate `rate` (mean `1/rate`).
 #[cfg(test)]
-fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
+fn exponential(rng: &mut Rng, rate: f64) -> f64 {
     assert!(rate > 0.0, "exponential rate must be positive");
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u = rng.uniform(f64::MIN_POSITIVE, 1.0);
     -u.ln() / rate
 }
 
 /// Log-normal variate with the given parameters of the underlying normal.
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+pub fn log_normal(rng: &mut Rng, mu: f64, sigma: f64) -> f64 {
     (mu + sigma * standard_normal(rng)).exp()
 }
 
@@ -106,8 +105,8 @@ impl Zipf {
     }
 
     /// Sample a 0-based rank (0 is the most popular).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        pick(&self.cdf, rng.gen())
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        pick(&self.cdf, rng.unit())
     }
 }
 
@@ -137,20 +136,18 @@ impl WeightedIndex {
         WeightedIndex { cdf }
     }
 
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        pick(&self.cdf, rng.gen())
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        pick(&self.cdf, rng.unit())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn poisson_mean_is_close() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::from_seed(7);
         for lambda in [0.5, 3.0, 25.0, 200.0] {
             let n = 20_000;
             let sum: u64 = (0..n).map(|_| poisson(&mut rng, lambda)).sum();
@@ -164,14 +161,14 @@ mod tests {
 
     #[test]
     fn poisson_zero_lambda() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::from_seed(1);
         assert_eq!(poisson(&mut rng, 0.0), 0);
         assert_eq!(poisson(&mut rng, -3.0), 0);
     }
 
     #[test]
     fn exponential_mean() {
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::from_seed(9);
         let n = 50_000;
         let sum: f64 = (0..n).map(|_| exponential(&mut rng, 2.0)).sum();
         assert!((sum / n as f64 - 0.5).abs() < 0.02);
@@ -179,7 +176,7 @@ mod tests {
 
     #[test]
     fn zipf_is_skewed_and_in_range() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::from_seed(3);
         let z = Zipf::new(100, 1.1);
         let mut counts = [0u64; 100];
         for _ in 0..50_000 {
@@ -194,7 +191,7 @@ mod tests {
 
     #[test]
     fn weighted_index_respects_weights() {
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::from_seed(11);
         let w = WeightedIndex::new(&[0.0, 1.0, 3.0]);
         let mut counts = [0u64; 3];
         for _ in 0..40_000 {
@@ -215,7 +212,7 @@ mod tests {
 
     #[test]
     fn pick_equals_the_three_way_binary_search() {
-        let mut rng = StdRng::seed_from_u64(13);
+        let mut rng = Rng::from_seed(13);
         let zipf = Zipf::new(2_000, 0.9);
         let weighted = WeightedIndex::new(&[3.0, 1.0, 0.5, 7.0, 2.0, 2.0, 11.0]);
         for cdf in [&zipf.cdf, &weighted.cdf] {
@@ -223,7 +220,7 @@ mod tests {
             assert!(cdf.windows(2).all(|w| w[0] < w[1]));
             let exact = cdf.iter().flat_map(|c| [*c, c.next_down(), c.next_up()]);
             let edges = [0.0, f64::MIN_POSITIVE, 0.5, 1.0 - f64::EPSILON];
-            let draws: Vec<f64> = (0..20_000).map(|_| rng.gen()).collect();
+            let draws: Vec<f64> = (0..20_000).map(|_| rng.unit()).collect();
             for u in exact.chain(edges).chain(draws) {
                 assert_eq!(pick(cdf, u), reference_pick(cdf, u), "u = {u:e}");
             }
@@ -237,7 +234,7 @@ mod tests {
 
     #[test]
     fn log_normal_positive() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::from_seed(5);
         for _ in 0..1000 {
             assert!(log_normal(&mut rng, 0.0, 1.5) > 0.0);
         }

@@ -19,7 +19,7 @@
 //!   columnar sweep engine.
 //! - [`stats`] — streaming mean/stdev, exact top-K, histograms, Gini.
 //! - [`distrib`] — the samplers the workload engine needs (Poisson, Zipf,
-//!   log-normal) built on plain `rand`.
+//!   log-normal), each drawing from [`rng::Rng`].
 //! - [`jsonw`] — the streaming writer behind the canonical wire JSON
 //!   (`block_bytes` / `ledger_bytes` in the chain crates), writing bytes
 //!   or only counting them.
@@ -27,7 +27,9 @@
 //!   dataset statistics (Figure 2) and the archive's segments.
 //! - [`table`] — plain-text table rendering shared by all report output.
 //! - [`series`] — bucketed categorical time series (Figure 3).
-//! - [`rng`] — deterministic seed derivation so every run is reproducible.
+//! - [`rng`] — the workspace's one random generator, [`rng::Rng`]
+//!   (xoshiro256**; its stream is the corpus format), and the seed
+//!   derivation that makes every run reproducible.
 
 pub mod amount;
 pub mod base58;

@@ -8,8 +8,6 @@
 //! roughly tenfold.
 
 use crate::{eidos_launch, Scenario};
-use rand::rngs::StdRng;
-use rand::Rng;
 use txstat_eos::chain::{ChainConfig, EosChain};
 use txstat_eos::contract::{AirdropSpec, AppCategory, ContractMeta};
 use txstat_eos::name::Name;
@@ -18,7 +16,7 @@ use txstat_eos::token::TokenId;
 use txstat_eos::types::{Action, ActionData, Transaction};
 use txstat_types::amount::SymCode;
 use txstat_types::distrib::{log_normal, poisson, Zipf};
-use txstat_types::rng::rng_for;
+use txstat_types::rng::{rng_for, Rng};
 use txstat_types::time::ChainTime;
 
 // ---- paper-calibrated daily rates (unscaled) -------------------------------
@@ -141,11 +139,11 @@ impl EosCast {
         }
     }
 
-    fn user(&self, rng: &mut StdRng) -> Name {
+    fn user(&self, rng: &mut Rng) -> Name {
         self.users[self.user_zipf.sample(rng)]
     }
 
-    fn miner(&self, rng: &mut StdRng) -> Name {
+    fn miner(&self, rng: &mut Rng) -> Name {
         self.miners[self.miner_zipf.sample(rng)]
     }
 }
@@ -329,9 +327,9 @@ fn generic(contract: Name, action: &str, actor: Name) -> Action {
 }
 
 /// Pick an index from cumulative (name, share) pairs; falls back to last.
-fn pick_weighted<'a, T>(rng: &mut StdRng, items: &'a [(T, f64)]) -> &'a T {
+fn pick_weighted<'a, T>(rng: &mut Rng, items: &'a [(T, f64)]) -> &'a T {
     let total: f64 = items.iter().map(|x| x.1).sum();
-    let mut u = rng.gen::<f64>() * total;
+    let mut u = rng.unit() * total;
     for (t, w) in items {
         u -= w;
         if u <= 0.0 {
@@ -356,7 +354,7 @@ fn eidos_intensity(t: ChainTime) -> f64 {
 fn gen_block_txs(
     sc: &Scenario,
     cast: &EosCast,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     time: ChainTime,
 ) -> Vec<Transaction> {
     let mut txs: Vec<Transaction> = Vec::new();
@@ -366,7 +364,7 @@ fn gen_block_txs(
     // --- BetDice cluster: betdicegroup fans out per Figure 5. -------------
     let n = poisson(rng, per(BETDICE_SENDS_PER_DAY));
     for _ in 0..n {
-        let u: f64 = rng.gen();
+        let u = rng.unit();
         let action = if u < 0.689 {
             // → betdicetasks with the Figure 4 action mix.
             let name = pick_weighted(
@@ -396,7 +394,7 @@ fn gen_block_txs(
     let n = poisson(rng, per(PORN_PER_DAY));
     for _ in 0..n {
         let user = cast.user(rng);
-        let name = if rng.gen::<f64>() < 0.9986 {
+        let name = if rng.unit() < 0.9986 {
             "record"
         } else {
             "login"
@@ -425,23 +423,20 @@ fn gen_block_txs(
     // --- WhaleEx: trades + bookkeeping; §4.1 wash-trading pattern. ---------
     let n = poisson(rng, per(WHALEEX_PER_DAY));
     for _ in 0..n {
-        let u: f64 = rng.gen();
+        let u = rng.unit();
         if u < 0.2979 {
             // verifytrade2: 70% of trades involve the top-5 accounts; those
             // are self-trades 85%+ of the time (wash trading).
-            let (buyer, seller) = if rng.gen::<f64>() < 0.70 {
-                let w = cast.wash_traders[rng.gen_range(0..cast.wash_traders.len())];
-                if rng.gen::<f64>() < 0.88 {
+            let (buyer, seller) = if rng.unit() < 0.70 {
+                let w = cast.wash_traders[rng.index(cast.wash_traders.len())];
+                if rng.unit() < 0.88 {
                     (w, w) // self-trade
                 } else {
-                    (
-                        w,
-                        cast.minor_traders[rng.gen_range(0..cast.minor_traders.len())],
-                    )
+                    (w, cast.minor_traders[rng.index(cast.minor_traders.len())])
                 }
             } else {
-                let a = cast.minor_traders[rng.gen_range(0..cast.minor_traders.len())];
-                let b = cast.minor_traders[rng.gen_range(0..cast.minor_traders.len())];
+                let a = cast.minor_traders[rng.index(cast.minor_traders.len())];
+                let b = cast.minor_traders[rng.index(cast.minor_traders.len())];
                 (a, b)
             };
             let base_qty = eos_amt(log_normal(rng, 2.0, 1.0));
@@ -485,7 +480,7 @@ fn gen_block_txs(
     // --- MYKEY postman relays. ----------------------------------------------
     let n = poisson(rng, per(MYKEY_PER_DAY));
     for _ in 0..n {
-        if rng.gen::<f64>() < 0.9404 {
+        if rng.unit() < 0.9404 {
             let to = cast.user(rng);
             txs.push(tx(
                 vec![Action::token_transfer(
@@ -510,7 +505,7 @@ fn gen_block_txs(
     // --- BlueBet cluster. -----------------------------------------------------
     let n = poisson(rng, per(BLUEBET_PROXY_PER_DAY));
     for _ in 0..n {
-        let u: f64 = rng.gen();
+        let u = rng.unit();
         let action = if u < 0.5014 {
             generic(cast.bluebet_proxy, "proxycall", cast.bluebet_proxy)
         } else if u < 0.5014 + 0.2905 {
@@ -534,7 +529,7 @@ fn gen_block_txs(
     }
     let n = poisson(rng, per(BLUEBET_2USER_PER_DAY));
     for _ in 0..n {
-        if rng.gen::<f64>() < 0.9642 {
+        if rng.unit() < 0.9642 {
             // LYNX token payouts on the lynxtoken123 contract.
             txs.push(tx(
                 vec![Action::token_transfer(
@@ -563,7 +558,7 @@ fn gen_block_txs(
     }
     let n = poisson(rng, per(BLUEBET_BCRAT_PER_DAY));
     for _ in 0..n {
-        if rng.gen::<f64>() < 0.7917 {
+        if rng.unit() < 0.7917 {
             txs.push(tx(
                 vec![generic(cast.bluebet_bcrat, "bankroll", cast.bluebet_bcrat)],
                 250,
@@ -609,7 +604,7 @@ fn gen_block_txs(
     // --- Other dApps. -----------------------------------------------------------
     let n = poisson(rng, per(OTHER_APPS_PER_DAY));
     for _ in 0..n {
-        let c = cast.misc_contracts[rng.gen_range(0..cast.misc_contracts.len())];
+        let c = cast.misc_contracts[rng.index(cast.misc_contracts.len())];
         txs.push(tx(vec![generic(c, "doit", cast.user(rng))], 280, 150));
     }
 
@@ -643,12 +638,12 @@ fn gen_block_txs(
                 },
                 "bidname" => ActionData::BidName {
                     bidder: actor,
-                    newname: idx_name("bid", rng.gen_range(0..100_000)),
+                    newname: idx_name("bid", rng.index(100_000)),
                     bid: eos_amt(log_normal(rng, 2.0, 1.0) + 1.0),
                 },
                 "voteproducer" => ActionData::VoteProducer {
                     voter: actor,
-                    producer_count: rng.gen_range(1..=30),
+                    producer_count: 1 + rng.below(30) as u8,
                 },
                 "rentcpu" => ActionData::RentCpu {
                     from: actor,
@@ -657,7 +652,7 @@ fn gen_block_txs(
                 },
                 "newaccount" => ActionData::NewAccount {
                     creator: actor,
-                    name: idx_name("nu", rng.gen_range(0..100_000_000)),
+                    name: idx_name("nu", rng.index(100_000_000)),
                 },
                 _ => ActionData::Generic,
             };
@@ -679,7 +674,7 @@ fn gen_block_txs(
             let miner = cast.miner(rng);
             // Miners batch 1–3 boomerangs per transaction; each spawns a
             // refund + EIDOS payout inline (3 transfer actions per boomerang).
-            let boomerangs = rng.gen_range(1..=3);
+            let boomerangs = 1 + rng.below(3);
             let actions = (0..boomerangs)
                 .map(|_| {
                     Action::token_transfer(

@@ -4,14 +4,12 @@
 //! replay behind Figure 9 and §4.2.
 
 use crate::Scenario;
-use rand::rngs::StdRng;
-use rand::Rng;
 use txstat_tezos::address::Address;
 use txstat_tezos::chain::{TezosChain, TezosConfig, MUTEZ_PER_TEZ};
 use txstat_tezos::governance::GovernanceConfig;
 use txstat_tezos::ops::{OpPayload, Operation, Vote};
 use txstat_types::distrib::{log_normal, poisson, Zipf};
-use txstat_types::rng::rng_for;
+use txstat_types::rng::{rng_for, Rng};
 use txstat_types::time::ChainTime;
 
 // ---- paper-calibrated daily rates (unscaled; Figure 1 / 92 days) ----------
@@ -97,7 +95,7 @@ impl TezosCast {
         }
     }
 
-    fn user(&self, rng: &mut StdRng) -> Address {
+    fn user(&self, rng: &mut Rng) -> Address {
         self.users[self.user_zipf.sample(rng)]
     }
 }
@@ -112,20 +110,20 @@ struct ScheduledOp {
 /// ballots Aug 9 – Sep 1, promotion ballots Sep 24 – Oct 17, and a sparse
 /// Brest A proposal round in December (the <1%-participation follow-up the
 /// paper mentions).
-fn governance_schedule(cast: &TezosCast, rng: &mut StdRng) -> Vec<ScheduledOp> {
+fn governance_schedule(cast: &TezosCast, rng: &mut Rng) -> Vec<ScheduledOp> {
     let mut sched: Vec<ScheduledOp> = Vec::new();
     let day = |y: i64, m: u32, d: u32| ChainTime::from_ymd(y, m, d);
-    let rand_time = |rng: &mut StdRng, from: ChainTime, to: ChainTime| {
-        ChainTime(rng.gen_range(from.secs()..to.secs()))
+    let rand_time = |rng: &mut Rng, from: ChainTime, to: ChainTime| {
+        ChainTime(from.secs() + rng.below((to.secs() - from.secs()) as u64) as i64)
     };
 
     for (i, baker) in cast.bakers.iter().enumerate() {
         // 49% of bakers participate in the proposal period.
-        let participates = rng.gen::<f64>() < 0.49;
+        let participates = rng.unit() < 0.49;
         if participates {
             // 78% of participants upvote Babylon 1 (before Aug 2 feedback),
             // everyone upvotes Babylon 2.0 once released Aug 1.
-            if rng.gen::<f64>() < 0.78 {
+            if rng.unit() < 0.78 {
                 sched.push(ScheduledOp {
                     time: rand_time(rng, day(2019, 7, 25), day(2019, 8, 1)),
                     op: Operation::new(
@@ -149,7 +147,7 @@ fn governance_schedule(cast: &TezosCast, rng: &mut StdRng) -> Vec<ScheduledOp> {
         // Exploration: >81% participation; no nays, foundation passes.
         // Large bakers (professional operators) always vote, anchoring the
         // rolls-weighted quorum.
-        if i < 10 || rng.gen::<f64>() < 0.85 {
+        if i < 10 || rng.unit() < 0.85 {
             let vote = if *baker == cast.foundation {
                 Vote::Pass
             } else {
@@ -167,8 +165,8 @@ fn governance_schedule(cast: &TezosCast, rng: &mut StdRng) -> Vec<ScheduledOp> {
             });
         }
         // Promotion: similar turnout, ~12% nays (Ledger breakage, §4.2).
-        if i < 10 || rng.gen::<f64>() < 0.85 {
-            let u: f64 = rng.gen();
+        if i < 10 || rng.unit() < 0.85 {
+            let u = rng.unit();
             let vote = if *baker == cast.foundation {
                 Vote::Pass
             } else if u < 0.12 {
@@ -303,7 +301,7 @@ pub fn build_tezos(sc: &Scenario) -> TezosChain {
                                 st.counter
                             } else {
                                 // Mildly skewed receiver choice (σ above Poisson).
-                                let z = rng.gen::<f64>().powf(1.35);
+                                let z = rng.unit().powf(1.35);
                                 ((z * pool as f64) as usize).min(pool - 1)
                             };
                             Address::implicit(10_000 + fi as u64 * 100_000 + idx as u64)
@@ -344,7 +342,7 @@ pub fn build_tezos(sc: &Scenario) -> TezosChain {
             // Other manager/anonymous operations at Figure 1 rates.
             for _ in 0..poisson(&mut rng, per(ORIGINATION_PER_DAY)) {
                 let src = cast.user(&mut rng);
-                let kt = Address::originated(5_000_000 + rng.gen_range(0..1_000_000u64));
+                let kt = Address::originated(5_000_000 + rng.below(1_000_000));
                 ops.push(Operation::new(
                     src,
                     OpPayload::Origination {
@@ -355,20 +353,20 @@ pub fn build_tezos(sc: &Scenario) -> TezosChain {
             }
             for _ in 0..poisson(&mut rng, per(REVEAL_PER_DAY)) {
                 ops.push(Operation::new(
-                    Address::implicit(6_000_000 + rng.gen_range(0..10_000_000u64)),
+                    Address::implicit(6_000_000 + rng.below(10_000_000)),
                     OpPayload::Reveal,
                 ));
             }
             for _ in 0..poisson(&mut rng, per(ACTIVATION_PER_DAY)) {
                 ops.push(Operation::new(
-                    Address::implicit(7_000_000 + rng.gen_range(0..10_000_000u64)),
+                    Address::implicit(7_000_000 + rng.below(10_000_000)),
                     OpPayload::Activation {
-                        secret_hash: rng.gen(),
+                        secret_hash: rng.next_u64(),
                     },
                 ));
             }
             for _ in 0..poisson(&mut rng, per(DELEGATION_PER_DAY)) {
-                let delegate = cast.bakers[rng.gen_range(0..cast.bakers.len())];
+                let delegate = cast.bakers[rng.index(cast.bakers.len())];
                 ops.push(Operation::new(
                     cast.user(&mut rng),
                     OpPayload::Delegation {
@@ -377,15 +375,15 @@ pub fn build_tezos(sc: &Scenario) -> TezosChain {
                 ));
             }
             for _ in 0..poisson(&mut rng, per(REVEAL_NONCE_PER_DAY)) {
-                let baker = cast.bakers[rng.gen_range(0..cast.bakers.len())];
-                let level = chain.head_level().saturating_sub(rng.gen_range(1..64));
+                let baker = cast.bakers[rng.index(cast.bakers.len())];
+                let level = chain.head_level().saturating_sub(1 + rng.below(63));
                 ops.push(Operation::new(baker, OpPayload::RevealNonce { level }));
             }
             for _ in 0..poisson(&mut rng, per(DOUBLE_BAKING_PER_DAY)) {
-                let offender = cast.bakers[rng.gen_range(0..cast.bakers.len())];
+                let offender = cast.bakers[rng.index(cast.bakers.len())];
                 let level = chain.head_level().saturating_sub(1);
                 ops.push(Operation::new(
-                    cast.bakers[rng.gen_range(0..cast.bakers.len())],
+                    cast.bakers[rng.index(cast.bakers.len())],
                     OpPayload::DoubleBakingEvidence { offender, level },
                 ));
             }

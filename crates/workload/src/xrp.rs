@@ -10,10 +10,8 @@
 //! self-dealt BTC IOU pump of Figure 11b.
 
 use crate::Scenario;
-use rand::rngs::StdRng;
-use rand::Rng;
 use txstat_types::distrib::{poisson, Zipf};
-use txstat_types::rng::rng_for;
+use txstat_types::rng::{rng_for, Rng};
 use txstat_types::time::ChainTime;
 use txstat_xrp::amount::{Amount, IssuedCurrency, DROPS_PER_XRP, IOU_UNIT};
 use txstat_xrp::ledger::{LedgerConfig, XrpLedger};
@@ -230,8 +228,8 @@ fn in_wave2(t: ChainTime) -> bool {
 }
 
 /// Mean-preserving jitter in [0.5, 1.5).
-fn jitter(rng: &mut StdRng) -> f64 {
-    0.5 + rng.gen::<f64>()
+fn jitter(rng: &mut Rng) -> f64 {
+    0.5 + rng.unit()
 }
 
 fn setup(ledger: &mut XrpLedger) {
@@ -446,14 +444,14 @@ fn activate_children(ledger: &mut XrpLedger, now: ChainTime, state: &mut WaveSta
 #[allow(clippy::too_many_lines)]
 fn gen_close_txs(
     sc: &Scenario,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     ledger: &mut XrpLedger,
     now: ChainTime,
     state: &mut WaveState,
     user_zipf: &Zipf,
 ) {
     let per = |daily: f64| Scenario::per_block(daily, sc.xrp_divisor, sc.xrp_close_secs);
-    let user = |rng: &mut StdRng| AccountId(USER_BASE + user_zipf.sample(rng) as u64);
+    let user = |rng: &mut Rng| AccountId(USER_BASE + user_zipf.sample(rng) as u64);
     let submit = |l: &mut XrpLedger, tx: Transaction| {
         let _ = l.submit(tx, now);
     };
@@ -617,11 +615,7 @@ fn gen_close_txs(
                 TxPayload::OfferCreate {
                     gets: xrp(amount),
                     // Ask 3–10× the market rate for USD: rests unfilled.
-                    pays: iou(
-                        "USD",
-                        BITSTAMP,
-                        amount / 4.9 * (3.0 + 7.0 * rng.gen::<f64>()),
-                    ),
+                    pays: iou("USD", BITSTAMP, amount / 4.9 * (3.0 + 7.0 * rng.unit())),
                 },
                 FEE,
             ),
@@ -684,7 +678,7 @@ fn gen_close_txs(
         for _ in 0..n {
             let volume_xrp = spec.xrp_volume_per_day / spec.trades_per_day * jitter(rng);
             let units = volume_xrp / spec.rate;
-            let rate = spec.rate * (0.98 + 0.04 * rng.gen::<f64>());
+            let rate = spec.rate * (0.98 + 0.04 * rng.unit());
             submit(
                 ledger,
                 Transaction::new(
@@ -726,7 +720,7 @@ fn gen_close_txs(
         let n = poisson(rng, per(*sends_per_day));
         let mean_amount = volume_per_day / sends_per_day;
         for _ in 0..n {
-            let mut u = rng.gen::<f64>();
+            let mut u = rng.unit();
             let mut dest = receivers[receivers.len() - 1].0;
             for (r, w) in receivers {
                 u -= w;
@@ -786,8 +780,8 @@ fn gen_close_txs(
     ] {
         let n = poisson(rng, per(daily));
         for _ in 0..n {
-            let from = AccountId(USER_BASE + 200 + rng.gen_range(0..200u64));
-            let mut to = AccountId(USER_BASE + 200 + rng.gen_range(0..200u64));
+            let from = AccountId(USER_BASE + 200 + rng.below(200));
+            let mut to = AccountId(USER_BASE + 200 + rng.below(200));
             if to == from {
                 to = AccountId(USER_BASE + 200 + ((from.0 - USER_BASE - 200 + 1) % 200));
             }
@@ -808,12 +802,12 @@ fn gen_close_txs(
     // Shadow fiat IOU payments (huge nominal volume, no value).
     let n = poisson(rng, per(SHADOW_FIAT_PAYMENTS_PER_DAY));
     for _ in 0..n {
-        let from = AccountId(USER_BASE + rng.gen_range(0..200u64));
-        let mut to = AccountId(USER_BASE + rng.gen_range(0..200u64));
+        let from = AccountId(USER_BASE + rng.below(200));
+        let mut to = AccountId(USER_BASE + rng.below(200));
         if to == from {
             to = AccountId(USER_BASE + ((from.0 - USER_BASE + 1) % 200));
         }
-        let (currency, issuer, mean) = if rng.gen::<bool>() {
+        let (currency, issuer, mean) = if rng.next_u64() & 1 == 1 {
             ("USD", SHADOW_USD, 38_000.0)
         } else {
             ("EUR", SHADOW_EUR, 50_000.0)
@@ -844,8 +838,8 @@ fn gen_close_txs(
         let live = state.children_activated;
         let n = poisson(rng, per(wave_rate));
         for _ in 0..n {
-            let a = AccountId(SPAM_CHILD_BASE + rng.gen_range(0..live));
-            let mut b = AccountId(SPAM_CHILD_BASE + rng.gen_range(0..live));
+            let a = AccountId(SPAM_CHILD_BASE + rng.below(live));
+            let mut b = AccountId(SPAM_CHILD_BASE + rng.below(live));
             if b == a {
                 b = AccountId(SPAM_CHILD_BASE + ((a.0 - SPAM_CHILD_BASE + 1) % live));
             }
@@ -867,7 +861,7 @@ fn gen_close_txs(
     // Account housekeeping (Figure 1's small rows).
     for _ in 0..poisson(rng, per(TRUSTSET_PER_DAY)) {
         let u = user(rng);
-        let (currency, issuer) = if rng.gen::<f64>() < 0.5 {
+        let (currency, issuer) = if rng.unit() < 0.5 {
             ("USD", BITSTAMP)
         } else {
             ("CNY", CNY_GATEWAY)
@@ -932,7 +926,7 @@ fn gen_close_txs(
             Transaction::new(
                 user(rng),
                 TxPayload::EscrowFinish {
-                    escrow_id: rng.gen_range(3..1000),
+                    escrow_id: 3 + rng.below(997),
                 },
                 FEE,
             ),
@@ -944,7 +938,7 @@ fn gen_close_txs(
             Transaction::new(
                 user(rng),
                 TxPayload::EscrowCancel {
-                    escrow_id: rng.gen_range(3..1000),
+                    escrow_id: 3 + rng.below(997),
                 },
                 FEE,
             ),
@@ -969,7 +963,7 @@ fn gen_close_txs(
             Transaction::new(
                 user(rng),
                 TxPayload::PaymentChannelClaim {
-                    channel_id: rng.gen_range(3..1000),
+                    channel_id: 3 + rng.below(997),
                     drops: DROPS_PER_XRP,
                 },
                 FEE,

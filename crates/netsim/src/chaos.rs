@@ -32,8 +32,9 @@ use txstat_telemetry::{registry, Counter};
 use txstat_types::rng::{rng_for_n, Rng};
 
 /// Behaviour profile of the proxy. Rates are probabilities per connection
-/// direction; their sum is clamped to 1.0 in priority order (reset, then
-/// truncate, then flip).
+/// direction, each in `[0, 1]` and summing to at most 1: one uniform draw
+/// picks reset, then truncate, then flip ([`spawn_chaos_proxy`] refuses any
+/// other profile).
 #[derive(Debug, Clone)]
 pub struct ChaosProfile {
     /// Human label for logs and stats.
@@ -155,11 +156,35 @@ impl ChaosHandle {
 
 /// Start a chaos proxy listening on `listen` (e.g. `127.0.0.1:0`) and
 /// relaying every connection to `upstream` through `profile`'s fault model.
+///
+/// A profile that cannot mean what it says is refused with
+/// [`std::io::ErrorKind::InvalidInput`] before anything binds: a rate that
+/// is NaN or outside `[0, 1]` (a NaN or negative rate never faults, so the
+/// run would silently be a clean relay), rates that sum above 1 (the later
+/// fault kinds would silently shrink), or a latency or jitter that is
+/// negative or not finite.
 pub fn spawn_chaos_proxy(
     listen: &str,
     upstream: String,
     profile: ChaosProfile,
 ) -> std::io::Result<ChaosHandle> {
+    let p = &profile;
+    let rates = [p.fault_rate, p.truncate_rate, p.flip_rate];
+    // The tolerance admits sums like 0.1 + 0.2 + 0.7 that round above 1.
+    let rates_ok =
+        rates.iter().all(|r| (0.0..=1.0).contains(r)) && rates.iter().sum::<f64>() <= 1.0 + 1e-9;
+    let ms_ok = |ms: f64| ms.is_finite() && ms >= 0.0;
+    if !(rates_ok && ms_ok(p.latency_ms) && ms_ok(p.jitter_ms)) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "the chaos proxy needs rates in [0, 1] summing to at most 1 and a finite \
+                 latency and jitter >= 0 (got fault {}, truncate {}, flip {}, latency {} ms, \
+                 jitter {} ms)",
+                p.fault_rate, p.truncate_rate, p.flip_rate, p.latency_ms, p.jitter_ms
+            ),
+        ));
+    }
     let listener = TcpListener::bind(listen)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -298,6 +323,41 @@ mod tests {
         let mut out = Vec::new();
         s.read_to_end(&mut out)?;
         Ok(out)
+    }
+
+    #[test]
+    fn profiles_that_cannot_mean_what_they_say_are_refused() {
+        let profile = |edit: fn(&mut ChaosProfile)| {
+            let mut p = ChaosProfile::clean("refused", 1);
+            edit(&mut p);
+            p
+        };
+        for (what, bad) in [
+            ("NaN fault rate", profile(|p| p.fault_rate = f64::NAN)),
+            ("negative fault rate", profile(|p| p.fault_rate = -1.0)),
+            ("fault rate above 1", profile(|p| p.fault_rate = 7.0)),
+            (
+                "infinite truncate rate",
+                profile(|p| p.truncate_rate = f64::INFINITY),
+            ),
+            ("flip rate above 1", profile(|p| p.flip_rate = 1.5)),
+            (
+                "rates summing above 1",
+                profile(|p| (p.fault_rate, p.truncate_rate, p.flip_rate) = (0.5, 0.4, 0.2)),
+            ),
+            ("negative latency", profile(|p| p.latency_ms = -5.0)),
+            ("NaN jitter", profile(|p| p.jitter_ms = f64::NAN)),
+            ("infinite jitter", profile(|p| p.jitter_ms = f64::INFINITY)),
+        ] {
+            let err = spawn_chaos_proxy("127.0.0.1:0", "127.0.0.1:1".into(), bad)
+                .err()
+                .unwrap_or_else(|| panic!("a proxy with a {what} started"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{what}");
+        }
+        let whole = profile(|p| (p.fault_rate, p.truncate_rate, p.flip_rate) = (0.1, 0.2, 0.7));
+        spawn_chaos_proxy("127.0.0.1:0", "127.0.0.1:1".into(), whole)
+            .expect("rates that sum to 1 up to rounding start")
+            .stop();
     }
 
     #[test]

@@ -1528,6 +1528,14 @@ fn archive_flag_misuse_exits_with_usage() {
             "needs a finite rate >= 0 and a finite burst >= 1",
         ),
         (
+            &["chaos", "--upstream", "127.0.0.1:1", "--fault-rate", "NaN"][..],
+            "needs rates in [0, 1] summing to at most 1",
+        ),
+        (
+            &["chaos", "--upstream", "127.0.0.1:1", "--flip-rate", "1.5"][..],
+            "needs rates in [0, 1] summing to at most 1",
+        ),
+        (
             &[
                 "shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "0",
             ][..],

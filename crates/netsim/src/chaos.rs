@@ -296,6 +296,11 @@ fn pump(mut from: TcpStream, mut to: TcpStream, plan: Plan, delay: Duration, sta
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// The `txstat_chaos_*` counters are process-global: a test that expects
+    /// no reset holds this lock against the one test whose proxy resets.
+    static RESETS: Mutex<()> = Mutex::new(());
 
     /// An upstream that echoes whatever it receives, one connection at a
     /// time, until dropped.
@@ -362,6 +367,7 @@ mod tests {
 
     #[test]
     fn clean_proxy_relays_faithfully() {
+        let _resets = RESETS.lock().unwrap_or_else(PoisonError::into_inner);
         let upstream = spawn_echo_upstream();
         let h = spawn_chaos_proxy("127.0.0.1:0", upstream, ChaosProfile::clean("clean", 1))
             .expect("proxy starts");
@@ -396,6 +402,7 @@ mod tests {
 
     #[test]
     fn reset_proxy_kills_the_stream_early() {
+        let _resets = RESETS.lock().unwrap_or_else(PoisonError::into_inner);
         let upstream = spawn_echo_upstream();
         let mut p = ChaosProfile::clean("reset", 11);
         p.fault_rate = 1.0;

@@ -3,19 +3,23 @@
 //! sender→receiver degree distributions, hub concentration, and the
 //! in/out-degree outliers that flag artificial behaviour.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use txstat_types::stats::{gini, TopK};
 
-/// A directed transfer graph over generic node ids.
+/// A directed transfer graph over generic node ids, kept as flat counters:
+/// a merge costs what the merged-in graph holds, with no set per node to
+/// clone or union.
 #[derive(Debug, Clone)]
 pub struct TransferGraph<N: Eq + Hash + Clone + Ord> {
     /// Edge multiplicities.
     edges: HashMap<(N, N), u64>,
     out_degree: HashMap<N, u64>,
     in_degree: HashMap<N, u64>,
-    out_neighbors: HashMap<N, HashSet<N>>,
-    in_neighbors: HashMap<N, HashSet<N>>,
+    /// Distinct out-neighbors per source: bumped only when an edge key
+    /// enters `edges`, so it always equals that source's edge count there.
+    fanout: HashMap<N, u64>,
 }
 
 impl<N: Eq + Hash + Clone + Ord> Default for TransferGraph<N> {
@@ -24,8 +28,7 @@ impl<N: Eq + Hash + Clone + Ord> Default for TransferGraph<N> {
             edges: HashMap::new(),
             out_degree: HashMap::new(),
             in_degree: HashMap::new(),
-            out_neighbors: HashMap::new(),
-            in_neighbors: HashMap::new(),
+            fanout: HashMap::new(),
         }
     }
 }
@@ -66,14 +69,21 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
         if n == 0 {
             return;
         }
-        *self.edges.entry((from.clone(), to.clone())).or_insert(0) += n;
         *self.out_degree.entry(from.clone()).or_insert(0) += n;
         *self.in_degree.entry(to.clone()).or_insert(0) += n;
-        self.out_neighbors
-            .entry(from.clone())
-            .or_default()
-            .insert(to.clone());
-        self.in_neighbors.entry(to).or_default().insert(from);
+        self.add_edge((from, to), n);
+    }
+
+    /// Add `n` to one edge's multiplicity; a new edge key is one more
+    /// distinct out-neighbor of its source.
+    fn add_edge(&mut self, edge: (N, N), n: u64) {
+        match self.edges.entry(edge) {
+            Entry::Occupied(mut e) => *e.get_mut() += n,
+            Entry::Vacant(e) => {
+                *self.fanout.entry(e.key().0.clone()).or_insert(0) += 1;
+                e.insert(n);
+            }
+        }
     }
 
     pub fn transfers(&self) -> u64 {
@@ -104,30 +114,23 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
     /// Distinct out-neighbors of a node.
     #[cfg(test)]
     pub(crate) fn fanout_of(&self, n: &N) -> u64 {
-        self.out_neighbors
-            .get(n)
-            .map(|s| s.len() as u64)
-            .unwrap_or(0)
+        self.fanout.get(n).copied().unwrap_or(0)
     }
 
-    /// Merge another graph: edge multiplicities and degrees add, neighbor
-    /// sets union. Associative and commutative, so partial sweeps' graphs
+    /// Merge another graph: edge multiplicities and degrees add, and a
+    /// source's fan-out grows by the edges new to this graph (its count in
+    /// `other` is not added, since an edge both graphs hold is one
+    /// neighbor). Associative and commutative, so partial sweeps' graphs
     /// combine in any order.
     pub fn merge(&mut self, other: TransferGraph<N>) {
         for (e, n) in other.edges {
-            *self.edges.entry(e).or_insert(0) += n;
+            self.add_edge(e, n);
         }
         for (k, n) in other.out_degree {
             *self.out_degree.entry(k).or_insert(0) += n;
         }
         for (k, n) in other.in_degree {
             *self.in_degree.entry(k).or_insert(0) += n;
-        }
-        for (k, s) in other.out_neighbors {
-            self.out_neighbors.entry(k).or_default().extend(s);
-        }
-        for (k, s) in other.in_neighbors {
-            self.in_neighbors.entry(k).or_default().extend(s);
         }
     }
 
@@ -146,18 +149,14 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
         }
 
         // Fan-out outliers: distinct-neighborhood size vs the median.
-        let mut fanouts: Vec<u64> = self
-            .out_neighbors
-            .values()
-            .map(|s| s.len() as u64)
-            .collect();
+        let mut fanouts: Vec<u64> = self.fanout.values().copied().collect();
         fanouts.sort_unstable();
         let median = fanouts.get(fanouts.len() / 2).copied().unwrap_or(0).max(1);
         let mut fanout_outliers: Vec<(N, u64)> = self
-            .out_neighbors
+            .fanout
             .iter()
-            .filter(|(_, s)| s.len() as u64 > 100 * median)
-            .map(|(n, s)| (n.clone(), s.len() as u64))
+            .filter(|(_, f)| **f > 100 * median)
+            .map(|(n, f)| (n.clone(), *f))
             .collect();
         fanout_outliers.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
@@ -177,6 +176,8 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn degrees_and_report() {
@@ -225,5 +226,55 @@ mod tests {
         assert_eq!(r.transfers, 0);
         assert_eq!(r.out_degree_gini, 0.0);
         assert!(r.top_sinks.is_empty());
+    }
+
+    proptest! {
+        /// An edge multiset split at random into `k` partial graphs (the
+        /// same edge repeated inside a part and across parts) merges to
+        /// the one graph over all of it: the same report, and every
+        /// source's fan-out is its count of distinct targets. A hub that
+        /// sends to up to 400 targets, each from two parts, is a fan-out
+        /// outlier in about half the cases.
+        #[test]
+        fn merged_parts_equal_the_one_graph(
+            edges in proptest::collection::vec((0u64..40, 0u64..4, 1u64..4, 0usize..8), 1usize..160),
+            hub_targets in 0u64..400,
+            k in 1usize..6,
+        ) {
+            const HUB: u64 = 1_000;
+            let mut all = edges.clone();
+            for to in 0..hub_targets {
+                for part in [to as usize, to as usize + 1] {
+                    all.push((HUB, 100 + to, 1, part));
+                }
+            }
+            let mut one: TransferGraph<u64> = TransferGraph::new();
+            let mut parts: Vec<TransferGraph<u64>> = (0..k).map(|_| TransferGraph::new()).collect();
+            for &(from, to, n, part) in &all {
+                one.record_many(from, to, n);
+                parts[part % k].record_many(from, to, n);
+            }
+            let mut merged = TransferGraph::new();
+            for part in parts {
+                merged.merge(part);
+            }
+
+            let distinct: BTreeSet<(u64, u64)> = all.iter().map(|&(f, t, ..)| (f, t)).collect();
+            for source in (0..40).chain([HUB]) {
+                let want = distinct.iter().filter(|(f, _)| *f == source).count() as u64;
+                prop_assert_eq!(one.fanout_of(&source), want);
+                prop_assert_eq!(merged.fanout_of(&source), want);
+            }
+            let (a, b) = (one.report(5), merged.report(5));
+            prop_assert_eq!(a.unique_edges, distinct.len() as u64);
+            prop_assert_eq!(b.unique_edges, a.unique_edges);
+            prop_assert_eq!(b.nodes, a.nodes);
+            prop_assert_eq!(b.transfers, a.transfers);
+            prop_assert_eq!(b.fanout_outliers, a.fanout_outliers);
+            prop_assert_eq!(b.top_sinks, a.top_sinks);
+            prop_assert_eq!(b.top_sources, a.top_sources);
+            prop_assert_eq!(b.out_degree_gini.to_bits(), a.out_degree_gini.to_bits());
+            prop_assert_eq!(b.in_degree_gini.to_bits(), a.in_degree_gini.to_bits());
+        }
     }
 }

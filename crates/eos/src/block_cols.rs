@@ -322,6 +322,13 @@ fn decode_data(
     })
 }
 
+/// Most elements a decoder reserves room for up front. A count has passed
+/// [`ColReader::len`]'s check against the bytes left, but an element can
+/// take far more memory than its minimum encoding, so a forged count could
+/// still reserve many times the blob's size; past this the vector grows as
+/// elements actually decode.
+const RESERVE_CAP: usize = 1024;
+
 /// Decode a column blob back into blocks. Strict: trailing bytes, forged
 /// counts, and out-of-table references are all typed errors.
 pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<Block>, ColError> {
@@ -332,30 +339,35 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<Block>, ColError> {
             "bad eos column schema tag {tag} (want {SCHEMA_TAG})"
         )));
     }
-    let mut names = Vec::new();
-    for _ in 0..r.len(1)? {
+    let n = r.len(1)?;
+    let mut names = Vec::with_capacity(n.min(RESERVE_CAP));
+    for _ in 0..n {
         names.push(Name::decode_key(&mut r)?);
     }
-    let mut syms = Vec::new();
-    for _ in 0..r.len(1)? {
+    let n = r.len(1)?;
+    let mut syms = Vec::with_capacity(n.min(RESERVE_CAP));
+    for _ in 0..n {
         let s = r.str()?;
         syms.push(SymCode::try_new(s).map_err(|e| r.invalid(format!("symbol table: {e}")))?);
     }
-    let mut blocks = Vec::new();
-    for _ in 0..r.len(4)? {
+    let n = r.len(4)?;
+    let mut blocks = Vec::with_capacity(n.min(RESERVE_CAP));
+    for _ in 0..n {
         let num = r.u64()?;
         let time = ChainTime(r.i64()?);
         let producer = read_name(&mut r, &names)?;
-        let mut transactions = Vec::new();
-        for _ in 0..r.len(3)? {
+        let n = r.len(3)?;
+        let mut transactions = Vec::with_capacity(n.min(RESERVE_CAP));
+        for _ in 0..n {
             let id = r.u64()?;
             let cpu_us = r.u32()?;
             let net_words = r.u32()?;
             if net_words > u32::MAX / 8 {
                 return Err(r.invalid(format!("net_usage_words {net_words} overflows net_bytes")));
             }
-            let mut actions = Vec::new();
-            for _ in 0..r.len(4)? {
+            let n = r.len(4)?;
+            let mut actions = Vec::with_capacity(n.min(RESERVE_CAP));
+            for _ in 0..n {
                 let contract = read_name(&mut r, &names)?;
                 let name = read_name(&mut r, &names)?;
                 let actor = read_name(&mut r, &names)?;

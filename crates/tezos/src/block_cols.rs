@@ -244,6 +244,13 @@ fn decode_op(
     Ok(Operation { source, payload })
 }
 
+/// Most elements a decoder reserves room for up front. A count has passed
+/// [`ColReader::len`]'s check against the bytes left, but an element can
+/// take far more memory than its minimum encoding, so a forged count could
+/// still reserve many times the blob's size; past this the vector grows as
+/// elements actually decode.
+const RESERVE_CAP: usize = 1024;
+
 /// Decode a column blob back into blocks (operations in validation-pass
 /// order, matching the wire-JSON replay). Strict and typed throughout.
 pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<TezosBlock>, ColError> {
@@ -254,22 +261,26 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<TezosBlock>, ColError> {
             "bad tezos column schema tag {tag} (want {SCHEMA_TAG})"
         )));
     }
-    let mut addrs = Vec::new();
-    for _ in 0..r.len(2)? {
+    let n = r.len(2)?;
+    let mut addrs = Vec::with_capacity(n.min(RESERVE_CAP));
+    for _ in 0..n {
         addrs.push(Address::decode_key(&mut r)?);
     }
-    let mut strs = Vec::new();
-    for _ in 0..r.len(1)? {
+    let n = r.len(1)?;
+    let mut strs = Vec::with_capacity(n.min(RESERVE_CAP));
+    for _ in 0..n {
         strs.push(r.str()?.to_owned());
     }
-    let mut blocks = Vec::new();
-    for _ in 0..r.len(4)? {
+    let n = r.len(4)?;
+    let mut blocks = Vec::with_capacity(n.min(RESERVE_CAP));
+    for _ in 0..n {
         let level = r.u64()?;
         let time = ChainTime(r.i64()?);
         let baker = read_addr(&mut r, &addrs)?;
-        let mut operations = Vec::new();
         // Minimum operation: source ref (1 byte) + payload tag (1 byte).
-        for _ in 0..r.len(2)? {
+        let n = r.len(2)?;
+        let mut operations = Vec::with_capacity(n.min(RESERVE_CAP));
+        for _ in 0..n {
             operations.push(decode_op(&mut r, &addrs, &strs)?);
         }
         blocks.push(TezosBlock {

@@ -353,6 +353,13 @@ fn decode_payload(
     })
 }
 
+/// Most elements a decoder reserves room for up front. A count has passed
+/// [`ColReader::len`]'s check against the bytes left, but an element can
+/// take far more memory than its minimum encoding, so a forged count could
+/// still reserve many times the blob's size; past this the vector grows as
+/// elements actually decode.
+const RESERVE_CAP: usize = 1024;
+
 /// Decode a column blob back into closed ledgers. Strict and typed
 /// throughout — all table refs bounds-checked.
 pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<LedgerBlock>, ColError> {
@@ -363,24 +370,28 @@ pub fn decode_blocks(bytes: &[u8]) -> Result<Vec<LedgerBlock>, ColError> {
             "bad xrp column schema tag {tag} (want {SCHEMA_TAG})"
         )));
     }
-    let mut accounts = Vec::new();
-    for _ in 0..r.len(1)? {
+    let n = r.len(1)?;
+    let mut accounts = Vec::with_capacity(n.min(RESERVE_CAP));
+    for _ in 0..n {
         accounts.push(AccountId::decode_key(&mut r)?);
     }
-    let mut currencies = Vec::new();
-    for _ in 0..r.len(2)? {
+    let n = r.len(2)?;
+    let mut currencies = Vec::with_capacity(n.min(RESERVE_CAP));
+    for _ in 0..n {
         let sym = r.str()?.to_owned();
         let currency =
             SymCode::try_new(&sym).map_err(|e| r.invalid(format!("currency table: {e}")))?;
         let issuer = read_account(&mut r, &accounts)?;
         currencies.push(IssuedCurrency { currency, issuer });
     }
-    let mut blocks = Vec::new();
-    for _ in 0..r.len(3)? {
+    let n = r.len(3)?;
+    let mut blocks = Vec::with_capacity(n.min(RESERVE_CAP));
+    for _ in 0..n {
         let index = r.u64()?;
         let close_time = ChainTime(r.i64()?);
-        let mut transactions = Vec::new();
-        for _ in 0..r.len(4)? {
+        let n = r.len(4)?;
+        let mut transactions = Vec::with_capacity(n.min(RESERVE_CAP));
+        for _ in 0..n {
             let account = read_account(&mut r, &accounts)?;
             let fee_drops = r.i64()?;
             let destination_tag = match r.byte()? {

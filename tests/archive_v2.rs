@@ -12,8 +12,57 @@
 //! 3. **Cache accounting**: the decoded-segment LRU behind
 //!    `ShardContext::frames` counts exactly one hit or miss per covering
 //!    segment per assignment, even under concurrent assignments.
+//! 4. **Forged counts**: a count or length set to `u64::MAX` or `2^50` is a
+//!    typed error, and a count the bytes left can carry reserves room for
+//!    at most the decoders' cap of elements (watched through this test
+//!    binary's allocator).
 
 mod support;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, noting the largest single request a thread makes
+/// while [`largest_allocation`] watches it.
+struct Watch;
+
+thread_local! {
+    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|l| {
+        if let Some(largest) = l.get() {
+            l.set(Some(largest.max(size)));
+        }
+    });
+}
+
+unsafe impl GlobalAlloc for Watch {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static WATCH: Watch = Watch;
+
+/// `f`'s result and the largest single allocation it requested.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(Some(0)));
+    let out = f();
+    (out, LARGEST.with(|l| l.take()).unwrap_or(0))
+}
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -133,6 +182,140 @@ fn v2_bit_flip_never_panics_and_never_drifts() {
             &data.xrp_blocks,
             cols::encode_blocks,
             cols::decode_blocks,
+        );
+    }
+}
+
+/// The most elements a `block_cols` decoder reserves room for before any
+/// has decoded.
+const RESERVE_CAP: usize = 1024;
+
+/// Forged counts in a v2 column blob are typed errors, never a panic or a
+/// large reservation. Every varint of three two-block windows per chain
+/// (head, middle, tail) is set in turn to `u64::MAX` and to `2^50`: the
+/// blob fails typed or, where that varint was a value and not a count,
+/// decodes to blocks of the healthy shape. Then the blob is cut at every
+/// offset and continued by a count of 2^16 elements that the bytes left
+/// can carry but whose first element never decodes: no decode asks for
+/// more than the cap of the chain's largest element, where reserving the
+/// whole count would (a name table alone would take 512 KiB).
+#[test]
+fn v2_forged_counts_are_typed_and_reserve_at_most_the_cap() {
+    use std::mem::size_of;
+    use txstat::types::colcodec::ColError;
+    fn walk<B>(
+        chain: &str,
+        blocks: &[B],
+        encode: fn(&[B]) -> Vec<u8>,
+        decode: fn(&[u8]) -> Result<Vec<B>, ColError>,
+        shape: fn(&[B]) -> Vec<usize>,
+        largest_elem: usize,
+    ) {
+        let bound = RESERVE_CAP * largest_elem;
+        for start_frac in [0.0, 0.5, 1.0] {
+            let healthy = encode(window(blocks, start_frac, 2));
+            let want = shape(&decode(&healthy).expect("healthy columns decode"));
+            for value in [u64::MAX, 1 << 50] {
+                for (at, forged) in support::huge_counts(&healthy, value).enumerate() {
+                    let (decoded, largest) = largest_allocation(|| decode(&forged));
+                    if let Ok(blocks) = decoded {
+                        assert_eq!(
+                            shape(&blocks),
+                            want,
+                            "{chain} at {start_frac}: {value} at {at}"
+                        );
+                    }
+                    assert!(
+                        largest <= bound,
+                        "{chain}: {value} at {at} asked for {largest} bytes"
+                    );
+                }
+            }
+            for (at, forged) in support::forged_counts(&healthy, 1 << 16, 4).enumerate() {
+                let (decoded, largest) = largest_allocation(|| decode(&forged));
+                assert!(
+                    decoded.is_err(),
+                    "{chain} at {start_frac}: count forged at {at} decoded"
+                );
+                assert!(
+                    largest <= bound,
+                    "{chain}: count forged at {at} asked for {largest} bytes"
+                );
+            }
+        }
+    }
+    let data = direct();
+    {
+        use txstat::eos::{block_cols as cols, Action, Block, Name, Transaction};
+        use txstat::types::amount::SymCode;
+        walk(
+            "eos",
+            &data.eos_blocks,
+            cols::encode_blocks,
+            cols::decode_blocks,
+            |blocks: &[Block]| {
+                let txs = blocks.iter().flat_map(|b| &b.transactions);
+                let counts = blocks.iter().map(|b| b.transactions.len());
+                [blocks.len()]
+                    .into_iter()
+                    .chain(counts)
+                    .chain(txs.map(|t| t.actions.len()))
+                    .collect()
+            },
+            [
+                size_of::<Block>(),
+                size_of::<Transaction>(),
+                size_of::<Action>(),
+                size_of::<Name>(),
+                size_of::<SymCode>(),
+            ]
+            .into_iter()
+            .max()
+            .unwrap_or(0),
+        );
+    }
+    {
+        use txstat::tezos::{block_cols as cols, Address, Operation, TezosBlock};
+        walk(
+            "tezos",
+            &data.tezos_blocks,
+            cols::encode_blocks,
+            cols::decode_blocks,
+            |blocks: &[TezosBlock]| {
+                let counts = blocks.iter().map(|b| b.operations.len());
+                [blocks.len()].into_iter().chain(counts).collect()
+            },
+            [
+                size_of::<TezosBlock>(),
+                size_of::<Operation>(),
+                size_of::<Address>(),
+                size_of::<String>(),
+            ]
+            .into_iter()
+            .max()
+            .unwrap_or(0),
+        );
+    }
+    {
+        use txstat::xrp::{block_cols as cols, AccountId, AppliedTx, IssuedCurrency, LedgerBlock};
+        walk(
+            "xrp",
+            &data.xrp_blocks,
+            cols::encode_blocks,
+            cols::decode_blocks,
+            |blocks: &[LedgerBlock]| {
+                let counts = blocks.iter().map(|b| b.transactions.len());
+                [blocks.len()].into_iter().chain(counts).collect()
+            },
+            [
+                size_of::<LedgerBlock>(),
+                size_of::<AppliedTx>(),
+                size_of::<AccountId>(),
+                size_of::<IssuedCurrency>(),
+            ]
+            .into_iter()
+            .max()
+            .unwrap_or(0),
         );
     }
 }

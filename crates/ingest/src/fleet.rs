@@ -63,8 +63,9 @@ pub struct FleetConfig {
     /// Consecutive failed attempts a worker may burn on one chunk before
     /// the chunk is re-dispatched and the worker is declared dead.
     pub retries: u32,
-    /// Base backoff before the first retry; doubles per attempt (plus
-    /// deterministic jitter), capped at `FleetConfig::BACKOFF_CAP_MS`.
+    /// Base backoff before the first retry; doubles per attempt up to
+    /// `FleetConfig::BACKOFF_CAP_MS`, plus a deterministic jitter below
+    /// both the base and that cap.
     pub backoff_ms: u64,
     /// Seed for the deterministic backoff jitter.
     pub seed: u64,
@@ -291,13 +292,14 @@ pub(crate) fn request_frames(
 }
 
 /// Deterministic exponential backoff with jitter: `base << attempt`,
-/// capped, plus a seed-derived jitter in `[0, base)`.
+/// capped, plus a seed-derived jitter in `[0, base)` with `base` capped the
+/// same way, so no sleep reaches twice the cap whatever `--backoff-ms` says.
 fn backoff(cfg: &FleetConfig, addr: &str, attempt: u32) -> Duration {
     let base = cfg.backoff_ms.max(1);
     let exp = base
         .saturating_mul(1u64 << attempt.min(16))
         .min(FleetConfig::BACKOFF_CAP_MS);
-    let jitter = subseed_n(cfg.seed, addr, attempt as u64) % base;
+    let jitter = subseed_n(cfg.seed, addr, attempt as u64) % base.min(FleetConfig::BACKOFF_CAP_MS);
     Duration::from_millis(exp + jitter)
 }
 
@@ -489,6 +491,37 @@ mod tests {
             backoff_ms: 1,
             seed: 42,
         }
+    }
+
+    /// A base past the cap sleeps under twice the cap, since the jitter is
+    /// taken below the capped base too (`--backoff-ms
+    /// 18446744073709551615` must not sleep for ever); a base at or under
+    /// the cap keeps its jitter range.
+    #[test]
+    fn backoff_stays_under_twice_the_cap() {
+        let cap = Duration::from_millis(2 * FleetConfig::BACKOFF_CAP_MS);
+        for backoff_ms in [u64::MAX, 1 << 50, FleetConfig::BACKOFF_CAP_MS + 1] {
+            for seed in 0..16 {
+                let cfg = FleetConfig {
+                    backoff_ms,
+                    seed,
+                    ..test_cfg(vec![])
+                };
+                for attempt in 0..20 {
+                    let sleep = backoff(&cfg, "127.0.0.1:1", attempt);
+                    assert!(
+                        sleep < cap,
+                        "{backoff_ms} ms base, attempt {attempt}: {sleep:?}"
+                    );
+                }
+            }
+        }
+        let cfg = FleetConfig {
+            backoff_ms: 50,
+            ..test_cfg(vec![])
+        };
+        let sleep = backoff(&cfg, "127.0.0.1:1", 0);
+        assert!(sleep >= Duration::from_millis(50) && sleep < Duration::from_millis(100));
     }
 
     /// A worker that answers every assignment with one synthetic frame

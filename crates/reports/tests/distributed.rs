@@ -7,6 +7,7 @@ use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 use txstat_telemetry::TraceEvent;
 
 fn reproduce(dir: &Path, args: &[&str]) -> Output {
@@ -520,6 +521,44 @@ fn a_failed_run_keeps_its_telemetry() {
         trace.lines().any(|l| l.contains("\"stage\":\"generate\"")),
         "trace: {trace}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A huge `--backoff-ms` still ends: each retry sleep stays under twice the
+/// fleet's backoff cap, so a fleet with no worker behind it fails within
+/// 10 s.
+#[test]
+fn a_huge_backoff_still_ends() {
+    let dir = tempdir("hugebackoff");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .current_dir(&dir)
+        .args([
+            "reduce",
+            "--connect",
+            "127.0.0.1:1",
+            "--small",
+            "--retries",
+            "1",
+            "--backoff-ms",
+            "18446744073709551615",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn reproduce");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll reproduce") {
+            break status;
+        }
+        if started.elapsed() > Duration::from_secs(10) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("reduce with a huge --backoff-ms still ran after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(!status.success(), "a dead fleet is still a failure");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -301,10 +301,29 @@ fn empty_sweeps(data: &PipelineData) -> Arc<ChainSweeps> {
     })
 }
 
-fn fold(into: &mut ChainSweeps, delta: ChainSweeps) {
-    into.eos.merge(delta.eos);
-    into.tezos.merge(delta.tezos);
-    into.xrp.merge(delta.xrp);
+/// One chain's share of an epoch's `follow_merge`, under that chain's
+/// span: finalize the batch's delta, bring the retired copy level with the
+/// front (or, when `back` is `None`, clone the front) and fold the delta
+/// in. Returns the new sweep and the delta, which the retired copy will be
+/// owed.
+fn fold_chain<S: Clone>(
+    chain: &'static str,
+    back: Option<(S, S)>,
+    front: &S,
+    finalize: impl FnOnce() -> S,
+    merge: fn(&mut S, S),
+) -> (S, S) {
+    let _span = Span::enter("follow_merge", chain);
+    let delta = finalize();
+    let mut sweep = match back {
+        Some((mut retired, owed)) => {
+            merge(&mut retired, owed);
+            retired
+        }
+        None => front.clone(),
+    };
+    merge(&mut sweep, delta.clone());
+    (sweep, delta)
 }
 
 impl Follower {
@@ -403,22 +422,50 @@ impl Follower {
         let merge_started = Instant::now();
         let source = {
             let _span = Span::enter("follow_merge", "");
-            let delta = ChainSweeps {
-                eos: eos.finalize(),
-                tezos: tezos.finalize(),
-                xrp: xrp.finalize(),
-            };
-            // The retired epoch's copy, brought level with the front — never
+            // The retired epoch's copy and the delta it is owed — never
             // waited for: while anything else holds it, the front is cloned.
-            let reclaimed = self.back.take().and_then(|(retired, owed)| {
-                let mut sweeps = Arc::try_unwrap(retired).ok()?;
-                fold(&mut sweeps, owed);
-                Some(sweeps)
-            });
-            let source = usize::from(reclaimed.is_none());
-            let mut sweeps = reclaimed.unwrap_or_else(|| ChainSweeps::clone(&self.front));
-            fold(&mut sweeps, delta.clone());
-            let retired = std::mem::replace(&mut self.front, Arc::new(sweeps));
+            let back = self
+                .back
+                .take()
+                .and_then(|(retired, owed)| Some((Arc::try_unwrap(retired).ok()?, owed)));
+            let source = usize::from(back.is_none());
+            let (eos_back, tezos_back, xrp_back) = match back {
+                Some((r, o)) => (
+                    Some((r.eos, o.eos)),
+                    Some((r.tezos, o.tezos)),
+                    Some((r.xrp, o.xrp)),
+                ),
+                None => (None, None, None),
+            };
+            let front = &self.front;
+            let (eos, eos_delta) = fold_chain(
+                "eos",
+                eos_back,
+                &front.eos,
+                || eos.finalize(),
+                EosSweep::merge,
+            );
+            let (tezos, tezos_delta) = fold_chain(
+                "tezos",
+                tezos_back,
+                &front.tezos,
+                || tezos.finalize(),
+                TezosSweep::merge,
+            );
+            let (xrp, xrp_delta) = fold_chain(
+                "xrp",
+                xrp_back,
+                &front.xrp,
+                || xrp.finalize(),
+                XrpSweep::merge,
+            );
+            let retired =
+                std::mem::replace(&mut self.front, Arc::new(ChainSweeps { eos, tezos, xrp }));
+            let delta = ChainSweeps {
+                eos: eos_delta,
+                tezos: tezos_delta,
+                xrp: xrp_delta,
+            };
             self.back = Some((retired, delta));
             source
         };

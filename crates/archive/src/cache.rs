@@ -1,10 +1,12 @@
-//! Decoded segments — the shard worker's decode-once table.
+//! Segment states — the shard worker's sweep-once table.
 //!
-//! Decoding a segment (LZSS decompress + column decode + chain parse) is
-//! the dominant cold-start cost; a worker that is re-assigned an
-//! overlapping range, or several assignments in flight on one worker, pay
-//! it once per segment instead of once per assignment by parking the
-//! decoded value here.
+//! A segment is the worker's unit of memoized work: the first assignment
+//! that covers segment `i` whole decodes its bytes (LZSS decompress +
+//! column decode + chain parse), folds the blocks into whatever state the
+//! caller derives from them (the reports layer keeps the three swept
+//! columnar accumulators), and drops the blocks. Every later assignment
+//! covering that segment whole is served from the kept state, so a warm
+//! worker decodes nothing.
 //!
 //! The table is keyed by segment *index* in the opened archive.
 //! [`Archive::open`](crate::Archive::open) reads `archive.seg` into memory
@@ -12,20 +14,20 @@
 //! worker decodes only from that in-memory copy, so segment `i`'s bytes
 //! cannot change under the table: a reorg that rewrites the file on disk
 //! is seen by the next open, never by this one. Nothing is evicted — a
-//! table holds at most one decode per segment of its archive.
+//! table holds at most one state per segment of its archive.
 //!
-//! Accounting is exact and per-instance — [`DecodedSegments::stats`]
+//! Accounting is exact and per-instance — [`SegmentStates::stats`]
 //! returns counters that tests can assert equalities on even though the
 //! process also mirrors them into the global `txstat_archive_cache_*`
 //! families (which are shared across instances).
 
 use crate::METRICS;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// A point-in-time copy of one table's counters. `hits + misses` equals
-/// the number of [`DecodedSegments::get`] calls; `entries` is the number
-/// of segments decoded so far.
+/// the number of [`SegmentStates::get_or_fill`] calls; `entries` is the
+/// number of segments filled so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
@@ -33,42 +35,38 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// One decode slot per segment of an opened archive.
-pub struct DecodedSegments<T> {
-    slots: Box<[OnceLock<Arc<T>>]>,
+/// One state slot per segment of an opened archive.
+pub struct SegmentStates<T> {
+    slots: Box<[OnceLock<T>]>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl<T> DecodedSegments<T> {
+impl<T> SegmentStates<T> {
     /// An empty table for an archive of `segments` segments.
     pub fn new(segments: usize) -> Self {
-        DecodedSegments {
+        SegmentStates {
             slots: (0..segments).map(|_| OnceLock::new()).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Segment `i`'s decode, if one was inserted. Counts exactly one hit
-    /// or one miss.
-    pub fn get(&self, i: usize) -> Option<Arc<T>> {
-        let found = self.slots[i].get().cloned();
-        let (local, global) = match found {
-            Some(_) => (&self.hits, &METRICS.cache_hits),
-            None => (&self.misses, &METRICS.cache_misses),
-        };
-        local.fetch_add(1, Ordering::Relaxed);
-        global.inc();
-        found
-    }
-
-    /// Keep `value` as segment `i`'s decode and return what the table
-    /// holds. Two assignments that missed the same segment at once decode
-    /// the same bytes: the first insert is kept and the later duplicate
-    /// dropped.
-    pub fn insert(&self, i: usize, value: T) -> Arc<T> {
-        Arc::clone(self.slots[i].get_or_init(|| Arc::new(value)))
+    /// Segment `i`'s state, filled by `fill` if the slot is empty. Counts
+    /// exactly one hit or one miss. Two assignments that miss the same
+    /// segment at once both fill it: the first state stored is kept and
+    /// the later duplicate dropped. A failed fill leaves the slot empty.
+    pub fn get_or_fill<E>(&self, i: usize, fill: impl FnOnce() -> Result<T, E>) -> Result<&T, E> {
+        let slot = &self.slots[i];
+        if let Some(state) = slot.get() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            METRICS.cache_hits.inc();
+            return Ok(state);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        METRICS.cache_misses.inc();
+        let state = fill()?;
+        Ok(slot.get_or_init(|| state))
     }
 
     /// Exact per-instance counters.
@@ -86,17 +84,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_keeps_the_first_decode() {
-        let table: DecodedSegments<u32> = DecodedSegments::new(2);
-        assert!(table.get(1).is_none());
-        assert_eq!(*table.insert(1, 10), 10);
-        assert_eq!(*table.insert(1, 20), 10, "a racing duplicate is dropped");
-        assert_eq!(table.get(1).as_deref(), Some(&10));
+    fn the_first_fill_is_kept_and_a_failed_fill_keeps_nothing() {
+        let table: SegmentStates<u32> = SegmentStates::new(2);
+        assert_eq!(table.get_or_fill(1, || Err("damaged")), Err("damaged"));
+        assert_eq!(table.get_or_fill(1, || Ok::<_, ()>(10)), Ok(&10));
+        assert_eq!(
+            table.get_or_fill(1, || Ok::<_, ()>(20)),
+            Ok(&10),
+            "a filled slot is not filled again"
+        );
         assert_eq!(
             table.stats(),
             CacheStats {
                 hits: 1,
-                misses: 1,
+                misses: 2,
                 entries: 1
             }
         );
@@ -104,7 +105,7 @@ mod tests {
 
     #[test]
     fn accounting_exact_under_concurrent_assignments() {
-        let table: DecodedSegments<Vec<u8>> = DecodedSegments::new(50);
+        let table: SegmentStates<Vec<u8>> = SegmentStates::new(50);
         let threads = 8;
         let per_thread = 200;
         std::thread::scope(|scope| {
@@ -113,9 +114,8 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..per_thread {
                         let key = (t * per_thread + i) % 50;
-                        if table.get(key).is_none() {
-                            table.insert(key, vec![0u8; 16]);
-                        }
+                        let state = table.get_or_fill(key, || Ok::<_, ()>(vec![key as u8; 16]));
+                        assert_eq!(state, Ok(&vec![key as u8; 16]));
                     }
                 });
             }

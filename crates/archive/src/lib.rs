@@ -79,7 +79,7 @@ use txstat_types::lzss;
 pub mod cache;
 pub mod memo;
 
-pub use cache::{CacheStats, DecodedSegments};
+pub use cache::{CacheStats, SegmentStates};
 pub use memo::{decode_memo, encode_memo, MemoError, SegmentMemo, MEMO_FILE};
 
 /// Index file magic.
@@ -276,7 +276,7 @@ fn io_err<'a>(
 // ---- metrics ---------------------------------------------------------------
 
 /// Every `txstat_archive_*` family: the writer's, the replay path's, the
-/// decoded-segment [`cache`]'s and the summary [`memo`]'s. Built on first
+/// segment-state [`cache`]'s and the summary [`memo`]'s. Built on first
 /// use; building it registers every series at zero, so exposition carries
 /// them all before the first segment moves.
 struct ArchiveMetrics {

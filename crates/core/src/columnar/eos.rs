@@ -512,7 +512,13 @@ impl super::wire::WireState for EosColumnar {
         read_prefix(r, TAG_EOS)?;
         let period = read_period(r)?;
         let names = Interner::<Name>::decode_columns(r)?;
-        let class_of = r.bytes()?.to_vec();
+        // One tag per interned name: checked before the copy, so a forged
+        // length costs no allocation.
+        let class_of = r.bytes()?;
+        if class_of.len() != names.len() {
+            return Err(r.invalid("tag table arity disagrees with interner"));
+        }
+        let class_of = class_of.to_vec();
         let by_class = [
             IdVec::<u64>::decode_columns(r)?,
             IdVec::<u64>::decode_columns(r)?,

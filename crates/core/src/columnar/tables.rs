@@ -289,7 +289,7 @@ impl PairTable {
 
 // ---- Binary column sections (the wire payload) -----------------------------
 
-use super::wire::WireState;
+use super::wire::{WireState, RESERVE_CAP};
 use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 
 impl WireState for IdVec<u64> {
@@ -304,7 +304,7 @@ impl WireState for IdVec<u64> {
 
     fn decode_columns(r: &mut ColReader<'_>) -> Result<Self, ColError> {
         let n = r.len(1)?;
-        let mut slots = Vec::with_capacity(n);
+        let mut slots = Vec::with_capacity(n.min(RESERVE_CAP));
         for _ in 0..n {
             slots.push(r.u64()?);
         }
@@ -322,7 +322,7 @@ impl WireState for IdVec<i128> {
 
     fn decode_columns(r: &mut ColReader<'_>) -> Result<Self, ColError> {
         let n = r.len(1)?;
-        let mut slots = Vec::with_capacity(n);
+        let mut slots = Vec::with_capacity(n.min(RESERVE_CAP));
         for _ in 0..n {
             slots.push(r.i128()?);
         }
@@ -385,7 +385,7 @@ impl WireState for FxMap64 {
     fn decode_columns(r: &mut ColReader<'_>) -> Result<Self, ColError> {
         let n = r.len(2)?;
         let mut out = FxMap64::new();
-        out.reserve(n);
+        out.reserve(n.min(RESERVE_CAP));
         read_sorted_entries(r, n, |k, v| out.add(k, v))?;
         Ok(out)
     }
@@ -403,7 +403,7 @@ impl WireState for PairTable {
         let n = r.len(2)?;
         let mut out = PairTable::new();
         for shard in &mut out.shards {
-            shard.reserve(n / PAIR_SHARDS + 1);
+            shard.reserve(n.min(RESERVE_CAP) / PAIR_SHARDS + 1);
         }
         read_sorted_entries(r, n, |k, v| {
             let (a, b) = unpack(k);

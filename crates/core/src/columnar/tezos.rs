@@ -296,13 +296,13 @@ impl super::wire::WireState for TezosColumnar {
         r: &mut txstat_types::colcodec::ColReader<'_>,
     ) -> Result<Self, txstat_types::colcodec::ColError> {
         use super::tables::{IdVec, PairTable};
-        use super::wire::{read_period, read_prefix, read_rows, TAG_TEZOS};
+        use super::wire::{read_period, read_prefix, read_rows, RESERVE_CAP, TAG_TEZOS};
         use txstat_types::colcodec::ColKey;
         use txstat_types::time::ChainTime;
         read_prefix(r, TAG_TEZOS)?;
         let period = read_period(r)?;
         let n_periods = r.len(3)?;
-        let mut periods = Vec::with_capacity(n_periods);
+        let mut periods = Vec::with_capacity(n_periods.min(RESERVE_CAP));
         for _ in 0..n_periods {
             let tag = r.byte()?;
             let kind = period_kind_of(tag)
@@ -320,10 +320,10 @@ impl super::wire::WireState for TezosColumnar {
         let sent = IdVec::decode_columns(r)?;
         let per_receiver = PairTable::decode_columns(r)?;
         let n_event_lists = r.len(1)?;
-        let mut gov_events = Vec::with_capacity(n_event_lists);
+        let mut gov_events = Vec::with_capacity(n_event_lists.min(RESERVE_CAP));
         for _ in 0..n_event_lists {
             let n_events = r.len(3)?;
-            let mut events: Vec<GovEvent> = Vec::with_capacity(n_events);
+            let mut events: Vec<GovEvent> = Vec::with_capacity(n_events.min(RESERVE_CAP));
             for _ in 0..n_events {
                 let time = ChainTime(r.i64()?);
                 let label = r.str()?.to_owned();

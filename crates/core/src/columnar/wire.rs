@@ -30,6 +30,12 @@ use txstat_types::colcodec::{ColError, ColReader, ColWriter};
 /// (`2`: the retired schema-1 payloads were JSON and started with `{`.)
 pub(crate) const PAYLOAD_SCHEMA_BIN: u8 = 2;
 
+/// Most elements a decoder reserves room for up front. A count is only
+/// checked against the bytes left, and a forged one those bytes can carry
+/// would otherwise reserve up to 16× their size; past the cap, a
+/// collection grows as its elements actually decode.
+pub(crate) const RESERVE_CAP: usize = 1024;
+
 /// Struct tags for the top-level payloads (the second prefix byte).
 pub(crate) const TAG_EOS: u8 = b'e';
 pub(crate) const TAG_TEZOS: u8 = b't';
@@ -156,7 +162,7 @@ pub(crate) fn write_rows<const N: usize>(w: &mut ColWriter, rows: &[[u64; N]]) {
 
 pub(crate) fn read_rows<const N: usize>(r: &mut ColReader<'_>) -> Result<Vec<[u64; N]>, ColError> {
     let n = r.len(N)?;
-    let mut rows = Vec::with_capacity(n);
+    let mut rows = Vec::with_capacity(n.min(RESERVE_CAP));
     for _ in 0..n {
         let mut row = [0u64; N];
         for v in &mut row {

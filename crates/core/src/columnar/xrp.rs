@@ -451,7 +451,7 @@ impl super::wire::WireState for XrpColumnar {
         r: &mut txstat_types::colcodec::ColReader<'_>,
     ) -> Result<Self, txstat_types::colcodec::ColError> {
         use super::tables::{IdVec, PairTable};
-        use super::wire::{read_period, read_prefix, read_rows, TAG_XRP};
+        use super::wire::{read_period, read_prefix, read_rows, RESERVE_CAP, TAG_XRP};
         read_prefix(r, TAG_XRP)?;
         let period = read_period(r)?;
         let accounts = Interner::<AccountId>::decode_columns(r)?;
@@ -463,7 +463,7 @@ impl super::wire::WireState for XrpColumnar {
         let series = read_rows(r)?;
         let series_oor = r.u64()?;
         let n_payment = r.len(1)?;
-        let mut payment_series = Vec::with_capacity(n_payment);
+        let mut payment_series = Vec::with_capacity(n_payment.min(RESERVE_CAP));
         for _ in 0..n_payment {
             payment_series.push(r.u64()?);
         }

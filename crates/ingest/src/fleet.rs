@@ -56,8 +56,16 @@ pub struct FleetConfig {
     pub workers: Vec<String>,
     /// Number of block-range chunks to tile the sweep into. More chunks
     /// than workers keeps the fleet load-balanced and makes re-dispatch
-    /// granular.
+    /// granular. With [`FleetConfig::segment_ends`] set, this is an upper
+    /// bound: there are never more chunks than segments.
     pub chunks: usize,
+    /// Where each segment of the corpus the workers hold ends, ascending
+    /// (`reduce --connect --archive` fills it from the archive it opened).
+    /// Set, every chunk is a run of whole segments ([`tile_segments`]), so
+    /// an archived worker answers it from swept segment state without
+    /// decoding a block. Empty, chunks tile the positions evenly
+    /// ([`tile`]).
+    pub segment_ends: Vec<u64>,
     /// Per-request deadline: connect, write, and read each get this long.
     pub timeout: Duration,
     /// Consecutive failed attempts a worker may burn on one chunk before
@@ -79,6 +87,7 @@ impl FleetConfig {
         FleetConfig {
             workers,
             chunks: 0,
+            segment_ends: Vec::new(),
             timeout: Duration::from_secs(10),
             retries: 4,
             backoff_ms: 50,
@@ -203,6 +212,28 @@ pub fn tile(total: u64, chunks: usize) -> Vec<(u64, u64)> {
         out.push((start, end));
     }
     out
+}
+
+/// Tile block positions `[0, total)` into at most `chunks` runs of whole
+/// segments, cutting only where a segment of `segment_ends` (ascending)
+/// ends; ends outside `(0, total)` cut nothing. Of `n` segments, chunk `k`
+/// of `c = min(chunks, n)` takes segments `[k·n/c, (k+1)·n/c)`: no chunk
+/// is empty and no segment is split. `total == 0` yields one empty chunk,
+/// like [`tile`].
+pub fn tile_segments(total: u64, chunks: usize, segment_ends: &[u64]) -> Vec<(u64, u64)> {
+    let mut edges = vec![0];
+    edges.extend(
+        segment_ends
+            .iter()
+            .copied()
+            .filter(|&end| 0 < end && end < total),
+    );
+    edges.push(total);
+    let n = edges.len() - 1;
+    let c = chunks.clamp(1, n);
+    (0..c)
+        .map(|k| (edges[k * n / c], edges[(k + 1) * n / c]))
+        .collect()
 }
 
 /// One queued unit of work.
@@ -354,7 +385,12 @@ pub fn reduce_fleet(
     if cfg.workers.is_empty() {
         return Err(FleetError::NoWorkers);
     }
-    let chunks: Vec<Chunk> = tile(total, cfg.effective_chunks())
+    let ranges = if cfg.segment_ends.is_empty() {
+        tile(total, cfg.effective_chunks())
+    } else {
+        tile_segments(total, cfg.effective_chunks(), &cfg.segment_ends)
+    };
+    let chunks: Vec<Chunk> = ranges
         .into_iter()
         .enumerate()
         .map(|(id, (start, end))| Chunk { id, start, end })
@@ -486,6 +522,7 @@ mod tests {
         FleetConfig {
             workers,
             chunks: 6,
+            segment_ends: Vec::new(),
             timeout: Duration::from_millis(500),
             retries: 1,
             backoff_ms: 1,
@@ -586,6 +623,47 @@ mod tests {
             "never more chunks than blocks"
         );
         assert_eq!(tile(0, 4), vec![(0, 0)]);
+    }
+
+    /// Every segment-aligned tiling covers `[0, total)` exactly, in
+    /// order, with no empty chunk, no chunk boundary inside a segment, and
+    /// `min(chunks, segments)` chunks.
+    #[test]
+    fn segment_tiling_covers_exactly_and_splits_no_segment() {
+        for (total, size) in [
+            (1u64, 1u64),
+            (10, 3),
+            (100, 10),
+            (2_817, 256),
+            (2_817, 64),
+            (5, 100),
+        ] {
+            let ends: Vec<u64> = (1..=total.div_ceil(size))
+                .map(|k| (k * size).min(total))
+                .collect();
+            for chunks in [0, 1, 2, 3, 8, ends.len(), ends.len() + 5] {
+                let tiles = tile_segments(total, chunks, &ends);
+                assert_eq!(
+                    tiles.len(),
+                    chunks.clamp(1, ends.len()),
+                    "{total}/{size}/{chunks}"
+                );
+                let mut cursor = 0;
+                for &(start, end) in &tiles {
+                    assert_eq!(start, cursor, "contiguous");
+                    assert!(end > start, "no empty chunk: {tiles:?}");
+                    assert!(ends.contains(&end), "{end} splits a segment: {tiles:?}");
+                    cursor = end;
+                }
+                assert_eq!(cursor, total, "tail covered");
+            }
+        }
+        assert_eq!(tile_segments(0, 4, &[]), vec![(0, 0)]);
+        assert_eq!(
+            tile_segments(10, 2, &[0, 4, 10, 99]),
+            vec![(0, 4), (4, 10)],
+            "ends outside (0, total) cut nothing"
+        );
     }
 
     #[test]

@@ -429,13 +429,6 @@ pub struct ShardWorker {
     /// 0-based within each chain's block sequence.
     pub start: u64,
     pub end: u64,
-    /// Block position of the first block of the runs handed to the frame
-    /// methods. Zero when workers hold whole chains (the generate path);
-    /// an archive cold-start hands only the replayed segments covering
-    /// the assignment, whose first block sits at the covering segment's
-    /// start. Frames still carry absolute positions, so the reducer sees
-    /// no difference.
-    pub base: u64,
     /// In-process sub-accumulator count (≥ 1).
     pub shards: usize,
     /// Provenance stamped into every emitted frame (scenario fingerprint,
@@ -448,40 +441,30 @@ impl ShardWorker {
         ShardWorker {
             start,
             end,
-            base: 0,
             shards: 1,
             meta,
         }
     }
 
-    /// Fold the clamped range through `shards` accumulators under one
-    /// `sweep` span labelled `chain`, merge in index order, and return the
-    /// merged accumulator plus the clamped range and observed count.
-    /// `runs` are borrowed, position-contiguous pieces of one chain (a
-    /// whole chain is one run; an archive worker passes one run per cached
-    /// segment), folded as if concatenated.
+    /// Fold the clamped range of one whole chain through `shards`
+    /// accumulators under one `sweep` span labelled `chain`, merge in index
+    /// order, and return the merged accumulator plus the clamped range and
+    /// observed count.
     fn fold<B, A>(
         &self,
         chain: &str,
-        runs: &[&[B]],
+        blocks: &[B],
         identity: impl Fn() -> A,
         mut observe: impl FnMut(&mut A, &B),
         merge: impl Fn(&mut A, A),
     ) -> (A, u64, u64, u64) {
         let _span = Span::enter("sweep", chain);
-        // Work in run-local coordinates (positions minus `base`), then
-        // report the covered range in absolute positions. However the
-        // chain is cut into runs, the same blocks are enumerated in the
-        // same order, so the emitted frame is byte-identical.
-        let len: usize = runs.iter().map(|r| r.len()).sum();
-        let lo = (self.start.saturating_sub(self.base) as usize).min(len);
-        let hi = (self.end.saturating_sub(self.base) as usize)
-            .min(len)
-            .max(lo);
+        let len = blocks.len() as u64;
+        let lo = self.start.min(len);
+        let hi = self.end.min(len).max(lo);
         let shards = self.shards.max(1);
         let mut accs: Vec<A> = (0..shards).map(|_| identity()).collect();
-        let blocks = runs.iter().flat_map(|r| r.iter());
-        for (i, b) in blocks.skip(lo).take(hi - lo).enumerate() {
+        for (i, b) in blocks[lo as usize..hi as usize].iter().enumerate() {
             observe(&mut accs[i % shards], b);
         }
         let mut it = accs.into_iter();
@@ -489,15 +472,13 @@ impl ShardWorker {
         for other in it {
             merge(&mut acc, other);
         }
-        (
-            acc,
-            self.base + lo as u64,
-            self.base + hi as u64,
-            (hi - lo) as u64,
-        )
+        (acc, lo, hi, hi - lo)
     }
 
-    fn frame<A: WireState>(
+    /// Encode `acc`, folded over `blocks` blocks at positions
+    /// `[start, end)` of `chain`, into a frame stamped with this worker's
+    /// provenance, under one `wire_encode` span.
+    pub fn frame<A: WireState>(
         &self,
         chain: &str,
         acc: &A,
@@ -512,11 +493,11 @@ impl ShardWorker {
         ShardFrame::from_columns(chain, start, end, blocks, self.meta.clone(), columns)
     }
 
-    /// Sweep the EOS runs into an `"eos"` frame.
-    pub fn eos_frame(&self, runs: &[&[txstat_eos::Block]], period: Period) -> ShardFrame {
+    /// Sweep the EOS chain's assigned range into an `"eos"` frame.
+    pub fn eos_frame(&self, blocks: &[txstat_eos::Block], period: Period) -> ShardFrame {
         let (acc, s, e, n) = self.fold(
             "eos",
-            runs,
+            blocks,
             || EosColumnar::new(period),
             |a, b| a.observe(b),
             |a, b| a.merge(b),
@@ -524,16 +505,16 @@ impl ShardWorker {
         self.frame("eos", &acc, s, e, n)
     }
 
-    /// Sweep the Tezos runs into a `"tezos"` frame.
+    /// Sweep the Tezos chain's assigned range into a `"tezos"` frame.
     pub fn tezos_frame(
         &self,
-        runs: &[&[txstat_tezos::TezosBlock]],
+        blocks: &[txstat_tezos::TezosBlock],
         period: Period,
         periods: &[(PeriodKind, Period)],
     ) -> ShardFrame {
         let (acc, s, e, n) = self.fold(
             "tezos",
-            runs,
+            blocks,
             || TezosColumnar::new(period, periods.to_vec()),
             |a, b| a.observe(b),
             |a, b| a.merge(b),
@@ -541,17 +522,18 @@ impl ShardWorker {
         self.frame("tezos", &acc, s, e, n)
     }
 
-    /// Sweep the XRP runs into an `"xrp"` frame, valuing payments through
-    /// `oracle` (every process derives the same oracle from the scenario).
+    /// Sweep the XRP chain's assigned range into an `"xrp"` frame, valuing
+    /// payments through `oracle` (every process derives the same oracle
+    /// from the scenario).
     pub fn xrp_frame(
         &self,
-        runs: &[&[txstat_xrp::LedgerBlock]],
+        blocks: &[txstat_xrp::LedgerBlock],
         period: Period,
         oracle: &RateOracle,
     ) -> ShardFrame {
         let (acc, s, e, n) = self.fold(
             "xrp",
-            runs,
+            blocks,
             || XrpColumnar::new(period),
             |a, b| a.observe(b, oracle),
             |a, b| a.merge(b),

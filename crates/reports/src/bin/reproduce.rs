@@ -126,7 +126,9 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "reduce",
         about: "validate + merge shard frames and render the full report, from frame \
-                files or by driving the --connect ADDR,ADDR,... socket workers",
+                files or by driving the --connect ADDR,ADDR,... socket workers; with \
+                --archive, the --chunks follow its segment boundaries (never more chunks \
+                than segments)",
         synopsis: &[
             "--connect ADDRS",
             "--small",
@@ -604,7 +606,7 @@ fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
     eprintln!("worker served {served} assignment(s); exiting");
     if let Some(s) = ctx.cache_stats() {
         eprintln!(
-            "decoded segments: {} hit(s), {} miss(es), {} segment(s) held",
+            "segment states: {} hit(s), {} miss(es), {} segment(s) held",
             s.hits, s.misses, s.entries
         );
     }
@@ -651,7 +653,8 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Fleet mode of `reduce`: tile the sweep into chunks and drive the
+/// Fleet mode of `reduce`: tile the sweep into chunks (runs of whole
+/// segments with `--archive`, even position ranges without) and drive the
 /// `--connect` workers through the retry/backoff/re-dispatch loop, then
 /// merge whatever frames the survivors produced.
 fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String> {
@@ -665,10 +668,20 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
     let timeout = timeout_of(args)?;
     // `Need::Facts`: the sweeps arrive from the fleet, and everything else
     // the report needs of the blocks is memoized per segment.
-    let Opened { data, mode, .. } = open_dataset(args, args.get("--archive"), Need::Facts)?;
+    let Opened {
+        data,
+        mode,
+        archive,
+    } = open_dataset(args, args.get("--archive"), Need::Facts)?;
     let sc = data.scenario.clone();
     let mut cfg = FleetConfig::new(workers);
     cfg.chunks = args.parsed("--chunks", 0)?;
+    // Chunks cut on the corpus's segment boundaries: each is answered
+    // from the workers' swept segment state.
+    cfg.segment_ends = archive
+        .iter()
+        .flat_map(|a| a.segments().iter().map(|m| m.end))
+        .collect();
     cfg.timeout = timeout;
     cfg.retries = args.parsed("--retries", 4)?;
     cfg.backoff_ms = args.parsed("--backoff-ms", 50)?;
@@ -741,10 +754,13 @@ fn batch_of(args: &Args, default: usize) -> Result<usize, String> {
 fn cmd_follow(args: &Args) -> Result<(), String> {
     let batch = batch_of(args, 500)?;
     let snapshots = args.parsed("--snapshots", DEFAULT_SNAPSHOT_WINDOW)?;
-    let (depth, seed) = (
-        args.parsed("--reorg-depth", batch)?,
-        args.parsed("--reorg-seed", 1)?,
-    );
+    // A reorg of depth 0 rewrites no position: its "recovery" would verify
+    // nothing.
+    let depth = match args.parsed("--reorg-depth", batch)? {
+        0 => return Err("--reorg-depth must be at least 1".to_owned()),
+        depth => depth,
+    };
+    let seed = args.parsed("--reorg-seed", 1)?;
     let reorg_at = args.parsed_opt("--reorg-at-batch")?;
     let reorg = reorg_at.map(|at_batch| Reorg {
         at_batch,

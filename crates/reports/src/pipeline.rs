@@ -15,9 +15,10 @@
 //!   sealed corpus ([`write_archive`]) without generating any chain.
 
 use crate::archive_io::{Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock};
-use txstat_archive::{Archive, ArchiveWriter, DecodedSegments, SegmentMemo, SegmentMeta};
+use txstat_archive::{Archive, ArchiveWriter, SegmentMemo, SegmentMeta, SegmentStates};
 use txstat_core::{ClusterInfo, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat_crawler::chains::Fetched;
 use txstat_crawler::{
@@ -1344,17 +1345,50 @@ pub fn scenario_from_meta(meta: &serde_json::Value) -> Result<(Scenario, String)
 }
 
 /// Where a [`ShardContext`] gets its blocks: a generated dataset's chains
-/// held in memory, or an opened archive whose segments are decoded lazily —
-/// per assignment, only the covering ranges.
+/// held in memory, or an opened archive whose segments are swept lazily,
+/// each at most once.
 enum ShardSource {
     Generated(PipelineData),
     Archived {
         archive: Archive,
         total: u64,
-        /// Decoded+parsed segments by index — re-assignments overlapping
-        /// the same segments skip decompress/decode/parse.
-        decoded: DecodedSegments<crate::archive_io::ReplayedChains>,
+        /// Swept state by segment index: an assignment that covers a
+        /// segment whole merges a clone of it instead of decoding blocks.
+        states: SegmentStates<SegmentState>,
     },
+}
+
+/// The three columnar accumulators folded over one segment's blocks (or
+/// over a ragged edge's share of them), and how many blocks of each chain
+/// they observed.
+#[derive(Clone)]
+struct SegmentState {
+    eos: EosColumnar,
+    tezos: TezosColumnar,
+    xrp: XrpColumnar,
+    blocks: [u64; 3],
+}
+
+impl SegmentState {
+    /// Fold the next run of positions in: `other` must start where `self`
+    /// ends.
+    fn merge(&mut self, other: SegmentState) {
+        self.eos.merge(other.eos);
+        self.tezos.merge(other.tezos);
+        self.xrp.merge(other.xrp);
+        for (mine, theirs) in self.blocks.iter_mut().zip(other.blocks) {
+            *mine += theirs;
+        }
+    }
+}
+
+/// Fold `blocks` into `acc` under one `sweep` span labelled `chain`.
+fn sweep_run<B, A>(chain: &str, blocks: &[B], mut acc: A, observe: impl Fn(&mut A, &B)) -> A {
+    let _span = Span::enter("sweep", chain);
+    for b in blocks {
+        observe(&mut acc, b);
+    }
+    acc
 }
 
 /// A shard worker's prepared state: the scenario's chains (or archive),
@@ -1362,8 +1396,8 @@ enum ShardSource {
 /// assignment. A one-shot `reproduce shard A..B` pays the build once
 /// anyway; a socket worker (`reproduce shard --listen`) serving a whole
 /// fleet reduction would otherwise rebuild the chains per request — and
-/// with `--archive` it never builds them at all: each assignment decodes
-/// only the segments covering its range.
+/// with `--archive` it never builds them at all: it sweeps each segment
+/// once, on the first assignment that covers it whole.
 pub struct ShardContext {
     sc: Scenario,
     source: ShardSource,
@@ -1388,10 +1422,9 @@ impl ShardContext {
     /// Cold-start from an archived corpus: open + verify the archive,
     /// decode the sidecar (oracle trades, governance windows), and keep
     /// the compressed segments mapped. No chain is generated and no block
-    /// is decoded yet — [`ShardContext::frames`] replays only the
-    /// segments covering each assignment. Also returns the parsed
-    /// manifest so callers can validate it against their own flags.
-    /// Each segment is decoded at most once per context.
+    /// is decoded yet — [`ShardContext::frames`] sweeps only the segments
+    /// covering each assignment. Also returns the parsed manifest so
+    /// callers can validate it against their own flags.
     pub fn from_archive(dir: &std::path::Path) -> Result<(Self, crate::Manifest), String> {
         let OpenedArchive {
             archive,
@@ -1401,13 +1434,13 @@ impl ShardContext {
             oracle,
         } = open_archive(dir)?;
         let total = manifest.total_positions();
-        let decoded = DecodedSegments::new(archive.segments().len());
+        let states = SegmentStates::new(archive.segments().len());
         let ctx = ShardContext {
             sc,
             source: ShardSource::Archived {
                 archive,
                 total,
-                decoded,
+                states,
             },
             oracle: Arc::new(oracle),
             governance_periods: sidecar.governance_periods,
@@ -1425,10 +1458,15 @@ impl ShardContext {
     }
 
     /// Sweep the block-position range `[start, end)` of each chain
-    /// (clamped to the chain head) into the three wire frames. The
-    /// archived source decodes only the segments overlapping the range and
-    /// folds them at their absolute base position — the emitted frames are
-    /// byte-identical to a whole-chain sweep of the same range.
+    /// (clamped to the chain head) into the three wire frames.
+    ///
+    /// The archived source answers a segment the range covers whole from
+    /// that segment's swept state, filling it on first use from one decode
+    /// of the segment's verified bytes; a segment the range cuts (a ragged
+    /// edge) is decoded and its share swept, and nothing of it is kept.
+    /// The pieces merge in position order, so the frames reduce to the
+    /// same sweeps as a whole-chain fold of the range. Its sub-accumulators
+    /// are those pieces: `shards` splits only a generated source's fold.
     pub fn frames(
         &self,
         meta: serde_json::Value,
@@ -1438,66 +1476,98 @@ impl ShardContext {
         _payload: PayloadFormat,
     ) -> Result<Vec<ShardFrame>, String> {
         let period = self.sc.period;
-        let build = |worker: &ShardWorker,
-                     eos: &[&[txstat_eos::Block]],
-                     tezos: &[&[txstat_tezos::TezosBlock]],
-                     xrp: &[&[txstat_xrp::LedgerBlock]]| {
-            vec![
-                worker.eos_frame(eos, period),
-                worker.tezos_frame(tezos, period, &self.governance_periods),
-                worker.xrp_frame(xrp, period, &self.oracle),
-            ]
-        };
-        let mut worker = ShardWorker {
-            start,
-            end,
-            base: 0,
-            shards,
-            meta,
-        };
-        match &self.source {
+        let mut worker = ShardWorker::new(start, end, meta);
+        let (archive, states) = match &self.source {
             ShardSource::Generated(d) => {
-                let (eos, tezos, xrp) = (&d.eos_blocks[..], &d.tezos_blocks[..], &d.xrp_blocks[..]);
-                Ok(build(&worker, &[eos], &[tezos], &[xrp]))
+                worker.shards = shards;
+                return Ok(vec![
+                    worker.eos_frame(&d.eos_blocks, period),
+                    worker.tezos_frame(&d.tezos_blocks, period, &self.governance_periods),
+                    worker.xrp_frame(&d.xrp_blocks, period, &self.oracle),
+                ]);
             }
             ShardSource::Archived {
-                archive, decoded, ..
-            } => {
-                let (lo, hi) = archive.covering(start, end);
-                worker.base = archive.segments().get(lo).map_or(start, |m| m.start);
-                // Look each covering segment up once (exactly one hit or
-                // miss), decode the misses through `par_map`, then keep them
-                // for the next overlapping assignment.
-                let mut covering: Vec<Option<Arc<crate::archive_io::ReplayedChains>>> =
-                    (lo..hi).map(|i| decoded.get(i)).collect();
-                let misses: Vec<usize> = (lo..hi).filter(|&i| covering[i - lo].is_none()).collect();
-                let parsed = par_map(&misses, |&i| {
-                    let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
-                    crate::archive_io::chains_of_segment(&seg)
-                });
-                for (i, parsed) in misses.into_iter().zip(parsed) {
-                    covering[i - lo] = Some(decoded.insert(i, parsed?));
-                }
-                // Every slot is filled now. One borrowed run per covering
-                // segment: the kept decode is swept in place, no block is
-                // cloned.
-                let covering: Vec<Arc<crate::archive_io::ReplayedChains>> =
-                    covering.into_iter().flatten().collect();
-                let eos: Vec<&[txstat_eos::Block]> = covering.iter().map(|c| &c.0[..]).collect();
-                let tezos: Vec<&[txstat_tezos::TezosBlock]> =
-                    covering.iter().map(|c| &c.1[..]).collect();
-                let xrp: Vec<&[txstat_xrp::LedgerBlock]> =
-                    covering.iter().map(|c| &c.2[..]).collect();
-                Ok(build(&worker, &eos, &tezos, &xrp))
+                archive, states, ..
+            } => (archive, states),
+        };
+        let (lo, hi) = archive.covering(start, end);
+        let covering: Vec<usize> = (lo..hi).collect();
+        let pieces = par_map(&covering, |&i| {
+            let m = archive.segments()[i];
+            if start <= m.start && m.end <= end {
+                states
+                    .get_or_fill(i, || self.sweep_segment(archive, i, m.start, m.end))
+                    .map(Cow::Borrowed)
+            } else {
+                self.sweep_segment(archive, i, start.max(m.start), end.min(m.end))
+                    .map(Cow::Owned)
             }
+        });
+        // A lone segment state is encoded where it lies; merging clones.
+        let mut pieces = pieces.into_iter();
+        let mut merged = match pieces.next() {
+            Some(first) => first?,
+            None => Cow::Owned(SegmentState {
+                eos: EosColumnar::new(period),
+                tezos: TezosColumnar::new(period, self.governance_periods.clone()),
+                xrp: XrpColumnar::new(period),
+                blocks: [0; 3],
+            }),
+        };
+        for piece in pieces {
+            merged.to_mut().merge(piece?.into_owned());
         }
+        // A chain's blocks are a prefix of the position space, so the `n`
+        // blocks it has in the range sit at `[start, start + n)`.
+        let [eos, tezos, xrp] = merged.blocks;
+        Ok(vec![
+            worker.frame("eos", &merged.eos, start, start + eos, eos),
+            worker.frame("tezos", &merged.tezos, start, start + tezos, tezos),
+            worker.frame("xrp", &merged.xrp, start, start + xrp, xrp),
+        ])
     }
 
-    /// Exact decoded-segment counters (archived sources only).
+    /// Decode segment `i` of `archive` and sweep its positions
+    /// `[start, end)` (clamped to each chain's blocks) into a fresh state.
+    /// The decoded blocks are dropped on return.
+    fn sweep_segment(
+        &self,
+        archive: &Archive,
+        i: usize,
+        start: u64,
+        end: u64,
+    ) -> Result<SegmentState, String> {
+        let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
+        let (eos, tezos, xrp) = crate::archive_io::chains_of_segment(&seg)?;
+        let (lo, hi) = (start - seg.start, end - seg.start);
+        let (eos, tezos, xrp) = (
+            run_of(&eos, lo, hi),
+            run_of(&tezos, lo, hi),
+            run_of(&xrp, lo, hi),
+        );
+        let period = self.sc.period;
+        let oracle = &*self.oracle;
+        Ok(SegmentState {
+            eos: sweep_run("eos", eos, EosColumnar::new(period), |a, b| a.observe(b)),
+            tezos: sweep_run(
+                "tezos",
+                tezos,
+                TezosColumnar::new(period, self.governance_periods.clone()),
+                |a, b| a.observe(b),
+            ),
+            xrp: sweep_run("xrp", xrp, XrpColumnar::new(period), |a, b| {
+                a.observe(b, oracle)
+            }),
+            blocks: [eos.len() as u64, tezos.len() as u64, xrp.len() as u64],
+        })
+    }
+
+    /// Exact segment-state counters (archived sources only): one hit or
+    /// miss per segment an assignment covers whole.
     pub fn cache_stats(&self) -> Option<txstat_archive::CacheStats> {
         match &self.source {
             ShardSource::Generated(_) => None,
-            ShardSource::Archived { decoded, .. } => Some(decoded.stats()),
+            ShardSource::Archived { states, .. } => Some(states.stats()),
         }
     }
 }

@@ -4,18 +4,64 @@
 //! `reproduce report` process over the same scenario/seed.
 
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use txstat_telemetry::TraceEvent;
 
+/// How long one `reproduce` run may take before [`reproduce`] kills it.
+const RUN_DEADLINE: Duration = Duration::from_secs(120);
+
+/// Run `reproduce args` in `dir` to exit and collect its output; a run
+/// still going after [`RUN_DEADLINE`] is killed and fails the test.
 fn reproduce(dir: &Path, args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+    reproduce_within(dir, args, RUN_DEADLINE)
+}
+
+/// [`reproduce`] with its own deadline: poll the child, and past
+/// `deadline` kill it and panic with the argv, so a hung subcommand fails
+/// its test instead of stalling the suite.
+fn reproduce_within(dir: &Path, args: &[&str], deadline: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .current_dir(dir)
         .args(args)
-        .output()
-        .expect("spawn reproduce")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn reproduce");
+    // Drain both pipes beside the poll, so a chatty child never blocks on
+    // a full pipe.
+    fn drain(mut pipe: impl Read + Send + 'static) -> JoinHandle<Vec<u8>> {
+        std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            let _ = pipe.read_to_end(&mut bytes);
+            bytes
+        })
+    }
+    let stdout = drain(child.stdout.take().expect("piped stdout"));
+    let stderr = drain(child.stderr.take().expect("piped stderr"));
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll reproduce") {
+            break status;
+        }
+        if started.elapsed() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!(
+                "`reproduce {}` still ran after {deadline:?}",
+                args.join(" ")
+            );
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    Output {
+        status,
+        stdout: stdout.join().expect("stdout reader"),
+        stderr: stderr.join().expect("stderr reader"),
+    }
 }
 
 /// A long-running `reproduce` child (socket worker or chaos proxy) whose
@@ -530,9 +576,9 @@ fn a_failed_run_keeps_its_telemetry() {
 #[test]
 fn a_huge_backoff_still_ends() {
     let dir = tempdir("hugebackoff");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .current_dir(&dir)
-        .args([
+    let out = reproduce_within(
+        &dir,
+        &[
             "reduce",
             "--connect",
             "127.0.0.1:1",
@@ -541,24 +587,10 @@ fn a_huge_backoff_still_ends() {
             "1",
             "--backoff-ms",
             "18446744073709551615",
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn reproduce");
-    let started = Instant::now();
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll reproduce") {
-            break status;
-        }
-        if started.elapsed() > Duration::from_secs(10) {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("reduce with a huge --backoff-ms still ran after 10 s");
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    assert!(!status.success(), "a dead fleet is still a failure");
+        ],
+        Duration::from_secs(10),
+    );
+    assert!(!out.status.success(), "a dead fleet is still a failure");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -897,6 +929,46 @@ fn follow_rejects_an_unreachable_reorg_batch_before_touching_the_archive() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--reorg-depth 0` would rewrite no position and still report a
+/// verified recovery: it is refused with the usage before any follow work
+/// starts (no scenario generated, no archive directory created).
+#[test]
+fn follow_refuses_a_reorg_of_depth_zero_before_following() {
+    let dir = tempdir("reorgdepth0");
+    let out = reproduce(
+        &dir,
+        &[
+            "follow",
+            "--small",
+            "--seed",
+            "7",
+            "--batch",
+            "64",
+            "--reorg-at-batch",
+            "2",
+            "--reorg-depth",
+            "0",
+            "--archive",
+            "corpus",
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--reorg-depth must be at least 1") && stderr.contains("usage: reproduce"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        !stderr.contains("generating") && !stderr.contains("reorg recovery verified"),
+        "follow work started: {stderr}"
+    );
+    assert!(
+        !dir.join("corpus").exists(),
+        "a refused run created an archive"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn reduce_refuses_incomplete_coverage() {
     let dir = tempdir("gap");
@@ -1051,8 +1123,9 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         "the first reducer heals the memo"
     );
 
-    // A worker whose request budget equals the chunk count exits cleanly
-    // and dumps its metrics: zero generation passes, >0 segments replayed.
+    // A worker whose request budget equals two reductions' chunks exits
+    // cleanly and dumps its metrics: zero generation passes, and every
+    // segment decoded once — by the first reduction, none by the second.
     let mut w3 = spawn_server(
         &dir,
         &[
@@ -1064,7 +1137,7 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
             "--archive",
             "corpus",
             "--max-requests",
-            "2",
+            "4",
             "--metrics-out",
             "worker-metrics.txt",
         ],
@@ -1131,6 +1204,28 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         !trace.contains("fig2_storage"),
         "a memo-hit reducer recomputed Figure 2"
     );
+    let again = reproduce(
+        &dir,
+        &[
+            "reduce",
+            "--connect",
+            &w3.addr,
+            "--archive",
+            "corpus",
+            "--chunks",
+            "2",
+            "--timeout-ms",
+            "4000",
+            "--out",
+            "fleet3.txt",
+        ],
+    );
+    assert!(
+        again.status.success(),
+        "repeat reduce failed: {}",
+        String::from_utf8_lossy(&again.stderr)
+    );
+    assert_eq!(read(&dir, "direct.txt"), read(&dir, "fleet3.txt"));
     let status = w3.child.wait().expect("worker exit");
     assert!(status.success(), "budgeted worker should exit cleanly");
     let metrics = String::from_utf8(read(&dir, "worker-metrics.txt")).expect("metrics utf8");
@@ -1138,28 +1233,19 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
         metrics.contains("txstat_pipeline_generate_total 0"),
         "cold-started worker generated a chain:\n{metrics}"
     );
-    let replayed = counter(
-        "worker-metrics.txt",
-        "txstat_archive_segments_replayed_total",
-    );
-    assert!(
-        replayed > 0,
-        "worker replayed no archive segments:\n{metrics}"
-    );
-    // Its decoded-segment counters are exported too, and it decoded something.
+    // Both chunks are runs of whole segments: the first reduction sweeps
+    // each of the 28 into its state, the second merges the states.
     for family in [
-        "txstat_archive_cache_hits_total",
+        "txstat_archive_segments_replayed_total",
         "txstat_archive_cache_misses_total",
+        "txstat_archive_cache_hits_total",
     ] {
         assert!(
             metrics.contains(&format!("# TYPE {family}")),
             "no {family} in:\n{metrics}"
         );
+        assert_eq!(counter("worker-metrics.txt", family), 28, "{family}");
     }
-    assert!(
-        counter("worker-metrics.txt", "txstat_archive_cache_misses_total") > 0,
-        "{metrics}"
-    );
     assert_documented(&metrics);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1261,10 +1347,19 @@ fn archived_file_shards_reduce_to_the_identical_report() {
     );
 
     // 22 segments of 128 positions: a one-shot shard decodes only the
-    // segments covering its range, each once.
-    for (range, out, metrics, trace, covering) in [
-        ("0..300", "a.frames", "a-metrics.txt", "a.ndjson", 3),
-        ("300..99999999", "b.frames", "b-metrics.txt", "b.ndjson", 20),
+    // segments covering its range, each once. It sweeps the segments its
+    // range covers whole into segment states (one miss each) and the one
+    // it cuts, [256, 384), as a ragged edge that is no lookup at all.
+    for (range, out, metrics, trace, covering, whole) in [
+        ("0..300", "a.frames", "a-metrics.txt", "a.ndjson", 3, 2),
+        (
+            "300..99999999",
+            "b.frames",
+            "b-metrics.txt",
+            "b.ndjson",
+            20,
+            19,
+        ),
     ] {
         let shard = reproduce(
             &dir,
@@ -1294,7 +1389,7 @@ fn archived_file_shards_reduce_to_the_identical_report() {
         );
         for (name, want) in [
             ("txstat_archive_segments_replayed_total", covering),
-            ("txstat_archive_cache_misses_total", covering),
+            ("txstat_archive_cache_misses_total", whole),
             ("txstat_archive_cache_hits_total", 0),
         ] {
             assert_eq!(metric(&dir, metrics, name), want, "shard {range}: {name}");

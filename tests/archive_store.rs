@@ -9,18 +9,25 @@
 //!    segment size and cold-starting from the corpus reproduces the
 //!    direct pipeline byte-for-byte — same block bytes, same rendered
 //!    report.
+//! 3. **Fleet**: a socket fleet of archived workers reduces to the same
+//!    report at every tiling, cut on segment boundaries or not.
 
 mod support;
 
+use std::net::TcpListener;
 use std::path::Path;
 use std::sync::OnceLock;
+use std::time::Duration;
 use support::{bit_flips, truncations};
 use txstat::archive::{
     Archive, ArchiveError, ArchiveWriter, SegmentBlocks, SegmentMeta, IDX_FILE, SEG_FILE,
 };
+use txstat::ingest::{reduce_fleet, serve_assignments, FleetConfig};
 use txstat::reports::{
-    generate, pipeline_from_archive, render_report, write_archive, PipelineData, SegmentFormat,
+    generate, pipeline_from_archive, reduce_frames_labeled_into, reducer_from_archive,
+    render_report, write_archive, PipelineData, SegmentFormat, ShardContext,
 };
+use txstat::wire::PayloadFormat;
 use txstat::workload::Scenario;
 
 /// A tiny deterministic corpus: `segs` segments of 2 positions each whose
@@ -304,4 +311,64 @@ fn retired_v1_index_and_segment_are_typed_rejections() {
         other => panic!("expected SegCorrupt on the tag, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One socket worker cold-started from the corpus at `dir`, on an
+/// ephemeral port. The accept loop is detached: it blocks in `accept`
+/// until the test binary exits.
+fn spawn_archived_worker(dir: &Path) -> String {
+    let (ctx, _) = ShardContext::from_archive(dir).expect("worker cold start");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind worker");
+    let addr = listener.local_addr().expect("worker addr").to_string();
+    std::thread::spawn(move || {
+        serve_assignments(&listener, None, Duration::from_secs(10), |a| {
+            ctx.frames(a.meta.clone(), a.start, a.end, a.shards, a.payload)
+        })
+    });
+    addr
+}
+
+/// `reduce --connect --archive` over two archived workers renders
+/// `report --archive`'s bytes at seeds 1, 7 and 42, at 64, 128 and 256
+/// positions a segment, with 1, 3, 8, `n` and `n + 5` chunks over `n`
+/// segments, whether the chunks are cut on the segment boundaries (then
+/// there are `min(chunks, n)` of them) or evenly by position, so that
+/// workers sweep ragged edges.
+#[test]
+fn fleet_reduce_equals_report_archive_at_every_tiling() {
+    for seed in [1, 7, 42] {
+        let data = generate(&Scenario::small(seed));
+        for segment_blocks in [64, 128, 256] {
+            let tag = format!("fleet-{seed}-{segment_blocks}");
+            let dir = support::tempdir("archive-store", &tag);
+            write_archive(&dir, &data, "small", segment_blocks, SegmentFormat).expect("seal");
+            let (replayed, archive) = pipeline_from_archive(&dir).expect("cold start");
+            let report = render_report(&replayed);
+            let n = archive.segments().len();
+            let ends: Vec<u64> = archive.segments().iter().map(|m| m.end).collect();
+            let meta = ShardContext::from_archive(&dir).expect("manifest").1.meta;
+            let workers = vec![spawn_archived_worker(&dir), spawn_archived_worker(&dir)];
+            for chunks in [1, 3, 8, n, n + 5] {
+                for aligned in [true, false] {
+                    let case = format!("{tag}, {chunks} chunks, aligned {aligned}");
+                    let (block_free, _) = reducer_from_archive(&dir).expect("reducer cold start");
+                    let mut cfg = FleetConfig::new(workers.clone());
+                    cfg.chunks = chunks;
+                    if aligned {
+                        cfg.segment_ends = ends.clone();
+                    }
+                    let total = block_free.longest_chain() as u64;
+                    let labeled = reduce_fleet(&cfg, total, 2, PayloadFormat::Bin, meta.clone())
+                        .unwrap_or_else(|e| panic!("{case}: {e}"));
+                    if aligned {
+                        assert_eq!(labeled.len(), 3 * chunks.min(n), "{case}");
+                    }
+                    let reduced = reduce_frames_labeled_into(block_free, &labeled)
+                        .unwrap_or_else(|e| panic!("{case}: {e}"));
+                    assert!(render_report(&reduced) == report, "{case}: report differs");
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }

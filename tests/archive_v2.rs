@@ -9,13 +9,14 @@
 //!    decodes to a stable (re-encodable, re-decodable) value — and at the
 //!    archive layer any flip or truncation of a sealed v2 corpus is
 //!    caught by content hash with an error that localizes the damage.
-//! 3. **Cache accounting**: the decoded-segment LRU behind
-//!    `ShardContext::frames` counts exactly one hit or miss per covering
-//!    segment per assignment, even under concurrent assignments.
+//! 3. **Cache accounting**: the segment-state table behind
+//!    `ShardContext::frames` counts exactly one hit or miss per segment an
+//!    assignment covers whole, even under concurrent assignments.
 //! 4. **Forged counts**: a count or length set to `u64::MAX` or `2^50` is a
 //!    typed error, and a count the bytes left can carry reserves room for
 //!    at most the decoders' cap of elements (watched through this test
-//!    binary's allocator).
+//!    binary's allocator) — in the block columns and in the frame
+//!    payloads alike.
 
 mod support;
 
@@ -320,6 +321,104 @@ fn v2_forged_counts_are_typed_and_reserve_at_most_the_cap() {
     }
 }
 
+/// Forged counts in a frame payload — the columnar accumulator a worker
+/// merges from its segment states and encodes for every assignment — are
+/// typed errors, never a panic or a large reservation. Real payloads of
+/// three two-block windows per chain (head, middle, tail) are walked like
+/// the block columns above: every varint set in turn to `u64::MAX` and to
+/// `2^50` fails typed or decodes to a state that re-encodes to exactly the
+/// forged bytes (a value, not a count, was forged), and a count of 2^16
+/// elements cut in at every offset fails typed. No decode asks for more
+/// than the cap of the payload's largest element.
+#[test]
+fn frame_payload_forged_counts_are_typed_and_reserve_at_most_the_cap() {
+    use std::mem::size_of;
+    use txstat::core::{EosColumnar, TezosColumnar, WireState, XrpColumnar};
+    fn walk<A: WireState>(chain: &str, payloads: &[Vec<u8>], largest_elem: usize) {
+        let bound = RESERVE_CAP * largest_elem;
+        for (w, healthy) in payloads.iter().enumerate() {
+            let (decoded, largest) = largest_allocation(|| A::from_wire_bytes(healthy));
+            let reencoded = decoded.expect("healthy payload decodes").to_wire_bytes();
+            assert_eq!(&reencoded, healthy, "{chain} window {w} re-encodes");
+            assert!(largest <= bound, "{chain}: healthy asked for {largest}");
+            for value in [u64::MAX, 1 << 50] {
+                for (at, forged) in support::huge_counts(healthy, value).enumerate() {
+                    let (decoded, largest) = largest_allocation(|| A::from_wire_bytes(&forged));
+                    if let Ok(acc) = decoded {
+                        assert!(
+                            acc.to_wire_bytes() == forged,
+                            "{chain} window {w}: {value} at {at} decoded to another shape"
+                        );
+                    }
+                    assert!(
+                        largest <= bound,
+                        "{chain}: {value} at {at} asked for {largest} bytes"
+                    );
+                }
+            }
+            for (at, forged) in support::forged_counts(healthy, 1 << 16, 4).enumerate() {
+                let (decoded, largest) = largest_allocation(|| A::from_wire_bytes(&forged));
+                assert!(
+                    decoded.is_err(),
+                    "{chain} window {w}: count forged at {at} decoded"
+                );
+                assert!(
+                    largest <= bound,
+                    "{chain}: count forged at {at} asked for {largest} bytes"
+                );
+            }
+        }
+    }
+    fn payloads<B, A: WireState>(blocks: &[B], fold: impl Fn(&[B]) -> A) -> Vec<Vec<u8>> {
+        [0.0, 0.5, 1.0]
+            .map(|start_frac| fold(window(blocks, start_frac, 2)).to_wire_bytes())
+            .to_vec()
+    }
+    let data = direct();
+    let period = data.scenario.period;
+    // The widest element any of the three decoders reserves room for:
+    // a Tezos governance event, a 4-wide series row, an `i128` tally.
+    let largest_elem = [
+        size_of::<(
+            txstat::types::time::ChainTime,
+            String,
+            txstat::tezos::Address,
+        )>(),
+        size_of::<[u64; 4]>(),
+        size_of::<i128>(),
+    ]
+    .into_iter()
+    .max()
+    .unwrap_or(0);
+    walk::<EosColumnar>(
+        "eos",
+        &payloads(&data.eos_blocks, |run| {
+            let mut acc = EosColumnar::new(period);
+            run.iter().for_each(|b| acc.observe(b));
+            acc
+        }),
+        largest_elem,
+    );
+    walk::<TezosColumnar>(
+        "tezos",
+        &payloads(&data.tezos_blocks, |run| {
+            let mut acc = TezosColumnar::new(period, data.governance_periods.clone());
+            run.iter().for_each(|b| acc.observe(b));
+            acc
+        }),
+        largest_elem,
+    );
+    walk::<XrpColumnar>(
+        "xrp",
+        &payloads(&data.xrp_blocks, |run| {
+            let mut acc = XrpColumnar::new(period);
+            run.iter().for_each(|b| acc.observe(b, &data.oracle));
+            acc
+        }),
+        largest_elem,
+    );
+}
+
 proptest! {
     /// Damaging a sealed v2 corpus — truncation or a single bit flip in
     /// either file — is a typed [`ArchiveError`], never a panic, and
@@ -406,9 +505,9 @@ fn v2_truncation_at_every_offset_is_typed() {
 }
 
 /// Concurrent overlapping assignments against one archived
-/// [`ShardContext`] keep the decoded-segment accounting exact: one hit or
-/// miss per covering segment per assignment, no more, and each segment
-/// decoded into the table once.
+/// [`ShardContext`] keep the segment-state accounting exact: one hit or
+/// miss per segment an assignment covers whole, none for its ragged
+/// edges, and each such segment's state held once.
 #[test]
 fn cache_accounting_exact_under_concurrent_assignments() {
     let data = direct();
@@ -425,19 +524,22 @@ fn cache_accounting_exact_under_concurrent_assignments() {
     let assignments: Vec<(u64, u64)> = (0..8u64)
         .map(|i| (i * total / 8, ((i + 2) * total / 8).min(total)))
         .collect();
+    let whole = |(a, b): (u64, u64)| -> Vec<usize> {
+        let segments = archive.segments();
+        (0..segments.len())
+            .filter(|&i| a <= segments[i].start && segments[i].end <= b)
+            .collect()
+    };
     let expected_lookups: u64 = assignments
         .iter()
-        .cycle()
-        .take(assignments.len() * 2)
-        .map(|&(a, b)| {
-            let (lo, hi) = archive.covering(a, b);
-            (hi - lo) as u64
-        })
+        .map(|&range| 2 * whole(range).len() as u64)
         .sum();
-    let distinct: u64 = {
-        let (lo, hi) = archive.covering(0, total);
-        (hi - lo) as u64
-    };
+    let mut held: Vec<usize> = assignments.iter().flat_map(|&r| whole(r)).collect();
+    held.sort_unstable();
+    held.dedup();
+    let held = held.len() as u64;
+    let segments = archive.segments().len() as u64;
+    assert!(held > 0, "some assignment covers a segment whole");
 
     let (ctx, manifest) = ShardContext::from_archive(&dir).expect("cold start");
     std::thread::scope(|scope| {
@@ -458,25 +560,21 @@ fn cache_accounting_exact_under_concurrent_assignments() {
     assert_eq!(
         stats.hits + stats.misses,
         expected_lookups,
-        "every covering segment is exactly one hit or one miss: {stats:?}"
+        "every segment covered whole is exactly one hit or one miss: {stats:?}"
     );
     assert_eq!(
-        stats.entries, distinct,
-        "every distinct segment held once: {stats:?}"
+        stats.entries, held,
+        "every segment covered whole held once: {stats:?}"
     );
 
-    // A second sequential sweep of the whole corpus decodes nothing.
+    // A sequential sweep of the whole corpus covers every segment whole:
+    // the held ones hit, the rest are swept once each.
     ctx.frames(manifest.meta.clone(), 0, total, 2, PayloadFormat::Bin)
         .expect("sweep");
     let again = ctx.cache_stats().expect("table");
     assert_eq!(
-        again.hits,
-        stats.hits + distinct,
-        "the warm sweep is all hits: {again:?}"
-    );
-    assert_eq!(
-        (again.misses, again.entries),
-        (stats.misses, distinct),
+        (again.hits, again.misses, again.entries),
+        (stats.hits + held, stats.misses + segments - held, segments),
         "{again:?}"
     );
 

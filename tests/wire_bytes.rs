@@ -536,3 +536,129 @@ fn endpoint_replies_are_pinned_for_small_seed_7() {
     }
     assert_eq!(pin(replies), (147, 459_868, 0x4fb90812b8a591d8), "xrp");
 }
+
+/// `(route, bytes, FNV-1a)` for every route a served epoch renders from
+/// `data`: each `/exhibit/<name>` in report order, the comparison last,
+/// then the busiest account of each chain (`sample_account_paths`), whose
+/// path names the account ranked first.
+fn route_pins(data: txstat::reports::PipelineData) -> Vec<(String, usize, u64)> {
+    use std::sync::Arc;
+    use txstat::ingest::EpochCell;
+    use txstat::reports::{
+        comparison_section, report_sections, sample_account_paths, ServeSnapshot, StatsService,
+    };
+    use txstat::types::ids::fnv1a64;
+    let pin = |route: String, bytes: &[u8]| (route, bytes.len(), fnv1a64(bytes));
+    let mut sections = report_sections(&data);
+    sections.push(("comparison", comparison_section(&data)));
+    let mut pins: Vec<_> = sections
+        .into_iter()
+        .map(|(name, body)| pin(format!("/exhibit/{name}"), body.as_bytes()))
+        .collect();
+    let paths = sample_account_paths(&data);
+    let cell = EpochCell::new(Arc::new(ServeSnapshot::new(1, false, data)));
+    let service = StatsService::new(Arc::new(cell));
+    for path in paths {
+        let reply = service.respond("GET", &path);
+        assert_eq!(reply.status, 200, "{path}");
+        pins.push(pin(path, &reply.body));
+    }
+    pins
+}
+
+/// Compare route by route, so a drifted byte names its section.
+fn assert_route_pins(data: txstat::reports::PipelineData, want: &[(&str, usize, u64)], what: &str) {
+    let got = route_pins(data);
+    for (i, (route, len, fnv)) in want.iter().enumerate() {
+        let (got_route, got_len, got_fnv) =
+            got.get(i).unwrap_or_else(|| panic!("{what}: no route {i}"));
+        assert_eq!(got_route, route, "{what}: route {i}");
+        assert_eq!((*got_len, *got_fnv), (*len, *fnv), "{what}: {route}");
+    }
+    assert_eq!(got.len(), want.len(), "{what}: route count");
+}
+
+/// Per-route twins of the report pins above, at small seeds 7 and 42 and
+/// at one mid-follow epoch (seed 7 after three batches of 64, a partial
+/// snapshot as `serve` renders them): every section, the comparison and
+/// the account route of each chain that has a busiest account yet (Tezos
+/// has none at that epoch). A renderer or ranking change that moves a
+/// byte fails here under the name of the route it moved.
+#[test]
+fn every_section_and_account_route_is_pinned_for_small_seeds() {
+    use txstat::reports::{generate, Follower};
+    for (seed, want) in [(7, SEED_7_ROUTES), (42, SEED_42_ROUTES)] {
+        assert_route_pins(
+            generate(&Scenario::small(seed)),
+            want,
+            &format!("seed {seed}"),
+        );
+    }
+    let mut follower = Follower::new(generate(&Scenario::small(7)), 64);
+    let mut epoch = None;
+    for _ in 0..3 {
+        epoch = Some(follower.advance().expect("advance"));
+    }
+    assert_route_pins(
+        epoch.expect("three epochs"),
+        MID_FOLLOW_ROUTES,
+        "seed 7 epoch 3 of batch 64",
+    );
+}
+
+const SEED_7_ROUTES: &[(&str, usize, u64)] = &[
+    ("/exhibit/headline", 428, 0xc2f4d3bd26f23ba1),
+    ("/exhibit/fig1", 1485, 0xb5f035c74e4dc824),
+    ("/exhibit/fig2", 563, 0xd2d65a7d8fa98546),
+    ("/exhibit/fig3", 2347, 0xc96c2ce57314d012),
+    ("/exhibit/fig4", 548, 0x5662a494301c3f7e),
+    ("/exhibit/fig5", 659, 0xb3960a9f9063611f),
+    ("/exhibit/fig6", 594, 0xc3309db353858a9e),
+    ("/exhibit/fig7", 409, 0x5d87bc89b9da3b3c),
+    ("/exhibit/fig8", 1266, 0x0ae5978f5821a95c),
+    ("/exhibit/fig9", 1034, 0x9e1fa98eb84a2215),
+    ("/exhibit/fig11", 514, 0x4da4339a26ee38fc),
+    ("/exhibit/fig12", 1396, 0x9bf4583d102d856f),
+    ("/exhibit/case_studies", 1003, 0xc8a51dab0a0ea2e9),
+    ("/exhibit/comparison", 3435, 0x33476a722092432c),
+    ("/account/eos/eosio.token", 150, 0x2625026cc1922e44),
+    ("/account/tezos/tz11111111b4XX", 295, 0x615ea95de931ef8a),
+    ("/account/xrp/rrrrrrrao8ib", 160, 0x271e148f1f67e8bf),
+];
+const SEED_42_ROUTES: &[(&str, usize, u64)] = &[
+    ("/exhibit/headline", 428, 0xf293db72f1e599cd),
+    ("/exhibit/fig1", 1483, 0x5381134ce6b3a7b9),
+    ("/exhibit/fig2", 563, 0xb181ebfcd00acecd),
+    ("/exhibit/fig3", 2346, 0x124c1991d95d4085),
+    ("/exhibit/fig4", 545, 0x48a199582fd2d5bc),
+    ("/exhibit/fig5", 656, 0x0a5955215e98c5c0),
+    ("/exhibit/fig6", 594, 0x6c513ead2de905a3),
+    ("/exhibit/fig7", 409, 0x5489986b9177adb4),
+    ("/exhibit/fig8", 1266, 0xf0414d2c48d1b363),
+    ("/exhibit/fig9", 1034, 0xf9fde079eed3d4f4),
+    ("/exhibit/fig11", 514, 0x2165bdeec52884f1),
+    ("/exhibit/fig12", 1490, 0x8489c9ab952840c1),
+    ("/exhibit/case_studies", 1003, 0x82748e2ef89fd7e7),
+    ("/exhibit/comparison", 3431, 0x6e6478422a8a8051),
+    ("/account/eos/eosio.token", 150, 0xdd0be83987f424e8),
+    ("/account/tezos/tz11111111b4XX", 297, 0x62b0e04de5a80497),
+    ("/account/xrp/rrrrrrrao8ib", 160, 0x5d96efb8091f8c00),
+];
+const MID_FOLLOW_ROUTES: &[(&str, usize, u64)] = &[
+    ("/exhibit/headline", 409, 0x59be6d3c7b042236),
+    ("/exhibit/fig1", 1068, 0xf6306e8241786713),
+    ("/exhibit/fig2", 563, 0xd2d65a7d8fa98546),
+    ("/exhibit/fig3", 1833, 0x68f4ca354de5a568),
+    ("/exhibit/fig4", 598, 0xb5da6729a455e422),
+    ("/exhibit/fig5", 763, 0xbc15e1e75eaf0b1e),
+    ("/exhibit/fig6", 250, 0xfe59c690643d4f0c),
+    ("/exhibit/fig7", 409, 0x5d87bc89b9da3b3c),
+    ("/exhibit/fig8", 1266, 0x0ae5978f5821a95c),
+    ("/exhibit/fig9", 109, 0xccd011676d6ad8b2),
+    ("/exhibit/fig11", 514, 0x4da4339a26ee38fc),
+    ("/exhibit/fig12", 1396, 0x9bf4583d102d856f),
+    ("/exhibit/case_studies", 992, 0xff1a827144a51576),
+    ("/exhibit/comparison", 3129, 0x61778655a168da7c),
+    ("/account/eos/eosio.token", 146, 0xf6b0c53de90dd91c),
+    ("/account/xrp/rrrrrrrao8ib", 160, 0x271e148f1f67e8bf),
+];

@@ -4,7 +4,7 @@
 //! in/out-degree outliers that flag artificial behaviour.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
 use txstat_types::stats::{gini, TopK};
 
@@ -15,8 +15,11 @@ use txstat_types::stats::{gini, TopK};
 pub struct TransferGraph<N: Eq + Hash + Clone + Ord> {
     /// Edge multiplicities.
     edges: HashMap<(N, N), u64>,
-    out_degree: HashMap<N, u64>,
-    in_degree: HashMap<N, u64>,
+    /// Weighted degrees. Their keys are exactly the edges' endpoints: a
+    /// degree is bumped only with an edge of positive multiplicity, so no
+    /// count is ever zero.
+    out_degree: TopK<N>,
+    in_degree: TopK<N>,
     /// Distinct out-neighbors per source: bumped only when an edge key
     /// enters `edges`, so it always equals that source's edge count there.
     fanout: HashMap<N, u64>,
@@ -26,8 +29,8 @@ impl<N: Eq + Hash + Clone + Ord> Default for TransferGraph<N> {
     fn default() -> Self {
         TransferGraph {
             edges: HashMap::new(),
-            out_degree: HashMap::new(),
-            in_degree: HashMap::new(),
+            out_degree: TopK::new(),
+            in_degree: TopK::new(),
             fanout: HashMap::new(),
         }
     }
@@ -69,8 +72,8 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
         if n == 0 {
             return;
         }
-        *self.out_degree.entry(from.clone()).or_insert(0) += n;
-        *self.in_degree.entry(to.clone()).or_insert(0) += n;
+        self.out_degree.add(from.clone(), n);
+        self.in_degree.add(to.clone(), n);
         self.add_edge((from, to), n);
     }
 
@@ -90,25 +93,27 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
         self.edges.values().sum()
     }
 
-    pub(crate) fn node_count(&self) -> u64 {
-        let mut nodes: HashSet<&N> = HashSet::new();
-        for (f, t) in self.edges.keys() {
-            nodes.insert(f);
-            nodes.insert(t);
-        }
-        nodes.len() as u64
+    /// Distinct edge endpoints: every source, plus the targets that are
+    /// no source.
+    fn node_count(&self) -> u64 {
+        let sinks_only = self
+            .in_degree
+            .iter()
+            .filter(|(n, _)| self.out_degree.count_of(n) == 0)
+            .count();
+        (self.out_degree.distinct() + sinks_only) as u64
     }
 
     /// Weighted out-degree of a node.
     #[cfg(test)]
     pub(crate) fn out_of(&self, n: &N) -> u64 {
-        self.out_degree.get(n).copied().unwrap_or(0)
+        self.out_degree.count_of(n)
     }
 
     /// Weighted in-degree of a node.
     #[cfg(test)]
     fn in_of(&self, n: &N) -> u64 {
-        self.in_degree.get(n).copied().unwrap_or(0)
+        self.in_degree.count_of(n)
     }
 
     /// Distinct out-neighbors of a node.
@@ -126,27 +131,14 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
         for (e, n) in other.edges {
             self.add_edge(e, n);
         }
-        for (k, n) in other.out_degree {
-            *self.out_degree.entry(k).or_insert(0) += n;
-        }
-        for (k, n) in other.in_degree {
-            *self.in_degree.entry(k).or_insert(0) += n;
-        }
+        self.out_degree.merge(other.out_degree);
+        self.in_degree.merge(other.in_degree);
     }
 
     /// Compute the summary report.
     pub fn report(&self, top_k: usize) -> GraphReport<N> {
-        let out_values: Vec<f64> = self.out_degree.values().map(|v| *v as f64).collect();
-        let in_values: Vec<f64> = self.in_degree.values().map(|v| *v as f64).collect();
-
-        let mut sinks: TopK<N> = TopK::new();
-        for (n, d) in &self.in_degree {
-            sinks.add(n.clone(), *d);
-        }
-        let mut sources: TopK<N> = TopK::new();
-        for (n, d) in &self.out_degree {
-            sources.add(n.clone(), *d);
-        }
+        let out_values: Vec<f64> = self.out_degree.iter().map(|(_, v)| *v as f64).collect();
+        let in_values: Vec<f64> = self.in_degree.iter().map(|(_, v)| *v as f64).collect();
 
         // Fan-out outliers: distinct-neighborhood size vs the median.
         let mut fanouts: Vec<u64> = self.fanout.values().copied().collect();
@@ -166,8 +158,8 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
             transfers: self.transfers(),
             out_degree_gini: gini(&out_values),
             in_degree_gini: gini(&in_values),
-            top_sinks: sinks.top(top_k),
-            top_sources: sources.top(top_k),
+            top_sinks: self.in_degree.top(top_k),
+            top_sources: self.out_degree.top(top_k),
             fanout_outliers,
         }
     }

@@ -8,7 +8,7 @@
 use crate::cluster::ClusterInfo;
 use std::collections::HashMap;
 use txstat_types::series::BucketSeries;
-use txstat_types::stats::TopK;
+use txstat_types::stats::{sort_truncated_by, TopK};
 use txstat_types::time::{ChainTime, Period, SIX_HOURS};
 use txstat_xrp::amount::{Asset, IssuedCurrency, DROPS_PER_XRP, IOU_UNIT};
 use txstat_xrp::ledger::LedgerBlock;
@@ -480,31 +480,32 @@ impl XrpSweep {
         self.funnel.clone()
     }
 
-    /// Figure 8: the `k` most active accounts.
+    /// Figure 8: the `k` most active accounts, by total descending, ties by
+    /// account. Ranks the totals first, so the tag ranking and entity label
+    /// of a row are computed for the `k` kept alone.
     pub fn most_active(&self, k: usize, cluster: &ClusterInfo) -> Vec<ActiveAccount> {
-        let mut rows: Vec<ActiveAccount> = self
+        let mut ranked: Vec<(u64, &AccountId, &(u64, u64, u64))> = self
             .per_account
             .iter()
-            .map(|(account, (oc, pay, others))| {
-                let total = oc + pay + others;
-                ActiveAccount {
-                    account: *account,
-                    offer_creates: *oc,
-                    payments: *pay,
-                    others: *others,
-                    total,
-                    share_pct: total as f64 * 100.0 / self.grand_total.max(1) as f64,
-                    top_tag: self
-                        .tags
-                        .get(account)
-                        .and_then(|t| t.top(1).first().cloned()),
-                    entity: cluster.entity(*account),
-                }
-            })
+            .map(|(account, counts)| (counts.0 + counts.1 + counts.2, account, counts))
             .collect();
-        rows.sort_by(|a, b| b.total.cmp(&a.total).then(a.account.cmp(&b.account)));
-        rows.truncate(k);
-        rows
+        sort_truncated_by(&mut ranked, k, |a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
+        ranked
+            .into_iter()
+            .map(|(total, account, &(oc, pay, others))| ActiveAccount {
+                account: *account,
+                offer_creates: oc,
+                payments: pay,
+                others,
+                total,
+                share_pct: total as f64 * 100.0 / self.grand_total.max(1) as f64,
+                top_tag: self
+                    .tags
+                    .get(account)
+                    .and_then(|t| t.top(1).first().cloned()),
+                entity: cluster.entity(*account),
+            })
+            .collect()
     }
 
     /// Figure 12: the entity-level value flows.

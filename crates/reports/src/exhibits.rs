@@ -9,10 +9,14 @@
 //! block vectors.
 
 use crate::pipeline::PipelineData;
+use std::hash::Hash;
 use txstat_core::eos_analysis as eos;
-use txstat_core::xrp_analysis as xrp;
+use txstat_core::tezos_analysis::TezosThroughputCat;
+use txstat_core::xrp_analysis::{self as xrp, XrpThroughputCat};
+use txstat_eos::AppCategory;
 use txstat_telemetry::Span;
 use txstat_types::amount::{fmt_pct, fmt_thousands};
+use txstat_types::series::BucketSeries;
 use txstat_types::table::{render_series, Align, TextTable};
 use txstat_types::time::ChainTime;
 use txstat_xrp::amount::IssuedCurrency;
@@ -184,60 +188,47 @@ pub fn fig3(data: &PipelineData) -> String {
 
     let curated = eos::EosLabels::curated();
     let labels = data.sweeps().eos.labels(100, &|n| curated.get(n));
-    let series = data.sweeps().eos.throughput_series(&labels);
     out.push_str("(a) EOS transactions by category\n");
-    for cat in series.categories_sorted() {
-        let pts: Vec<(String, f64)> = series
-            .series_for(&cat)
-            .into_iter()
-            .map(|(t, c)| (t.date_string(), c as f64))
-            .collect();
-        out.push_str(&render_series(
-            &format!(
-                "  {} (total {})",
-                cat.label(),
-                fmt_thousands(series.category_total(&cat) as u128)
-            ),
-            &pts,
-        ));
-    }
-
-    let series = data.sweeps().tezos.throughput_series();
+    category_sparklines(
+        &mut out,
+        &data.sweeps().eos.throughput_series(&labels),
+        AppCategory::label,
+    );
     out.push_str("\n(b) Tezos operations by category\n");
-    for cat in series.categories_sorted() {
-        let pts: Vec<(String, f64)> = series
-            .series_for(&cat)
-            .into_iter()
-            .map(|(t, c)| (t.date_string(), c as f64))
-            .collect();
-        out.push_str(&render_series(
-            &format!(
-                "  {} (total {})",
-                cat.label(),
-                fmt_thousands(series.category_total(&cat) as u128)
-            ),
-            &pts,
-        ));
-    }
-
-    let series = data.sweeps().xrp.throughput_series();
+    category_sparklines(
+        &mut out,
+        data.sweeps().tezos.throughput_series(),
+        TezosThroughputCat::label,
+    );
     out.push_str("\n(c) XRP transactions by category\n");
+    category_sparklines(
+        &mut out,
+        data.sweeps().xrp.throughput_series(),
+        XrpThroughputCat::label,
+    );
+    out
+}
+
+/// One sparkline per category of `series`, in category order, titled with
+/// the category's label and total.
+fn category_sparklines<K: Copy + Eq + Hash + Ord>(
+    out: &mut String,
+    series: &BucketSeries<K>,
+    label: fn(K) -> &'static str,
+) {
     for cat in series.categories_sorted() {
-        let pts: Vec<(String, f64)> = series
-            .series_for(&cat)
-            .into_iter()
-            .map(|(t, c)| (t.date_string(), c as f64))
+        let values: Vec<f64> = (0..series.bucket_count())
+            .map(|i| series.get(i, &cat) as f64)
             .collect();
         out.push_str(&render_series(
             &format!(
                 "  {} (total {})",
-                cat.label(),
+                label(cat),
                 fmt_thousands(series.category_total(&cat) as u128)
             ),
-            &pts,
+            &values,
         ));
     }
-    out
 }
 
 /// Figure 4: EOS top applications by received transactions.
@@ -452,18 +443,14 @@ pub fn fig9(data: &PipelineData) -> String {
             pc.participation_pct
         ));
         for c in &pc.curves {
-            let pts: Vec<(String, f64)> = c
-                .points
-                .iter()
-                .map(|(t, v)| (t.date_string(), *v as f64))
-                .collect();
+            let values: Vec<f64> = c.points.iter().map(|(_, v)| *v as f64).collect();
             out.push_str(&render_series(
                 &format!(
                     "  {} (final {} rolls)",
                     c.label,
                     fmt_thousands(c.total() as u128)
                 ),
-                &pts,
+                &values,
             ));
         }
     }

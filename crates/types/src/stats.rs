@@ -1,5 +1,6 @@
 //! Streaming statistics used throughout the analytics pipeline.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -111,18 +112,6 @@ impl<T: Eq + Hash + Clone> TopK<T> {
         self.counts.values().sum()
     }
 
-    /// The `k` largest entries, descending by count. Ties broken
-    /// deterministically by the provided key-ordering function.
-    pub(crate) fn top_by<F>(&self, k: usize, key_ord: F) -> Vec<(T, u64)>
-    where
-        F: Fn(&T, &T) -> std::cmp::Ordering,
-    {
-        let mut v: Vec<(T, u64)> = self.counts.iter().map(|(t, c)| (t.clone(), *c)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| key_ord(&a.0, &b.0)));
-        v.truncate(k);
-        v
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = (&T, &u64)> {
         self.counts.iter()
     }
@@ -141,10 +130,35 @@ impl<T: Eq + Hash + Clone> TopK<T> {
 }
 
 impl<T: Eq + Hash + Clone + Ord> TopK<T> {
-    /// Top-k with natural key ordering for ties.
+    /// The `k` largest entries (all of them if `k` exceeds
+    /// [`TopK::distinct`]), descending by count, ties in ascending key
+    /// order: every entry sorted by that order and truncated to `k`. Only
+    /// the kept entries are sorted and only their keys are cloned, so a
+    /// short list off a large counter costs one pass over borrowed counts.
     pub fn top(&self, k: usize) -> Vec<(T, u64)> {
-        self.top_by(k, |a, b| a.cmp(b))
+        let mut ranked: Vec<(&T, u64)> = self.counts.iter().map(|(t, c)| (t, *c)).collect();
+        sort_truncated_by(&mut ranked, k, |a, b| {
+            b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
+        });
+        ranked.into_iter().map(|(t, c)| (t.clone(), c)).collect()
     }
+}
+
+/// `v.sort_by(ord); v.truncate(k)`, computed by selecting the `k` first
+/// elements under `ord` and sorting only those. The result is the same
+/// whenever `ord` orders no two elements of `v` equal — every ranking
+/// here breaks count ties by a distinct key — and a caller can then build
+/// the expensive part of each row for the `k` kept alone.
+pub fn sort_truncated_by<T>(v: &mut Vec<T>, k: usize, mut ord: impl FnMut(&T, &T) -> Ordering) {
+    if k == 0 {
+        v.clear();
+        return;
+    }
+    if k < v.len() {
+        v.select_nth_unstable_by(k - 1, &mut ord);
+        v.truncate(k);
+    }
+    v.sort_unstable_by(ord);
 }
 
 /// Fixed-width linear histogram over `[lo, hi)` with overflow/underflow bins.

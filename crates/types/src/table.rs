@@ -107,24 +107,17 @@ impl TextTable {
     }
 }
 
-/// Render a `(label, value)` time series compactly, paper-figure style:
-/// one line per point, plus a unicode sparkline summary.
-pub fn render_series(title: &str, points: &[(String, f64)]) -> String {
+/// Render a series as its title line and one unicode sparkline glyph per
+/// value, scaled to the largest value. Only the values are read, so a
+/// caller passes no per-point label it would have to format.
+pub fn render_series(title: &str, values: &[f64]) -> String {
     let mut out = format!("{title}\n");
-    let max = points
-        .iter()
-        .map(|p| p.1)
-        .fold(f64::MIN, f64::max)
-        .max(1e-9);
+    let max = values.iter().copied().fold(f64::MIN, f64::max).max(1e-9);
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let spark: String = points
-        .iter()
-        .map(|p| {
-            let idx = ((p.1 / max) * 7.0).round().clamp(0.0, 7.0) as usize;
-            BARS[idx]
-        })
-        .collect();
-    out.push_str(&spark);
+    out.extend(values.iter().map(|v| {
+        let idx = ((v / max) * 7.0).round().clamp(0.0, 7.0) as usize;
+        BARS[idx]
+    }));
     out.push('\n');
     out
 }
@@ -159,8 +152,8 @@ mod tests {
 
     #[test]
     fn sparkline_scales() {
-        let pts: Vec<(String, f64)> = (0..8).map(|i| (format!("p{i}"), i as f64)).collect();
-        let s = render_series("spark", &pts);
+        let values: Vec<f64> = (0..8).map(f64::from).collect();
+        let s = render_series("spark", &values);
         assert!(s.contains('█'));
         assert!(s.contains('▁'));
     }

@@ -73,19 +73,101 @@ proptest! {
         }
     }
 
-    /// TopK matches an exact sort on random streams.
+    /// TopK's selection equals a full sort truncated to `k`, for `k` of
+    /// 0, 1, all but one, all, and past the end. Counts of 1..4 over up
+    /// to 40 keys tie often, so the key order decides most places.
     #[test]
-    fn topk_matches_exact_sort(items in proptest::collection::vec(0u8..20, 1..300)) {
+    fn topk_matches_exact_sort(
+        items in proptest::collection::vec((0u8..40, 1u64..4), 1..300),
+    ) {
         let mut topk = TopK::new();
         let mut exact = std::collections::HashMap::new();
-        for i in &items {
-            topk.inc(*i);
-            *exact.entry(*i).or_insert(0u64) += 1;
+        for &(key, n) in &items {
+            topk.add(key, n);
+            *exact.entry(key).or_insert(0u64) += n;
         }
         let mut sorted: Vec<(u8, u64)> = exact.into_iter().collect();
         sorted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        sorted.truncate(5);
-        prop_assert_eq!(topk.top(5), sorted);
+        let n = sorted.len();
+        for k in [0, 1, n - 1, n, n + 5] {
+            prop_assert_eq!(topk.top(k), sorted[..k.min(n)].to_vec(), "k = {}", k);
+        }
+    }
+
+    /// A transfer graph's report equals one computed from its edge list
+    /// with a hash set of endpoints and full sorts, for the graph recorded
+    /// one transfer at a time and for the same edges recorded into `parts`
+    /// partial graphs and merged. Sources and targets share one id range,
+    /// so self-loops and nodes that both send and receive are common; a
+    /// hub sending to up to 400 targets is a fan-out outlier in about half
+    /// the cases.
+    #[test]
+    fn transfer_graph_report_matches_a_full_sort_reference(
+        edges in proptest::collection::vec((0u32..30, 0u32..30, 1u64..4, 0usize..8), 0..160),
+        hub_targets in 0u32..400,
+        parts in 1usize..6,
+        top_k in 0usize..40,
+    ) {
+        use std::collections::{HashMap, HashSet};
+        use txstat::core::TransferGraph;
+        use txstat::types::gini;
+        const HUB: u32 = 1_000;
+        let mut all = edges.clone();
+        all.extend((0..hub_targets).map(|to| (HUB, 100 + to, 1, to as usize)));
+
+        let mut one = TransferGraph::new();
+        let mut partial: Vec<TransferGraph<u32>> = (0..parts).map(|_| TransferGraph::new()).collect();
+        for &(from, to, n, part) in &all {
+            for _ in 0..n {
+                one.record(from, to);
+                partial[part % parts].record(from, to);
+            }
+        }
+        let mut merged = TransferGraph::new();
+        for g in partial {
+            merged.merge(g);
+        }
+
+        let nodes: HashSet<u32> = all.iter().flat_map(|&(f, t, ..)| [f, t]).collect();
+        let distinct: HashSet<(u32, u32)> = all.iter().map(|&(f, t, ..)| (f, t)).collect();
+        let (mut out_deg, mut in_deg) = (HashMap::new(), HashMap::new());
+        for &(from, to, n, _) in &all {
+            *out_deg.entry(from).or_insert(0u64) += n;
+            *in_deg.entry(to).or_insert(0u64) += n;
+        }
+        let mut fanout: HashMap<u32, u64> = HashMap::new();
+        for &(from, _) in &distinct {
+            *fanout.entry(from).or_insert(0) += 1;
+        }
+        let ranked = |degrees: &HashMap<u32, u64>, k: usize| {
+            let mut v: Vec<(u32, u64)> = degrees.iter().map(|(n, d)| (*n, *d)).collect();
+            v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            v.truncate(k);
+            v
+        };
+        let values = |degrees: &HashMap<u32, u64>| -> Vec<f64> {
+            degrees.values().map(|d| *d as f64).collect()
+        };
+        let mut fanouts: Vec<u64> = fanout.values().copied().collect();
+        fanouts.sort_unstable();
+        let median = fanouts.get(fanouts.len() / 2).copied().unwrap_or(0).max(1);
+        let outliers: HashMap<u32, u64> = fanout
+            .iter()
+            .filter(|(_, f)| **f > 100 * median)
+            .map(|(n, f)| (*n, *f))
+            .collect();
+
+        for (what, graph) in [("recorded", &one), ("merged", &merged)] {
+            let r = graph.report(top_k);
+            prop_assert_eq!(r.nodes, nodes.len() as u64, "{}", what);
+            prop_assert_eq!(r.unique_edges, distinct.len() as u64, "{}", what);
+            prop_assert_eq!(r.transfers, all.iter().map(|e| e.2).sum::<u64>(), "{}", what);
+            prop_assert_eq!(&r.top_sinks, &ranked(&in_deg, top_k), "{}", what);
+            prop_assert_eq!(&r.top_sources, &ranked(&out_deg, top_k), "{}", what);
+            prop_assert_eq!(r.out_degree_gini.to_bits(), gini(&values(&out_deg)).to_bits(), "{}", what);
+            prop_assert_eq!(r.in_degree_gini.to_bits(), gini(&values(&in_deg)).to_bits(), "{}", what);
+            prop_assert_eq!(&r.fanout_outliers, &ranked(&outliers, usize::MAX), "{}", what);
+        }
     }
 
     /// EOS names: parse(render(x)) is identity over the raw u64 space of
@@ -171,6 +253,47 @@ proptest! {
             let tx = Transaction::new(account, TxPayload::OfferCreate { gets: g, pays: p }, 10);
             let _ = ledger.submit(tx, now);
             ledger.check_conservation().map_err(TestCaseError::fail)?;
+        }
+    }
+}
+
+/// Figure 8's ranking over a swept small scenario: `most_active(k)` is
+/// every sending account's row, fully sorted by total descending then
+/// account, truncated to `k` — rows assembled here from `account_stats`
+/// and the cluster's entity labels, for `k` of 0, 1, 10, all but one, all,
+/// and past the end.
+#[test]
+fn most_active_is_every_account_fully_sorted() {
+    use std::collections::BTreeSet;
+    use txstat::workload::Scenario;
+    let data = txstat::reports::generate(&Scenario::small(7));
+    let sweep = &data.sweeps().xrp;
+    let senders: BTreeSet<AccountId> = data
+        .xrp_blocks
+        .iter()
+        .flat_map(|b| b.transactions.iter().map(|tx| tx.tx.account))
+        .collect();
+    let mut rows: Vec<_> = senders
+        .into_iter()
+        .filter_map(|a| sweep.account_stats(a))
+        .collect();
+    rows.sort_by(|a, b| b.total.cmp(&a.total).then(a.account.cmp(&b.account)));
+    let n = rows.len();
+    assert!(n > 20, "{n} accounts");
+    for k in [0, 1, 10, n - 1, n, n + 5] {
+        let got = sweep.most_active(k, &data.cluster);
+        assert_eq!(got.len(), k.min(n), "k = {k}");
+        for (g, want) in got.iter().zip(&rows) {
+            let what = format!("k = {k}, account {}", want.account);
+            assert_eq!(g.account, want.account, "{what}");
+            assert_eq!(
+                (g.offer_creates, g.payments, g.others, g.total),
+                (want.offer_creates, want.payments, want.others, want.total),
+                "{what}"
+            );
+            assert_eq!(g.share_pct.to_bits(), want.share_pct.to_bits(), "{what}");
+            assert_eq!(g.top_tag, want.top_tag, "{what}");
+            assert_eq!(g.entity, data.cluster.entity(want.account), "{what}");
         }
     }
 }

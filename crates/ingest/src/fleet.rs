@@ -80,8 +80,9 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// Ceiling on a single backoff sleep.
-    pub(crate) const BACKOFF_CAP_MS: u64 = 2_000;
+    /// Ceiling on a single backoff sleep, and the largest `backoff_ms`
+    /// `reduce --backoff-ms` accepts.
+    pub const BACKOFF_CAP_MS: u64 = 2_000;
 
     pub fn new(workers: Vec<String>) -> Self {
         FleetConfig {

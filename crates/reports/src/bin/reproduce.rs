@@ -581,6 +581,16 @@ fn shards_of(args: &Args) -> Result<usize, String> {
     }
 }
 
+/// `--backoff-ms MS` of fleet `reduce`: the base retry backoff, refused
+/// outside `1..=BACKOFF_CAP_MS` rather than raised or capped into it.
+fn backoff_of(args: &Args) -> Result<u64, String> {
+    const CAP: u64 = FleetConfig::BACKOFF_CAP_MS;
+    match args.parsed("--backoff-ms", 50)? {
+        ms @ 1..=CAP => Ok(ms),
+        ms => Err(format!("--backoff-ms {ms} is outside 1..={CAP}")),
+    }
+}
+
 /// Socket worker mode of `shard`: bind, announce the address, and answer
 /// fleet range assignments against one prepared context until the
 /// request budget (if any) is spent.
@@ -666,6 +676,7 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         .collect();
     let shards = shards_of(args)?;
     let timeout = timeout_of(args)?;
+    let backoff_ms = backoff_of(args)?;
     // `Need::Facts`: the sweeps arrive from the fleet, and everything else
     // the report needs of the blocks is memoized per segment.
     let Opened {
@@ -684,7 +695,7 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         .collect();
     cfg.timeout = timeout;
     cfg.retries = args.parsed("--retries", 4)?;
-    cfg.backoff_ms = args.parsed("--backoff-ms", 50)?;
+    cfg.backoff_ms = backoff_ms;
     cfg.seed = sc.seed;
     eprintln!("driving {} worker(s)…", cfg.workers.len());
     let total = data.longest_chain() as u64;

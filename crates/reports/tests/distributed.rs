@@ -570,15 +570,16 @@ fn a_failed_run_keeps_its_telemetry() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A huge `--backoff-ms` still ends: each retry sleep stays under twice the
-/// fleet's backoff cap, so a fleet with no worker behind it fails within
-/// 10 s.
+/// `--backoff-ms` outside `1..=2000` is refused before any dispatch: 0
+/// used to mean 1, and anything above the fleet's backoff cap the cap,
+/// so a huge value also still ends fast. The cap itself is accepted and
+/// reaches the dead fleet's failure. The library path, which still raises
+/// and caps, is pinned by `fleet::tests::backoff_stays_under_twice_the_cap`.
 #[test]
 fn a_huge_backoff_still_ends() {
     let dir = tempdir("hugebackoff");
-    let out = reproduce_within(
-        &dir,
-        &[
+    let reduce = |backoff: &str, deadline: u64| {
+        let args = [
             "reduce",
             "--connect",
             "127.0.0.1:1",
@@ -586,11 +587,25 @@ fn a_huge_backoff_still_ends() {
             "--retries",
             "1",
             "--backoff-ms",
-            "18446744073709551615",
-        ],
-        Duration::from_secs(10),
-    );
-    assert!(!out.status.success(), "a dead fleet is still a failure");
+            backoff,
+        ];
+        let out = reproduce_within(&dir, &args, Duration::from_secs(deadline));
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stderr)
+    };
+    for backoff in ["0", "2001", "18446744073709551615"] {
+        let (code, stderr) = reduce(backoff, 5);
+        assert_eq!(code, Some(2), "--backoff-ms {backoff}: {stderr}");
+        let refusal = format!("--backoff-ms {backoff} is outside 1..=2000");
+        assert!(stderr.contains(&refusal), "{stderr}");
+        assert!(stderr.contains("usage: reproduce"), "{stderr}");
+        assert!(!stderr.contains("driving 1 worker"), "dispatched: {stderr}");
+    }
+    // One retry sleeps under twice the cap.
+    let (code, stderr) = reduce("2000", 15);
+    assert_eq!(code, Some(2), "a dead fleet is still a failure: {stderr}");
+    assert!(stderr.contains("fleet exhausted"), "{stderr}");
+    assert!(!stderr.contains("is outside"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1504,6 +1504,7 @@ impl ShardContext {
             }
         });
         // A lone segment state is encoded where it lies; merging clones.
+        let merging = Span::enter("shard_merge", "");
         let mut pieces = pieces.into_iter();
         let mut merged = match pieces.next() {
             Some(first) => first?,
@@ -1517,6 +1518,7 @@ impl ShardContext {
         for piece in pieces {
             merged.to_mut().merge(piece?.into_owned());
         }
+        drop(merging);
         // A chain's blocks are a prefix of the position space, so the `n`
         // blocks it has in the range sit at `[start, start + n)`.
         let [eos, tezos, xrp] = merged.blocks;

@@ -818,6 +818,12 @@ fn every_traced_run_is_one_rooted_tree_whose_self_times_sum_to_the_root() {
             root.dur_us
         );
         seen.extend(events.iter().map(|e| e.stage.clone()));
+        if file == "worker.ndjson" {
+            // The archived worker's state merge is its own stage, once per
+            // assignment (`--chunks 2`), not root self time.
+            let merges = events.iter().filter(|e| e.stage == "shard_merge").count();
+            assert_eq!(merges, 2, "{file}: shard_merge spans");
+        }
         if file == "report.ndjson" {
             let ms = |us: u64| format!("{:.3}", us as f64 / 1_000.0);
             let tail: Vec<Vec<&str>> = timings

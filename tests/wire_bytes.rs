@@ -566,14 +566,16 @@ fn route_pins(data: txstat::reports::PipelineData) -> Vec<(String, usize, u64)> 
     pins
 }
 
-/// Compare route by route, so a drifted byte names its section.
+/// Compare route by route, so a drifted byte names its route.
 fn assert_route_pins(data: txstat::reports::PipelineData, want: &[(&str, usize, u64)], what: &str) {
     let got = route_pins(data);
-    for (i, (route, len, fnv)) in want.iter().enumerate() {
-        let (got_route, got_len, got_fnv) =
-            got.get(i).unwrap_or_else(|| panic!("{what}: no route {i}"));
-        assert_eq!(got_route, route, "{what}: route {i}");
-        assert_eq!((*got_len, *got_fnv), (*len, *fnv), "{what}: {route}");
+    for ((route, len, fnv), pinned) in got.iter().zip(want) {
+        assert_eq!(
+            &(route.as_str(), *len, *fnv),
+            pinned,
+            "{what}: {}",
+            pinned.0
+        );
     }
     assert_eq!(got.len(), want.len(), "{what}: route count");
 }
@@ -595,12 +597,10 @@ fn every_section_and_account_route_is_pinned_for_small_seeds() {
         );
     }
     let mut follower = Follower::new(generate(&Scenario::small(7)), 64);
-    let mut epoch = None;
-    for _ in 0..3 {
-        epoch = Some(follower.advance().expect("advance"));
-    }
+    follower.advance().expect("epoch 1");
+    follower.advance().expect("epoch 2");
     assert_route_pins(
-        epoch.expect("three epochs"),
+        follower.advance().expect("epoch 3"),
         MID_FOLLOW_ROUTES,
         "seed 7 epoch 3 of batch 64",
     );

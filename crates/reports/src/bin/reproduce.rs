@@ -1,8 +1,11 @@
 //! The end-to-end reproduction binary. `COMMANDS` is the whole command
-//! line: one row per subcommand with its flags spelled once, which is both
-//! what `Args::parse` accepts and the usage synopsis every error prints
-//! (an unrecognized flag or subcommand exits 2 with it). Bare `reproduce`
-//! means `report`. What the table cannot say:
+//! line: one row per subcommand with its flags spelled once, each value
+//! flag with its domain. It is both what `Args::parse` accepts and the
+//! usage every error prints: an unknown flag or subcommand, a flag given
+//! twice and a value outside its domain (`--shards 0 is outside 1..=64`)
+//! exit 2 with it before anything runs, so each subcommand reads its flags
+//! typed and infallibly. Bare `reproduce` means `report`. What the table
+//! cannot say:
 //!
 //! - **One envelope.** `run` parses, arms tracing (`--trace-out FILE`:
 //!   one NDJSON event per closed span; `--timings`: the per-stage
@@ -24,10 +27,11 @@
 //!   that needs it; a missing, stale or damaged memo is recomputed and
 //!   healed. `reduce --connect --archive` is block-free: sweeps from the
 //!   fleet, the rest from the memo — warm, it decodes no segment.
-//! - **`shard --archive`** decodes only the segments covering each
-//!   assignment, each at most once per process: a table keyed by segment
-//!   index keeps every decode (`txstat_archive_cache_*`). `--max-requests
-//!   N` is the deterministic way to die mid-reduction in tests.
+//! - **`shard --archive`** sweeps each segment an assignment covers whole
+//!   at most once per process and keeps its swept state, not its blocks
+//!   (`txstat_archive_cache_*`); a segment an assignment only cuts (a
+//!   ragged edge) is decoded and kept by nothing. `--max-requests N` is the
+//!   deterministic way to die mid-reduction in tests.
 //! - **`reduce --connect`** drives the workers with per-request deadlines,
 //!   exponential backoff, bounded retry budgets and straggler re-dispatch;
 //!   failures name the worker address (file mode: the frame file).
@@ -60,13 +64,92 @@ use txstat_wire::fleet::MAX_SHARDS;
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_workload::Scenario;
 
-/// One subcommand: what it takes spelled once, as usage prints it — `--name`
-/// is a switch, `--name VALUE` takes a value, a bare `NAME...` admits
-/// positional arguments.
+/// What a flag's value may be: checked by [`Args::parse`] before any
+/// subcommand runs, and printed beside the flag's metavariable in the usage.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Domain {
+    /// An integer in `lo..=hi`.
+    Int(u64, u64),
+    /// A finite real in `[lo, hi]`; an infinite `hi` bounds nothing.
+    Real(f64, f64),
+    /// Block positions `A..B` with `A <= B`.
+    Range,
+    /// A path or an address, checked where it is used.
+    Text,
+}
+
+use Domain::{Int, Real, Text};
+
+const ANY_U64: Domain = Int(0, u64::MAX);
+const POSITIVE: Domain = Int(1, u64::MAX);
+
+/// The longest sleep or wait a flag may ask for (`--epoch-ms`, and
+/// `--wait-head` in seconds): an hour, far above any run's need, and far
+/// below the end of the clock.
+const MAX_WAIT_MS: u64 = 3_600_000;
+
+/// A flag's value, typed by its [`Domain`].
+enum Value {
+    Int(u64),
+    Real(f64),
+    Range(u64, u64),
+    Text(String),
+}
+
+impl Domain {
+    /// `raw` typed, or `None` when it is not a member.
+    fn parse(self, raw: &str) -> Option<Value> {
+        match self {
+            Int(lo, hi) => raw
+                .parse()
+                .ok()
+                .filter(|v| (lo..=hi).contains(v))
+                .map(Value::Int),
+            Real(lo, hi) => raw
+                .parse()
+                .ok()
+                .filter(|v: &f64| v.is_finite() && (lo..=hi).contains(v))
+                .map(Value::Real),
+            Domain::Range => {
+                let (a, b) = raw.split_once("..")?;
+                let (a, b) = (a.parse().ok()?, b.parse().ok()?);
+                (a <= b).then_some(Value::Range(a, b))
+            }
+            Text => Some(Value::Text(raw.to_owned())),
+        }
+    }
+}
+
+impl std::fmt::Display for Domain {
+    fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
+        match *self {
+            Int(lo, u64::MAX) => write!(f, "{lo}..=2^64-1"),
+            Int(lo, hi) => write!(f, "{lo}..={hi}"),
+            Real(lo, hi) if hi.is_infinite() => write!(f, "[{lo}, inf)"),
+            Real(lo, hi) => write!(f, "[{lo}, {hi}]"),
+            Domain::Range => f.write_str("A <= B < 2^64"),
+            Text => Ok(()),
+        }
+    }
+}
+
+/// One item of a subcommand's synopsis, as usage prints it.
+enum Item {
+    /// `--name`.
+    Switch(&'static str),
+    /// `--name META`, whose value must lie in the domain.
+    Flag(&'static str, &'static str, Domain),
+    /// `NAME...`: the subcommand admits positional arguments.
+    Positionals(&'static str),
+}
+
+use Item::{Flag, Positionals, Switch};
+
+/// One subcommand: what it takes spelled once, as usage prints it.
 struct Command {
     name: &'static str,
     about: &'static str,
-    synopsis: &'static [&'static str],
+    synopsis: &'static [Item],
     run: fn(&Args) -> Result<(), String>,
 }
 
@@ -75,14 +158,14 @@ const COMMANDS: &[Command] = &[
         name: "report",
         about: "render every exhibit of the scenario (the default subcommand)",
         synopsis: &[
-            "--small",
-            "--seed N",
-            "--crawl",
-            "--archive DIR",
-            "--out FILE",
-            "--trace-out FILE",
-            "--timings",
-            "--metrics-out FILE",
+            Switch("--small"),
+            Flag("--seed", "N", ANY_U64),
+            Switch("--crawl"),
+            Flag("--archive", "DIR", Text),
+            Flag("--out", "FILE", Text),
+            Flag("--trace-out", "FILE", Text),
+            Switch("--timings"),
+            Flag("--metrics-out", "FILE", Text),
         ],
         run: cmd_report,
     },
@@ -91,14 +174,14 @@ const COMMANDS: &[Command] = &[
         about: "seal the scenario into the segmented on-disk corpus at --out DIR that \
                 the other subcommands cold-start from",
         synopsis: &[
-            "--out DIR",
-            "--small",
-            "--seed N",
-            "--crawl",
-            "--segment-blocks N",
-            "--trace-out FILE",
-            "--timings",
-            "--metrics-out FILE",
+            Flag("--out", "DIR", Text),
+            Switch("--small"),
+            Flag("--seed", "N", ANY_U64),
+            Switch("--crawl"),
+            Flag("--segment-blocks", "N", POSITIVE),
+            Flag("--trace-out", "FILE", Text),
+            Switch("--timings"),
+            Flag("--metrics-out", "FILE", Text),
         ],
         run: cmd_archive,
     },
@@ -108,18 +191,21 @@ const COMMANDS: &[Command] = &[
                 wire-frame bundle --out FILE (\"-\": stdout), or answer fleet range \
                 assignments on --listen ADDR until killed",
         synopsis: &[
-            "--range A..B",
-            "--out FILE",
-            "--shards K",
-            "--listen ADDR",
-            "--max-requests N",
-            "--timeout-ms MS",
-            "--small",
-            "--seed N",
-            "--archive DIR",
-            "--trace-out FILE",
-            "--timings",
-            "--metrics-out FILE",
+            Flag("--range", "A..B", Domain::Range),
+            Flag("--out", "FILE", Text),
+            Flag("--shards", "K", Int(1, MAX_SHARDS as u64)),
+            Flag("--listen", "ADDR", Text),
+            // 0 would announce a worker that can never serve.
+            Flag("--max-requests", "N", POSITIVE),
+            // std rejects a zero socket timeout, which the accept loop
+            // ignores, leaving the worker's sockets with no deadline.
+            Flag("--timeout-ms", "MS", POSITIVE),
+            Switch("--small"),
+            Flag("--seed", "N", ANY_U64),
+            Flag("--archive", "DIR", Text),
+            Flag("--trace-out", "FILE", Text),
+            Switch("--timings"),
+            Flag("--metrics-out", "FILE", Text),
         ],
         run: cmd_shard,
     },
@@ -128,22 +214,22 @@ const COMMANDS: &[Command] = &[
         about: "validate + merge shard frames and render the full report, from frame \
                 files or by driving the --connect ADDR,ADDR,... socket workers; with \
                 --archive, the --chunks follow its segment boundaries (never more chunks \
-                than segments)",
+                than segments; 0: three per worker)",
         synopsis: &[
-            "--connect ADDRS",
-            "--small",
-            "--seed N",
-            "--archive DIR",
-            "--shards K",
-            "--chunks N",
-            "--timeout-ms MS",
-            "--retries N",
-            "--backoff-ms MS",
-            "--out FILE",
-            "--trace-out FILE",
-            "--timings",
-            "--metrics-out FILE",
-            "FRAME-FILE...",
+            Flag("--connect", "ADDRS", Text),
+            Switch("--small"),
+            Flag("--seed", "N", ANY_U64),
+            Flag("--archive", "DIR", Text),
+            Flag("--shards", "K", Int(1, MAX_SHARDS as u64)),
+            Flag("--chunks", "N", ANY_U64),
+            Flag("--timeout-ms", "MS", POSITIVE),
+            Flag("--retries", "N", Int(0, u32::MAX as u64)),
+            Flag("--backoff-ms", "MS", Int(1, FleetConfig::BACKOFF_CAP_MS)),
+            Flag("--out", "FILE", Text),
+            Flag("--trace-out", "FILE", Text),
+            Switch("--timings"),
+            Flag("--metrics-out", "FILE", Text),
+            Positionals("FRAME-FILE..."),
         ],
         run: cmd_reduce,
     },
@@ -153,19 +239,21 @@ const COMMANDS: &[Command] = &[
                 dashboard line per batch and the full report at the head; can inject a \
                 reorg and persist the followed corpus",
         synopsis: &[
-            "--small",
-            "--seed N",
-            "--batch N",
-            "--snapshots W",
-            "--reorg-at-batch R",
-            "--reorg-depth D",
-            "--reorg-seed S",
-            "--archive DIR",
-            "--segment-blocks N",
-            "--out FILE",
-            "--trace-out FILE",
-            "--timings",
-            "--metrics-out FILE",
+            Switch("--small"),
+            Flag("--seed", "N", ANY_U64),
+            Flag("--batch", "N", POSITIVE),
+            Flag("--snapshots", "W", POSITIVE),
+            // No batch 0 exists to reorg after, and a reorg of depth 0
+            // rewrites no followed position: nothing would be verified.
+            Flag("--reorg-at-batch", "R", POSITIVE),
+            Flag("--reorg-depth", "D", POSITIVE),
+            Flag("--reorg-seed", "S", ANY_U64),
+            Flag("--archive", "DIR", Text),
+            Flag("--segment-blocks", "N", POSITIVE),
+            Flag("--out", "FILE", Text),
+            Flag("--trace-out", "FILE", Text),
+            Switch("--timings"),
+            Flag("--metrics-out", "FILE", Text),
         ],
         run: cmd_follow,
     },
@@ -174,12 +262,12 @@ const COMMANDS: &[Command] = &[
         about: "fault-injecting TCP proxy in front of --upstream ADDR (resets, \
                 truncations, bit flips) for rehearsing worker failure; runs until killed",
         synopsis: &[
-            "--upstream ADDR",
-            "--listen ADDR",
-            "--fault-rate F",
-            "--truncate-rate F",
-            "--flip-rate F",
-            "--seed N",
+            Flag("--upstream", "ADDR", Text),
+            Flag("--listen", "ADDR", Text),
+            Flag("--fault-rate", "F", Real(0.0, 1.0)),
+            Flag("--truncate-rate", "F", Real(0.0, 1.0)),
+            Flag("--flip-rate", "F", Real(0.0, 1.0)),
+            Flag("--seed", "N", ANY_U64),
         ],
         run: cmd_chaos,
     },
@@ -189,17 +277,17 @@ const COMMANDS: &[Command] = &[
                 token-bucket admission; --load runs the built-in load generator at \
                 the head and exits",
         synopsis: &[
-            "--small",
-            "--seed N",
-            "--archive DIR",
-            "--port P",
-            "--batch N",
-            "--epoch-ms MS",
-            "--rate R",
-            "--burst B",
-            "--load",
-            "--trace-out FILE",
-            "--timings",
+            Switch("--small"),
+            Flag("--seed", "N", ANY_U64),
+            Flag("--archive", "DIR", Text),
+            Flag("--port", "P", Int(0, u16::MAX as u64)),
+            Flag("--batch", "N", POSITIVE),
+            Flag("--epoch-ms", "MS", Int(0, MAX_WAIT_MS)),
+            Flag("--rate", "R", Real(0.0, f64::INFINITY)),
+            Flag("--burst", "B", Real(1.0, f64::INFINITY)),
+            Switch("--load"),
+            Flag("--trace-out", "FILE", Text),
+            Switch("--timings"),
         ],
         run: cmd_serve,
     },
@@ -208,36 +296,31 @@ const COMMANDS: &[Command] = &[
         about: "scripting client for serve: GET each PATH (bodies to --out), optionally \
                 waiting for the head first, asserting a status, or shutting it down",
         synopsis: &[
-            "--addr HOST:PORT",
-            "--wait-head S",
-            "--expect-status N",
-            "--out FILE",
-            "--shutdown",
-            "PATH...",
+            Flag("--addr", "HOST:PORT", Text),
+            Flag("--wait-head", "S", Int(0, MAX_WAIT_MS / 1000)),
+            Flag("--expect-status", "N", Int(100, 599)),
+            Flag("--out", "FILE", Text),
+            Switch("--shutdown"),
+            Positionals("PATH..."),
         ],
         run: cmd_query,
     },
 ];
 
 impl Command {
-    /// Whether `arg` is one of this subcommand's flags and, if so, whether
-    /// it takes a value.
-    fn takes_value(&self, arg: &str) -> Option<bool> {
-        self.synopsis
-            .iter()
-            .filter(|item| item.starts_with("--"))
-            .find_map(|flag| match flag.split_once(' ') {
-                Some((name, _value)) => (name == arg).then_some(true),
-                None => (*flag == arg).then_some(false),
-            })
-    }
-
-    fn takes_positionals(&self) -> bool {
-        self.synopsis.iter().any(|item| !item.starts_with("--"))
+    /// `flag` as this subcommand spells it and, for a value flag, its
+    /// domain; `None` if it takes no such flag.
+    fn flag(&self, flag: &str) -> Option<(&'static str, Option<Domain>)> {
+        self.synopsis.iter().find_map(|item| match *item {
+            Switch(name) if name == flag => Some((name, None)),
+            Flag(name, _, domain) if name == flag => Some((name, Some(domain))),
+            _ => None,
+        })
     }
 
     /// This row of the usage text — name, description, then one bracketed
-    /// item per flag — wrapped at 79 columns under a hanging indent.
+    /// item per flag, a value's domain beside its metavariable — wrapped at
+    /// 79 columns under a hanging indent.
     fn usage(&self) -> String {
         let mut out = format!("\n  {:<8}", self.name);
         let mut column = 10;
@@ -254,7 +337,12 @@ impl Command {
             .split_whitespace()
             .for_each(|word| wrap(word, false));
         for (i, item) in self.synopsis.iter().enumerate() {
-            wrap(&format!("[{item}]"), i == 0);
+            let shown = match item {
+                Switch(name) | Positionals(name) => format!("[{name}]"),
+                Flag(name, meta, Text) => format!("[{name} {meta}]"),
+                Flag(name, meta, domain) => format!("[{name} {meta}: {domain}]"),
+            };
+            wrap(&shown, i == 0);
         }
         out
     }
@@ -265,34 +353,37 @@ fn usage() -> String {
     format!("usage: reproduce <subcommand> [options]\n\nsubcommands:{rows}")
 }
 
-/// Strictly parsed arguments: any flag outside the subcommand's row, and
-/// any flag given twice, is an error (nothing is ignored silently).
+/// Strictly parsed arguments: any flag outside the subcommand's row, any
+/// flag given twice and any value outside its flag's domain is an error
+/// (nothing is ignored silently), so a subcommand reads its flags
+/// infallibly, already typed.
+#[derive(Default)]
 struct Args {
-    bools: Vec<String>,
-    values: HashMap<String, String>,
+    switches: Vec<&'static str>,
+    values: HashMap<&'static str, Value>,
     positionals: Vec<String>,
 }
 
 impl Args {
     fn parse(raw: &[String], cmd: &Command) -> Result<Args, String> {
-        let mut out = Args {
-            bools: Vec::new(),
-            values: HashMap::new(),
-            positionals: Vec::new(),
-        };
+        let mut out = Args::default();
+        let positionals = cmd.synopsis.iter().any(|i| matches!(i, Positionals(_)));
         let mut it = raw.iter();
         while let Some(arg) = it.next() {
-            match cmd.takes_value(arg) {
-                Some(_) if out.has(arg) || out.values.contains_key(arg) => {
+            match cmd.flag(arg) {
+                Some((name, _)) if out.has(name) || out.values.contains_key(name) => {
                     return Err(format!("{arg} given twice"))
                 }
-                Some(false) => out.bools.push(arg.clone()),
-                Some(true) => {
+                Some((name, None)) => out.switches.push(name),
+                Some((name, Some(domain))) => {
                     let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
-                    out.values.insert(arg.clone(), v.clone());
+                    let typed = domain
+                        .parse(v)
+                        .ok_or_else(|| format!("{arg} {v} is outside {domain}"))?;
+                    out.values.insert(name, typed);
                 }
                 None if arg.starts_with('-') => return Err(format!("unrecognized flag {arg}")),
-                None if cmd.takes_positionals() => out.positionals.push(arg.clone()),
+                None if positionals => out.positionals.push(arg.clone()),
                 None => return Err(format!("unexpected argument {arg:?}")),
             }
         }
@@ -300,40 +391,55 @@ impl Args {
     }
 
     fn has(&self, flag: &str) -> bool {
-        self.bools.iter().any(|b| b == flag)
+        self.switches.contains(&flag)
     }
 
     fn get(&self, flag: &str) -> Option<&str> {
-        self.values.get(flag).map(String::as_str)
+        match self.values.get(flag)? {
+            Value::Text(text) => Some(text),
+            _ => None,
+        }
     }
 
-    fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        Ok(self.parsed_opt(flag)?.unwrap_or(default))
+    /// Callers narrow with `as`: each flag's domain fits the type it is
+    /// read into.
+    fn int(&self, flag: &str) -> Option<u64> {
+        match self.values.get(flag)? {
+            Value::Int(v) => Some(*v),
+            _ => None,
+        }
     }
 
-    /// `None` when the flag is absent.
-    fn parsed_opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
-        self.get(flag)
-            .map(|s| s.parse().map_err(|_| format!("{flag}: cannot parse {s:?}")))
-            .transpose()
+    fn real(&self, flag: &str) -> Option<f64> {
+        match self.values.get(flag)? {
+            Value::Real(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn range(&self, flag: &str) -> Option<(u64, u64)> {
+        match self.values.get(flag)? {
+            Value::Range(a, b) => Some((*a, *b)),
+            _ => None,
+        }
     }
 }
 
-fn scenario_of(args: &Args) -> Result<(Scenario, &'static str), String> {
-    let seed: u64 = args.parsed("--seed", 42)?;
-    Ok(if args.has("--small") {
+fn scenario_of(args: &Args) -> (Scenario, &'static str) {
+    let seed = args.int("--seed").unwrap_or(42);
+    if args.has("--small") {
         (Scenario::small(seed), "small")
     } else {
         (Scenario::paper(seed), "paper")
-    })
+    }
 }
 
 /// An archived corpus defines its own scenario; explicit `--small`/`--seed`
 /// flags alongside `--archive` must agree with the manifest (nothing is
 /// silently re-generated against different parameters).
 fn check_archive_scenario(args: &Args, meta: &serde_json::Value) -> Result<(), String> {
-    if args.has("--small") || args.get("--seed").is_some() {
-        let (sc, mode) = scenario_of(args)?;
+    if args.has("--small") || args.int("--seed").is_some() {
+        let (sc, mode) = scenario_of(args);
         if scenario_meta(&sc, mode) != *meta {
             return Err(format!(
                 "--archive: the corpus does not hold the requested {mode} scenario \
@@ -401,7 +507,7 @@ fn open_dataset(args: &Args, archive_dir: Option<&str>, need: Need) -> Result<Op
             archive: Some(archive),
         });
     }
-    let (sc, mode) = scenario_of(args)?;
+    let (sc, mode) = scenario_of(args);
     let data = if args.has("--crawl") {
         let opts = if args.has("--small") {
             CrawlOptions::default()
@@ -507,7 +613,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
 
 fn cmd_archive(args: &Args) -> Result<(), String> {
     let out = args.get("--out").ok_or("archive needs --out DIR")?;
-    let segment_blocks: u64 = args.parsed("--segment-blocks", 256)?;
+    let segment_blocks = args.int("--segment-blocks").unwrap_or(256);
     // `Need::Blocks`: the corpus is the block bytes, which a crawl keeps
     // only when asked.
     let Opened { data, mode, .. } = open_dataset(args, None, Need::Blocks)?;
@@ -522,18 +628,6 @@ fn cmd_archive(args: &Args) -> Result<(), String> {
         100.0 * stats.compressed_bytes as f64 / (stats.raw_bytes as f64).max(1.0),
     );
     Ok(())
-}
-
-fn parse_range(s: &str) -> Result<(u64, u64), String> {
-    let (a, b) = s
-        .split_once("..")
-        .ok_or_else(|| format!("--range wants A..B (block positions), got {s:?}"))?;
-    let start: u64 = a.parse().map_err(|_| format!("--range: bad start {a:?}"))?;
-    let end: u64 = b.parse().map_err(|_| format!("--range: bad end {b:?}"))?;
-    if start > end {
-        return Err(format!("--range: inverted range {s:?}"));
-    }
-    Ok((start, end))
 }
 
 /// The shard worker's prepared state plus the assignment meta it accepts:
@@ -553,41 +647,10 @@ fn shard_context_of(args: &Args) -> Result<(ShardContext, serde_json::Value), St
             Ok((ctx, manifest.meta))
         }
         None => {
-            let (sc, mode) = scenario_of(args)?;
+            let (sc, mode) = scenario_of(args);
             eprintln!("generating {mode} scenario (seed {})…", sc.seed);
             Ok((ShardContext::new(&sc), scenario_meta(&sc, mode)))
         }
-    }
-}
-
-/// The socket deadline of `shard --listen` and fleet `reduce`. Zero is
-/// refused: std rejects a zero socket timeout, which the worker's accept
-/// loop ignores (leaving its sockets with no deadline at all), and a zero
-/// connect timeout fails every fleet request.
-fn timeout_of(args: &Args) -> Result<Duration, String> {
-    match args.parsed("--timeout-ms", 10_000)? {
-        0 => Err("--timeout-ms must be at least 1".to_owned()),
-        ms => Ok(Duration::from_millis(ms)),
-    }
-}
-
-/// `--shards K` of `shard` and fleet `reduce`: in-process sub-accumulators
-/// per assignment, refused outside `1..=MAX_SHARDS` like a worker refuses
-/// such an assignment off the wire.
-fn shards_of(args: &Args) -> Result<usize, String> {
-    match args.parsed("--shards", 2)? {
-        shards @ 1..=MAX_SHARDS => Ok(shards),
-        shards => Err(format!("--shards {shards} is outside 1..={MAX_SHARDS}")),
-    }
-}
-
-/// `--backoff-ms MS` of fleet `reduce`: the base retry backoff, refused
-/// outside `1..=BACKOFF_CAP_MS` rather than raised or capped into it.
-fn backoff_of(args: &Args) -> Result<u64, String> {
-    const CAP: u64 = FleetConfig::BACKOFF_CAP_MS;
-    match args.parsed("--backoff-ms", 50)? {
-        ms @ 1..=CAP => Ok(ms),
-        ms => Err(format!("--backoff-ms {ms} is outside 1..={CAP}")),
     }
 }
 
@@ -595,8 +658,7 @@ fn backoff_of(args: &Args) -> Result<u64, String> {
 /// fleet range assignments against one prepared context until the
 /// request budget (if any) is spent.
 fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
-    let max_requests: Option<u64> = args.parsed_opt("--max-requests")?;
-    let timeout = timeout_of(args)?;
+    let timeout = Duration::from_millis(args.int("--timeout-ms").unwrap_or(10_000));
     let (ctx, expected) = shard_context_of(args)?;
     eprintln!("serving shard assignments…");
     let listener =
@@ -605,6 +667,7 @@ fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
     // Scripts scrape this line for the bound address.
     println!("shard worker on {addr}");
     std::io::stdout().flush().ok();
+    let max_requests = args.int("--max-requests");
     let served = serve_assignments(&listener, max_requests, timeout, |a| {
         if a.meta != expected {
             return Err("assignment meta does not describe this worker's scenario".to_owned());
@@ -627,14 +690,13 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     if let Some(listen) = args.get("--listen") {
         return shard_listen(args, listen);
     }
-    let (start, end) = parse_range(
-        args.get("--range")
-            .ok_or("shard needs --range A..B (or --listen ADDR)")?,
-    )?;
+    let (start, end) = args
+        .range("--range")
+        .ok_or("shard needs --range A..B (or --listen ADDR)")?;
     let out = args
         .get("--out")
         .ok_or("shard needs --out FILE (\"-\" for stdout)")?;
-    let shards = shards_of(args)?;
+    let shards = args.int("--shards").unwrap_or(2) as usize;
     let (ctx, meta) = shard_context_of(args)?;
     let frames = ctx.frames(meta, start, end, shards, PayloadFormat::Bin)?;
     for f in &frames {
@@ -674,9 +736,6 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         .filter(|s| !s.is_empty())
         .map(String::from)
         .collect();
-    let shards = shards_of(args)?;
-    let timeout = timeout_of(args)?;
-    let backoff_ms = backoff_of(args)?;
     // `Need::Facts`: the sweeps arrive from the fleet, and everything else
     // the report needs of the blocks is memoized per segment.
     let Opened {
@@ -686,16 +745,16 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
     } = open_dataset(args, args.get("--archive"), Need::Facts)?;
     let sc = data.scenario.clone();
     let mut cfg = FleetConfig::new(workers);
-    cfg.chunks = args.parsed("--chunks", 0)?;
+    cfg.chunks = args.int("--chunks").unwrap_or(0) as usize;
     // Chunks cut on the corpus's segment boundaries: each is answered
     // from the workers' swept segment state.
     cfg.segment_ends = archive
         .iter()
         .flat_map(|a| a.segments().iter().map(|m| m.end))
         .collect();
-    cfg.timeout = timeout;
-    cfg.retries = args.parsed("--retries", 4)?;
-    cfg.backoff_ms = backoff_ms;
+    cfg.timeout = Duration::from_millis(args.int("--timeout-ms").unwrap_or(10_000));
+    cfg.retries = args.int("--retries").unwrap_or(4) as u32;
+    cfg.backoff_ms = args.int("--backoff-ms").unwrap_or(50);
     cfg.seed = sc.seed;
     eprintln!("driving {} worker(s)…", cfg.workers.len());
     let total = data.longest_chain() as u64;
@@ -704,7 +763,7 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         reduce_fleet(
             &cfg,
             total,
-            shards,
+            args.int("--shards").unwrap_or(2) as usize,
             PayloadFormat::Bin,
             scenario_meta(&sc, &mode),
         )
@@ -754,31 +813,13 @@ fn cmd_reduce(args: &Args) -> Result<(), String> {
     write_report(&data, args)
 }
 
-/// `--batch N` of `follow` and `serve`: block positions per epoch.
-fn batch_of(args: &Args, default: usize) -> Result<usize, String> {
-    match args.parsed("--batch", default)? {
-        0 => Err("--batch must be positive".to_owned()),
-        batch => Ok(batch),
-    }
-}
-
 fn cmd_follow(args: &Args) -> Result<(), String> {
-    let batch = batch_of(args, 500)?;
-    let snapshots = args.parsed("--snapshots", DEFAULT_SNAPSHOT_WINDOW)?;
-    // A reorg of depth 0 rewrites no position: its "recovery" would verify
-    // nothing.
-    let depth = match args.parsed("--reorg-depth", batch)? {
-        0 => return Err("--reorg-depth must be at least 1".to_owned()),
-        depth => depth,
-    };
-    let seed = args.parsed("--reorg-seed", 1)?;
-    let reorg_at = args.parsed_opt("--reorg-at-batch")?;
-    let reorg = reorg_at.map(|at_batch| Reorg {
-        at_batch,
-        depth,
-        seed,
+    let batch = args.int("--batch").unwrap_or(500) as usize;
+    let reorg = args.int("--reorg-at-batch").map(|at_batch| Reorg {
+        at_batch: at_batch as usize,
+        depth: args.int("--reorg-depth").map_or(batch, |d| d as usize),
+        seed: args.int("--reorg-seed").unwrap_or(1),
     });
-    let segment_blocks = args.parsed_opt("--segment-blocks")?;
     // With --archive: cold-start from the corpus when one exists there,
     // otherwise the session creates it.
     let dir = args.get("--archive");
@@ -794,10 +835,12 @@ fn cmd_follow(args: &Args) -> Result<(), String> {
     };
     let plan = FollowPlan {
         batch,
-        snapshots,
+        snapshots: args
+            .int("--snapshots")
+            .map_or(DEFAULT_SNAPSHOT_WINDOW, |w| w as usize),
         reorg,
         archive,
-        segment_blocks,
+        segment_blocks: args.int("--segment-blocks"),
     };
     let followed = follow_session(data, &mode, plan, |line| eprintln!("{line}"))?;
     warn_memo(followed.memo);
@@ -822,10 +865,10 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         .to_owned();
     let listen = args.get("--listen").unwrap_or("127.0.0.1:0").to_owned();
     let profile = ChaosProfile {
-        fault_rate: args.parsed("--fault-rate", 0.0)?,
-        truncate_rate: args.parsed("--truncate-rate", 0.0)?,
-        flip_rate: args.parsed("--flip-rate", 0.0)?,
-        ..ChaosProfile::clean("cli", args.parsed("--seed", 42)?)
+        fault_rate: args.real("--fault-rate").unwrap_or(0.0),
+        truncate_rate: args.real("--truncate-rate").unwrap_or(0.0),
+        flip_rate: args.real("--flip-rate").unwrap_or(0.0),
+        ..ChaosProfile::clean("cli", args.int("--seed").unwrap_or(42))
     };
     let handle = spawn_chaos_proxy(&listen, upstream.clone(), profile)
         .map_err(|e| format!("cannot start chaos proxy on {listen}: {e}"))?;
@@ -840,11 +883,11 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let plan = ServePlan {
-        port: args.parsed("--port", 0)?,
-        batch: batch_of(args, 20_000)?,
-        epoch_ms: args.parsed("--epoch-ms", 0)?,
-        rate: args.parsed("--rate", 50_000.0)?,
-        burst: args.parsed("--burst", 5_000.0)?,
+        port: args.int("--port").unwrap_or(0) as u16,
+        batch: args.int("--batch").unwrap_or(20_000) as usize,
+        epoch_ms: args.int("--epoch-ms").unwrap_or(0),
+        rate: args.real("--rate").unwrap_or(50_000.0),
+        burst: args.real("--burst").unwrap_or(5_000.0),
         load: args.has("--load"),
     };
     let Opened { data, .. } = open_dataset(args, args.get("--archive"), Need::Blocks)?;
@@ -866,21 +909,12 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         .trim_end_matches('/')
         .parse()
         .map_err(|_| "--addr: cannot parse HOST:PORT".to_owned())?;
-    if args.positionals.is_empty() && !args.has("--shutdown") && args.get("--wait-head").is_none() {
+    let wait_head = args
+        .int("--wait-head")
+        .map(|secs| (secs, Instant::now() + Duration::from_secs(secs)));
+    if args.positionals.is_empty() && !args.has("--shutdown") && wait_head.is_none() {
         return Err("query needs at least one PATH (or --wait-head / --shutdown)".to_owned());
     }
-    let expect: Option<u16> = args.parsed_opt("--expect-status")?;
-    // The head deadline is fixed before the first request, so a value past
-    // the end of the clock is a usage error rather than an overflow panic.
-    let wait_head = match args.parsed_opt::<u64>("--wait-head")? {
-        Some(secs) => Some(
-            Instant::now()
-                .checked_add(Duration::from_secs(secs))
-                .map(|deadline| (secs, deadline))
-                .ok_or_else(|| format!("--wait-head {secs} is out of range"))?,
-        ),
-        None => None,
-    };
     // One exchange per request, each under the same deadline (an uncached
     // paper-scale `/report` renders in a few seconds).
     let fetch = |req: HttpRequest| {
@@ -909,10 +943,11 @@ fn cmd_query(args: &Args) -> Result<(), String> {
             std::thread::sleep(Duration::from_millis(50));
         }
     }
+    let expect = args.int("--expect-status");
     let mut out: Vec<u8> = Vec::new();
     for path in &args.positionals {
         let resp = fetch(HttpRequest::get(path))?;
-        if let Some(code) = expect.filter(|code| *code != resp.status) {
+        if let Some(code) = expect.filter(|code| *code != u64::from(resp.status)) {
             return Err(format!(
                 "{path}: expected status {code}, got {} {}",
                 resp.status, resp.reason
@@ -1006,33 +1041,346 @@ mod tests {
         }
     }
 
-    /// `benchmark/src/main.rs` spawns these; `BENCHMARK.json` freezes them.
+    fn row(name: &str) -> &'static Command {
+        COMMANDS
+            .iter()
+            .find(|cmd| cmd.name == name)
+            .expect("subcommand row")
+    }
+
+    /// Parse `argv` (subcommand first) against its row.
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        let raw: Vec<String> = argv[1..].iter().map(|a| a.to_string()).collect();
+        Args::parse(&raw, row(argv[0]))
+    }
+
+    /// Every read of a flag in this file asks for the kind its domain
+    /// parses to: `get` of an integer flag, say, would read `None` and
+    /// silently mean the default.
     #[test]
-    fn every_flag_the_benchmark_passes_is_accepted() {
-        for (name, flags) in [
-            ("archive", &["--out", "--small", "--seed"][..]),
-            ("report", &["--archive", "--out", "--small", "--seed"]),
-            (
+    fn every_read_asks_for_its_flags_kind() {
+        let source = include_str!("reproduce.rs");
+        let body = source.split("#[cfg(test)]").next().expect("the program");
+        let mut checked = 0;
+        for read in ["has", "get", "int", "real", "range"] {
+            for call in body.split(&format!(".{read}(\"")).skip(1) {
+                let flag = call.split('"').next().expect("a flag name");
+                let rows: Vec<&Command> =
+                    COMMANDS.iter().filter(|c| c.flag(flag).is_some()).collect();
+                assert!(
+                    !rows.is_empty(),
+                    "{read}({flag:?}) reads a flag no row takes"
+                );
+                for cmd in rows {
+                    let domain = cmd.flag(flag).and_then(|(_, domain)| domain);
+                    let fits = matches!(
+                        (read, domain),
+                        ("has", None)
+                            | ("get", Some(Text))
+                            | ("int", Some(Int(..)))
+                            | ("real", Some(Real(..)))
+                            | ("range", Some(Domain::Range))
+                    );
+                    assert!(fits, "{read}({flag:?}) of {} {domain:?}", cmd.name);
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 40, "{checked} reads checked");
+    }
+
+    /// The argv `benchmark/src/main.rs` spawns at both of its scales
+    /// (`BENCHMARK.json` freezes it) and the argv of CI's smokes, values
+    /// included: a domain that refused one of them would fail every run of
+    /// that workload or step.
+    #[test]
+    fn every_argv_the_benchmark_and_ci_pass_is_accepted() {
+        let mut argvs: Vec<Vec<&str>> = Vec::new();
+        for scale in [&["--small"][..], &[]] {
+            for cmd in ["archive", "report"] {
+                let mut argv = vec![cmd];
+                argv.extend(scale);
+                argv.extend(["--seed", "42", "--out", "out"]);
+                argvs.push(argv);
+            }
+        }
+        // follow_catchup at `--epoch-ms 0`, serve_refresh at its epoch sleep;
+        // small, then paper.
+        for (batch, epoch_ms) in [("32", "0"), ("64", "25"), ("256", "0"), ("128", "150")] {
+            argvs.push(vec![
                 "serve",
-                &[
-                    "--archive",
-                    "--batch",
-                    "--epoch-ms",
-                    "--port",
-                    "--rate",
-                    "--burst",
+                "--archive",
+                "corpus",
+                "--batch",
+                batch,
+                "--epoch-ms",
+                epoch_ms,
+                "--port",
+                "0",
+                "--rate",
+                "1000000",
+                "--burst",
+                "100000",
+            ]);
+        }
+        argvs.extend([
+            vec!["report", "--archive", "corpus", "--out", "reference.txt"],
+            vec!["shard", "--listen", "127.0.0.1:0", "--archive", "corpus"],
+            vec![
+                "reduce",
+                "--connect",
+                "127.0.0.1:1,127.0.0.1:2",
+                "--archive",
+                "corpus",
+                "--chunks",
+                "8",
+                "--out",
+                "out",
+            ],
+            // CI.
+            vec!["query", "--addr", "127.0.0.1:47761", "--wait-head", "120"],
+            vec![
+                "query",
+                "--addr",
+                "127.0.0.1:47761",
+                "--expect-status",
+                "404",
+                "/exhibit/nope",
+            ],
+            vec![
+                "serve",
+                "--small",
+                "--seed",
+                "7",
+                "--port",
+                "47762",
+                "--batch",
+                "32",
+                "--epoch-ms",
+                "0",
+            ],
+            vec![
+                "shard",
+                "--listen",
+                "127.0.0.1:0",
+                "--archive",
+                "fleet-corpus",
+                "--max-requests",
+                "16",
+                "--timings",
+            ],
+            vec![
+                "reduce",
+                "--connect",
+                "127.0.0.1:1",
+                "--small",
+                "--seed",
+                "7",
+                "--retries",
+                "0",
+                "--timeout-ms",
+                "200",
+            ],
+        ]);
+        for argv in &argvs {
+            if let Err(e) = parse(argv) {
+                panic!("{argv:?}: {e}");
+            }
+        }
+        let serve = parse(&argvs[4]).expect("the benchmark's serve");
+        assert_eq!(serve.int("--batch"), Some(32));
+        assert_eq!(serve.real("--rate"), Some(1e6));
+        assert_eq!(serve.get("--archive"), Some("corpus"));
+    }
+
+    /// The metavariables of flags whose values are text, checked where
+    /// they are used.
+    const TEXT: [&str; 5] = ["FILE", "DIR", "ADDR", "ADDRS", "HOST:PORT"];
+
+    /// Members of `domain` at its edges, and values just past them.
+    fn edges(domain: Domain) -> (Vec<String>, Vec<String>) {
+        match domain {
+            Int(lo, hi) => (
+                vec![lo.to_string(), hi.to_string()],
+                vec![(lo as i128 - 1).to_string(), (hi as i128 + 1).to_string()],
+            ),
+            Real(lo, hi) if hi.is_infinite() => (
+                vec![lo.to_string(), "1e300".to_owned()],
+                vec![
+                    (lo - 1e-9).to_string(),
+                    "inf".to_owned(),
+                    "1e309".to_owned(),
                 ],
             ),
-            ("reduce", &["--connect", "--archive", "--chunks", "--out"]),
-            ("shard", &["--listen", "--archive"]),
-        ] {
-            let row = COMMANDS
-                .iter()
-                .find(|cmd| cmd.name == name)
-                .expect("subcommand row");
-            for flag in flags {
-                assert!(accepts(row, flag), "{name} {flag}");
+            Real(lo, hi) => (
+                vec![lo.to_string(), hi.to_string()],
+                vec![(lo - 1e-9).to_string(), (hi + 1e-9).to_string()],
+            ),
+            Domain::Range => (
+                vec!["0..0".to_owned(), format!("0..{}", u64::MAX)],
+                vec![
+                    "1..0".to_owned(),
+                    "5..3".to_owned(),
+                    format!("0..{}", u64::MAX as u128 + 1),
+                    "0..".to_owned(),
+                ],
+            ),
+            Text => (Vec::new(), Vec::new()),
+        }
+    }
+
+    /// The domain walk, generated from `COMMANDS` and spawning no process:
+    /// every value flag of every subcommand parses at its domain's edges
+    /// and refuses, naming itself and its domain, what lies just past them
+    /// and what lies outside every numeric domain; and every metavariable
+    /// the usage shows without a domain is text.
+    #[test]
+    fn every_value_flag_refuses_what_lies_outside_its_domain() {
+        let mut walked = 0;
+        for cmd in COMMANDS {
+            // `[--flag META]` or `[--flag META: DOMAIN]`, as printed.
+            let usage = cmd.usage();
+            for shown in usage.split('[').filter_map(|s| s.strip_prefix("--")) {
+                let shown = shown.split(']').next().unwrap_or(shown);
+                if let Some(meta) = shown.split_whitespace().nth(1) {
+                    assert!(
+                        meta.ends_with(':') || TEXT.contains(&meta),
+                        "{}: [--{shown}] shows no domain",
+                        cmd.name
+                    );
+                }
             }
+            for item in cmd.synopsis {
+                let Flag(flag, _, domain) = *item else {
+                    continue;
+                };
+                let (inside, past) = edges(domain);
+                for v in &inside {
+                    let args = parse(&[cmd.name, flag, v]);
+                    assert!(args.is_ok(), "{} {flag} {v}: {:?}", cmd.name, args.err());
+                }
+                if domain == Text {
+                    continue;
+                }
+                let unbounded = matches!(domain, Real(_, hi) if hi.is_infinite());
+                let foreign = ["-1", "NaN", "", "18446744073709551616"];
+                let foreign = &foreign[..if unbounded { 3 } else { 4 }];
+                for v in past
+                    .iter()
+                    .map(String::as_str)
+                    .chain(foreign.iter().copied())
+                {
+                    assert_eq!(
+                        parse(&[cmd.name, flag, v]).err(),
+                        Some(format!("{flag} {v} is outside {domain}")),
+                        "{} {flag} {v:?}",
+                        cmd.name
+                    );
+                    walked += 1;
+                }
+            }
+        }
+        assert!(walked > 150, "{walked} refusals walked");
+    }
+
+    /// Rows that each spawned a `reproduce` process in `distributed.rs`
+    /// (`archive_flag_misuse_exits_with_usage`, `a_huge_backoff_still_ends`)
+    /// before their flags carried domains: the same argv, refused in
+    /// process with the same shape.
+    #[test]
+    fn the_single_flag_misuse_rows_are_refused_by_their_domains() {
+        let max = "18446744073709551615";
+        for (argv, refusal) in [
+            (
+                &["archive", "--small", "--out", "x", "--segment-blocks", "0"][..],
+                "--segment-blocks 0 is outside 1..=2^64-1",
+            ),
+            (
+                &[
+                    "follow",
+                    "--small",
+                    "--archive",
+                    "x",
+                    "--segment-blocks",
+                    "0",
+                ],
+                "--segment-blocks 0 is outside 1..=2^64-1",
+            ),
+            (
+                &["query", "--addr", "127.0.0.1:1", "--wait-head", max],
+                "--wait-head 18446744073709551615 is outside 0..=3600",
+            ),
+            (
+                &[
+                    "reduce",
+                    "--connect",
+                    "127.0.0.1:1",
+                    "--small",
+                    "--timeout-ms",
+                    "0",
+                ],
+                "--timeout-ms 0 is outside 1..=2^64-1",
+            ),
+            (
+                &[
+                    "shard",
+                    "--listen",
+                    "127.0.0.1:0",
+                    "--small",
+                    "--timeout-ms",
+                    "0",
+                ],
+                "--timeout-ms 0 is outside 1..=2^64-1",
+            ),
+            (
+                &["serve", "--small", "--seed", "7", "--burst", "0"],
+                "--burst 0 is outside [1, inf)",
+            ),
+            (
+                &["chaos", "--upstream", "127.0.0.1:1", "--fault-rate", "NaN"],
+                "--fault-rate NaN is outside [0, 1]",
+            ),
+            (
+                &["chaos", "--upstream", "127.0.0.1:1", "--flip-rate", "1.5"],
+                "--flip-rate 1.5 is outside [0, 1]",
+            ),
+            (
+                &[
+                    "shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "0",
+                ],
+                "--shards 0 is outside 1..=64",
+            ),
+            (
+                &[
+                    "shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "65",
+                ],
+                "--shards 65 is outside 1..=64",
+            ),
+            (
+                &[
+                    "reduce",
+                    "--connect",
+                    "127.0.0.1:1",
+                    "--small",
+                    "--shards",
+                    "65",
+                ],
+                "--shards 65 is outside 1..=64",
+            ),
+            (
+                &["reduce", "--connect", "127.0.0.1:1", "--backoff-ms", "0"],
+                "--backoff-ms 0 is outside 1..=2000",
+            ),
+            (
+                &["reduce", "--connect", "127.0.0.1:1", "--backoff-ms", "2001"],
+                "--backoff-ms 2001 is outside 1..=2000",
+            ),
+            (
+                &["reduce", "--connect", "127.0.0.1:1", "--backoff-ms", max],
+                "--backoff-ms 18446744073709551615 is outside 1..=2000",
+            ),
+        ] {
+            assert_eq!(parse(argv).err().as_deref(), Some(refusal), "{argv:?}");
         }
     }
 }

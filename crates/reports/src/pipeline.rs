@@ -209,29 +209,32 @@ impl PipelineData {
         self.sweeps.set(Arc::new(sweeps)).is_ok()
     }
 
-    /// The dataset's block-derived facts, resolved on first use: already
-    /// known (crawl, block-free cold start), summed from
-    /// `archive.memo` with misses summarized from the held blocks and
+    /// The dataset's block-derived facts, resolved on first use under a
+    /// `facts` span: already known (crawl, block-free cold start), summed
+    /// from `archive.memo` with misses summarized from the held blocks and
     /// written back, or summarized from the blocks outright.
     fn facts(&self) -> &(SegmentSummary, Option<MemoStatus>) {
-        self.facts.cell.get_or_init(|| match &self.facts.memo {
-            None => {
-                let starts: Vec<u64> = (0..self.longest_chain() as u64)
-                    .step_by(SUMMARY_RUN_BLOCKS as usize)
-                    .collect();
-                let mut sum = SegmentSummary::default();
-                for run in par_map(&starts, |&s| {
-                    self.summarize_range(s, s + SUMMARY_RUN_BLOCKS)
-                }) {
-                    sum.merge(&run);
+        self.facts.cell.get_or_init(|| {
+            let _span = Span::enter("facts", "");
+            match &self.facts.memo {
+                None => {
+                    let starts: Vec<u64> = (0..self.longest_chain() as u64)
+                        .step_by(SUMMARY_RUN_BLOCKS as usize)
+                        .collect();
+                    let mut sum = SegmentSummary::default();
+                    for run in par_map(&starts, |&s| {
+                        self.summarize_range(s, s + SUMMARY_RUN_BLOCKS)
+                    }) {
+                        sum.merge(&run);
+                    }
+                    (sum, None)
                 }
-                (sum, None)
-            }
-            Some(memo) => {
-                let (sum, status) =
-                    memoized_summary(memo, |_, m| Ok(self.summarize_range(m.start, m.end)))
-                        .expect("summarizing held blocks cannot fail");
-                (sum, Some(status))
+                Some(memo) => {
+                    let (sum, status) =
+                        memoized_summary(memo, |_, m| Ok(self.summarize_range(m.start, m.end)))
+                            .expect("summarizing held blocks cannot fail");
+                    (sum, Some(status))
+                }
             }
         })
     }

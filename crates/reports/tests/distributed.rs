@@ -570,40 +570,31 @@ fn a_failed_run_keeps_its_telemetry() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--backoff-ms` outside `1..=2000` is refused before any dispatch: 0
-/// used to mean 1, and anything above the fleet's backoff cap the cap,
-/// so a huge value also still ends fast. The cap itself is accepted and
-/// reaches the dead fleet's failure. The library path, which still raises
-/// and caps, is pinned by `fleet::tests::backoff_stays_under_twice_the_cap`.
+/// The largest `--backoff-ms`, the fleet's backoff cap, still ends fast
+/// against a dead fleet: one retry sleeps under twice the cap. (Values
+/// outside `1..=2000` are refused in process by `reproduce`'s domain walk;
+/// the library path, which still raises and caps, is pinned by
+/// `fleet::tests::backoff_stays_under_twice_the_cap`.)
 #[test]
 fn a_huge_backoff_still_ends() {
     let dir = tempdir("hugebackoff");
-    let reduce = |backoff: &str, deadline: u64| {
-        let args = [
-            "reduce",
-            "--connect",
-            "127.0.0.1:1",
-            "--small",
-            "--retries",
-            "1",
-            "--backoff-ms",
-            backoff,
-        ];
-        let out = reproduce_within(&dir, &args, Duration::from_secs(deadline));
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        (out.status.code(), stderr)
-    };
-    for backoff in ["0", "2001", "18446744073709551615"] {
-        let (code, stderr) = reduce(backoff, 5);
-        assert_eq!(code, Some(2), "--backoff-ms {backoff}: {stderr}");
-        let refusal = format!("--backoff-ms {backoff} is outside 1..=2000");
-        assert!(stderr.contains(&refusal), "{stderr}");
-        assert!(stderr.contains("usage: reproduce"), "{stderr}");
-        assert!(!stderr.contains("driving 1 worker"), "dispatched: {stderr}");
-    }
-    // One retry sleeps under twice the cap.
-    let (code, stderr) = reduce("2000", 15);
-    assert_eq!(code, Some(2), "a dead fleet is still a failure: {stderr}");
+    let args = [
+        "reduce",
+        "--connect",
+        "127.0.0.1:1",
+        "--small",
+        "--retries",
+        "1",
+        "--backoff-ms",
+        "2000",
+    ];
+    let out = reproduce_within(&dir, &args, Duration::from_secs(15));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a dead fleet is still a failure: {stderr}"
+    );
     assert!(stderr.contains("fleet exhausted"), "{stderr}");
     assert!(!stderr.contains("is outside"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -773,18 +764,21 @@ fn every_traced_run_is_one_rooted_tree_whose_self_times_sum_to_the_root() {
     ]);
 
     let mut seen = BTreeSet::new();
-    for (file, root_stage) in [
-        ("report.ndjson", "report"),
-        ("crawl.ndjson", "report"),
-        ("archive.ndjson", "archive"),
-        ("cold.ndjson", "report"),
-        ("warm.ndjson", "report"),
-        ("shard.ndjson", "shard"),
-        ("reduce.ndjson", "reduce"),
-        ("worker.ndjson", "shard"),
-        ("fleet.ndjson", "reduce"),
-        ("follow.ndjson", "follow"),
-        ("serve.ndjson", "serve"),
+    // With the count of `facts` spans: one per dataset that resolves its
+    // block facts on first use, none where they are already known (crawl,
+    // block-free cold start) or never needed.
+    for (file, root_stage, facts) in [
+        ("report.ndjson", "report", 1),
+        ("crawl.ndjson", "report", 0),
+        ("archive.ndjson", "archive", 0),
+        ("cold.ndjson", "report", 1),
+        ("warm.ndjson", "report", 1),
+        ("shard.ndjson", "shard", 0),
+        ("reduce.ndjson", "reduce", 1),
+        ("worker.ndjson", "shard", 0),
+        ("fleet.ndjson", "reduce", 0),
+        ("follow.ndjson", "follow", 1),
+        ("serve.ndjson", "serve", 1),
     ] {
         let text = String::from_utf8(read(&dir, file)).expect("trace utf8");
         let events: Vec<TraceEvent> = text
@@ -818,6 +812,8 @@ fn every_traced_run_is_one_rooted_tree_whose_self_times_sum_to_the_root() {
             root.dur_us
         );
         seen.extend(events.iter().map(|e| e.stage.clone()));
+        let facts_spans = events.iter().filter(|e| e.stage == "facts").count();
+        assert_eq!(facts_spans, facts, "{file}: facts spans");
         if file == "worker.ndjson" {
             // The archived worker's state merge is its own stage, once per
             // assignment (`--chunks 2`), not root self time.
@@ -825,6 +821,10 @@ fn every_traced_run_is_one_rooted_tree_whose_self_times_sum_to_the_root() {
             assert_eq!(merges, 2, "{file}: shard_merge spans");
         }
         if file == "report.ndjson" {
+            assert!(
+                timings.lines().any(|l| l.starts_with("facts ")),
+                "no facts row: {timings}"
+            );
             let ms = |us: u64| format!("{:.3}", us as f64 / 1_000.0);
             let tail: Vec<Vec<&str>> = timings
                 .lines()
@@ -950,43 +950,111 @@ fn follow_rejects_an_unreachable_reorg_batch_before_touching_the_archive() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--reorg-depth 0` would rewrite no position and still report a
-/// verified recovery: it is refused with the usage before any follow work
-/// starts (no scenario generated, no archive directory created).
+/// Values that used to run as something else, or never return, are
+/// refused with their domain and the usage before anything starts (no
+/// scenario generated, nothing bound, no archive directory created):
+/// `--reorg-depth 0` would rewrite no position and still report a verified
+/// recovery; `--reorg-at-batch 0` injected the reorg at the head instead;
+/// `--snapshots 0` ran as a window of 1; `--max-requests 0` announced a
+/// worker that could never serve; and an `--epoch-ms` past any sane sleep
+/// slept before the second epoch for ever.
 #[test]
-fn follow_refuses_a_reorg_of_depth_zero_before_following() {
-    let dir = tempdir("reorgdepth0");
-    let out = reproduce(
-        &dir,
-        &[
-            "follow",
-            "--small",
-            "--seed",
-            "7",
-            "--batch",
-            "64",
-            "--reorg-at-batch",
-            "2",
-            "--reorg-depth",
-            "0",
-            "--archive",
-            "corpus",
-        ],
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(
-        stderr.contains("--reorg-depth must be at least 1") && stderr.contains("usage: reproduce"),
-        "stderr: {stderr}"
-    );
-    assert!(
-        !stderr.contains("generating") && !stderr.contains("reorg recovery verified"),
-        "follow work started: {stderr}"
-    );
-    assert!(
-        !dir.join("corpus").exists(),
-        "a refused run created an archive"
-    );
+fn values_outside_their_domain_are_refused_before_anything_starts() {
+    let dir = tempdir("domains");
+    for (args, refusal) in [
+        (
+            &[
+                "follow",
+                "--small",
+                "--seed",
+                "7",
+                "--batch",
+                "64",
+                "--archive",
+                "corpus",
+                "--reorg-at-batch",
+                "2",
+                "--reorg-depth",
+                "0",
+            ][..],
+            "--reorg-depth 0 is outside 1..=2^64-1",
+        ),
+        (
+            &[
+                "follow",
+                "--small",
+                "--seed",
+                "7",
+                "--batch",
+                "64",
+                "--archive",
+                "corpus",
+                "--reorg-at-batch",
+                "0",
+            ],
+            "--reorg-at-batch 0 is outside 1..=2^64-1",
+        ),
+        (
+            &[
+                "follow",
+                "--small",
+                "--seed",
+                "7",
+                "--batch",
+                "64",
+                "--archive",
+                "corpus",
+                "--snapshots",
+                "0",
+            ],
+            "--snapshots 0 is outside 1..=2^64-1",
+        ),
+        (
+            &[
+                "shard",
+                "--small",
+                "--seed",
+                "7",
+                "--listen",
+                "127.0.0.1:0",
+                "--max-requests",
+                "0",
+            ],
+            "--max-requests 0 is outside 1..=2^64-1",
+        ),
+        (
+            &[
+                "serve",
+                "--small",
+                "--seed",
+                "7",
+                "--batch",
+                "400",
+                "--epoch-ms",
+                "18446744073709551615",
+                "--load",
+            ],
+            "--epoch-ms 18446744073709551615 is outside 0..=3600000",
+        ),
+    ] {
+        let out = reproduce_within(&dir, args, Duration::from_secs(5));
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(refusal) && stderr.contains("usage: reproduce"),
+            "{args:?}: {stderr}"
+        );
+        for started in ["generating", "shard worker on", "serving on"] {
+            assert!(
+                !stdout.contains(started) && !stderr.contains(started),
+                "{args:?} started: {stdout}{stderr}"
+            );
+        }
+        assert!(!dir.join("corpus").exists(), "{args:?} created an archive");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1565,10 +1633,10 @@ fn follow_persists_and_cold_starts_from_the_archive() {
 }
 
 /// Every `--archive` misuse is a usage error (exit 2): a directory with no
-/// corpus, a zero segment size, a missing --out, scenario flags that
-/// contradict the manifest, and file-mode reduce with --archive. So are a
-/// repeated flag, a `--wait-head` deadline past the end of the clock, a
-/// zero socket timeout and a shard count outside `1..=MAX_SHARDS`.
+/// corpus, a missing --out, scenario flags that contradict the manifest,
+/// and file-mode reduce with --archive. So is a repeated flag. (A value
+/// outside its flag's domain is refused in process: `reproduce`'s own
+/// tests walk every flag of `COMMANDS`.)
 #[test]
 fn archive_flag_misuse_exits_with_usage() {
     let dir = tempdir("archusage");
@@ -1610,21 +1678,6 @@ fn archive_flag_misuse_exits_with_usage() {
             &["follow", "--archive", "corpus", "--seed", "9"][..],
             "does not hold the requested",
         ),
-        (
-            &["archive", "--small", "--out", "x", "--segment-blocks", "0"][..],
-            "--segment-blocks must be at least 1",
-        ),
-        (
-            &[
-                "follow",
-                "--small",
-                "--archive",
-                "x",
-                "--segment-blocks",
-                "0",
-            ][..],
-            "--segment-blocks must be at least 1",
-        ),
         (&["archive", "--small"][..], "archive needs --out DIR"),
         (
             &["report", "--archive", "corpus", "--seed", "9"][..],
@@ -1646,73 +1699,6 @@ fn archive_flag_misuse_exits_with_usage() {
             &["serve", "--small", "--load", "--load"][..],
             "--load given twice",
         ),
-        (
-            &[
-                "query",
-                "--addr",
-                "127.0.0.1:1",
-                "--wait-head",
-                "18446744073709551615",
-            ][..],
-            "--wait-head 18446744073709551615 is out of range",
-        ),
-        (
-            &[
-                "reduce",
-                "--connect",
-                "127.0.0.1:1",
-                "--small",
-                "--timeout-ms",
-                "0",
-            ][..],
-            "--timeout-ms must be at least 1",
-        ),
-        (
-            &[
-                "shard",
-                "--listen",
-                "127.0.0.1:0",
-                "--small",
-                "--timeout-ms",
-                "0",
-            ][..],
-            "--timeout-ms must be at least 1",
-        ),
-        (
-            &["serve", "--small", "--seed", "7", "--burst", "0"][..],
-            "needs a finite rate >= 0 and a finite burst >= 1",
-        ),
-        (
-            &["chaos", "--upstream", "127.0.0.1:1", "--fault-rate", "NaN"][..],
-            "needs rates in [0, 1] summing to at most 1",
-        ),
-        (
-            &["chaos", "--upstream", "127.0.0.1:1", "--flip-rate", "1.5"][..],
-            "needs rates in [0, 1] summing to at most 1",
-        ),
-        (
-            &[
-                "shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "0",
-            ][..],
-            "--shards 0 is outside 1..=64",
-        ),
-        (
-            &[
-                "shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "65",
-            ][..],
-            "--shards 65 is outside 1..=64",
-        ),
-        (
-            &[
-                "reduce",
-                "--connect",
-                "127.0.0.1:1",
-                "--small",
-                "--shards",
-                "65",
-            ][..],
-            "--shards 65 is outside 1..=64",
-        ),
     ] {
         let out = reproduce(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
@@ -1723,10 +1709,6 @@ fn archive_flag_misuse_exits_with_usage() {
             "{args:?} printed no usage: {stderr}"
         );
     }
-    assert!(
-        !dir.join("x").exists(),
-        "a refused zero segment size left a corpus directory"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

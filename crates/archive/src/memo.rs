@@ -203,10 +203,11 @@ pub fn decode_memo(bytes: &[u8], schema: u32) -> Result<HashMap<u64, &[u8]>, Mem
             expected: schema,
         });
     }
-    // `len` bounds the count by the bytes left (≥ 2 per entry), so a
-    // forged count cannot over-allocate.
+    // `len` bounds the count by the bytes left (≥ 2 per entry), but an
+    // entry takes a dozen times that in the table, so past 1 024 entries
+    // the table grows as entries actually decode.
     let count = r.len(2)?;
-    let mut entries = HashMap::with_capacity(count);
+    let mut entries = HashMap::with_capacity(count.min(1024));
     for _ in 0..count {
         let hash = r.u64()?;
         entries.insert(hash, r.bytes()?);

@@ -377,18 +377,4 @@ mod tests {
         // blocks is byte-identical.
         assert_eq!(encode_blocks(&decoded), bytes);
     }
-
-    #[test]
-    fn truncation_and_damage_are_typed() {
-        let bytes = encode_blocks(&sample());
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_blocks(&bytes[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xff;
-        assert!(matches!(decode_blocks(&bad), Err(ColError::Invalid { .. })));
-    }
 }

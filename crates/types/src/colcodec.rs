@@ -461,20 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_typed_with_offsets() {
-        let mut w = ColWriter::new();
-        w.u64(5);
-        w.bytes(b"hello");
-        let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut r = ColReader::new(&bytes[..cut]);
-            let first = r.u64();
-            let second = first.and_then(|_| r.bytes().map(<[u8]>::to_vec));
-            assert!(second.is_err(), "cut at {cut} still decoded both fields");
-        }
-    }
-
-    #[test]
     fn length_prefix_is_plausibility_checked() {
         // Claims 1000 elements with 2 bytes left.
         let mut w = ColWriter::new();

@@ -470,18 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_every_truncation_point() {
-        let bytes = frame("xrp", 3, 9).encode();
-        for cut in 0..bytes.len() {
-            let err = ShardFrame::decode(&bytes[..cut]).expect_err("truncated frame must fail");
-            assert!(
-                matches!(err, WireError::Truncated { .. }),
-                "cut at {cut}: got {err:?}"
-            );
-        }
-    }
-
-    #[test]
     fn rejects_payload_corruption() {
         let f = frame("tezos", 0, 4);
         let bytes = f.encode();

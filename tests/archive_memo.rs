@@ -20,7 +20,7 @@ mod support;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-use support::{bit_flips, truncations};
+use support::{mutations, Count, Mutator};
 use txstat::archive::{decode_memo, encode_memo, Archive, MemoError, MEMO_FILE};
 use txstat::reports::archive_io::segments_of_from;
 use txstat::reports::{
@@ -254,9 +254,9 @@ fn every_truncation_and_bit_flip_is_rejected_whole_and_healed() {
         .iter()
         .all(Option::is_some));
 
-    let damaged = truncations(&healthy)
-        .map(<[u8]>::to_vec)
-        .chain(bit_flips(&healthy));
+    let damaged = mutations(&healthy, Count::Leb128)
+        .filter(|m| matches!(m.mutator, Mutator::Truncation | Mutator::BitFlip(_)))
+        .map(|m| m.bytes);
     for (case, bytes) in damaged.enumerate() {
         let err = decode_memo(&bytes, SUMMARY_SCHEMA)
             .expect_err("a damaged memo must not decode cleanly");

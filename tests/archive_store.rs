@@ -18,10 +18,8 @@ use std::net::TcpListener;
 use std::path::Path;
 use std::sync::OnceLock;
 use std::time::Duration;
-use support::{bit_flips, truncations};
-use txstat::archive::{
-    Archive, ArchiveError, ArchiveWriter, SegmentBlocks, SegmentMeta, IDX_FILE, SEG_FILE,
-};
+use support::{mutations, synthetic_corpus, Count, Mutator};
+use txstat::archive::{Archive, ArchiveError, SegmentMeta, IDX_FILE, SEG_FILE};
 use txstat::ingest::{reduce_fleet, serve_assignments, FleetConfig};
 use txstat::reports::{
     generate, pipeline_from_archive, reduce_frames_labeled_into, reducer_from_archive,
@@ -29,36 +27,6 @@ use txstat::reports::{
 };
 use txstat::wire::PayloadFormat;
 use txstat::workload::Scenario;
-
-/// A tiny deterministic corpus: `segs` segments of 2 positions each whose
-/// per-chain column blobs are opaque bytes derived from `seed` (the
-/// archive layer never interprets them; every other Tezos run is empty,
-/// like a chain that ended early).
-fn synthetic_corpus(dir: &Path, segs: usize, seed: u64) {
-    let mut w = ArchiveWriter::create(dir, "{\"synthetic\":true}", &seed.to_le_bytes())
-        .expect("create corpus");
-    for i in 0..segs {
-        let start = (i * 2) as u64;
-        let blob = |chain: u64| -> Vec<u8> {
-            let x = seed ^ (chain << 32) ^ (start << 8);
-            x.to_le_bytes()
-                .iter()
-                .cycle()
-                .take(16 + (x % 48) as usize)
-                .copied()
-                .collect()
-        };
-        let seg = SegmentBlocks {
-            start,
-            end: start + 2,
-            eos: blob(1),
-            tezos: if i % 2 == 0 { blob(2) } else { Vec::new() },
-            xrp: blob(3),
-        };
-        w.append(&seg).expect("append segment");
-    }
-    w.seal().expect("seal corpus");
-}
 
 /// Open + fully replay, collapsing both phases into one result.
 fn open_and_replay(dir: &Path) -> Result<usize, ArchiveError> {
@@ -91,7 +59,9 @@ fn each_corpus_file(tag: &str, walk: impl Fn(&Path, &Path, &[u8])) {
 #[test]
 fn truncation_at_any_offset_is_a_typed_error() {
     each_corpus_file("trunc", |dir, path, healthy| {
-        for (cut, prefix) in truncations(healthy).enumerate() {
+        let cuts =
+            mutations(healthy, Count::Leb128).take_while(|m| m.mutator == Mutator::Truncation);
+        for (cut, prefix) in cuts.map(|m| m.bytes).enumerate() {
             std::fs::write(path, prefix).expect("truncate corpus file");
             let err = open_and_replay(dir).expect_err("a truncated archive must not open cleanly");
             let msg = format!("{err}");
@@ -113,7 +83,10 @@ fn truncation_at_any_offset_is_a_typed_error() {
 #[test]
 fn any_single_bit_flip_is_detected() {
     each_corpus_file("flip", |dir, path, healthy| {
-        for (bit, damaged) in bit_flips(healthy).enumerate() {
+        let flips = mutations(healthy, Count::Leb128)
+            .filter(|m| matches!(m.mutator, Mutator::BitFlip(_)))
+            .map(|m| m.bytes);
+        for (bit, damaged) in flips.enumerate() {
             std::fs::write(path, &damaged).expect("write damaged file");
             match open_and_replay(dir) {
                 Ok(n) => panic!("bit {bit} of {path:?} flipped, {n} segments replayed cleanly"),

@@ -4,66 +4,16 @@
 //!    v2 columns and decoding it back writes the same wire JSON
 //!    (`block_bytes(b)` / `ledger_bytes(b)`) for every chain — and the
 //!    encoding is idempotent over its own decode.
-//! 2. **Damage**: truncating a v2 column blob at *every* offset is a
-//!    typed error, never a panic; a single bit flip either errors or
-//!    decodes to a stable (re-encodable, re-decodable) value — and at the
-//!    archive layer any flip or truncation of a sealed v2 corpus is
+//! 2. **Archive damage**: any flip or truncation of a sealed v2 corpus is
 //!    caught by content hash with an error that localizes the damage.
 //! 3. **Cache accounting**: the segment-state table behind
 //!    `ShardContext::frames` counts exactly one hit or miss per segment an
 //!    assignment covers whole, even under concurrent assignments.
-//! 4. **Forged counts**: a count or length set to `u64::MAX` or `2^50` is a
-//!    typed error, and a count the bytes left can carry reserves room for
-//!    at most the decoders' cap of elements (watched through this test
-//!    binary's allocator) — in the block columns and in the frame
-//!    payloads alike.
+//!
+//! The decoders themselves (the block columns, the frame payloads) are
+//! rows of `tests/damage.rs`, walked there under every mutator.
 
 mod support;
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// The system allocator, noting the largest single request a thread makes
-/// while [`largest_allocation`] watches it.
-struct Watch;
-
-thread_local! {
-    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-fn note(size: usize) {
-    let _ = LARGEST.try_with(|l| {
-        if let Some(largest) = l.get() {
-            l.set(Some(largest.max(size)));
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for Watch {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static WATCH: Watch = Watch;
-
-/// `f`'s result and the largest single allocation it requested.
-fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LARGEST.with(|l| l.set(Some(0)));
-    let out = f();
-    (out, LARGEST.with(|l| l.take()).unwrap_or(0))
-}
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -131,294 +81,6 @@ proptest! {
     }
 }
 
-/// A single bit flip in a v2 column blob either fails typed or decodes to
-/// a *stable* value: re-encoding and re-decoding it is a fixpoint (no
-/// panic, no drifting interpretation). Column-level damage only reaches
-/// this decoder when the archive's segment content hash has already
-/// passed, so the flip case is pure defense in depth. Every bit of three
-/// two-block windows per chain (head, middle, tail) is flipped.
-#[test]
-fn v2_bit_flip_never_panics_and_never_drifts() {
-    use txstat::types::colcodec::ColError;
-    fn walk<B>(
-        chain: &str,
-        blocks: &[B],
-        encode: fn(&[B]) -> Vec<u8>,
-        decode: fn(&[u8]) -> Result<Vec<B>, ColError>,
-    ) {
-        for start_frac in [0.0, 0.5, 1.0] {
-            let healthy = encode(window(blocks, start_frac, 2));
-            for (bit, damaged) in support::bit_flips(&healthy).enumerate() {
-                if let Ok(blocks) = decode(&damaged) {
-                    let re = encode(&blocks);
-                    let again = decode(&re).expect("re-encoded decode output must decode");
-                    assert_eq!(encode(&again), re, "{chain} at {start_frac}, bit {bit}");
-                }
-            }
-        }
-    }
-    let data = direct();
-    {
-        use txstat::eos::block_cols as cols;
-        walk(
-            "eos",
-            &data.eos_blocks,
-            cols::encode_blocks,
-            cols::decode_blocks,
-        );
-    }
-    {
-        use txstat::tezos::block_cols as cols;
-        walk(
-            "tezos",
-            &data.tezos_blocks,
-            cols::encode_blocks,
-            cols::decode_blocks,
-        );
-    }
-    {
-        use txstat::xrp::block_cols as cols;
-        walk(
-            "xrp",
-            &data.xrp_blocks,
-            cols::encode_blocks,
-            cols::decode_blocks,
-        );
-    }
-}
-
-/// The most elements a `block_cols` decoder reserves room for before any
-/// has decoded.
-const RESERVE_CAP: usize = 1024;
-
-/// Forged counts in a v2 column blob are typed errors, never a panic or a
-/// large reservation. Every varint of three two-block windows per chain
-/// (head, middle, tail) is set in turn to `u64::MAX` and to `2^50`: the
-/// blob fails typed or, where that varint was a value and not a count,
-/// decodes to blocks of the healthy shape. Then the blob is cut at every
-/// offset and continued by a count of 2^16 elements that the bytes left
-/// can carry but whose first element never decodes: no decode asks for
-/// more than the cap of the chain's largest element, where reserving the
-/// whole count would (a name table alone would take 512 KiB).
-#[test]
-fn v2_forged_counts_are_typed_and_reserve_at_most_the_cap() {
-    use std::mem::size_of;
-    use txstat::types::colcodec::ColError;
-    fn walk<B>(
-        chain: &str,
-        blocks: &[B],
-        encode: fn(&[B]) -> Vec<u8>,
-        decode: fn(&[u8]) -> Result<Vec<B>, ColError>,
-        shape: fn(&[B]) -> Vec<usize>,
-        largest_elem: usize,
-    ) {
-        let bound = RESERVE_CAP * largest_elem;
-        for start_frac in [0.0, 0.5, 1.0] {
-            let healthy = encode(window(blocks, start_frac, 2));
-            let want = shape(&decode(&healthy).expect("healthy columns decode"));
-            for value in [u64::MAX, 1 << 50] {
-                for (at, forged) in support::huge_counts(&healthy, value).enumerate() {
-                    let (decoded, largest) = largest_allocation(|| decode(&forged));
-                    if let Ok(blocks) = decoded {
-                        assert_eq!(
-                            shape(&blocks),
-                            want,
-                            "{chain} at {start_frac}: {value} at {at}"
-                        );
-                    }
-                    assert!(
-                        largest <= bound,
-                        "{chain}: {value} at {at} asked for {largest} bytes"
-                    );
-                }
-            }
-            for (at, forged) in support::forged_counts(&healthy, 1 << 16, 4).enumerate() {
-                let (decoded, largest) = largest_allocation(|| decode(&forged));
-                assert!(
-                    decoded.is_err(),
-                    "{chain} at {start_frac}: count forged at {at} decoded"
-                );
-                assert!(
-                    largest <= bound,
-                    "{chain}: count forged at {at} asked for {largest} bytes"
-                );
-            }
-        }
-    }
-    let data = direct();
-    {
-        use txstat::eos::{block_cols as cols, Action, Block, Name, Transaction};
-        use txstat::types::amount::SymCode;
-        walk(
-            "eos",
-            &data.eos_blocks,
-            cols::encode_blocks,
-            cols::decode_blocks,
-            |blocks: &[Block]| {
-                let txs = blocks.iter().flat_map(|b| &b.transactions);
-                let counts = blocks.iter().map(|b| b.transactions.len());
-                [blocks.len()]
-                    .into_iter()
-                    .chain(counts)
-                    .chain(txs.map(|t| t.actions.len()))
-                    .collect()
-            },
-            [
-                size_of::<Block>(),
-                size_of::<Transaction>(),
-                size_of::<Action>(),
-                size_of::<Name>(),
-                size_of::<SymCode>(),
-            ]
-            .into_iter()
-            .max()
-            .unwrap_or(0),
-        );
-    }
-    {
-        use txstat::tezos::{block_cols as cols, Address, Operation, TezosBlock};
-        walk(
-            "tezos",
-            &data.tezos_blocks,
-            cols::encode_blocks,
-            cols::decode_blocks,
-            |blocks: &[TezosBlock]| {
-                let counts = blocks.iter().map(|b| b.operations.len());
-                [blocks.len()].into_iter().chain(counts).collect()
-            },
-            [
-                size_of::<TezosBlock>(),
-                size_of::<Operation>(),
-                size_of::<Address>(),
-                size_of::<String>(),
-            ]
-            .into_iter()
-            .max()
-            .unwrap_or(0),
-        );
-    }
-    {
-        use txstat::xrp::{block_cols as cols, AccountId, AppliedTx, IssuedCurrency, LedgerBlock};
-        walk(
-            "xrp",
-            &data.xrp_blocks,
-            cols::encode_blocks,
-            cols::decode_blocks,
-            |blocks: &[LedgerBlock]| {
-                let counts = blocks.iter().map(|b| b.transactions.len());
-                [blocks.len()].into_iter().chain(counts).collect()
-            },
-            [
-                size_of::<LedgerBlock>(),
-                size_of::<AppliedTx>(),
-                size_of::<AccountId>(),
-                size_of::<IssuedCurrency>(),
-            ]
-            .into_iter()
-            .max()
-            .unwrap_or(0),
-        );
-    }
-}
-
-/// Forged counts in a frame payload — the columnar accumulator a worker
-/// merges from its segment states and encodes for every assignment — are
-/// typed errors, never a panic or a large reservation. Real payloads of
-/// three two-block windows per chain (head, middle, tail) are walked like
-/// the block columns above: every varint set in turn to `u64::MAX` and to
-/// `2^50` fails typed or decodes to a state that re-encodes to exactly the
-/// forged bytes (a value, not a count, was forged), and a count of 2^16
-/// elements cut in at every offset fails typed. No decode asks for more
-/// than the cap of the payload's largest element.
-#[test]
-fn frame_payload_forged_counts_are_typed_and_reserve_at_most_the_cap() {
-    use std::mem::size_of;
-    use txstat::core::{EosColumnar, TezosColumnar, WireState, XrpColumnar};
-    fn walk<A: WireState>(chain: &str, payloads: &[Vec<u8>], largest_elem: usize) {
-        let bound = RESERVE_CAP * largest_elem;
-        for (w, healthy) in payloads.iter().enumerate() {
-            let (decoded, largest) = largest_allocation(|| A::from_wire_bytes(healthy));
-            let reencoded = decoded.expect("healthy payload decodes").to_wire_bytes();
-            assert_eq!(&reencoded, healthy, "{chain} window {w} re-encodes");
-            assert!(largest <= bound, "{chain}: healthy asked for {largest}");
-            for value in [u64::MAX, 1 << 50] {
-                for (at, forged) in support::huge_counts(healthy, value).enumerate() {
-                    let (decoded, largest) = largest_allocation(|| A::from_wire_bytes(&forged));
-                    if let Ok(acc) = decoded {
-                        assert!(
-                            acc.to_wire_bytes() == forged,
-                            "{chain} window {w}: {value} at {at} decoded to another shape"
-                        );
-                    }
-                    assert!(
-                        largest <= bound,
-                        "{chain}: {value} at {at} asked for {largest} bytes"
-                    );
-                }
-            }
-            for (at, forged) in support::forged_counts(healthy, 1 << 16, 4).enumerate() {
-                let (decoded, largest) = largest_allocation(|| A::from_wire_bytes(&forged));
-                assert!(
-                    decoded.is_err(),
-                    "{chain} window {w}: count forged at {at} decoded"
-                );
-                assert!(
-                    largest <= bound,
-                    "{chain}: count forged at {at} asked for {largest} bytes"
-                );
-            }
-        }
-    }
-    fn payloads<B, A: WireState>(blocks: &[B], fold: impl Fn(&[B]) -> A) -> Vec<Vec<u8>> {
-        [0.0, 0.5, 1.0]
-            .map(|start_frac| fold(window(blocks, start_frac, 2)).to_wire_bytes())
-            .to_vec()
-    }
-    let data = direct();
-    let period = data.scenario.period;
-    // The widest element any of the three decoders reserves room for:
-    // a Tezos governance event, a 4-wide series row, an `i128` tally.
-    let largest_elem = [
-        size_of::<(
-            txstat::types::time::ChainTime,
-            String,
-            txstat::tezos::Address,
-        )>(),
-        size_of::<[u64; 4]>(),
-        size_of::<i128>(),
-    ]
-    .into_iter()
-    .max()
-    .unwrap_or(0);
-    walk::<EosColumnar>(
-        "eos",
-        &payloads(&data.eos_blocks, |run| {
-            let mut acc = EosColumnar::new(period);
-            run.iter().for_each(|b| acc.observe(b));
-            acc
-        }),
-        largest_elem,
-    );
-    walk::<TezosColumnar>(
-        "tezos",
-        &payloads(&data.tezos_blocks, |run| {
-            let mut acc = TezosColumnar::new(period, data.governance_periods.clone());
-            run.iter().for_each(|b| acc.observe(b));
-            acc
-        }),
-        largest_elem,
-    );
-    walk::<XrpColumnar>(
-        "xrp",
-        &payloads(&data.xrp_blocks, |run| {
-            let mut acc = XrpColumnar::new(period);
-            run.iter().for_each(|b| acc.observe(b, &data.oracle));
-            acc
-        }),
-        largest_elem,
-    );
-}
-
 proptest! {
     /// Damaging a sealed v2 corpus — truncation or a single bit flip in
     /// either file — is a typed [`ArchiveError`], never a panic, and
@@ -477,31 +139,6 @@ fn sealed_v2() -> &'static PathBuf {
         write_archive(&dir, data, "small", 512, SegmentFormat).expect("seal v2");
         dir
     })
-}
-
-/// Truncating a v2 column blob at every offset is a typed error — never
-/// a panic, never a silent success (exhaustive, not sampled).
-#[test]
-fn v2_truncation_at_every_offset_is_typed() {
-    let data = direct();
-    let n = 40.min(data.eos_blocks.len());
-    let blobs = [
-        txstat::eos::block_cols::encode_blocks(&data.eos_blocks[..n]),
-        txstat::tezos::block_cols::encode_blocks(&data.tezos_blocks[..n]),
-        txstat::xrp::block_cols::encode_blocks(&data.xrp_blocks[..n]),
-    ];
-    for (chain, bytes) in ["eos", "tezos", "xrp"].iter().zip(&blobs) {
-        for (cut, prefix) in support::truncations(bytes).enumerate() {
-            let err = match *chain {
-                "eos" => txstat::eos::block_cols::decode_blocks(prefix).err(),
-                "tezos" => txstat::tezos::block_cols::decode_blocks(prefix).err(),
-                _ => txstat::xrp::block_cols::decode_blocks(prefix).err(),
-            };
-            let err =
-                err.unwrap_or_else(|| panic!("{chain} columns truncated at {cut} decoded cleanly"));
-            assert!(!format!("{err}").is_empty());
-        }
-    }
 }
 
 /// Concurrent overlapping assignments against one archived

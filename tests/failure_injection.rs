@@ -298,6 +298,7 @@ fn one_good_endpoint_rescues_a_bad_pool() {
 fn damaged_http_requests_are_typed_never_a_panic() {
     use std::io::{BufReader, Write};
     use std::net::TcpStream;
+    use support::Mutator;
     use txstat::netsim::http::{read_request, HttpError};
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -318,9 +319,9 @@ fn damaged_http_requests_are_typed_never_a_panic() {
             None,
         ),
     ] {
-        let damaged = support::truncations(healthy)
-            .map(<[u8]>::to_vec)
-            .chain(support::bit_flips(healthy))
+        let damaged = support::mutations(healthy, support::Count::Leb128)
+            .filter(|m| matches!(m.mutator, Mutator::Truncation | Mutator::BitFlip(_)))
+            .map(|m| m.bytes)
             .chain([healthy.to_vec()]);
         for (case, bytes) in damaged.enumerate() {
             TcpStream::connect(addr)

@@ -359,8 +359,8 @@ fn table(idx_dir: &Path) -> Vec<Row<'_>> {
 
     // `archive.idx` of a tiny synthetic corpus, planted beside its healthy
     // segment file: whatever opens replays the healthy segments, each
-    // hash-checked against the index. (Segments after the first decompress
-    // on a `par_map` worker, outside the watch.)
+    // hash-checked against the index. (`replay_all` decompresses some
+    // segments on a `par_map` worker thread, outside the watch.)
     support::synthetic_corpus(idx_dir, 3, 0x5eed_0003);
     let replay = move |bytes: &[u8]| {
         std::fs::write(idx_dir.join(IDX_FILE), bytes).expect("plant archive.idx");

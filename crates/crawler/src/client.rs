@@ -101,7 +101,8 @@ enum Verdict {
 
 /// [`exchange`] with retries, rotating endpoints from the pool: transport
 /// errors and replies `classify` calls throttled back off (linearly with
-/// the attempt number, between attempts only) and rotate.
+/// the attempt number, between attempts only) and rotate to the request's
+/// next endpoint.
 fn with_retries<F: Framing>(
     pool: &RotatingPool,
     cfg: &ClientConfig,
@@ -109,11 +110,11 @@ fn with_retries<F: Framing>(
     classify: impl Fn(&F::Reply) -> Verdict,
 ) -> Result<(F::Reply, usize), CrawlError> {
     let mut last = String::new();
-    for attempt in 0..cfg.max_retries {
+    for (attempt, endpoint) in (0..cfg.max_retries).zip(pool.rotation()) {
         if attempt > 0 {
             std::thread::sleep(cfg.backoff * attempt);
         }
-        match exchange::<F>(pool.pick().addr, request, cfg.request_timeout) {
+        match exchange::<F>(endpoint.addr, request, cfg.request_timeout) {
             Ok((reply, size)) => match classify(&reply) {
                 Verdict::Accept => return Ok((reply, size)),
                 Verdict::Retry(why) => last = why.into(),

@@ -119,6 +119,15 @@ impl RotatingPool {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         &self.endpoints[i % self.endpoints.len()]
     }
+
+    /// One request's endpoints: it starts where the shared rotation is and
+    /// cycles on from there by itself, so its retries cover every endpoint
+    /// however the other workers' picks interleave with them.
+    pub(crate) fn rotation(&self) -> impl Iterator<Item = &Advertised> {
+        let start = self.next.fetch_add(1, Ordering::Relaxed);
+        let cycle = self.endpoints.iter().cycle();
+        cycle.skip(start % self.endpoints.len())
+    }
 }
 
 #[cfg(test)]
@@ -174,6 +183,32 @@ mod tests {
         let seq: Vec<String> = (0..4).map(|_| pool.pick().name.clone()).collect();
         assert_eq!(seq, vec!["a", "b", "a", "b"]);
         assert_eq!(pool.len(), 2);
+    }
+
+    /// Two workers whose picks alternate in lockstep: through `pick`, one
+    /// of them would meet only the first endpoint; each request's own
+    /// rotation still alternates, and the next request starts one further on.
+    #[test]
+    fn a_rotation_cycles_past_interleaved_picks() {
+        let pool = RotatingPool::new(
+            ["a", "b"]
+                .iter()
+                .enumerate()
+                .map(|(i, name)| Advertised {
+                    name: (*name).into(),
+                    addr: addr(i as u16 + 1),
+                })
+                .collect(),
+        );
+        let mut mine = pool.rotation();
+        let seq: Vec<&str> = (0..4)
+            .map(|_| {
+                let _ = pool.pick();
+                mine.next().expect("endless").name.as_str()
+            })
+            .collect();
+        assert_eq!(seq, vec!["a", "b", "a", "b"]);
+        assert_eq!(pool.rotation().next().expect("endless").name, "b");
     }
 
     #[test]

@@ -254,9 +254,10 @@ fn every_truncation_and_bit_flip_is_rejected_whole_and_healed() {
         .iter()
         .all(Option::is_some));
 
-    let damaged = mutations(&healthy, Count::Leb128)
-        .filter(|m| matches!(m.mutator, Mutator::Truncation | Mutator::BitFlip(_)))
-        .map(|m| m.bytes);
+    let damaged = mutations(&healthy, Count::Leb128, |m| {
+        matches!(m, Mutator::Truncation | Mutator::BitFlip(_))
+    })
+    .map(|m| m.bytes);
     for (case, bytes) in damaged.enumerate() {
         let err = decode_memo(&bytes, SUMMARY_SCHEMA)
             .expect_err("a damaged memo must not decode cleanly");

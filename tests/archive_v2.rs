@@ -9,15 +9,18 @@
 //! 3. **Cache accounting**: the segment-state table behind
 //!    `ShardContext::frames` counts exactly one hit or miss per segment an
 //!    assignment covers whole, even under concurrent assignments.
-//!
-//! The decoders themselves (the block columns, the frame payloads) are
-//! rows of `tests/damage.rs`, walked there under every mutator.
+//! 4. **Column damage**: the damage table's `block_cols` and frame payload
+//!    rows (`support::rows`; `tests/damage.rs` walks them at the head,
+//!    middle and tail) walked at two more windows, one mutator family per
+//!    test, under this binary's allocation watch.
 
 mod support;
 
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
+use support::rows::{all_payload_rows, block_rows, payloads, Window};
+use support::{walk_some, Mutator};
 use txstat::archive::{Archive, ArchiveError, IDX_FILE, SEG_FILE};
 use txstat::eos::rpc_model as eos_rpc;
 use txstat::reports::{generate, write_archive, PipelineData, SegmentFormat, ShardContext};
@@ -25,6 +28,9 @@ use txstat::tezos::rpc_model as tezos_rpc;
 use txstat::wire::PayloadFormat;
 use txstat::workload::Scenario;
 use txstat::xrp::rpc_model as xrp_rpc;
+
+#[global_allocator]
+static WATCH: support::Watch = support::Watch;
 
 /// The shared direct dataset (generation dominates test cost).
 fn direct() -> &'static PipelineData {
@@ -139,6 +145,59 @@ fn sealed_v2() -> &'static PathBuf {
         write_archive(&dir, data, "small", 512, SegmentFormat).expect("seal v2");
         dir
     })
+}
+
+/// The 2-block windows the column walks below take, between the table's
+/// head, middle and tail.
+const QUARTERS: [Window; 2] = [("quarter", 0.25, 2), ("three quarters", 0.75, 2)];
+
+fn counts(m: Mutator) -> bool {
+    matches!(m, Mutator::HugeCount(_) | Mutator::ForgedCount(_))
+}
+
+/// A single bit flip in a v2 column blob either fails typed or decodes to
+/// a *stable* value: re-encoding and re-decoding it is a fixpoint (no
+/// panic, no drifting interpretation). Every bit of two two-block windows
+/// per chain is flipped.
+#[test]
+fn v2_bit_flip_never_panics_and_never_drifts() {
+    for row in block_rows(direct(), &QUARTERS) {
+        walk_some(&row, |m| matches!(m, Mutator::BitFlip(_)));
+    }
+}
+
+/// Forged counts in a v2 column blob are typed errors, never a panic or a
+/// large reservation. Every varint of two two-block windows per chain is
+/// set in turn to `u64::MAX` and to `2^50`: the blob fails typed or, where
+/// that varint was a value and not a count, decodes to blocks of the
+/// healthy shape. A count of 2^16 elements the bytes left can carry, cut
+/// in at every offset, never decodes, and no decode asks for more than
+/// `RESERVE_CAP` of the chain's widest element.
+#[test]
+fn v2_forged_counts_are_typed_and_reserve_at_most_the_cap() {
+    for row in block_rows(direct(), &QUARTERS) {
+        walk_some(&row, counts);
+    }
+}
+
+/// Forged counts in a frame payload (the columnar accumulator a worker
+/// encodes for every assignment) are typed errors, never a panic or a
+/// large reservation: whatever decodes re-encodes to exactly the forged
+/// bytes, and no decode asks for more than the payload's cap.
+#[test]
+fn frame_payload_forged_counts_are_typed_and_reserve_at_most_the_cap() {
+    for row in all_payload_rows(payloads(direct(), &QUARTERS)) {
+        walk_some(&row, counts);
+    }
+}
+
+/// Truncating a 40-block v2 column blob at every offset is a typed error,
+/// never a panic, never a silent success (exhaustive, not sampled).
+#[test]
+fn v2_truncation_at_every_offset_is_typed() {
+    for row in block_rows(direct(), &[("first 40", 0.0, 40)]) {
+        walk_some(&row, |m| m == Mutator::Truncation);
+    }
 }
 
 /// Concurrent overlapping assignments against one archived

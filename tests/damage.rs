@@ -6,8 +6,10 @@
 //! Each hash-sealed row (`TXSF` frames, `TXSQ` requests, `archive.idx`,
 //! `archive.memo`) is walked raw, where every mutation must be refused, and
 //! re-sealed, where the hash is recomputed over the mutated body so the
-//! damage reaches the structural decoder. This binary owns the
-//! [`support::Watch`] global allocator.
+//! damage reaches the structural decoder. The column decoders' rows are
+//! built in `support::rows`, where the named walks of `archive_v2.rs` and
+//! `wire_reduce.rs` build them too. This binary installs the
+//! [`support::Watch`] global allocator, as those two do.
 
 mod support;
 
@@ -15,12 +17,12 @@ use std::mem::size_of;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use support::{walk, Count, Mutation, Mutator, Row};
+use support::rows::{all_payload_rows, block_rows, cut, payloads, window, RESERVE_CAP, WINDOWS};
+use support::{walk, Count, Mutation, Row};
 use txstat::archive::{decode_memo, encode_memo, Archive, MemoError, IDX_FILE};
-use txstat::core::{EosColumnar, TezosColumnar, WireState, XrpColumnar};
 use txstat::reports::{generate, scenario_meta, summarize, PipelineData};
 use txstat::reports::{SegmentSummary, SUMMARY_SCHEMA};
-use txstat::types::colcodec::{ColError, ColReader, ColWriter};
+use txstat::types::colcodec::{ColReader, ColWriter};
 use txstat::types::ids::fnv1a64;
 use txstat::types::lzss::{self, LzssError};
 use txstat::wire::fleet::{self, Assignment, ProtocolError};
@@ -30,39 +32,14 @@ use txstat::workload::Scenario;
 #[global_allocator]
 static WATCH: support::Watch = support::Watch;
 
-/// The most elements a column decoder reserves room for before any has
-/// decoded; its row's cap is this many of its widest element.
-const RESERVE_CAP: usize = 1024;
-
 /// The cap of the rows that copy their input (envelopes, files, streams):
 /// twice the forged count's padding, so one copy of the longest input fits.
 const COPY_CAP: usize = 1 << 19;
-
-/// The size of the widest of the types.
-macro_rules! widest {
-    ($($t:ty),*) => { [$(size_of::<$t>()),*].into_iter().max().unwrap_or(0) };
-}
 
 /// The shared dataset (generation is paid once per process).
 fn direct() -> &'static PipelineData {
     static DIRECT: OnceLock<PipelineData> = OnceLock::new();
     DIRECT.get_or_init(|| generate(&Scenario::small(23)))
-}
-
-/// The 2-block windows every block and payload row is walked at.
-const WINDOWS: [(&str, f64); 3] = [("head", 0.0), ("middle", 0.5), ("tail", 1.0)];
-
-fn window<T>(blocks: &[T], start_frac: f64) -> &[T] {
-    let start = ((blocks.len().saturating_sub(1)) as f64 * start_frac) as usize;
-    &blocks[start..(start + 2).min(blocks.len())]
-}
-
-fn cut(m: Option<&Mutation>) -> bool {
-    m.is_some_and(|m| m.mutator == Mutator::Truncation)
-}
-
-fn forged(m: Option<&Mutation>) -> bool {
-    m.is_some_and(|m| matches!(m.mutator, Mutator::ForgedCount(_)))
 }
 
 /// The u32-LE-length-prefixed section at `at`, if the bytes hold it whole.
@@ -102,156 +79,21 @@ fn seal_trailer(body: &[u8]) -> Vec<u8> {
     [body, &fnv1a64(body).to_le_bytes()].concat()
 }
 
-type Codec<B> = (fn(&[B]) -> Vec<u8>, fn(&[u8]) -> Result<Vec<B>, ColError>);
-
-/// The three `block_cols::decode_blocks` rows of one chain. A forged count
-/// never decodes. Whatever does re-encodes to a fixpoint, and after a huge
-/// count (a value, then, not a count) keeps the healthy shape. The schema
-/// tag is read first: damage at byte 0 is `Invalid`.
-fn block_rows<B: Send + Sync>(
-    chain: &str,
-    blocks: &'static [B],
-    (encode, decode): Codec<B>,
-    shape: fn(&[B]) -> Vec<usize>,
-    widest: usize,
-) -> Vec<Row<'static>> {
-    let rows = WINDOWS.iter().map(|&(at, frac)| {
-        let want = shape(window(blocks, frac));
-        let verdict = move |m: Option<&Mutation>, _: &[u8], r: Result<Vec<B>, ColError>| match r {
-            Ok(blocks) => {
-                let re = encode(&blocks);
-                let huge = m.is_some_and(|m| matches!(m.mutator, Mutator::HugeCount(_)));
-                !forged(m)
-                    && decode(&re).is_ok_and(|again| encode(&again) == re)
-                    && (!huge || shape(&blocks) == want)
-            }
-            Err(e) => {
-                m.is_some_and(|m| m.at > 0) || cut(m) || matches!(e, ColError::Invalid { .. })
-            }
-        };
-        let name = format!("{chain}::block_cols::decode_blocks [{at}]");
-        let healthy = encode(window(blocks, frac));
-        Row {
-            cap: RESERVE_CAP * widest,
-            ..Row::new(&name, healthy, decode, verdict)
-        }
-    });
-    rows.collect()
-}
-
-/// The three `from_wire_bytes` rows of one chain's frame payloads: a forged
-/// count never decodes, and whatever does re-encodes to exactly its bytes.
-fn payload_rows<A: WireState + 'static>(chain: &str, payloads: Vec<Vec<u8>>) -> Vec<Row<'static>> {
-    // A Tezos governance event, a 4-wide series row, an `i128` tally.
-    let widest = widest!(
-        (
-            txstat::types::time::ChainTime,
-            String,
-            txstat::tezos::Address
-        ),
-        [u64; 4],
-        i128
-    );
-    let rows = WINDOWS.iter().zip(payloads).map(|(&(at, _), healthy)| {
-        let name = format!("{chain}Columnar::from_wire_bytes [{at}]");
-        let verdict = |m: Option<&Mutation>, bytes: &[u8], r: Result<A, _>| {
-            r.map_or(true, |acc| !forged(m) && acc.to_wire_bytes() == bytes)
-        };
-        Row {
-            cap: RESERVE_CAP * widest,
-            ..Row::new(&name, healthy, A::from_wire_bytes, verdict)
-        }
-    });
-    rows.collect()
-}
-
 /// Every row of the table; the `archive.idx` row plants its inputs in a
 /// corpus at `idx_dir`.
 fn table(idx_dir: &Path) -> Vec<Row<'_>> {
     let data = direct();
-    let mut rows = Vec::new();
-    {
-        use txstat::eos::{block_cols as cols, Action, Block, Name, Transaction};
-        let shape = |blocks: &[Block]| {
-            let counts = blocks.iter().map(|b| b.transactions.len());
-            let txs = blocks.iter().flat_map(|b| &b.transactions);
-            let actions = txs.map(|t| t.actions.len());
-            [blocks.len()]
-                .into_iter()
-                .chain(counts)
-                .chain(actions)
-                .collect()
-        };
-        let widest = widest!(
-            Block,
-            Transaction,
-            Action,
-            Name,
-            txstat::types::amount::SymCode
-        );
-        let codec: Codec<Block> = (cols::encode_blocks, cols::decode_blocks);
-        rows.extend(block_rows("eos", &data.eos_blocks, codec, shape, widest));
-    }
-    {
-        use txstat::tezos::{block_cols as cols, Address, Operation, TezosBlock};
-        let shape = |blocks: &[TezosBlock]| {
-            let counts = blocks.iter().map(|b| b.operations.len());
-            [blocks.len()].into_iter().chain(counts).collect()
-        };
-        let widest = widest!(TezosBlock, Operation, Address, String);
-        let codec: Codec<TezosBlock> = (cols::encode_blocks, cols::decode_blocks);
-        rows.extend(block_rows(
-            "tezos",
-            &data.tezos_blocks,
-            codec,
-            shape,
-            widest,
-        ));
-    }
-    {
-        use txstat::xrp::{block_cols as cols, AccountId, AppliedTx, IssuedCurrency, LedgerBlock};
-        let shape = |blocks: &[LedgerBlock]| {
-            let counts = blocks.iter().map(|b| b.transactions.len());
-            [blocks.len()].into_iter().chain(counts).collect()
-        };
-        let widest = widest!(LedgerBlock, AppliedTx, AccountId, IssuedCurrency);
-        let codec: Codec<LedgerBlock> = (cols::encode_blocks, cols::decode_blocks);
-        rows.extend(block_rows("xrp", &data.xrp_blocks, codec, shape, widest));
-    }
+    let mut rows = block_rows(data, &WINDOWS);
 
     // The frame payload a worker encodes for every assignment.
-    let period = data.scenario.period;
-    let payloads = |fold: &dyn Fn(f64) -> Vec<u8>| WINDOWS.map(|(_, f)| fold(f)).to_vec();
-    let eos = payloads(&|f| {
-        let mut acc = EosColumnar::new(period);
-        window(&data.eos_blocks, f)
-            .iter()
-            .for_each(|b| acc.observe(b));
-        acc.to_wire_bytes()
-    });
-    let tezos = payloads(&|f| {
-        let mut acc = TezosColumnar::new(period, data.governance_periods.clone());
-        window(&data.tezos_blocks, f)
-            .iter()
-            .for_each(|b| acc.observe(b));
-        acc.to_wire_bytes()
-    });
-    let xrp = payloads(&|f| {
-        let mut acc = XrpColumnar::new(period);
-        window(&data.xrp_blocks, f)
-            .iter()
-            .for_each(|b| acc.observe(b, &data.oracle));
-        acc.to_wire_bytes()
-    });
+    let payloads = payloads(data, &WINDOWS);
     let meta = scenario_meta(&data.scenario, "small");
-    let frames: Vec<ShardFrame> = [("eos", &eos[0]), ("tezos", &tezos[0]), ("xrp", &xrp[0])]
-        .map(|(chain, payload)| {
-            ShardFrame::from_columns(chain, 0, 2, 2, meta.clone(), payload.clone())
-        })
-        .to_vec();
-    rows.extend(payload_rows::<EosColumnar>("Eos", eos));
-    rows.extend(payload_rows::<TezosColumnar>("Tezos", tezos));
-    rows.extend(payload_rows::<XrpColumnar>("Xrp", xrp));
+    let frames: Vec<ShardFrame> = ["eos", "tezos", "xrp"]
+        .iter()
+        .zip(&payloads)
+        .map(|(chain, p)| ShardFrame::from_columns(chain, 0, 2, 2, meta.clone(), p[0].1.clone()))
+        .collect();
+    rows.extend(all_payload_rows(payloads));
 
     // A frame: whatever decodes re-encodes to a frame that decodes to
     // itself. A strict prefix is `Truncated`.
@@ -395,7 +237,7 @@ fn table(idx_dir: &Path) -> Vec<Row<'_>> {
     // LZSS over the wire JSON of two EOS blocks: the output is reserved once,
     // never past the expected length, and is that long (the healthy one is
     // the JSON). A strict prefix ends early: `Truncated` or `TooShort`.
-    let raw: Vec<u8> = window(&data.eos_blocks, 0.0)
+    let raw: Vec<u8> = window(&data.eos_blocks, WINDOWS[0])
         .iter()
         .flat_map(txstat::eos::rpc_model::block_bytes)
         .collect();

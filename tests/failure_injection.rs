@@ -319,10 +319,11 @@ fn damaged_http_requests_are_typed_never_a_panic() {
             None,
         ),
     ] {
-        let damaged = support::mutations(healthy, support::Count::Leb128)
-            .filter(|m| matches!(m.mutator, Mutator::Truncation | Mutator::BitFlip(_)))
-            .map(|m| m.bytes)
-            .chain([healthy.to_vec()]);
+        let damaged = support::mutations(healthy, support::Count::Leb128, |m| {
+            matches!(m, Mutator::Truncation | Mutator::BitFlip(_))
+        })
+        .map(|m| m.bytes)
+        .chain([healthy.to_vec()]);
         for (case, bytes) in damaged.enumerate() {
             TcpStream::connect(addr)
                 .and_then(|mut peer| peer.write_all(&bytes))

@@ -5,12 +5,17 @@
 //! `block_cols::decode_blocks`, the three `*Columnar::from_wire_bytes`,
 //! `ShardFrame::decode`, `fleet::read_assignment`, `fleet::read_response`,
 //! `decode_memo`, `archive.idx` through `Archive::open` + `replay_all`,
-//! `SegmentSummary::decode` and `lzss::decompress`. The file-, heal- and
-//! socket-level walks of `archive_store.rs`, `archive_memo.rs` and
-//! `failure_injection.rs` draw their damage from [`mutations`] too.
+//! `SegmentSummary::decode` and `lzss::decompress`. The column decoders'
+//! rows are built in [`rows`], so `archive_v2.rs` and `wire_reduce.rs` walk
+//! them too, at other windows and one mutator family per test, through
+//! [`walk_some`]. The file-, heal- and socket-level walks of
+//! `archive_store.rs`, `archive_memo.rs` and `failure_injection.rs` draw
+//! their damage from [`mutations`] too.
 //!
 //! Each integration test is its own crate and uses what it needs.
 #![allow(dead_code)]
+
+pub mod rows;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -126,51 +131,63 @@ pub struct Mutation {
     pub bytes: Vec<u8>,
 }
 
-/// Every mutation of `healthy`, counts written as `count` says: each strict
+/// Every mutation of `healthy` whose mutator `keep` takes (a mutation is
+/// only built once taken), counts written as `count` says: each strict
 /// prefix, shortest first; each single-bit flip, in bit order; each
 /// offset's count set to the two huge values; a count of 2^16 with room for
 /// as many four-byte elements cut in at each offset. A mutation that leaves
 /// the healthy bytes whole (at most appending to them) damages nothing and
 /// is skipped.
-pub fn mutations(healthy: &[u8], count: Count) -> impl Iterator<Item = Mutation> + '_ {
-    let cuts = (0..healthy.len()).map(|at| Mutation {
-        mutator: Mutator::Truncation,
-        at,
-        bytes: healthy[..at].to_vec(),
-    });
-    let flips = (0..healthy.len() * 8).map(move |bit| {
-        let mut bytes = healthy.to_vec();
-        bytes[bit / 8] ^= 1 << (bit % 8);
+pub fn mutations<'a>(
+    healthy: &'a [u8],
+    count: Count,
+    keep: impl Fn(Mutator) -> bool + Copy + 'a,
+) -> impl Iterator<Item = Mutation> + 'a {
+    let cuts = (0..healthy.len())
+        .filter(move |_| keep(Mutator::Truncation))
+        .map(|at| Mutation {
+            mutator: Mutator::Truncation,
+            at,
+            bytes: healthy[..at].to_vec(),
+        });
+    let flips = (0..healthy.len() * 8).filter_map(move |bit| {
         let (mutator, at) = (Mutator::BitFlip((bit % 8) as u8), bit / 8);
-        Mutation { mutator, at, bytes }
+        keep(mutator).then(|| {
+            let mut bytes = healthy.to_vec();
+            bytes[at] ^= 1 << (bit % 8);
+            Mutation { mutator, at, bytes }
+        })
     });
     let huge = count.huge().into_iter().flat_map(move |value| {
         let encoded = count.encode(value);
+        let mutator = Mutator::HugeCount(value);
         (0..healthy.len()).filter_map(move |at| {
+            keep(mutator).then_some(())?;
             let rest = &healthy[at + count.width(&healthy[at..])?..];
             let bytes = [&healthy[..at], &encoded, rest].concat();
-            let mutator = Mutator::HugeCount(value);
             (!bytes.starts_with(healthy)).then_some(Mutation { mutator, at, bytes })
         })
     });
     cuts.chain(flips)
         .chain(huge)
-        .chain(forged_counts(healthy, 1 << 16, 1 << 18, count))
+        .chain(forged_counts(healthy, 1 << 16, 1 << 18, count, keep))
 }
 
 /// `bytes` cut at each offset and continued by `count`, written as
 /// `encoding` says, then by `padding` bytes 0x80 (skipped where that leaves
-/// `bytes` whole).
-fn forged_counts(
-    bytes: &[u8],
+/// `bytes` whole), unless `keep` refuses forged counts of `count`.
+fn forged_counts<'a>(
+    bytes: &'a [u8],
     count: u64,
     padding: usize,
     encoding: Count,
-) -> impl Iterator<Item = Mutation> + '_ {
+    keep: impl Fn(Mutator) -> bool,
+) -> impl Iterator<Item = Mutation> + 'a {
+    let mutator = Mutator::ForgedCount(count);
+    let ats = if keep(mutator) { 0..bytes.len() } else { 0..0 };
     let tail = [encoding.encode(count), vec![0x80; padding]].concat();
-    (0..bytes.len()).filter_map(move |at| {
+    ats.filter_map(move |at| {
         let forged = [&bytes[..at], &tail].concat();
-        let mutator = Mutator::ForgedCount(count);
         (!forged.starts_with(bytes)).then_some(Mutation {
             mutator,
             at,
@@ -235,6 +252,12 @@ impl<'a> Row<'a> {
 /// at once, accepts a strict prefix, fails the row's verdict or, raw on a
 /// sealed row, accepts anything at all.
 pub fn walk(row: &Row) {
+    walk_some(row, |_| true);
+}
+
+/// [`walk`] over only the mutations whose mutator `keep` takes (the
+/// healthy input is always judged).
+pub fn walk_some(row: &Row, keep: impl Fn(Mutator) -> bool) {
     let (_, seen) = largest_allocation(|| Vec::<u8>::with_capacity(4096));
     assert!(
         seen >= 4096,
@@ -254,8 +277,8 @@ pub fn walk(row: &Row) {
     }
     for (pass, base, seal, refuse_all) in passes {
         let forges = row.forges.iter();
-        let forged = forges.flat_map(|&(n, pad)| forged_counts(&base, n, pad, row.count));
-        for m in mutations(&base, row.count).chain(forged) {
+        let forged = forges.flat_map(|&(n, pad)| forged_counts(&base, n, pad, row.count, &keep));
+        for m in mutations(&base, row.count, &keep).chain(forged) {
             let refuse = refuse_all || m.mutator == Mutator::Truncation;
             let case = format!("{pass}: {:?} at {}", m.mutator, m.at);
             judge(

@@ -3,31 +3,49 @@
 //! range assignments.
 //!
 //! ```text
+//!   chunks [0,a) [a,b) [b,c) …  ── homes: rendezvous rank, loads ≤ ⌈chunks/workers⌉
 //!              ┌──── board (one Mutex, one Condvar) ───────────────┐
-//!   reducer ──▶│ queue [0,a) [a,b) [b,c) …   outstanding          │
-//!              │ results                     failures             │
+//!   reducer ──▶│ queue A: [0,a) [b,c)   queue B: [a,b) …   queue C: …│
+//!              │ outstanding   results   failures   alive per worker │
 //!              └──┬─────────────┬──────────────┬───────────────────┘
-//!                 ▼             ▼              ▼   pop; queue empty → wait on the condvar
+//!                 ▼             ▼              ▼   pop own queue; empty → wait on the condvar
 //!           driver thread  driver thread  driver thread   (one per --connect, scoped)
 //!           addr A         addr B         addr C
 //!             │ connect-per-request, deadline = socket timeout
 //!             │ retry × budget with exponential backoff + jitter
 //!             │ frames in → record them, outstanding − 1, notify_all
-//!             │ budget exhausted → push chunk BACK (re-dispatch), notify_all,
-//!             │                    mark worker dead, thread exits
+//!             │ budget exhausted → mark worker dead; its queue and the chunk
+//!             │                    it gave up move, chunk by chunk, to the
+//!             │                    next-ranked live worker (re-dispatch),
+//!             │                    notify_all, thread exits
 //!             ▼
 //!           (chunk id, origin addr, frames) → sorted merge
 //! ```
 //!
+//! Homes: every chunk has one home worker, fixed before any driver starts.
+//! A worker's rank for a chunk is [`fnv1a64`] over the chunk's start and the
+//! worker's address (highest-random-weight, or rendezvous, hashing), and the
+//! chunks, walked in order, each go to the highest-ranked worker still
+//! holding fewer than `⌈chunks / workers⌉`. The homes depend on the chunk
+//! starts and the address set, not on the order of `--connect` nor on which
+//! driver is fastest, so a repeat reduce sends every range where it went
+//! before: an archived worker answers it from the segment states it kept,
+//! and a warm fleet holds each state once. A live worker's chunks are never
+//! taken by an idle driver: on equal workers that only turns a hit into a
+//! miss and a second copy of the state.
+//!
 //! Liveness: a thread holding a chunk either completes it (decrementing
-//! the outstanding count) or dies and re-queues it, and does either under
+//! the outstanding count) or dies and re-homes it, and does either under
 //! the board's lock before waking every waiting thread. A thread that finds
-//! the queue empty while some chunk is outstanding waits on the condvar
-//! until a chunk comes back or the last one completes — never on a timer.
-//! So either every chunk completes, or all threads exit and the chunks left
-//! over surface as a typed [`FleetError::Exhausted`] naming every worker
-//! failure — the driver can stall only while some worker is inside its
-//! bounded retry loop, whose backoff is the only timed wait.
+//! its queue empty while some chunk is outstanding waits on the condvar
+//! until a chunk is re-homed to it or the last one completes — never on a
+//! timer. A live driver exits only when every chunk is done, so a re-homed
+//! chunk always lands on a driver that will pop it; only when no worker is
+//! left does it stay in its dead home's queue. So either every chunk
+//! completes, or all threads exit and the queued chunks surface as a typed
+//! [`FleetError::Exhausted`] naming every worker failure — the driver can
+//! stall only while some worker is inside its bounded retry loop, whose
+//! backoff is the only timed wait.
 //!
 //! Double-delivery is impossible by construction downstream: a re-dispatched
 //! range that somehow also arrived from the original worker would overlap
@@ -41,6 +59,7 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, LazyLock, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use txstat_telemetry::{registry, Counter, Histogram};
+use txstat_types::ids::{fnv1a64, fnv1a64_extend};
 use txstat_types::rng::subseed_n;
 use txstat_wire::fleet::{
     read_assignment, read_response, write_assignment, write_error, write_frames, Assignment,
@@ -54,17 +73,17 @@ use txstat_wire::{PayloadFormat, ShardFrame};
 pub struct FleetConfig {
     /// Worker addresses (`host:port`), one driver thread each.
     pub workers: Vec<String>,
-    /// Number of block-range chunks to tile the sweep into. More chunks
-    /// than workers keeps the fleet load-balanced and makes re-dispatch
-    /// granular. With [`FleetConfig::segment_ends`] set, this is an upper
-    /// bound: there are never more chunks than segments.
+    /// Number of block-range chunks to tile the sweep into. No worker is
+    /// home to more than `⌈chunks / workers⌉` of them, and more chunks than
+    /// workers makes re-dispatch granular. With
+    /// [`FleetConfig::segment_ends`] set, this is an upper bound: there are
+    /// never more chunks than segments.
     pub chunks: usize,
     /// Where each segment of the corpus the workers hold ends, ascending
     /// (`reduce --connect --archive` fills it from the archive it opened).
-    /// Set, every chunk is a run of whole segments ([`tile_segments`]), so
-    /// an archived worker answers it from swept segment state without
-    /// decoding a block. Empty, chunks tile the positions evenly
-    /// ([`tile`]).
+    /// Set, every chunk is a run of whole segments, so an archived worker
+    /// answers it from swept segment state without decoding a block. Empty,
+    /// chunks tile the positions evenly.
     pub segment_ends: Vec<u64>,
     /// Per-request deadline: connect, write, and read each get this long.
     pub timeout: Duration,
@@ -203,7 +222,7 @@ pub fn register_metrics() {
 /// Tile block positions `[0, total)` into `chunks` contiguous ranges (the
 /// last absorbs the remainder). `total == 0` yields one empty chunk so a
 /// degenerate sweep still validates provenance end to end.
-pub fn tile(total: u64, chunks: usize) -> Vec<(u64, u64)> {
+fn tile(total: u64, chunks: usize) -> Vec<(u64, u64)> {
     let chunks = (chunks.max(1) as u64).min(total.max(1));
     let size = total / chunks;
     let mut out = Vec::with_capacity(chunks as usize);
@@ -221,7 +240,7 @@ pub fn tile(total: u64, chunks: usize) -> Vec<(u64, u64)> {
 /// of `c = min(chunks, n)` takes segments `[k·n/c, (k+1)·n/c)`: no chunk
 /// is empty and no segment is split. `total == 0` yields one empty chunk,
 /// like [`tile`].
-pub fn tile_segments(total: u64, chunks: usize, segment_ends: &[u64]) -> Vec<(u64, u64)> {
+fn tile_segments(total: u64, chunks: usize, segment_ends: &[u64]) -> Vec<(u64, u64)> {
     let mut edges = vec![0];
     edges.extend(
         segment_ends
@@ -245,9 +264,40 @@ struct Chunk {
     end: u64,
 }
 
+/// A worker's rendezvous rank for the chunk starting at `start`: the
+/// highest rank among the workers that may take it is the chunk's home.
+fn rank(start: u64, addr: &str) -> u64 {
+    fnv1a64_extend(fnv1a64(&start.to_le_bytes()), addr.as_bytes())
+}
+
+/// The highest-ranked worker for the chunk at `start` among those `open`
+/// admits; `None` when it admits none.
+fn best(start: u64, workers: &[String], open: impl Fn(usize) -> bool) -> Option<usize> {
+    (0..workers.len())
+        .filter(|&w| open(w))
+        .max_by_key(|&w| rank(start, &workers[w]))
+}
+
+/// One queue per worker, index-aligned with `workers`: each range, in
+/// order, becomes the chunk of its highest-ranked worker holding fewer than
+/// `⌈ranges / workers⌉`, so no two loads differ by more than one chunk.
+fn home_queues(ranges: Vec<(u64, u64)>, workers: &[String]) -> Vec<VecDeque<Chunk>> {
+    let cap = ranges.len().div_ceil(workers.len());
+    let mut queues = vec![VecDeque::new(); workers.len()];
+    for (id, (start, end)) in ranges.into_iter().enumerate() {
+        let home = best(start, workers, |w| queues[w].len() < cap)
+            .expect("the loads under the cap hold every chunk");
+        queues[home].push_back(Chunk { id, start, end });
+    }
+    queues
+}
+
 /// Everything the driver threads share, behind one lock.
 struct Board {
-    queue: VecDeque<Chunk>,
+    /// Each worker's queue, index-aligned with `FleetConfig::workers`.
+    queues: Vec<VecDeque<Chunk>>,
+    /// Whether each worker's driver still runs.
+    alive: Vec<bool>,
     /// Chunks not yet completed (queued OR currently held by a thread).
     outstanding: usize,
     results: Vec<(usize, String, Vec<ShardFrame>)>,
@@ -255,24 +305,24 @@ struct Board {
 }
 
 /// The board and the condvar its waiters block on. Every change a waiter
-/// could be waiting for (a completion, a re-dispatch) is made and signalled
-/// under the lock, so no wakeup can fall between a waiter's check and its
-/// wait.
+/// could be waiting for (a completion, a re-homed chunk) is made and
+/// signalled under the lock, so no wakeup can fall between a waiter's check
+/// and its wait.
 struct Shared {
     board: Mutex<Board>,
     changed: Condvar,
 }
 
 impl Shared {
-    /// The next chunk to sweep, waiting while the queue is empty but some
+    /// Worker `w`'s next chunk, waiting while its queue is empty but some
     /// other thread still holds a chunk; `None` once every chunk is done.
-    fn next(&self) -> Option<Chunk> {
+    fn next(&self, w: usize) -> Option<Chunk> {
         let mut board = self.board.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if board.outstanding == 0 {
                 return None;
             }
-            if let Some(chunk) = board.queue.pop_front() {
+            if let Some(chunk) = board.queues[w].pop_front() {
                 return Some(chunk);
             }
             board = self
@@ -289,12 +339,23 @@ impl Shared {
         self.changed.notify_all();
     }
 
-    /// Hand `chunk` back to the survivors; `failure` says which worker gave
-    /// it up and why.
-    fn redispatch(&self, chunk: Chunk, failure: String) {
+    /// Worker `w` gave `chunk` up and dies: its queue and `chunk` move,
+    /// chunk by chunk, to the next-ranked live worker, or stay queued when
+    /// none is left. `failure` says why.
+    fn redispatch(&self, workers: &[String], w: usize, chunk: Chunk, failure: String) {
         let mut board = self.board.lock().unwrap_or_else(PoisonError::into_inner);
-        board.queue.push_back(chunk);
+        board.alive[w] = false;
         board.failures.push(failure);
+        let orphans: Vec<Chunk> = std::iter::once(chunk)
+            .chain(std::mem::take(&mut board.queues[w]))
+            .collect();
+        for chunk in orphans {
+            let heir = best(chunk.start, workers, |v| board.alive[v]);
+            if heir.is_some() {
+                METRICS.redispatch.inc();
+            }
+            board.queues[heir.unwrap_or(w)].push_back(chunk);
+        }
         self.changed.notify_all();
     }
 }
@@ -371,11 +432,12 @@ fn request_with_retry(
 /// every produced frame tagged with the address of the worker that swept
 /// it, in ascending chunk order.
 ///
-/// Each worker address gets one driver thread pulling chunks off a shared
-/// queue. A worker that exhausts its retry budget on a chunk pushes the
-/// chunk back for the survivors (re-dispatch) and is not used again. The
-/// call returns [`FleetError::Exhausted`] — naming every worker's final
-/// error — if the whole fleet dies with work left.
+/// Each chunk has a home worker (see the module docs), and each worker
+/// address gets one driver thread sweeping its homes. A worker that exhausts
+/// its retry budget on a chunk hands that chunk and the rest of its queue to
+/// the survivors (re-dispatch) and is not used again. The call returns
+/// [`FleetError::Exhausted`] — naming every worker's final error — if the
+/// whole fleet dies with work left.
 pub fn reduce_fleet(
     cfg: &FleetConfig,
     total: u64,
@@ -391,24 +453,20 @@ pub fn reduce_fleet(
     } else {
         tile_segments(total, cfg.effective_chunks(), &cfg.segment_ends)
     };
-    let chunks: Vec<Chunk> = ranges
-        .into_iter()
-        .enumerate()
-        .map(|(id, (start, end))| Chunk { id, start, end })
-        .collect();
     let shared = Shared {
         board: Mutex::new(Board {
-            outstanding: chunks.len(),
-            queue: chunks.into(),
+            outstanding: ranges.len(),
+            queues: home_queues(ranges, &cfg.workers),
+            alive: vec![true; cfg.workers.len()],
             results: Vec::new(),
             failures: Vec::new(),
         }),
         changed: Condvar::new(),
     };
     std::thread::scope(|s| {
-        for addr in &cfg.workers {
+        for w in 0..cfg.workers.len() {
             let (shared, meta) = (&shared, &meta);
-            s.spawn(move || worker_loop(cfg, addr, shards, payload, meta, shared));
+            s.spawn(move || worker_loop(cfg, w, shards, payload, meta, shared));
         }
     });
 
@@ -418,7 +476,7 @@ pub fn reduce_fleet(
         .unwrap_or_else(PoisonError::into_inner);
     if board.outstanding > 0 {
         return Err(FleetError::Exhausted {
-            pending: board.queue.len(),
+            pending: board.queues.iter().map(VecDeque::len).sum(),
             failures: board.failures,
         });
     }
@@ -432,13 +490,14 @@ pub fn reduce_fleet(
 
 fn worker_loop(
     cfg: &FleetConfig,
-    addr: &str,
+    w: usize,
     shards: usize,
     payload: PayloadFormat,
     meta: &serde::Value,
     shared: &Shared,
 ) {
-    while let Some(chunk) = shared.next() {
+    let addr = &cfg.workers[w];
+    while let Some(chunk) = shared.next(w) {
         let a = Assignment {
             start: chunk.start,
             end: chunk.end,
@@ -450,9 +509,10 @@ fn worker_loop(
             Ok(frames) => shared.complete(chunk, addr, frames),
             Err(e) => {
                 // Budget spent: hand the chunk to the survivors and die.
-                METRICS.redispatch.inc();
                 METRICS.workers_failed.inc();
                 shared.redispatch(
+                    &cfg.workers,
+                    w,
                     chunk,
                     format!(
                         "worker {addr} gave up on range [{}, {}): {e}",
@@ -562,13 +622,20 @@ mod tests {
         assert!(sleep >= Duration::from_millis(50) && sleep < Duration::from_millis(100));
     }
 
+    /// The ranges an echo worker answered, in arrival order.
+    type Sent = Arc<Mutex<Vec<(u64, u64)>>>;
+
     /// A worker that answers every assignment with one synthetic frame
-    /// echoing its range, until `max_requests` (None = forever-ish).
-    fn spawn_echo_worker(max_requests: Option<u64>) -> String {
+    /// echoing its range, until `max_requests` (None = forever-ish): its
+    /// address, and the ranges it has answered.
+    fn spawn_echo_worker(max_requests: Option<u64>) -> (String, Sent) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
+        let sent = Sent::default();
+        let log = Arc::clone(&sent);
         std::thread::spawn(move || {
             let _ = serve_assignments(&listener, max_requests, Duration::from_secs(2), |a| {
+                log.lock().expect("log").push((a.start, a.end));
                 Ok(vec![ShardFrame::from_columns(
                     "eos",
                     a.start,
@@ -579,7 +646,26 @@ mod tests {
                 )])
             });
         });
+        (addr, sent)
+    }
+
+    /// An address with nothing listening: every connect is refused.
+    fn closed_port() -> String {
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = l.local_addr().expect("addr").to_string();
+        drop(l);
         addr
+    }
+
+    /// Each worker's ranges since the last call, sorted, emptying the logs.
+    fn drain(logs: &[Sent]) -> Vec<Vec<(u64, u64)>> {
+        logs.iter()
+            .map(|log| {
+                let mut ranges = std::mem::take(&mut *log.lock().expect("log"));
+                ranges.sort_unstable();
+                ranges
+            })
+            .collect()
     }
 
     /// A peer that accepts and writes garbage — every exchange against it
@@ -669,7 +755,7 @@ mod tests {
 
     #[test]
     fn healthy_fleet_covers_every_chunk() {
-        let workers = vec![spawn_echo_worker(None), spawn_echo_worker(None)];
+        let workers = vec![spawn_echo_worker(None).0, spawn_echo_worker(None).0];
         let cfg = test_cfg(workers);
         let frames =
             reduce_fleet(&cfg, 120, 2, PayloadFormat::Bin, json!({"t": 1})).expect("fleet ok");
@@ -681,13 +767,8 @@ mod tests {
     fn dead_worker_redispatches_to_the_survivor() {
         // One real worker, one address with nothing listening: every chunk
         // the dead address claims comes back and the survivor sweeps it.
-        let dead = {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-            let addr = l.local_addr().expect("addr").to_string();
-            drop(l); // port is now closed — connects are refused
-            addr
-        };
-        let cfg = test_cfg(vec![spawn_echo_worker(None), dead.clone()]);
+        let dead = closed_port();
+        let cfg = test_cfg(vec![spawn_echo_worker(None).0, dead.clone()]);
         let frames =
             reduce_fleet(&cfg, 90, 1, PayloadFormat::Bin, json!({"t": 2})).expect("fleet ok");
         assert_covers_all(&frames, 90);
@@ -701,15 +782,117 @@ mod tests {
     fn worker_killed_mid_run_is_survivable() {
         // The first worker answers exactly one request, then exits — the
         // fleet must still cover everything through the second.
-        let cfg = test_cfg(vec![spawn_echo_worker(Some(1)), spawn_echo_worker(None)]);
+        let cfg = test_cfg(vec![
+            spawn_echo_worker(Some(1)).0,
+            spawn_echo_worker(None).0,
+        ]);
         let frames =
             reduce_fleet(&cfg, 60, 1, PayloadFormat::Bin, json!({"t": 3})).expect("fleet ok");
         assert_covers_all(&frames, 60);
     }
 
+    /// Three logged workers and a config over them, tiling 120 positions
+    /// into 12 chunks.
+    fn logged_fleet() -> (FleetConfig, Vec<Sent>) {
+        let (addrs, logs) = (0..3).map(|_| spawn_echo_worker(None)).unzip();
+        let mut cfg = test_cfg(addrs);
+        cfg.chunks = 12;
+        (cfg, logs)
+    }
+
+    fn reduce(cfg: &FleetConfig) -> Vec<(String, ShardFrame)> {
+        let frames =
+            reduce_fleet(cfg, 120, 1, PayloadFormat::Bin, json!({"t": 8})).expect("fleet ok");
+        assert_covers_all(&frames, 120);
+        frames
+    }
+
+    #[test]
+    fn every_range_goes_home_on_every_reduce() {
+        let (cfg, logs) = logged_fleet();
+        reduce(&cfg);
+        let first = drain(&logs);
+        assert_eq!(first.iter().map(Vec::len).sum::<usize>(), 12, "{first:?}");
+        for _ in 0..2 {
+            reduce(&cfg);
+            assert_eq!(drain(&logs), first, "a range changed worker");
+        }
+    }
+
+    #[test]
+    fn reversing_the_workers_moves_no_home() {
+        let (mut cfg, logs) = logged_fleet();
+        reduce(&cfg);
+        let homes = drain(&logs);
+        cfg.workers.reverse();
+        reduce(&cfg);
+        assert_eq!(drain(&logs), homes);
+    }
+
+    #[test]
+    fn no_worker_is_home_to_more_than_its_share() {
+        for workers in 1..=5 {
+            let addrs: Vec<String> = (0..workers).map(|w| format!("10.0.0.{w}:7000")).collect();
+            for chunks in [1, 2, 3, 5, 8, 13, 104] {
+                let ranges = tile(1_000, chunks);
+                let n = ranges.len();
+                let queues = home_queues(ranges, &addrs);
+                let loads: Vec<usize> = queues.iter().map(VecDeque::len).collect();
+                assert_eq!(loads.iter().sum::<usize>(), n, "{loads:?}");
+                assert!(
+                    loads.iter().all(|&l| l <= n.div_ceil(workers)),
+                    "{workers} workers, {n} chunks: {loads:?}"
+                );
+            }
+        }
+        let (cfg, logs) = logged_fleet();
+        reduce(&cfg);
+        assert!(drain(&logs).iter().all(|sent| sent.len() <= 4));
+    }
+
+    /// A dead home's chunks go to its next-ranked live worker, the same
+    /// one on every reduce, and each range is swept once.
+    #[test]
+    fn a_dead_homes_chunks_go_to_its_next_ranked_survivor() {
+        let ((b, sent_b), (c, sent_c)) = (spawn_echo_worker(None), spawn_echo_worker(None));
+        let logs = [sent_b, sent_c];
+        let mut cfg = test_cfg(vec![closed_port(), b, c]);
+        cfg.chunks = 12;
+        // Worker 0's homes after the first `served`, each checked to have
+        // been swept by the survivor ranked next for it.
+        let assert_heirs = |cfg: &FleetConfig, served: usize, survivors: &[Vec<(u64, u64)>]| {
+            let homes = home_queues(tile(120, 12), &cfg.workers);
+            assert!(homes[0].len() > served, "worker 0 must lose a home");
+            for chunk in homes[0].iter().skip(served) {
+                let heir = best(chunk.start, &cfg.workers, |w| w > 0).expect("a survivor");
+                let range = (chunk.start, chunk.end);
+                assert!(
+                    survivors[heir - 1].contains(&range),
+                    "{range:?} missed its heir"
+                );
+            }
+        };
+        reduce(&cfg);
+        let first = drain(&logs);
+        assert_eq!(first.iter().map(Vec::len).sum::<usize>(), 12, "{first:?}");
+        assert_heirs(&cfg, 0, &first);
+        reduce(&cfg);
+        assert_eq!(drain(&logs), first);
+
+        // A home that dies after serving one chunk: the survivors sweep the
+        // rest of its homes.
+        let (a, sent_a) = spawn_echo_worker(Some(1));
+        cfg.workers[0] = a;
+        reduce(&cfg);
+        assert_eq!(drain(&[sent_a])[0].len(), 1);
+        let survivors = drain(&logs);
+        assert_eq!(survivors.iter().map(Vec::len).sum::<usize>(), 11);
+        assert_heirs(&cfg, 1, &survivors);
+    }
+
     #[test]
     fn garbage_peer_is_typed_and_survivable() {
-        let cfg = test_cfg(vec![spawn_garbage_peer(None), spawn_echo_worker(None)]);
+        let cfg = test_cfg(vec![spawn_garbage_peer(None), spawn_echo_worker(None).0]);
         let frames =
             reduce_fleet(&cfg, 40, 1, PayloadFormat::Bin, json!({"t": 4})).expect("fleet ok");
         assert_covers_all(&frames, 40);
@@ -722,7 +905,7 @@ mod tests {
         // other one; it must be woken when that chunk comes back, not left
         // waiting for a completion that will never come.
         let slow = spawn_garbage_peer(Some(Duration::from_millis(100)));
-        let mut cfg = test_cfg(vec![spawn_echo_worker(None), slow.clone()]);
+        let mut cfg = test_cfg(vec![spawn_echo_worker(None).0, slow.clone()]);
         cfg.chunks = 2;
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
@@ -777,12 +960,7 @@ mod tests {
 
     #[test]
     fn fleet_of_the_dead_exhausts_with_provenance() {
-        let dead = {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-            let addr = l.local_addr().expect("addr").to_string();
-            drop(l);
-            addr
-        };
+        let dead = closed_port();
         let mut cfg = test_cfg(vec![dead.clone()]);
         cfg.chunks = 2;
         let err = reduce_fleet(&cfg, 40, 1, PayloadFormat::Bin, json!({"t": 5}))

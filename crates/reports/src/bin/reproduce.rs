@@ -212,9 +212,10 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "reduce",
         about: "validate + merge shard frames and render the full report, from frame \
-                files or by driving the --connect ADDR,ADDR,... socket workers; with \
-                --archive, the --chunks follow its segment boundaries (never more chunks \
-                than segments; 0: three per worker)",
+                files or by driving the --connect ADDR,ADDR,... socket workers, each chunk \
+                sent to the same home worker on every run (a dead home's chunks go to \
+                the survivors); with --archive, the --chunks follow its segment \
+                boundaries (never more chunks than segments; 0: three per worker)",
         synopsis: &[
             Flag("--connect", "ADDRS", Text),
             Switch("--small"),

@@ -1339,6 +1339,88 @@ fn archived_cold_start_fleet_matches_the_one_shot_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every chunk of an archived fleet has a home worker: killed after the
+/// first reduce, a home's chunks go to the survivor, which sweeps each of
+/// its segments once over the two reduces, and both reports are
+/// byte-identical to `report --archive`.
+#[test]
+fn a_killed_home_leaves_its_chunks_to_the_survivor() {
+    let dir = tempdir("homes");
+    let run = |args: &[&str]| {
+        let out = reproduce(&dir, args);
+        assert!(
+            out.status.success(),
+            "`reproduce {}` failed: {}",
+            args.join(" "),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    run(&[
+        "archive",
+        "--small",
+        "--seed",
+        "7",
+        "--out",
+        "corpus",
+        "--segment-blocks",
+        "100",
+    ]);
+    run(&["report", "--archive", "corpus", "--out", "archived.txt"]);
+    let worker = |extra: &[&str]| {
+        let mut args = vec![
+            "shard",
+            "--listen",
+            "127.0.0.1:0",
+            "--timeout-ms",
+            "2000",
+            "--archive",
+            "corpus",
+        ];
+        args.extend_from_slice(extra);
+        spawn_server(&dir, &args, "shard worker on")
+    };
+    // Four chunks over two workers: two homes each. The survivor's budget
+    // is its two homes of the first reduce and all four of the second, so
+    // it exits after them and dumps its metrics.
+    let doomed = worker(&[]);
+    let mut survivor = worker(&["--max-requests", "6", "--metrics-out", "survivor.prom"]);
+    let connect = format!("{},{}", doomed.addr, survivor.addr);
+    let reduce = |out: &str| {
+        run(&[
+            "reduce",
+            "--connect",
+            &connect,
+            "--archive",
+            "corpus",
+            "--chunks",
+            "4",
+            "--timeout-ms",
+            "4000",
+            "--retries",
+            "1",
+            "--backoff-ms",
+            "5",
+            "--out",
+            out,
+        ]);
+        assert_eq!(read(&dir, "archived.txt"), read(&dir, out), "{out}");
+    };
+    reduce("fleet-1.txt");
+    drop(doomed);
+    reduce("fleet-2.txt");
+    let status = survivor.child.wait().expect("survivor exit");
+    assert!(status.success(), "the survivor should spend its budget");
+    // 28 segments: the survivor swept its own homes in the first reduce
+    // and the dead home's in the second, each segment once, and merged its
+    // own homes' states again in the second.
+    let counter = |name: &str| metric(&dir, "survivor.prom", name);
+    assert_eq!(counter("txstat_fleet_served_total"), 6);
+    assert_eq!(counter("txstat_archive_cache_misses_total"), 28);
+    let hits = counter("txstat_archive_cache_hits_total");
+    assert!(0 < hits && hits < 28, "{hits} hits");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A memo that cannot be written costs a warning, never the report: a
 /// non-empty directory squatting on `archive.memo` fails both the read and
 /// the rename (root ignores permission bits, so chmod would prove nothing).

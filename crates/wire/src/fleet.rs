@@ -60,6 +60,12 @@ pub const MAX_SHARDS: usize = 64;
 /// bundle; each inner frame is additionally capped by the frame decoder).
 pub(crate) const MAX_BUNDLE_LEN: usize = 1 << 29; // 512 MiB
 
+/// Longest worker error message a reducer keeps, in bytes, after its
+/// control characters are escaped; a longer one is cut and marked with `…`.
+/// The error body itself may be as long as a frame bundle, and the message
+/// ends up in the reducer's error output.
+pub const MAX_REMOTE_MESSAGE: usize = 1 << 10;
+
 /// Typed fleet-protocol failures. From the reducer's point of view every
 /// variant is retryable (reconnect, backoff, possibly re-dispatch); none
 /// of them can panic or over-allocate.
@@ -81,7 +87,8 @@ pub enum ProtocolError {
     HashMismatch { expected: u64, found: u64 },
     /// The body bytes are not a valid assignment / error message.
     Body(String),
-    /// The worker answered with a typed error of its own.
+    /// The worker answered with a typed error of its own: its message,
+    /// control characters escaped and cut to [`MAX_REMOTE_MESSAGE`] bytes.
     Remote(String),
     /// The frame bundle failed frame-level decoding.
     Frame(WireError),
@@ -274,6 +281,40 @@ pub fn write_error(w: &mut dyn Write, msg: &str) -> Result<(), ProtocolError> {
     write_response(w, 1, msg.as_bytes())
 }
 
+/// A worker's error body as the message a reducer keeps: lossy UTF-8 with
+/// every control character escaped (`\n`, `\u{1b}`), cut at a character
+/// boundary to at most [`MAX_REMOTE_MESSAGE`] bytes, `…` included.
+fn remote_message(body: &[u8]) -> String {
+    const CUT: &str = "…";
+    let mut out = String::new();
+    // The longest prefix so far that leaves room for the cut mark.
+    let mut keep = 0;
+    // A char takes at most 4 body bytes and at least 1 message byte, so
+    // this prefix already holds more chars than the message can keep.
+    let head = &body[..body.len().min(4 * (MAX_REMOTE_MESSAGE + 1))];
+    for c in String::from_utf8_lossy(head).chars() {
+        let width = if c.is_control() {
+            c.escape_default().len()
+        } else {
+            c.len_utf8()
+        };
+        if out.len() + width > MAX_REMOTE_MESSAGE {
+            out.truncate(keep);
+            out.push_str(CUT);
+            break;
+        }
+        if c.is_control() {
+            out.extend(c.escape_default());
+        } else {
+            out.push(c);
+        }
+        if out.len() + CUT.len() <= MAX_REMOTE_MESSAGE {
+            keep = out.len();
+        }
+    }
+    out
+}
+
 /// Read one response (the reducer side): a decoded frame bundle on
 /// success, [`ProtocolError::Remote`] when the worker reported a failure.
 pub fn read_response(r: &mut dyn Read) -> Result<Vec<ShardFrame>, ProtocolError> {
@@ -297,9 +338,7 @@ pub fn read_response(r: &mut dyn Read) -> Result<Vec<ShardFrame>, ProtocolError>
     let body = read_capped_body(r, "response body", MAX_BUNDLE_LEN)?;
     match status {
         0 => Ok(decode_all(&body)?),
-        1 => Err(ProtocolError::Remote(
-            String::from_utf8_lossy(&body).into_owned(),
-        )),
+        1 => Err(ProtocolError::Remote(remote_message(&body))),
         other => Err(ProtocolError::Body(format!(
             "unknown response status {other}"
         ))),
@@ -355,6 +394,45 @@ mod tests {
             read_response(&mut buf.as_slice()),
             Err(ProtocolError::Remote("meta mismatch".to_owned()))
         );
+    }
+
+    /// A worker's error keeps at most `MAX_REMOTE_MESSAGE` bytes, with its
+    /// control characters escaped; a message that fits is kept whole.
+    #[test]
+    fn remote_messages_are_escaped_and_capped() {
+        let remote = |msg: &[u8]| {
+            let mut buf = Vec::new();
+            write_response(&mut buf, 1, msg).expect("writes");
+            match read_response(&mut buf.as_slice()) {
+                Err(ProtocolError::Remote(m)) => m,
+                other => panic!("expected Remote, got {other:?}"),
+            }
+        };
+        assert_eq!(
+            remote(b"bad\n\x1b[2Jmeta\x7f"),
+            "bad\\n\\u{1b}[2Jmeta\\u{7f}"
+        );
+        let fits = "é".repeat(MAX_REMOTE_MESSAGE / 2);
+        assert_eq!(remote(fits.as_bytes()), fits);
+        for long in [
+            vec![b'x'; MAX_REMOTE_MESSAGE + 1],
+            "é".repeat(MAX_REMOTE_MESSAGE).into_bytes(),
+            vec![b'\n'; MAX_REMOTE_MESSAGE],
+            vec![0xff; 1 << 20],
+        ] {
+            let m = remote(&long);
+            assert!(
+                m.len() <= MAX_REMOTE_MESSAGE && m.ends_with('…'),
+                "{}",
+                m.len()
+            );
+            assert!(
+                m.len() > MAX_REMOTE_MESSAGE - 8,
+                "cut too short: {}",
+                m.len()
+            );
+            assert!(!m.chars().any(char::is_control));
+        }
     }
 
     #[test]

@@ -120,7 +120,9 @@ fn table(idx_dir: &Path) -> Vec<Row<'_>> {
     // a strict prefix is a typed `Io` error. Each is also walked with a
     // length of 64 MiB and a few bytes after it: a body is reserved as it
     // arrives, never as it is declared. A request re-encodes to a fixpoint;
-    // a response can only be the frames it was.
+    // a response can only be the frames it was, or a worker error (a flipped
+    // status byte) whose message is escaped and capped, however long the
+    // body.
     let request = Assignment {
         start: 300,
         end: 600,
@@ -151,6 +153,9 @@ fn table(idx_dir: &Path) -> Vec<Row<'_>> {
     let verdict =
         move |m: Option<&Mutation>, _: &[u8], r: Result<Vec<ShardFrame>, ProtocolError>| match r {
             Ok(got) => got == frames,
+            Err(ProtocolError::Remote(msg)) => {
+                !cut(m) && msg.len() <= fleet::MAX_REMOTE_MESSAGE && !msg.contains(char::is_control)
+            }
             Err(e) => !cut(m) || matches!(e, ProtocolError::Io(_)),
         };
     let read = |mut bytes: &[u8]| fleet::read_response(&mut bytes);

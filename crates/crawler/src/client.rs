@@ -1,16 +1,17 @@
 //! The client side of the substrate: one [`exchange`] (connect, write,
-//! read, under a timeout) over either [`Framing`], and one
+//! read, under one deadline) over either [`Framing`], and one
 //! retry-rotate-backoff loop around it. Only what a reply *means* — throttled,
 //! fatal, accepted — is per protocol (`http_with_retries`,
 //! `ndjson_with_retries`).
 
 use crate::pool::RotatingPool;
 use serde_json::Value;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::io::{BufReader, ErrorKind};
+use std::net::SocketAddr;
+use std::time::Duration;
 use txstat_netsim::framing::{Framing, Http, Ndjson};
 use txstat_netsim::http::{HttpRequest, HttpResponse};
+use txstat_netsim::Timed;
 
 /// Crawl-level errors.
 #[derive(Debug)]
@@ -69,26 +70,25 @@ impl Default for ClientConfig {
 
 /// One request/reply on a fresh connection to `addr`; the reply comes with
 /// its wire size. Every caller makes one call per connection, so there is
-/// no connection to keep. The connect and every read and write wait at most
-/// `timeout`, and an exchange that took longer than `timeout` in all is a
-/// [`CrawlError::Timeout`] whatever it returned.
+/// no connection to keep. The connect, the write and the read share one
+/// deadline, `timeout` from the call: running out of it anywhere, however
+/// the peer paces its bytes, is a [`CrawlError::Timeout`].
 pub fn exchange<F: Framing>(
     addr: SocketAddr,
     request: &F::Request,
     timeout: Duration,
 ) -> Result<(F::Reply, usize), CrawlError> {
-    let started = Instant::now();
-    let result = (|| {
-        let sock = TcpStream::connect_timeout(&addr, timeout)?;
-        sock.set_nodelay(true)?;
-        sock.set_read_timeout(Some(timeout))?;
-        sock.set_write_timeout(Some(timeout))?;
-        F::call(&mut BufReader::new(sock), request).map_err(|e| CrawlError::Protocol(e.to_string()))
-    })();
-    if started.elapsed() > timeout {
-        return Err(CrawlError::Timeout);
-    }
-    result
+    let mut conn = BufReader::new(Timed::connect(addr, timeout).map_err(|e| match e.kind() {
+        ErrorKind::TimedOut => CrawlError::Timeout,
+        _ => CrawlError::Io(e),
+    })?);
+    F::call(&mut conn, request).map_err(|e| {
+        if conn.get_ref().expired() {
+            CrawlError::Timeout
+        } else {
+            CrawlError::Protocol(e.to_string())
+        }
+    })
 }
 
 /// What a reply that did arrive means to the retry loop.

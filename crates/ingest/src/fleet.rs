@@ -11,7 +11,8 @@
 //!                 ▼             ▼              ▼   pop own queue; empty → wait on the condvar
 //!           driver thread  driver thread  driver thread   (one per --connect, scoped)
 //!           addr A         addr B         addr C
-//!             │ connect-per-request, deadline = socket timeout
+//!             │ connect-per-request: connect + assignment under one deadline,
+//!             │ the reply (the worker's sweep included) under a second
 //!             │ retry × budget with exponential backoff + jitter
 //!             │ frames in → record them, outstanding − 1, notify_all
 //!             │ budget exhausted → mark worker dead; its queue and the chunk
@@ -55,9 +56,10 @@
 //! [`ShardWorker`]: crate::reduce::ShardWorker
 
 use std::collections::VecDeque;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Condvar, LazyLock, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+use txstat_netsim::Timed;
 use txstat_telemetry::{registry, Counter, Histogram};
 use txstat_types::ids::{fnv1a64, fnv1a64_extend};
 use txstat_types::rng::subseed_n;
@@ -85,7 +87,9 @@ pub struct FleetConfig {
     /// answers it from swept segment state without decoding a block. Empty,
     /// chunks tile the positions evenly.
     pub segment_ends: Vec<u64>,
-    /// Per-request deadline: connect, write, and read each get this long.
+    /// Per-request deadlines: the connect and the assignment write share
+    /// one of this length, and reading the reply (the worker's sweep
+    /// included) gets another.
     pub timeout: Duration,
     /// Consecutive failed attempts a worker may burn on one chunk before
     /// the chunk is re-dispatched and the worker is declared dead.
@@ -360,8 +364,9 @@ impl Shared {
     }
 }
 
-/// One connect/request/response exchange against `addr` with `timeout`
-/// applied to the connect, the write, and the read independently.
+/// One connect/request/response exchange against `addr` in two stages of
+/// `timeout` each: the connect and the assignment write, then the reply,
+/// which includes the worker's sweep.
 pub(crate) fn request_frames(
     addr: &str,
     a: &Assignment,
@@ -373,14 +378,9 @@ pub(crate) fn request_frames(
         .map_err(|e| io("resolve", e))?
         .next()
         .ok_or_else(|| ProtocolError::Io(format!("{addr}: resolves to no address")))?;
-    let mut stream = TcpStream::connect_timeout(&sa, timeout).map_err(|e| io("connect", e))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| io("set read timeout", e))?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| io("set write timeout", e))?;
+    let mut stream = Timed::connect(sa, timeout).map_err(|e| io("connect", e))?;
     write_assignment(&mut stream, a)?;
+    stream.restart(timeout);
     read_response(&mut stream)
 }
 
@@ -530,10 +530,14 @@ fn worker_loop(
 /// successfully (the deterministic way to kill a worker mid-reduction in
 /// tests and CI). Returns the number of assignments served.
 ///
-/// Malformed requests get a best-effort error response and do not count;
-/// handler failures are shipped back as typed remote errors. A zero
-/// `timeout` is refused with [`std::io::ErrorKind::InvalidInput`] before
-/// anything is accepted: sockets take it as "no deadline".
+/// Reading an assignment and writing its reply are a stage of `timeout`
+/// each, so a client that trickles its assignment is cut at `timeout` and
+/// the next connection is served. A connection whose socket cannot be set
+/// up is dropped unserved. Malformed requests get a best-effort error
+/// response and do not count; handler failures are shipped back as typed
+/// remote errors. A zero `timeout` is refused with
+/// [`std::io::ErrorKind::InvalidInput`] before anything is accepted: every
+/// stage would be spent before its first byte.
 pub fn serve_assignments(
     listener: &TcpListener,
     max_requests: Option<u64>,
@@ -548,9 +552,10 @@ pub fn serve_assignments(
     }
     let mut served = 0u64;
     while max_requests.is_none_or(|m| served < m) {
-        let (mut stream, _) = listener.accept()?;
-        let _ = stream.set_read_timeout(Some(timeout));
-        let _ = stream.set_write_timeout(Some(timeout));
+        let (sock, _) = listener.accept()?;
+        let Ok(mut stream) = Timed::new(sock, timeout) else {
+            continue;
+        };
         let a = match read_assignment(&mut stream) {
             Ok(a) => a,
             Err(e) => {
@@ -558,7 +563,9 @@ pub fn serve_assignments(
                 continue;
             }
         };
-        match handler(&a) {
+        let reply = handler(&a);
+        stream.restart(timeout);
+        match reply {
             Ok(frames) => {
                 if write_frames(&mut stream, &frames).is_ok() {
                     served += 1;
@@ -928,6 +935,79 @@ mod tests {
         );
     }
 
+    /// A client that sends its assignment a byte every 200 ms holds the
+    /// worker for one 300 ms stage, not for the 15 s its trickle lasts: it
+    /// is cut, and the client queued behind it is answered.
+    #[test]
+    fn a_trickling_client_is_cut_at_the_timeout_and_the_next_served() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let a = Assignment {
+            start: 0,
+            end: 4,
+            shards: 1,
+            payload: PayloadFormat::Bin,
+            meta: json!({"t": 9}),
+        };
+        let (served_tx, served) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = served_tx.send(serve_assignments(
+                &listener,
+                Some(1),
+                Duration::from_millis(300),
+                |a| {
+                    Ok(vec![ShardFrame::from_columns(
+                        "eos",
+                        a.start,
+                        a.end,
+                        0,
+                        a.meta.clone(),
+                        vec![],
+                    )])
+                },
+            ));
+        });
+        let mut bytes = Vec::new();
+        write_assignment(&mut bytes, &a).expect("encode");
+        let mut trickler = std::net::TcpStream::connect(addr).expect("connect");
+        std::thread::spawn(move || {
+            for byte in bytes {
+                if trickler.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        });
+        // Queued behind the trickler, which connected first.
+        let started = Instant::now();
+        let (reply_tx, reply) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = reply_tx.send(request_frames(
+                &addr.to_string(),
+                &a,
+                Duration::from_secs(5),
+            ));
+        });
+        let frames = reply
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the good client waited behind the trickler for 10 s")
+            .expect("the good client is answered");
+        let took = started.elapsed();
+        assert_eq!((frames[0].header.start, frames[0].header.end), (0, 4));
+        assert!(
+            took < Duration::from_millis(1_500),
+            "answered after {took:?}"
+        );
+        let served = served
+            .recv_timeout(Duration::from_secs(5))
+            .expect("worker returned");
+        assert_eq!(
+            served.expect("accept loop"),
+            1,
+            "the trickler was never served"
+        );
+    }
+
     #[test]
     fn serve_assignments_refuses_a_zero_timeout() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -954,7 +1034,7 @@ mod tests {
         });
         drop(listener);
         let _ = client.join();
-        let err = served.expect_err("a zero timeout means no deadline at all");
+        let err = served.expect_err("a zero timeout can serve nothing");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 

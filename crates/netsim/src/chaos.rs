@@ -146,10 +146,12 @@ pub struct ChaosHandle {
 }
 
 impl ChaosHandle {
-    /// Stop accepting new connections and join the accept loop. In-flight
+    /// Stop accepting new connections and join the accept loop, which one
+    /// connection of our own wakes from its blocking accept. In-flight
     /// relays finish on their own.
     pub fn stop(self) {
         self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
         let _ = self.accept_thread.join();
     }
 }
@@ -186,7 +188,6 @@ pub fn spawn_chaos_proxy(
         ));
     }
     let listener = TcpListener::bind(listen)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(ChaosStats::new());
@@ -195,18 +196,13 @@ pub fn spawn_chaos_proxy(
         let stats = Arc::clone(&stats);
         std::thread::spawn(move || {
             let mut conn_index = 0u64;
-            while !stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((client, _)) => {
-                        stats.connections.inc();
-                        relay(client, &upstream, &profile, conn_index, &stats);
-                        conn_index += 1;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
+            while let Ok((client, _)) = listener.accept() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
                 }
+                stats.connections.inc();
+                relay(client, &upstream, &profile, conn_index, &stats);
+                conn_index += 1;
             }
         })
     };
@@ -227,7 +223,6 @@ fn relay(
     conn_index: u64,
     stats: &Arc<ChaosStats>,
 ) {
-    let _ = client.set_nonblocking(false);
     let Ok(server) = TcpStream::connect(upstream) else {
         // Upstream down: the client sees an immediate close — exactly the
         // reset failure mode the reducer must survive.

@@ -3,30 +3,18 @@
 //! connection loop ([`crate::server`]) and the crawler's `exchange` are each
 //! written once and pick a framing by type.
 
+use crate::deadline::Timed;
 use crate::http::{self, HttpError, HttpRequest, HttpResponse};
 use crate::ndjson::{self, NdjsonError};
 use serde_json::{json, Value};
 use std::io::BufReader;
-use std::net::TcpStream;
-use std::time::Duration;
 
 /// One connection: reads go through the buffer, and every message is
-/// written whole, with one `write_all` on the socket underneath
-/// (`get_mut`), so no message leaves in pieces.
-pub type Conn = BufReader<TcpStream>;
-
-/// How long a read on a server-side or load-generator connection waits
-/// for a silent peer before the connection fails.
-const SOCKET_READ_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Buffer `sock` as a [`Conn`]: Nagle off (each message is one write, so
-/// nothing waits to coalesce), and a read fails after
-/// [`SOCKET_READ_TIMEOUT`].
-pub(crate) fn conn(sock: TcpStream) -> std::io::Result<Conn> {
-    sock.set_nodelay(true)?;
-    sock.set_read_timeout(Some(SOCKET_READ_TIMEOUT))?;
-    Ok(BufReader::new(sock))
-}
+/// written whole, with one `write_all` on the [`Timed`] socket underneath
+/// (`get_mut`), so no message leaves in pieces. Each stage of it (a
+/// request read, a reply write, a client's whole call) is given its limit
+/// by whoever drives it, through [`Timed::restart`].
+pub type Conn = BufReader<Timed>;
 
 /// How requests and replies cross a [`Conn`]. The `usize` beside a message
 /// is its wire size, for byte accounting.
@@ -128,17 +116,19 @@ impl Framing for Ndjson {
     }
 }
 
-/// A client connection to `addr`.
+/// A client connection to `addr`, with a 60 s stage.
 #[cfg(test)]
 pub(crate) fn connect(addr: std::net::SocketAddr) -> Conn {
-    conn(TcpStream::connect(addr).unwrap()).unwrap()
+    BufReader::new(Timed::connect(addr, std::time::Duration::from_secs(60)).unwrap())
 }
 
-/// A connected loopback pair: (client side, server side).
+/// A connected loopback pair: (client side, server side), each with a
+/// 60 s stage.
 #[cfg(test)]
 pub(crate) fn loopback_pair() -> (Conn, Conn) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let client = connect(listener.local_addr().unwrap());
     let (server, _) = listener.accept().unwrap();
-    (client, conn(server).unwrap())
+    let server = Timed::new(server, std::time::Duration::from_secs(60)).unwrap();
+    (client, BufReader::new(server))
 }

@@ -12,6 +12,9 @@
 //!   websocket (request/response semantics preserved).
 //! - [`framing`] — those two framings behind one trait, the type
 //!   parameter of the server's connection loop and the crawler's exchange.
+//! - [`deadline`] — [`Timed`], the one socket type with a deadline: every
+//!   connection of the substrate, the crawler and the shard fleet reads
+//!   and writes through it.
 //! - [`endpoint`] — per-endpoint behaviour: latency + jitter, token-bucket
 //!   rate limiting (HTTP 429 / `slowDown`), fault injection.
 //! - [`server`] — the one connection loop (an accept thread, a thread per
@@ -30,6 +33,7 @@
 //!   rejection over a live transport.
 
 pub mod chaos;
+pub mod deadline;
 pub mod endpoint;
 pub mod framing;
 pub mod handlers;
@@ -39,6 +43,7 @@ pub mod serve;
 pub mod server;
 
 pub use chaos::{spawn_chaos_proxy, ChaosHandle, ChaosProfile, ChaosStats};
+pub use deadline::Timed;
 pub use endpoint::{EndpointProfile, EndpointStats};
 pub use framing::{Framing, Http, Ndjson};
 pub use handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};

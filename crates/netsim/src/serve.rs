@@ -10,11 +10,13 @@
 //! latency/shed accounting ([`EndpointStats::shed`],
 //! [`EndpointStats::latency`]) so overload decisions are observable.
 
+use crate::deadline::Timed;
 use crate::endpoint::{EndpointStats, TokenBucket};
-use crate::framing::{conn, Http};
-use crate::http::{read_response, write_request, HttpRequest, HttpResponse};
-use crate::server::{serve_connections, Gatekeeper};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use crate::framing::{Framing, Http};
+use crate::http::{HttpRequest, HttpResponse};
+use crate::server::{serve_connections, Gatekeeper, STAGE_LIMIT};
+use std::io::BufReader;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use txstat_telemetry::{Gauge, MetricKind, Registry, Sample, SampleValue};
@@ -311,14 +313,15 @@ impl LoadReport {
 /// Run the plan against `addr`, one thread per connection. Each
 /// connection records per-request round-trip latency; the report merges
 /// and sorts every sample, so the quantiles are exact (not histogram
-/// edges).
+/// edges). The connect and each request's round trip get a 60 s
+/// deadline apiece.
 pub fn run_load(addr: SocketAddr, plan: &LoadPlan) -> LoadReport {
     let started = Instant::now();
     let client = |conn_idx: usize| {
         let n = plan.requests_per_conn;
         let mut latencies_us: Vec<u64> = Vec::with_capacity(n);
         let (mut ok, mut shed, mut errors, mut sent) = (0u64, 0u64, 0u64, 0u64);
-        let Ok(mut stream) = TcpStream::connect(addr).and_then(conn) else {
+        let Ok(mut stream) = Timed::connect(addr, STAGE_LIMIT).map(BufReader::new) else {
             return (latencies_us, ok, shed, n as u64, 0);
         };
         for i in 0..n {
@@ -326,12 +329,9 @@ pub fn run_load(addr: SocketAddr, plan: &LoadPlan) -> LoadReport {
             let req = HttpRequest::get(path);
             sent += 1;
             let t0 = Instant::now();
-            if write_request(stream.get_mut(), &req).is_err() {
-                errors += 1;
-                break;
-            }
-            match read_response(&mut stream) {
-                Ok(resp) => {
+            stream.get_mut().restart(STAGE_LIMIT);
+            match Http::call(&mut stream, &req) {
+                Ok((resp, _)) => {
                     latencies_us.push(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
                     if resp.status == 429 {
                         shed += 1;
@@ -381,6 +381,7 @@ pub fn run_load(addr: SocketAddr, plan: &LoadPlan) -> LoadReport {
 mod tests {
     use super::*;
     use crate::framing::connect;
+    use crate::http::{read_response, write_request};
 
     struct Hello;
     impl HttpHandler for Hello {
@@ -428,10 +429,7 @@ mod tests {
         };
         let h = start_query_server(Arc::new(handler), QueryServerConfig::default()).unwrap();
         let mut stream = connect(h.addr);
-        stream
-            .get_ref()
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
+        stream.get_mut().restart(Duration::from_secs(5));
         write_request(stream.get_mut(), &HttpRequest::get("/exhibit/x")).unwrap();
         let reply = read_response(&mut stream).expect("the hook ran before the reply was written");
         assert_eq!(reply.status, 200);

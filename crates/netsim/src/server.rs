@@ -11,15 +11,26 @@
 //! the gatekeeper also hears when the connection is done with a reply.
 //! [`spawn_http`] / [`spawn_ndjson`] gate through `EndpointSim::gate` and
 //! its artificial delay; [`crate::serve::start_query_server`] through its
-//! admission bucket. Deadlines, a connection cap or per-stage spans have
-//! this one loop to go into.
+//! admission bucket. Every connection is a [`Timed`] socket with one
+//! 60 s deadline per stage: waiting for and reading a whole
+//! request, then writing its reply (or refusal). A peer that trickles its
+//! bytes is cut when the stage ends, not when it stops sending. A
+//! connection cap or per-stage spans have this one loop to go into.
 
+use crate::deadline::Timed;
 use crate::endpoint::{EndpointProfile, EndpointSim, EndpointStats, Gate};
-use crate::framing::{conn, Framing, Http, Ndjson};
+use crate::framing::{Framing, Http, Ndjson};
 use crate::http::{HttpRequest, HttpResponse};
 use serde_json::Value;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// The deadline of one stage of a server-side or load-generator
+/// connection: a request read (the keep-alive wait for it included) or a
+/// reply write.
+pub(crate) const STAGE_LIMIT: Duration = Duration::from_secs(60);
 
 /// An HTTP request handler (sync — chain lookups are in-memory).
 pub trait HttpHandler: Send + Sync + 'static {
@@ -65,15 +76,21 @@ pub(crate) fn serve_connections<F: Framing, G: Gatekeeper<F>>(
     });
 }
 
-/// One connection's keep-alive loop.
+/// One connection's keep-alive loop. A socket that cannot be set up is
+/// dropped unserved.
 fn serve_connection<F: Framing, G: Gatekeeper<F>>(sock: TcpStream, gatekeeper: &G) {
-    let Ok(mut conn) = conn(sock) else { return };
+    let Ok(timed) = Timed::new(sock, STAGE_LIMIT) else {
+        return;
+    };
+    let mut conn = BufReader::new(timed);
     loop {
+        conn.get_mut().restart(STAGE_LIMIT);
         let (request, size) = match F::read_request(&mut conn) {
             Ok(Some(read)) => read,
             Ok(None) => break,
             Err(e) => {
                 if let Some(refusal) = F::refusal(&e) {
+                    conn.get_mut().restart(STAGE_LIMIT);
                     let _ = F::write_reply(&mut conn, &refusal);
                 }
                 break;
@@ -86,6 +103,7 @@ fn serve_connection<F: Framing, G: Gatekeeper<F>>(sock: TcpStream, gatekeeper: &
         let Some(reply) = gatekeeper.decide(&request, stats) else {
             break;
         };
+        conn.get_mut().restart(STAGE_LIMIT);
         let written = F::write_reply(&mut conn, &reply);
         gatekeeper.replied(&request, &reply);
         match written {

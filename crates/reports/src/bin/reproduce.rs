@@ -197,8 +197,8 @@ const COMMANDS: &[Command] = &[
             Flag("--listen", "ADDR", Text),
             // 0 would announce a worker that can never serve.
             Flag("--max-requests", "N", POSITIVE),
-            // std rejects a zero socket timeout, which the accept loop
-            // ignores, leaving the worker's sockets with no deadline.
+            // The deadline of each stage of a connection (assignment read,
+            // reply write); 0 would cut every connection before its first byte.
             Flag("--timeout-ms", "MS", POSITIVE),
             Switch("--small"),
             Flag("--seed", "N", ANY_U64),

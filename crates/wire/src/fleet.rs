@@ -2,9 +2,10 @@
 //! for a block range and gets a [`ShardFrame`] bundle back.
 //!
 //! One TCP connection carries exactly one request/response exchange —
-//! connection-per-request keeps per-request deadlines trivial (socket
-//! timeouts *are* the deadline) and makes reconnect-after-failure the only
-//! recovery path, which is the one this protocol is built to survive.
+//! connection-per-request keeps per-request deadlines simple (both ends
+//! give each stage of it one deadline) and makes reconnect-after-failure
+//! the only recovery path, which is the one this protocol is built to
+//! survive.
 //!
 //! ```text
 //! request  (reducer → worker)

@@ -238,6 +238,44 @@ fn a_silent_peer_is_a_timeout_at_the_exchange_deadline() {
     assert!(took < Duration::from_secs(2), "the exchange took {took:?}");
 }
 
+/// A peer that answers one byte every 200 ms never lets a single read wait
+/// 300 ms, but the exchange's deadline covers the whole call: it is a
+/// `Timeout` within twice that deadline, not after the 20 s the reply
+/// would take.
+#[test]
+fn a_trickling_peer_is_a_timeout_within_twice_the_exchange_deadline() {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::spawn(move || {
+        let (sock, _) = listener.accept().expect("accept");
+        let mut conn = BufReader::new(sock);
+        conn.read_line(&mut String::new()).expect("request line");
+        let reply = format!("HTTP/1.1 200 OK\r\nx-pad: {}\r\n\r\n", "p".repeat(80));
+        for byte in reply.bytes() {
+            if conn.get_mut().write_all(&[byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(200));
+        }
+    });
+    let (done, outcome) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    std::thread::spawn(move || {
+        let probe = HttpRequest::get("/chains/main/blocks/head");
+        let _ = done.send(exchange::<Http>(addr, &probe, Duration::from_millis(300)));
+    });
+    let result = outcome
+        .recv_timeout(Duration::from_secs(10))
+        .expect("exchange hung for 10 s");
+    let took = started.elapsed();
+    assert!(matches!(result, Err(CrawlError::Timeout)), "{result:?}");
+    assert!(
+        took < Duration::from_millis(600),
+        "the exchange took {took:?}"
+    );
+}
+
 /// A 40 kB reply nested 20 000 arrays deep is a `Protocol` error for
 /// `exchange`, on a worker thread with the default 2 MiB stack, the way
 /// the crawler's fetch workers run. The parser refuses it at depth 129;

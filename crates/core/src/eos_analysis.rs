@@ -9,6 +9,7 @@ use std::collections::{HashMap, HashSet};
 use txstat_eos::contract::AppCategory;
 use txstat_eos::name::Name;
 use txstat_eos::types::{ActionData, Block};
+use txstat_types::intern::FxHashMap;
 use txstat_types::series::BucketSeries;
 use txstat_types::stats::TopK;
 use txstat_types::time::{Period, SIX_HOURS};
@@ -67,7 +68,9 @@ pub struct ActionRow {
 /// mainnet contracts by inspection).
 #[derive(Debug, Clone, Default)]
 pub struct EosLabels {
-    labels: HashMap<Name, AppCategory>,
+    /// Probed once per Figure 3a bucket entry, and holds at most the k
+    /// labelled contracts, so no key set can flood it: the id hasher serves.
+    labels: FxHashMap<Name, AppCategory>,
 }
 
 impl EosLabels {

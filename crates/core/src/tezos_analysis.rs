@@ -328,28 +328,31 @@ impl TezosSweep {
                     sorted_storage = v;
                     &sorted_storage
                 };
-                let mut curves: HashMap<String, VoteCurve> = HashMap::new();
-                let mut cumulative: HashMap<String, u64> = HashMap::new();
-                let mut participants: HashMap<Address, ()> = HashMap::new();
+                // A period has a handful of labels (three ballots, or its
+                // proposals): a linear scan finds an event's curve, whose
+                // label is the one clone. Each curve's last point is its
+                // running total.
+                let mut curves: Vec<VoteCurve> = Vec::new();
+                let mut voters: Vec<(Address, u64)> = Vec::with_capacity(events.len());
                 for (t, label, baker) in events {
                     let w = rolls.get(baker).copied().unwrap_or(0);
-                    let c = cumulative.entry(label.clone()).or_insert(0);
-                    *c += w;
-                    participants.insert(*baker, ());
-                    curves
-                        .entry(label.clone())
-                        .or_insert_with(|| VoteCurve {
-                            label: label.clone(),
-                            points: Vec::new(),
-                        })
-                        .points
-                        .push((*t, *c));
+                    voters.push((*baker, w));
+                    let curve = match curves.iter().position(|c| c.label == *label) {
+                        Some(i) => &mut curves[i],
+                        None => {
+                            curves.push(VoteCurve {
+                                label: label.clone(),
+                                points: Vec::new(),
+                            });
+                            curves.last_mut().expect("just pushed")
+                        }
+                    };
+                    let c = curve.total() + w;
+                    curve.points.push((*t, c));
                 }
-                let participated: u64 = participants
-                    .keys()
-                    .map(|a| rolls.get(a).copied().unwrap_or(0))
-                    .sum();
-                let mut curves: Vec<VoteCurve> = curves.into_values().collect();
+                voters.sort_unstable();
+                voters.dedup();
+                let participated: u64 = voters.iter().map(|(_, w)| w).sum();
                 curves.sort_by(|a, b| b.total().cmp(&a.total()).then(a.label.cmp(&b.label)));
                 PeriodCurves {
                     kind: *kind,

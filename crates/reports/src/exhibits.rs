@@ -10,7 +10,6 @@
 
 use crate::pipeline::PipelineData;
 use std::hash::Hash;
-use txstat_core::eos_analysis as eos;
 use txstat_core::tezos_analysis::TezosThroughputCat;
 use txstat_core::xrp_analysis::{self as xrp, XrpThroughputCat};
 use txstat_eos::AppCategory;
@@ -186,14 +185,8 @@ pub fn fig2(data: &PipelineData) -> String {
 pub fn fig3(data: &PipelineData) -> String {
     let mut out = String::from("Figure 3 — Throughput across time (per 6-hour bucket)\n\n");
 
-    let curated = eos::EosLabels::curated();
-    let labels = data.sweeps().eos.labels(100, &|n| curated.get(n));
     out.push_str("(a) EOS transactions by category\n");
-    category_sparklines(
-        &mut out,
-        &data.sweeps().eos.throughput_series(&labels),
-        AppCategory::label,
-    );
+    category_sparklines(&mut out, data.eos_category_series(), AppCategory::label);
     out.push_str("\n(b) Tezos operations by category\n");
     category_sparklines(
         &mut out,
@@ -387,7 +380,7 @@ pub fn fig7(data: &PipelineData) -> String {
 
 /// Figure 8: most active XRP accounts.
 pub fn fig8(data: &PipelineData) -> String {
-    let rows = data.sweeps().xrp.most_active(10, &data.cluster);
+    let rows = data.most_active();
     let mut t = TextTable::new(&[
         "Account",
         "Entity",
@@ -409,7 +402,7 @@ pub fn fig8(data: &PipelineData) -> String {
         Align::Right,
         Align::Right,
     ]);
-    for r in &rows {
+    for r in rows {
         t.add_row(vec![
             r.account.to_string(),
             r.entity.clone().unwrap_or_else(|| "—".into()),
@@ -428,9 +421,9 @@ pub fn fig8(data: &PipelineData) -> String {
 
 /// Figure 9: the Babylon governance vote curves.
 pub fn fig9(data: &PipelineData) -> String {
-    let curves = data.sweeps().tezos.governance_curves(&data.tezos_rolls);
+    let curves = data.vote_curves();
     let mut out = String::from("Figure 9 — Tezos Babylon on-chain amendment voting\n");
-    for pc in &curves {
+    for pc in curves {
         if pc.curves.is_empty() {
             continue;
         }
@@ -510,7 +503,7 @@ pub fn fig11(data: &PipelineData) -> String {
 
 /// Figure 12: value flows on the XRP ledger.
 pub fn fig12(data: &PipelineData) -> String {
-    let flow = data.sweeps().xrp.value_flow(&data.cluster);
+    let flow = data.value_flow();
     let mut out = String::from("Figure 12 — Value flow on the XRP ledger (XRP-denominated)\n");
     out.push_str(&format!(
         "Total XRP moved by payments: {} XRP\n\n",
@@ -618,7 +611,7 @@ pub fn case_studies(data: &PipelineData) -> String {
     let mut out = String::from("Case studies\n\n");
 
     // WhaleEx wash trading.
-    let wash = sweeps.eos.wash_trading_report();
+    let wash = data.wash_report();
     out.push_str(&format!(
         "§4.1 WhaleEx wash trading: {} trades; top-5 accounts in {:.0}% of trades (paper: >70%)\n",
         fmt_thousands(wash.total_trades as u128),
@@ -655,7 +648,7 @@ pub fn case_studies(data: &PipelineData) -> String {
 
     // §3.3 concentration: "the 18 most active accounts are responsible for
     // half of the total traffic".
-    let conc = sweeps.xrp.concentration();
+    let conc = data.concentration();
     out.push_str(&format!(
         "\n§3.3 XRP account concentration: {} accounts, {:.1} tx each on average;\n\
          \x20   {:.0}% transacted exactly once (paper: ~33%); the {} most active\n\

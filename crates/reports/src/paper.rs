@@ -131,9 +131,7 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
     // --- Figure 3a spike ------------------------------------------------------
     let launch = txstat_workload::eidos_launch();
     if period.contains(launch) {
-        let curated = eos::EosLabels::curated();
-        let labels = sweeps.eos.labels(100, &|n| curated.get(n));
-        let series = sweeps.eos.throughput_series(&labels);
+        let series = data.eos_category_series();
         let launch_bucket = launch
             .bucket_index(period.start, txstat_types::SIX_HOURS)
             .max(0) as usize;
@@ -195,7 +193,7 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
     ));
 
     // --- Figure 8 ----------------------------------------------------------------
-    let active = sweeps.xrp.most_active(10, &data.cluster);
+    let active = data.most_active();
     if let Some(top) = active.first() {
         let offer_dom = top.offer_creates as f64 * 100.0 / top.total.max(1) as f64;
         rows.push(row(
@@ -232,7 +230,7 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
     }
 
     // --- §3.3 concentration -------------------------------------------------------
-    let conc = sweeps.xrp.concentration();
+    let conc = data.concentration();
     rows.push(row(
         "§3.3",
         "accounts carrying half the XRP traffic",
@@ -242,7 +240,7 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
     ));
 
     // --- Figure 9 -----------------------------------------------------------------
-    let curves = sweeps.tezos.governance_curves(&data.tezos_rolls);
+    let curves = data.vote_curves();
     if let Some(exploration) = curves
         .iter()
         .find(|c| c.kind == txstat_tezos::PeriodKind::Exploration && !c.curves.is_empty())
@@ -317,7 +315,7 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
     ));
 
     // --- Figure 12 -----------------------------------------------------------------------
-    let flow = sweeps.xrp.value_flow(&data.cluster);
+    let flow = data.value_flow();
     let xrp_vol_normalized = flow.xrp_payment_volume * data.scenario.xrp_divisor / 1e9;
     rows.push(row(
         "Fig 12",
@@ -341,7 +339,7 @@ pub fn comparison(data: &PipelineData) -> Vec<ComparisonRow> {
     ));
 
     // --- Case studies -----------------------------------------------------------------------
-    let wash = sweeps.eos.wash_trading_report();
+    let wash = data.wash_report();
     rows.push(row(
         "§4.1",
         "trades involving top-5 accounts",

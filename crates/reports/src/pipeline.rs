@@ -19,6 +19,9 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 use txstat_archive::{Archive, ArchiveWriter, SegmentMemo, SegmentMeta, SegmentStates};
+use txstat_core::eos_analysis::{EosLabels, WashReport};
+use txstat_core::tezos_analysis::PeriodCurves;
+use txstat_core::xrp_analysis::{ActiveAccount, ConcentrationReport, ValueFlowReport};
 use txstat_core::{ClusterInfo, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat_crawler::chains::Fetched;
 use txstat_crawler::{
@@ -26,6 +29,7 @@ use txstat_crawler::{
     fetch_exchanges, fetch_tezos_block, fetch_xrp_ledger, shortlist, tezos_head, xrp_head,
     Advertised, ClientConfig, CrawlError, CrawlStats, RotatingPool,
 };
+use txstat_eos::AppCategory;
 use txstat_ingest::crawl::ledger_ious;
 use txstat_ingest::reduce::CHAINS;
 use txstat_ingest::{RateCache, ReduceError, ReduceSession, ShardWorker};
@@ -36,6 +40,7 @@ use txstat_netsim::{EndpointProfile, Http};
 use txstat_telemetry::{join, par_map, registry, Counter, Span};
 use txstat_tezos::address::Address;
 use txstat_tezos::governance::PeriodKind;
+use txstat_types::series::BucketSeries;
 use txstat_types::time::{ChainTime, Period};
 use txstat_types::{JsonLen, JsonOut};
 use txstat_wire::{PayloadFormat, ShardFrame};
@@ -49,7 +54,8 @@ use txstat_xrp::tx::TxPayload;
 /// The heavy inputs (block vectors, oracle, cluster, …) sit behind `Arc`
 /// so the serve path can fork one cheap dataset per epoch
 /// ([`PipelineData::fork_with_sweeps`]): every fork shares the same chain
-/// data and differs only in its installed sweeps. Deref coercion keeps the
+/// data and differs only in its installed sweeps and the views derived
+/// from them (`vote_curves()` etc.). Deref coercion keeps the
 /// field access sites (`&data.eos_blocks` as `&[Block]`, `&data.oracle` as
 /// `&RateOracle`, …) unchanged.
 pub struct PipelineData {
@@ -90,6 +96,25 @@ pub struct PipelineData {
     /// this dataset, so serve resolves it at most once per process, never
     /// per request or per epoch swap.
     facts: Arc<Facts>,
+    /// The views derived from the sweeps that more than one section reads
+    /// (the comparison reads all of them again), each derived on first use.
+    /// Unlike the facts they belong to this dataset alone: every
+    /// constructor, fork and twin starts with none, so an epoch's views
+    /// are of its own sweeps and die with it. Boxed: the six cells would
+    /// about double the size of every move of a dataset.
+    views: Box<Views>,
+}
+
+/// The lazily derived shared views of one dataset's sweeps: one cell per
+/// [`PipelineData`] accessor that fills it.
+#[derive(Default)]
+struct Views {
+    eos_category_series: OnceLock<BucketSeries<AppCategory>>,
+    vote_curves: OnceLock<Vec<PeriodCurves>>,
+    value_flow: OnceLock<ValueFlowReport>,
+    most_active: OnceLock<Vec<ActiveAccount>>,
+    concentration: OnceLock<ConcentrationReport>,
+    wash_report: OnceLock<WashReport>,
 }
 
 /// The lazily resolved [`SegmentSummary`] of a whole dataset family, and
@@ -296,10 +321,79 @@ impl PipelineData {
         }
     }
 
+    /// `cell`'s view, derived from the sweeps on first use under a `view`
+    /// span labelled `name`. The sweeps are computed first, outside it, so
+    /// a first-use sweep stays a `sweep` span of its own.
+    fn view<'a, T>(
+        &'a self,
+        cell: &'a OnceLock<T>,
+        name: &str,
+        derive: impl FnOnce(&ChainSweeps) -> T,
+    ) -> &'a T {
+        cell.get_or_init(|| {
+            let sweeps = self.sweeps();
+            let _span = Span::enter("view", name);
+            derive(sweeps)
+        })
+    }
+
+    /// Figure 3a: the EOS throughput series by app category, through the
+    /// curated labels of the top 100 contracts by received transactions
+    /// (the paper's manual labelling session).
+    pub(crate) fn eos_category_series(&self) -> &BucketSeries<AppCategory> {
+        self.view(
+            &self.views.eos_category_series,
+            "eos_category_series",
+            |s| {
+                let curated = EosLabels::curated();
+                s.eos
+                    .throughput_series(&s.eos.labels(100, &|n| curated.get(n)))
+            },
+        )
+    }
+
+    /// Figure 9: the governance vote curves, roll-weighted.
+    pub(crate) fn vote_curves(&self) -> &[PeriodCurves] {
+        self.view(&self.views.vote_curves, "vote_curves", |s| {
+            s.tezos.governance_curves(&self.tezos_rolls)
+        })
+        .as_slice()
+    }
+
+    /// Figure 12: the entity-level XRP value flows.
+    pub(crate) fn value_flow(&self) -> &ValueFlowReport {
+        self.view(&self.views.value_flow, "value_flow", |s| {
+            s.xrp.value_flow(&self.cluster)
+        })
+    }
+
+    /// Figure 8: the 10 most active XRP accounts.
+    pub(crate) fn most_active(&self) -> &[ActiveAccount] {
+        self.view(&self.views.most_active, "most_active", |s| {
+            s.xrp.most_active(10, &self.cluster)
+        })
+        .as_slice()
+    }
+
+    /// §3.3: the XRP account-concentration statistics.
+    pub(crate) fn concentration(&self) -> &ConcentrationReport {
+        self.view(&self.views.concentration, "concentration", |s| {
+            s.xrp.concentration()
+        })
+    }
+
+    /// §4.1: the WhaleEx wash-trading report.
+    pub(crate) fn wash_report(&self) -> &WashReport {
+        self.view(&self.views.wash_report, "wash_report", |s| {
+            s.eos.wash_trading_report()
+        })
+    }
+
     /// Fork this dataset with a different set of installed sweeps: all
     /// heavy inputs (blocks, oracle, cluster, CPU-price history, …) are
     /// shared by `Arc`, the block-derived facts are shared too, and only
-    /// the analytics state differs. This is what lets the serve path
+    /// the analytics state differs (with it the views, which the fork
+    /// derives afresh from its own sweeps). This is what lets the serve path
     /// publish one immutable snapshot per follow batch without re-deriving
     /// or copying the chains.
     pub fn fork_with_sweeps(&self, sweeps: ChainSweeps) -> PipelineData {
@@ -343,7 +437,8 @@ impl PipelineData {
     }
 
     /// A dataset sharing every input of this one by `Arc`, with no sweeps
-    /// yet and the given facts.
+    /// or views yet and the given facts. Views are never carried over: they
+    /// are of this dataset's sweeps, which the sibling does not share.
     fn sibling(&self, facts: Arc<Facts>) -> PipelineData {
         PipelineData {
             scenario: self.scenario.clone(),
@@ -361,6 +456,7 @@ impl PipelineData {
             sweeps: OnceLock::new(),
             block_free_lens: self.block_free_lens,
             facts,
+            views: Box::default(),
         }
     }
 }
@@ -485,6 +581,7 @@ pub fn generate(sc: &Scenario) -> PipelineData {
         crawl: None,
         sweeps: OnceLock::new(),
         facts: Facts::lazy(None),
+        views: Box::default(),
     }
 }
 
@@ -703,6 +800,7 @@ fn dataset_from_archive(
         sweeps: OnceLock::new(),
         block_free_lens,
         facts,
+        views: Box::default(),
     };
     if data.lens() != manifest.lens {
         return Err(at(format!(
@@ -1161,6 +1259,7 @@ pub fn generate_with_crawl(
         sweeps: OnceLock::from(Arc::new(sweeps)),
         block_free_lens: (!keep_blocks).then_some(lens),
         facts: Facts::known(facts, None),
+        views: Box::default(),
     })
 }
 

@@ -6,10 +6,14 @@
 //! Consistency model: a [`ServeSnapshot`] is immutable once published
 //! through an [`EpochCell`] — readers load an `Arc`, so a concurrent epoch
 //! swap can never tear a response (it either came wholly from the old
-//! snapshot or wholly from the new one). The response cache lives *inside*
-//! the snapshot, so cache invalidation on swap is not a protocol, it is
-//! reachability: the new epoch starts with an empty cache and the old
-//! cache is dropped with the last reference to the old snapshot.
+//! snapshot or wholly from the new one). A snapshot is its dataset's
+//! sweeps, its response cache and the views its sections share (the
+//! Figure 3a series, the vote curves, the value flow, …, each derived
+//! once from the sweeps and read again by the comparison). The cache and
+//! the views live *inside* the snapshot, so invalidating them on swap is
+//! not a protocol, it is reachability: the new epoch starts with an empty
+//! cache and no views, and the old ones are dropped with the last
+//! reference to the old snapshot.
 //!
 //! `/report` is not rendered as a whole: it is laid out from the cache
 //! entries of the section routes (`/exhibit/<name>`, the comparison last),
@@ -41,8 +45,9 @@ use txstat_netsim::http::{HttpRequest, HttpResponse};
 use txstat_netsim::{run_load, start_query_server, HttpHandler, LoadPlan, QueryServerConfig};
 use txstat_telemetry::{Counter, MetricKind, Registry, Sample, SampleValue};
 
-/// One epoch's immutable serving state: the forked dataset plus the keyed
-/// response cache for everything rendered from it.
+/// One epoch's immutable serving state: the forked dataset (with the
+/// views derived from its sweeps) plus the keyed response cache for
+/// everything rendered from it.
 pub struct ServeSnapshot {
     epoch: u64,
     /// Whether the follow loop has reached the chain heads (responses are

@@ -140,16 +140,33 @@ impl<K: Eq + Hash + Clone> BucketSeries<K> {
     /// Re-key every count through `f`, combining categories that map to the
     /// same key. Used by the fused engine to record cheap raw keys during the
     /// sweep (e.g. contract names) and project them onto report categories
-    /// (e.g. app labels) once, at finalization.
+    /// (e.g. app labels) once, at finalization. The target categories are
+    /// few, so each bucket is folded into a short list by linear scan and
+    /// hashed once per category, into a map allocated at its final size.
     pub fn map_keys<K2: Eq + Hash + Clone>(&self, f: impl Fn(&K) -> K2) -> BucketSeries<K2> {
-        let mut out = BucketSeries::new(self.period, self.width);
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            for (k, n) in bucket {
-                *out.buckets[i].entry(f(k)).or_insert(0) += n;
-            }
+        let mut folded: Vec<(K2, u64)> = Vec::new();
+        let buckets = self
+            .buckets
+            .iter()
+            .map(|bucket| {
+                for (k, n) in bucket {
+                    let key = f(k);
+                    match folded.iter_mut().find(|(c, _)| *c == key) {
+                        Some((_, sum)) => *sum += n,
+                        None => folded.push((key, *n)),
+                    }
+                }
+                let mut out = HashMap::with_capacity(folded.len());
+                out.extend(folded.drain(..));
+                out
+            })
+            .collect();
+        BucketSeries {
+            period: self.period,
+            width: self.width,
+            buckets,
+            out_of_range: self.out_of_range,
         }
-        out.out_of_range = self.out_of_range;
-        out
     }
 }
 

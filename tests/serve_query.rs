@@ -42,10 +42,10 @@ fn one_shot_prefix(base: &PipelineData, (e, t, x): (u64, u64, u64)) -> PipelineD
     })
 }
 
-/// Every exhibit section plus the busiest account of each chain (as the
-/// oracle sees it) must be the same bytes from both datasets. Returns the
-/// service over `got`: holding it pins that dataset's sweeps like a slow
-/// reader would.
+/// Every exhibit section, the comparison and the busiest account of each
+/// chain (as the oracle sees it) must be the same bytes from both
+/// datasets. Returns the service over `got`: holding it pins that
+/// dataset's sweeps like a slow reader would.
 fn assert_serves_identically(
     got: PipelineData,
     oracle: PipelineData,
@@ -55,6 +55,11 @@ fn assert_serves_identically(
         report_sections(&got),
         report_sections(&oracle),
         "{what}: sections diverged"
+    );
+    assert_eq!(
+        comparison_section(&got),
+        comparison_section(&oracle),
+        "{what}: comparison diverged"
     );
     let paths = sample_account_paths(&oracle);
     let (got, _) = service_over(got, false);
@@ -69,6 +74,48 @@ fn assert_serves_identically(
         );
     }
     got
+}
+
+/// The views a dataset derives for its sections (the Figure 3a series,
+/// the vote curves, the value flow, the most active accounts, the
+/// concentration and wash-trading reports) are its own: a fork of a
+/// dataset whose every section and comparison has been rendered, given a
+/// prefix's sweeps, renders what the one-shot sweep of that prefix over a
+/// dataset nothing has rendered does — and every route that reads a view
+/// moved between the two coverages, so a view carried over would show.
+#[test]
+fn a_fork_of_a_rendered_dataset_derives_its_own_views() {
+    let sc = Scenario::small(7);
+    let rendered = generate(&sc);
+    let whole = section_routes(&rendered);
+    let at = (
+        rendered.eos_blocks.len() as u64 / 2,
+        rendered.tezos_blocks.len() as u64 / 2,
+        rendered.xrp_blocks.len() as u64 / 2,
+    );
+    let fork = section_routes(&one_shot_prefix(&rendered, at));
+    let oracle = section_routes(&one_shot_prefix(&generate(&sc), at));
+    assert_eq!(fork.len(), oracle.len());
+    for ((route, got), (_, want)) in fork.iter().zip(&oracle) {
+        assert!(got == want, "{route}: the fork renders a view of the whole");
+    }
+    for name in [
+        "fig3",
+        "fig8",
+        "fig9",
+        "fig12",
+        "case_studies",
+        "comparison",
+    ] {
+        let route = format!("/exhibit/{name}");
+        let body = |routes: &[(String, String)]| {
+            routes
+                .iter()
+                .find(|(r, _)| *r == route)
+                .map(|(_, b)| b.clone())
+        };
+        assert!(body(&fork) != body(&whole), "{route} did not move");
+    }
 }
 
 /// Keep every k-th block of each chain so that none is longer than `cap`:

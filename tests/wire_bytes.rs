@@ -662,3 +662,50 @@ const MID_FOLLOW_ROUTES: &[(&str, usize, u64)] = &[
     ("/account/eos/eosio.token", 146, 0xf6b0c53de90dd91c),
     ("/account/xrp/rrrrrrrao8ib", 160, 0x271e148f1f67e8bf),
 ];
+
+/// `(bytes, FNV-1a)` of the whole Figure 9 vote curves and the whole
+/// Figure 3a category series (every point, in category order) at small
+/// seeds 7 and 42 and at the mid-follow epoch above. The rendered
+/// sections print a sparkline of each, so a point can move without moving
+/// the route pins; it moves these.
+#[test]
+fn vote_curves_and_eos_category_series_are_pinned_for_small_seeds() {
+    use txstat::core::eos_analysis::EosLabels;
+    use txstat::reports::{generate, Follower, PipelineData};
+    use txstat::types::ids::fnv1a64;
+    let pins = |data: &PipelineData| {
+        let sweeps = data.sweeps();
+        let curves = format!("{:?}", sweeps.tezos.governance_curves(&data.tezos_rolls));
+        let curated = EosLabels::curated();
+        let series = sweeps
+            .eos
+            .throughput_series(&sweeps.eos.labels(100, &|n| curated.get(n)));
+        let rows: Vec<_> = series
+            .categories_sorted()
+            .into_iter()
+            .map(|cat| (cat, series.series_for(&cat)))
+            .collect();
+        let series = format!("{:?}", (series.total(), series.out_of_range(), rows));
+        [
+            (curves.len(), fnv1a64(curves.as_bytes())),
+            (series.len(), fnv1a64(series.as_bytes())),
+        ]
+    };
+    let mut follower = Follower::new(generate(&Scenario::small(7)), 64);
+    follower.advance().expect("epoch 1");
+    follower.advance().expect("epoch 2");
+    let got = [
+        pins(&generate(&Scenario::small(7))),
+        pins(&generate(&Scenario::small(42))),
+        pins(&follower.advance().expect("epoch 3")),
+    ];
+    assert_eq!(
+        got,
+        [
+            [(5914, 0xf5d262e31febef4c), (8185, 0x4c892302b5a0c5eb)],
+            [(5902, 0x358cbbebd5c2a108), (8190, 0xdcd76da87f6bfbfe)],
+            [(587, 0xd1b6670819b822e3), (8153, 0xe5acf95f50e53817)],
+        ],
+        "[seed 7, seed 42, seed 7 epoch 3] x [vote curves, EOS category series]"
+    );
+}

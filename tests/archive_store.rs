@@ -343,3 +343,54 @@ fn fleet_reduce_equals_report_archive_at_every_tiling() {
         }
     }
 }
+
+/// A generated and an archived `ShardContext` answer an assignment with
+/// the same frame bundle: small seed 7 (EOS 576 blocks, Tezos 2712, XRP
+/// 146) sealed at 128 positions a segment, for a chunk that is one whole
+/// segment, a ragged one cut inside a segment, and one over four segments
+/// that starts past the EOS and XRP heads. Each bundle is pinned as
+/// `(length, fnv1a64)`. The chunks keep EOS to one piece: a merge of EOS
+/// segment states reduces to the same sweeps as one fold of their blocks
+/// (`fleet_reduce_equals_report_archive_at_every_tiling`), but encodes to
+/// other bytes.
+#[test]
+fn generated_and_archived_contexts_frame_every_chunk_alike() {
+    use txstat::reports::scenario_meta;
+    use txstat::types::ids::fnv1a64;
+    use txstat::wire::encode_all;
+    let pin = |bytes: &[u8]| (bytes.len(), fnv1a64(bytes));
+
+    let sc = Scenario::small(7);
+    let generated = ShardContext::new(&sc);
+    let dir = support::tempdir("archive-store", "cross-source");
+    write_archive(&dir, &generate(&sc), "small", 128, SegmentFormat).expect("seal");
+    let (archived, _) = ShardContext::from_archive(&dir).expect("cold start");
+    let meta = scenario_meta(&sc, "small");
+    let bundle = |ctx: &ShardContext, start: u64, end: u64| {
+        let frames = ctx.frames(meta.clone(), start, end, 1, PayloadFormat::Bin);
+        encode_all(&frames.expect("the context sweeps"))
+    };
+    // The generated past-head pin: its empty EOS and XRP frames say
+    // `[576, 576)` and `[146, 146)` where the archived ones say `[600, 600)`.
+    for (what, start, end, want, generated_want) in [
+        ("one segment", 128, 256, (6217, 0xa7e1232a1cbfcc74), None),
+        ("ragged", 130, 250, (6044, 0x32da40c5d5a6adc7), None),
+        (
+            "past two heads",
+            600,
+            1000,
+            (1618, 0x92317b34aab453c1),
+            Some((1618, 0x4d02180ebbb4172d)),
+        ),
+    ] {
+        let archived = pin(&bundle(&archived, start, end));
+        let generated = pin(&bundle(&generated, start, end));
+        assert_eq!(archived, want, "{what}: archived [{start}, {end})");
+        let generated_want = generated_want.unwrap_or(want);
+        assert_eq!(
+            generated, generated_want,
+            "{what}: generated [{start}, {end})"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

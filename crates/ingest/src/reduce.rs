@@ -448,8 +448,10 @@ impl ShardWorker {
 
     /// Fold the clamped range of one whole chain through `shards`
     /// accumulators under one `sweep` span labelled `chain`, merge in index
-    /// order, and return the merged accumulator plus the clamped range and
-    /// observed count.
+    /// order, and return the merged accumulator plus the range it covers
+    /// and its observed count. A chain's blocks are a prefix of the
+    /// position space, so its `n` blocks in the range sit at
+    /// `[start, start + n)`: empty past the chain's head.
     fn fold<B, A>(
         &self,
         chain: &str,
@@ -472,7 +474,7 @@ impl ShardWorker {
         for other in it {
             merge(&mut acc, other);
         }
-        (acc, lo, hi, hi - lo)
+        (acc, self.start, self.start + (hi - lo), hi - lo)
     }
 
     /// Encode `acc`, folded over `blocks` blocks at positions

@@ -1567,21 +1567,20 @@ impl ShardContext {
     /// of the segment's verified bytes; a segment the range cuts (a ragged
     /// edge) is decoded and its share swept, and nothing of it is kept.
     /// The pieces merge in position order, so the frames reduce to the
-    /// same sweeps as a whole-chain fold of the range. Its sub-accumulators
-    /// are those pieces: `shards` splits only a generated source's fold.
+    /// same sweeps as a whole-chain fold of the range. A generated source
+    /// folds the range in one piece: `_shards` is ignored.
     pub fn frames(
         &self,
         meta: serde_json::Value,
         start: u64,
         end: u64,
-        shards: usize,
+        _shards: usize,
         _payload: PayloadFormat,
     ) -> Result<Vec<ShardFrame>, String> {
         let period = self.sc.period;
-        let mut worker = ShardWorker::new(start, end, meta);
+        let worker = ShardWorker::new(start, end, meta);
         let (archive, states) = match &self.source {
             ShardSource::Generated(d) => {
-                worker.shards = shards;
                 return Ok(vec![
                     worker.eos_frame(&d.eos_blocks, period),
                     worker.tezos_frame(&d.tezos_blocks, period, &self.governance_periods),

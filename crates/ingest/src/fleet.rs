@@ -1,6 +1,6 @@
 //! Fault-tolerant socket shard fleet: the reducer side that drives remote
-//! [`ShardWorker`] processes over TCP, and the worker side that serves
-//! range assignments.
+//! shard workers over TCP, and the worker side that serves range
+//! assignments (each answered with a [`RangeFold`]'s frames).
 //!
 //! ```text
 //!   chunks [0,a) [a,b) [b,c) …  ── homes: rendezvous rank, loads ≤ ⌈chunks/workers⌉
@@ -53,7 +53,7 @@
 //! in `ReduceSession` and be rejected. All activity is exported through
 //! the `txstat_fleet_*` telemetry families.
 //!
-//! [`ShardWorker`]: crate::reduce::ShardWorker
+//! [`RangeFold`]: crate::reduce::RangeFold
 
 use std::collections::VecDeque;
 use std::net::{TcpListener, ToSocketAddrs};
@@ -438,11 +438,15 @@ fn request_with_retry(
 /// the survivors (re-dispatch) and is not used again. The call returns
 /// [`FleetError::Exhausted`] — naming every worker's final error — if the
 /// whole fleet dies with work left.
+///
+/// `_shards` and `_payload` are ignored: a worker folds each range in one
+/// piece and speaks one payload format. They stay until the benchmark's
+/// layer harness stops passing them (ROADMAP 1(b)).
 pub fn reduce_fleet(
     cfg: &FleetConfig,
     total: u64,
-    shards: usize,
-    payload: PayloadFormat,
+    _shards: usize,
+    _payload: PayloadFormat,
     meta: serde::Value,
 ) -> Result<Vec<(String, ShardFrame)>, FleetError> {
     if cfg.workers.is_empty() {
@@ -466,7 +470,7 @@ pub fn reduce_fleet(
     std::thread::scope(|s| {
         for w in 0..cfg.workers.len() {
             let (shared, meta) = (&shared, &meta);
-            s.spawn(move || worker_loop(cfg, w, shards, payload, meta, shared));
+            s.spawn(move || worker_loop(cfg, w, meta, shared));
         }
     });
 
@@ -488,21 +492,14 @@ pub fn reduce_fleet(
         .collect())
 }
 
-fn worker_loop(
-    cfg: &FleetConfig,
-    w: usize,
-    shards: usize,
-    payload: PayloadFormat,
-    meta: &serde::Value,
-    shared: &Shared,
-) {
+fn worker_loop(cfg: &FleetConfig, w: usize, meta: &serde::Value, shared: &Shared) {
     let addr = &cfg.workers[w];
     while let Some(chunk) = shared.next(w) {
         let a = Assignment {
             start: chunk.start,
             end: chunk.end,
-            shards,
-            payload,
+            shards: 1,
+            payload: PayloadFormat::Bin,
             meta: meta.clone(),
         };
         match request_with_retry(cfg, addr, &a) {

@@ -11,9 +11,10 @@
 //!   fetch resolves through, so payments are valued at observe time.
 //! - [`checkpoint`] — range-keyed frozen shard states for incremental
 //!   re-sweep (append a tail without re-observing the prefix).
-//! - [`reduce`] — the distributed shard/merge boundary: [`ShardWorker`]
-//!   folds a block range into `txstat_wire` frames in one process,
-//!   [`ReduceSession`] validates and remap-merges them in another.
+//! - [`reduce`] — the distributed shard/merge boundary: [`RangeFold`]
+//!   folds a block range of the three chains and encodes it into
+//!   `txstat_wire` frames in one process, [`ReduceSession`] validates and
+//!   remap-merges them in another.
 //! - [`fleet`] — the socket fleet that drives shard workers for a reducer.
 //! - [`epoch`] — [`EpochCell`], the published snapshot slot of `serve`.
 //!
@@ -32,7 +33,7 @@ pub use checkpoint::Checkpoint;
 pub use crawl::RateCache;
 pub use epoch::EpochCell;
 pub use fleet::{reduce_fleet, serve_assignments, FleetConfig, FleetError};
-pub use reduce::{ReduceError, ReduceSession, ShardWorker};
+pub use reduce::{RangeFold, ReduceError, ReduceSession};
 
 /// Ingestion failures.
 #[derive(Debug)]

@@ -4,9 +4,9 @@
 //! same [`ChainSweeps`] the in-process paths produce.
 //!
 //! ```text
-//!   process 1: ShardWorker [0, a)   ──▶ frames ──┐
-//!   process 2: ShardWorker [a, b)   ──▶ frames ──┼─▶ ReduceSession::submit
-//!   process 3: ShardWorker [b, end) ──▶ frames ──┘      │ validate: schema
+//!   process 1: RangeFold [0, a)     ──▶ frames ──┐
+//!   process 2: RangeFold [a, b)     ──▶ frames ──┼─▶ ReduceSession::submit
+//!   process 3: RangeFold [b, end)   ──▶ frames ──┘      │ validate: schema
 //!                                                       │ version, chain tag,
 //!                                                       │ window, overlap, meta
 //!                                                       ▼
@@ -416,132 +416,90 @@ impl ReduceSession {
     }
 }
 
-/// One shard worker's slice of the distributed sweep: fold the block
-/// positions `[start, end)` (clamped to the chain head) of each chain into
-/// a columnar accumulator and emit it as a wire frame.
-///
-/// `shards` in-process sub-accumulators fold residue classes of the slice
-/// and merge in index order; by the merge laws the split is irrelevant to
-/// the result.
-#[derive(Debug, Clone)]
-pub struct ShardWorker {
-    /// Assigned block-position range `[start, end)`, end-exclusive,
-    /// 0-based within each chain's block sequence.
-    pub start: u64,
-    pub end: u64,
-    /// In-process sub-accumulator count (≥ 1).
-    pub shards: usize,
-    /// Provenance stamped into every emitted frame (scenario fingerprint,
-    /// seed, …). A [`ReduceSession`] refuses to mix different values.
-    pub meta: Value,
+/// The three columnar accumulators folded over one run of block
+/// positions, and how many blocks of each chain they observed: what a shard
+/// worker sweeps for an assignment (in one piece, or one piece per archive
+/// segment, merged) and encodes into its frames, and what a follower folds
+/// per batch. A chain's blocks are a prefix of the position space, so the
+/// `n` blocks a chain has in a run that starts at `start` sit at
+/// `[start, start + n)`.
+#[derive(Clone)]
+pub struct RangeFold {
+    pub eos: EosColumnar,
+    pub tezos: TezosColumnar,
+    pub xrp: XrpColumnar,
+    /// Blocks observed per chain, in [`CHAINS`] order.
+    pub blocks: [u64; 3],
 }
 
-impl ShardWorker {
-    pub fn new(start: u64, end: u64, meta: Value) -> Self {
-        ShardWorker {
-            start,
-            end,
-            shards: 1,
-            meta,
+impl RangeFold {
+    /// Nothing observed yet, in the window `period`; Tezos tallies votes
+    /// over the `governance` periods.
+    pub fn new(period: Period, governance: Vec<(PeriodKind, Period)>) -> Self {
+        RangeFold {
+            eos: EosColumnar::new(period),
+            tezos: TezosColumnar::new(period, governance),
+            xrp: XrpColumnar::new(period),
+            blocks: [0; 3],
         }
     }
 
-    /// Fold the clamped range of one whole chain through `shards`
-    /// accumulators under one `sweep` span labelled `chain`, merge in index
-    /// order, and return the merged accumulator plus the range it covers
-    /// and its observed count. A chain's blocks are a prefix of the
-    /// position space, so its `n` blocks in the range sit at
-    /// `[start, start + n)`: empty past the chain's head.
-    fn fold<B, A>(
-        &self,
-        chain: &str,
-        blocks: &[B],
-        identity: impl Fn() -> A,
-        mut observe: impl FnMut(&mut A, &B),
-        merge: impl Fn(&mut A, A),
-    ) -> (A, u64, u64, u64) {
-        let _span = Span::enter("sweep", chain);
-        let len = blocks.len() as u64;
-        let lo = self.start.min(len);
-        let hi = self.end.min(len).max(lo);
-        let shards = self.shards.max(1);
-        let mut accs: Vec<A> = (0..shards).map(|_| identity()).collect();
-        for (i, b) in blocks[lo as usize..hi as usize].iter().enumerate() {
-            observe(&mut accs[i % shards], b);
-        }
-        let mut it = accs.into_iter();
-        let mut acc = it.next().expect("at least one shard");
-        for other in it {
-            merge(&mut acc, other);
-        }
-        (acc, self.start, self.start + (hi - lo), hi - lo)
-    }
-
-    /// Encode `acc`, folded over `blocks` blocks at positions
-    /// `[start, end)` of `chain`, into a frame stamped with this worker's
-    /// provenance, under one `wire_encode` span.
-    pub fn frame<A: WireState>(
-        &self,
-        chain: &str,
-        acc: &A,
-        start: u64,
-        end: u64,
-        blocks: u64,
-    ) -> ShardFrame {
-        let columns = {
-            let _span = Span::enter("wire_encode", chain);
-            acc.to_wire_bytes()
-        };
-        ShardFrame::from_columns(chain, start, end, blocks, self.meta.clone(), columns)
-    }
-
-    /// Sweep the EOS chain's assigned range into an `"eos"` frame.
-    pub fn eos_frame(&self, blocks: &[txstat_eos::Block], period: Period) -> ShardFrame {
-        let (acc, s, e, n) = self.fold(
-            "eos",
-            blocks,
-            || EosColumnar::new(period),
-            |a, b| a.observe(b),
-            |a, b| a.merge(b),
-        );
-        self.frame("eos", &acc, s, e, n)
-    }
-
-    /// Sweep the Tezos chain's assigned range into a `"tezos"` frame.
-    pub fn tezos_frame(
-        &self,
-        blocks: &[txstat_tezos::TezosBlock],
-        period: Period,
-        periods: &[(PeriodKind, Period)],
-    ) -> ShardFrame {
-        let (acc, s, e, n) = self.fold(
-            "tezos",
-            blocks,
-            || TezosColumnar::new(period, periods.to_vec()),
-            |a, b| a.observe(b),
-            |a, b| a.merge(b),
-        );
-        self.frame("tezos", &acc, s, e, n)
-    }
-
-    /// Sweep the XRP chain's assigned range into an `"xrp"` frame, valuing
-    /// payments through `oracle` (every process derives the same oracle
-    /// from the scenario).
-    pub fn xrp_frame(
-        &self,
-        blocks: &[txstat_xrp::LedgerBlock],
-        period: Period,
+    /// Observe the next run of each chain's blocks, under one `sweep` span
+    /// per chain, valuing XRP payments through `oracle` (every process
+    /// derives the same oracle from the scenario).
+    pub fn sweep(
+        &mut self,
+        eos: &[txstat_eos::Block],
+        tezos: &[txstat_tezos::TezosBlock],
+        xrp: &[txstat_xrp::LedgerBlock],
         oracle: &RateOracle,
-    ) -> ShardFrame {
-        let (acc, s, e, n) = self.fold(
-            "xrp",
-            blocks,
-            || XrpColumnar::new(period),
-            |a, b| a.observe(b, oracle),
-            |a, b| a.merge(b),
-        );
-        self.frame("xrp", &acc, s, e, n)
+    ) {
+        let span = Span::enter("sweep", "eos");
+        eos.iter().for_each(|b| self.eos.observe(b));
+        drop(span);
+        let span = Span::enter("sweep", "tezos");
+        tezos.iter().for_each(|b| self.tezos.observe(b));
+        drop(span);
+        let _span = Span::enter("sweep", "xrp");
+        xrp.iter().for_each(|b| self.xrp.observe(b, oracle));
+        let runs = [eos.len(), tezos.len(), xrp.len()];
+        for (blocks, run) in self.blocks.iter_mut().zip(runs) {
+            *blocks += run as u64;
+        }
     }
+
+    /// Fold the next run in: `next` must start where `self` ends.
+    pub fn merge(&mut self, next: RangeFold) {
+        self.eos.merge(next.eos);
+        self.tezos.merge(next.tezos);
+        self.xrp.merge(next.xrp);
+        for (mine, theirs) in self.blocks.iter_mut().zip(next.blocks) {
+            *mine += theirs;
+        }
+    }
+
+    /// The `"eos"`, `"tezos"` and `"xrp"` frames of the run that starts at
+    /// `start`, stamped with the provenance `meta` (a [`ReduceSession`]
+    /// refuses to mix different values), each accumulator encoded under one
+    /// `wire_encode` span.
+    pub fn frames(&self, start: u64, meta: &Value) -> Vec<ShardFrame> {
+        let [eos, tezos, xrp] = self.blocks;
+        vec![
+            frame("eos", &self.eos, start, eos, meta),
+            frame("tezos", &self.tezos, start, tezos, meta),
+            frame("xrp", &self.xrp, start, xrp, meta),
+        ]
+    }
+}
+
+/// `acc`, folded over the `blocks` positions from `start` of `chain`, as
+/// its frame.
+fn frame<A: WireState>(chain: &str, acc: &A, start: u64, blocks: u64, meta: &Value) -> ShardFrame {
+    let columns = {
+        let _span = Span::enter("wire_encode", chain);
+        acc.to_wire_bytes()
+    };
+    ShardFrame::from_columns(chain, start, start + blocks, blocks, meta.clone(), columns)
 }
 
 #[cfg(test)]

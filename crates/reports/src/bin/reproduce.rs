@@ -2,9 +2,9 @@
 //! line: one row per subcommand with its flags spelled once, each value
 //! flag with its domain. It is both what `Args::parse` accepts and the
 //! usage every error prints: an unknown flag or subcommand, a flag given
-//! twice and a value outside its domain (`--shards 0 is outside 1..=64`)
-//! exit 2 with it before anything runs, so each subcommand reads its flags
-//! typed and infallibly. Bare `reproduce` means `report`. What the table
+//! twice and a value outside its domain (`--backoff-ms 0 is outside
+//! 1..=2000`) exit 2 with it before anything runs, so each subcommand reads
+//! its flags typed and infallibly. Bare `reproduce` means `report`. What the table
 //! cannot say:
 //!
 //! - **One envelope.** `run` parses, arms tracing (`--trace-out FILE`:
@@ -60,7 +60,6 @@ use txstat_reports::{
     DEFAULT_SNAPSHOT_WINDOW,
 };
 use txstat_telemetry::Span;
-use txstat_wire::fleet::MAX_SHARDS;
 use txstat_wire::{PayloadFormat, ShardFrame};
 use txstat_workload::Scenario;
 
@@ -187,13 +186,13 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "shard",
-        about: "one distributed worker: sweep block positions --range A..B into the \
-                wire-frame bundle --out FILE (\"-\": stdout), or answer fleet range \
-                assignments on --listen ADDR until killed",
+        about: "one distributed worker: sweep block positions --range A..B of the three \
+                chains into the wire-frame bundle --out FILE (\"-\": stdout), or answer \
+                fleet range assignments on --listen ADDR until killed; with --archive, \
+                each segment a range covers whole is swept once and kept",
         synopsis: &[
             Flag("--range", "A..B", Domain::Range),
             Flag("--out", "FILE", Text),
-            Flag("--shards", "K", Int(1, MAX_SHARDS as u64)),
             Flag("--listen", "ADDR", Text),
             // 0 would announce a worker that can never serve.
             Flag("--max-requests", "N", POSITIVE),
@@ -221,7 +220,6 @@ const COMMANDS: &[Command] = &[
             Switch("--small"),
             Flag("--seed", "N", ANY_U64),
             Flag("--archive", "DIR", Text),
-            Flag("--shards", "K", Int(1, MAX_SHARDS as u64)),
             Flag("--chunks", "N", ANY_U64),
             Flag("--timeout-ms", "MS", POSITIVE),
             Flag("--retries", "N", Int(0, u32::MAX as u64)),
@@ -673,7 +671,7 @@ fn shard_listen(args: &Args, listen: &str) -> Result<(), String> {
         if a.meta != expected {
             return Err("assignment meta does not describe this worker's scenario".to_owned());
         }
-        eprintln!("assignment [{}, {}): {} shard(s)", a.start, a.end, a.shards);
+        eprintln!("assignment [{}, {})", a.start, a.end);
         ctx.frames(a.meta.clone(), a.start, a.end, a.shards, a.payload)
     })
     .map_err(|e| format!("worker accept loop: {e}"))?;
@@ -697,9 +695,8 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     let out = args
         .get("--out")
         .ok_or("shard needs --out FILE (\"-\" for stdout)")?;
-    let shards = args.int("--shards").unwrap_or(2) as usize;
     let (ctx, meta) = shard_context_of(args)?;
-    let frames = ctx.frames(meta, start, end, shards, PayloadFormat::Bin)?;
+    let frames = ctx.frames(meta, start, end, 1, PayloadFormat::Bin)?;
     for f in &frames {
         eprintln!(
             "{}: swept positions [{}, {}) — {} blocks (schema v{}, {} payload)",
@@ -764,7 +761,7 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         reduce_fleet(
             &cfg,
             total,
-            args.int("--shards").unwrap_or(2) as usize,
+            1,
             PayloadFormat::Bin,
             scenario_meta(&sc, &mode),
         )
@@ -1344,29 +1341,6 @@ mod tests {
             (
                 &["chaos", "--upstream", "127.0.0.1:1", "--flip-rate", "1.5"],
                 "--flip-rate 1.5 is outside [0, 1]",
-            ),
-            (
-                &[
-                    "shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "0",
-                ],
-                "--shards 0 is outside 1..=64",
-            ),
-            (
-                &[
-                    "shard", "--range", "0..5", "--out", "x.frames", "--small", "--shards", "65",
-                ],
-                "--shards 65 is outside 1..=64",
-            ),
-            (
-                &[
-                    "reduce",
-                    "--connect",
-                    "127.0.0.1:1",
-                    "--small",
-                    "--shards",
-                    "65",
-                ],
-                "--shards 65 is outside 1..=64",
             ),
             (
                 &["reduce", "--connect", "127.0.0.1:1", "--backoff-ms", "0"],

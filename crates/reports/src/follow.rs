@@ -106,10 +106,8 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use txstat_archive::{Archive, ArchiveWriter};
-use txstat_core::{
-    ChainSweeps, EosColumnar, EosSweep, TezosColumnar, TezosSweep, XrpColumnar, XrpSweep,
-};
-use txstat_ingest::{reduce::CHAINS, IngestError};
+use txstat_core::{ChainSweeps, EosSweep, TezosSweep, XrpSweep};
+use txstat_ingest::{reduce::CHAINS, IngestError, RangeFold};
 use txstat_telemetry::{Counter, Gauge, Histogram, Registry, Span};
 use txstat_types::ids::{fnv1a64, fnv1a64_extend};
 
@@ -411,13 +409,11 @@ impl Follower {
         let tezos_tail = tail_above_high_water(&data.tezos_blocks, lo, hi, |b| b.level)?;
         let xrp_tail = tail_above_high_water(&data.xrp_blocks, lo, hi, |b| b.index)?;
 
-        let period = data.scenario.period;
-        let mut eos = EosColumnar::new(period);
-        eos_tail.iter().for_each(|b| eos.observe(b));
-        let mut tezos = TezosColumnar::new(period, data.governance_periods.clone());
-        tezos_tail.iter().for_each(|b| tezos.observe(b));
-        let mut xrp = XrpColumnar::new(period);
-        xrp_tail.iter().for_each(|b| xrp.observe(b, &data.oracle));
+        let mut fold = RangeFold::new(data.scenario.period, data.governance_periods.clone());
+        fold.sweep(eos_tail, tezos_tail, xrp_tail, &data.oracle);
+        let RangeFold {
+            eos, tezos, xrp, ..
+        } = fold;
 
         let merge_started = Instant::now();
         let source = {

@@ -32,7 +32,7 @@ use txstat_crawler::{
 use txstat_eos::AppCategory;
 use txstat_ingest::crawl::ledger_ious;
 use txstat_ingest::reduce::CHAINS;
-use txstat_ingest::{RateCache, ReduceError, ReduceSession, ShardWorker};
+use txstat_ingest::{RangeFold, RateCache, ReduceError, ReduceSession};
 use txstat_netsim::handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
 use txstat_netsim::http::HttpRequest;
 use txstat_netsim::server::{spawn_http, spawn_ndjson, EndpointHandle};
@@ -1456,41 +1456,8 @@ enum ShardSource {
         total: u64,
         /// Swept state by segment index: an assignment that covers a
         /// segment whole merges a clone of it instead of decoding blocks.
-        states: SegmentStates<SegmentState>,
+        states: SegmentStates<RangeFold>,
     },
-}
-
-/// The three columnar accumulators folded over one segment's blocks (or
-/// over a ragged edge's share of them), and how many blocks of each chain
-/// they observed.
-#[derive(Clone)]
-struct SegmentState {
-    eos: EosColumnar,
-    tezos: TezosColumnar,
-    xrp: XrpColumnar,
-    blocks: [u64; 3],
-}
-
-impl SegmentState {
-    /// Fold the next run of positions in: `other` must start where `self`
-    /// ends.
-    fn merge(&mut self, other: SegmentState) {
-        self.eos.merge(other.eos);
-        self.tezos.merge(other.tezos);
-        self.xrp.merge(other.xrp);
-        for (mine, theirs) in self.blocks.iter_mut().zip(other.blocks) {
-            *mine += theirs;
-        }
-    }
-}
-
-/// Fold `blocks` into `acc` under one `sweep` span labelled `chain`.
-fn sweep_run<B, A>(chain: &str, blocks: &[B], mut acc: A, observe: impl Fn(&mut A, &B)) -> A {
-    let _span = Span::enter("sweep", chain);
-    for b in blocks {
-        observe(&mut acc, b);
-    }
-    acc
 }
 
 /// A shard worker's prepared state: the scenario's chains (or archive),
@@ -1562,13 +1529,15 @@ impl ShardContext {
     /// Sweep the block-position range `[start, end)` of each chain
     /// (clamped to the chain head) into the three wire frames.
     ///
-    /// The archived source answers a segment the range covers whole from
-    /// that segment's swept state, filling it on first use from one decode
-    /// of the segment's verified bytes; a segment the range cuts (a ragged
-    /// edge) is decoded and its share swept, and nothing of it is kept.
-    /// The pieces merge in position order, so the frames reduce to the
-    /// same sweeps as a whole-chain fold of the range. A generated source
-    /// folds the range in one piece: `_shards` is ignored.
+    /// The range is swept in pieces that merge in position order, so the
+    /// frames reduce to the same sweeps as one fold of the range. A
+    /// generated source is one piece. The archived source answers a segment
+    /// the range covers whole from that segment's swept state, filling it
+    /// on first use from one decode of the segment's verified bytes; a
+    /// segment the range cuts (a ragged edge) is decoded and its share
+    /// swept, and nothing of it is kept. `_shards` and `_payload` are
+    /// ignored; they stay until the benchmark's layer harness stops
+    /// passing them (ROADMAP 1(b)).
     pub fn frames(
         &self,
         meta: serde_json::Value,
@@ -1577,61 +1546,62 @@ impl ShardContext {
         _shards: usize,
         _payload: PayloadFormat,
     ) -> Result<Vec<ShardFrame>, String> {
-        let period = self.sc.period;
-        let worker = ShardWorker::new(start, end, meta);
-        let (archive, states) = match &self.source {
-            ShardSource::Generated(d) => {
-                return Ok(vec![
-                    worker.eos_frame(&d.eos_blocks, period),
-                    worker.tezos_frame(&d.tezos_blocks, period, &self.governance_periods),
-                    worker.xrp_frame(&d.xrp_blocks, period, &self.oracle),
-                ]);
-            }
+        let end = end.max(start);
+        let pieces = match &self.source {
+            ShardSource::Generated(d) => vec![Ok(Cow::Owned(self.fold(
+                run_of(&d.eos_blocks, start, end),
+                run_of(&d.tezos_blocks, start, end),
+                run_of(&d.xrp_blocks, start, end),
+            )))],
             ShardSource::Archived {
                 archive, states, ..
-            } => (archive, states),
-        };
-        let (lo, hi) = archive.covering(start, end);
-        let covering: Vec<usize> = (lo..hi).collect();
-        let pieces = par_map(&covering, |&i| {
-            let m = archive.segments()[i];
-            if start <= m.start && m.end <= end {
-                states
-                    .get_or_fill(i, || self.sweep_segment(archive, i, m.start, m.end))
-                    .map(Cow::Borrowed)
-            } else {
-                self.sweep_segment(archive, i, start.max(m.start), end.min(m.end))
-                    .map(Cow::Owned)
+            } => {
+                let (lo, hi) = archive.covering(start, end);
+                let covering: Vec<usize> = (lo..hi).collect();
+                par_map(&covering, |&i| {
+                    let m = archive.segments()[i];
+                    if start <= m.start && m.end <= end {
+                        states
+                            .get_or_fill(i, || self.sweep_segment(archive, i, m.start, m.end))
+                            .map(Cow::Borrowed)
+                    } else {
+                        self.sweep_segment(archive, i, start.max(m.start), end.min(m.end))
+                            .map(Cow::Owned)
+                    }
+                })
             }
-        });
-        // A lone segment state is encoded where it lies; merging clones.
+        };
+        // A lone piece is encoded where it lies; merging clones.
         let merging = Span::enter("shard_merge", "");
         let mut pieces = pieces.into_iter();
         let mut merged = match pieces.next() {
             Some(first) => first?,
-            None => Cow::Owned(SegmentState {
-                eos: EosColumnar::new(period),
-                tezos: TezosColumnar::new(period, self.governance_periods.clone()),
-                xrp: XrpColumnar::new(period),
-                blocks: [0; 3],
-            }),
+            None => Cow::Owned(RangeFold::new(
+                self.sc.period,
+                self.governance_periods.clone(),
+            )),
         };
         for piece in pieces {
             merged.to_mut().merge(piece?.into_owned());
         }
         drop(merging);
-        // A chain's blocks are a prefix of the position space, so the `n`
-        // blocks it has in the range sit at `[start, start + n)`.
-        let [eos, tezos, xrp] = merged.blocks;
-        Ok(vec![
-            worker.frame("eos", &merged.eos, start, start + eos, eos),
-            worker.frame("tezos", &merged.tezos, start, start + tezos, tezos),
-            worker.frame("xrp", &merged.xrp, start, start + xrp, xrp),
-        ])
+        Ok(merged.frames(start, &meta))
+    }
+
+    /// One fold of the given runs of the three chains.
+    fn fold(
+        &self,
+        eos: &[txstat_eos::Block],
+        tezos: &[txstat_tezos::TezosBlock],
+        xrp: &[txstat_xrp::LedgerBlock],
+    ) -> RangeFold {
+        let mut fold = RangeFold::new(self.sc.period, self.governance_periods.clone());
+        fold.sweep(eos, tezos, xrp, &self.oracle);
+        fold
     }
 
     /// Decode segment `i` of `archive` and sweep its positions
-    /// `[start, end)` (clamped to each chain's blocks) into a fresh state.
+    /// `[start, end)` (clamped to each chain's blocks) into a fresh fold.
     /// The decoded blocks are dropped on return.
     fn sweep_segment(
         &self,
@@ -1639,30 +1609,15 @@ impl ShardContext {
         i: usize,
         start: u64,
         end: u64,
-    ) -> Result<SegmentState, String> {
+    ) -> Result<RangeFold, String> {
         let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
         let (eos, tezos, xrp) = crate::archive_io::chains_of_segment(&seg)?;
         let (lo, hi) = (start - seg.start, end - seg.start);
-        let (eos, tezos, xrp) = (
+        Ok(self.fold(
             run_of(&eos, lo, hi),
             run_of(&tezos, lo, hi),
             run_of(&xrp, lo, hi),
-        );
-        let period = self.sc.period;
-        let oracle = &*self.oracle;
-        Ok(SegmentState {
-            eos: sweep_run("eos", eos, EosColumnar::new(period), |a, b| a.observe(b)),
-            tezos: sweep_run(
-                "tezos",
-                tezos,
-                TezosColumnar::new(period, self.governance_periods.clone()),
-                |a, b| a.observe(b),
-            ),
-            xrp: sweep_run("xrp", xrp, XrpColumnar::new(period), |a, b| {
-                a.observe(b, oracle)
-            }),
-            blocks: [eos.len() as u64, tezos.len() as u64, xrp.len() as u64],
-        })
+        ))
     }
 
     /// Exact segment-state counters (archived sources only): one hit or

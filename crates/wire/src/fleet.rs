@@ -51,10 +51,10 @@ pub(crate) const FLEET_VERSION: u32 = 1;
 /// plus scenario meta — a few hundred bytes in practice).
 pub(crate) const MAX_ASSIGNMENT_LEN: usize = 1 << 20; // 1 MiB
 
-/// Most in-process sub-accumulators one assignment may ask a worker for.
-/// The count never changes a frame (the accumulators merge to the same
-/// state, whatever the split), but the worker allocates that many up
-/// front, so it is capped like every other size a peer sends.
+/// Largest [`Assignment::shards`] a worker accepts. Workers ignore the
+/// count (each range is folded in one piece), but it is a number a peer
+/// sends, so a value outside `1..=MAX_SHARDS` is refused like any other
+/// malformed body.
 pub const MAX_SHARDS: usize = 64;
 
 /// Largest response body a reducer will allocate for (a three-frame
@@ -135,6 +135,9 @@ impl From<WireError> for ProtocolError {
 pub struct Assignment {
     pub start: u64,
     pub end: u64,
+    /// Ignored by workers, and sent as 1; checked to lie in
+    /// `1..=MAX_SHARDS`. It stays until the benchmark's layer harness stops
+    /// reading it (ROADMAP 1(b)).
     pub shards: usize,
     pub payload: PayloadFormat,
     /// Scenario provenance — the worker refuses assignments whose meta
@@ -504,8 +507,7 @@ mod tests {
         ));
         // An intact request asking for the retired JSON payload (or none)
         // is a body error: the worker answers with nothing but `"bin"`. So
-        // is a shard count of zero or past `MAX_SHARDS`, which the worker
-        // would otherwise allocate accumulators for.
+        // is a shard count of zero or past `MAX_SHARDS`.
         for fields in [
             r#""shards":1,"payload":"json","#,
             r#""shards":1,"#,

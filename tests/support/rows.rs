@@ -6,8 +6,10 @@
 //! windows and over other payloads, one mutator family per test.
 
 use super::{Mutation, Mutator, Row};
+use serde_json::Value;
 use std::mem::size_of;
 use txstat::core::{EosColumnar, TezosColumnar, WireState, XrpColumnar};
+use txstat::ingest::RangeFold;
 use txstat::reports::PipelineData;
 use txstat::types::colcodec::ColError;
 
@@ -138,33 +140,21 @@ pub fn block_rows(data: &'static PipelineData, windows: &[Window]) -> Vec<Row<'s
 /// The frame payloads a worker encodes for each of `windows`: EOS, Tezos
 /// and XRP, each labelled by its window.
 pub fn payloads(data: &PipelineData, windows: &[Window]) -> [Vec<(String, Vec<u8>)>; 3] {
-    let period = data.scenario.period;
-    let fold = |bytes: &dyn Fn(Window) -> Vec<u8>| {
-        let labelled = windows.iter().map(|&w| (w.0.to_owned(), bytes(w)));
-        labelled.collect()
-    };
-    let eos = fold(&|w| {
-        let mut acc = EosColumnar::new(period);
-        window(&data.eos_blocks, w)
-            .iter()
-            .for_each(|b| acc.observe(b));
-        acc.to_wire_bytes()
-    });
-    let tezos = fold(&|w| {
-        let mut acc = TezosColumnar::new(period, data.governance_periods.clone());
-        window(&data.tezos_blocks, w)
-            .iter()
-            .for_each(|b| acc.observe(b));
-        acc.to_wire_bytes()
-    });
-    let xrp = fold(&|w| {
-        let mut acc = XrpColumnar::new(period);
-        window(&data.xrp_blocks, w)
-            .iter()
-            .for_each(|b| acc.observe(b, &data.oracle));
-        acc.to_wire_bytes()
-    });
-    [eos, tezos, xrp]
+    let mut payloads: [Vec<_>; 3] = Default::default();
+    for &w in windows {
+        let mut fold = RangeFold::new(data.scenario.period, data.governance_periods.clone());
+        let (eos, tezos, xrp) = (&data.eos_blocks, &data.tezos_blocks, &data.xrp_blocks);
+        fold.sweep(
+            window(eos, w),
+            window(tezos, w),
+            window(xrp, w),
+            &data.oracle,
+        );
+        for (chain, frame) in payloads.iter_mut().zip(fold.frames(0, &Value::Null)) {
+            chain.push((w.0.to_owned(), frame.payload));
+        }
+    }
+    payloads
 }
 
 /// The `from_wire_bytes` rows of one chain's labelled frame payloads: a

@@ -1,5 +1,6 @@
 //! Cross-process reduction equivalence: splitting a block set into k wire
-//! frames (random cuts, random in-frame shard counts), round-tripping
+//! frames (random cuts, each range folded in a random number of merged
+//! pieces), round-tripping
 //! every frame through the `txstat_wire` codec *bytes*, and reducing them
 //! centrally must produce sweeps bit-identical to one single-process
 //! columnar sweep over the whole set — plus rejection tests for retired
@@ -14,7 +15,7 @@ use serde_json::json;
 use support::rows::all_payload_rows;
 use support::{walk_some, Mutator};
 use txstat::core::{EosColumnar, TezosColumnar, XrpColumnar};
-use txstat::ingest::{ReduceError, ReduceSession, ShardWorker};
+use txstat::ingest::{RangeFold, ReduceError, ReduceSession};
 use txstat::wire::{decode_all, encode_all, ShardFrame, WireError};
 
 use txstat::eos::{Action, ActionData, Block, Name, Transaction};
@@ -222,8 +223,6 @@ fn xrp_blocks(spec: &[BlockSpec]) -> Vec<LedgerBlock> {
         .collect()
 }
 
-/// Cut `[0, len)` into `k` contiguous ranges at the (deduped, sorted) cut
-/// points, spanning the whole set.
 /// The comparable core of a graph report: counts, concentration, hubs.
 type GraphKey<N> = (u64, u64, u64, f64, Vec<(N, u64)>, Vec<(N, u64)>);
 
@@ -238,6 +237,8 @@ fn graph_key<N: Clone>(r: txstat::core::GraphReport<N>) -> GraphKey<N> {
     )
 }
 
+/// Cut `[0, len)` into `k` contiguous ranges at the (deduped, sorted) cut
+/// points, spanning the whole set.
 fn ranges(len: u64, cuts: &[u64]) -> Vec<(u64, u64)> {
     let mut points: Vec<u64> = cuts.iter().map(|c| c % (len + 1)).collect();
     points.push(0);
@@ -245,6 +246,29 @@ fn ranges(len: u64, cuts: &[u64]) -> Vec<(u64, u64)> {
     points.sort_unstable();
     points.dedup();
     points.windows(2).map(|w| (w[0], w[1])).collect()
+}
+
+/// The `"eos"`, `"tezos"` and `"xrp"` frames of positions `[start, end)`
+/// of `spec`'s chains, stamped with `meta`: folded in `pieces` contiguous
+/// runs that merge in position order, as a worker folds a range that spans
+/// several archive segments.
+fn range_frames(
+    spec: &[BlockSpec],
+    (start, end): (u64, u64),
+    pieces: u64,
+    meta: &serde_json::Value,
+) -> Vec<ShardFrame> {
+    let (eos, tezos, xrp) = (eos_blocks(spec), tezos_blocks(spec), xrp_blocks(spec));
+    let (periods, ora) = (vec![(PeriodKind::Promotion, window())], oracle());
+    let mut fold = RangeFold::new(window(), periods.clone());
+    let step = (end - start).div_ceil(pieces).max(1) as usize;
+    for lo in (start as usize..end as usize).step_by(step) {
+        let run = lo..(lo + step).min(end as usize);
+        let mut piece = RangeFold::new(window(), periods.clone());
+        piece.sweep(&eos[run.clone()], &tezos[run.clone()], &xrp[run], &ora);
+        fold.merge(piece);
+    }
+    fold.frames(start, meta)
 }
 
 fn spec_strategy() -> impl Strategy<Value = Vec<BlockSpec>> {
@@ -258,8 +282,8 @@ fn spec_strategy() -> impl Strategy<Value = Vec<BlockSpec>> {
 }
 
 proptest! {
-    /// The tentpole law: k frames over random contiguous cuts, each swept
-    /// with its own in-process shard count, round-tripped
+    /// The tentpole law: k frames over random contiguous cuts, each range
+    /// folded in its own number of merged pieces, round-tripped
     /// through the wire codec **bytes**, reduce to sweeps whose every
     /// compared statistic equals a single-process columnar sweep over the
     /// whole block set.
@@ -267,7 +291,7 @@ proptest! {
     fn k_frame_wire_reduction_equals_single_process(
         spec in spec_strategy(),
         cuts in proptest::collection::vec(0u64..64, 0..4),
-        shard_counts in proptest::collection::vec(1usize..5, 5),
+        pieces in proptest::collection::vec(1u64..5, 5),
     ) {
         let eos = eos_blocks(&spec);
         let tezos = tezos_blocks(&spec);
@@ -279,18 +303,8 @@ proptest! {
         // Shard side: one worker per range, three frames each, through the
         // byte codec.
         let mut bytes = Vec::new();
-        for (i, (start, end)) in ranges(spec.len() as u64, &cuts).into_iter().enumerate() {
-            let worker = ShardWorker {
-                start,
-                end,
-                shards: shard_counts[i % shard_counts.len()],
-                meta: meta.clone(),
-            };
-            let frames = vec![
-                worker.eos_frame(&eos, window()),
-                worker.tezos_frame(&tezos, window(), &periods),
-                worker.xrp_frame(&xrp, window(), &ora),
-            ];
+        for (i, range) in ranges(spec.len() as u64, &cuts).into_iter().enumerate() {
+            let frames = range_frames(&spec, range, pieces[i % pieces.len()], &meta);
             bytes.extend_from_slice(&encode_all(&frames));
         }
 
@@ -363,9 +377,8 @@ proptest! {
     /// `tests/damage.rs`.)
     #[test]
     fn damaged_frames_are_rejected(spec in spec_strategy()) {
-        let eos = eos_blocks(&spec);
-        let worker = ShardWorker::new(0, spec.len() as u64, serde_json::Value::Null);
-        let frame = worker.eos_frame(&eos, window());
+        let all = (0, spec.len() as u64);
+        let frame = range_frames(&spec, all, 1, &serde_json::Value::Null).swap_remove(0);
         let bytes = frame.encode();
 
         // Retired inputs, well-formed down to the content hash.
@@ -405,16 +418,12 @@ proptest! {
 #[test]
 fn damaged_binary_payloads_never_panic() {
     let mut rng = proptest::new_rng(proptest::base_seed() ^ proptest::fnv("damaged-payloads"));
-    let periods = vec![(PeriodKind::Promotion, window())];
     for case in 0..8 {
         let spec = proptest::Strategy::generate(&spec_strategy(), &mut rng);
-        let worker = ShardWorker::new(0, spec.len() as u64, serde_json::Value::Null);
-        let frames = [
-            worker.eos_frame(&eos_blocks(&spec), window()),
-            worker.tezos_frame(&tezos_blocks(&spec), window(), &periods),
-            worker.xrp_frame(&xrp_blocks(&spec), window(), &oracle()),
-        ];
-        let payloads = frames.map(|f| vec![(format!("case {case}"), f.payload)]);
+        let all = (0, spec.len() as u64);
+        let frames = range_frames(&spec, all, 1, &serde_json::Value::Null);
+        let payloads: [_; 3] =
+            std::array::from_fn(|c| vec![(format!("case {case}"), frames[c].payload.clone())]);
         for row in all_payload_rows(payloads) {
             walk_some(&row, |m| {
                 matches!(m, Mutator::Truncation | Mutator::BitFlip(_))
@@ -428,17 +437,15 @@ fn damaged_binary_payloads_never_panic() {
 #[test]
 fn session_rejects_foreign_and_overlapping_frames() {
     let spec: Vec<BlockSpec> = vec![vec![vec![(0, 1, 2, 5)]]; 6];
-    let eos = eos_blocks(&spec);
-    let worker = |s: u64, e: u64| ShardWorker::new(s, e, json!({"scenario": "a"}));
+    let eos_frame =
+        |s: u64, e: u64| range_frames(&spec, (s, e), 1, &json!({"scenario": "a"})).swap_remove(0);
 
     let mut session = ReduceSession::new();
-    session
-        .submit(&worker(0, 3).eos_frame(&eos, window()))
-        .expect("first half");
-    let err = session.submit(&worker(2, 6).eos_frame(&eos, window()));
+    session.submit(&eos_frame(0, 3)).expect("first half");
+    let err = session.submit(&eos_frame(2, 6));
     assert!(matches!(err, Err(ReduceError::Overlap { .. })), "{err:?}");
 
-    let mut alien = worker(3, 6).eos_frame(&eos, window());
+    let mut alien = eos_frame(3, 6);
     alien.header.meta = json!({"scenario": "b"});
     let err = session.submit(&alien);
     assert!(
@@ -446,7 +453,7 @@ fn session_rejects_foreign_and_overlapping_frames() {
         "{err:?}"
     );
 
-    let mut future = worker(3, 6).eos_frame(&eos, window());
+    let mut future = eos_frame(3, 6);
     future.header.schema_version = 42;
     let err = session.submit(&future);
     assert!(
@@ -455,9 +462,7 @@ fn session_rejects_foreign_and_overlapping_frames() {
     );
 
     // Leaving the gap unfilled is a finalize-time error naming the hole.
-    session
-        .submit(&worker(4, 6).eos_frame(&eos, window()))
-        .expect("tail");
+    session.submit(&eos_frame(4, 6)).expect("tail");
     assert_eq!(session.gaps("eos"), vec![(3, 4)]);
     let err = session.finalize().map(|_| ());
     assert!(

@@ -21,9 +21,11 @@
 //! response (worker → reducer)
 //!       0     4  magic  "TXSP"
 //!       4     4  protocol version (u32 LE)
-//!       8     1  status (0 = frames follow, 1 = UTF-8 error follows)
-//!       9     4  body length (u32 LE, capped MAX_BUNDLE_LEN)
-//!      13     …  body: concatenated ShardFrames (status 0) or an
+//!       8     8  seal (u64 LE, FNV-1a over bytes 16..21: the status
+//!                and the body length)
+//!      16     1  status (0 = frames follow, 1 = UTF-8 error follows)
+//!      17     4  body length (u32 LE, capped MAX_BUNDLE_LEN)
+//!      21     …  body: concatenated ShardFrames (status 0) or an
 //!                error message (status 1)
 //! ```
 //!
@@ -31,12 +33,15 @@
 //! a corrupt or hostile peer yields a typed [`ProtocolError`], never an
 //! OOM, and a body is reserved as its bytes arrive, not as declared. The
 //! request body is hash-protected (a bit-flipped range must not
-//! silently reassign the sweep); response frames carry their own content
-//! hashes, so the bundle needs no second envelope hash.
+//! silently reassign the sweep). The response's status and body length
+//! are sealed and checked before the body is read (a flipped status must
+//! not turn a frame bundle into a worker error); its frames carry their
+//! own content hashes, so the bundle needs no second hash.
 
 use crate::{content_hash, decode_all, encode_all, PayloadFormat, ShardFrame, WireError};
 use serde::Value;
 use std::io::{Read, Write};
+use txstat_types::ids::fnv1a64;
 
 /// Request magic: "TXSQ" (txstat shard reQuest).
 pub(crate) const REQUEST_MAGIC: [u8; 4] = *b"TXSQ";
@@ -45,7 +50,8 @@ pub(crate) const REQUEST_MAGIC: [u8; 4] = *b"TXSQ";
 pub(crate) const RESPONSE_MAGIC: [u8; 4] = *b"TXSP";
 
 /// Fleet protocol version. Bumped independently of the frame schema.
-pub(crate) const FLEET_VERSION: u32 = 1;
+/// Version 2 sealed the response's status byte.
+pub(crate) const FLEET_VERSION: u32 = 2;
 
 /// Largest assignment body a worker will allocate for (JSON of a range
 /// plus scenario meta — a few hundred bytes in practice).
@@ -84,7 +90,8 @@ pub enum ProtocolError {
         len: u64,
         max: u64,
     },
-    /// The request body hash does not match its bytes (damaged in flight).
+    /// A hash does not match its bytes (damaged in flight): the request
+    /// body's, or the response's seal over its status and body length.
     HashMismatch { expected: u64, found: u64 },
     /// The body bytes are not a valid assignment / error message.
     Body(String),
@@ -112,7 +119,7 @@ impl std::fmt::Display for ProtocolError {
                 write!(f, "fleet {section} claims {len} bytes, cap is {max}")
             }
             ProtocolError::HashMismatch { expected, found } => {
-                write!(f, "fleet request hash mismatch: envelope says {expected:#018x}, body hashes to {found:#018x}")
+                write!(f, "fleet hash mismatch: envelope says {expected:#018x}, bytes hash to {found:#018x}")
             }
             ProtocolError::Body(m) => write!(f, "bad fleet body: {m}"),
             ProtocolError::Remote(m) => write!(f, "worker error: {m}"),
@@ -195,16 +202,15 @@ fn read_exact(r: &mut dyn Read, buf: &mut [u8], what: &'static str) -> Result<()
 /// grows as its bytes arrive.
 const BODY_RESERVE: usize = 64 << 10;
 
-/// Read a capped length prefix and then exactly that many body bytes —
-/// the only place fleet bodies are allocated, after the cap check.
+/// Read exactly the `len4` (u32 LE) body bytes — the only place fleet
+/// bodies are allocated, after the cap check.
 fn read_capped_body(
     r: &mut dyn Read,
+    len4: &[u8],
     section: &'static str,
     max: usize,
 ) -> Result<Vec<u8>, ProtocolError> {
-    let mut len4 = [0u8; 4];
-    read_exact(r, &mut len4, section)?;
-    let len = u32::from_le_bytes(len4) as usize;
+    let len = u32::from_le_bytes(len4.try_into().expect("4 bytes")) as usize;
     if len > max {
         return Err(ProtocolError::SectionTooLarge {
             section,
@@ -238,7 +244,7 @@ pub fn write_assignment(w: &mut dyn Write, a: &Assignment) -> Result<(), Protoco
 
 /// Read one assignment request (the worker side of the exchange).
 pub fn read_assignment(r: &mut dyn Read) -> Result<Assignment, ProtocolError> {
-    let mut prefix = [0u8; 16];
+    let mut prefix = [0u8; 20];
     read_exact(r, &mut prefix, "request prefix")?;
     let magic: [u8; 4] = prefix[0..4].try_into().expect("4 bytes");
     if magic != REQUEST_MAGIC {
@@ -255,7 +261,7 @@ pub fn read_assignment(r: &mut dyn Read) -> Result<Assignment, ProtocolError> {
         });
     }
     let expected = u64::from_le_bytes(prefix[8..16].try_into().expect("8 bytes"));
-    let body = read_capped_body(r, "request body", MAX_ASSIGNMENT_LEN)?;
+    let body = read_capped_body(r, &prefix[16..20], "request body", MAX_ASSIGNMENT_LEN)?;
     let found = content_hash(&body, &[]);
     if found != expected {
         return Err(ProtocolError::HashMismatch { expected, found });
@@ -265,11 +271,13 @@ pub fn read_assignment(r: &mut dyn Read) -> Result<Assignment, ProtocolError> {
 }
 
 fn write_response(w: &mut dyn Write, status: u8, body: &[u8]) -> Result<(), ProtocolError> {
-    let mut out = Vec::with_capacity(13 + body.len());
+    let mut sealed = [status, 0, 0, 0, 0];
+    sealed[1..].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    let mut out = Vec::with_capacity(21 + body.len());
     out.extend_from_slice(&RESPONSE_MAGIC);
     out.extend_from_slice(&FLEET_VERSION.to_le_bytes());
-    out.push(status);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv1a64(&sealed).to_le_bytes());
+    out.extend_from_slice(&sealed);
     out.extend_from_slice(body);
     w.write_all(&out).map_err(|e| io_err("write response", e))?;
     w.flush().map_err(|e| io_err("flush response", e))
@@ -322,7 +330,7 @@ fn remote_message(body: &[u8]) -> String {
 /// Read one response (the reducer side): a decoded frame bundle on
 /// success, [`ProtocolError::Remote`] when the worker reported a failure.
 pub fn read_response(r: &mut dyn Read) -> Result<Vec<ShardFrame>, ProtocolError> {
-    let mut prefix = [0u8; 9];
+    let mut prefix = [0u8; 21];
     read_exact(r, &mut prefix, "response prefix")?;
     let magic: [u8; 4] = prefix[0..4].try_into().expect("4 bytes");
     if magic != RESPONSE_MAGIC {
@@ -338,9 +346,13 @@ pub fn read_response(r: &mut dyn Read) -> Result<Vec<ShardFrame>, ProtocolError>
             supported: FLEET_VERSION,
         });
     }
-    let status = prefix[8];
-    let body = read_capped_body(r, "response body", MAX_BUNDLE_LEN)?;
-    match status {
+    let expected = u64::from_le_bytes(prefix[8..16].try_into().expect("8 bytes"));
+    let found = fnv1a64(&prefix[16..21]);
+    if found != expected {
+        return Err(ProtocolError::HashMismatch { expected, found });
+    }
+    let body = read_capped_body(r, &prefix[17..21], "response body", MAX_BUNDLE_LEN)?;
+    match prefix[16] {
         0 => Ok(decode_all(&body)?),
         1 => Err(ProtocolError::Remote(remote_message(&body))),
         other => Err(ProtocolError::Body(format!(
@@ -454,6 +466,27 @@ mod tests {
         ));
     }
 
+    /// A frame bundle whose status byte flipped to "error" is refused by
+    /// the seal before its body is read, not reported as a worker error.
+    #[test]
+    fn a_flipped_response_status_is_a_hash_mismatch() {
+        let frames = vec![ShardFrame::from_columns(
+            "eos",
+            0,
+            5,
+            5,
+            json!({}),
+            vec![1, 2, 3],
+        )];
+        let mut buf = Vec::new();
+        write_frames(&mut buf, &frames).expect("writes");
+        buf[16] ^= 1;
+        assert!(matches!(
+            read_response(&mut buf.as_slice()),
+            Err(ProtocolError::HashMismatch { .. })
+        ));
+    }
+
     #[test]
     fn oversized_bodies_are_capped_before_allocation() {
         let mut buf = Vec::new();
@@ -467,9 +500,12 @@ mod tests {
             })
         ));
 
+        // The response's length is sealed: re-seal it, as a peer would.
         let mut buf = Vec::new();
         write_frames(&mut buf, &[]).expect("writes");
-        buf[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        buf[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
+        let seal = fnv1a64(&buf[16..21]);
+        buf[8..16].copy_from_slice(&seal.to_le_bytes());
         assert!(matches!(
             read_response(&mut buf.as_slice()),
             Err(ProtocolError::SectionTooLarge {

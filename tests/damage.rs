@@ -3,8 +3,8 @@
 //! bit flips, huge counts and forged counts. No mutation may panic a
 //! decoder, make it ask for more than its row's cap at once or slip a
 //! strict prefix through, and every outcome must pass the row's verdict.
-//! Each hash-sealed row (`TXSF` frames, `TXSQ` requests, `archive.idx`,
-//! `archive.memo`) is walked raw, where every mutation must be refused, and
+//! Each hash-sealed row (`TXSF` frames, `TXSQ` requests, `TXSP` responses,
+//! `archive.idx`, `archive.memo`) is walked raw, where every mutation must be refused, and
 //! re-sealed, where the hash is recomputed over the mutated body so the
 //! damage reaches the structural decoder. The column decoders' rows are
 //! built in `support::rows`, where the named walks of `archive_v2.rs` and
@@ -18,7 +18,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use support::rows::{all_payload_rows, block_rows, cut, payloads, window, RESERVE_CAP, WINDOWS};
-use support::{walk, Count, Mutation, Row};
+use support::{walk, Count, Mutation, Mutator, Row};
 use txstat::archive::{decode_memo, encode_memo, Archive, MemoError, IDX_FILE};
 use txstat::reports::{generate, scenario_meta, summarize, PipelineData};
 use txstat::reports::{SegmentSummary, SUMMARY_SCHEMA};
@@ -26,7 +26,7 @@ use txstat::types::colcodec::{ColReader, ColWriter};
 use txstat::types::ids::fnv1a64;
 use txstat::types::lzss::{self, LzssError};
 use txstat::wire::fleet::{self, Assignment, ProtocolError};
-use txstat::wire::{content_hash, PayloadFormat, ShardFrame, WireError};
+use txstat::wire::{content_hash, encode_all, PayloadFormat, ShardFrame, WireError};
 use txstat::workload::Scenario;
 
 #[global_allocator]
@@ -65,6 +65,16 @@ fn seal_request(bytes: &[u8]) -> Vec<u8> {
     let mut out = bytes.to_vec();
     if let Some(body) = section(bytes, 16) {
         out[8..16].copy_from_slice(&content_hash(body, &[]).to_le_bytes());
+    }
+    out
+}
+
+/// A `TXSP` response with its seal (bytes 8..16) recomputed over the status
+/// byte and the body length (bytes 16..21).
+fn seal_response(bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    if let Some(sealed) = bytes.get(16..21) {
+        out[8..16].copy_from_slice(&fnv1a64(sealed).to_le_bytes());
     }
     out
 }
@@ -120,9 +130,10 @@ fn table(idx_dir: &Path) -> Vec<Row<'_>> {
     // a strict prefix is a typed `Io` error. Each is also walked with a
     // length of 64 MiB and a few bytes after it: a body is reserved as it
     // arrives, never as it is declared. A request re-encodes to a fixpoint;
-    // a response can only be the frames it was, or a worker error (a flipped
-    // status byte) whose message is escaped and capped, however long the
-    // body.
+    // a response can only be the frames it was, or, re-sealed, a worker
+    // error (a flipped status byte) whose message is escaped and capped,
+    // however long the body. Under its own seal a flipped status byte is a
+    // `HashMismatch`, never a worker error.
     let request = Assignment {
         start: 300,
         end: 600,
@@ -150,19 +161,32 @@ fn table(idx_dir: &Path) -> Vec<Row<'_>> {
     });
     let mut healthy = Vec::new();
     fleet::write_frames(&mut healthy, &frames).expect("write the response");
-    let verdict =
-        move |m: Option<&Mutation>, _: &[u8], r: Result<Vec<ShardFrame>, ProtocolError>| match r {
+    // The status byte comes just before the body length, which comes just
+    // before the body.
+    let status_at = healthy.len() - encode_all(&frames).len() - 5;
+    let head = healthy[..status_at].to_vec();
+    let verdict = move |m: Option<&Mutation>,
+                        bytes: &[u8],
+                        r: Result<Vec<ShardFrame>, ProtocolError>| {
+        let status_flip =
+            m.is_some_and(|m| m.at == status_at && matches!(m.mutator, Mutator::BitFlip(_)));
+        match r {
+            _ if status_flip && bytes.starts_with(&head) => {
+                matches!(r, Err(ProtocolError::HashMismatch { .. }))
+            }
             Ok(got) => got == frames,
             Err(ProtocolError::Remote(msg)) => {
                 !cut(m) && msg.len() <= fleet::MAX_REMOTE_MESSAGE && !msg.contains(char::is_control)
             }
             Err(e) => !cut(m) || matches!(e, ProtocolError::Io(_)),
-        };
+        }
+    };
     let read = |mut bytes: &[u8]| fleet::read_response(&mut bytes);
     rows.push(Row {
         count: Count::U32Le,
         cap: COPY_CAP,
         forges: vec![(64 << 20, 8)],
+        seal: Some((<[u8]>::to_vec, seal_response)),
         ..Row::new("fleet::read_response", healthy, read, verdict)
     });
 

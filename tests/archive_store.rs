@@ -380,5 +380,10 @@ fn generated_and_archived_contexts_frame_every_chunk_alike() {
         let generated = pin(&bundle(&generated, start, end));
         assert_eq!(generated, want, "{what}: generated [{start}, {end})");
     }
+    // An inverted range, which a fleet peer can send, is the empty range at
+    // its start from either source.
+    for ctx in [&generated, &archived] {
+        assert_eq!(bundle(ctx, 300, 200), bundle(ctx, 300, 300), "inverted");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

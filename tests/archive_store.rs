@@ -380,6 +380,20 @@ fn generated_and_archived_contexts_frame_every_chunk_alike() {
         let generated = pin(&bundle(&generated, start, end));
         assert_eq!(generated, want, "{what}: generated [{start}, {end})");
     }
+    // A chunk over three whole segments: the archived worker merges three
+    // EOS segment states, the generated one folds the blocks once, and the
+    // merged EOS accumulator carries more id slots than the fold.
+    let (start, end) = (128, 512);
+    assert_eq!(
+        pin(&bundle(&archived, start, end)),
+        (19208, 0x4731_da03_249f_8718),
+        "three segments: archived [{start}, {end})"
+    );
+    assert_eq!(
+        pin(&bundle(&generated, start, end)),
+        (18823, 0x6d6a_2213_851d_c7ba),
+        "three segments: generated [{start}, {end})"
+    );
     // An inverted range, which a fleet peer can send, is the empty range at
     // its start from either source.
     for ctx in [&generated, &archived] {

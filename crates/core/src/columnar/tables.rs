@@ -76,19 +76,13 @@ impl<T: Copy + Default + PartialEq + std::ops::AddAssign> IdVec<T> {
         }
     }
 
-    /// Cross-interner merge: gather `other`'s tallies through `remap`
-    /// (entry `i` = this side's id for the other side's id `i`).
+    /// Cross-interner merge: gather `other`'s non-zero tallies through
+    /// `remap` (entry `i` = this side's id for the other side's id `i`).
+    /// Grows only to the ids a tally lands on, as a fold of the same
+    /// blocks would: a merged accumulator is the size of the one-pass fold.
     pub fn merge_remap(&mut self, other: &IdVec<T>, remap: &[u32]) {
-        if let Some(max) = remap.get(..other.slots.len()).and_then(|r| r.iter().max()) {
-            let need = *max as usize + 1;
-            if need > self.slots.len() {
-                self.slots.resize(need, T::default());
-            }
-        }
-        for (oid, v) in other.slots.iter().enumerate() {
-            if *v != T::default() {
-                self.slots[remap[oid] as usize] += *v;
-            }
+        for (oid, v) in other.iter_nonzero() {
+            self.add(remap[oid as usize], v);
         }
     }
 }
@@ -445,6 +439,22 @@ mod tests {
         remapped.merge_remap(&b, &[99, 2, 99, 99, 0]);
         assert_eq!(remapped.get(2), 12);
         assert_eq!(remapped.get(0), 10);
+    }
+
+    /// A zero tally of the other side adds nothing, so its remapped id
+    /// does not size the merge: the result is as large as adding the
+    /// non-zero tallies one by one.
+    #[test]
+    fn idvec_merge_remap_grows_only_to_non_zero_tallies() {
+        let mut a: IdVec<u64> = IdVec::new();
+        a.add(1, 1);
+        let mut b: IdVec<u64> = IdVec::new();
+        b.add(0, 4);
+        b.add(3, 0);
+        assert_eq!(b.slot_count(), 4);
+        a.merge_remap(&b, &[2, 98, 97, 99]);
+        assert_eq!(a.iter_nonzero().collect::<Vec<_>>(), vec![(1, 1), (2, 4)]);
+        assert_eq!(a.slot_count(), 3);
     }
 
     #[test]

@@ -45,11 +45,8 @@ pub struct GraphReport<N> {
     /// Gini of weighted out-degrees (activity concentration; Kondor et al.
     /// found Bitcoin's wealth/activity Gini rising toward 1).
     pub out_degree_gini: f64,
-    pub in_degree_gini: f64,
     /// Top hubs by weighted in-degree (exchange-like sinks).
     pub top_sinks: Vec<(N, u64)>,
-    /// Top hubs by weighted out-degree (faucet/airdrop-like sources).
-    pub top_sources: Vec<(N, u64)>,
     /// Nodes whose distinct out-neighborhood exceeds 100× the median —
     /// the "unusual behaviour" outliers of Di Francesco Maesa et al.
     pub fanout_outliers: Vec<(N, u64)>,
@@ -138,7 +135,6 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
     /// Compute the summary report.
     pub fn report(&self, top_k: usize) -> GraphReport<N> {
         let out_values: Vec<f64> = self.out_degree.iter().map(|(_, v)| *v as f64).collect();
-        let in_values: Vec<f64> = self.in_degree.iter().map(|(_, v)| *v as f64).collect();
 
         // Fan-out outliers: distinct-neighborhood size vs the median.
         let mut fanouts: Vec<u64> = self.fanout.values().copied().collect();
@@ -157,9 +153,7 @@ impl<N: Eq + Hash + Clone + Ord> TransferGraph<N> {
             unique_edges: self.edges.len() as u64,
             transfers: self.transfers(),
             out_degree_gini: gini(&out_values),
-            in_degree_gini: gini(&in_values),
             top_sinks: self.in_degree.top(top_k),
-            top_sources: self.out_degree.top(top_k),
             fanout_outliers,
         }
     }
@@ -191,7 +185,6 @@ mod tests {
         assert_eq!(r.nodes, 8);
         assert_eq!(r.unique_edges, 7);
         assert_eq!(r.top_sinks[0].0, "hub");
-        assert_eq!(r.top_sources[0].0, "a");
         assert!(r.out_degree_gini >= 0.0 && r.out_degree_gini <= 1.0);
     }
 
@@ -264,9 +257,7 @@ mod tests {
             prop_assert_eq!(b.transfers, a.transfers);
             prop_assert_eq!(b.fanout_outliers, a.fanout_outliers);
             prop_assert_eq!(b.top_sinks, a.top_sinks);
-            prop_assert_eq!(b.top_sources, a.top_sources);
             prop_assert_eq!(b.out_degree_gini.to_bits(), a.out_degree_gini.to_bits());
-            prop_assert_eq!(b.in_degree_gini.to_bits(), a.in_degree_gini.to_bits());
         }
     }
 }

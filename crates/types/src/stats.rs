@@ -222,7 +222,9 @@ pub fn gini(values: &[f64]) -> f64 {
     if v.is_empty() {
         return 0.0;
     }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in gini input"));
+    // Equal values are interchangeable in the weighted sum, so an unstable
+    // sort gives the stable sort's bits.
+    v.sort_unstable_by(f64::total_cmp);
     let n = v.len() as f64;
     let sum: f64 = v.iter().sum();
     if sum == 0.0 {

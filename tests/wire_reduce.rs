@@ -224,7 +224,7 @@ fn xrp_blocks(spec: &[BlockSpec]) -> Vec<LedgerBlock> {
 }
 
 /// The comparable core of a graph report: counts, concentration, hubs.
-type GraphKey<N> = (u64, u64, u64, f64, Vec<(N, u64)>, Vec<(N, u64)>);
+type GraphKey<N> = (u64, u64, u64, f64, Vec<(N, u64)>);
 
 fn graph_key<N: Clone>(r: txstat::core::GraphReport<N>) -> GraphKey<N> {
     (
@@ -233,7 +233,6 @@ fn graph_key<N: Clone>(r: txstat::core::GraphReport<N>) -> GraphKey<N> {
         r.transfers,
         r.out_degree_gini,
         r.top_sinks,
-        r.top_sources,
     )
 }
 

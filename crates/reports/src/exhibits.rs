@@ -209,16 +209,11 @@ fn category_sparklines<K: Copy + Eq + Hash + Ord>(
     series: &BucketSeries<K>,
     label: fn(K) -> &'static str,
 ) {
-    for cat in series.categories_sorted() {
-        let values: Vec<f64> = (0..series.bucket_count())
-            .map(|i| series.get(i, &cat) as f64)
-            .collect();
+    for (cat, counts) in series.columns_sorted() {
+        let values: Vec<f64> = counts.iter().map(|&n| n as f64).collect();
+        let total: u64 = counts.iter().sum();
         out.push_str(&render_series(
-            &format!(
-                "  {} (total {})",
-                label(cat),
-                fmt_thousands(series.category_total(&cat) as u128)
-            ),
+            &format!("  {} (total {})", label(cat), fmt_thousands(total as u128)),
             &values,
         ));
     }

@@ -8,7 +8,7 @@
 //! shared by every figure, so rendering the full report never re-scans the
 //! block vectors.
 
-use crate::pipeline::PipelineData;
+use crate::pipeline::{Chains, PipelineData};
 use std::hash::Hash;
 use txstat_core::tezos_analysis::TezosThroughputCat;
 use txstat_core::xrp_analysis::{self as xrp, XrpThroughputCat};
@@ -682,47 +682,68 @@ pub fn case_studies(data: &PipelineData) -> String {
 pub(crate) const SECTION_BREAK: &str =
     "\n================================================================\n\n";
 
-/// Renderer signature shared by every row of [`SECTIONS`].
-pub(crate) type SectionFn = fn(&PipelineData) -> String;
+/// One report section: its renderer and the chains whose sweeps it reads,
+/// itself or through a view. Nothing else a section reads moves between
+/// serve epochs (the facts, the oracle, the trades and the cluster are one
+/// dataset family's), so an epoch that moved none of `reads` has the
+/// section's bytes of the epoch before it.
+#[derive(Clone, Copy)]
+pub struct Section {
+    pub render: fn(&PipelineData) -> String,
+    pub reads: Chains,
+}
 
-/// Every exhibit section of the report, in render order: `(name, render)`.
+const fn reads(reads: Chains, render: fn(&PipelineData) -> String) -> Section {
+    Section { render, reads }
+}
+
+const EOS: Chains = Chains::EOS;
+const TEZOS: Chains = Chains::TEZOS;
+const XRP: Chains = Chains::XRP;
+const ALL: Chains = Chains::ALL;
+const NONE: Chains = Chains::NONE;
+
+/// Every exhibit section of the report, in render order: `(name, section)`.
 /// The names double as the serve path's `/exhibit/<name>` routes, and the
 /// report is the concatenation of exactly these strings (each followed by
 /// `SECTION_BREAK`) and the [`comparison_section`] — which is what makes a
 /// served section byte-identical to the one-shot report by construction.
-pub const SECTIONS: &[(&str, SectionFn)] = &[
-    ("headline", headline),
-    ("fig1", fig1),
-    ("fig2", fig2),
-    ("fig3", fig3),
-    ("fig4", fig4),
-    ("fig5", fig5),
-    ("fig6", fig6),
-    ("fig7", fig7),
-    ("fig8", fig8),
-    ("fig9", fig9),
-    ("fig11", fig11),
-    ("fig12", fig12),
-    ("case_studies", case_studies),
+/// The names keep the paper's figure numbers, so the paper's Figure 10,
+/// which no section regenerates, is a gap between `fig9` and `fig11`
+/// rather than a renumbering of every later figure.
+pub const SECTIONS: &[(&str, Section)] = &[
+    ("headline", reads(ALL, headline)),
+    ("fig1", reads(ALL, fig1)),
+    ("fig2", reads(NONE, fig2)),
+    ("fig3", reads(ALL, fig3)),
+    ("fig4", reads(EOS, fig4)),
+    ("fig5", reads(EOS, fig5)),
+    ("fig6", reads(TEZOS, fig6)),
+    ("fig7", reads(XRP, fig7)),
+    ("fig8", reads(XRP, fig8)),
+    ("fig9", reads(TEZOS, fig9)),
+    ("fig11", reads(NONE, fig11)),
+    ("fig12", reads(XRP, fig12)),
+    ("case_studies", reads(EOS.union(XRP), case_studies)),
 ];
 
 /// The report's last section, served as `/exhibit/comparison`.
-const COMPARISON: (&str, SectionFn) = ("comparison", comparison_section);
+const COMPARISON: (&str, Section) = ("comparison", reads(ALL, comparison_section));
 
 /// The report's layout, spelled once: every [`SECTIONS`] row followed by
 /// [`SECTION_BREAK`], then the comparison with nothing after it. Yields
-/// `((name, render), separator)`; [`render_report`] renders each section,
+/// `((name, section), separator)`; [`render_report`] renders each section,
 /// a serve snapshot takes it from its own cache.
-pub(crate) fn report_layout() -> impl Iterator<Item = ((&'static str, SectionFn), &'static str)> {
+pub(crate) fn report_layout() -> impl Iterator<Item = ((&'static str, Section), &'static str)> {
     SECTIONS
         .iter()
         .map(|&row| (row, SECTION_BREAK))
         .chain([(COMPARISON, "")])
 }
 
-/// The `(name, render)` row behind `/exhibit/<name>`: a [`SECTIONS`] row or
-/// the comparison.
-pub(crate) fn section(name: &str) -> Option<(&'static str, SectionFn)> {
+/// The `(name, section)` row behind `/exhibit/<name>`: a [`SECTIONS`] row
+/// or the comparison.
+pub(crate) fn section(name: &str) -> Option<(&'static str, Section)> {
     report_layout()
         .map(|(row, _)| row)
         .find(|(n, _)| *n == name)
@@ -732,9 +753,9 @@ pub(crate) fn section(name: &str) -> Option<(&'static str, SectionFn)> {
 /// the report and of the serve path goes through here. The span nests
 /// whatever the section computes on first use (`sweep`, `fig2_storage`);
 /// the trace's depth tells them apart.
-pub(crate) fn render_section((name, render): (&str, SectionFn), data: &PipelineData) -> String {
+pub(crate) fn render_section((name, section): (&str, Section), data: &PipelineData) -> String {
     let _span = Span::enter("render", name);
-    render(data)
+    (section.render)(data)
 }
 
 /// Render every exhibit section: `(name, text)` in report order.

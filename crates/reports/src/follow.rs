@@ -97,7 +97,7 @@
 use crate::archive_io::segments_of_from;
 use crate::exhibits::render_report;
 use crate::pipeline::{
-    check_segment_blocks, create_archive_writer, pipeline_from_archive, run_of, MemoStatus,
+    check_segment_blocks, create_archive_writer, pipeline_from_archive, run_of, Chains, MemoStatus,
     PipelineData,
 };
 use crate::Manifest;
@@ -284,6 +284,8 @@ pub struct Follower {
     back: Option<(Arc<ChainSweeps>, ChainSweeps)>,
     /// Epochs built on `[a reclaimed back copy, a clone of the front]`.
     snapshots: [u64; 2],
+    /// The chains whose sweeps the last advance changed.
+    moved: Chains,
     offset: usize,
     batch: usize,
     metrics: Option<FollowMetrics>,
@@ -332,6 +334,7 @@ impl Follower {
             data,
             back: None,
             snapshots: [0; 2],
+            moved: Chains::ALL,
             offset: 0,
             batch: batch.max(1),
             metrics: None,
@@ -396,6 +399,15 @@ impl Follower {
         (self.snapshots[0], self.snapshots[1])
     }
 
+    /// The chains the last [`Follower::advance`] observed blocks of: its
+    /// fork's sweeps differ from the previous fork's in these chains only.
+    /// All three before the first advance and for the first advance after
+    /// a [`Follower::resync`] that rolled back, whose fork is not the
+    /// previous fork and a batch.
+    pub fn moved(&self) -> Chains {
+        self.moved
+    }
+
     /// Observe the next batch of each chain and fork the dataset at the
     /// new coverage. The fork shares every heavy input with the base by
     /// `Arc`; only the installed sweeps differ (past the head, not even
@@ -415,6 +427,16 @@ impl Follower {
             eos, tezos, xrp, ..
         } = fold;
 
+        // No back copy: this is the first epoch, or the first after a
+        // resync rolled back, and the fork is not the last one and a batch.
+        let moved = match self.back {
+            None => Chains::ALL,
+            Some(_) => Chains::flagged([
+                !eos_tail.is_empty(),
+                !tezos_tail.is_empty(),
+                !xrp_tail.is_empty(),
+            ]),
+        };
         let merge_started = Instant::now();
         let source = {
             let _span = Span::enter("follow_merge", "");
@@ -466,6 +488,7 @@ impl Follower {
             source
         };
         self.snapshots[source] += 1;
+        self.moved = moved;
         self.offset = hi;
         if let Some(g) = self.guard.as_mut().filter(|_| hi > lo) {
             let _span = Span::enter("follow_mark", "");

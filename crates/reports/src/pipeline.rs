@@ -98,23 +98,81 @@ pub struct PipelineData {
     facts: Arc<Facts>,
     /// The views derived from the sweeps that more than one section reads
     /// (the comparison reads all of them again), each derived on first use.
-    /// Unlike the facts they belong to this dataset alone: every
-    /// constructor, fork and twin starts with none, so an epoch's views
-    /// are of its own sweeps and die with it. Boxed: the six cells would
-    /// about double the size of every move of a dataset.
+    /// Unlike the facts they belong to this dataset's sweeps: every
+    /// constructor, fork and twin starts with none, and only a serve epoch
+    /// takes over, by `Arc`, the views of the epoch before it whose chains
+    /// did not move ([`PipelineData::carrying_views`]). Boxed: the six
+    /// cells would about double the size of every move of a dataset.
     views: Box<Views>,
 }
 
+/// A set of the three chains: the chains whose sweeps a section, a route
+/// or a view reads, or the chains a follower's epoch moved. Bit `i` is the
+/// chain at index `i` of [`CHAINS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Chains(u8);
+
+impl Chains {
+    pub const NONE: Chains = Chains(0);
+    pub const EOS: Chains = Chains(1);
+    pub const TEZOS: Chains = Chains(2);
+    pub const XRP: Chains = Chains(4);
+    pub const ALL: Chains = Chains(7);
+
+    /// The chain tagged `name` in [`CHAINS`].
+    pub fn named(name: &str) -> Option<Chains> {
+        let i = CHAINS.iter().position(|c| *c == name)?;
+        Some(Chains(1 << i))
+    }
+
+    /// The chains whose flag is set, by [`CHAINS`] index.
+    pub fn flagged(flags: [bool; 3]) -> Chains {
+        Chains((0..3).filter(|&i| flags[i]).fold(0, |set, i| set | 1 << i))
+    }
+
+    pub const fn union(self, other: Chains) -> Chains {
+        Chains(self.0 | other.0)
+    }
+
+    /// True when the two sets share a chain.
+    pub const fn meets(self, other: Chains) -> bool {
+        self.0 & other.0 != 0
+    }
+}
+
 /// The lazily derived shared views of one dataset's sweeps: one cell per
-/// [`PipelineData`] accessor that fills it.
+/// [`PipelineData`] accessor that fills it, each held by `Arc` so that a
+/// serve epoch can share it with the next.
 #[derive(Default)]
 struct Views {
-    eos_category_series: OnceLock<BucketSeries<AppCategory>>,
-    vote_curves: OnceLock<Vec<PeriodCurves>>,
-    value_flow: OnceLock<ValueFlowReport>,
-    most_active: OnceLock<Vec<ActiveAccount>>,
-    concentration: OnceLock<ConcentrationReport>,
-    wash_report: OnceLock<WashReport>,
+    eos_category_series: OnceLock<Arc<BucketSeries<AppCategory>>>,
+    vote_curves: OnceLock<Arc<Vec<PeriodCurves>>>,
+    value_flow: OnceLock<Arc<ValueFlowReport>>,
+    most_active: OnceLock<Arc<Vec<ActiveAccount>>>,
+    concentration: OnceLock<Arc<ConcentrationReport>>,
+    wash_report: OnceLock<Arc<WashReport>>,
+}
+
+impl Views {
+    /// The views of these that read none of the chains in `moved`, shared
+    /// by `Arc`; every other cell empty. Each view's chains are those its
+    /// derivation in the accessor of the same name reads.
+    fn carried(&self, moved: Chains) -> Views {
+        fn keep<T>(cell: &OnceLock<Arc<T>>, reads: Chains, moved: Chains) -> OnceLock<Arc<T>> {
+            match cell.get() {
+                Some(view) if !reads.meets(moved) => OnceLock::from(Arc::clone(view)),
+                _ => OnceLock::new(),
+            }
+        }
+        Views {
+            eos_category_series: keep(&self.eos_category_series, Chains::EOS, moved),
+            vote_curves: keep(&self.vote_curves, Chains::TEZOS, moved),
+            value_flow: keep(&self.value_flow, Chains::XRP, moved),
+            most_active: keep(&self.most_active, Chains::XRP, moved),
+            concentration: keep(&self.concentration, Chains::XRP, moved),
+            wash_report: keep(&self.wash_report, Chains::EOS, moved),
+        }
+    }
 }
 
 /// The lazily resolved [`SegmentSummary`] of a whole dataset family, and
@@ -326,14 +384,14 @@ impl PipelineData {
     /// a first-use sweep stays a `sweep` span of its own.
     fn view<'a, T>(
         &'a self,
-        cell: &'a OnceLock<T>,
+        cell: &'a OnceLock<Arc<T>>,
         name: &str,
         derive: impl FnOnce(&ChainSweeps) -> T,
     ) -> &'a T {
         cell.get_or_init(|| {
             let sweeps = self.sweeps();
             let _span = Span::enter("view", name);
-            derive(sweeps)
+            Arc::new(derive(sweeps))
         })
     }
 
@@ -389,6 +447,30 @@ impl PipelineData {
         })
     }
 
+    /// This dataset with the views of `prev` that read none of the chains
+    /// in `moved`, in place of its own. Sound only where the two datasets'
+    /// sweeps differ in the chains `moved` alone — consecutive serve
+    /// epochs, `moved` being what the follower's advance between them
+    /// observed — because a view is a function of the sweeps it reads.
+    pub(crate) fn carrying_views(mut self, prev: &PipelineData, moved: Chains) -> PipelineData {
+        self.views = Box::new(prev.views.carried(moved));
+        self
+    }
+
+    /// Which views are derived already, in [`Views`] field order.
+    #[cfg(test)]
+    pub(crate) fn views_held(&self) -> [bool; 6] {
+        let v = &self.views;
+        [
+            v.eos_category_series.get().is_some(),
+            v.vote_curves.get().is_some(),
+            v.value_flow.get().is_some(),
+            v.most_active.get().is_some(),
+            v.concentration.get().is_some(),
+            v.wash_report.get().is_some(),
+        ]
+    }
+
     /// Fork this dataset with a different set of installed sweeps: all
     /// heavy inputs (blocks, oracle, cluster, CPU-price history, …) are
     /// shared by `Arc`, the block-derived facts are shared too, and only
@@ -437,7 +519,7 @@ impl PipelineData {
     }
 
     /// A dataset sharing every input of this one by `Arc`, with no sweeps
-    /// or views yet and the given facts. Views are never carried over: they
+    /// or views yet and the given facts. Views are not carried over: they
     /// are of this dataset's sweeps, which the sibling does not share.
     fn sibling(&self, facts: Arc<Facts>) -> PipelineData {
         PipelineData {

@@ -11,9 +11,20 @@
 //! Figure 3a series, the vote curves, the value flow, …, each derived
 //! once from the sweeps and read again by the comparison). The cache and
 //! the views live *inside* the snapshot, so invalidating them on swap is
-//! not a protocol, it is reachability: the new epoch starts with an empty
-//! cache and no views, and the old ones are dropped with the last
-//! reference to the old snapshot.
+//! not a protocol, it is reachability: the old ones are dropped with the
+//! last reference to the old snapshot.
+//!
+//! What a new epoch starts with is what cannot have changed. The three
+//! chains run out at different epochs, and an epoch's sweeps differ from
+//! the previous epoch's only in the chains its advance observed blocks of
+//! ([`Follower::moved`]). Every section, account route and view names the
+//! chains it reads ([`crate::exhibits::Section::reads`]), so
+//! [`StatsService::publish_next`] carries each cache entry and view of the
+//! previous snapshot that reads none of the moved chains into the next one
+//! by `Arc` (`txstat_serve_cache_carried_total` counts the entries); the
+//! rest starts empty. That is sound because an epoch's bytes equal the
+//! one-shot render of its observed prefix, and a chain whose prefix did
+//! not grow has the same sweep. [`ServeSnapshot::new`] starts empty.
 //!
 //! `/report` is not rendered as a whole: it is laid out from the cache
 //! entries of the section routes (`/exhibit/<name>`, the comparison last),
@@ -35,12 +46,12 @@
 
 use crate::exhibits::{render_section, report_layout, section};
 use crate::follow::Follower;
-use crate::pipeline::PipelineData;
+use crate::pipeline::{Chains, PipelineData};
 use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-use txstat_ingest::EpochCell;
+use txstat_ingest::{EpochCell, IngestError};
 use txstat_netsim::http::{HttpRequest, HttpResponse};
 use txstat_netsim::{run_load, start_query_server, HttpHandler, LoadPlan, QueryServerConfig};
 use txstat_telemetry::{Counter, MetricKind, Registry, Sample, SampleValue};
@@ -59,7 +70,21 @@ pub struct ServeSnapshot {
     cache: Mutex<HashMap<String, Arc<Vec<u8>>>>,
 }
 
+/// The chains a cached route's bytes read: its section's, the account's
+/// chain, all three for `/report`. `None`: no such route.
+fn route_reads(path: &str) -> Option<Chains> {
+    if path == "/report" {
+        return Some(Chains::ALL);
+    }
+    if let Some(name) = path.strip_prefix("/exhibit/") {
+        return Some(section(name)?.1.reads);
+    }
+    let (chain, _) = path.strip_prefix("/account/")?.split_once('/')?;
+    Chains::named(chain)
+}
+
 impl ServeSnapshot {
+    /// A snapshot with an empty cache and no views.
     pub fn new(epoch: u64, head: bool, data: PipelineData) -> Self {
         ServeSnapshot {
             epoch,
@@ -67,6 +92,34 @@ impl ServeSnapshot {
             data,
             cache: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// The next epoch's snapshot over `data`, whose sweeps differ from this
+    /// snapshot's in the chains `moved` alone: every cache entry and view
+    /// of this one that reads none of them is shared by `Arc`, the rest
+    /// start empty. Returns it with the number of cache entries carried.
+    pub(crate) fn succeed(
+        &self,
+        head: bool,
+        data: PipelineData,
+        moved: Chains,
+    ) -> (ServeSnapshot, usize) {
+        let cache: HashMap<String, Arc<Vec<u8>>> = self
+            .cache
+            .lock()
+            .expect("cache lock")
+            .iter()
+            .filter(|(path, _)| route_reads(path).is_some_and(|reads| !reads.meets(moved)))
+            .map(|(path, body)| (path.clone(), Arc::clone(body)))
+            .collect();
+        let carried = cache.len();
+        let next = ServeSnapshot {
+            epoch: self.epoch + 1,
+            head,
+            data: data.carrying_views(&self.data, moved),
+            cache: Mutex::new(cache),
+        };
+        (next, carried)
     }
 
     pub fn epoch(&self) -> u64 {
@@ -84,6 +137,12 @@ impl ServeSnapshot {
     /// Cached responses currently held (observability + tests).
     pub fn cached_responses(&self) -> usize {
         self.cache.lock().expect("cache lock").len()
+    }
+
+    /// Whether `path`'s response is cached.
+    #[cfg(test)]
+    pub(crate) fn is_cached(&self, path: &str) -> bool {
+        self.cache.lock().expect("cache lock").contains_key(path)
     }
 
     /// Look the path up in this snapshot's cache, rendering and inserting
@@ -196,6 +255,7 @@ pub struct StatsService {
     registry: Arc<Registry>,
     pub cache_hits: Arc<Counter>,
     pub cache_misses: Arc<Counter>,
+    pub cache_carried: Arc<Counter>,
     /// Raised once the reply to `POST /admin/shutdown` has left, which
     /// then notifies `shutdown_raised`; the serve session waits on the
     /// pair. Raising it any earlier would let the process exit before the
@@ -222,6 +282,11 @@ impl StatsService {
             "txstat_serve_cache_misses_total",
             "Response-cache misses (responses rendered from the snapshot; a section rendered \
              for /report counts as one miss of its own route)",
+        );
+        let cache_carried = registry.counter(
+            "txstat_serve_cache_carried_total",
+            "Response-cache entries a new epoch took over from the one before it, \
+             because none of the chains they read moved",
         );
         // Epoch number, head flag, and cache size are properties of the
         // *currently published* snapshot, not monotone counters: a gather-
@@ -258,6 +323,7 @@ impl StatsService {
             registry,
             cache_hits,
             cache_misses,
+            cache_carried,
             shutdown: Mutex::new(false),
             shutdown_raised: Condvar::new(),
         }
@@ -265,6 +331,24 @@ impl StatsService {
 
     pub fn snapshot(&self) -> Arc<ServeSnapshot> {
         self.cell.load()
+    }
+
+    /// One serve epoch: advance `follower` and publish its fork as the
+    /// next snapshot, carrying over what the advance cannot have changed
+    /// (see the module docs). The current snapshot is loaded only once the
+    /// advance has returned and is dropped before this does: held into the
+    /// next advance, it would pin the copy the follower reclaims there and
+    /// make it clone the front instead. Returns the new epoch.
+    pub fn publish_next(&self, follower: &mut Follower) -> Result<u64, IngestError> {
+        let fork = follower.advance()?;
+        let (next, carried) = self
+            .cell
+            .load()
+            .succeed(follower.head(), fork, follower.moved());
+        self.cache_carried.add(carried as u64);
+        let epoch = next.epoch();
+        self.cell.publish(Arc::new(next));
+        Ok(epoch)
     }
 
     /// Block until the reply to `POST /admin/shutdown` has been written.
@@ -296,6 +380,7 @@ impl StatsService {
             "head": snap.head(),
             "cache_hits": self.cache_hits.get(),
             "cache_misses": self.cache_misses.get(),
+            "cache_carried": self.cache_carried.get(),
             "cached_responses": snap.cached_responses(),
             "metrics": self.registry.snapshot_json(),
         });
@@ -424,13 +509,12 @@ pub fn serve_session(
     let mut follower = Follower::new(data, plan.batch);
     follower.bind_metrics(&registry);
     let first = follower.advance().map_err(|e| e.to_string())?;
-    let mut epoch = 1u64;
     let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(
-        epoch,
+        1,
         follower.head(),
         first,
     ))));
-    let service = Arc::new(StatsService::with_registry(cell.clone(), registry.clone()));
+    let service = Arc::new(StatsService::with_registry(cell, registry.clone()));
 
     let handler: Arc<dyn HttpHandler> = service.clone();
     let server = start_query_server(
@@ -456,10 +540,10 @@ pub fn serve_session(
         if plan.epoch_ms > 0 {
             std::thread::sleep(Duration::from_millis(plan.epoch_ms));
         }
-        let fork = follower.advance().map_err(|e| e.to_string())?;
-        epoch += 1;
+        let epoch = service
+            .publish_next(&mut follower)
+            .map_err(|e| e.to_string())?;
         let head = follower.head();
-        cell.publish(Arc::new(ServeSnapshot::new(epoch, head, fork)));
         let (e, t, x) = follower.observed();
         say(ServeLine::Progress(format!(
             "epoch {epoch}: EOS {e} | Tezos {t} | XRP {x} blocks observed{}",

@@ -15,7 +15,7 @@ use txstat::netsim::{
 };
 use txstat::reports::{
     comparison_section, generate, render_report, reorg_data, report_sections, sample_account_paths,
-    Follower, PipelineData, ServeSnapshot, StatsService,
+    Follower, PipelineData, ServeSnapshot, StatsService, SECTIONS,
 };
 use txstat::workload::Scenario;
 
@@ -482,6 +482,63 @@ fn a_cold_report_and_the_section_routes_serve_the_same_sections() {
     );
 }
 
+/// A serve session at small seed 7 in epochs of 64 blocks, where XRP
+/// (146 blocks) reaches its head at epoch 3, EOS (576) at 9 and Tezos
+/// (2 712) at 43: at every epoch, every route — the 13 sections, the
+/// comparison, the busiest account of each chain and `/report` — is the one-shot
+/// render of the observed prefix, although each epoch after the first
+/// starts from what the epoch before it cached. What it carries is what
+/// reads only chains that did not move: Figures 2 and 11 from the start,
+/// then XRP's routes, then EOS's. Nothing read holds a retired snapshot,
+/// so the follower clones only its first epoch.
+#[test]
+fn a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes() {
+    let data = generate(&Scenario::small(7));
+    let accounts = sample_account_paths(&data);
+    let mut follower = Follower::new(data, 64);
+    let first = follower.advance().expect("first epoch");
+    let (service, _cell) = service_over(first, follower.head());
+    let mut paths: Vec<String> = SECTIONS
+        .iter()
+        .map(|(name, _)| name)
+        .chain(&["comparison"])
+        .map(|name| format!("/exhibit/{name}"))
+        .collect();
+    paths.extend(accounts);
+    paths.push("/report".to_owned());
+    assert_eq!(paths.len(), 18, "{paths:?}");
+    let xrp_routes = ["fig7", "fig8", "fig12"].len() + 1;
+    let eos_routes = ["fig4", "fig5", "case_studies"].len() + 1;
+    let mut epoch = 1;
+    loop {
+        let oracle = service_over(one_shot_prefix(follower.base(), follower.observed()), false).0;
+        for path in &paths {
+            let (got, want) = (service.respond("GET", path), oracle.respond("GET", path));
+            // An account not yet seen is a 404 on both sides, never cached.
+            assert_eq!(got.status, want.status, "epoch {epoch}: {path}");
+            assert!(got.body == want.body, "epoch {epoch}: {path} diverged");
+            assert!(want.status == 200 || !follower.head(), "{path} at the head");
+        }
+        if follower.head() {
+            break;
+        }
+        let carried = service.cache_carried.get();
+        epoch = service.publish_next(&mut follower).expect("advance");
+        let want = 2 + match epoch {
+            ..=3 => 0,
+            4..=9 => xrp_routes,
+            _ => xrp_routes + eos_routes,
+        };
+        assert_eq!(
+            service.cache_carried.get() - carried,
+            want as u64,
+            "epoch {epoch} carried"
+        );
+    }
+    assert_eq!(epoch, 43);
+    assert_eq!(follower.snapshots(), (42, 1));
+}
+
 /// Readers load from the cell while the follower publishes into it, and
 /// hold each snapshot across one swap or two: held across two, the retired
 /// snapshot is exactly the copy the follower wants back. It must never be
@@ -690,6 +747,7 @@ fn metrics_and_statusz_expose_every_layer() {
         "txstat_epoch_current",
         "txstat_serve_cache_hits_total",
         "txstat_serve_cache_misses_total",
+        "txstat_serve_cache_carried_total",
     ] {
         assert!(text.contains(family), "missing {family} in:\n{text}");
     }
@@ -729,7 +787,7 @@ fn metrics_and_statusz_expose_every_layer() {
             .then_some(cells[1])
         })
         .collect();
-    assert_eq!(rows.len(), 22, "the serve side's README rows");
+    assert_eq!(rows.len(), 23, "the serve side's README rows");
     for first in rows {
         for family in first.split('`').skip(1).step_by(2) {
             assert!(
@@ -746,6 +804,7 @@ fn metrics_and_statusz_expose_every_layer() {
             .expect("statusz parses as JSON");
     assert_eq!(status["epoch"].as_u64(), Some(1));
     assert_eq!(status["cache_misses"].as_u64(), Some(1));
+    assert_eq!(status["cache_carried"].as_u64(), Some(0));
     assert!(
         !status["metrics"].is_null(),
         "statusz carries the registry snapshot"

@@ -689,8 +689,8 @@ pub(crate) const SECTION_BREAK: &str =
 /// section's bytes of the epoch before it.
 #[derive(Clone, Copy)]
 pub struct Section {
-    pub render: fn(&PipelineData) -> String,
-    pub reads: Chains,
+    pub(crate) render: fn(&PipelineData) -> String,
+    pub(crate) reads: Chains,
 }
 
 const fn reads(reads: Chains, render: fn(&PipelineData) -> String) -> Section {

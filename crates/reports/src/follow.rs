@@ -404,7 +404,7 @@ impl Follower {
     /// All three before the first advance and for the first advance after
     /// a [`Follower::resync`] that rolled back, whose fork is not the
     /// previous fork and a batch.
-    pub fn moved(&self) -> Chains {
+    pub(crate) fn moved(&self) -> Chains {
         self.moved
     }
 

@@ -16,7 +16,7 @@ pub mod pipeline;
 pub mod serve;
 
 pub use archive_io::{Manifest, SegmentFormat, SegmentSummary, SUMMARY_SCHEMA};
-pub use exhibits::{comparison_section, render_report, report_sections, Section, SECTIONS};
+pub use exhibits::{comparison_section, render_report, report_sections, SECTIONS};
 pub use follow::{
     follow_session, reorg_data, Corpus, FollowPlan, Follower, Reorg, DEFAULT_SNAPSHOT_WINDOW,
 };
@@ -24,7 +24,7 @@ pub use paper::{comparison, ComparisonRow};
 pub use pipeline::{
     generate, generate_with_crawl, pipeline_from_archive, reduce_frames_labeled_into,
     reducer_from_archive, scenario_from_meta, scenario_meta, summarize, write_archive, ChainSweeps,
-    Chains, CrawlOptions, MemoStatus, PipelineData, ShardContext,
+    CrawlOptions, MemoStatus, PipelineData, ShardContext,
 };
 pub use serve::{
     sample_account_paths, serve_session, ServeLine, ServePlan, ServeSnapshot, StatsService,

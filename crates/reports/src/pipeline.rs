@@ -109,8 +109,8 @@ pub struct PipelineData {
 /// A set of the three chains: the chains whose sweeps a section, a route
 /// or a view reads, or the chains a follower's epoch moved. Bit `i` is the
 /// chain at index `i` of [`CHAINS`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Chains(u8);
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Chains(u8);
 
 impl Chains {
     pub const NONE: Chains = Chains(0);
@@ -455,20 +455,6 @@ impl PipelineData {
     pub(crate) fn carrying_views(mut self, prev: &PipelineData, moved: Chains) -> PipelineData {
         self.views = Box::new(prev.views.carried(moved));
         self
-    }
-
-    /// Which views are derived already, in [`Views`] field order.
-    #[cfg(test)]
-    pub(crate) fn views_held(&self) -> [bool; 6] {
-        let v = &self.views;
-        [
-            v.eos_category_series.get().is_some(),
-            v.vote_curves.get().is_some(),
-            v.value_flow.get().is_some(),
-            v.most_active.get().is_some(),
-            v.concentration.get().is_some(),
-            v.wash_report.get().is_some(),
-        ]
     }
 
     /// Fork this dataset with a different set of installed sweeps: all
@@ -1771,7 +1757,9 @@ fn finish_reduce(data: PipelineData, session: ReduceSession) -> Result<PipelineD
 
 #[cfg(test)]
 mod tests {
-    use super::chunked_sweep;
+    use super::{chunked_sweep, generate, Chains, PipelineData};
+    use crate::tests::emptied;
+    use txstat_workload::Scenario;
 
     /// Runs merge in block order (a concatenation is associative, not
     /// commutative), and no blocks fold to the identity.
@@ -1788,5 +1776,43 @@ mod tests {
         let blocks: Vec<u32> = (0..5_000).collect();
         assert_eq!(concat(&blocks), blocks);
         assert!(concat(&[]).is_empty());
+    }
+
+    /// Per view: it is carried into a dataset whose sweeps differ in one chain
+    /// exactly when emptying that chain leaves it unchanged, and what is
+    /// carried is what that dataset derives itself. So no view's chain set
+    /// misses a chain it reads, nor names one it does not.
+    #[test]
+    fn a_view_is_carried_exactly_when_the_moved_chain_leaves_it_unchanged() {
+        let data = generate(&Scenario::small(7));
+        let views = |d: &PipelineData| -> [String; 6] {
+            let series = d.eos_category_series();
+            [
+                format!("{:?} {}", series.columns_sorted(), series.out_of_range()),
+                format!("{:?}", d.vote_curves()),
+                format!("{:?}", d.value_flow()),
+                format!("{:?}", d.most_active()),
+                format!("{:?}", d.concentration()),
+                format!("{:?}", d.wash_report()),
+            ]
+        };
+        let whole = views(&data);
+        for chain in [Chains::EOS, Chains::TEZOS, Chains::XRP] {
+            let carried = emptied(&data, chain).carrying_views(&data, chain);
+            let v = &carried.views;
+            let held = [
+                v.eos_category_series.get().is_some(),
+                v.vote_curves.get().is_some(),
+                v.value_flow.get().is_some(),
+                v.most_active.get().is_some(),
+                v.concentration.get().is_some(),
+                v.wash_report.get().is_some(),
+            ];
+            let fresh = views(&emptied(&data, chain));
+            assert_eq!(views(&carried), fresh, "{chain:?} moved");
+            for (i, (before, after)) in whole.iter().zip(&fresh).enumerate() {
+                assert_eq!(held[i], before == after, "view {i}, {chain:?} moved");
+            }
+        }
     }
 }

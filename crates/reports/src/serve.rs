@@ -17,8 +17,8 @@
 //! What a new epoch starts with is what cannot have changed. The three
 //! chains run out at different epochs, and an epoch's sweeps differ from
 //! the previous epoch's only in the chains its advance observed blocks of
-//! ([`Follower::moved`]). Every section, account route and view names the
-//! chains it reads ([`crate::exhibits::Section::reads`]), so
+//! (`Follower::moved`). Every section, account route and view names the
+//! chains it reads (`Section::reads`), so
 //! [`StatsService::publish_next`] carries each cache entry and view of the
 //! previous snapshot that reads none of the moved chains into the next one
 //! by `Arc` (`txstat_serve_cache_carried_total` counts the entries); the
@@ -98,12 +98,7 @@ impl ServeSnapshot {
     /// snapshot's in the chains `moved` alone: every cache entry and view
     /// of this one that reads none of them is shared by `Arc`, the rest
     /// start empty. Returns it with the number of cache entries carried.
-    pub(crate) fn succeed(
-        &self,
-        head: bool,
-        data: PipelineData,
-        moved: Chains,
-    ) -> (ServeSnapshot, usize) {
+    fn succeed(&self, head: bool, data: PipelineData, moved: Chains) -> (ServeSnapshot, usize) {
         let cache: HashMap<String, Arc<Vec<u8>>> = self
             .cache
             .lock()
@@ -137,12 +132,6 @@ impl ServeSnapshot {
     /// Cached responses currently held (observability + tests).
     pub fn cached_responses(&self) -> usize {
         self.cache.lock().expect("cache lock").len()
-    }
-
-    /// Whether `path`'s response is cached.
-    #[cfg(test)]
-    pub(crate) fn is_cached(&self, path: &str) -> bool {
-        self.cache.lock().expect("cache lock").contains_key(path)
     }
 
     /// Look the path up in this snapshot's cache, rendering and inserting
@@ -596,4 +585,62 @@ pub fn serve_session(
         "shutdown requested; exiting".to_owned(),
     ));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::generate;
+    use crate::tests::emptied;
+    use txstat_workload::Scenario;
+
+    /// Per route — every section, the comparison, the busiest account of each
+    /// chain and `/report`: it is carried into the next epoch over a dataset
+    /// whose sweeps differ in one chain exactly when emptying that chain leaves
+    /// its bytes unchanged, and every route answers what a fresh snapshot of
+    /// that dataset renders. So emptying a chain outside a row's set leaves
+    /// the row's bytes unchanged and emptying one inside changes them: the
+    /// sets are sound and minimal.
+    #[test]
+    fn a_route_is_carried_exactly_when_the_moved_chain_leaves_it_unchanged() {
+        let data = generate(&Scenario::small(7));
+        let mut paths: Vec<String> = report_layout()
+            .map(|((name, _), _)| format!("/exhibit/{name}"))
+            .collect();
+        paths.extend(sample_account_paths(&data));
+        paths.push("/report".to_owned());
+        assert_eq!(paths.len(), 18);
+        let serve = |snapshot: ServeSnapshot| {
+            StatsService::new(Arc::new(EpochCell::new(Arc::new(snapshot))))
+        };
+        let answers = |service: &StatsService| -> Vec<(u16, Vec<u8>)> {
+            paths
+                .iter()
+                .map(|path| {
+                    let reply = service.respond("GET", path);
+                    (reply.status, reply.body)
+                })
+                .collect()
+        };
+        let whole = serve(ServeSnapshot::new(1, true, data));
+        let before = answers(&whole);
+        for chain in [Chains::EOS, Chains::TEZOS, Chains::XRP] {
+            let current = whole.snapshot();
+            let (next, _) = current.succeed(true, emptied(current.data(), chain), chain);
+            let carried: Vec<bool> = {
+                let cache = next.cache.lock().expect("cache lock");
+                paths.iter().map(|path| cache.contains_key(path)).collect()
+            };
+            let after = answers(&serve(next));
+            let fresh = answers(&serve(ServeSnapshot::new(
+                2,
+                true,
+                emptied(current.data(), chain),
+            )));
+            for (i, path) in paths.iter().enumerate() {
+                assert!(after[i] == fresh[i], "{path}, {chain:?} moved: stale bytes");
+                assert_eq!(carried[i], before[i] == fresh[i], "{path}, {chain:?} moved");
+            }
+        }
+    }
 }

@@ -173,7 +173,7 @@ fn headline_shares_quoted_against_the_paper_carry_a_percent_sign() {
 
 /// `data` with one chain's sweep replaced by the empty sweep: a dataset
 /// whose sweeps differ from `data`'s in that chain alone.
-fn emptied(data: &crate::PipelineData, chain: Chains) -> crate::PipelineData {
+pub(crate) fn emptied(data: &crate::PipelineData, chain: Chains) -> crate::PipelineData {
     use txstat_core::{EosSweep, TezosSweep, XrpSweep};
     let (s, period) = (data.sweeps(), data.scenario.period);
     data.fork_with_sweeps(crate::ChainSweeps {
@@ -190,83 +190,4 @@ fn emptied(data: &crate::PipelineData, chain: Chains) -> crate::PipelineData {
             false => s.xrp.clone(),
         },
     })
-}
-
-/// Per view: it is carried into a dataset whose sweeps differ in one chain
-/// exactly when emptying that chain leaves it unchanged, and what is
-/// carried is what that dataset derives itself. So no view's chain set
-/// misses a chain it reads, nor names one it does not.
-#[test]
-fn a_view_is_carried_exactly_when_the_moved_chain_leaves_it_unchanged() {
-    let data = generate(&Scenario::small(7));
-    let views = |d: &crate::PipelineData| -> [String; 6] {
-        let series = d.eos_category_series();
-        [
-            format!("{:?} {}", series.columns_sorted(), series.out_of_range()),
-            format!("{:?}", d.vote_curves()),
-            format!("{:?}", d.value_flow()),
-            format!("{:?}", d.most_active()),
-            format!("{:?}", d.concentration()),
-            format!("{:?}", d.wash_report()),
-        ]
-    };
-    let whole = views(&data);
-    for chain in [Chains::EOS, Chains::TEZOS, Chains::XRP] {
-        let carried = emptied(&data, chain).carrying_views(&data, chain);
-        let held = carried.views_held();
-        let fresh = views(&emptied(&data, chain));
-        assert_eq!(views(&carried), fresh, "{chain:?} moved");
-        for (i, (before, after)) in whole.iter().zip(&fresh).enumerate() {
-            assert_eq!(held[i], before == after, "view {i}, {chain:?} moved");
-        }
-    }
-}
-
-/// Per route — every section, the comparison, the busiest account of each
-/// chain and `/report`: it is carried into the next epoch over a dataset
-/// whose sweeps differ in one chain exactly when emptying that chain leaves
-/// its bytes unchanged, and every route answers what a fresh snapshot of
-/// that dataset renders. So emptying a chain outside a row's set leaves
-/// the row's bytes unchanged and emptying one inside changes them: the
-/// sets are sound and minimal.
-#[test]
-fn a_route_is_carried_exactly_when_the_moved_chain_leaves_it_unchanged() {
-    use crate::serve::{sample_account_paths, ServeSnapshot, StatsService};
-    use std::sync::Arc;
-    use txstat_ingest::EpochCell;
-    let data = generate(&Scenario::small(7));
-    let mut paths: Vec<String> = exhibits::report_layout()
-        .map(|((name, _), _)| format!("/exhibit/{name}"))
-        .collect();
-    paths.extend(sample_account_paths(&data));
-    paths.push("/report".to_owned());
-    assert_eq!(paths.len(), 18);
-    let serve =
-        |snapshot: ServeSnapshot| StatsService::new(Arc::new(EpochCell::new(Arc::new(snapshot))));
-    let answers = |service: &StatsService| -> Vec<(u16, Vec<u8>)> {
-        paths
-            .iter()
-            .map(|path| {
-                let reply = service.respond("GET", path);
-                (reply.status, reply.body)
-            })
-            .collect()
-    };
-    let whole = serve(ServeSnapshot::new(1, true, data));
-    let before = answers(&whole);
-    for chain in [Chains::EOS, Chains::TEZOS, Chains::XRP] {
-        let current = whole.snapshot();
-        let (next, _) = current.succeed(true, emptied(current.data(), chain), chain);
-        let carried: Vec<bool> = paths.iter().map(|path| next.is_cached(path)).collect();
-        let after = answers(&serve(next));
-        let fresh = answers(&serve(ServeSnapshot::new(
-            2,
-            true,
-            emptied(current.data(), chain),
-        )));
-        for (i, path) in paths.iter().enumerate() {
-            assert!(after[i] == fresh[i], "{path}, {chain:?} moved: stale bytes");
-            assert_eq!(carried[i], before[i] == fresh[i], "{path}, {chain:?} moved");
-        }
-    }
 }

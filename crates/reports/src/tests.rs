@@ -176,18 +176,15 @@ fn headline_shares_quoted_against_the_paper_carry_a_percent_sign() {
 pub(crate) fn emptied(data: &crate::PipelineData, chain: Chains) -> crate::PipelineData {
     use txstat_core::{EosSweep, TezosSweep, XrpSweep};
     let (s, period) = (data.sweeps(), data.scenario.period);
-    data.fork_with_sweeps(crate::ChainSweeps {
-        eos: match chain == Chains::EOS {
-            true => EosSweep::new(period),
-            false => s.eos.clone(),
-        },
-        tezos: match chain == Chains::TEZOS {
-            true => TezosSweep::new(period, data.governance_periods.clone()),
-            false => s.tezos.clone(),
-        },
-        xrp: match chain == Chains::XRP {
-            true => XrpSweep::new(period),
-            false => s.xrp.clone(),
-        },
-    })
+    let mut sweeps = s.clone();
+    if chain == Chains::EOS {
+        sweeps.eos = EosSweep::new(period);
+    }
+    if chain == Chains::TEZOS {
+        sweeps.tezos = TezosSweep::new(period, data.governance_periods.clone());
+    }
+    if chain == Chains::XRP {
+        sweeps.xrp = XrpSweep::new(period);
+    }
+    data.fork_with_sweeps(sweeps)
 }

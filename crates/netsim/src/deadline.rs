@@ -1,9 +1,13 @@
 //! One deadline per stage of a socket's life. A per-read timeout is no
 //! deadline: a peer that sends one byte just inside it keeps a read going
-//! for ever. [`Timed`] arms the socket before every read and write with the
+//! for ever. [`Timed`] arms the socket's read or write timeout with the
 //! time left before its deadline instead, so a stage (a connect and a
 //! whole exchange, one request read, one reply write) ends when its limit
-//! says, however the peer paces its bytes.
+//! says, however the peer paces its bytes. It re-arms only when the armed
+//! timeout is off the time left by more than [`SLACK`] of the stage, so a
+//! keep-alive connection whose reads and writes come quickly pays no
+//! `setsockopt` per call, and a stage ends within that fraction of its
+//! deadline, early or late.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -17,8 +21,18 @@ use std::time::{Duration, Instant};
 pub struct Timed {
     sock: TcpStream,
     deadline: Instant,
+    /// The stage's length: it sets how far an armed timeout may be off.
+    limit: Duration,
+    /// The read and the write timeout as last armed.
+    armed: [Option<Duration>; 2],
     expired: bool,
 }
+
+/// The fraction of a stage by which an armed timeout may differ from the
+/// time left before the socket is armed again: 1 / `SLACK`.
+const SLACK: u32 = 16;
+const READ: usize = 0;
+const WRITE: usize = 1;
 
 impl Timed {
     /// Connect to `addr` and start a stage of `limit`; the connect is
@@ -38,6 +52,8 @@ impl Timed {
         Ok(Timed {
             sock,
             deadline: Instant::now() + limit,
+            limit,
+            armed: [None; 2],
             expired: false,
         })
     }
@@ -45,6 +61,7 @@ impl Timed {
     /// Start the next stage: `limit` from now.
     pub fn restart(&mut self, limit: Duration) {
         self.deadline = Instant::now() + limit;
+        self.limit = limit;
         self.expired = false;
     }
 
@@ -53,19 +70,28 @@ impl Timed {
         self.expired
     }
 
-    /// `op` on the socket armed by `set` (the read or the write timeout)
-    /// with the time left. With none left, fail without a syscall: std
-    /// refuses a zero timeout as `InvalidInput`.
+    /// `op` on the socket, its `which` timeout armed by `set` with the time
+    /// left unless the armed one is within [`SLACK`] of the stage of it.
+    /// With no time left, fail without a syscall: std refuses a zero
+    /// timeout as `InvalidInput`.
     fn within<T>(
         &mut self,
+        which: usize,
         set: fn(&TcpStream, Option<Duration>) -> io::Result<()>,
         op: impl FnOnce(&mut TcpStream) -> io::Result<T>,
     ) -> io::Result<T> {
         let left = self.deadline.saturating_duration_since(Instant::now());
+        let slack = self.limit / SLACK;
         let result = if left.is_zero() {
             Err(ErrorKind::TimedOut.into())
+        } else if self.armed[which].is_some_and(|armed| armed.abs_diff(left) <= slack) {
+            op(&mut self.sock)
         } else {
-            set(&self.sock, Some(left)).and_then(|()| op(&mut self.sock))
+            self.armed[which] = None;
+            set(&self.sock, Some(left)).and_then(|()| {
+                self.armed[which] = Some(left);
+                op(&mut self.sock)
+            })
         };
         result.map_err(|e| match e.kind() {
             ErrorKind::WouldBlock | ErrorKind::TimedOut => {
@@ -79,13 +105,13 @@ impl Timed {
 
 impl Read for Timed {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.within(TcpStream::set_read_timeout, |sock| sock.read(buf))
+        self.within(READ, TcpStream::set_read_timeout, |sock| sock.read(buf))
     }
 }
 
 impl Write for Timed {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.within(TcpStream::set_write_timeout, |sock| sock.write(buf))
+        self.within(WRITE, TcpStream::set_write_timeout, |sock| sock.write(buf))
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -142,6 +168,32 @@ mod tests {
         assert!(!server.expired());
         client.write_all(b"x").unwrap();
         assert_eq!(server.read(&mut [0u8; 1]).unwrap(), 1);
+    }
+
+    /// A read that finds its timeout armed within the slack reuses it, and
+    /// a restarted shorter stage arms its own: either way the read ends
+    /// within the slack of its stage's deadline, never at the old one.
+    #[test]
+    fn a_read_ends_within_the_slack_of_its_stage_deadline() {
+        let (mut client, mut server) = pair();
+        for limit in [Duration::from_millis(400), Duration::from_millis(200)] {
+            server.restart(limit);
+            client.write_all(b"x").unwrap();
+            assert_eq!(server.read(&mut [0u8; 1]).unwrap(), 1);
+            let started = Instant::now();
+            let read = server.read(&mut [0u8; 1]).unwrap_err();
+            let took = started.elapsed();
+            assert_eq!(read.kind(), ErrorKind::TimedOut);
+            let slack = limit / SLACK;
+            assert!(
+                took + slack >= limit - slack,
+                "{limit:?} ended after {took:?}"
+            );
+            assert!(
+                took < limit + Duration::from_millis(150),
+                "{limit:?} took {took:?}"
+            );
+        }
     }
 
     /// The server's read path: a request line trickled one byte every

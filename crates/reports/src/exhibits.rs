@@ -21,72 +21,79 @@ use txstat_types::time::ChainTime;
 use txstat_xrp::amount::IssuedCurrency;
 use txstat_xrp::AccountId;
 
-/// Figure 1: distribution of transaction types per blockchain.
+/// Figure 1: distribution of transaction types per blockchain, one table
+/// per chain ([`FIG1`]).
 pub fn fig1(data: &PipelineData) -> String {
+    joined(FIG1, data)
+}
+
+/// Figure 1's parts: the EOS, Tezos and XRP tables, the title with the first.
+const FIG1: &[Part] = &[
+    part("fig1/eos", EOS, fig1_eos),
+    part("fig1/tezos", TEZOS, fig1_tezos),
+    part("fig1/xrp", XRP, fig1_xrp),
+];
+
+fn fig1_eos(data: &PipelineData) -> String {
     let mut out = String::from("Figure 1 — Distribution of transaction types per blockchain\n\n");
-
-    let (eos_rows, eos_total) = data.sweeps().eos.action_distribution();
-    let mut t = TextTable::new(&["Category", "Action name", "#", "%"])
-        .with_title("EOS (actions)")
-        .with_aligns(&[Align::Left, Align::Left, Align::Right, Align::Right]);
-    for r in &eos_rows {
-        t.add_row(vec![
-            r.class.label().to_owned(),
-            r.action.clone(),
-            fmt_thousands(r.count as u128),
-            fmt_pct(r.count as u128, eos_total as u128),
-        ]);
-    }
-    t.add_row(vec![
-        "Total".into(),
-        "".into(),
-        fmt_thousands(eos_total as u128),
-        "100.0".into(),
-    ]);
-    out.push_str(&t.render());
+    let (rows, total) = data.sweeps().eos.action_distribution();
+    let rows = rows
+        .iter()
+        .map(|r| (r.class.label(), r.action.as_str(), r.count));
+    out.push_str(&distribution_table(
+        "EOS (actions)",
+        "Action name",
+        rows,
+        total,
+    ));
     out.push('\n');
-
-    let (tz_rows, tz_total) = data.sweeps().tezos.op_distribution();
-    let mut t = TextTable::new(&["Category", "Operation kind", "#", "%"])
-        .with_title("Tezos (operations)")
-        .with_aligns(&[Align::Left, Align::Left, Align::Right, Align::Right]);
-    for r in &tz_rows {
-        t.add_row(vec![
-            r.class.label().to_owned(),
-            r.kind.label().to_owned(),
-            fmt_thousands(r.count as u128),
-            fmt_pct(r.count as u128, tz_total as u128),
-        ]);
-    }
-    t.add_row(vec![
-        "Total".into(),
-        "".into(),
-        fmt_thousands(tz_total as u128),
-        "100.0".into(),
-    ]);
-    out.push_str(&t.render());
-    out.push('\n');
-
-    let (x_rows, x_total) = data.sweeps().xrp.tx_distribution();
-    let mut t = TextTable::new(&["Category", "Transaction type", "#", "%"])
-        .with_title("XRP (transactions)")
-        .with_aligns(&[Align::Left, Align::Left, Align::Right, Align::Right]);
-    for r in &x_rows {
-        t.add_row(vec![
-            r.class.label().to_owned(),
-            r.tx_type.wire().to_owned(),
-            fmt_thousands(r.count as u128),
-            fmt_pct(r.count as u128, x_total as u128),
-        ]);
-    }
-    t.add_row(vec![
-        "Total".into(),
-        "".into(),
-        fmt_thousands(x_total as u128),
-        "100.0".into(),
-    ]);
-    out.push_str(&t.render());
     out
+}
+
+fn fig1_tezos(data: &PipelineData) -> String {
+    let (rows, total) = data.sweeps().tezos.op_distribution();
+    let rows = rows
+        .iter()
+        .map(|r| (r.class.label(), r.kind.label(), r.count));
+    let mut out = distribution_table("Tezos (operations)", "Operation kind", rows, total);
+    out.push('\n');
+    out
+}
+
+fn fig1_xrp(data: &PipelineData) -> String {
+    let (rows, total) = data.sweeps().xrp.tx_distribution();
+    let rows = rows
+        .iter()
+        .map(|r| (r.class.label(), r.tx_type.wire(), r.count));
+    distribution_table("XRP (transactions)", "Transaction type", rows, total)
+}
+
+/// One chain's Figure 1 table: a `(category, kind, count)` row each, then
+/// the total.
+fn distribution_table<'a>(
+    title: &str,
+    kind: &str,
+    rows: impl Iterator<Item = (&'a str, &'a str, u64)>,
+    total: u64,
+) -> String {
+    let mut t = TextTable::new(&["Category", kind, "#", "%"])
+        .with_title(title)
+        .with_aligns(&[Align::Left, Align::Left, Align::Right, Align::Right]);
+    for (class, kind, count) in rows {
+        t.add_row(vec![
+            class.to_owned(),
+            kind.to_owned(),
+            fmt_thousands(count as u128),
+            fmt_pct(count as u128, total as u128),
+        ]);
+    }
+    t.add_row(vec![
+        "Total".into(),
+        "".into(),
+        fmt_thousands(total as u128),
+        "100.0".into(),
+    ]);
+    t.render()
 }
 
 fn gb(bytes: u64) -> String {
@@ -181,19 +188,38 @@ pub fn fig2(data: &PipelineData) -> String {
     out
 }
 
-/// Figure 3: throughput across time (three sub-figures).
+/// Figure 3: throughput across time, one block of sparklines per chain
+/// ([`FIG3`]).
 pub fn fig3(data: &PipelineData) -> String {
-    let mut out = String::from("Figure 3 — Throughput across time (per 6-hour bucket)\n\n");
+    joined(FIG3, data)
+}
 
+/// Figure 3's parts: sub-figures (a), (b) and (c), the title with the first.
+const FIG3: &[Part] = &[
+    part("fig3/a", EOS, fig3_eos),
+    part("fig3/b", TEZOS, fig3_tezos),
+    part("fig3/c", XRP, fig3_xrp),
+];
+
+fn fig3_eos(data: &PipelineData) -> String {
+    let mut out = String::from("Figure 3 — Throughput across time (per 6-hour bucket)\n\n");
     out.push_str("(a) EOS transactions by category\n");
     category_sparklines(&mut out, data.eos_category_series(), AppCategory::label);
-    out.push_str("\n(b) Tezos operations by category\n");
+    out
+}
+
+fn fig3_tezos(data: &PipelineData) -> String {
+    let mut out = String::from("\n(b) Tezos operations by category\n");
     category_sparklines(
         &mut out,
         data.sweeps().tezos.throughput_series(),
         TezosThroughputCat::label,
     );
-    out.push_str("\n(c) XRP transactions by category\n");
+    out
+}
+
+fn fig3_xrp(data: &PipelineData) -> String {
+    let mut out = String::from("\n(c) XRP transactions by category\n");
     category_sparklines(
         &mut out,
         data.sweeps().xrp.throughput_series(),
@@ -548,24 +574,28 @@ pub fn fig12(data: &PipelineData) -> String {
     out
 }
 
-/// The headline findings (abstract/§1): TPS and the three percentages.
+/// The headline findings (abstract/§1): TPS and the three percentages,
+/// one line each ([`HEADLINE`]).
 pub fn headline(data: &PipelineData) -> String {
-    let sweeps = data.sweeps();
-    let eos_tps = sweeps.eos.tps();
-    let tz_tps = sweeps.tezos.tps();
-    let x_tps = sweeps.xrp.tps();
-    let boomerang = sweeps.eos.boomerang_report();
-    let (tz_rows, tz_total) = sweeps.tezos.op_distribution();
-    let endorse = tz_rows
-        .iter()
-        .find(|r| r.kind == txstat_tezos::OperationKind::Endorsement)
-        .map(|r| r.count)
-        .unwrap_or(0);
-    let funnel = sweeps.xrp.funnel();
+    joined(HEADLINE, data)
+}
 
-    let mut out = String::from("Headline findings (scenario scale; ×divisor ≈ mainnet)\n");
-    out.push_str(&format!(
-        "TPS: EOS {:.2} (×{} ≈ {:.0} mainnet-equivalent), Tezos {:.4} (×{} ≈ {:.2}), XRP {:.2} (×{} ≈ {:.0})\n",
+/// The headline's parts: the title and the TPS line, then one line per
+/// finding.
+const HEADLINE: &[Part] = &[
+    part("headline/tps", ALL, headline_tps),
+    part("headline/boomerang", EOS, headline_boomerang),
+    part("headline/endorsements", TEZOS, headline_endorsements),
+    part("headline/economic_share", XRP, headline_economic_share),
+    part("headline/dropped", NONE, headline_dropped),
+];
+
+fn headline_tps(data: &PipelineData) -> String {
+    let sweeps = data.sweeps();
+    let (eos_tps, tz_tps, x_tps) = (sweeps.eos.tps(), sweeps.tezos.tps(), sweeps.xrp.tps());
+    format!(
+        "Headline findings (scenario scale; ×divisor ≈ mainnet)\n\
+         TPS: EOS {:.2} (×{} ≈ {:.0} mainnet-equivalent), Tezos {:.4} (×{} ≈ {:.2}), XRP {:.2} (×{} ≈ {:.0})\n",
         eos_tps,
         data.scenario.eos_divisor,
         eos_tps * data.scenario.eos_divisor,
@@ -575,8 +605,12 @@ pub fn headline(data: &PipelineData) -> String {
         x_tps,
         data.scenario.xrp_divisor,
         x_tps * data.scenario.xrp_divisor,
-    ));
-    out.push_str(&format!(
+    )
+}
+
+fn headline_boomerang(data: &PipelineData) -> String {
+    let boomerang = data.sweeps().eos.boomerang_report();
+    format!(
         "EIDOS boomerang transfers: {:.1}% of transfer actions ({} boomerangs; hub {})\n",
         boomerang.transfer_share * 100.0,
         fmt_thousands(boomerang.boomerangs as u128),
@@ -584,20 +618,34 @@ pub fn headline(data: &PipelineData) -> String {
             .hub
             .map(|h| h.to_string_repr())
             .unwrap_or_default()
-    ));
-    out.push_str(&format!(
+    )
+}
+
+fn headline_endorsements(data: &PipelineData) -> String {
+    let (rows, total) = data.sweeps().tezos.op_distribution();
+    let endorse = rows
+        .iter()
+        .find(|r| r.kind == txstat_tezos::OperationKind::Endorsement)
+        .map(|r| r.count)
+        .unwrap_or(0);
+    format!(
         "Tezos endorsements: {}% of all operations (paper: 81.7%)\n",
-        fmt_pct(endorse as u128, tz_total as u128)
-    ));
-    out.push_str(&format!(
+        fmt_pct(endorse as u128, total as u128)
+    )
+}
+
+fn headline_economic_share(data: &PipelineData) -> String {
+    format!(
         "XRP economic value share: {:.1}% of throughput (paper: 2.3%)\n",
-        funnel.economic_share_pct()
-    ));
-    out.push_str(&format!(
+        data.sweeps().xrp.funnel().economic_share_pct()
+    )
+}
+
+fn headline_dropped(data: &PipelineData) -> String {
+    format!(
         "EOS transactions dropped by congestion control: {}\n",
         fmt_thousands(data.eos_dropped_txs as u128)
-    ));
-    out
+    )
 }
 
 /// §4.1 / §4.3 case studies.
@@ -682,19 +730,72 @@ pub fn case_studies(data: &PipelineData) -> String {
 pub(crate) const SECTION_BREAK: &str =
     "\n================================================================\n\n";
 
-/// One report section: its renderer and the chains whose sweeps it reads,
-/// itself or through a view. Nothing else a section reads moves between
-/// serve epochs (the facts, the oracle, the trades and the cluster are one
-/// dataset family's), so an epoch that moved none of `reads` has the
-/// section's bytes of the epoch before it.
+/// One report section: how it renders and the chains whose sweeps it
+/// reads, itself or through a view. Nothing else a section reads moves
+/// between serve epochs (the facts, the oracle, the trades and the cluster
+/// are one dataset family's), so an epoch that moved none of `reads` has
+/// the section's bytes of the epoch before it.
 #[derive(Clone, Copy)]
 pub struct Section {
-    pub(crate) render: fn(&PipelineData) -> String,
+    render: Render,
     pub(crate) reads: Chains,
 }
 
+#[derive(Clone, Copy)]
+enum Render {
+    /// One renderer over the whole dataset.
+    Whole(fn(&PipelineData) -> String),
+    /// The concatenation of these parts' texts.
+    Parts(&'static [Part]),
+}
+
+/// One part of a split section: its label (`<section>/<part>`), the chains
+/// whose sweeps it reads and its renderer. A part is rendered once per
+/// dataset and held in its views ([`PipelineData::part`]), so a serve epoch
+/// takes over the text of every part whose chains it did not move, as it
+/// does a shared view's.
+pub(crate) struct Part {
+    pub(crate) label: &'static str,
+    pub(crate) reads: Chains,
+    pub(crate) render: fn(&PipelineData) -> String,
+}
+
+const fn part(label: &'static str, reads: Chains, render: fn(&PipelineData) -> String) -> Part {
+    Part {
+        label,
+        reads,
+        render,
+    }
+}
+
 const fn reads(reads: Chains, render: fn(&PipelineData) -> String) -> Section {
-    Section { render, reads }
+    Section {
+        render: Render::Whole(render),
+        reads,
+    }
+}
+
+/// A section split into `parts`: it reads what they read together, so the
+/// two cannot disagree.
+const fn split(parts: &'static [Part]) -> Section {
+    let (mut reads, mut i) = (Chains::NONE, 0);
+    while i < parts.len() {
+        reads = reads.union(parts[i].reads);
+        i += 1;
+    }
+    Section {
+        render: Render::Parts(parts),
+        reads,
+    }
+}
+
+/// The text of `parts`, each taken from `data`'s views or rendered there.
+fn joined(parts: &'static [Part], data: &PipelineData) -> String {
+    let mut out = String::new();
+    for part in parts {
+        out.push_str(&data.part(part));
+    }
+    out
 }
 
 const EOS: Chains = Chains::EOS;
@@ -711,11 +812,16 @@ const NONE: Chains = Chains::NONE;
 /// The names keep the paper's figure numbers, so the paper's Figure 10,
 /// which no section regenerates, is a gap between `fig9` and `fig11`
 /// rather than a renumbering of every later figure.
+///
+/// Each row names the chains it reads. The headline, Figure 1 and Figure 3
+/// read all three, one part per chain ([`HEADLINE`], [`FIG1`], [`FIG3`]):
+/// their rows read the union of their parts' chains, and a serve epoch
+/// that moved one chain re-renders only that chain's parts of them.
 pub const SECTIONS: &[(&str, Section)] = &[
-    ("headline", reads(ALL, headline)),
-    ("fig1", reads(ALL, fig1)),
+    ("headline", split(HEADLINE)),
+    ("fig1", split(FIG1)),
     ("fig2", reads(NONE, fig2)),
-    ("fig3", reads(ALL, fig3)),
+    ("fig3", split(FIG3)),
     ("fig4", reads(EOS, fig4)),
     ("fig5", reads(EOS, fig5)),
     ("fig6", reads(TEZOS, fig6)),
@@ -726,6 +832,17 @@ pub const SECTIONS: &[(&str, Section)] = &[
     ("fig12", reads(XRP, fig12)),
     ("case_studies", reads(EOS.union(XRP), case_studies)),
 ];
+
+/// Every part of a split section, in report order.
+#[cfg(test)]
+pub(crate) fn parts() -> impl Iterator<Item = &'static Part> {
+    SECTIONS
+        .iter()
+        .flat_map(|(_, section)| match section.render {
+            Render::Whole(_) => &[][..],
+            Render::Parts(parts) => parts,
+        })
+}
 
 /// The report's last section, served as `/exhibit/comparison`.
 const COMPARISON: (&str, Section) = ("comparison", reads(ALL, comparison_section));
@@ -751,11 +868,15 @@ pub(crate) fn section(name: &str) -> Option<(&'static str, Section)> {
 
 /// Render one section inside its `render` span — every section render of
 /// the report and of the serve path goes through here. The span nests
-/// whatever the section computes on first use (`sweep`, `fig2_storage`);
-/// the trace's depth tells them apart.
+/// whatever the section computes on first use (`sweep`, `fig2_storage`,
+/// the `view` spans of its shared views and parts); the trace's depth
+/// tells them apart.
 pub(crate) fn render_section((name, section): (&str, Section), data: &PipelineData) -> String {
     let _span = Span::enter("render", name);
-    (section.render)(data)
+    match section.render {
+        Render::Whole(render) => render(data),
+        Render::Parts(parts) => joined(parts, data),
+    }
 }
 
 /// Render every exhibit section: `(name, text)` in report order.

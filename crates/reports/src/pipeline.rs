@@ -15,9 +15,10 @@
 //!   sealed corpus ([`write_archive`]) without generating any chain.
 
 use crate::archive_io::{Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
+use crate::exhibits::Part;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, LazyLock, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
 use txstat_archive::{Archive, ArchiveWriter, SegmentMemo, SegmentMeta, SegmentStates};
 use txstat_core::eos_analysis::{EosLabels, WashReport};
 use txstat_core::tezos_analysis::PeriodCurves;
@@ -142,7 +143,8 @@ impl Chains {
 
 /// The lazily derived shared views of one dataset's sweeps: one cell per
 /// [`PipelineData`] accessor that fills it, each held by `Arc` so that a
-/// serve epoch can share it with the next.
+/// serve epoch can share it with the next, and the text of each part of a
+/// split section ([`PipelineData::part`]) rendered so far.
 #[derive(Default)]
 struct Views {
     eos_category_series: OnceLock<Arc<BucketSeries<AppCategory>>>,
@@ -151,12 +153,14 @@ struct Views {
     most_active: OnceLock<Arc<Vec<ActiveAccount>>>,
     concentration: OnceLock<Arc<ConcentrationReport>>,
     wash_report: OnceLock<Arc<WashReport>>,
+    parts: Mutex<Vec<(&'static Part, Arc<str>)>>,
 }
 
 impl Views {
-    /// The views of these that read none of the chains in `moved`, shared
-    /// by `Arc`; every other cell empty. Each view's chains are those its
-    /// derivation in the accessor of the same name reads.
+    /// The views and parts of these that read none of the chains in
+    /// `moved`, shared by `Arc`; every other cell empty. Each view's chains
+    /// are those its derivation in the accessor of the same name reads, each
+    /// part's those it declares.
     fn carried(&self, moved: Chains) -> Views {
         fn keep<T>(cell: &OnceLock<Arc<T>>, reads: Chains, moved: Chains) -> OnceLock<Arc<T>> {
             match cell.get() {
@@ -164,6 +168,7 @@ impl Views {
                 _ => OnceLock::new(),
             }
         }
+        let parts = self.held_parts();
         Views {
             eos_category_series: keep(&self.eos_category_series, Chains::EOS, moved),
             vote_curves: keep(&self.vote_curves, Chains::TEZOS, moved),
@@ -171,7 +176,31 @@ impl Views {
             most_active: keep(&self.most_active, Chains::XRP, moved),
             concentration: keep(&self.concentration, Chains::XRP, moved),
             wash_report: keep(&self.wash_report, Chains::EOS, moved),
+            parts: Mutex::new(
+                parts
+                    .iter()
+                    .filter(|(part, _)| !part.reads.meets(moved))
+                    .cloned()
+                    .collect(),
+            ),
         }
+    }
+
+    fn held_parts(&self) -> MutexGuard<'_, Vec<(&'static Part, Arc<str>)>> {
+        self.parts.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// How many views and parts are derived or rendered so far.
+    fn held(&self) -> usize {
+        let cells = [
+            self.eos_category_series.get().is_some(),
+            self.vote_curves.get().is_some(),
+            self.value_flow.get().is_some(),
+            self.most_active.get().is_some(),
+            self.concentration.get().is_some(),
+            self.wash_report.get().is_some(),
+        ];
+        cells.iter().filter(|&&held| held).count() + self.held_parts().len()
     }
 }
 
@@ -447,14 +476,56 @@ impl PipelineData {
         })
     }
 
-    /// This dataset with the views of `prev` that read none of the chains
-    /// in `moved`, in place of its own. Sound only where the two datasets'
-    /// sweeps differ in the chains `moved` alone — consecutive serve
-    /// epochs, `moved` being what the follower's advance between them
-    /// observed — because a view is a function of the sweeps it reads.
+    /// `part`'s text: rendered from this dataset on first use under a
+    /// `view` span labelled with the part's label, then held in its views.
+    /// The sweeps are computed first, outside the span, as for a view.
+    pub(crate) fn part(&self, part: &'static Part) -> Arc<str> {
+        let held = |parts: &[(&'static Part, Arc<str>)]| {
+            let (_, text) = parts.iter().find(|(p, _)| p.label == part.label)?;
+            Some(Arc::clone(text))
+        };
+        if let Some(text) = held(&self.views.held_parts()) {
+            return text;
+        }
+        self.sweeps();
+        let text: Arc<str> = {
+            let _span = Span::enter("view", part.label);
+            (part.render)(self).into()
+        };
+        // Rendered outside the lock: a concurrent first use renders the
+        // same bytes, and the first to finish is the one held.
+        let mut parts = self.views.held_parts();
+        match held(&parts) {
+            Some(first) => first,
+            None => {
+                parts.push((part, Arc::clone(&text)));
+                text
+            }
+        }
+    }
+
+    /// This dataset with the views and parts of `prev` that read none of
+    /// the chains in `moved`, in place of its own. Sound only where the two
+    /// datasets' sweeps differ in the chains `moved` alone — consecutive
+    /// serve epochs, `moved` being what the follower's advance between them
+    /// observed — because a view or a part is a function of the sweeps it
+    /// reads.
     pub(crate) fn carrying_views(mut self, prev: &PipelineData, moved: Chains) -> PipelineData {
         self.views = Box::new(prev.views.carried(moved));
         self
+    }
+
+    /// Whether this dataset holds `part`'s text.
+    #[cfg(test)]
+    pub(crate) fn holds_part(&self, part: &Part) -> bool {
+        let parts = self.views.held_parts();
+        parts.iter().any(|(p, _)| p.label == part.label)
+    }
+
+    /// How many shared views and section parts this dataset holds: on a
+    /// serve epoch not yet published, the ones it carried.
+    pub(crate) fn views_held(&self) -> usize {
+        self.views.held()
     }
 
     /// Fork this dataset with a different set of installed sweeps: all
@@ -594,6 +665,9 @@ pub fn register_metrics() {
 
 /// Build the three chains from scratch, one `generate` span each, and
 /// count the pass: the direct path and the crawl's serving side both do.
+/// EOS, the longest build, runs beside Tezos then XRP; on one CPU the
+/// three run in turn on the calling thread, as `par_map`'s runs do. Each
+/// chain draws from its own stream, so neither order moves a byte.
 fn build_chains(
     sc: &Scenario,
 ) -> (
@@ -602,16 +676,24 @@ fn build_chains(
     txstat_xrp::XrpLedger,
 ) {
     GENERATIONS.inc();
-    let eos = {
+    let eos = || {
         let _span = Span::enter("generate", "eos");
         build_eos(sc)
     };
-    let tezos = {
-        let _span = Span::enter("generate", "tezos");
-        build_tezos(sc)
+    let rest = || {
+        let tezos = {
+            let _span = Span::enter("generate", "tezos");
+            build_tezos(sc)
+        };
+        let _span = Span::enter("generate", "xrp");
+        (tezos, build_xrp(sc))
     };
-    let _span = Span::enter("generate", "xrp");
-    (eos, tezos, build_xrp(sc))
+    let (eos, (tezos, xrp)) = if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+        join(eos, rest)
+    } else {
+        (eos(), rest())
+    };
+    (eos, tezos, xrp)
 }
 
 /// Direct path: generate the three chains and read them in-process.
@@ -1758,6 +1840,7 @@ fn finish_reduce(data: PipelineData, session: ReduceSession) -> Result<PipelineD
 #[cfg(test)]
 mod tests {
     use super::{chunked_sweep, generate, Chains, PipelineData};
+    use crate::exhibits::{parts, render_section, SECTIONS};
     use crate::tests::emptied;
     use txstat_workload::Scenario;
 
@@ -1778,29 +1861,34 @@ mod tests {
         assert!(concat(&[]).is_empty());
     }
 
-    /// Per view: it is carried into a dataset whose sweeps differ in one chain
-    /// exactly when emptying that chain leaves it unchanged, and what is
-    /// carried is what that dataset derives itself. So no view's chain set
-    /// misses a chain it reads, nor names one it does not.
+    /// Per view and per section part: it is carried into a dataset whose
+    /// sweeps differ in one chain exactly when emptying that chain leaves it
+    /// unchanged, and what is carried is what that dataset derives itself.
+    /// So no view's or part's chain set misses a chain it reads (sound), nor
+    /// names one it does not (minimal).
     #[test]
     fn a_view_is_carried_exactly_when_the_moved_chain_leaves_it_unchanged() {
         let data = generate(&Scenario::small(7));
-        let views = |d: &PipelineData| -> [String; 6] {
+        let parts: Vec<_> = parts().collect();
+        assert_eq!(parts.len(), 11);
+        let views = |d: &PipelineData| -> Vec<String> {
             let series = d.eos_category_series();
-            [
+            let mut views = vec![
                 format!("{:?} {}", series.columns_sorted(), series.out_of_range()),
                 format!("{:?}", d.vote_curves()),
                 format!("{:?}", d.value_flow()),
                 format!("{:?}", d.most_active()),
                 format!("{:?}", d.concentration()),
                 format!("{:?}", d.wash_report()),
-            ]
+            ];
+            views.extend(parts.iter().map(|part| d.part(part).to_string()));
+            views
         };
         let whole = views(&data);
         for chain in [Chains::EOS, Chains::TEZOS, Chains::XRP] {
             let carried = emptied(&data, chain).carrying_views(&data, chain);
             let v = &carried.views;
-            let held = [
+            let mut held = vec![
                 v.eos_category_series.get().is_some(),
                 v.vote_curves.get().is_some(),
                 v.value_flow.get().is_some(),
@@ -1808,11 +1896,37 @@ mod tests {
                 v.concentration.get().is_some(),
                 v.wash_report.get().is_some(),
             ];
+            held.extend(parts.iter().map(|part| carried.holds_part(part)));
+            assert_eq!(carried.views_held(), held.iter().filter(|&&h| h).count());
             let fresh = views(&emptied(&data, chain));
             assert_eq!(views(&carried), fresh, "{chain:?} moved");
             for (i, (before, after)) in whole.iter().zip(&fresh).enumerate() {
-                assert_eq!(held[i], before == after, "view {i}, {chain:?} moved");
+                let name = parts.get(i.wrapping_sub(6)).map_or("", |p| p.label);
+                assert_eq!(held[i], before == after, "view {i} {name}, {chain:?} moved");
             }
         }
+    }
+
+    /// A split section is the concatenation of its parts, and the parts are
+    /// labelled `<section>/<part>` after their section, each label once.
+    #[test]
+    fn a_split_section_is_its_parts_in_order() {
+        let data = generate(&Scenario::small(7));
+        let mut labels = Vec::new();
+        for (name, section) in SECTIONS {
+            let mine: Vec<_> = parts()
+                .filter(|p| p.label.split('/').next() == Some(*name))
+                .collect();
+            if mine.is_empty() {
+                continue;
+            }
+            let joined: String = mine.iter().map(|p| (p.render)(&data)).collect();
+            assert_eq!(render_section((name, *section), &data), joined, "{name}");
+            labels.extend(mine.iter().map(|p| p.label));
+        }
+        assert_eq!(labels, parts().map(|p| p.label).collect::<Vec<_>>());
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), 11);
     }
 }

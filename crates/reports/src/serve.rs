@@ -7,24 +7,30 @@
 //! through an [`EpochCell`] — readers load an `Arc`, so a concurrent epoch
 //! swap can never tear a response (it either came wholly from the old
 //! snapshot or wholly from the new one). A snapshot is its dataset's
-//! sweeps, its response cache and the views its sections share (the
+//! sweeps, its response cache, the views its sections share (the
 //! Figure 3a series, the vote curves, the value flow, …, each derived
-//! once from the sweeps and read again by the comparison). The cache and
-//! the views live *inside* the snapshot, so invalidating them on swap is
+//! once from the sweeps and read again by the comparison) and the parts
+//! of its split sections. The cache, the views and the parts live *inside*
+//! the snapshot, so invalidating them on swap is
 //! not a protocol, it is reachability: the old ones are dropped with the
 //! last reference to the old snapshot.
 //!
 //! What a new epoch starts with is what cannot have changed. The three
 //! chains run out at different epochs, and an epoch's sweeps differ from
 //! the previous epoch's only in the chains its advance observed blocks of
-//! (`Follower::moved`). Every section, account route and view names the
-//! chains it reads (`Section::reads`), so
-//! [`StatsService::publish_next`] carries each cache entry and view of the
-//! previous snapshot that reads none of the moved chains into the next one
-//! by `Arc` (`txstat_serve_cache_carried_total` counts the entries); the
-//! rest starts empty. That is sound because an epoch's bytes equal the
-//! one-shot render of its observed prefix, and a chain whose prefix did
-//! not grow has the same sweep. [`ServeSnapshot::new`] starts empty.
+//! (`Follower::moved`). Every section, account route, view and section
+//! part names the chains it reads (`Section::reads`, `Part::reads`), so
+//! [`StatsService::publish_next`] carries each cache entry, view and part
+//! of the previous snapshot that reads none of the moved chains into the
+//! next one by `Arc` (`txstat_serve_cache_carried_total` counts the
+//! entries, `txstat_serve_views_carried_total` the views and parts); the
+//! rest starts empty. The headline, Figure 1 and Figure 3 read all three
+//! chains, so their routes start empty at every epoch that moved one; but
+//! they are the concatenation of one part per chain, and a miss renders
+//! only the moved chains' parts afresh. That is sound because an epoch's
+//! bytes equal the one-shot render of its observed prefix, and a chain
+//! whose prefix did not grow has the same sweep. [`ServeSnapshot::new`]
+//! starts empty.
 //!
 //! `/report` is not rendered as a whole: it is laid out from the cache
 //! entries of the section routes (`/exhibit/<name>`, the comparison last),
@@ -95,9 +101,9 @@ impl ServeSnapshot {
     }
 
     /// The next epoch's snapshot over `data`, whose sweeps differ from this
-    /// snapshot's in the chains `moved` alone: every cache entry and view
-    /// of this one that reads none of them is shared by `Arc`, the rest
-    /// start empty. Returns it with the number of cache entries carried.
+    /// snapshot's in the chains `moved` alone: every cache entry, view and
+    /// section part of this one that reads none of them is shared by `Arc`,
+    /// the rest start empty. Returns it with the number of cache entries carried.
     fn succeed(&self, head: bool, data: PipelineData, moved: Chains) -> (ServeSnapshot, usize) {
         let cache: HashMap<String, Arc<Vec<u8>>> = self
             .cache
@@ -245,6 +251,7 @@ pub struct StatsService {
     pub cache_hits: Arc<Counter>,
     pub cache_misses: Arc<Counter>,
     pub cache_carried: Arc<Counter>,
+    pub views_carried: Arc<Counter>,
     /// Raised once the reply to `POST /admin/shutdown` has left, which
     /// then notifies `shutdown_raised`; the serve session waits on the
     /// pair. Raising it any earlier would let the process exit before the
@@ -275,6 +282,11 @@ impl StatsService {
         let cache_carried = registry.counter(
             "txstat_serve_cache_carried_total",
             "Response-cache entries a new epoch took over from the one before it, \
+             because none of the chains they read moved",
+        );
+        let views_carried = registry.counter(
+            "txstat_serve_views_carried_total",
+            "Shared views and section parts a new epoch took over from the one before it, \
              because none of the chains they read moved",
         );
         // Epoch number, head flag, and cache size are properties of the
@@ -313,6 +325,7 @@ impl StatsService {
             cache_hits,
             cache_misses,
             cache_carried,
+            views_carried,
             shutdown: Mutex::new(false),
             shutdown_raised: Condvar::new(),
         }
@@ -335,6 +348,7 @@ impl StatsService {
             .load()
             .succeed(follower.head(), fork, follower.moved());
         self.cache_carried.add(carried as u64);
+        self.views_carried.add(next.data().views_held() as u64);
         let epoch = next.epoch();
         self.cell.publish(Arc::new(next));
         Ok(epoch)
@@ -370,6 +384,7 @@ impl StatsService {
             "cache_hits": self.cache_hits.get(),
             "cache_misses": self.cache_misses.get(),
             "cache_carried": self.cache_carried.get(),
+            "views_carried": self.views_carried.get(),
             "cached_responses": snap.cached_responses(),
             "metrics": self.registry.snapshot_json(),
         });
@@ -590,17 +605,19 @@ pub fn serve_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exhibits::parts;
     use crate::pipeline::generate;
     use crate::tests::emptied;
     use txstat_workload::Scenario;
 
     /// Per route — every section, the comparison, the busiest account of each
-    /// chain and `/report`: it is carried into the next epoch over a dataset
-    /// whose sweeps differ in one chain exactly when emptying that chain leaves
-    /// its bytes unchanged, and every route answers what a fresh snapshot of
-    /// that dataset renders. So emptying a chain outside a row's set leaves
-    /// the row's bytes unchanged and emptying one inside changes them: the
-    /// sets are sound and minimal.
+    /// chain and `/report` — and per part of a split section: it is carried
+    /// into the next epoch over a dataset whose sweeps differ in one chain
+    /// exactly when emptying that chain leaves its bytes unchanged, and every
+    /// route answers what a fresh snapshot of that dataset renders. So
+    /// emptying a chain outside a row's or a part's set leaves its bytes
+    /// unchanged and emptying one inside changes them: the sets are sound and
+    /// minimal.
     #[test]
     fn a_route_is_carried_exactly_when_the_moved_chain_leaves_it_unchanged() {
         let data = generate(&Scenario::small(7));
@@ -631,6 +648,7 @@ mod tests {
                 let cache = next.cache.lock().expect("cache lock");
                 paths.iter().map(|path| cache.contains_key(path)).collect()
             };
+            let held: Vec<bool> = parts().map(|part| next.data().holds_part(part)).collect();
             let after = answers(&serve(next));
             let fresh = answers(&serve(ServeSnapshot::new(
                 2,
@@ -640,6 +658,11 @@ mod tests {
             for (i, path) in paths.iter().enumerate() {
                 assert!(after[i] == fresh[i], "{path}, {chain:?} moved: stale bytes");
                 assert_eq!(carried[i], before[i] == fresh[i], "{path}, {chain:?} moved");
+            }
+            let emptied = emptied(current.data(), chain);
+            for (part, held) in parts().zip(held) {
+                let unchanged = current.data().part(part) == emptied.part(part);
+                assert_eq!(held, unchanged, "{}, {chain:?} moved", part.label);
             }
         }
     }

@@ -488,9 +488,10 @@ fn a_cold_report_and_the_section_routes_serve_the_same_sections() {
 /// comparison, the busiest account of each chain and `/report` — is the one-shot
 /// render of the observed prefix, although each epoch after the first
 /// starts from what the epoch before it cached. What it carries is what
-/// reads only chains that did not move: Figures 2 and 11 from the start,
-/// then XRP's routes, then EOS's. Nothing read holds a retired snapshot,
-/// so the follower clones only its first epoch.
+/// reads only chains that did not move: Figures 2 and 11 and the
+/// headline's dropped-transaction line from the start, then XRP's routes,
+/// views and section parts, then EOS's. Nothing read holds a retired
+/// snapshot, so the follower clones only its first epoch.
 #[test]
 fn a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes() {
     let data = generate(&Scenario::small(7));
@@ -509,6 +510,12 @@ fn a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes() {
     assert_eq!(paths.len(), 18, "{paths:?}");
     let xrp_routes = ["fig7", "fig8", "fig12"].len() + 1;
     let eos_routes = ["fig4", "fig5", "case_studies"].len() + 1;
+    // The views and parts of each chain; the headline's dropped-transaction
+    // line reads none.
+    let xrp_views = ["value_flow", "most_active", "concentration"].len()
+        + ["headline/economic_share", "fig1/xrp", "fig3/c"].len();
+    let eos_views = ["eos_category_series", "wash_report"].len()
+        + ["headline/boomerang", "fig1/eos", "fig3/a"].len();
     let mut epoch = 1;
     loop {
         let oracle = service_over(one_shot_prefix(follower.base(), follower.observed()), false).0;
@@ -523,16 +530,22 @@ fn a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes() {
             break;
         }
         let carried = service.cache_carried.get();
+        let views = service.views_carried.get();
         epoch = service.publish_next(&mut follower).expect("advance");
-        let want = 2 + match epoch {
-            ..=3 => 0,
-            4..=9 => xrp_routes,
-            _ => xrp_routes + eos_routes,
+        let (want, want_views) = match epoch {
+            ..=3 => (2, 1),
+            4..=9 => (2 + xrp_routes, 1 + xrp_views),
+            _ => (2 + xrp_routes + eos_routes, 1 + xrp_views + eos_views),
         };
         assert_eq!(
             service.cache_carried.get() - carried,
             want as u64,
             "epoch {epoch} carried"
+        );
+        assert_eq!(
+            service.views_carried.get() - views,
+            want_views as u64,
+            "epoch {epoch} carried views and parts"
         );
     }
     assert_eq!(epoch, 43);
@@ -748,6 +761,7 @@ fn metrics_and_statusz_expose_every_layer() {
         "txstat_serve_cache_hits_total",
         "txstat_serve_cache_misses_total",
         "txstat_serve_cache_carried_total",
+        "txstat_serve_views_carried_total",
     ] {
         assert!(text.contains(family), "missing {family} in:\n{text}");
     }
@@ -787,7 +801,7 @@ fn metrics_and_statusz_expose_every_layer() {
             .then_some(cells[1])
         })
         .collect();
-    assert_eq!(rows.len(), 23, "the serve side's README rows");
+    assert_eq!(rows.len(), 24, "the serve side's README rows");
     for first in rows {
         for family in first.split('`').skip(1).step_by(2) {
             assert!(
@@ -805,6 +819,7 @@ fn metrics_and_statusz_expose_every_layer() {
     assert_eq!(status["epoch"].as_u64(), Some(1));
     assert_eq!(status["cache_misses"].as_u64(), Some(1));
     assert_eq!(status["cache_carried"].as_u64(), Some(0));
+    assert_eq!(status["views_carried"].as_u64(), Some(0));
     assert!(
         !status["metrics"].is_null(),
         "statusz carries the registry snapshot"

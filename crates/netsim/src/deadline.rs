@@ -4,7 +4,7 @@
 //! time left before its deadline instead, so a stage (a connect and a
 //! whole exchange, one request read, one reply write) ends when its limit
 //! says, however the peer paces its bytes. It re-arms only when the armed
-//! timeout is off the time left by more than [`SLACK`] of the stage, so a
+//! timeout is off the time left by more than 1/16 of the stage, so a
 //! keep-alive connection whose reads and writes come quickly pays no
 //! `setsockopt` per call, and a stage ends within that fraction of its
 //! deadline, early or late.

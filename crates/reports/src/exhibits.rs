@@ -22,7 +22,7 @@ use txstat_xrp::amount::IssuedCurrency;
 use txstat_xrp::AccountId;
 
 /// Figure 1: distribution of transaction types per blockchain, one table
-/// per chain ([`FIG1`]).
+/// per chain (`FIG1`).
 pub fn fig1(data: &PipelineData) -> String {
     joined(FIG1, data)
 }
@@ -189,7 +189,7 @@ pub fn fig2(data: &PipelineData) -> String {
 }
 
 /// Figure 3: throughput across time, one block of sparklines per chain
-/// ([`FIG3`]).
+/// (`FIG3`).
 pub fn fig3(data: &PipelineData) -> String {
     joined(FIG3, data)
 }
@@ -575,7 +575,7 @@ pub fn fig12(data: &PipelineData) -> String {
 }
 
 /// The headline findings (abstract/§1): TPS and the three percentages,
-/// one line each ([`HEADLINE`]).
+/// one line each (`HEADLINE`).
 pub fn headline(data: &PipelineData) -> String {
     joined(HEADLINE, data)
 }
@@ -814,7 +814,7 @@ const NONE: Chains = Chains::NONE;
 /// rather than a renumbering of every later figure.
 ///
 /// Each row names the chains it reads. The headline, Figure 1 and Figure 3
-/// read all three, one part per chain ([`HEADLINE`], [`FIG1`], [`FIG3`]):
+/// read all three, one part per chain (`HEADLINE`, `FIG1`, `FIG3`):
 /// their rows read the union of their parts' chains, and a serve epoch
 /// that moved one chain re-renders only that chain's parts of them.
 pub const SECTIONS: &[(&str, Section)] = &[

@@ -10,10 +10,10 @@
 //! sweeps, its response cache, the views its sections share (the
 //! Figure 3a series, the vote curves, the value flow, …, each derived
 //! once from the sweeps and read again by the comparison) and the parts
-//! of its split sections. The cache, the views and the parts live *inside*
-//! the snapshot, so invalidating them on swap is
-//! not a protocol, it is reachability: the old ones are dropped with the
-//! last reference to the old snapshot.
+//! of its split sections. The cache, the views and the parts live
+//! *inside* the snapshot, so invalidating them on swap is not a protocol,
+//! it is reachability: the old ones are dropped with the last reference
+//! to the old snapshot.
 //!
 //! What a new epoch starts with is what cannot have changed. The three
 //! chains run out at different epochs, and an epoch's sweeps differ from
@@ -103,7 +103,8 @@ impl ServeSnapshot {
     /// The next epoch's snapshot over `data`, whose sweeps differ from this
     /// snapshot's in the chains `moved` alone: every cache entry, view and
     /// section part of this one that reads none of them is shared by `Arc`,
-    /// the rest start empty. Returns it with the number of cache entries carried.
+    /// the rest start empty. Returns it with the number of cache entries
+    /// carried.
     fn succeed(&self, head: bool, data: PipelineData, moved: Chains) -> (ServeSnapshot, usize) {
         let cache: HashMap<String, Arc<Vec<u8>>> = self
             .cache

@@ -833,17 +833,6 @@ pub const SECTIONS: &[(&str, Section)] = &[
     ("case_studies", reads(EOS.union(XRP), case_studies)),
 ];
 
-/// Every part of a split section, in report order.
-#[cfg(test)]
-pub(crate) fn parts() -> impl Iterator<Item = &'static Part> {
-    SECTIONS
-        .iter()
-        .flat_map(|(_, section)| match section.render {
-            Render::Whole(_) => &[][..],
-            Render::Parts(parts) => parts,
-        })
-}
-
 /// The report's last section, served as `/exhibit/comparison`.
 const COMPARISON: (&str, Section) = ("comparison", reads(ALL, comparison_section));
 
@@ -913,4 +902,15 @@ pub fn render_report(data: &PipelineData) -> String {
         out.push_str(separator);
     }
     out
+}
+
+/// Every part of a split section, in report order.
+#[cfg(test)]
+pub(crate) fn parts() -> impl Iterator<Item = &'static Part> {
+    SECTIONS
+        .iter()
+        .flat_map(|(_, section)| match section.render {
+            Render::Whole(_) => &[][..],
+            Render::Parts(parts) => parts,
+        })
 }

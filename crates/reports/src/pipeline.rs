@@ -506,13 +506,6 @@ impl PipelineData {
         self
     }
 
-    /// Whether this dataset holds `part`'s text.
-    #[cfg(test)]
-    pub(crate) fn holds_part(&self, part: &Part) -> bool {
-        let parts = self.views.held_parts();
-        parts.iter().any(|(p, _)| p.label == part.label)
-    }
-
     /// How many shared views and section parts this dataset holds: on a
     /// serve epoch not yet published, the ones it carried.
     pub(crate) fn views_held(&self) -> usize {
@@ -1828,6 +1821,15 @@ fn finish_reduce(data: PipelineData, session: ReduceSession) -> Result<PipelineD
         "fresh dataset has no sweeps yet"
     );
     Ok(data)
+}
+
+#[cfg(test)]
+impl PipelineData {
+    /// Whether this dataset holds `part`'s text.
+    pub(crate) fn holds_part(&self, part: &Part) -> bool {
+        let parts = self.views.held_parts();
+        parts.iter().any(|(p, _)| p.label == part.label)
+    }
 }
 
 #[cfg(test)]

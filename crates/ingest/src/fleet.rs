@@ -833,6 +833,48 @@ mod tests {
         assert_eq!(drain(&logs), homes);
     }
 
+    /// A third worker joins a two-worker fleet (six address sets, 8, 24
+    /// and 104 chunks): it takes its share, ⌊n/3⌋ or ⌈n/3⌉ chunks, and
+    /// most chunks stay where they were. Not all: the ⌈n/w⌉ load cap also
+    /// moves a few chunks between the two old workers — at most 1 of 8,
+    /// 1 of 24 and 3 of 104 over these sets (a model over 200 address sets
+    /// reaches 2, 3 and 13).
+    #[test]
+    fn a_joining_worker_takes_its_share_and_moves_few_others() {
+        for set in 0..6u32 {
+            let addr = |w: u32| format!("10.{set}.0.{w}:{}", 7000 + set);
+            let (two, three) = ([addr(0), addr(1)], [addr(0), addr(1), addr(2)]);
+            for (chunks, old_to_old_bound) in [(8, 1), (24, 1), (104, 3)] {
+                let homes = |workers: &[String]| -> Vec<usize> {
+                    let mut home = vec![0; chunks];
+                    let queues = home_queues(tile(1_000_000, chunks), workers);
+                    for (w, queue) in queues.iter().enumerate() {
+                        for chunk in queue {
+                            home[chunk.id] = w;
+                        }
+                    }
+                    home
+                };
+                let (before, after) = (homes(&two), homes(&three));
+                let joiner = after.iter().filter(|&&w| w == 2).count();
+                let old_to_old = before
+                    .iter()
+                    .zip(&after)
+                    .filter(|&(was, is)| *is != 2 && is != was)
+                    .count();
+                let what = format!("set {set}, {chunks} chunks");
+                assert!(
+                    joiner == chunks / 3 || joiner == chunks.div_ceil(3),
+                    "{what}: the joiner took {joiner}"
+                );
+                assert!(
+                    old_to_old <= old_to_old_bound,
+                    "{what}: {old_to_old} chunks moved between the old workers"
+                );
+            }
+        }
+    }
+
     #[test]
     fn no_worker_is_home_to_more_than_its_share() {
         for workers in 1..=5 {

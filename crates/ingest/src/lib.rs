@@ -40,6 +40,9 @@ pub use reduce::{RangeFold, ReduceError, ReduceSession};
 pub enum IngestError {
     /// A checkpoint tail tried to re-observe an already-covered block.
     RangeRegression { n: u64, high: u64 },
+    /// The block source could not give the next run: a corpus segment that
+    /// does not decode. The message names the segment.
+    Source(String),
 }
 
 impl std::fmt::Display for IngestError {
@@ -51,6 +54,7 @@ impl std::fmt::Display for IngestError {
                     "block {n} is not past the checkpoint high-water mark {high}"
                 )
             }
+            IngestError::Source(why) => f.write_str(why),
         }
     }
 }

@@ -14,7 +14,7 @@
 //! the same scenario twice produces identical files and a cold-started
 //! dataset reproduces the generated one's report exactly.
 
-use txstat_archive::SegmentBlocks;
+use txstat_archive::{Archive, SegmentBlocks};
 use txstat_crawler::CrawlStats;
 use txstat_telemetry::{par_map, Span};
 use txstat_tezos::address::{AddrKind, Address};
@@ -450,6 +450,16 @@ pub(crate) fn chains_of_segment(seg: &SegmentBlocks) -> Result<ReplayedChains, S
     let xrp = txstat_xrp::block_cols::decode_blocks(&seg.xrp)
         .map_err(|e| at("xrp columns", e.to_string()))?;
     Ok((eos, tezos, xrp))
+}
+
+/// Decode segment `i` of `archive` into its three chain runs: the one
+/// decode behind a streamed follower's window, a facts miss and an archived
+/// shard's sweep. The decompress is an `archive_replay`/`segment` span, the
+/// parse an `archive_replay`/`parse` span; an error names the segment.
+pub(crate) fn segment_chains(archive: &Archive, i: usize) -> Result<ReplayedChains, String> {
+    let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
+    let _span = Span::enter("archive_replay", "parse");
+    chains_of_segment(&seg)
 }
 
 /// Parse replayed segments (contiguous, in position order) back into the

@@ -47,6 +47,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txstat_archive::Archive;
 use txstat_ingest::{reduce_fleet, serve_assignments, FleetConfig};
@@ -55,9 +56,9 @@ use txstat_netsim::{spawn_chaos_proxy, ChaosProfile, Http};
 use txstat_reports::{
     follow_session, generate, generate_with_crawl, pipeline_from_archive,
     reduce_frames_labeled_into, reducer_from_archive, render_report, scenario_from_meta,
-    scenario_meta, serve_session, write_archive, Corpus, CrawlOptions, FollowPlan, Manifest,
-    MemoStatus, PipelineData, Reorg, SegmentFormat, ServeLine, ServePlan, ShardContext,
-    DEFAULT_SNAPSHOT_WINDOW,
+    scenario_meta, serve_session, streamed_from_archive, write_archive, Corpus, CrawlOptions,
+    FollowPlan, Manifest, MemoStatus, PipelineData, Reorg, SegmentFormat, ServeLine, ServePlan,
+    ShardContext, DEFAULT_SNAPSHOT_WINDOW,
 };
 use txstat_telemetry::Span;
 use txstat_wire::{PayloadFormat, ShardFrame};
@@ -454,9 +455,13 @@ fn check_archive_scenario(args: &Args, meta: &serde_json::Value) -> Result<(), S
 /// that can give it.
 #[derive(Clone, Copy, PartialEq)]
 enum Need {
-    /// The block vectors in memory, to seal, follow or serve them: a full
-    /// cold start; a crawl keeps every block it folds.
+    /// The block vectors in memory, to seal or follow them: a full cold
+    /// start; a crawl keeps every block it folds.
     Blocks,
+    /// The blocks once each, in order, to serve them: a block-free cold
+    /// start whose follower decodes the corpus's segments as it reaches
+    /// them ([`streamed_from_archive`]); generated or crawled, as `Blocks`.
+    Stream,
     /// One sweep and one render: a full cold start; a crawl folds each
     /// block as it is fetched and keeps none.
     Report,
@@ -470,7 +475,7 @@ enum Need {
 struct Opened {
     data: PipelineData,
     mode: String,
-    archive: Option<Archive>,
+    archive: Option<Arc<Archive>>,
 }
 
 /// The one place a dataset comes from. With a corpus at `archive_dir`: open
@@ -482,12 +487,12 @@ fn open_dataset(args: &Args, archive_dir: Option<&str>, need: Need) -> Result<Op
         if args.has("--crawl") {
             return Err("report takes --archive or --crawl, not both".to_owned());
         }
-        let cold_start = if need == Need::Facts {
-            reducer_from_archive
-        } else {
-            pipeline_from_archive
+        let held = |(data, archive)| (data, Arc::new(archive));
+        let (data, archive) = match need {
+            Need::Facts => reducer_from_archive(Path::new(dir)).map(held)?,
+            Need::Stream => streamed_from_archive(Path::new(dir))?,
+            Need::Blocks | Need::Report => pipeline_from_archive(Path::new(dir)).map(held)?,
         };
-        let (data, archive) = cold_start(Path::new(dir))?;
         let manifest = Manifest::parse(archive.manifest())?;
         check_archive_scenario(args, &manifest.meta)?;
         let (_, mode) = scenario_from_meta(&manifest.meta)?;
@@ -517,7 +522,8 @@ fn open_dataset(args: &Args, archive_dir: Option<&str>, need: Need) -> Result<Op
             "generating {mode} scenario (seed {}); crawling over loopback RPC…",
             sc.seed
         );
-        generate_with_crawl(&sc, &opts, need == Need::Blocks).map_err(|e| e.to_string())?
+        let keep_blocks = matches!(need, Need::Blocks | Need::Stream);
+        generate_with_crawl(&sc, &opts, keep_blocks).map_err(|e| e.to_string())?
     } else {
         eprintln!("generating {mode} scenario (seed {})…", sc.seed);
         generate(&sc)
@@ -828,7 +834,7 @@ fn cmd_follow(args: &Args) -> Result<(), String> {
         archive,
     } = open_dataset(args, dir.filter(has_corpus), Need::Blocks)?;
     let archive = match archive {
-        Some(corpus) => Some(Corpus::Resume(corpus)),
+        Some(corpus) => Some(Corpus::Resume(Arc::unwrap_or_clone(corpus))),
         None => dir.map(|dir| Corpus::Create(Path::new(dir))),
     };
     let plan = FollowPlan {
@@ -888,7 +894,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         burst: args.real("--burst").unwrap_or(5_000.0),
         load: args.has("--load"),
     };
-    let Opened { data, .. } = open_dataset(args, args.get("--archive"), Need::Blocks)?;
+    let Opened { data, .. } = open_dataset(args, args.get("--archive"), Need::Stream)?;
     serve_session(data, &plan, |line| match line {
         ServeLine::Announce(line) => {
             // Scripts scrape these lines (the bound address first).

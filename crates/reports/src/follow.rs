@@ -94,7 +94,7 @@
 //! run fails unless the re-opened archive replays byte-identical to the
 //! followed chains.
 
-use crate::archive_io::segments_of_from;
+use crate::archive_io::{segment_chains, segments_of_from, ReplayedChains};
 use crate::exhibits::render_report;
 use crate::pipeline::{
     check_segment_blocks, create_archive_writer, pipeline_from_archive, run_of, Chains, MemoStatus,
@@ -108,7 +108,7 @@ use std::time::Instant;
 use txstat_archive::{Archive, ArchiveWriter};
 use txstat_core::{ChainSweeps, EosSweep, TezosSweep, XrpSweep};
 use txstat_ingest::{reduce::CHAINS, IngestError, RangeFold};
-use txstat_telemetry::{Counter, Gauge, Histogram, Registry, Span};
+use txstat_telemetry::{par_map, Counter, Gauge, Histogram, Registry, Span};
 use txstat_types::ids::{fnv1a64, fnv1a64_extend};
 
 /// Snapshots a reorg guard retains by default: a reorg within the last
@@ -184,24 +184,126 @@ impl FollowMetrics {
     }
 }
 
-/// Positions `lo..hi` of a chain, clamped to its length (a short chain's
-/// tail is empty once it is exhausted), once every block there is known to
-/// be strictly above its predecessor — for the first, the high-water mark
-/// of what is already folded. A block at or below it would be counted twice.
-fn tail_above_high_water<B>(
-    blocks: &[B],
-    lo: usize,
-    hi: usize,
-    num: impl Fn(&B) -> u64,
-) -> Result<&[B], IngestError> {
-    let (lo, hi) = (lo.min(blocks.len()), hi.min(blocks.len()));
-    for pair in blocks[lo.saturating_sub(1)..hi].windows(2) {
-        let (high, n) = (num(&pair[0]), num(&pair[1]));
-        if n <= high {
-            return Err(IngestError::RangeRegression { n, high });
+/// One run of each chain's blocks, in [`CHAINS`] order: the blocks a batch
+/// folds from one source (the held chains, or one corpus segment).
+type Run<'a> = (
+    &'a [txstat_eos::Block],
+    &'a [txstat_tezos::TezosBlock],
+    &'a [txstat_xrp::LedgerBlock],
+);
+
+/// The high-water marks (per chain, the number of the last block folded)
+/// after `runs`, once every block in them is known to be strictly above
+/// its predecessor — for a run's first, the mark the run before it left,
+/// whichever source the runs came from. A block at or below it would be
+/// counted twice.
+fn above_high_water(
+    mut high: [Option<u64>; 3],
+    runs: &[Run<'_>],
+) -> Result<[Option<u64>; 3], IngestError> {
+    fn rise<B>(high: &mut Option<u64>, run: &[B], num: fn(&B) -> u64) -> Result<(), IngestError> {
+        for n in run.iter().map(num) {
+            match *high {
+                Some(high) if n <= high => return Err(IngestError::RangeRegression { n, high }),
+                _ => *high = Some(n),
+            }
+        }
+        Ok(())
+    }
+    for (eos, tezos, xrp) in runs {
+        rise(&mut high[0], eos, |b| b.num)?;
+        rise(&mut high[1], tezos, |b| b.level)?;
+        rise(&mut high[2], xrp, |b| b.index)?;
+    }
+    Ok(high)
+}
+
+/// The high-water marks of a follower resuming at `offset` of `data`: the
+/// number of each chain's block just before it, `None` at offset 0 (and
+/// for a streamed dataset, whose follower only ever resumes there).
+fn high_water_at(data: &PipelineData, offset: usize) -> [Option<u64>; 3] {
+    fn last<B>(blocks: &[B], offset: usize, num: fn(&B) -> u64) -> Option<u64> {
+        blocks[..offset.min(blocks.len())].last().map(num)
+    }
+    [
+        last(&data.eos_blocks, offset, |b| b.num),
+        last(&data.tezos_blocks, offset, |b| b.level),
+        last(&data.xrp_blocks, offset, |b| b.index),
+    ]
+}
+
+/// Where a follower's blocks come from.
+enum Source {
+    /// The dataset's own chain vectors, and the reorg guard over them if
+    /// one was asked for.
+    Held(Option<ReorgGuard>),
+    /// The segments of the corpus a block-free dataset streams from
+    /// ([`crate::streamed_from_archive`]). No guard can be put over them.
+    Streamed(SegmentWindow),
+}
+
+impl Source {
+    fn of(data: &PipelineData) -> Source {
+        match data.corpus() {
+            Some(corpus) => Source::Streamed(SegmentWindow {
+                corpus: Arc::clone(corpus),
+                first: 0,
+                decoded: VecDeque::new(),
+            }),
+            None => Source::Held(None),
         }
     }
-    Ok(&blocks[lo..hi])
+}
+
+/// The decoded segments of a streamed follower's corpus that its batches
+/// have reached and not yet left: segment `first + k` is `decoded[k]`, or
+/// why it did not decode.
+struct SegmentWindow {
+    corpus: Arc<Archive>,
+    first: usize,
+    decoded: VecDeque<Result<ReplayedChains, String>>,
+}
+
+impl SegmentWindow {
+    /// The runs of positions `[lo, hi)`, one per segment they overlap (found
+    /// through [`Archive::covering`]). Segments before the first of them
+    /// are dropped; when the window misses one, the next
+    /// `available_parallelism()` segments — and at least every one the
+    /// batch overlaps — are decoded at once through [`par_map`]. A segment
+    /// the batch overlaps that does not decode is [`IngestError::Source`].
+    fn runs(&mut self, lo: u64, hi: u64) -> Result<Vec<Run<'_>>, IngestError> {
+        let (a, b) = self.corpus.covering(lo, hi);
+        let left = a.saturating_sub(self.first).min(self.decoded.len());
+        self.decoded.drain(..left);
+        self.first = if self.decoded.is_empty() {
+            a
+        } else {
+            self.first + left
+        };
+        let held = self.first + self.decoded.len();
+        if held < b {
+            let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let ahead: Vec<usize> =
+                (held..b.max(held + cpus).min(self.corpus.segments().len())).collect();
+            let corpus = &self.corpus;
+            self.decoded
+                .extend(par_map(&ahead, |&i| segment_chains(corpus, i)));
+        }
+        (a..b)
+            .map(|i| {
+                let m = self.corpus.segments()[i];
+                let (eos, tezos, xrp) = self.decoded[i - self.first]
+                    .as_ref()
+                    .map_err(|e| IngestError::Source(e.clone()))?;
+                let (from, to) = (lo.max(m.start) - m.start, hi.min(m.end) - m.start);
+                Ok((
+                    run_of(eos, from, to),
+                    run_of(tezos, from, to),
+                    run_of(xrp, from, to),
+                ))
+            })
+            .collect()
+    }
 }
 
 /// One sealed batch: the offset it ended at and, per chain `[eos, tezos,
@@ -277,6 +379,10 @@ pub struct Resync {
 /// batch for publication — see the module docs.
 pub struct Follower {
     data: PipelineData,
+    source: Source,
+    /// Per chain, the number of the last block folded: every block the
+    /// next advance folds must be above it.
+    high: [Option<u64>; 3],
     /// The epoch last published: everything observed so far.
     front: Arc<ChainSweeps>,
     /// The epoch published before `front` and the one delta it lacks: the
@@ -289,7 +395,6 @@ pub struct Follower {
     offset: usize,
     batch: usize,
     metrics: Option<FollowMetrics>,
-    guard: Option<ReorgGuard>,
 }
 
 fn empty_sweeps(data: &PipelineData) -> Arc<ChainSweeps> {
@@ -327,10 +432,14 @@ fn fold_chain<S: Clone>(
 }
 
 impl Follower {
-    /// `batch` blocks per chain per epoch.
+    /// `batch` blocks per chain per epoch, from `data`'s own chains or, for
+    /// a [`crate::streamed_from_archive`] dataset, from its corpus's
+    /// segments.
     pub fn new(data: PipelineData, batch: usize) -> Self {
         Follower {
             front: empty_sweeps(&data),
+            source: Source::of(&data),
+            high: [None; 3],
             data,
             back: None,
             snapshots: [0; 2],
@@ -338,15 +447,22 @@ impl Follower {
             offset: 0,
             batch: batch.max(1),
             metrics: None,
-            guard: None,
         }
     }
 
     /// Seal a content mark per batch and retain the newest `window`
     /// snapshots for [`Follower::resync`] — only for a caller that can meet
     /// a reorg (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Over a streamed dataset: marks hash the held blocks, and a resync
+    /// re-reads them.
     pub fn with_reorg_guard(mut self, window: usize) -> Self {
-        self.guard = Some(ReorgGuard {
+        let Source::Held(guard) = &mut self.source else {
+            panic!("a reorg guard needs held blocks, not a streamed corpus");
+        };
+        *guard = Some(ReorgGuard {
             window: window.max(1),
             marks: Vec::new(),
             ring: VecDeque::new(),
@@ -360,7 +476,8 @@ impl Follower {
         self.metrics = Some(FollowMetrics::bind(registry));
     }
 
-    /// The base dataset the follower replays (full chains, no sweeps).
+    /// The base dataset the follower replays (no sweeps; full chains, or
+    /// none when it streams a corpus).
     pub fn base(&self) -> &PipelineData {
         &self.data
     }
@@ -377,20 +494,16 @@ impl Follower {
 
     /// Blocks observed so far per chain `(eos, tezos, xrp)`.
     pub fn observed(&self) -> (u64, u64, u64) {
-        let upto = |n: usize| self.offset.min(n) as u64;
-        let data = &self.data;
-        (
-            upto(data.eos_blocks.len()),
-            upto(data.tezos_blocks.len()),
-            upto(data.xrp_blocks.len()),
-        )
+        let [eos, tezos, xrp] = self.data.lens().map(|len| len.min(self.offset as u64));
+        (eos, tezos, xrp)
     }
 
     /// `(marks, ring entries)` the reorg guard holds; `(0, 0)` without one.
     pub fn retained(&self) -> (usize, usize) {
-        self.guard
-            .as_ref()
-            .map_or((0, 0), |g| (g.marks.len(), g.ring.len()))
+        match &self.source {
+            Source::Held(Some(g)) => (g.marks.len(), g.ring.len()),
+            _ => (0, 0),
+        }
     }
 
     /// Epochs so far built `(on the reclaimed back copy, on a clone of the
@@ -415,27 +528,35 @@ impl Follower {
     pub fn advance(&mut self) -> Result<PipelineData, IngestError> {
         let _span = Span::enter("follow_advance", "");
         let started = Instant::now();
-        let hi = (self.offset + self.batch).min(self.data.longest_chain());
         let (data, lo) = (&self.data, self.offset);
-        let eos_tail = tail_above_high_water(&data.eos_blocks, lo, hi, |b| b.num)?;
-        let tezos_tail = tail_above_high_water(&data.tezos_blocks, lo, hi, |b| b.level)?;
-        let xrp_tail = tail_above_high_water(&data.xrp_blocks, lo, hi, |b| b.index)?;
+        let hi = (lo + self.batch).min(data.longest_chain());
+        let runs = match &mut self.source {
+            Source::Held(_) => vec![(
+                run_of(&data.eos_blocks, lo as u64, hi as u64),
+                run_of(&data.tezos_blocks, lo as u64, hi as u64),
+                run_of(&data.xrp_blocks, lo as u64, hi as u64),
+            )],
+            Source::Streamed(window) => window.runs(lo as u64, hi as u64)?,
+        };
+        let high = above_high_water(self.high, &runs)?;
 
         let mut fold = RangeFold::new(data.scenario.period, data.governance_periods.clone());
-        fold.sweep(eos_tail, tezos_tail, xrp_tail, &data.oracle);
+        for (eos, tezos, xrp) in &runs {
+            fold.sweep(eos, tezos, xrp, &data.oracle);
+        }
+        drop(runs);
         let RangeFold {
-            eos, tezos, xrp, ..
+            eos,
+            tezos,
+            xrp,
+            blocks: swept,
         } = fold;
 
         // No back copy: this is the first epoch, or the first after a
         // resync rolled back, and the fork is not the last one and a batch.
         let moved = match self.back {
             None => Chains::ALL,
-            Some(_) => Chains::flagged([
-                !eos_tail.is_empty(),
-                !tezos_tail.is_empty(),
-                !xrp_tail.is_empty(),
-            ]),
+            Some(_) => Chains::flagged(swept.map(|n| n > 0)),
         };
         let merge_started = Instant::now();
         let source = {
@@ -490,19 +611,21 @@ impl Follower {
         self.snapshots[source] += 1;
         self.moved = moved;
         self.offset = hi;
-        if let Some(g) = self.guard.as_mut().filter(|_| hi > lo) {
-            let _span = Span::enter("follow_mark", "");
-            let hashes = std::array::from_fn(|chain| range_hash(&self.data, chain, lo, hi));
-            g.marks.push(Mark { end: hi, hashes });
-            g.ring.push_back((hi, Arc::clone(&self.front)));
-            if g.ring.len() > g.window {
-                g.ring.pop_front();
+        self.high = high;
+        if let Source::Held(Some(g)) = &mut self.source {
+            if hi > lo {
+                let _span = Span::enter("follow_mark", "");
+                let hashes = std::array::from_fn(|chain| range_hash(&self.data, chain, lo, hi));
+                g.marks.push(Mark { end: hi, hashes });
+                g.ring.push_back((hi, Arc::clone(&self.front)));
+                if g.ring.len() > g.window {
+                    g.ring.pop_front();
+                }
             }
         }
         if let Some(m) = &self.metrics {
-            let swept = [eos_tail.len(), tezos_tail.len(), xrp_tail.len()];
             for (counter, n) in m.observed.iter().zip(swept) {
-                counter.add(n as u64);
+                counter.add(n);
             }
             m.merges.inc();
             m.merge_us.record(merge_started.elapsed());
@@ -520,9 +643,14 @@ impl Follower {
     /// snapshot every chain still agrees with (to empty when it has left the
     /// window), forget the back copy — the delta it is owed belongs to the
     /// abandoned history — and adopt `current` as the base to resume over.
-    /// Without a guard nothing can be verified: the follower starts over.
+    /// Without a guard nothing can be verified: the follower starts over,
+    /// from `current`'s own chains or its corpus. Either way the high-water
+    /// marks are reset to `current`'s blocks before the resume offset.
     pub fn resync(&mut self, current: PipelineData) -> Resync {
-        let marks = self.guard.as_ref().map_or(&[][..], |g| &g.marks[..]);
+        let marks = match &self.source {
+            Source::Held(Some(g)) => &g.marks[..],
+            _ => &[][..],
+        };
         let agreed_by_chain: [usize; 3] = std::array::from_fn(|chain| {
             let mut lo = 0;
             marks
@@ -541,14 +669,17 @@ impl Follower {
         let covered = agreed.checked_sub(1).map_or(0, |i| marks[i].end);
         let mut rebuilt = false;
         if covered != self.offset {
-            let snapshot = self.guard.as_mut().and_then(|g| {
+            let snapshot = match &mut self.source {
                 // Keep what still agrees — nothing when the snapshot there
                 // has left the window (or the very first batch diverged).
-                let at = g.ring.iter().position(|(at, _)| *at == covered);
-                g.ring.truncate(at.map_or(0, |i| i + 1));
-                g.marks.truncate(at.map_or(0, |_| agreed));
-                g.ring.back().map(|(_, sweeps)| Arc::clone(sweeps))
-            });
+                Source::Held(Some(g)) => {
+                    let at = g.ring.iter().position(|(at, _)| *at == covered);
+                    g.ring.truncate(at.map_or(0, |i| i + 1));
+                    g.marks.truncate(at.map_or(0, |_| agreed));
+                    g.ring.back().map(|(_, sweeps)| Arc::clone(sweeps))
+                }
+                _ => None,
+            };
             rebuilt = snapshot.is_none();
             (self.front, self.offset) =
                 snapshot.map_or_else(|| (empty_sweeps(&current), 0), |sweeps| (sweeps, covered));
@@ -563,6 +694,12 @@ impl Follower {
                 }
             }
         }
+        // A guarded follower resumes over `current`'s held chains; any other
+        // starts reading `current` afresh.
+        if !matches!(self.source, Source::Held(Some(_))) || current.corpus().is_some() {
+            self.source = Source::of(&current);
+        }
+        self.high = high_water_at(&current, self.offset);
         self.data = current;
         Resync {
             agreed,
@@ -918,7 +1055,8 @@ fn chains_wire_identical(a: &PipelineData, b: &PipelineData) -> bool {
 mod tests {
     use super::*;
     use crate::exhibits::render_report;
-    use crate::pipeline::generate;
+    use crate::pipeline::{generate, streamed_from_archive, write_archive};
+    use std::path::PathBuf;
     use txstat_workload::Scenario;
 
     const BATCH: usize = 400;
@@ -1105,5 +1243,61 @@ mod tests {
             (r.agreed, r.invalidated, r.rebuilt, r.resume),
             (0, 0, true, 0)
         );
+    }
+
+    /// [`chains`] sealed at a fresh temporary directory in segments of
+    /// `segment_blocks` positions.
+    fn sealed(tag: &str, segment_blocks: u64) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("txstat-follow-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_archive(
+            &dir,
+            &chains(),
+            "small",
+            segment_blocks,
+            crate::SegmentFormat,
+        )
+        .expect("seal");
+        dir
+    }
+
+    /// A streamed follower holds only the segments its batch overlaps and
+    /// those decoded ahead with them: one decode of
+    /// `available_parallelism()` segments (or of the batch's own, when it
+    /// overlaps more) past the one segment the batch shares with the last.
+    #[test]
+    fn a_streamed_follower_holds_one_window_of_segments() {
+        let dir = sealed("window", 64);
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for batch in [16, 64, 100, 300] {
+            let (data, corpus) = streamed_from_archive(&dir).expect("streamed cold start");
+            let mut f = Follower::new(data, batch);
+            while !f.head() {
+                let lo = f.offset() as u64;
+                f.advance().expect("advance");
+                let (a, b) = corpus.covering(lo, f.offset() as u64);
+                let Source::Streamed(window) = &f.source else {
+                    panic!("a streamed dataset's follower reads its corpus");
+                };
+                assert_eq!(window.first, a, "batch {batch} at {lo}");
+                assert!(
+                    b - a <= window.decoded.len() && window.decoded.len() < (b - a) + cpus,
+                    "batch {batch} at {lo}: {} segments held for {}",
+                    window.decoded.len(),
+                    b - a
+                );
+            }
+            assert!(render_report(&f.advance().expect("at head")) == render_report(&chains()));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "a reorg guard needs held blocks")]
+    fn a_streamed_follower_refuses_a_reorg_guard() {
+        let dir = sealed("guard", 256);
+        let (data, _) = streamed_from_archive(&dir).expect("streamed cold start");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = Follower::new(data, BATCH).with_reorg_guard(4);
     }
 }

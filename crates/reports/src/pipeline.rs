@@ -11,10 +11,11 @@
 //!   fetched it, so the report is ready the moment the crawl finishes and
 //!   no chain is held on the measurement side unless the caller keeps the
 //!   blocks (what `reproduce archive --crawl` seals);
-//! - [`pipeline_from_archive`] / [`reducer_from_archive`] cold-start from a
-//!   sealed corpus ([`write_archive`]) without generating any chain.
+//! - [`pipeline_from_archive`] / [`reducer_from_archive`] /
+//!   [`streamed_from_archive`] cold-start from a sealed corpus
+//!   ([`write_archive`]) without generating any chain.
 
-use crate::archive_io::{Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
+use crate::archive_io::{segment_chains, Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
 use crate::exhibits::Part;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -62,9 +63,9 @@ use txstat_xrp::tx::TxPayload;
 pub struct PipelineData {
     pub scenario: Scenario,
     /// Materialized chains. Empty after a crawl that kept no blocks and on
-    /// a reducer's block-free cold start ([`reducer_from_archive`]); exhibits go
-    /// through the accessor methods ([`PipelineData::eos_bounds`] etc.)
-    /// rather than the vectors.
+    /// a block-free cold start ([`reducer_from_archive`],
+    /// [`streamed_from_archive`]); exhibits go through the accessor methods
+    /// ([`PipelineData::eos_bounds`] etc.) rather than the vectors.
     pub eos_blocks: Arc<Vec<txstat_eos::Block>>,
     pub tezos_blocks: Arc<Vec<txstat_tezos::TezosBlock>>,
     pub xrp_blocks: Arc<Vec<txstat_xrp::LedgerBlock>>,
@@ -87,10 +88,16 @@ pub struct PipelineData {
     /// The crawl pre-fills them with what it folded.
     sweeps: OnceLock<Arc<ChainSweeps>>,
     /// Chain lengths `[eos, tezos, xrp]` of a block-free dataset (the
-    /// crawled counts, or the manifest's for [`reducer_from_archive`]).
+    /// crawled counts, the summed summaries' for [`reducer_from_archive`],
+    /// the manifest's for [`streamed_from_archive`]).
     /// `None` wherever the vectors are held: their own lengths are the
     /// truth there, whatever a caller has since put in the public fields.
     block_free_lens: Option<[u64; 3]>,
+    /// The corpus a [`streamed_from_archive`] dataset holds in place of its
+    /// blocks: a follower decodes its segments a window at a time, and a
+    /// facts miss summarizes one from its verified bytes. Shared by every
+    /// fork.
+    corpus: Option<Arc<Archive>>,
     /// Every report input that needs block bytes and is not a sweep
     /// (Figure 2's serialize + LZSS-sample accounting — ~30× any other
     /// figure — block bounds, CPU-price peaks). Shared across every fork of
@@ -207,12 +214,19 @@ impl Views {
 /// The lazily resolved [`SegmentSummary`] of a whole dataset family, and
 /// where it may be memoized.
 struct Facts {
-    cell: OnceLock<(SegmentSummary, Option<MemoStatus>)>,
+    /// The summary and its memo coverage, or why a segment a miss needed
+    /// did not decode (only a [`streamed_from_archive`] dataset's can fail).
+    cell: OnceLock<Result<(SegmentSummary, Option<MemoStatus>), String>>,
     /// `archive.memo` of the corpus the blocks were replayed from: one
     /// summary per segment is looked up there first, and what was missing
     /// is written back. `None`: summarize the dataset's own blocks.
     memo: Option<SegmentMemo>,
 }
+
+/// What the facts accessors read once the facts failed to resolve: no
+/// bounds, no peaks, no storage (see [`PipelineData::facts_error`]).
+static NO_FACTS: LazyLock<(SegmentSummary, Option<MemoStatus>)> =
+    LazyLock::new(|| (SegmentSummary::default(), None));
 
 impl Facts {
     fn lazy(memo: Option<SegmentMemo>) -> Arc<Facts> {
@@ -224,7 +238,7 @@ impl Facts {
 
     fn known(summary: SegmentSummary, status: Option<MemoStatus>) -> Arc<Facts> {
         Arc::new(Facts {
-            cell: OnceLock::from((summary, status)),
+            cell: OnceLock::from(Ok((summary, status))),
             memo: None,
         })
     }
@@ -309,9 +323,15 @@ impl PipelineData {
     }
 
     /// Chain lengths `[eos, tezos, xrp]`.
-    fn lens(&self) -> [u64; 3] {
+    pub(crate) fn lens(&self) -> [u64; 3] {
         self.block_free_lens
             .unwrap_or_else(|| lens_of(&self.eos_blocks, &self.tezos_blocks, &self.xrp_blocks))
+    }
+
+    /// The corpus a [`streamed_from_archive`] dataset streams its blocks
+    /// from; `None` for every other dataset.
+    pub(crate) fn corpus(&self) -> Option<&Arc<Archive>> {
+        self.corpus.as_ref()
     }
 
     /// Install externally-reduced sweeps (e.g. from a distributed
@@ -322,11 +342,12 @@ impl PipelineData {
     }
 
     /// The dataset's block-derived facts, resolved on first use under a
-    /// `facts` span: already known (crawl, block-free cold start), summed
-    /// from `archive.memo` with misses summarized from the held blocks and
-    /// written back, or summarized from the blocks outright.
+    /// `facts` span: already known (crawl, reducer cold start), summed from
+    /// `archive.memo` with misses summarized from the held blocks or the
+    /// corpus's segments and written back, or summarized from the blocks
+    /// outright. Failed facts read as [`NO_FACTS`].
     fn facts(&self) -> &(SegmentSummary, Option<MemoStatus>) {
-        self.facts.cell.get_or_init(|| {
+        let resolved = self.facts.cell.get_or_init(|| {
             let _span = Span::enter("facts", "");
             match &self.facts.memo {
                 None => {
@@ -339,16 +360,23 @@ impl PipelineData {
                     }) {
                         sum.merge(&run);
                     }
-                    (sum, None)
+                    Ok((sum, None))
                 }
-                Some(memo) => {
-                    let (sum, status) =
-                        memoized_summary(memo, |_, m| Ok(self.summarize_range(m.start, m.end)))
-                            .expect("summarizing held blocks cannot fail");
-                    (sum, Some(status))
-                }
+                Some(memo) => memoized_summary(memo, |i, m| match &self.corpus {
+                    Some(corpus) => summarize_segment(corpus, i, m, &self.eos_cpu_price),
+                    None => Ok(self.summarize_range(m.start, m.end)),
+                })
+                .map(|(sum, status)| (sum, Some(status))),
             }
-        })
+        });
+        resolved.as_ref().unwrap_or(&NO_FACTS)
+    }
+
+    /// Why the facts failed to resolve, once they have: a segment of the
+    /// corpus a facts miss needed did not decode. The exhibits that read
+    /// the facts then rendered defaults for them.
+    pub(crate) fn facts_error(&self) -> Option<&str> {
+        self.facts.cell.get()?.as_ref().err().map(String::as_str)
     }
 
     /// [`summarize`] over block positions `[start, end)` of the held chains.
@@ -398,8 +426,8 @@ impl PipelineData {
     /// are first needed.
     pub fn memo_status(&self) -> Option<MemoStatus> {
         match self.facts.cell.get() {
-            Some((_, status)) => status.clone(),
-            None => self.facts.memo.as_ref().map(|m| MemoStatus {
+            Some(Ok((_, status))) => status.clone(),
+            _ => self.facts.memo.as_ref().map(|m| MemoStatus {
                 segments: m.segments().len(),
                 hits: 0,
                 memoized: 0,
@@ -548,6 +576,7 @@ impl PipelineData {
             xrp_blocks: Arc::new(xrp),
             crawl: None,
             block_free_lens: None,
+            corpus: None,
             ..self.unswept_twin()
         }
     }
@@ -578,6 +607,7 @@ impl PipelineData {
             crawl: self.crawl.clone(),
             sweeps: OnceLock::new(),
             block_free_lens: self.block_free_lens,
+            corpus: self.corpus.clone(),
             facts,
             views: Box::default(),
         }
@@ -704,6 +734,7 @@ pub fn generate(sc: &Scenario) -> PipelineData {
     PipelineData {
         scenario: sc.clone(),
         block_free_lens: None,
+        corpus: None,
         eos_blocks: Arc::new(eos_blocks),
         tezos_blocks: Arc::new(tezos_blocks),
         xrp_blocks: Arc::new(xrp_blocks),
@@ -839,7 +870,7 @@ pub fn write_archive(
 /// the opened [`Archive`] so callers can keep appending (`follow`) or
 /// replaying ranges.
 pub fn pipeline_from_archive(dir: &std::path::Path) -> Result<(PipelineData, Archive), String> {
-    dataset_from_archive(dir, true)
+    dataset_from_archive(dir, ColdStart::Blocks)
 }
 
 /// Block-free cold start for a reducer whose sweeps arrive from elsewhere
@@ -852,7 +883,50 @@ pub fn pipeline_from_archive(dir: &std::path::Path) -> Result<(PipelineData, Arc
 /// to [`pipeline_from_archive`]'s) once sweeps are installed
 /// ([`reduce_frames_labeled_into`]) but cannot sweep, follow or re-seal.
 pub fn reducer_from_archive(dir: &std::path::Path) -> Result<(PipelineData, Archive), String> {
-    dataset_from_archive(dir, false)
+    dataset_from_archive(dir, ColdStart::Facts)
+}
+
+/// Block-free cold start for a follower (`serve --archive`): open + fully
+/// verify the corpus and rehydrate the sidecar, as
+/// [`pipeline_from_archive`] does, but decode no segment. The chain lengths
+/// come from the manifest; the dataset holds the corpus, whose segments a
+/// [`crate::Follower`] over it decodes a window at a time as its batches
+/// reach them and drops as they leave. The facts stay lazy: on first use
+/// they are summed from `archive.memo`, and a miss is summarized from that
+/// segment's verified bytes and written back. Every epoch renders
+/// byte-identically to one over [`pipeline_from_archive`]'s dataset. Also
+/// returns the corpus, shared with the dataset.
+pub fn streamed_from_archive(
+    dir: &std::path::Path,
+) -> Result<(PipelineData, Arc<Archive>), String> {
+    let (mut data, archive) = dataset_from_archive(dir, ColdStart::Streamed)?;
+    let corpus = Arc::new(archive);
+    data.corpus = Some(Arc::clone(&corpus));
+    Ok((data, corpus))
+}
+
+/// What an archive cold start materializes of the blocks.
+#[derive(Clone, Copy, PartialEq)]
+enum ColdStart {
+    /// Every segment replayed into the chain vectors; facts lazy.
+    Blocks,
+    /// No block; the facts resolved right away.
+    Facts,
+    /// No block yet: a follower streams the segments; facts lazy.
+    Streamed,
+}
+
+/// [`summarize`] of segment `i` of `archive` (whose meta is `m`), decoded
+/// from its verified bytes; `cpu_price` is the whole EOS CPU-price history.
+fn summarize_segment(
+    archive: &Archive,
+    i: usize,
+    m: &SegmentMeta,
+    cpu_price: &[(u64, f64)],
+) -> Result<SegmentSummary, String> {
+    let (eos, tezos, xrp) = segment_chains(archive, i)?;
+    let cpu_price = run_of(cpu_price, m.start, m.end);
+    Ok(summarize(m.start, &eos, &tezos, &xrp, cpu_price))
 }
 
 /// What every archive cold start opens before it touches a segment: the
@@ -884,7 +958,7 @@ fn open_archive(dir: &std::path::Path) -> Result<OpenedArchive, String> {
 
 fn dataset_from_archive(
     dir: &std::path::Path,
-    replay_blocks: bool,
+    cold_start: ColdStart,
 ) -> Result<(PipelineData, Archive), String> {
     let at = |e: String| format!("archive {}: {e}", dir.display());
     let OpenedArchive {
@@ -894,24 +968,29 @@ fn dataset_from_archive(
         sidecar,
         oracle,
     } = open_archive(dir)?;
-    let ((eos_blocks, tezos_blocks, xrp_blocks), block_free_lens, facts) = if replay_blocks {
-        let segments = archive.replay_all().map_err(|e| at(e.to_string()))?;
-        let chains = crate::archive_io::chains_of(&segments)?;
-        (chains, None, Facts::lazy(Some(archive.memo())))
-    } else {
-        let (sum, status) = memoized_summary(&archive.memo(), |i, m| {
-            let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
-            let (eos, tezos, xrp) = crate::archive_io::chains_of_segment(&seg)?;
-            let cpu_price = run_of(&sidecar.eos_cpu_price, m.start, m.end);
-            Ok(summarize(m.start, &eos, &tezos, &xrp, cpu_price))
-        })
-        .map_err(at)?;
-        let lens = sum.lens();
-        (
+    let ((eos_blocks, tezos_blocks, xrp_blocks), block_free_lens, facts) = match cold_start {
+        ColdStart::Blocks => {
+            let segments = archive.replay_all().map_err(|e| at(e.to_string()))?;
+            let chains = crate::archive_io::chains_of(&segments)?;
+            (chains, None, Facts::lazy(Some(archive.memo())))
+        }
+        ColdStart::Facts => {
+            let (sum, status) = memoized_summary(&archive.memo(), |i, m| {
+                summarize_segment(&archive, i, m, &sidecar.eos_cpu_price)
+            })
+            .map_err(at)?;
+            let lens = sum.lens();
+            (
+                Default::default(),
+                Some(lens),
+                Facts::known(sum, Some(status)),
+            )
+        }
+        ColdStart::Streamed => (
             Default::default(),
-            Some(lens),
-            Facts::known(sum, Some(status)),
-        )
+            Some(manifest.lens),
+            Facts::lazy(Some(archive.memo())),
+        ),
     };
     let mut cluster = ClusterInfo::new();
     for (a, u) in &sidecar.usernames {
@@ -935,6 +1014,7 @@ fn dataset_from_archive(
         crawl: None,
         sweeps: OnceLock::new(),
         block_free_lens,
+        corpus: None,
         facts,
         views: Box::default(),
     };
@@ -1394,6 +1474,7 @@ pub fn generate_with_crawl(
         })),
         sweeps: OnceLock::from(Arc::new(sweeps)),
         block_free_lens: (!keep_blocks).then_some(lens),
+        corpus: None,
         facts: Facts::known(facts, None),
         views: Box::default(),
     })
@@ -1746,9 +1827,9 @@ impl ShardContext {
         start: u64,
         end: u64,
     ) -> Result<RangeFold, String> {
-        let seg = archive.decode_segment(i).map_err(|e| e.to_string())?;
-        let (eos, tezos, xrp) = crate::archive_io::chains_of_segment(&seg)?;
-        let (lo, hi) = (start - seg.start, end - seg.start);
+        let (eos, tezos, xrp) = segment_chains(archive, i)?;
+        let seg_start = archive.segments()[i].start;
+        let (lo, hi) = (start - seg_start, end - seg_start);
         Ok(self.fold(
             run_of(&eos, lo, hi),
             run_of(&tezos, lo, hi),

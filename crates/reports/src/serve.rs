@@ -142,43 +142,69 @@ impl ServeSnapshot {
     }
 
     /// Look the path up in this snapshot's cache, rendering and inserting
-    /// on miss. `None` = not a renderable route (404, never cached).
-    fn get(&self, path: &str, hits: &Counter, misses: &Counter) -> Option<Arc<Vec<u8>>> {
+    /// on miss. `Ok(None)` = not a renderable route (404, never cached);
+    /// `Err` = the route read facts that failed to resolve (500, never
+    /// cached).
+    fn get(
+        &self,
+        path: &str,
+        hits: &Counter,
+        misses: &Counter,
+    ) -> Result<Option<Arc<Vec<u8>>>, String> {
         if let Some(body) = self.cache.lock().expect("cache lock").get(path) {
             hits.inc();
-            return Some(body.clone());
+            return Ok(Some(body.clone()));
         }
         // Render outside the lock: a concurrent miss on the same path
         // renders twice but both render identical bytes from the immutable
         // snapshot, so last-insert-wins is harmless.
-        let body = Arc::new(self.render(path, hits, misses)?);
+        let Some(body) = self.render(path, hits, misses)? else {
+            return Ok(None);
+        };
+        let body = Arc::new(body);
         misses.inc();
         self.cache
             .lock()
             .expect("cache lock")
             .insert(path.to_owned(), body.clone());
-        Some(body)
+        Ok(Some(body))
     }
 
     /// Render one route from the snapshot's dataset; `/report` is laid out
-    /// from the section routes' cache entries (see the module docs).
-    fn render(&self, path: &str, hits: &Counter, misses: &Counter) -> Option<Vec<u8>> {
+    /// from the section routes' cache entries (see the module docs). A
+    /// section rendered once the dataset's facts have failed to resolve is
+    /// the facts' error, not bytes with defaults in their place.
+    fn render(
+        &self,
+        path: &str,
+        hits: &Counter,
+        misses: &Counter,
+    ) -> Result<Option<Vec<u8>>, String> {
         if path == "/report" {
             let mut out = Vec::new();
             for ((name, _), separator) in report_layout() {
-                out.extend_from_slice(&self.get(&format!("/exhibit/{name}"), hits, misses)?);
+                let Some(body) = self.get(&format!("/exhibit/{name}"), hits, misses)? else {
+                    return Ok(None);
+                };
+                out.extend_from_slice(&body);
                 out.extend_from_slice(separator.as_bytes());
             }
-            return Some(out);
+            return Ok(Some(out));
         }
         if let Some(name) = path.strip_prefix("/exhibit/") {
-            return Some(render_section(section(name)?, &self.data).into_bytes());
+            let Some(row) = section(name) else {
+                return Ok(None);
+            };
+            let body = render_section(row, &self.data);
+            return match self.data.facts_error() {
+                Some(why) => Err(why.to_owned()),
+                None => Ok(Some(body.into_bytes())),
+            };
         }
-        if let Some(rest) = path.strip_prefix("/account/") {
-            let (chain, name) = rest.split_once('/')?;
-            return self.render_account(chain, name);
-        }
-        None
+        Ok(path
+            .strip_prefix("/account/")
+            .and_then(|rest| rest.split_once('/'))
+            .and_then(|(chain, name)| self.render_account(chain, name)))
     }
 
     fn render_account(&self, chain: &str, name: &str) -> Option<Vec<u8>> {
@@ -428,8 +454,13 @@ impl StatsService {
             }
             ("POST", "/admin/shutdown") => HttpResponse::ok(b"{\"shutting_down\":true}".to_vec()),
             ("GET", _) => match snap.get(path, &self.cache_hits, &self.cache_misses) {
-                Some(body) => HttpResponse::ok(body.as_ref().clone()),
-                None => Self::not_found(path),
+                Ok(Some(body)) => HttpResponse::ok(body.as_ref().clone()),
+                Ok(None) => Self::not_found(path),
+                Err(why) => {
+                    let body = serde_json::json!({"error": why, "path": path});
+                    let bytes = serde_json::to_vec(&body).unwrap_or_default();
+                    HttpResponse::status(500, "Internal Server Error", bytes)
+                }
             },
             _ => Self::not_found(path),
         }

@@ -1828,6 +1828,55 @@ fn serve_load_runs_its_load_at_the_head_and_exits() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `serve --archive` over a corpus whose last segment passes the hash
+/// check but does not decode: the follower meets it on its way to the head
+/// and the session exits 2 with an error naming the segment, no panic.
+/// (`serve_query.rs::a_segment_that_does_not_decode_is_an_error_naming_it`
+/// reads `/report` first, which answers 500 with the same error.)
+#[test]
+fn serving_an_undecodable_segment_exits_2_naming_it() {
+    let dir = tempdir("undecodable");
+    let out = reproduce(
+        &dir,
+        &["archive", "--small", "--seed", "7", "--out", "corpus"],
+    );
+    assert!(out.status.success(), "archive failed");
+    let corpus = dir.join("corpus");
+    let archive = txstat_archive::Archive::open(&corpus).expect("open the corpus");
+    let mut seg = archive
+        .decode_segment(archive.segments().len() - 1)
+        .expect("decode the last segment");
+    seg.tezos.truncate(seg.tezos.len() / 2);
+    let mut writer = archive.into_writer().expect("reopen for writing");
+    writer
+        .truncate_from(seg.start)
+        .expect("drop the last segment");
+    writer.append(&seg).expect("re-seal it");
+    writer.seal().expect("seal the index");
+    let out = reproduce(
+        &dir,
+        &[
+            "serve",
+            "--archive",
+            "corpus",
+            "--batch",
+            "256",
+            "--epoch-ms",
+            "0",
+            "--port",
+            "0",
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("error: segment [2560, 2712) tezos columns"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_flags_and_subcommands_exit_nonzero_with_usage() {
     let dir = tempdir("usage");

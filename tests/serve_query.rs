@@ -6,16 +6,21 @@
 //! epoch swaps under concurrent readers that hold retired snapshots, cache
 //! invalidation on swap, and 429 load-shedding at the HTTP admission layer.
 
+mod support;
+
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use txstat::archive::Archive;
 use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat::ingest::{EpochCell, IngestError};
 use txstat::netsim::{
     run_load, start_query_server, HttpHandler, LoadPlan, QueryServerConfig, RouteStats,
 };
 use txstat::reports::{
-    comparison_section, generate, render_report, reorg_data, report_sections, sample_account_paths,
-    Follower, PipelineData, ServeSnapshot, StatsService, SECTIONS,
+    comparison_section, generate, pipeline_from_archive, render_report, reorg_data,
+    report_sections, sample_account_paths, streamed_from_archive, write_archive, Follower,
+    PipelineData, SegmentFormat, ServeSnapshot, StatsService, SECTIONS,
 };
 use txstat::workload::Scenario;
 
@@ -345,6 +350,166 @@ fn a_block_at_or_below_the_high_water_mark_is_rejected_not_double_counted() {
     assert_eq!(follower.observed(), (0, 0, 0));
 }
 
+/// Seal `data` at `dir` in segments of `segment_blocks` positions.
+fn seal(dir: &Path, data: &PipelineData, segment_blocks: u64) {
+    write_archive(dir, data, "small", segment_blocks, SegmentFormat).expect("seal the corpus");
+}
+
+/// The same check over a corpus: EOS blocks 0..10 sealed as segment 0, and
+/// block 4 again as segment 1, which so starts below where segment 0 ends.
+/// Whether one batch spans both segments or each is its own batch, the
+/// streamed follower refuses it and still stands at the epoch before.
+#[test]
+fn a_segment_starting_at_or_below_the_end_of_the_one_before_is_rejected() {
+    let sc = Scenario::small(7);
+    let clean = generate(&sc);
+    let replayed = clean.eos_blocks[4].clone();
+    let high = clean.eos_blocks[9].num;
+    let mut data = generate(&sc);
+    let mut blocks = clean.eos_blocks[..10].to_vec();
+    blocks.push(replayed.clone());
+    data.eos_blocks = Arc::new(blocks);
+    data.tezos_blocks = Arc::new(clean.tezos_blocks[..30].to_vec());
+    data.xrp_blocks = Arc::new(clean.xrp_blocks[..30].to_vec());
+    let dir = support::tempdir("serve-query", "regression");
+    seal(&dir, &data, 10);
+    for batch in [10, 20] {
+        let (streamed, _) = streamed_from_archive(&dir).expect("streamed cold start");
+        let mut follower = Follower::new(streamed, batch);
+        if batch == 10 {
+            follower.advance().expect("segment 0 is ascending");
+        }
+        let observed = follower.observed();
+        for _ in 0..2 {
+            match follower.advance() {
+                Err(IngestError::RangeRegression { n, high: h }) => {
+                    assert_eq!((n, h), (replayed.num, high), "batch {batch}");
+                }
+                other => panic!(
+                    "batch {batch}: expected RangeRegression, got {:?}",
+                    other.map(|_| "a fork")
+                ),
+            }
+            assert_eq!(follower.observed(), observed, "batch {batch}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every epoch of a follower streaming a corpus's segments is the epoch a
+/// follower over the held chains of the same corpus publishes, whatever the
+/// segment size and the batch: batches inside one segment, straddling
+/// two, longer than a segment or than the whole corpus, and epochs past the
+/// heads of the shorter chains. Each side cold-starts from its own copy of
+/// the corpus, so that each summarizes its facts itself.
+#[test]
+fn every_epoch_of_a_streamed_follower_is_the_held_followers() {
+    let mut data = thinned(generate(&Scenario::small(7)), 120);
+    // Tezos keeps 118 blocks; EOS and XRP run out well before it.
+    data.eos_blocks = Arc::new(data.eos_blocks[..80].to_vec());
+    data.xrp_blocks = Arc::new(data.xrp_blocks[..40].to_vec());
+    for segment_blocks in [1, 7, 64, 256] {
+        let corpus = |side: &str| {
+            let dir = support::tempdir("serve-query", &format!("stream-{side}-{segment_blocks}"));
+            seal(&dir, &data, segment_blocks);
+            dir
+        };
+        let (held_dir, streamed_dir) = (corpus("held"), corpus("streamed"));
+        for batch in [1, 5, 32, 300] {
+            let what = format!("segments of {segment_blocks}, batch {batch}");
+            let (held, _) = pipeline_from_archive(&held_dir).expect("held cold start");
+            let (streamed, _) = streamed_from_archive(&streamed_dir).expect("streamed cold start");
+            let mut held = Follower::new(held, batch);
+            let mut streamed = Follower::new(streamed, batch);
+            let mut epochs = 0;
+            while !held.head() {
+                epochs += 1;
+                let (want, got) = (
+                    held.advance().expect("held"),
+                    streamed.advance().expect("streamed"),
+                );
+                assert_eq!(streamed.observed(), held.observed(), "{what}");
+                assert_serves_identically(got, want, &format!("{what}, epoch {epochs}"));
+            }
+            assert!(streamed.head(), "{what}");
+            assert_eq!(epochs, 118usize.div_ceil(batch), "{what}");
+        }
+        for dir in [held_dir, streamed_dir] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// Small seed 7 sealed in segments of 256, its last segment (positions
+/// 2560..2712, Tezos blocks only) re-sealed with its Tezos columns cut in
+/// half: the index's hash is recomputed over the new bytes, so
+/// `Archive::open` accepts the corpus, but the columns do not decode.
+fn corpus_with_an_undecodable_last_segment(dir: &Path) {
+    seal(dir, &generate(&Scenario::small(7)), 256);
+    let archive = Archive::open(dir).expect("open the healthy corpus");
+    let mut seg = archive
+        .decode_segment(archive.segments().len() - 1)
+        .expect("decode the healthy segment");
+    assert_eq!((seg.start, seg.end), (2560, 2712));
+    seg.tezos.truncate(seg.tezos.len() / 2);
+    let mut writer = archive.into_writer().expect("reopen for writing");
+    writer
+        .truncate_from(seg.start)
+        .expect("drop the last segment");
+    writer.append(&seg).expect("re-seal it");
+    writer.seal().expect("seal the index");
+    Archive::open(dir).expect("the re-sealed corpus passes the hash check");
+}
+
+/// A corpus segment whose bytes pass the hash check but whose columns do
+/// not decode is an error naming the segment, never a panic, whether the
+/// follower meets it first or a facts miss does. Without a reader, the
+/// follower's advance into it fails (the session exits 2 with it) and the
+/// epoch before stands. With `/report` read at epoch 1 (the memo absent),
+/// the facts miss meets it first: the route answers 500 with it and is not
+/// cached, nor is any section rendered from then on; later the follower
+/// fails on it the same way.
+#[test]
+fn a_segment_that_does_not_decode_is_an_error_naming_it() {
+    const NAMED: &str = "segment [2560, 2712) tezos columns";
+    for read_report in [false, true] {
+        let dir = support::tempdir("serve-query", &format!("undecodable-{read_report}"));
+        corpus_with_an_undecodable_last_segment(&dir);
+        let (streamed, _) = streamed_from_archive(&dir).expect("streamed cold start");
+        let mut follower = Follower::new(streamed, 256);
+        let first = follower.advance().expect("segment 0 decodes");
+        let (service, _cell) = service_over(first, false);
+        if read_report {
+            for _ in 0..2 {
+                let reply = service.respond("GET", "/report");
+                let body = String::from_utf8_lossy(&reply.body);
+                assert_eq!(reply.status, 500, "{body}");
+                assert!(body.contains(NAMED), "{body}");
+            }
+            // The headline and Figure 1 read no facts and were rendered
+            // before Figure 2 met the failure; nothing rendered since is
+            // cached, nor is the report.
+            assert_eq!(service.snapshot().cached_responses(), 2);
+            assert_eq!(service.respond("GET", "/exhibit/fig4").status, 500);
+            assert_eq!(service.respond("GET", "/exhibit/headline").status, 200);
+        }
+        let failure = loop {
+            let epoch = service.snapshot().epoch();
+            match service.publish_next(&mut follower) {
+                Ok(_) => continue,
+                Err(e) => break (epoch, e),
+            }
+        };
+        match failure {
+            (10, IngestError::Source(why)) => assert!(why.contains(NAMED), "{why}"),
+            (epoch, e) => panic!("epoch {epoch}: expected the segment's error, got {e}"),
+        }
+        assert_eq!(service.snapshot().epoch(), 10, "the epoch before stands");
+        assert_eq!(follower.observed(), (576, 2560, 146));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn served_exhibits_are_byte_identical_to_report_sections() {
     let sc = Scenario::small(99);
@@ -496,7 +661,40 @@ fn a_cold_report_and_the_section_routes_serve_the_same_sections() {
 fn a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes() {
     let data = generate(&Scenario::small(7));
     let accounts = sample_account_paths(&data);
-    let mut follower = Follower::new(data, 64);
+    assert_session_carries(
+        Follower::new(data, 64),
+        &generate(&Scenario::small(7)),
+        accounts,
+    );
+}
+
+/// The same session over the sealed corpus of those chains, its follower
+/// decoding the segments as its batches reach them and its facts summarized
+/// from the segments (the memo starts absent): the same carried counts, the
+/// same views and parts, the same bytes at every epoch.
+#[test]
+fn an_archived_serve_session_carries_and_serves_what_a_held_one_does() {
+    let sc = Scenario::small(7);
+    let held = generate(&sc);
+    let dir = support::tempdir("serve-query", "carried");
+    write_archive(&dir, &held, "small", 256, SegmentFormat).expect("seal");
+    let (streamed, _) = streamed_from_archive(&dir).expect("streamed cold start");
+    assert!(
+        streamed.eos_blocks.is_empty(),
+        "a streamed dataset holds no block"
+    );
+    assert_session_carries(
+        Follower::new(streamed, 64),
+        &held,
+        sample_account_paths(&held),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Serve `follower` to its head, reading every route at every epoch
+/// against the one-shot render of the observed prefix of `chains` (see
+/// [`a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes`]).
+fn assert_session_carries(mut follower: Follower, chains: &PipelineData, accounts: Vec<String>) {
     let first = follower.advance().expect("first epoch");
     let (service, _cell) = service_over(first, follower.head());
     let mut paths: Vec<String> = SECTIONS
@@ -518,7 +716,7 @@ fn a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes() {
         + ["headline/boomerang", "fig1/eos", "fig3/a"].len();
     let mut epoch = 1;
     loop {
-        let oracle = service_over(one_shot_prefix(follower.base(), follower.observed()), false).0;
+        let oracle = service_over(one_shot_prefix(chains, follower.observed()), false).0;
         for path in &paths {
             let (got, want) = (service.respond("GET", path), oracle.respond("GET", path));
             // An account not yet seen is a 404 on both sides, never cached.

@@ -7,6 +7,35 @@
 //! folded in. The history is never re-read, re-merged or re-finalized, and
 //! in steady state never copied or freed either: an epoch costs O(batch).
 //!
+//! # Where the blocks come from
+//!
+//! One `advance` folds the runs of positions `[lo, hi)` from one source:
+//!
+//! | source | dataset | runs of a batch | held in memory |
+//! |--------|---------|-----------------|----------------|
+//! | held   | [`crate::generate`], a crawl that kept its blocks, [`pipeline_from_archive`] (`follow`, `report`) | one: the chains' own vectors, clamped | every block |
+//! | streamed | [`crate::streamed_from_archive`] (`serve --archive`) | one per segment the batch overlaps ([`Archive::covering`]) | the window: the segments the batch overlaps and those decoded ahead with them |
+//!
+//! A streamed follower decodes a segment when a batch first reaches it and
+//! drops it when a batch starts past it. On a miss it decodes the next
+//! `available_parallelism()` segments at once (at least the batch's own)
+//! through `par_map`; pinned to one CPU, as in the benchmark, that is one
+//! segment. With a second CPU the segments the next batch reaches are
+//! decoded, and those this batch left are freed, on a scoped thread beside
+//! the fold, so the next batch does not miss. A segment that does not
+//! decode is [`IngestError::Source`] naming it, met only by the batch that
+//! needs it. Paper scale, `serve --archive --batch 256 --epoch-ms 0` on 2
+//! vCPUs, 10 alternating runs: the process's VmHWM at head went from
+//! 239–240 MB to 43–49 MB, and spawn → head from a median of 528 ms to
+//! 488 ms (decoding only on a miss, it had been 637–654 ms).
+//!
+//! Both sources go through the same check: per chain, the number of the
+//! last block folded (the high-water mark) is carried across runs and
+//! batches, every block of a run must be above it and above its
+//! predecessor, and [`Follower::resync`] resets it to the blocks before the
+//! resume offset. The reorg guard hashes and re-reads held blocks, so a
+//! streamed follower refuses one.
+//!
 //! # The left-right pair
 //!
 //! The follower owns no private copy of the state, only the two snapshots
@@ -31,11 +60,12 @@
 //!   reclaimed and cloned steps built it (a clone of the front has seen what
 //!   the front has): `TezosSweep`'s governance events concatenate in block
 //!   order and every float fold equals the one-shot sweep's at *every* epoch.
-//! - A failed `advance` validates its tails first and leaves the pair alone;
+//! - A failed `advance` validates its runs first and leaves the pair alone;
 //!   [`Follower::resync`] makes the restored snapshot the front, no back.
 //!
 //! Small `serve --archive --batch 32 --epoch-ms 0`, one pinned CPU, ms over 85
-//! epochs (paper, 104 epochs of 256: clone 250 + free 100 against fold 80):
+//! epochs (paper, 104 epochs of 256: clone 250 + free 100 against fold 80),
+//! measured over held blocks, before the follower streamed the corpus:
 //!
 //! | step                       | clone per epoch | left-right pair |
 //! |----------------------------|-----------------|-----------------|
@@ -46,7 +76,11 @@
 //! | `follow_merge` (`--timings`) | 8.8–17.3      | 5.9–9.4         |
 //!
 //! No span nests in `follow_merge`, so its `--timings` self time is its wall
-//! time; the pair's figure is 5 runs on a 2-vCPU Intel Xeon host.
+//! time; the pair's figure is 5 runs on a 2-vCPU Intel Xeon host. Streaming
+//! the 11 segments of that corpus costs `archive_replay` 6.2–6.4 ms (decode
+//! and parse, once each; 8.6 ms for the held cold start's replay) and
+//! moves `follow_advance`'s own time from 0.4 to 1.5–1.6 ms: it frees each
+//! segment's blocks as the batches leave it.
 //!
 //! # The reorg guard
 //!
@@ -108,7 +142,7 @@ use std::time::Instant;
 use txstat_archive::{Archive, ArchiveWriter};
 use txstat_core::{ChainSweeps, EosSweep, TezosSweep, XrpSweep};
 use txstat_ingest::{reduce::CHAINS, IngestError, RangeFold};
-use txstat_telemetry::{par_map, Counter, Gauge, Histogram, Registry, Span};
+use txstat_telemetry::{join, par_map, Counter, Gauge, Histogram, Registry, Span};
 use txstat_types::ids::{fnv1a64, fnv1a64_extend};
 
 /// Snapshots a reorg guard retains by default: a reorg within the last
@@ -264,31 +298,49 @@ struct SegmentWindow {
     decoded: VecDeque<Result<ReplayedChains, String>>,
 }
 
+/// A decoded segment of a streamed follower's window, or why it did not
+/// decode.
+type Decoded = Result<ReplayedChains, String>;
+
 impl SegmentWindow {
-    /// The runs of positions `[lo, hi)`, one per segment they overlap (found
-    /// through [`Archive::covering`]). Segments before the first of them
-    /// are dropped; when the window misses one, the next
-    /// `available_parallelism()` segments — and at least every one the
-    /// batch overlaps — are decoded at once through [`par_map`]. A segment
-    /// the batch overlaps that does not decode is [`IngestError::Source`].
-    fn runs(&mut self, lo: u64, hi: u64) -> Result<Vec<Run<'_>>, IngestError> {
+    /// Make the window hold every segment positions `[lo, hi)` overlap
+    /// (found through [`Archive::covering`]). The segments before them
+    /// leave it and are returned, for the caller to free; on a miss the
+    /// next `available_parallelism()` segments — at least every one the
+    /// batch overlaps — are decoded at once through [`par_map`].
+    fn reach(&mut self, lo: u64, hi: u64) -> Vec<Decoded> {
         let (a, b) = self.corpus.covering(lo, hi);
-        let left = a.saturating_sub(self.first).min(self.decoded.len());
-        self.decoded.drain(..left);
+        let left: Vec<Decoded> = self
+            .decoded
+            .drain(..a.saturating_sub(self.first).min(self.decoded.len()))
+            .collect();
         self.first = if self.decoded.is_empty() {
             a
         } else {
-            self.first + left
+            self.first + left.len()
         };
         let held = self.first + self.decoded.len();
         if held < b {
-            let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let ahead: Vec<usize> =
-                (held..b.max(held + cpus).min(self.corpus.segments().len())).collect();
+            let missed: Vec<usize> =
+                (held..b.max(held + cpus()).min(self.corpus.segments().len())).collect();
             let corpus = &self.corpus;
             self.decoded
-                .extend(par_map(&ahead, |&i| segment_chains(corpus, i)));
+                .extend(par_map(&missed, |&i| segment_chains(corpus, i)));
         }
+        left
+    }
+
+    /// The segments past the window that positions `[lo, hi)` overlap.
+    fn ahead(&self, lo: u64, hi: u64) -> std::ops::Range<usize> {
+        let held = self.first + self.decoded.len();
+        held..self.corpus.covering(lo, hi).1.max(held)
+    }
+
+    /// The runs of positions `[lo, hi)`, one per segment they overlap,
+    /// which [`SegmentWindow::reach`] has brought into the window. A
+    /// segment among them that does not decode is [`IngestError::Source`].
+    fn runs(&self, lo: u64, hi: u64) -> Result<Vec<Run<'_>>, IngestError> {
+        let (a, b) = self.corpus.covering(lo, hi);
         (a..b)
             .map(|i| {
                 let m = self.corpus.segments()[i];
@@ -304,6 +356,10 @@ impl SegmentWindow {
             })
             .collect()
     }
+}
+
+fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// One sealed batch: the offset it ended at and, per chain `[eos, tezos,
@@ -528,9 +584,50 @@ impl Follower {
     pub fn advance(&mut self) -> Result<PipelineData, IngestError> {
         let _span = Span::enter("follow_advance", "");
         let started = Instant::now();
-        let (data, lo) = (&self.data, self.offset);
-        let hi = (lo + self.batch).min(data.longest_chain());
-        let runs = match &mut self.source {
+        let lo = self.offset;
+        let longest = self.data.longest_chain();
+        let hi = (lo + self.batch).min(longest);
+        let epoch = match &mut self.source {
+            Source::Held(_) => self.fold_batch(lo, hi),
+            Source::Streamed(window) => {
+                // With a second CPU, the segments the batch has left are
+                // freed and those the next batch reaches are decoded beside
+                // the fold, so that batch finds them in the window.
+                let left = window.reach(lo as u64, hi as u64);
+                let next = (hi + self.batch).min(longest) as u64;
+                let ahead = match cpus() {
+                    1 => 0..0,
+                    _ => window.ahead(hi as u64, next),
+                };
+                let corpus = Arc::clone(&window.corpus);
+                let beside = move || {
+                    drop(left);
+                    ahead
+                        .map(|i| segment_chains(&corpus, i))
+                        .collect::<Vec<_>>()
+                };
+                let (epoch, decoded) = match cpus() {
+                    1 => (self.fold_batch(lo, hi), beside()),
+                    _ => join(|| self.fold_batch(lo, hi), beside),
+                };
+                if let Source::Streamed(window) = &mut self.source {
+                    window.decoded.extend(decoded);
+                }
+                epoch
+            }
+        };
+        if let (Ok(_), Some(m)) = (&epoch, &self.metrics) {
+            m.publish_latency_us.record(started.elapsed());
+        }
+        epoch
+    }
+
+    /// Fold the blocks at positions `[lo, hi)` into the next epoch and fork
+    /// it (see [`Follower::advance`]); a streamed follower's window already
+    /// holds their segments.
+    fn fold_batch(&mut self, lo: usize, hi: usize) -> Result<PipelineData, IngestError> {
+        let data = &self.data;
+        let runs = match &self.source {
             Source::Held(_) => vec![(
                 run_of(&data.eos_blocks, lo as u64, hi as u64),
                 run_of(&data.tezos_blocks, lo as u64, hi as u64),
@@ -631,7 +728,6 @@ impl Follower {
             m.merge_us.record(merge_started.elapsed());
             m.published.inc();
             m.snapshots[source].inc();
-            m.publish_latency_us.record(started.elapsed());
             m.batch_lag
                 .set((self.data.longest_chain() - self.offset) as u64);
         }
@@ -1262,9 +1358,10 @@ mod tests {
     }
 
     /// A streamed follower holds only the segments its batch overlaps and
-    /// those decoded ahead with them: one decode of
-    /// `available_parallelism()` segments (or of the batch's own, when it
-    /// overlaps more) past the one segment the batch shares with the last.
+    /// those decoded ahead with them: on a miss, `available_parallelism()`
+    /// segments (or the batch's own, when it overlaps more) past the one
+    /// the batch shares with the last; with a second CPU, also the segments
+    /// the next batch overlaps.
     #[test]
     fn a_streamed_follower_holds_one_window_of_segments() {
         let dir = sealed("window", 64);
@@ -1275,16 +1372,20 @@ mod tests {
             while !f.head() {
                 let lo = f.offset() as u64;
                 f.advance().expect("advance");
-                let (a, b) = corpus.covering(lo, f.offset() as u64);
+                let hi = f.offset() as u64;
+                let (a, b) = corpus.covering(lo, hi);
+                let next = match cpus {
+                    1 => b,
+                    _ => corpus.covering(hi, hi + batch as u64).1,
+                };
                 let Source::Streamed(window) = &f.source else {
                     panic!("a streamed dataset's follower reads its corpus");
                 };
+                let end = window.first + window.decoded.len();
                 assert_eq!(window.first, a, "batch {batch} at {lo}");
                 assert!(
-                    b - a <= window.decoded.len() && window.decoded.len() < (b - a) + cpus,
-                    "batch {batch} at {lo}: {} segments held for {}",
-                    window.decoded.len(),
-                    b - a
+                    b <= end && end <= next.max(b + cpus - 1),
+                    "batch {batch} at {lo}: segments {a}..{end} held for {a}..{b}"
                 );
             }
             assert!(render_report(&f.advance().expect("at head")) == render_report(&chains()));

@@ -49,6 +49,16 @@
 //! byte-identical to the one-shot report once the head is reached — sheds
 //! excess load with 429s, and runs until `POST /admin/shutdown` (`--load`:
 //! until its built-in 64 × 200-request load run has printed its quantiles).
+//!
+//! Over `--archive DIR` the session serves a block-free dataset
+//! ([`crate::streamed_from_archive`]): its follower decodes the corpus's
+//! segments a window at a time, and the facts (Figure 2, block bounds, CPU
+//! peaks) are summed from `archive.memo` when a section first reads them, a
+//! miss summarized from that segment's bytes. A segment that passes the
+//! hash check but does not decode is an error naming it, never a panic:
+//! met by the follower, it ends the session (`reproduce serve` exits 2);
+//! met first by a facts miss, every exhibit route rendered from then on,
+//! `/report` included, answers 500 with it and nothing of it is cached.
 
 use crate::exhibits::{render_section, report_layout, section};
 use crate::follow::Follower;

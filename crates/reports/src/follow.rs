@@ -289,18 +289,17 @@ impl Source {
     }
 }
 
-/// The decoded segments of a streamed follower's corpus that its batches
-/// have reached and not yet left: segment `first + k` is `decoded[k]`, or
-/// why it did not decode.
-struct SegmentWindow {
-    corpus: Arc<Archive>,
-    first: usize,
-    decoded: VecDeque<Result<ReplayedChains, String>>,
-}
-
 /// A decoded segment of a streamed follower's window, or why it did not
 /// decode.
 type Decoded = Result<ReplayedChains, String>;
+
+/// The decoded segments of a streamed follower's corpus that its batches
+/// have reached and not yet left: segment `first + k` is `decoded[k]`.
+struct SegmentWindow {
+    corpus: Arc<Archive>,
+    first: usize,
+    decoded: VecDeque<Decoded>,
+}
 
 impl SegmentWindow {
     /// Make the window hold every segment positions `[lo, hi)` overlap
@@ -589,27 +588,28 @@ impl Follower {
         let hi = (lo + self.batch).min(longest);
         let epoch = match &mut self.source {
             Source::Held(_) => self.fold_batch(lo, hi),
+            // One CPU: free the segments the batch has left, then fold.
+            Source::Streamed(window) if cpus() == 1 => {
+                drop(window.reach(lo as u64, hi as u64));
+                self.fold_batch(lo, hi)
+            }
+            // With a second CPU, the segments the batch has left are freed
+            // and those the next batch reaches are decoded beside the fold,
+            // so that batch finds them in the window.
             Source::Streamed(window) => {
-                // With a second CPU, the segments the batch has left are
-                // freed and those the next batch reaches are decoded beside
-                // the fold, so that batch finds them in the window.
                 let left = window.reach(lo as u64, hi as u64);
                 let next = (hi + self.batch).min(longest) as u64;
-                let ahead = match cpus() {
-                    1 => 0..0,
-                    _ => window.ahead(hi as u64, next),
-                };
+                let ahead = window.ahead(hi as u64, next);
                 let corpus = Arc::clone(&window.corpus);
-                let beside = move || {
-                    drop(left);
-                    ahead
-                        .map(|i| segment_chains(&corpus, i))
-                        .collect::<Vec<_>>()
-                };
-                let (epoch, decoded) = match cpus() {
-                    1 => (self.fold_batch(lo, hi), beside()),
-                    _ => join(|| self.fold_batch(lo, hi), beside),
-                };
+                let (epoch, decoded) = join(
+                    || self.fold_batch(lo, hi),
+                    move || {
+                        drop(left);
+                        ahead
+                            .map(|i| segment_chains(&corpus, i))
+                            .collect::<Vec<_>>()
+                    },
+                );
                 if let Source::Streamed(window) = &mut self.source {
                     window.decoded.extend(decoded);
                 }

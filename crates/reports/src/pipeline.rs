@@ -906,7 +906,6 @@ pub fn streamed_from_archive(
 }
 
 /// What an archive cold start materializes of the blocks.
-#[derive(Clone, Copy, PartialEq)]
 enum ColdStart {
     /// Every segment replayed into the chain vectors; facts lazy.
     Blocks,

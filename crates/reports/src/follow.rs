@@ -281,6 +281,7 @@ impl Source {
         match data.corpus() {
             Some(corpus) => Source::Streamed(SegmentWindow {
                 corpus: Arc::clone(corpus),
+                cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
                 first: 0,
                 decoded: VecDeque::new(),
             }),
@@ -297,6 +298,9 @@ type Decoded = Result<ReplayedChains, String>;
 /// have reached and not yet left: segment `first + k` is `decoded[k]`.
 struct SegmentWindow {
     corpus: Arc<Archive>,
+    /// `available_parallelism()`, read once: on Linux each call reads the
+    /// cgroup's CPU quota files, about 20 µs.
+    cpus: usize,
     first: usize,
     decoded: VecDeque<Decoded>,
 }
@@ -321,7 +325,7 @@ impl SegmentWindow {
         let held = self.first + self.decoded.len();
         if held < b {
             let missed: Vec<usize> =
-                (held..b.max(held + cpus()).min(self.corpus.segments().len())).collect();
+                (held..b.max(held + self.cpus).min(self.corpus.segments().len())).collect();
             let corpus = &self.corpus;
             self.decoded
                 .extend(par_map(&missed, |&i| segment_chains(corpus, i)));
@@ -355,10 +359,6 @@ impl SegmentWindow {
             })
             .collect()
     }
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// One sealed batch: the offset it ended at and, per chain `[eos, tezos,
@@ -589,7 +589,7 @@ impl Follower {
         let epoch = match &mut self.source {
             Source::Held(_) => self.fold_batch(lo, hi),
             // One CPU: free the segments the batch has left, then fold.
-            Source::Streamed(window) if cpus() == 1 => {
+            Source::Streamed(window) if window.cpus == 1 => {
                 drop(window.reach(lo as u64, hi as u64));
                 self.fold_batch(lo, hi)
             }

@@ -26,8 +26,8 @@
 //! decode is [`IngestError::Source`] naming it, met only by the batch that
 //! needs it. Paper scale, `serve --archive --batch 256 --epoch-ms 0` on 2
 //! vCPUs, 10 alternating runs: the process's VmHWM at head went from
-//! 239–240 MB to 43–49 MB, and spawn → head from a median of 528 ms to
-//! 488 ms (decoding only on a miss, it had been 637–654 ms).
+//! 239–240 MB to 43–50 MB, and the median spawn → head from 610 to 464 ms
+//! (decoding only on a miss, the window had taken 637–654 ms).
 //!
 //! Both sources go through the same check: per chain, the number of the
 //! last block folded (the high-water mark) is carried across runs and
@@ -79,7 +79,7 @@
 //! time; the pair's figure is 5 runs on a 2-vCPU Intel Xeon host. Streaming
 //! the 11 segments of that corpus costs `archive_replay` 6.2–6.4 ms (decode
 //! and parse, once each; 8.6 ms for the held cold start's replay) and
-//! moves `follow_advance`'s own time from 0.4 to 1.5–1.6 ms: it frees each
+//! moves `follow_advance`'s own time from 0.4 to 1.1–1.6 ms: it frees each
 //! segment's blocks as the batches leave it.
 //!
 //! # The reorg guard
@@ -588,32 +588,34 @@ impl Follower {
         let hi = (lo + self.batch).min(longest);
         let epoch = match &mut self.source {
             Source::Held(_) => self.fold_batch(lo, hi),
-            // One CPU: free the segments the batch has left, then fold.
-            Source::Streamed(window) if window.cpus == 1 => {
-                drop(window.reach(lo as u64, hi as u64));
-                self.fold_batch(lo, hi)
-            }
-            // With a second CPU, the segments the batch has left are freed
-            // and those the next batch reaches are decoded beside the fold,
-            // so that batch finds them in the window.
             Source::Streamed(window) => {
                 let left = window.reach(lo as u64, hi as u64);
-                let next = (hi + self.batch).min(longest) as u64;
-                let ahead = window.ahead(hi as u64, next);
-                let corpus = Arc::clone(&window.corpus);
-                let (epoch, decoded) = join(
-                    || self.fold_batch(lo, hi),
-                    move || {
-                        drop(left);
-                        ahead
-                            .map(|i| segment_chains(&corpus, i))
-                            .collect::<Vec<_>>()
-                    },
-                );
-                if let Source::Streamed(window) = &mut self.source {
-                    window.decoded.extend(decoded);
+                let ahead = match window.cpus {
+                    1 => 0..0,
+                    _ => window.ahead(hi as u64, (hi + self.batch).min(longest) as u64),
+                };
+                if ahead.is_empty() {
+                    drop(left);
+                    self.fold_batch(lo, hi)
+                } else {
+                    // A second CPU frees the segments the batch has left and
+                    // decodes those the next batch reaches beside the fold,
+                    // so that batch finds them in the window.
+                    let corpus = Arc::clone(&window.corpus);
+                    let (epoch, decoded) = join(
+                        || self.fold_batch(lo, hi),
+                        move || {
+                            drop(left);
+                            ahead
+                                .map(|i| segment_chains(&corpus, i))
+                                .collect::<Vec<_>>()
+                        },
+                    );
+                    if let Source::Streamed(window) = &mut self.source {
+                        window.decoded.extend(decoded);
+                    }
+                    epoch
                 }
-                epoch
             }
         };
         if let (Ok(_), Some(m)) = (&epoch, &self.metrics) {

@@ -89,11 +89,6 @@ impl Manifest {
             lens,
         })
     }
-
-    /// The block-position space `[0, total)` the segments tile.
-    pub fn total_positions(&self) -> u64 {
-        self.lens.iter().copied().max().unwrap_or(0)
-    }
 }
 
 // ---- sidecar ----------------------------------------------------------------
@@ -545,7 +540,6 @@ mod tests {
         let s = m.to_string();
         let back = Manifest::parse(&s).unwrap();
         assert_eq!(back, m);
-        assert_eq!(back.total_positions(), 120);
         assert!(Manifest::parse("{}").is_err());
         assert!(Manifest::parse("not json").is_err());
     }

@@ -55,10 +55,10 @@ use txstat_netsim::http::HttpRequest;
 use txstat_netsim::{spawn_chaos_proxy, ChaosProfile, Http};
 use txstat_reports::{
     follow_session, generate, generate_with_crawl, pipeline_from_archive,
-    reduce_frames_labeled_into, reducer_from_archive, render_report, scenario_from_meta,
-    scenario_meta, serve_session, streamed_from_archive, write_archive, Corpus, CrawlOptions,
-    FollowPlan, Manifest, MemoStatus, PipelineData, Reorg, SegmentFormat, ServeLine, ServePlan,
-    ShardContext, DEFAULT_SNAPSHOT_WINDOW,
+    reduce_frames_labeled_into, render_report, scenario_from_meta, scenario_meta, serve_session,
+    streamed_from_archive, write_archive, Corpus, CrawlOptions, FollowPlan, Manifest, MemoStatus,
+    PipelineData, Reorg, SegmentFormat, ServeLine, ServePlan, ShardContext,
+    DEFAULT_SNAPSHOT_WINDOW,
 };
 use txstat_telemetry::Span;
 use txstat_wire::{PayloadFormat, ShardFrame};
@@ -458,16 +458,14 @@ enum Need {
     /// The block vectors in memory, to seal or follow them: a full cold
     /// start; a crawl keeps every block it folds.
     Blocks,
-    /// The blocks once each, in order, to serve them: a block-free cold
-    /// start whose follower decodes the corpus's segments as it reaches
-    /// them ([`streamed_from_archive`]); generated or crawled, as `Blocks`.
+    /// No block held: a block-free cold start ([`streamed_from_archive`])
+    /// whose segments a follower or a shard worker decodes as it reaches
+    /// them, or a fleet reducer never decodes; generated or crawled, as
+    /// `Blocks`.
     Stream,
     /// One sweep and one render: a full cold start; a crawl folds each
     /// block as it is fetched and keeps none.
     Report,
-    /// A render over sweeps the fleet sends: a block-free cold start
-    /// ([`reducer_from_archive`]).
-    Facts,
 }
 
 /// A dataset, the scenario mode it was built as, and the corpus it was
@@ -487,18 +485,18 @@ fn open_dataset(args: &Args, archive_dir: Option<&str>, need: Need) -> Result<Op
         if args.has("--crawl") {
             return Err("report takes --archive or --crawl, not both".to_owned());
         }
-        let held = |(data, archive)| (data, Arc::new(archive));
         let (data, archive) = match need {
-            Need::Facts => reducer_from_archive(Path::new(dir)).map(held)?,
             Need::Stream => streamed_from_archive(Path::new(dir))?,
-            Need::Blocks | Need::Report => pipeline_from_archive(Path::new(dir)).map(held)?,
+            Need::Blocks | Need::Report => pipeline_from_archive(Path::new(dir))
+                .map(|(data, archive)| (data, Arc::new(archive)))?,
         };
         let manifest = Manifest::parse(archive.manifest())?;
         check_archive_scenario(args, &manifest.meta)?;
         let (_, mode) = scenario_from_meta(&manifest.meta)?;
-        let what = match need {
-            Need::Facts => "reducer dataset".to_owned(),
-            _ => format!("{mode} scenario (seed {})", data.scenario.seed),
+        // A fleet reducer's dataset has no sweeps until the fleet's arrive.
+        let what = match args.get("--connect") {
+            Some(_) => "reducer dataset".to_owned(),
+            None => format!("{mode} scenario (seed {})", data.scenario.seed),
         };
         eprintln!(
             "cold-started {what} from archive {dir}: {} segment(s), {} block positions",
@@ -594,9 +592,11 @@ fn write_output(bytes: &[u8], out: Option<&str>) -> Result<(), String> {
     }
 }
 
-/// Render the full report of a finished dataset to `--out`.
+/// Render the full report of a finished dataset to `--out`, unless its
+/// facts failed to resolve (the sections that read them rendered defaults).
 fn write_report(data: &PipelineData, args: &Args) -> Result<(), String> {
     let report = render_report(data);
+    data.check_facts()?;
     warn_memo(data.memo_status());
     write_output(report.as_bytes(), args.get("--out"))
 }
@@ -635,28 +635,13 @@ fn cmd_archive(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The shard worker's prepared state plus the assignment meta it accepts:
-/// generated from the scenario flags, or cold-started from `--archive DIR`
-/// (no chain generation — assignments replay only their covering segments),
-/// under the same manifest cross-check as [`open_dataset`].
+/// The shard worker's prepared state plus the assignment meta it accepts,
+/// over [`open_dataset`]'s block-free dataset: with `--archive DIR` no chain
+/// is generated and assignments decode only their covering segments.
 fn shard_context_of(args: &Args) -> Result<(ShardContext, serde_json::Value), String> {
-    match args.get("--archive") {
-        Some(dir) => {
-            let (ctx, manifest) = ShardContext::from_archive(Path::new(dir))?;
-            check_archive_scenario(args, &manifest.meta)?;
-            eprintln!(
-                "cold-started from archive {dir}: {} block positions mapped, \
-                 no chains generated",
-                ctx.total_blocks()
-            );
-            Ok((ctx, manifest.meta))
-        }
-        None => {
-            let (sc, mode) = scenario_of(args);
-            eprintln!("generating {mode} scenario (seed {})…", sc.seed);
-            Ok((ShardContext::new(&sc), scenario_meta(&sc, mode)))
-        }
-    }
+    let Opened { data, mode, .. } = open_dataset(args, args.get("--archive"), Need::Stream)?;
+    let meta = scenario_meta(&data.scenario, &mode);
+    Ok((ShardContext::from(data), meta))
 }
 
 /// Socket worker mode of `shard`: bind, announce the address, and answer
@@ -740,13 +725,16 @@ fn reduce_fleet_mode(args: &Args, connect: &str) -> Result<PipelineData, String>
         .filter(|s| !s.is_empty())
         .map(String::from)
         .collect();
-    // `Need::Facts`: the sweeps arrive from the fleet, and everything else
-    // the report needs of the blocks is memoized per segment.
+    // `Need::Stream`: the sweeps arrive from the fleet, and everything else
+    // the report needs of the blocks is memoized per segment. Those facts
+    // resolve first, so a corpus they refuse fails before any worker is
+    // asked.
     let Opened {
         data,
         mode,
         archive,
-    } = open_dataset(args, args.get("--archive"), Need::Facts)?;
+    } = open_dataset(args, args.get("--archive"), Need::Stream)?;
+    data.check_facts()?;
     let sc = data.scenario.clone();
     let mut cfg = FleetConfig::new(workers);
     cfg.chunks = args.int("--chunks").unwrap_or(0) as usize;

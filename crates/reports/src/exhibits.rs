@@ -730,15 +730,18 @@ pub fn case_studies(data: &PipelineData) -> String {
 pub(crate) const SECTION_BREAK: &str =
     "\n================================================================\n\n";
 
-/// One report section: how it renders and the chains whose sweeps it
-/// reads, itself or through a view. Nothing else a section reads moves
-/// between serve epochs (the facts, the oracle, the trades and the cluster
-/// are one dataset family's), so an epoch that moved none of `reads` has
-/// the section's bytes of the epoch before it.
+/// One report section: how it renders, the chains whose sweeps it reads,
+/// itself or through a view, and whether it reads the dataset's block facts
+/// (Figure 2's accounting, block bounds, CPU peaks). Nothing else a section
+/// reads moves between serve epochs (the facts, the oracle, the trades and
+/// the cluster are one dataset family's), so an epoch that moved none of
+/// `reads` has the section's bytes of the epoch before it. Facts that failed
+/// to resolve fail only the sections that read them.
 #[derive(Clone, Copy)]
 pub struct Section {
     render: Render,
     pub(crate) reads: Chains,
+    pub(crate) facts: bool,
 }
 
 #[derive(Clone, Copy)]
@@ -772,6 +775,15 @@ const fn reads(reads: Chains, render: fn(&PipelineData) -> String) -> Section {
     Section {
         render: Render::Whole(render),
         reads,
+        facts: false,
+    }
+}
+
+/// [`reads`], and the dataset's facts as well.
+const fn reads_facts(chains: Chains, render: fn(&PipelineData) -> String) -> Section {
+    Section {
+        facts: true,
+        ..reads(chains, render)
     }
 }
 
@@ -786,6 +798,7 @@ const fn split(parts: &'static [Part]) -> Section {
     Section {
         render: Render::Parts(parts),
         reads,
+        facts: false,
     }
 }
 
@@ -813,14 +826,15 @@ const NONE: Chains = Chains::NONE;
 /// which no section regenerates, is a gap between `fig9` and `fig11`
 /// rather than a renumbering of every later figure.
 ///
-/// Each row names the chains it reads. The headline, Figure 1 and Figure 3
-/// read all three, one part per chain (`HEADLINE`, `FIG1`, `FIG3`):
-/// their rows read the union of their parts' chains, and a serve epoch
-/// that moved one chain re-renders only that chain's parts of them.
+/// Each row names the chains it reads, and `reads_facts` marks the rows
+/// that read the facts as well. The headline, Figure 1 and Figure 3 read
+/// all three chains, one part per chain (`HEADLINE`, `FIG1`, `FIG3`): their
+/// rows read the union of their parts' chains, and a serve epoch that moved
+/// one chain re-renders only that chain's parts of them.
 pub const SECTIONS: &[(&str, Section)] = &[
     ("headline", split(HEADLINE)),
     ("fig1", split(FIG1)),
-    ("fig2", reads(NONE, fig2)),
+    ("fig2", reads_facts(NONE, fig2)),
     ("fig3", split(FIG3)),
     ("fig4", reads(EOS, fig4)),
     ("fig5", reads(EOS, fig5)),
@@ -830,7 +844,7 @@ pub const SECTIONS: &[(&str, Section)] = &[
     ("fig9", reads(TEZOS, fig9)),
     ("fig11", reads(NONE, fig11)),
     ("fig12", reads(XRP, fig12)),
-    ("case_studies", reads(EOS.union(XRP), case_studies)),
+    ("case_studies", reads_facts(EOS.union(XRP), case_studies)),
 ];
 
 /// The report's last section, served as `/exhibit/comparison`.

@@ -14,12 +14,15 @@
 //! | source | dataset | runs of a batch | held in memory |
 //! |--------|---------|-----------------|----------------|
 //! | held   | [`crate::generate`], a crawl that kept its blocks, [`pipeline_from_archive`] (`follow`, `report`) | one: the chains' own vectors, clamped | every block |
-//! | streamed | [`crate::streamed_from_archive`] (`serve --archive`) | one per segment the batch overlaps ([`Archive::covering`]) | the window: the segments the batch overlaps and those decoded ahead with them |
+//! | streamed | [`crate::streamed_from_archive`], the one block-free archive dataset (`serve --archive`; `reduce` and `shard` over `--archive` open it too, but follow nothing) | one per segment the batch overlaps ([`Archive::covering`]) | the window: the segments the batch overlaps and those decoded ahead with them |
+//!
+//! The dataset says which: `Source::of` reads `PipelineData::corpus`, as
+//! `ShardContext::frames` does.
 //!
 //! A streamed follower decodes a segment when a batch first reaches it and
 //! drops it when a batch starts past it. On a miss it decodes the next
-//! `available_parallelism()` segments at once (at least the batch's own)
-//! through `par_map`; pinned to one CPU, as in the benchmark, that is one
+//! [`cpus`] segments at once (at least the batch's own) through
+//! `par_map`; pinned to one CPU, as in the benchmark, that is one
 //! segment. With a second CPU the segments the next batch reaches are
 //! decoded, and those this batch left are freed, on a scoped thread beside
 //! the fold, so the next batch does not miss. A segment that does not
@@ -142,7 +145,7 @@ use std::time::Instant;
 use txstat_archive::{Archive, ArchiveWriter};
 use txstat_core::{ChainSweeps, EosSweep, TezosSweep, XrpSweep};
 use txstat_ingest::{reduce::CHAINS, IngestError, RangeFold};
-use txstat_telemetry::{join, par_map, Counter, Gauge, Histogram, Registry, Span};
+use txstat_telemetry::{cpus, join, par_map, Counter, Gauge, Histogram, Registry, Span};
 use txstat_types::ids::{fnv1a64, fnv1a64_extend};
 
 /// Snapshots a reorg guard retains by default: a reorg within the last
@@ -281,7 +284,6 @@ impl Source {
         match data.corpus() {
             Some(corpus) => Source::Streamed(SegmentWindow {
                 corpus: Arc::clone(corpus),
-                cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
                 first: 0,
                 decoded: VecDeque::new(),
             }),
@@ -298,9 +300,6 @@ type Decoded = Result<ReplayedChains, String>;
 /// have reached and not yet left: segment `first + k` is `decoded[k]`.
 struct SegmentWindow {
     corpus: Arc<Archive>,
-    /// `available_parallelism()`, read once: on Linux each call reads the
-    /// cgroup's CPU quota files, about 20 µs.
-    cpus: usize,
     first: usize,
     decoded: VecDeque<Decoded>,
 }
@@ -309,8 +308,8 @@ impl SegmentWindow {
     /// Make the window hold every segment positions `[lo, hi)` overlap
     /// (found through [`Archive::covering`]). The segments before them
     /// leave it and are returned, for the caller to free; on a miss the
-    /// next `available_parallelism()` segments — at least every one the
-    /// batch overlaps — are decoded at once through [`par_map`].
+    /// next [`cpus`] segments — at least every one the batch overlaps — are
+    /// decoded at once through [`par_map`].
     fn reach(&mut self, lo: u64, hi: u64) -> Vec<Decoded> {
         let (a, b) = self.corpus.covering(lo, hi);
         let left: Vec<Decoded> = self
@@ -325,7 +324,7 @@ impl SegmentWindow {
         let held = self.first + self.decoded.len();
         if held < b {
             let missed: Vec<usize> =
-                (held..b.max(held + self.cpus).min(self.corpus.segments().len())).collect();
+                (held..b.max(held + cpus()).min(self.corpus.segments().len())).collect();
             let corpus = &self.corpus;
             self.decoded
                 .extend(par_map(&missed, |&i| segment_chains(corpus, i)));
@@ -590,7 +589,7 @@ impl Follower {
             Source::Held(_) => self.fold_batch(lo, hi),
             Source::Streamed(window) => {
                 let left = window.reach(lo as u64, hi as u64);
-                let ahead = match window.cpus {
+                let ahead = match cpus() {
                     1 => 0..0,
                     _ => window.ahead(hi as u64, (hi + self.batch).min(longest) as u64),
                 };
@@ -1000,8 +999,9 @@ pub fn follow_session(
     };
 
     // The last epoch covers the whole (possibly reorged) chains: its report
-    // is identical to `report`'s.
+    // is identical to `report`'s, unless its facts failed.
     let report = render_report(&head);
+    head.check_facts()?;
     if scratch
         .as_ref()
         .is_some_and(|scratch| report != render_report(scratch))
@@ -1360,14 +1360,14 @@ mod tests {
     }
 
     /// A streamed follower holds only the segments its batch overlaps and
-    /// those decoded ahead with them: on a miss, `available_parallelism()`
-    /// segments (or the batch's own, when it overlaps more) past the one
-    /// the batch shares with the last; with a second CPU, also the segments
-    /// the next batch overlaps.
+    /// those decoded ahead with them: on a miss, [`cpus`] segments (or the
+    /// batch's own, when it overlaps more) past the one the batch shares
+    /// with the last; with a second CPU, also the segments the next batch
+    /// overlaps.
     #[test]
     fn a_streamed_follower_holds_one_window_of_segments() {
         let dir = sealed("window", 64);
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cpus = cpus();
         for batch in [16, 64, 100, 300] {
             let (data, corpus) = streamed_from_archive(&dir).expect("streamed cold start");
             let mut f = Follower::new(data, batch);

@@ -23,8 +23,8 @@ pub use follow::{
 pub use paper::{comparison, ComparisonRow};
 pub use pipeline::{
     generate, generate_with_crawl, pipeline_from_archive, reduce_frames_labeled_into,
-    reducer_from_archive, scenario_from_meta, scenario_meta, streamed_from_archive, summarize,
-    write_archive, ChainSweeps, CrawlOptions, MemoStatus, PipelineData, ShardContext,
+    scenario_from_meta, scenario_meta, streamed_from_archive, summarize, write_archive,
+    ChainSweeps, CrawlOptions, MemoStatus, PipelineData, ShardContext,
 };
 pub use serve::{
     sample_account_paths, serve_session, ServeLine, ServePlan, ServeSnapshot, StatsService,

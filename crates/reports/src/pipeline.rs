@@ -11,9 +11,11 @@
 //!   fetched it, so the report is ready the moment the crawl finishes and
 //!   no chain is held on the measurement side unless the caller keeps the
 //!   blocks (what `reproduce archive --crawl` seals);
-//! - [`pipeline_from_archive`] / [`reducer_from_archive`] /
-//!   [`streamed_from_archive`] cold-start from a sealed corpus
-//!   ([`write_archive`]) without generating any chain.
+//! - [`pipeline_from_archive`] cold-starts from a sealed corpus
+//!   ([`write_archive`]) without generating any chain, and
+//!   [`streamed_from_archive`] without decoding any block either: the one
+//!   block-free dataset, whose consumers (`serve`'s follower, a fleet
+//!   reducer, a shard worker) stream the corpus's segments or read none.
 
 use crate::archive_io::{segment_chains, Bounds, SegmentSummary, Sidecar, SUMMARY_SCHEMA};
 use crate::exhibits::Part;
@@ -39,7 +41,7 @@ use txstat_netsim::handlers::{EosRpcHandler, TezosRpcHandler, XrpRpcHandler};
 use txstat_netsim::http::HttpRequest;
 use txstat_netsim::server::{spawn_http, spawn_ndjson, EndpointHandle};
 use txstat_netsim::{EndpointProfile, Http};
-use txstat_telemetry::{join, par_map, registry, Counter, Span};
+use txstat_telemetry::{cpus, join, par_map, registry, Counter, Span};
 use txstat_tezos::address::Address;
 use txstat_tezos::governance::PeriodKind;
 use txstat_types::series::BucketSeries;
@@ -63,8 +65,8 @@ use txstat_xrp::tx::TxPayload;
 pub struct PipelineData {
     pub scenario: Scenario,
     /// Materialized chains. Empty after a crawl that kept no blocks and on
-    /// a block-free cold start ([`reducer_from_archive`],
-    /// [`streamed_from_archive`]); exhibits go through the accessor methods
+    /// a block-free cold start ([`streamed_from_archive`]); exhibits go
+    /// through the accessor methods
     /// ([`PipelineData::eos_bounds`] etc.) rather than the vectors.
     pub eos_blocks: Arc<Vec<txstat_eos::Block>>,
     pub tezos_blocks: Arc<Vec<txstat_tezos::TezosBlock>>,
@@ -88,15 +90,15 @@ pub struct PipelineData {
     /// The crawl pre-fills them with what it folded.
     sweeps: OnceLock<Arc<ChainSweeps>>,
     /// Chain lengths `[eos, tezos, xrp]` of a block-free dataset (the
-    /// crawled counts, the summed summaries' for [`reducer_from_archive`],
-    /// the manifest's for [`streamed_from_archive`]).
+    /// crawled counts, or the manifest's for [`streamed_from_archive`],
+    /// checked against the segments' when the facts resolve).
     /// `None` wherever the vectors are held: their own lengths are the
     /// truth there, whatever a caller has since put in the public fields.
     block_free_lens: Option<[u64; 3]>,
     /// The corpus a [`streamed_from_archive`] dataset holds in place of its
-    /// blocks: a follower decodes its segments a window at a time, and a
-    /// facts miss summarizes one from its verified bytes. Shared by every
-    /// fork.
+    /// blocks: a follower decodes its segments a window at a time, a shard
+    /// worker sweeps them, and a facts miss summarizes one from its
+    /// verified bytes. Shared by every fork.
     corpus: Option<Arc<Archive>>,
     /// Every report input that needs block bytes and is not a sweep
     /// (Figure 2's serialize + LZSS-sample accounting — ~30× any other
@@ -214,8 +216,8 @@ impl Views {
 /// The lazily resolved [`SegmentSummary`] of a whole dataset family, and
 /// where it may be memoized.
 struct Facts {
-    /// The summary and its memo coverage, or why a segment a miss needed
-    /// did not decode (only a [`streamed_from_archive`] dataset's can fail).
+    /// The summary and its memo coverage, or why they could not be had
+    /// ([`PipelineData::check_facts`]).
     cell: OnceLock<Result<(SegmentSummary, Option<MemoStatus>), String>>,
     /// `archive.memo` of the corpus the blocks were replayed from: one
     /// summary per segment is looked up there first, and what was missing
@@ -224,7 +226,7 @@ struct Facts {
 }
 
 /// What the facts accessors read once the facts failed to resolve: no
-/// bounds, no peaks, no storage (see [`PipelineData::facts_error`]).
+/// bounds, no peaks, no storage (see [`PipelineData::check_facts`]).
 static NO_FACTS: LazyLock<(SegmentSummary, Option<MemoStatus>)> =
     LazyLock::new(|| (SegmentSummary::default(), None));
 
@@ -236,9 +238,9 @@ impl Facts {
         })
     }
 
-    fn known(summary: SegmentSummary, status: Option<MemoStatus>) -> Arc<Facts> {
+    fn known(summary: SegmentSummary) -> Arc<Facts> {
         Arc::new(Facts {
-            cell: OnceLock::from(Ok((summary, status))),
+            cell: OnceLock::from(Ok((summary, None))),
             memo: None,
         })
     }
@@ -342,12 +344,13 @@ impl PipelineData {
     }
 
     /// The dataset's block-derived facts, resolved on first use under a
-    /// `facts` span: already known (crawl, reducer cold start), summed from
-    /// `archive.memo` with misses summarized from the held blocks or the
-    /// corpus's segments and written back, or summarized from the blocks
-    /// outright. Failed facts read as [`NO_FACTS`].
-    fn facts(&self) -> &(SegmentSummary, Option<MemoStatus>) {
-        let resolved = self.facts.cell.get_or_init(|| {
+    /// `facts` span: already known (crawl), summed from `archive.memo` with
+    /// misses summarized from the held blocks or the corpus's segments and
+    /// written back, or summarized from the blocks outright. A memoized sum
+    /// must hold the dataset's chain lengths: a block-free dataset's are
+    /// its manifest's, which nothing else checks against the segments.
+    fn resolved(&self) -> &Result<(SegmentSummary, Option<MemoStatus>), String> {
+        self.facts.cell.get_or_init(|| {
             let _span = Span::enter("facts", "");
             match &self.facts.memo {
                 None => {
@@ -362,21 +365,34 @@ impl PipelineData {
                     }
                     Ok((sum, None))
                 }
-                Some(memo) => memoized_summary(memo, |i, m| match &self.corpus {
-                    Some(corpus) => summarize_segment(corpus, i, m, &self.eos_cpu_price),
-                    None => Ok(self.summarize_range(m.start, m.end)),
-                })
-                .map(|(sum, status)| (sum, Some(status))),
+                Some(memo) => {
+                    let (sum, status) = memoized_summary(memo, |i, m| match &self.corpus {
+                        Some(corpus) => summarize_segment(corpus, i, m, &self.eos_cpu_price),
+                        None => Ok(self.summarize_range(m.start, m.end)),
+                    })?;
+                    if sum.lens() != self.lens() {
+                        return Err(lens_disagree(sum.lens(), self.lens()));
+                    }
+                    Ok((sum, Some(status)))
+                }
             }
-        });
-        resolved.as_ref().unwrap_or(&NO_FACTS)
+        })
     }
 
-    /// Why the facts failed to resolve, once they have: a segment of the
-    /// corpus a facts miss needed did not decode. The exhibits that read
-    /// the facts then rendered defaults for them.
-    pub(crate) fn facts_error(&self) -> Option<&str> {
-        self.facts.cell.get()?.as_ref().err().map(String::as_str)
+    /// The resolved facts; failed facts read as [`NO_FACTS`], which no
+    /// caller answers with ([`PipelineData::check_facts`]).
+    fn facts(&self) -> &(SegmentSummary, Option<MemoStatus>) {
+        self.resolved().as_ref().unwrap_or(&NO_FACTS)
+    }
+
+    /// Resolve the facts (Figure 2's accounting, block bounds, CPU peaks)
+    /// if they are not yet, and say why they failed if they did: a segment
+    /// a miss needed did not decode, or the corpus's segments hold other
+    /// chain lengths than its manifest names. Only an archived dataset's
+    /// can fail. Whatever renders the sections that read the facts checks
+    /// this before it answers with them: those sections rendered defaults.
+    pub fn check_facts(&self) -> Result<(), String> {
+        self.resolved().as_ref().map(|_| ()).map_err(Clone::clone)
     }
 
     /// [`summarize`] over block positions `[start, end)` of the held chains.
@@ -704,7 +720,7 @@ fn build_chains(
     };
     // Its self time is the calling thread's wait beyond the EOS build.
     let _span = Span::enter("generate", "");
-    let (eos, (tezos, xrp)) = if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+    let (eos, (tezos, xrp)) = if cpus() > 1 {
         join(eos, rest)
     } else {
         (eos(), rest())
@@ -873,29 +889,20 @@ pub fn pipeline_from_archive(dir: &std::path::Path) -> Result<(PipelineData, Arc
     dataset_from_archive(dir, ColdStart::Blocks)
 }
 
-/// Block-free cold start for a reducer whose sweeps arrive from elsewhere
-/// (`reduce --connect --archive`): open + fully verify the corpus,
-/// rehydrate the sidecar, and resolve the facts from `archive.memo` right
-/// away — on a warm memo no segment is decompressed or decoded at all; a
-/// missing, stale or damaged entry is recomputed from its verified segment
-/// bytes and the file healed. The block vectors stay empty and the chain
-/// lengths come from the manifest, so the dataset renders (byte-identical
-/// to [`pipeline_from_archive`]'s) once sweeps are installed
-/// ([`reduce_frames_labeled_into`]) but cannot sweep, follow or re-seal.
-pub fn reducer_from_archive(dir: &std::path::Path) -> Result<(PipelineData, Archive), String> {
-    dataset_from_archive(dir, ColdStart::Facts)
-}
-
-/// Block-free cold start for a follower (`serve --archive`): open + fully
-/// verify the corpus and rehydrate the sidecar, as
-/// [`pipeline_from_archive`] does, but decode no segment. The chain lengths
-/// come from the manifest; the dataset holds the corpus, whose segments a
-/// [`crate::Follower`] over it decodes a window at a time as its batches
-/// reach them and drops as they leave. The facts stay lazy: on first use
-/// they are summed from `archive.memo`, and a miss is summarized from that
-/// segment's verified bytes and written back. Every epoch renders
-/// byte-identically to one over [`pipeline_from_archive`]'s dataset. Also
-/// returns the corpus, shared with the dataset.
+/// Block-free cold start (`serve`, `reduce --connect` and `shard` over
+/// `--archive`): open + fully verify the corpus and rehydrate the sidecar,
+/// as [`pipeline_from_archive`] does, but decode no segment. The chain
+/// lengths come from the manifest; the dataset holds the corpus, whose
+/// segments a [`crate::Follower`] over it decodes a window at a time as its
+/// batches reach them and drops as they leave, and a [`ShardContext`] over
+/// it sweeps as assignments cover them. The facts stay lazy: on first use
+/// they are summed from `archive.memo`, a miss summarized from that
+/// segment's verified bytes and written back, and a sum whose chain lengths
+/// disagree with the manifest's fails them ([`PipelineData::check_facts`]).
+/// Once it has sweeps (a follower's, or the fleet's through
+/// [`reduce_frames_labeled_into`]) it renders byte-identically to
+/// [`pipeline_from_archive`]'s dataset. Also returns the corpus, shared
+/// with the dataset.
 pub fn streamed_from_archive(
     dir: &std::path::Path,
 ) -> Result<(PipelineData, Arc<Archive>), String> {
@@ -907,11 +914,9 @@ pub fn streamed_from_archive(
 
 /// What an archive cold start materializes of the blocks.
 enum ColdStart {
-    /// Every segment replayed into the chain vectors; facts lazy.
+    /// Every segment replayed into the chain vectors.
     Blocks,
-    /// No block; the facts resolved right away.
-    Facts,
-    /// No block yet: a follower streams the segments; facts lazy.
+    /// No block: a follower or a shard worker streams the segments.
     Streamed,
 }
 
@@ -928,68 +933,32 @@ fn summarize_segment(
     Ok(summarize(m.start, &eos, &tezos, &xrp, cpu_price))
 }
 
-/// What every archive cold start opens before it touches a segment: the
-/// verified corpus, its manifest and the scenario that names, the decoded
-/// sidecar, and the exchange-rate oracle over the sidecar's trades.
-struct OpenedArchive {
-    archive: Archive,
-    manifest: crate::Manifest,
-    sc: Scenario,
-    sidecar: Sidecar,
-    oracle: RateOracle,
-}
-
-fn open_archive(dir: &std::path::Path) -> Result<OpenedArchive, String> {
-    let archive = Archive::open(dir).map_err(|e| format!("archive {}: {e}", dir.display()))?;
-    let manifest = crate::Manifest::parse(archive.manifest())?;
-    let (sc, _mode) = scenario_from_meta(&manifest.meta)?;
-    let sidecar = Sidecar::decode(archive.sidecar())?;
-    let oracle =
-        RateOracle::from_trades(&sidecar.trades, sc.period.end, sc.period.days() as i64 + 1);
-    Ok(OpenedArchive {
-        archive,
-        manifest,
-        sc,
-        sidecar,
-        oracle,
-    })
-}
-
+/// Every archive cold start: the verified corpus, its manifest and the
+/// scenario that names, the decoded sidecar and the exchange-rate oracle
+/// over its trades, and the blocks `cold_start` asks for. The facts stay
+/// lazy, memoized in the corpus's `archive.memo`.
 fn dataset_from_archive(
     dir: &std::path::Path,
     cold_start: ColdStart,
 ) -> Result<(PipelineData, Archive), String> {
     let at = |e: String| format!("archive {}: {e}", dir.display());
-    let OpenedArchive {
-        archive,
-        manifest,
-        sc,
-        sidecar,
-        oracle,
-    } = open_archive(dir)?;
-    let ((eos_blocks, tezos_blocks, xrp_blocks), block_free_lens, facts) = match cold_start {
+    let archive = Archive::open(dir).map_err(|e| at(e.to_string()))?;
+    let manifest = crate::Manifest::parse(archive.manifest())?;
+    let (sc, _mode) = scenario_from_meta(&manifest.meta)?;
+    let sidecar = Sidecar::decode(archive.sidecar())?;
+    let oracle =
+        RateOracle::from_trades(&sidecar.trades, sc.period.end, sc.period.days() as i64 + 1);
+    let ((eos_blocks, tezos_blocks, xrp_blocks), block_free_lens) = match cold_start {
         ColdStart::Blocks => {
             let segments = archive.replay_all().map_err(|e| at(e.to_string()))?;
             let chains = crate::archive_io::chains_of(&segments)?;
-            (chains, None, Facts::lazy(Some(archive.memo())))
+            let lens = lens_of(&chains.0, &chains.1, &chains.2);
+            if lens != manifest.lens {
+                return Err(at(lens_disagree(lens, manifest.lens)));
+            }
+            (chains, None)
         }
-        ColdStart::Facts => {
-            let (sum, status) = memoized_summary(&archive.memo(), |i, m| {
-                summarize_segment(&archive, i, m, &sidecar.eos_cpu_price)
-            })
-            .map_err(at)?;
-            let lens = sum.lens();
-            (
-                Default::default(),
-                Some(lens),
-                Facts::known(sum, Some(status)),
-            )
-        }
-        ColdStart::Streamed => (
-            Default::default(),
-            Some(manifest.lens),
-            Facts::lazy(Some(archive.memo())),
-        ),
+        ColdStart::Streamed => (Default::default(), Some(manifest.lens)),
     };
     let mut cluster = ClusterInfo::new();
     for (a, u) in &sidecar.usernames {
@@ -1014,17 +983,16 @@ fn dataset_from_archive(
         sweeps: OnceLock::new(),
         block_free_lens,
         corpus: None,
-        facts,
+        facts: Facts::lazy(Some(archive.memo())),
         views: Box::default(),
     };
-    if data.lens() != manifest.lens {
-        return Err(at(format!(
-            "archived chain lengths {:?} disagree with manifest {:?}",
-            data.lens(),
-            manifest.lens
-        )));
-    }
     Ok((data, archive))
+}
+
+/// Why a corpus is refused: its segments hold `held` blocks of each chain,
+/// its manifest names `manifest`.
+fn lens_disagree(held: [u64; 3], manifest: [u64; 3]) -> String {
+    format!("archived chain lengths {held:?} disagree with manifest {manifest:?}")
 }
 
 /// Resolve one [`SegmentSummary`] per live segment — memo hits as they
@@ -1474,7 +1442,7 @@ pub fn generate_with_crawl(
         sweeps: OnceLock::from(Arc::new(sweeps)),
         block_free_lens: (!keep_blocks).then_some(lens),
         corpus: None,
-        facts: Facts::known(facts, None),
+        facts: Facts::known(facts),
         views: Box::default(),
     })
 }
@@ -1494,9 +1462,8 @@ fn chunked_sweep<B: Sync, A: Send>(
     observe: impl Fn(&mut A, &B) + Sync,
     merge: impl Fn(&mut A, A),
 ) -> A {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let runs: Vec<&[B]> = blocks
-        .chunks(blocks.len().div_ceil(cpus).max(MIN_SWEEP_RUN))
+        .chunks(blocks.len().div_ceil(cpus()).max(MIN_SWEEP_RUN))
         .collect();
     let mut folded = par_map(&runs, |run| {
         let mut acc = identity();
@@ -1662,32 +1629,30 @@ pub fn scenario_from_meta(meta: &serde_json::Value) -> Result<(Scenario, String)
     Ok((sc, mode))
 }
 
-/// Where a [`ShardContext`] gets its blocks: a generated dataset's chains
-/// held in memory, or an opened archive whose segments are swept lazily,
-/// each at most once.
-enum ShardSource {
-    Generated(PipelineData),
-    Archived {
-        archive: Archive,
-        total: u64,
-        /// Swept state by segment index: an assignment that covers a
-        /// segment whole merges a clone of it instead of decoding blocks.
-        states: SegmentStates<RangeFold>,
-    },
+/// A shard worker's prepared state, built once and reused across every
+/// assignment: a dataset — [`generate`]'s, or a [`streamed_from_archive`]
+/// one, which holds no block — and the swept state of its corpus's
+/// segments. A one-shot `reproduce shard A..B` pays the build once anyway;
+/// a socket worker (`reproduce shard --listen`) serving a whole fleet
+/// reduction would otherwise rebuild the chains per request — and over a
+/// corpus it never builds them at all: it sweeps each segment once, on the
+/// first assignment that covers it whole.
+pub struct ShardContext {
+    data: PipelineData,
+    /// Swept state by segment index of the dataset's corpus (none without
+    /// one): an assignment that covers a segment whole merges a clone of it
+    /// instead of decoding blocks.
+    states: SegmentStates<RangeFold>,
 }
 
-/// A shard worker's prepared state: the scenario's chains (or archive),
-/// oracle, and governance windows, built once and reused across every
-/// assignment. A one-shot `reproduce shard A..B` pays the build once
-/// anyway; a socket worker (`reproduce shard --listen`) serving a whole
-/// fleet reduction would otherwise rebuild the chains per request — and
-/// with `--archive` it never builds them at all: it sweeps each segment
-/// once, on the first assignment that covers it whole.
-pub struct ShardContext {
-    sc: Scenario,
-    source: ShardSource,
-    oracle: Arc<RateOracle>,
-    governance_periods: Vec<(PeriodKind, Period)>,
+impl From<PipelineData> for ShardContext {
+    fn from(data: PipelineData) -> Self {
+        let segments = data.corpus().map_or(0, |corpus| corpus.segments().len());
+        ShardContext {
+            data,
+            states: SegmentStates::new(segments),
+        }
+    }
 }
 
 impl ShardContext {
@@ -1695,60 +1660,33 @@ impl ShardContext {
     /// worker derives identical chains and the same exchange-rate oracle
     /// from the scenario seed.
     pub fn new(sc: &Scenario) -> Self {
-        let data = generate(sc);
-        ShardContext {
-            sc: data.scenario.clone(),
-            oracle: data.oracle.clone(),
-            governance_periods: data.governance_periods.clone(),
-            source: ShardSource::Generated(data),
-        }
+        ShardContext::from(generate(sc))
     }
 
-    /// Cold-start from an archived corpus: open + verify the archive,
-    /// decode the sidecar (oracle trades, governance windows), and keep
-    /// the compressed segments mapped. No chain is generated and no block
-    /// is decoded yet — [`ShardContext::frames`] sweeps only the segments
-    /// covering each assignment. Also returns the parsed manifest so
-    /// callers can validate it against their own flags.
+    /// Cold-start from an archived corpus ([`streamed_from_archive`]): no
+    /// chain is generated and no block is decoded yet —
+    /// [`ShardContext::frames`] sweeps only the segments covering each
+    /// assignment. Also returns the parsed manifest so callers can
+    /// validate it against their own flags.
     pub fn from_archive(dir: &std::path::Path) -> Result<(Self, crate::Manifest), String> {
-        let OpenedArchive {
-            archive,
-            manifest,
-            sc,
-            sidecar,
-            oracle,
-        } = open_archive(dir)?;
-        let total = manifest.total_positions();
-        let states = SegmentStates::new(archive.segments().len());
-        let ctx = ShardContext {
-            sc,
-            source: ShardSource::Archived {
-                archive,
-                total,
-                states,
-            },
-            oracle: Arc::new(oracle),
-            governance_periods: sidecar.governance_periods,
-        };
-        Ok((ctx, manifest))
+        let (data, corpus) = streamed_from_archive(dir)?;
+        let manifest = crate::Manifest::parse(corpus.manifest())?;
+        Ok((ShardContext::from(data), manifest))
     }
 
     /// The longest chain's block count — the position space a fleet
     /// reduction tiles into chunks.
     pub fn total_blocks(&self) -> u64 {
-        match &self.source {
-            ShardSource::Generated(data) => data.longest_chain() as u64,
-            ShardSource::Archived { total, .. } => *total,
-        }
+        self.data.longest_chain() as u64
     }
 
     /// Sweep the block-position range `[start, end)` of each chain
     /// (clamped to the chain head) into the three wire frames.
     ///
     /// The range is swept in pieces that merge in position order, so the
-    /// frames reduce to the same sweeps as one fold of the range. A
-    /// generated source is one piece. The archived source answers a segment
-    /// the range covers whole from that segment's swept state, filling it
+    /// frames reduce to the same sweeps as one fold of the range. A dataset
+    /// that holds its blocks is one piece. Over a corpus, a segment the
+    /// range covers whole is answered from that segment's swept state, filling it
     /// on first use from one decode of the segment's verified bytes; a
     /// segment the range cuts (a ragged edge) is decoded and its share
     /// swept, and nothing of it is kept. `_shards` and `_payload` are
@@ -1763,21 +1701,20 @@ impl ShardContext {
         _payload: PayloadFormat,
     ) -> Result<Vec<ShardFrame>, String> {
         let end = end.max(start);
-        let pieces = match &self.source {
-            ShardSource::Generated(d) => vec![Ok(Cow::Owned(self.fold(
+        let d = &self.data;
+        let pieces = match d.corpus() {
+            None => vec![Ok(Cow::Owned(self.fold(
                 run_of(&d.eos_blocks, start, end),
                 run_of(&d.tezos_blocks, start, end),
                 run_of(&d.xrp_blocks, start, end),
             )))],
-            ShardSource::Archived {
-                archive, states, ..
-            } => {
+            Some(archive) => {
                 let (lo, hi) = archive.covering(start, end);
                 let covering: Vec<usize> = (lo..hi).collect();
                 par_map(&covering, |&i| {
                     let m = archive.segments()[i];
                     if start <= m.start && m.end <= end {
-                        states
+                        self.states
                             .get_or_fill(i, || self.sweep_segment(archive, i, m.start, m.end))
                             .map(Cow::Borrowed)
                     } else {
@@ -1793,8 +1730,8 @@ impl ShardContext {
         let mut merged = match pieces.next() {
             Some(first) => first?,
             None => Cow::Owned(RangeFold::new(
-                self.sc.period,
-                self.governance_periods.clone(),
+                d.scenario.period,
+                d.governance_periods.clone(),
             )),
         };
         for piece in pieces {
@@ -1811,8 +1748,9 @@ impl ShardContext {
         tezos: &[txstat_tezos::TezosBlock],
         xrp: &[txstat_xrp::LedgerBlock],
     ) -> RangeFold {
-        let mut fold = RangeFold::new(self.sc.period, self.governance_periods.clone());
-        fold.sweep(eos, tezos, xrp, &self.oracle);
+        let d = &self.data;
+        let mut fold = RangeFold::new(d.scenario.period, d.governance_periods.clone());
+        fold.sweep(eos, tezos, xrp, &d.oracle);
         fold
     }
 
@@ -1836,13 +1774,10 @@ impl ShardContext {
         ))
     }
 
-    /// Exact segment-state counters (archived sources only): one hit or
-    /// miss per segment an assignment covers whole.
+    /// Exact segment-state counters (over a corpus only): one hit or miss
+    /// per segment an assignment covers whole.
     pub fn cache_stats(&self) -> Option<txstat_archive::CacheStats> {
-        match &self.source {
-            ShardSource::Generated(_) => None,
-            ShardSource::Archived { states, .. } => Some(states.stats()),
-        }
+        self.data.corpus().map(|_| self.states.stats())
     }
 }
 
@@ -1909,6 +1844,18 @@ impl PipelineData {
     pub(crate) fn holds_part(&self, part: &Part) -> bool {
         let parts = self.views.held_parts();
         parts.iter().any(|(p, _)| p.label == part.label)
+    }
+
+    /// This dataset's sweeps over facts that failed to resolve for `why`.
+    pub(crate) fn failing_facts(&self, why: &str) -> PipelineData {
+        let failed = self.sibling(Arc::new(Facts {
+            cell: OnceLock::from(Err(why.to_owned())),
+            memo: None,
+        }));
+        self.sweeps();
+        let shared = self.sweeps.get().map(Arc::clone);
+        assert!(failed.sweeps.set(shared.expect("swept")).is_ok());
+        failed
     }
 }
 

@@ -57,8 +57,11 @@
 //! miss summarized from that segment's bytes. A segment that passes the
 //! hash check but does not decode is an error naming it, never a panic:
 //! met by the follower, it ends the session (`reproduce serve` exits 2);
-//! met first by a facts miss, every exhibit route rendered from then on,
-//! `/report` included, answers 500 with it and nothing of it is cached.
+//! met first by a facts miss, it fails the facts, and so does a corpus
+//! whose segments hold other chain lengths than its manifest names. Then
+//! the sections that read the facts (Figure 2 and the case studies), and
+//! `/report` with them, answer 500 with the failure and are not cached;
+//! every other route is served as before.
 
 use crate::exhibits::{render_section, report_layout, section};
 use crate::follow::Follower;
@@ -182,7 +185,7 @@ impl ServeSnapshot {
 
     /// Render one route from the snapshot's dataset; `/report` is laid out
     /// from the section routes' cache entries (see the module docs). A
-    /// section rendered once the dataset's facts have failed to resolve is
+    /// section that reads the facts, once they have failed to resolve, is
     /// the facts' error, not bytes with defaults in their place.
     fn render(
         &self,
@@ -206,10 +209,10 @@ impl ServeSnapshot {
                 return Ok(None);
             };
             let body = render_section(row, &self.data);
-            return match self.data.facts_error() {
-                Some(why) => Err(why.to_owned()),
-                None => Ok(Some(body.into_bytes())),
-            };
+            if row.1.facts {
+                self.data.check_facts()?;
+            }
+            return Ok(Some(body.into_bytes()));
         }
         Ok(path
             .strip_prefix("/account/")
@@ -707,5 +710,43 @@ mod tests {
                 assert_eq!(held, unchanged, "{}, {chain:?} moved", part.label);
             }
         }
+    }
+
+    /// Per section, the comparison included: over the same sweeps with
+    /// facts that failed to resolve, it renders other bytes exactly when it
+    /// is declared to read the facts. A facts-free section is served as
+    /// before; a reader, and `/report` with it, answers 500 with the failure.
+    /// So the declarations are sound and minimal.
+    #[test]
+    fn a_facts_failure_fails_exactly_the_sections_that_read_the_facts() {
+        const WHY: &str = "segment [0, 256) eos columns: the facts failed";
+        let data = generate(&Scenario::small(7));
+        let failed = data.failing_facts(WHY);
+        let service = StatsService::new(Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(
+            1,
+            true,
+            data.failing_facts(WHY),
+        )))));
+        for (row, _) in report_layout() {
+            let (name, section) = row;
+            let healthy = render_section(row, &data);
+            assert_eq!(
+                render_section(row, &failed) != healthy,
+                section.facts,
+                "{name}"
+            );
+            let reply = service.respond("GET", &format!("/exhibit/{name}"));
+            if section.facts {
+                assert_eq!(reply.status, 500, "{name}");
+                assert!(String::from_utf8_lossy(&reply.body).contains(WHY), "{name}");
+            } else {
+                assert_eq!(
+                    (reply.status, reply.body),
+                    (200, healthy.into_bytes()),
+                    "{name}"
+                );
+            }
+        }
+        assert_eq!(service.respond("GET", "/report").status, 500);
     }
 }

@@ -763,8 +763,8 @@ fn every_traced_run_is_one_rooted_tree_whose_self_times_sum_to_the_root() {
 
     let mut seen = BTreeSet::new();
     // With the count of `facts` spans: one per dataset that resolves its
-    // block facts on first use, none where they are already known (crawl,
-    // block-free cold start) or never needed.
+    // block facts on first use (a fleet reducer's before it drives the
+    // fleet), none where they are already known (crawl) or never needed.
     for (file, root_stage, facts) in [
         ("report.ndjson", "report", 1),
         ("crawl.ndjson", "report", 0),
@@ -774,7 +774,7 @@ fn every_traced_run_is_one_rooted_tree_whose_self_times_sum_to_the_root() {
         ("shard.ndjson", "shard", 0),
         ("reduce.ndjson", "reduce", 1),
         ("worker.ndjson", "shard", 0),
-        ("fleet.ndjson", "reduce", 0),
+        ("fleet.ndjson", "reduce", 1),
         ("follow.ndjson", "follow", 1),
         ("serve.ndjson", "serve", 1),
     ] {
@@ -1874,6 +1874,88 @@ fn serving_an_undecodable_segment_exits_2_naming_it() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A corpus whose manifest names one more EOS block than its segments hold
+/// (the manifest edited, the sidecar and the segments as sealed) is refused
+/// by every archive cold start. `report --archive` replays the segments and
+/// exits non-zero. `reduce --connect --archive` resolves the facts before it
+/// drives the fleet, so it exits non-zero without asking the worker, which
+/// never sees a connection. A streamed serve answers 500 on Figure 2, whose
+/// facts sum the segments, and still serves Figure 4, which reads none.
+#[test]
+fn a_manifest_that_overstates_a_chain_fails_every_archive_cold_start() {
+    use txstat_archive::{Archive, ArchiveWriter};
+    use txstat_reports::archive_io::segments_of_from;
+    use txstat_reports::{
+        generate, streamed_from_archive, write_archive, Follower, Manifest, SegmentFormat,
+        ServeSnapshot, StatsService,
+    };
+    const REFUSED: &str = "disagree with manifest";
+    let dir = tempdir("overstated");
+    let data = generate(&txstat_workload::Scenario::small(7));
+    let sealed = dir.join("sealed");
+    write_archive(&sealed, &data, "small", 256, SegmentFormat).expect("seal");
+    let sealed = Archive::open(&sealed).expect("open the sealed corpus");
+    let mut manifest = Manifest::parse(sealed.manifest()).expect("manifest");
+    manifest.lens[0] += 1;
+    let mut writer =
+        ArchiveWriter::create(&dir.join("corpus"), &manifest.to_string(), sealed.sidecar())
+            .expect("create the corpus");
+    for seg in segments_of_from(
+        &data.eos_blocks,
+        &data.tezos_blocks,
+        &data.xrp_blocks,
+        manifest.segment_blocks,
+        0,
+    ) {
+        writer.append(&seg).expect("append");
+    }
+    writer.seal().expect("seal the index");
+
+    let report = reproduce(&dir, &["report", "--archive", "corpus", "--out", "r.txt"]);
+    let stderr = String::from_utf8_lossy(&report.stderr);
+    assert!(!report.status.success(), "report --archive: {stderr}");
+    assert!(stderr.contains(REFUSED), "{stderr}");
+
+    let worker = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    worker.set_nonblocking(true).expect("nonblocking");
+    let addr = worker.local_addr().expect("addr").to_string();
+    let args = [
+        "reduce",
+        "--connect",
+        &addr,
+        "--archive",
+        "corpus",
+        "--retries",
+        "0",
+        "--timeout-ms",
+        "500",
+        "--out",
+        "f.txt",
+    ];
+    let reduce = reproduce(&dir, &args);
+    let stderr = String::from_utf8_lossy(&reduce.stderr);
+    assert!(!reduce.status.success(), "reduce --archive: {stderr}");
+    assert!(stderr.contains(REFUSED), "{stderr}");
+    assert!(
+        worker.accept().is_err(),
+        "the reducer asked a worker: {stderr}"
+    );
+
+    let (streamed, _) = streamed_from_archive(&dir.join("corpus")).expect("streamed cold start");
+    let mut follower = Follower::new(streamed, 256);
+    let first = follower.advance().expect("first epoch");
+    let cell = std::sync::Arc::new(txstat_ingest::EpochCell::new(std::sync::Arc::new(
+        ServeSnapshot::new(1, false, first),
+    )));
+    let service = StatsService::new(cell);
+    let fig2 = service.respond("GET", "/exhibit/fig2");
+    let body = String::from_utf8_lossy(&fig2.body);
+    assert_eq!(fig2.status, 500, "{body}");
+    assert!(body.contains(REFUSED), "{body}");
+    assert_eq!(service.respond("GET", "/exhibit/fig4").status, 200);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

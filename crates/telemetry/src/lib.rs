@@ -15,4 +15,4 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{registry, MetricKind, Registry, Sample, SampleValue};
-pub use trace::{join, par_map, tracer, Span, TraceEvent, Tracer};
+pub use trace::{cpus, join, par_map, tracer, Span, TraceEvent, Tracer};

@@ -24,9 +24,9 @@ use support::{mutations, Count, Mutator};
 use txstat::archive::{decode_memo, encode_memo, Archive, MemoError, MEMO_FILE};
 use txstat::reports::archive_io::segments_of_from;
 use txstat::reports::{
-    generate, pipeline_from_archive, reduce_frames_labeled_into, reducer_from_archive,
-    render_report, reorg_data, summarize, write_archive, PipelineData, SegmentFormat,
-    SegmentSummary, ShardContext, SUMMARY_SCHEMA,
+    generate, pipeline_from_archive, reduce_frames_labeled_into, render_report, reorg_data,
+    streamed_from_archive, summarize, write_archive, PipelineData, SegmentFormat, SegmentSummary,
+    ShardContext, SUMMARY_SCHEMA,
 };
 use txstat::types::ids::fnv1a64;
 use txstat::wire::PayloadFormat;
@@ -245,7 +245,7 @@ fn every_truncation_and_bit_flip_is_rejected_whole_and_healed() {
     let dir = seal("damage");
     let path = dir.join(MEMO_FILE);
     let want = facts_of(&direct().0);
-    let (filled, _) = reducer_from_archive(&dir).expect("fill the memo");
+    let (filled, _) = streamed_from_archive(&dir).expect("fill the memo");
     assert_eq!(facts_of(&filled), want);
     let healthy = memo_bytes(&dir);
     let memo = Archive::open(&dir).expect("open").memo();
@@ -269,10 +269,10 @@ fn every_truncation_and_bit_flip_is_rejected_whole_and_healed() {
             "case {case} was partly trusted"
         );
         if case % 701 == 0 {
-            let (cold, _) = reducer_from_archive(&dir).expect("cold start over damage");
+            let (cold, _) = streamed_from_archive(&dir).expect("cold start over damage");
+            assert_eq!(facts_of(&cold), want, "case {case} changed the facts");
             let status = cold.memo_status().expect("status");
             assert_eq!((status.hits, status.memoized), (0, SEGMENTS), "case {case}");
-            assert_eq!(facts_of(&cold), want, "case {case} changed the facts");
             assert_eq!(memo_bytes(&dir), healthy, "case {case} not healed");
         }
     }
@@ -337,29 +337,25 @@ fn block_free_reducer_equals_eager_reducer_equals_one_shot() {
     // First over a fresh seal (every summary recomputed from segment
     // bytes), then over the memo that run left behind.
     for (round, hits) in [("memo absent", 0), ("memo present", SEGMENTS)] {
-        let (block_free, archive) = reducer_from_archive(&dir).expect("block-free cold start");
+        let (block_free, archive) = streamed_from_archive(&dir).expect("block-free cold start");
         assert_eq!(archive.segments().len(), SEGMENTS);
         assert!(block_free.eos_blocks.is_empty() && block_free.tezos_blocks.is_empty());
         assert!(block_free.xrp_blocks.is_empty());
         assert_eq!(block_free.longest_chain(), data.longest_chain());
-        assert_eq!(
-            block_free.memo_status().expect("status").hits,
-            hits,
-            "{round}"
-        );
         let reduced = reduce_frames_labeled_into(block_free, &labeled).expect("reduce");
         assert_eq!(
             &render_report(&reduced),
             report,
             "block-free reducer, {round}"
         );
+        assert_eq!(reduced.memo_status().expect("status").hits, hits, "{round}");
     }
     let (eager, _) = pipeline_from_archive(&dir).expect("eager cold start");
     let reduced = reduce_frames_labeled_into(eager, &labeled).expect("reduce");
     assert_eq!(&render_report(&reduced), report, "eager reducer");
 
     // Coverage is still checked against the manifest's chain lengths.
-    let (block_free, _) = reducer_from_archive(&dir).expect("block-free cold start");
+    let (block_free, _) = streamed_from_archive(&dir).expect("block-free cold start");
     let err = reduce_frames_labeled_into(block_free, &labeled[..3])
         .err()
         .expect("a missing tail must not reduce");
@@ -448,7 +444,10 @@ fn reorg_data_never_inherits_the_memo_source() {
 #[test]
 fn memo_bytes_are_pinned_for_small_seed_42() {
     let dir = seal("pin");
-    reducer_from_archive(&dir).expect("fill the memo");
+    streamed_from_archive(&dir)
+        .expect("fill the memo")
+        .0
+        .storage_stats();
     let bytes = memo_bytes(&dir);
     assert_eq!(SUMMARY_SCHEMA, 1, "new schema tag: re-record the pin below");
     assert_eq!(

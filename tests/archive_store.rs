@@ -22,8 +22,8 @@ use support::{mutations, synthetic_corpus, Count, Mutator};
 use txstat::archive::{Archive, ArchiveError, SegmentMeta, IDX_FILE, SEG_FILE};
 use txstat::ingest::{reduce_fleet, serve_assignments, FleetConfig};
 use txstat::reports::{
-    generate, pipeline_from_archive, reduce_frames_labeled_into, reducer_from_archive,
-    render_report, write_archive, PipelineData, SegmentFormat, ShardContext,
+    generate, pipeline_from_archive, reduce_frames_labeled_into, render_report,
+    streamed_from_archive, write_archive, PipelineData, SegmentFormat, ShardContext,
 };
 use txstat::wire::PayloadFormat;
 use txstat::workload::Scenario;
@@ -322,7 +322,7 @@ fn fleet_reduce_equals_report_archive_at_every_tiling() {
             for chunks in [1, 3, 8, n, n + 5] {
                 for aligned in [true, false] {
                     let case = format!("{tag}, {chunks} chunks, aligned {aligned}");
-                    let (block_free, _) = reducer_from_archive(&dir).expect("reducer cold start");
+                    let (block_free, _) = streamed_from_archive(&dir).expect("reducer cold start");
                     let mut cfg = FleetConfig::new(workers.clone());
                     cfg.chunks = chunks;
                     if aligned {

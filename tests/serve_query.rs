@@ -467,8 +467,8 @@ fn corpus_with_an_undecodable_last_segment(dir: &Path) {
 /// follower's advance into it fails (the session exits 2 with it) and the
 /// epoch before stands. With `/report` read at epoch 1 (the memo absent),
 /// the facts miss meets it first: the route answers 500 with it and is not
-/// cached, nor is any section rendered from then on; later the follower
-/// fails on it the same way.
+/// cached, nor is any section that reads the facts; a section that reads
+/// none is served and cached. Later the follower fails on it the same way.
 #[test]
 fn a_segment_that_does_not_decode_is_an_error_naming_it() {
     const NAMED: &str = "segment [2560, 2712) tezos columns";
@@ -487,10 +487,14 @@ fn a_segment_that_does_not_decode_is_an_error_naming_it() {
                 assert!(body.contains(NAMED), "{body}");
             }
             // The headline and Figure 1 read no facts and were rendered
-            // before Figure 2 met the failure; nothing rendered since is
-            // cached, nor is the report.
+            // before Figure 2 met the failure; Figure 2 is not cached, nor
+            // is the report.
             assert_eq!(service.snapshot().cached_responses(), 2);
-            assert_eq!(service.respond("GET", "/exhibit/fig4").status, 500);
+            let fig2 = service.respond("GET", "/exhibit/fig2");
+            let body = String::from_utf8_lossy(&fig2.body);
+            assert_eq!(fig2.status, 500, "{body}");
+            assert!(body.contains(NAMED), "{body}");
+            assert_eq!(service.respond("GET", "/exhibit/fig4").status, 200);
             assert_eq!(service.respond("GET", "/exhibit/headline").status, 200);
         }
         let failure = loop {

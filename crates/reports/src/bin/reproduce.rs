@@ -434,23 +434,6 @@ fn scenario_of(args: &Args) -> (Scenario, &'static str) {
     }
 }
 
-/// An archived corpus defines its own scenario; explicit `--small`/`--seed`
-/// flags alongside `--archive` must agree with the manifest (nothing is
-/// silently re-generated against different parameters).
-fn check_archive_scenario(args: &Args, meta: &serde_json::Value) -> Result<(), String> {
-    if args.has("--small") || args.int("--seed").is_some() {
-        let (sc, mode) = scenario_of(args);
-        if scenario_meta(&sc, mode) != *meta {
-            return Err(format!(
-                "--archive: the corpus does not hold the requested {mode} scenario \
-                 (seed {}); drop the scenario flags or point at a matching archive",
-                sc.seed
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// What a subcommand needs of its dataset, which picks the cheapest source
 /// that can give it.
 #[derive(Clone, Copy, PartialEq)]
@@ -491,7 +474,19 @@ fn open_dataset(args: &Args, archive_dir: Option<&str>, need: Need) -> Result<Op
                 .map(|(data, archive)| (data, Arc::new(archive)))?,
         };
         let manifest = Manifest::parse(archive.manifest())?;
-        check_archive_scenario(args, &manifest.meta)?;
+        // The corpus defines its own scenario: explicit `--small` / `--seed`
+        // must agree with its manifest (nothing is silently re-generated
+        // against different parameters).
+        if args.has("--small") || args.int("--seed").is_some() {
+            let (sc, mode) = scenario_of(args);
+            if scenario_meta(&sc, mode) != manifest.meta {
+                return Err(format!(
+                    "--archive: the corpus does not hold the requested {mode} scenario \
+                     (seed {}); drop the scenario flags or point at a matching archive",
+                    sc.seed
+                ));
+            }
+        }
         let (_, mode) = scenario_from_meta(&manifest.meta)?;
         // A fleet reducer's dataset has no sweeps until the fleet's arrive.
         let what = match args.get("--connect") {

@@ -367,7 +367,11 @@ impl PipelineData {
                 }
                 Some(memo) => {
                     let (sum, status) = memoized_summary(memo, |i, m| match &self.corpus {
-                        Some(corpus) => summarize_segment(corpus, i, m, &self.eos_cpu_price),
+                        Some(corpus) => {
+                            let (eos, tezos, xrp) = segment_chains(corpus, i)?;
+                            let cpu_price = run_of(&self.eos_cpu_price, m.start, m.end);
+                            Ok(summarize(m.start, &eos, &tezos, &xrp, cpu_price))
+                        }
                         None => Ok(self.summarize_range(m.start, m.end)),
                     })?;
                     if sum.lens() != self.lens() {
@@ -918,19 +922,6 @@ enum ColdStart {
     Blocks,
     /// No block: a follower or a shard worker streams the segments.
     Streamed,
-}
-
-/// [`summarize`] of segment `i` of `archive` (whose meta is `m`), decoded
-/// from its verified bytes; `cpu_price` is the whole EOS CPU-price history.
-fn summarize_segment(
-    archive: &Archive,
-    i: usize,
-    m: &SegmentMeta,
-    cpu_price: &[(u64, f64)],
-) -> Result<SegmentSummary, String> {
-    let (eos, tezos, xrp) = segment_chains(archive, i)?;
-    let cpu_price = run_of(cpu_price, m.start, m.end);
-    Ok(summarize(m.start, &eos, &tezos, &xrp, cpu_price))
 }
 
 /// Every archive cold start: the verified corpus, its manifest and the

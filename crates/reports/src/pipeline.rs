@@ -1677,9 +1677,9 @@ impl ShardContext {
     /// The range is swept in pieces that merge in position order, so the
     /// frames reduce to the same sweeps as one fold of the range. A dataset
     /// that holds its blocks is one piece. Over a corpus, a segment the
-    /// range covers whole is answered from that segment's swept state, filling it
-    /// on first use from one decode of the segment's verified bytes; a
-    /// segment the range cuts (a ragged edge) is decoded and its share
+    /// range covers whole is answered from that segment's swept state,
+    /// filled on first use from one decode of the segment's verified bytes;
+    /// a segment the range cuts (a ragged edge) is decoded and its share
     /// swept, and nothing of it is kept. `_shards` and `_payload` are
     /// ignored; they stay until the benchmark's layer harness stops
     /// passing them (ROADMAP 1(b)).

@@ -9,12 +9,14 @@
 //! worker decodes nothing.
 //!
 //! The table is keyed by segment *index* in the opened archive.
-//! [`Archive::open`](crate::Archive::open) reads `archive.seg` into memory
-//! and verifies every segment's content hash before it returns, and a
-//! worker decodes only from that in-memory copy, so segment `i`'s bytes
-//! cannot change under the table: a reorg that rewrites the file on disk
-//! is seen by the next open, never by this one. Nothing is evicted — a
-//! table holds at most one state per segment of its archive.
+//! [`Archive::open`](crate::Archive::open) verifies every segment's content
+//! hash before it returns, and
+//! [`Archive::decode_segment`](crate::Archive::decode_segment) checks the
+//! bytes it reads back against the same hash, so segment `i`'s bytes cannot
+//! change under the table: a reorg that rewrites the file on disk since the
+//! open fails the decode, typed, and is seen whole by the next open.
+//! Nothing is evicted — a table holds at most one state per segment of its
+//! archive.
 //!
 //! Accounting is exact and per-instance — [`SegmentStates::stats`]
 //! returns counters that tests can assert equalities on even though the

@@ -61,14 +61,19 @@
 //!
 //! [`Archive::open`] validates everything before returning: index magic,
 //! version, index hash, range contiguity, offset arithmetic, and every
-//! segment's content hash against the bytes actually on disk. Damaged or
-//! truncated files surface as typed [`ArchiveError`]s naming the exact
-//! segment and byte offset — never a panic, same discipline as the wire
-//! codec (`txstat_wire`) and the column codec (`txstat_types::colcodec`).
+//! segment's content hash against the bytes actually on disk. It keeps no
+//! segment byte: [`Archive::decode_segment`] reads the segment back from
+//! `archive.seg` and checks its hash again before decompressing it, so a
+//! segment rewritten on disk since the open is refused, never decoded.
+//! Damaged or truncated files surface as typed [`ArchiveError`]s naming
+//! the exact segment and byte offset — never a panic, same discipline as
+//! the wire codec (`txstat_wire`) and the column codec
+//! (`txstat_types::colcodec`).
 
 use std::fmt;
 use std::fs;
 use std::io::{Seek as _, SeekFrom, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, LazyLock};
 use txstat_telemetry::{par_map, registry, Counter, Span};
@@ -563,23 +568,29 @@ fn decode_index(
 
 // ---- reading ---------------------------------------------------------------
 
-/// A verified, opened archive. Compressed segment bytes stay mapped in
-/// memory; decoding (decompress + column decode) happens per segment on
-/// demand, so a shard worker cold-starting from disk pays replay cost only
-/// for the ranges it is actually assigned.
+/// A verified, opened archive. It holds `archive.seg` open, not its bytes:
+/// decoding (read back, re-hash, decompress, column decode) happens per
+/// segment on demand, so a shard worker cold-starting from disk pays
+/// replay cost only for the ranges it is actually assigned, and a process
+/// holds at most the segments it is decoding.
 #[derive(Debug, Clone)]
 pub struct Archive {
     dir: PathBuf,
     manifest: String,
     sidecar: Vec<u8>,
     segments: Vec<SegmentMeta>,
-    seg_bytes: Vec<u8>,
+    /// `archive.seg`, read by position (a clone shares the handle); `None`
+    /// only for an archive of no segments whose segment file cannot be
+    /// opened.
+    seg_file: Option<Arc<fs::File>>,
+    /// Its length at open, which the segments were verified to tile.
+    seg_len: u64,
 }
 
 impl Archive {
     /// Open and fully verify the archive at `dir`: index hash, range and
     /// offset arithmetic, segment-file length, and every segment's content
-    /// hash. Nothing is decompressed yet.
+    /// hash. Nothing is decompressed yet, and no segment byte is kept.
     pub fn open(dir: &Path) -> Result<Archive, ArchiveError> {
         let _span = Span::enter("archive_open", &dir.display().to_string());
         let idx_path = dir.join(IDX_FILE);
@@ -594,57 +605,74 @@ impl Archive {
         };
         let (manifest, sidecar, segments) = decode_index(&idx_path, &idx_bytes)?;
         let seg_path = dir.join(SEG_FILE);
-        let seg_bytes = if segments.is_empty() {
-            fs::read(&seg_path).unwrap_or_default()
-        } else {
-            fs::read(&seg_path).map_err(io_err(&seg_path, "read"))?
+        let (seg_file, seg_len) = match open_seg_file(&seg_path) {
+            Ok((file, len)) => (Some(Arc::new(file)), len),
+            Err(_) if segments.is_empty() => (None, 0),
+            Err(e) => return Err(e),
         };
         let archive = Archive {
             dir: dir.to_owned(),
             manifest,
             sidecar,
             segments,
-            seg_bytes,
+            seg_file,
+            seg_len,
         };
         archive.verify()?;
         Ok(archive)
     }
 
-    /// Re-check every segment's bounds and content hash against the
-    /// in-memory segment bytes.
+    /// Check every segment's bounds against the segment file's length and
+    /// its content hash against the bytes on disk, one segment at a time
+    /// through one reused buffer, then that nothing trails the last one.
     fn verify(&self) -> Result<(), ArchiveError> {
         let _span = Span::enter("archive_verify", "");
-        let file_len = self.seg_bytes.len() as u64;
+        let mut buf = Vec::new();
         let mut accounted = 0u64;
         for (i, s) in self.segments.iter().enumerate() {
             let need = s.offset + s.comp_len;
-            if need > file_len {
+            if need > self.seg_len {
                 return Err(ArchiveError::SegTruncated {
                     segment: i,
                     offset: s.offset,
                     need,
-                    have: file_len,
+                    have: self.seg_len,
                 });
             }
-            let bytes = &self.seg_bytes[s.offset as usize..need as usize];
-            let found = fnv1a64(bytes);
-            if found != s.hash {
-                return Err(ArchiveError::SegHashMismatch {
-                    segment: i,
-                    offset: s.offset,
-                    expected: s.hash,
-                    found,
-                });
-            }
+            self.read_segment(i, &mut buf)?;
+            check_hash(s, i, &buf)?;
             accounted = need;
         }
-        if accounted != file_len {
+        if accounted != self.seg_len {
             return Err(ArchiveError::SegTrailingBytes {
                 expected: accounted,
-                found: file_len,
+                found: self.seg_len,
             });
         }
         Ok(())
+    }
+
+    /// Read segment `i`'s compressed bytes from `archive.seg` into `buf`
+    /// (resized to them). A file cut short since the open is
+    /// [`ArchiveError::SegTruncated`] naming the segment.
+    fn read_segment(&self, i: usize, buf: &mut Vec<u8>) -> Result<(), ArchiveError> {
+        let s = &self.segments[i];
+        let truncated = |have: u64| ArchiveError::SegTruncated {
+            segment: i,
+            offset: s.offset,
+            need: s.offset + s.comp_len,
+            have,
+        };
+        let file = self.seg_file.as_ref().ok_or_else(|| truncated(0))?;
+        // Bounded by the file length the open checked `need` against.
+        buf.resize(s.comp_len as usize, 0);
+        file.read_exact_at(buf, s.offset).map_err(|err| {
+            if err.kind() == std::io::ErrorKind::UnexpectedEof {
+                truncated(file.metadata().map_or(0, |m| m.len()))
+            } else {
+                io_err(&self.dir.join(SEG_FILE), "read")(err)
+            }
+        })
     }
 
     pub fn dir(&self) -> &Path {
@@ -693,11 +721,18 @@ impl Archive {
     pub fn decode_segment(&self, i: usize) -> Result<SegmentBlocks, ArchiveError> {
         let _span = Span::enter("archive_replay", "segment");
         let meta = self.segments[i];
-        let bytes = &self.seg_bytes[meta.offset as usize..(meta.offset + meta.comp_len) as usize];
+        let mut bytes = Vec::new();
+        self.read_segment(i, &mut bytes)?;
+        {
+            // The open verified these bytes, but the file may have been
+            // rewritten since (a reorg re-seal): check them again.
+            let _span = Span::enter("archive_verify", "segment");
+            check_hash(&meta, i, &bytes)?;
+        }
         // `raw_len` comes from the index: the decoder allocates it once
         // and fails the moment the stream would decode past it.
         let raw_len = usize::try_from(meta.raw_len).unwrap_or(usize::MAX);
-        let raw = lzss::decompress(bytes, raw_len).map_err(|e| ArchiveError::SegCorrupt {
+        let raw = lzss::decompress(&bytes, raw_len).map_err(|e| ArchiveError::SegCorrupt {
             segment: i,
             offset: meta.offset,
             at: match e {
@@ -748,9 +783,36 @@ impl Archive {
             sidecar: self.sidecar,
             segments: self.segments,
             seg_file: file,
-            seg_len: self.seg_bytes.len() as u64,
+            seg_len: self.seg_len,
         })
     }
+}
+
+/// Open `archive.seg` for positioned reads, with its length. A failure is
+/// the `read` failure loading the file whole would have been.
+fn open_seg_file(path: &Path) -> Result<(fs::File, u64), ArchiveError> {
+    let file = fs::File::open(path).map_err(io_err(path, "read"))?;
+    let meta = file.metadata().map_err(io_err(path, "read"))?;
+    if meta.is_dir() {
+        let err = std::io::Error::from(std::io::ErrorKind::IsADirectory);
+        return Err(io_err(path, "read")(err));
+    }
+    Ok((file, meta.len()))
+}
+
+/// Check one segment's compressed bytes against the hash its index entry
+/// records.
+fn check_hash(meta: &SegmentMeta, i: usize, bytes: &[u8]) -> Result<(), ArchiveError> {
+    let found = fnv1a64(bytes);
+    if found != meta.hash {
+        return Err(ArchiveError::SegHashMismatch {
+            segment: i,
+            offset: meta.offset,
+            expected: meta.hash,
+            found,
+        });
+    }
+    Ok(())
 }
 
 // ---- writing ---------------------------------------------------------------
@@ -1074,6 +1136,39 @@ mod tests {
             Archive::open(&dir),
             Err(ArchiveError::Missing { .. })
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_segment_rewritten_after_open_is_refused_at_decode() {
+        let dir = tmpdir("rewritten");
+        let mut w = ArchiveWriter::create(&dir, "m", b"").unwrap();
+        for &(a, b) in &[(0, 8), (8, 16)] {
+            w.append(&seg(a, b)).unwrap();
+        }
+        w.seal().unwrap();
+        let a = Archive::open(&dir).unwrap();
+
+        // Flip one byte of segment 1 in place, under the open archive.
+        let offset = a.segments()[1].offset;
+        let file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(dir.join(SEG_FILE))
+            .unwrap();
+        let mut byte = [0u8];
+        file.read_exact_at(&mut byte, offset + 1).unwrap();
+        file.write_all_at(&[byte[0] ^ 0x01], offset + 1).unwrap();
+
+        match a.decode_segment(1) {
+            Err(ArchiveError::SegHashMismatch {
+                segment: 1,
+                offset: at,
+                ..
+            }) => assert_eq!(at, offset),
+            other => panic!("expected SegHashMismatch, got {other:?}"),
+        }
+        assert_eq!(a.decode_segment(0).unwrap(), seg(0, 8));
         fs::remove_dir_all(&dir).unwrap();
     }
 

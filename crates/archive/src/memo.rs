@@ -220,8 +220,8 @@ pub fn decode_memo(bytes: &[u8], schema: u32) -> Result<HashMap<u64, &[u8]>, Mem
 
 /// The memo-facing identity of an opened archive: where it lives and which
 /// segments are live. Detached from [`crate::Archive`] on purpose — a
-/// dataset keeps this handle for facts it computes lazily without pinning
-/// the archive's mapped segment bytes.
+/// dataset keeps this handle for facts it computes lazily without keeping
+/// the archive's segment file open.
 #[derive(Debug, Clone)]
 pub struct SegmentMemo {
     pub(crate) dir: PathBuf,

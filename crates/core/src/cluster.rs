@@ -5,13 +5,27 @@
 //! username, if available, plus the suffix 'descendant'").
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
+use txstat_types::intern::FxHashMap;
 use txstat_xrp::AccountId;
 
 /// Account metadata index (built from the XRP-Scan-equivalent responses).
 #[derive(Debug, Clone, Default)]
 pub struct ClusterInfo {
-    usernames: HashMap<AccountId, String>,
-    parents: HashMap<AccountId, AccountId>,
+    usernames: FxHashMap<AccountId, String>,
+    parents: FxHashMap<AccountId, AccountId>,
+    /// The entity labels, resolved on first use ([`Self::entity_names`]);
+    /// `insert` forgets them.
+    entities: OnceLock<Entities>,
+}
+
+/// Every entity label of a cluster, each stored once, indexed by the
+/// username it is made of: the registered account's own label, and its
+/// descendants'.
+#[derive(Debug, Clone, Default)]
+struct Entities {
+    names: Vec<String>,
+    by_root: FxHashMap<(AccountId, bool), usize>,
 }
 
 impl ClusterInfo {
@@ -31,6 +45,7 @@ impl ClusterInfo {
         if let Some(p) = parent {
             self.parents.insert(account, p);
         }
+        self.entities.take();
     }
 
     pub fn username(&self, account: AccountId) -> Option<&str> {
@@ -62,22 +77,69 @@ impl ClusterInfo {
     /// Entity label: username; else nearest ancestor's username plus
     /// " -- descendant" (walking up to 4 activation hops); else `None`.
     pub fn entity(&self, account: AccountId) -> Option<String> {
-        if let Some(u) = self.username(account) {
-            return Some(u.to_owned());
+        self.labelled_by(account).map(|root| self.label(root))
+    }
+
+    /// The account whose username labels `account`'s entity, and whether
+    /// it is an ancestor ([`Self::entity`] without the label).
+    fn labelled_by(&self, account: AccountId) -> Option<(AccountId, bool)> {
+        if self.usernames.contains_key(&account) {
+            return Some((account, false));
         }
         let mut cur = account;
         for _ in 0..4 {
             cur = self.parent(cur)?;
-            if let Some(u) = self.username(cur) {
-                return Some(format!("{u} -- descendant"));
+            if self.usernames.contains_key(&cur) {
+                return Some((cur, true));
             }
         }
         None
     }
 
+    fn label(&self, (root, descendant): (AccountId, bool)) -> String {
+        let username = &self.usernames[&root];
+        if descendant {
+            format!("{username} -- descendant")
+        } else {
+            username.clone()
+        }
+    }
+
     /// Entity label with a fallback bucket for unknown accounts.
     pub fn entity_or(&self, account: AccountId, fallback: &str) -> String {
         self.entity(account).unwrap_or_else(|| fallback.to_owned())
+    }
+
+    /// Every distinct entity label, built once per cluster: two usernames
+    /// whose labels spell the same string are one entity, as they are to
+    /// [`Self::entity`]. [`Self::entity_index`] indexes it.
+    pub(crate) fn entity_names(&self) -> &[String] {
+        &self.entities().names
+    }
+
+    /// The index of `account`'s entity label in [`Self::entity_names`]:
+    /// [`Self::entity`] with no label built.
+    pub(crate) fn entity_index(&self, account: AccountId) -> Option<usize> {
+        let root = self.labelled_by(account)?;
+        Some(self.entities().by_root[&root])
+    }
+
+    fn entities(&self) -> &Entities {
+        self.entities.get_or_init(|| {
+            let mut by_label: HashMap<String, usize> = HashMap::new();
+            let mut entities = Entities::default();
+            for &account in self.usernames.keys() {
+                for root in [(account, false), (account, true)] {
+                    let next = entities.names.len();
+                    let id = *by_label.entry(self.label(root)).or_insert_with_key(|name| {
+                        entities.names.push(name.clone());
+                        next
+                    });
+                    entities.by_root.insert(root, id);
+                }
+            }
+            entities
+        })
     }
 
     /// Every registered `(account, username)` pair, sorted by account id —

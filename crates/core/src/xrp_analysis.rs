@@ -510,16 +510,27 @@ impl XrpSweep {
 
     /// Figure 12: the entity-level value flows.
     pub fn value_flow(&self, cluster: &ClusterInfo) -> ValueFlowReport {
-        // Deterministic account order before the f64 entity aggregation.
+        // Deterministic account order before the f64 entity aggregation:
+        // one sum per entity index, the fallback bucket's after them (or
+        // an entity's, if one carries the fallback's label).
+        let names = cluster.entity_names();
         let by_entity = |drops: &HashMap<AccountId, i128>, fallback: &str| {
             let mut accounts: Vec<(&AccountId, &i128)> = drops.iter().collect();
             accounts.sort_by_key(|(a, _)| **a);
-            let mut m: HashMap<String, f64> = HashMap::new();
+            let other = names
+                .iter()
+                .position(|n| n == fallback)
+                .unwrap_or(names.len());
+            let mut sums: Vec<Option<f64>> = vec![None; names.len() + 1];
             for (a, d) in accounts {
-                let e = cluster.entity_or(*a, fallback);
-                *m.entry(e).or_insert(0.0) += *d as f64 / DROPS_PER_XRP as f64;
+                let e = cluster.entity_index(*a).unwrap_or(other);
+                *sums[e].get_or_insert(0.0) += *d as f64 / DROPS_PER_XRP as f64;
             }
-            let mut v: Vec<(String, f64)> = m.into_iter().collect();
+            let label = |e: usize| names.get(e).map_or(fallback, String::as_str).to_owned();
+            let mut v: Vec<(String, f64)> = (0..)
+                .zip(sums)
+                .filter_map(|(e, sum)| Some((label(e), sum?)))
+                .collect();
             v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
             v
         };
@@ -857,6 +868,49 @@ mod tests {
         let gko = flow.currencies.iter().find(|c| c.0 == "GKO").unwrap();
         assert!((gko.1 - 999.0).abs() < 1e-9, "nominal counted");
         assert_eq!(gko.3, 0.0, "no valuable volume");
+    }
+
+    /// The entity sums resolved through the cluster's kept index equal a
+    /// fold that labels every account afresh with `entity_or`: descendants,
+    /// unknown accounts, an entity that carries the fallback's label, and a
+    /// cluster that learns an account after its index was resolved.
+    #[test]
+    fn value_flow_sums_entities_as_per_account_labels_do() {
+        let mut cluster = ClusterInfo::new();
+        cluster.insert(AccountId(1), Some("Binance".into()), None);
+        cluster.insert(AccountId(2), None, Some(AccountId(1)));
+        cluster.insert(AccountId(3), None, Some(AccountId(2)));
+        cluster.insert(AccountId(4), Some("Other senders".into()), None);
+        cluster.insert(AccountId(5), None, Some(AccountId(9)));
+        let txs = (1..=8)
+            .map(|a| xrp_payment(a, 9 - a, 100 * a as i64 + 7, TxResult::Success))
+            .collect();
+        let sweep = XrpSweep::compute(&[block(1, txs)], period(), &oracle_with_usd());
+        let reference = |cluster: &ClusterInfo, drops: &HashMap<AccountId, i128>, fallback| {
+            let mut accounts: Vec<_> = drops.iter().collect();
+            accounts.sort_by_key(|(a, _)| **a);
+            let mut m: HashMap<String, f64> = HashMap::new();
+            for (a, d) in accounts {
+                *m.entry(cluster.entity_or(*a, fallback)).or_insert(0.0) +=
+                    *d as f64 / DROPS_PER_XRP as f64;
+            }
+            let mut v: Vec<(String, f64)> = m.into_iter().collect();
+            v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            v
+        };
+        for round in 0..2 {
+            let flow = sweep.value_flow(&cluster);
+            let senders = reference(&cluster, &sweep.sender_drops, "Other senders");
+            let receivers = reference(&cluster, &sweep.receiver_drops, "Other receivers");
+            assert_eq!(flow.top_senders, senders, "round {round}");
+            assert_eq!(flow.top_receivers, receivers, "round {round}");
+            cluster.insert(AccountId(8), Some("Bitstamp".into()), None);
+        }
+        assert!(sweep
+            .value_flow(&cluster)
+            .top_senders
+            .iter()
+            .any(|(e, _)| e == "Bitstamp"));
     }
 
     #[test]

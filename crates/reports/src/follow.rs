@@ -30,7 +30,11 @@
 //! needs it. Paper scale, `serve --archive --batch 256 --epoch-ms 0` on 2
 //! vCPUs, 10 alternating runs: the process's VmHWM at head went from
 //! 239–240 MB to 43–50 MB, and the median spawn → head from 610 to 464 ms
-//! (decoding only on a miss, the window had taken 637–654 ms).
+//! (decoding only on a miss, the window had taken 637–654 ms). Once
+//! [`Archive`] stopped holding the 14 MB `archive.seg` (it reads each
+//! segment's bytes when the window decodes it) the VmHWM at head went from
+//! 41–45 MB to 29–31 MB (median 42.3 → 29.0 MB), spawn → head unchanged
+//! (medians 456 and 472 ms, both 393–514 ms).
 //!
 //! Both sources go through the same check: per chain, the number of the
 //! last block folded (the high-water mark) is carried across runs and

@@ -19,18 +19,17 @@ mod support;
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use support::fixture::small;
 use support::{mutations, Count, Mutator};
 use txstat::archive::{decode_memo, encode_memo, Archive, MemoError, MEMO_FILE};
 use txstat::reports::archive_io::segments_of_from;
 use txstat::reports::{
-    generate, pipeline_from_archive, reduce_frames_labeled_into, render_report, reorg_data,
+    pipeline_from_archive, reduce_frames_labeled_into, render_report, reorg_data,
     streamed_from_archive, summarize, write_archive, PipelineData, SegmentFormat, SegmentSummary,
     ShardContext, SUMMARY_SCHEMA,
 };
 use txstat::types::ids::fnv1a64;
 use txstat::wire::PayloadFormat;
-use txstat::workload::Scenario;
 
 /// Segment size every corpus here is sealed at: 11 segments over the 2712
 /// positions of the small preset.
@@ -39,18 +38,13 @@ const SEGMENTS: usize = 11;
 
 /// The generated dataset and its one-shot report (generation and the
 /// sweeps dominate this suite's cost, so they are paid once).
-fn direct() -> &'static (PipelineData, String) {
-    static DIRECT: OnceLock<(PipelineData, String)> = OnceLock::new();
-    DIRECT.get_or_init(|| {
-        let data = generate(&Scenario::small(42));
-        let report = render_report(&data);
-        (data, report)
-    })
+fn direct() -> (&'static PipelineData, &'static str) {
+    (&small(42).data, small(42).report())
 }
 
 fn seal(tag: &str) -> PathBuf {
     let dir = support::tempdir("archive-memo", tag);
-    let stats = write_archive(&dir, &direct().0, "small", SEGMENT_BLOCKS, SegmentFormat)
+    let stats = write_archive(&dir, direct().0, "small", SEGMENT_BLOCKS, SegmentFormat)
         .expect("seal corpus");
     assert_eq!(stats.segments, SEGMENTS);
     assert!(
@@ -244,7 +238,7 @@ fn report_bytes_are_identical_in_every_memo_state() {
 fn every_truncation_and_bit_flip_is_rejected_whole_and_healed() {
     let dir = seal("damage");
     let path = dir.join(MEMO_FILE);
-    let want = facts_of(&direct().0);
+    let want = facts_of(direct().0);
     let (filled, _) = streamed_from_archive(&dir).expect("fill the memo");
     assert_eq!(facts_of(&filled), want);
     let healthy = memo_bytes(&dir);
@@ -291,7 +285,7 @@ proptest! {
         octets in 0u64..87,
         rest in 1u64..8,
     ) {
-        let data = &direct().0;
+        let data = direct().0;
         let size = octets * 8 + rest;
         prop_assert!((1..700).contains(&size) && size % 8 != 0);
         let run = |lo: u64, hi: u64| {

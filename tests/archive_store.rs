@@ -16,17 +16,17 @@ mod support;
 
 use std::net::TcpListener;
 use std::path::Path;
-use std::sync::OnceLock;
 use std::time::Duration;
+use support::fixture::small;
+use support::paths::{self, Path::OneShot, Source::Archived};
 use support::{mutations, synthetic_corpus, Count, Mutator};
 use txstat::archive::{Archive, ArchiveError, SegmentMeta, IDX_FILE, SEG_FILE};
 use txstat::ingest::{reduce_fleet, serve_assignments, FleetConfig};
 use txstat::reports::{
-    generate, pipeline_from_archive, reduce_frames_labeled_into, render_report,
-    streamed_from_archive, write_archive, PipelineData, SegmentFormat, ShardContext,
+    pipeline_from_archive, reduce_frames_labeled_into, render_report, streamed_from_archive,
+    write_archive, SegmentFormat, ShardContext,
 };
 use txstat::wire::PayloadFormat;
-use txstat::workload::Scenario;
 
 /// Open + fully replay, collapsing both phases into one result.
 fn open_and_replay(dir: &Path) -> Result<usize, ArchiveError> {
@@ -94,46 +94,19 @@ fn any_single_bit_flip_is_detected() {
     });
 }
 
-/// The direct dataset and its one-shot report, computed once for every
-/// round-trip case below (generation dominates the test's cost).
-fn direct() -> &'static (PipelineData, String) {
-    static DIRECT: OnceLock<(PipelineData, String)> = OnceLock::new();
-    DIRECT.get_or_init(|| {
-        let data = generate(&Scenario::small(23));
-        let report = render_report(&data);
-        (data, report)
-    })
-}
-
 /// Archive → cold-start → report is byte-identical to the direct
-/// pipeline at random segment sizes (a hand-rolled property: generation
-/// dominates the cost, so the dataset is shared and the case count
-/// stays small — three deterministically drawn sizes plus the edges).
+/// pipeline at random segment sizes: the path matrix's one-shot cell of
+/// small seed 23 sealed at three deterministically drawn sizes plus the
+/// edges (a hand-rolled property: generation dominates the cost, so the
+/// dataset is shared and the case count stays small).
 #[test]
 fn cold_start_report_is_byte_identical_at_any_segment_size() {
     let mut rng = proptest::new_rng(proptest::base_seed() ^ proptest::fnv("archive-roundtrip"));
     let mut draw = move || proptest::Strategy::generate(&(1u64..4000), &mut rng);
     let drawn: Vec<u64> = (0..3).map(|_| draw()).collect();
-    let (data, report) = direct();
+    assert_eq!(small(23).data.longest_chain(), 2712); // longest small chain (tezos)
     for segment_blocks in drawn.into_iter().chain([1, 2712, 4096]) {
-        let dir = support::tempdir("archive-store", &format!("roundtrip-{segment_blocks}"));
-        let stats = write_archive(&dir, data, "small", segment_blocks, SegmentFormat)
-            .expect("write archive");
-        assert_eq!(stats.total_positions, 2712); // longest small chain (tezos)
-        let expect_segments = 2712_u64.div_ceil(segment_blocks);
-        assert_eq!(stats.segments as u64, expect_segments);
-
-        let (replayed, archive) = pipeline_from_archive(&dir).expect("cold start");
-        assert_eq!(archive.segments().len() as u64, expect_segments);
-        assert_eq!(replayed.eos_blocks.len(), data.eos_blocks.len());
-        assert_eq!(replayed.tezos_blocks.len(), data.tezos_blocks.len());
-        assert_eq!(replayed.xrp_blocks.len(), data.xrp_blocks.len());
-        let cold = render_report(&replayed);
-        assert_eq!(
-            &cold, report,
-            "cold-started report differs at segment size {segment_blocks}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        paths::check(Archived(segment_blocks), OneShot, 23);
     }
 }
 
@@ -141,7 +114,7 @@ fn cold_start_report_is_byte_identical_at_any_segment_size() {
 /// deterministic-export property every content hash depends on.
 #[test]
 fn archive_writes_are_deterministic() {
-    let (data, _) = direct();
+    let data = &small(23).data;
     let a = support::tempdir("archive-store", "det-a");
     let b = support::tempdir("archive-store", "det-b");
     write_archive(&a, data, "small", 321, SegmentFormat).expect("write a");
@@ -172,14 +145,8 @@ fn archive_writes_are_deterministic() {
         (7, (425879, 0x1db65738c1a56ece), (15152, 0xa23592116d98cd80)),
     ] {
         let dir = support::tempdir("archive-store", &format!("pin-{seed}"));
-        write_archive(
-            &dir,
-            &generate(&Scenario::small(seed)),
-            "small",
-            256,
-            SegmentFormat,
-        )
-        .expect("write pinned corpus");
+        write_archive(&dir, &small(seed).data, "small", 256, SegmentFormat)
+            .expect("write pinned corpus");
         let pin = |name: &str| {
             let bytes = std::fs::read(dir.join(name)).expect("read pinned file");
             (bytes.len(), txstat::types::ids::fnv1a64(&bytes))
@@ -308,11 +275,11 @@ fn spawn_archived_worker(dir: &Path) -> String {
 #[test]
 fn fleet_reduce_equals_report_archive_at_every_tiling() {
     for seed in [1, 7, 42] {
-        let data = generate(&Scenario::small(seed));
+        let data = &small(seed).data;
         for segment_blocks in [64, 128, 256] {
             let tag = format!("fleet-{seed}-{segment_blocks}");
             let dir = support::tempdir("archive-store", &tag);
-            write_archive(&dir, &data, "small", segment_blocks, SegmentFormat).expect("seal");
+            write_archive(&dir, data, "small", segment_blocks, SegmentFormat).expect("seal");
             let (replayed, archive) = pipeline_from_archive(&dir).expect("cold start");
             let report = render_report(&replayed);
             let n = archive.segments().len();
@@ -360,12 +327,11 @@ fn generated_and_archived_contexts_frame_every_chunk_alike() {
     use txstat::wire::encode_all;
     let pin = |bytes: &[u8]| (bytes.len(), fnv1a64(bytes));
 
-    let sc = Scenario::small(7);
-    let generated = ShardContext::new(&sc);
+    let generated = ShardContext::from(small(7).fresh());
     let dir = support::tempdir("archive-store", "cross-source");
-    write_archive(&dir, &generate(&sc), "small", 128, SegmentFormat).expect("seal");
+    write_archive(&dir, &small(7).data, "small", 128, SegmentFormat).expect("seal");
     let (archived, _) = ShardContext::from_archive(&dir).expect("cold start");
-    let meta = scenario_meta(&sc, "small");
+    let meta = scenario_meta(&small(7).data.scenario, "small");
     let bundle = |ctx: &ShardContext, start: u64, end: u64| {
         let frames = ctx.frames(meta.clone(), start, end, 1, PayloadFormat::Bin);
         encode_all(&frames.expect("the context sweeps"))

@@ -19,14 +19,14 @@ mod support;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
+use support::fixture::small;
 use support::rows::{all_payload_rows, block_rows, payloads, Window};
 use support::{walk_some, Mutator};
 use txstat::archive::{Archive, ArchiveError, IDX_FILE, SEG_FILE};
 use txstat::eos::rpc_model as eos_rpc;
-use txstat::reports::{generate, write_archive, PipelineData, SegmentFormat, ShardContext};
+use txstat::reports::{write_archive, PipelineData, SegmentFormat, ShardContext};
 use txstat::tezos::rpc_model as tezos_rpc;
 use txstat::wire::PayloadFormat;
-use txstat::workload::Scenario;
 use txstat::xrp::rpc_model as xrp_rpc;
 
 #[global_allocator]
@@ -34,8 +34,7 @@ static WATCH: support::Watch = support::Watch;
 
 /// The shared direct dataset (generation dominates test cost).
 fn direct() -> &'static PipelineData {
-    static DIRECT: OnceLock<PipelineData> = OnceLock::new();
-    DIRECT.get_or_init(|| generate(&Scenario::small(23)))
+    &small(23).data
 }
 
 /// A `len`-bounded window of `blocks` whose start is drawn by fraction,

@@ -11,21 +11,23 @@
 //!   from-scratch sweep of the reorged chain — across random batch sizes,
 //!   reorg depths, seeds, and snapshot windows.
 
+mod support;
+
 use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use txstat::ingest::{reduce_fleet, serve_assignments, FleetConfig, FleetError};
 use txstat::netsim::{spawn_chaos_proxy, ChaosProfile};
+use support::fixture::{small, Fixture};
 use txstat::reports::{
-    generate, reduce_frames_labeled_into, render_report, reorg_data, scenario_meta, Follower,
-    PipelineData, ShardContext,
+    reduce_frames_labeled_into, render_report, reorg_data, scenario_meta, Follower, ShardContext,
 };
 use txstat::wire::PayloadFormat;
-use txstat::workload::Scenario;
 
-fn sc() -> Scenario {
-    Scenario::small(7)
+/// Small seed 7: the dataset reorgs are cut from and its one-shot report.
+fn data0() -> &'static Fixture {
+    small(7)
 }
 
 /// The worker-side chain state, built once and shared by every spawned
@@ -33,19 +35,7 @@ fn sc() -> Scenario {
 /// derive from the scenario seed).
 fn ctx() -> &'static Arc<ShardContext> {
     static CTX: OnceLock<Arc<ShardContext>> = OnceLock::new();
-    CTX.get_or_init(|| Arc::new(ShardContext::new(&sc())))
-}
-
-/// The read-only dataset reorgs are cut from (sweeps never installed).
-fn data0() -> &'static PipelineData {
-    static DATA: OnceLock<PipelineData> = OnceLock::new();
-    DATA.get_or_init(|| generate(&sc()))
-}
-
-/// What one single-process `report` run renders for the scenario.
-fn baseline() -> &'static String {
-    static BASE: OnceLock<String> = OnceLock::new();
-    BASE.get_or_init(|| render_report(&generate(&sc())))
+    CTX.get_or_init(|| Arc::new(ShardContext::from(data0().fresh())))
 }
 
 /// Spawn one real socket worker on an ephemeral port. The accept loop is
@@ -71,7 +61,7 @@ fn spawn_worker() -> String {
 #[test]
 fn chaotic_fleet_converges_byte_identically_or_fails_typed() {
     let total = ctx().total_blocks();
-    let meta = scenario_meta(&sc(), "small");
+    let meta = scenario_meta(&data0().data.scenario, "small");
     let grid: [(f64, f64, f64); 8] = [
         (0.0, 0.0, 0.0),    // clean — must converge
         (0.05, 0.02, 0.02), // the acceptance profile
@@ -117,11 +107,11 @@ fn chaotic_fleet_converges_byte_identically_or_fails_typed() {
             Ok(labeled) => {
                 // The reducer re-validates overlap + coverage, so an Ok
                 // that merges is proof no range was silently dropped.
-                let data = reduce_frames_labeled_into(generate(&sc()), &labeled)
+                let data = reduce_frames_labeled_into(data0().fresh(), &labeled)
                     .unwrap_or_else(|e| panic!("case {i}: fleet Ok but merge failed: {e}"));
                 assert_eq!(
-                    &render_report(&data),
-                    baseline(),
+                    render_report(&data),
+                    data0().report(),
                     "case {i}: fleet report diverged from the single-process report"
                 );
                 converged += 1;
@@ -161,7 +151,7 @@ proptest! {
         rseed in 1u64..1_000_000,
         window in 2usize..12,
     ) {
-        let mut follower = Follower::new(generate(&sc()), batch).with_reorg_guard(window);
+        let mut follower = Follower::new(data0().fresh(), batch).with_reorg_guard(window);
         while !follower.head() {
             follower.advance().expect("advance");
         }
@@ -170,7 +160,12 @@ proptest! {
         prop_assert_eq!(sealed, total.div_ceil(batch), "one mark per batch");
 
         let from = total.saturating_sub(depth);
-        let r = follower.resync(reorg_data(data0(), from, rseed));
+        let reorged = reorg_data(&data0().data, from, rseed);
+        // The from-scratch report, rendered before the follower adopts the
+        // reorged dataset: its facts are of the reorged blocks alone, so the
+        // follower's epochs share them and only the sweeps are its own.
+        let from_scratch = render_report(&reorged);
+        let r = follower.resync(reorged);
         prop_assert_eq!(r.agreed + r.invalidated, sealed, "{:?}", r);
         // Every mark before the one holding `from` still agrees.
         prop_assert_eq!(r.agreed, from / batch, "{:?}", r);
@@ -192,7 +187,7 @@ proptest! {
         }
         prop_assert_eq!(
             render_report(&followed),
-            render_report(&reorg_data(data0(), from, rseed)),
+            from_scratch,
             "followed report differs from a from-scratch sweep (from={}, seed={})",
             from,
             rseed

@@ -3,20 +3,16 @@
 //! acceptance bands (the same bands every report's comparison tail prints;
 //! root README, "Figure 2 methodology").
 
-use txstat::reports::{comparison, generate, render_report, ComparisonRow};
+mod support;
+
+use support::fixture::{fixture, Fixture, Scale};
+use txstat::reports::{comparison, generate, ComparisonRow};
 use txstat::workload::{tezos::build_tezos, xrp::build_xrp, Scenario};
 
 /// Full 92-day window at a lighter scale than the paper preset, so the
-/// test runs in debug builds too.
-fn medium() -> Scenario {
-    let mut sc = Scenario::paper(42);
-    sc.eos_divisor = 5_000.0;
-    sc.xrp_divisor = 5_000.0;
-    sc.tezos_divisor = 40.0;
-    sc.eos_block_secs = 900;
-    sc.tezos_block_secs = 1800;
-    sc.xrp_close_secs = 7200;
-    sc
+/// test runs in debug builds too: generated once for the suite.
+fn medium() -> &'static Fixture {
+    fixture(Scale::Medium, 42)
 }
 
 /// One line per out-of-band row, for the failure messages.
@@ -35,8 +31,8 @@ fn describe(misses: &[&ComparisonRow]) -> String {
 
 #[test]
 fn headline_metrics_land_in_their_bands() {
-    let data = generate(&medium());
-    let rows = comparison(&data);
+    let data = &medium().data;
+    let rows = comparison(data);
     assert!(rows.len() >= 25, "comparison coverage: {} rows", rows.len());
     // The rows that miss at this scale, each with its reason; any other
     // excursion fails. The paper-scale run lands every row
@@ -106,8 +102,7 @@ fn paper_scale_lands_every_band() {
 
 #[test]
 fn figure1_shares_hold_at_medium_scale() {
-    let sc = medium();
-    let data = generate(&sc);
+    let data = &medium().data;
     use txstat::core::eos_analysis;
     let sweeps = data.sweeps();
 
@@ -151,8 +146,7 @@ fn figure1_shares_hold_at_medium_scale() {
 
 #[test]
 fn exhibits_render_without_panic_and_mention_key_actors() {
-    let data = generate(&medium());
-    let text = render_report(&data);
+    let text = medium().report();
     for needle in [
         "Figure 1",
         "Figure 2",
@@ -189,7 +183,7 @@ fn exhibits_render_without_panic_and_mention_key_actors() {
 /// at commit ce575e6, before the generator was optimised.
 #[test]
 fn medium_corpus_bytes_and_chain_audits_are_pinned() {
-    let report = render_report(&generate(&medium()));
+    let report = medium().report();
     assert_eq!(
         (report.len(), txstat::types::ids::fnv1a64(report.as_bytes())),
         (30349, 0xd38801269937ac59),
@@ -210,7 +204,7 @@ fn medium_corpus_bytes_and_chain_audits_are_pinned() {
         )
     };
     assert_eq!(
-        audits(&medium()),
+        audits(&Scale::Medium.scenario(42)),
         (15364, 528, 405, 263, 1),
         "medium seed 42"
     );

@@ -12,40 +12,17 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use txstat::archive::Archive;
-use txstat::core::{ChainSweeps, EosColumnar, TezosColumnar, XrpColumnar};
 use txstat::ingest::{EpochCell, IngestError};
 use txstat::netsim::{
     run_load, start_query_server, HttpHandler, LoadPlan, QueryServerConfig, RouteStats,
 };
+use support::fixture::small;
+use support::paths::{self, one_shot_prefix, service_over, thinned};
 use txstat::reports::{
-    comparison_section, generate, pipeline_from_archive, render_report, reorg_data,
-    report_sections, sample_account_paths, streamed_from_archive, write_archive, Follower,
-    PipelineData, SegmentFormat, ServeSnapshot, StatsService, SECTIONS,
+    comparison_section, pipeline_from_archive, render_report, reorg_data, report_sections,
+    sample_account_paths, streamed_from_archive, write_archive, Follower, PipelineData,
+    SegmentFormat, ServeSnapshot, StatsService,
 };
-use txstat::workload::Scenario;
-
-fn service_over(
-    data: PipelineData,
-    head: bool,
-) -> (Arc<StatsService>, Arc<EpochCell<ServeSnapshot>>) {
-    let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(1, head, data))));
-    (Arc::new(StatsService::new(cell.clone())), cell)
-}
-
-/// The dataset a one-shot sweep of the first `(eos, tezos, xrp)` blocks of
-/// `base` renders from — the oracle for an epoch of that coverage.
-fn one_shot_prefix(base: &PipelineData, (e, t, x): (u64, u64, u64)) -> PipelineData {
-    let period = base.scenario.period;
-    base.fork_with_sweeps(ChainSweeps {
-        eos: EosColumnar::compute(&base.eos_blocks[..e as usize], period),
-        tezos: TezosColumnar::compute(
-            &base.tezos_blocks[..t as usize],
-            period,
-            &base.governance_periods,
-        ),
-        xrp: XrpColumnar::compute(&base.xrp_blocks[..x as usize], period, &base.oracle),
-    })
-}
 
 /// Every exhibit section, the comparison and the busiest account of each
 /// chain (as the oracle sees it) must be the same bytes from both
@@ -90,16 +67,16 @@ fn assert_serves_identically(
 /// moved between the two coverages, so a view carried over would show.
 #[test]
 fn a_fork_of_a_rendered_dataset_derives_its_own_views() {
-    let sc = Scenario::small(7);
-    let rendered = generate(&sc);
-    let whole = section_routes(&rendered);
+    let rendered = &small(7).data;
+    small(7).report();
+    let whole = section_routes(rendered);
     let at = (
         rendered.eos_blocks.len() as u64 / 2,
         rendered.tezos_blocks.len() as u64 / 2,
         rendered.xrp_blocks.len() as u64 / 2,
     );
-    let fork = section_routes(&one_shot_prefix(&rendered, at));
-    let oracle = section_routes(&one_shot_prefix(&generate(&sc), at));
+    let fork = section_routes(&one_shot_prefix(rendered, at));
+    let oracle = section_routes(&one_shot_prefix(&small(7).fresh(), at));
     assert_eq!(fork.len(), oracle.len());
     for ((route, got), (_, want)) in fork.iter().zip(&oracle) {
         assert!(got == want, "{route}: the fork renders a view of the whole");
@@ -121,25 +98,6 @@ fn a_fork_of_a_rendered_dataset_derives_its_own_views() {
         };
         assert!(body(&fork) != body(&whole), "{route} did not move");
     }
-}
-
-/// Keep every k-th block of each chain so that none is longer than `cap`:
-/// a corpus that still spans the whole window (block numbers stay
-/// ascending) but is short enough to publish an epoch per block.
-fn thinned(mut data: PipelineData, cap: usize) -> PipelineData {
-    fn every_kth<B: Clone>(blocks: &[B], cap: usize) -> Arc<Vec<B>> {
-        Arc::new(
-            blocks
-                .iter()
-                .step_by(blocks.len().div_ceil(cap).max(1))
-                .cloned()
-                .collect(),
-        )
-    }
-    data.eos_blocks = every_kth(&data.eos_blocks, cap);
-    data.tezos_blocks = every_kth(&data.tezos_blocks, cap);
-    data.xrp_blocks = every_kth(&data.xrp_blocks, cap);
-    data
 }
 
 /// Follow on to the head, holding every epoch's fork — not only the last —
@@ -182,40 +140,14 @@ fn assert_every_epoch_is_one_shot(
     epochs
 }
 
-/// [`assert_every_epoch_is_one_shot`] from the first block, in as many
-/// epochs as the longest of the held chains takes at `batch`.
-fn assert_following_is_one_shot(data: PipelineData, batch: usize, what: &str) {
-    let longest = data
-        .eos_blocks
-        .len()
-        .max(data.tezos_blocks.len())
-        .max(data.xrp_blocks.len());
-    let what = format!("{what} batch {batch}");
-    let mut follower = Follower::new(data, batch);
-    let epochs = assert_every_epoch_is_one_shot(&mut follower, &what, (0, 0));
-    assert_eq!(epochs, longest.div_ceil(batch), "{what}");
-    // Nobody held a fork past its epoch: only the first one had no retired
-    // copy to fold into.
-    assert_eq!(follower.snapshots(), (epochs as u64 - 1, 1), "{what}");
-}
-
+/// Seeds 1, 7 and 42 followed in batches of 32 and of the whole corpus,
+/// and thinned to 200 blocks a chain in batches of 1 and 7: an epoch per
+/// block (and per seven) over the whole corpus would render it thousands
+/// of times; the thinned corpus (≈ 194 and 28 epochs) has the same shape —
+/// three chains of unequal length across the whole window.
 #[test]
 fn every_epoch_equals_the_one_shot_sweep_of_its_prefix() {
-    for seed in [1, 7, 42] {
-        let sc = Scenario::small(seed);
-        let total = generate(&sc).longest_chain();
-        for batch in [32, total] {
-            assert_following_is_one_shot(generate(&sc), batch, &format!("seed {seed}"));
-        }
-        // An epoch per block (and per seven) over the whole corpus would
-        // render it thousands of times; the thinned corpus (≈ 194 and 28
-        // epochs) has the same shape — three chains of unequal length
-        // across the whole window.
-        for batch in [1, 7] {
-            let data = thinned(generate(&sc), 200);
-            assert_following_is_one_shot(data, batch, &format!("seed {seed} thinned"));
-        }
-    }
+    paths::view("serve_query::every_epoch_equals_the_one_shot_sweep_of_its_prefix");
 }
 
 proptest::proptest! {
@@ -228,7 +160,7 @@ proptest::proptest! {
         hold in 0usize..5,
         batch in 1usize..4,
     ) {
-        let data = thinned(generate(&Scenario::small(7)), 12);
+        let data = thinned(small(7).fresh(), 12);
         let mut follower = Follower::new(data, batch);
         let what = format!("pin every {every} for {hold}, batch {batch}");
         let epochs = assert_every_epoch_is_one_shot(&mut follower, &what, (every, hold));
@@ -246,9 +178,8 @@ proptest::proptest! {
 /// clones where the unguarded one reclaims.
 #[test]
 fn a_guarded_follower_publishes_the_epochs_of_an_unguarded_one() {
-    let sc = Scenario::small(7);
-    let mut plain = Follower::new(generate(&sc), 400);
-    let mut guarded = Follower::new(generate(&sc), 400).with_reorg_guard(3);
+    let mut plain = Follower::new(small(7).fresh(), 400);
+    let mut guarded = Follower::new(small(7).fresh(), 400).with_reorg_guard(3);
     let mut epochs = 0;
     while !plain.head() {
         epochs += 1;
@@ -276,9 +207,8 @@ fn a_guarded_follower_publishes_the_epochs_of_an_unguarded_one() {
 /// rollback restored a snapshot or rebuilt from empty sweeps.
 #[test]
 fn every_epoch_after_a_resync_is_the_one_shot_sweep_of_the_reorged_prefix() {
-    let sc = Scenario::small(7);
     for (window, rebuilt) in [(8, false), (1, true)] {
-        let mut follower = Follower::new(generate(&sc), 400).with_reorg_guard(window);
+        let mut follower = Follower::new(small(7).fresh(), 400).with_reorg_guard(window);
         for _ in 0..3 {
             follower.advance().expect("advance");
         }
@@ -294,7 +224,7 @@ fn every_epoch_after_a_resync_is_the_one_shot_sweep_of_the_reorged_prefix() {
 
 #[test]
 fn advancing_past_the_head_republishes_the_standing_sweeps() {
-    let data = generate(&Scenario::small(7));
+    let data = small(7).fresh();
     let total = data.longest_chain();
     let mut follower = Follower::new(data, total.div_ceil(3));
     while !follower.head() {
@@ -306,19 +236,18 @@ fn advancing_past_the_head_republishes_the_standing_sweeps() {
         let again = follower.advance().expect("advance at head");
         assert!(follower.head());
         assert_eq!(follower.observed(), at_head, "nothing left to observe");
-        assert_serves_identically(again, generate(&Scenario::small(7)), "past the head");
+        assert_serves_identically(again, small(7).fresh(), "past the head");
     }
 }
 
 #[test]
 fn a_block_at_or_below_the_high_water_mark_is_rejected_not_double_counted() {
-    let sc = Scenario::small(7);
-    let clean = generate(&sc);
+    let clean = &small(7).data;
     let replayed = clean.eos_blocks[4].clone();
     let high = clean.eos_blocks[9].num;
 
     // The replayed block opens the second batch…
-    let mut data = generate(&sc);
+    let mut data = small(7).fresh();
     let mut blocks = clean.eos_blocks[..10].to_vec();
     blocks.push(replayed.clone());
     data.eos_blocks = Arc::new(blocks);
@@ -338,7 +267,7 @@ fn a_block_at_or_below_the_high_water_mark_is_rejected_not_double_counted() {
     assert_eq!(follower.observed(), observed);
 
     // …or sits inside one batch, behind the block it repeats.
-    let mut data = generate(&sc);
+    let mut data = small(7).fresh();
     let mut blocks = clean.eos_blocks[..5].to_vec();
     blocks.push(replayed);
     data.eos_blocks = Arc::new(blocks);
@@ -361,11 +290,10 @@ fn seal(dir: &Path, data: &PipelineData, segment_blocks: u64) {
 /// streamed follower refuses it and still stands at the epoch before.
 #[test]
 fn a_segment_starting_at_or_below_the_end_of_the_one_before_is_rejected() {
-    let sc = Scenario::small(7);
-    let clean = generate(&sc);
+    let clean = &small(7).data;
     let replayed = clean.eos_blocks[4].clone();
     let high = clean.eos_blocks[9].num;
-    let mut data = generate(&sc);
+    let mut data = small(7).fresh();
     let mut blocks = clean.eos_blocks[..10].to_vec();
     blocks.push(replayed.clone());
     data.eos_blocks = Arc::new(blocks);
@@ -404,7 +332,7 @@ fn a_segment_starting_at_or_below_the_end_of_the_one_before_is_rejected() {
 /// the corpus, so that each summarizes its facts itself.
 #[test]
 fn every_epoch_of_a_streamed_follower_is_the_held_followers() {
-    let mut data = thinned(generate(&Scenario::small(7)), 120);
+    let mut data = thinned(small(7).fresh(), 120);
     // Tezos keeps 118 blocks; EOS and XRP run out well before it.
     data.eos_blocks = Arc::new(data.eos_blocks[..80].to_vec());
     data.xrp_blocks = Arc::new(data.xrp_blocks[..40].to_vec());
@@ -445,7 +373,7 @@ fn every_epoch_of_a_streamed_follower_is_the_held_followers() {
 /// half: the index's hash is recomputed over the new bytes, so
 /// `Archive::open` accepts the corpus, but the columns do not decode.
 fn corpus_with_an_undecodable_last_segment(dir: &Path) {
-    seal(dir, &generate(&Scenario::small(7)), 256);
+    seal(dir, &small(7).data, 256);
     let archive = Archive::open(dir).expect("open the healthy corpus");
     let mut seg = archive
         .decode_segment(archive.segments().len() - 1)
@@ -516,13 +444,12 @@ fn a_segment_that_does_not_decode_is_an_error_naming_it() {
 
 #[test]
 fn served_exhibits_are_byte_identical_to_report_sections() {
-    let sc = Scenario::small(99);
-    // Two independent generations of the same scenario: what the service
-    // serves must equal what the one-shot pipeline renders.
-    let (service, _cell) = service_over(generate(&sc), true);
-    let oracle = generate(&sc);
+    // Two independent datasets of the same chains: what the service serves
+    // must equal what the one-shot pipeline renders.
+    let (service, _cell) = service_over(small(99).fresh(), true);
+    let oracle = &small(99).data;
 
-    for (path, body) in section_routes(&oracle) {
+    for (path, body) in section_routes(oracle) {
         let resp = service.respond("GET", &path);
         assert_eq!(resp.status, 200, "{path}");
         assert_eq!(resp.body, body.as_bytes(), "{path} body diverged");
@@ -530,7 +457,7 @@ fn served_exhibits_are_byte_identical_to_report_sections() {
     let resp = service.respond("GET", "/report");
     assert_eq!(
         resp.body,
-        render_report(&oracle).as_bytes(),
+        small(99).report().as_bytes(),
         "/report body diverged"
     );
 
@@ -591,8 +518,7 @@ fn section_routes(data: &PipelineData) -> Vec<(String, String)> {
 /// sections from the cache.
 #[test]
 fn a_cold_report_and_the_section_routes_serve_the_same_sections() {
-    let data = generate(&Scenario::small(7));
-    let mut follower = Follower::new(data, 1200);
+    let mut follower = Follower::new(small(7).fresh(), 1200);
     let first = follower.advance().expect("first epoch");
     let (service, cell) = service_over(first, false);
     let oracle = one_shot_prefix(follower.base(), follower.observed());
@@ -653,23 +579,12 @@ fn a_cold_report_and_the_section_routes_serve_the_same_sections() {
 
 /// A serve session at small seed 7 in epochs of 64 blocks, where XRP
 /// (146 blocks) reaches its head at epoch 3, EOS (576) at 9 and Tezos
-/// (2 712) at 43: at every epoch, every route — the 13 sections, the
-/// comparison, the busiest account of each chain and `/report` — is the one-shot
-/// render of the observed prefix, although each epoch after the first
-/// starts from what the epoch before it cached. What it carries is what
-/// reads only chains that did not move: Figures 2 and 11 and the
-/// headline's dropped-transaction line from the start, then XRP's routes,
-/// views and section parts, then EOS's. Nothing read holds a retired
-/// snapshot, so the follower clones only its first epoch.
+/// (2 712) at 43: at every epoch, every route is the one-shot render of the
+/// observed prefix, and what an epoch carries is what reads only chains
+/// that did not move (the matrix's served path).
 #[test]
 fn a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes() {
-    let data = generate(&Scenario::small(7));
-    let accounts = sample_account_paths(&data);
-    assert_session_carries(
-        Follower::new(data, 64),
-        &generate(&Scenario::small(7)),
-        accounts,
-    );
+    paths::view("serve_query::a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes");
 }
 
 /// The same session over the sealed corpus of those chains, its follower
@@ -678,80 +593,7 @@ fn a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes() {
 /// same views and parts, the same bytes at every epoch.
 #[test]
 fn an_archived_serve_session_carries_and_serves_what_a_held_one_does() {
-    let sc = Scenario::small(7);
-    let held = generate(&sc);
-    let dir = support::tempdir("serve-query", "carried");
-    write_archive(&dir, &held, "small", 256, SegmentFormat).expect("seal");
-    let (streamed, _) = streamed_from_archive(&dir).expect("streamed cold start");
-    assert!(
-        streamed.eos_blocks.is_empty(),
-        "a streamed dataset holds no block"
-    );
-    assert_session_carries(
-        Follower::new(streamed, 64),
-        &held,
-        sample_account_paths(&held),
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Serve `follower` to its head, reading every route at every epoch
-/// against the one-shot render of the observed prefix of `chains` (see
-/// [`a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes`]).
-fn assert_session_carries(mut follower: Follower, chains: &PipelineData, accounts: Vec<String>) {
-    let first = follower.advance().expect("first epoch");
-    let (service, _cell) = service_over(first, follower.head());
-    let mut paths: Vec<String> = SECTIONS
-        .iter()
-        .map(|(name, _)| name)
-        .chain(&["comparison"])
-        .map(|name| format!("/exhibit/{name}"))
-        .collect();
-    paths.extend(accounts);
-    paths.push("/report".to_owned());
-    assert_eq!(paths.len(), 18, "{paths:?}");
-    let xrp_routes = ["fig7", "fig8", "fig12"].len() + 1;
-    let eos_routes = ["fig4", "fig5", "case_studies"].len() + 1;
-    // The views and parts of each chain; the headline's dropped-transaction
-    // line reads none.
-    let xrp_views = ["value_flow", "most_active", "concentration"].len()
-        + ["headline/economic_share", "fig1/xrp", "fig3/c"].len();
-    let eos_views = ["eos_category_series", "wash_report"].len()
-        + ["headline/boomerang", "fig1/eos", "fig3/a"].len();
-    let mut epoch = 1;
-    loop {
-        let oracle = service_over(one_shot_prefix(chains, follower.observed()), false).0;
-        for path in &paths {
-            let (got, want) = (service.respond("GET", path), oracle.respond("GET", path));
-            // An account not yet seen is a 404 on both sides, never cached.
-            assert_eq!(got.status, want.status, "epoch {epoch}: {path}");
-            assert!(got.body == want.body, "epoch {epoch}: {path} diverged");
-            assert!(want.status == 200 || !follower.head(), "{path} at the head");
-        }
-        if follower.head() {
-            break;
-        }
-        let carried = service.cache_carried.get();
-        let views = service.views_carried.get();
-        epoch = service.publish_next(&mut follower).expect("advance");
-        let (want, want_views) = match epoch {
-            ..=3 => (2, 1),
-            4..=9 => (2 + xrp_routes, 1 + xrp_views),
-            _ => (2 + xrp_routes + eos_routes, 1 + xrp_views + eos_views),
-        };
-        assert_eq!(
-            service.cache_carried.get() - carried,
-            want as u64,
-            "epoch {epoch} carried"
-        );
-        assert_eq!(
-            service.views_carried.get() - views,
-            want_views as u64,
-            "epoch {epoch} carried views and parts"
-        );
-    }
-    assert_eq!(epoch, 43);
-    assert_eq!(follower.snapshots(), (42, 1));
+    paths::view("serve_query::an_archived_serve_session_carries_and_serves_what_a_held_one_does");
 }
 
 /// Readers load from the cell while the follower publishes into it, and
@@ -773,12 +615,11 @@ fn epoch_swap_is_never_torn_under_concurrent_readers() {
             .1
             .into()
     }
-    let sc = Scenario::small(7);
-    let batch = generate(&sc).longest_chain().div_ceil(6);
+    let batch = small(7).data.longest_chain().div_ceil(6);
 
     // What each epoch serves, from a follower nobody reads from: a reader
     // must only ever observe one of these exact bodies.
-    let mut unread = Follower::new(generate(&sc), batch);
+    let mut unread = Follower::new(small(7).fresh(), batch);
     let (mut allowed, mut reports) = (Vec::new(), Vec::new());
     while !unread.head() {
         let epoch = unread.advance().expect("advance");
@@ -791,7 +632,7 @@ fn epoch_swap_is_never_torn_under_concurrent_readers() {
         allowed.len()
     );
 
-    let mut follower = Follower::new(generate(&sc), batch);
+    let mut follower = Follower::new(small(7).fresh(), batch);
     let first = follower.advance().expect("first epoch");
     let (service, cell) = service_over(first, false);
     // Every reader holds epoch 1 before the first swap.
@@ -864,8 +705,7 @@ fn epoch_swap_is_never_torn_under_concurrent_readers() {
 
 #[test]
 fn response_cache_is_invalidated_by_epoch_swap() {
-    let sc = Scenario::small(7);
-    let data = generate(&sc);
+    let data = small(7).fresh();
     let total = data.longest_chain();
     let mut follower = Follower::new(data, total.div_ceil(2).max(1));
     let first = follower.advance().expect("first epoch");
@@ -895,7 +735,7 @@ fn response_cache_is_invalidated_by_epoch_swap() {
 
 #[test]
 fn admission_sheds_excess_load_with_429s_and_keeps_serving() {
-    let (service, _cell) = service_over(generate(&Scenario::small(5)), true);
+    let (service, _cell) = service_over(small(5).fresh(), true);
     let handler: Arc<dyn HttpHandler> = service.clone();
     let server = start_query_server(
         handler,
@@ -933,8 +773,7 @@ fn admission_sheds_excess_load_with_429s_and_keeps_serving() {
 fn metrics_and_statusz_expose_every_layer() {
     use txstat::telemetry::Registry;
 
-    let sc = Scenario::small(11);
-    let data = generate(&sc);
+    let data = small(11).fresh();
     let total = data.longest_chain();
     let registry = Arc::new(Registry::new());
     let mut follower = Follower::new(data, total.div_ceil(2).max(1));
@@ -1033,8 +872,8 @@ fn cache_counters_are_isolated_per_service() {
     // Two services over the same scenario: each `StatsService::new` gets a
     // private registry, so one service's traffic must never show up in the
     // other's counters (this used to bleed through process-wide statics).
-    let (a, _cell_a) = service_over(generate(&Scenario::small(3)), true);
-    let (b, _cell_b) = service_over(generate(&Scenario::small(3)), true);
+    let (a, _cell_a) = service_over(small(3).fresh(), true);
+    let (b, _cell_b) = service_over(small(3).fresh(), true);
     a.respond("GET", "/exhibit/headline");
     a.respond("GET", "/exhibit/headline");
     assert_eq!(a.cache_misses.get(), 1);

@@ -12,9 +12,14 @@
 //! `archive_store.rs`, `archive_memo.rs` and `failure_injection.rs` draw
 //! their damage from [`mutations`] too.
 //!
+//! [`fixture`] holds the generated datasets every suite shares, and
+//! [`paths`] the path matrix: every way to a report, one row each.
+//!
 //! Each integration test is its own crate and uses what it needs.
 #![allow(dead_code)]
 
+pub mod fixture;
+pub mod paths;
 pub mod rows;
 
 use std::alloc::{GlobalAlloc, Layout, System};

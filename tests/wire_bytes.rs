@@ -21,7 +21,10 @@
 //! The bytes themselves are pinned below: every endpoint reply, the
 //! reports, the frame bundle and Figure 2's integers.
 
+mod support;
+
 use proptest::prelude::*;
+use support::fixture::small;
 use txstat::eos::{self, rpc_model as eos_rpc};
 use txstat::tezos::{self, rpc_model as tezos_rpc};
 use txstat::types::amount::SymCode;
@@ -92,7 +95,7 @@ fn check_xrp(b: &xrp::LedgerBlock) {
 #[test]
 fn every_generated_block_is_a_fixed_point_that_parses_back() {
     for seed in [1, 7, 42, 1234] {
-        let data = txstat::reports::generate(&Scenario::small(seed));
+        let data = &small(seed).data;
         data.eos_blocks.iter().for_each(check_eos);
         data.tezos_blocks.iter().for_each(check_tezos);
         data.xrp_blocks.iter().for_each(check_xrp);
@@ -411,29 +414,28 @@ proptest! {
 /// other bytes than one fold of the same blocks.
 #[test]
 fn report_and_frame_bundle_bytes_are_pinned_for_small_seeds() {
-    use txstat::reports::{generate, render_report, scenario_meta, ShardContext};
+    use txstat::reports::{scenario_meta, ShardContext};
     use txstat::types::ids::fnv1a64;
     use txstat::wire::{encode_all, PayloadFormat};
     let pin = |bytes: &[u8]| (bytes.len(), fnv1a64(bytes));
 
-    let sc = Scenario::small(42);
-    let report = render_report(&generate(&sc));
+    let report = small(42).report();
     assert_eq!(
         pin(report.as_bytes()),
         (16633, 0x0bfe7f8e21fd27c9),
         "report, seed 42"
     );
-    let report = render_report(&generate(&Scenario::small(7)));
+    let report = small(7).report();
     assert_eq!(
         pin(report.as_bytes()),
         (16552, 0x2ac5e4870f525c62),
         "report, seed 7"
     );
 
-    let ctx = ShardContext::new(&sc);
+    let ctx = ShardContext::from(small(42).fresh());
     let frames = ctx
         .frames(
-            scenario_meta(&sc, "small"),
+            scenario_meta(&small(42).data.scenario, "small"),
             0,
             ctx.total_blocks(),
             2,
@@ -455,8 +457,7 @@ fn report_and_frame_bundle_bytes_are_pinned_for_small_seeds() {
 /// `paper_bands.rs::paper_scale_lands_every_band`.
 #[test]
 fn figure2_storage_integers_are_pinned_for_small_seed_42() {
-    let data = txstat::reports::generate(&Scenario::small(42));
-    let (eos, tezos, xrp) = data.storage_stats();
+    let (eos, tezos, xrp) = small(42).data.storage_stats();
     let row = |s: &txstat::crawler::CrawlStats| {
         (
             s.blocks,
@@ -591,15 +592,11 @@ fn assert_route_pins(data: txstat::reports::PipelineData, want: &[(&str, usize, 
 /// byte fails here under the name of the route it moved.
 #[test]
 fn every_section_and_account_route_is_pinned_for_small_seeds() {
-    use txstat::reports::{generate, Follower};
+    use txstat::reports::Follower;
     for (seed, want) in [(7, SEED_7_ROUTES), (42, SEED_42_ROUTES)] {
-        assert_route_pins(
-            generate(&Scenario::small(seed)),
-            want,
-            &format!("seed {seed}"),
-        );
+        assert_route_pins(small(seed).fresh(), want, &format!("seed {seed}"));
     }
-    let mut follower = Follower::new(generate(&Scenario::small(7)), 64);
+    let mut follower = Follower::new(small(7).fresh(), 64);
     follower.advance().expect("epoch 1");
     follower.advance().expect("epoch 2");
     assert_route_pins(
@@ -674,7 +671,7 @@ const MID_FOLLOW_ROUTES: &[(&str, usize, u64)] = &[
 #[test]
 fn vote_curves_and_eos_category_series_are_pinned_for_small_seeds() {
     use txstat::core::eos_analysis::EosLabels;
-    use txstat::reports::{generate, Follower, PipelineData};
+    use txstat::reports::{Follower, PipelineData};
     use txstat::types::ids::fnv1a64;
     let pins = |data: &PipelineData| {
         let sweeps = data.sweeps();
@@ -694,12 +691,12 @@ fn vote_curves_and_eos_category_series_are_pinned_for_small_seeds() {
             (series.len(), fnv1a64(series.as_bytes())),
         ]
     };
-    let mut follower = Follower::new(generate(&Scenario::small(7)), 64);
+    let mut follower = Follower::new(small(7).fresh(), 64);
     follower.advance().expect("epoch 1");
     follower.advance().expect("epoch 2");
     let got = [
-        pins(&generate(&Scenario::small(7))),
-        pins(&generate(&Scenario::small(42))),
+        pins(&small(7).data),
+        pins(&small(42).data),
         pins(&follower.advance().expect("epoch 3")),
     ];
     assert_eq!(

@@ -1172,18 +1172,26 @@ fn crawl_folded<A: Send, B: Send>(
     Ok((acc, kept.into_iter().map(|(_, b)| b).collect(), stats))
 }
 
-/// Fetch username/parent metadata for every seen account and fold it into
-/// the entity clustering (XRP Scan path).
+/// Fetch username/parent metadata for `accounts` and then for every
+/// parent not yet fetched, level by level, and fold it into the entity
+/// clustering (XRP Scan path): an account with no username of its own is
+/// labelled by its nearest registered ancestor.
 fn fetch_cluster(
     pool: &RotatingPool,
     cfg: &ClientConfig,
-    mut accounts: Vec<txstat_xrp::AccountId>,
+    accounts: HashSet<txstat_xrp::AccountId>,
 ) -> Result<ClusterInfo, CrawlError> {
-    accounts.sort();
-    let metas = fetch_account_meta(pool, cfg, &accounts)?;
     let mut cluster = ClusterInfo::new();
-    for m in metas {
-        cluster.insert(m.account, m.username, m.parent);
+    let mut fetched = accounts.clone();
+    let mut level: Vec<_> = accounts.into_iter().collect();
+    while !level.is_empty() {
+        level.sort();
+        let metas = fetch_account_meta(pool, cfg, &level)?;
+        level = Vec::new();
+        for m in metas {
+            level.extend(m.parent.filter(|p| fetched.insert(*p)));
+            cluster.insert(m.account, m.username, m.parent);
+        }
     }
     Ok(cluster)
 }
@@ -1377,14 +1385,17 @@ pub fn generate_with_crawl(
     let ((tz_sweep, tz_bounds), tezos_blocks, tz_stats) = tezos?;
     let (xrp, xrp_blocks, xrp_stats) = xrp?;
 
-    // The sidecar: metadata for every account seen, the BTC issuers'
-    // exchange events. Rates were resolved during the crawl.
+    // The sidecar: metadata for every account seen, every issuer of a
+    // rated token and their ancestors; the BTC issuers' exchange events.
+    // Rates were resolved during the crawl.
     let (cluster, trades) = {
         let _span = Span::enter("crawl", "sidecar");
-        let cluster = fetch_cluster(&served.xrp_pool, cfg, xrp.seen.into_iter().collect())?;
+        let currencies = rates.currencies();
+        let mut accounts = xrp.seen;
+        accounts.extend(currencies.iter().map(|ic| ic.issuer));
         (
-            cluster,
-            fetch_btc_trades(&served.xrp_pool, cfg, &rates.currencies())?,
+            fetch_cluster(&served.xrp_pool, cfg, accounts)?,
+            fetch_btc_trades(&served.xrp_pool, cfg, &currencies)?,
         )
     };
 

@@ -17,9 +17,9 @@ use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+use support::fixture::{small, Fixture};
 use txstat::ingest::{reduce_fleet, serve_assignments, FleetConfig, FleetError};
 use txstat::netsim::{spawn_chaos_proxy, ChaosProfile};
-use support::fixture::{small, Fixture};
 use txstat::reports::{
     reduce_frames_labeled_into, render_report, reorg_data, scenario_meta, Follower, ShardContext,
 };

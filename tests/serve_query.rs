@@ -11,13 +11,13 @@ mod support;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use support::fixture::small;
+use support::paths::{self, one_shot_prefix, service_over, thinned};
 use txstat::archive::Archive;
 use txstat::ingest::{EpochCell, IngestError};
 use txstat::netsim::{
     run_load, start_query_server, HttpHandler, LoadPlan, QueryServerConfig, RouteStats,
 };
-use support::fixture::small;
-use support::paths::{self, one_shot_prefix, service_over, thinned};
 use txstat::reports::{
     comparison_section, pipeline_from_archive, render_report, reorg_data, report_sections,
     sample_account_paths, streamed_from_archive, write_archive, Follower, PipelineData,
@@ -584,7 +584,9 @@ fn a_cold_report_and_the_section_routes_serve_the_same_sections() {
 /// that did not move (the matrix's served path).
 #[test]
 fn a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes() {
-    paths::view("serve_query::a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes");
+    paths::view(
+        "serve_query::a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes",
+    );
 }
 
 /// The same session over the sealed corpus of those chains, its follower

@@ -77,7 +77,11 @@ pub fn fixture(scale: Scale, seed: u64) -> &'static Fixture {
 pub type Cells<K, V> = Mutex<Option<HashMap<K, &'static OnceLock<V>>>>;
 
 /// The value of `key` in `cells`, built by `init` on first use.
-pub fn once<K: Hash + Eq, V>(cells: &'static Cells<K, V>, key: K, init: impl FnOnce() -> V) -> &'static V {
+pub fn once<K: Hash + Eq, V>(
+    cells: &'static Cells<K, V>,
+    key: K,
+    init: impl FnOnce() -> V,
+) -> &'static V {
     let cell: &'static OnceLock<V> = *cells
         .lock()
         .expect("no fixture panicked while listed")

@@ -100,7 +100,12 @@ pub struct Row {
     pub expect: Expect,
 }
 
-const fn row(view: &'static str, source: Source, paths: &'static [Path], seeds: &'static [u64]) -> Row {
+const fn row(
+    view: &'static str,
+    source: Source,
+    paths: &'static [Path],
+    seeds: &'static [u64],
+) -> Row {
     Row {
         view,
         source,
@@ -121,22 +126,52 @@ use Source::*;
 
 /// Every way to a report.
 pub const TABLE: &[Row] = &[
-    row("paths::generated", Generated, &[OneShot, Frames(TILINGS), Served(1024)], SEEDS),
+    row(
+        "paths::generated",
+        Generated,
+        &[OneShot, Frames(TILINGS), Served(1024)],
+        SEEDS,
+    ),
     Row {
         expect: Expect::Crawl(&[(7, 16647, 0xf2fdada7be86ab04)]),
         ..row("paths::crawled", Crawled, &[OneShot], CRAWL_SEEDS)
     },
-    row("paths::crawled", CrawledCorpus, &[OneShot, Frames(&[3])], CRAWL_SEEDS),
+    row(
+        "paths::crawled",
+        CrawledCorpus,
+        &[OneShot, Frames(&[3])],
+        CRAWL_SEEDS,
+    ),
     row(
         "paths::archived_256",
         Archived(256),
         &[OneShot, Frames(TILINGS), Follow(&[1024]), Streamed(&[1024])],
         SEEDS,
     ),
-    row("paths::archived_97", Archived(97), &[OneShot, Frames(&[3, 13]), Streamed(&[1024])], SEEDS),
-    row("paths::archived_1", Archived(1), &[OneShot, Streamed(&[1024])], SEEDS),
-    row("paths::memo", MemoWarm, &[OneShot, Frames(&[3]), Streamed(&[1024])], SEEDS),
-    row("paths::memo", MemoDamaged, &[OneShot, Frames(&[3]), Streamed(&[1024])], SEEDS),
+    row(
+        "paths::archived_97",
+        Archived(97),
+        &[OneShot, Frames(&[3, 13]), Streamed(&[1024])],
+        SEEDS,
+    ),
+    row(
+        "paths::archived_1",
+        Archived(1),
+        &[OneShot, Streamed(&[1024])],
+        SEEDS,
+    ),
+    row(
+        "paths::memo",
+        MemoWarm,
+        &[OneShot, Frames(&[3]), Streamed(&[1024])],
+        SEEDS,
+    ),
+    row(
+        "paths::memo",
+        MemoDamaged,
+        &[OneShot, Frames(&[3]), Streamed(&[1024])],
+        SEEDS,
+    ),
     row(
         "serve_query::every_epoch_equals_the_one_shot_sweep_of_its_prefix",
         Generated,
@@ -167,7 +202,10 @@ pub const TABLE: &[Row] = &[
 /// one fails; then fail with one line per failed cell.
 pub fn view(name: &str) {
     let rows: Vec<&Row> = TABLE.iter().filter(|r| r.view == name).collect();
-    assert!(!rows.is_empty(), "no row of the path matrix is viewed as {name}");
+    assert!(
+        !rows.is_empty(),
+        "no row of the path matrix is viewed as {name}"
+    );
     let mut failed = Vec::new();
     for row in rows {
         for &path in row.paths {
@@ -176,7 +214,12 @@ pub fn view(name: &str) {
             }
         }
     }
-    assert!(failed.is_empty(), "{} cells failed:\n{}", failed.len(), failed.join("\n"));
+    assert!(
+        failed.is_empty(),
+        "{} cells failed:\n{}",
+        failed.len(),
+        failed.join("\n")
+    );
 }
 
 /// The cell of `source` read through `path` at `seed` outside [`TABLE`],
@@ -213,12 +256,20 @@ pub fn cell(row: &Row, path: Path, seed: u64) {
         OneShot => {
             let data = held(source, seed);
             if let Some(seg) = segment_blocks(source) {
-                let lens_of = |d: &PipelineData| [d.eos_blocks.len(), d.tezos_blocks.len(), d.xrp_blocks.len()];
+                let lens_of = |d: &PipelineData| {
+                    [d.eos_blocks.len(), d.tezos_blocks.len(), d.xrp_blocks.len()]
+                };
                 let lens = lens_of(&fixture::small(seed).data);
                 assert_eq!(lens_of(&data), lens, "replayed chain lengths");
-                let corpus = data.memo_status().expect("an archived dataset has a memo status");
+                let corpus = data
+                    .memo_status()
+                    .expect("an archived dataset has a memo status");
                 let longest = lens.into_iter().max().unwrap_or(0);
-                assert_eq!(corpus.segments as u64, (longest as u64).div_ceil(seg), "segments");
+                assert_eq!(
+                    corpus.segments as u64,
+                    (longest as u64).div_ceil(seg),
+                    "segments"
+                );
             }
             assert!(render_report(&data) == want, "the one-shot report differs");
             data.memo_status()
@@ -231,7 +282,11 @@ pub fn cell(row: &Row, path: Path, seed: u64) {
                     Follow(_) => held(source, seed),
                     _ => streamed(source, seed),
                 };
-                let batch = if batch == ALL { data.longest_chain() } else { batch };
+                let batch = if batch == ALL {
+                    data.longest_chain()
+                } else {
+                    batch
+                };
                 let follower = follow(Follower::new(data, batch), batch, row, seed, want);
                 status = status.or(follower.base().memo_status());
             }
@@ -274,10 +329,15 @@ fn oracle(row: &Row, seed: u64) -> &'static str {
         }
         Expect::OneShot => {}
         Expect::Crawl(pins) => {
-            let pin = pins.iter().find(|p| p.0 == seed).expect("a pin for every seed");
+            let pin = pins
+                .iter()
+                .find(|p| p.0 == seed)
+                .expect("a pin for every seed");
             let got = (seed, report.len(), fnv1a64(report.as_bytes()));
             assert_eq!(got, *pin, "pinned crawl report");
-            let paragraph = report.find("\nEOS endpoints: ").expect("the crawl paragraph");
+            let paragraph = report
+                .find("\nEOS endpoints: ")
+                .expect("the crawl paragraph");
             let end = paragraph + report[paragraph + 1..].find('\n').expect("its line end") + 2;
             assert!(
                 [&report[..paragraph], &report[end..]].concat() == *one_shot,
@@ -301,7 +361,9 @@ fn base(source: Source, seed: u64) -> &'static PipelineData {
     match source {
         Thinned(cap) => {
             static CELLS: Cells<(usize, u64), PipelineData> = Mutex::new(None);
-            once(&CELLS, (cap, seed), || thinned(fixture::small(seed).fresh(), cap))
+            once(&CELLS, (cap, seed), || {
+                thinned(fixture::small(seed).fresh(), cap)
+            })
         }
         Crawled | CrawledCorpus => panic!("a crawl is checked at its head only"),
         _ => &fixture::small(seed).data,
@@ -351,13 +413,19 @@ fn held(source: Source, seed: u64) -> PipelineData {
         Generated => fixture::small(seed).fresh(),
         Thinned(cap) => thinned(fixture::small(seed).fresh(), cap),
         Crawled => panic!("a crawl is one-shot only"),
-        _ => pipeline_from_archive(&corpus(source, seed)).expect("cold start").0,
+        _ => {
+            pipeline_from_archive(&corpus(source, seed))
+                .expect("cold start")
+                .0
+        }
     }
 }
 
 /// `source`'s block-free dataset over its corpus.
 fn streamed(source: Source, seed: u64) -> PipelineData {
-    streamed_from_archive(&corpus(source, seed)).expect("block-free cold start").0
+    streamed_from_archive(&corpus(source, seed))
+        .expect("block-free cold start")
+        .0
 }
 
 thread_local! {
@@ -397,9 +465,14 @@ fn sealed(crawl: bool, seg: u64, seed: u64) -> &'static [(&'static str, Vec<u8>)
     static CELLS: Cells<(bool, u64, u64), [(&'static str, Vec<u8>); 2]> = Mutex::new(None);
     once(&CELLS, (crawl, seg, seed), || {
         let dir = super::tempdir("paths", &format!("sealed-{crawl}-{seg}-{seed}"));
-        let data = if crawl { crawled(seed) } else { &fixture::small(seed).data };
+        let data = if crawl {
+            crawled(seed)
+        } else {
+            &fixture::small(seed).data
+        };
         write_archive(&dir, data, "small", seg, SegmentFormat).expect("seal");
-        let files = [IDX_FILE, SEG_FILE].map(|name| (name, std::fs::read(dir.join(name)).expect("read corpus")));
+        let files = [IDX_FILE, SEG_FILE]
+            .map(|name| (name, std::fs::read(dir.join(name)).expect("read corpus")));
         let _ = std::fs::remove_dir_all(&dir);
         files
     })
@@ -444,14 +517,20 @@ fn frames(source: Source, seed: u64, tilings: &[u64], want: &str) -> Option<Memo
             None => held(source, seed),
         };
         let reduced = reduce_frames_labeled_into(into, &labeled).expect("reduce");
-        assert!(render_report(&reduced) == want, "{chunks} chunks: the report differs");
+        assert!(
+            render_report(&reduced) == want,
+            "{chunks} chunks: the report differs"
+        );
         status = status.or(reduced.memo_status());
     }
     status
 }
 
 /// A query service over one published snapshot of `data`.
-pub fn service_over(data: PipelineData, head: bool) -> (Arc<StatsService>, Arc<EpochCell<ServeSnapshot>>) {
+pub fn service_over(
+    data: PipelineData,
+    head: bool,
+) -> (Arc<StatsService>, Arc<EpochCell<ServeSnapshot>>) {
     let cell = Arc::new(EpochCell::new(Arc::new(ServeSnapshot::new(1, head, data))));
     (Arc::new(StatsService::new(cell.clone())), cell)
 }
@@ -462,7 +541,11 @@ pub fn one_shot_prefix(base: &PipelineData, (e, t, x): (u64, u64, u64)) -> Pipel
     let period = base.scenario.period;
     base.fork_with_sweeps(ChainSweeps {
         eos: EosColumnar::compute(&base.eos_blocks[..e as usize], period),
-        tezos: TezosColumnar::compute(&base.tezos_blocks[..t as usize], period, &base.governance_periods),
+        tezos: TezosColumnar::compute(
+            &base.tezos_blocks[..t as usize],
+            period,
+            &base.governance_periods,
+        ),
         xrp: XrpColumnar::compute(&base.xrp_blocks[..x as usize], period, &base.oracle),
     })
 }
@@ -498,7 +581,10 @@ fn prefix_routes(source: Source, seed: u64, at: (u64, u64, u64)) -> Arc<Routes> 
             })
             .collect();
         for (path, status, _) in &routes {
-            assert!(*status == 200 || !present.contains(path), "the oracle lacks {path}");
+            assert!(
+                *status == 200 || !present.contains(path),
+                "the oracle lacks {path}"
+            );
         }
         Arc::new(routes)
     }))
@@ -538,13 +624,28 @@ fn follow(mut follower: Follower, batch: usize, row: &Row, seed: u64, want: &str
         epochs += 1;
         let fork = follower.advance().expect("advance");
         let at = follower.observed();
-        assert!(blocks(at) > blocks(before), "epoch {epochs} observed nothing new");
+        assert!(
+            blocks(at) > blocks(before),
+            "epoch {epochs} observed nothing new"
+        );
         let (service, _) = service_over(fork, follower.head());
-        assert_routes(&service, &prefix_routes(row.source, seed, at), &format!("epoch {epochs} at {at:?}"));
+        assert_routes(
+            &service,
+            &prefix_routes(row.source, seed, at),
+            &format!("epoch {epochs} at {at:?}"),
+        );
         report = service.respond("GET", "/report").body;
     }
-    assert_eq!(epochs as usize, follower.base().longest_chain().div_ceil(batch), "epochs");
-    assert_eq!(follower.snapshots(), (epochs - 1, 1), "reclaimed and cloned snapshots");
+    assert_eq!(
+        epochs as usize,
+        follower.base().longest_chain().div_ceil(batch),
+        "epochs"
+    );
+    assert_eq!(
+        follower.snapshots(),
+        (epochs - 1, 1),
+        "reclaimed and cloned snapshots"
+    );
     assert!(report == want.as_bytes(), "the report at the head differs");
     follower
 }
@@ -563,18 +664,24 @@ fn serve(mut follower: Follower, batch: usize, row: &Row, seed: u64, want: &str)
     let accounts = sample_account_paths(base(row.source, seed));
     let paths = route_paths(accounts);
     assert_eq!(paths.len(), 18, "{paths:?}");
-    let (xrp_routes, eos_routes) = (["fig7", "fig8", "fig12"].len() + 1, ["fig4", "fig5", "case_studies"].len() + 1);
+    let (xrp_routes, eos_routes) = (
+        ["fig7", "fig8", "fig12"].len() + 1,
+        ["fig4", "fig5", "case_studies"].len() + 1,
+    );
     // The views and parts of each chain; the headline's dropped-transaction
     // line reads none.
     let xrp_views = ["value_flow", "most_active", "concentration"].len()
         + ["headline/economic_share", "fig1/xrp", "fig3/c"].len();
-    let eos_views =
-        ["eos_category_series", "wash_report"].len() + ["headline/boomerang", "fig1/eos", "fig3/a"].len();
+    let eos_views = ["eos_category_series", "wash_report"].len()
+        + ["headline/boomerang", "fig1/eos", "fig3/a"].len();
     let mut epoch = 1;
     loop {
         let oracle = prefix_routes(row.source, seed, follower.observed());
         for path in &paths {
-            let (_, status, body) = oracle.iter().find(|(p, ..)| p == path).expect("an oracle route");
+            let (_, status, body) = oracle
+                .iter()
+                .find(|(p, ..)| p == path)
+                .expect("an oracle route");
             let got = service.respond("GET", path);
             // An account not yet seen is a 404 on both sides, never cached.
             assert_eq!(got.status, *status, "epoch {epoch}: {path}");
@@ -586,22 +693,42 @@ fn serve(mut follower: Follower, batch: usize, row: &Row, seed: u64, want: &str)
             assert!(report == want.as_bytes(), "the report at the head differs");
             break;
         }
-        let (carried, views, before) =
-            (service.cache_carried.get(), service.views_carried.get(), follower.observed());
+        let (carried, views, before) = (
+            service.cache_carried.get(),
+            service.views_carried.get(),
+            follower.observed(),
+        );
         epoch = service.publish_next(&mut follower).expect("advance");
         let after = follower.observed();
-        assert!(after.1 > before.1, "epoch {epoch}: Tezos, the longest chain, did not move");
+        assert!(
+            after.1 > before.1,
+            "epoch {epoch}: Tezos, the longest chain, did not move"
+        );
         let (eos_still, xrp_still) = (after.0 == before.0, after.2 == before.2);
-        let want_routes = 2 + usize::from(xrp_still) * xrp_routes + usize::from(eos_still) * eos_routes;
-        let want_views = 1 + usize::from(xrp_still) * xrp_views + usize::from(eos_still) * eos_views;
-        assert_eq!(service.cache_carried.get() - carried, want_routes as u64, "epoch {epoch} carried");
+        let want_routes =
+            2 + usize::from(xrp_still) * xrp_routes + usize::from(eos_still) * eos_routes;
+        let want_views =
+            1 + usize::from(xrp_still) * xrp_views + usize::from(eos_still) * eos_views;
+        assert_eq!(
+            service.cache_carried.get() - carried,
+            want_routes as u64,
+            "epoch {epoch} carried"
+        );
         assert_eq!(
             service.views_carried.get() - views,
             want_views as u64,
             "epoch {epoch} carried views and parts"
         );
     }
-    assert_eq!(epoch as usize, follower.base().longest_chain().div_ceil(batch), "epochs");
-    assert_eq!(follower.snapshots(), (epoch - 1, 1), "reclaimed and cloned snapshots");
+    assert_eq!(
+        epoch as usize,
+        follower.base().longest_chain().div_ceil(batch),
+        "epochs"
+    );
+    assert_eq!(
+        follower.snapshots(),
+        (epoch - 1, 1),
+        "reclaimed and cloned snapshots"
+    );
     follower
 }

@@ -19,9 +19,9 @@ use txstat::netsim::{
     run_load, start_query_server, HttpHandler, LoadPlan, QueryServerConfig, RouteStats,
 };
 use txstat::reports::{
-    comparison_section, pipeline_from_archive, render_report, reorg_data, report_sections,
-    sample_account_paths, streamed_from_archive, write_archive, Follower, PipelineData,
-    SegmentFormat, ServeSnapshot, StatsService,
+    comparison_section, render_report, reorg_data, report_sections, sample_account_paths,
+    streamed_from_archive, write_archive, Follower, PipelineData, SegmentFormat, ServeSnapshot,
+    StatsService,
 };
 
 /// Every exhibit section, the comparison and the busiest account of each
@@ -324,48 +324,15 @@ fn a_segment_starting_at_or_below_the_end_of_the_one_before_is_rejected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every epoch of a follower streaming a corpus's segments is the epoch a
-/// follower over the held chains of the same corpus publishes, whatever the
-/// segment size and the batch: batches inside one segment, straddling
-/// two, longer than a segment or than the whole corpus, and epochs past the
-/// heads of the shorter chains. Each side cold-starts from its own copy of
-/// the corpus, so that each summarizes its facts itself.
+/// Every epoch of a follower streaming a corpus's segments is the one-shot
+/// sweep of its prefix, whatever the segment size (1, 7, 64, 256) and the
+/// batch (1, 5, 32, 300): batches inside one segment, straddling two,
+/// longer than a segment or than the whole corpus, and epochs past the
+/// heads of the shorter chains (the matrix's cut corpus). The oracle
+/// renders from the held chains, so each side summarizes its facts itself.
 #[test]
 fn every_epoch_of_a_streamed_follower_is_the_held_followers() {
-    let mut data = thinned(small(7).fresh(), 120);
-    // Tezos keeps 118 blocks; EOS and XRP run out well before it.
-    data.eos_blocks = Arc::new(data.eos_blocks[..80].to_vec());
-    data.xrp_blocks = Arc::new(data.xrp_blocks[..40].to_vec());
-    for segment_blocks in [1, 7, 64, 256] {
-        let corpus = |side: &str| {
-            let dir = support::tempdir("serve-query", &format!("stream-{side}-{segment_blocks}"));
-            seal(&dir, &data, segment_blocks);
-            dir
-        };
-        let (held_dir, streamed_dir) = (corpus("held"), corpus("streamed"));
-        for batch in [1, 5, 32, 300] {
-            let what = format!("segments of {segment_blocks}, batch {batch}");
-            let (held, _) = pipeline_from_archive(&held_dir).expect("held cold start");
-            let (streamed, _) = streamed_from_archive(&streamed_dir).expect("streamed cold start");
-            let mut held = Follower::new(held, batch);
-            let mut streamed = Follower::new(streamed, batch);
-            let mut epochs = 0;
-            while !held.head() {
-                epochs += 1;
-                let (want, got) = (
-                    held.advance().expect("held"),
-                    streamed.advance().expect("streamed"),
-                );
-                assert_eq!(streamed.observed(), held.observed(), "{what}");
-                assert_serves_identically(got, want, &format!("{what}, epoch {epochs}"));
-            }
-            assert!(streamed.head(), "{what}");
-            assert_eq!(epochs, 118usize.div_ceil(batch), "{what}");
-        }
-        for dir in [held_dir, streamed_dir] {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
+    paths::view("serve_query::every_epoch_of_a_streamed_follower_is_the_held_followers");
 }
 
 /// Small seed 7 sealed in segments of 256, its last segment (positions

@@ -53,6 +53,11 @@ pub enum Source {
     MemoWarm,
     /// Sealed at 256 with one bit of the filled memo flipped.
     MemoDamaged,
+    /// `Thinned(120)` cut to 80 EOS and 40 XRP blocks (Tezos keeps 118),
+    /// sealed at this many positions a segment: short enough for batches
+    /// inside one segment, straddling two, longer than a segment or than
+    /// the corpus, and epochs past the heads of the shorter chains.
+    Cut(u64),
 }
 
 /// What a report is read through.
@@ -120,6 +125,7 @@ pub const SEEDS: &[u64] = &[1, 7, 42];
 /// crawl seed only.
 const CRAWL_SEEDS: &[u64] = &[7];
 const TILINGS: &[u64] = &[1, 3, 8];
+const CUT_BATCHES: &[usize] = &[1, 5, 32, 300];
 
 use Path::*;
 use Source::*;
@@ -183,6 +189,30 @@ pub const TABLE: &[Row] = &[
         Thinned(200),
         &[Follow(&[1, 7])],
         SEEDS,
+    ),
+    row(
+        "serve_query::every_epoch_of_a_streamed_follower_is_the_held_followers",
+        Cut(1),
+        &[Streamed(CUT_BATCHES)],
+        &[7],
+    ),
+    row(
+        "serve_query::every_epoch_of_a_streamed_follower_is_the_held_followers",
+        Cut(7),
+        &[Streamed(CUT_BATCHES)],
+        &[7],
+    ),
+    row(
+        "serve_query::every_epoch_of_a_streamed_follower_is_the_held_followers",
+        Cut(64),
+        &[Streamed(CUT_BATCHES)],
+        &[7],
+    ),
+    row(
+        "serve_query::every_epoch_of_a_streamed_follower_is_the_held_followers",
+        Cut(256),
+        &[Streamed(CUT_BATCHES)],
+        &[7],
     ),
     row(
         "serve_query::a_serve_session_carries_what_did_not_move_and_serves_the_one_shot_bytes",
@@ -316,15 +346,14 @@ pub fn cell(row: &Row, path: Path, seed: u64) {
 /// the row's [`Expect`] once per seed.
 fn oracle(row: &Row, seed: u64) -> &'static str {
     static CELLS: Cells<(Source, u64), String> = Mutex::new(None);
-    let report = once(&CELLS, (row.source, seed), || match row.source {
-        Thinned(_) => render_report(base(row.source, seed)),
+    let report = once(&CELLS, (family(row.source), seed), || match row.source {
         Crawled => render_report(crawled(seed)),
         CrawledCorpus => render_report(&held(CrawledCorpus, seed)),
-        _ => fixture::small(seed).report().to_owned(),
+        _ => render_report(chains(row.source, seed)),
     });
     let one_shot = fixture::small(seed).report();
     match row.expect {
-        Expect::OneShot if !matches!(row.source, Thinned(_)) => {
+        Expect::OneShot if family(row.source) == Generated => {
             assert!(report == one_shot, "not the seed's one-shot report")
         }
         Expect::OneShot => {}
@@ -356,17 +385,32 @@ fn crawled(seed: u64) -> &'static PipelineData {
     })
 }
 
-/// The held blocks each epoch's one-shot prefix is swept from.
-fn base(source: Source, seed: u64) -> &'static PipelineData {
+/// The sources whose blocks and sidecar are the same: the generated
+/// chains, sealed or not; one cut corpus at any segment size.
+fn family(source: Source) -> Source {
     match source {
-        Thinned(cap) => {
-            static CELLS: Cells<(usize, u64), PipelineData> = Mutex::new(None);
-            once(&CELLS, (cap, seed), || {
-                thinned(fixture::small(seed).fresh(), cap)
-            })
-        }
-        Crawled | CrawledCorpus => panic!("a crawl is checked at its head only"),
-        _ => &fixture::small(seed).data,
+        Archived(_) | MemoWarm | MemoDamaged => Generated,
+        Cut(_) => Cut(0),
+        other => other,
+    }
+}
+
+/// The held chains of `source`: what its corpus seals and what each
+/// epoch's one-shot prefix is swept from.
+fn chains(source: Source, seed: u64) -> &'static PipelineData {
+    static CELLS: Cells<(Source, u64), PipelineData> = Mutex::new(None);
+    match family(source) {
+        Generated => &fixture::small(seed).data,
+        Crawled | CrawledCorpus => crawled(seed),
+        family => once(&CELLS, (family, seed), || match family {
+            Thinned(cap) => thinned(fixture::small(seed).fresh(), cap),
+            _ => {
+                let mut data = thinned(fixture::small(seed).fresh(), 120);
+                data.eos_blocks = Arc::new(data.eos_blocks[..80].to_vec());
+                data.xrp_blocks = Arc::new(data.xrp_blocks[..40].to_vec());
+                data
+            }
+        }),
     }
 }
 
@@ -391,7 +435,7 @@ pub fn thinned(mut data: PipelineData, cap: usize) -> PipelineData {
 
 fn segment_blocks(source: Source) -> Option<u64> {
     match source {
-        Archived(seg) => Some(seg),
+        Archived(seg) | Cut(seg) => Some(seg),
         CrawledCorpus | MemoWarm | MemoDamaged => Some(256),
         _ => None,
     }
@@ -401,7 +445,7 @@ fn segment_blocks(source: Source) -> Option<u64> {
 /// every segment), for the sources whose memo state is part of the row.
 fn memo_hits(source: Source) -> Option<Option<usize>> {
     match source {
-        Archived(_) | MemoDamaged => Some(Some(0)),
+        Archived(_) | Cut(_) | MemoDamaged => Some(Some(0)),
         MemoWarm => Some(None),
         _ => None,
     }
@@ -442,7 +486,7 @@ fn corpus(source: Source, seed: u64) -> PathBuf {
     let dir = super::tempdir("paths", &tag);
     CORPORA.with(|dirs| dirs.borrow_mut().push(dir.clone()));
     std::fs::create_dir_all(&dir).expect("corpus dir");
-    for (name, bytes) in sealed(source == CrawledCorpus, seg, seed) {
+    for (name, bytes) in sealed(family(source), seg, seed) {
         std::fs::write(dir.join(name), bytes).expect("write corpus");
     }
     let memo = dir.join(MEMO_FILE);
@@ -460,16 +504,12 @@ fn corpus(source: Source, seed: u64) -> PathBuf {
     dir
 }
 
-/// The files of small `seed`'s corpus (crawled or generated) sealed at `seg`.
-fn sealed(crawl: bool, seg: u64, seed: u64) -> &'static [(&'static str, Vec<u8>); 2] {
-    static CELLS: Cells<(bool, u64, u64), [(&'static str, Vec<u8>); 2]> = Mutex::new(None);
-    once(&CELLS, (crawl, seg, seed), || {
-        let dir = super::tempdir("paths", &format!("sealed-{crawl}-{seg}-{seed}"));
-        let data = if crawl {
-            crawled(seed)
-        } else {
-            &fixture::small(seed).data
-        };
+/// The files of the chains of `family` at small `seed` sealed at `seg`.
+fn sealed(family: Source, seg: u64, seed: u64) -> &'static [(&'static str, Vec<u8>); 2] {
+    static CELLS: Cells<(Source, u64, u64), [(&'static str, Vec<u8>); 2]> = Mutex::new(None);
+    once(&CELLS, (family, seg, seed), || {
+        let dir = super::tempdir("paths", &format!("sealed-{family:?}-{seg}-{seed}"));
+        let data = chains(family, seed);
         write_archive(&dir, data, "small", seg, SegmentFormat).expect("seal");
         let files = [IDX_FILE, SEG_FILE]
             .map(|name| (name, std::fs::read(dir.join(name)).expect("read corpus")));
@@ -558,12 +598,8 @@ type Routes = Vec<(String, u16, Vec<u8>)>;
 /// prefix (present) and in the whole (maybe not yet), then `/report`.
 fn prefix_routes(source: Source, seed: u64, at: (u64, u64, u64)) -> Arc<Routes> {
     static CELLS: Cells<(Source, u64, (u64, u64, u64)), Arc<Routes>> = Mutex::new(None);
-    let family = match source {
-        Thinned(_) => source,
-        _ => Generated,
-    };
-    Arc::clone(once(&CELLS, (family, seed, at), || {
-        let base = base(family, seed);
+    Arc::clone(once(&CELLS, (family(source), seed, at), || {
+        let base = chains(source, seed);
         let prefix = one_shot_prefix(base, at);
         let present = sample_account_paths(&prefix);
         let mut paths = route_paths(sample_account_paths(base));
@@ -661,7 +697,7 @@ fn follow(mut follower: Follower, batch: usize, row: &Row, seed: u64, want: &str
 fn serve(mut follower: Follower, batch: usize, row: &Row, seed: u64, want: &str) -> Follower {
     let first = follower.advance().expect("first epoch");
     let (service, _cell) = service_over(first, follower.head());
-    let accounts = sample_account_paths(base(row.source, seed));
+    let accounts = sample_account_paths(chains(row.source, seed));
     let paths = route_paths(accounts);
     assert_eq!(paths.len(), 18, "{paths:?}");
     let (xrp_routes, eos_routes) = (

@@ -467,9 +467,10 @@ fn held(source: Source, seed: u64) -> PipelineData {
 
 /// `source`'s block-free dataset over its corpus.
 fn streamed(source: Source, seed: u64) -> PipelineData {
-    streamed_from_archive(&corpus(source, seed))
-        .expect("block-free cold start")
-        .0
+    let (data, _) = streamed_from_archive(&corpus(source, seed)).expect("block-free cold start");
+    let held = data.eos_blocks.len() + data.tezos_blocks.len() + data.xrp_blocks.len();
+    assert_eq!(held, 0, "a streamed dataset holds no block");
+    data
 }
 
 thread_local! {

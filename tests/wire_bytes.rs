@@ -95,7 +95,7 @@ fn check_xrp(b: &xrp::LedgerBlock) {
 #[test]
 fn every_generated_block_is_a_fixed_point_that_parses_back() {
     for seed in [1, 7, 42, 1234] {
-        let data = &small(seed).data;
+        let data = txstat::reports::generate(&Scenario::small(seed));
         data.eos_blocks.iter().for_each(check_eos);
         data.tezos_blocks.iter().for_each(check_tezos);
         data.xrp_blocks.iter().for_each(check_xrp);

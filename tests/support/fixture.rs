@@ -82,11 +82,12 @@ pub fn once<K: Hash + Eq, V>(
     key: K,
     init: impl FnOnce() -> V,
 ) -> &'static V {
-    let cell: &'static OnceLock<V> = *cells
-        .lock()
-        .expect("no fixture panicked while listed")
-        .get_or_insert_with(HashMap::new)
-        .entry(key)
-        .or_insert_with(|| Box::leak(Box::default()));
+    let cell = {
+        let mut cells = cells.lock().expect("no fixture panicked while listed");
+        let cells = cells.get_or_insert_with(HashMap::new);
+        *cells
+            .entry(key)
+            .or_insert_with(|| Box::leak(Box::default()))
+    };
     cell.get_or_init(init)
 }

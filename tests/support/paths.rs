@@ -82,7 +82,7 @@ pub enum Path {
 }
 
 /// The batch of one epoch for the whole corpus.
-pub const ALL: usize = 0;
+const ALL: usize = 0;
 
 /// What the bytes of a row's one-shot report must be.
 #[derive(Debug, Clone, Copy)]
@@ -120,7 +120,7 @@ const fn row(
     }
 }
 
-pub const SEEDS: &[u64] = &[1, 7, 42];
+const SEEDS: &[u64] = &[1, 7, 42];
 /// A crawl costs ~3 s of CPU in a debug build: the crawl rows run at CI's
 /// crawl seed only.
 const CRAWL_SEEDS: &[u64] = &[7];
@@ -277,7 +277,7 @@ fn run(row: &Row, path: Path, seed: u64) -> Option<String> {
 }
 
 /// One cell: `row`'s source read through `path` at `seed`.
-pub fn cell(row: &Row, path: Path, seed: u64) {
+fn cell(row: &Row, path: Path, seed: u64) {
     let source = row.source;
     let want = oracle(row, seed);
     let status = match path {
@@ -505,9 +505,12 @@ fn corpus(source: Source, seed: u64) -> PathBuf {
     dir
 }
 
+/// The two files of a sealed corpus, by name.
+type Files = [(&'static str, Vec<u8>); 2];
+
 /// The files of the chains of `family` at small `seed` sealed at `seg`.
-fn sealed(family: Source, seg: u64, seed: u64) -> &'static [(&'static str, Vec<u8>); 2] {
-    static CELLS: Cells<(Source, u64, u64), [(&'static str, Vec<u8>); 2]> = Mutex::new(None);
+fn sealed(family: Source, seg: u64, seed: u64) -> &'static Files {
+    static CELLS: Cells<(Source, u64, u64), Files> = Mutex::new(None);
     once(&CELLS, (family, seg, seed), || {
         let dir = super::tempdir("paths", &format!("sealed-{family:?}-{seg}-{seed}"));
         let data = chains(family, seed);
@@ -594,11 +597,14 @@ pub fn one_shot_prefix(base: &PipelineData, (e, t, x): (u64, u64, u64)) -> Pipel
 /// `(route, status, body)` of every route an epoch is read at.
 type Routes = Vec<(String, u16, Vec<u8>)>;
 
+/// The blocks `(eos, tezos, xrp)` an epoch has observed.
+type Coverage = (u64, u64, u64);
+
 /// The routes of the one-shot sweep of `source`'s prefix `at`: every
 /// section and the comparison, the busiest account of each chain in the
 /// prefix (present) and in the whole (maybe not yet), then `/report`.
-fn prefix_routes(source: Source, seed: u64, at: (u64, u64, u64)) -> Arc<Routes> {
-    static CELLS: Cells<(Source, u64, (u64, u64, u64)), Arc<Routes>> = Mutex::new(None);
+fn prefix_routes(source: Source, seed: u64, at: Coverage) -> Arc<Routes> {
+    static CELLS: Cells<(Source, u64, Coverage), Arc<Routes>> = Mutex::new(None);
     Arc::clone(once(&CELLS, (family(source), seed, at), || {
         let base = chains(source, seed);
         let prefix = one_shot_prefix(base, at);
@@ -646,7 +652,7 @@ fn assert_routes(service: &StatsService, routes: &Routes, what: &str) {
 }
 
 /// The sum of an `(eos, tezos, xrp)` coverage.
-fn blocks((e, t, x): (u64, u64, u64)) -> u64 {
+fn blocks((e, t, x): Coverage) -> u64 {
     e + t + x
 }
 
